@@ -1,5 +1,7 @@
 #include "mesh/config_delta.h"
 
+#include <utility>
+
 namespace meshnet::mesh {
 
 namespace {
@@ -39,67 +41,74 @@ std::size_t policy_section_bytes(const SidecarConfig& config) {
 
 }  // namespace
 
-ConfigDelta make_config_delta(const SidecarConfig& base,
-                              const SidecarConfig& target) {
+SidecarConfig CompiledConfig::materialize() const {
+  SidecarConfig config = policy;
+  config.routes = fingerprint.routes;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    config.clusters.emplace_hint(config.clusters.end(),
+                                 fingerprint.clusters[i].name, *specs[i]);
+  }
+  return config;
+}
+
+CompiledConfig compiled_from(SidecarConfig config) {
+  CompiledConfig compiled;
+  compiled.fingerprint = fingerprint_config(config);
+  compiled.policy = config;
+  compiled.policy.clusters.clear();
+  compiled.policy.routes.clear();
+  auto owned = std::make_unique<const SidecarConfig>(std::move(config));
+  compiled.specs.reserve(owned->clusters.size());
+  for (const auto& [name, spec] : owned->clusters) {
+    compiled.specs.push_back(&spec);
+  }
+  compiled.owned = std::move(owned);
+  return compiled;
+}
+
+ConfigDelta make_config_delta(const ConfigFingerprint& base,
+                              const CompiledConfig& target) {
+  const ConfigFingerprint& next = target.fingerprint;
   ConfigDelta delta;
-  delta.epoch = target.epoch;
-  delta.base_hash = hash_sidecar_config(base);
-  delta.target_hash = hash_sidecar_config(target);
+  delta.epoch = target.policy.epoch;
+  delta.base_hash = base.hash;
+  delta.target_hash = next.hash;
 
-  if (hash_policy_section(base) != hash_policy_section(target)) {
+  if (base.policy_hash != next.policy_hash) {
     delta.policy_changed = true;
-    delta.policy = target;
-    delta.policy.clusters.clear();
-    delta.policy.routes.clear();
+    delta.policy = target.policy;
   }
 
-  for (const auto& [name, spec] : target.clusters) {
-    const auto it = base.clusters.find(name);
-    if (it == base.clusters.end() ||
-        hash_cluster_spec(it->second) != hash_cluster_spec(spec)) {
-      delta.cluster_upserts.emplace(name, spec);
+  // Both cluster lists are sorted by name: one merge walk finds the
+  // upserts (new, or same name with a different hash) and the removals.
+  std::size_t b = 0;
+  for (std::size_t t = 0; t < next.clusters.size(); ++t) {
+    const ClusterHash& cluster = next.clusters[t];
+    while (b < base.clusters.size() && base.clusters[b].name < cluster.name) {
+      delta.cluster_removals.push_back(base.clusters[b++].name);
     }
+    const bool in_base =
+        b < base.clusters.size() && base.clusters[b].name == cluster.name;
+    if (!in_base || base.clusters[b].hash != cluster.hash) {
+      delta.cluster_upserts.emplace_hint(delta.cluster_upserts.end(),
+                                         cluster.name, *target.specs[t]);
+    }
+    if (in_base) ++b;
   }
-  for (const auto& [name, spec] : base.clusters) {
-    if (!target.clusters.contains(name)) delta.cluster_removals.push_back(name);
+  for (; b < base.clusters.size(); ++b) {
+    delta.cluster_removals.push_back(base.clusters[b].name);
   }
 
-  for (const auto& [host, cluster] : target.routes) {
+  for (const auto& [host, cluster] : next.routes) {
     const auto it = base.routes.find(host);
     if (it == base.routes.end() || it->second != cluster) {
       delta.route_upserts.emplace(host, cluster);
     }
   }
   for (const auto& [host, cluster] : base.routes) {
-    if (!target.routes.contains(host)) delta.route_removals.push_back(host);
+    if (!next.routes.contains(host)) delta.route_removals.push_back(host);
   }
   return delta;
-}
-
-SidecarConfig apply_config_delta(const SidecarConfig& base,
-                                 const ConfigDelta& delta) {
-  SidecarConfig out;
-  if (delta.policy_changed) {
-    out = delta.policy;
-    out.routes = base.routes;
-    out.clusters = base.clusters;
-  } else {
-    out = base;
-  }
-  out.epoch = delta.epoch;
-  for (const std::string& name : delta.cluster_removals) {
-    out.clusters.erase(name);
-  }
-  for (const auto& [name, spec] : delta.cluster_upserts) {
-    out.clusters[name] = spec;
-  }
-  for (const std::string& host : delta.route_removals) {
-    out.routes.erase(host);
-  }
-  for (const auto& [host, cluster] : delta.route_upserts) {
-    out.routes[host] = cluster;
-  }
-  return out;
 }
 
 std::size_t estimate_config_bytes(const SidecarConfig& config) {

@@ -13,17 +13,27 @@
 //   * the non-cluster "policy section" (retry/timeout/admission/...) as
 //     one blob, only when its fingerprint changed.
 //
+// The control plane diffs fingerprints, not configs: it keeps the
+// ConfigFingerprint (mesh/sidecar.h) of each sidecar's acked config and
+// compiles the next config as a CompiledConfig whose specs it borrows
+// from a cluster table built once per epoch, so a delta costs a walk
+// over two name-sorted (name, hash) lists plus copies of the changed
+// specs.
+//
 // Safety over cleverness: a delta names the exact base it diffs against
 // (base_hash) and the exact result it must produce (target_hash). The
-// sidecar reconstructs the full candidate config, verifies both hashes,
-// and funnels it through the same apply_config validation a full push
-// uses — so delta and full push converge to identical fingerprints by
-// construction. Any mismatch nacks with "delta-base-mismatch" and the
-// control plane falls back to a full push for that sidecar.
+// sidecar checks base_hash against the fingerprint of its running
+// config, checks target_hash against hashes it computes itself over the
+// content it received, and validates the changed parts before patching
+// its config in place — so delta and full push converge to identical
+// fingerprints by construction. Either mismatch nacks
+// ("delta-base-mismatch" / "delta-target-mismatch") and the control
+// plane falls back to a full push for that sidecar.
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,7 +46,7 @@ struct ConfigDelta {
   /// Fingerprint of the config this delta applies on top of (the
   /// sidecar's running config; the control plane tracks it per ack).
   std::uint64_t base_hash = 0;
-  /// Fingerprint the reconstructed config must have.
+  /// Fingerprint the patched config must have.
   std::uint64_t target_hash = 0;
 
   /// Non-cluster, non-route fields changed; `policy` replaces them
@@ -56,15 +66,32 @@ struct ConfigDelta {
   }
 };
 
-/// Diffs `target` against `base`. epoch/target_hash are taken from
-/// `target`; base_hash from `base`.
-ConfigDelta make_config_delta(const SidecarConfig& base,
-                              const SidecarConfig& target);
+/// One sidecar's compiled config as the push path holds it: the policy
+/// section, the fingerprint, and the spec behind each fingerprinted
+/// cluster. The specs are borrowed — from the control plane's per-epoch
+/// cluster table, or from `owned` — so a CompiledConfig lives only as
+/// long as the push that compiled it.
+struct CompiledConfig {
+  /// Everything but the clusters and routes.
+  SidecarConfig policy;
+  ConfigFingerprint fingerprint;
+  /// specs[i] is the spec fingerprint.clusters[i] was hashed from.
+  std::vector<const ClusterSpec*> specs;
+  /// Backs `specs` for a config that was built whole (compiled_from).
+  std::unique_ptr<const SidecarConfig> owned;
 
-/// Reconstructs the full config `delta` was diffed to produce. Pure;
-/// does not validate (the caller runs apply_config on the result).
-SidecarConfig apply_config_delta(const SidecarConfig& base,
-                                 const ConfigDelta& delta);
+  /// The full config, as a full-snapshot push carries it.
+  SidecarConfig materialize() const;
+};
+
+/// A whole config as a CompiledConfig, fingerprinted from scratch.
+CompiledConfig compiled_from(SidecarConfig config);
+
+/// Diffs `target` against the acked fingerprint `base` with a merge walk
+/// over their name-sorted cluster lists, copying only the changed specs.
+/// epoch/target_hash are taken from `target`; base_hash from `base`.
+ConfigDelta make_config_delta(const ConfigFingerprint& base,
+                              const CompiledConfig& target);
 
 /// Modeled wire size of a full-snapshot push / a delta push, in bytes.
 /// Not a serialization — a stable cost model (string bytes + fixed

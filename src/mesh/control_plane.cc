@@ -9,6 +9,20 @@
 
 namespace meshnet::mesh {
 
+namespace {
+
+/// Does `service`'s scope admit `cluster`? No scope entry = admit all.
+bool scope_allows(
+    const std::map<std::string, std::vector<std::string>>& scopes,
+    const std::string& service, const std::string& cluster) {
+  const auto it = scopes.find(service);
+  if (it == scopes.end()) return true;
+  return std::find(it->second.begin(), it->second.end(), cluster) !=
+         it->second.end();
+}
+
+}  // namespace
+
 ControlPlane::ControlPlane(sim::Simulator& sim, cluster::Cluster& cluster,
                            MeshPolicies policies)
     : sim_(sim),
@@ -64,6 +78,9 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
                                            std::move(config));
   Sidecar& ref = *sidecar;
   sidecars_.push_back(std::move(sidecar));
+  PushState& state = push_state_[pod.name()];
+  state.sidecar = &ref;
+  states_.push_back(&state);
 
   // Standard filter set. Order matters: identity before authz; tracing
   // first so every later filter sees the request id. Admission runs last
@@ -84,20 +101,16 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
       std::make_shared<SourceIdentityFilter>(service));
 
   issue_certificate(service);
-  SidecarConfig compiled = compile_config(ref);
-  const std::uint64_t hash = hash_sidecar_config(compiled);
-  const std::uint64_t compiled_epoch = compiled.epoch;
-  std::shared_ptr<const SidecarConfig> applied;
-  if (policies_.cp.delta_push) {
-    applied = std::make_shared<const SidecarConfig>(compiled);
-  }
-  if (ref.apply_config(std::move(compiled))) {
+  // Subset assignments depend on the subscriber set, which just grew.
+  if (policies_.subset.enabled) cluster_table_.reset();
+  CompiledConfig compiled = compile_config(ref);
+  const std::uint64_t compiled_epoch = compiled.policy.epoch;
+  if (ref.apply_config(compiled.materialize())) {
     // Injection is a local, synchronous bootstrap push: seed the channel
     // state so the next broadcast can skip this sidecar if unchanged.
-    PushState& state = push_state_[pod.name()];
     state.acked_epoch = compiled_epoch;
-    state.acked_hash = hash;
-    state.acked_config = std::move(applied);
+    state.acked_hash = compiled.fingerprint.hash;
+    if (policies_.cp.delta_push) state.acked = std::move(compiled.fingerprint);
   }
   ref.start();
   return ref;
@@ -136,27 +149,24 @@ void ControlPlane::begin_epoch() {
 void ControlPlane::push_config() {
   if (crashed_) return;
   begin_epoch();
-  for (const auto& sidecar : sidecars_) {
-    launch_push(*sidecar);
+  for (PushState* state : states_) {
+    launch_push(*state);
   }
   MESHNET_DEBUG() << "control plane push #" << pushes_ << " epoch "
                   << epoch_ << " (registry v" << last_registry_version_
                   << ")";
 }
 
-void ControlPlane::launch_push(Sidecar& sidecar) {
-  const std::string pod = sidecar.pod().name();
-  PushState& state = push_state_[pod];
+void ControlPlane::launch_push(PushState& state) {
+  Sidecar& sidecar = *state.sidecar;
   cancel_push_timers(state);
 
-  SidecarConfig config = compile_config(sidecar);
-  const std::uint64_t hash = hash_sidecar_config(config);
-  if (state.acked_hash != 0 && hash == state.acked_hash) {
+  CompiledConfig compiled = compile_config(sidecar);
+  if (state.acked_hash != 0 && compiled.fingerprint.hash == state.acked_hash) {
     // Delta-aware push: the compiled payload is byte-identical to what
     // the sidecar already runs, so the new epoch is acked implicitly.
-    state.acked_epoch = std::max(state.acked_epoch, config.epoch);
-    registry_.gauge("sidecar_config_epoch", {{"pod", pod}})
-        .set(static_cast<double>(state.acked_epoch));
+    state.acked_epoch = std::max(state.acked_epoch, compiled.policy.epoch);
+    publish_acked_epoch(state);
     cpm_.skipped_noop->inc();
     check_convergence();
     return;
@@ -168,33 +178,35 @@ void ControlPlane::launch_push(Sidecar& sidecar) {
     // retry loop keeps revalidating until the partition heals or the
     // pod comes back.
     cpm_.dropped->inc();
-    schedule_retry(pod);
+    schedule_retry(state);
     return;
   }
 
   const ControlPlaneConfig& cp = policies_.cp;
   // Incremental transport: once a base config has been acked, ship only
   // the diff against it. A forced-full flag (set after a delta mismatch)
-  // or a missing base falls back to the full snapshot.
+  // or a missing base falls back to the full snapshot, the only push
+  // that needs the whole config built.
   const bool use_delta =
-      cp.delta_push && !state.force_full && state.acked_config != nullptr;
+      cp.delta_push && !state.force_full && state.acked.has_value();
   ConfigDelta delta;
+  SidecarConfig config;
   if (use_delta) {
-    delta = make_config_delta(*state.acked_config, config);
-    push_bytes_delta_ += estimate_delta_bytes(delta);
+    delta = make_config_delta(*state.acked, compiled);
+    const std::size_t bytes = estimate_delta_bytes(delta);
+    push_bytes_delta_ += bytes;
     ++pushes_delta_;
     if (cpm_.delta_pushes != nullptr) cpm_.delta_pushes->inc();
-    if (cpm_.delta_bytes != nullptr) {
-      cpm_.delta_bytes->inc(estimate_delta_bytes(delta));
-    }
+    if (cpm_.delta_bytes != nullptr) cpm_.delta_bytes->inc(bytes);
   } else {
-    push_bytes_full_ += estimate_config_bytes(config);
+    config = compiled.materialize();
+    const std::size_t bytes = estimate_config_bytes(config);
+    push_bytes_full_ += bytes;
     ++pushes_full_;
-    if (cpm_.full_bytes != nullptr) {
-      cpm_.full_bytes->inc(estimate_config_bytes(config));
-    }
+    if (cpm_.full_bytes != nullptr) cpm_.full_bytes->inc(bytes);
     state.force_full = false;
   }
+  ConfigFingerprint target = std::move(compiled.fingerprint);
   const bool lost = cp.push_loss > 0.0 && push_rng_.uniform() < cp.push_loss;
   sim::Duration latency = cp.push_latency_base;
   if (cp.push_latency_jitter > 0) {
@@ -203,96 +215,75 @@ void ControlPlane::launch_push(Sidecar& sidecar) {
   }
   if (lost) {
     // Swallowed by the channel; the ack timeout notices and retries.
-    state.ack_timer = sim_.schedule_after(cp.ack_timeout, [this, pod] {
-      const auto it = push_state_.find(pod);
-      if (it == push_state_.end()) return;
-      it->second.ack_timer = sim::kInvalidEventId;
-      schedule_retry(pod);
-    });
+    arm_ack_timeout(state);
     return;
   }
   if (latency <= 0) {
     // Legacy inline path: zero-latency channel, synchronous apply + ack.
     if (use_delta) {
-      deliver_delta(pod, std::move(delta), std::move(config), hash);
+      deliver_delta(state, std::move(delta), std::move(target));
     } else {
-      deliver_push(pod, std::move(config), hash);
+      deliver_push(state, std::move(config), std::move(target));
     }
     return;
   }
   state.delivery_timer = sim_.schedule_after(
-      latency, [this, pod, use_delta, delta = std::move(delta),
-                config = std::move(config), hash]() mutable {
-        const auto it = push_state_.find(pod);
-        if (it == push_state_.end()) return;
-        it->second.delivery_timer = sim::kInvalidEventId;
+      latency, [this, s = &state, use_delta, delta = std::move(delta),
+                config = std::move(config),
+                target = std::move(target)]() mutable {
+        s->delivery_timer = sim::kInvalidEventId;
         if (use_delta) {
-          deliver_delta(pod, std::move(delta), std::move(config), hash);
+          deliver_delta(*s, std::move(delta), std::move(target));
         } else {
-          deliver_push(pod, std::move(config), hash);
+          deliver_push(*s, std::move(config), std::move(target));
         }
       });
-  state.ack_timer = sim_.schedule_after(cp.ack_timeout, [this, pod] {
-    const auto it = push_state_.find(pod);
-    if (it == push_state_.end()) return;
-    it->second.ack_timer = sim::kInvalidEventId;
-    schedule_retry(pod);
-  });
+  arm_ack_timeout(state);
 }
 
-void ControlPlane::deliver_push(const std::string& pod_name,
-                                SidecarConfig config, std::uint64_t hash) {
-  Sidecar* sidecar = sidecar_for(pod_name);
-  if (sidecar == nullptr) return;
+void ControlPlane::deliver_push(PushState& state, SidecarConfig config,
+                                ConfigFingerprint target) {
+  Sidecar& sidecar = *state.sidecar;
   const std::uint64_t config_epoch = config.epoch;
-  std::shared_ptr<const SidecarConfig> applied;
-  if (policies_.cp.delta_push) {
-    applied = std::make_shared<const SidecarConfig>(config);
-  }
-  if (sidecar->apply_config(std::move(config))) {
-    if (applied != nullptr) {
-      push_state_[pod_name].acked_config = std::move(applied);
-    }
-    handle_ack(pod_name, config_epoch, hash);
+  if (sidecar.apply_config(std::move(config))) {
+    const std::uint64_t hash = target.hash;
+    if (policies_.cp.delta_push) state.acked = std::move(target);
+    handle_ack(state, config_epoch, hash);
   } else {
-    handle_nack(pod_name, config_epoch, sidecar->last_config_error());
+    handle_nack(state, config_epoch, sidecar.last_config_error());
   }
 }
 
-void ControlPlane::deliver_delta(const std::string& pod_name,
-                                 ConfigDelta delta, SidecarConfig target,
-                                 std::uint64_t hash) {
-  Sidecar* sidecar = sidecar_for(pod_name);
-  if (sidecar == nullptr) return;
+void ControlPlane::deliver_delta(PushState& state, ConfigDelta delta,
+                                 ConfigFingerprint target) {
+  Sidecar& sidecar = *state.sidecar;
   const std::uint64_t config_epoch = delta.epoch;
-  if (sidecar->apply_config_delta(delta)) {
-    push_state_[pod_name].acked_config =
-        std::make_shared<const SidecarConfig>(std::move(target));
-    handle_ack(pod_name, config_epoch, hash);
+  if (sidecar.apply_config_delta(std::move(delta))) {
+    const std::uint64_t hash = target.hash;
+    state.acked = std::move(target);
+    handle_ack(state, config_epoch, hash);
     return;
   }
-  const std::string error = sidecar->last_config_error();
+  const std::string error = sidecar.last_config_error();
   if (error == "delta-base-mismatch" || error == "delta-target-mismatch") {
     // A transport artefact — the base this delta assumed never stuck, or
     // drifted — not a poison config, so no rollback: forget the base and
     // re-push the full snapshot immediately.
     ++delta_fallbacks_;
     if (cpm_.delta_fallbacks != nullptr) cpm_.delta_fallbacks->inc();
-    record_event(obs::EventKind::kControlPlane, "push:" + pod_name,
-                 "delta fallback: " + error);
-    PushState& state = push_state_[pod_name];
-    state.acked_config.reset();
+    record_event(obs::EventKind::kControlPlane,
+                 "push:" + sidecar.pod().name(), "delta fallback: " + error);
+    state.acked.reset();
     state.force_full = true;
-    if (!crashed_) launch_push(*sidecar);
+    if (!crashed_) launch_push(state);
     return;
   }
-  handle_nack(pod_name, config_epoch, error);
+  handle_nack(state, config_epoch, error);
 }
 
-void ControlPlane::handle_ack(const std::string& pod_name,
-                              std::uint64_t acked_epoch, std::uint64_t hash) {
+void ControlPlane::handle_ack(PushState& state, std::uint64_t acked_epoch,
+                              std::uint64_t hash) {
   if (crashed_) return;  // acks into a dead control plane are lost
-  PushState& state = push_state_[pod_name];
   if (state.ack_timer != sim::kInvalidEventId) {
     sim_.cancel(state.ack_timer);
     state.ack_timer = sim::kInvalidEventId;
@@ -303,17 +294,14 @@ void ControlPlane::handle_ack(const std::string& pod_name,
     state.acked_epoch = acked_epoch;
     state.acked_hash = hash;
   }
-  registry_.gauge("sidecar_config_epoch", {{"pod", pod_name}})
-      .set(static_cast<double>(state.acked_epoch));
+  publish_acked_epoch(state);
   cpm_.acks->inc();
   check_convergence();
 }
 
-void ControlPlane::handle_nack(const std::string& pod_name,
-                               std::uint64_t nacked_epoch,
+void ControlPlane::handle_nack(PushState& state, std::uint64_t nacked_epoch,
                                const std::string& reason) {
   if (crashed_) return;
-  PushState& state = push_state_[pod_name];
   if (state.ack_timer != sim::kInvalidEventId) {
     sim_.cancel(state.ack_timer);
     state.ack_timer = sim::kInvalidEventId;
@@ -324,8 +312,8 @@ void ControlPlane::handle_nack(const std::string& pod_name,
     return;
   }
   cpm_.nacks->inc();
-  record_event(obs::EventKind::kControlPlane, "push:" + pod_name,
-               "nack: " + reason);
+  record_event(obs::EventKind::kControlPlane,
+               "push:" + state.sidecar->pod().name(), "nack: " + reason);
   if (nacked_epoch == epoch_ && rollback_armed_ &&
       nacked_epoch > rolled_back_epoch_) {
     // Poison config: the sidecar kept its last-good snapshot; restore the
@@ -340,18 +328,18 @@ void ControlPlane::handle_nack(const std::string& pod_name,
       policies_ = last_good_policies_;
       policies_.cp = cp;
     }
+    cluster_table_.reset();
     cpm_.rollbacks->inc();
     record_event(obs::EventKind::kControlPlane, "control-plane",
                  "rollback to last-good epoch");
     push_config();
   } else {
-    schedule_retry(pod_name);
+    schedule_retry(state);
   }
 }
 
-void ControlPlane::schedule_retry(const std::string& pod_name) {
+void ControlPlane::schedule_retry(PushState& state) {
   if (crashed_) return;
-  PushState& state = push_state_[pod_name];
   if (state.retry_timer != sim::kInvalidEventId) return;
   ++state.attempt;
   RetryPolicy backoff;
@@ -363,14 +351,34 @@ void ControlPlane::schedule_retry(const std::string& pod_name) {
                          push_rng_);
   state.prev_backoff = sleep;
   cpm_.retries->inc();
-  state.retry_timer = sim_.schedule_after(sleep, [this, pod_name] {
-    const auto it = push_state_.find(pod_name);
-    if (it == push_state_.end()) return;
-    it->second.retry_timer = sim::kInvalidEventId;
-    if (crashed_) return;
-    Sidecar* sidecar = sidecar_for(pod_name);
-    if (sidecar != nullptr) launch_push(*sidecar);
+  schedule_relaunch(state, sleep);
+}
+
+void ControlPlane::schedule_relaunch(PushState& state, sim::Duration delay) {
+  const std::string pod = state.sidecar->pod().name();
+  state.retry_timer = sim_.schedule_after(delay, [this, pod] {
+    PushState& s = push_state_.at(pod);
+    s.retry_timer = sim::kInvalidEventId;
+    if (!crashed_) launch_push(s);
   });
+}
+
+void ControlPlane::arm_ack_timeout(PushState& state) {
+  const std::string pod = state.sidecar->pod().name();
+  state.ack_timer =
+      sim_.schedule_after(policies_.cp.ack_timeout, [this, pod] {
+        PushState& s = push_state_.at(pod);
+        s.ack_timer = sim::kInvalidEventId;
+        schedule_retry(s);
+      });
+}
+
+void ControlPlane::publish_acked_epoch(PushState& state) {
+  if (state.epoch_gauge == nullptr) {
+    state.epoch_gauge = &registry_.gauge(
+        "sidecar_config_epoch", {{"pod", state.sidecar->pod().name()}});
+  }
+  state.epoch_gauge->set(static_cast<double>(state.acked_epoch));
 }
 
 void ControlPlane::cancel_push_timers(PushState& state) {
@@ -387,13 +395,10 @@ void ControlPlane::check_convergence() {
   if (crashed_) return;
   std::size_t stale = 0;
   bool all_current = true;
-  for (const auto& sidecar : sidecars_) {
-    const auto it = push_state_.find(sidecar->pod().name());
-    const std::uint64_t acked =
-        it == push_state_.end() ? 0 : it->second.acked_epoch;
-    if (acked != epoch_) {
+  for (const PushState* state : states_) {
+    if (state->acked_epoch != epoch_) {
       ++stale;
-      if (sidecar->pod().running()) all_current = false;
+      if (state->sidecar->pod().running()) all_current = false;
     }
   }
   cpm_.stale->set(static_cast<double>(stale));
@@ -415,12 +420,9 @@ void ControlPlane::check_convergence() {
 
 bool ControlPlane::converged() const {
   if (crashed_) return false;
-  for (const auto& sidecar : sidecars_) {
-    if (!sidecar->pod().running()) continue;
-    const auto it = push_state_.find(sidecar->pod().name());
-    const std::uint64_t acked =
-        it == push_state_.end() ? 0 : it->second.acked_epoch;
-    if (acked != epoch_) return false;
+  for (const PushState* state : states_) {
+    if (!state->sidecar->pod().running()) continue;
+    if (state->acked_epoch != epoch_) return false;
   }
   return true;
 }
@@ -430,13 +432,15 @@ std::uint64_t ControlPlane::acked_epoch(const std::string& pod_name) const {
   return it == push_state_.end() ? 0 : it->second.acked_epoch;
 }
 
+std::uint64_t ControlPlane::acked_hash(const std::string& pod_name) const {
+  const auto it = push_state_.find(pod_name);
+  return it == push_state_.end() ? 0 : it->second.acked_hash;
+}
+
 std::size_t ControlPlane::stale_sidecars() const {
   std::size_t stale = 0;
-  for (const auto& sidecar : sidecars_) {
-    const auto it = push_state_.find(sidecar->pod().name());
-    const std::uint64_t acked =
-        it == push_state_.end() ? 0 : it->second.acked_epoch;
-    if (acked != epoch_) ++stale;
+  for (const PushState* state : states_) {
+    if (state->acked_epoch != epoch_) ++stale;
   }
   return stale;
 }
@@ -485,28 +489,19 @@ void ControlPlane::recover() {
   // not a thundering herd.
   begin_epoch();
   const sim::Duration pacing = policies_.cp.reconverge_pacing;
-  for (std::size_t i = 0; i < sidecars_.size(); ++i) {
-    Sidecar& sidecar = *sidecars_[i];
-    const std::string pod = sidecar.pod().name();
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    PushState& state = *states_[i];
     sim::Duration delay = static_cast<sim::Duration>(i) * pacing;
     if (pacing > 0) {
       delay += static_cast<sim::Duration>(pace_rng_.uniform() *
                                           static_cast<double>(pacing));
     }
     if (delay <= 0) {
-      launch_push(sidecar);
+      launch_push(state);
       continue;
     }
-    PushState& state = push_state_[pod];
     cancel_push_timers(state);
-    state.retry_timer = sim_.schedule_after(delay, [this, pod] {
-      const auto it = push_state_.find(pod);
-      if (it == push_state_.end()) return;
-      it->second.retry_timer = sim::kInvalidEventId;
-      if (crashed_) return;
-      Sidecar* sidecar = sidecar_for(pod);
-      if (sidecar != nullptr) launch_push(*sidecar);
-    });
+    schedule_relaunch(state, delay);
   }
 }
 
@@ -517,10 +512,10 @@ void ControlPlane::set_partitioned(const std::string& pod_name,
   state.partitioned = partitioned;
   record_event(obs::EventKind::kControlPlane, "push:" + pod_name,
                partitioned ? "partitioned" : "healed");
-  if (!partitioned && !crashed_ && state.acked_epoch < epoch_) {
+  if (!partitioned && !crashed_ && state.acked_epoch < epoch_ &&
+      state.sidecar != nullptr) {
     // Healed while stale: revalidate immediately.
-    Sidecar* sidecar = sidecar_for(pod_name);
-    if (sidecar != nullptr) launch_push(*sidecar);
+    launch_push(state);
   }
 }
 
@@ -541,28 +536,74 @@ void ControlPlane::update_staleness_gauges() {
   }
 }
 
-namespace {
-
-/// Does `service`'s scope admit `cluster`? No scope entry = admit all.
-bool scope_allows(
-    const std::map<std::string, std::vector<std::string>>& scopes,
-    const std::string& service, const std::string& cluster) {
-  const auto it = scopes.find(service);
-  if (it == scopes.end()) return true;
-  return std::find(it->second.begin(), it->second.end(), cluster) !=
-         it->second.end();
-}
-
-}  // namespace
-
 bool ControlPlane::mtls_enabled_for(const std::string& service) const {
   const auto it = policies_.mtls_overrides.find(service);
   return it != policies_.mtls_overrides.end() ? it->second
                                               : policies_.tls.enabled;
 }
 
-SidecarConfig ControlPlane::compile_config(const Sidecar& sidecar) {
-  SidecarConfig config;
+const ControlPlane::ClusterTable& ControlPlane::cluster_table() {
+  const std::uint64_t version = cluster_.registry().version();
+  if (cluster_table_.has_value() && cluster_table_->epoch == epoch_ &&
+      cluster_table_->registry_version == version) {
+    return *cluster_table_;
+  }
+  ClusterTable& table = cluster_table_.emplace();
+  table.epoch = epoch_;
+  table.registry_version = version;
+  const std::vector<const cluster::ServiceInfo*> services =
+      cluster_.registry().services();
+  table.clusters.reserve(services.size());
+  const SubsetConfig& subset = policies_.subset;
+  for (const cluster::ServiceInfo* info : services) {
+    TableCluster& entry = table.clusters.emplace_back();
+    ClusterSpec& spec = entry.full.spec;
+    spec.name = info->name;
+    spec.endpoints = info->endpoints;
+    // Client side of mTLS: initiate TLS to clusters whose *target*
+    // service runs an mTLS-accepting inbound listener.
+    spec.mtls = mtls_enabled_for(info->name);
+    spec.breaker = policies_.breaker;
+    spec.health_check = policies_.health_check;
+    spec.lb = policies_.default_lb;
+    const auto lb_it = policies_.lb_overrides.find(info->name);
+    if (lb_it != policies_.lb_overrides.end()) spec.lb = lb_it->second;
+    entry.full.hash = hash_cluster_spec(spec);
+    if (!subset.enabled || subset.subset_size <= 0 ||
+        static_cast<std::size_t>(subset.subset_size) >=
+            spec.endpoints.size()) {
+      continue;
+    }
+    // Every sidecar whose scope admits this cluster subscribes to it; the
+    // subset function is pure, so one assignment per epoch gives every
+    // subscriber a consistent view.
+    std::vector<std::string> subscribers;
+    subscribers.reserve(sidecars_.size());
+    for (const auto& sidecar : sidecars_) {
+      if (scope_allows(policies_.cluster_scopes,
+                       sidecar->config().service_name, info->name)) {
+        subscribers.push_back(sidecar->pod().name());
+      }
+    }
+    std::sort(subscribers.begin(), subscribers.end());
+    for (const auto& [pod, indices] : compute_endpoint_subsets(
+             info->name, spec.endpoints, subscribers, subset.subset_size)) {
+      if (indices.size() >= spec.endpoints.size()) continue;
+      CompiledSpec& narrowed = entry.narrowed[pod];
+      narrowed.spec = spec;
+      narrowed.spec.endpoints.clear();
+      for (const std::size_t index : indices) {
+        narrowed.spec.endpoints.push_back(spec.endpoints[index]);
+      }
+      narrowed.hash = hash_cluster_spec(narrowed.spec);
+    }
+  }
+  return table;
+}
+
+CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
+  CompiledConfig compiled;
+  SidecarConfig& config = compiled.policy;
   config.service_name = sidecar.config().service_name;
   // Listener identity is deliberately left at defaults: apply_config
   // pins those fields to the live sidecar's values and the config
@@ -587,68 +628,48 @@ SidecarConfig ControlPlane::compile_config(const Sidecar& sidecar) {
   config.tls = policies_.tls;
   config.tls.enabled = mtls_enabled_for(config.service_name);
 
-  const std::string pod_name = sidecar.pod().name();
-  for (const cluster::ServiceInfo* info : cluster_.registry().services()) {
-    if (!scope_allows(policies_.cluster_scopes, config.service_name,
-                      info->name)) {
+  const std::string& pod = sidecar.pod().name();
+  const auto scope_it = policies_.cluster_scopes.find(config.service_name);
+  const std::vector<std::string>* scope =
+      scope_it == policies_.cluster_scopes.end() ? nullptr : &scope_it->second;
+  const ClusterTable& table = cluster_table();
+  ConfigFingerprint& fingerprint = compiled.fingerprint;
+  fingerprint.clusters.reserve(table.clusters.size());
+  compiled.specs.reserve(table.clusters.size());
+  for (const TableCluster& entry : table.clusters) {
+    const std::string& name = entry.full.spec.name;
+    if (scope != nullptr &&
+        std::find(scope->begin(), scope->end(), name) == scope->end()) {
       continue;
     }
-    ClusterSpec spec;
-    spec.name = info->name;
-    spec.endpoints = info->endpoints;
-    // Client side of mTLS: initiate TLS to clusters whose *target*
-    // service runs an mTLS-accepting inbound listener.
-    spec.mtls = mtls_enabled_for(info->name);
-    spec.breaker = policies_.breaker;
-    spec.health_check = policies_.health_check;
-    spec.lb = policies_.default_lb;
-    const auto lb_it = policies_.lb_overrides.find(info->name);
-    if (lb_it != policies_.lb_overrides.end()) spec.lb = lb_it->second;
-    if (policies_.subset.enabled && policies_.subset.subset_size > 0 &&
-        static_cast<std::size_t>(policies_.subset.subset_size) <
-            spec.endpoints.size()) {
-      // Every sidecar whose scope admits this cluster subscribes to it;
-      // the subset function is pure, so recomputing it per compile gives
-      // every subscriber a consistent view of the same assignment.
-      std::vector<std::string> subscribers;
-      subscribers.reserve(sidecars_.size());
-      for (const auto& other : sidecars_) {
-        if (scope_allows(policies_.cluster_scopes,
-                         other->config().service_name, info->name)) {
-          subscribers.push_back(other->pod().name());
-        }
+    const CompiledSpec* chosen = &entry.full;
+    const auto narrowed_it = entry.narrowed.find(pod);
+    if (narrowed_it != entry.narrowed.end()) {
+      chosen = &narrowed_it->second;
+      const std::size_t assigned = chosen->spec.endpoints.size();
+      const auto size = static_cast<std::size_t>(policies_.subset.subset_size);
+      if (cpm_.subset_assignments != nullptr) {
+        cpm_.subset_assignments->inc(assigned);
       }
-      std::sort(subscribers.begin(), subscribers.end());
-      const auto subsets = compute_endpoint_subsets(
-          info->name, spec.endpoints, subscribers,
-          policies_.subset.subset_size);
-      const auto sub_it = subsets.find(pod_name);
-      if (sub_it != subsets.end() &&
-          sub_it->second.size() < spec.endpoints.size()) {
-        std::vector<cluster::Endpoint> chosen;
-        chosen.reserve(sub_it->second.size());
-        for (const std::size_t index : sub_it->second) {
-          chosen.push_back(spec.endpoints[index]);
-        }
-        if (cpm_.subset_assignments != nullptr) {
-          cpm_.subset_assignments->inc(chosen.size());
-        }
-        if (cpm_.subset_repairs != nullptr &&
-            chosen.size() >
-                static_cast<std::size_t>(policies_.subset.subset_size)) {
-          // Aperture gives exactly subset_size endpoints; anything above
-          // that was grafted on by the coverage-repair pass.
-          cpm_.subset_repairs->inc(
-              chosen.size() -
-              static_cast<std::size_t>(policies_.subset.subset_size));
-        }
-        spec.endpoints = std::move(chosen);
+      if (cpm_.subset_repairs != nullptr && assigned > size) {
+        // Aperture gives exactly subset_size endpoints; anything above
+        // that was grafted on by the coverage-repair pass.
+        cpm_.subset_repairs->inc(assigned - size);
       }
     }
-    config.clusters.emplace(info->name, std::move(spec));
+    fingerprint.clusters.push_back({name, chosen->hash});
+    compiled.specs.push_back(&chosen->spec);
   }
-  if (compile_mutator_) compile_mutator_(sidecar.pod().name(), config);
-  return config;
+  if (compile_mutator_) {
+    // Test hook: the mutator may rewrite any part of the config, so the
+    // mutated config is fingerprinted from scratch.
+    SidecarConfig mutated = compiled.materialize();
+    compile_mutator_(pod, mutated);
+    return compiled_from(std::move(mutated));
+  }
+  fingerprint.policy_hash = hash_policy_section(config);
+  fingerprint.hash = compose_config_hash(fingerprint);
+  return compiled;
 }
 
 Certificate ControlPlane::issue_certificate(const std::string& service) {
@@ -715,10 +736,8 @@ const Certificate* ControlPlane::certificate(const std::string& service) const {
 }
 
 Sidecar* ControlPlane::sidecar_for(const std::string& pod_name) {
-  for (const auto& sidecar : sidecars_) {
-    if (sidecar->pod().name() == pod_name) return sidecar.get();
-  }
-  return nullptr;
+  const auto it = push_state_.find(pod_name);
+  return it == push_state_.end() ? nullptr : it->second.sidecar;
 }
 
 }  // namespace meshnet::mesh

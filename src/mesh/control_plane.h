@@ -10,9 +10,12 @@
 // Config distribution is failure-aware. Every push round mints a config
 // *epoch* (monotonic, never reused); each sidecar's compiled config is
 // fingerprinted so unchanged sidecars are skipped (delta-aware push), and
-// delivered pushes are acked per sidecar. A push can be delayed, lost, or
-// dropped (crash / partition); an un-acked push is retried with
-// decorrelated-jitter backoff until the sidecar acks the current epoch.
+// delivered pushes are acked per sidecar. Cluster specs are compiled once
+// per epoch into a shared table; compiling one sidecar is its policy
+// section plus a (cluster, hash) list pointing into that table. A push
+// can be delayed, lost, or dropped (crash / partition); an un-acked push
+// is retried with decorrelated-jitter backoff until the sidecar acks the
+// current epoch.
 // Sidecars that nack a push (validation failure — a poison config) keep
 // their last-good config and the control plane rolls policy back to the
 // last converged snapshot and pushes a fresh epoch. While the control
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -188,6 +192,9 @@ class ControlPlane {
   bool converged() const;
   /// Epoch last acked by one sidecar (0 = never acked / unknown pod).
   std::uint64_t acked_epoch(const std::string& pod_name) const;
+  /// Fingerprint of the config one sidecar last acked (0 = never acked /
+  /// unknown pod).
+  std::uint64_t acked_hash(const std::string& pod_name) const;
   /// Sidecars not on the current epoch.
   std::size_t stale_sidecars() const;
   /// Age of the oldest registry change not yet pushed (0 when caught
@@ -208,9 +215,16 @@ class ControlPlane {
   void set_compile_mutator(
       std::function<void(const std::string& pod, SidecarConfig&)> mutator) {
     compile_mutator_ = std::move(mutator);
+    cluster_table_.reset();
   }
 
-  MeshPolicies& policies() noexcept { return policies_; }
+  /// Operator policy. Non-const access drops the per-epoch cluster table,
+  /// so the next compile sees the change; change policy through a fresh
+  /// call, not a reference held across compiles of one epoch.
+  MeshPolicies& policies() noexcept {
+    cluster_table_.reset();
+    return policies_;
+  }
   /// The unified observability registry every mesh surface records into.
   obs::MetricRegistry& metrics() noexcept { return registry_; }
   const obs::MetricRegistry& metrics() const noexcept { return registry_; }
@@ -244,8 +258,13 @@ class ControlPlane {
   sim::Time last_converged_at() const noexcept { return last_converged_at_; }
 
  private:
-  /// Per-sidecar push channel state, keyed by pod name.
+  /// Per-sidecar push channel state, keyed by pod name. Entries are never
+  /// erased, so `states_` points at them directly.
   struct PushState {
+    /// Null for a pod partitioned before its sidecar was injected.
+    Sidecar* sidecar = nullptr;
+    /// sidecar_config_epoch{pod}, created on the first ack or skip.
+    obs::Gauge* epoch_gauge = nullptr;
     std::uint64_t acked_epoch = 0;
     std::uint64_t acked_hash = 0;  ///< fingerprint of last acked config
     int attempt = 0;               ///< retries since the last ack
@@ -254,15 +273,38 @@ class ControlPlane {
     sim::EventId ack_timer = sim::kInvalidEventId;
     sim::EventId retry_timer = sim::kInvalidEventId;
     bool partitioned = false;
-    /// Last config this sidecar acked, kept only under cp.delta_push:
-    /// the base future deltas are diffed against.
-    std::shared_ptr<const SidecarConfig> acked_config;
+    /// Fingerprint of the last config this sidecar acked, kept only
+    /// under cp.delta_push: the base future deltas are diffed against.
+    std::optional<ConfigFingerprint> acked;
     /// Forces the next push to carry a full snapshot (set after a delta
     /// base/target mismatch; cleared once a full push is launched).
     bool force_full = false;
   };
 
-  SidecarConfig compile_config(const Sidecar& sidecar);
+  /// A cluster spec and its hash_cluster_spec.
+  struct CompiledSpec {
+    ClusterSpec spec;
+    std::uint64_t hash = 0;
+  };
+  /// One registry service, compiled.
+  struct TableCluster {
+    CompiledSpec full;
+    /// The subscribers whose endpoint subset is narrower than the full
+    /// set, by pod name (empty unless policies.subset applies).
+    std::map<std::string, CompiledSpec> narrowed;
+  };
+  /// Every registry service compiled for one (epoch, registry version),
+  /// so cluster work is done once per epoch, not once per sidecar.
+  struct ClusterTable {
+    std::uint64_t epoch = 0;
+    std::uint64_t registry_version = 0;
+    std::vector<TableCluster> clusters;  ///< registry (name) order
+  };
+
+  /// The cluster table for the current epoch and registry version,
+  /// rebuilt when either moved on or the table was dropped.
+  const ClusterTable& cluster_table();
+  CompiledConfig compile_config(const Sidecar& sidecar);
   /// Effective mTLS setting for `service`: per-service override if
   /// present, else the mesh-wide default (policies_.tls.enabled).
   bool mtls_enabled_for(const std::string& service) const;
@@ -271,19 +313,24 @@ class ControlPlane {
   void begin_epoch();
   /// Compiles + fingerprints + delivers (or drops) one sidecar's push
   /// for the current epoch.
-  void launch_push(Sidecar& sidecar);
-  void deliver_push(const std::string& pod_name, SidecarConfig config,
-                    std::uint64_t hash);
+  void launch_push(PushState& state);
+  void deliver_push(PushState& state, SidecarConfig config,
+                    ConfigFingerprint target);
   /// Delivers an incremental push; on base/target mismatch falls back to
   /// an immediate full-snapshot re-push (no rollback — the mismatch is a
   /// transport artefact, not a poison config).
-  void deliver_delta(const std::string& pod_name, ConfigDelta delta,
-                     SidecarConfig target, std::uint64_t hash);
-  void handle_ack(const std::string& pod_name, std::uint64_t epoch,
-                  std::uint64_t hash);
-  void handle_nack(const std::string& pod_name, std::uint64_t epoch,
+  void deliver_delta(PushState& state, ConfigDelta delta,
+                     ConfigFingerprint target);
+  void handle_ack(PushState& state, std::uint64_t epoch, std::uint64_t hash);
+  void handle_nack(PushState& state, std::uint64_t epoch,
                    const std::string& reason);
-  void schedule_retry(const std::string& pod_name);
+  void schedule_retry(PushState& state);
+  /// Relaunches the push after `delay` on the state's retry timer.
+  void schedule_relaunch(PushState& state, sim::Duration delay);
+  /// Retries the push unless an ack arrives within cp.ack_timeout.
+  void arm_ack_timeout(PushState& state);
+  /// Publishes `state.acked_epoch` as sidecar_config_epoch{pod}.
+  void publish_acked_epoch(PushState& state);
   void cancel_push_timers(PushState& state);
   void check_convergence();
   void update_staleness_gauges();
@@ -300,6 +347,11 @@ class ControlPlane {
   TelemetrySink telemetry_{&registry_};
   std::vector<std::unique_ptr<Sidecar>> sidecars_;
   std::map<std::string, PushState> push_state_;
+  /// The push_state_ entry of each of sidecars_, index for index.
+  std::vector<PushState*> states_;
+  /// Dropped by policies(), set_compile_mutator, a rollback and, under
+  /// subsetting, an injection (the subscriber set changed).
+  std::optional<ClusterTable> cluster_table_;
   std::map<std::string, Certificate> certs_;
   std::map<std::string, sim::EventId> cert_timers_;
   std::function<void(const std::string&, SidecarConfig&)> compile_mutator_;

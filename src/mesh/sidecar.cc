@@ -80,7 +80,9 @@ void Sidecar::start() {
   sync_health_targets();
 }
 
-std::string validate_config(const SidecarConfig& config) {
+namespace {
+
+std::string validate_policy_section(const SidecarConfig& config) {
   if (config.request_timeout <= 0) return "non-positive request timeout";
   if (config.retry.max_retries < 0) return "negative max_retries";
   if (config.retry.backoff_base <= 0) return "non-positive backoff base";
@@ -93,19 +95,45 @@ std::string validate_config(const SidecarConfig& config) {
       return "non-positive TLS ticket lifetime";
     }
   }
-  for (const auto& [name, spec] : config.clusters) {
-    if (name.empty()) return "unnamed cluster";
-    if (spec.name != name) return "cluster name mismatch: " + name;
-    for (const cluster::Endpoint& ep : spec.endpoints) {
-      if (ep.pod_name.empty()) return "endpoint without pod in " + name;
-      if (ep.port == 0) return "endpoint without port in " + name;
-    }
-  }
-  for (const auto& [host, target] : config.routes) {
-    if (host.empty()) return "route with empty host";
-    if (target.empty()) return "route to empty cluster for " + host;
+  return {};
+}
+
+std::string validate_cluster(const std::string& name,
+                             const ClusterSpec& spec) {
+  if (name.empty()) return "unnamed cluster";
+  if (spec.name != name) return "cluster name mismatch: " + name;
+  for (const cluster::Endpoint& ep : spec.endpoints) {
+    if (ep.pod_name.empty()) return "endpoint without pod in " + name;
+    if (ep.port == 0) return "endpoint without port in " + name;
   }
   return {};
+}
+
+/// The first error in a policy section (when given), then the clusters,
+/// then the routes — the order validate_config reports in.
+std::string validate_parts(const SidecarConfig* policy,
+                           const std::map<std::string, ClusterSpec>& clusters,
+                           const std::map<std::string, std::string>& routes) {
+  std::string error;
+  if (policy != nullptr) error = validate_policy_section(*policy);
+  for (auto it = clusters.begin(); error.empty() && it != clusters.end();
+       ++it) {
+    error = validate_cluster(it->first, it->second);
+  }
+  for (auto it = routes.begin(); error.empty() && it != routes.end(); ++it) {
+    if (it->first.empty()) {
+      error = "route with empty host";
+    } else if (it->second.empty()) {
+      error = "route to empty cluster for " + it->first;
+    }
+  }
+  return error;
+}
+
+}  // namespace
+
+std::string validate_config(const SidecarConfig& config) {
+  return validate_parts(&config, config.clusters, config.routes);
 }
 
 namespace {
@@ -170,19 +198,35 @@ std::uint64_t hash_cluster_spec(const ClusterSpec& spec) {
 }
 
 std::uint64_t hash_sidecar_config(const SidecarConfig& c) {
+  return fingerprint_config(c).hash;
+}
+
+std::uint64_t compose_config_hash(const ConfigFingerprint& parts) {
   ConfigHasher f;
-  f.mix(hash_policy_section(c));
-  f.mix(c.routes.size());
-  for (const auto& [host, target] : c.routes) {
+  f.mix(parts.policy_hash);
+  f.mix(parts.routes.size());
+  for (const auto& [host, target] : parts.routes) {
     f.mix(host);
     f.mix(target);
   }
-  f.mix(c.clusters.size());
-  for (const auto& [name, spec] : c.clusters) {
-    f.mix(name);
-    f.mix(hash_cluster_spec(spec));
+  f.mix(parts.clusters.size());
+  for (const ClusterHash& cluster : parts.clusters) {
+    f.mix(cluster.name);
+    f.mix(cluster.hash);
   }
   return f.h;
+}
+
+ConfigFingerprint fingerprint_config(const SidecarConfig& config) {
+  ConfigFingerprint parts;
+  parts.policy_hash = hash_policy_section(config);
+  parts.routes = config.routes;
+  parts.clusters.reserve(config.clusters.size());
+  for (const auto& [name, spec] : config.clusters) {
+    parts.clusters.push_back({name, hash_cluster_spec(spec)});
+  }
+  parts.hash = compose_config_hash(parts);
+  return parts;
 }
 
 std::uint64_t hash_policy_section(const SidecarConfig& c) {
@@ -252,31 +296,162 @@ std::uint64_t hash_policy_section(const SidecarConfig& c) {
   return f.h;
 }
 
-bool Sidecar::apply_config(SidecarConfig config) {
-  // Identity and listener ports are immutable post-start.
+namespace {
+
+/// The fingerprint `base` becomes under `delta`, with every changed part
+/// hashed here from the content the delta carries.
+ConfigFingerprint patch_fingerprint(const ConfigFingerprint& base,
+                                    const ConfigDelta& delta) {
+  ConfigFingerprint out;
+  out.policy_hash = delta.policy_changed ? hash_policy_section(delta.policy)
+                                         : base.policy_hash;
+  out.routes = base.routes;
+  for (const std::string& host : delta.route_removals) out.routes.erase(host);
+  for (const auto& [host, cluster] : delta.route_upserts) {
+    out.routes[host] = cluster;
+  }
+  const auto removed = [&delta](const std::string& name) {
+    return std::find(delta.cluster_removals.begin(),
+                     delta.cluster_removals.end(),
+                     name) != delta.cluster_removals.end();
+  };
+  // Merge the name-sorted running list with the (sorted) upserts; an
+  // upsert replaces a same-name entry even when it is also removed.
+  out.clusters.reserve(base.clusters.size() + delta.cluster_upserts.size());
+  auto upsert = delta.cluster_upserts.begin();
+  const auto take_upsert = [&] {
+    out.clusters.push_back({upsert->first, hash_cluster_spec(upsert->second)});
+    ++upsert;
+  };
+  for (const ClusterHash& cluster : base.clusters) {
+    while (upsert != delta.cluster_upserts.end() &&
+           upsert->first < cluster.name) {
+      take_upsert();
+    }
+    if (upsert != delta.cluster_upserts.end() &&
+        upsert->first == cluster.name) {
+      take_upsert();
+    } else if (!removed(cluster.name)) {
+      out.clusters.push_back(cluster);
+    }
+  }
+  while (upsert != delta.cluster_upserts.end()) take_upsert();
+  out.hash = compose_config_hash(out);
+  return out;
+}
+
+}  // namespace
+
+void Sidecar::pin_listener_identity(SidecarConfig& config) const {
   config.service_name = config_.service_name;
   config.app_port = config_.app_port;
   config.inbound_port = config_.inbound_port;
   config.outbound_port = config_.outbound_port;
   config.gateway_mode = config_.gateway_mode;
+}
+
+bool Sidecar::reject_config(std::string reason) {
+  ++stats_.configs_rejected;
+  last_config_error_ = std::move(reason);
+  return false;
+}
+
+bool Sidecar::apply_config(SidecarConfig config) {
+  // Identity and listener ports are immutable post-start.
+  pin_listener_identity(config);
   if (config.epoch != 0 && config.epoch < config_.epoch) {
-    ++stats_.configs_rejected;
-    last_config_error_ = "stale-epoch";
-    return false;
+    return reject_config("stale-epoch");
   }
-  const std::string error = validate_config(config);
+  std::string error = validate_config(config);
   if (!error.empty()) {
-    ++stats_.configs_rejected;
-    last_config_error_ = error;
     MESHNET_DEBUG() << pod_.name() << " nacked config push: " << error;
-    return false;
+    return reject_config(std::move(error));
   }
+  config_ = std::move(config);
+  fingerprint_.reset();
+  sync_health_targets();
+  finish_apply();
+  return true;
+}
+
+bool Sidecar::apply_config_delta(ConfigDelta delta) {
+  if (delta.epoch != 0 && delta.epoch < config_.epoch) {
+    return reject_config("stale-epoch");
+  }
+  const ConfigFingerprint& running = config_fingerprint();
+  if (running.hash != delta.base_hash) {
+    // The control plane diffed against a config this sidecar is not
+    // running (e.g. a direct test poke mutated local state). Refuse —
+    // blindly patching an unknown base could route to stale endpoints —
+    // and let the control plane fall back to a full push.
+    ++stats_.delta_mismatches;
+    return reject_config("delta-base-mismatch");
+  }
+  if (delta.policy_changed) pin_listener_identity(delta.policy);
+  ConfigFingerprint target = patch_fingerprint(running, delta);
+  if (target.hash != delta.target_hash) {
+    ++stats_.delta_mismatches;
+    return reject_config("delta-target-mismatch");
+  }
+  // The parts the delta leaves alone passed validation when applied.
+  std::string error =
+      validate_parts(delta.policy_changed ? &delta.policy : nullptr,
+                     delta.cluster_upserts, delta.route_upserts);
+  if (!error.empty()) {
+    MESHNET_DEBUG() << pod_.name() << " nacked config delta: " << error;
+    return reject_config(std::move(error));
+  }
+
+  // Every check passed: patch the running config in place.
+  if (delta.policy_changed) {
+    delta.policy.routes = std::move(config_.routes);
+    delta.policy.clusters = std::move(config_.clusters);
+    config_ = std::move(delta.policy);
+  }
+  config_.epoch = delta.epoch;
+  for (const std::string& name : delta.cluster_removals) {
+    config_.clusters.erase(name);
+  }
+  for (auto& [name, spec] : delta.cluster_upserts) {
+    config_.clusters[name] = std::move(spec);
+  }
+  for (const std::string& host : delta.route_removals) {
+    config_.routes.erase(host);
+  }
+  for (auto& [host, cluster] : delta.route_upserts) {
+    config_.routes[host] = std::move(cluster);
+  }
+  *fingerprint_ = std::move(target);
+  // Health checking is re-targeted for the changed clusters only: for an
+  // unchanged one, sync_health_targets would be a no-op.
+  if (health_checker_ != nullptr) {
+    for (const auto& [name, spec] : delta.cluster_upserts) {
+      const ClusterSpec& applied = config_.clusters.at(name);
+      health_checker_->update_targets(name, applied.health_check,
+                                      applied.endpoints, config_.inbound_port);
+    }
+    for (const std::string& name : delta.cluster_removals) {
+      if (config_.clusters.contains(name)) continue;
+      // A disabled check with no endpoints drops the cluster's targets.
+      health_checker_->update_targets(name, HealthCheckConfig{}, {},
+                                      config_.inbound_port);
+    }
+  }
+  ++stats_.deltas_applied;
+  finish_apply();
+  return true;
+}
+
+const ConfigFingerprint& Sidecar::config_fingerprint() const {
+  if (!fingerprint_.has_value()) fingerprint_ = fingerprint_config(config_);
+  return *fingerprint_;
+}
+
+void Sidecar::finish_apply() {
   last_config_error_.clear();
   ++stats_.configs_applied;
-  config_ = std::move(config);
   // Balancers are rebuilt lazily so a changed LB policy takes effect.
   balancers_.clear();
-  sync_health_targets();
   // A push may retune the ticket-cache bound; existing entries are
   // LRU-evicted if it shrank.
   if (tls_runtime_ != nullptr) {
@@ -291,35 +466,6 @@ bool Sidecar::apply_config(SidecarConfig config) {
         config_.service_name, config_.admission,
         telemetry_ != nullptr ? &telemetry_->registry() : nullptr);
   }
-  return true;
-}
-
-bool Sidecar::apply_config_delta(const ConfigDelta& delta) {
-  if (delta.epoch != 0 && delta.epoch < config_.epoch) {
-    ++stats_.configs_rejected;
-    last_config_error_ = "stale-epoch";
-    return false;
-  }
-  if (hash_sidecar_config(config_) != delta.base_hash) {
-    // The control plane diffed against a config this sidecar is not
-    // running (e.g. a direct test poke mutated local state). Refuse —
-    // blindly patching an unknown base could route to stale endpoints —
-    // and let the control plane fall back to a full push.
-    ++stats_.configs_rejected;
-    ++stats_.delta_mismatches;
-    last_config_error_ = "delta-base-mismatch";
-    return false;
-  }
-  SidecarConfig candidate = mesh::apply_config_delta(config_, delta);
-  if (hash_sidecar_config(candidate) != delta.target_hash) {
-    ++stats_.configs_rejected;
-    ++stats_.delta_mismatches;
-    last_config_error_ = "delta-target-mismatch";
-    return false;
-  }
-  if (!apply_config(std::move(candidate))) return false;
-  ++stats_.deltas_applied;
-  return true;
 }
 
 void Sidecar::sync_health_targets() {

@@ -175,10 +175,11 @@ std::string validate_config(const SidecarConfig& config);
 /// epochs with identical payloads hash equal, which is what lets the
 /// control plane skip no-op pushes); the certificate serial is included
 /// so rotation propagates as a real push. Hooks contribute only their
-/// presence (std::function has no stable content identity). Composed
-/// from hash_policy_section + per-cluster hash_cluster_spec, so the
-/// delta push (mesh/config_delta.h) diffs with the same fingerprints
-/// the no-op skip uses.
+/// presence (std::function has no stable content identity). It is
+/// compose_config_hash over hash_policy_section, the routes and the
+/// per-cluster hash_cluster_spec values, so the delta push
+/// (mesh/config_delta.h) diffs with the same fingerprints the no-op skip
+/// uses.
 std::uint64_t hash_sidecar_config(const SidecarConfig& config);
 
 /// Fingerprint of one cluster's spec (endpoints, LB, breaker, health
@@ -188,6 +189,30 @@ std::uint64_t hash_cluster_spec(const ClusterSpec& spec);
 /// Fingerprint of everything in a config that is neither a cluster nor a
 /// route (identity, retry, timeouts, admission, authz, transport, cert).
 std::uint64_t hash_policy_section(const SidecarConfig& config);
+
+/// One cluster's entry in a ConfigFingerprint.
+struct ClusterHash {
+  std::string name;
+  std::uint64_t hash = 0;  ///< hash_cluster_spec of the cluster's spec
+};
+
+/// hash_sidecar_config kept in its parts. The control plane diffs pushes
+/// by comparing two of these, and a sidecar keeps one for its running
+/// config, so a delta is verified per cluster without rehashing (or
+/// copying) the clusters it leaves alone.
+struct ConfigFingerprint {
+  std::uint64_t policy_hash = 0;  ///< hash_policy_section
+  std::map<std::string, std::string> routes;
+  std::vector<ClusterHash> clusters;  ///< in cluster-name order
+  /// compose_config_hash of the parts above.
+  std::uint64_t hash = 0;
+};
+
+/// The fingerprint of `config`, computed from scratch.
+ConfigFingerprint fingerprint_config(const SidecarConfig& config);
+
+/// The config hash `parts` describe (ignores `parts.hash`).
+std::uint64_t compose_config_hash(const ConfigFingerprint& parts);
 
 struct ConfigDelta;  // mesh/config_delta.h
 
@@ -236,13 +261,20 @@ class Sidecar {
   /// past); `last_config_error()` then says why.
   bool apply_config(SidecarConfig config);
 
-  /// Applies an incremental push (mesh/config_delta.h): reconstructs the
-  /// full candidate from the running config + delta, verifies the
-  /// base/target fingerprints, and funnels it through apply_config.
-  /// Returns false on stale epoch, fingerprint mismatch
-  /// ("delta-base-mismatch" / "delta-target-mismatch" — the control
-  /// plane falls back to a full push) or validation failure.
-  bool apply_config_delta(const ConfigDelta& delta);
+  /// Applies an incremental push (mesh/config_delta.h). Checks, in order:
+  /// the epoch is not stale; `base_hash` matches the running config's
+  /// fingerprint; `target_hash` matches hashes this sidecar computes
+  /// itself over the content it received; the changed parts validate
+  /// (the rest already did when it was applied). Then patches the
+  /// running config in place. Returns false — running config untouched —
+  /// on the first failed check ("stale-epoch", "delta-base-mismatch" /
+  /// "delta-target-mismatch" — the control plane falls back to a full
+  /// push — or the validation error).
+  bool apply_config_delta(ConfigDelta delta);
+
+  /// Fingerprint of the running config: computed on first use after a
+  /// full apply_config, then kept current by every applied delta.
+  const ConfigFingerprint& config_fingerprint() const;
 
   /// Config generation currently applied (0 until a versioned push).
   std::uint64_t config_epoch() const noexcept { return config_.epoch; }
@@ -257,7 +289,6 @@ class Sidecar {
   FilterChain& outbound_filters() noexcept { return outbound_chain_; }
 
   const SidecarConfig& config() const noexcept { return config_; }
-  SidecarConfig& mutable_config() noexcept { return config_; }
   cluster::Pod& pod() noexcept { return pod_; }
   const cluster::Pod& pod() const noexcept { return pod_; }
   const SidecarStats& stats() const noexcept { return stats_; }
@@ -319,6 +350,14 @@ class Sidecar {
 
   using Ctx = std::shared_ptr<RequestContext>;
 
+  /// Overwrites the fields that are fixed at construction (identity and
+  /// listener ports) with the running values.
+  void pin_listener_identity(SidecarConfig& config) const;
+  /// Counts a refused push and records why; returns false.
+  bool reject_config(std::string reason);
+  /// Bookkeeping shared by full and delta applies, once config_ holds
+  /// the new config.
+  void finish_apply();
   void accept_session(transport::Connection& conn, FilterDirection direction);
   void on_session_request(std::uint64_t session_id, http::HttpRequest req);
   void pump_session(ServerSession& session);
@@ -376,6 +415,8 @@ class Sidecar {
   Tracer& tracer_;
   TelemetrySink* telemetry_;
   SidecarConfig config_;
+  /// Cache behind config_fingerprint(); dropped by apply_config.
+  mutable std::optional<ConfigFingerprint> fingerprint_;
   FilterChain inbound_chain_;
   FilterChain outbound_chain_;
   SidecarStats stats_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "mesh/config_delta.h"
 #include "mesh/control_plane.h"
 #include "mesh/health_checker.h"
 #include "mesh/sidecar.h"
@@ -246,6 +247,108 @@ TEST_F(ControlPlaneFixture, CrashedControlPlaneIgnoresOperatorPushes) {
   cp_->push_config();  // no-op while down
   EXPECT_EQ(cp_->epoch(), epoch);
   EXPECT_EQ(server_sidecars_[0]->config().retry.max_retries, 1);
+}
+
+// ------------------------------------------------ delta push fallbacks --
+
+MeshPolicies delta_policies() {
+  MeshPolicies policies;
+  policies.cp.delta_push = true;
+  return policies;
+}
+
+TEST_F(ControlPlaneFixture, OutOfBandApplyMakesNextDeltaFallBackToFullPush) {
+  build(1, delta_policies());
+  cp_->push_config();
+  ASSERT_TRUE(cp_->converged());
+  Sidecar& server = *server_sidecars_[0];
+
+  // A local, unversioned poke the control plane never saw: the next
+  // delta's base no longer matches what the sidecar runs.
+  SidecarConfig poked = server.config();
+  poked.epoch = 0;
+  poked.retry.max_retries = 4;
+  ASSERT_TRUE(server.apply_config(poked));
+
+  cp_->policies().lb_overrides["server"] = LbPolicy::kLeastRequest;
+  cp_->push_config();
+
+  EXPECT_EQ(server.stats().delta_mismatches, 1u);
+  EXPECT_EQ(counter(*cp_, "cp_delta_fallbacks_total"), 1u);
+  // The full re-push converged the sidecar onto the compiled config.
+  EXPECT_TRUE(cp_->converged());
+  EXPECT_EQ(server.config_epoch(), cp_->epoch());
+  EXPECT_EQ(server.config().retry.max_retries, 1);
+  EXPECT_EQ(server.config().clusters.at("server").lb,
+            LbPolicy::kLeastRequest);
+  EXPECT_EQ(hash_sidecar_config(server.config()),
+            cp_->acked_hash("server-v1"));
+  EXPECT_EQ(server.config_fingerprint().hash, cp_->acked_hash("server-v1"));
+}
+
+TEST_F(ControlPlaneFixture, DeltaWithWrongTargetHashLeavesConfigUntouched) {
+  build(1, delta_policies());
+  cp_->push_config();
+  Sidecar& client = *client_sidecar_;
+  const std::uint64_t before = hash_sidecar_config(client.config());
+  const std::uint64_t epoch_before = client.config_epoch();
+
+  ConfigDelta delta;
+  delta.epoch = cp_->epoch() + 1;
+  delta.base_hash = client.config_fingerprint().hash;
+  ClusterSpec changed = client.config().clusters.at("server");
+  changed.lb = LbPolicy::kRandom;
+  delta.cluster_upserts.emplace("server", changed);
+  // Claims a result the carried content does not produce.
+  delta.target_hash = before;
+
+  EXPECT_FALSE(client.apply_config_delta(delta));
+  EXPECT_EQ(client.last_config_error(), "delta-target-mismatch");
+  EXPECT_EQ(client.stats().delta_mismatches, 1u);
+  EXPECT_EQ(client.config_epoch(), epoch_before);
+  EXPECT_EQ(client.config().clusters.at("server").lb, LbPolicy::kRoundRobin);
+  EXPECT_EQ(hash_sidecar_config(client.config()), before);
+  EXPECT_EQ(client.config_fingerprint().hash, before);
+}
+
+TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
+  build(1, delta_policies());
+  cp_->push_config();
+  Sidecar& client = *client_sidecar_;
+  const SidecarConfig before = client.config();
+
+  // Two upserts: a valid new cluster that sorts first, and a changed one
+  // with a port-0 endpoint. Neither may land.
+  ClusterSpec added;
+  added.name = "aaa";
+  cluster::Endpoint endpoint;
+  endpoint.pod_name = "aaa-v1";
+  endpoint.port = 8080;
+  added.endpoints.push_back(endpoint);
+  ClusterSpec broken = before.clusters.at("server");
+  ASSERT_FALSE(broken.endpoints.empty());
+  broken.endpoints.front().port = 0;
+
+  ConfigDelta delta;
+  delta.epoch = cp_->epoch() + 1;
+  delta.base_hash = client.config_fingerprint().hash;
+  delta.cluster_upserts.emplace("aaa", added);
+  delta.cluster_upserts.emplace("server", broken);
+  // An honest target hash, so validation (not fingerprinting) rejects it.
+  SidecarConfig target = before;
+  target.clusters["aaa"] = added;
+  target.clusters["server"] = broken;
+  delta.target_hash = hash_sidecar_config(target);
+
+  EXPECT_FALSE(client.apply_config_delta(delta));
+  EXPECT_EQ(client.last_config_error(), "endpoint without port in server");
+  EXPECT_EQ(client.stats().delta_mismatches, 0u);
+  EXPECT_FALSE(client.config().clusters.contains("aaa"));
+  EXPECT_EQ(client.config().clusters.at("server").endpoints.front().port,
+            before.clusters.at("server").endpoints.front().port);
+  EXPECT_EQ(client.config_epoch(), before.epoch);
+  EXPECT_EQ(hash_sidecar_config(client.config()), hash_sidecar_config(before));
+  EXPECT_EQ(client.config_fingerprint().hash, hash_sidecar_config(before));
 }
 
 // ------------------------------------------------------ cert rotation --

@@ -4,6 +4,7 @@
 // equivalence with full snapshots under loss.
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -307,4 +308,109 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
   EXPECT_EQ(bytes_full.delta_pushes, 0u);
   EXPECT_LT(bytes_delta.delta_bytes + bytes_delta.full_bytes,
             bytes_full.full_bytes);
+}
+
+// The control plane diffs fingerprints and the sidecar keeps its own
+// incrementally; both must stay equal to a from-scratch hash of the
+// running config whatever the push sequence changes: endpoints, LB and
+// mTLS overrides, certificates, scoping, subsetting, and routes added by
+// a compile mutator.
+TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    cluster::MeshSpec spec = two_service_spec();
+    spec.services[1].replicas = 4;
+    spec.policies.cp.delta_push = true;
+    spec.policies.subset.enabled = true;  // registers the subset counters
+    spec.policies.subset.subset_size = 0;
+    sim::Simulator sim;
+    auto mesh = cluster::MeshBuilder(sim).build(std::move(spec));
+    ASSERT_NE(mesh, nullptr);
+    mesh::ControlPlane& cp = mesh->control_plane();
+    cluster::ServiceRegistry& registry = mesh->cluster().registry();
+    const std::vector<cluster::Endpoint> replicas =
+        registry.find("b")->endpoints;
+    std::mt19937_64 rng(seed);
+
+    for (int step = 0; step < 40; ++step) {
+      switch (rng() % 7) {
+        case 0: {  // one endpoint leaves or comes back
+          const cluster::Endpoint& ep = replicas[rng() % replicas.size()];
+          if (!registry.remove_endpoint("b", ep.pod_name)) {
+            registry.add_endpoint("b", ep);
+          }
+          break;
+        }
+        case 1:
+          cp.policies().lb_overrides["b"] =
+              rng() % 2 == 0 ? mesh::LbPolicy::kLeastRequest
+                             : mesh::LbPolicy::kRandom;
+          break;
+        case 2: {
+          bool& mtls = cp.policies().mtls_overrides["b"];
+          mtls = !mtls;
+          break;
+        }
+        case 3:
+          cp.issue_certificate(rng() % 2 == 0 ? "a" : "b");
+          break;
+        case 4:
+          if (cp.policies().cluster_scopes.erase("a") == 0) {
+            cp.policies().cluster_scopes["a"] = {"b"};
+          }
+          break;
+        case 5:
+          cp.policies().subset.subset_size =
+              cp.policies().subset.subset_size == 0 ? 2 : 0;
+          break;
+        case 6:
+          if (rng() % 2 == 0) {
+            cp.set_compile_mutator(
+                [](const std::string& pod, mesh::SidecarConfig& config) {
+                  config.routes["alias-of-b." + pod] = "b";
+                });
+          } else {
+            cp.set_compile_mutator(nullptr);
+          }
+          break;
+      }
+      cp.push_config();  // zero-latency channel: delivered and acked inline
+      ASSERT_TRUE(cp.converged()) << "seed " << seed << " step " << step;
+      for (const auto& sidecar : cp.sidecars()) {
+        const std::string& pod = sidecar->pod().name();
+        const std::uint64_t from_scratch =
+            mesh::hash_sidecar_config(sidecar->config());
+        EXPECT_EQ(sidecar->config_fingerprint().hash, from_scratch)
+            << "seed " << seed << " step " << step << " " << pod;
+        EXPECT_EQ(cp.acked_hash(pod), from_scratch)
+            << "seed " << seed << " step " << step << " " << pod;
+      }
+    }
+    // Nothing touched a sidecar behind the control plane's back, so every
+    // delta verified: a fallback would mean the two sides hashed apart.
+    EXPECT_GT(cp.push_channel_bytes().delta_pushes, 0u) << "seed " << seed;
+    EXPECT_EQ(cp.push_channel_bytes().delta_fallbacks, 0u) << "seed " << seed;
+  }
+}
+
+// The per-epoch cluster table must not outlive a policy change: a sidecar
+// injected later in the same epoch compiles the new policy.
+TEST(DeltaPush, PolicyChangeReachesSidecarInjectedInSameEpoch) {
+  cluster::MeshSpec spec = two_service_spec();
+  spec.policies.cp.delta_push = true;
+  sim::Simulator sim;
+  auto mesh = cluster::MeshBuilder(sim).build(std::move(spec));
+  ASSERT_NE(mesh, nullptr);
+  mesh::ControlPlane& cp = mesh->control_plane();
+  cp.push_config();  // compiles this epoch's cluster table
+  const std::uint64_t epoch = cp.epoch();
+  const std::uint64_t registry_version = mesh->cluster().registry().version();
+
+  cp.policies().lb_overrides["b"] = mesh::LbPolicy::kLeastRequest;
+  // Port 0: no registry endpoint, so nothing but the policy changed.
+  cluster::Pod& pod = mesh->cluster().add_pod("node-a", "late-v1", "late", 0);
+  mesh::Sidecar& late = cp.inject_sidecar(pod, {});
+
+  EXPECT_EQ(cp.epoch(), epoch);
+  EXPECT_EQ(mesh->cluster().registry().version(), registry_version);
+  EXPECT_EQ(late.config().clusters.at("b").lb, mesh::LbPolicy::kLeastRequest);
 }
