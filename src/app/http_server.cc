@@ -21,7 +21,7 @@ SimpleHttpServer::SimpleHttpServer(sim::Simulator& sim,
     raw->parser->set_on_request([this, id](http::HttpRequest request) {
       on_request(id, std::move(request));
     });
-    conn.set_on_data([this, raw, id](std::string_view data) {
+    conn.set_on_data([this, raw, id](const net::Payload& data) {
       if (!raw->parser->feed(data)) {
         MESHNET_WARN() << "http server: parse error";
         sim_.schedule_after(0, [this, id] {
@@ -54,7 +54,7 @@ void SimpleHttpServer::pump(Session& session) {
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return;  // client went away
     Session& s = *it->second;
-    s.conn->send(http::serialize_response(response));
+    s.conn->send(http::encode_response(response));
     s.busy = false;
     pump(s);
   });

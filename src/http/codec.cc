@@ -1,5 +1,8 @@
 #include "http/codec.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "util/strings.h"
@@ -8,7 +11,20 @@ namespace meshnet::http {
 
 namespace {
 constexpr std::string_view kCrlf = "\r\n";
+constexpr std::string_view kHeadEnd = "\r\n\r\n";
 constexpr std::string_view kHttpVersion = "HTTP/1.1";
+
+/// Bodies are pooled blocks, whose sizes are 32-bit.
+constexpr std::uint64_t kMaxBodyBytes =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// The calling thread's head scratch, emptied: heads are built here so
+/// steady-state encoding allocates nothing but the pooled wire block.
+std::string& head_scratch() {
+  thread_local std::string scratch;
+  scratch.clear();
+  return scratch;
+}
 
 void append_headers(std::string& out, const HeaderMap& headers,
                     std::size_t body_size) {
@@ -26,34 +42,48 @@ void append_headers(std::string& out, const HeaderMap& headers,
       .append(kCrlf);
   out.append(kCrlf);
 }
+
+/// Head and body, one block.
+net::Payload encode(std::string_view head, const Body& body) {
+  char* out = nullptr;
+  net::Payload wire = net::Payload::uninitialized(head.size() + body.size(),
+                                                  &out);
+  std::memcpy(out, head.data(), head.size());
+  if (!body.empty()) std::memcpy(out + head.size(), body.data(), body.size());
+  return wire;
+}
 }  // namespace
 
-std::string serialize_request(const HttpRequest& request) {
-  std::string out;
-  out.reserve(128 + request.body.size());
-  out.append(request.method)
+net::Payload encode_request(const HttpRequest& request) {
+  std::string& head = head_scratch();
+  head.append(request.method)
       .append(" ")
       .append(request.path)
       .append(" ")
       .append(kHttpVersion)
       .append(kCrlf);
-  append_headers(out, request.headers, request.body.size());
-  out.append(request.body);
-  return out;
+  append_headers(head, request.headers, request.body.size());
+  return encode(head, request.body);
 }
 
-std::string serialize_response(const HttpResponse& response) {
-  std::string out;
-  out.reserve(128 + response.body.size());
-  out.append(kHttpVersion)
+net::Payload encode_response(const HttpResponse& response) {
+  std::string& head = head_scratch();
+  head.append(kHttpVersion)
       .append(" ")
       .append(std::to_string(response.status))
       .append(" ")
       .append(status_text(response.status))
       .append(kCrlf);
-  append_headers(out, response.headers, response.body.size());
-  out.append(response.body);
-  return out;
+  append_headers(head, response.headers, response.body.size());
+  return encode(head, response.body);
+}
+
+std::string serialize_request(const HttpRequest& request) {
+  return std::string(encode_request(request).view());
+}
+
+std::string serialize_response(const HttpResponse& response) {
+  return std::string(encode_response(response).view());
 }
 
 HttpParser::HttpParser(ParserKind kind) : kind_(kind) {}
@@ -62,7 +92,9 @@ void HttpParser::reset() {
   state_ = State::kHead;
   error_ = ParserError::kNone;
   head_buffer_.clear();
-  body_.clear();
+  body_.reset();
+  body_fill_ = nullptr;
+  body_received_ = 0;
   body_expected_ = 0;
   request_ = HttpRequest{};
   response_ = HttpResponse{};
@@ -73,57 +105,70 @@ void HttpParser::fail(ParserError error) {
   error_ = error;
 }
 
-bool HttpParser::feed(std::string_view data) {
+bool HttpParser::feed(const net::Payload& data) {
+  return consume(data.view(), &data);
+}
+
+bool HttpParser::feed(std::string_view data) { return consume(data, nullptr); }
+
+bool HttpParser::consume(std::string_view data, const net::Payload* block) {
+  // Each pass consumes one head or one body piece; a pipelined remainder
+  // simply goes round again.
   while (!data.empty() && state_ != State::kError) {
-    if (state_ == State::kHead) {
-      // Accumulate until the blank line ending the head. To find the
-      // terminator across chunk boundaries, search the tail of the
-      // buffer after appending.
-      const std::size_t scan_from =
-          head_buffer_.size() < 3 ? 0 : head_buffer_.size() - 3;
+    if (state_ == State::kBody) {
+      const std::size_t take =
+          std::min(body_expected_ - body_received_, data.size());
+      append_body(data.substr(0, take), block);
+      data.remove_prefix(take);
+      if (body_received_ == body_expected_) emit_message();
+      continue;
+    }
+    std::string_view head;
+    if (head_buffer_.empty()) {
+      // Common case: the whole head is in this chunk; parse it in place.
+      const std::size_t end = data.find(kHeadEnd);
+      if (end == std::string_view::npos) {
+        head_buffer_.assign(data);
+        data = {};
+        if (head_buffer_.size() > kMaxHeadBytes) {
+          fail(ParserError::kHeadTooLarge);
+        }
+        continue;
+      }
+      head = data.substr(0, end);
+      data.remove_prefix(end + kHeadEnd.size());
+    } else {
+      // The terminator may straddle chunks: rescan the buffer's tail.
+      const std::size_t held = head_buffer_.size();
+      const std::size_t scan_from = held < 3 ? 0 : held - 3;
       head_buffer_.append(data);
-      data = {};
-      const std::size_t end = head_buffer_.find("\r\n\r\n", scan_from);
+      const std::size_t end = head_buffer_.find(kHeadEnd, scan_from);
       if (end == std::string::npos) {
-        if (head_buffer_.size() > kMaxHeadBytes) fail(ParserError::kHeadTooLarge);
+        data = {};
+        if (head_buffer_.size() > kMaxHeadBytes) {
+          fail(ParserError::kHeadTooLarge);
+        }
         continue;
       }
       // Anything after the head belongs to the body (or the next message).
-      std::string rest = head_buffer_.substr(end + 4);
+      data.remove_prefix(end + kHeadEnd.size() - held);
       head_buffer_.resize(end);
-      parse_head();
-      if (state_ == State::kError) return false;
-      head_buffer_.clear();
-      if (body_expected_ == 0) {
-        emit_message();
-        state_ = State::kHead;
-      } else {
-        state_ = State::kBody;
-      }
-      // Re-feed the remainder through the state machine.
-      if (!rest.empty()) {
-        const std::string pending = std::move(rest);
-        feed(pending);
-      }
-      continue;
+      head = head_buffer_;
     }
-    if (state_ == State::kBody) {
-      const std::size_t need = body_expected_ - body_.size();
-      const std::size_t take = std::min(need, data.size());
-      body_.append(data.substr(0, take));
-      data.remove_prefix(take);
-      if (body_.size() == body_expected_) {
-        emit_message();
-        state_ = State::kHead;
-      }
+    parse_head(head);
+    head_buffer_.clear();
+    if (state_ == State::kError) break;
+    if (body_expected_ == 0) {
+      emit_message();
+    } else {
+      state_ = State::kBody;
     }
   }
   return state_ != State::kError;
 }
 
-void HttpParser::parse_head() {
+void HttpParser::parse_head(std::string_view head) {
   // Split the head into lines; the first is the start line.
-  std::string_view head(head_buffer_);
   const std::size_t first_eol = head.find("\r\n");
   const std::string_view start_line =
       first_eol == std::string_view::npos ? head : head.substr(0, first_eol);
@@ -164,10 +209,42 @@ void HttpParser::parse_head() {
       fail(ParserError::kBadContentLength);
       return;
     }
+    if (*parsed > kMaxBodyBytes) {
+      fail(ParserError::kBodyTooLarge);
+      return;
+    }
     body_expected_ = static_cast<std::size_t>(*parsed);
   }
-  body_.clear();
-  body_.reserve(body_expected_);
+}
+
+void HttpParser::append_body(std::string_view piece,
+                             const net::Payload* block) {
+  if (body_fill_ == nullptr && block != nullptr) {
+    net::Payload slice = block->slice(
+        static_cast<std::size_t>(piece.data() - block->data()), piece.size());
+    if (body_received_ == 0) {
+      body_ = std::move(slice);
+      body_received_ = piece.size();
+      return;
+    }
+    if (body_.continued_by(slice)) {
+      body_.extend(slice);
+      body_received_ += piece.size();
+      return;
+    }
+  }
+  if (body_fill_ == nullptr) {
+    // The first byte that cannot be kept by reference: move to an owned
+    // block sized by Content-Length, keeping the bytes aliased so far.
+    net::Payload owned =
+        net::Payload::uninitialized(body_expected_, &body_fill_);
+    if (body_received_ > 0) {
+      std::memcpy(body_fill_, body_.data(), body_received_);
+    }
+    body_ = std::move(owned);
+  }
+  std::memcpy(body_fill_ + body_received_, piece.data(), piece.size());
+  body_received_ += piece.size();
 }
 
 bool HttpParser::parse_start_line(std::string_view line) {
@@ -201,18 +278,20 @@ bool HttpParser::parse_start_line(std::string_view line) {
 
 void HttpParser::emit_message() {
   ++parsed_;
+  Body body(std::move(body_));  // leaves body_ empty
+  body_fill_ = nullptr;
+  body_received_ = 0;
+  body_expected_ = 0;
+  state_ = State::kHead;
   if (kind_ == ParserKind::kRequest) {
-    request_.body = std::move(body_);
-    body_.clear();
+    request_.body = std::move(body);
     if (on_request_) on_request_(std::move(request_));
     request_ = HttpRequest{};
   } else {
-    response_.body = std::move(body_);
-    body_.clear();
+    response_.body = std::move(body);
     if (on_response_) on_response_(std::move(response_));
     response_ = HttpResponse{};
   }
-  body_expected_ = 0;
 }
 
 }  // namespace meshnet::http

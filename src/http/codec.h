@@ -2,12 +2,16 @@
 
 // HTTP/1.1 wire codec.
 //
-// serialize_*() produce real request/status lines and header blocks with a
-// content-length framed body. HttpParser is an incremental push parser:
-// feed it arbitrary byte chunks straight off a transport connection and it
-// emits complete messages, handling messages split across chunks and
-// multiple pipelined messages inside one chunk. Malformed input moves the
-// parser into an error state that the caller can observe and reset.
+// encode_*() produce real request/status lines and header blocks with a
+// content-length framed body, head and body in ONE pooled block: that is
+// the one copy of a body per hop, and the transport segments the block
+// without copying. HttpParser is an incremental push parser: feed it
+// arbitrary byte chunks straight off a transport connection and it emits
+// complete messages, handling messages split across chunks and multiple
+// pipelined messages inside one chunk. Body bytes that arrive as
+// consecutive slices of one block are kept by reference, so a parsed body
+// is a slice of the sender's wire block. Malformed input moves the parser
+// into an error state that the caller can observe and reset.
 
 #include <cstdint>
 #include <functional>
@@ -16,9 +20,14 @@
 #include <string_view>
 
 #include "http/message.h"
+#include "net/payload.h"
 
 namespace meshnet::http {
 
+net::Payload encode_request(const HttpRequest& request);
+net::Payload encode_response(const HttpResponse& response);
+
+/// The encoded wire bytes as a string (tests and benches).
 std::string serialize_request(const HttpRequest& request);
 std::string serialize_response(const HttpResponse& response);
 
@@ -30,6 +39,7 @@ enum class ParserError {
   kBadHeader,
   kBadContentLength,
   kHeadTooLarge,
+  kBodyTooLarge,  ///< Content-Length exceeds a Payload's 32-bit size.
 };
 
 class HttpParser {
@@ -47,7 +57,12 @@ class HttpParser {
   }
 
   /// Consumes a chunk of bytes. Returns false once the parser is in an
-  /// error state (further input is ignored until reset()).
+  /// error state (further input is ignored until reset()). Body bytes fed
+  /// as consecutive slices of one block are kept by reference; anything
+  /// else (a string_view, a slice of another block) is copied once into a
+  /// pooled block sized by Content-Length, allocated when the first such
+  /// byte arrives.
+  bool feed(const net::Payload& data);
   bool feed(std::string_view data);
 
   bool has_error() const noexcept { return error_ != ParserError::kNone; }
@@ -58,7 +73,7 @@ class HttpParser {
 
   /// Bytes buffered waiting for more input.
   std::size_t buffered_bytes() const noexcept {
-    return head_buffer_.size() + body_.size();
+    return head_buffer_.size() + body_received_;
   }
 
   void reset();
@@ -70,16 +85,25 @@ class HttpParser {
  private:
   enum class State { kHead, kBody, kError };
 
-  void parse_head();
+  /// `block`, when set, is the payload `data` lies in (body bytes may be
+  /// kept by reference); null means the bytes must be copied.
+  bool consume(std::string_view data, const net::Payload* block);
+  void parse_head(std::string_view head);
   bool parse_start_line(std::string_view line);
+  void append_body(std::string_view piece, const net::Payload* block);
   void emit_message();
   void fail(ParserError error);
 
   ParserKind kind_;
   State state_ = State::kHead;
   ParserError error_ = ParserError::kNone;
+  /// Head bytes of a head split across chunks.
   std::string head_buffer_;
-  std::string body_;
+  /// The body so far: a view that grows over adjacent slices of one block,
+  /// or (once `body_fill_` is set) an owned block of body_expected_ bytes.
+  net::Payload body_;
+  char* body_fill_ = nullptr;
+  std::size_t body_received_ = 0;
   std::size_t body_expected_ = 0;
   HttpRequest request_;
   HttpResponse response_;

@@ -1,6 +1,7 @@
 #include "http/message.h"
 
 #include <cstdio>
+#include <ostream>
 
 namespace meshnet::http {
 
@@ -11,6 +12,10 @@ namespace {
 // and runs to completion on a single thread.
 thread_local std::uint64_t g_request_counter = 0;
 }  // namespace
+
+std::ostream& operator<<(std::ostream& os, const Body& body) {
+  return os << body.view();
+}
 
 std::string_view status_text(int status) noexcept {
   switch (status) {

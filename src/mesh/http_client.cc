@@ -102,7 +102,7 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
         options_.tls.local_cert, options_.tls.runtime, remote_.to_string());
     raw->tls = channel;
     channel->set_send_wire([conn_ptr](std::string bytes) {
-      if (!conn_ptr->closed()) conn_ptr->send(std::move(bytes));
+      if (!conn_ptr->closed()) conn_ptr->send(bytes);
     });
     channel->set_on_plaintext([raw](std::string_view data) {
       if (!raw->parser->feed(data)) {
@@ -118,12 +118,12 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
         on_slot_closed(conn_ptr);
       }
     });
-    conn.set_on_data([channel](std::string_view data) {
+    conn.set_on_data([channel](const net::Payload& data) {
       channel->on_wire_data(data);
     });
     channel->start();
   } else {
-    conn.set_on_data([raw](std::string_view data) {
+    conn.set_on_data([raw](const net::Payload& data) {
       if (!raw->parser->feed(data)) {
         MESHNET_WARN() << "http client: response parse error";
       }
@@ -143,10 +143,11 @@ void HttpClientPool::assign(Slot& slot, Pending pending) {
   slot.request_id = pending.id;
   slot.handler = std::move(pending.handler);
   ++active_;
+  net::Payload wire = http::encode_request(pending.request);
   if (slot.tls != nullptr) {
-    slot.tls->send_app_data(http::serialize_request(pending.request));
+    slot.tls->send_app_data(wire);
   } else {
-    slot.conn->send(http::serialize_request(pending.request));
+    slot.conn->send(std::move(wire));
   }
 }
 

@@ -520,7 +520,7 @@ void Sidecar::accept_session(transport::Connection& conn,
   raw->parser->set_on_request([this, id](http::HttpRequest req) {
     on_session_request(id, std::move(req));
   });
-  conn.set_on_data([this, raw, id, direction](std::string_view data) {
+  conn.set_on_data([this, raw, id, direction](const net::Payload& data) {
     if (!raw->sniffed) {
       // First downstream bytes decide the session's framing: a TLS
       // ClientHello record (type byte 0x01) upgrades the inbound session
@@ -529,7 +529,8 @@ void Sidecar::accept_session(transport::Connection& conn,
       // peers keep working while mTLS rolls out across config epochs.
       raw->sniffed = true;
       if (direction == FilterDirection::kInbound && config_.tls.enabled &&
-          !data.empty() && static_cast<unsigned char>(data[0]) < 0x20) {
+          !data.empty() &&
+          static_cast<unsigned char>(data.data()[0]) < 0x20) {
         setup_server_tls(*raw);
       }
     }
@@ -569,8 +570,8 @@ void Sidecar::accept_session(transport::Connection& conn,
   sessions_.emplace(id, std::move(session));
 }
 
-void Sidecar::feed_session_parser(ServerSession& session,
-                                  std::string_view data) {
+template <class Bytes>
+void Sidecar::feed_session_parser(ServerSession& session, const Bytes& data) {
   if (!session.parser->feed(data)) {
     MESHNET_WARN() << "sidecar: request parse error; resetting session";
     // Abort on a fresh simulator step: aborting here would destroy the
@@ -591,7 +592,7 @@ void Sidecar::setup_server_tls(ServerSession& session) {
   session.tls = channel;
   channel->set_send_wire([this, id](std::string bytes) {
     const auto it = sessions_.find(id);
-    if (it != sessions_.end()) it->second->conn->send(std::move(bytes));
+    if (it != sessions_.end()) it->second->conn->send(bytes);
   });
   channel->set_on_plaintext([this, id](std::string_view data) {
     const auto it = sessions_.find(id);
@@ -639,7 +640,7 @@ http::HttpResponse Sidecar::make_local_response(int status,
                                                 std::string_view body) {
   http::HttpResponse response;
   response.status = status;
-  response.body = std::string(body);
+  response.body = body;
   response.headers.set("x-served-by", config_.service_name + "-sidecar");
   ++stats_.local_responses;
   return response;
@@ -796,12 +797,12 @@ void Sidecar::respond_to_session(std::uint64_t session_id, const Ctx& /*ctx*/,
   // the wire.
   const sim::Duration delay = proxy_delay();
   auto deliver = [this, session_id,
-                  payload = http::serialize_response(response)]() mutable {
+                  payload = http::encode_response(response)]() mutable {
     const auto sit = sessions_.find(session_id);
     if (sit == sessions_.end()) return;
     ServerSession& s = *sit->second;
     if (s.tls != nullptr) {
-      s.tls->send_app_data(std::move(payload));
+      s.tls->send_app_data(payload);
     } else {
       s.conn->send(std::move(payload));
     }

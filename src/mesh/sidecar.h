@@ -396,9 +396,11 @@ class Sidecar {
   HttpClientPool& pool_for(const cluster::Endpoint& endpoint,
                            TrafficClass traffic_class, net::Port port,
                            bool mtls);
-  /// Feeds downstream bytes (decrypted when the session is TLS) into the
-  /// session's HTTP parser, aborting the connection on a parse error.
-  void feed_session_parser(ServerSession& session, std::string_view data);
+  /// Feeds downstream bytes into the session's HTTP parser, aborting the
+  /// connection on a parse error. `Bytes` is the wire net::Payload (the
+  /// body is kept by reference) or decrypted TLS plaintext (copied).
+  template <class Bytes>
+  void feed_session_parser(ServerSession& session, const Bytes& data);
   /// Upgrades an inbound session to TLS (a ClientHello was sniffed).
   void setup_server_tls(ServerSession& session);
   /// Lazily created shared TLS state (ticket cache, tls_* series); only

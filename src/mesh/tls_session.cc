@@ -331,14 +331,14 @@ void TlsChannel::on_wire_data(std::string_view data) {
   }
 }
 
-void TlsChannel::send_app_data(std::string data) {
+void TlsChannel::send_app_data(std::string_view data) {
   if (closed_ || failed() || data.empty()) return;
   const bool zero_rtt = role_ == Role::kClient && offered_ticket_ &&
                         state_ == State::kWaitServerHello;
   if (established() || zero_rtt) {
-    encrypt_and_send(std::move(data));
+    encrypt_and_send(data);
   } else {
-    pending_app_.push_back(std::move(data));
+    pending_app_.emplace_back(data);
   }
 }
 
@@ -540,9 +540,9 @@ void TlsChannel::become_established() {
   }
   if (on_established_) on_established_(resumed_);
   while (!pending_app_.empty() && !failed() && !closed_) {
-    std::string data = std::move(pending_app_.front());
+    const std::string data = std::move(pending_app_.front());
     pending_app_.pop_front();
-    encrypt_and_send(std::move(data));
+    encrypt_and_send(data);
   }
   while (!early_records_.empty() && !failed() && !closed_) {
     std::string body = std::move(early_records_.front());
@@ -551,7 +551,7 @@ void TlsChannel::become_established() {
   }
 }
 
-void TlsChannel::encrypt_and_send(std::string data) {
+void TlsChannel::encrypt_and_send(std::string_view data) {
   TlsMetrics& metrics = runtime_->metrics();
   std::string_view rest = data;
   while (!rest.empty()) {

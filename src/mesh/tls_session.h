@@ -327,7 +327,7 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   /// Queue plaintext for the peer. Client side before establishment:
   /// sent as 0-RTT early data when a ticket was offered, buffered until
   /// the handshake completes otherwise.
-  void send_app_data(std::string data);
+  void send_app_data(std::string_view data);
 
   /// Detaches the channel from its owner: cancels timers, drops pending
   /// deliveries, and suppresses every callback. Idempotent.
@@ -350,7 +350,7 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   void handle_finished();
   void handle_app_data(std::string_view body);
   void become_established();
-  void encrypt_and_send(std::string data);
+  void encrypt_and_send(std::string_view data);
   void deliver_plaintext(std::string body);
   /// AEAD charge for one record of `body_bytes` payload.
   sim::Duration aead_cost(std::size_t body_bytes) const;

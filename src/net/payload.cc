@@ -10,12 +10,12 @@ namespace meshnet::net {
 namespace {
 
 // Size classes are powers of two from 64 B (ACK-sized app messages) to
-// 64 KiB (the largest bulk responses the e-library sends are segmented
-// well below this). Larger blocks bypass the pool.
+// 16 MiB (a whole bulk HTTP message, head and body, is one block). Larger
+// blocks bypass the pool.
 constexpr std::size_t kMinClassBytes = 64;
-constexpr std::size_t kMaxClassBytes = 64 * 1024;
+constexpr std::size_t kMaxClassBytes = 16 * 1024 * 1024;
 constexpr int kMinClassShift = 6;
-constexpr int kClassCount = 11;  // 64, 128, ..., 64 KiB
+constexpr int kClassCount = 19;  // 64, 128, ..., 16 MiB
 
 int class_for(std::size_t bytes) noexcept {
   const std::size_t clamped = bytes < kMinClassBytes ? kMinClassBytes : bytes;
@@ -103,24 +103,28 @@ void payload_pool_trim() noexcept {
 }
 
 Payload Payload::copy_of(std::string_view bytes) {
-  Payload out;
-  if (bytes.empty()) return out;
-  Block* block = PayloadPoolAccess::acquire(bytes.size());
-  std::memcpy(block->bytes(), bytes.data(), bytes.size());
-  out.block_ = block;
-  out.data_ = block->bytes();
-  out.size_ = static_cast<std::uint32_t>(bytes.size());
+  char* out_bytes = nullptr;
+  Payload out = uninitialized(bytes.size(), &out_bytes);
+  if (!bytes.empty()) std::memcpy(out_bytes, bytes.data(), bytes.size());
   return out;
 }
 
 Payload Payload::filled(std::size_t count, char fill) {
+  char* bytes = nullptr;
+  Payload out = uninitialized(count, &bytes);
+  if (count > 0) std::memset(bytes, fill, count);
+  return out;
+}
+
+Payload Payload::uninitialized(std::size_t count, char** out_bytes) {
   Payload out;
+  *out_bytes = nullptr;
   if (count == 0) return out;
   Block* block = PayloadPoolAccess::acquire(count);
-  std::memset(block->bytes(), fill, count);
   out.block_ = block;
   out.data_ = block->bytes();
   out.size_ = static_cast<std::uint32_t>(count);
+  *out_bytes = block->bytes();
   return out;
 }
 

@@ -1,20 +1,19 @@
 #pragma once
 
-// Pooled, refcounted packet payload buffers.
+// Pooled, refcounted message bytes.
 //
-// Every simulated segment used to carry a shared_ptr<const std::string>,
-// which costs one control-block allocation plus one string allocation per
-// segment and a pair of atomic refcount ops per packet copy. Payload
-// replaces that with a view into a refcounted block drawn from a
-// thread-local size-class pool: the transport copies the application
-// bytes into ONE block per send() and every MSS segment (and every
-// retransmit) is a zero-copy slice of it, so steady-state packet flow
-// does not touch the allocator at all once the pool is warm.
+// A Payload is a view into a refcounted block drawn from a thread-local
+// size-class pool (64 B … 16 MiB; only larger blocks bypass it). Message
+// bytes travel as such blocks end to end: the HTTP codec encodes a
+// message's head and body into ONE block per hop, the transport slices it
+// into MSS segments (and retransmits) without copying, and the receiving
+// parser keeps the body as a slice of the same block. Once the pool is
+// warm, steady-state message flow does not touch the allocator at all.
 //
-// Thread affinity: a simulation (and all of its packets) lives on a
-// single thread — the sweep runner pins each point to one worker — so
-// refcounts are plain integers and the pool is thread_local. Payloads
-// must not be shared across threads.
+// Thread affinity: a simulation (and all of its packets and messages)
+// lives on a single thread — the sweep runner pins each point to one
+// worker — so refcounts are plain integers and the pool is thread_local.
+// Payloads must not be shared across threads.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,12 +42,17 @@ class Payload {
  public:
   Payload() noexcept = default;
 
-  /// Copies `bytes` into a pooled block. The one copy per send() —
-  /// slices of the result share the block.
+  /// Copies `bytes` into a pooled block; slices of the result share the
+  /// block.
   static Payload copy_of(std::string_view bytes);
 
-  /// Convenience for tests/benches: a block of `count` copies of `fill`.
+  /// A block of `count` copies of `fill`.
   static Payload filled(std::size_t count, char fill);
+
+  /// A fresh `count`-byte block whose bytes the caller fills through
+  /// `*out` before sharing the payload (copies and slices see the same
+  /// bytes).
+  static Payload uninitialized(std::size_t count, char** out);
 
   Payload(const Payload& other) noexcept
       : block_(other.block_), data_(other.data_), size_(other.size_) {
@@ -94,10 +98,21 @@ class Payload {
     return out;
   }
 
+  /// True when `next` starts right where this view ends, inside the same
+  /// block, so extend(next) can grow this view over it.
+  bool continued_by(const Payload& next) const noexcept {
+    return block_ != nullptr && block_ == next.block_ &&
+           data_ + size_ == next.data_;
+  }
+
+  /// Grows this view over `next`; requires continued_by(next).
+  void extend(const Payload& next) noexcept { size_ += next.size_; }
+
   const char* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
   std::string_view view() const noexcept { return {data_, size_}; }
+  operator std::string_view() const noexcept { return view(); }
 
   void reset() noexcept {
     release();

@@ -45,28 +45,29 @@ void Connection::set_mss(std::uint32_t mss) {
   if (mss > 0) options_.mss = mss;
 }
 
-void Connection::send(std::string data) {
+void Connection::send(net::Payload data) {
   if (close_requested_ || state_ == ConnState::kClosed || data.empty()) {
     return;
   }
   stats_.bytes_sent += data.size();
   host_.mutable_stats().bytes_sent += data.size();
-  // One pooled copy per send(); each MSS segment (and every retransmit)
-  // is a zero-copy slice of that block.
-  const net::Payload whole = net::Payload::copy_of(data);
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t len =
         std::min<std::size_t>(options_.mss, data.size() - offset);
     Segment seg;
     seg.seq = next_seq_;
-    seg.payload = whole.slice(offset, len);
+    seg.payload = data.slice(offset, len);
     next_seq_ += len;
     unsent_bytes_ += len;
     unsent_.push_back(std::move(seg));
     offset += len;
   }
   if (state_ == ConnState::kEstablished) maybe_send();
+}
+
+void Connection::send(std::string_view data) {
+  send(net::Payload::copy_of(data));
 }
 
 void Connection::close() {
@@ -212,13 +213,8 @@ void Connection::handle_data(const net::Packet& packet) {
     return;
   }
   // In-order (possibly partially overlapping) delivery.
-  const std::uint64_t skip = rcv_next_ - seq;
-  std::string_view view = packet.payload.view();
-  view.remove_prefix(static_cast<std::size_t>(skip));
-  rcv_next_ += view.size();
-  stats_.bytes_received += view.size();
-  host_.mutable_stats().bytes_received += view.size();
-  if (on_data_) on_data_(view);
+  const auto skip = static_cast<std::size_t>(rcv_next_ - seq);
+  deliver(skip == 0 ? packet.payload : packet.payload.slice(skip, len - skip));
 
   // Drain any now-contiguous out-of-order segments.
   auto it = out_of_order_.begin();
@@ -226,15 +222,19 @@ void Connection::handle_data(const net::Packet& packet) {
     const std::uint64_t oo_seq = it->first;
     const net::Payload& payload = it->second;
     if (oo_seq + payload.size() > rcv_next_) {
-      std::string_view oo_view = payload.view();
-      oo_view.remove_prefix(static_cast<std::size_t>(rcv_next_ - oo_seq));
-      rcv_next_ += oo_view.size();
-      stats_.bytes_received += oo_view.size();
-      if (on_data_) on_data_(oo_view);
+      const auto oo_skip = static_cast<std::size_t>(rcv_next_ - oo_seq);
+      deliver(payload.slice(oo_skip, payload.size() - oo_skip));
     }
     it = out_of_order_.erase(it);
   }
   send_ack();
+}
+
+void Connection::deliver(const net::Payload& data) {
+  rcv_next_ += data.size();
+  stats_.bytes_received += data.size();
+  host_.mutable_stats().bytes_received += data.size();
+  if (on_data_) on_data_(data);
 }
 
 void Connection::handle_ack(const net::Packet& packet) {

@@ -65,7 +65,9 @@ struct ConnectionStats {
 
 class Connection {
  public:
-  using DataHandler = std::function<void(std::string_view)>;
+  /// In-order bytes, as a slice of the sender's block (handlers that take
+  /// a std::string_view bind through Payload's conversion).
+  using DataHandler = std::function<void(const net::Payload&)>;
   using ConnectedHandler = std::function<void()>;
   /// `graceful` is true for FIN close, false for RST/abort.
   using ClosedHandler = std::function<void(bool graceful)>;
@@ -76,9 +78,13 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Queues payload bytes. Data sent before establishment is buffered and
-  /// flushed once the handshake completes. No-op after close().
-  void send(std::string data);
+  /// Queues payload bytes. Each MSS segment (and every retransmit) is a
+  /// zero-copy slice of `data`. Data sent before establishment is
+  /// buffered and flushed once the handshake completes. No-op after
+  /// close().
+  void send(net::Payload data);
+  /// Copies `data` into one pooled block and sends that.
+  void send(std::string_view data);
 
   /// Graceful close: a FIN goes out once all queued data is delivered.
   void close();
@@ -140,6 +146,8 @@ class Connection {
   void send_ack();
   void handle_ack(const net::Packet& packet);
   void handle_data(const net::Packet& packet);
+  /// Hands in-order bytes at rcv_next_ up and counts them.
+  void deliver(const net::Payload& data);
   void maybe_send_fin();
   void arm_rto();
   void disarm_rto();

@@ -12,6 +12,7 @@
 #include "app/microservice.h"
 #include "mesh/control_plane.h"
 #include "mesh/http_client.h"
+#include "net/payload.h"
 #include "sim/simulator.h"
 
 namespace meshnet::app {
@@ -493,6 +494,41 @@ TEST_F(ElibraryFixture, TraceCoversAllHops) {
   // gateway out, frontend in/out/out, details in, reviews in/out,
   // ratings in = 8 spans.
   EXPECT_EQ(trace.size(), 8u);
+}
+
+// Message bytes are pooled blocks end to end: once one bulk request has
+// warmed the pool, the next allocates no payload block at all (each hop
+// encodes into a cached block; each receiver keeps the body by reference).
+TEST(ElibraryPayloadPool, SteadyStateLiRequestAllocatesNoBlocks) {
+  sim::Simulator sim;
+  Elibrary app(sim, ElibraryOptions{});  // 8 KiB components, 200x LI
+  mesh::HttpClientPool pool(sim, app.client_pod().transport(),
+                            app.gateway_address(), {});
+  const auto li = [&] {
+    http::HttpRequest request;
+    request.path = "/analytics/7";
+    request.headers.set(http::headers::kHost, "frontend");
+    std::optional<http::HttpResponse> out;
+    pool.request(std::move(request),
+                 [&](std::optional<http::HttpResponse> response,
+                     const std::string&) { out = std::move(response); });
+    sim.run_until(sim.now() + sim::seconds(10));
+    return out;
+  };
+  {
+    // Dropped before measuring: its body still holds a wire block.
+    const auto warm = li();
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_EQ(warm->body.size(), app.expected_li_body_bytes());
+  }
+  const net::PayloadPoolStats before = net::payload_pool_stats();
+  const auto again = li();
+  const net::PayloadPoolStats after = net::payload_pool_stats();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->body.size(), app.expected_li_body_bytes());
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.unpooled, before.unpooled);
+  EXPECT_GT(after.pool_hits, before.pool_hits);
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "http/codec.h"
 #include "http/header_map.h"
 #include "http/message.h"
+#include "net/payload.h"
 #include "sim/random.h"
 
 namespace meshnet::http {
@@ -368,16 +371,134 @@ TEST(Codec, HeaderValuesAreTrimmed) {
 }
 
 TEST(Codec, LargeBinaryBodySurvives) {
-  HttpResponse resp;
-  resp.body.resize(2 * 1024 * 1024);
-  for (std::size_t i = 0; i < resp.body.size(); ++i) {
-    resp.body[i] = static_cast<char>(i * 31 + 7);
+  std::string bytes(2 * 1024 * 1024, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 31 + 7);
   }
+  HttpResponse resp;
+  resp.body = bytes;
   HttpParser parser(ParserKind::kResponse);
   HttpResponse out;
   parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
   ASSERT_TRUE(parser.feed(serialize_response(resp)));
   EXPECT_EQ(out.body, resp.body);
+}
+
+TEST(Codec, HugeContentLengthFailsWithoutAllocating) {
+  HttpParser parser(ParserKind::kResponse);
+  bool ok = true;
+  EXPECT_NO_THROW(ok = parser.feed("HTTP/1.1 200 OK\r\n"
+                                   "content-length: 1000000000000\r\n\r\n"));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(parser.error(), ParserError::kBodyTooLarge);
+
+  // A normal bulk body still parses, fed as a pooled block.
+  parser.reset();
+  HttpResponse resp;
+  resp.body.assign(2 * 1024 * 1024, 'b');
+  HttpResponse out;
+  parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
+  ASSERT_TRUE(parser.feed(encode_response(resp)));
+  EXPECT_EQ(parser.messages_parsed(), 1u);
+  EXPECT_EQ(out.body, resp.body);
+}
+
+// ----- Aliasing: a body fed as consecutive slices of one block is kept by
+// reference; anything else is copied once. -----
+
+HttpResponse bulk_response(std::size_t bytes) {
+  std::string body(bytes, '\0');
+  for (std::size_t i = 0; i < bytes; ++i) {
+    body[i] = static_cast<char>(i * 7 + 3);
+  }
+  HttpResponse resp;
+  resp.headers.set("x-served-by", "test");
+  resp.body = body;
+  return resp;
+}
+
+bool inside(const char* p, const net::Payload& block) {
+  return p >= block.data() && p < block.data() + block.size();
+}
+
+TEST(CodecAliasing, MssSlicesOfOneBlockAreKeptByReference) {
+  const HttpResponse resp = bulk_response(100'000);
+  const net::Payload wire = encode_response(resp);
+  HttpParser parser(ParserKind::kResponse);
+  std::vector<HttpResponse> out;
+  parser.set_on_response([&](HttpResponse r) { out.push_back(std::move(r)); });
+  for (std::size_t at = 0; at < wire.size(); at += 1460) {
+    ASSERT_TRUE(parser.feed(wire.slice(at, std::min<std::size_t>(
+                                               1460, wire.size() - at))));
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].body, resp.body);
+  EXPECT_TRUE(inside(out[0].body.data(), wire));
+  EXPECT_EQ(out[0].body.data() + out[0].body.size(), wire.data() + wire.size());
+}
+
+TEST(CodecAliasing, ChunksOfTwoBlocksAreCopied) {
+  const HttpResponse resp = bulk_response(50'000);
+  const std::string wire = serialize_response(resp);
+  const std::size_t half = wire.size() / 2;
+  const net::Payload first = net::Payload::copy_of(
+      std::string_view(wire).substr(0, half));
+  const net::Payload second = net::Payload::copy_of(
+      std::string_view(wire).substr(half));
+  HttpParser parser(ParserKind::kResponse);
+  HttpResponse out;
+  parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
+  ASSERT_TRUE(parser.feed(first));
+  ASSERT_TRUE(parser.feed(second));
+  EXPECT_EQ(parser.messages_parsed(), 1u);
+  EXPECT_EQ(out.body, resp.body);
+  EXPECT_FALSE(inside(out.body.data(), first));
+  EXPECT_FALSE(inside(out.body.data(), second));
+}
+
+TEST(CodecAliasing, StringViewFeedsAreCopied) {
+  const HttpResponse resp = bulk_response(20'000);
+  const net::Payload wire = encode_response(resp);
+  HttpParser parser(ParserKind::kResponse);
+  HttpResponse out;
+  parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
+  ASSERT_TRUE(parser.feed(wire.view()));
+  EXPECT_EQ(out.body, resp.body);
+  EXPECT_FALSE(inside(out.body.data(), wire));
+}
+
+TEST(CodecAliasing, SwitchFromAliasingToCopyingKeepsEveryByte) {
+  const HttpResponse resp = bulk_response(30'000);
+  const net::Payload wire = encode_response(resp);
+  const std::size_t cut = wire.size() - 10'000;  // mid-body
+  HttpParser parser(ParserKind::kResponse);
+  HttpResponse out;
+  parser.set_on_response([&](HttpResponse r) { out = std::move(r); });
+  for (std::size_t at = 0; at < cut; at += 1460) {
+    ASSERT_TRUE(
+        parser.feed(wire.slice(at, std::min<std::size_t>(1460, cut - at))));
+  }
+  EXPECT_EQ(parser.buffered_bytes(), cut - (wire.size() - resp.body.size()));
+  // The rest arrives re-blocked (say, through a TLS record), then as a
+  // slice of the original block again: both are copied.
+  ASSERT_TRUE(
+      parser.feed(net::Payload::copy_of(wire.view().substr(cut, 4000))));
+  ASSERT_TRUE(parser.feed(wire.slice(cut + 4000, wire.size() - cut - 4000)));
+  EXPECT_EQ(parser.messages_parsed(), 1u);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  EXPECT_EQ(out.body, resp.body);
+  EXPECT_FALSE(inside(out.body.data(), wire));
+}
+
+TEST(CodecAliasing, BodyCopiesShareTheBlock) {
+  HttpRequest req;
+  req.body.assign(4096, 'r');
+  const HttpRequest copy = req;  // the sidecar's retry-safe copy
+  EXPECT_EQ(copy.body.data(), req.body.data());
+  EXPECT_EQ(copy.body, req.body);
+  std::ostringstream printed;
+  printed << Body{net::Payload::copy_of("abc")};
+  EXPECT_EQ(printed.str(), "abc");
 }
 
 // ----- Randomized round-trip fuzz: decode(encode(m)) == m for arbitrary
@@ -485,10 +606,23 @@ HttpResponse random_response(sim::RngStream& rng) {
   return resp;
 }
 
-// Feeds `wire` to the parser in random-size chunks.
+// How the fuzz hands wire bytes to the parser.
+enum class FeedMode {
+  kStringChunks,   ///< string_view chunks: always the copy path
+  kPayloadSlices,  ///< slices of one wire block, some re-blocked
+};
+
+// Feeds `wire` to the parser in random-size chunks. In kPayloadSlices
+// mode each chunk is a slice of one block holding all of `wire`, except
+// that about a quarter are first copied into a block of their own, so
+// bodies alias, copy, and switch from one to the other mid-body.
 template <typename Parser>
 void feed_in_random_chunks(Parser& parser, const std::string& wire,
-                           sim::RngStream& rng) {
+                           sim::RngStream& rng,
+                           FeedMode mode = FeedMode::kStringChunks) {
+  const net::Payload block = mode == FeedMode::kPayloadSlices
+                                 ? net::Payload::copy_of(wire)
+                                 : net::Payload();
   std::size_t offset = 0;
   while (offset < wire.size()) {
     // Mix single bytes, small slivers, and big gulps so chunk edges land
@@ -506,7 +640,14 @@ void feed_in_random_chunks(Parser& parser, const std::string& wire,
         break;
     }
     chunk = std::min(chunk, wire.size() - offset);
-    ASSERT_TRUE(parser.feed(std::string_view(wire).substr(offset, chunk)));
+    if (mode == FeedMode::kStringChunks) {
+      ASSERT_TRUE(parser.feed(std::string_view(wire).substr(offset, chunk)));
+    } else if (rng.bernoulli(0.25)) {
+      ASSERT_TRUE(parser.feed(
+          net::Payload::copy_of(std::string_view(wire).substr(offset, chunk))));
+    } else {
+      ASSERT_TRUE(parser.feed(block.slice(offset, chunk)));
+    }
     offset += chunk;
   }
 }
@@ -519,10 +660,10 @@ HeaderMap without_content_length(const HeaderMap& map) {
   return out;
 }
 
-TEST(CodecFuzz, RandomRequestsRoundTripUnderRandomChunking) {
+void fuzz_requests(const char* stream, FeedMode mode) {
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    sim::RngStream rng(seed, "http-fuzz-request");
+    sim::RngStream rng(seed, stream);
     std::vector<HttpRequest> originals;
     std::string wire;
     for (std::uint64_t i = rng.uniform_int(1, 3); i > 0; --i) {
@@ -533,7 +674,7 @@ TEST(CodecFuzz, RandomRequestsRoundTripUnderRandomChunking) {
     std::vector<HttpRequest> parsed;
     parser.set_on_request(
         [&](HttpRequest r) { parsed.push_back(std::move(r)); });
-    feed_in_random_chunks(parser, wire, rng);
+    feed_in_random_chunks(parser, wire, rng, mode);
     ASSERT_EQ(parsed.size(), originals.size());
     EXPECT_EQ(parser.buffered_bytes(), 0u);
     for (std::size_t i = 0; i < originals.size(); ++i) {
@@ -550,10 +691,10 @@ TEST(CodecFuzz, RandomRequestsRoundTripUnderRandomChunking) {
   }
 }
 
-TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
+void fuzz_responses(const char* stream, FeedMode mode) {
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    sim::RngStream rng(seed, "http-fuzz-response");
+    sim::RngStream rng(seed, stream);
     std::vector<HttpResponse> originals;
     std::string wire;
     for (std::uint64_t i = rng.uniform_int(1, 3); i > 0; --i) {
@@ -564,7 +705,7 @@ TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
     std::vector<HttpResponse> parsed;
     parser.set_on_response(
         [&](HttpResponse r) { parsed.push_back(std::move(r)); });
-    feed_in_random_chunks(parser, wire, rng);
+    feed_in_random_chunks(parser, wire, rng, mode);
     ASSERT_EQ(parsed.size(), originals.size());
     EXPECT_EQ(parser.buffered_bytes(), 0u);
     for (std::size_t i = 0; i < originals.size(); ++i) {
@@ -578,6 +719,22 @@ TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
       return;
     }
   }
+}
+
+TEST(CodecFuzz, RandomRequestsRoundTripUnderRandomChunking) {
+  fuzz_requests("http-fuzz-request", FeedMode::kStringChunks);
+}
+
+TEST(CodecFuzz, RandomResponsesRoundTripUnderRandomChunking) {
+  fuzz_responses("http-fuzz-response", FeedMode::kStringChunks);
+}
+
+TEST(CodecFuzz, RandomRequestsRoundTripAsRandomPayloadSlices) {
+  fuzz_requests("http-fuzz-request-slices", FeedMode::kPayloadSlices);
+}
+
+TEST(CodecFuzz, RandomResponsesRoundTripAsRandomPayloadSlices) {
+  fuzz_responses("http-fuzz-response-slices", FeedMode::kPayloadSlices);
 }
 
 }  // namespace

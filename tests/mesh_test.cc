@@ -571,7 +571,8 @@ TEST_F(MeshFixture, HandshakeFailureClosesClientSpanAsError) {
   const auto response = get("server", "/mtls");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 503);
-  EXPECT_NE(response->body.find("tls handshake failed"), std::string::npos);
+  EXPECT_NE(response->body.view().find("tls handshake failed"),
+            std::string::npos);
   // The handshake actually failed (and was counted), and the client span
   // was exported with an end time and the error flag.
   const obs::Counter* failures = control_plane_->metrics().find_counter(

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "net/address.h"
@@ -101,26 +103,62 @@ TEST(Payload, EmptyAndFilled) {
 }
 
 TEST(Payload, PoolReusesBlocks) {
-  payload_pool_trim();
-  const PayloadPoolStats before = payload_pool_stats();
-  { Payload p = Payload::filled(1400, 'x'); }
-  { Payload p = Payload::filled(1400, 'y'); }  // same size class: reuse
-  const PayloadPoolStats after = payload_pool_stats();
-  EXPECT_EQ(after.pool_misses - before.pool_misses, 1u);
-  EXPECT_EQ(after.pool_hits - before.pool_hits, 1u);
-  EXPECT_EQ(after.blocks_cached, 1u);
-  payload_pool_trim();
-  EXPECT_EQ(payload_pool_stats().blocks_cached, 0u);
-  EXPECT_EQ(payload_pool_stats().bytes_cached, 0u);
+  // Packet-sized and whole-bulk-message-sized blocks alike.
+  for (const std::size_t bytes : {std::size_t{1400}, std::size_t{2} << 20}) {
+    SCOPED_TRACE(bytes);
+    payload_pool_trim();
+    const PayloadPoolStats before = payload_pool_stats();
+    { Payload p = Payload::filled(bytes, 'x'); }
+    { Payload p = Payload::filled(bytes, 'y'); }  // same size class: reuse
+    const PayloadPoolStats after = payload_pool_stats();
+    EXPECT_EQ(after.pool_misses - before.pool_misses, 1u);
+    EXPECT_EQ(after.pool_hits - before.pool_hits, 1u);
+    EXPECT_EQ(after.unpooled, before.unpooled);
+    EXPECT_EQ(after.blocks_cached, 1u);
+    payload_pool_trim();
+    EXPECT_EQ(payload_pool_stats().blocks_cached, 0u);
+    EXPECT_EQ(payload_pool_stats().bytes_cached, 0u);
+  }
 }
 
 TEST(Payload, OversizedBlocksBypassThePool) {
   payload_pool_trim();
   const PayloadPoolStats before = payload_pool_stats();
-  { Payload p = Payload::filled(256 * 1024, 'z'); }
+  { Payload p = Payload::filled(16 * 1024 * 1024 + 1, 'z'); }
   const PayloadPoolStats after = payload_pool_stats();
   EXPECT_EQ(after.unpooled - before.unpooled, 1u);
   EXPECT_EQ(after.blocks_cached, 0u);  // not cached on release
+}
+
+TEST(Payload, UninitializedIsFilledBeforeSharing) {
+  char* bytes = nullptr;
+  Payload p = Payload::uninitialized(5, &bytes);
+  ASSERT_NE(bytes, nullptr);
+  std::memcpy(bytes, "hello", 5);
+  const Payload copy = p;
+  EXPECT_EQ(copy.view(), "hello");
+  EXPECT_TRUE(Payload::uninitialized(0, &bytes).empty());
+  EXPECT_EQ(bytes, nullptr);
+}
+
+TEST(Payload, ContinuedByHoldsOnlyForAdjacentSlicesOfOneBlock) {
+  const Payload whole = Payload::copy_of("0123456789");
+  Payload head = whole.slice(0, 4);
+  EXPECT_TRUE(head.continued_by(whole.slice(4, 3)));
+  EXPECT_FALSE(head.continued_by(whole.slice(5, 3)));  // gap
+  EXPECT_FALSE(head.continued_by(whole.slice(2, 3)));  // overlap
+  EXPECT_FALSE(whole.slice(4, 3).continued_by(head));  // wrong order
+  // Same bytes, other block: never a continuation, even if the addresses
+  // happen to line up.
+  const Payload other = Payload::copy_of("456");
+  EXPECT_FALSE(head.continued_by(other));
+  EXPECT_FALSE(Payload().continued_by(Payload()));
+
+  head.extend(whole.slice(4, 3));
+  EXPECT_EQ(head.view(), "0123456");
+  EXPECT_TRUE(head.continued_by(whole.slice(7, 3)));
+  const std::string_view as_view = head;  // implicit conversion
+  EXPECT_EQ(as_view, "0123456");
 }
 
 TEST(Packet, SizeAccounting) {
