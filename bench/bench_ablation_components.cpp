@@ -25,6 +25,7 @@
 
 #include "stats/table.h"
 #include "workload/bench_harness.h"
+#include "workload/elibrary_experiment.h"
 
 using namespace meshnet;
 
@@ -80,43 +81,41 @@ int main(int argc, char** argv) {
   };
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> outcomes(variants.size());
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    const Variant& v = variants[i];
-    runner.add({{"variant", v.id}},
-               [&v, rps, duration, seed, i, &outcomes] {
-                 workload::ElibraryExperimentConfig config;
-                 config.ls_rps = rps;
-                 config.li_rps = rps;
-                 config.duration = duration;
-                 config.seed = seed;
-                 config.cross_layer = v.enabled;
-                 if (v.enabled) {
-                   auto& cc = config.cross_layer_config;
-                   cc.priority_routing = v.routing;
-                   cc.tc_priority = v.tc;
-                   cc.tc_match = v.match;
-                   cc.strict_tc = v.strict;
-                   cc.scavenger_transport = v.scavenger;
-                   cc.dscp_tagging = v.dscp;
-                   config.sdn_out_of_band = v.sdn;
-                 }
-                 outcomes[i] = workload::run_elibrary_experiment(config);
-                 return workload::elibrary_point_metrics(outcomes[i]);
-               });
+  for (const Variant& v : variants) {
+    runner.add({{"variant", v.id}}, [&v, rps, duration, seed] {
+      workload::ElibraryExperimentConfig config;
+      config.ls_rps = rps;
+      config.li_rps = rps;
+      config.duration = duration;
+      config.seed = seed;
+      config.cross_layer = v.enabled;
+      if (v.enabled) {
+        auto& cc = config.cross_layer_config;
+        cc.priority_routing = v.routing;
+        cc.tc_priority = v.tc;
+        cc.tc_match = v.match;
+        cc.strict_tc = v.strict;
+        cc.scavenger_transport = v.scavenger;
+        cc.dscp_tagging = v.dscp;
+        config.sdn_out_of_band = v.sdn;
+      }
+      return workload::elibrary_point_metrics(
+          workload::run_elibrary_experiment(config));
+    });
   }
   const workload::SweepResult sweep = runner.run();
 
   stats::Table table({"variant", "LS p50 (ms)", "LS p99 (ms)",
                       "LI p50 (ms)", "LI p99 (ms)", "LS errs", "util"});
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    const auto& r = outcomes[i];
-    table.add_row({variants[i].name, stats::Table::num(r.ls.p50_ms, 1),
-                   stats::Table::num(r.ls.p99_ms, 1),
-                   stats::Table::num(r.li.p50_ms, 1),
-                   stats::Table::num(r.li.p99_ms, 1),
-                   std::to_string(r.ls.errors),
-                   stats::Table::num(r.bottleneck_utilization, 2)});
+    const workload::PointMetrics& m = sweep.points[i].metrics;
+    const auto ms = [&m](const char* key) {
+      return stats::Table::num(m.scalars.at(key), 1);
+    };
+    table.add_row(
+        {variants[i].name, ms("ls_p50_ms"), ms("ls_p99_ms"), ms("li_p50_ms"),
+         ms("li_p99_ms"), std::to_string(m.counters.at("ls_errors")),
+         stats::Table::num(m.scalars.at("bottleneck_utilization"), 2)});
   }
 
   std::printf("%s\n", table.to_string().c_str());

@@ -17,24 +17,34 @@
 //   --threads=N --json-out[=PATH] --baseline=PATH --tolerance=R
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "stats/table.h"
 #include "util/strings.h"
 #include "workload/bench_harness.h"
+#include "workload/elibrary_experiment.h"
 
 using namespace meshnet;
 
 namespace {
 
+// A typo must not silently run a different sweep: every entry has to be a
+// positive integer, or the run stops with exit code 2.
 std::vector<double> parse_rps_list(const std::string& text) {
   std::vector<double> out;
   for (const auto part : util::split(text, ',')) {
     const auto v = util::parse_u64(util::trim(part));
-    if (v) out.push_back(static_cast<double>(*v));
+    if (!v || *v == 0) {
+      std::fprintf(stderr,
+                   "bench_fig4: bad --rps entry '%s' in '%s' (want "
+                   "positive integers, e.g. --rps=10,20)\n",
+                   std::string(part).c_str(), text.c_str());
+      std::exit(2);
+    }
+    out.push_back(static_cast<double>(*v));
   }
-  if (out.empty()) out = {10, 20, 30, 40, 50};
   return out;
 }
 
@@ -59,19 +69,14 @@ int main(int argc, char** argv) {
       "~200x larger, uniform-random arrivals).\n\n");
 
   // One sweep point per (rps, cross_layer) pair; each runs its own
-  // simulator and stores the typed result in its slot for the table.
+  // simulator. The table reads the points' reports.
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> outcomes(
-      rps_levels.size() * 2);
-  for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const double rps = rps_levels[level];
+  for (const double rps : rps_levels) {
     for (const bool cross_layer : {false, true}) {
-      const std::size_t slot = level * 2 + (cross_layer ? 1 : 0);
       runner.add(
           {{"rps", stats::Table::num(rps, 0)},
            {"cross_layer", cross_layer ? "on" : "off"}},
-          [rps, cross_layer, duration, warmup, cooldown, seed, slot,
-           &outcomes] {
+          [rps, cross_layer, duration, warmup, cooldown, seed] {
             workload::ElibraryExperimentConfig config;
             config.ls_rps = rps;
             config.li_rps = rps;
@@ -80,8 +85,8 @@ int main(int argc, char** argv) {
             config.cooldown = cooldown;
             config.seed = seed;
             config.cross_layer = cross_layer;
-            outcomes[slot] = workload::run_elibrary_experiment(config);
-            return workload::elibrary_point_metrics(outcomes[slot]);
+            return workload::elibrary_point_metrics(
+                workload::run_elibrary_experiment(config));
           });
     }
   }
@@ -95,10 +100,11 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const workload::ElibraryExperimentResult& base = outcomes[level * 2];
-    const workload::ElibraryExperimentResult& opt = outcomes[level * 2 + 1];
-    Row row{rps_levels[level], base.ls.p50_ms,  opt.ls.p50_ms,
-            base.ls.p99_ms,    opt.ls.p99_ms,   opt.bottleneck_utilization};
+    const auto& base = sweep.points[level * 2].metrics.scalars;
+    const auto& opt = sweep.points[level * 2 + 1].metrics.scalars;
+    Row row{rps_levels[level],   base.at("ls_p50_ms"),
+            opt.at("ls_p50_ms"), base.at("ls_p99_ms"),
+            opt.at("ls_p99_ms"), opt.at("bottleneck_utilization")};
     rows.push_back(row);
     table.add_row({stats::Table::num(row.rps, 0),
                    stats::Table::num(row.p50_base, 1),

@@ -13,6 +13,7 @@
 
 #include "stats/table.h"
 #include "workload/bench_harness.h"
+#include "workload/elibrary_experiment.h"
 
 using namespace meshnet;
 
@@ -31,15 +32,11 @@ int main(int argc, char** argv) {
 
   const std::vector<double> rps_levels = {10.0, 20.0, 30.0, 40.0, 50.0};
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> outcomes(
-      rps_levels.size() * 2);
-  for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const double rps = rps_levels[level];
+  for (const double rps : rps_levels) {
     for (const bool cross_layer : {false, true}) {
-      const std::size_t slot = level * 2 + (cross_layer ? 1 : 0);
       runner.add({{"rps", stats::Table::num(rps, 0)},
                   {"cross_layer", cross_layer ? "on" : "off"}},
-                 [rps, cross_layer, duration, warmup, seed, slot, &outcomes] {
+                 [rps, cross_layer, duration, warmup, seed] {
                    workload::ElibraryExperimentConfig config;
                    config.ls_rps = rps;
                    config.li_rps = rps;
@@ -47,8 +44,8 @@ int main(int argc, char** argv) {
                    config.warmup = warmup;
                    config.seed = seed;
                    config.cross_layer = cross_layer;
-                   outcomes[slot] = workload::run_elibrary_experiment(config);
-                   return workload::elibrary_point_metrics(outcomes[slot]);
+                   return workload::elibrary_point_metrics(
+                       workload::run_elibrary_experiment(config));
                  });
     }
   }
@@ -60,19 +57,20 @@ int main(int argc, char** argv) {
 
   double worst_delta = 0.0;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const workload::ElibraryExperimentResult& base = outcomes[level * 2];
-    const workload::ElibraryExperimentResult& opt = outcomes[level * 2 + 1];
-    const double delta =
-        base.li.p99_ms > 0 ? (opt.li.p99_ms - base.li.p99_ms) / base.li.p99_ms
-                           : 0.0;
+    const auto& base = sweep.points[level * 2].metrics.scalars;
+    const auto& opt = sweep.points[level * 2 + 1].metrics.scalars;
+    const double base_p99 = base.at("li_p99_ms");
+    const double opt_p99 = opt.at("li_p99_ms");
+    const double delta = base_p99 > 0 ? (opt_p99 - base_p99) / base_p99 : 0.0;
     worst_delta = std::max(worst_delta, delta);
-    table.add_row({stats::Table::num(rps_levels[level], 0),
-                   stats::Table::num(base.li.p99_ms, 1),
-                   stats::Table::num(opt.li.p99_ms, 1),
-                   stats::Table::num(delta * 100.0, 1) + "%",
-                   stats::Table::num(base.li.p50_ms, 1),
-                   stats::Table::num(opt.li.p50_ms, 1),
-                   stats::Table::num(base.ls.p99_ms / opt.ls.p99_ms, 2) + "x"});
+    table.add_row(
+        {stats::Table::num(rps_levels[level], 0),
+         stats::Table::num(base_p99, 1), stats::Table::num(opt_p99, 1),
+         stats::Table::num(delta * 100.0, 1) + "%",
+         stats::Table::num(base.at("li_p50_ms"), 1),
+         stats::Table::num(opt.at("li_p50_ms"), 1),
+         stats::Table::num(base.at("ls_p99_ms") / opt.at("ls_p99_ms"), 2) +
+             "x"});
   }
 
   std::printf("%s\n", table.to_string().c_str());

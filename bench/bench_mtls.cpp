@@ -69,28 +69,32 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(base.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  const std::size_t arm_count = std::size(kArms);
-  std::vector<workload::MtlsExperimentResult> arms(arm_count);
-  for (std::size_t i = 0; i < arm_count; ++i) {
-    const Arm& arm = kArms[i];
-    runner.add({{"arm", arm.name}}, [base, arm, i, &arms] {
+  for (const Arm& arm : kArms) {
+    runner.add({{"arm", arm.name}}, [base, arm] {
       workload::MtlsExperimentConfig config = base;
       config.mtls = arm.mtls;
       config.session_resumption = arm.resumption;
       config.storm = arm.storm;
       if (arm.ratings_only) config.mtls_overrides["ratings"] = true;
-      arms[i] = workload::run_mtls_experiment(config);
-      return workload::mtls_point_metrics(arms[i]);
+      return workload::elibrary_point_metrics(
+          workload::run_elibrary_experiment(workload::elibrary_config(config)),
+          workload::mtls_report_series());
     });
   }
   const workload::SweepResult sweep = runner.run();
 
-  const workload::MtlsExperimentResult& plaintext = arms[0];
-  const workload::MtlsExperimentResult& mtls_full = arms[1];
-  const workload::MtlsExperimentResult& mtls_resume = arms[2];
-  const workload::MtlsExperimentResult& mtls_ratings = arms[3];
-  const workload::MtlsExperimentResult& storm_full = arms[4];
-  const workload::MtlsExperimentResult& storm_resume = arms[5];
+  const workload::PointMetrics& plaintext = sweep.points[0].metrics;
+  const workload::PointMetrics& mtls_full = sweep.points[1].metrics;
+  const workload::PointMetrics& mtls_resume = sweep.points[2].metrics;
+  const workload::PointMetrics& mtls_ratings = sweep.points[3].metrics;
+  const workload::PointMetrics& storm_full = sweep.points[4].metrics;
+  const workload::PointMetrics& storm_resume = sweep.points[5].metrics;
+  const auto ms = [](const workload::PointMetrics& m, const char* key) {
+    return m.scalars.at(key);
+  };
+  const auto count = [](const workload::PointMetrics& m, const char* key) {
+    return m.counters.at(key);
+  };
 
   std::fputs(workload::format_mtls_comparison(plaintext, mtls_full,
                                               mtls_resume, storm_full,
@@ -100,35 +104,40 @@ int main(int argc, char** argv) {
   std::printf(
       "per-hop arm (ratings only): p50 %.2f ms, %llu full handshakes "
       "(mesh-wide arm: %llu)\n",
-      mtls_ratings.ls.p50_ms,
-      static_cast<unsigned long long>(mtls_ratings.handshakes_full),
-      static_cast<unsigned long long>(mtls_full.handshakes_full));
+      ms(mtls_ratings, "ls_p50_ms"),
+      static_cast<unsigned long long>(
+          count(mtls_ratings, "tls_handshakes_full")),
+      static_cast<unsigned long long>(count(mtls_full, "tls_handshakes_full")));
 
   // The crypto cost lands where the bytes are: the bulk LI workload's
   // p50/p99 carry the per-record AEAD charge on every hop, and the LS
   // p50 carries the fixed per-request share.
   const bool overhead_ok =
-      mtls_resume.ls.p50_ms > plaintext.ls.p50_ms &&
-      mtls_resume.li.p50_ms > plaintext.li.p50_ms &&
-      mtls_resume.li.p99_ms > plaintext.li.p99_ms;
+      ms(mtls_resume, "ls_p50_ms") > ms(plaintext, "ls_p50_ms") &&
+      ms(mtls_resume, "li_p50_ms") > ms(plaintext, "li_p50_ms") &&
+      ms(mtls_resume, "li_p99_ms") > ms(plaintext, "li_p99_ms");
   const bool storm_ok =
-      storm_resume.post.p99_ms < storm_full.post.p99_ms &&
-      storm_resume.handshakes_resumed > 0 && storm_full.handshakes_full > 0;
-  const bool counters_ok =
-      plaintext.handshakes_full == 0 && mtls_full.handshakes_full > 0 &&
-      mtls_full.handshakes_resumed == 0 && mtls_resume.tickets_issued > 0;
+      ms(storm_resume, "post_p99_ms") < ms(storm_full, "post_p99_ms") &&
+      count(storm_resume, "tls_handshakes_resumed") > 0 &&
+      count(storm_full, "tls_handshakes_full") > 0;
+  const bool counters_ok = count(plaintext, "tls_handshakes_full") == 0 &&
+                           count(mtls_full, "tls_handshakes_full") > 0 &&
+                           count(mtls_full, "tls_handshakes_resumed") == 0 &&
+                           count(mtls_resume, "tls_tickets_issued") > 0;
   const bool per_hop_ok =
-      mtls_ratings.handshakes_full > 0 &&
-      mtls_ratings.handshakes_full + mtls_ratings.handshakes_resumed <
-          mtls_full.handshakes_full + mtls_full.handshakes_resumed;
+      count(mtls_ratings, "tls_handshakes_full") > 0 &&
+      count(mtls_ratings, "tls_handshakes_full") +
+              count(mtls_ratings, "tls_handshakes_resumed") <
+          count(mtls_full, "tls_handshakes_full") +
+              count(mtls_full, "tls_handshakes_resumed");
   std::printf(
       "\nacceptance:\n"
       "  mTLS steady-state p50/p99 overhead nonzero          %s\n"
       "  resumption cuts post-storm p99 (%.2f < %.2f ms)     %s\n"
       "  handshake counters consistent per arm               %s\n"
       "  per-hop arm handshakes < mesh-wide arm              %s\n",
-      overhead_ok ? "PASS" : "FAIL", storm_resume.post.p99_ms,
-      storm_full.post.p99_ms, storm_ok ? "PASS" : "FAIL",
+      overhead_ok ? "PASS" : "FAIL", ms(storm_resume, "post_p99_ms"),
+      ms(storm_full, "post_p99_ms"), storm_ok ? "PASS" : "FAIL",
       counters_ok ? "PASS" : "FAIL", per_hop_ok ? "PASS" : "FAIL");
 
   const stats::BenchReport report = workload::make_bench_report(

@@ -23,37 +23,6 @@
 
 using namespace meshnet;
 
-namespace {
-
-workload::PointMetrics chaos_point_metrics(
-    const workload::ChaosExperimentResult& r) {
-  workload::PointMetrics metrics;
-  const auto add_phase = [&metrics](const std::string& prefix,
-                                    const workload::PhaseSummary& phase) {
-    metrics.scalars[prefix + "_goodput_rps"] = phase.goodput_rps;
-    metrics.scalars[prefix + "_success_rate"] = phase.success_rate;
-    metrics.scalars[prefix + "_p50_ms"] = phase.p50_ms;
-    metrics.scalars[prefix + "_p99_ms"] = phase.p99_ms;
-    metrics.counters[prefix + "_completed"] = phase.completed;
-    metrics.counters[prefix + "_errors"] = phase.errors;
-  };
-  add_phase("before", r.before);
-  add_phase("during", r.during);
-  add_phase("after", r.after);
-  metrics.counters["breaker_events"] = r.breaker_events;
-  metrics.counters["health_evictions"] = r.health_evictions;
-  metrics.counters["health_readmissions"] = r.health_readmissions;
-  metrics.counters["upstream_retries"] = r.upstream_retries;
-  metrics.counters["retries_denied_by_budget"] = r.retries_denied_by_budget;
-  metrics.counters["fault_log_entries"] = r.fault_log.size();
-  metrics.counters["mesh_events"] = r.mesh_events.size();
-  metrics.counters["events"] = r.events_executed;
-  metrics.snapshot = r.metrics;
-  return metrics;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   workload::ChaosExperimentConfig config;
   const workload::HarnessOptions options = workload::parse_harness_flags(
@@ -75,27 +44,29 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(config.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ChaosExperimentResult> arms(2);
+  std::vector<faults::FaultLogEntry> resilient_fault_log;
   for (const bool resilience : {true, false}) {
-    const std::size_t slot = resilience ? 0 : 1;
     runner.add({{"resilience", resilience ? "on" : "off"}},
-               [config, resilience, slot, &arms] {
+               [config, resilience, &resilient_fault_log] {
                  workload::ChaosExperimentConfig arm_config = config;
                  arm_config.resilience = resilience;
-                 arms[slot] =
-                     workload::run_chaos_elibrary_experiment(arm_config);
-                 return chaos_point_metrics(arms[slot]);
+                 const workload::ElibraryExperimentResult result =
+                     workload::run_elibrary_experiment(
+                         workload::elibrary_config(arm_config));
+                 if (resilience) resilient_fault_log = result.fault_log;
+                 return workload::elibrary_point_metrics(
+                     result, workload::chaos_report_series());
                });
   }
   const workload::SweepResult sweep = runner.run();
-  const workload::ChaosExperimentResult& resilient = arms[0];
-  const workload::ChaosExperimentResult& baseline = arms[1];
 
-  std::fputs(workload::format_chaos_comparison(resilient, baseline).c_str(),
+  std::fputs(workload::format_chaos_comparison(sweep.points[0].metrics,
+                                               sweep.points[1].metrics)
+                 .c_str(),
              stdout);
 
   std::printf("\nfault log (resilient arm):\n");
-  for (const faults::FaultLogEntry& entry : resilient.fault_log) {
+  for (const faults::FaultLogEntry& entry : resilient_fault_log) {
     std::printf("  t=%8.3fs %-14s %-12s%s\n",
                 sim::to_seconds(entry.at),
                 std::string(faults::fault_action_name(entry.action)).c_str(),

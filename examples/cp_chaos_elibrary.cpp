@@ -60,46 +60,53 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(config.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::CpChaosExperimentResult> arms(2);
+  std::vector<faults::FaultLogEntry> outage_fault_log;
   for (const bool outage : {true, false}) {
-    const std::size_t slot = outage ? 0 : 1;
     runner.add({{"outage", outage ? "on" : "off"}},
-               [config, outage, slot, &arms] {
+               [config, outage, &outage_fault_log] {
                  workload::CpChaosExperimentConfig arm_config = config;
                  arm_config.outage = outage;
-                 arms[slot] = workload::run_cp_chaos_experiment(arm_config);
-                 return workload::cp_point_metrics(arms[slot]);
+                 const workload::ElibraryExperimentResult result =
+                     workload::run_elibrary_experiment(
+                         workload::elibrary_config(arm_config));
+                 if (outage) outage_fault_log = result.fault_log;
+                 return workload::elibrary_point_metrics(
+                     result, workload::cp_report_series());
                });
   }
   const workload::SweepResult sweep = runner.run();
-  const workload::CpChaosExperimentResult& outage_arm = arms[0];
-  const workload::CpChaosExperimentResult& control_arm = arms[1];
+  const workload::PointMetrics& outage_arm = sweep.points[0].metrics;
+  const workload::PointMetrics& control_arm = sweep.points[1].metrics;
 
   std::fputs(
       workload::format_cp_chaos_comparison(outage_arm, control_arm).c_str(),
       stdout);
 
   std::printf("\nfault log (outage arm):\n");
-  for (const faults::FaultLogEntry& entry : outage_arm.fault_log) {
+  for (const faults::FaultLogEntry& entry : outage_fault_log) {
     std::printf("  t=%8.3fs %-14s %-12s%s\n", sim::to_seconds(entry.at),
                 std::string(faults::fault_action_name(entry.action)).c_str(),
                 entry.target.c_str(), entry.applied ? "" : " (not applied)");
   }
 
-  const double ratio = control_arm.during.goodput_rps > 0
-                           ? outage_arm.during.goodput_rps /
-                                 control_arm.during.goodput_rps
-                           : 0.0;
+  const double control_goodput =
+      control_arm.scalars.at("during_goodput_rps");
+  const double ratio =
+      control_goodput > 0
+          ? outage_arm.scalars.at("during_goodput_rps") / control_goodput
+          : 0.0;
   const bool goodput_ok = ratio >= 0.9;
+  const unsigned long long final_epoch =
+      outage_arm.counters.at("final_epoch");
+  const unsigned long long stale_sidecars =
+      outage_arm.counters.at("stale_sidecars_at_end");
   const bool reconverged =
-      outage_arm.converged && outage_arm.stale_sidecars_at_end == 0;
+      outage_arm.counters.at("converged") == 1 && stale_sidecars == 0;
   std::printf(
       "\nacceptance:\n"
       "  during-outage LS goodput ratio %.3f (goal >= 0.90)  %s\n"
       "  reconverged to epoch %llu, %llu stale sidecars      %s\n",
-      ratio, goodput_ok ? "PASS" : "FAIL",
-      static_cast<unsigned long long>(outage_arm.final_epoch),
-      static_cast<unsigned long long>(outage_arm.stale_sidecars_at_end),
+      ratio, goodput_ok ? "PASS" : "FAIL", final_epoch, stale_sidecars,
       reconverged ? "PASS" : "FAIL");
 
   const stats::BenchReport report = workload::make_bench_report(

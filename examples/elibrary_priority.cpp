@@ -17,6 +17,7 @@
 #include "core/cross_layer.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
+#include "workload/elibrary_experiment.h"
 
 using namespace meshnet;
 
@@ -37,51 +38,51 @@ int main(int argc, char** argv) {
               "  all vNICs 15 Gbps, ratings vNIC 1 Gbps (bottleneck)\n\n");
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::ElibraryExperimentResult> results(2);
   for (const bool cross_layer : {false, true}) {
-    const std::size_t slot = cross_layer ? 1 : 0;
     runner.add({{"cross_layer", cross_layer ? "on" : "off"}},
-               [rps, duration, seed, cross_layer, slot, &results] {
+               [rps, duration, seed, cross_layer] {
                  workload::ElibraryExperimentConfig config;
                  config.ls_rps = rps;
                  config.li_rps = rps;
                  config.duration = duration;
                  config.seed = seed;
                  config.cross_layer = cross_layer;
-                 results[slot] = workload::run_elibrary_experiment(config);
-                 return workload::elibrary_point_metrics(results[slot]);
+                 return workload::elibrary_point_metrics(
+                     workload::run_elibrary_experiment(config));
                });
   }
   const workload::SweepResult sweep = runner.run();
+  const workload::PointMetrics& base = sweep.points[0].metrics;
+  const workload::PointMetrics& opt = sweep.points[1].metrics;
   for (const bool cross_layer : {false, true}) {
     std::printf("%s cross-layer optimization: done (%llu events)\n",
                 cross_layer ? "with   " : "without",
                 static_cast<unsigned long long>(
-                    results[cross_layer ? 1 : 0].events_executed));
+                    (cross_layer ? opt : base).counters.at("events")));
   }
 
   stats::Table table({"metric", "w/o cross-layer", "w/ cross-layer",
                       "change"});
-  auto row = [&](const char* name, double base, double opt, bool ratio) {
-    table.add_row({name, stats::Table::num(base, 1),
-                   stats::Table::num(opt, 1),
-                   ratio ? stats::Table::num(base / opt, 2) + "x better"
-                         : stats::Table::num((opt - base) / base * 100.0, 1) +
-                               "%"});
+  auto row = [&](const char* name, const char* key, bool ratio) {
+    const double b = base.scalars.at(key);
+    const double o = opt.scalars.at(key);
+    table.add_row({name, stats::Table::num(b, 1), stats::Table::num(o, 1),
+                   ratio ? stats::Table::num(b / o, 2) + "x better"
+                         : stats::Table::num((o - b) / b * 100.0, 1) + "%"});
   };
-  row("LS p50 (ms)", results[0].ls.p50_ms, results[1].ls.p50_ms, true);
-  row("LS p99 (ms)", results[0].ls.p99_ms, results[1].ls.p99_ms, true);
-  row("LI p50 (ms)", results[0].li.p50_ms, results[1].li.p50_ms, false);
-  row("LI p99 (ms)", results[0].li.p99_ms, results[1].li.p99_ms, false);
+  row("LS p50 (ms)", "ls_p50_ms", true);
+  row("LS p99 (ms)", "ls_p99_ms", true);
+  row("LI p50 (ms)", "li_p50_ms", false);
+  row("LI p99 (ms)", "li_p99_ms", false);
   std::printf("\n%s\n", table.to_string().c_str());
 
   std::printf("bottleneck utilization: %.2f (w/o) vs %.2f (w/)\n",
-              results[0].bottleneck_utilization,
-              results[1].bottleneck_utilization);
+              base.scalars.at("bottleneck_utilization"),
+              opt.scalars.at("bottleneck_utilization"));
   std::printf("priority bands at the bottleneck (w/ only): high %.1f MB, "
               "low %.1f MB\n\n",
-              static_cast<double>(results[1].high_band_bytes) / 1e6,
-              static_cast<double>(results[1].low_band_bytes) / 1e6);
+              static_cast<double>(opt.counters.at("high_band_bytes")) / 1e6,
+              static_cast<double>(opt.counters.at("low_band_bytes")) / 1e6);
 
   // Show the installed machinery on a fresh instance (the experiment
   // helper tears its instance down).

@@ -56,22 +56,30 @@ int main(int argc, char** argv) {
 
   workload::SweepRunner runner(workload::sweep_options(options));
   const std::size_t num_factors = std::size(kLoadFactors);
-  std::vector<workload::OverloadExperimentResult> arms(2 * num_factors);
   for (std::size_t i = 0; i < num_factors; ++i) {
     for (const bool admission : {true, false}) {
-      const std::size_t slot = 2 * i + (admission ? 0 : 1);
       runner.add({{"load", format_factor(kLoadFactors[i]) + "x"},
                   {"admission", admission ? "on" : "off"}},
-                 [config, i, admission, slot, &arms] {
+                 [config, i, admission] {
                    workload::OverloadExperimentConfig arm = config;
                    arm.load_factor = kLoadFactors[i];
                    arm.admission = admission;
-                   arms[slot] = workload::run_overload_experiment(arm);
-                   return workload::overload_point_metrics(arms[slot]);
+                   return workload::elibrary_point_metrics(
+                       workload::run_elibrary_experiment(
+                           workload::elibrary_config(arm)),
+                       workload::overload_report_series());
                  });
     }
   }
   const workload::SweepResult sweep = runner.run();
+  // Point 2i is load factor i with admission on, 2i+1 with it off.
+  const auto count = [&sweep](std::size_t point, const char* key) {
+    return static_cast<unsigned long long>(
+        sweep.points[point].metrics.counters.at(key));
+  };
+  const auto scalar = [&sweep](std::size_t point, const char* key) {
+    return sweep.points[point].metrics.scalars.at(key);
+  };
 
   std::printf(
       "%-6s %-9s | %9s %7s %8s %8s | %9s %7s %8s | %7s %7s %8s\n", "load",
@@ -79,33 +87,31 @@ int main(int argc, char** argv) {
       "LI p99", "LS shed", "LI shed", "timeouts");
   for (std::size_t i = 0; i < num_factors; ++i) {
     for (const bool admission : {true, false}) {
-      const workload::OverloadExperimentResult& r =
-          arms[2 * i + (admission ? 0 : 1)];
+      const std::size_t p = 2 * i + (admission ? 0 : 1);
       std::printf(
           "%-6s %-9s | %9.1f %7llu %8.1f %8.1f | %9.1f %7llu %8.1f | %7llu "
           "%7llu %8llu\n",
           (format_factor(kLoadFactors[i]) + "x").c_str(),
-          admission ? "on" : "off", r.ls.achieved_rps,
-          static_cast<unsigned long long>(r.ls.errors), r.ls.p50_ms,
-          r.ls.p99_ms, r.li.achieved_rps,
-          static_cast<unsigned long long>(r.li.errors), r.li.p99_ms,
-          static_cast<unsigned long long>(r.ls_shed),
-          static_cast<unsigned long long>(r.li_shed),
-          static_cast<unsigned long long>(r.timeouts));
+          admission ? "on" : "off", scalar(p, "ls_rps"), count(p, "ls_errors"),
+          scalar(p, "ls_p50_ms"), scalar(p, "ls_p99_ms"), scalar(p, "li_rps"),
+          count(p, "li_errors"), scalar(p, "li_p99_ms"), count(p, "ls_shed"),
+          count(p, "li_shed"), count(p, "timeouts"));
     }
   }
 
   // The acceptance comparison: 2x overload vs the uncontended 0.5x point,
   // both with admission on.
-  const workload::OverloadExperimentResult& uncontended = arms[0];  // 0.5x on
-  const workload::OverloadExperimentResult& overloaded = arms[4];   // 2.0x on
-  const double p99_ratio = uncontended.ls.p99_ms > 0
-                               ? overloaded.ls.p99_ms / uncontended.ls.p99_ms
-                               : 0.0;
-  const std::uint64_t total_shed =
-      overloaded.ls_shed + overloaded.li_shed + overloaded.default_shed;
+  const std::size_t uncontended = 0;  // 0.5x on
+  const std::size_t overloaded = 4;   // 2.0x on
+  const double p99_ratio =
+      scalar(uncontended, "ls_p99_ms") > 0
+          ? scalar(overloaded, "ls_p99_ms") / scalar(uncontended, "ls_p99_ms")
+          : 0.0;
+  const unsigned long long total_shed = count(overloaded, "ls_shed") +
+                                        count(overloaded, "li_shed") +
+                                        count(overloaded, "default_shed");
   const double li_shed_share =
-      total_shed > 0 ? static_cast<double>(overloaded.li_shed) /
+      total_shed > 0 ? static_cast<double>(count(overloaded, "li_shed")) /
                            static_cast<double>(total_shed)
                      : 1.0;
   std::printf(
@@ -115,16 +121,12 @@ int main(int argc, char** argv) {
       "90%%)\n"
       "  by reason: queue-full %llu, deadline %llu, preempted %llu\n"
       "  retries suppressed by overload marker: %llu\n",
-      overloaded.ls.p99_ms, uncontended.ls.p99_ms, p99_ratio,
-      static_cast<unsigned long long>(overloaded.ls_shed),
-      static_cast<unsigned long long>(overloaded.li_shed),
-      static_cast<unsigned long long>(overloaded.default_shed),
-      100.0 * li_shed_share,
-      static_cast<unsigned long long>(overloaded.shed_queue_full),
-      static_cast<unsigned long long>(overloaded.shed_deadline),
-      static_cast<unsigned long long>(overloaded.shed_preempted),
-      static_cast<unsigned long long>(
-          overloaded.retries_suppressed_by_overload));
+      scalar(overloaded, "ls_p99_ms"), scalar(uncontended, "ls_p99_ms"),
+      p99_ratio, count(overloaded, "ls_shed"), count(overloaded, "li_shed"),
+      count(overloaded, "default_shed"), 100.0 * li_shed_share,
+      count(overloaded, "shed_queue_full"), count(overloaded, "shed_deadline"),
+      count(overloaded, "shed_preempted"),
+      count(overloaded, "retries_suppressed_by_overload"));
 
   const stats::BenchReport report = workload::make_bench_report(
       "overload",

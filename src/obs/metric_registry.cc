@@ -84,6 +84,21 @@ const SeriesSnapshot* MetricsSnapshot::find(std::string_view name,
   return nullptr;
 }
 
+std::uint64_t MetricsSnapshot::counter_sum(std::string_view name,
+                                           const Labels& match) const {
+  std::uint64_t sum = 0;
+  for (const SeriesSnapshot& entry : series) {
+    if (entry.name != name || entry.kind != MetricKind::kCounter) continue;
+    const bool matches = std::all_of(
+        match.begin(), match.end(), [&entry](const auto& label) {
+          return std::find(entry.labels.begin(), entry.labels.end(),
+                           label) != entry.labels.end();
+        });
+    if (matches) sum += entry.counter;
+  }
+  return sum;
+}
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   // Both sides are sorted by (name, labels) — the registry's encoded-key
   // order — so a classic sorted merge keeps the result sorted.

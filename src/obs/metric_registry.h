@@ -116,6 +116,11 @@ struct MetricsSnapshot {
   const SeriesSnapshot* find(std::string_view name,
                              const Labels& labels = {}) const;
 
+  /// Sum of every counter series named `name` whose labels include each
+  /// pair in `match` (all of them when `match` is empty); 0 when none.
+  std::uint64_t counter_sum(std::string_view name,
+                            const Labels& match = {}) const;
+
   /// Folds `other` in: counters sum, histograms merge, gauges take max.
   /// Series missing on either side are unioned in. Order-independent for
   /// counters/histograms; gauges chose max precisely so merging stays

@@ -105,177 +105,6 @@ int finish_harness(const stats::BenchReport& input,
   return 0;
 }
 
-PointMetrics elibrary_point_metrics(const ElibraryExperimentResult& result) {
-  PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.scalars[prefix + "_rps"] = summary.achieved_rps;
-    const double total =
-        static_cast<double>(summary.completed + summary.errors);
-    metrics.scalars[prefix + "_success_rate"] =
-        total > 0 ? static_cast<double>(summary.completed) / total : 1.0;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
-  metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
-  metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
-  metrics.counters["events"] = result.events_executed;
-  // Scheduler profile. Deterministic (pure functions of the config, like
-  // every other counter here), so they are safe in compared baselines and
-  // double as determinism witnesses for the event-loop internals.
-  const sim::LoopStats& loop = result.loop_stats;
-  metrics.counters["engine_scheduled"] = loop.scheduled;
-  metrics.counters["engine_cancelled"] = loop.cancelled;
-  metrics.counters["engine_wheel_pushes"] = loop.wheel_pushes;
-  metrics.counters["engine_heap_pushes"] = loop.heap_pushes;
-  metrics.counters["engine_due_merges"] = loop.due_merges;
-  metrics.counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
-  metrics.counters["engine_max_queue_depth"] = loop.max_queue_depth;
-  metrics.histograms["ls_latency_ns"] = result.ls_latency;
-  metrics.histograms["li_latency_ns"] = result.li_latency;
-  metrics.snapshot = result.metrics;
-  return metrics;
-}
-
-PointMetrics overload_point_metrics(const OverloadExperimentResult& result) {
-  PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_achieved_rps"] = summary.achieved_rps;
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
-  metrics.counters["ls_shed"] = result.ls_shed;
-  metrics.counters["li_shed"] = result.li_shed;
-  metrics.counters["default_shed"] = result.default_shed;
-  metrics.counters["shed_queue_full"] = result.shed_queue_full;
-  metrics.counters["shed_deadline"] = result.shed_deadline;
-  metrics.counters["shed_preempted"] = result.shed_preempted;
-  metrics.counters["admission_accepted"] = result.admission_accepted;
-  metrics.counters["admission_queued"] = result.admission_queued;
-  metrics.counters["upstream_retries"] = result.upstream_retries;
-  metrics.counters["retries_suppressed_by_overload"] =
-      result.retries_suppressed_by_overload;
-  metrics.counters["timeouts"] = result.timeouts;
-  metrics.counters["events"] = result.events_executed;
-  metrics.histograms["ls_latency_ms"] = result.ls_latency;
-  metrics.histograms["li_latency_ms"] = result.li_latency;
-  metrics.snapshot = result.metrics;
-  return metrics;
-}
-
-PointMetrics cp_point_metrics(const CpChaosExperimentResult& result) {
-  PointMetrics metrics;
-  const auto add_phase = [&metrics](const std::string& prefix,
-                                    const PhaseSummary& phase) {
-    metrics.scalars[prefix + "_goodput_rps"] = phase.goodput_rps;
-    metrics.scalars[prefix + "_success_rate"] = phase.success_rate;
-    metrics.scalars[prefix + "_p50_ms"] = phase.p50_ms;
-    metrics.scalars[prefix + "_p99_ms"] = phase.p99_ms;
-    metrics.counters[prefix + "_scheduled"] = phase.scheduled;
-    metrics.counters[prefix + "_completed"] = phase.completed;
-    metrics.counters[prefix + "_errors"] = phase.errors;
-  };
-  add_phase("before", result.before);
-  add_phase("during", result.during);
-  add_phase("after", result.after);
-  metrics.scalars["ls_p99_ms"] = result.ls.p99_ms;
-  metrics.scalars["li_p99_ms"] = result.li.p99_ms;
-  metrics.scalars["reconverge_ms"] = result.reconverge_ms;
-  metrics.scalars["max_staleness_ms"] = result.max_staleness_ms;
-  metrics.counters["ls_completed"] = result.ls.completed;
-  metrics.counters["ls_errors"] = result.ls.errors;
-  metrics.counters["li_completed"] = result.li.completed;
-  metrics.counters["li_errors"] = result.li.errors;
-  metrics.counters["push_attempts"] = result.push_attempts;
-  metrics.counters["push_acks"] = result.push_acks;
-  metrics.counters["push_nacks"] = result.push_nacks;
-  metrics.counters["push_retries"] = result.push_retries;
-  metrics.counters["push_skipped_noop"] = result.push_skipped_noop;
-  metrics.counters["push_dropped"] = result.push_dropped;
-  metrics.counters["config_rollbacks"] = result.config_rollbacks;
-  metrics.counters["cert_rotations"] = result.cert_rotations;
-  metrics.counters["final_epoch"] = result.final_epoch;
-  metrics.counters["stale_sidecars_at_end"] = result.stale_sidecars_at_end;
-  metrics.counters["converged"] = result.converged ? 1 : 0;
-  metrics.counters["health_evictions"] = result.health_evictions;
-  metrics.counters["health_readmissions"] = result.health_readmissions;
-  metrics.counters["flap_damps"] = result.flap_damps;
-  metrics.counters["upstream_retries"] = result.upstream_retries;
-  metrics.counters["retries_denied_by_budget"] =
-      result.retries_denied_by_budget;
-  metrics.counters["panic_picks"] = result.panic_picks;
-  metrics.counters["timeouts"] = result.timeouts;
-  metrics.counters["upstream_failures"] = result.upstream_failures;
-  metrics.counters["faults_executed"] = result.fault_log.size();
-  metrics.counters["events"] = result.events_executed;
-  metrics.snapshot = result.metrics;
-  return metrics;
-}
-
-PointMetrics mtls_point_metrics(const MtlsExperimentResult& result) {
-  PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.scalars[prefix + "_rps"] = summary.achieved_rps;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
-  const auto add_phase = [&metrics](const std::string& prefix,
-                                    const PhaseSummary& phase) {
-    metrics.scalars[prefix + "_goodput_rps"] = phase.goodput_rps;
-    metrics.scalars[prefix + "_success_rate"] = phase.success_rate;
-    metrics.scalars[prefix + "_p50_ms"] = phase.p50_ms;
-    metrics.scalars[prefix + "_p99_ms"] = phase.p99_ms;
-    metrics.counters[prefix + "_scheduled"] = phase.scheduled;
-    metrics.counters[prefix + "_completed"] = phase.completed;
-    metrics.counters[prefix + "_errors"] = phase.errors;
-  };
-  add_phase("pre", result.pre);
-  add_phase("post", result.post);
-  metrics.scalars["bottleneck_utilization"] = result.bottleneck_utilization;
-  metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
-  metrics.counters["tls_handshakes_full"] = result.handshakes_full;
-  metrics.counters["tls_handshakes_resumed"] = result.handshakes_resumed;
-  metrics.counters["tls_handshake_failures"] = result.handshake_failures;
-  metrics.counters["tls_tickets_issued"] = result.tickets_issued;
-  metrics.counters["tls_resumptions_rejected"] = result.resumptions_rejected;
-  metrics.counters["tls_session_cache_evictions"] =
-      result.session_cache_evictions;
-  metrics.counters["tls_records_encrypted"] = result.records_encrypted;
-  metrics.counters["tls_records_decrypted"] = result.records_decrypted;
-  metrics.counters["tls_bytes_encrypted"] = result.bytes_encrypted;
-  metrics.counters["tls_bytes_decrypted"] = result.bytes_decrypted;
-  metrics.counters["tls_alerts"] = result.tls_alerts;
-  metrics.counters["cert_rotations"] = result.cert_rotations;
-  metrics.counters["upstream_retries"] = result.upstream_retries;
-  metrics.counters["timeouts"] = result.timeouts;
-  metrics.counters["upstream_failures"] = result.upstream_failures;
-  metrics.counters["downstream_aborts"] = result.downstream_aborts;
-  metrics.counters["faults_executed"] = result.fault_log.size();
-  metrics.counters["events"] = result.events_executed;
-  metrics.snapshot = result.metrics;
-  return metrics;
-}
-
 PointMetrics parsim_point_metrics(const ParsimExperimentResult& result) {
   PointMetrics metrics;
   // Workload surface: invariant across shard AND thread counts (the

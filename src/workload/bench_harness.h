@@ -25,11 +25,7 @@
 
 #include "stats/bench_report.h"
 #include "util/flags.h"
-#include "workload/cp_chaos_experiment.h"
-#include "workload/elibrary_experiment.h"
 #include "workload/meshscale_experiment.h"
-#include "workload/mtls_experiment.h"
-#include "workload/overload_experiment.h"
 #include "workload/parsim_experiment.h"
 #include "workload/sweep_runner.h"
 
@@ -70,30 +66,6 @@ int finish_harness(const stats::BenchReport& report,
 /// default applies and the allocation profile is simply omitted from
 /// reports. finish_harness uses it for wall_allocs_per_event.
 std::uint64_t bench_allocation_count() noexcept;
-
-/// The standard metric set for one e-library experiment run: per-workload
-/// p50/p90/p99/mean, success rate, completion/error/event counters and
-/// the raw latency histograms.
-PointMetrics elibrary_point_metrics(const ElibraryExperimentResult& result);
-
-/// The standard metric set for one OVERLOAD experiment arm: per-workload
-/// latency scalars, admission/shed/retry counters, latency histograms
-/// and the unified metrics snapshot. Shared by examples/overload_elibrary
-/// and the OverloadDeterminism golden so both compare the same surface.
-PointMetrics overload_point_metrics(const OverloadExperimentResult& result);
-
-/// The standard metric set for one CHAOS_CP experiment arm: per-phase LS
-/// goodput, push-channel counters (attempts/acks/retries/noop-skips),
-/// convergence scalars and the unified metrics snapshot. Shared by
-/// examples/cp_chaos_elibrary and the CpChaosDeterminism golden.
-PointMetrics cp_point_metrics(const CpChaosExperimentResult& result);
-
-/// The standard metric set for one MTLS experiment arm: per-workload
-/// latency scalars, the pre/post-storm phase split, the mesh-wide tls_*
-/// counter surface, bottleneck utilization and the unified metrics
-/// snapshot. Shared by bench/bench_mtls and the MtlsDeterminism golden
-/// so both compare the same surface.
-PointMetrics mtls_point_metrics(const MtlsExperimentResult& result);
 
 /// The standard metric set for one PARSIM run: workload scalars/counters
 /// (shard- and thread-invariant), the end-to-end latency histogram, the

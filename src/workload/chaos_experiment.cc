@@ -1,241 +1,105 @@
 #include "workload/chaos_experiment.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
-#include <memory>
-
-#include "obs/engine_metrics.h"
-#include "sim/simulator.h"
 
 namespace meshnet::workload {
 
-namespace {
+ElibraryExperimentConfig elibrary_config(const ChaosExperimentConfig& config) {
+  ElibraryExperimentConfig run;
+  run.ls_rps = config.ls_rps;
+  run.li_rps = config.li_rps;
+  run.warmup = config.warmup;
+  run.duration = config.duration;
+  run.cooldown = config.cooldown;
+  run.seed = config.seed;
+  run.arrival = config.arrival;
+  run.app = config.app;
 
-void apply_resilience_policies(mesh::MeshPolicies& policies, bool on) {
-  if (on) {
-    policies.retry.max_retries = 3;
-    policies.retry.per_try_timeout = sim::milliseconds(500);
-    policies.retry.backoff_jitter = true;
-    policies.retry.backoff_max = sim::milliseconds(250);
+  mesh::MeshPolicies& policies = run.app.policies;
+  if (config.resilience) {
     // Budget sized so crash-recovery retries (a burst, but a small
     // fraction of in-flight) are admitted while a retry storm is not.
-    policies.retry.retry_budget = 0.2;
-    policies.retry.retry_budget_min_concurrency = 10;
-    policies.breaker.consecutive_failures = 5;
-    policies.breaker.open_duration = sim::milliseconds(500);
-    policies.health_check.enabled = true;
-    policies.health_check.interval = sim::milliseconds(250);
-    policies.health_check.timeout = sim::milliseconds(200);
-    policies.health_check.unhealthy_threshold = 2;
-    policies.health_check.healthy_threshold = 2;
+    apply_resilience_policies(policies, /*retry_budget=*/0.2,
+                              /*budget_min_concurrency=*/10);
   } else {
     policies.retry.max_retries = 0;
     policies.retry.per_try_timeout = 0;
     policies.breaker.consecutive_failures = 0;  // disabled
     policies.health_check.enabled = false;
   }
-}
-
-PhaseSummary summarize_phase(std::string name, const LatencyRecorder& rec,
-                             std::uint64_t scheduled) {
-  PhaseSummary s;
-  s.name = std::move(name);
-  s.scheduled = scheduled;
-  s.completed = rec.count();
-  s.errors = rec.errors();
-  const std::uint64_t finished = s.completed + s.errors;
-  s.success_rate = finished == 0
-                       ? 1.0
-                       : static_cast<double>(s.completed) /
-                             static_cast<double>(finished);
-  s.goodput_rps = rec.throughput_rps();
-  s.p50_ms = rec.p50_ms();
-  s.p99_ms = rec.p99_ms();
-  return s;
-}
-
-}  // namespace
-
-ChaosExperimentResult run_chaos_elibrary_experiment(
-    const ChaosExperimentConfig& config) {
-  http::reset_request_id_counter();
-  sim::Simulator sim;
-
-  app::ElibraryOptions app_options = config.app;
-  apply_resilience_policies(app_options.policies, config.resilience);
-  app_options.policies.request_timeout = config.request_timeout;
-
-  app::Elibrary app(sim, app_options);
-  app.control_plane().tracer().set_retention(0);
+  policies.request_timeout = config.request_timeout;
 
   const sim::Time measure_start = config.warmup;
-  const sim::Time measure_end = config.warmup + config.duration;
-  const sim::Time traffic_end = measure_end + config.cooldown;
   const sim::Time fault_start = measure_start + config.fault_start_offset;
   const sim::Time fault_end = fault_start + config.fault_duration;
-
-  // --- the chaos schedule -------------------------------------------------
-  faults::ChaosController chaos(sim, app.cluster(), config.seed);
-  chaos.set_fault_hook([&](const faults::FaultLogEntry& entry) {
-    app.control_plane().telemetry().record_event(
-        entry.at, obs::EventKind::kFault, entry.target,
-        std::string(faults::fault_action_name(entry.action)));
-  });
-  faults::FaultPlan plan;
   if (config.crash_reviews_replica) {
-    plan.crash(fault_start, config.crash_target);
-    plan.restart(fault_end, config.crash_target);
+    run.faults.crash(fault_start, config.crash_target);
+    run.faults.restart(fault_end, config.crash_target);
   }
   if (config.flap_bottleneck) {
-    plan.flap(fault_start + config.flap_period / 2, fault_end,
-              config.flap_target, config.flap_period, config.flap_downtime);
+    run.faults.flap(fault_start + config.flap_period / 2, fault_end,
+                    config.flap_target, config.flap_period,
+                    config.flap_downtime);
   }
-  chaos.schedule(plan);
-
-  // --- load --------------------------------------------------------------
-  mesh::HttpClientPool::Options client_options;
-  client_options.max_connections = 2048;
-  client_options.connection.mss = app_options.policies.transport_mss;
-  mesh::HttpClientPool client(sim, app.client_pod().transport(),
-                              app.gateway_address(), client_options,
-                              "wrk2-client");
-
-  WorkloadSpec ls;
-  ls.name = "latency-sensitive";
-  ls.rps = config.ls_rps;
-  ls.arrival = config.arrival;
-  ls.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLsPathPrefix));
-  ls.start = 0;
-  ls.end = traffic_end;
-  ls.measure_start = measure_start;
-  ls.measure_end = measure_end;
-
-  WorkloadSpec li = ls;
-  li.name = "latency-insensitive";
-  li.rps = config.li_rps;
-  li.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLiPathPrefix));
-
-  OpenLoopGenerator ls_gen(sim, client, ls, config.seed);
-  OpenLoopGenerator li_gen(sim, client, li, config.seed + 1);
-
-  // Phase bucketing for the LS workload, keyed on scheduled arrival time.
-  LatencyRecorder before_rec(measure_start, fault_start);
-  LatencyRecorder during_rec(fault_start, fault_end);
-  LatencyRecorder after_rec(fault_end, measure_end);
-  std::array<std::uint64_t, 3> scheduled_per_phase{};
-  ls_gen.set_arrival_observer([&](sim::Time scheduled) {
-    if (scheduled >= measure_start && scheduled < fault_start) {
-      ++scheduled_per_phase[0];
-    } else if (scheduled >= fault_start && scheduled < fault_end) {
-      ++scheduled_per_phase[1];
-    } else if (scheduled >= fault_end && scheduled < measure_end) {
-      ++scheduled_per_phase[2];
-    }
-  });
-  ls_gen.set_sample_observer(
-      [&](sim::Time scheduled, sim::Time completed, bool success) {
-        before_rec.record(scheduled, completed, success);
-        during_rec.record(scheduled, completed, success);
-        after_rec.record(scheduled, completed, success);
-      });
-
-  ls_gen.start();
-  li_gen.start();
-
+  run.phases = {{"before", measure_start},
+                {"during", fault_start},
+                {"after", fault_end}};
   // Drain long enough for every request — including ones pinned to the
   // end-to-end deadline in the baseline arm — to resolve.
-  sim.run_until(traffic_end + 2 * config.request_timeout +
-                sim::seconds(10));
-
-  auto summarize = [](const OpenLoopGenerator& gen) {
-    WorkloadSummary s;
-    const LatencyRecorder& rec = gen.recorder();
-    s.completed = rec.count();
-    s.errors = rec.errors();
-    s.achieved_rps = rec.throughput_rps();
-    s.p50_ms = rec.p50_ms();
-    s.p90_ms = rec.p90_ms();
-    s.p99_ms = rec.p99_ms();
-    s.mean_ms = rec.mean_ms();
-    return s;
-  };
-
-  ChaosExperimentResult result;
-  result.before = summarize_phase("before", before_rec, scheduled_per_phase[0]);
-  result.during = summarize_phase("during", during_rec, scheduled_per_phase[1]);
-  result.after = summarize_phase("after", after_rec, scheduled_per_phase[2]);
-  result.ls = summarize(ls_gen);
-  result.li = summarize(li_gen);
-
-  mesh::TelemetrySink& telemetry = app.control_plane().telemetry();
-  result.breaker_events = telemetry.event_count(obs::EventKind::kBreaker);
-  result.health_events = telemetry.event_count(obs::EventKind::kHealth);
-  for (const mesh::MeshEvent& event : telemetry.events()) {
-    if (event.kind == obs::EventKind::kHealth) {
-      if (event.detail == "evicted") ++result.health_evictions;
-      if (event.detail == "readmitted") ++result.health_readmissions;
-    }
-  }
-  for (const auto& sidecar : app.control_plane().sidecars()) {
-    result.retries_denied_by_budget +=
-        sidecar->stats().retries_denied_by_budget;
-    result.upstream_retries += sidecar->stats().upstream_retries;
-  }
-  result.fault_log = chaos.log();
-  result.mesh_events = telemetry.events();
-  result.events_executed = sim.events_executed();
-  result.loop_stats = sim.loop_stats();
-  obs::export_loop_stats(result.loop_stats, app.control_plane().metrics());
-  result.metrics = app.control_plane().metrics().snapshot();
-  return result;
+  run.drain = 2 * config.request_timeout + sim::seconds(10);
+  run.sample_bottleneck = false;
+  return run;
 }
 
-std::string format_chaos_comparison(const ChaosExperimentResult& resilient,
-                                    const ChaosExperimentResult& baseline) {
+const std::vector<ReportSeries>& chaos_report_series() {
+  static const std::vector<ReportSeries> series = {
+      {"breaker_events", "mesh_events_total", {{"kind", "breaker"}}},
+      {"fault_log_entries", "mesh_events_total", {{"kind", "fault"}}},
+      {"mesh_events", "mesh_events_total", {}},
+  };
+  return series;
+}
+
+std::string format_chaos_comparison(const PointMetrics& resilient,
+                                    const PointMetrics& baseline) {
   std::string out;
   char line[256];
-  auto row = [&](const char* arm, const PhaseSummary& p) {
+  const auto row = [&](const char* arm, const PointMetrics& m,
+                       const std::string& phase) {
     std::snprintf(line, sizeof(line),
                   "  %-9s %-7s %8.1f %9.2f%% %9.1f %9.1f\n", arm,
-                  p.name.c_str(), p.goodput_rps, 100.0 * p.success_rate,
-                  p.p50_ms, p.p99_ms);
+                  phase.c_str(), m.scalars.at(phase + "_goodput_rps"),
+                  100.0 * m.scalars.at(phase + "_success_rate"),
+                  m.scalars.at(phase + "_p50_ms"),
+                  m.scalars.at(phase + "_p99_ms"));
+    out += line;
+  };
+  const auto counters = [&](const char* arm, const PointMetrics& m) {
+    std::snprintf(
+        line, sizeof(line),
+        "%s %llu evictions, %llu readmissions, %llu breaker events, "
+        "%llu retries (%llu denied by budget)\n",
+        arm,
+        static_cast<unsigned long long>(m.counters.at("health_evictions")),
+        static_cast<unsigned long long>(m.counters.at("health_readmissions")),
+        static_cast<unsigned long long>(m.counters.at("breaker_events")),
+        static_cast<unsigned long long>(m.counters.at("upstream_retries")),
+        static_cast<unsigned long long>(
+            m.counters.at("retries_denied_by_budget")));
     out += line;
   };
   out += "LS workload by phase (fault window = 'during'):\n";
   std::snprintf(line, sizeof(line), "  %-9s %-7s %8s %10s %9s %9s\n", "arm",
                 "phase", "goodput", "success", "p50ms", "p99ms");
   out += line;
-  for (const PhaseSummary* p :
-       {&resilient.before, &resilient.during, &resilient.after}) {
-    row("resilient", *p);
+  for (const char* phase : {"before", "during", "after"}) {
+    row("resilient", resilient, phase);
   }
-  for (const PhaseSummary* p :
-       {&baseline.before, &baseline.during, &baseline.after}) {
-    row("baseline", *p);
+  for (const char* phase : {"before", "during", "after"}) {
+    row("baseline", baseline, phase);
   }
-  std::snprintf(
-      line, sizeof(line),
-      "resilient: %llu evictions, %llu readmissions, %llu breaker events, "
-      "%llu retries (%llu denied by budget)\n",
-      static_cast<unsigned long long>(resilient.health_evictions),
-      static_cast<unsigned long long>(resilient.health_readmissions),
-      static_cast<unsigned long long>(resilient.breaker_events),
-      static_cast<unsigned long long>(resilient.upstream_retries),
-      static_cast<unsigned long long>(resilient.retries_denied_by_budget));
-  out += line;
-  std::snprintf(
-      line, sizeof(line),
-      "baseline:  %llu evictions, %llu readmissions, %llu breaker events, "
-      "%llu retries (%llu denied by budget)\n",
-      static_cast<unsigned long long>(baseline.health_evictions),
-      static_cast<unsigned long long>(baseline.health_readmissions),
-      static_cast<unsigned long long>(baseline.breaker_events),
-      static_cast<unsigned long long>(baseline.upstream_retries),
-      static_cast<unsigned long long>(baseline.retries_denied_by_budget));
-  out += line;
+  counters("resilient:", resilient);
+  counters("baseline: ", baseline);
   return out;
 }
 

@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "app/elibrary.h"
-#include "faults/chaos.h"
-#include "mesh/telemetry.h"
 #include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
 
@@ -64,51 +62,20 @@ struct ChaosExperimentConfig {
   app::ElibraryOptions app;
 };
 
-/// LS-workload metrics over one phase of the run. Samples are bucketed by
-/// *scheduled* arrival time (wrk2 convention), so a request that arrived
-/// during the fault but straggled in later still charges the fault phase.
-struct PhaseSummary {
-  std::string name;
-  std::uint64_t scheduled = 0;  ///< arrivals whose intended time is in-phase
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  double success_rate = 1.0;  ///< completed / (completed + errors)
-  double goodput_rps = 0.0;   ///< successful completions / phase length
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-};
+/// The run config for one arm: the resilience (or dumb-pipe) policies,
+/// the crash + flap fault plan and the LS phases "before", "during" (the
+/// fault window) and "after".
+ElibraryExperimentConfig elibrary_config(const ChaosExperimentConfig& config);
 
-struct ChaosExperimentResult {
-  PhaseSummary before;
-  PhaseSummary during;
-  PhaseSummary after;
-
-  WorkloadSummary ls;  ///< whole measured window
-  WorkloadSummary li;
-
-  std::uint64_t breaker_events = 0;  ///< breaker state transitions
-  std::uint64_t health_events = 0;   ///< evictions + readmissions
-  std::uint64_t health_evictions = 0;
-  std::uint64_t health_readmissions = 0;
-  std::uint64_t retries_denied_by_budget = 0;
-  std::uint64_t upstream_retries = 0;
-
-  /// Determinism witnesses: identical across runs with the same config.
-  std::vector<faults::FaultLogEntry> fault_log;
-  std::vector<mesh::MeshEvent> mesh_events;
-  std::uint64_t events_executed = 0;
-  /// Event-loop profile for the run (deterministic; see sim/loop_stats.h).
-  sim::LoopStats loop_stats;
-  /// The unified meshnet-metrics-v1 snapshot for the run.
-  obs::MetricsSnapshot metrics;
-};
-
-ChaosExperimentResult run_chaos_elibrary_experiment(
-    const ChaosExperimentConfig& config);
+/// Report keys read from `mesh_events_total`: `breaker_events` (breaker
+/// state transitions), `fault_log_entries` (executed faults) and
+/// `mesh_events` (every mesh event).
+const std::vector<ReportSeries>& chaos_report_series();
 
 /// The acceptance table: per-phase LS goodput/success/p99 for the
-/// resilient and baseline arms, plus the resilience counters.
-std::string format_chaos_comparison(const ChaosExperimentResult& resilient,
-                                    const ChaosExperimentResult& baseline);
+/// resilient and baseline arms, plus the resilience counters. Reads the
+/// arms' reports (elibrary_point_metrics with chaos_report_series()).
+std::string format_chaos_comparison(const PointMetrics& resilient,
+                                    const PointMetrics& baseline);
 
 }  // namespace meshnet::workload

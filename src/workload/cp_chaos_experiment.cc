@@ -1,39 +1,31 @@
 #include "workload/cp_chaos_experiment.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
-#include <memory>
-
-#include "obs/engine_metrics.h"
-#include "sim/simulator.h"
 
 namespace meshnet::workload {
 
-namespace {
+ElibraryExperimentConfig elibrary_config(
+    const CpChaosExperimentConfig& config) {
+  ElibraryExperimentConfig run;
+  run.ls_rps = config.ls_rps;
+  run.li_rps = config.li_rps;
+  run.warmup = config.warmup;
+  run.duration = config.duration;
+  run.cooldown = config.cooldown;
+  run.seed = config.seed;
+  run.arrival = config.arrival;
+  run.app = config.app;
 
-void apply_cp_chaos_policies(mesh::MeshPolicies& policies,
-                             const CpChaosExperimentConfig& config) {
-  // Data-plane resilience, same stance as the CHAOS experiment: the
-  // churn storm is detected by active health checking, absorbed by
-  // breakers and budgeted retries.
-  policies.retry.max_retries = 3;
-  policies.retry.per_try_timeout = sim::milliseconds(500);
-  policies.retry.backoff_jitter = true;
-  policies.retry.backoff_max = sim::milliseconds(250);
-  // A churn storm is not an overload: at each blind-window edge roughly
-  // half the in-flight set legitimately needs one failover retry, so the
-  // budget is provisioned for that (storm amplification is still capped;
-  // overload protection proper is the breakers' and admission's job).
-  policies.retry.retry_budget = 0.5;
-  policies.retry.retry_budget_min_concurrency = 20;
-  policies.breaker.consecutive_failures = 5;
-  policies.breaker.open_duration = sim::milliseconds(500);
-  policies.health_check.enabled = true;
-  policies.health_check.interval = sim::milliseconds(250);
-  policies.health_check.timeout = sim::milliseconds(200);
-  policies.health_check.unhealthy_threshold = 2;
-  policies.health_check.healthy_threshold = 2;
+  mesh::MeshPolicies& policies = run.app.policies;
+  // Data-plane resilience, same stance as the CHAOS experiment: the churn
+  // storm is detected by active health checking, absorbed by breakers and
+  // budgeted retries. A churn storm is not an overload: at each
+  // blind-window edge roughly half the in-flight set legitimately needs
+  // one failover retry, so the budget is provisioned for that (storm
+  // amplification is still capped; overload protection proper is the
+  // breakers' and admission's job).
+  apply_resilience_policies(policies, /*retry_budget=*/0.5,
+                            /*budget_min_concurrency=*/20);
   policies.health_check.flap_max_transitions = config.flap_max_transitions;
   policies.health_check.flap_window = config.flap_window;
   policies.health_check.flap_penalty = config.flap_penalty;
@@ -47,98 +39,16 @@ void apply_cp_chaos_policies(mesh::MeshPolicies& policies,
   policies.cp.push_loss = config.push_loss;
   policies.cp.cert_refresh_ahead = config.cert_refresh_ahead;
   policies.certificate_lifetime = config.certificate_lifetime;
-}
-
-PhaseSummary summarize_cp_phase(std::string name, const LatencyRecorder& rec,
-                                std::uint64_t scheduled) {
-  PhaseSummary s;
-  s.name = std::move(name);
-  s.scheduled = scheduled;
-  s.completed = rec.count();
-  s.errors = rec.errors();
-  const std::uint64_t finished = s.completed + s.errors;
-  s.success_rate = finished == 0
-                       ? 1.0
-                       : static_cast<double>(s.completed) /
-                             static_cast<double>(finished);
-  s.goodput_rps = rec.throughput_rps();
-  s.p50_ms = rec.p50_ms();
-  s.p99_ms = rec.p99_ms();
-  return s;
-}
-
-std::uint64_t counter_value(const obs::MetricRegistry& registry,
-                            std::string_view name) {
-  const obs::Counter* counter = registry.find_counter(name);
-  return counter == nullptr ? 0 : counter->value();
-}
-
-}  // namespace
-
-CpChaosExperimentResult run_cp_chaos_experiment(
-    const CpChaosExperimentConfig& config) {
-  http::reset_request_id_counter();
-  sim::Simulator sim;
-
-  app::ElibraryOptions app_options = config.app;
-  apply_cp_chaos_policies(app_options.policies, config);
-
-  app::Elibrary app(sim, app_options);
-  app.control_plane().tracer().set_retention(0);
-  mesh::ControlPlane& cp = app.control_plane();
-
-  // Hierarchical timeout budget, compiled per sidecar: the edge hop must
-  // outlive one full interior failover (per-try timeout + retry at the
-  // frontend), otherwise interior recovery from a churned-away replica
-  // surfaces as gateway-level errors. Interior hops keep the tight
-  // mesh-wide per-try timeout.
-  cp.set_compile_mutator([](const std::string&, mesh::SidecarConfig& config) {
-    if (config.gateway_mode) {
-      config.retry.per_try_timeout = sim::milliseconds(1500);
-      config.retry.max_retries = 1;
-    }
-  });
-  cp.push_config();
+  // The edge hop must outlive one full interior failover (per-try timeout
+  // + retry at the frontend); interior hops keep the tight mesh-wide
+  // per-try timeout.
+  run.gateway_per_try_timeout = sim::milliseconds(1500);
 
   const sim::Time measure_start = config.warmup;
-  const sim::Time measure_end = config.warmup + config.duration;
-  const sim::Time traffic_end = measure_end + config.cooldown;
   const sim::Time outage_start = measure_start + config.outage_offset;
   const sim::Time outage_end = outage_start + config.outage_duration;
-
-  // --- the chaos schedule -------------------------------------------------
-  faults::ChaosController chaos(sim, app.cluster(), config.seed);
-  chaos.set_fault_hook([&](const faults::FaultLogEntry& entry) {
-    cp.telemetry().record_event(
-        entry.at, obs::EventKind::kFault, entry.target,
-        std::string(faults::fault_action_name(entry.action)));
-  });
-  // faults/ cannot see mesh/: the CP fault actions dispatch through
-  // hooks wired here, in the layer that sees both.
-  faults::CpHooks hooks;
-  hooks.crash = [&cp] {
-    if (cp.crashed()) return false;
-    cp.crash();
-    return true;
-  };
-  hooks.restart = [&cp] {
-    if (!cp.crashed()) return false;
-    cp.recover();
-    return true;
-  };
-  hooks.set_partitioned = [&cp](const std::string& pod, bool partitioned) {
-    cp.set_partitioned(pod, partitioned);
-    return true;
-  };
-  hooks.set_push_loss = [&cp](double probability) {
-    cp.set_push_loss(probability);
-    return true;
-  };
-  chaos.set_control_plane_hooks(std::move(hooks));
-
-  faults::FaultPlan plan;
   if (config.outage) {
-    plan.cp_outage(outage_start, outage_end);
+    run.faults.cp_outage(outage_start, outage_end);
   }
   if (config.churn) {
     // Alternating churn: reviews-v1 down for the first half of each
@@ -147,219 +57,89 @@ CpChaosExperimentResult run_cp_chaos_experiment(
     const sim::Duration half = config.churn_period / 2;
     for (sim::Time t = outage_start; t + config.churn_period <= outage_end;
          t += config.churn_period) {
-      plan.crash(t, "reviews-v1");
-      plan.restart(t + half, "reviews-v1");
-      plan.crash(t + half, "reviews-v2");
-      plan.restart(t + config.churn_period, "reviews-v2");
+      run.faults.crash(t, "reviews-v1");
+      run.faults.restart(t + half, "reviews-v1");
+      run.faults.crash(t + half, "reviews-v2");
+      run.faults.restart(t + config.churn_period, "reviews-v2");
     }
   }
-  chaos.schedule(plan);
-
-  // --- load ---------------------------------------------------------------
-  mesh::HttpClientPool::Options client_options;
-  client_options.max_connections = 2048;
-  client_options.connection.mss = app_options.policies.transport_mss;
-  mesh::HttpClientPool client(sim, app.client_pod().transport(),
-                              app.gateway_address(), client_options,
-                              "wrk2-client");
-
-  WorkloadSpec ls;
-  ls.name = "latency-sensitive";
-  ls.rps = config.ls_rps;
-  ls.arrival = config.arrival;
-  ls.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLsPathPrefix));
-  ls.start = 0;
-  ls.end = traffic_end;
-  ls.measure_start = measure_start;
-  ls.measure_end = measure_end;
-
-  WorkloadSpec li = ls;
-  li.name = "latency-insensitive";
-  li.rps = config.li_rps;
-  li.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLiPathPrefix));
-
-  OpenLoopGenerator ls_gen(sim, client, ls, config.seed);
-  OpenLoopGenerator li_gen(sim, client, li, config.seed + 1);
-
-  // Phase bucketing for the LS workload, keyed on scheduled arrival time.
-  LatencyRecorder before_rec(measure_start, outage_start);
-  LatencyRecorder during_rec(outage_start, outage_end);
-  LatencyRecorder after_rec(outage_end, measure_end);
-  std::array<std::uint64_t, 3> scheduled_per_phase{};
-  ls_gen.set_arrival_observer([&](sim::Time scheduled) {
-    if (scheduled >= measure_start && scheduled < outage_start) {
-      ++scheduled_per_phase[0];
-    } else if (scheduled >= outage_start && scheduled < outage_end) {
-      ++scheduled_per_phase[1];
-    } else if (scheduled >= outage_end && scheduled < measure_end) {
-      ++scheduled_per_phase[2];
-    }
-  });
-  ls_gen.set_sample_observer(
-      [&](sim::Time scheduled, sim::Time completed, bool success) {
-        before_rec.record(scheduled, completed, success);
-        during_rec.record(scheduled, completed, success);
-        after_rec.record(scheduled, completed, success);
-      });
-
-  // Routing-staleness sampler: peak discovery staleness over the run
-  // (grows through the outage, resets when the recovered control plane
-  // catches up).
-  double max_staleness_ms = 0.0;
-  const sim::Duration sample_interval = sim::milliseconds(500);
-  std::function<void()> sample = [&] {
-    const double staleness_ms =
-        sim::to_seconds(cp.discovery_staleness()) * 1e3;
-    max_staleness_ms = std::max(max_staleness_ms, staleness_ms);
-    // Keep the live gauge honest through the outage: the control plane's
-    // own poll loop (which normally maintains it) is down.
-    cp.metrics().gauge("cp_discovery_staleness_ms").set(staleness_ms);
-    if (sim.now() + sample_interval <= traffic_end) {
-      sim.schedule_after(sample_interval, [&] { sample(); });
-    }
-  };
-  sim.schedule_at(measure_start, [&] { sample(); });
-
-  ls_gen.start();
-  li_gen.start();
-
-  sim.run_until(traffic_end + 2 * config.request_timeout + sim::seconds(10));
-
-  // Settle before the final convergence read: a cert rotation (or any
-  // other config delta) can land just before the horizon and leave its
-  // push legitimately in flight. Give the mesh a bounded, deterministic
-  // window to drain it.
-  const sim::Time settle_deadline = sim.now() + sim::seconds(5);
-  while (!cp.converged() && sim.now() < settle_deadline) {
-    sim.run_until(sim.now() + sim::milliseconds(100));
-  }
-
-  auto summarize = [](const OpenLoopGenerator& gen) {
-    WorkloadSummary s;
-    const LatencyRecorder& rec = gen.recorder();
-    s.completed = rec.count();
-    s.errors = rec.errors();
-    s.achieved_rps = rec.throughput_rps();
-    s.p50_ms = rec.p50_ms();
-    s.p90_ms = rec.p90_ms();
-    s.p99_ms = rec.p99_ms();
-    s.mean_ms = rec.mean_ms();
-    return s;
-  };
-
-  CpChaosExperimentResult result;
-  result.before =
-      summarize_cp_phase("before", before_rec, scheduled_per_phase[0]);
-  result.during =
-      summarize_cp_phase("during", during_rec, scheduled_per_phase[1]);
-  result.after = summarize_cp_phase("after", after_rec, scheduled_per_phase[2]);
-  result.ls = summarize(ls_gen);
-  result.li = summarize(li_gen);
-
-  const obs::MetricRegistry& registry = cp.metrics();
-  result.push_attempts = counter_value(registry, "cp_push_attempts_total");
-  result.push_acks = counter_value(registry, "cp_push_acks_total");
-  result.push_nacks = counter_value(registry, "cp_push_nacks_total");
-  result.push_retries = counter_value(registry, "cp_push_retries_total");
-  result.push_skipped_noop = counter_value(registry, "cp_push_skipped_noop");
-  result.push_dropped = counter_value(registry, "cp_push_dropped_total");
-  result.config_rollbacks =
-      counter_value(registry, "cp_config_rollbacks_total");
-  result.cert_rotations = counter_value(registry, "cp_cert_rotations_total");
-
-  result.final_epoch = cp.epoch();
-  result.stale_sidecars_at_end = cp.stale_sidecars();
-  result.converged = cp.converged() && result.stale_sidecars_at_end == 0;
-  result.reconverge_ms =
-      sim::to_seconds(cp.last_reconverge_duration()) * 1e3;
-  result.max_staleness_ms = max_staleness_ms;
-  cp.metrics().gauge("cp_max_staleness_ms").set(max_staleness_ms);
-
-  for (const mesh::MeshEvent& event : cp.telemetry().events()) {
-    if (event.kind == obs::EventKind::kHealth) {
-      if (event.detail == "evicted") ++result.health_evictions;
-      if (event.detail == "readmitted") ++result.health_readmissions;
-    }
-  }
-  for (const auto& sidecar : cp.sidecars()) {
-    result.upstream_retries += sidecar->stats().upstream_retries;
-    result.retries_denied_by_budget +=
-        sidecar->stats().retries_denied_by_budget;
-    result.panic_picks += sidecar->stats().panic_picks;
-    result.timeouts += sidecar->stats().timeouts;
-    result.upstream_failures += sidecar->stats().upstream_failures;
-    if (sidecar->health_checker() != nullptr) {
-      result.flap_damps += sidecar->health_checker()->stats().flap_damps;
-    }
-  }
-  result.fault_log = chaos.log();
-  result.mesh_events = cp.telemetry().events();
-  result.events_executed = sim.events_executed();
-  result.loop_stats = sim.loop_stats();
-  obs::export_loop_stats(result.loop_stats, cp.metrics());
-  result.metrics = cp.metrics().snapshot();
-  return result;
+  run.phases = {{"before", measure_start},
+                {"during", outage_start},
+                {"after", outage_end}};
+  run.drain = 2 * config.request_timeout + sim::seconds(10);
+  run.sample_bottleneck = false;
+  run.sample_staleness = true;
+  return run;
 }
 
-std::string format_cp_chaos_comparison(
-    const CpChaosExperimentResult& outage,
-    const CpChaosExperimentResult& control) {
+const std::vector<ReportSeries>& cp_report_series() {
+  static const std::vector<ReportSeries> series = {
+      {"push_attempts", "cp_push_attempts_total", {}},
+      {"push_acks", "cp_push_acks_total", {}},
+      {"push_nacks", "cp_push_nacks_total", {}},
+      {"push_retries", "cp_push_retries_total", {}},
+      {"push_skipped_noop", "cp_push_skipped_noop", {}},
+      {"push_dropped", "cp_push_dropped_total", {}},
+      {"config_rollbacks", "cp_config_rollbacks_total", {}},
+      {"cert_rotations", "cp_cert_rotations_total", {}},
+  };
+  return series;
+}
+
+std::string format_cp_chaos_comparison(const PointMetrics& outage,
+                                       const PointMetrics& control) {
   std::string out;
   char line[256];
-  auto row = [&](const char* arm, const PhaseSummary& p) {
+  const auto row = [&](const char* arm, const PointMetrics& m,
+                       const std::string& phase) {
     std::snprintf(line, sizeof(line),
                   "  %-8s %-7s %8.1f %9.2f%% %9.1f %9.1f\n", arm,
-                  p.name.c_str(), p.goodput_rps, 100.0 * p.success_rate,
-                  p.p50_ms, p.p99_ms);
+                  phase.c_str(), m.scalars.at(phase + "_goodput_rps"),
+                  100.0 * m.scalars.at(phase + "_success_rate"),
+                  m.scalars.at(phase + "_p50_ms"),
+                  m.scalars.at(phase + "_p99_ms"));
     out += line;
+  };
+  const auto count = [&outage](const char* key) {
+    return static_cast<unsigned long long>(outage.counters.at(key));
   };
   out += "LS workload by phase (CP outage = 'during'):\n";
   std::snprintf(line, sizeof(line), "  %-8s %-7s %8s %10s %9s %9s\n", "arm",
                 "phase", "goodput", "success", "p50ms", "p99ms");
   out += line;
-  for (const PhaseSummary* p :
-       {&outage.before, &outage.during, &outage.after}) {
-    row("outage", *p);
+  for (const char* phase : {"before", "during", "after"}) {
+    row("outage", outage, phase);
   }
-  for (const PhaseSummary* p :
-       {&control.before, &control.during, &control.after}) {
-    row("control", *p);
+  for (const char* phase : {"before", "during", "after"}) {
+    row("control", control, phase);
   }
-  const double ratio = control.during.goodput_rps > 0.0
-                           ? outage.during.goodput_rps /
-                                 control.during.goodput_rps
-                           : 0.0;
+  const double control_goodput = control.scalars.at("during_goodput_rps");
+  const double ratio =
+      control_goodput > 0.0
+          ? outage.scalars.at("during_goodput_rps") / control_goodput
+          : 0.0;
   std::snprintf(
       line, sizeof(line),
       "during-outage goodput ratio %.3f | staleness peak %.0f ms | "
       "reconverge %.0f ms | epoch %llu | stale sidecars %llu\n",
-      ratio, outage.max_staleness_ms, outage.reconverge_ms,
-      static_cast<unsigned long long>(outage.final_epoch),
-      static_cast<unsigned long long>(outage.stale_sidecars_at_end));
+      ratio, outage.scalars.at("max_staleness_ms"),
+      outage.scalars.at("reconverge_ms"), count("final_epoch"),
+      count("stale_sidecars_at_end"));
   out += line;
   std::snprintf(
       line, sizeof(line),
       "pushes: %llu attempts, %llu acks, %llu retries, %llu dropped, "
       "%llu noop-skips, %llu cert rotations | damped readmissions %llu\n",
-      static_cast<unsigned long long>(outage.push_attempts),
-      static_cast<unsigned long long>(outage.push_acks),
-      static_cast<unsigned long long>(outage.push_retries),
-      static_cast<unsigned long long>(outage.push_dropped),
-      static_cast<unsigned long long>(outage.push_skipped_noop),
-      static_cast<unsigned long long>(outage.cert_rotations),
-      static_cast<unsigned long long>(outage.flap_damps));
+      count("push_attempts"), count("push_acks"), count("push_retries"),
+      count("push_dropped"), count("push_skipped_noop"),
+      count("cert_rotations"), count("flap_damps"));
   out += line;
   std::snprintf(
       line, sizeof(line),
       "data plane: %llu retries (%llu denied by budget), %llu panic picks, "
       "%llu deadline timeouts, %llu upstream failures\n",
-      static_cast<unsigned long long>(outage.upstream_retries),
-      static_cast<unsigned long long>(outage.retries_denied_by_budget),
-      static_cast<unsigned long long>(outage.panic_picks),
-      static_cast<unsigned long long>(outage.timeouts),
-      static_cast<unsigned long long>(outage.upstream_failures));
+      count("upstream_retries"), count("retries_denied_by_budget"),
+      count("panic_picks"), count("timeouts"), count("upstream_failures"));
   out += line;
   return out;
 }

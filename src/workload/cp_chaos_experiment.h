@@ -24,9 +24,6 @@
 #include <vector>
 
 #include "app/elibrary.h"
-#include "faults/chaos.h"
-#include "mesh/telemetry.h"
-#include "workload/chaos_experiment.h"
 #include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
 
@@ -84,53 +81,21 @@ struct CpChaosExperimentConfig {
   app::ElibraryOptions app;
 };
 
-struct CpChaosExperimentResult {
-  PhaseSummary before;  ///< pre-outage
-  PhaseSummary during;  ///< the outage window
-  PhaseSummary after;   ///< post-recovery
+/// The run config for one arm: resilience + flap damping + push-channel
+/// policies, the gateway's per-try timeout budget, the outage + churn
+/// fault plan, the LS phases "before", "during" (the outage) and "after",
+/// and the staleness sampler.
+ElibraryExperimentConfig elibrary_config(const CpChaosExperimentConfig& config);
 
-  WorkloadSummary ls;  ///< whole measured window
-  WorkloadSummary li;
-
-  // Push-channel counters (mirrors of the cp_* registry series).
-  std::uint64_t push_attempts = 0;
-  std::uint64_t push_acks = 0;
-  std::uint64_t push_nacks = 0;
-  std::uint64_t push_retries = 0;
-  std::uint64_t push_skipped_noop = 0;
-  std::uint64_t push_dropped = 0;
-  std::uint64_t config_rollbacks = 0;
-  std::uint64_t cert_rotations = 0;
-
-  std::uint64_t final_epoch = 0;
-  std::uint64_t stale_sidecars_at_end = 0;
-  bool converged = false;        ///< all sidecars on the final epoch
-  double reconverge_ms = 0.0;    ///< recovery -> full convergence
-  double max_staleness_ms = 0.0; ///< peak discovery staleness (sampled)
-
-  std::uint64_t health_evictions = 0;
-  std::uint64_t health_readmissions = 0;
-  std::uint64_t flap_damps = 0;
-  std::uint64_t upstream_retries = 0;
-  std::uint64_t retries_denied_by_budget = 0;
-  std::uint64_t panic_picks = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t upstream_failures = 0;
-
-  /// Determinism witnesses: identical across runs with the same config.
-  std::vector<faults::FaultLogEntry> fault_log;
-  std::vector<mesh::MeshEvent> mesh_events;
-  std::uint64_t events_executed = 0;
-  sim::LoopStats loop_stats;
-  obs::MetricsSnapshot metrics;
-};
-
-CpChaosExperimentResult run_cp_chaos_experiment(
-    const CpChaosExperimentConfig& config);
+/// Report keys read from the `cp_*` push-channel series: `push_attempts`,
+/// `push_acks`, `push_nacks`, `push_retries`, `push_skipped_noop`,
+/// `push_dropped`, `config_rollbacks` and `cert_rotations`.
+const std::vector<ReportSeries>& cp_report_series();
 
 /// The acceptance table: per-phase LS goodput for the outage and control
 /// arms, the during-outage goodput ratio, staleness and reconvergence.
-std::string format_cp_chaos_comparison(const CpChaosExperimentResult& outage,
-                                       const CpChaosExperimentResult& control);
+/// Reads the arms' reports (elibrary_point_metrics with cp_report_series()).
+std::string format_cp_chaos_comparison(const PointMetrics& outage,
+                                       const PointMetrics& control);
 
 }  // namespace meshnet::workload

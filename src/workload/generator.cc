@@ -1,5 +1,6 @@
 #include "workload/generator.h"
 
+#include <cmath>
 #include <utility>
 
 namespace meshnet::workload {
@@ -26,18 +27,25 @@ sim::Duration OpenLoopGenerator::next_gap() {
   return sim::from_seconds(mean_s);
 }
 
-void OpenLoopGenerator::start() {
-  const sim::Time first = spec_.start + next_gap();
-  sim_.schedule_at(first, [this, first] { arrive(first); });
+void OpenLoopGenerator::start() { schedule_next(spec_.start); }
+
+void OpenLoopGenerator::schedule_next(sim::Time from) {
+  // A rate that is not > 0 (NaN included) has no gap distribution, and
+  // neither has one whose 2/rps bound is not finite: send nothing.
+  if (!(spec_.rps > 0.0) || !std::isfinite(2.0 / spec_.rps)) return;
+  if (from >= spec_.end) return;
+  // Compared as a gap, not as from + gap: a tiny rate's gap saturates at
+  // the largest Duration, and the sum would overflow.
+  const sim::Duration gap = next_gap();
+  if (gap >= spec_.end - from) return;
+  const sim::Time next = from + gap;
+  sim_.schedule_at(next, [this, next] { arrive(next); });
 }
 
 void OpenLoopGenerator::arrive(sim::Time scheduled) {
   // Open loop: the next arrival is scheduled before this request's fate
   // is known.
-  const sim::Time next = sim_.now() + next_gap();
-  if (next < spec_.end) {
-    sim_.schedule_at(next, [this, next] { arrive(next); });
-  }
+  schedule_next(sim_.now());
 
   http::HttpRequest request = spec_.make_request(seq_++);
   ++sent_;

@@ -53,7 +53,8 @@ class OpenLoopGenerator {
   OpenLoopGenerator(sim::Simulator& sim, mesh::HttpClientPool& client,
                     WorkloadSpec spec, std::uint64_t seed);
 
-  /// Schedules the first arrival. Call once.
+  /// Schedules the first arrival. Call once. A rate that is not > 0
+  /// (NaN included) sends nothing.
   void start();
 
   void set_arrival_observer(ArrivalObserver observer) {
@@ -72,6 +73,9 @@ class OpenLoopGenerator {
 
  private:
   void arrive(sim::Time scheduled);
+  /// Schedules the arrival one gap after `from` if it falls before
+  /// spec.end.
+  void schedule_next(sim::Time from);
   sim::Duration next_gap();
 
   sim::Simulator& sim_;

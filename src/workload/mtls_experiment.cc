@@ -1,261 +1,106 @@
 #include "workload/mtls_experiment.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
-
-#include "obs/engine_metrics.h"
-#include "sim/simulator.h"
 
 namespace meshnet::workload {
 
-namespace {
+ElibraryExperimentConfig elibrary_config(const MtlsExperimentConfig& config) {
+  ElibraryExperimentConfig run;
+  run.ls_rps = config.ls_rps;
+  run.li_rps = config.li_rps;
+  run.warmup = config.warmup;
+  run.duration = config.duration;
+  run.cooldown = config.cooldown;
+  run.seed = config.seed;
+  run.arrival = config.arrival;
+  run.app = config.app;
 
-void apply_mtls_policies(mesh::MeshPolicies& policies,
-                         const MtlsExperimentConfig& config) {
+  mesh::MeshPolicies& policies = run.app.policies;
   // Data-plane resilience, same stance as the chaos experiments: the
   // storm's reconnect wave is absorbed by health checking, breakers and
   // budgeted retries — identically across arms, so the measured deltas
   // are pure crypto cost.
-  policies.retry.max_retries = 3;
-  policies.retry.per_try_timeout = sim::milliseconds(500);
-  policies.retry.backoff_jitter = true;
-  policies.retry.backoff_max = sim::milliseconds(250);
-  policies.retry.retry_budget = 0.5;
-  policies.retry.retry_budget_min_concurrency = 20;
-  policies.breaker.consecutive_failures = 5;
-  policies.breaker.open_duration = sim::milliseconds(500);
-  policies.health_check.enabled = true;
-  policies.health_check.interval = sim::milliseconds(250);
-  policies.health_check.timeout = sim::milliseconds(200);
-  policies.health_check.unhealthy_threshold = 2;
-  policies.health_check.healthy_threshold = 2;
+  apply_resilience_policies(policies, /*retry_budget=*/0.5,
+                            /*budget_min_concurrency=*/20);
   policies.request_timeout = config.request_timeout;
   // The arm switches.
   policies.tls.enabled = config.mtls;
   policies.tls.session_resumption = config.session_resumption;
   policies.mtls_overrides = config.mtls_overrides;
-}
-
-PhaseSummary summarize_mtls_phase(std::string name, const LatencyRecorder& rec,
-                                  std::uint64_t scheduled) {
-  PhaseSummary s;
-  s.name = std::move(name);
-  s.scheduled = scheduled;
-  s.completed = rec.count();
-  s.errors = rec.errors();
-  const std::uint64_t finished = s.completed + s.errors;
-  s.success_rate = finished == 0
-                       ? 1.0
-                       : static_cast<double>(s.completed) /
-                             static_cast<double>(finished);
-  s.goodput_rps = rec.throughput_rps();
-  s.p50_ms = rec.p50_ms();
-  s.p99_ms = rec.p99_ms();
-  return s;
-}
-
-std::uint64_t counter_value(const obs::MetricRegistry& registry,
-                            std::string_view name) {
-  const obs::Counter* counter = registry.find_counter(name);
-  return counter == nullptr ? 0 : counter->value();
-}
-
-}  // namespace
-
-MtlsExperimentResult run_mtls_experiment(const MtlsExperimentConfig& config) {
-  http::reset_request_id_counter();
-  sim::Simulator sim;
-
-  app::ElibraryOptions app_options = config.app;
-  apply_mtls_policies(app_options.policies, config);
-
-  app::Elibrary app(sim, app_options);
-  app.control_plane().tracer().set_retention(0);
-  mesh::ControlPlane& cp = app.control_plane();
-
   // Same hierarchical timeout budget as CHAOS_CP: the edge hop outlives
   // one full interior failover.
-  cp.set_compile_mutator([](const std::string&, mesh::SidecarConfig& config) {
-    if (config.gateway_mode) {
-      config.retry.per_try_timeout = sim::milliseconds(1500);
-      config.retry.max_retries = 1;
-    }
-  });
-  cp.push_config();
+  run.gateway_per_try_timeout = sim::milliseconds(1500);
 
   const sim::Time measure_start = config.warmup;
-  const sim::Time measure_end = config.warmup + config.duration;
-  const sim::Time traffic_end = measure_end + config.cooldown;
   const sim::Time storm_at = measure_start + config.storm_offset;
-
-  // --- the handshake storm ------------------------------------------------
-  faults::ChaosController chaos(sim, app.cluster(), config.seed);
-  chaos.set_fault_hook([&](const faults::FaultLogEntry& entry) {
-    cp.telemetry().record_event(
-        entry.at, obs::EventKind::kFault, entry.target,
-        std::string(faults::fault_action_name(entry.action)));
-  });
   if (config.storm) {
     // Every service pod bounces at once: all in-mesh connections (and
     // their TLS sessions) die, and the entire mesh re-handshakes when
     // the pods return. Sidecar objects — and with them the clients'
     // ticket caches and the services' certificates — survive the
     // restart, which is exactly what makes resumption applicable.
-    faults::FaultPlan plan;
     for (const char* pod : {"frontend-v1", "details-v1", "reviews-v1",
                             "reviews-v2", "ratings-v1"}) {
-      plan.crash(storm_at, pod);
-      plan.restart(storm_at + config.storm_restart_delay, pod);
+      run.faults.crash(storm_at, pod);
+      run.faults.restart(storm_at + config.storm_restart_delay, pod);
       // A process restart loses TCP state: abort the pod's connections
       // so peers see RSTs and must reconnect (and re-handshake). The
       // restart entry is added first at the same timestamp, so the
       // links are back up when the RSTs go out.
-      plan.reset_connections(storm_at + config.storm_restart_delay, pod);
+      run.faults.reset_connections(storm_at + config.storm_restart_delay,
+                                   pod);
     }
-    chaos.schedule(plan);
   }
-
-  // --- load ---------------------------------------------------------------
-  mesh::HttpClientPool::Options client_options;
-  client_options.max_connections = 2048;
-  client_options.connection.mss = app_options.policies.transport_mss;
-  mesh::HttpClientPool client(sim, app.client_pod().transport(),
-                              app.gateway_address(), client_options,
-                              "wrk2-client");
-
-  WorkloadSpec ls;
-  ls.name = "latency-sensitive";
-  ls.rps = config.ls_rps;
-  ls.arrival = config.arrival;
-  ls.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLsPathPrefix));
-  ls.start = 0;
-  ls.end = traffic_end;
-  ls.measure_start = measure_start;
-  ls.measure_end = measure_end;
-
-  WorkloadSpec li = ls;
-  li.name = "latency-insensitive";
-  li.rps = config.li_rps;
-  li.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLiPathPrefix));
-
-  OpenLoopGenerator ls_gen(sim, client, ls, config.seed);
-  OpenLoopGenerator li_gen(sim, client, li, config.seed + 1);
-
-  // Phase bucketing around the storm instant, keyed on scheduled arrival
-  // time (wrk2 convention: a request that arrived during the reconnect
-  // wave but straggled in later still charges the post phase).
-  LatencyRecorder pre_rec(measure_start, storm_at);
-  LatencyRecorder post_rec(storm_at, measure_end);
-  std::array<std::uint64_t, 2> scheduled_per_phase{};
-  ls_gen.set_arrival_observer([&](sim::Time scheduled) {
-    if (scheduled >= measure_start && scheduled < storm_at) {
-      ++scheduled_per_phase[0];
-    } else if (scheduled >= storm_at && scheduled < measure_end) {
-      ++scheduled_per_phase[1];
-    }
-  });
-  ls_gen.set_sample_observer(
-      [&](sim::Time scheduled, sim::Time completed, bool success) {
-        pre_rec.record(scheduled, completed, success);
-        post_rec.record(scheduled, completed, success);
-      });
-
-  // Bottleneck busy time over exactly the measured window.
-  sim::Duration busy_at_start = 0;
-  sim::Duration busy_at_end = 0;
-  sim.schedule_at(measure_start, [&] {
-    busy_at_start = app.bottleneck_link().stats().busy_time;
-  });
-  sim.schedule_at(measure_end, [&] {
-    busy_at_end = app.bottleneck_link().stats().busy_time;
-  });
-
-  ls_gen.start();
-  li_gen.start();
-
-  sim.run_until(traffic_end + 2 * config.request_timeout + sim::seconds(10));
-
-  auto summarize = [](const OpenLoopGenerator& gen) {
-    WorkloadSummary s;
-    const LatencyRecorder& rec = gen.recorder();
-    s.completed = rec.count();
-    s.errors = rec.errors();
-    s.achieved_rps = rec.throughput_rps();
-    s.p50_ms = rec.p50_ms();
-    s.p90_ms = rec.p90_ms();
-    s.p99_ms = rec.p99_ms();
-    s.mean_ms = rec.mean_ms();
-    return s;
-  };
-
-  MtlsExperimentResult result;
-  result.ls = summarize(ls_gen);
-  result.li = summarize(li_gen);
-  result.pre = summarize_mtls_phase("pre", pre_rec, scheduled_per_phase[0]);
-  result.post = summarize_mtls_phase("post", post_rec, scheduled_per_phase[1]);
-  result.bottleneck_utilization =
-      static_cast<double>(busy_at_end - busy_at_start) /
-      static_cast<double>(measure_end - measure_start);
-  result.bottleneck_drops =
-      app.bottleneck_link().qdisc().stats().dropped_packets;
-
-  const obs::MetricRegistry& registry = cp.metrics();
-  result.handshakes_full = counter_value(registry, "tls_handshakes_full_total");
-  result.handshakes_resumed =
-      counter_value(registry, "tls_handshakes_resumed_total");
-  result.handshake_failures =
-      counter_value(registry, "tls_handshake_failures_total");
-  result.tickets_issued = counter_value(registry, "tls_tickets_issued_total");
-  result.resumptions_rejected =
-      counter_value(registry, "tls_resumptions_rejected_total");
-  result.session_cache_evictions =
-      counter_value(registry, "tls_session_cache_evictions_total");
-  result.records_encrypted =
-      counter_value(registry, "tls_records_encrypted_total");
-  result.records_decrypted =
-      counter_value(registry, "tls_records_decrypted_total");
-  result.bytes_encrypted = counter_value(registry, "tls_bytes_encrypted_total");
-  result.bytes_decrypted = counter_value(registry, "tls_bytes_decrypted_total");
-  result.tls_alerts = counter_value(registry, "tls_alerts_total");
-  result.cert_rotations = counter_value(registry, "cp_cert_rotations_total");
-
-  for (const auto& sidecar : cp.sidecars()) {
-    result.upstream_retries += sidecar->stats().upstream_retries;
-    result.timeouts += sidecar->stats().timeouts;
-    result.upstream_failures += sidecar->stats().upstream_failures;
-    result.downstream_aborts += sidecar->stats().downstream_aborts;
-  }
-  result.fault_log = chaos.log();
-  result.events_executed = sim.events_executed();
-  result.loop_stats = sim.loop_stats();
-  obs::export_loop_stats(result.loop_stats, cp.metrics());
-  result.metrics = cp.metrics().snapshot();
-  return result;
+  run.phases = {{"pre", measure_start}, {"post", storm_at}};
+  run.drain = 2 * config.request_timeout + sim::seconds(10);
+  return run;
 }
 
-std::string format_mtls_comparison(const MtlsExperimentResult& plaintext,
-                                   const MtlsExperimentResult& mtls_full,
-                                   const MtlsExperimentResult& mtls_resume,
-                                   const MtlsExperimentResult& storm_full,
-                                   const MtlsExperimentResult& storm_resume) {
+const std::vector<ReportSeries>& mtls_report_series() {
+  static const std::vector<ReportSeries> series = {
+      {"tls_handshakes_full", "tls_handshakes_full_total", {}},
+      {"tls_handshakes_resumed", "tls_handshakes_resumed_total", {}},
+      {"tls_handshake_failures", "tls_handshake_failures_total", {}},
+      {"tls_tickets_issued", "tls_tickets_issued_total", {}},
+      {"tls_resumptions_rejected", "tls_resumptions_rejected_total", {}},
+      {"tls_session_cache_evictions", "tls_session_cache_evictions_total",
+       {}},
+      {"tls_records_encrypted", "tls_records_encrypted_total", {}},
+      {"tls_records_decrypted", "tls_records_decrypted_total", {}},
+      {"tls_bytes_encrypted", "tls_bytes_encrypted_total", {}},
+      {"tls_bytes_decrypted", "tls_bytes_decrypted_total", {}},
+      {"tls_alerts", "tls_alerts_total", {}},
+      {"cert_rotations", "cp_cert_rotations_total", {}},
+  };
+  return series;
+}
+
+std::string format_mtls_comparison(const PointMetrics& plaintext,
+                                   const PointMetrics& mtls_full,
+                                   const PointMetrics& mtls_resume,
+                                   const PointMetrics& storm_full,
+                                   const PointMetrics& storm_resume) {
   std::string out;
   char line[256];
+  const auto scalar = [](const PointMetrics& m, const char* key) {
+    return m.scalars.at(key);
+  };
+  const auto count = [](const PointMetrics& m, const char* key) {
+    return static_cast<unsigned long long>(m.counters.at(key));
+  };
   out += "steady state (whole measured window):\n";
   std::snprintf(line, sizeof(line), "  %-12s %8s %8s %8s %8s %7s %6s %11s\n",
                 "arm", "ls_p50", "ls_p99", "li_p50", "li_p99", "li_rps",
                 "bneck", "handshakes");
   out += line;
-  const auto steady_row = [&](const char* arm,
-                              const MtlsExperimentResult& r) {
+  const auto steady_row = [&](const char* arm, const PointMetrics& m) {
     std::snprintf(line, sizeof(line),
                   "  %-12s %8.2f %8.2f %8.2f %8.2f %7.1f %6.3f %6llu+%llur\n",
-                  arm, r.ls.p50_ms, r.ls.p99_ms, r.li.p50_ms, r.li.p99_ms,
-                  r.li.achieved_rps, r.bottleneck_utilization,
-                  static_cast<unsigned long long>(r.handshakes_full),
-                  static_cast<unsigned long long>(r.handshakes_resumed));
+                  arm, scalar(m, "ls_p50_ms"), scalar(m, "ls_p99_ms"),
+                  scalar(m, "li_p50_ms"), scalar(m, "li_p99_ms"),
+                  scalar(m, "li_rps"), scalar(m, "bottleneck_utilization"),
+                  count(m, "tls_handshakes_full"),
+                  count(m, "tls_handshakes_resumed"));
     out += line;
   };
   steady_row("plaintext", plaintext);
@@ -266,28 +111,30 @@ std::string format_mtls_comparison(const MtlsExperimentResult& plaintext,
   std::snprintf(line, sizeof(line), "  %-12s %9s %9s %10s %10s %11s\n", "arm",
                 "pre_p99", "post_p99", "post_good", "post_succ", "handshakes");
   out += line;
-  const auto storm_row = [&](const char* arm, const MtlsExperimentResult& r) {
+  const auto storm_row = [&](const char* arm, const PointMetrics& m) {
     std::snprintf(line, sizeof(line),
                   "  %-12s %9.2f %9.2f %10.1f %9.2f%% %6llu+%llur\n", arm,
-                  r.pre.p99_ms, r.post.p99_ms, r.post.goodput_rps,
-                  100.0 * r.post.success_rate,
-                  static_cast<unsigned long long>(r.handshakes_full),
-                  static_cast<unsigned long long>(r.handshakes_resumed));
+                  scalar(m, "pre_p99_ms"), scalar(m, "post_p99_ms"),
+                  scalar(m, "post_goodput_rps"),
+                  100.0 * scalar(m, "post_success_rate"),
+                  count(m, "tls_handshakes_full"),
+                  count(m, "tls_handshakes_resumed"));
     out += line;
   };
   storm_row("storm-full", storm_full);
   storm_row("storm-resume", storm_resume);
 
   const double storm_delta_p99 =
-      storm_full.post.p99_ms - storm_resume.post.p99_ms;
+      scalar(storm_full, "post_p99_ms") - scalar(storm_resume, "post_p99_ms");
+  const auto overhead = [&](const char* key) {
+    return scalar(mtls_resume, key) - scalar(plaintext, key);
+  };
   std::snprintf(line, sizeof(line),
                 "mTLS steady-state overhead: LS p50 +%.2f ms, LI p50 "
                 "+%.2f ms, LI p99 +%.2f ms | resumption saves %.2f ms of "
                 "post-storm p99\n",
-                mtls_resume.ls.p50_ms - plaintext.ls.p50_ms,
-                mtls_resume.li.p50_ms - plaintext.li.p50_ms,
-                mtls_resume.li.p99_ms - plaintext.li.p99_ms,
-                storm_delta_p99);
+                overhead("ls_p50_ms"), overhead("li_p50_ms"),
+                overhead("li_p99_ms"), storm_delta_p99);
   out += line;
   return out;
 }

@@ -32,9 +32,6 @@
 #include <vector>
 
 #include "app/elibrary.h"
-#include "faults/chaos.h"
-#include "mesh/telemetry.h"
-#include "workload/chaos_experiment.h"
 #include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
 
@@ -73,53 +70,26 @@ struct MtlsExperimentConfig {
   app::ElibraryOptions app;
 };
 
-struct MtlsExperimentResult {
-  WorkloadSummary ls;  ///< whole measured window
-  WorkloadSummary li;
+/// The run config for one arm: resilience + mTLS policies, the
+/// gateway's per-try timeout budget, the storm fault plan and the LS
+/// phases "pre" and "post" (split at the storm instant; meaningful for
+/// storm arms, still deterministic without one).
+ElibraryExperimentConfig elibrary_config(const MtlsExperimentConfig& config);
 
-  /// LS workload bucketed around the storm instant (pre = measure start
-  /// .. storm, post = storm .. measure end), keyed by scheduled arrival
-  /// time. Meaningful for storm arms; still deterministic without one.
-  PhaseSummary pre;
-  PhaseSummary post;
-
-  double bottleneck_utilization = 0.0;
-  std::uint64_t bottleneck_drops = 0;
-
-  // Mesh-wide TLS counters (mirrors of the tls_* registry series).
-  std::uint64_t handshakes_full = 0;
-  std::uint64_t handshakes_resumed = 0;
-  std::uint64_t handshake_failures = 0;
-  std::uint64_t tickets_issued = 0;
-  std::uint64_t resumptions_rejected = 0;
-  std::uint64_t session_cache_evictions = 0;
-  std::uint64_t records_encrypted = 0;
-  std::uint64_t records_decrypted = 0;
-  std::uint64_t bytes_encrypted = 0;
-  std::uint64_t bytes_decrypted = 0;
-  std::uint64_t tls_alerts = 0;
-  std::uint64_t cert_rotations = 0;
-
-  std::uint64_t upstream_retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t upstream_failures = 0;
-  std::uint64_t downstream_aborts = 0;
-
-  /// Determinism witnesses: identical across runs with the same config.
-  std::vector<faults::FaultLogEntry> fault_log;
-  std::uint64_t events_executed = 0;
-  sim::LoopStats loop_stats;
-  obs::MetricsSnapshot metrics;
-};
-
-MtlsExperimentResult run_mtls_experiment(const MtlsExperimentConfig& config);
+/// Report keys read from the mesh-wide `tls_*` series (`tls_handshakes_full`,
+/// `tls_handshakes_resumed`, `tls_handshake_failures`, `tls_tickets_issued`,
+/// `tls_resumptions_rejected`, `tls_session_cache_evictions`,
+/// `tls_records_{encrypted,decrypted}`, `tls_bytes_{encrypted,decrypted}`,
+/// `tls_alerts`) and `cert_rotations`.
+const std::vector<ReportSeries>& mtls_report_series();
 
 /// The acceptance table: steady-state plaintext vs mTLS latency/goodput
-/// and the storm arms' post-restart recovery, full vs resumed.
-std::string format_mtls_comparison(const MtlsExperimentResult& plaintext,
-                                   const MtlsExperimentResult& mtls_full,
-                                   const MtlsExperimentResult& mtls_resume,
-                                   const MtlsExperimentResult& storm_full,
-                                   const MtlsExperimentResult& storm_resume);
+/// and the storm arms' post-restart recovery, full vs resumed. Reads the
+/// arms' reports (elibrary_point_metrics with mtls_report_series()).
+std::string format_mtls_comparison(const PointMetrics& plaintext,
+                                   const PointMetrics& mtls_full,
+                                   const PointMetrics& mtls_resume,
+                                   const PointMetrics& storm_full,
+                                   const PointMetrics& storm_resume);
 
 }  // namespace meshnet::workload

@@ -1,11 +1,5 @@
 #include "workload/overload_experiment.h"
 
-#include <memory>
-#include <string_view>
-
-#include "obs/engine_metrics.h"
-#include "sim/simulator.h"
-
 namespace meshnet::workload {
 
 app::ElibraryOptions OverloadExperimentConfig::default_overload_app() {
@@ -42,128 +36,43 @@ app::ElibraryOptions OverloadExperimentConfig::default_overload_app() {
   return app;
 }
 
-OverloadExperimentResult run_overload_experiment(
+ElibraryExperimentConfig elibrary_config(
     const OverloadExperimentConfig& config) {
-  http::reset_request_id_counter();
-  sim::Simulator sim;
-
-  app::ElibraryOptions app_options = config.app;
-  app_options.policies.admission.enabled = config.admission;
-  app::Elibrary app(sim, app_options);
-  app.control_plane().tracer().set_retention(0);
-
+  ElibraryExperimentConfig run;
+  run.ls_rps = config.ls_rps;
+  run.li_rps = config.li_rps();
+  run.warmup = config.warmup;
+  run.duration = config.duration;
+  run.cooldown = config.cooldown;
+  run.seed = config.seed;
+  run.arrival = config.arrival;
+  run.app = config.app;
+  run.app.policies.admission.enabled = config.admission;
   // Classification at the gateway + provenance propagation are what give
   // the admission controllers a priority to act on; both arms run with
   // the cross-layer filters installed so the only difference between
   // them is the admission subsystem itself.
-  core::CrossLayerController cross_layer(app.control_plane(), app.cluster(),
-                                         config.cross_layer_config);
-  cross_layer.install();
-
-  mesh::HttpClientPool::Options client_options;
-  client_options.max_connections = 2048;
-  client_options.connection.mss = app_options.policies.transport_mss;
-  mesh::HttpClientPool client(sim, app.client_pod().transport(),
-                              app.gateway_address(), client_options,
-                              "wrk2-client");
-
-  const sim::Time measure_start = config.warmup;
-  const sim::Time measure_end = config.warmup + config.duration;
-  const sim::Time traffic_end = measure_end + config.cooldown;
-
-  WorkloadSpec ls;
-  ls.name = "latency-sensitive";
-  ls.rps = config.ls_rps;
-  ls.arrival = config.arrival;
-  ls.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLsPathPrefix));
-  ls.start = 0;
-  ls.end = traffic_end;
-  ls.measure_start = measure_start;
-  ls.measure_end = measure_end;
-
-  WorkloadSpec li = ls;
-  li.name = "latency-insensitive";
-  li.rps = config.li_rps();
-  li.make_request = simple_get_factory(
-      "frontend", std::string(app::Elibrary::kLiPathPrefix));
-
-  OpenLoopGenerator ls_gen(sim, client, ls, config.seed);
-  OpenLoopGenerator li_gen(sim, client, li, config.seed + 1);
-  ls_gen.start();
-  li_gen.start();
-
+  run.cross_layer = true;
+  run.cross_layer_config = config.cross_layer_config;
   // Drain: every in-flight request either completes or hits its armed
   // deadline within request_timeout of the last arrival.
-  sim.run_until(traffic_end + app_options.policies.request_timeout +
-                sim::seconds(5));
+  run.drain = run.app.policies.request_timeout + sim::seconds(5);
+  run.sample_bottleneck = false;
+  return run;
+}
 
-  auto summarize = [](const OpenLoopGenerator& gen) {
-    WorkloadSummary s;
-    const LatencyRecorder& rec = gen.recorder();
-    s.completed = rec.count();
-    s.errors = rec.errors();
-    s.achieved_rps = rec.throughput_rps();
-    s.p50_ms = rec.p50_ms();
-    s.p90_ms = rec.p90_ms();
-    s.p99_ms = rec.p99_ms();
-    s.mean_ms = rec.mean_ms();
-    return s;
+const std::vector<ReportSeries>& overload_report_series() {
+  static const std::vector<ReportSeries> series = {
+      {"ls_shed", "admission_shed_total", {{"class", "latency-sensitive"}}},
+      {"li_shed", "admission_shed_total", {{"class", "scavenger"}}},
+      {"default_shed", "admission_shed_total", {{"class", "default"}}},
+      {"shed_queue_full", "admission_shed_total", {{"reason", "queue-full"}}},
+      {"shed_deadline", "admission_shed_total", {{"reason", "deadline"}}},
+      {"shed_preempted", "admission_shed_total", {{"reason", "preempted"}}},
+      {"admission_accepted", "admission_accepted_total", {}},
+      {"admission_queued", "admission_queued_total", {}},
   };
-
-  OverloadExperimentResult result;
-  result.ls = summarize(ls_gen);
-  result.li = summarize(li_gen);
-  result.ls_latency = ls_gen.recorder().histogram();
-  result.li_latency = li_gen.recorder().histogram();
-
-  for (const auto& sidecar : app.control_plane().sidecars()) {
-    const mesh::SidecarStats& stats = sidecar->stats();
-    result.upstream_retries += stats.upstream_retries;
-    result.retries_suppressed_by_overload +=
-        stats.retries_suppressed_by_overload;
-    result.timeouts += stats.timeouts;
-  }
-
-  result.events_executed = sim.events_executed();
-  result.loop_stats = sim.loop_stats();
-  obs::export_loop_stats(result.loop_stats, app.control_plane().metrics());
-  result.metrics = app.control_plane().metrics().snapshot();
-
-  // Fold the admission series (one per service/class/reason) into the
-  // by-class and by-reason totals the acceptance criteria talk about.
-  auto label_value = [](const obs::SeriesSnapshot& series,
-                        std::string_view key) -> std::string_view {
-    for (const auto& [k, v] : series.labels) {
-      if (k == key) return v;
-    }
-    return "";
-  };
-  for (const obs::SeriesSnapshot& series : result.metrics.series) {
-    if (series.name == "admission_accepted_total") {
-      result.admission_accepted += series.counter;
-    } else if (series.name == "admission_queued_total") {
-      result.admission_queued += series.counter;
-    } else if (series.name == "admission_shed_total") {
-      const std::string_view klass = label_value(series, "class");
-      if (klass == "latency-sensitive") {
-        result.ls_shed += series.counter;
-      } else if (klass == "scavenger") {
-        result.li_shed += series.counter;
-      } else {
-        result.default_shed += series.counter;
-      }
-      const std::string_view reason = label_value(series, "reason");
-      if (reason == "queue-full") {
-        result.shed_queue_full += series.counter;
-      } else if (reason == "deadline") {
-        result.shed_deadline += series.counter;
-      } else if (reason == "preempted") {
-        result.shed_preempted += series.counter;
-      }
-    }
-  }
-  return result;
+  return series;
 }
 
 }  // namespace meshnet::workload

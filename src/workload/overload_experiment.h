@@ -16,12 +16,10 @@
 // collapse-vs-controlled comparison; BENCH_overload.json commits it.
 
 #include <cstdint>
+#include <vector>
 
 #include "app/elibrary.h"
 #include "core/cross_layer.h"
-#include "obs/metric_registry.h"
-#include "sim/loop_stats.h"
-#include "stats/histogram.h"
 #include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
 
@@ -62,34 +60,15 @@ struct OverloadExperimentConfig {
   static app::ElibraryOptions default_overload_app();
 };
 
-struct OverloadExperimentResult {
-  WorkloadSummary ls;
-  WorkloadSummary li;
-  stats::LogHistogram ls_latency;
-  stats::LogHistogram li_latency;
-
-  /// admission_* counters summed over all sidecars, split by the class
-  /// the shed request carried.
-  std::uint64_t ls_shed = 0;
-  std::uint64_t li_shed = 0;
-  std::uint64_t default_shed = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t shed_preempted = 0;
-  std::uint64_t admission_accepted = 0;
-  std::uint64_t admission_queued = 0;
-
-  std::uint64_t upstream_retries = 0;
-  std::uint64_t retries_suppressed_by_overload = 0;
-  std::uint64_t timeouts = 0;
-
-  std::uint64_t events_executed = 0;
-  sim::LoopStats loop_stats;
-  /// Unified meshnet-metrics-v1 snapshot (admission_* series included).
-  obs::MetricsSnapshot metrics;
-};
-
-OverloadExperimentResult run_overload_experiment(
+/// The run config for one arm: both arms run with the cross-layer
+/// filters installed, so admission is the only difference between them.
+ElibraryExperimentConfig elibrary_config(
     const OverloadExperimentConfig& config);
+
+/// Report keys read from the `admission_*` series: sheds by class
+/// (`ls_shed`, `li_shed`, `default_shed`) and by reason
+/// (`shed_queue_full`, `shed_deadline`, `shed_preempted`), plus
+/// `admission_accepted` and `admission_queued`.
+const std::vector<ReportSeries>& overload_report_series();
 
 }  // namespace meshnet::workload

@@ -16,6 +16,10 @@
 namespace meshnet::workload {
 namespace {
 
+ElibraryExperimentResult run_chaos(const ChaosExperimentConfig& config) {
+  return run_elibrary_experiment(elibrary_config(config));
+}
+
 ChaosExperimentConfig small_config() {
   ChaosExperimentConfig config;
   config.ls_rps = 20;
@@ -30,8 +34,8 @@ ChaosExperimentConfig small_config() {
 
 TEST(ChaosExperiment, DeterministicForSameSeed) {
   ChaosExperimentConfig config = small_config();
-  const ChaosExperimentResult a = run_chaos_elibrary_experiment(config);
-  const ChaosExperimentResult b = run_chaos_elibrary_experiment(config);
+  const ElibraryExperimentResult a = run_chaos(config);
+  const ElibraryExperimentResult b = run_chaos(config);
 
   // Same seed => identical simulation, event for event.
   EXPECT_EQ(a.events_executed, b.events_executed);
@@ -56,7 +60,7 @@ TEST(ChaosExperiment, DeterministicForSameSeed) {
   // A different seed actually changes arrivals (guards against the seed
   // being ignored somewhere).
   config.seed += 1;
-  const ChaosExperimentResult c = run_chaos_elibrary_experiment(config);
+  const ElibraryExperimentResult c = run_chaos(config);
   EXPECT_NE(a.events_executed, c.events_executed);
 }
 
@@ -71,38 +75,44 @@ TEST(ChaosExperiment, ResilienceRidesThroughCrashBaselineDegrades) {
   config.fault_duration = sim::seconds(10);
 
   config.resilience = true;
-  const ChaosExperimentResult resilient =
-      run_chaos_elibrary_experiment(config);
+  const ElibraryExperimentResult resilient =
+      run_chaos(config);
   config.resilience = false;
-  const ChaosExperimentResult baseline =
-      run_chaos_elibrary_experiment(config);
+  const ElibraryExperimentResult baseline =
+      run_chaos(config);
 
-  std::fputs(format_chaos_comparison(resilient, baseline).c_str(), stdout);
+  std::fputs(format_chaos_comparison(
+                 elibrary_point_metrics(resilient, chaos_report_series()),
+                 elibrary_point_metrics(baseline, chaos_report_series()))
+                 .c_str(),
+             stdout);
 
   // Sanity: the fault window saw real traffic in both arms.
-  EXPECT_GT(resilient.during.scheduled, 100u);
-  EXPECT_GT(baseline.during.scheduled, 100u);
+  EXPECT_GT(resilient.phase("during").scheduled, 100u);
+  EXPECT_GT(baseline.phase("during").scheduled, 100u);
 
   // Resilient arm: health checking evicted the crashed replica and
   // readmitted it after restart; LS success held through the fault.
   EXPECT_GE(resilient.health_evictions, 1u);
   EXPECT_GE(resilient.health_readmissions, 1u);
-  EXPECT_GE(resilient.before.success_rate, 0.99);
-  EXPECT_GE(resilient.during.success_rate, 0.99);
-  EXPECT_GE(resilient.after.success_rate, 0.99);
+  EXPECT_GE(resilient.phase("before").success_rate, 0.99);
+  EXPECT_GE(resilient.phase("during").success_rate, 0.99);
+  EXPECT_GE(resilient.phase("after").success_rate, 0.99);
   // p99 recovers once the fault window closes: "after" looks like
   // "before" (generous 3x bound — both should be a few ms).
-  EXPECT_LT(resilient.after.p99_ms, 3.0 * resilient.before.p99_ms + 5.0);
+  EXPECT_LT(resilient.phase("after").p99_ms,
+            3.0 * resilient.phase("before").p99_ms + 5.0);
 
   // Baseline arm: no detection, no retries — requests routed to the dead
   // replica hang to the deadline and fail, so success during the fault
   // drops measurably.
   EXPECT_EQ(baseline.health_evictions, 0u);
-  EXPECT_LT(baseline.during.success_rate, 0.90);
-  EXPECT_LT(baseline.during.success_rate,
-            resilient.during.success_rate - 0.05);
+  EXPECT_LT(baseline.phase("during").success_rate, 0.90);
+  EXPECT_LT(baseline.phase("during").success_rate,
+            resilient.phase("during").success_rate - 0.05);
   // And its p99 during the fault is dominated by the request deadline.
-  EXPECT_GT(baseline.during.p99_ms, resilient.during.p99_ms);
+  EXPECT_GT(baseline.phase("during").p99_ms,
+            resilient.phase("during").p99_ms);
 }
 
 // The chaos experiment through the sweep runner: both arms (resilient and
@@ -116,19 +126,19 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
     options.threads = threads;
     SweepRunner runner(options);
     auto results =
-        std::make_shared<std::vector<ChaosExperimentResult>>(2);
+        std::make_shared<std::vector<ElibraryExperimentResult>>(2);
     for (const bool resilience : {true, false}) {
       const std::size_t slot = resilience ? 0 : 1;
       runner.add({{"resilience", resilience ? "on" : "off"}},
                  [resilience, slot, results] {
                    ChaosExperimentConfig config = small_config();
                    config.resilience = resilience;
-                   (*results)[slot] = run_chaos_elibrary_experiment(config);
-                   const ChaosExperimentResult& r = (*results)[slot];
+                   (*results)[slot] = run_chaos(config);
+                   const ElibraryExperimentResult& r = (*results)[slot];
                    PointMetrics metrics;
                    metrics.scalars["during_goodput_rps"] =
-                       r.during.goodput_rps;
-                   metrics.scalars["during_p99_ms"] = r.during.p99_ms;
+                       r.phase("during").goodput_rps;
+                   metrics.scalars["during_p99_ms"] = r.phase("during").p99_ms;
                    metrics.counters["events"] = r.events_executed;
                    metrics.counters["fault_log"] = r.fault_log.size();
                    metrics.counters["mesh_events"] = r.mesh_events.size();
@@ -158,8 +168,8 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
 
     // Event-for-event equality of both arms' determinism witnesses.
     for (std::size_t arm = 0; arm < 2; ++arm) {
-      const ChaosExperimentResult& a = (*serial_results)[arm];
-      const ChaosExperimentResult& b = (*parallel_results)[arm];
+      const ElibraryExperimentResult& a = (*serial_results)[arm];
+      const ElibraryExperimentResult& b = (*parallel_results)[arm];
       EXPECT_EQ(a.events_executed, b.events_executed);
       ASSERT_EQ(a.fault_log.size(), b.fault_log.size());
       for (std::size_t i = 0; i < a.fault_log.size(); ++i) {

@@ -33,7 +33,8 @@ TEST(Integration, BaselineServesBothWorkloads) {
   EXPECT_GT(result.li.completed, 80u);
   EXPECT_EQ(result.ls.errors, 0u);
   EXPECT_EQ(result.li.errors, 0u);
-  EXPECT_GT(result.bottleneck_utilization, 0.1);
+  ASSERT_TRUE(result.bottleneck_utilization.has_value());
+  EXPECT_GT(*result.bottleneck_utilization, 0.1);
 }
 
 TEST(Integration, CrossLayerImprovesLsTailUnderLoad) {

@@ -80,6 +80,34 @@ TEST(MetricRegistry, SnapshotFindMatchesNameAndLabels) {
   EXPECT_EQ(snap.find("miss", {{"edge", "x"}}), nullptr);
 }
 
+TEST(MetricsSnapshot, CounterSumAddsEverySeriesMatchingNameAndLabels) {
+  MetricRegistry registry;
+  registry.counter("shed_total", {{"class", "ls"}, {"reason", "full"}})
+      .inc(2);
+  registry.counter("shed_total", {{"class", "li"}, {"reason", "full"}})
+      .inc(5);
+  registry.counter("shed_total", {{"class", "li"}, {"reason", "deadline"}})
+      .inc(7);
+  registry.counter("other_total", {{"class", "li"}}).inc(100);
+  registry.gauge("shed_total", {{"class", "li"}}).set(3.0);  // not a counter
+  const MetricsSnapshot snapshot = registry.snapshot();
+
+  EXPECT_EQ(snapshot.counter_sum("absent_total"), 0u);
+  EXPECT_EQ(snapshot.counter_sum("shed_total", {{"class", "none"}}), 0u);
+  // No labels: every label set of the name.
+  EXPECT_EQ(snapshot.counter_sum("shed_total"), 14u);
+  // A subset of the labels matches wherever the series carries it.
+  EXPECT_EQ(snapshot.counter_sum("shed_total", {{"class", "li"}}), 12u);
+  EXPECT_EQ(snapshot.counter_sum("shed_total", {{"reason", "full"}}), 7u);
+  EXPECT_EQ(snapshot.counter_sum("shed_total",
+                                 {{"reason", "full"}, {"class", "li"}}),
+            5u);
+  // A label key with the wrong value, or a label the series lacks, does
+  // not match.
+  EXPECT_EQ(snapshot.counter_sum("shed_total", {{"reason", "li"}}), 0u);
+  EXPECT_EQ(snapshot.counter_sum("other_total", {{"reason", "full"}}), 0u);
+}
+
 TEST(MetricsSnapshot, MergeSumsCountersMaxesGaugesMergesHistograms) {
   MetricRegistry r1;
   r1.counter("c").inc(3);

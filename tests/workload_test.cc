@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -13,8 +14,11 @@
 #include "cluster/cluster.h"
 #include "mesh/http_client.h"
 #include "sim/simulator.h"
-#include "workload/bench_harness.h"
+#include "workload/cp_chaos_experiment.h"
+#include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
+#include "workload/mtls_experiment.h"
+#include "workload/overload_experiment.h"
 #include "workload/recorder.h"
 #include "workload/sweep_runner.h"
 
@@ -193,6 +197,85 @@ TEST(OpenLoopDeterminism, IdenticalSeedsIdenticalResults) {
   EXPECT_DOUBLE_EQ(a.second, b.second);
 }
 
+// A rate with no gap distribution sends nothing: no arrival is scheduled
+// (an inf-wide uniform draw, or start + a saturated gap overflowing, would
+// be undefined behaviour — this suite runs under UBSan).
+TEST_F(GeneratorFixture, NonPositiveOrVanishingRateSendsNothing) {
+  for (const double rps :
+       {0.0, std::numeric_limits<double>::quiet_NaN(), 1e-12, -5.0}) {
+    SCOPED_TRACE("rps=" + std::to_string(rps));
+    WorkloadSpec spec = spec_for(rps, ArrivalProcess::kUniformRandom);
+    spec.start = sim::seconds(1);
+    OpenLoopGenerator gen(sim, *pool, spec, 42);
+    gen.start();
+    EXPECT_EQ(sim.pending_events(), 0u);
+    sim.run_until(sim::seconds(25));
+    EXPECT_EQ(gen.sent(), 0u);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
+}
+
+TEST_F(GeneratorFixture, FirstArrivalPastEndIsNotScheduled) {
+  WorkloadSpec spec = spec_for(1, ArrivalProcess::kConstant);
+  spec.start = sim::seconds(1);
+  spec.end = sim::milliseconds(1500);  // the first gap (1 s) overshoots
+  OpenLoopGenerator gen(sim, *pool, spec, 42);
+  gen.start();
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(PhaseSummary, NoFinishedRequestsIsFullSuccess) {
+  const LatencyRecorder recorder(sim::seconds(1), sim::seconds(3));
+  const PhaseSummary phase = summarize_phase("quiet", recorder, 0);
+  EXPECT_EQ(phase.name, "quiet");
+  EXPECT_EQ(phase.completed + phase.errors, 0u);
+  EXPECT_EQ(phase.success_rate, 1.0);
+  EXPECT_EQ(phase.goodput_rps, 0.0);
+}
+
+TEST(PhaseSummary, GoodputOverPhaseLengthAndScheduledAsGiven) {
+  // A 4 s phase: 10 successes and 2 failures scheduled inside it, one
+  // success scheduled before it (not charged).
+  LatencyRecorder recorder(sim::seconds(2), sim::seconds(6));
+  for (int i = 0; i < 10; ++i) {
+    recorder.record(sim::seconds(3), sim::seconds(9), true);  // late reply
+  }
+  recorder.record(sim::seconds(4), sim::seconds(5), false);
+  recorder.record(sim::seconds(5), sim::seconds(5), false);
+  recorder.record(sim::seconds(1), sim::seconds(3), true);
+  const PhaseSummary phase = summarize_phase("during", recorder, 13);
+  EXPECT_EQ(phase.scheduled, 13u);
+  EXPECT_EQ(phase.completed, 10u);
+  EXPECT_EQ(phase.errors, 2u);
+  EXPECT_DOUBLE_EQ(phase.success_rate, 10.0 / 12.0);
+  EXPECT_DOUBLE_EQ(phase.goodput_rps, 10.0 / 4.0);
+  EXPECT_NEAR(phase.p50_ms, 6000.0, 60.0);
+}
+
+TEST(PhaseSummary, ExperimentCountsScheduledArrivalsPerPhase) {
+  // Constant 10 rps arrivals from t = 0.1 s: phases [1 s, 2.5 s) and
+  // [2.5 s, 4 s) each see 15 arrivals, and every one completes.
+  ElibraryExperimentConfig config;
+  config.ls_rps = 10;
+  config.li_rps = 1;
+  config.arrival = ArrivalProcess::kConstant;
+  config.warmup = sim::seconds(1);
+  config.duration = sim::seconds(3);
+  config.cooldown = sim::seconds(1);
+  config.phases = {{"first", sim::seconds(1)},
+                   {"second", sim::milliseconds(2500)}};
+  const ElibraryExperimentResult result = run_elibrary_experiment(config);
+  ASSERT_EQ(result.phases.size(), 2u);
+  EXPECT_EQ(result.phase("first").scheduled, 15u);
+  EXPECT_EQ(result.phase("second").scheduled, 15u);
+  EXPECT_EQ(result.phase("first").completed, 15u);
+  EXPECT_EQ(result.phase("second").completed, 15u);
+  EXPECT_DOUBLE_EQ(result.phase("second").goodput_rps, 10.0);
+  EXPECT_EQ(result.phase("first").completed + result.phase("second").completed,
+            result.ls.completed);
+  EXPECT_THROW(result.phase("third"), std::out_of_range);
+}
+
 TEST_F(GeneratorFixture, ClosedLoopHoldsConcurrency) {
   service_ms = 100;
   WorkloadSpec spec = spec_for(0, ArrivalProcess::kConstant);
@@ -324,8 +407,9 @@ SweepResult run_overload_sweep(int threads) {
                  config.duration = sim::seconds(3);
                  config.cooldown = sim::seconds(1);
                  config.seed = 42;
-                 return overload_point_metrics(
-                     run_overload_experiment(config));
+                 return elibrary_point_metrics(
+                     run_elibrary_experiment(elibrary_config(config)),
+                     overload_report_series());
                });
   }
   return runner.run();
@@ -379,7 +463,9 @@ SweepResult run_cp_chaos_sweep(int threads) {
       config.outage_duration = sim::seconds(6);
       config.churn_period = sim::seconds(3);
       config.seed = 42;
-      return cp_point_metrics(run_cp_chaos_experiment(config));
+      return elibrary_point_metrics(
+          run_elibrary_experiment(elibrary_config(config)),
+          cp_report_series());
     });
   }
   return runner.run();
@@ -438,7 +524,9 @@ SweepResult run_mtls_sweep(int threads) {
       config.storm = mtls;  // plaintext control stays calm
       config.storm_offset = sim::seconds(5);
       config.seed = 42;
-      return mtls_point_metrics(run_mtls_experiment(config));
+      return elibrary_point_metrics(
+          run_elibrary_experiment(elibrary_config(config)),
+          mtls_report_series());
     });
   }
   return runner.run();
