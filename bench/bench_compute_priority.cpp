@@ -9,8 +9,7 @@
 // isolating the compute effect. Two sweep points: fifo, priority.
 
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "app/microservice.h"
 #include "core/priority.h"
@@ -23,14 +22,9 @@ using namespace meshnet;
 
 namespace {
 
-struct RunResult {
-  double ls_p50, ls_p99, li_p50, li_p99;
-  std::uint64_t ls_done, li_done, max_queue;
-  stats::LogHistogram ls_latency;
-};
-
-RunResult run_once(bool priority_scheduling, double ls_rps, double li_rps,
-                   sim::Duration duration, std::uint64_t seed) {
+workload::PointMetrics run_once(bool priority_scheduling, double ls_rps,
+                                double li_rps, sim::Duration duration,
+                                std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
   cluster::Cluster cluster(sim);
@@ -92,11 +86,18 @@ RunResult run_once(bool priority_scheduling, double ls_rps, double li_rps,
   li_gen.start();
   sim.run_until(end + sim::seconds(30));
 
-  return RunResult{ls_gen.recorder().p50_ms(), ls_gen.recorder().p99_ms(),
-                   li_gen.recorder().p50_ms(), li_gen.recorder().p99_ms(),
-                   ls_gen.recorder().count(), li_gen.recorder().count(),
-                   server.max_admission_queue_seen(),
-                   ls_gen.recorder().histogram()};
+  const workload::LatencyRecorder& ls_recorder = ls_gen.recorder();
+  const workload::LatencyRecorder& li_recorder = li_gen.recorder();
+  workload::PointMetrics metrics;
+  metrics.scalars["ls_p50_ms"] = ls_recorder.p50_ms();
+  metrics.scalars["ls_p99_ms"] = ls_recorder.p99_ms();
+  metrics.scalars["li_p50_ms"] = li_recorder.p50_ms();
+  metrics.scalars["li_p99_ms"] = li_recorder.p99_ms();
+  metrics.counters["ls_completed"] = ls_recorder.count();
+  metrics.counters["li_completed"] = li_recorder.count();
+  metrics.counters["max_admission_queue"] = server.max_admission_queue_seen();
+  metrics.histograms["ls_latency_ns"] = ls_recorder.histogram();
+  return metrics;
 }
 
 }  // namespace
@@ -116,24 +117,10 @@ int main(int argc, char** argv) {
       ls_rps, li_rps);
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<RunResult> outcomes(2);
   for (const bool priority : {false, true}) {
-    const std::size_t slot = priority ? 1 : 0;
     runner.add({{"admission", priority ? "priority" : "fifo"}},
-               [priority, ls_rps, li_rps, duration, seed, slot, &outcomes] {
-                 outcomes[slot] =
-                     run_once(priority, ls_rps, li_rps, duration, seed);
-                 const RunResult& r = outcomes[slot];
-                 workload::PointMetrics metrics;
-                 metrics.scalars["ls_p50_ms"] = r.ls_p50;
-                 metrics.scalars["ls_p99_ms"] = r.ls_p99;
-                 metrics.scalars["li_p50_ms"] = r.li_p50;
-                 metrics.scalars["li_p99_ms"] = r.li_p99;
-                 metrics.counters["ls_completed"] = r.ls_done;
-                 metrics.counters["li_completed"] = r.li_done;
-                 metrics.counters["max_admission_queue"] = r.max_queue;
-                 metrics.histograms["ls_latency_ns"] = r.ls_latency;
-                 return metrics;
+               [priority, ls_rps, li_rps, duration, seed] {
+                 return run_once(priority, ls_rps, li_rps, duration, seed);
                });
   }
   const workload::SweepResult sweep = runner.run();
@@ -142,13 +129,17 @@ int main(int argc, char** argv) {
                       "LI p50 (ms)", "LI p99 (ms)", "LS done", "LI done",
                       "max queue"});
   for (const bool priority : {false, true}) {
-    const RunResult& r = outcomes[priority ? 1 : 0];
-    table.add_row({priority ? "priority-aware" : "fifo",
-                   stats::Table::num(r.ls_p50, 2),
-                   stats::Table::num(r.ls_p99, 2),
-                   stats::Table::num(r.li_p50, 2),
-                   stats::Table::num(r.li_p99, 2), std::to_string(r.ls_done),
-                   std::to_string(r.li_done), std::to_string(r.max_queue)});
+    const workload::PointMetrics& m = sweep.points[priority ? 1 : 0].metrics;
+    const auto ms = [&m](const char* key) {
+      return stats::Table::num(m.scalars.at(key), 2);
+    };
+    const auto count = [&m](const char* key) {
+      return std::to_string(m.counters.at(key));
+    };
+    table.add_row({priority ? "priority-aware" : "fifo", ms("ls_p50_ms"),
+                   ms("ls_p99_ms"), ms("li_p50_ms"), ms("li_p99_ms"),
+                   count("ls_completed"), count("li_completed"),
+                   count("max_admission_queue")});
   }
   std::printf("%s\n", table.to_string().c_str());
 

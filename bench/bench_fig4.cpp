@@ -17,46 +17,22 @@
 //   --threads=N --json-out[=PATH] --baseline=PATH --tolerance=R
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "stats/table.h"
-#include "util/strings.h"
 #include "workload/bench_harness.h"
 #include "workload/elibrary_experiment.h"
 
 using namespace meshnet;
-
-namespace {
-
-// A typo must not silently run a different sweep: every entry has to be a
-// positive integer, or the run stops with exit code 2.
-std::vector<double> parse_rps_list(const std::string& text) {
-  std::vector<double> out;
-  for (const auto part : util::split(text, ',')) {
-    const auto v = util::parse_u64(util::trim(part));
-    if (!v || *v == 0) {
-      std::fprintf(stderr,
-                   "bench_fig4: bad --rps entry '%s' in '%s' (want "
-                   "positive integers, e.g. --rps=10,20)\n",
-                   std::string(part).c_str(), text.c_str());
-      std::exit(2);
-    }
-    out.push_back(static_cast<double>(*v));
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "fig4", /*default_duration_s=*/15, /*default_seed=*/42,
       {"rps", "warmup", "cooldown", "csv"});
   const util::Flags& flags = options.flags;
-  const std::vector<double> rps_levels =
-      parse_rps_list(flags.get_or("rps", "10,20,30,40,50"));
+  const std::vector<int> rps_levels =
+      workload::int_list_flag(options, "rps", "10,20,30,40,50");
   const auto duration = sim::seconds(options.duration_s);
   const auto warmup = sim::seconds(flags.get_int_or("warmup", 4));
   const auto cooldown = sim::seconds(flags.get_int_or("cooldown", 2));
@@ -102,7 +78,7 @@ int main(int argc, char** argv) {
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
     const auto& base = sweep.points[level * 2].metrics.scalars;
     const auto& opt = sweep.points[level * 2 + 1].metrics.scalars;
-    Row row{rps_levels[level],   base.at("ls_p50_ms"),
+    Row row{static_cast<double>(rps_levels[level]), base.at("ls_p50_ms"),
             opt.at("ls_p50_ms"), base.at("ls_p99_ms"),
             opt.at("ls_p99_ms"), opt.at("bottleneck_utilization")};
     rows.push_back(row);

@@ -9,7 +9,8 @@
 // operator already knew the weights. One sweep point per policy.
 
 #include <cstdio>
-#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "app/microservice.h"
@@ -22,15 +23,8 @@ using namespace meshnet;
 
 namespace {
 
-struct RunResult {
-  double p50_ms, p99_ms, mean_ms;
-  std::uint64_t completed, errors;
-  std::map<std::string, std::uint64_t> per_replica;
-  stats::LogHistogram latency;
-};
-
-RunResult run_once(mesh::LbPolicy policy, double rps, sim::Duration duration,
-                   std::uint64_t seed) {
+workload::PointMetrics run_once(mesh::LbPolicy policy, double rps,
+                                sim::Duration duration, std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
   cluster::Cluster cluster(sim);
@@ -86,18 +80,20 @@ RunResult run_once(mesh::LbPolicy policy, double rps, sim::Duration duration,
   gen.start();
   sim.run_until(spec.end + sim::seconds(10));
 
-  RunResult result{gen.recorder().p50_ms(), gen.recorder().p99_ms(),
-                   gen.recorder().mean_ms(), gen.recorder().count(),
-                   gen.recorder().errors(), {},
-                   gen.recorder().histogram()};
-  for (cluster::Pod* pod : replicas) {
-    // The app's own served-request counter is the ground truth.
-    result.per_replica[pod->name()] = 0;
-  }
+  const workload::LatencyRecorder& recorder = gen.recorder();
+  workload::PointMetrics metrics;
+  metrics.scalars["p50_ms"] = recorder.p50_ms();
+  metrics.scalars["p99_ms"] = recorder.p99_ms();
+  metrics.scalars["mean_ms"] = recorder.mean_ms();
+  metrics.counters["completed"] = recorder.count();
+  metrics.counters["errors"] = recorder.errors();
   for (std::size_t i = 0; i < replicas.size(); ++i) {
-    result.per_replica[replicas[i]->name()] = apps[i]->requests_served();
+    // The app's own served-request counter is the ground truth.
+    metrics.counters["served_" + replicas[i]->name()] =
+        apps[i]->requests_served();
   }
-  return result;
+  metrics.histograms["latency_ns"] = recorder.histogram();
+  return metrics;
 }
 
 }  // namespace
@@ -119,24 +115,10 @@ int main(int argc, char** argv) {
       mesh::LbPolicy::kLeastRequest, mesh::LbPolicy::kWeightedRoundRobin};
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<RunResult> outcomes(lb_policies.size());
-  for (std::size_t i = 0; i < lb_policies.size(); ++i) {
-    const mesh::LbPolicy policy = lb_policies[i];
+  for (const mesh::LbPolicy policy : lb_policies) {
     runner.add({{"policy", std::string(mesh::lb_policy_name(policy))}},
-               [policy, rps, duration, seed, i, &outcomes] {
-                 outcomes[i] = run_once(policy, rps, duration, seed);
-                 const RunResult& r = outcomes[i];
-                 workload::PointMetrics metrics;
-                 metrics.scalars["p50_ms"] = r.p50_ms;
-                 metrics.scalars["p99_ms"] = r.p99_ms;
-                 metrics.scalars["mean_ms"] = r.mean_ms;
-                 metrics.counters["completed"] = r.completed;
-                 metrics.counters["errors"] = r.errors;
-                 for (const auto& [replica, served] : r.per_replica) {
-                   metrics.counters["served_" + replica] = served;
-                 }
-                 metrics.histograms["latency_ns"] = r.latency;
-                 return metrics;
+               [policy, rps, duration, seed] {
+                 return run_once(policy, rps, duration, seed);
                });
   }
   const workload::SweepResult sweep = runner.run();
@@ -144,15 +126,16 @@ int main(int argc, char** argv) {
   stats::Table table({"policy", "mean (ms)", "p50 (ms)", "p99 (ms)",
                       "v1", "v2", "v3(slow)", "errors"});
   for (std::size_t i = 0; i < lb_policies.size(); ++i) {
-    const RunResult& r = outcomes[i];
+    const workload::PointMetrics& m = sweep.points[i].metrics;
+    const auto count = [&m](const char* key) {
+      return std::to_string(m.counters.at(key));
+    };
     table.add_row({std::string(mesh::lb_policy_name(lb_policies[i])),
-                   stats::Table::num(r.mean_ms, 2),
-                   stats::Table::num(r.p50_ms, 2),
-                   stats::Table::num(r.p99_ms, 2),
-                   std::to_string(r.per_replica.at("server-v1")),
-                   std::to_string(r.per_replica.at("server-v2")),
-                   std::to_string(r.per_replica.at("server-v3")),
-                   std::to_string(r.errors)});
+                   stats::Table::num(m.scalars.at("mean_ms"), 2),
+                   stats::Table::num(m.scalars.at("p50_ms"), 2),
+                   stats::Table::num(m.scalars.at("p99_ms"), 2),
+                   count("served_server-v1"), count("served_server-v2"),
+                   count("served_server-v3"), count("errors")});
   }
   std::printf("%s\n", table.to_string().c_str());
 

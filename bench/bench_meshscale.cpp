@@ -33,30 +33,11 @@
 
 #include "stats/table.h"
 #include "workload/bench_harness.h"
+#include "workload/meshscale_experiment.h"
 
 using namespace meshnet;
 
 namespace {
-
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) values.push_back(std::stoi(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
-bool same_metrics(const workload::PointMetrics& a,
-                  const workload::PointMetrics& b) {
-  return a.scalars == b.scalars && a.counters == b.counters &&
-         a.histograms == b.histograms && a.snapshot == b.snapshot;
-}
 
 struct Arm {
   int services = 0;
@@ -72,14 +53,10 @@ int main(int argc, char** argv) {
       {"services", "cells", "engine-threads"});
 
   const std::vector<int> sizes =
-      parse_int_list(options.flags.get_or("services", "10,50,100"));
-  const int cells = static_cast<int>(options.flags.get_int_or("cells", 2));
+      workload::int_list_flag(options, "services", "10,50,100");
+  const int cells = workload::int_flag(options, "cells", 2);
   const int engine_threads =
-      static_cast<int>(options.flags.get_int_or("engine-threads", 1));
-  if (sizes.empty()) {
-    std::fprintf(stderr, "--services: no arms\n");
-    return 2;
-  }
+      workload::int_flag(options, "engine-threads", 1, /*min=*/0);
   const int largest = *std::max_element(sizes.begin(), sizes.end());
 
   std::vector<Arm> arms;
@@ -115,37 +92,33 @@ int main(int argc, char** argv) {
   };
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<workload::MeshscaleExperimentResult> outcomes(arms.size());
-  for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    const Arm arm = arms[slot];
-    runner.add(arm_params(arm), [arm, slot, &outcomes, &make_config] {
-      outcomes[slot] = workload::run_meshscale_experiment(make_config(arm));
-      return workload::meshscale_point_metrics(outcomes[slot]);
+  for (const Arm& arm : arms) {
+    runner.add(arm_params(arm), [arm, &make_config] {
+      return workload::run_meshscale_experiment(make_config(arm));
     });
   }
   const workload::SweepResult sweep = runner.run();
 
+  const auto kb = [](std::uint64_t bytes) {
+    return stats::Table::num(static_cast<double>(bytes) / 1024.0, 1);
+  };
   stats::Table table({"services", "push", "scope", "pushes", "full KB",
                       "delta KB", "churn KB", "reconv (ms)", "eps/sidecar",
                       "max eps", "p50 (ms)", "p99 (ms)", "ok%"});
   for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    const workload::MeshscaleExperimentResult& r = outcomes[slot];
     const workload::PointMetrics& m = sweep.points[slot].metrics;
+    const auto& counters = m.counters;
     table.add_row(
-        {std::to_string(r.services), arms[slot].delta ? "delta" : "full",
-         arms[slot].scoped ? "on" : "off", std::to_string(r.cp_pushes),
-         stats::Table::num(static_cast<double>(r.bytes.full_bytes) / 1024.0,
-                           1),
-         stats::Table::num(static_cast<double>(r.bytes.delta_bytes) / 1024.0,
-                           1),
-         stats::Table::num(
-             static_cast<double>(r.churn_bytes.full_bytes +
-                                 r.churn_bytes.delta_bytes) /
-                 1024.0,
-             1),
-         stats::Table::num(sim::to_milliseconds(r.churn_convergence), 1),
+        {std::to_string(counters.at("services")),
+         arms[slot].delta ? "delta" : "full",
+         arms[slot].scoped ? "on" : "off",
+         std::to_string(counters.at("cp_pushes")),
+         kb(counters.at("cp_full_push_bytes")),
+         kb(counters.at("cp_delta_push_bytes")),
+         kb(counters.at("cp_churn_push_bytes")),
+         stats::Table::num(m.scalars.at("churn_convergence_ms"), 1),
          stats::Table::num(m.scalars.at("mean_endpoints_per_sidecar"), 1),
-         std::to_string(r.max_endpoints_per_sidecar),
+         std::to_string(counters.at("max_endpoints_per_sidecar")),
          stats::Table::num(m.scalars.at("e2e_p50_ms"), 2),
          stats::Table::num(m.scalars.at("e2e_p99_ms"), 2),
          stats::Table::num(m.scalars.at("success_rate") * 100.0, 2)});
@@ -153,25 +126,28 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.to_string().c_str());
 
   // --- acceptance: delta churn bytes < 25% of full, at the largest N ----
-  const workload::MeshscaleExperimentResult* delta_arm = nullptr;
-  const workload::MeshscaleExperimentResult* full_arm = nullptr;
+  const workload::PointMetrics* delta_arm = nullptr;
+  const workload::PointMetrics* full_arm = nullptr;
   for (std::size_t slot = 0; slot < arms.size(); ++slot) {
     if (arms[slot].services != largest || arms[slot].scoped) continue;
-    (arms[slot].delta ? delta_arm : full_arm) = &outcomes[slot];
+    (arms[slot].delta ? delta_arm : full_arm) = &sweep.points[slot].metrics;
   }
   if (delta_arm != nullptr && full_arm != nullptr) {
-    const auto wire = [](const workload::MeshscaleExperimentResult& r) {
-      return r.churn_bytes.full_bytes + r.churn_bytes.delta_bytes;
+    const auto wire = [](const workload::PointMetrics* m) {
+      return m->counters.at("cp_churn_push_bytes");
+    };
+    const auto reconverge_ms = [](const workload::PointMetrics* m) {
+      return m->scalars.at("churn_convergence_ms");
     };
     const double ratio =
-        wire(*full_arm) > 0 ? static_cast<double>(wire(*delta_arm)) /
-                                  static_cast<double>(wire(*full_arm))
-                            : 1.0;
+        wire(full_arm) > 0 ? static_cast<double>(wire(delta_arm)) /
+                                 static_cast<double>(wire(full_arm))
+                           : 1.0;
     std::printf(
         "churn window at %d services: delta %llu B vs full %llu B "
         "(%.1f%% of full)\n",
-        largest, static_cast<unsigned long long>(wire(*delta_arm)),
-        static_cast<unsigned long long>(wire(*full_arm)), ratio * 100.0);
+        largest, static_cast<unsigned long long>(wire(delta_arm)),
+        static_cast<unsigned long long>(wire(full_arm)), ratio * 100.0);
     if (ratio >= 0.25) {
       std::fprintf(stderr,
                    "DELTA FAILURE: churn-window delta bytes are %.1f%% of "
@@ -179,19 +155,18 @@ int main(int argc, char** argv) {
                    ratio * 100.0);
       return 1;
     }
-    if (!delta_arm->converged || !full_arm->converged) {
+    if (delta_arm->counters.at("cp_converged") == 0 ||
+        full_arm->counters.at("cp_converged") == 0) {
       std::fprintf(stderr, "CONVERGENCE FAILURE: an arm never reconverged "
                            "after the churn restore\n");
       return 1;
     }
-    if (sim::to_milliseconds(delta_arm->churn_convergence) >
-        sim::to_milliseconds(full_arm->churn_convergence) * 1.05) {
+    if (reconverge_ms(delta_arm) > reconverge_ms(full_arm) * 1.05) {
       std::fprintf(
           stderr,
           "CONVERGENCE FAILURE: delta reconvergence %.1f ms regressed vs "
           "full %.1f ms\n",
-          sim::to_milliseconds(delta_arm->churn_convergence),
-          sim::to_milliseconds(full_arm->churn_convergence));
+          reconverge_ms(delta_arm), reconverge_ms(full_arm));
       return 1;
     }
   }
@@ -200,15 +175,13 @@ int main(int argc, char** argv) {
   {
     const Arm smallest{*std::min_element(sizes.begin(), sizes.end()), true,
                        false};
-    workload::PointMetrics per_threads[2];
-    for (int t = 1; t <= 2; ++t) {
+    const auto run_at = [&](int threads) {
       workload::MeshscaleConfig config = make_config(smallest);
-      config.threads = t;
+      config.threads = threads;
       config.respect_worker_budget = false;
-      per_threads[t - 1] = workload::meshscale_point_metrics(
-          workload::run_meshscale_experiment(config));
-    }
-    if (!same_metrics(per_threads[0], per_threads[1])) {
+      return workload::run_meshscale_experiment(config);
+    };
+    if (run_at(1) != run_at(2)) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: metrics differ between 1 and 2 "
                    "engine threads\n");

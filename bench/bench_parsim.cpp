@@ -25,50 +25,23 @@
 #include <string>
 #include <vector>
 
+#include "sim/parallel.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
+#include "workload/parsim_experiment.h"
 
 using namespace meshnet;
-
-namespace {
-
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) values.push_back(std::stoi(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
-bool same_metrics(const workload::PointMetrics& a,
-                  const workload::PointMetrics& b) {
-  return a.scalars == b.scalars && a.counters == b.counters &&
-         a.histograms == b.histograms && a.snapshot == b.snapshot;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "parsim", /*default_duration_s=*/5, /*default_seed=*/42,
       {"shards", "engine-threads", "require-speedup"});
 
-  const int shards =
-      static_cast<int>(options.flags.get_int_or("shards", 8));
-  const std::vector<int> arms = parse_int_list(
-      options.flags.get_or("engine-threads", "1,2,4,8"));
+  const int shards = workload::int_flag(options, "shards", 8);
+  const std::vector<int> arms = workload::int_list_flag(
+      options, "engine-threads", "1,2,4,8", /*min=*/0);
   const double require_speedup =
       options.flags.get_double_or("require-speedup", 0.0);
-  if (arms.empty()) {
-    std::fprintf(stderr, "--engine-threads: no arms\n");
-    return 2;
-  }
   if (options.threads != 1) {
     std::fprintf(stderr,
                  "note: PARSIM arms measure whole-machine wall clock and "
@@ -85,19 +58,16 @@ int main(int argc, char** argv) {
   sweep_opts.progress = true;
   workload::SweepRunner runner(sweep_opts);
 
-  std::vector<workload::ParsimExperimentResult> outcomes(arms.size());
-  for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    const int threads = arms[slot];
+  for (const int threads : arms) {
     runner.add({{"threads", std::to_string(threads)}},
-               [threads, shards, slot, &outcomes, &options] {
+               [threads, shards, &options] {
                  workload::ParsimConfig config;
                  config.shards = shards;
                  config.threads = threads;
                  config.respect_worker_budget = false;
                  config.seed = options.seed;
                  config.duration = sim::seconds(options.duration_s);
-                 outcomes[slot] = workload::run_parsim_experiment(config);
-                 return workload::parsim_point_metrics(outcomes[slot]);
+                 return workload::run_parsim_experiment(config);
                });
   }
   const workload::SweepResult sweep = runner.run();
@@ -107,31 +77,40 @@ int main(int argc, char** argv) {
   stats::Table table({"threads", "executors", "events", "epochs",
                       "cross-shard msgs", "wall (ms)", "Mev/s", "speedup"});
   for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    const workload::ParsimExperimentResult& r = outcomes[slot];
+    const auto& counters = sweep.points[slot].metrics.counters;
     const double wall = sweep.points[slot].wall_ms;
     best_wall = std::min(best_wall, wall);
+    // Host-dependent (0 = all cores), so never part of the report.
+    const int executors = sim::ParallelEngine::unbudgeted_executors(
+        arms[slot], static_cast<int>(counters.at("engine_shards")));
     table.add_row(
-        {std::to_string(arms[slot]), std::to_string(r.executors),
-         std::to_string(r.events_executed), std::to_string(r.engine.epochs),
-         std::to_string(r.engine.messages), stats::Table::num(wall, 1),
-         stats::Table::num(static_cast<double>(r.events_executed) /
+        {std::to_string(arms[slot]), std::to_string(executors),
+         std::to_string(counters.at("events")),
+         std::to_string(counters.at("engine_epochs")),
+         std::to_string(counters.at("engine_messages")),
+         stats::Table::num(wall, 1),
+         stats::Table::num(static_cast<double>(counters.at("events")) /
                                (wall * 1000.0),
                            2),
          stats::Table::num(wall > 0 ? base_wall / wall : 0.0, 2) + "x"});
   }
   std::printf("%s\n", table.to_string().c_str());
-  const workload::ParsimExperimentResult& shape = outcomes.front();
+  const auto shape = [&sweep](const char* key) {
+    return static_cast<unsigned long long>(
+        sweep.points.front().metrics.counters.at(key));
+  };
   std::printf(
-      "topology: %d services, %d edges; partition: %d shards, %d cut "
-      "edges, lookahead %.3f ms\n",
-      shape.services, shape.edges, shape.shards, shape.cut_edges,
-      sim::to_milliseconds(shape.lookahead));
+      "topology: %llu services, %llu edges; partition: %llu shards, %llu "
+      "cut edges, lookahead %.3f ms\n",
+      shape("services"), shape("edges"), shape("engine_shards"),
+      shape("engine_cut_edges"),
+      sim::to_milliseconds(
+          static_cast<sim::Duration>(shape("engine_lookahead_ns"))));
 
   // The engine's core claim, enforced on every run: thread count changes
   // wall-clock only. Any metric divergence between arms is a bug.
   for (std::size_t slot = 1; slot < arms.size(); ++slot) {
-    if (!same_metrics(sweep.points.front().metrics,
-                      sweep.points[slot].metrics)) {
+    if (sweep.points.front().metrics != sweep.points[slot].metrics) {
       std::fprintf(stderr,
                    "DETERMINISM FAILURE: metrics at --engine-threads=%d "
                    "differ from the %d-thread arm\n",

@@ -25,16 +25,8 @@ using namespace meshnet;
 
 namespace {
 
-struct RunResult {
-  double fg_p50_ms, fg_p99_ms;
-  double bg_goodput_gbps;
-  double avg_queue_ms;  ///< mean bottleneck backlog in time units
-  std::uint64_t drops;
-  stats::LogHistogram fg_latency{7};
-};
-
-RunResult run_once(transport::CcAlgorithm bg_cc, int bg_flows,
-                   sim::Duration duration) {
+workload::PointMetrics run_once(transport::CcAlgorithm bg_cc, int bg_flows,
+                                sim::Duration duration) {
   sim::Simulator sim;
   net::Network network(sim);
   const auto a = network.add_location("host-a");
@@ -116,20 +108,21 @@ RunResult run_once(transport::CcAlgorithm bg_cc, int bg_flows,
 
   sim.run_until(duration);
 
-  RunResult result{};
-  result.fg_p50_ms = sim::to_milliseconds(
+  workload::PointMetrics metrics;
+  metrics.scalars["fg_p50_ms"] = sim::to_milliseconds(
       static_cast<sim::Duration>(fg_latency.percentile(50)));
-  result.fg_p99_ms = sim::to_milliseconds(
+  metrics.scalars["fg_p99_ms"] = sim::to_milliseconds(
       static_cast<sim::Duration>(fg_latency.percentile(99)));
-  result.bg_goodput_gbps =
+  metrics.scalars["bg_goodput_gbps"] =
       static_cast<double>(bg_bytes) * 8.0 / sim::to_seconds(duration) / 1e9;
   const double avg_backlog_bytes =
       backlog_samples ? backlog_sum / static_cast<double>(backlog_samples)
                       : 0.0;
-  result.avg_queue_ms = avg_backlog_bytes * 8.0 / 1e9 * 1e3;
-  result.drops = bottleneck.qdisc().stats().dropped_packets;
-  result.fg_latency = fg_latency;
-  return result;
+  // Mean bottleneck backlog in time units.
+  metrics.scalars["avg_queue_ms"] = avg_backlog_bytes * 8.0 / 1e9 * 1e3;
+  metrics.counters["drops"] = bottleneck.qdisc().stats().dropped_packets;
+  metrics.histograms["fg_latency_ns"] = fg_latency;
+  return metrics;
 }
 
 }  // namespace
@@ -156,23 +149,12 @@ int main(int argc, char** argv) {
   }
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<RunResult> outcomes(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const Point point = grid[i];
+  for (const Point point : grid) {
     const char* cc_name =
         point.cc == transport::CcAlgorithm::kReno ? "reno" : "ledbat";
     runner.add({{"cc", cc_name}, {"flows", std::to_string(point.flows)}},
-               [point, duration, i, &outcomes] {
-                 outcomes[i] = run_once(point.cc, point.flows, duration);
-                 const RunResult& r = outcomes[i];
-                 workload::PointMetrics metrics;
-                 metrics.scalars["fg_p50_ms"] = r.fg_p50_ms;
-                 metrics.scalars["fg_p99_ms"] = r.fg_p99_ms;
-                 metrics.scalars["bg_goodput_gbps"] = r.bg_goodput_gbps;
-                 metrics.scalars["avg_queue_ms"] = r.avg_queue_ms;
-                 metrics.counters["drops"] = r.drops;
-                 metrics.histograms["fg_latency_ns"] = r.fg_latency;
-                 return metrics;
+               [point, duration] {
+                 return run_once(point.cc, point.flows, duration);
                });
   }
   const workload::SweepResult sweep = runner.run();
@@ -180,13 +162,15 @@ int main(int argc, char** argv) {
   stats::Table table({"background", "flows", "fg p50 (ms)", "fg p99 (ms)",
                       "bg goodput (Gbps)", "avg queue (ms)", "drops"});
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const RunResult& r = outcomes[i];
+    const workload::PointMetrics& m = sweep.points[i].metrics;
     table.add_row(
         {grid[i].cc == transport::CcAlgorithm::kReno ? "reno" : "ledbat",
-         std::to_string(grid[i].flows), stats::Table::num(r.fg_p50_ms, 2),
-         stats::Table::num(r.fg_p99_ms, 2),
-         stats::Table::num(r.bg_goodput_gbps, 3),
-         stats::Table::num(r.avg_queue_ms, 2), std::to_string(r.drops)});
+         std::to_string(grid[i].flows),
+         stats::Table::num(m.scalars.at("fg_p50_ms"), 2),
+         stats::Table::num(m.scalars.at("fg_p99_ms"), 2),
+         stats::Table::num(m.scalars.at("bg_goodput_gbps"), 3),
+         stats::Table::num(m.scalars.at("avg_queue_ms"), 2),
+         std::to_string(m.counters.at("drops"))});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("expected shape: ledbat keeps the queue near its delay target "

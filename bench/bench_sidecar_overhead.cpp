@@ -13,7 +13,9 @@
 // parallel with bit-identical results.
 
 #include <cstdio>
-#include <vector>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "app/microservice.h"
 #include "mesh/control_plane.h"
@@ -25,14 +27,8 @@ using namespace meshnet;
 
 namespace {
 
-struct RunResult {
-  double p50_ms, p90_ms, p99_ms, mean_ms;
-  std::uint64_t completed, errors;
-  stats::LogHistogram latency;
-};
-
-RunResult run_once(bool meshed, double rps, sim::Duration duration,
-                   std::uint64_t seed) {
+workload::PointMetrics run_once(bool meshed, double rps,
+                                sim::Duration duration, std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
   cluster::Cluster cluster(sim);
@@ -68,7 +64,9 @@ RunResult run_once(bool meshed, double rps, sim::Duration duration,
   mesh::HttpClientPool client(sim, client_pod.transport(), target, options);
 
   workload::WorkloadSpec spec;
-  spec.name = meshed ? "meshed" : "direct";
+  // One name for both arms: the generator seeds its arrival stream from
+  // it, so the two arms are offered the same requests.
+  spec.name = "hop";
   spec.rps = rps;
   spec.arrival = workload::ArrivalProcess::kPoisson;
   spec.make_request = workload::simple_get_factory("server", "/item");
@@ -81,10 +79,17 @@ RunResult run_once(bool meshed, double rps, sim::Duration duration,
   gen.start();
   sim.run_until(spec.end + sim::seconds(10));
 
-  return RunResult{gen.recorder().p50_ms(), gen.recorder().p90_ms(),
-                   gen.recorder().p99_ms(), gen.recorder().mean_ms(),
-                   gen.recorder().count(), gen.recorder().errors(),
-                   gen.recorder().histogram()};
+  const workload::LatencyRecorder& recorder = gen.recorder();
+  workload::PointMetrics metrics;
+  metrics.scalars["p50_ms"] = recorder.p50_ms();
+  metrics.scalars["p90_ms"] = recorder.p90_ms();
+  metrics.scalars["p99_ms"] = recorder.p99_ms();
+  metrics.scalars["mean_ms"] = recorder.mean_ms();
+  metrics.counters["generated"] = gen.sent();
+  metrics.counters["completed"] = recorder.count();
+  metrics.counters["errors"] = recorder.errors();
+  metrics.histograms["latency_ns"] = recorder.histogram();
+  return metrics;
 }
 
 }  // namespace
@@ -102,48 +107,40 @@ int main(int argc, char** argv) {
       "hop\n(paper/Istio: ~3 ms at p99).\n\n");
 
   workload::SweepRunner runner(workload::sweep_options(options));
-  std::vector<RunResult> outcomes(2);
   for (const bool meshed : {false, true}) {
-    const std::size_t slot = meshed ? 1 : 0;
     runner.add({{"path", meshed ? "meshed" : "direct"}},
-               [meshed, rps, duration, seed, slot, &outcomes] {
-                 outcomes[slot] = run_once(meshed, rps, duration, seed);
-                 const RunResult& r = outcomes[slot];
-                 workload::PointMetrics metrics;
-                 metrics.scalars["p50_ms"] = r.p50_ms;
-                 metrics.scalars["p90_ms"] = r.p90_ms;
-                 metrics.scalars["p99_ms"] = r.p99_ms;
-                 metrics.scalars["mean_ms"] = r.mean_ms;
-                 metrics.counters["completed"] = r.completed;
-                 metrics.counters["errors"] = r.errors;
-                 metrics.histograms["latency_ns"] = r.latency;
-                 return metrics;
+               [meshed, rps, duration, seed] {
+                 return run_once(meshed, rps, duration, seed);
                });
   }
   const workload::SweepResult sweep = runner.run();
-  const RunResult& direct = outcomes[0];
-  const RunResult& meshed = outcomes[1];
+  const workload::PointMetrics& direct = sweep.points[0].metrics;
+  const workload::PointMetrics& meshed = sweep.points[1].metrics;
+  std::map<std::string, double> overhead;
+  for (const auto& [key, value] : meshed.scalars) {
+    overhead[key] = value - direct.scalars.at(key);
+  }
 
   stats::Table table({"path", "mean (ms)", "p50 (ms)", "p90 (ms)",
                       "p99 (ms)", "requests"});
-  table.add_row({"direct", stats::Table::num(direct.mean_ms, 3),
-                 stats::Table::num(direct.p50_ms, 3),
-                 stats::Table::num(direct.p90_ms, 3),
-                 stats::Table::num(direct.p99_ms, 3),
-                 std::to_string(direct.completed)});
-  table.add_row({"via sidecars", stats::Table::num(meshed.mean_ms, 3),
-                 stats::Table::num(meshed.p50_ms, 3),
-                 stats::Table::num(meshed.p90_ms, 3),
-                 stats::Table::num(meshed.p99_ms, 3),
-                 std::to_string(meshed.completed)});
-  table.add_row({"overhead", stats::Table::num(meshed.mean_ms - direct.mean_ms, 3),
-                 stats::Table::num(meshed.p50_ms - direct.p50_ms, 3),
-                 stats::Table::num(meshed.p90_ms - direct.p90_ms, 3),
-                 stats::Table::num(meshed.p99_ms - direct.p99_ms, 3), "-"});
+  const auto add_row = [&table](const char* path,
+                                const std::map<std::string, double>& ms,
+                                std::string requests) {
+    table.add_row({path, stats::Table::num(ms.at("mean_ms"), 3),
+                   stats::Table::num(ms.at("p50_ms"), 3),
+                   stats::Table::num(ms.at("p90_ms"), 3),
+                   stats::Table::num(ms.at("p99_ms"), 3),
+                   std::move(requests)});
+  };
+  add_row("direct", direct.scalars,
+          std::to_string(direct.counters.at("completed")));
+  add_row("via sidecars", meshed.scalars,
+          std::to_string(meshed.counters.at("completed")));
+  add_row("overhead", overhead, "-");
   std::printf("%s\n", table.to_string().c_str());
   std::printf("sidecar pair adds %.3f ms at p99 (paper cites ~3 ms for "
               "Istio; shape, not absolute, is the target)\n",
-              meshed.p99_ms - direct.p99_ms);
+              overhead.at("p99_ms"));
 
   const stats::BenchReport report = workload::make_bench_report(
       "sidecar_overhead",

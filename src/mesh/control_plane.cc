@@ -45,19 +45,14 @@ ControlPlane::ControlPlane(sim::Simulator& sim, cluster::Cluster& cluster,
   cpm_.epoch = &registry_.gauge("config_epoch");
   cpm_.stale = &registry_.gauge("cp_sidecars_stale");
   cpm_.reconverge_ms = &registry_.gauge("cp_reconverge_ms");
-  // Opt-in series only: a legacy mesh's registry stays byte-identical.
-  if (policies_.cp.delta_push) {
-    cpm_.delta_pushes = &registry_.counter("cp_delta_pushes_total");
-    cpm_.delta_fallbacks = &registry_.counter("cp_delta_fallbacks_total");
-    cpm_.delta_bytes = &registry_.counter("cp_delta_push_bytes_total");
-    cpm_.full_bytes = &registry_.counter("cp_full_push_bytes_total");
-  }
-  if (policies_.subset.enabled) {
-    cpm_.subset_assignments =
-        &registry_.counter("subset_endpoints_assigned_total");
-    cpm_.subset_repairs =
-        &registry_.counter("subset_coverage_repairs_total");
-  }
+  cpm_.full_pushes = &registry_.counter("cp_full_pushes_total");
+  cpm_.delta_pushes = &registry_.counter("cp_delta_pushes_total");
+  cpm_.delta_fallbacks = &registry_.counter("cp_delta_fallbacks_total");
+  cpm_.full_bytes = &registry_.counter("cp_full_push_bytes_total");
+  cpm_.delta_bytes = &registry_.counter("cp_delta_push_bytes_total");
+  cpm_.subset_assignments =
+      &registry_.counter("subset_endpoints_assigned_total");
+  cpm_.subset_repairs = &registry_.counter("subset_coverage_repairs_total");
   // Staleness accounting rides the cluster's watch channel, not the
   // control plane's poll loop, so discovery churn is timestamped even
   // while the control plane is crashed.
@@ -138,7 +133,6 @@ void ControlPlane::poll_registry() {
 
 void ControlPlane::begin_epoch() {
   ++epoch_;
-  ++pushes_;
   last_registry_version_ = cluster_.registry().version();
   pending_change_since_ = 0;
   cpm_.epoch->set(static_cast<double>(epoch_));
@@ -152,8 +146,8 @@ void ControlPlane::push_config() {
   for (PushState* state : states_) {
     launch_push(*state);
   }
-  MESHNET_DEBUG() << "control plane push #" << pushes_ << " epoch "
-                  << epoch_ << " (registry v" << last_registry_version_
+  MESHNET_DEBUG() << "control plane push epoch " << epoch_
+                  << " (registry v" << last_registry_version_
                   << ")";
 }
 
@@ -193,17 +187,12 @@ void ControlPlane::launch_push(PushState& state) {
   SidecarConfig config;
   if (use_delta) {
     delta = make_config_delta(*state.acked, compiled);
-    const std::size_t bytes = estimate_delta_bytes(delta);
-    push_bytes_delta_ += bytes;
-    ++pushes_delta_;
-    if (cpm_.delta_pushes != nullptr) cpm_.delta_pushes->inc();
-    if (cpm_.delta_bytes != nullptr) cpm_.delta_bytes->inc(bytes);
+    cpm_.delta_pushes->inc();
+    cpm_.delta_bytes->inc(estimate_delta_bytes(delta));
   } else {
     config = compiled.materialize();
-    const std::size_t bytes = estimate_config_bytes(config);
-    push_bytes_full_ += bytes;
-    ++pushes_full_;
-    if (cpm_.full_bytes != nullptr) cpm_.full_bytes->inc(bytes);
+    cpm_.full_pushes->inc();
+    cpm_.full_bytes->inc(estimate_config_bytes(config));
     state.force_full = false;
   }
   ConfigFingerprint target = std::move(compiled.fingerprint);
@@ -269,8 +258,7 @@ void ControlPlane::deliver_delta(PushState& state, ConfigDelta delta,
     // A transport artefact — the base this delta assumed never stuck, or
     // drifted — not a poison config, so no rollback: forget the base and
     // re-push the full snapshot immediately.
-    ++delta_fallbacks_;
-    if (cpm_.delta_fallbacks != nullptr) cpm_.delta_fallbacks->inc();
+    cpm_.delta_fallbacks->inc();
     record_event(obs::EventKind::kControlPlane,
                  "push:" + sidecar.pod().name(), "delta fallback: " + error);
     state.acked.reset();
@@ -648,10 +636,8 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
       chosen = &narrowed_it->second;
       const std::size_t assigned = chosen->spec.endpoints.size();
       const auto size = static_cast<std::size_t>(policies_.subset.subset_size);
-      if (cpm_.subset_assignments != nullptr) {
-        cpm_.subset_assignments->inc(assigned);
-      }
-      if (cpm_.subset_repairs != nullptr && assigned > size) {
+      cpm_.subset_assignments->inc(assigned);
+      if (assigned > size) {
         // Aperture gives exactly subset_size endpoints; anything above
         // that was grafted on by the coverage-repair pass.
         cpm_.subset_repairs->inc(assigned - size);

@@ -235,13 +235,16 @@ class ControlPlane {
     return sidecars_;
   }
   Sidecar* sidecar_for(const std::string& pod_name);
-  std::uint64_t pushes() const noexcept { return pushes_; }
+  /// Push rounds launched: one per epoch, so always epoch().
+  std::uint64_t pushes() const noexcept { return epoch_; }
 
   /// Push-channel byte accounting (modelled wire sizes, see
-  /// mesh/config_delta.h). Full-snapshot pushes and delta pushes are
-  /// tallied separately so experiments can compare the two transports;
-  /// `delta_fallbacks` counts deltas that missed their base and were
-  /// re-sent as full snapshots.
+  /// mesh/config_delta.h), read from the cp_{full,delta}_push* series.
+  /// Full-snapshot pushes and delta pushes are counted separately so
+  /// experiments can compare the two transports; `delta_fallbacks` counts
+  /// deltas that missed their base and were re-sent as full snapshots.
+  /// Only pushes that enter the channel count — noop-skips, partitions
+  /// and crashes transfer nothing.
   struct PushChannelBytes {
     std::uint64_t full_bytes = 0;
     std::uint64_t delta_bytes = 0;
@@ -250,8 +253,9 @@ class ControlPlane {
     std::uint64_t delta_fallbacks = 0;
   };
   PushChannelBytes push_channel_bytes() const noexcept {
-    return {push_bytes_full_, push_bytes_delta_, pushes_full_, pushes_delta_,
-            delta_fallbacks_};
+    return {cpm_.full_bytes->value(), cpm_.delta_bytes->value(),
+            cpm_.full_pushes->value(), cpm_.delta_pushes->value(),
+            cpm_.delta_fallbacks->value()};
   }
   /// Sim time when the mesh most recently reached full convergence
   /// (every sidecar acked the then-current epoch); 0 until then.
@@ -358,7 +362,6 @@ class ControlPlane {
 
   std::uint64_t last_registry_version_ = 0;
   std::uint64_t next_serial_ = 1;
-  std::uint64_t pushes_ = 0;
   std::uint64_t epoch_ = 0;
   /// Epoch whose nack already triggered a rollback (rollback fires at
   /// most once per poisoned epoch even when several sidecars nack it).
@@ -376,13 +379,6 @@ class ControlPlane {
   sim::Time recovered_at_ = 0;
   sim::Duration last_reconverge_ = 0;
   sim::Time last_converged_at_ = 0;
-  /// Push-channel byte tallies (counted when a push actually enters the
-  /// channel — noop-skips, partitions and crashes transfer nothing).
-  std::uint64_t push_bytes_full_ = 0;
-  std::uint64_t push_bytes_delta_ = 0;
-  std::uint64_t pushes_full_ = 0;
-  std::uint64_t pushes_delta_ = 0;
-  std::uint64_t delta_fallbacks_ = 0;
   /// When the oldest un-pushed registry change landed (0 = caught up).
   sim::Time pending_change_since_ = 0;
   sim::EventId poll_timer_ = sim::kInvalidEventId;
@@ -405,13 +401,13 @@ class ControlPlane {
     obs::Gauge* epoch = nullptr;
     obs::Gauge* stale = nullptr;
     obs::Gauge* reconverge_ms = nullptr;
-    // Created only when cp.delta_push is enabled (registry stays
-    // byte-identical for legacy meshes).
+    // The push channel (push_channel_bytes() reads these).
+    obs::Counter* full_pushes = nullptr;
     obs::Counter* delta_pushes = nullptr;
     obs::Counter* delta_fallbacks = nullptr;
-    obs::Counter* delta_bytes = nullptr;
     obs::Counter* full_bytes = nullptr;
-    // Created only when policies.subset is enabled.
+    obs::Counter* delta_bytes = nullptr;
+    // Endpoint subsetting (zero unless policies.subset applies).
     obs::Counter* subset_assignments = nullptr;
     obs::Counter* subset_repairs = nullptr;
   } cpm_;

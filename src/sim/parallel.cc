@@ -41,8 +41,8 @@ ParallelEngine::ParallelEngine(ParallelEngineOptions options)
     mailboxes_.push_back(std::make_unique<Mailbox>(options_.mailbox_capacity));
   }
 
-  int requested = util::ThreadPool::resolve_thread_count(options_.threads);
-  requested = std::min(requested, options_.shards);
+  const int requested =
+      unbudgeted_executors(options_.threads, options_.shards);
   if (options_.respect_worker_budget) {
     // The calling thread is executor 0 and is not a new worker; only the
     // extras count against the shared budget. A grant of zero degrades
@@ -54,6 +54,10 @@ ParallelEngine::ParallelEngine(ParallelEngineOptions options)
     executors_ = requested;
   }
   if (executors_ > 1) sync_ = std::make_unique<Sync>();
+}
+
+int ParallelEngine::unbudgeted_executors(int threads, int shards) {
+  return std::min(util::ThreadPool::resolve_thread_count(threads), shards);
 }
 
 ParallelEngine::~ParallelEngine() {

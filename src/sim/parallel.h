@@ -96,6 +96,11 @@ class ParallelEngine {
   /// including the calling thread.
   int executor_count() const noexcept { return executors_; }
 
+  /// Executors an engine runs when it ignores the worker budget:
+  /// `threads` resolved (0 = one per hardware thread), clamped to
+  /// `shards`. The budget can only lower it.
+  static int unbudgeted_executors(int threads, int shards);
+
   Duration lookahead() const noexcept { return options_.lookahead; }
 
   /// The shard's simulator: build shard-local state against it, and read

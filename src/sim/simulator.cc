@@ -7,8 +7,6 @@
 
 namespace meshnet::sim {
 
-thread_local const Simulator* Simulator::t_active_shard_ = nullptr;
-
 void Simulator::throw_cross_shard_access() const {
   throw std::logic_error(
       "sim::Simulator: schedule/cancel on a simulator other than the "

@@ -165,7 +165,10 @@ class Simulator {
   }
   [[noreturn]] void throw_cross_shard_access() const;
 
-  static thread_local const Simulator* t_active_shard_;
+  /// Inline with its initializer, so every translation unit sees a
+  /// constant-initialized thread-local and accesses it directly (no TLS
+  /// init wrapper, which UBSan's null check trips over).
+  static inline thread_local const Simulator* t_active_shard_ = nullptr;
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t index) noexcept;

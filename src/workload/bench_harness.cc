@@ -1,6 +1,10 @@
 #include "workload/bench_harness.h"
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
+
+#include "util/strings.h"
 
 namespace meshnet::workload {
 
@@ -35,6 +39,39 @@ HarnessOptions parse_harness_flags(
   options.seed = static_cast<std::uint64_t>(options.flags.get_int_or(
       "seed", static_cast<std::int64_t>(default_seed)));
   return options;
+}
+
+std::vector<int> int_list_flag(const HarnessOptions& options,
+                               std::string_view flag,
+                               std::string_view fallback, int min) {
+  const std::string text = options.flags.get_or(flag, fallback);
+  std::vector<int> values;
+  for (const std::string_view part : util::split(text, ',')) {
+    const auto value = util::parse_u64(util::trim(part));
+    if (!value || *value < static_cast<std::uint64_t>(min) ||
+        *value > static_cast<std::uint64_t>(INT_MAX)) {
+      std::fprintf(stderr, "bad --%.*s entry '%.*s' in '%s' (want %s "
+                           "integers)\n",
+                   static_cast<int>(flag.size()), flag.data(),
+                   static_cast<int>(part.size()), part.data(), text.c_str(),
+                   min > 0 ? "positive" : "non-negative");
+      std::exit(2);
+    }
+    values.push_back(static_cast<int>(*value));
+  }
+  return values;
+}
+
+int int_flag(const HarnessOptions& options, std::string_view flag,
+             int fallback, int min) {
+  if (!options.flags.has(flag)) return fallback;
+  const std::vector<int> values = int_list_flag(options, flag, "", min);
+  if (values.size() != 1) {
+    std::fprintf(stderr, "bad --%.*s: want one integer, got %zu\n",
+                 static_cast<int>(flag.size()), flag.data(), values.size());
+    std::exit(2);
+  }
+  return values.front();
 }
 
 SweepOptions sweep_options(const HarnessOptions& options) {
@@ -103,100 +140,6 @@ int finish_harness(const stats::BenchReport& input,
     if (!outcome.ok) return 1;
   }
   return 0;
-}
-
-PointMetrics parsim_point_metrics(const ParsimExperimentResult& result) {
-  PointMetrics metrics;
-  // Workload surface: invariant across shard AND thread counts (the
-  // ShardInvariance property test compares exactly the non-engine_* keys
-  // plus the snapshot).
-  metrics.counters["requests_generated"] = result.requests_generated;
-  metrics.counters["leaf_completions"] = result.leaf_completions;
-  metrics.counters["service_visits"] = result.service_visits;
-  // The e2e histogram is recorded in MICROSECONDS (see parsim_experiment).
-  metrics.scalars["e2e_p50_ms"] =
-      static_cast<double>(result.e2e_latency.percentile(50.0)) / 1000.0;
-  metrics.scalars["e2e_p99_ms"] =
-      static_cast<double>(result.e2e_latency.percentile(99.0)) / 1000.0;
-  metrics.scalars["e2e_mean_ms"] = result.e2e_latency.mean() / 1000.0;
-  metrics.histograms["e2e_latency_us"] = result.e2e_latency;
-  metrics.snapshot = result.metrics;
-  metrics.counters["services"] = static_cast<std::uint64_t>(result.services);
-  metrics.counters["edges"] = static_cast<std::uint64_t>(result.edges);
-  // Engine surface: thread-invariant for a fixed shard count, shard-
-  // DEPENDENT otherwise — everything below is named engine_* (or is the
-  // harness's "events" throughput counter) so shard comparisons can
-  // exclude it wholesale.
-  metrics.counters["events"] = result.events_executed;
-  metrics.counters["engine_cut_edges"] =
-      static_cast<std::uint64_t>(result.cut_edges);
-  metrics.counters["engine_lookahead_ns"] =
-      static_cast<std::uint64_t>(result.lookahead);
-  metrics.counters["engine_epochs"] = result.engine.epochs;
-  metrics.counters["engine_messages"] = result.engine.messages;
-  metrics.counters["engine_mailbox_overflows"] =
-      result.engine.mailbox_overflows;
-  const sim::LoopStats& loop = result.loop_stats;
-  metrics.counters["engine_scheduled"] = loop.scheduled;
-  metrics.counters["engine_cancelled"] = loop.cancelled;
-  metrics.counters["engine_wheel_pushes"] = loop.wheel_pushes;
-  metrics.counters["engine_heap_pushes"] = loop.heap_pushes;
-  metrics.counters["engine_due_merges"] = loop.due_merges;
-  metrics.counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
-  metrics.counters["engine_max_queue_depth"] = loop.max_queue_depth;
-  return metrics;
-}
-
-PointMetrics meshscale_point_metrics(const MeshscaleExperimentResult& result) {
-  PointMetrics metrics;
-  // Workload surface.
-  metrics.counters["requests_generated"] = result.requests_generated;
-  metrics.counters["responses"] = result.responses;
-  metrics.counters["successes"] = result.successes;
-  metrics.counters["failures"] = result.failures;
-  metrics.scalars["success_rate"] =
-      result.responses > 0 ? static_cast<double>(result.successes) /
-                                 static_cast<double>(result.responses)
-                           : 0.0;
-  // The e2e histogram is recorded in MICROSECONDS (see the experiment).
-  metrics.scalars["e2e_p50_ms"] =
-      static_cast<double>(result.e2e_latency.percentile(50.0)) / 1000.0;
-  metrics.scalars["e2e_p99_ms"] =
-      static_cast<double>(result.e2e_latency.percentile(99.0)) / 1000.0;
-  metrics.scalars["e2e_mean_ms"] = result.e2e_latency.mean() / 1000.0;
-  metrics.histograms["e2e_latency_us"] = result.e2e_latency;
-  metrics.snapshot = result.metrics;
-  // Control-plane push-channel surface.
-  metrics.counters["cp_epochs"] = result.epochs;
-  metrics.counters["cp_pushes"] = result.cp_pushes;
-  metrics.counters["cp_full_pushes"] = result.bytes.full_pushes;
-  metrics.counters["cp_delta_pushes"] = result.bytes.delta_pushes;
-  metrics.counters["cp_delta_fallbacks"] = result.bytes.delta_fallbacks;
-  metrics.counters["cp_full_push_bytes"] = result.bytes.full_bytes;
-  metrics.counters["cp_delta_push_bytes"] = result.bytes.delta_bytes;
-  metrics.counters["cp_churn_push_bytes"] =
-      result.churn_bytes.full_bytes + result.churn_bytes.delta_bytes;
-  metrics.counters["cp_churn_pushes"] =
-      result.churn_bytes.full_pushes + result.churn_bytes.delta_pushes;
-  metrics.counters["cp_converged"] = result.converged ? 1 : 0;
-  metrics.scalars["churn_convergence_ms"] =
-      sim::to_milliseconds(result.churn_convergence);
-  // Per-sidecar endpoint-table sizes (what scoping/subsetting bound).
-  metrics.counters["sidecars"] = result.sidecars;
-  metrics.counters["endpoint_entries"] = result.endpoint_entries;
-  metrics.counters["max_endpoints_per_sidecar"] =
-      result.max_endpoints_per_sidecar;
-  metrics.scalars["mean_endpoints_per_sidecar"] =
-      result.sidecars > 0 ? static_cast<double>(result.endpoint_entries) /
-                                static_cast<double>(result.sidecars)
-                          : 0.0;
-  // Shape + engine surface (thread-invariant for a fixed cell count).
-  metrics.counters["services"] = static_cast<std::uint64_t>(result.services);
-  metrics.counters["cells"] = static_cast<std::uint64_t>(result.cells);
-  metrics.counters["events"] = result.events_executed;
-  metrics.counters["engine_epochs"] = result.engine.epochs;
-  metrics.counters["engine_messages"] = result.engine.messages;
-  return metrics;
 }
 
 }  // namespace meshnet::workload

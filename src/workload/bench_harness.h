@@ -25,8 +25,6 @@
 
 #include "stats/bench_report.h"
 #include "util/flags.h"
-#include "workload/meshscale_experiment.h"
-#include "workload/parsim_experiment.h"
 #include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
@@ -51,6 +49,18 @@ HarnessOptions parse_harness_flags(
     const std::vector<std::string_view>& extra_flags = {},
     const std::vector<std::string_view>& extra_prefixes = {});
 
+/// Reads --<flag> as a comma-separated list of integers, each >= `min`
+/// (`fallback` when the flag is absent). A malformed or out-of-range
+/// entry ends the process with exit code 2 and a message naming it: a
+/// typo must not silently run another sweep.
+std::vector<int> int_list_flag(const HarnessOptions& options,
+                               std::string_view flag,
+                               std::string_view fallback, int min = 1);
+
+/// A single-valued int_list_flag: exactly one entry, else exit code 2.
+int int_flag(const HarnessOptions& options, std::string_view flag,
+             int fallback, int min = 1);
+
 /// SweepOptions matching the parsed flags (progress lines on stderr).
 SweepOptions sweep_options(const HarnessOptions& options);
 
@@ -66,21 +76,5 @@ int finish_harness(const stats::BenchReport& report,
 /// default applies and the allocation profile is simply omitted from
 /// reports. finish_harness uses it for wall_allocs_per_event.
 std::uint64_t bench_allocation_count() noexcept;
-
-/// The standard metric set for one PARSIM run: workload scalars/counters
-/// (shard- and thread-invariant), the end-to-end latency histogram, the
-/// workload metrics snapshot, and the engine surface (events, epochs,
-/// messages, merged loop stats — thread-invariant for a fixed shard
-/// count). Shared by bench/bench_parsim and the determinism tests so both
-/// compare the same surface.
-PointMetrics parsim_point_metrics(const ParsimExperimentResult& result);
-
-/// The standard metric set for one MESHSCALE arm: workload counters and
-/// the e2e latency histogram, the control-plane push-channel surface
-/// (full/delta pushes and bytes, churn-window bytes, reconvergence),
-/// per-sidecar endpoint-table sizes, and the engine shape. Shared by
-/// bench/bench_meshscale and the determinism checks so both compare the
-/// same surface.
-PointMetrics meshscale_point_metrics(const MeshscaleExperimentResult& result);
 
 }  // namespace meshnet::workload

@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "app/mesh_builder.h"
 #include "cluster/topology_gen.h"
+#include "mesh/control_plane.h"
 #include "mesh/http_client.h"
+#include "obs/metric_registry.h"
+#include "sim/parallel.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "workload/parsim_experiment.h"
 
 namespace meshnet::workload {
 
@@ -34,6 +40,15 @@ std::uint64_t fnv1a(std::string_view text) noexcept {
   }
   return h;
 }
+
+/// Each control plane's push-channel series, folded into the run's
+/// registry at the end of the run, and the report key of its sum.
+constexpr std::pair<std::string_view, std::string_view> kPushSeries[] = {
+    {"cp_full_pushes_total", "cp_full_pushes"},
+    {"cp_delta_pushes_total", "cp_delta_pushes"},
+    {"cp_delta_fallbacks_total", "cp_delta_fallbacks"},
+    {"cp_full_push_bytes_total", "cp_full_push_bytes"},
+    {"cp_delta_push_bytes_total", "cp_delta_push_bytes"}};
 
 /// Four layers in a 1:2:3:4 width ratio (the PARSIM shape, re-based so
 /// --services sets the total exactly).
@@ -90,10 +105,6 @@ struct Cell {
   obs::Counter* successes = nullptr;
   obs::Counter* failures = nullptr;
   obs::Histogram* latency = nullptr;
-
-  /// Push-channel tallies sampled at the churn instant (before the
-  /// deregistration lands), so end-of-run minus this is the churn cost.
-  mesh::ControlPlane::PushChannelBytes at_churn;
 
   struct RootGen {
     std::string host;
@@ -154,27 +165,9 @@ void schedule_next_arrival(Cell& cell, Cell::RootGen& root, double rps,
   });
 }
 
-void add(mesh::ControlPlane::PushChannelBytes& into,
-         const mesh::ControlPlane::PushChannelBytes& from) {
-  into.full_bytes += from.full_bytes;
-  into.delta_bytes += from.delta_bytes;
-  into.full_pushes += from.full_pushes;
-  into.delta_pushes += from.delta_pushes;
-  into.delta_fallbacks += from.delta_fallbacks;
-}
-
-mesh::ControlPlane::PushChannelBytes sub(
-    const mesh::ControlPlane::PushChannelBytes& a,
-    const mesh::ControlPlane::PushChannelBytes& b) {
-  return {a.full_bytes - b.full_bytes, a.delta_bytes - b.delta_bytes,
-          a.full_pushes - b.full_pushes, a.delta_pushes - b.delta_pushes,
-          a.delta_fallbacks - b.delta_fallbacks};
-}
-
 }  // namespace
 
-MeshscaleExperimentResult run_meshscale_experiment(
-    const MeshscaleConfig& config) {
+PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
   cluster::FanoutSpec fanout;
   fanout.layer_widths = layer_widths(config.services);
   fanout.fanout = config.fanout;
@@ -314,10 +307,16 @@ MeshscaleExperimentResult run_meshscale_experiment(
     if (config.churn) {
       Cell* cell_ptr = cell.get();
       cell->sim->schedule_at(config.churn_at, [cell_ptr, victim_pod] {
-        // Sample the channel first: everything after this instant is the
-        // marginal cost of one endpoint flapping.
-        cell_ptr->at_churn =
+        // Sample the channel first, before the deregistration lands:
+        // everything after this instant is the marginal cost of one
+        // endpoint flapping.
+        const mesh::ControlPlane::PushChannelBytes sample =
             cell_ptr->mesh->control_plane().push_channel_bytes();
+        obs::MetricRegistry& registry = *cell_ptr->registry;
+        registry.counter("meshscale_churn_start_push_bytes")
+            .inc(sample.full_bytes + sample.delta_bytes);
+        registry.counter("meshscale_churn_start_pushes")
+            .inc(sample.full_pushes + sample.delta_pushes);
         cell_ptr->mesh->cluster().crash_pod(victim_pod);
         cell_ptr->mesh->cluster().deregister_pod(victim_pod);
       });
@@ -329,45 +328,70 @@ MeshscaleExperimentResult run_meshscale_experiment(
 
   engine.run_until(config.duration + config.drain);
 
+  // The run's registry: every cell's workload series plus its control
+  // plane's push-channel series, summed in cell order.
   obs::MetricRegistry merged;
-  for (const auto& cell : cells) merged.merge(*cell->registry);
-
-  MeshscaleExperimentResult result;
-  result.metrics = merged.snapshot();
-  if (const obs::Counter* c =
-          merged.find_counter("meshscale_requests_generated")) {
-    result.requests_generated = c->value();
-  }
-  if (const obs::Counter* c = merged.find_counter("meshscale_responses")) {
-    result.responses = c->value();
-  }
-  if (const obs::Counter* c = merged.find_counter("meshscale_successes")) {
-    result.successes = c->value();
-  }
-  if (const obs::Counter* c = merged.find_counter("meshscale_failures")) {
-    result.failures = c->value();
-  }
-  if (const obs::Histogram* h =
-          merged.find_histogram("meshscale_e2e_latency_us")) {
-    result.e2e_latency = h->data();
-  }
-
-  result.converged = true;
   for (const auto& cell : cells) {
-    mesh::ControlPlane& cp = cell->mesh->control_plane();
-    const mesh::ControlPlane::PushChannelBytes end = cp.push_channel_bytes();
-    add(result.bytes, end);
-    if (config.churn) add(result.churn_bytes, sub(end, cell->at_churn));
-    result.epochs += cp.epoch();
-    result.cp_pushes += cp.pushes();
-    if (!cp.converged()) result.converged = false;
+    merged.merge(*cell->registry);
+    const obs::MetricRegistry& cp_metrics =
+        cell->mesh->control_plane().metrics();
+    for (const auto& push : kPushSeries) {
+      merged.counter(push.first)
+          .inc(cp_metrics.find_counter(push.first)->value());
+    }
+  }
+
+  PointMetrics metrics;
+  metrics.snapshot = merged.snapshot();
+  const obs::MetricsSnapshot& snapshot = metrics.snapshot;
+  const auto sum = [&snapshot](std::string_view name) {
+    return snapshot.counter_sum(name);
+  };
+  std::map<std::string, std::uint64_t>& counters = metrics.counters;
+  counters["requests_generated"] = sum("meshscale_requests_generated");
+  const std::uint64_t responses = sum("meshscale_responses");
+  const std::uint64_t successes = sum("meshscale_successes");
+  counters["responses"] = responses;
+  counters["successes"] = successes;
+  counters["failures"] = sum("meshscale_failures");
+  metrics.scalars["success_rate"] =
+      responses > 0 ? static_cast<double>(successes) /
+                          static_cast<double>(responses)
+                    : 0.0;
+  report_e2e_latency_us(metrics, "meshscale_e2e_latency_us");
+
+  for (const auto& [series, key] : kPushSeries) {
+    counters[std::string(key)] = sum(series);
+  }
+  // The churn window runs from the churn-instant sample to the end of
+  // the run; without churn it is empty.
+  counters["cp_churn_push_bytes"] =
+      config.churn ? counters["cp_full_push_bytes"] +
+                         counters["cp_delta_push_bytes"] -
+                         sum("meshscale_churn_start_push_bytes")
+                   : 0;
+  counters["cp_churn_pushes"] =
+      config.churn ? counters["cp_full_pushes"] + counters["cp_delta_pushes"] -
+                         sum("meshscale_churn_start_pushes")
+                   : 0;
+
+  bool converged = true;
+  sim::Duration churn_convergence = 0;
+  std::uint64_t sidecars = 0;
+  std::uint64_t endpoint_entries = 0;
+  std::uint64_t max_endpoints = 0;
+  for (const auto& cell : cells) {
+    const mesh::ControlPlane& cp = cell->mesh->control_plane();
+    counters["cp_epochs"] += cp.epoch();
+    counters["cp_pushes"] += cp.pushes();
+    if (!cp.converged()) converged = false;
     if (config.churn) {
       const sim::Time converged_at = cp.last_converged_at();
       if (converged_at >= config.restore_at) {
-        result.churn_convergence = std::max(
-            result.churn_convergence, converged_at - config.restore_at);
+        churn_convergence =
+            std::max(churn_convergence, converged_at - config.restore_at);
       } else {
-        result.converged = false;  // never reconverged after the restore
+        converged = false;  // never reconverged after the restore
       }
     }
     for (const auto& sidecar : cp.sidecars()) {
@@ -375,19 +399,28 @@ MeshscaleExperimentResult run_meshscale_experiment(
       for (const auto& [name, spec] : sidecar->config().clusters) {
         entries += spec.endpoints.size();
       }
-      result.endpoint_entries += entries;
-      result.max_endpoints_per_sidecar =
-          std::max(result.max_endpoints_per_sidecar, entries);
-      ++result.sidecars;
+      endpoint_entries += entries;
+      max_endpoints = std::max(max_endpoints, entries);
+      ++sidecars;
     }
   }
+  counters["cp_converged"] = converged ? 1 : 0;
+  metrics.scalars["churn_convergence_ms"] =
+      sim::to_milliseconds(churn_convergence);
+  counters["sidecars"] = sidecars;
+  counters["endpoint_entries"] = endpoint_entries;
+  counters["max_endpoints_per_sidecar"] = max_endpoints;
+  metrics.scalars["mean_endpoints_per_sidecar"] =
+      sidecars > 0 ? static_cast<double>(endpoint_entries) /
+                         static_cast<double>(sidecars)
+                   : 0.0;
 
-  result.services = topology.service_count();
-  result.cells = engine_options.shards;
-  result.executors = engine.executor_count();
-  result.events_executed = engine.events_executed();
-  result.engine = engine.stats();
-  return result;
+  counters["services"] = static_cast<std::uint64_t>(topology.service_count());
+  counters["cells"] = static_cast<std::uint64_t>(engine_options.shards);
+  counters["events"] = engine.events_executed();
+  counters["engine_epochs"] = engine.stats().epochs;
+  counters["engine_messages"] = engine.stats().messages;
+  return metrics;
 }
 
 }  // namespace meshnet::workload

@@ -36,11 +36,8 @@
 
 #include <cstdint>
 
-#include "mesh/control_plane.h"
-#include "obs/metric_registry.h"
-#include "sim/parallel.h"
 #include "sim/time.h"
-#include "stats/histogram.h"
+#include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
 
@@ -80,40 +77,27 @@ struct MeshscaleConfig {
   sim::Duration compute_max = sim::microseconds(800);
 };
 
-struct MeshscaleExperimentResult {
-  // Workload surface — invariant across engine thread counts.
-  std::uint64_t requests_generated = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t successes = 0;
-  std::uint64_t failures = 0;
-  /// Client send -> response, in MICROSECONDS (us-scale keeps the
-  /// histogram's double accumulators exact; see parsim_experiment.cc).
-  stats::LogHistogram e2e_latency{7};
-  obs::MetricsSnapshot metrics;  ///< workload series only
-
-  // Control-plane surface, summed over cells in cell order.
-  std::uint64_t epochs = 0;     ///< final config epochs
-  std::uint64_t cp_pushes = 0;  ///< pushes launched into the channel
-  mesh::ControlPlane::PushChannelBytes bytes;        ///< whole run
-  mesh::ControlPlane::PushChannelBytes churn_bytes;  ///< churn window only
-  bool converged = false;  ///< every cell fully converged at the end
-  /// Restore -> full reconvergence, worst cell (0 when churn is off).
-  sim::Duration churn_convergence = 0;
-  std::uint64_t sidecars = 0;
-  /// Sum over sidecars of their config's endpoint-table entries; the
-  /// state the scoping/subsetting knobs exist to bound.
-  std::uint64_t endpoint_entries = 0;
-  std::uint64_t max_endpoints_per_sidecar = 0;
-
-  // Shape + engine surface (thread-invariant for a fixed cell count).
-  int services = 0;
-  int cells = 0;
-  int executors = 1;
-  std::uint64_t events_executed = 0;
-  sim::ParallelEngineStats engine;
-};
-
-MeshscaleExperimentResult run_meshscale_experiment(
-    const MeshscaleConfig& config);
+/// Runs one MESHSCALE arm and returns its report, read at the end of the
+/// run from the run's registry (the snapshot: every cell's workload
+/// series, its churn-instant push sample and its control plane's
+/// cp_{full,delta}_push* series, summed in cell order), the live control
+/// planes and the engine:
+///   * the workload surface — requests_generated, responses, successes,
+///     failures, success_rate, the e2e latency scalars and the
+///     e2e_latency_us histogram (recorded in MICROSECONDS: us-scale keeps
+///     the histogram's double accumulators exact; see
+///     parsim_experiment.h);
+///   * the control-plane push channel — cp_epochs, cp_pushes,
+///     cp_{full,delta}_pushes, cp_delta_fallbacks,
+///     cp_{full,delta}_push_bytes, the churn window's
+///     cp_churn_push_bytes / cp_churn_pushes (end of run minus the
+///     churn-instant sample), cp_converged and churn_convergence_ms
+///     (restore -> full reconvergence, worst cell; 0 when churn is off);
+///   * per-sidecar endpoint-table sizes — sidecars, endpoint_entries,
+///     max_ and mean_endpoints_per_sidecar, the state the
+///     scoping/subsetting knobs exist to bound;
+///   * the shape and engine — services, cells, events, engine_epochs,
+///     engine_messages (thread-invariant for a fixed cell count).
+PointMetrics run_meshscale_experiment(const MeshscaleConfig& config);
 
 }  // namespace meshnet::workload

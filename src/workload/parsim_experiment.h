@@ -30,13 +30,11 @@
 // shard-invariance property excludes them.
 
 #include <cstdint>
+#include <string_view>
 
 #include "cluster/topology_gen.h"
-#include "obs/metric_registry.h"
-#include "sim/loop_stats.h"
-#include "sim/parallel.h"
 #include "sim/time.h"
-#include "stats/histogram.h"
+#include "workload/sweep_runner.h"
 
 namespace meshnet::workload {
 
@@ -70,32 +68,25 @@ struct ParsimConfig {
   static cluster::FanoutSpec default_topology();
 };
 
-struct ParsimExperimentResult {
-  // Workload surface — invariant across shard AND thread counts.
-  std::uint64_t requests_generated = 0;
-  std::uint64_t leaf_completions = 0;
-  std::uint64_t service_visits = 0;
-  /// Root arrival -> leaf completion, in MICROSECONDS (us-scale values
-  /// keep the histogram's double accumulators exact, which is what makes
-  /// shard-count invariance bit-exact; see parsim_experiment.cc).
-  stats::LogHistogram e2e_latency{7};
-  obs::MetricsSnapshot metrics;        ///< workload series only
+/// Runs one PARSIM simulation and returns its report, read at the end of
+/// the run from the merged shard registries and the engine:
+///   * the workload surface — requests_generated, leaf_completions,
+///     service_visits, services, edges, the e2e latency scalars and the
+///     e2e_latency_us histogram (recorded in MICROSECONDS: us-scale values
+///     keep the histogram's double accumulators exact, which is what makes
+///     shard-count invariance bit-exact), and the workload snapshot —
+///     invariant across shard AND thread counts;
+///   * the engine surface — "events" and every engine_* key (shards, cut
+///     edges, lookahead, epochs, messages, merged loop stats) — invariant
+///     across thread counts for a fixed shard count, but NOT across shard
+///     counts.
+/// Nothing host-dependent (executor count, wall clock) is reported.
+PointMetrics run_parsim_experiment(const ParsimConfig& config);
 
-  // Partition/engine shape (fixed by config, deterministic).
-  int shards = 1;
-  int executors = 1;
-  int services = 0;
-  int edges = 0;
-  int cut_edges = 0;
-  sim::Duration lookahead = 0;
-
-  // Engine surface — invariant across thread counts for a fixed shard
-  // count, but NOT across shard counts.
-  std::uint64_t events_executed = 0;
-  sim::LoopStats loop_stats;        ///< merged across shards
-  sim::ParallelEngineStats engine;  ///< epochs / messages / overflows
-};
-
-ParsimExperimentResult run_parsim_experiment(const ParsimConfig& config);
+/// The end-to-end latency surface PARSIM and MESHSCALE share: the
+/// snapshot's microsecond histogram `series` reported as e2e_latency_us,
+/// with e2e_p50_ms, e2e_p99_ms and e2e_mean_ms (an empty histogram when
+/// the series is absent).
+void report_e2e_latency_us(PointMetrics& metrics, std::string_view series);
 
 }  // namespace meshnet::workload

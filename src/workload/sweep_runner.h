@@ -44,6 +44,9 @@ struct PointMetrics {
   std::map<std::string, stats::LogHistogram> histograms;  ///< raw samples
   /// The point's unified meshnet-metrics-v1 snapshot (may be empty).
   obs::MetricsSnapshot snapshot;
+
+  /// Bit-exact: the thread-count identity checks rely on it.
+  friend bool operator==(const PointMetrics&, const PointMetrics&) = default;
 };
 
 /// One point of a sweep: a stable id, the parameters that define it (kept

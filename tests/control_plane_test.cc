@@ -351,6 +351,59 @@ TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
   EXPECT_EQ(client.config_fingerprint().hash, hash_sidecar_config(before));
 }
 
+// The push channel is counted once, in the registry: its series exist on
+// every mesh, and push_channel_bytes() and pushes() read back exactly
+// what the series and the epoch say, over a delayed, lossy channel.
+class PushAccountingTest : public ControlPlaneFixture,
+                           public ::testing::WithParamInterface<bool> {};
+
+TEST_P(PushAccountingTest, PushChannelBytesReadTheRegistry) {
+  MeshPolicies policies;
+  policies.cp.delta_push = GetParam();
+  policies.cp.push_latency_base = sim::milliseconds(2);
+  policies.cp.ack_timeout = sim::milliseconds(20);
+  policies.cp.push_loss = 0.2;
+  build(3, policies);
+  for (int i = 0; i < 4; ++i) {
+    cp_->policies().retry.max_retries = i;  // every epoch changes configs
+    cp_->push_config();
+    run_for(sim::milliseconds(200));
+  }
+  ASSERT_TRUE(cp_->converged());
+
+  for (const std::string_view name :
+       {"cp_full_pushes_total", "cp_delta_pushes_total",
+        "cp_delta_fallbacks_total", "cp_full_push_bytes_total",
+        "cp_delta_push_bytes_total", "subset_endpoints_assigned_total",
+        "subset_coverage_repairs_total"}) {
+    EXPECT_NE(cp_->metrics().find_counter(name), nullptr) << name;
+  }
+  const ControlPlane::PushChannelBytes bytes = cp_->push_channel_bytes();
+  EXPECT_EQ(bytes.full_pushes, counter(*cp_, "cp_full_pushes_total"));
+  EXPECT_EQ(bytes.delta_pushes, counter(*cp_, "cp_delta_pushes_total"));
+  EXPECT_EQ(bytes.delta_fallbacks, counter(*cp_, "cp_delta_fallbacks_total"));
+  EXPECT_EQ(bytes.full_bytes, counter(*cp_, "cp_full_push_bytes_total"));
+  EXPECT_EQ(bytes.delta_bytes, counter(*cp_, "cp_delta_push_bytes_total"));
+  EXPECT_EQ(cp_->pushes(), cp_->epoch());
+  EXPECT_EQ(cp_->epoch(), 4u);
+
+  // Each channel really carried its own kind of push.
+  if (GetParam()) {
+    EXPECT_GT(bytes.delta_pushes, 0u);
+    EXPECT_GT(bytes.delta_bytes, 0u);
+  } else {
+    EXPECT_GT(bytes.full_pushes, 0u);
+    EXPECT_GT(bytes.full_bytes, 0u);
+    EXPECT_EQ(bytes.delta_pushes, 0u);
+    EXPECT_EQ(bytes.delta_bytes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, PushAccountingTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "DeltaPush" : "FullPush";
+                         });
+
 // ------------------------------------------------------ cert rotation --
 
 TEST_F(ControlPlaneFixture, CertificatesRotateAheadOfExpiry) {

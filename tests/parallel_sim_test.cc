@@ -13,6 +13,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/topology_gen.h"
@@ -20,7 +21,7 @@
 #include "sim/simulator.h"
 #include "sim/spsc_ring.h"
 #include "util/thread_pool.h"
-#include "workload/bench_harness.h"
+#include "workload/meshscale_experiment.h"
 #include "workload/parsim_experiment.h"
 
 namespace meshnet {
@@ -292,13 +293,13 @@ TEST(ParsimThreadDeterminism, BitIdenticalAcrossThreadCounts) {
 
   config.threads = 1;
   const workload::PointMetrics reference =
-      workload::parsim_point_metrics(workload::run_parsim_experiment(config));
+      workload::run_parsim_experiment(config);
   ASSERT_GT(reference.counters.at("leaf_completions"), 0u);
 
   for (const int threads : {2, 4, 8}) {
     config.threads = threads;
-    const workload::PointMetrics point = workload::parsim_point_metrics(
-        workload::run_parsim_experiment(config));
+    const workload::PointMetrics point =
+        workload::run_parsim_experiment(config);
     const std::string what = "threads=" + std::to_string(threads);
     EXPECT_EQ(point.scalars, reference.scalars) << what;
     EXPECT_EQ(point.counters, reference.counters) << what;
@@ -333,8 +334,8 @@ TEST(ParsimShardInvariance, RandomTopologiesMatchSingleShardReference) {
 
     config.shards = 1;
     config.threads = 1;
-    const workload::PointMetrics reference = workload_surface(
-        workload::parsim_point_metrics(workload::run_parsim_experiment(config)));
+    const workload::PointMetrics reference =
+        workload_surface(workload::run_parsim_experiment(config));
     ASSERT_GT(reference.counters.at("leaf_completions"), 0u)
         << "seed=" << seed;
 
@@ -342,13 +343,61 @@ TEST(ParsimShardInvariance, RandomTopologiesMatchSingleShardReference) {
       config.shards = shards;
       config.threads = std::min(shards, 4);
       const workload::PointMetrics point =
-          workload_surface(workload::parsim_point_metrics(
-              workload::run_parsim_experiment(config)));
+          workload_surface(workload::run_parsim_experiment(config));
       expect_same_workload_surface(point, reference,
                                    "seed=" + std::to_string(seed) +
                                        " shards=" + std::to_string(shards));
     }
   }
+}
+
+// MESHSCALE reports from the registry: its push keys are the sums of the
+// cells' cp_* series in the run's snapshot, its churn keys are those
+// series' growth across the churn window, and the whole report is the
+// same at 1 and 2 engine threads.
+TEST(MeshscaleReport, KeysComeFromTheRegistryAndMatchAcrossThreadCounts) {
+  workload::MeshscaleConfig config;
+  config.services = 10;
+  config.duration = sim::seconds(1);
+  config.churn_at = sim::milliseconds(400);
+  config.restore_at = sim::milliseconds(600);
+  config.respect_worker_budget = false;
+  config.threads = 1;
+  const workload::PointMetrics report =
+      workload::run_meshscale_experiment(config);
+  const auto& counters = report.counters;
+  const auto series = [&report](std::string_view name) {
+    return report.snapshot.counter_sum(name);
+  };
+  ASSERT_GT(counters.at("requests_generated"), 0u);
+  EXPECT_EQ(counters.at("successes") + counters.at("failures"),
+            counters.at("responses"));
+
+  EXPECT_GT(counters.at("cp_epochs"), 0u);
+  EXPECT_EQ(counters.at("cp_pushes"), counters.at("cp_epochs"));
+  EXPECT_EQ(counters.at("cp_full_pushes"), series("cp_full_pushes_total"));
+  EXPECT_EQ(counters.at("cp_delta_pushes"), series("cp_delta_pushes_total"));
+  EXPECT_EQ(counters.at("cp_delta_fallbacks"),
+            series("cp_delta_fallbacks_total"));
+  EXPECT_EQ(counters.at("cp_full_push_bytes"),
+            series("cp_full_push_bytes_total"));
+  EXPECT_EQ(counters.at("cp_delta_push_bytes"),
+            series("cp_delta_push_bytes_total"));
+  EXPECT_GT(counters.at("cp_delta_pushes"), 0u);
+
+  const std::uint64_t bytes =
+      series("cp_full_push_bytes_total") + series("cp_delta_push_bytes_total");
+  const std::uint64_t pushes =
+      series("cp_full_pushes_total") + series("cp_delta_pushes_total");
+  EXPECT_EQ(counters.at("cp_churn_push_bytes"),
+            bytes - series("meshscale_churn_start_push_bytes"));
+  EXPECT_EQ(counters.at("cp_churn_pushes"),
+            pushes - series("meshscale_churn_start_pushes"));
+  EXPECT_GT(counters.at("cp_churn_pushes"), 0u);
+  EXPECT_LT(counters.at("cp_churn_push_bytes"), bytes);
+
+  config.threads = 2;
+  EXPECT_TRUE(workload::run_meshscale_experiment(config) == report);
 }
 
 }  // namespace
