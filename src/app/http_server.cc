@@ -54,7 +54,8 @@ void SimpleHttpServer::pump(Session& session) {
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return;  // client went away
     Session& s = *it->second;
-    s.conn->send(http::encode_response(response));
+    http::WirePieces wire = http::encode_response_pieces(response);
+    s.conn->send(std::move(wire.head), std::move(wire.body));
     s.busy = false;
     pump(s);
   });

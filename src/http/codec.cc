@@ -19,7 +19,7 @@ constexpr std::uint64_t kMaxBodyBytes =
     std::numeric_limits<std::uint32_t>::max();
 
 /// The calling thread's head scratch, emptied: heads are built here so
-/// steady-state encoding allocates nothing but the pooled wire block.
+/// steady-state encoding allocates nothing but pooled wire blocks.
 std::string& head_scratch() {
   thread_local std::string scratch;
   scratch.clear();
@@ -43,18 +43,8 @@ void append_headers(std::string& out, const HeaderMap& headers,
   out.append(kCrlf);
 }
 
-/// Head and body, one block.
-net::Payload encode(std::string_view head, const Body& body) {
-  char* out = nullptr;
-  net::Payload wire = net::Payload::uninitialized(head.size() + body.size(),
-                                                  &out);
-  std::memcpy(out, head.data(), head.size());
-  if (!body.empty()) std::memcpy(out + head.size(), body.data(), body.size());
-  return wire;
-}
-}  // namespace
-
-net::Payload encode_request(const HttpRequest& request) {
+/// The start line and headers, serialized into the head scratch.
+std::string& request_head(const HttpRequest& request) {
   std::string& head = head_scratch();
   head.append(request.method)
       .append(" ")
@@ -63,10 +53,11 @@ net::Payload encode_request(const HttpRequest& request) {
       .append(kHttpVersion)
       .append(kCrlf);
   append_headers(head, request.headers, request.body.size());
-  return encode(head, request.body);
+  return head;
 }
 
-net::Payload encode_response(const HttpResponse& response) {
+/// The status line and headers, serialized into the head scratch.
+std::string& response_head(const HttpResponse& response) {
   std::string& head = head_scratch();
   head.append(kHttpVersion)
       .append(" ")
@@ -75,7 +66,34 @@ net::Payload encode_response(const HttpResponse& response) {
       .append(status_text(response.status))
       .append(kCrlf);
   append_headers(head, response.headers, response.body.size());
-  return encode(head, response.body);
+  return head;
+}
+}  // namespace
+
+WirePieces encode_request_pieces(const HttpRequest& request) {
+  return {join(request_head(request), {}), request.body.payload()};
+}
+
+WirePieces encode_response_pieces(const HttpResponse& response) {
+  return {join(response_head(response), {}), response.body.payload()};
+}
+
+net::Payload encode_request(const HttpRequest& request) {
+  return join(request_head(request), request.body.view());
+}
+
+net::Payload encode_response(const HttpResponse& response) {
+  return join(response_head(response), response.body.view());
+}
+
+net::Payload join(std::string_view head, std::string_view body) {
+  char* out = nullptr;
+  net::Payload wire = net::Payload::uninitialized(head.size() + body.size(),
+                                                  &out);
+  std::memcpy(out, head.data(), head.size());
+  if (!body.empty()) std::memcpy(out + head.size(), body.data(), body.size());
+  net::count_bytes_copied(body.size());
+  return wire;
 }
 
 std::string serialize_request(const HttpRequest& request) {
@@ -240,10 +258,12 @@ void HttpParser::append_body(std::string_view piece,
         net::Payload::uninitialized(body_expected_, &body_fill_);
     if (body_received_ > 0) {
       std::memcpy(body_fill_, body_.data(), body_received_);
+      net::count_bytes_copied(body_received_);
     }
     body_ = std::move(owned);
   }
   std::memcpy(body_fill_ + body_received_, piece.data(), piece.size());
+  net::count_bytes_copied(piece.size());
   body_received_ += piece.size();
 }
 

@@ -2,15 +2,19 @@
 
 // HTTP/1.1 wire codec.
 //
-// encode_*() produce real request/status lines and header blocks with a
-// content-length framed body, head and body in ONE pooled block: that is
-// the one copy of a body per hop, and the transport segments the block
-// without copying. HttpParser is an incremental push parser: feed it
+// encode_*_pieces() produce real request/status lines and header blocks
+// with a content-length framed body as two wire pieces: the serialized
+// head in its own small pooled block, and the body's own block, shared
+// rather than copied. A plaintext hop sends both through
+// Connection::send(head, body), so a body crosses it with no copy. The
+// joined encode_*() form copies head and body into one block; it serves
+// the mTLS hop (records are ciphertext, so the message is joined once),
+// serialize_*() and tests. HttpParser is an incremental push parser: feed it
 // arbitrary byte chunks straight off a transport connection and it emits
 // complete messages, handling messages split across chunks and multiple
 // pipelined messages inside one chunk. Body bytes that arrive as
 // consecutive slices of one block are kept by reference, so a parsed body
-// is a slice of the sender's wire block. Malformed input moves the parser
+// is a slice of the sender's body block. Malformed input moves the parser
 // into an error state that the caller can observe and reset.
 
 #include <cstdint>
@@ -24,8 +28,22 @@
 
 namespace meshnet::http {
 
+/// A message's wire bytes as two pieces: `head` then `body`.
+struct WirePieces {
+  net::Payload head;  ///< start line and headers, freshly serialized
+  net::Payload body;  ///< the message body's own block (no copy)
+};
+
+WirePieces encode_request_pieces(const HttpRequest& request);
+WirePieces encode_response_pieces(const HttpResponse& response);
+
+/// Head and body joined into one block (the body is copied).
 net::Payload encode_request(const HttpRequest& request);
 net::Payload encode_response(const HttpResponse& response);
+
+/// `head` then `body` copied into one block: an mTLS hop joins a
+/// message's pieces once, because its records are ciphertext.
+net::Payload join(std::string_view head, std::string_view body);
 
 /// The encoded wire bytes as a string (tests and benches).
 std::string serialize_request(const HttpRequest& request);

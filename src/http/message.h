@@ -41,6 +41,8 @@ class Body {
   bool empty() const noexcept { return bytes_.empty(); }
   const char* data() const noexcept { return bytes_.data(); }
   std::string_view view() const noexcept { return bytes_.view(); }
+  /// The pooled bytes themselves (sending them shares the block).
+  const net::Payload& payload() const noexcept { return bytes_; }
 
   friend bool operator==(const Body& a, const Body& b) noexcept {
     return a.view() == b.view();

@@ -143,11 +143,11 @@ void HttpClientPool::assign(Slot& slot, Pending pending) {
   slot.request_id = pending.id;
   slot.handler = std::move(pending.handler);
   ++active_;
-  net::Payload wire = http::encode_request(pending.request);
   if (slot.tls != nullptr) {
-    slot.tls->send_app_data(wire);
+    slot.tls->send_app_data(http::encode_request(pending.request));
   } else {
-    slot.conn->send(std::move(wire));
+    http::WirePieces wire = http::encode_request_pieces(pending.request);
+    slot.conn->send(std::move(wire.head), std::move(wire.body));
   }
 }
 

@@ -797,18 +797,21 @@ void Sidecar::respond_to_session(std::uint64_t session_id, const Ctx& /*ctx*/,
   // the wire.
   const sim::Duration delay = proxy_delay();
   auto deliver = [this, session_id,
-                  payload = http::encode_response(response)]() mutable {
+                  wire = http::encode_response_pieces(response)]() mutable {
     const auto sit = sessions_.find(session_id);
     if (sit == sessions_.end()) return;
     ServerSession& s = *sit->second;
     if (s.tls != nullptr) {
-      s.tls->send_app_data(payload);
+      // Records are ciphertext: join the message once.
+      s.tls->send_app_data(http::join(wire.head, wire.body));
     } else {
-      s.conn->send(std::move(payload));
+      s.conn->send(std::move(wire.head), std::move(wire.body));
     }
     s.busy = false;
     pump_session(s);
   };
+  static_assert(sim::InlineTask::fits_inline<decltype(deliver)>(),
+                "the response-delivery closure must not spill to the heap");
   if (delay > 0) {
     sim_.schedule_after(delay, std::move(deliver));
   } else {

@@ -1,9 +1,10 @@
 #pragma once
 
 // The simulated wire unit. Packets carry real payload bytes (the transport
-// segments actual serialized HTTP messages) plus the fields the case study
-// manipulates: a DSCP codepoint for in-band priority signalling to the
-// "physical" network (design §4.2 optimization d).
+// segments actual serialized HTTP messages, as zero-copy slices of the
+// sender's blocks) plus the fields the case study manipulates: a DSCP
+// codepoint for in-band priority signalling to the "physical" network
+// (design §4.2 optimization d).
 
 #include <cstdint>
 
@@ -42,6 +43,10 @@ struct Packet {
   /// sends to match the initiator (0 = absent).
   std::uint32_t mss_option = 0;
   Payload payload;  ///< Pooled slice; empty for pure ACKs.
+  /// The segment's bytes that follow `payload` in another block. Only the
+  /// one segment of a message that straddles its head/body boundary has
+  /// one: `payload` ends the head, `payload_tail` starts the body.
+  Payload payload_tail;
 
   /// Receiver-side echo of the sender's one-way queueing signal, used by
   /// the LEDBAT-style scavenger controller. Carries the remote's observed
@@ -51,7 +56,7 @@ struct Packet {
   sim::Time sent_at = 0;  ///< Stamped by the transport for RTT samples.
 
   std::uint32_t payload_size() const noexcept {
-    return static_cast<std::uint32_t>(payload.size());
+    return static_cast<std::uint32_t>(payload.size() + payload_tail.size());
   }
   std::uint32_t size_bytes() const noexcept {
     return header_bytes + payload_size();

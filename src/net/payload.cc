@@ -2,16 +2,18 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 namespace meshnet::net {
 
 namespace {
 
-// Size classes are powers of two from 64 B (ACK-sized app messages) to
-// 16 MiB (a whole bulk HTTP message, head and body, is one block). Larger
-// blocks bypass the pool.
+// Size classes are powers of two from 64 B (ACK-sized app messages and
+// message heads) to 16 MiB (a bulk HTTP body is one block). Larger blocks
+// bypass the pool.
 constexpr std::size_t kMinClassBytes = 64;
 constexpr std::size_t kMaxClassBytes = 16 * 1024 * 1024;
 constexpr int kMinClassShift = 6;
@@ -49,6 +51,11 @@ struct PayloadPoolAccess {
   using Block = Payload::Block;
 
   static Block* acquire(std::size_t bytes) {
+    // Sizes and capacities are 32-bit; a truncated capacity would also
+    // return the block to the wrong free list.
+    if (bytes > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("net::Payload: size does not fit 32 bits");
+    }
     Pool& p = pool();
     if (bytes > kMaxClassBytes) {
       ++p.stats.unpooled;
@@ -92,6 +99,10 @@ struct PayloadPoolAccess {
 
 PayloadPoolStats payload_pool_stats() noexcept { return pool().stats; }
 
+void count_bytes_copied(std::size_t bytes) noexcept {
+  pool().stats.bytes_copied += bytes;
+}
+
 void payload_pool_trim() noexcept {
   Pool& p = pool();
   for (auto& list : p.free_lists) {
@@ -106,6 +117,7 @@ Payload Payload::copy_of(std::string_view bytes) {
   char* out_bytes = nullptr;
   Payload out = uninitialized(bytes.size(), &out_bytes);
   if (!bytes.empty()) std::memcpy(out_bytes, bytes.data(), bytes.size());
+  count_bytes_copied(bytes.size());
   return out;
 }
 
@@ -122,17 +134,13 @@ Payload Payload::uninitialized(std::size_t count, char** out_bytes) {
   if (count == 0) return out;
   Block* block = PayloadPoolAccess::acquire(count);
   out.block_ = block;
-  out.data_ = block->bytes();
   out.size_ = static_cast<std::uint32_t>(count);
   *out_bytes = block->bytes();
   return out;
 }
 
-void Payload::release() noexcept {
-  if (block_ != nullptr) {
-    if (--block_->refs == 0) PayloadPoolAccess::release(block_);
-    block_ = nullptr;
-  }
+void Payload::free_block(Block* block) noexcept {
+  PayloadPoolAccess::release(block);
 }
 
 }  // namespace meshnet::net

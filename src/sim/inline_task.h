@@ -24,6 +24,16 @@ class InlineTask {
   /// (typically `this` + a couple of ids) with room to spare.
   static constexpr std::size_t kInlineBytes = 48;
 
+  /// True if a callable of type `Fn` is stored in place. Hot-path closures
+  /// static_assert this, so a capture that grows past the buffer fails the
+  /// build instead of silently adding a heap allocation per event.
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
   InlineTask() noexcept = default;
 
   template <typename F,
@@ -81,13 +91,6 @@ class InlineTask {
     void (*destroy)(void*) noexcept;
     bool heap;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static constexpr Ops kInlineOps = {

@@ -45,23 +45,33 @@ void Connection::set_mss(std::uint32_t mss) {
   if (mss > 0) options_.mss = mss;
 }
 
-void Connection::send(net::Payload data) {
-  if (close_requested_ || state_ == ConnState::kClosed || data.empty()) {
+void Connection::send(net::Payload head, net::Payload body) {
+  const std::size_t boundary = head.size();
+  const std::size_t total = boundary + body.size();
+  if (close_requested_ || state_ == ConnState::kClosed || total == 0) {
     return;
   }
-  stats_.bytes_sent += data.size();
-  host_.mutable_stats().bytes_sent += data.size();
+  stats_.bytes_sent += total;
+  host_.mutable_stats().bytes_sent += total;
   std::size_t offset = 0;
-  while (offset < data.size()) {
+  while (offset < total) {
     const std::size_t len =
-        std::min<std::size_t>(options_.mss, data.size() - offset);
+        std::min<std::size_t>(options_.mss, total - offset);
+    const std::size_t end = offset + len;
     Segment seg;
     seg.seq = next_seq_;
-    seg.payload = data.slice(offset, len);
+    if (end <= boundary) {
+      seg.bytes.payload = head.slice(offset, len);
+    } else if (offset >= boundary) {
+      seg.bytes.payload = body.slice(offset - boundary, len);
+    } else {
+      seg.bytes.payload = head.slice(offset, boundary - offset);
+      seg.bytes.tail = body.slice(0, end - boundary);
+    }
     next_seq_ += len;
     unsent_bytes_ += len;
     unsent_.push_back(std::move(seg));
-    offset += len;
+    offset = end;
   }
   if (state_ == ConnState::kEstablished) maybe_send();
 }
@@ -119,7 +129,8 @@ void Connection::transmit_segment(Segment& segment, bool is_retransmit) {
   p.ack = rcv_next_;
   p.flags = net::kFlagAck;
   p.dscp = options_.dscp;
-  p.payload = segment.payload;
+  p.payload = segment.bytes.payload;
+  p.payload_tail = segment.bytes.tail;
   p.sent_at = host_.now();
   ++stats_.segments_sent;
   ++host_.mutable_stats().segments_sent;
@@ -208,26 +219,40 @@ void Connection::handle_data(const net::Packet& packet) {
     return;
   }
   if (seq > rcv_next_) {
-    out_of_order_.emplace(seq, packet.payload);
+    out_of_order_.emplace(seq, Slices{packet.payload, packet.payload_tail});
     send_ack();  // duplicate ACK signals the gap
     return;
   }
   // In-order (possibly partially overlapping) delivery.
-  const auto skip = static_cast<std::size_t>(rcv_next_ - seq);
-  deliver(skip == 0 ? packet.payload : packet.payload.slice(skip, len - skip));
+  deliver(packet.payload, packet.payload_tail,
+          static_cast<std::size_t>(rcv_next_ - seq));
 
   // Drain any now-contiguous out-of-order segments.
   auto it = out_of_order_.begin();
   while (it != out_of_order_.end() && it->first <= rcv_next_) {
     const std::uint64_t oo_seq = it->first;
-    const net::Payload& payload = it->second;
-    if (oo_seq + payload.size() > rcv_next_) {
-      const auto oo_skip = static_cast<std::size_t>(rcv_next_ - oo_seq);
-      deliver(payload.slice(oo_skip, payload.size() - oo_skip));
+    const Slices& bytes = it->second;
+    if (oo_seq + bytes.size() > rcv_next_) {
+      deliver(bytes.payload, bytes.tail,
+              static_cast<std::size_t>(rcv_next_ - oo_seq));
     }
     it = out_of_order_.erase(it);
   }
   send_ack();
+}
+
+void Connection::deliver(const net::Payload& payload, const net::Payload& tail,
+                         std::size_t skip) {
+  for (const net::Payload* piece : {&payload, &tail}) {
+    if (skip >= piece->size()) {
+      skip -= piece->size();
+    } else if (skip == 0) {
+      deliver(*piece);
+    } else {
+      deliver(piece->slice(skip, piece->size() - skip));
+      skip = 0;
+    }
+  }
 }
 
 void Connection::deliver(const net::Payload& data) {

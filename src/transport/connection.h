@@ -9,6 +9,15 @@
 // FIN-based graceful close. Sequence numbers are 64-bit byte offsets, so
 // wraparound never occurs within a simulation.
 //
+// Payload bytes are never copied here: send() queues MSS slices of the
+// caller's blocks (only the string_view overload copies, once). A message
+// sent as send(head, body) is cut into exactly the segments send(joined)
+// would give; the one segment that straddles the head/body boundary
+// carries two slices (Packet::payload ends the head, Packet::payload_tail
+// starts the body), and so does its retransmit or out-of-order entry.
+// Delivery hands the slices up in order, so a parser above sees the body
+// as consecutive slices of the sender's body block.
+//
 // Connections are created by TransportHost (client via connect(), server
 // via a listener); user code interacts through send()/close() and the
 // three handlers.
@@ -78,11 +87,14 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Queues payload bytes. Each MSS segment (and every retransmit) is a
-  /// zero-copy slice of `data`. Data sent before establishment is
-  /// buffered and flushed once the handshake completes. No-op after
-  /// close().
-  void send(net::Payload data);
+  /// Queues `head` then `body` as one byte stream, cut into the same MSS
+  /// segments as their concatenation would be. Each segment (and every
+  /// retransmit) is a zero-copy slice of the two blocks; the segment that
+  /// straddles the boundary holds one slice of each. Data sent before
+  /// establishment is buffered and flushed once the handshake completes.
+  /// No-op after close().
+  void send(net::Payload head, net::Payload body);
+  void send(net::Payload data) { send(std::move(data), net::Payload{}); }
   /// Copies `data` into one pooled block and sends that.
   void send(std::string_view data);
 
@@ -129,13 +141,22 @@ class Connection {
   void handle_packet(const net::Packet& packet);
 
  private:
+  /// A segment's bytes as they go on the wire: `payload`, then `tail`
+  /// (the body's first bytes) when the segment straddles a
+  /// send(head, body) boundary.
+  struct Slices {
+    net::Payload payload;
+    net::Payload tail;
+    std::size_t size() const noexcept { return payload.size() + tail.size(); }
+  };
+
   struct Segment {
     std::uint64_t seq = 0;
-    net::Payload payload;  ///< zero-copy slice of the send() block
+    Slices bytes;  ///< zero-copy slices of the send() blocks
     sim::Time sent_at = 0;
     bool retransmitted = false;
     std::uint32_t length() const noexcept {
-      return static_cast<std::uint32_t>(payload.size());
+      return static_cast<std::uint32_t>(bytes.size());
     }
   };
 
@@ -146,6 +167,10 @@ class Connection {
   void send_ack();
   void handle_ack(const net::Packet& packet);
   void handle_data(const net::Packet& packet);
+  /// Hands the in-order bytes of `payload` then `tail`, from `skip` bytes
+  /// in, up at rcv_next_.
+  void deliver(const net::Payload& payload, const net::Payload& tail,
+               std::size_t skip);
   /// Hands in-order bytes at rcv_next_ up and counts them.
   void deliver(const net::Payload& data);
   void maybe_send_fin();
@@ -186,7 +211,7 @@ class Connection {
 
   // Receiver state.
   std::uint64_t rcv_next_ = 0;
-  std::map<std::uint64_t, net::Payload> out_of_order_;
+  std::map<std::uint64_t, Slices> out_of_order_;
   bool fin_received_ = false;
   std::uint64_t peer_fin_seq_ = 0;
 

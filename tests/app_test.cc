@@ -62,6 +62,37 @@ TEST_F(ServerFixture, ServesSynchronousHandler) {
   EXPECT_EQ(server.requests_served(), 1u);
 }
 
+// One plaintext hop moves a body without copying it: each side parses
+// the other's body as a slice of the sender's own block.
+TEST_F(ServerFixture, BodiesCrossAHopWithoutACopy) {
+  http::HttpResponse reply;
+  reply.body.assign(100'000, 'r');
+  const char* request_body_seen = nullptr;
+  SimpleHttpServer server(sim, server_pod->transport(), 8080,
+                          [&](http::HttpRequest request,
+                              SimpleHttpServer::Responder respond) {
+                            request_body_seen = request.body.data();
+                            respond(reply);  // the copy shares the block
+                          });
+  mesh::HttpClientPool pool(sim, client_pod->transport(),
+                            {server_pod->ip(), 8080}, {});
+  http::HttpRequest request;
+  request.method = "POST";
+  request.body.assign(50'000, 'q');
+  const char* request_body_sent = request.body.data();
+  std::optional<http::HttpResponse> out;
+  const std::uint64_t copied_before = net::payload_pool_stats().bytes_copied;
+  pool.request(std::move(request),
+               [&](std::optional<http::HttpResponse> response,
+                   const std::string&) { out = std::move(response); });
+  sim.run_until(sim.now() + sim::seconds(5));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(request_body_seen, request_body_sent);
+  EXPECT_EQ(out->body.data(), reply.body.data());
+  EXPECT_EQ(out->body, reply.body);
+  EXPECT_EQ(net::payload_pool_stats().bytes_copied, copied_before);
+}
+
 TEST_F(ServerFixture, ServesDeferredResponses) {
   SimpleHttpServer server(
       sim, server_pod->transport(), 8080,
@@ -498,7 +529,9 @@ TEST_F(ElibraryFixture, TraceCoversAllHops) {
 
 // Message bytes are pooled blocks end to end: once one bulk request has
 // warmed the pool, the next allocates no payload block at all (each hop
-// encodes into a cached block; each receiver keeps the body by reference).
+// serializes its head into a cached block and sends the body's own block;
+// each receiver keeps the body by reference). Nor does it copy a body:
+// what it copies end to end is less than one LS component.
 TEST(ElibraryPayloadPool, SteadyStateLiRequestAllocatesNoBlocks) {
   sim::Simulator sim;
   Elibrary app(sim, ElibraryOptions{});  // 8 KiB components, 200x LI
@@ -529,6 +562,8 @@ TEST(ElibraryPayloadPool, SteadyStateLiRequestAllocatesNoBlocks) {
   EXPECT_EQ(after.pool_misses, before.pool_misses);
   EXPECT_EQ(after.unpooled, before.unpooled);
   EXPECT_GT(after.pool_hits, before.pool_hits);
+  EXPECT_LT(after.bytes_copied - before.bytes_copied,
+            ElibraryOptions{}.component_bytes);
 }
 
 }  // namespace

@@ -501,6 +501,74 @@ TEST(CodecAliasing, BodyCopiesShareTheBlock) {
   EXPECT_EQ(printed.str(), "abc");
 }
 
+// ----- Wire pieces: a message goes out as its serialized head plus the
+// body's own block; only a join copies the body. -----
+
+std::uint64_t bytes_copied() { return net::payload_pool_stats().bytes_copied; }
+
+TEST(CodecPieces, PiecesAreTheWireBytesWithoutABodyCopy) {
+  HttpRequest req;
+  req.method = "POST";
+  req.path = "/upload";
+  req.headers.set("x-a", "1");
+  req.body.assign(5000, 'q');
+  const HttpResponse resp = bulk_response(7000);
+  const std::string req_wire = serialize_request(req);
+  const std::string resp_wire = serialize_response(resp);
+
+  const std::uint64_t before = bytes_copied();
+  const WirePieces req_pieces = encode_request_pieces(req);
+  const WirePieces resp_pieces = encode_response_pieces(resp);
+  EXPECT_EQ(bytes_copied(), before);
+  EXPECT_EQ(req_pieces.body.data(), req.body.data());
+  EXPECT_EQ(resp_pieces.body.data(), resp.body.data());
+  EXPECT_EQ(std::string(req_pieces.head.view()) +
+                std::string(req_pieces.body.view()),
+            req_wire);
+  EXPECT_EQ(std::string(resp_pieces.head.view()) +
+                std::string(resp_pieces.body.view()),
+            resp_wire);
+
+  // Joining copies the body once; the head is serialized, not copied.
+  const net::Payload joined = join(resp_pieces.head, resp_pieces.body);
+  EXPECT_EQ(joined.view(), resp_wire);
+  EXPECT_EQ(bytes_copied() - before, resp.body.size());
+  EXPECT_EQ(encode_request(req).view(), req_wire);
+  EXPECT_EQ(bytes_copied() - before, resp.body.size() + req.body.size());
+
+  const HttpRequest bodyless;
+  EXPECT_TRUE(encode_request_pieces(bodyless).body.empty());
+}
+
+TEST(CodecPieces, BodyArrivingAsSlicesOfItsOwnBlockIsAliased) {
+  const HttpResponse resp = bulk_response(100'000);
+  const WirePieces wire = encode_response_pieces(resp);
+  HttpParser parser(ParserKind::kResponse);
+  std::vector<HttpResponse> out;
+  parser.set_on_response([&](HttpResponse r) { out.push_back(std::move(r)); });
+  const std::uint64_t before = bytes_copied();
+  // The transport's cut at a 1460 B MSS: the first segment is the head
+  // plus the body's first bytes, handed up as two slices.
+  constexpr std::size_t kMss = 1460;
+  ASSERT_LT(wire.head.size(), kMss);
+  const std::size_t first = kMss - wire.head.size();
+  ASSERT_TRUE(parser.feed(wire.head));
+  ASSERT_TRUE(parser.feed(wire.body.slice(0, first)));
+  for (std::size_t at = first; at < wire.body.size(); at += kMss) {
+    ASSERT_TRUE(parser.feed(wire.body.slice(
+        at, std::min(kMss, wire.body.size() - at))));
+  }
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].body, resp.body);
+  EXPECT_EQ(out[0].body.data(), resp.body.data());
+  EXPECT_EQ(bytes_copied(), before);
+
+  // The owned-block fallback counts what it copies.
+  ASSERT_TRUE(parser.feed(encode_response(resp).view()));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(bytes_copied() - before, 2 * resp.body.size());  // join + parse
+}
+
 // ----- Randomized round-trip fuzz: decode(encode(m)) == m for arbitrary
 // messages, under arbitrary wire chunking and pipelining. -----
 

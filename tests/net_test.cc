@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -161,10 +162,40 @@ TEST(Payload, ContinuedByHoldsOnlyForAdjacentSlicesOfOneBlock) {
   EXPECT_EQ(as_view, "0123456");
 }
 
+TEST(Payload, SizesOf4GiBOrMoreThrowWithoutAllocating) {
+  if constexpr (sizeof(std::size_t) > sizeof(std::uint32_t)) {
+    const PayloadPoolStats before = payload_pool_stats();
+    char* bytes = nullptr;
+    EXPECT_THROW(Payload::uninitialized(std::size_t{1} << 32, &bytes),
+                 std::length_error);
+    EXPECT_THROW(Payload::filled((std::size_t{1} << 32) + 100, 'x'),
+                 std::length_error);
+    const PayloadPoolStats after = payload_pool_stats();
+    EXPECT_EQ(after.pool_hits, before.pool_hits);
+    EXPECT_EQ(after.pool_misses, before.pool_misses);
+    EXPECT_EQ(after.unpooled, before.unpooled);
+  }
+}
+
+TEST(Payload, CopiesAreCountedAndSlicesAreNot) {
+  const std::uint64_t before = payload_pool_stats().bytes_copied;
+  const Payload copied = Payload::copy_of("0123456789");
+  EXPECT_EQ(payload_pool_stats().bytes_copied - before, 10u);
+  const Payload filled = Payload::filled(1000, 'x');
+  const Payload slice = copied.slice(2, 5);
+  EXPECT_EQ(payload_pool_stats().bytes_copied - before, 10u);
+  count_bytes_copied(7);
+  EXPECT_EQ(payload_pool_stats().bytes_copied - before, 17u);
+}
+
 TEST(Packet, SizeAccounting) {
   Packet p = make_packet(100);
   EXPECT_EQ(p.payload_size(), 100u);
   EXPECT_EQ(p.size_bytes(), 140u);  // 40B header
+  // A segment straddling a head/body boundary: both slices count.
+  p.payload_tail = Payload::filled(30, 'y');
+  EXPECT_EQ(p.payload_size(), 130u);
+  EXPECT_EQ(p.size_bytes(), 170u);
   Packet ack = make_packet(0);
   EXPECT_EQ(ack.payload_size(), 0u);
   EXPECT_EQ(ack.size_bytes(), 40u);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -175,6 +176,139 @@ TEST(ConcurrentFlows, LedbatYieldsToReno) {
   EXPECT_GT(static_cast<double>(received_reno) / total, 0.7)
       << "reno=" << received_reno << " ledbat=" << received_ledbat;
 }
+
+// ----- send(head, body) cuts the segments send(head + body) would -----
+
+constexpr std::uint32_t kSplitMss = 1000;
+
+/// One data segment as the fabric saw it (retransmits included).
+struct WireSegment {
+  std::uint64_t seq;
+  std::string bytes;  ///< payload then payload_tail
+  bool operator==(const WireSegment&) const = default;
+};
+
+/// A FIFO that logs every data segment offered to it and drops the first
+/// transmission of the segment at `drop_seq`.
+class TapQdisc : public net::FifoQdisc {
+ public:
+  TapQdisc(std::vector<WireSegment>* log, std::size_t* two_slice,
+           std::optional<std::uint64_t> drop_seq)
+      : net::FifoQdisc(1 << 20),
+        log_(log),
+        two_slice_(two_slice),
+        drop_seq_(drop_seq) {}
+
+  bool enqueue(net::Packet packet, sim::Time now) override {
+    if (packet.payload_size() > 0) {
+      log_->push_back({packet.seq, std::string(packet.payload.view()) +
+                                       std::string(packet.payload_tail.view())});
+      if (!packet.payload_tail.empty()) ++*two_slice_;
+      if (drop_seq_ == packet.seq) {
+        drop_seq_.reset();
+        return false;
+      }
+    }
+    return net::FifoQdisc::enqueue(std::move(packet), now);
+  }
+
+ private:
+  std::vector<WireSegment>* log_;
+  std::size_t* two_slice_;
+  std::optional<std::uint64_t> drop_seq_;
+};
+
+struct SplitRun {
+  std::vector<WireSegment> segments;
+  std::size_t two_slice_segments = 0;
+  std::string delivered;
+};
+
+/// Sends two copies of the message (head, body), split or joined, over a
+/// clean path whose forward qdisc drops the segment at `drop_seq` once.
+SplitRun run_split(const std::string& head, const std::string& body,
+                   bool split, std::optional<std::uint64_t> drop_seq) {
+  SplitRun run;
+  sim::Simulator sim;
+  net::Network net(sim);
+  const auto a = net.add_location("a");
+  const auto b = net.add_location("b");
+  net.add_link(a, b, 1e8, sim::microseconds(100),
+               std::make_unique<TapQdisc>(&run.segments,
+                                          &run.two_slice_segments, drop_seq),
+               "fwd");
+  net.add_link(b, a, 1e8, sim::microseconds(100), nullptr, "rev");
+  const auto ip_a = net::make_ip(10, 0, 0, 1);
+  const auto ip_b = net::make_ip(10, 0, 0, 2);
+  net.attach_interface(ip_a, a);
+  net.attach_interface(ip_b, b);
+  TransportHost host_a(sim, net, ip_a);
+  TransportHost host_b(sim, net, ip_b);
+  host_b.listen(80, [&](Connection& c) {
+    c.set_on_data([&](std::string_view d) { run.delivered.append(d); });
+  });
+  ConnectionOptions options;
+  options.mss = kSplitMss;
+  Connection& client = host_a.connect({ip_b, 80}, options);
+  for (int copy = 0; copy < 2; ++copy) {
+    if (split) {
+      client.send(net::Payload::copy_of(head), net::Payload::copy_of(body));
+    } else {
+      client.send(net::Payload::copy_of(head + body));
+    }
+  }
+  sim.run_until(sim::seconds(60));
+  return run;
+}
+
+class HeadBodySplitTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HeadBodySplitTest, SameSegmentsAndBytesAsTheJoinedSend) {
+  constexpr std::size_t kM = kSplitMss;
+  const std::string head = patterned(GetParam(), 1);
+  for (const std::size_t body_bytes :
+       {std::size_t{0}, std::size_t{1}, kM - 1, kM, kM + 1, 5 * kM + 3}) {
+    const std::string body = patterned(body_bytes, 2);
+    const std::size_t total = head.size() + body.size();
+    if (total == 0) continue;
+    // The segment holding the first body byte (the straddling one, when
+    // the boundary is not on an MSS multiple), and the one before it, so
+    // the straddler itself goes through the out-of-order buffer.
+    const std::uint64_t at_boundary =
+        std::min(head.size(), total - 1) / kM * kM;
+    std::vector<std::optional<std::uint64_t>> drops = {std::nullopt,
+                                                       at_boundary};
+    if (at_boundary >= kM) drops.push_back(at_boundary - kM);
+    for (const auto& drop : drops) {
+      SCOPED_TRACE(::testing::Message()
+                   << "head=" << head.size() << " body=" << body.size()
+                   << " drop=" << (drop ? std::to_string(*drop) : "none"));
+      const SplitRun joined = run_split(head, body, false, drop);
+      const SplitRun split = run_split(head, body, true, drop);
+      EXPECT_EQ(split.segments, joined.segments);
+      EXPECT_EQ(split.delivered, joined.delivered);
+      EXPECT_EQ(joined.delivered, head + body + head + body);
+      EXPECT_EQ(joined.two_slice_segments, 0u);
+      // Exactly the segments (retransmits included) that cross a copy's
+      // head/body boundary carry two slices.
+      std::size_t straddlers = 0;
+      for (const WireSegment& seg : joined.segments) {
+        for (const std::size_t boundary : {head.size(), total + head.size()}) {
+          straddlers += !body.empty() && seg.seq < boundary &&
+                        boundary < seg.seq + seg.bytes.size();
+        }
+      }
+      EXPECT_EQ(split.two_slice_segments, straddlers);
+      if (drop) {
+        EXPECT_GT(joined.segments.size(), 2 * ((total + kM - 1) / kM));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HeadSizes, HeadBodySplitTest,
+                         ::testing::Values(0, 1, kSplitMss - 1, kSplitMss,
+                                           kSplitMss + 1, 3 * kSplitMss + 17));
 
 }  // namespace
 }  // namespace meshnet::transport
