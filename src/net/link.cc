@@ -93,26 +93,39 @@ void Link::try_transmit() {
     return;
   }
   transmitting_ = true;
+  tx_packet_ = std::move(*packet);
   const sim::Duration tx_time =
-      sim::transmission_time(packet->size_bytes(), rate_bps_);
+      sim::transmission_time(tx_packet_.size_bytes(), rate_bps_);
   stats_.busy_time += tx_time;
   // Serialization finishes after tx_time; the bits arrive prop_delay later.
-  sim_.schedule_after(tx_time, [this, p = std::move(*packet)]() mutable {
-    transmitting_ = false;
-    stats_.delivered_packets += 1;
-    stats_.delivered_bytes += p.size_bytes();
-    if (handoff_) {
-      // Cut link: the destination lives on another shard. Hand the
-      // packet off at serialization-complete time with the remaining
-      // propagation; the mailbox layer delivers it there.
-      handoff_(std::move(p), prop_delay_);
-    } else {
-      sim_.schedule_after(prop_delay_, [this, p = std::move(p)]() mutable {
-        if (sink_) sink_(std::move(p));
-      });
-    }
-    try_transmit();
-  });
+  auto on_serialized = [this] { finish_transmit(); };
+  static_assert(sim::InlineTask::fits_inline<decltype(on_serialized)>());
+  sim_.schedule_after(tx_time, on_serialized);
+}
+
+void Link::finish_transmit() {
+  transmitting_ = false;
+  stats_.delivered_packets += 1;
+  stats_.delivered_bytes += tx_packet_.size_bytes();
+  if (handoff_) {
+    // Cut link: the destination lives on another shard. Hand the packet
+    // off at serialization-complete time with the remaining propagation;
+    // the mailbox layer delivers it there.
+    handoff_(std::move(tx_packet_), prop_delay_);
+  } else {
+    // Arrivals fire in serialization order (constant delay), so each one
+    // takes the ring's front.
+    wire_.push_back(std::move(tx_packet_));
+    auto on_arrival = [this] { arrive(); };
+    static_assert(sim::InlineTask::fits_inline<decltype(on_arrival)>());
+    sim_.schedule_after(prop_delay_, on_arrival);
+  }
+  try_transmit();
+}
+
+void Link::arrive() {
+  Packet packet = wire_.take_front();
+  if (sink_) sink_(std::move(packet));
 }
 
 }  // namespace meshnet::net

@@ -5,6 +5,15 @@
 // transmitter goes idle, so the qdisc's scheduling decision (FIFO vs
 // priority) is what determines who gets the next transmission slot —
 // exactly where the paper's TC-based prioritization acts.
+//
+// The packet path allocates nothing per packet. The packet being
+// serialized is a member, and serialized packets wait in a FIFO ring
+// (sim::Ring) until they arrive. This is exact: the transmitter is
+// serial and the propagation delay is constant, so packets arrive in the
+// order they finished serializing, and each arrival event pops the ring's
+// front. The tx-complete and arrival closures therefore capture only
+// `this` and fit sim::InlineTask's buffer. A packet is moved, not copied,
+// into the sink.
 
 #include <cstdint>
 #include <functional>
@@ -14,6 +23,7 @@
 #include "net/packet.h"
 #include "net/qdisc.h"
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -30,14 +40,16 @@ struct LinkStats {
 
 class Link {
  public:
-  /// `sink` receives each packet after serialization + propagation.
   Link(sim::Simulator& sim, std::string name, double rate_bits_per_second,
        sim::Duration propagation_delay, std::unique_ptr<Qdisc> qdisc);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  void set_sink(std::function<void(Packet)> sink) { sink_ = std::move(sink); }
+  /// `sink` receives each packet after serialization + propagation.
+  void set_sink(std::function<void(Packet&&)> sink) {
+    sink_ = std::move(sink);
+  }
 
   /// Cross-shard handoff (the parallel engine's cut-link path). When
   /// set, the link still owns its qdisc and serializes packets on the
@@ -58,7 +70,8 @@ class Link {
   void send(Packet packet);
 
   /// Swaps the queueing discipline (models `tc qdisc replace`). Any
-  /// backlogged packets in the old qdisc are dropped, as with real tc.
+  /// backlogged packets in the old qdisc are dropped, as with real tc;
+  /// the packet being serialized and those on the wire still arrive.
   void set_qdisc(std::unique_ptr<Qdisc> qdisc);
 
   /// Carrier control (the fault layer's `ip link set down/up`). Taking the
@@ -85,16 +98,23 @@ class Link {
   /// Fraction of wall-clock sim time this link has spent transmitting.
   double utilization(sim::Time now) const noexcept;
 
+  /// Serialized packets still propagating (not yet at the sink).
+  std::size_t packets_on_wire() const noexcept { return wire_.size(); }
+
  private:
   void try_transmit();
+  void finish_transmit();
+  void arrive();
 
   sim::Simulator& sim_;
   std::string name_;
   double rate_bps_;
   sim::Duration prop_delay_;
   std::unique_ptr<Qdisc> qdisc_;
-  std::function<void(Packet)> sink_;
+  std::function<void(Packet&&)> sink_;
   std::function<void(Packet, sim::Duration)> handoff_;
+  Packet tx_packet_;            ///< Being serialized while transmitting_.
+  sim::Ring<Packet> wire_;      ///< Serialized, propagating; send order.
   bool transmitting_ = false;
   bool up_ = true;
   double loss_probability_ = 0.0;

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <deque>
+#include <stdexcept>
 #include <utility>
 
 #include "util/logging.h"
@@ -27,9 +28,8 @@ Link& Network::add_link(LocationId from, LocationId to, double rate_bps,
   auto link = std::make_unique<Link>(sim_, std::move(name), rate_bps,
                                      propagation_delay, std::move(qdisc));
   Link* raw = link.get();
-  link->set_sink([this, raw, to](Packet p) {
-    on_link_output(raw, to, std::move(p));
-  });
+  link->set_sink(
+      [this, to](Packet&& p) { on_link_output(to, std::move(p)); });
   links_.push_back(std::move(link));
   link_endpoints_.emplace_back(from, to);
   routes_dirty_ = true;
@@ -74,6 +74,14 @@ std::vector<Link*> Network::links() {
   out.reserve(links_.size());
   for (const auto& link : links_) out.push_back(link.get());
   return out;
+}
+
+void Network::set_loopback_delay(sim::Duration delay) {
+  if (!loopback_.empty()) {
+    throw std::logic_error(
+        "net::Network: loopback delay changed with packets in flight");
+  }
+  loopback_delay_ = delay;
 }
 
 void Network::rebuild_routes() {
@@ -131,10 +139,10 @@ void Network::send(Packet packet) {
     return;
   }
   if (src->location() == dst->location()) {
-    sim_.schedule_after(loopback_delay_,
-                        [dst, p = std::move(packet)]() mutable {
-                          dst->deliver(std::move(p));
-                        });
+    loopback_.push_back({dst, std::move(packet)});
+    auto on_loopback = [this] { deliver_loopback(); };
+    static_assert(sim::InlineTask::fits_inline<decltype(on_loopback)>());
+    sim_.schedule_after(loopback_delay_, on_loopback);
     return;
   }
   Link* hop = next_hop(src->location(), dst->location());
@@ -146,8 +154,12 @@ void Network::send(Packet packet) {
   hop->send(std::move(packet));
 }
 
-void Network::on_link_output(const Link* /*link*/, LocationId arrived_at,
-                             Packet packet) {
+void Network::deliver_loopback() {
+  LoopbackPacket next = loopback_.take_front();
+  next.dst->deliver(std::move(next.packet));
+}
+
+void Network::on_link_output(LocationId arrived_at, Packet&& packet) {
   Interface* dst = find_interface(packet.flow.dst_ip);
   if (dst == nullptr) {
     ++unroutable_;

@@ -6,6 +6,12 @@
 // static L3 fabric would be. Same-location traffic ("localhost" between an
 // app container and its sidecar inside one pod) bypasses the fabric with a
 // small configurable loopback delay.
+//
+// Like a link, the loopback path allocates nothing per packet: loopback
+// packets wait in one FIFO ring with their destination interface, and
+// each loopback event delivers the ring's front. The delay is the same for
+// every packet, so delivery order is send order; changing it while
+// packets are in flight would break that, and throws.
 
 #include <cstdint>
 #include <functional>
@@ -17,6 +23,7 @@
 #include "net/address.h"
 #include "net/link.h"
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 
 namespace meshnet::net {
@@ -34,10 +41,10 @@ class Interface {
   LocationId location() const noexcept { return location_; }
   const std::string& name() const noexcept { return name_; }
 
-  void set_handler(std::function<void(Packet)> handler) {
+  void set_handler(std::function<void(Packet&&)> handler) {
     handler_ = std::move(handler);
   }
-  void deliver(Packet packet) const {
+  void deliver(Packet&& packet) const {
     if (handler_) handler_(std::move(packet));
   }
 
@@ -45,7 +52,7 @@ class Interface {
   IpAddress ip_;
   LocationId location_;
   std::string name_;
-  std::function<void(Packet)> handler_;
+  std::function<void(Packet&&)> handler_;
 };
 
 class Network {
@@ -84,17 +91,18 @@ class Network {
   /// All links, for stats sweeps.
   std::vector<Link*> links();
 
-  /// Delay applied to same-location (loopback) deliveries.
-  void set_loopback_delay(sim::Duration delay) noexcept {
-    loopback_delay_ = delay;
-  }
+  /// Delay applied to same-location (loopback) deliveries. Throws
+  /// std::logic_error while loopback packets are in flight: a new delay
+  /// would reorder them against the FIFO ring they wait in.
+  void set_loopback_delay(sim::Duration delay);
   sim::Duration loopback_delay() const noexcept { return loopback_delay_; }
 
   std::uint64_t unroutable_drops() const noexcept { return unroutable_; }
   std::size_t location_count() const noexcept { return location_names_.size(); }
 
  private:
-  void on_link_output(const Link* link, LocationId arrived_at, Packet packet);
+  void on_link_output(LocationId arrived_at, Packet&& packet);
+  void deliver_loopback();
   void rebuild_routes();
   Link* next_hop(LocationId from, LocationId to);
 
@@ -107,6 +115,11 @@ class Network {
   std::vector<std::uint32_t> next_hop_table_;
   bool routes_dirty_ = true;
   sim::Duration loopback_delay_ = sim::microseconds(25);
+  struct LoopbackPacket {
+    Interface* dst = nullptr;
+    Packet packet;
+  };
+  sim::Ring<LoopbackPacket> loopback_;  ///< In flight, send order.
   std::uint64_t unroutable_ = 0;
 };
 

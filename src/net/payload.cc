@@ -1,5 +1,6 @@
 #include "net/payload.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -31,12 +32,23 @@ std::size_t class_bytes(int cls) noexcept {
 
 struct Pool {
   std::vector<void*> free_lists[kClassCount];
+  /// Payload::filled's cached block per fill byte: its whole size holds
+  /// that byte, and each call returns a slice of it.
+  Payload fills[256];
   PayloadPoolStats stats;
 
-  ~Pool() {
+  ~Pool() { trim(); }
+
+  /// Drops the fill blocks first: releasing one may return it to a free
+  /// list, which is emptied next.
+  void trim() noexcept {
+    for (Payload& fill : fills) fill.reset();
     for (auto& list : free_lists) {
       for (void* block : list) ::operator delete(block);
+      list.clear();
     }
+    stats.blocks_cached = 0;
+    stats.bytes_cached = 0;
   }
 };
 
@@ -103,15 +115,7 @@ void count_bytes_copied(std::size_t bytes) noexcept {
   pool().stats.bytes_copied += bytes;
 }
 
-void payload_pool_trim() noexcept {
-  Pool& p = pool();
-  for (auto& list : p.free_lists) {
-    for (void* block : list) ::operator delete(block);
-    list.clear();
-  }
-  p.stats.blocks_cached = 0;
-  p.stats.bytes_cached = 0;
-}
+void payload_pool_trim() noexcept { pool().trim(); }
 
 Payload Payload::copy_of(std::string_view bytes) {
   char* out_bytes = nullptr;
@@ -122,10 +126,20 @@ Payload Payload::copy_of(std::string_view bytes) {
 }
 
 Payload Payload::filled(std::size_t count, char fill) {
-  char* bytes = nullptr;
-  Payload out = uninitialized(count, &bytes);
-  if (count > 0) std::memset(bytes, fill, count);
-  return out;
+  if (count == 0) return {};
+  Payload& cached = pool().fills[static_cast<unsigned char>(fill)];
+  if (cached.size() < count) {
+    // Grow by doubling (within the 32-bit size limit), so a run of
+    // growing fills costs a logarithmic number of blocks and memsets.
+    constexpr std::size_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
+    const std::size_t size =
+        std::max(count, std::min(2 * cached.size(), kMaxSize));
+    char* bytes = nullptr;
+    Payload grown = uninitialized(size, &bytes);
+    std::memset(bytes, fill, size);
+    cached = std::move(grown);
+  }
+  return cached.slice(0, count);
 }
 
 Payload Payload::uninitialized(std::size_t count, char** out_bytes) {

@@ -44,7 +44,8 @@ struct PayloadPoolStats {
 /// Snapshot of the calling thread's pool counters.
 PayloadPoolStats payload_pool_stats() noexcept;
 
-/// Frees every cached block on the calling thread (tests / leak tools).
+/// Frees every cached block on the calling thread, Payload::filled's fill
+/// blocks included once nothing else holds them (tests / leak tools).
 void payload_pool_trim() noexcept;
 
 /// Adds `bytes` to the calling thread's PayloadPoolStats::bytes_copied
@@ -59,7 +60,10 @@ class Payload {
   /// block.
   static Payload copy_of(std::string_view bytes);
 
-  /// A block of `count` copies of `fill`.
+  /// `count` copies of `fill`: a slice of the calling thread's cached
+  /// block for that byte, which grows by doubling when `count` exceeds
+  /// it, so repeated fills share one block and cost no memset.
+  /// payload_pool_trim() drops the cached blocks.
   static Payload filled(std::size_t count, char fill);
 
   /// A fresh `count`-byte block whose bytes the caller fills through

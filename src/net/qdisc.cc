@@ -57,8 +57,7 @@ bool FifoQdisc::enqueue(Packet packet, sim::Time /*now*/) {
 
 std::optional<Packet> FifoQdisc::dequeue(sim::Time /*now*/) {
   if (queue_.empty()) return std::nullopt;
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
+  Packet p = queue_.take_front();
   bytes_ -= p.size_bytes();
   note_dequeue(p);
   return p;
@@ -101,8 +100,7 @@ bool StrictPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
 std::optional<Packet> StrictPrioQdisc::dequeue(sim::Time /*now*/) {
   for (Band& band : bands_) {
     if (band.queue.empty()) continue;
-    Packet p = std::move(band.queue.front());
-    band.queue.pop_front();
+    Packet p = band.queue.take_front();
     band.bytes -= p.size_bytes();
     note_dequeue(p);
     return p;
@@ -205,8 +203,7 @@ std::optional<Packet> WeightedPrioQdisc::dequeue(sim::Time /*now*/) {
         static_cast<double>(band.queue.front().size_bytes());
     if (band.deficit >= head_size) {
       band.deficit -= head_size;
-      Packet p = std::move(band.queue.front());
-      band.queue.pop_front();
+      Packet p = band.queue.take_front();
       band.bytes -= p.size_bytes();
       band.dequeued_bytes += p.size_bytes();
       note_dequeue(p);
@@ -224,8 +221,7 @@ std::optional<Packet> WeightedPrioQdisc::dequeue(sim::Time /*now*/) {
   // Unreachable with growing deficits; serve any head as a safety valve.
   for (Band& band : bands_) {
     if (band.queue.empty()) continue;
-    Packet p = std::move(band.queue.front());
-    band.queue.pop_front();
+    Packet p = band.queue.take_front();
     band.bytes -= p.size_bytes();
     band.dequeued_bytes += p.size_bytes();
     note_dequeue(p);
@@ -313,8 +309,7 @@ std::optional<Packet> TokenBucketQdisc::dequeue(sim::Time now) {
   const auto need = static_cast<double>(queue_.front().size_bytes());
   if (tokens_ < need) return std::nullopt;
   tokens_ -= need;
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
+  Packet p = queue_.take_front();
   bytes_ -= p.size_bytes();
   note_dequeue(p);
   return p;

@@ -9,15 +9,20 @@
 // token-bucket shaper. Classification is pluggable so the cross-layer
 // TcManager can install filters that match pod IPs or DSCP marks, exactly
 // like `tc filter` rules.
+//
+// Every queue (the FIFO, each priority band, the shaper's FIFO) is a
+// sim::Ring of packets: it starts empty and doubles when full, so a
+// qdisc whose backlog has peaked enqueues and dequeues without touching
+// the allocator.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace meshnet::net {
@@ -88,7 +93,7 @@ class FifoQdisc : public Qdisc {
  private:
   std::uint64_t byte_limit_;
   std::uint64_t bytes_ = 0;
-  std::deque<Packet> queue_;
+  sim::Ring<Packet> queue_;
 };
 
 /// Strict priority across N bands: band 0 is always served first.
@@ -108,7 +113,7 @@ class StrictPrioQdisc : public Qdisc {
 
  private:
   struct Band {
-    std::deque<Packet> queue;
+    sim::Ring<Packet> queue;
     std::uint64_t bytes = 0;
     std::uint64_t drops = 0;
   };
@@ -140,7 +145,7 @@ class WeightedPrioQdisc : public Qdisc {
 
  private:
   struct Band {
-    std::deque<Packet> queue;
+    sim::Ring<Packet> queue;
     std::uint64_t bytes = 0;
     double quantum = 0.0;   ///< Credit added per DRR round.
     double deficit = 0.0;   ///< Accumulated credit.
@@ -185,7 +190,7 @@ class TokenBucketQdisc : public Qdisc {
   double tokens_;
   sim::Time last_refill_ = 0;
   std::uint64_t bytes_ = 0;
-  std::deque<Packet> queue_;
+  sim::Ring<Packet> queue_;
 };
 
 }  // namespace meshnet::net

@@ -70,7 +70,7 @@ void Connection::send(net::Payload head, net::Payload body) {
     }
     next_seq_ += len;
     unsent_bytes_ += len;
-    unsent_.push_back(std::move(seg));
+    segments_.push_back(std::move(seg));
     offset = end;
   }
   if (state_ == ConnState::kEstablished) maybe_send();
@@ -101,19 +101,17 @@ void Connection::enter_established() {
 }
 
 void Connection::maybe_send() {
-  while (!unsent_.empty() &&
-         in_flight_bytes_ + unsent_.front().length() <= cc_->cwnd()) {
-    Segment seg = std::move(unsent_.front());
-    unsent_.pop_front();
+  while (send_cursor_ < segments_.size() &&
+         in_flight_bytes_ + segments_[send_cursor_].length() <= cc_->cwnd()) {
+    Segment& seg = segments_[send_cursor_];
     unsent_bytes_ -= seg.length();
-    if (seg.seq + seg.length() <= snd_una_) continue;  // already delivered
-    // Segments returned to the unsent queue by an RTO (go-back-N) are
+    // Segments an RTO sent back behind the cursor (go-back-N) are
     // retransmissions; fresh segments are not.
     transmit_segment(seg, /*is_retransmit=*/seg.retransmitted);
     in_flight_bytes_ += seg.length();
-    in_flight_.emplace(seg.seq, std::move(seg));
+    ++send_cursor_;
   }
-  if (!in_flight_.empty() || fin_sent_) arm_rto();
+  if (send_cursor_ > 0 || fin_sent_) arm_rto();
   maybe_send_fin();
 }
 
@@ -219,7 +217,14 @@ void Connection::handle_data(const net::Packet& packet) {
     return;
   }
   if (seq > rcv_next_) {
-    out_of_order_.emplace(seq, Slices{packet.payload, packet.payload_tail});
+    // Sorted insert; a seq already held keeps its first copy. Gaps fill
+    // in order, so the search almost always ends at the back.
+    std::size_t at = out_of_order_.size();
+    while (at > 0 && out_of_order_[at - 1].seq > seq) --at;
+    if (at == 0 || out_of_order_[at - 1].seq != seq) {
+      out_of_order_.insert(
+          at, OutOfOrder{seq, Slices{packet.payload, packet.payload_tail}});
+    }
     send_ack();  // duplicate ACK signals the gap
     return;
   }
@@ -228,15 +233,12 @@ void Connection::handle_data(const net::Packet& packet) {
           static_cast<std::size_t>(rcv_next_ - seq));
 
   // Drain any now-contiguous out-of-order segments.
-  auto it = out_of_order_.begin();
-  while (it != out_of_order_.end() && it->first <= rcv_next_) {
-    const std::uint64_t oo_seq = it->first;
-    const Slices& bytes = it->second;
-    if (oo_seq + bytes.size() > rcv_next_) {
-      deliver(bytes.payload, bytes.tail,
-              static_cast<std::size_t>(rcv_next_ - oo_seq));
+  while (!out_of_order_.empty() && out_of_order_.front().seq <= rcv_next_) {
+    const OutOfOrder next = out_of_order_.take_front();
+    if (next.seq + next.bytes.size() > rcv_next_) {
+      deliver(next.bytes.payload, next.bytes.tail,
+              static_cast<std::size_t>(rcv_next_ - next.seq));
     }
-    it = out_of_order_.erase(it);
   }
   send_ack();
 }
@@ -274,52 +276,50 @@ void Connection::handle_ack(const net::Packet& packet) {
     dup_acks_ = 0;
     std::uint64_t acked_bytes = 0;
     sim::Duration rtt_sample = 0;
-    auto it = in_flight_.begin();
-    while (it != in_flight_.end()) {
-      const Segment& seg = it->second;
-      if (seg.seq + seg.length() > ack) break;
-      acked_bytes += seg.length();
-      if (!seg.retransmitted) {
-        rtt_sample = host_.now() - seg.sent_at;  // Karn's algorithm
+    // Pop every segment the ACK covers. Segments an RTO parked behind
+    // the cursor (go-back-N) may be covered too (the receiver held them
+    // out of order); sending them again would corrupt the in-flight
+    // accounting below snd_una.
+    while (!segments_.empty() && segments_.front().end() <= ack) {
+      const Segment& seg = segments_.front();
+      if (send_cursor_ > 0) {
+        acked_bytes += seg.length();
+        if (!seg.retransmitted) {
+          rtt_sample = host_.now() - seg.sent_at;  // Karn's algorithm
+        }
+        --send_cursor_;
+      } else {
+        unsent_bytes_ -= seg.length();
       }
-      it = in_flight_.erase(it);
+      segments_.pop_front();
     }
     in_flight_bytes_ -= acked_bytes;
     stats_.bytes_acked += acked_bytes;
     snd_una_ = std::max(snd_una_, ack);
-    // Segments parked in the unsent queue by an RTO (go-back-N) may have
-    // been covered by this cumulative ACK (the receiver held them out of
-    // order); transmitting them again would corrupt the in-flight
-    // accounting below snd_una.
-    while (!unsent_.empty() &&
-           unsent_.front().seq + unsent_.front().length() <= snd_una_) {
-      unsent_bytes_ -= unsent_.front().length();
-      unsent_.pop_front();
-    }
     if (rtt_sample > 0) update_rtt(rtt_sample);
     rto_backoff_ = 0;
 
     if (in_recovery_) {
       if (ack >= recover_) {
         in_recovery_ = false;
-      } else if (!in_flight_.empty()) {
+      } else if (send_cursor_ > 0) {
         // NewReno partial ACK: the ack advanced but not past the recovery
         // point, so the next unacked segment was also lost — retransmit it
         // now instead of stalling until the RTO.
-        transmit_segment(in_flight_.begin()->second, /*is_retransmit=*/true);
+        transmit_segment(segments_.front(), /*is_retransmit=*/true);
       }
     }
     if (acked_bytes > 0 && !in_recovery_) {
       cc_->on_ack(acked_bytes, rtt_sample, host_.now());
     }
 
-    if (in_flight_.empty() && !(fin_sent_ && ack < fin_ack_point)) {
+    if (send_cursor_ == 0 && !(fin_sent_ && ack < fin_ack_point)) {
       disarm_rto();
     } else {
       arm_rto();
     }
     maybe_send();
-  } else if (ack == snd_una_ && !in_flight_.empty() &&
+  } else if (ack == snd_una_ && send_cursor_ > 0 &&
              packet.payload_size() == 0 && !packet.has(net::kFlagFin)) {
     // Duplicate ACK.
     ++dup_acks_;
@@ -329,11 +329,8 @@ void Connection::handle_ack(const net::Packet& packet) {
       cc_->on_loss(host_.now());
       ++stats_.fast_retransmits;
       ++host_.mutable_stats().fast_retransmits;
-      auto first = in_flight_.begin();
-      if (first != in_flight_.end()) {
-        transmit_segment(first->second, /*is_retransmit=*/true);
-        arm_rto();
-      }
+      transmit_segment(segments_.front(), /*is_retransmit=*/true);
+      arm_rto();
     }
   }
 
@@ -349,7 +346,7 @@ void Connection::maybe_send_fin() {
   if (!close_requested_ || fin_sent_ || state_ != ConnState::kEstablished) {
     return;
   }
-  if (!unsent_.empty() || !in_flight_.empty()) return;
+  if (!segments_.empty()) return;
   fin_sent_ = true;
   fin_seq_ = next_seq_;
   state_ = ConnState::kFinSent;
@@ -391,21 +388,20 @@ void Connection::on_rto_fired() {
     arm_rto();
     return;
   }
-  if (!in_flight_.empty()) {
+  if (send_cursor_ > 0) {
     cc_->on_timeout(host_.now());
     in_recovery_ = false;
     dup_acks_ = 0;
     // Go-back-N: an RTO means the whole outstanding window is presumed
-    // lost (or its ACKs are). Return every in-flight segment to the head
-    // of the unsent queue (ascending seq) and restart from snd_una under
-    // the collapsed window — retransmission then proceeds ACK-clocked at
-    // slow-start pace instead of one segment per timeout.
-    for (auto it = in_flight_.rbegin(); it != in_flight_.rend(); ++it) {
-      it->second.retransmitted = true;  // Karn: no RTT samples from these
-      unsent_bytes_ += it->second.length();
-      unsent_.push_front(std::move(it->second));
+    // lost (or its ACKs are). Move the cursor back to the front and
+    // restart from snd_una under the collapsed window — retransmission
+    // then proceeds ACK-clocked at slow-start pace instead of one segment
+    // per timeout.
+    for (std::size_t i = 0; i < send_cursor_; ++i) {
+      segments_[i].retransmitted = true;  // Karn: no RTT samples from these
+      unsent_bytes_ += segments_[i].length();
     }
-    in_flight_.clear();
+    send_cursor_ = 0;
     in_flight_bytes_ = 0;
     maybe_send();
   } else if (fin_sent_) {
@@ -433,9 +429,9 @@ void Connection::become_closed(bool graceful) {
   if (state_ == ConnState::kClosed) return;
   state_ = ConnState::kClosed;
   disarm_rto();
-  unsent_.clear();
+  segments_.clear();
+  send_cursor_ = 0;
   unsent_bytes_ = 0;
-  in_flight_.clear();
   in_flight_bytes_ = 0;
   out_of_order_.clear();
   if (on_closed_) on_closed_(graceful);

@@ -18,20 +18,27 @@
 // Delivery hands the slices up in order, so a parser above sees the body
 // as consecutive slices of the sender's body block.
 //
+// Segment bookkeeping allocates nothing once warm. The sender keeps every
+// unacknowledged segment in one seq-ordered ring (sim::Ring): the front
+// `send_cursor_` segments are in flight, the rest are unsent. A
+// cumulative ACK pops covered segments from the front; a go-back-N RTO
+// resets the cursor to the front, so the whole window is resent in seq
+// order. The receiver keeps out-of-order segments in a ring sorted by seq;
+// when a seq arrives twice the first copy is kept.
+//
 // Connections are created by TransportHost (client via connect(), server
 // via a listener); user code interacts through send()/close() and the
 // three handlers.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 
 #include "net/address.h"
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "transport/congestion.h"
 
@@ -158,6 +165,13 @@ class Connection {
     std::uint32_t length() const noexcept {
       return static_cast<std::uint32_t>(bytes.size());
     }
+    std::uint64_t end() const noexcept { return seq + length(); }
+  };
+
+  /// A segment received ahead of rcv_next_.
+  struct OutOfOrder {
+    std::uint64_t seq = 0;
+    Slices bytes;
   };
 
   void enter_established();
@@ -187,10 +201,11 @@ class Connection {
   ConnState state_;
   std::unique_ptr<CongestionController> cc_;
 
-  // Sender state.
-  std::deque<Segment> unsent_;
+  // Sender state. segments_ holds every unacknowledged segment in seq
+  // order: [0, send_cursor_) are in flight, the rest not yet (re)sent.
+  sim::Ring<Segment> segments_;
+  std::size_t send_cursor_ = 0;
   std::uint64_t unsent_bytes_ = 0;
-  std::map<std::uint64_t, Segment> in_flight_;  ///< keyed by seq
   std::uint64_t in_flight_bytes_ = 0;
   std::uint64_t next_seq_ = 0;       ///< Next fresh byte to assign.
   std::uint64_t snd_una_ = 0;        ///< Oldest unacked byte.
@@ -211,7 +226,7 @@ class Connection {
 
   // Receiver state.
   std::uint64_t rcv_next_ = 0;
-  std::map<std::uint64_t, Slices> out_of_order_;
+  sim::Ring<OutOfOrder> out_of_order_;  ///< sorted by seq, unique seqs
   bool fin_received_ = false;
   std::uint64_t peer_fin_seq_ = 0;
 

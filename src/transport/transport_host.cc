@@ -16,7 +16,7 @@ TransportHost::TransportHost(sim::Simulator& sim, net::Network& network,
                     << net::ip_to_string(ip);
     return;
   }
-  iface->set_handler([this](net::Packet p) { on_packet(std::move(p)); });
+  iface->set_handler([this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
 void TransportHost::listen(net::Port port, AcceptHandler handler) {
@@ -61,7 +61,7 @@ void TransportHost::on_connection_closed(Connection& connection) {
   sim_.schedule_after(0, [this, flow] { connections_.erase(flow); });
 }
 
-void TransportHost::on_packet(net::Packet packet) {
+void TransportHost::on_packet(net::Packet&& packet) {
   // The local view of the flow reverses the wire header.
   const net::FlowKey local = packet.flow.reversed();
   const auto it = connections_.find(local);

@@ -82,7 +82,7 @@ class TransportHost {
   void on_connection_closed(Connection& connection);
 
  private:
-  void on_packet(net::Packet packet);
+  void on_packet(net::Packet&& packet);
 
   sim::Simulator& sim_;
   net::Network& network_;

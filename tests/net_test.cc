@@ -1,11 +1,14 @@
-// Tests for addressing, qdiscs, links and the routed fabric.
+// Tests for addressing, qdiscs, links and the routed fabric, and for the
+// heap-free packet path under a transport pair.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "net/address.h"
@@ -14,6 +17,7 @@
 #include "net/packet.h"
 #include "net/qdisc.h"
 #include "sim/simulator.h"
+#include "transport/transport_host.h"
 
 namespace meshnet::net {
 namespace {
@@ -109,8 +113,9 @@ TEST(Payload, PoolReusesBlocks) {
     SCOPED_TRACE(bytes);
     payload_pool_trim();
     const PayloadPoolStats before = payload_pool_stats();
-    { Payload p = Payload::filled(bytes, 'x'); }
-    { Payload p = Payload::filled(bytes, 'y'); }  // same size class: reuse
+    char* out = nullptr;
+    { Payload p = Payload::uninitialized(bytes, &out); }
+    { Payload p = Payload::uninitialized(bytes, &out); }  // same class: reuse
     const PayloadPoolStats after = payload_pool_stats();
     EXPECT_EQ(after.pool_misses - before.pool_misses, 1u);
     EXPECT_EQ(after.pool_hits - before.pool_hits, 1u);
@@ -122,10 +127,39 @@ TEST(Payload, PoolReusesBlocks) {
   }
 }
 
+TEST(Payload, FillsOfOneByteShareACachedBlock) {
+  payload_pool_trim();
+  const Payload first = Payload::filled(1000, 'f');
+  const Payload second = Payload::filled(600, 'f');
+  EXPECT_EQ(first.view(), std::string(1000, 'f'));
+  EXPECT_EQ(second.view(), std::string(600, 'f'));
+  EXPECT_EQ(second.data(), first.data());  // one block, filled once
+  const Payload other = Payload::filled(600, 'g');
+  EXPECT_EQ(other.view(), std::string(600, 'g'));
+  EXPECT_NE(other.data(), first.data());
+
+  // A larger fill grows the cached block to at least twice its size;
+  // slices of the old block stay valid.
+  const Payload grown = Payload::filled(1500, 'f');
+  EXPECT_EQ(grown.view(), std::string(1500, 'f'));
+  EXPECT_NE(grown.data(), first.data());
+  EXPECT_EQ(Payload::filled(2000, 'f').data(), grown.data());
+  EXPECT_EQ(first.view(), std::string(1000, 'f'));
+
+  // Trim drops the cached blocks: the next fill starts a fresh one.
+  payload_pool_trim();
+  const PayloadPoolStats before = payload_pool_stats();
+  const Payload fresh = Payload::filled(1500, 'f');
+  EXPECT_EQ(payload_pool_stats().pool_misses - before.pool_misses, 1u);
+  EXPECT_NE(fresh.data(), grown.data());
+  EXPECT_EQ(fresh.view(), std::string(1500, 'f'));
+}
+
 TEST(Payload, OversizedBlocksBypassThePool) {
   payload_pool_trim();
   const PayloadPoolStats before = payload_pool_stats();
-  { Payload p = Payload::filled(16 * 1024 * 1024 + 1, 'z'); }
+  char* out = nullptr;
+  { Payload p = Payload::uninitialized(16 * 1024 * 1024 + 1, &out); }
   const PayloadPoolStats after = payload_pool_stats();
   EXPECT_EQ(after.unpooled - before.unpooled, 1u);
   EXPECT_EQ(after.blocks_cached, 0u);  // not cached on release
@@ -506,6 +540,95 @@ TEST_F(NetworkTest, LoopbackForSameLocation) {
   net.send(make_packet(100));
   sim.run();
   EXPECT_EQ(arrival, sim::microseconds(3));
+}
+
+TEST_F(NetworkTest, LoopbackDeliversInSendOrderAcrossInterfaces) {
+  const auto a = net.add_location("a");
+  net.set_loopback_delay(sim::microseconds(3));
+  net.attach_interface(make_ip(10, 0, 0, 1), a);
+  Interface& left = net.attach_interface(make_ip(10, 0, 0, 2), a);
+  Interface& right = net.attach_interface(make_ip(10, 0, 0, 3), a);
+  // (packet id, arrival time, receiving interface)
+  std::vector<std::tuple<std::uint64_t, sim::Time, IpAddress>> arrivals;
+  for (Interface* iface : {&left, &right}) {
+    iface->set_handler([&arrivals, this, ip = iface->ip()](Packet p) {
+      arrivals.emplace_back(p.seq, sim.now(), ip);
+    });
+  }
+  // Bursts of varying depth, 1 us apart: the ring grows past its first
+  // capacity and wraps while packets are in flight.
+  std::vector<std::tuple<std::uint64_t, sim::Time, IpAddress>> expected;
+  std::uint64_t id = 0;
+  for (int burst = 0; burst < 12; ++burst) {
+    sim.schedule_at(sim::microseconds(burst), [&, burst] {
+      for (int i = 0; i < 1 + burst % 5 * 4; ++i) {
+        const IpAddress dst = id % 3 == 0 ? right.ip() : left.ip();
+        Packet p = make_packet(10, Dscp::kDefault, dst);
+        p.seq = id++;
+        expected.emplace_back(p.seq, sim.now() + sim::microseconds(3), dst);
+        net.send(std::move(p));
+      }
+    });
+  }
+  sim.run();
+  EXPECT_GT(expected.size(), 3u * 8u);
+  EXPECT_EQ(arrivals, expected);
+}
+
+TEST_F(NetworkTest, LoopbackDelayChangeWithPacketsInFlightThrows) {
+  const auto a = net.add_location("a");
+  net.set_loopback_delay(sim::microseconds(3));
+  net.attach_interface(make_ip(10, 0, 0, 1), a);
+  Interface& dst = net.attach_interface(make_ip(10, 0, 0, 2), a);
+  std::vector<sim::Time> arrivals;
+  dst.set_handler([&](Packet) { arrivals.push_back(sim.now()); });
+  net.send(make_packet(100));
+  // A new delay would let a later packet overtake this one.
+  EXPECT_THROW(net.set_loopback_delay(sim::microseconds(1)), std::logic_error);
+  EXPECT_EQ(net.loopback_delay(), sim::microseconds(3));
+  sim.run();
+  EXPECT_EQ(arrivals, std::vector<sim::Time>{sim::microseconds(3)});
+  // Nothing in flight: the delay may change again.
+  net.set_loopback_delay(sim::microseconds(1));
+  net.send(make_packet(100));
+  sim.run();
+  EXPECT_EQ(arrivals.back(), sim::microseconds(4));
+}
+
+TEST(HeapFreePacketPath, MebibyteOverPrioLinkAndLoopbackSchedulesNoHeapTasks) {
+  sim::Simulator sim;
+  Network net(sim);
+  const auto a = net.add_location("a");
+  const auto b = net.add_location("b");
+  net.add_link(a, b, 1e9, sim::microseconds(50),
+               std::make_unique<WeightedPrioQdisc>(std::vector<double>{95, 5},
+                                                   classify_by_dscp()));
+  net.add_link(b, a, 1e9, sim::microseconds(50));
+  const IpAddress client_ip = make_ip(10, 0, 0, 1);
+  const IpAddress remote_ip = make_ip(10, 0, 0, 2);
+  const IpAddress local_ip = make_ip(10, 0, 0, 3);
+  net.attach_interface(client_ip, a);
+  net.attach_interface(remote_ip, b);  // across the prio link
+  net.attach_interface(local_ip, a);   // loopback from the client
+  transport::TransportHost client(sim, net, client_ip);
+  transport::TransportHost remote(sim, net, remote_ip);
+  transport::TransportHost local(sim, net, local_ip);
+  std::string remote_bytes;
+  std::string local_bytes;
+  remote.listen(80, [&](transport::Connection& c) {
+    c.set_on_data([&](std::string_view d) { remote_bytes.append(d); });
+  });
+  local.listen(80, [&](transport::Connection& c) {
+    c.set_on_data([&](std::string_view d) { local_bytes.append(d); });
+  });
+  constexpr std::size_t kBody = std::size_t{1} << 20;
+  client.connect({remote_ip, 80}).send(Payload::filled(kBody, 'r'));
+  client.connect({local_ip, 80}).send(Payload::filled(kBody, 'l'));
+  sim.run_until(sim::seconds(10));
+  EXPECT_EQ(remote_bytes, std::string(kBody, 'r'));
+  EXPECT_EQ(local_bytes, std::string(kBody, 'l'));
+  EXPECT_GT(sim.loop_stats().executed, 2 * kBody / 1460);
+  EXPECT_EQ(sim.loop_stats().task_heap_allocs, 0u);
 }
 
 TEST_F(NetworkTest, UnroutableCountsAndDrops) {

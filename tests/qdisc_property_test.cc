@@ -1,15 +1,18 @@
 // Property-style parameterized tests for the queueing disciplines: the
 // invariants the cross-layer results rest on, swept across
-// configurations.
+// configurations, and the link's in-flight FIFO under each of them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
 
+#include "net/link.h"
 #include "net/qdisc.h"
 #include "sim/random.h"
+#include "sim/simulator.h"
 
 namespace meshnet::net {
 namespace {
@@ -190,6 +193,88 @@ TEST_P(TokenRateTest, LongRunThroughputMatchesRate) {
 
 INSTANTIATE_TEST_SUITE_P(Rates, TokenRateTest,
                          ::testing::Values(1e6, 1e7, 1e8, 1e9));
+
+// ---- Links: serialized packets outlive carrier flaps and qdisc swaps ---
+
+// (qdisc kind, mid-flight action: 0 = carrier down then up, 1 = set_qdisc)
+using InFlightParam = std::tuple<int, int>;
+
+class InFlightTest : public ::testing::TestWithParam<InFlightParam> {};
+
+TEST_P(InFlightTest, SerializedPacketsArriveOnTimeInSendOrder) {
+  const auto [kind, action] = GetParam();
+  constexpr double kRate = 1e9;
+  // Propagation spans ~30 serializations, so the wire ring grows past its
+  // first capacity and its head wraps while packets are in flight.
+  const sim::Duration kProp = sim::microseconds(200);
+  sim::Simulator sim;
+  Link link(sim, "l", kRate, kProp, make_qdisc(kind, 1 << 30));
+  struct Arrival {
+    std::uint64_t id;
+    sim::Time at;
+    bool operator==(const Arrival&) const = default;
+  };
+  std::vector<Arrival> arrivals;
+  std::size_t max_on_wire = 0;
+  link.set_sink([&](Packet&& p) {
+    max_on_wire = std::max(max_on_wire, link.packets_on_wire() + 1);
+    arrivals.push_back({p.seq, sim.now()});
+  });
+
+  sim::RngStream rng(static_cast<std::uint64_t>(kind), "in-flight");
+  std::vector<std::uint32_t> sizes;
+  const auto send_batch = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      sizes.push_back(static_cast<std::uint32_t>(rng.uniform_int(100, 1400)));
+      Packet p = packet_of(sizes.back(), Dscp::kDefault);
+      p.seq = sizes.size() - 1;
+      link.send(std::move(p));
+    }
+  };
+  const auto tx_time = [&](std::size_t id) {
+    return sim::transmission_time(sizes[id] + 40, kRate);
+  };
+
+  // Batch one at t=0; at `flap` (mid-serialization, with packets on the
+  // wire) the backlog is dropped and batch two is sent.
+  constexpr std::size_t kBatch = 60;
+  const sim::Time flap = sim::microseconds(150);
+  send_batch(kBatch);
+  std::vector<Arrival> expected;
+  sim::Time done = 0;  // serialization-complete time of the previous packet
+  for (std::size_t id = 0; id < kBatch && done <= flap; ++id) {
+    ASSERT_NE(done, flap);  // the flap must not tie with a completion
+    done += tx_time(id);
+    expected.push_back({id, done + kProp});
+  }
+  ASSERT_GT(done, flap);
+  sim.schedule_at(flap, [&] {
+    if (action == 0) {
+      link.set_up(false);
+      link.set_up(true);
+    } else {
+      link.set_qdisc(make_qdisc(kind, 1 << 30));
+    }
+    send_batch(kBatch);
+  });
+  sim.run_until(flap);
+  for (std::size_t id = kBatch; id < 2 * kBatch; ++id) {
+    done += tx_time(id);
+    expected.push_back({id, done + kProp});
+  }
+  sim.run();
+
+  EXPECT_EQ(arrivals, expected);
+  EXPECT_GT(max_on_wire, 16u);
+  EXPECT_EQ(link.packets_on_wire(), 0u);
+  if (action == 0) {
+    EXPECT_EQ(link.stats().down_drops, kBatch - (expected.size() - kBatch));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndActions, InFlightTest,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3), ::testing::Values(0, 1)));
 
 }  // namespace
 }  // namespace meshnet::net

@@ -224,10 +224,12 @@ struct SplitRun {
   std::string delivered;
 };
 
-/// Sends two copies of the message (head, body), split or joined, over a
-/// clean path whose forward qdisc drops the segment at `drop_seq` once.
+/// Sends `copies` copies of the message (head, body), split or joined,
+/// over a clean path whose forward qdisc drops the segment at `drop_seq`
+/// once.
 SplitRun run_split(const std::string& head, const std::string& body,
-                   bool split, std::optional<std::uint64_t> drop_seq) {
+                   bool split, std::optional<std::uint64_t> drop_seq,
+                   int copies = 2) {
   SplitRun run;
   sim::Simulator sim;
   net::Network net(sim);
@@ -250,7 +252,7 @@ SplitRun run_split(const std::string& head, const std::string& body,
   ConnectionOptions options;
   options.mss = kSplitMss;
   Connection& client = host_a.connect({ip_b, 80}, options);
-  for (int copy = 0; copy < 2; ++copy) {
+  for (int copy = 0; copy < copies; ++copy) {
     if (split) {
       client.send(net::Payload::copy_of(head), net::Payload::copy_of(body));
     } else {
@@ -309,6 +311,31 @@ TEST_P(HeadBodySplitTest, SameSegmentsAndBytesAsTheJoinedSend) {
 INSTANTIATE_TEST_SUITE_P(HeadSizes, HeadBodySplitTest,
                          ::testing::Values(0, 1, kSplitMss - 1, kSplitMss,
                                            kSplitMss + 1, 3 * kSplitMss + 17));
+
+// ----- go-back-N over the segment ring ---------------------------------
+
+TEST(SegmentRing, CumulativeAckCoversSegmentsParkedByAnRto) {
+  // Three segments, the first lost: the other two wait out of order at
+  // the receiver, two duplicate ACKs are too few for fast retransmit, and
+  // the RTO moves the send cursor back over all three. Resending the
+  // first releases the receiver's buffer, and its cumulative ACK covers
+  // the two parked segments, which must not go out again.
+  const std::string head = patterned(1500, 3);  // segment 1 straddles
+  const std::string body = patterned(1200, 4);
+  const std::vector<WireSegment> expected = {
+      {0, head.substr(0, 1000)},
+      {1000, head.substr(1000) + body.substr(0, 500)},
+      {2000, body.substr(500)},
+      {0, head.substr(0, 1000)},  // the RTO's one retransmit
+  };
+  for (const bool split : {false, true}) {
+    SCOPED_TRACE(split ? "split" : "joined");
+    const SplitRun run = run_split(head, body, split, 0, /*copies=*/1);
+    EXPECT_EQ(run.segments, expected);
+    EXPECT_EQ(run.delivered, head + body);
+    EXPECT_EQ(run.two_slice_segments, split ? 1u : 0u);
+  }
+}
 
 }  // namespace
 }  // namespace meshnet::transport

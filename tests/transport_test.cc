@@ -303,6 +303,36 @@ TEST_F(TransportFixture, HostCountsBytesDrainedOutOfOrder) {
   EXPECT_EQ(host_a->stats().bytes_sent, kBytes);
 }
 
+TEST_F(TransportFixture, DuplicateOutOfOrderSegmentKeepsTheFirstCopy) {
+  build();
+  // A raw peer at location a with no transport stack: the test writes its
+  // segments by hand, and the server's replies to it are dropped.
+  const net::IpAddress ip_raw = net::make_ip(10, 0, 0, 3);
+  net.attach_interface(ip_raw, net::LocationId{0});
+  std::string received;
+  host_b->listen(80, [&](Connection& c) {
+    c.set_on_data([&](std::string_view d) { received.append(d); });
+  });
+  const auto segment = [&](std::uint8_t flags, std::uint64_t seq,
+                           std::string_view bytes) {
+    net::Packet p;
+    p.flow = net::FlowKey{ip_raw, 5000, ip_b, 80};
+    p.flags = flags;
+    p.seq = seq;
+    p.payload = net::Payload::copy_of(bytes);
+    net.send(std::move(p));
+    sim.run_until(sim.now() + sim::milliseconds(1));
+  };
+  segment(net::kFlagSyn, 0, "");
+  segment(net::kFlagAck, 4, "old1");  // ahead of the gap at 0: held
+  segment(net::kFlagAck, 4, "NEW2");  // same seq again: the first stays
+  segment(net::kFlagAck, 12, "last");
+  segment(net::kFlagAck, 8, "mid3");  // held between the two
+  EXPECT_EQ(received, "");
+  segment(net::kFlagAck, 0, "head");  // fills the gap
+  EXPECT_EQ(received, "headold1mid3last");
+}
+
 TEST_F(TransportFixture, FastRetransmitFiresOnDupAcks) {
   build(1e8, sim::microseconds(100), 2500);
   std::string received;
