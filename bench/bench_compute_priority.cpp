@@ -11,9 +11,8 @@
 #include <cstdio>
 #include <string>
 
-#include "app/microservice.h"
+#include "app/mesh_builder.h"
 #include "core/priority.h"
-#include "mesh/control_plane.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
@@ -27,39 +26,36 @@ workload::PointMetrics run_once(bool priority_scheduling, double ls_rps,
                                 std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
-  cluster::Cluster cluster(sim);
-  cluster.add_node("node-a");
-  cluster::Pod& client_pod = cluster.add_pod("node-a", "client", "client", 0);
-  cluster::Pod& server_pod =
-      cluster.add_pod("node-a", "server-v1", "server", 8080);
-
-  mesh::ControlPlane control_plane(sim, cluster);
-  control_plane.tracer().set_retention(0);
-  control_plane.inject_sidecar(client_pod, {});
-  control_plane.inject_sidecar(server_pod, {});
-  control_plane.start();
-
-  app::MicroserviceOptions options;
-  options.max_concurrency = 4;
-  options.priority_scheduling = priority_scheduling;
-  app::Microservice server(
-      sim, server_pod,
-      [](const http::HttpRequest& request) {
-        app::HandlerResult plan;
-        const bool batch =
-            request.headers.get_or(http::headers::kMeshPriority, "") == "low";
-        plan.processing_delay =
-            batch ? sim::milliseconds(40) : sim::milliseconds(2);
-        plan.response_bytes = batch ? 16 * 1024 : 1024;
-        return plan;
-      },
-      options);
+  cluster::MeshSpec mesh_spec;
+  mesh_spec.nodes = {"node-a"};
+  // The client pod is the gateway: the pool's requests enter the mesh on
+  // its sidecar's outbound listener.
+  mesh_spec.gateway.enabled = true;
+  mesh_spec.gateway.pod_name = mesh_spec.gateway.service = "client";
+  mesh_spec.gateway.port = 15001;
+  cluster::ServiceSpec server;
+  server.name = "server";
+  server.port = 8080;
+  server.app.max_concurrency = 4;
+  server.app.priority_scheduling = priority_scheduling;
+  server.handler = [](const http::HttpRequest& request) {
+    app::HandlerResult plan;
+    const bool batch =
+        request.headers.get_or(http::headers::kMeshPriority, "") == "low";
+    plan.processing_delay =
+        batch ? sim::milliseconds(40) : sim::milliseconds(2);
+    plan.response_bytes = batch ? 16 * 1024 : 1024;
+    return plan;
+  };
+  mesh_spec.services = {server};
+  auto mesh = cluster::MeshBuilder(sim).build(std::move(mesh_spec));
+  mesh->control_plane().tracer().set_retention(0);
+  const app::Microservice& app = *mesh->microservices().front();
 
   mesh::HttpClientPool::Options pool_options;
   pool_options.max_connections = 1024;
-  mesh::HttpClientPool client(sim, client_pod.transport(),
-                              net::SocketAddress{client_pod.ip(), 15001},
-                              pool_options);
+  mesh::HttpClientPool client(sim, mesh->pod("client")->transport(),
+                              mesh->gateway_address(), pool_options);
 
   auto make_factory = [](const char* priority) {
     return [priority](std::uint64_t i) {
@@ -95,7 +91,7 @@ workload::PointMetrics run_once(bool priority_scheduling, double ls_rps,
   metrics.scalars["li_p99_ms"] = li_recorder.p99_ms();
   metrics.counters["ls_completed"] = ls_recorder.count();
   metrics.counters["li_completed"] = li_recorder.count();
-  metrics.counters["max_admission_queue"] = server.max_admission_queue_seen();
+  metrics.counters["max_admission_queue"] = app.max_admission_queue_seen();
   metrics.histograms["ls_latency_ns"] = ls_recorder.histogram();
   return metrics;
 }

@@ -12,10 +12,10 @@
 // ratio, peak discovery staleness, reconvergence time and the push
 // channel counters (attempts / acks / retries / noop-skips / rollbacks).
 //
-//   ./cp_chaos_elibrary [--seed=42] [--ls-rps=30] [--li-rps=10]
-//                       [--duration=46] [--outage-duration-s=30]
-//                       [--churn-period-s=4] [--threads=N]
-//                       [--json-out[=PATH]] [--baseline=P]
+//   ./bench_cp [--seed=42] [--ls-rps=30] [--li-rps=10]
+//              [--duration=46] [--outage-duration-s=30]
+//              [--churn-period-s=4] [--threads=N]
+//              [--json-out[=PATH]] [--baseline=P]
 //
 // The two arms are independent sweep points (--threads=2 runs them in
 // parallel, bit-identically).

@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "app/microservice.h"
-#include "mesh/control_plane.h"
+#include "app/mesh_builder.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
@@ -27,31 +26,35 @@ workload::PointMetrics run_once(mesh::LbPolicy policy, double rps,
                                 sim::Duration duration, std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
-  cluster::Cluster cluster(sim);
-  cluster.add_node("node-a");
-  cluster::Pod& client_pod = cluster.add_pod("node-a", "client", "client", 0);
-
-  std::vector<cluster::Pod*> replicas;
+  cluster::MeshSpec mesh_spec;
+  mesh_spec.nodes = {"node-a"};
+  mesh_spec.policies.default_lb = policy;
+  // The client pod is the gateway: the pool's requests enter the mesh on
+  // its sidecar's outbound listener.
+  mesh_spec.gateway.enabled = true;
+  mesh_spec.gateway.pod_name = mesh_spec.gateway.service = "client";
+  mesh_spec.gateway.port = 15001;
+  cluster::ServiceSpec server;
+  server.name = "server";
+  server.replicas = 3;
+  server.port = 8080;
   for (int i = 1; i <= 3; ++i) {
     cluster::PodOptions options;
     options.labels = {{"weight", i == 3 ? "1" : "10"}};  // for WRR
-    replicas.push_back(&cluster.add_pod(
-        "node-a", "server-v" + std::to_string(i), "server", 8080, options));
+    server.replica_options.push_back(options);
   }
+  mesh_spec.services = {server};
+  auto mesh = cluster::MeshBuilder(sim).build(std::move(mesh_spec));
+  mesh->control_plane().tracer().set_retention(0);
 
-  mesh::MeshPolicies policies;
-  policies.default_lb = policy;
-  mesh::ControlPlane control_plane(sim, cluster, policies);
-  control_plane.tracer().set_retention(0);
-  control_plane.inject_sidecar(client_pod, {});
-  for (cluster::Pod* pod : replicas) control_plane.inject_sidecar(*pod, {});
-  control_plane.start();
-
+  // A service has one handler, so the replicas' apps are built here:
+  // server-v3 is the straggler.
+  const std::vector<std::string> replicas = cluster::service_pod_names(server);
   std::vector<std::unique_ptr<app::Microservice>> apps;
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    const bool slow = i == 2;  // server-v3 is the straggler
+  for (const std::string& name : replicas) {
+    const bool slow = name == "server-v3";
     apps.push_back(std::make_unique<app::Microservice>(
-        sim, *replicas[i], [slow](const http::HttpRequest&) {
+        sim, *mesh->pod(name), [slow](const http::HttpRequest&) {
           app::HandlerResult plan;
           plan.processing_delay =
               slow ? sim::milliseconds(20) : sim::milliseconds(2);
@@ -62,9 +65,8 @@ workload::PointMetrics run_once(mesh::LbPolicy policy, double rps,
 
   mesh::HttpClientPool::Options options;
   options.max_connections = 512;
-  mesh::HttpClientPool client(sim, client_pod.transport(),
-                              net::SocketAddress{client_pod.ip(), 15001},
-                              options);
+  mesh::HttpClientPool client(sim, mesh->pod("client")->transport(),
+                              mesh->gateway_address(), options);
 
   workload::WorkloadSpec spec;
   spec.name = "lb";
@@ -89,7 +91,7 @@ workload::PointMetrics run_once(mesh::LbPolicy policy, double rps,
   metrics.counters["errors"] = recorder.errors();
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     // The app's own served-request counter is the ground truth.
-    metrics.counters["served_" + replicas[i]->name()] =
+    metrics.counters["served_" + replicas[i]] =
         apps[i]->requests_served();
   }
   metrics.histograms["latency_ns"] = recorder.histogram();

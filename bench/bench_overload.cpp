@@ -7,9 +7,9 @@
 // 25% of its uncontended (0.5x) value while >= 90% of the shedding
 // falls on LI traffic.
 //
-//   ./overload_elibrary [--seed=42] [--capacity-rps=30] [--ls-rps=10]
-//                       [--duration=10] [--threads=N]
-//                       [--json-out[=PATH]] [--baseline=P]
+//   ./bench_overload [--seed=42] [--capacity-rps=30] [--ls-rps=10]
+//                    [--duration=10] [--threads=N]
+//                    [--json-out[=PATH]] [--baseline=P]
 //
 // Every (load_factor, admission) pair is an independent sweep point;
 // --threads parallelizes them bit-identically.

@@ -17,8 +17,7 @@
 #include <string>
 #include <utility>
 
-#include "app/microservice.h"
-#include "mesh/control_plane.h"
+#include "app/mesh_builder.h"
 #include "stats/table.h"
 #include "workload/bench_harness.h"
 #include "workload/generator.h"
@@ -31,37 +30,41 @@ workload::PointMetrics run_once(bool meshed, double rps,
                                 sim::Duration duration, std::uint64_t seed) {
   http::reset_request_id_counter();
   sim::Simulator sim;
-  cluster::Cluster cluster(sim);
-  cluster.add_node("node-a");
-  cluster::Pod& client_pod =
-      cluster.add_pod("node-a", "client", "client", 0);
-  cluster::Pod& server_pod =
-      cluster.add_pod("node-a", "server-v1", "server", 8080);
-
-  mesh::ControlPlane control_plane(sim, cluster);
-  control_plane.tracer().set_retention(0);
-  if (meshed) {
-    control_plane.inject_sidecar(client_pod, {});
-    control_plane.inject_sidecar(server_pod, {});
-    control_plane.start();
-  }
-
-  app::Microservice server(sim, server_pod, [](const http::HttpRequest&) {
+  cluster::MeshSpec mesh_spec;
+  mesh_spec.nodes = {"node-a"};
+  // Both arms run the same server service; only the meshed one gives it
+  // a sidecar, so both serve the same response.
+  cluster::ServiceSpec server;
+  server.name = "server";
+  server.port = 8080;
+  server.inject_sidecar = meshed;
+  server.handler = [](const http::HttpRequest&) {
     app::HandlerResult plan;
     plan.processing_delay = 0;  // isolate proxy + network cost
     plan.response_bytes = 1024;
     return plan;
-  });
+  };
+  mesh_spec.services = {server};
+  if (meshed) {
+    // The client pod is the gateway: its sidecar's outbound listener is
+    // where the requests enter the mesh, as a meshed app's traffic would.
+    mesh_spec.gateway.enabled = true;
+    mesh_spec.gateway.pod_name = mesh_spec.gateway.service = "client";
+    mesh_spec.gateway.port = 15001;
+  } else {
+    mesh_spec.external_pods.emplace_back().name = "client";
+  }
+  auto mesh = cluster::MeshBuilder(sim).build(std::move(mesh_spec));
+  mesh->control_plane().tracer().set_retention(0);
 
-  // Meshed mode: requests enter through the client pod's outbound sidecar
-  // listener, exactly as a meshed app's traffic would. Direct mode:
-  // straight to the server app's port.
+  // Direct mode goes straight to the server app's port.
   const net::SocketAddress target =
-      meshed ? net::SocketAddress{client_pod.ip(), 15001}
-             : net::SocketAddress{server_pod.ip(), 8080};
+      meshed ? mesh->gateway_address()
+             : net::SocketAddress{mesh->pod("server-v1")->ip(), 8080};
   mesh::HttpClientPool::Options options;
   options.max_connections = 512;
-  mesh::HttpClientPool client(sim, client_pod.transport(), target, options);
+  mesh::HttpClientPool client(sim, mesh->pod("client")->transport(), target,
+                              options);
 
   workload::WorkloadSpec spec;
   // One name for both arms: the generator seeds its arrival stream from

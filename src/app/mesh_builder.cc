@@ -78,15 +78,16 @@ std::unique_ptr<BuiltMesh> MeshBuilder::build(MeshSpec spec,
         mesh::SidecarInjectionOptions::gateway(spec.gateway.port));
   }
   for (const ServiceSpec& service : spec.services) {
+    if (!service.inject_sidecar) continue;
     for (const std::string& pod_name : service_pod_names(service)) {
       mesh->control_plane_->inject_sidecar(*mesh->cluster_->find_pod(pod_name),
                                            service.sidecar);
     }
   }
 
-  // 5. App containers (construction is passive — listeners register, no
-  // events schedule — so doing this after all injections is equivalent
-  // to the legacy interleaved order).
+  // 5. App containers. Construction is passive (listeners register, no
+  // events schedule), so building them after every injection, or after
+  // start(), gives the same run.
   for (const ServiceSpec& service : spec.services) {
     if (!service.handler) continue;
     const app::MicroserviceOptions options = app_options(service);
@@ -98,9 +99,7 @@ std::unique_ptr<BuiltMesh> MeshBuilder::build(MeshSpec spec,
   }
 
   // 6. Begin watching discovery (mints the first broadcast epoch).
-  if (spec.start_control_plane) {
-    mesh->control_plane_->start(spec.poll_interval);
-  }
+  mesh->control_plane_->start(spec.poll_interval);
   mesh->spec_ = std::move(spec);
   return mesh;
 }

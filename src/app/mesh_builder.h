@@ -5,20 +5,19 @@
 // Construction order is fixed and documented because it is part of the
 // determinism contract: pod creation order assigns IPs (CNI-style
 // 10.244.node.pod) and sidecar injection order assigns certificate
-// serials, so the order below reproduces the hand-built meshes (e.g. the
-// e-library) bit-identically:
+// serials, so one spec always yields the same mesh:
 //
 //   1. cluster + nodes (spec order)
 //   2. gateway pod, then each service's replica pods (spec order), then
 //      external pods
 //   3. control plane (with derived cluster scopes, if requested)
-//   4. sidecar injection: gateway first, then every service replica in
-//      spec order
+//   4. sidecar injection: gateway first, then every replica of each
+//      service with inject_sidecar set, in spec order
 //   5. one Microservice per replica of each service with a handler
 //   6. control_plane().start(poll_interval)
 //
-// Direct add_pod + inject_sidecar wiring outside this file is the legacy
-// path; new topology code goes through a spec (CI greps for violations).
+// This file is the only place outside cluster/ and the control plane
+// that calls add_pod or inject_sidecar (tests excepted); CI checks it.
 
 #include <memory>
 #include <string>

@@ -10,11 +10,12 @@
 // processes building the same spec get bit-identical meshes (same pod
 // IPs, same certificate serials, same registry versions).
 //
-// The spec is the single source of truth for the knobs that the
-// imperative path forces callers to keep in sync by hand: a service's
-// SidecarInjectionOptions and its app's MicroserviceOptions share ports
-// via app_options(), and the declared `calls` edges can be compiled into
-// control-plane cluster scopes (derive_cluster_scopes).
+// Every mesh in the repo is built from a spec; tests alone wire pods and
+// sidecars by hand, to exercise the primitives. The spec holds each knob
+// once: a service's SidecarInjectionOptions and its app's
+// MicroserviceOptions share ports via app_options(), and the declared
+// `calls` edges can be compiled into control-plane cluster scopes
+// (derive_cluster_scopes).
 //
 // These files live in app/ because the builder instantiates app-layer
 // Microservices (app links against mesh and cluster, not the other way
@@ -30,14 +31,14 @@
 
 namespace meshnet::cluster {
 
-/// One service: `replicas` pods (named "<name>-v1", "<name>-v2", ...),
-/// each with a sidecar, plus an app container per replica when `handler`
-/// is set.
 /// Per-service mTLS stance. kInherit follows the mesh-wide default
 /// (MeshPolicies::tls.enabled); kOn/kOff compile into an explicit
 /// MeshPolicies::mtls_overrides entry for this service.
 enum class MtlsMode { kInherit, kOff, kOn };
 
+/// One service: `replicas` pods (named "<name>-v1", "<name>-v2", ...),
+/// each with a sidecar unless `inject_sidecar` is false, plus an app
+/// container per replica when `handler` is set.
 struct ServiceSpec {
   std::string name;
   int replicas = 1;
@@ -48,6 +49,10 @@ struct ServiceSpec {
   /// Sidecar attachment; also the source of the app's ports (see
   /// app_options()).
   mesh::SidecarInjectionOptions sidecar;
+  /// False: the replicas are registered and run their apps but get no
+  /// sidecar, so clients dial the app port directly (TXT-OVH's direct
+  /// arm). Their apps' sub-calls would find no sidecar; make none.
+  bool inject_sidecar = true;
   /// App behaviour; null = pods + sidecars only (traffic sinks, or pods
   /// driven directly by a test).
   app::Handler handler;
@@ -94,11 +99,10 @@ struct MeshSpec {
   std::vector<ExternalPodSpec> external_pods;
   mesh::MeshPolicies policies;
   /// Compile each service's declared `calls` into a control-plane
-  /// cluster scope (services with no declared calls keep the legacy
+  /// cluster scope (services with no declared calls keep the default
   /// see-every-cluster view). Entries already present in
   /// policies.cluster_scopes win.
   bool derive_cluster_scopes = false;
-  bool start_control_plane = true;
   sim::Duration poll_interval = sim::milliseconds(100);
 };
 

@@ -208,7 +208,8 @@ void ControlPlane::launch_push(PushState& state) {
     return;
   }
   if (latency <= 0) {
-    // Legacy inline path: zero-latency channel, synchronous apply + ack.
+    // Zero-latency channel: apply and ack inside the call (see
+    // ControlPlaneConfig for why this is not a scheduled delivery).
     if (use_delta) {
       deliver_delta(state, std::move(delta), std::move(target));
     } else {
@@ -343,21 +344,17 @@ void ControlPlane::schedule_retry(PushState& state) {
 }
 
 void ControlPlane::schedule_relaunch(PushState& state, sim::Duration delay) {
-  const std::string pod = state.sidecar->pod().name();
-  state.retry_timer = sim_.schedule_after(delay, [this, pod] {
-    PushState& s = push_state_.at(pod);
-    s.retry_timer = sim::kInvalidEventId;
-    if (!crashed_) launch_push(s);
+  state.retry_timer = sim_.schedule_after(delay, [this, s = &state] {
+    s->retry_timer = sim::kInvalidEventId;
+    if (!crashed_) launch_push(*s);
   });
 }
 
 void ControlPlane::arm_ack_timeout(PushState& state) {
-  const std::string pod = state.sidecar->pod().name();
   state.ack_timer =
-      sim_.schedule_after(policies_.cp.ack_timeout, [this, pod] {
-        PushState& s = push_state_.at(pod);
-        s.ack_timer = sim::kInvalidEventId;
-        schedule_retry(s);
+      sim_.schedule_after(policies_.cp.ack_timeout, [this, s = &state] {
+        s->ack_timer = sim::kInvalidEventId;
+        schedule_retry(*s);
       });
 }
 

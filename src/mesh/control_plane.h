@@ -42,8 +42,10 @@
 namespace meshnet::mesh {
 
 /// Tunables for the failure-aware push channel. The defaults (zero
-/// latency, zero loss, no partitions) deliver pushes inline and
-/// synchronously — the legacy semantics every existing test relies on.
+/// latency, zero loss, no partitions) apply and ack a push before
+/// push_config() returns. Callers rely on that: perfbench's control-plane
+/// probe times push_config() as the whole push, and five
+/// ControlPlaneFixture/DeltaPush tests check the ack right after it.
 struct ControlPlaneConfig {
   /// Per-push one-way delivery latency: base + uniform(0, jitter).
   /// 0 base and 0 jitter short-circuits the simulated channel and
@@ -119,12 +121,10 @@ struct MeshPolicies {
       upstream_connection_hook;
 };
 
-/// How one sidecar attaches to a pod. When the mesh is built from a
-/// cluster::MeshSpec (app/mesh_spec.h) these are spec data: the spec is
-/// the single source of truth and MeshBuilder derives the matching
-/// app::MicroserviceOptions from the same fields — hand-wiring both and
-/// keeping the duplicated port defaults in sync is the legacy path the
-/// builder replaces.
+/// How one sidecar attaches to a pod. These are cluster::MeshSpec data
+/// (app/mesh_spec.h): MeshBuilder derives each app's
+/// app::MicroserviceOptions ports from the same fields, so the app and
+/// its sidecar cannot disagree on them.
 struct SidecarInjectionOptions {
   net::Port app_port = 8080;
   bool gateway_mode = false;
@@ -263,7 +263,7 @@ class ControlPlane {
 
  private:
   /// Per-sidecar push channel state, keyed by pod name. Entries are never
-  /// erased, so `states_` points at them directly.
+  /// erased, so `states_` and the push timers point at them directly.
   struct PushState {
     /// Null for a pod partitioned before its sidecar was injected.
     Sidecar* sidecar = nullptr;

@@ -4,6 +4,7 @@
 // equivalence with full snapshots under loss.
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include "app/mesh_builder.h"
 #include "cluster/topology_gen.h"
+#include "mesh/http_client.h"
 #include "mesh/sidecar.h"
 #include "mesh/subset.h"
 #include "sim/simulator.h"
@@ -96,6 +98,51 @@ TEST(MeshBuilder, BuildsPodsSidecarsAndRegistryEntries) {
       mesh->cluster().registry().find("b");
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->endpoints.size(), 2u);
+  // Every built mesh is started: start() minted the first epoch.
+  EXPECT_EQ(mesh->control_plane().epoch(), 1u);
+}
+
+// A service with inject_sidecar = false keeps everything but the proxy:
+// its replicas are registered on the service port and run the app, and
+// a client reaches the app's port directly.
+TEST(MeshBuilder, ServiceWithoutSidecarIsRegisteredAndServesDirectly) {
+  cluster::MeshSpec spec = two_service_spec();
+  cluster::ServiceSpec& b = spec.services[1];
+  b.port = 8080;
+  b.inject_sidecar = false;
+  b.handler = [](const http::HttpRequest&) { return app::HandlerResult{}; };
+  spec.external_pods.emplace_back().name = "client";
+  sim::Simulator sim;
+  auto mesh = cluster::MeshBuilder(sim).build(std::move(spec));
+  ASSERT_NE(mesh, nullptr);
+
+  const cluster::ServiceInfo* info = mesh->cluster().registry().find("b");
+  ASSERT_NE(info, nullptr);
+  ASSERT_EQ(info->endpoints.size(), 2u);
+  for (const cluster::Endpoint& endpoint : info->endpoints) {
+    EXPECT_EQ(endpoint.port, 8080) << endpoint.pod_name;
+  }
+  mesh::ControlPlane& cp = mesh->control_plane();
+  EXPECT_EQ(cp.sidecar_for("b-v1"), nullptr);
+  EXPECT_EQ(cp.sidecar_for("b-v2"), nullptr);
+  EXPECT_NE(cp.sidecar_for("a-v1"), nullptr);
+  EXPECT_EQ(cp.sidecars().size(), 1u);
+  EXPECT_EQ(mesh->microservices().size(), 2u);
+
+  mesh::HttpClientPool client(
+      sim, mesh->pod("client")->transport(),
+      net::SocketAddress{mesh->pod("b-v1")->ip(), 8080}, {});
+  http::HttpRequest request;
+  request.path = "/direct";
+  std::optional<http::HttpResponse> response;
+  client.request(std::move(request),
+                 [&](std::optional<http::HttpResponse> r, const std::string&) {
+                   response = std::move(r);
+                 });
+  sim.run_until(sim::seconds(1));
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 200);
+  EXPECT_EQ(response->headers.get_or("x-app", ""), "b");
 }
 
 // Two builds of the same spec must be bit-identical meshes: same pod
