@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "ablation_components", /*default_duration_s=*/15,
       /*default_seed=*/42, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 40.0);
+  const double rps = options.flags.get_double_or(
+      "rps", 40.0, util::NumberRange::kPositive);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

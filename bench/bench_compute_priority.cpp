@@ -102,8 +102,10 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "compute_priority", /*default_duration_s=*/20,
       /*default_seed=*/7, {"ls-rps", "li-rps"});
-  const double ls_rps = options.flags.get_double_or("ls-rps", 100.0);
-  const double li_rps = options.flags.get_double_or("li-rps", 85.0);
+  const double ls_rps = options.flags.get_double_or(
+      "ls-rps", 100.0, util::NumberRange::kPositive);
+  const double li_rps = options.flags.get_double_or(
+      "li-rps", 85.0, util::NumberRange::kPositive);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

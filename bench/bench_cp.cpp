@@ -33,29 +33,27 @@
 using namespace meshnet;
 
 int main(int argc, char** argv) {
-  workload::CpChaosExperimentConfig config;
   const workload::HarnessOptions options = workload::parse_harness_flags(
-      argc, argv, "cp",
-      /*default_duration_s=*/static_cast<std::int64_t>(
-          sim::to_seconds(config.duration)),
-      /*default_seed=*/config.seed,
+      argc, argv, "cp", /*default_duration_s=*/46, /*default_seed=*/42,
       {"ls-rps", "li-rps", "outage-duration-s", "churn-period-s"});
-  config.seed = options.seed;
+  const util::Flags& flags = options.flags;
+  constexpr auto kPositive = util::NumberRange::kPositive;
+  workload::ElibraryExperimentConfig config;
+  config.ls_rps = flags.get_double_or("ls-rps", 30.0, kPositive);
+  config.li_rps = flags.get_double_or("li-rps", 10.0, kPositive);
   config.duration = sim::seconds(options.duration_s);
-  config.ls_rps = options.flags.get_double_or("ls-rps", config.ls_rps);
-  config.li_rps = options.flags.get_double_or("li-rps", config.li_rps);
-  config.outage_duration = sim::seconds(options.flags.get_int_or(
-      "outage-duration-s",
-      static_cast<std::int64_t>(sim::to_seconds(config.outage_duration))));
-  config.churn_period = sim::seconds(options.flags.get_int_or(
-      "churn-period-s",
-      static_cast<std::int64_t>(sim::to_seconds(config.churn_period))));
+  config.seed = options.seed;
+  workload::CpChaosArm arm;
+  arm.outage_duration =
+      sim::seconds(workload::int_flag(options, "outage-duration-s", 30));
+  arm.churn_period =
+      sim::seconds(workload::int_flag(options, "churn-period-s", 4));
 
   std::printf(
       "CHAOS_CP e-library: %.0fs control-plane outage + reviews churn "
       "storm\n(period %.0fs) inside a %llds window, seed %llu\n\n",
-      sim::to_seconds(config.outage_duration),
-      sim::to_seconds(config.churn_period),
+      sim::to_seconds(arm.outage_duration),
+      sim::to_seconds(arm.churn_period),
       static_cast<long long>(options.duration_s),
       static_cast<unsigned long long>(config.seed));
 
@@ -63,12 +61,12 @@ int main(int argc, char** argv) {
   std::vector<faults::FaultLogEntry> outage_fault_log;
   for (const bool outage : {true, false}) {
     runner.add({{"outage", outage ? "on" : "off"}},
-               [config, outage, &outage_fault_log] {
-                 workload::CpChaosExperimentConfig arm_config = config;
-                 arm_config.outage = outage;
+               [config, arm, outage, &outage_fault_log] {
+                 workload::CpChaosArm point = arm;
+                 point.outage = outage;
                  const workload::ElibraryExperimentResult result =
                      workload::run_elibrary_experiment(
-                         workload::elibrary_config(arm_config));
+                         workload::cp_chaos_config(config, point));
                  if (outage) outage_fault_log = result.fault_log;
                  return workload::elibrary_point_metrics(
                      result, workload::cp_report_series());
@@ -117,10 +115,10 @@ int main(int argc, char** argv) {
        {"li_rps", std::to_string(config.li_rps)},
        {"outage_duration_s",
         std::to_string(static_cast<long long>(
-            sim::to_seconds(config.outage_duration)))},
+            sim::to_seconds(arm.outage_duration)))},
        {"churn_period_s",
         std::to_string(
-            static_cast<long long>(sim::to_seconds(config.churn_period)))}},
+            static_cast<long long>(sim::to_seconds(arm.churn_period)))}},
       sweep);
   const int harness_rc = workload::finish_harness(report, options);
   if (harness_rc != 0) return harness_rc;

@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "lb_policies", /*default_duration_s=*/20,
       /*default_seed=*/7, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 300.0);
+  const double rps = options.flags.get_double_or(
+      "rps", 300.0, util::NumberRange::kPositive);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

@@ -42,7 +42,7 @@ namespace {
 struct Arm {
   int services = 0;
   bool delta = true;
-  bool scoped = false;  ///< cluster scopes + subset_size=1
+  bool scoped = false;  ///< cluster scopes + endpoint subsetting
 };
 
 }  // namespace
@@ -77,11 +77,8 @@ int main(int argc, char** argv) {
     config.threads = engine_threads;
     config.seed = options.seed;
     config.duration = sim::seconds(options.duration_s);
-    config.churn_at = config.duration * 2 / 5;
-    config.restore_at = config.duration * 3 / 5;
     config.delta_push = arm.delta;
-    config.derive_scopes = arm.scoped;
-    config.subset_size = arm.scoped ? 1 : 0;
+    config.scoped = arm.scoped;
     return config;
   };
   const auto arm_params = [](const Arm& arm) {

@@ -50,16 +50,16 @@ constexpr Arm kArms[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  workload::MtlsExperimentConfig base;
   const workload::HarnessOptions options = workload::parse_harness_flags(
-      argc, argv, "mtls",
-      /*default_duration_s=*/static_cast<std::int64_t>(
-          sim::to_seconds(base.duration)),
-      /*default_seed=*/base.seed, {"ls-rps", "li-rps"});
-  base.seed = options.seed;
+      argc, argv, "mtls", /*default_duration_s=*/30, /*default_seed=*/42,
+      {"ls-rps", "li-rps"});
+  workload::ElibraryExperimentConfig base;
+  base.ls_rps = options.flags.get_double_or("ls-rps", 30.0,
+                                            util::NumberRange::kPositive);
+  base.li_rps = options.flags.get_double_or("li-rps", 10.0,
+                                            util::NumberRange::kPositive);
   base.duration = sim::seconds(options.duration_s);
-  base.ls_rps = options.flags.get_double_or("ls-rps", base.ls_rps);
-  base.li_rps = options.flags.get_double_or("li-rps", base.li_rps);
+  base.seed = options.seed;
 
   std::printf(
       "MTLS: plaintext vs mTLS e-library, %llds window, seed %llu\n"
@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
   workload::SweepRunner runner(workload::sweep_options(options));
   for (const Arm& arm : kArms) {
     runner.add({{"arm", arm.name}}, [base, arm] {
-      workload::MtlsExperimentConfig config = base;
-      config.mtls = arm.mtls;
-      config.session_resumption = arm.resumption;
-      config.storm = arm.storm;
-      if (arm.ratings_only) config.mtls_overrides["ratings"] = true;
+      workload::MtlsArm point;
+      point.mtls = arm.mtls;
+      point.session_resumption = arm.resumption;
+      point.storm = arm.storm;
+      if (arm.ratings_only) point.mtls_overrides["ratings"] = true;
       return workload::elibrary_point_metrics(
-          workload::run_elibrary_experiment(workload::elibrary_config(config)),
+          workload::run_elibrary_experiment(workload::mtls_config(base, point)),
           workload::mtls_report_series());
     });
   }

@@ -7,7 +7,7 @@
 // 25% of its uncontended (0.5x) value while >= 90% of the shedding
 // falls on LI traffic.
 //
-//   ./bench_overload [--seed=42] [--capacity-rps=30] [--ls-rps=10]
+//   ./bench_overload [--seed=42] [--capacity-rps=90] [--ls-rps=10]
 //                    [--duration=10] [--threads=N]
 //                    [--json-out[=PATH]] [--baseline=P]
 //
@@ -36,22 +36,24 @@ std::string format_factor(double factor) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  workload::OverloadExperimentConfig config;
   const workload::HarnessOptions options = workload::parse_harness_flags(
-      argc, argv, "overload",
-      /*default_duration_s=*/static_cast<std::int64_t>(
-          sim::to_seconds(config.duration)),
-      /*default_seed=*/config.seed, {"capacity-rps", "ls-rps"});
-  config.seed = options.seed;
+      argc, argv, "overload", /*default_duration_s=*/10, /*default_seed=*/42,
+      {"capacity-rps", "ls-rps"});
+  workload::ElibraryExperimentConfig config;
+  config.ls_rps = options.flags.get_double_or("ls-rps", 10.0,
+                                              util::NumberRange::kPositive);
+  config.warmup = sim::seconds(3);
   config.duration = sim::seconds(options.duration_s);
-  config.capacity_rps =
-      options.flags.get_double_or("capacity-rps", config.capacity_rps);
-  config.ls_rps = options.flags.get_double_or("ls-rps", config.ls_rps);
+  config.cooldown = sim::seconds(2);
+  config.seed = options.seed;
+  workload::OverloadArm arm;
+  arm.capacity_rps = options.flags.get_double_or(
+      "capacity-rps", arm.capacity_rps, util::NumberRange::kPositive);
 
   std::printf(
       "overload e-library: capacity ~%.0f rps, LS fixed at %.0f rps,\n"
       "load factors 0.5x..3x, admission on/off, seed %llu\n\n",
-      config.capacity_rps, config.ls_rps,
+      arm.capacity_rps, config.ls_rps,
       static_cast<unsigned long long>(config.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
@@ -60,13 +62,13 @@ int main(int argc, char** argv) {
     for (const bool admission : {true, false}) {
       runner.add({{"load", format_factor(kLoadFactors[i]) + "x"},
                   {"admission", admission ? "on" : "off"}},
-                 [config, i, admission] {
-                   workload::OverloadExperimentConfig arm = config;
-                   arm.load_factor = kLoadFactors[i];
-                   arm.admission = admission;
+                 [config, arm, i, admission] {
+                   workload::OverloadArm point = arm;
+                   point.load_factor = kLoadFactors[i];
+                   point.admission = admission;
                    return workload::elibrary_point_metrics(
                        workload::run_elibrary_experiment(
-                           workload::elibrary_config(arm)),
+                           workload::overload_config(config, point)),
                        workload::overload_report_series());
                  });
     }
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
       "overload",
       {{"seed", std::to_string(config.seed)},
        {"duration_s", std::to_string(options.duration_s)},
-       {"capacity_rps", std::to_string(config.capacity_rps)},
+       {"capacity_rps", std::to_string(arm.capacity_rps)},
        {"ls_rps", std::to_string(config.ls_rps)}},
       sweep);
   return workload::finish_harness(report, options);

@@ -11,8 +11,8 @@
 //
 // Arms always run sequentially (each arm is measuring whole-machine
 // wall-clock); the standard --threads flag is accepted but does not fan
-// arms out. The engine opts out of the shared worker budget for the same
-// reason: this binary IS the top-level thread consumer.
+// arms out. The PARSIM engine opts out of the shared worker budget for
+// the same reason: this binary IS the top-level thread consumer.
 //
 //   --shards=N            partition size (default 8)
 //   --engine-threads=CSV  worker-thread arms (default 1,2,4,8)
@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   const std::vector<int> arms = workload::int_list_flag(
       options, "engine-threads", "1,2,4,8", /*min=*/0);
   const double require_speedup =
-      options.flags.get_double_or("require-speedup", 0.0);
+      options.flags.get_double_or("require-speedup", 0.0,
+                                  util::NumberRange::kNonNegative);
   if (options.threads != 1) {
     std::fprintf(stderr,
                  "note: PARSIM arms measure whole-machine wall clock and "
@@ -64,7 +65,6 @@ int main(int argc, char** argv) {
                  workload::ParsimConfig config;
                  config.shards = shards;
                  config.threads = threads;
-                 config.respect_worker_budget = false;
                  config.seed = options.seed;
                  config.duration = sim::seconds(options.duration_s);
                  return workload::run_parsim_experiment(config);

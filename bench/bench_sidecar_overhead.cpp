@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
   const workload::HarnessOptions options = workload::parse_harness_flags(
       argc, argv, "sidecar_overhead", /*default_duration_s=*/30,
       /*default_seed=*/7, {"rps"});
-  const double rps = options.flags.get_double_or("rps", 200.0);
+  const double rps = options.flags.get_double_or(
+      "rps", 200.0, util::NumberRange::kPositive);
   const auto duration = sim::seconds(options.duration_s);
   const auto seed = options.seed;
 

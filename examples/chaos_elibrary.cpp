@@ -24,35 +24,36 @@
 using namespace meshnet;
 
 int main(int argc, char** argv) {
-  workload::ChaosExperimentConfig config;
   const workload::HarnessOptions options = workload::parse_harness_flags(
-      argc, argv, "chaos_elibrary",
-      /*default_duration_s=*/static_cast<std::int64_t>(
-          sim::to_seconds(config.duration)),
-      /*default_seed=*/config.seed, {"ls-rps", "li-rps", "fault-duration-s"});
-  config.seed = options.seed;
+      argc, argv, "chaos_elibrary", /*default_duration_s=*/24,
+      /*default_seed=*/42, {"ls-rps", "li-rps", "fault-duration-s"});
+  const util::Flags& flags = options.flags;
+  constexpr auto kPositive = util::NumberRange::kPositive;
+  workload::ElibraryExperimentConfig config;
+  config.ls_rps = flags.get_double_or("ls-rps", 30.0, kPositive);
+  config.li_rps = flags.get_double_or("li-rps", 10.0, kPositive);
   config.duration = sim::seconds(options.duration_s);
-  config.ls_rps = options.flags.get_double_or("ls-rps", config.ls_rps);
-  config.li_rps = options.flags.get_double_or("li-rps", config.li_rps);
-  config.fault_duration =
-      sim::seconds(options.flags.get_int_or("fault-duration-s", 10));
+  config.seed = options.seed;
+  workload::ChaosArm arm;
+  arm.fault_duration =
+      sim::seconds(workload::int_flag(options, "fault-duration-s", 10));
 
   std::printf(
-      "chaos e-library: crash %s + flap %s for %.0fs, seed %llu\n\n",
-      config.crash_target.c_str(), config.flap_target.c_str(),
-      sim::to_seconds(config.fault_duration),
+      "chaos e-library: crash reviews-v1 + flap ratings-v1 for %.0fs, seed "
+      "%llu\n\n",
+      sim::to_seconds(arm.fault_duration),
       static_cast<unsigned long long>(config.seed));
 
   workload::SweepRunner runner(workload::sweep_options(options));
   std::vector<faults::FaultLogEntry> resilient_fault_log;
   for (const bool resilience : {true, false}) {
     runner.add({{"resilience", resilience ? "on" : "off"}},
-               [config, resilience, &resilient_fault_log] {
-                 workload::ChaosExperimentConfig arm_config = config;
-                 arm_config.resilience = resilience;
+               [config, arm, resilience, &resilient_fault_log] {
+                 workload::ChaosArm point = arm;
+                 point.resilience = resilience;
                  const workload::ElibraryExperimentResult result =
                      workload::run_elibrary_experiment(
-                         workload::elibrary_config(arm_config));
+                         workload::chaos_config(config, point));
                  if (resilience) resilient_fault_log = result.fault_log;
                  return workload::elibrary_point_metrics(
                      result, workload::chaos_report_series());
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
        {"li_rps", std::to_string(config.li_rps)},
        {"fault_duration_s",
         std::to_string(static_cast<long long>(
-            sim::to_seconds(config.fault_duration)))}},
+            sim::to_seconds(arm.fault_duration)))}},
       sweep);
   return workload::finish_harness(report, options);
 }

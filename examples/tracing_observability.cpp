@@ -38,7 +38,8 @@ void print_span_tree(const std::vector<const mesh::Span*>& spans,
 
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
-  const int requests = static_cast<int>(flags.get_int_or("requests", 5));
+  const int requests = static_cast<int>(
+      flags.get_int_or("requests", 5, util::NumberRange::kPositive));
 
   sim::Simulator sim;
   app::ElibraryOptions options;

@@ -5,6 +5,7 @@
 
 #include "mesh/admission.h"
 #include "mesh/builtin_filters.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace meshnet::mesh {
@@ -683,12 +684,10 @@ void ControlPlane::schedule_cert_rotation(const std::string& service) {
   // Deterministic per-service splay (up to half the refresh margin) so
   // rotations issued at the same instant — e.g. the re-issue burst at
   // control-plane recovery — do not renew as a synchronized thundering
-  // herd forever after.
-  std::uint64_t splay_hash = 1469598103934665603ull;
-  for (const char c : service) {
-    splay_hash = (splay_hash ^ static_cast<unsigned char>(c)) *
-                 1099511628211ull;
-  }
+  // herd forever after. The basis is one digit short of FNV's; changing
+  // it would move every rotation.
+  const std::uint64_t splay_hash =
+      util::fnv1a(service, 1469598103934665603ull);
   const auto splay = static_cast<sim::Duration>(
       static_cast<double>(splay_hash % 1024) / 2048.0 *
       static_cast<double>(refresh_margin));

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mesh/config_delta.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace meshnet::mesh {
@@ -140,14 +141,10 @@ namespace {
 
 /// FNV-1a accumulator for config fingerprinting.
 struct ConfigHasher {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = util::kFnv1aOffsetBasis;
 
   void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
+    h = util::fnv1a(std::string_view(static_cast<const char*>(data), n), h);
   }
   template <typename T>
     requires(std::is_integral_v<T> || std::is_enum_v<T>)
@@ -975,11 +972,10 @@ LoadBalancer& Sidecar::balancer_for(const ClusterSpec& spec) {
   const auto it = balancers_.find(spec.name);
   if (it != balancers_.end()) return *it->second;
   // Seed from a hash of the service + cluster so picks are deterministic
-  // but uncorrelated across sidecars.
-  std::uint64_t seed = 1469598103934665603ULL;
-  for (const char c : config_.service_name + "|" + spec.name) {
-    seed = (seed ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-  }
+  // but uncorrelated across sidecars. The basis is one digit short of
+  // FNV's; changing it would reseed every balancer.
+  const std::uint64_t seed = util::fnv1a(
+      config_.service_name + "|" + spec.name, 1469598103934665603ULL);
   return *balancers_.emplace(spec.name, make_balancer(spec.lb, seed))
               .first->second;
 }

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "util/hash.h"
+
 namespace meshnet::mesh {
-
-namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::map<std::string, std::vector<std::size_t>> compute_endpoint_subsets(
     const std::string& cluster_name,
@@ -34,7 +23,7 @@ std::map<std::string, std::vector<std::size_t>> compute_endpoint_subsets(
 
   std::vector<std::size_t> cover_count(n, 0);
   for (const std::string& s : subscribers) {
-    const std::size_t start = fnv1a(s + "|" + cluster_name) % n;
+    const std::size_t start = util::fnv1a(s + "|" + cluster_name) % n;
     std::vector<std::size_t>& subset = subsets[s];
     subset.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {

@@ -1,26 +1,13 @@
 #include "sim/random.h"
 
+#include "util/hash.h"
+
 namespace meshnet::sim {
 
-namespace {
-std::uint64_t fnv1a_mix(std::uint64_t seed, std::string_view name) {
-  std::uint64_t h = 14695981039346656037ULL ^ seed;
-  for (const char c : name) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ULL;
-  }
-  // Finalize (splitmix64) so nearby seeds diverge.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-}  // namespace
-
+// Finalized (splitmix64) so nearby seeds diverge.
 RngStream::RngStream(std::uint64_t run_seed, std::string_view name)
-    : engine_(fnv1a_mix(run_seed, name)) {}
+    : engine_(util::splitmix64_finalize(
+          util::fnv1a(name, util::kFnv1aOffsetBasis ^ run_seed))) {}
 
 double RngStream::uniform() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);

@@ -1,6 +1,8 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -80,22 +82,47 @@ std::string Flags::get_or(std::string_view name,
   return v ? *v : std::string(fallback);
 }
 
-std::int64_t Flags::get_int_or(std::string_view name,
-                               std::int64_t fallback) const {
+namespace {
+
+bool in_range(double value, NumberRange range) {
+  return range == NumberRange::kPositive ? value > 0 : value >= 0;
+}
+
+[[noreturn]] void bad_number(std::string_view name, const std::string& value,
+                             const char* kind, NumberRange range) {
+  std::fprintf(stderr, "bad --%.*s entry '%s' (want a %s %s)\n",
+               static_cast<int>(name.size()), name.data(), value.c_str(),
+               range == NumberRange::kPositive ? "positive" : "non-negative",
+               kind);
+  std::exit(2);
+}
+
+}  // namespace
+
+std::int64_t Flags::get_int_or(std::string_view name, std::int64_t fallback,
+                               NumberRange range) const {
   const auto v = get(name);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') return fallback;
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE ||
+      !in_range(static_cast<double>(parsed), range)) {
+    bad_number(name, *v, "integer", range);
+  }
   return parsed;
 }
 
-double Flags::get_double_or(std::string_view name, double fallback) const {
+double Flags::get_double_or(std::string_view name, double fallback,
+                            NumberRange range) const {
   const auto v = get(name);
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') return fallback;
+  if (end == v->c_str() || *end != '\0' || !std::isfinite(parsed) ||
+      !in_range(parsed, range)) {
+    bad_number(name, *v, "number", range);
+  }
   return parsed;
 }
 

@@ -2,11 +2,14 @@
 
 // Tiny command-line flag parser used by the examples and bench binaries.
 //
-// Supports "--name=value", "--name value", and boolean "--name". Parsing
-// never fails, but problems are *recorded* instead of silently ignored:
-// duplicate occurrences land in duplicates(), and validate()/parse_or_die()
-// reject flags outside a binary's declared set — a typo like
-// `--thread=8` must abort the run, not silently sweep with defaults.
+// Supports "--name=value", "--name value", and boolean "--name". Splitting
+// argv never fails, but problems are *recorded* instead of silently
+// ignored: duplicate occurrences land in duplicates(), and
+// validate()/parse_or_die() reject flags outside a binary's declared set —
+// a typo like `--thread=8` must abort the run, not silently sweep with
+// defaults. The numeric readers fail loudly too: a value that does not
+// parse in full, or lies outside the reader's range, ends the process
+// with exit code 2 (`--duration=1O` must not run the default 15 s).
 // Binaries that embed other flag-parsing libraries (google-benchmark)
 // whitelist those by prefix.
 
@@ -18,6 +21,12 @@
 #include <vector>
 
 namespace meshnet::util {
+
+/// The values a numeric flag admits.
+enum class NumberRange {
+  kNonNegative,  ///< >= 0: seeds, tolerances
+  kPositive,     ///< > 0: rates, counts
+};
 
 class Flags {
  public:
@@ -38,8 +47,13 @@ class Flags {
   std::optional<std::string> get(std::string_view name) const;
 
   std::string get_or(std::string_view name, std::string_view fallback) const;
-  std::int64_t get_int_or(std::string_view name, std::int64_t fallback) const;
-  double get_double_or(std::string_view name, double fallback) const;
+  /// `fallback` when the flag is absent. A malformed or out-of-range value
+  /// prints "bad --NAME entry 'VALUE' (...)" to stderr and exits with
+  /// status 2. Doubles must also be finite.
+  std::int64_t get_int_or(std::string_view name, std::int64_t fallback,
+                          NumberRange range) const;
+  double get_double_or(std::string_view name, double fallback,
+                       NumberRange range) const;
   bool get_bool_or(std::string_view name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order of appearance.

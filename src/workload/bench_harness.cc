@@ -26,18 +26,19 @@ HarnessOptions parse_harness_flags(
 
   HarnessOptions options;
   options.flags = util::Flags::parse_or_die(argc, argv, known, extra_prefixes);
-  options.threads =
-      static_cast<int>(options.flags.get_int_or("threads", 1));
+  options.threads = int_flag(options, "threads", 1, /*min=*/0);
   options.json_out = options.flags.get_or("json-out", "");
   if (options.json_out == "true") {  // bare --json-out
     options.json_out = "BENCH_" + std::string(experiment) + ".json";
   }
   options.baseline = options.flags.get_or("baseline", "");
-  options.tolerance = options.flags.get_double_or("tolerance", 1e-9);
+  options.tolerance = options.flags.get_double_or(
+      "tolerance", 1e-9, util::NumberRange::kNonNegative);
   options.duration_s =
-      options.flags.get_int_or("duration", default_duration_s);
+      int_flag(options, "duration", static_cast<int>(default_duration_s));
   options.seed = static_cast<std::uint64_t>(options.flags.get_int_or(
-      "seed", static_cast<std::int64_t>(default_seed)));
+      "seed", static_cast<std::int64_t>(default_seed),
+      util::NumberRange::kNonNegative));
   return options;
 }
 

@@ -15,8 +15,9 @@
 //   --seed=S        run-level PRNG seed
 //
 // plus any bench-specific flags the binary declares. Unknown or duplicate
-// flags abort with exit code 2 (a typo must not silently run a default
-// sweep).
+// flags, and numeric values that are malformed or out of range (threads
+// and seed >= 0, duration > 0), abort with exit code 2 (a typo must not
+// silently run a default sweep).
 
 #include <cstdint>
 #include <string>

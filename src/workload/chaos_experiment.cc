@@ -4,19 +4,29 @@
 
 namespace meshnet::workload {
 
-ElibraryExperimentConfig elibrary_config(const ChaosExperimentConfig& config) {
-  ElibraryExperimentConfig run;
-  run.ls_rps = config.ls_rps;
-  run.li_rps = config.li_rps;
-  run.warmup = config.warmup;
-  run.duration = config.duration;
-  run.cooldown = config.cooldown;
-  run.seed = config.seed;
-  run.arrival = config.arrival;
-  run.app = config.app;
+namespace {
 
+/// Killed for the fault window (crash at start, restart at end; the
+/// registry is never told — detection is active health checking's job).
+constexpr const char* kCrashTarget = "reviews-v1";
+
+/// The bottleneck (ratings vNIC), down kFlapDowntime out of every
+/// kFlapPeriod during the fault window.
+constexpr const char* kFlapTarget = "ratings-v1";
+constexpr sim::Duration kFlapPeriod = sim::seconds(2);
+constexpr sim::Duration kFlapDowntime = sim::milliseconds(40);
+
+/// End-to-end deadline at every sidecar. Deliberately shorter than the
+/// fault window: requests the baseline arm parks on a crashed replica
+/// must *fail* at the deadline, not ride it out until the restart.
+constexpr sim::Duration kRequestTimeout = sim::milliseconds(2500);
+
+}  // namespace
+
+ElibraryExperimentConfig chaos_config(ElibraryExperimentConfig run,
+                                      const ChaosArm& arm) {
   mesh::MeshPolicies& policies = run.app.policies;
-  if (config.resilience) {
+  if (arm.resilience) {
     // Budget sized so crash-recovery retries (a burst, but a small
     // fraction of in-flight) are admitted while a retry storm is not.
     apply_resilience_policies(policies, /*retry_budget=*/0.2,
@@ -27,26 +37,21 @@ ElibraryExperimentConfig elibrary_config(const ChaosExperimentConfig& config) {
     policies.breaker.consecutive_failures = 0;  // disabled
     policies.health_check.enabled = false;
   }
-  policies.request_timeout = config.request_timeout;
+  policies.request_timeout = kRequestTimeout;
 
-  const sim::Time measure_start = config.warmup;
-  const sim::Time fault_start = measure_start + config.fault_start_offset;
-  const sim::Time fault_end = fault_start + config.fault_duration;
-  if (config.crash_reviews_replica) {
-    run.faults.crash(fault_start, config.crash_target);
-    run.faults.restart(fault_end, config.crash_target);
-  }
-  if (config.flap_bottleneck) {
-    run.faults.flap(fault_start + config.flap_period / 2, fault_end,
-                    config.flap_target, config.flap_period,
-                    config.flap_downtime);
-  }
+  const sim::Time measure_start = run.warmup;
+  const sim::Time fault_start = measure_start + arm.fault_offset;
+  const sim::Time fault_end = fault_start + arm.fault_duration;
+  run.faults.crash(fault_start, kCrashTarget);
+  run.faults.restart(fault_end, kCrashTarget);
+  run.faults.flap(fault_start + kFlapPeriod / 2, fault_end, kFlapTarget,
+                  kFlapPeriod, kFlapDowntime);
   run.phases = {{"before", measure_start},
                 {"during", fault_start},
                 {"after", fault_end}};
   // Drain long enough for every request — including ones pinned to the
   // end-to-end deadline in the baseline arm — to resolve.
-  run.drain = 2 * config.request_timeout + sim::seconds(10);
+  run.drain = 2 * kRequestTimeout + sim::seconds(10);
   run.sample_bottleneck = false;
   return run;
 }

@@ -11,61 +11,35 @@
 // Determinism: the whole run is a function of the config (seed included).
 // Same seed => identical fault log and mesh event log, which is what
 // makes a chaos result debuggable and regression-testable.
+//
+// The run crashes reviews-v1 for the fault window and flaps the
+// ratings-v1 vNIC through it; the fixed settings are named in the .cc.
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
-#include "app/elibrary.h"
+#include "sim/time.h"
 #include "workload/elibrary_experiment.h"
-#include "workload/generator.h"
 
 namespace meshnet::workload {
 
-struct ChaosExperimentConfig {
-  double ls_rps = 30.0;
-  double li_rps = 10.0;
-
-  sim::Duration warmup = sim::seconds(4);
-  sim::Duration duration = sim::seconds(24);  ///< measured window
-  sim::Duration cooldown = sim::seconds(4);
-  std::uint64_t seed = 42;
-  ArrivalProcess arrival = ArrivalProcess::kUniformRandom;
-
+/// What the CHAOS arms vary.
+struct ChaosArm {
   /// With resilience on, the mesh gets active health checking, circuit
   /// breakers, per-try timeouts and budgeted retries; with it off, all of
   /// those are disabled (max_retries = 0) — the "mesh as dumb pipe" arm.
   bool resilience = true;
 
   /// Fault window, relative to the start of the measured window.
-  sim::Duration fault_start_offset = sim::seconds(6);
+  sim::Duration fault_offset = sim::seconds(6);
   sim::Duration fault_duration = sim::seconds(10);
-
-  /// Kill one reviews replica for the fault window (crash at start,
-  /// restart at end; the registry is never told — detection is active
-  /// health checking's job).
-  bool crash_reviews_replica = true;
-  std::string crash_target = "reviews-v1";
-
-  /// Flap the bottleneck (ratings vNIC): down `flap_downtime` out of
-  /// every `flap_period` during the fault window.
-  bool flap_bottleneck = true;
-  std::string flap_target = "ratings-v1";
-  sim::Duration flap_period = sim::seconds(2);
-  sim::Duration flap_downtime = sim::milliseconds(40);
-
-  /// End-to-end deadline at every sidecar. Deliberately shorter than the
-  /// fault window: requests the baseline arm parks on a crashed replica
-  /// must *fail* at the deadline, not ride it out until the restart.
-  sim::Duration request_timeout = sim::milliseconds(2500);
-
-  app::ElibraryOptions app;
 };
 
-/// The run config for one arm: the resilience (or dumb-pipe) policies,
-/// the crash + flap fault plan and the LS phases "before", "during" (the
-/// fault window) and "after".
-ElibraryExperimentConfig elibrary_config(const ChaosExperimentConfig& config);
+/// `run` (rates, windows, seed and app as the caller set them) completed
+/// for one arm: the resilience (or dumb-pipe) policies, the crash + flap
+/// fault plan, the LS phases "before", "during" (the fault window) and
+/// "after", and the drain.
+ElibraryExperimentConfig chaos_config(ElibraryExperimentConfig run,
+                                      const ChaosArm& arm);
 
 /// Report keys read from `mesh_events_total`: `breaker_events` (breaker
 /// state transitions), `fault_log_entries` (executed faults) and

@@ -4,18 +4,38 @@
 
 namespace meshnet::workload {
 
-ElibraryExperimentConfig elibrary_config(
-    const CpChaosExperimentConfig& config) {
-  ElibraryExperimentConfig run;
-  run.ls_rps = config.ls_rps;
-  run.li_rps = config.li_rps;
-  run.warmup = config.warmup;
-  run.duration = config.duration;
-  run.cooldown = config.cooldown;
-  run.seed = config.seed;
-  run.arrival = config.arrival;
-  run.app = config.app;
+namespace {
 
+/// End-to-end deadline at every sidecar (same rationale as CHAOS).
+constexpr sim::Duration kRequestTimeout = sim::milliseconds(2500);
+
+/// Push-channel realism: non-zero latency/jitter so pushes are real
+/// simulated events, a tight ack timeout, paced reconvergence. No push
+/// is lost (MeshPolicies' default).
+constexpr sim::Duration kPushLatencyBase = sim::milliseconds(2);
+constexpr sim::Duration kPushLatencyJitter = sim::milliseconds(3);
+constexpr sim::Duration kAckTimeout = sim::milliseconds(200);
+constexpr sim::Duration kReconvergePacing = sim::milliseconds(25);
+
+/// Short cert lifetime + refresh-ahead so rotation (and its push
+/// traffic) happens several times inside the run, including a forced
+/// re-issue at recovery.
+constexpr sim::Duration kCertificateLifetime = sim::seconds(20);
+constexpr double kCertRefreshAhead = 0.25;
+
+/// Flap damping for the churn storm (see HealthCheckConfig). The
+/// threshold sits above what the alternating reviews churn produces
+/// (~5 transitions per 10 s window): the damper is armed as a safety
+/// valve against pathological flapping without suppressing the only
+/// replica capacity the storm leaves standing.
+constexpr std::uint32_t kFlapMaxTransitions = 8;
+constexpr sim::Duration kFlapWindow = sim::seconds(10);
+constexpr sim::Duration kFlapPenalty = sim::seconds(3);
+
+}  // namespace
+
+ElibraryExperimentConfig cp_chaos_config(ElibraryExperimentConfig run,
+                                         const CpChaosArm& arm) {
   mesh::MeshPolicies& policies = run.app.policies;
   // Data-plane resilience, same stance as the CHAOS experiment: the churn
   // storm is detected by active health checking, absorbed by breakers and
@@ -26,47 +46,44 @@ ElibraryExperimentConfig elibrary_config(
   // breakers' and admission's job).
   apply_resilience_policies(policies, /*retry_budget=*/0.5,
                             /*budget_min_concurrency=*/20);
-  policies.health_check.flap_max_transitions = config.flap_max_transitions;
-  policies.health_check.flap_window = config.flap_window;
-  policies.health_check.flap_penalty = config.flap_penalty;
-  policies.request_timeout = config.request_timeout;
+  policies.health_check.flap_max_transitions = kFlapMaxTransitions;
+  policies.health_check.flap_window = kFlapWindow;
+  policies.health_check.flap_penalty = kFlapPenalty;
+  policies.request_timeout = kRequestTimeout;
   // The push channel is a real simulated network: latency, ack timeouts,
-  // paced reconvergence, optional loss.
-  policies.cp.push_latency_base = config.push_latency_base;
-  policies.cp.push_latency_jitter = config.push_latency_jitter;
-  policies.cp.ack_timeout = config.ack_timeout;
-  policies.cp.reconverge_pacing = config.reconverge_pacing;
-  policies.cp.push_loss = config.push_loss;
-  policies.cp.cert_refresh_ahead = config.cert_refresh_ahead;
-  policies.certificate_lifetime = config.certificate_lifetime;
+  // paced reconvergence.
+  policies.cp.push_latency_base = kPushLatencyBase;
+  policies.cp.push_latency_jitter = kPushLatencyJitter;
+  policies.cp.ack_timeout = kAckTimeout;
+  policies.cp.reconverge_pacing = kReconvergePacing;
+  policies.cp.cert_refresh_ahead = kCertRefreshAhead;
+  policies.certificate_lifetime = kCertificateLifetime;
   // The edge hop must outlive one full interior failover (per-try timeout
   // + retry at the frontend); interior hops keep the tight mesh-wide
   // per-try timeout.
   run.gateway_per_try_timeout = sim::milliseconds(1500);
 
-  const sim::Time measure_start = config.warmup;
-  const sim::Time outage_start = measure_start + config.outage_offset;
-  const sim::Time outage_end = outage_start + config.outage_duration;
-  if (config.outage) {
+  const sim::Time measure_start = run.warmup;
+  const sim::Time outage_start = measure_start + arm.outage_offset;
+  const sim::Time outage_end = outage_start + arm.outage_duration;
+  if (arm.outage) {
     run.faults.cp_outage(outage_start, outage_end);
   }
-  if (config.churn) {
-    // Alternating churn: reviews-v1 down for the first half of each
-    // period, reviews-v2 for the second — one replica is always up, but
-    // the registry (restart re-registers) and health state never settle.
-    const sim::Duration half = config.churn_period / 2;
-    for (sim::Time t = outage_start; t + config.churn_period <= outage_end;
-         t += config.churn_period) {
-      run.faults.crash(t, "reviews-v1");
-      run.faults.restart(t + half, "reviews-v1");
-      run.faults.crash(t + half, "reviews-v2");
-      run.faults.restart(t + config.churn_period, "reviews-v2");
-    }
+  // Alternating churn: reviews-v1 down for the first half of each
+  // period, reviews-v2 for the second — one replica is always up, but
+  // the registry (restart re-registers) and health state never settle.
+  const sim::Duration half = arm.churn_period / 2;
+  for (sim::Time t = outage_start; t + arm.churn_period <= outage_end;
+       t += arm.churn_period) {
+    run.faults.crash(t, "reviews-v1");
+    run.faults.restart(t + half, "reviews-v1");
+    run.faults.crash(t + half, "reviews-v2");
+    run.faults.restart(t + arm.churn_period, "reviews-v2");
   }
   run.phases = {{"before", measure_start},
                 {"during", outage_start},
                 {"after", outage_end}};
-  run.drain = 2 * config.request_timeout + sim::seconds(10);
+  run.drain = 2 * kRequestTimeout + sim::seconds(10);
   run.sample_bottleneck = false;
   run.sample_staleness = true;
   return run;

@@ -7,10 +7,15 @@
 
 #include "obs/engine_metrics.h"
 #include "sim/simulator.h"
+#include "workload/generator.h"
 
 namespace meshnet::workload {
 
 namespace {
+
+/// Uniformly random inter-arrivals for both workloads: the paper's wrk2
+/// setting.
+constexpr ArrivalProcess kArrival = ArrivalProcess::kUniformRandom;
 
 void add_sidecar_stats(mesh::SidecarStats& total,
                        const mesh::SidecarStats& stats) {
@@ -191,7 +196,7 @@ ElibraryExperimentResult run_elibrary_experiment(
   WorkloadSpec ls;
   ls.name = "latency-sensitive";
   ls.rps = config.ls_rps;
-  ls.arrival = config.arrival;
+  ls.arrival = kArrival;
   ls.make_request = simple_get_factory(
       "frontend", std::string(app::Elibrary::kLsPathPrefix));
   ls.start = 0;

@@ -9,10 +9,12 @@
 // one experiment differs from another in is data in the config: the app
 // and its mesh policies, rates and windows, optional cross-layer
 // prioritization, a fault plan, named LS phases and the drain horizon.
-// FIG4/TXT-LI/ABL-COMP use it directly; OVERLOAD, CHAOS, CHAOS_CP and MTLS
-// each compile their own knobs into one (see their headers). Reports come
-// from elibrary_point_metrics(), which reads registry counters straight
-// from the run's snapshot.
+// FIG4/TXT-LI/ABL-COMP use it directly. OVERLOAD, CHAOS, CHAOS_CP and MTLS
+// are each one function that takes the caller's config (rates, windows,
+// seed) plus the few settings its arms vary, and fills in the policies,
+// fault plan, phases and drain (see their headers). Reports come from
+// elibrary_point_metrics(), which reads registry counters straight from
+// the run's snapshot.
 
 #include <cstdint>
 #include <optional>
@@ -28,7 +30,6 @@
 #include "obs/metric_registry.h"
 #include "sim/loop_stats.h"
 #include "stats/histogram.h"
-#include "workload/generator.h"
 #include "workload/recorder.h"
 #include "workload/sweep_runner.h"
 
@@ -50,8 +51,6 @@ struct ElibraryExperimentConfig {
   sim::Duration duration = sim::seconds(20);   ///< measured window
   sim::Duration cooldown = sim::seconds(4);
   std::uint64_t seed = 42;
-
-  ArrivalProcess arrival = ArrivalProcess::kUniformRandom;
 
   bool cross_layer = false;
   core::CrossLayerConfig cross_layer_config = default_cross_layer_config();

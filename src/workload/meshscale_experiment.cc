@@ -17,29 +17,26 @@
 #include "sim/parallel.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 #include "workload/parsim_experiment.h"
 
 namespace meshnet::workload {
 
 namespace {
 
-// splitmix64 finalizer: app think time is a pure function of
-// (seed, cell, service, path), so it cannot depend on processing order.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+constexpr int kReplicas = 2;  ///< pods per service
+constexpr int kFanout = 2;    ///< call fan-out between layers
+constexpr double kRootRps = 20.0;  ///< Poisson arrival rate per root service
+/// Endpoint-subsetting aperture of the scoped arm.
+constexpr int kScopedSubsetSize = 1;
+static_assert(kScopedSubsetSize < kReplicas, "a subset must drop endpoints");
+constexpr sim::Duration kDrain = sim::milliseconds(1500);  ///< post-window
 
-std::uint64_t fnv1a(std::string_view text) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// Per-visit app think-time window (hash-deterministic).
+constexpr sim::Duration kComputeMin = sim::microseconds(200);
+constexpr sim::Duration kComputeMax = sim::microseconds(800);
+constexpr auto kComputeSpan =
+    static_cast<std::uint64_t>(kComputeMax - kComputeMin + 1);
 
 /// Each control plane's push-channel series, folded into the run's
 /// registry at the end of the run, and the report key of its sum.
@@ -87,8 +84,8 @@ mesh::MeshPolicies make_policies(const MeshscaleConfig& config) {
   policies.cp.ack_timeout = sim::milliseconds(200);
   policies.cp.push_loss = 0.01;
   policies.cp.delta_push = config.delta_push;
-  policies.subset.enabled = config.subset_size > 0;
-  policies.subset.subset_size = config.subset_size;
+  policies.subset.enabled = config.scoped;
+  policies.subset.subset_size = config.scoped ? kScopedSubsetSize : 0;
   return policies;
 }
 
@@ -170,7 +167,7 @@ void schedule_next_arrival(Cell& cell, Cell::RootGen& root, double rps,
 PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
   cluster::FanoutSpec fanout;
   fanout.layer_widths = layer_widths(config.services);
-  fanout.fanout = config.fanout;
+  fanout.fanout = kFanout;
   const cluster::GenTopology topology =
       cluster::generate_layered_fanout(fanout, config.seed);
 
@@ -184,7 +181,7 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
   sim::ParallelEngine engine(engine_options);
 
   cluster::TopologyMeshOptions adapter;
-  adapter.replicas = std::max(1, config.replicas);
+  adapter.replicas = kReplicas;
   // Churn victim: the highest-id leaf somebody actually calls, so the
   // scoped arms measure a churn event with real subscribers (a leaf with
   // no parents would cost a scoped mesh exactly zero pushes).
@@ -200,13 +197,13 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
       break;
     }
   }
-  const std::string victim_service =
-      cluster::topology_service_name(adapter, victim_id);
   const std::string victim_pod =
-      victim_service + (adapter.replicas > 1 ? "-v2" : "-v1");
+      cluster::topology_service_name(adapter, victim_id) + "-v2";
 
-  const sim::Duration compute_span =
-      std::max<sim::Duration>(1, config.compute_max - config.compute_min + 1);
+  // Single-endpoint churn inside the arrival window: crash + deregister
+  // one leaf replica at 2/5 of it, restart it at 3/5.
+  const sim::Time churn_at = config.duration * 2 / 5;
+  const sim::Time restore_at = config.duration * 3 / 5;
 
   std::vector<std::unique_ptr<Cell>> cells;
   for (int c = 0; c < engine_options.shards; ++c) {
@@ -230,7 +227,7 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
     spec.external_pods.push_back(cluster::ExternalPodSpec{
         "loadgen", "", cluster::PodOptions{40e9, sim::microseconds(50), {}}});
 
-    if (config.derive_scopes) {
+    if (config.scoped) {
       // Explicit scopes rather than derive_cluster_scopes: a leaf that
       // calls nobody gets an EMPTY scope (zero clusters) instead of the
       // legacy see-everything default, and the gateway is scoped to the
@@ -248,22 +245,21 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
       }
     }
 
-    const std::uint64_t cell_seed =
-        mix64(config.seed ^ (static_cast<std::uint64_t>(c) << 32));
+    // App think time is a pure function of (seed, cell, service, path),
+    // so it cannot depend on processing order.
+    const std::uint64_t cell_seed = util::splitmix64(
+        config.seed ^ (static_cast<std::uint64_t>(c) << 32));
     for (std::size_t i = 0; i < spec.services.size(); ++i) {
       cluster::ServiceSpec& service = spec.services[i];
       const std::vector<std::string> calls = service.calls;
-      const std::uint64_t visit_seed = mix64(cell_seed ^ i);
-      const sim::Duration compute_min =
-          std::max<sim::Duration>(1, config.compute_min);
-      service.handler = [calls, visit_seed, compute_min,
-                         compute_span](const http::HttpRequest& request) {
+      const std::uint64_t visit_seed = util::splitmix64(cell_seed ^ i);
+      service.handler = [calls, visit_seed](const http::HttpRequest& request) {
         app::HandlerResult plan;
         plan.processing_delay =
-            compute_min +
+            kComputeMin +
             static_cast<sim::Duration>(
-                mix64(visit_seed ^ fnv1a(request.path)) %
-                static_cast<std::uint64_t>(compute_span));
+                util::splitmix64(visit_seed ^ util::fnv1a(request.path)) %
+                kComputeSpan);
         plan.response_bytes = 256;
         for (const std::string& target : calls) {
           plan.calls.push_back(app::SubCall{target, request.path});
@@ -302,31 +298,29 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
 
   for (auto& cell : cells) {
     for (auto& root : cell->roots) {
-      schedule_next_arrival(*cell, *root, config.root_rps, config.duration);
+      schedule_next_arrival(*cell, *root, kRootRps, config.duration);
     }
-    if (config.churn) {
-      Cell* cell_ptr = cell.get();
-      cell->sim->schedule_at(config.churn_at, [cell_ptr, victim_pod] {
-        // Sample the channel first, before the deregistration lands:
-        // everything after this instant is the marginal cost of one
-        // endpoint flapping.
-        const mesh::ControlPlane::PushChannelBytes sample =
-            cell_ptr->mesh->control_plane().push_channel_bytes();
-        obs::MetricRegistry& registry = *cell_ptr->registry;
-        registry.counter("meshscale_churn_start_push_bytes")
-            .inc(sample.full_bytes + sample.delta_bytes);
-        registry.counter("meshscale_churn_start_pushes")
-            .inc(sample.full_pushes + sample.delta_pushes);
-        cell_ptr->mesh->cluster().crash_pod(victim_pod);
-        cell_ptr->mesh->cluster().deregister_pod(victim_pod);
-      });
-      cell->sim->schedule_at(config.restore_at, [cell_ptr, victim_pod] {
-        cell_ptr->mesh->cluster().restart_pod(victim_pod);
-      });
-    }
+    Cell* cell_ptr = cell.get();
+    cell->sim->schedule_at(churn_at, [cell_ptr, victim_pod] {
+      // Sample the channel first, before the deregistration lands:
+      // everything after this instant is the marginal cost of one
+      // endpoint flapping.
+      const mesh::ControlPlane::PushChannelBytes sample =
+          cell_ptr->mesh->control_plane().push_channel_bytes();
+      obs::MetricRegistry& registry = *cell_ptr->registry;
+      registry.counter("meshscale_churn_start_push_bytes")
+          .inc(sample.full_bytes + sample.delta_bytes);
+      registry.counter("meshscale_churn_start_pushes")
+          .inc(sample.full_pushes + sample.delta_pushes);
+      cell_ptr->mesh->cluster().crash_pod(victim_pod);
+      cell_ptr->mesh->cluster().deregister_pod(victim_pod);
+    });
+    cell->sim->schedule_at(restore_at, [cell_ptr, victim_pod] {
+      cell_ptr->mesh->cluster().restart_pod(victim_pod);
+    });
   }
 
-  engine.run_until(config.duration + config.drain);
+  engine.run_until(config.duration + kDrain);
 
   // The run's registry: every cell's workload series plus its control
   // plane's push-channel series, summed in cell order.
@@ -364,16 +358,13 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
     counters[std::string(key)] = sum(series);
   }
   // The churn window runs from the churn-instant sample to the end of
-  // the run; without churn it is empty.
-  counters["cp_churn_push_bytes"] =
-      config.churn ? counters["cp_full_push_bytes"] +
-                         counters["cp_delta_push_bytes"] -
-                         sum("meshscale_churn_start_push_bytes")
-                   : 0;
-  counters["cp_churn_pushes"] =
-      config.churn ? counters["cp_full_pushes"] + counters["cp_delta_pushes"] -
-                         sum("meshscale_churn_start_pushes")
-                   : 0;
+  // the run.
+  counters["cp_churn_push_bytes"] = counters["cp_full_push_bytes"] +
+                                    counters["cp_delta_push_bytes"] -
+                                    sum("meshscale_churn_start_push_bytes");
+  counters["cp_churn_pushes"] = counters["cp_full_pushes"] +
+                                counters["cp_delta_pushes"] -
+                                sum("meshscale_churn_start_pushes");
 
   bool converged = true;
   sim::Duration churn_convergence = 0;
@@ -385,14 +376,12 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
     counters["cp_epochs"] += cp.epoch();
     counters["cp_pushes"] += cp.pushes();
     if (!cp.converged()) converged = false;
-    if (config.churn) {
-      const sim::Time converged_at = cp.last_converged_at();
-      if (converged_at >= config.restore_at) {
-        churn_convergence =
-            std::max(churn_convergence, converged_at - config.restore_at);
-      } else {
-        converged = false;  // never reconverged after the restore
-      }
+    const sim::Time converged_at = cp.last_converged_at();
+    if (converged_at >= restore_at) {
+      churn_convergence =
+          std::max(churn_convergence, converged_at - restore_at);
+    } else {
+      converged = false;  // never reconverged after the restore
     }
     for (const auto& sidecar : cp.sidecars()) {
       std::uint64_t entries = 0;

@@ -19,9 +19,10 @@
 // construction). Cells differ only in their arrival streams; together
 // they model independent availability zones running the same topology.
 //
-// Mid-run, one replica of the last (leaf) service is crashed and
-// deregistered, then restored: single-endpoint churn, the dominant
-// config-push trigger in production meshes. The experiment samples the
+// Mid-run (at 2/5 of the arrival window), one replica of the last (leaf)
+// service is crashed and deregistered, then restored (at 3/5):
+// single-endpoint churn, the dominant config-push trigger in production
+// meshes. The experiment samples the
 // push channel's byte counters at the churn instant so the report can
 // separate steady-state config cost from the marginal cost of one
 // endpoint flapping — the number the delta-push comparison is about.
@@ -43,38 +44,22 @@ namespace meshnet::workload {
 
 struct MeshscaleConfig {
   int services = 50;   ///< generated services per cell (>= 4)
-  int replicas = 2;    ///< pods per service
-  int fanout = 2;      ///< call fan-out between layers
   int cells = 2;       ///< independent mesh replicas (= engine shards)
   int threads = 1;     ///< engine worker threads (0 = hardware concurrency)
   bool respect_worker_budget = true;
 
   std::uint64_t seed = 42;
   sim::Duration duration = sim::seconds(3);  ///< arrival window
-  double root_rps = 20.0;  ///< Poisson arrival rate per root service
 
   /// Control-plane transport under test: incremental deltas vs full
   /// snapshots (everything else about the push channel is identical).
   bool delta_push = true;
-  /// Compile each service's declared calls into a cluster scope (leaves
-  /// get an empty scope, the gateway sees only the roots). Off = every
-  /// sidecar sees every cluster, the legacy O(N^2) view.
-  bool derive_scopes = false;
-  /// Endpoint-subsetting aperture (0 = every subscriber tracks every
-  /// endpoint). Only meaningful with replicas > subset_size.
-  int subset_size = 0;
-
-  /// Single-endpoint churn: crash + deregister one leaf replica at
-  /// `churn_at`, restart it at `restore_at` (both must precede the end
-  /// of the arrival window).
-  bool churn = true;
-  sim::Duration churn_at = sim::milliseconds(1200);
-  sim::Duration restore_at = sim::milliseconds(1800);
-  sim::Duration drain = sim::milliseconds(1500);  ///< post-window drain
-
-  /// Per-visit app think-time window (hash-deterministic).
-  sim::Duration compute_min = sim::microseconds(200);
-  sim::Duration compute_max = sim::microseconds(800);
+  /// Bounded per-sidecar state: compile each service's declared calls
+  /// into a cluster scope (leaves get an empty scope, the gateway sees
+  /// only the roots) and subset endpoints to one per subscriber. Off =
+  /// every sidecar sees every cluster and every endpoint, the legacy
+  /// O(N^2) view.
+  bool scoped = false;
 };
 
 /// Runs one MESHSCALE arm and returns its report, read at the end of the
@@ -92,10 +77,10 @@ struct MeshscaleConfig {
 ///     cp_{full,delta}_push_bytes, the churn window's
 ///     cp_churn_push_bytes / cp_churn_pushes (end of run minus the
 ///     churn-instant sample), cp_converged and churn_convergence_ms
-///     (restore -> full reconvergence, worst cell; 0 when churn is off);
+///     (restore -> full reconvergence, worst cell);
 ///   * per-sidecar endpoint-table sizes — sidecars, endpoint_entries,
 ///     max_ and mean_endpoints_per_sidecar, the state the
-///     scoping/subsetting knobs exist to bound;
+///     `scoped` arm exists to bound;
 ///   * the shape and engine — services, cells, events, engine_epochs,
 ///     engine_messages (thread-invariant for a fixed cell count).
 PointMetrics run_meshscale_experiment(const MeshscaleConfig& config);

@@ -4,17 +4,20 @@
 
 namespace meshnet::workload {
 
-ElibraryExperimentConfig elibrary_config(const MtlsExperimentConfig& config) {
-  ElibraryExperimentConfig run;
-  run.ls_rps = config.ls_rps;
-  run.li_rps = config.li_rps;
-  run.warmup = config.warmup;
-  run.duration = config.duration;
-  run.cooldown = config.cooldown;
-  run.seed = config.seed;
-  run.arrival = config.arrival;
-  run.app = config.app;
+namespace {
 
+/// How long the storm keeps every pod down.
+constexpr sim::Duration kStormRestartDelay = sim::milliseconds(200);
+
+/// End-to-end deadline at every sidecar (same rationale as CHAOS: a
+/// request stranded by the storm must fail at the deadline, not ride
+/// it out).
+constexpr sim::Duration kRequestTimeout = sim::milliseconds(2500);
+
+}  // namespace
+
+ElibraryExperimentConfig mtls_config(ElibraryExperimentConfig run,
+                                     const MtlsArm& arm) {
   mesh::MeshPolicies& policies = run.app.policies;
   // Data-plane resilience, same stance as the chaos experiments: the
   // storm's reconnect wave is absorbed by health checking, breakers and
@@ -22,18 +25,18 @@ ElibraryExperimentConfig elibrary_config(const MtlsExperimentConfig& config) {
   // are pure crypto cost.
   apply_resilience_policies(policies, /*retry_budget=*/0.5,
                             /*budget_min_concurrency=*/20);
-  policies.request_timeout = config.request_timeout;
+  policies.request_timeout = kRequestTimeout;
   // The arm switches.
-  policies.tls.enabled = config.mtls;
-  policies.tls.session_resumption = config.session_resumption;
-  policies.mtls_overrides = config.mtls_overrides;
+  policies.tls.enabled = arm.mtls;
+  policies.tls.session_resumption = arm.session_resumption;
+  policies.mtls_overrides = arm.mtls_overrides;
   // Same hierarchical timeout budget as CHAOS_CP: the edge hop outlives
   // one full interior failover.
   run.gateway_per_try_timeout = sim::milliseconds(1500);
 
-  const sim::Time measure_start = config.warmup;
-  const sim::Time storm_at = measure_start + config.storm_offset;
-  if (config.storm) {
+  const sim::Time measure_start = run.warmup;
+  const sim::Time storm_at = measure_start + run.duration / 2;
+  if (arm.storm) {
     // Every service pod bounces at once: all in-mesh connections (and
     // their TLS sessions) die, and the entire mesh re-handshakes when
     // the pods return. Sidecar objects — and with them the clients'
@@ -42,17 +45,16 @@ ElibraryExperimentConfig elibrary_config(const MtlsExperimentConfig& config) {
     for (const char* pod : {"frontend-v1", "details-v1", "reviews-v1",
                             "reviews-v2", "ratings-v1"}) {
       run.faults.crash(storm_at, pod);
-      run.faults.restart(storm_at + config.storm_restart_delay, pod);
+      run.faults.restart(storm_at + kStormRestartDelay, pod);
       // A process restart loses TCP state: abort the pod's connections
       // so peers see RSTs and must reconnect (and re-handshake). The
       // restart entry is added first at the same timestamp, so the
       // links are back up when the RSTs go out.
-      run.faults.reset_connections(storm_at + config.storm_restart_delay,
-                                   pod);
+      run.faults.reset_connections(storm_at + kStormRestartDelay, pod);
     }
   }
   run.phases = {{"pre", measure_start}, {"post", storm_at}};
-  run.drain = 2 * config.request_timeout + sim::seconds(10);
+  run.drain = 2 * kRequestTimeout + sim::seconds(10);
   return run;
 }
 

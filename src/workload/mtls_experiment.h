@@ -26,55 +26,34 @@
 // Determinism: the whole run is a function of the config (seed
 // included); results are bit-identical across --threads values.
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "app/elibrary.h"
 #include "workload/elibrary_experiment.h"
-#include "workload/generator.h"
 
 namespace meshnet::workload {
 
-struct MtlsExperimentConfig {
-  double ls_rps = 30.0;
-  double li_rps = 10.0;
-
-  sim::Duration warmup = sim::seconds(4);
-  sim::Duration duration = sim::seconds(30);  ///< measured window
-  sim::Duration cooldown = sim::seconds(4);
-  std::uint64_t seed = 42;
-  ArrivalProcess arrival = ArrivalProcess::kUniformRandom;
-
-  /// The arm switches: mesh-wide mTLS default, per-service exceptions
-  /// (compiled into MeshPolicies::mtls_overrides; entries win over the
-  /// default), and session-ticket resumption.
+/// What the MTLS arms vary: the mesh-wide mTLS default, per-service
+/// exceptions (compiled into MeshPolicies::mtls_overrides; entries win
+/// over the default), session-ticket resumption, and the handshake
+/// storm — every service pod crashes halfway through the measured
+/// window and restarts shortly after. All in-mesh connections die; the
+/// reconnect wave is the measured event.
+struct MtlsArm {
   bool mtls = true;
   std::map<std::string, bool> mtls_overrides;
   bool session_resumption = true;
-
-  /// Handshake storm: every service pod crashes at `storm_offset`
-  /// (relative to the start of the measured window) and restarts
-  /// `storm_restart_delay` later. All in-mesh connections die; the
-  /// reconnect wave is the measured event.
   bool storm = false;
-  sim::Duration storm_offset = sim::seconds(15);
-  sim::Duration storm_restart_delay = sim::milliseconds(200);
-
-  /// End-to-end deadline at every sidecar (same rationale as CHAOS: a
-  /// request stranded by the storm must fail at the deadline, not ride
-  /// it out).
-  sim::Duration request_timeout = sim::milliseconds(2500);
-
-  app::ElibraryOptions app;
 };
 
-/// The run config for one arm: resilience + mTLS policies, the
-/// gateway's per-try timeout budget, the storm fault plan and the LS
-/// phases "pre" and "post" (split at the storm instant; meaningful for
-/// storm arms, still deterministic without one).
-ElibraryExperimentConfig elibrary_config(const MtlsExperimentConfig& config);
+/// `run` (rates, windows, seed and app as the caller set them) completed
+/// for one arm: resilience + mTLS policies, the gateway's per-try timeout
+/// budget, the storm fault plan, the LS phases "pre" and "post" (split
+/// at the storm instant, half the measured window; meaningful for storm
+/// arms, still deterministic without one) and the drain.
+ElibraryExperimentConfig mtls_config(ElibraryExperimentConfig run,
+                                     const MtlsArm& arm);
 
 /// Report keys read from the mesh-wide `tls_*` series (`tls_handshakes_full`,
 /// `tls_handshakes_resumed`, `tls_handshake_failures`, `tls_tickets_issued`,

@@ -2,7 +2,9 @@
 
 namespace meshnet::workload {
 
-app::ElibraryOptions OverloadExperimentConfig::default_overload_app() {
+namespace {
+
+app::ElibraryOptions default_overload_app() {
   app::ElibraryOptions app;
   // Compute-bound tuning: payloads small enough that the 1 Gbps ratings
   // vNIC never saturates; the frontend's seven workers (each held for
@@ -36,24 +38,19 @@ app::ElibraryOptions OverloadExperimentConfig::default_overload_app() {
   return app;
 }
 
-ElibraryExperimentConfig elibrary_config(
-    const OverloadExperimentConfig& config) {
-  ElibraryExperimentConfig run;
-  run.ls_rps = config.ls_rps;
-  run.li_rps = config.li_rps();
-  run.warmup = config.warmup;
-  run.duration = config.duration;
-  run.cooldown = config.cooldown;
-  run.seed = config.seed;
-  run.arrival = config.arrival;
-  run.app = config.app;
-  run.app.policies.admission.enabled = config.admission;
+}  // namespace
+
+ElibraryExperimentConfig overload_config(ElibraryExperimentConfig run,
+                                         const OverloadArm& arm) {
+  const double total = arm.load_factor * arm.capacity_rps;
+  run.li_rps = total > run.ls_rps ? total - run.ls_rps : 0.0;
+  run.app = default_overload_app();
+  run.app.policies.admission.enabled = arm.admission;
   // Classification at the gateway + provenance propagation are what give
   // the admission controllers a priority to act on; both arms run with
   // the cross-layer filters installed so the only difference between
   // them is the admission subsystem itself.
   run.cross_layer = true;
-  run.cross_layer_config = config.cross_layer_config;
   // Drain: every in-flight request either completes or hits its armed
   // deadline within request_timeout of the last arrival.
   run.drain = run.app.policies.request_timeout + sim::seconds(5);

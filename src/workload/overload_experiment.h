@@ -15,55 +15,34 @@
 // Sweeping load_factor past 1.0 with admission on/off produces the
 // collapse-vs-controlled comparison; BENCH_overload.json commits it.
 
-#include <cstdint>
 #include <vector>
 
-#include "app/elibrary.h"
-#include "core/cross_layer.h"
 #include "workload/elibrary_experiment.h"
-#include "workload/generator.h"
 
 namespace meshnet::workload {
 
-struct OverloadExperimentConfig {
+/// What the OVERLOAD sweep varies.
+struct OverloadArm {
   /// Estimated saturation throughput of the tuned topology (the knee).
   double capacity_rps = 90.0;
-  /// Offered LS load, held fixed across the sweep (well under capacity —
-  /// the protected workload is not the one causing the overload).
-  double ls_rps = 10.0;
-  /// Total offered load = load_factor * capacity_rps; LI fills the
-  /// difference. 2.0 is the acceptance point ("2x offered overload").
+  /// Total offered load = load_factor * capacity_rps; LI fills what the
+  /// fixed LS load (`ls_rps` of the run, well under capacity — the
+  /// protected workload is not the one causing the overload) leaves.
+  /// 2.0 is the acceptance point ("2x offered overload").
   double load_factor = 2.0;
   /// Toggles the admission subsystem (the experiment's two arms).
   bool admission = true;
-
-  sim::Duration warmup = sim::seconds(3);
-  sim::Duration duration = sim::seconds(10);  ///< measured window
-  sim::Duration cooldown = sim::seconds(2);
-  std::uint64_t seed = 42;
-  ArrivalProcess arrival = ArrivalProcess::kUniformRandom;
-
-  core::CrossLayerConfig cross_layer_config =
-      ElibraryExperimentConfig::default_cross_layer_config();
-
-  app::ElibraryOptions app = default_overload_app();
-
-  double li_rps() const noexcept {
-    const double total = load_factor * capacity_rps;
-    return total > ls_rps ? total - ls_rps : 0.0;
-  }
-
-  /// E-library options tuned for compute saturation: small payloads (the
-  /// bottleneck vNIC never saturates), 20 ms think time, 7 app workers
-  /// per service, a 2 s request deadline, and the admission defaults
-  /// (adaptive limit seeded at 7, four slots reserved for LS).
-  static app::ElibraryOptions default_overload_app();
 };
 
-/// The run config for one arm: both arms run with the cross-layer
-/// filters installed, so admission is the only difference between them.
-ElibraryExperimentConfig elibrary_config(
-    const OverloadExperimentConfig& config);
+/// `run` (LS rate, windows and seed as the caller set them) completed for
+/// one arm: the LI rate, the e-library tuned for compute saturation
+/// (small payloads so the bottleneck vNIC never saturates, 20 ms think
+/// time, 7 app workers per service, a 2 s request deadline, adaptive
+/// admission seeded at 7 with four slots reserved for LS), the
+/// cross-layer filters — installed in both arms, so admission is the
+/// only difference between them — and the drain.
+ElibraryExperimentConfig overload_config(ElibraryExperimentConfig run,
+                                         const OverloadArm& arm);
 
 /// Report keys read from the `admission_*` series: sheds by class
 /// (`ls_shed`, `li_shed`, `default_shed`) and by reason

@@ -15,20 +15,21 @@
 #include "sim/parallel.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "util/hash.h"
 
 namespace meshnet::workload {
 
 namespace {
 
-// splitmix64 finalizer: the per-visit compute time is a pure function of
-// (seed, service, request), so it does not depend on the order services
-// happen to process requests in — one of the three shard-invariance rules.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// Per-visit compute window: the deterministic hash of (service, request)
+/// maps into [kComputeMin, kComputeMax].
+constexpr sim::Duration kComputeMin = sim::microseconds(200);
+constexpr sim::Duration kComputeMax = sim::microseconds(800);
+constexpr auto kComputeSpan =
+    static_cast<std::uint64_t>(kComputeMax - kComputeMin + 1);
+
+/// On-wire size per edge crossing.
+constexpr std::uint32_t kRequestBytes = 2048;
 
 struct Arrival {
   std::uint64_t request_id = 0;
@@ -52,9 +53,6 @@ class Service {
   obs::Histogram* latency = nullptr;
 
   std::uint64_t run_seed = 0;
-  sim::Duration compute_min = 1;
-  sim::Duration compute_span = 1;  ///< max - min + 1
-  std::uint32_t request_bytes = 0;
 
   void deliver(std::uint64_t request_id, sim::Time start, int src) {
     visits->inc();
@@ -86,12 +84,16 @@ class Service {
     busy_ = true;
     const Arrival job = queue_.front();
     queue_.pop_front();
+    // A pure function of (seed, service, request), so it does not depend
+    // on the order services happen to process requests in — one of the
+    // three shard-invariance rules.
     const sim::Duration compute =
-        compute_min +
+        kComputeMin +
         static_cast<sim::Duration>(
-            mix64(run_seed ^ mix64(static_cast<std::uint64_t>(id)) ^
-                  job.request_id) %
-            static_cast<std::uint64_t>(compute_span));
+            util::splitmix64(run_seed ^
+                             util::splitmix64(static_cast<std::uint64_t>(id)) ^
+                             job.request_id) %
+            kComputeSpan);
     sim->schedule_after(compute, [this, job] { complete(job); });
   }
 
@@ -107,7 +109,7 @@ class Service {
         packet.flow.src_ip = static_cast<net::IpAddress>(id);
         packet.seq = job.request_id;
         packet.sent_at = job.start;
-        packet.header_bytes = request_bytes;
+        packet.header_bytes = kRequestBytes;
         link->send(std::move(packet));
       }
     }
@@ -177,7 +179,7 @@ PointMetrics run_parsim_experiment(const ParsimConfig& config) {
   engine_options.shards = partition.shards;
   engine_options.lookahead = partition.lookahead;
   engine_options.threads = config.threads;
-  engine_options.respect_worker_budget = config.respect_worker_budget;
+  engine_options.respect_worker_budget = false;  // see ParsimConfig::threads
   sim::ParallelEngine engine(engine_options);
 
   std::vector<std::unique_ptr<obs::MetricRegistry>> registries;
@@ -185,9 +187,6 @@ PointMetrics run_parsim_experiment(const ParsimConfig& config) {
   for (int s = 0; s < partition.shards; ++s) {
     registries.push_back(std::make_unique<obs::MetricRegistry>());
   }
-
-  const sim::Duration compute_span =
-      std::max<sim::Duration>(1, config.compute_max - config.compute_min + 1);
 
   std::vector<std::unique_ptr<Service>> services;
   services.reserve(topology.services.size());
@@ -211,9 +210,6 @@ PointMetrics run_parsim_experiment(const ParsimConfig& config) {
       service->latency = &registry.histogram("parsim_e2e_latency_us");
     }
     service->run_seed = config.seed;
-    service->compute_min = std::max<sim::Duration>(1, config.compute_min);
-    service->compute_span = compute_span;
-    service->request_bytes = config.request_bytes;
     services.push_back(std::move(service));
   }
 

@@ -43,10 +43,10 @@ struct ParsimConfig {
   cluster::FanoutSpec topology = default_topology();
 
   int shards = 8;    ///< partition size; workload metrics don't depend on it
-  int threads = 1;   ///< engine worker threads (0 = hardware concurrency)
-  /// Benchmarks measuring N-thread wall clock run as the top-level
-  /// consumer and opt out of the shared worker budget.
-  bool respect_worker_budget = true;
+  /// Engine worker threads (0 = hardware concurrency). The engine opts
+  /// out of the shared worker budget: a PARSIM run measures N-thread wall
+  /// clock as the top-level consumer.
+  int threads = 1;
 
   std::uint64_t seed = 42;
   sim::Duration duration = sim::seconds(5);  ///< arrival window; the run
@@ -57,13 +57,6 @@ struct ParsimConfig {
   /// hundred events per barrier epoch — enough work to amortize the
   /// barrier on multi-core hosts.
   double root_rps = 400.0;
-
-  /// Per-visit compute window: the deterministic hash of (service,
-  /// request) maps into [compute_min, compute_max].
-  sim::Duration compute_min = sim::microseconds(200);
-  sim::Duration compute_max = sim::microseconds(800);
-
-  std::uint32_t request_bytes = 2048;  ///< on-wire size per edge crossing
 
   static cluster::FanoutSpec default_topology();
 };

@@ -16,26 +16,32 @@
 namespace meshnet::workload {
 namespace {
 
-ElibraryExperimentResult run_chaos(const ChaosExperimentConfig& config) {
-  return run_elibrary_experiment(elibrary_config(config));
+ElibraryExperimentResult run_chaos(const ElibraryExperimentConfig& config,
+                                   const ChaosArm& arm) {
+  return run_elibrary_experiment(chaos_config(config, arm));
 }
 
-ChaosExperimentConfig small_config() {
-  ChaosExperimentConfig config;
+ElibraryExperimentConfig small_config() {
+  ElibraryExperimentConfig config;
   config.ls_rps = 20;
   config.li_rps = 5;
   config.warmup = sim::seconds(1);
   config.duration = sim::seconds(6);
   config.cooldown = sim::seconds(1);
-  config.fault_start_offset = sim::seconds(1);
-  config.fault_duration = sim::seconds(3);
   return config;
 }
 
+ChaosArm small_arm() {
+  ChaosArm arm;
+  arm.fault_offset = sim::seconds(1);
+  arm.fault_duration = sim::seconds(3);
+  return arm;
+}
+
 TEST(ChaosExperiment, DeterministicForSameSeed) {
-  ChaosExperimentConfig config = small_config();
-  const ElibraryExperimentResult a = run_chaos(config);
-  const ElibraryExperimentResult b = run_chaos(config);
+  ElibraryExperimentConfig config = small_config();
+  const ElibraryExperimentResult a = run_chaos(config, small_arm());
+  const ElibraryExperimentResult b = run_chaos(config, small_arm());
 
   // Same seed => identical simulation, event for event.
   EXPECT_EQ(a.events_executed, b.events_executed);
@@ -60,26 +66,25 @@ TEST(ChaosExperiment, DeterministicForSameSeed) {
   // A different seed actually changes arrivals (guards against the seed
   // being ignored somewhere).
   config.seed += 1;
-  const ElibraryExperimentResult c = run_chaos(config);
+  const ElibraryExperimentResult c = run_chaos(config, small_arm());
   EXPECT_NE(a.events_executed, c.events_executed);
 }
 
 TEST(ChaosExperiment, ResilienceRidesThroughCrashBaselineDegrades) {
-  ChaosExperimentConfig config;
+  ElibraryExperimentConfig config;
   config.ls_rps = 30;
   config.li_rps = 10;
   config.warmup = sim::seconds(4);
   config.duration = sim::seconds(24);
   config.cooldown = sim::seconds(4);
-  config.fault_start_offset = sim::seconds(6);
-  config.fault_duration = sim::seconds(10);
+  ChaosArm arm;
+  arm.fault_offset = sim::seconds(6);
+  arm.fault_duration = sim::seconds(10);
 
-  config.resilience = true;
-  const ElibraryExperimentResult resilient =
-      run_chaos(config);
-  config.resilience = false;
-  const ElibraryExperimentResult baseline =
-      run_chaos(config);
+  arm.resilience = true;
+  const ElibraryExperimentResult resilient = run_chaos(config, arm);
+  arm.resilience = false;
+  const ElibraryExperimentResult baseline = run_chaos(config, arm);
 
   std::fputs(format_chaos_comparison(
                  elibrary_point_metrics(resilient, chaos_report_series()),
@@ -131,9 +136,9 @@ TEST(ChaosExperiment, SweepBitIdenticalAcrossThreadCounts) {
       const std::size_t slot = resilience ? 0 : 1;
       runner.add({{"resilience", resilience ? "on" : "off"}},
                  [resilience, slot, results] {
-                   ChaosExperimentConfig config = small_config();
-                   config.resilience = resilience;
-                   (*results)[slot] = run_chaos(config);
+                   ChaosArm arm = small_arm();
+                   arm.resilience = resilience;
+                   (*results)[slot] = run_chaos(small_config(), arm);
                    const ElibraryExperimentResult& r = (*results)[slot];
                    PointMetrics metrics;
                    metrics.scalars["during_goodput_rps"] =

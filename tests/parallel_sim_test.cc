@@ -283,12 +283,11 @@ void expect_same_workload_surface(const workload::PointMetrics& a,
 }
 
 // Fixed shard count, varying worker threads: EVERYTHING must match, the
-// engine surface included. respect_worker_budget is off so real threads
-// spawn even on single-core hosts.
+// engine surface included. PARSIM opts out of the worker budget, so real
+// threads spawn even on single-core hosts.
 TEST(ParsimThreadDeterminism, BitIdenticalAcrossThreadCounts) {
   workload::ParsimConfig config;
   config.shards = 8;
-  config.respect_worker_budget = false;
   config.duration = sim::milliseconds(500);
 
   config.threads = 1;
@@ -330,7 +329,6 @@ TEST(ParsimShardInvariance, RandomTopologiesMatchSingleShardReference) {
     config.seed = seed;
     config.duration = sim::milliseconds(300);
     config.root_rps = 150.0;
-    config.respect_worker_budget = false;
 
     config.shards = 1;
     config.threads = 1;
@@ -358,9 +356,7 @@ TEST(ParsimShardInvariance, RandomTopologiesMatchSingleShardReference) {
 TEST(MeshscaleReport, KeysComeFromTheRegistryAndMatchAcrossThreadCounts) {
   workload::MeshscaleConfig config;
   config.services = 10;
-  config.duration = sim::seconds(1);
-  config.churn_at = sim::milliseconds(400);
-  config.restore_at = sim::milliseconds(600);
+  config.duration = sim::seconds(1);  // churn at 400 ms, restore at 600 ms
   config.respect_worker_budget = false;
   config.threads = 1;
   const workload::PointMetrics report =

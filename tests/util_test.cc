@@ -92,13 +92,13 @@ Flags parse_args(std::initializer_list<const char*> args) {
 
 TEST(Flags, EqualsSyntax) {
   const Flags flags = parse_args({"--rps=30", "--name=fig4"});
-  EXPECT_EQ(flags.get_int_or("rps", 0), 30);
+  EXPECT_EQ(flags.get_int_or("rps", 0, NumberRange::kPositive), 30);
   EXPECT_EQ(flags.get_or("name", ""), "fig4");
 }
 
 TEST(Flags, SpaceSyntax) {
   const Flags flags = parse_args({"--rps", "42"});
-  EXPECT_EQ(flags.get_int_or("rps", 0), 42);
+  EXPECT_EQ(flags.get_int_or("rps", 0, NumberRange::kPositive), 42);
 }
 
 TEST(Flags, BareBoolean) {
@@ -119,7 +119,7 @@ TEST(Flags, BoolValues) {
 
 TEST(Flags, LaterDuplicateWins) {
   const Flags flags = parse_args({"--n=1", "--n=2"});
-  EXPECT_EQ(flags.get_int_or("n", 0), 2);
+  EXPECT_EQ(flags.get_int_or("n", 0, NumberRange::kPositive), 2);
   // ... but the repeat is recorded, so strict parsers can reject it.
   ASSERT_EQ(flags.duplicates().size(), 1u);
   EXPECT_EQ(flags.duplicates()[0], "n");
@@ -166,10 +166,45 @@ TEST(Flags, Positional) {
 }
 
 TEST(Flags, NumericFallbacks) {
-  const Flags flags = parse_args({"--bad=abc"});
-  EXPECT_EQ(flags.get_int_or("bad", 7), 7);
-  EXPECT_DOUBLE_EQ(flags.get_double_or("bad", 1.5), 1.5);
-  EXPECT_DOUBLE_EQ(parse_args({"--d=2.25"}).get_double_or("d", 0), 2.25);
+  const Flags flags = parse_args({"--other=abc"});
+  EXPECT_EQ(flags.get_int_or("absent", 7, NumberRange::kPositive), 7);
+  EXPECT_DOUBLE_EQ(flags.get_double_or("absent", 1.5, NumberRange::kPositive),
+                   1.5);
+  EXPECT_DOUBLE_EQ(parse_args({"--d=2.25"})
+                       .get_double_or("d", 0, NumberRange::kPositive),
+                   2.25);
+  EXPECT_EQ(parse_args({"--n=0"}).get_int_or("n", 5, NumberRange::kNonNegative),
+            0);
+}
+
+// A malformed or out-of-range number must stop the binary, not run it on
+// the fallback.
+TEST(Flags, MalformedOrOutOfRangeNumbersExitWithStatus2) {
+  const auto exits = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_args({"--d=1O"}).get_int_or("d", 15,
+                                                NumberRange::kPositive),
+              exits, "bad --d entry '1O' \\(want a positive integer\\)");
+  EXPECT_EXIT(parse_args({"--d=0x"}).get_int_or("d", 15,
+                                                NumberRange::kPositive),
+              exits, "bad --d entry '0x'");
+  EXPECT_EXIT(parse_args({"--d=99999999999999999999"})
+                  .get_int_or("d", 15, NumberRange::kPositive),
+              exits, "bad --d entry");
+  EXPECT_EXIT(parse_args({"--t=-1"}).get_int_or("t", 1,
+                                                NumberRange::kNonNegative),
+              exits, "bad --t entry '-1' \\(want a non-negative integer\\)");
+  EXPECT_EXIT(parse_args({"--r=abc"}).get_double_or("r", 10,
+                                                   NumberRange::kNonNegative),
+              exits, "bad --r entry 'abc'");
+  EXPECT_EXIT(parse_args({"--r=-90"}).get_double_or("r", 10,
+                                                   NumberRange::kPositive),
+              exits, "bad --r entry '-90' \\(want a positive number\\)");
+  EXPECT_EXIT(parse_args({"--r=0"}).get_double_or("r", 10,
+                                                 NumberRange::kPositive),
+              exits, "bad --r entry '0'");
+  EXPECT_EXIT(parse_args({"--r=nan"}).get_double_or("r", 10,
+                                                   NumberRange::kNonNegative),
+              exits, "bad --r entry 'nan'");
 }
 
 TEST(Flags, HasAndGet) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "app/http_server.h"
 #include "cluster/cluster.h"
 #include "mesh/http_client.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "workload/cp_chaos_experiment.h"
 #include "workload/elibrary_experiment.h"
@@ -253,24 +255,44 @@ TEST(PhaseSummary, GoodputOverPhaseLengthAndScheduledAsGiven) {
 }
 
 TEST(PhaseSummary, ExperimentCountsScheduledArrivalsPerPhase) {
-  // Constant 10 rps arrivals from t = 0.1 s: phases [1 s, 2.5 s) and
-  // [2.5 s, 4 s) each see 15 arrivals, and every one completes.
+  // 10 rps LS arrivals with U(0, 0.2 s) gaps, replayed on their own from
+  // the LS generator's stream (seeded from the run seed and the workload
+  // name). The measured window and the second phase both start exactly
+  // on an arrival, so each boundary is checked as half-open; every
+  // arrival completes.
   ElibraryExperimentConfig config;
+  std::vector<sim::Time> arrivals;
+  sim::RngStream gaps(config.seed, "gen:latency-sensitive");
+  for (sim::Time t = 0; t < sim::seconds(6);) {
+    t += sim::from_seconds(gaps.uniform(0.0, 0.2));
+    arrivals.push_back(t);
+  }
+  const auto at_or_after = [&arrivals](sim::Time t) {
+    return std::lower_bound(arrivals.begin(), arrivals.end(), t);
+  };
   config.ls_rps = 10;
   config.li_rps = 1;
-  config.arrival = ArrivalProcess::kConstant;
-  config.warmup = sim::seconds(1);
+  config.warmup = *at_or_after(sim::seconds(1));
   config.duration = sim::seconds(3);
   config.cooldown = sim::seconds(1);
-  config.phases = {{"first", sim::seconds(1)},
-                   {"second", sim::milliseconds(2500)}};
+  const sim::Time split = *at_or_after(sim::milliseconds(2500));
+  const sim::Time end = config.warmup + config.duration;
+  config.phases = {{"first", config.warmup}, {"second", split}};
+  const auto first = static_cast<std::uint64_t>(at_or_after(split) -
+                                                at_or_after(config.warmup));
+  const auto second =
+      static_cast<std::uint64_t>(at_or_after(end) - at_or_after(split));
+  ASSERT_GT(first, 5u);
+  ASSERT_GT(second, 5u);
+
   const ElibraryExperimentResult result = run_elibrary_experiment(config);
   ASSERT_EQ(result.phases.size(), 2u);
-  EXPECT_EQ(result.phase("first").scheduled, 15u);
-  EXPECT_EQ(result.phase("second").scheduled, 15u);
-  EXPECT_EQ(result.phase("first").completed, 15u);
-  EXPECT_EQ(result.phase("second").completed, 15u);
-  EXPECT_DOUBLE_EQ(result.phase("second").goodput_rps, 10.0);
+  EXPECT_EQ(result.phase("first").scheduled, first);
+  EXPECT_EQ(result.phase("second").scheduled, second);
+  EXPECT_EQ(result.phase("first").completed, first);
+  EXPECT_EQ(result.phase("second").completed, second);
+  EXPECT_DOUBLE_EQ(result.phase("second").goodput_rps,
+                   static_cast<double>(second) / sim::to_seconds(end - split));
   EXPECT_EQ(result.phase("first").completed + result.phase("second").completed,
             result.ls.completed);
   EXPECT_THROW(result.phase("third"), std::out_of_range);
@@ -400,15 +422,17 @@ SweepResult run_overload_sweep(int threads) {
   for (const bool admission : {true, false}) {
     runner.add({{"load", "2.0x"}, {"admission", admission ? "on" : "off"}},
                [admission] {
-                 OverloadExperimentConfig config;
-                 config.load_factor = 2.0;
-                 config.admission = admission;
+                 ElibraryExperimentConfig config;
+                 config.ls_rps = 10.0;
                  config.warmup = sim::seconds(1);
                  config.duration = sim::seconds(3);
                  config.cooldown = sim::seconds(1);
                  config.seed = 42;
+                 OverloadArm arm;
+                 arm.load_factor = 2.0;
+                 arm.admission = admission;
                  return elibrary_point_metrics(
-                     run_elibrary_experiment(elibrary_config(config)),
+                     run_elibrary_experiment(overload_config(config, arm)),
                      overload_report_series());
                });
   }
@@ -452,19 +476,20 @@ SweepResult run_cp_chaos_sweep(int threads) {
   SweepRunner runner(options);
   for (const bool outage : {true, false}) {
     runner.add({{"outage", outage ? "on" : "off"}}, [outage] {
-      CpChaosExperimentConfig config;
+      ElibraryExperimentConfig config;
       config.ls_rps = 15.0;
       config.li_rps = 5.0;
       config.warmup = sim::seconds(1);
       config.duration = sim::seconds(10);
       config.cooldown = sim::seconds(1);
-      config.outage = outage;
-      config.outage_offset = sim::seconds(1);
-      config.outage_duration = sim::seconds(6);
-      config.churn_period = sim::seconds(3);
       config.seed = 42;
+      CpChaosArm arm;
+      arm.outage = outage;
+      arm.outage_offset = sim::seconds(1);
+      arm.outage_duration = sim::seconds(6);
+      arm.churn_period = sim::seconds(3);
       return elibrary_point_metrics(
-          run_elibrary_experiment(elibrary_config(config)),
+          run_elibrary_experiment(cp_chaos_config(config, arm)),
           cp_report_series());
     });
   }
@@ -514,18 +539,18 @@ SweepResult run_mtls_sweep(int threads) {
   SweepRunner runner(options);
   for (const bool mtls : {true, false}) {
     runner.add({{"mtls", mtls ? "on" : "off"}}, [mtls] {
-      MtlsExperimentConfig config;
+      ElibraryExperimentConfig config;
       config.ls_rps = 15.0;
       config.li_rps = 5.0;
       config.warmup = sim::seconds(1);
-      config.duration = sim::seconds(10);
+      config.duration = sim::seconds(10);  // the storm hits at 5 s
       config.cooldown = sim::seconds(1);
-      config.mtls = mtls;
-      config.storm = mtls;  // plaintext control stays calm
-      config.storm_offset = sim::seconds(5);
       config.seed = 42;
+      MtlsArm arm;
+      arm.mtls = mtls;
+      arm.storm = mtls;  // plaintext control stays calm
       return elibrary_point_metrics(
-          run_elibrary_experiment(elibrary_config(config)),
+          run_elibrary_experiment(mtls_config(config, arm)),
           mtls_report_series());
     });
   }

@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
 
   stats::CompareOptions options;
   options.default_tolerance =
-      flags.get_double_or("tolerance", options.default_tolerance);
+      flags.get_double_or("tolerance", options.default_tolerance,
+                          util::NumberRange::kNonNegative);
   if (flags.has("tol") &&
       !parse_tolerances(flags.get_or("tol", ""), options.metric_tolerance)) {
     std::fprintf(stderr, "bench_check: malformed --tol (want metric=REL[,"
