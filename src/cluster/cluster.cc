@@ -1,5 +1,6 @@
 #include "cluster/cluster.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "util/logging.h"
@@ -27,9 +28,13 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
 NodeInfo& Cluster::add_node(const std::string& name) {
   const auto it = nodes_.find(name);
   if (it != nodes_.end()) return it->second;
+  if (nodes_.size() > 255) {
+    throw std::length_error("cluster::Cluster: node " + name +
+                            " needs a 257th /24 in 10.244.0.0/16");
+  }
   NodeInfo info;
   info.name = name;
-  info.index = next_node_index_++;
+  info.index = static_cast<std::uint8_t>(nodes_.size());
   info.bridge = network_.add_location("node:" + name);
   network_.add_link(info.bridge, fabric_, config_.node_uplink_bps,
                     config_.node_uplink_delay,
@@ -46,7 +51,12 @@ Pod& Cluster::add_pod(const std::string& node, const std::string& pod_name,
                       const std::string& service, net::Port service_port,
                       PodOptions options) {
   NodeInfo& n = add_node(node);
-  const net::IpAddress ip = net::make_ip(10, 244, n.index, n.next_pod_ip++);
+  if (n.next_pod_ip > 255) {
+    throw std::length_error("cluster::Cluster: node " + node +
+                            " has no free pod address for " + pod_name);
+  }
+  const net::IpAddress ip = net::make_ip(
+      10, 244, n.index, static_cast<std::uint8_t>(n.next_pod_ip++));
   const net::LocationId loc = network_.add_location("pod:" + pod_name);
   const double bps =
       options.link_bps > 0.0 ? options.link_bps : config_.default_link_bps;

@@ -29,7 +29,7 @@ struct NodeInfo {
   std::string name;
   net::LocationId bridge = net::kInvalidLocation;
   std::uint8_t index = 0;
-  std::uint8_t next_pod_ip = 2;  ///< .0/.1 reserved, CNI-style.
+  int next_pod_ip = 2;  ///< .0/.1 reserved, CNI-style; .255 is the last.
 };
 
 struct PodOptions {
@@ -105,12 +105,15 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Adds a worker node (a bridge location uplinked to the cluster fabric).
+  /// Node i owns 10.244.i.0/24, so the 257th node throws
+  /// std::length_error.
   NodeInfo& add_node(const std::string& name);
 
   /// Schedules a pod onto a node. The pod gets an IP, its own location,
   /// vNIC links to the node bridge, and a TransportHost. If `service` is
   /// non-empty and `service_port` != 0, the pod is registered as an
-  /// endpoint of that service with the given labels.
+  /// endpoint of that service with the given labels. A node holds 254
+  /// pods (.2 to .255 of its /24); one more throws std::length_error.
   Pod& add_pod(const std::string& node, const std::string& pod_name,
                const std::string& service, net::Port service_port,
                PodOptions options = {});
@@ -150,7 +153,6 @@ class Cluster {
   net::LocationId fabric_;
   std::map<std::string, NodeInfo> nodes_;
   std::vector<std::unique_ptr<Pod>> pods_;
-  std::uint8_t next_node_index_ = 0;
 };
 
 }  // namespace meshnet::cluster

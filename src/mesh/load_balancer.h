@@ -1,7 +1,7 @@
 #pragma once
 
 // Load-balancing policies for picking an upstream endpoint (paper §2:
-// "load balancing between replicas"; ablated in bench_lb_policies).
+// "load balancing between replicas"; ablated by the lb_policies scenario).
 //
 // Balancers receive the candidate endpoints *after* subset and health
 // filtering, plus a view of live per-endpoint state (outstanding request

@@ -50,6 +50,10 @@ std::pair<Link*, Link*> Network::add_duplex_link(
 
 Interface& Network::attach_interface(IpAddress ip, LocationId location,
                                      std::string name) {
+  if (interfaces_.count(ip) != 0) {
+    throw std::invalid_argument("net::Network: address " + ip_to_string(ip) +
+                                " is already attached");
+  }
   if (name.empty()) name = ip_to_string(ip);
   auto iface = std::make_unique<Interface>(ip, location, std::move(name));
   Interface& ref = *iface;
@@ -89,20 +93,16 @@ void Network::rebuild_routes() {
   next_hop_table_.assign(n * n, 0);
   // Reverse BFS from every destination over the link graph gives the
   // first-hop link toward that destination from each location.
-  std::vector<std::vector<std::uint32_t>> out_links(n);
+  std::vector<std::vector<std::pair<LocationId, std::uint32_t>>> in_links(n);
   for (std::uint32_t i = 0; i < links_.size(); ++i) {
-    out_links[link_endpoints_[i].first].push_back(i);
+    in_links[link_endpoints_[i].second].emplace_back(link_endpoints_[i].first,
+                                                     i);
   }
   for (LocationId dst = 0; dst < n; ++dst) {
     std::vector<int> dist(n, -1);
     dist[dst] = 0;
     std::deque<LocationId> frontier{dst};
     // BFS over reversed edges: dist[v] = hops from v to dst.
-    std::vector<std::vector<std::pair<LocationId, std::uint32_t>>> in_links(n);
-    for (std::uint32_t i = 0; i < links_.size(); ++i) {
-      in_links[link_endpoints_[i].second].emplace_back(
-          link_endpoints_[i].first, i);
-    }
     while (!frontier.empty()) {
       const LocationId v = frontier.front();
       frontier.pop_front();

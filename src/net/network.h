@@ -75,8 +75,9 @@ class Network {
                                           sim::Duration propagation_delay,
                                           std::string name = {});
 
-  /// Attaches an interface with the given IP at a location. IPs must be
-  /// unique across the network.
+  /// Attaches an interface with the given IP at a location. IPs are
+  /// unique across the network: a second interface with an attached
+  /// address throws std::invalid_argument.
   Interface& attach_interface(IpAddress ip, LocationId location,
                               std::string name = {});
 

@@ -25,6 +25,9 @@ namespace meshnet::workload {
 namespace {
 
 constexpr int kReplicas = 2;  ///< pods per service
+/// Pods per node: a node's /24 holds 254, so a larger cell spreads over
+/// ⌈pods/kPodsPerNode⌉ nodes.
+constexpr int kPodsPerNode = 250;
 constexpr int kFanout = 2;    ///< call fan-out between layers
 constexpr double kRootRps = 20.0;  ///< Poisson arrival rate per root service
 /// Endpoint-subsetting aperture of the scoped arm.
@@ -226,6 +229,16 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
     spec.gateway.port = 80;
     spec.external_pods.push_back(cluster::ExternalPodSpec{
         "loadgen", "", cluster::PodOptions{40e9, sim::microseconds(50), {}}});
+    // The gateway and the load generator stay on the first node; the
+    // services fill the nodes in order.
+    const int pods = static_cast<int>(spec.services.size()) * kReplicas + 2;
+    for (int node = 1; node * kPodsPerNode < pods; ++node) {
+      spec.nodes.push_back("kind-worker" + std::to_string(node + 1));
+    }
+    for (std::size_t i = 0; i < spec.services.size(); ++i) {
+      spec.services[i].node =
+          spec.nodes[(2 + i * kReplicas) / kPodsPerNode];
+    }
 
     if (config.scoped) {
       // Explicit scopes rather than derive_cluster_scopes: a leaf that

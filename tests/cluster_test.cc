@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "cluster/cluster.h"
 #include "cluster/service_registry.h"
@@ -100,6 +101,25 @@ TEST_F(ClusterTest, PodIpsAreUniqueAndCniShaped) {
     EXPECT_EQ((ip >> 24) & 0xff, 10u);
     EXPECT_EQ((ip >> 16) & 0xff, 244u);
   }
+}
+
+TEST_F(ClusterTest, FullNodeThrowsInsteadOfReusingAnAddress) {
+  // .2 to .255: the 254th pod takes the last address of the /24.
+  for (int i = 0; i < 254; ++i) {
+    cluster.add_pod("n1", "pod-" + std::to_string(i), "", 0);
+  }
+  EXPECT_EQ(cluster.find_pod("pod-253")->ip(), net::make_ip(10, 244, 0, 255));
+  EXPECT_THROW(cluster.add_pod("n1", "pod-254", "", 0), std::length_error);
+  // Another node has its own /24.
+  EXPECT_EQ(cluster.add_pod("n2", "pod-254", "", 0).ip(),
+            net::make_ip(10, 244, 1, 2));
+}
+
+TEST_F(ClusterTest, NodePastTheLastSubnetThrows) {
+  for (int i = 0; i < 256; ++i) cluster.add_node("n" + std::to_string(i));
+  EXPECT_THROW(cluster.add_node("n256"), std::length_error);
+  EXPECT_EQ(cluster.add_pod("n255", "last", "", 0).ip(),
+            net::make_ip(10, 244, 255, 2));
 }
 
 TEST_F(ClusterTest, AddNodeIsIdempotent) {

@@ -494,6 +494,15 @@ TEST_F(NetworkTest, DeliversAcrossOneLink) {
   EXPECT_EQ(got, 1);
 }
 
+TEST_F(NetworkTest, DuplicateAddressThrows) {
+  const auto a = net.add_location("a");
+  const auto b = net.add_location("b");
+  Interface& first = net.attach_interface(make_ip(10, 0, 0, 1), a);
+  EXPECT_THROW(net.attach_interface(make_ip(10, 0, 0, 1), b),
+               std::invalid_argument);
+  EXPECT_EQ(net.find_interface(make_ip(10, 0, 0, 1)), &first);
+}
+
 TEST_F(NetworkTest, MultiHopRouting) {
   // a - m1 - m2 - b line topology.
   const auto a = net.add_location("a");
