@@ -33,10 +33,8 @@ IngressClassifierFilter::IngressClassifierFilter(
 
 mesh::FilterStatus IngressClassifierFilter::on_request(
     mesh::RequestContext& ctx) {
-  std::optional<mesh::TrafficClass> assigned;
-  if (config_.respect_existing_header) {
-    assigned = request_priority(ctx.request);
-  }
+  // A pre-existing x-mesh-priority header is trusted over the rules.
+  std::optional<mesh::TrafficClass> assigned = request_priority(ctx.request);
   if (!assigned) {
     for (const ClassificationRule& rule : config_.rules) {
       if (rule.matches(ctx.request)) {

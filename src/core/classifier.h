@@ -33,8 +33,6 @@ struct ClassificationRule {
 struct ClassifierConfig {
   std::vector<ClassificationRule> rules;
   mesh::TrafficClass default_class = mesh::TrafficClass::kLatencySensitive;
-  /// Trust a pre-existing x-mesh-priority header instead of classifying.
-  bool respect_existing_header = true;
 };
 
 class IngressClassifierFilter final : public mesh::HttpFilter {

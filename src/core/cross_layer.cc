@@ -33,24 +33,21 @@ void CrossLayerController::install_filters() {
   for (const auto& sidecar : control_plane_.sidecars()) {
     const std::string pod = sidecar->pod().name();
 
-    if (config_.classification && sidecar->config().gateway_mode) {
+    if (sidecar->listener().gateway_mode) {
       sidecar->outbound_filters().append(
           std::make_shared<IngressClassifierFilter>(
               config_.classifier, &control_plane_.metrics()));
     }
 
-    if (config_.provenance) {
-      auto table =
-          std::make_shared<ProvenanceTable>(sim, config_.provenance_ttl);
-      tables_[pod] = table;
-      // The same filter instance serves both chains so inbound recordings
-      // are visible to outbound lookups — that is the whole point. On the
-      // inbound chain provenance must resolve the traffic class *before*
-      // the admission filter decides who is shed first.
-      auto filter = std::make_shared<ProvenanceFilter>(table);
-      sidecar->inbound_filters().insert_before("admission", filter);
-      sidecar->outbound_filters().append(filter);
-    }
+    auto table = std::make_shared<ProvenanceTable>(sim);
+    tables_[pod] = table;
+    // The same filter instance serves both chains so inbound recordings
+    // are visible to outbound lookups — that is the whole point. On the
+    // inbound chain provenance must resolve the traffic class *before*
+    // the admission filter decides who is shed first.
+    auto filter = std::make_shared<ProvenanceFilter>(table);
+    sidecar->inbound_filters().insert_before("admission", filter);
+    sidecar->outbound_filters().append(filter);
 
     if (config_.priority_routing) {
       sidecar->outbound_filters().append(

@@ -32,10 +32,9 @@
 
 namespace meshnet::core {
 
+/// Classification at the gateway and provenance on every sidecar are
+/// always installed; the switches below toggle the optimizations.
 struct CrossLayerConfig {
-  bool classification = true;
-  bool provenance = true;
-
   /// (a) route high/low priority to dedicated replica subsets.
   bool priority_routing = true;
   /// Clusters with priority-dedicated replicas; empty = all (safe).
@@ -55,9 +54,6 @@ struct CrossLayerConfig {
 
   /// Ingress classification rules (gateway).
   ClassifierConfig classifier;
-
-  /// Provenance table TTL.
-  sim::Duration provenance_ttl = sim::seconds(60);
 };
 
 class CrossLayerController {

@@ -8,8 +8,8 @@
 // The filter translates the request's traffic class into an endpoint
 // subset constraint on the label "priority"; the sidecar's subset load
 // balancing does the rest. Clusters without priority-labelled replicas
-// fall back to the full endpoint set (sidecar subset_fallback), so the
-// filter is safe to install mesh-wide.
+// fall back to the full endpoint set (the sidecar's subset fallback), so
+// the filter is safe to install mesh-wide.
 
 #include <string>
 #include <vector>

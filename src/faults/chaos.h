@@ -14,8 +14,7 @@
 // randomness (per-packet loss draws) comes from named RngStreams derived
 // from the plan seed — so the same seed yields an identical event log,
 // which is what makes chaos results reproducible and A/B-comparable.
-// Request-level faults (aborts/delays) live in mesh/fault_filter.h; this
-// layer owns infrastructure faults.
+// This layer owns infrastructure faults.
 //
 // The layering is strict: faults/ sees cluster/ and net/, never mesh/.
 // Experiments forward the controller's event hook into mesh telemetry.

@@ -4,6 +4,17 @@
 
 namespace meshnet::mesh {
 
+namespace {
+
+constexpr double kAdditiveIncrease = 1.0;
+constexpr double kMultiplicativeDecrease = 0.7;
+/// Baseline = min of the last N window means (windowed min filter).
+constexpr std::size_t kBaselineWindows = 8;
+/// EWMA weight of the latest completion in `latency_estimate()`.
+constexpr double kEstimateAlpha = 0.3;
+
+}  // namespace
+
 ConcurrencyLimit::ConcurrencyLimit(ConcurrencyLimitConfig config)
     : config_(config) {
   config_.min_limit = std::max<std::uint32_t>(1, config_.min_limit);
@@ -24,8 +35,8 @@ void ConcurrencyLimit::on_complete(sim::Duration latency, sim::Time now) {
   estimate_ = estimate_ == 0
                   ? latency
                   : static_cast<sim::Duration>(
-                        config_.estimate_alpha * static_cast<double>(latency) +
-                        (1.0 - config_.estimate_alpha) *
+                        kEstimateAlpha * static_cast<double>(latency) +
+                        (1.0 - kEstimateAlpha) *
                             static_cast<double>(estimate_));
 
   if (window_samples_ == 0 && window_sum_ == 0 && window_start_ == 0) {
@@ -53,9 +64,9 @@ void ConcurrencyLimit::close_window(sim::Time now) {
   // first window is its own baseline (gradient 1.0 -> no decrease).
   sim::Duration baseline = mean;
   for (const sim::Duration m : recent_means_) baseline = std::min(baseline, m);
-  if (recent_means_.size() < config_.baseline_windows) {
+  if (recent_means_.size() < kBaselineWindows) {
     recent_means_.push_back(mean);
-  } else if (!recent_means_.empty()) {
+  } else {
     recent_means_[recent_next_] = mean;
     recent_next_ = (recent_next_ + 1) % recent_means_.size();
   }
@@ -67,10 +78,10 @@ void ConcurrencyLimit::close_window(sim::Time now) {
   const std::uint32_t before = limit_;
   if (gradient > config_.latency_tolerance) {
     limit_f_ = std::max(static_cast<double>(config_.min_limit),
-                        limit_f_ * config_.multiplicative_decrease);
+                        limit_f_ * kMultiplicativeDecrease);
   } else if (pressed) {
     limit_f_ = std::min(static_cast<double>(config_.max_limit),
-                        limit_f_ + config_.additive_increase);
+                        limit_f_ + kAdditiveIncrease);
   }
   limit_ = std::clamp(static_cast<std::uint32_t>(limit_f_),
                       config_.min_limit, config_.max_limit);

@@ -5,10 +5,12 @@
 // The limit follows the AIMD discipline of Netflix's concurrency-limits
 // (Gradient2-flavoured, simplified): observed latency is averaged over a
 // sampling window and compared against a baseline — the minimum of the
-// last `baseline_windows` window means, i.e. the service's least-loaded
+// last kBaselineWindows window means, i.e. the service's least-loaded
 // recent latency. When the gradient (window mean / baseline) exceeds
-// `latency_tolerance` the limit is cut multiplicatively; otherwise, if
-// the window actually pressed against the limit, it grows additively.
+// `latency_tolerance` the limit is cut multiplicatively (x0.7); otherwise,
+// if the window actually pressed against the limit, it grows additively
+// (+1). The step sizes and the estimate weight are constants in
+// concurrency_limit.cc.
 // Growth requires pressure so an idle service does not drift to max and
 // then admit a thundering herd.
 //
@@ -34,12 +36,6 @@ struct ConcurrencyLimitConfig {
   std::uint32_t min_window_samples = 5;
   /// Multiplicative-decrease trigger: window mean > tolerance * baseline.
   double latency_tolerance = 2.0;
-  double additive_increase = 1.0;
-  double multiplicative_decrease = 0.7;
-  /// Baseline = min of the last N window means (windowed min filter).
-  std::uint32_t baseline_windows = 8;
-  /// EWMA weight of the latest completion in `latency_estimate()`.
-  double estimate_alpha = 0.3;
 };
 
 class ConcurrencyLimit {

@@ -1,12 +1,13 @@
 #include "mesh/config_delta.h"
 
+#include <string_view>
 #include <utility>
 
 namespace meshnet::mesh {
 
 namespace {
 
-std::size_t string_bytes(const std::string& s) { return s.size() + 4; }
+std::size_t string_bytes(std::string_view s) { return s.size() + 4; }
 
 std::size_t endpoint_bytes(const cluster::Endpoint& ep) {
   std::size_t bytes = string_bytes(ep.pod_name) + 6;  // ip + port
@@ -17,32 +18,33 @@ std::size_t endpoint_bytes(const cluster::Endpoint& ep) {
 }
 
 std::size_t cluster_spec_bytes(const ClusterSpec& spec) {
-  // lb + breaker + subset_fallback + health-check block, fixed-size.
+  // lb + breaker + health-check block, fixed-size, plus the probe path.
   std::size_t bytes = string_bytes(spec.name) + 48 +
-                      string_bytes(spec.health_check.path);
+                      string_bytes(kHealthCheckPath);
   for (const cluster::Endpoint& ep : spec.endpoints) {
     bytes += endpoint_bytes(ep);
   }
   return bytes;
 }
 
-std::size_t policy_section_bytes(const SidecarConfig& config) {
+std::size_t policy_section_bytes(const SidecarPolicy& policy) {
   // retry + timeouts + admission + class policies + transport + proxy
   // overhead knobs: fixed-size scalar fields.
-  std::size_t bytes = 160 + string_bytes(config.service_name) +
-                      string_bytes(config.identity_cert.spiffe_id);
-  for (const auto& [svc, sources] : config.authorization) {
+  std::size_t bytes = 160 + string_bytes(policy.service_name) +
+                      string_bytes(policy.identity_cert.spiffe_id);
+  for (const auto& [svc, sources] : policy.authorization) {
     bytes += string_bytes(svc);
     for (const std::string& s : sources) bytes += string_bytes(s);
   }
-  bytes += config.class_policies.size() * 6;
+  bytes += policy.class_policies.size() * 6;
   return bytes;
 }
 
 }  // namespace
 
 SidecarConfig CompiledConfig::materialize() const {
-  SidecarConfig config = policy;
+  SidecarConfig config;
+  static_cast<SidecarPolicy&>(config) = policy;
   config.routes = fingerprint.routes;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     config.clusters.emplace_hint(config.clusters.end(),
@@ -54,9 +56,7 @@ SidecarConfig CompiledConfig::materialize() const {
 CompiledConfig compiled_from(SidecarConfig config) {
   CompiledConfig compiled;
   compiled.fingerprint = fingerprint_config(config);
-  compiled.policy = config;
-  compiled.policy.clusters.clear();
-  compiled.policy.routes.clear();
+  compiled.policy = static_cast<const SidecarPolicy&>(config);
   auto owned = std::make_unique<const SidecarConfig>(std::move(config));
   compiled.specs.reserve(owned->clusters.size());
   for (const auto& [name, spec] : owned->clusters) {
@@ -74,10 +74,7 @@ ConfigDelta make_config_delta(const ConfigFingerprint& base,
   delta.base_hash = base.hash;
   delta.target_hash = next.hash;
 
-  if (base.policy_hash != next.policy_hash) {
-    delta.policy_changed = true;
-    delta.policy = target.policy;
-  }
+  if (base.policy_hash != next.policy_hash) delta.policy = target.policy;
 
   // Both cluster lists are sorted by name: one merge walk finds the
   // upserts (new, or same name with a different hash) and the removals.
@@ -124,7 +121,7 @@ std::size_t estimate_config_bytes(const SidecarConfig& config) {
 
 std::size_t estimate_delta_bytes(const ConfigDelta& delta) {
   std::size_t bytes = 40;  // epoch + base/target hashes + framing
-  if (delta.policy_changed) bytes += policy_section_bytes(delta.policy);
+  if (delta.policy) bytes += policy_section_bytes(*delta.policy);
   for (const auto& [name, spec] : delta.cluster_upserts) {
     bytes += cluster_spec_bytes(spec);
   }

@@ -10,8 +10,9 @@
 //   * per-cluster upserts (new or changed ClusterSpecs, compared by
 //     hash_cluster_spec) and removals;
 //   * per-route upserts/removals;
-//   * the non-cluster "policy section" (retry/timeout/admission/...) as
-//     one blob, only when its fingerprint changed.
+//   * the sidecar's policy (mesh/sidecar.h SidecarPolicy: the policy
+//     section, service name and cert) as one blob, only when its
+//     fingerprint changed.
 //
 // The control plane diffs fingerprints, not configs: it keeps the
 // ConfigFingerprint (mesh/sidecar.h) of each sidecar's acked config and
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,10 +51,8 @@ struct ConfigDelta {
   /// Fingerprint the patched config must have.
   std::uint64_t target_hash = 0;
 
-  /// Non-cluster, non-route fields changed; `policy` replaces them
-  /// wholesale (its clusters/routes stay empty and are ignored).
-  bool policy_changed = false;
-  SidecarConfig policy;
+  /// Set when the policy changed; it replaces the running one wholesale.
+  std::optional<SidecarPolicy> policy;
 
   std::map<std::string, ClusterSpec> cluster_upserts;
   std::vector<std::string> cluster_removals;
@@ -60,20 +60,19 @@ struct ConfigDelta {
   std::vector<std::string> route_removals;
 
   bool empty() const noexcept {
-    return !policy_changed && cluster_upserts.empty() &&
+    return !policy && cluster_upserts.empty() &&
            cluster_removals.empty() && route_upserts.empty() &&
            route_removals.empty();
   }
 };
 
-/// One sidecar's compiled config as the push path holds it: the policy
-/// section, the fingerprint, and the spec behind each fingerprinted
-/// cluster. The specs are borrowed — from the control plane's per-epoch
-/// cluster table, or from `owned` — so a CompiledConfig lives only as
-/// long as the push that compiled it.
+/// One sidecar's compiled config as the push path holds it: the policy,
+/// the fingerprint, and the spec behind each fingerprinted cluster. The
+/// specs are borrowed — from the control plane's per-epoch cluster
+/// table, or from `owned` — so a CompiledConfig lives only as long as
+/// the push that compiled it.
 struct CompiledConfig {
-  /// Everything but the clusters and routes.
-  SidecarConfig policy;
+  SidecarPolicy policy;
   ConfigFingerprint fingerprint;
   /// specs[i] is the spec fingerprint.clusters[i] was hashed from.
   std::vector<const ClusterSpec*> specs;

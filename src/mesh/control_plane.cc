@@ -12,6 +12,10 @@ namespace meshnet::mesh {
 
 namespace {
 
+/// Decorrelated-jitter backoff bounds for push retries.
+constexpr sim::Duration kPushRetryBackoffBase = sim::milliseconds(50);
+constexpr sim::Duration kPushRetryBackoffMax = sim::seconds(2);
+
 /// Does `service`'s scope admit `cluster`? No scope entry = admit all.
 bool scope_allows(
     const std::map<std::string, std::vector<std::string>>& scopes,
@@ -64,14 +68,9 @@ ControlPlane::ControlPlane(sim::Simulator& sim, cluster::Cluster& cluster,
 
 Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
                                       SidecarInjectionOptions options) {
-  SidecarConfig config;
-  config.service_name = pod.service().empty() ? pod.name() : pod.service();
-  config.app_port = options.gateway_mode ? 0 : options.app_port;
-  config.gateway_mode = options.gateway_mode;
-  config.outbound_port = options.outbound_port;
-
-  auto sidecar = std::make_unique<Sidecar>(sim_, pod, tracer_, &telemetry_,
-                                           std::move(config));
+  auto sidecar = std::make_unique<Sidecar>(
+      sim_, pod, tracer_, &telemetry_,
+      pod.service().empty() ? pod.name() : pod.service(), options);
   Sidecar& ref = *sidecar;
   sidecars_.push_back(std::move(sidecar));
   PushState& state = push_state_[pod.name()];
@@ -333,9 +332,8 @@ void ControlPlane::schedule_retry(PushState& state) {
   if (state.retry_timer != sim::kInvalidEventId) return;
   ++state.attempt;
   RetryPolicy backoff;
-  backoff.backoff_base = policies_.cp.retry_backoff_base;
-  backoff.backoff_max = policies_.cp.retry_backoff_max;
-  backoff.backoff_jitter = true;
+  backoff.backoff_base = kPushRetryBackoffBase;
+  backoff.backoff_max = kPushRetryBackoffMax;
   const sim::Duration sleep =
       next_retry_backoff(backoff, state.attempt, state.prev_backoff,
                          push_rng_);
@@ -589,33 +587,18 @@ const ControlPlane::ClusterTable& ControlPlane::cluster_table() {
 
 CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
   CompiledConfig compiled;
-  SidecarConfig& config = compiled.policy;
-  config.service_name = sidecar.config().service_name;
-  // Listener identity is deliberately left at defaults: apply_config
-  // pins those fields to the live sidecar's values and the config
-  // fingerprint excludes them (see hash_policy_section), so a compiled
-  // config and the applied one fingerprint identically either way.
-  config.epoch = epoch_;
-  const auto cert_it = certs_.find(config.service_name);
-  if (cert_it != certs_.end()) config.identity_cert = cert_it->second;
-  config.retry = policies_.retry;
-  config.request_timeout = policies_.request_timeout;
-  config.admission = policies_.admission;
-  config.authorization = policies_.authorization;
-  config.class_policies = policies_.class_policies;
-  config.transport_mss = policies_.transport_mss;
-  config.max_pool_connections = policies_.max_pool_connections;
-  config.upstream_connection_hook = policies_.upstream_connection_hook;
-  config.proxy_overhead_base = policies_.proxy_overhead_base;
-  config.proxy_overhead_jitter = policies_.proxy_overhead_jitter;
+  SidecarPolicy& policy = compiled.policy;
+  static_cast<PolicySection&>(policy) = policies_;
+  policy.service_name = sidecar.config().service_name;
   // Server side of mTLS: this sidecar's inbound listener accepts TLS iff
-  // its own service resolves to mtls-on. The crypto cost knobs travel
-  // with the config either way so a later override flip is a pure delta.
-  config.tls = policies_.tls;
-  config.tls.enabled = mtls_enabled_for(config.service_name);
+  // its own service resolves to mtls-on.
+  policy.tls.enabled = mtls_enabled_for(policy.service_name);
+  policy.epoch = epoch_;
+  const auto cert_it = certs_.find(policy.service_name);
+  if (cert_it != certs_.end()) policy.identity_cert = cert_it->second;
 
   const std::string& pod = sidecar.pod().name();
-  const auto scope_it = policies_.cluster_scopes.find(config.service_name);
+  const auto scope_it = policies_.cluster_scopes.find(policy.service_name);
   const std::vector<std::string>* scope =
       scope_it == policies_.cluster_scopes.end() ? nullptr : &scope_it->second;
   const ClusterTable& table = cluster_table();
@@ -651,7 +634,7 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
     compile_mutator_(pod, mutated);
     return compiled_from(std::move(mutated));
   }
-  fingerprint.policy_hash = hash_policy_section(config);
+  fingerprint.policy_hash = hash_policy_section(policy);
   fingerprint.hash = compose_config_hash(fingerprint);
   return compiled;
 }

@@ -55,9 +55,6 @@ struct ControlPlaneConfig {
   /// A push whose ack has not arrived within this window is presumed
   /// lost and retried.
   sim::Duration ack_timeout = sim::milliseconds(500);
-  /// Decorrelated-jitter backoff bounds for push retries.
-  sim::Duration retry_backoff_base = sim::milliseconds(50);
-  sim::Duration retry_backoff_max = sim::seconds(2);
   /// Post-recovery reconvergence: sidecar i's push launches at
   /// i * pacing + uniform(0, pacing) instead of all at once.
   sim::Duration reconverge_pacing = sim::milliseconds(20);
@@ -74,19 +71,14 @@ struct ControlPlaneConfig {
   bool delta_push = false;
 };
 
-/// Operator-defined, mesh-wide policy.
-struct MeshPolicies {
+/// Operator-defined, mesh-wide policy. The PolicySection base is what
+/// every sidecar receives (mesh/sidecar.h); the fields below shape the
+/// clusters, certificates and push channel the control plane compiles.
+struct MeshPolicies : PolicySection {
   LbPolicy default_lb = LbPolicy::kRoundRobin;
-  RetryPolicy retry;
   CircuitBreakerConfig breaker;
   /// Active health checking, applied to every cluster (off by default).
   HealthCheckConfig health_check;
-  sim::Duration request_timeout = sim::seconds(15);
-  /// Priority-aware overload control, applied to every sidecar's inbound
-  /// path (off by default; the overload experiments turn it on).
-  AdmissionConfig admission;
-  std::map<std::string, std::vector<std::string>> authorization;
-  std::map<TrafficClass, TrafficClassPolicy> class_policies;
   /// Per-cluster LB overrides (cluster name -> policy).
   std::map<std::string, LbPolicy> lb_overrides;
   /// Deterministic endpoint subsetting: bounds how many endpoints of one
@@ -97,47 +89,18 @@ struct MeshPolicies {
   /// bounding per-sidecar state and health-check fan-out to the services
   /// it actually calls. No entry = every cluster (legacy behaviour).
   std::map<std::string, std::vector<std::string>> cluster_scopes;
-  /// TLS session layer (mesh/tls_session.h). `tls.enabled` is the
-  /// mesh-wide mTLS default; per-service exceptions go in
-  /// `mtls_overrides` (service -> on/off). compile_config resolves the
-  /// effective value per service into both the server side (the
-  /// sidecar's inbound listener accepts TLS) and the client side (every
-  /// cluster targeting that service carries ClusterSpec::mtls).
-  TlsParams tls;
+  /// Per-service exceptions to the mesh-wide `tls.enabled` default
+  /// (service -> on/off). compile_config resolves the effective value per
+  /// service into both the server side (the sidecar's inbound listener
+  /// accepts TLS) and the client side (every cluster targeting that
+  /// service carries ClusterSpec::mtls).
   std::map<std::string, bool> mtls_overrides;
-  std::uint32_t transport_mss = 1460;
-  std::size_t max_pool_connections = 256;
   sim::Duration certificate_lifetime = sim::seconds(24 * 3600);
-  /// Per-traversal proxy processing cost (see SidecarConfig).
-  sim::Duration proxy_overhead_base = sim::microseconds(150);
-  sim::Duration proxy_overhead_jitter = sim::microseconds(100);
   /// Sidecar access logging: keep one structured record per N proxied
   /// requests (0 = off). See obs::AccessLog.
   std::uint64_t access_log_sample_every = 0;
   /// Push-channel failure model and cert-rotation policy.
   ControlPlaneConfig cp;
-  /// Propagated into every sidecar's config on push (see SidecarConfig).
-  std::function<void(transport::Connection&, TrafficClass)>
-      upstream_connection_hook;
-};
-
-/// How one sidecar attaches to a pod. These are cluster::MeshSpec data
-/// (app/mesh_spec.h): MeshBuilder derives each app's
-/// app::MicroserviceOptions ports from the same fields, so the app and
-/// its sidecar cannot disagree on them.
-struct SidecarInjectionOptions {
-  net::Port app_port = 8080;
-  bool gateway_mode = false;
-  net::Port outbound_port = 15001;  ///< gateway exposes this port
-
-  /// Spec-roundtrip constructor: the ingress-gateway flavour (no local
-  /// app; the outbound listener is exposed on `port`).
-  static SidecarInjectionOptions gateway(net::Port port) {
-    SidecarInjectionOptions options;
-    options.gateway_mode = true;
-    options.outbound_port = port;
-    return options;
-  }
 };
 
 class ControlPlane {

@@ -62,10 +62,6 @@ struct RequestContext {
   Span span;
   bool span_active = false;
 
-  /// Set by the fault-injection filter: delay to impose before the
-  /// request proceeds upstream. The sidecar honours it after the chain.
-  sim::Duration injected_delay = 0;
-
   /// Set by a filter to short-circuit with a local reply (e.g. 403).
   std::optional<http::HttpResponse> local_response;
 

@@ -121,7 +121,7 @@ void HealthChecker::run_probe(const Key& key) {
 
   http::HttpRequest probe;
   probe.method = "GET";
-  probe.path = target.config.path;
+  probe.path = kHealthCheckPath;
   probe.headers.set(http::headers::Id::kHost, target.cluster);
   probe.headers.set("x-mesh-health-probe", "1");
 

@@ -42,7 +42,6 @@ struct HealthCheckConfig {
   std::uint32_t unhealthy_threshold = 2;
   /// Consecutive probe passes that re-admit an evicted endpoint.
   std::uint32_t healthy_threshold = 2;
-  std::string path = std::string(kHealthCheckPath);
   /// Flap damping (Envoy's outlier ejection meets BGP route damping).
   /// When an endpoint crosses the healthy boundary `flap_max_transitions`
   /// times inside `flap_window`, readmission is suppressed for

@@ -10,15 +10,31 @@
 
 namespace meshnet::mesh {
 
+namespace {
+
+/// Proxy processing cost per traversal direction (request and response
+/// each pay base + Exp(jitter)); models Envoy's userspace overhead,
+/// which the paper (§3.6) quotes at ~3 ms p99 for a sidecar pair.
+constexpr sim::Duration kProxyOverheadBase = sim::microseconds(150);
+constexpr sim::Duration kProxyOverheadJitter = sim::microseconds(100);
+
+/// Connection cap of each upstream pool and of the pool to the local app.
+constexpr std::size_t kMaxPoolConnections = 256;
+
+}  // namespace
+
 Sidecar::Sidecar(sim::Simulator& sim, cluster::Pod& pod, Tracer& tracer,
-                 TelemetrySink* telemetry, SidecarConfig config)
+                 TelemetrySink* telemetry, std::string service_name,
+                 SidecarInjectionOptions listener)
     : sim_(sim),
       pod_(pod),
       tracer_(tracer),
       telemetry_(telemetry),
-      config_(std::move(config)),
+      listener_(listener),
       overhead_rng_(0x5ecda, "sidecar:" + pod.name()),
-      retry_rng_(0x5ecdb, "retry:" + pod.name()) {}
+      retry_rng_(0x5ecdb, "retry:" + pod.name()) {
+  config_.service_name = std::move(service_name);
+}
 
 sim::Duration next_retry_backoff(const RetryPolicy& policy, int attempt,
                                  sim::Duration prev, sim::RngStream& rng) {
@@ -38,12 +54,9 @@ sim::Duration next_retry_backoff(const RetryPolicy& policy, int attempt,
 }
 
 sim::Duration Sidecar::proxy_delay() {
-  sim::Duration delay = config_.proxy_overhead_base;
-  if (config_.proxy_overhead_jitter > 0) {
-    delay += sim::from_seconds(overhead_rng_.exponential(
-        sim::to_seconds(config_.proxy_overhead_jitter)));
-  }
-  return delay;
+  return kProxyOverheadBase +
+         sim::from_seconds(overhead_rng_.exponential(
+             sim::to_seconds(kProxyOverheadJitter)));
 }
 
 Sidecar::~Sidecar() = default;
@@ -52,19 +65,19 @@ void Sidecar::start() {
   if (started_) return;
   started_ = true;
   transport::TransportHost& host = pod_.transport();
-  if (!config_.gateway_mode && config_.app_port != 0) {
-    host.listen(config_.inbound_port, [this](transport::Connection& conn) {
+  if (!listener_.gateway_mode) {
+    host.listen(kSidecarInboundPort, [this](transport::Connection& conn) {
       accept_session(conn, FilterDirection::kInbound);
     });
     HttpClientPool::Options app_options;
     // Sidecar <-> app rides the pod-local loopback (64 KB MTU).
     app_options.connection.mss = 65496;
-    app_options.max_connections = config_.max_pool_connections;
+    app_options.max_connections = kMaxPoolConnections;
     app_pool_ = std::make_unique<HttpClientPool>(
-        sim_, host, net::SocketAddress{pod_.ip(), config_.app_port},
+        sim_, host, net::SocketAddress{pod_.ip(), listener_.app_port},
         app_options, config_.service_name + ":app");
   }
-  host.listen(config_.outbound_port, [this](transport::Connection& conn) {
+  host.listen(listener_.outbound_port, [this](transport::Connection& conn) {
     accept_session(conn, FilterDirection::kOutbound);
   });
   health_checker_ = std::make_unique<HealthChecker>(
@@ -83,19 +96,10 @@ void Sidecar::start() {
 
 namespace {
 
-std::string validate_policy_section(const SidecarConfig& config) {
-  if (config.request_timeout <= 0) return "non-positive request timeout";
-  if (config.retry.max_retries < 0) return "negative max_retries";
-  if (config.retry.backoff_base <= 0) return "non-positive backoff base";
-  if (config.tls.enabled) {
-    if (config.tls.max_record_bytes == 0) return "zero TLS record size";
-    if (config.tls.handshake_timeout <= 0) {
-      return "non-positive TLS handshake timeout";
-    }
-    if (config.tls.ticket_lifetime <= 0) {
-      return "non-positive TLS ticket lifetime";
-    }
-  }
+std::string validate_policy_section(const PolicySection& policy) {
+  if (policy.request_timeout <= 0) return "non-positive request timeout";
+  if (policy.retry.max_retries < 0) return "negative max_retries";
+  if (policy.retry.backoff_base <= 0) return "non-positive backoff base";
   return {};
 }
 
@@ -112,7 +116,7 @@ std::string validate_cluster(const std::string& name,
 
 /// The first error in a policy section (when given), then the clusters,
 /// then the routes — the order validate_config reports in.
-std::string validate_parts(const SidecarConfig* policy,
+std::string validate_parts(const PolicySection* policy,
                            const std::map<std::string, ClusterSpec>& clusters,
                            const std::map<std::string, std::string>& routes) {
   std::string error;
@@ -168,14 +172,12 @@ std::uint64_t hash_cluster_spec(const ClusterSpec& spec) {
   f.mix(spec.breaker.consecutive_failures);
   f.mix(spec.breaker.open_duration);
   f.mix(spec.breaker.half_open_probes);
-  f.mix(spec.subset_fallback);
   const HealthCheckConfig& hc = spec.health_check;
   f.mix(hc.enabled);
   f.mix(hc.interval);
   f.mix(hc.timeout);
   f.mix(hc.unhealthy_threshold);
   f.mix(hc.healthy_threshold);
-  f.mix(hc.path);
   f.mix(hc.flap_max_transitions);
   f.mix(hc.flap_window);
   f.mix(hc.flap_penalty);
@@ -226,19 +228,11 @@ ConfigFingerprint fingerprint_config(const SidecarConfig& config) {
   return parts;
 }
 
-std::uint64_t hash_policy_section(const SidecarConfig& c) {
+std::uint64_t hash_policy_section(const SidecarPolicy& c) {
   ConfigHasher f;
   f.mix(c.service_name);
-  // Listener identity (app/inbound/outbound ports, gateway mode) is
-  // excluded: apply_config pins those fields to the live sidecar's
-  // values, so a control-plane-compiled config and the config the
-  // sidecar actually runs must fingerprint identically for the delta
-  // channel's base/target verification to work. They are immutable
-  // post-start, so excluding them can never mask a real change.
   f.mix(c.retry.max_retries);
   f.mix(c.retry.per_try_timeout);
-  f.mix(c.retry.retry_on_5xx);
-  f.mix(c.retry.retry_on_reset);
   f.mix(c.retry.backoff_base);
   f.mix(c.retry.backoff_max);
   f.mix(c.retry.backoff_jitter);
@@ -257,10 +251,6 @@ std::uint64_t hash_policy_section(const SidecarConfig& c) {
   f.mix(lim.window);
   f.mix(lim.min_window_samples);
   f.mix(lim.latency_tolerance);
-  f.mix(lim.additive_increase);
-  f.mix(lim.multiplicative_decrease);
-  f.mix(lim.baseline_windows);
-  f.mix(lim.estimate_alpha);
   f.mix(c.authorization.size());
   for (const auto& [svc, sources] : c.authorization) {
     f.mix(svc);
@@ -274,22 +264,10 @@ std::uint64_t hash_policy_section(const SidecarConfig& c) {
     f.mix(pol.dscp);
   }
   f.mix(c.transport_mss);
-  f.mix(c.max_pool_connections);
-  f.mix(c.proxy_overhead_base);
-  f.mix(c.proxy_overhead_jitter);
   f.mix(static_cast<bool>(c.upstream_connection_hook));
   f.mix(c.identity_cert.serial);
   f.mix(c.tls.enabled);
   f.mix(c.tls.session_resumption);
-  f.mix(c.tls.handshake_timeout);
-  f.mix(c.tls.handshake_cpu_server);
-  f.mix(c.tls.handshake_cpu_client);
-  f.mix(c.tls.handshake_cpu_resumed);
-  f.mix(c.tls.aead_per_record);
-  f.mix(c.tls.aead_per_kb);
-  f.mix(c.tls.max_record_bytes);
-  f.mix(c.tls.session_cache_capacity);
-  f.mix(c.tls.ticket_lifetime);
   return f.h;
 }
 
@@ -300,8 +278,8 @@ namespace {
 ConfigFingerprint patch_fingerprint(const ConfigFingerprint& base,
                                     const ConfigDelta& delta) {
   ConfigFingerprint out;
-  out.policy_hash = delta.policy_changed ? hash_policy_section(delta.policy)
-                                         : base.policy_hash;
+  out.policy_hash =
+      delta.policy ? hash_policy_section(*delta.policy) : base.policy_hash;
   out.routes = base.routes;
   for (const std::string& host : delta.route_removals) out.routes.erase(host);
   for (const auto& [host, cluster] : delta.route_upserts) {
@@ -339,14 +317,6 @@ ConfigFingerprint patch_fingerprint(const ConfigFingerprint& base,
 
 }  // namespace
 
-void Sidecar::pin_listener_identity(SidecarConfig& config) const {
-  config.service_name = config_.service_name;
-  config.app_port = config_.app_port;
-  config.inbound_port = config_.inbound_port;
-  config.outbound_port = config_.outbound_port;
-  config.gateway_mode = config_.gateway_mode;
-}
-
 bool Sidecar::reject_config(std::string reason) {
   ++stats_.configs_rejected;
   last_config_error_ = std::move(reason);
@@ -354,8 +324,6 @@ bool Sidecar::reject_config(std::string reason) {
 }
 
 bool Sidecar::apply_config(SidecarConfig config) {
-  // Identity and listener ports are immutable post-start.
-  pin_listener_identity(config);
   if (config.epoch != 0 && config.epoch < config_.epoch) {
     return reject_config("stale-epoch");
   }
@@ -384,7 +352,6 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
     ++stats_.delta_mismatches;
     return reject_config("delta-base-mismatch");
   }
-  if (delta.policy_changed) pin_listener_identity(delta.policy);
   ConfigFingerprint target = patch_fingerprint(running, delta);
   if (target.hash != delta.target_hash) {
     ++stats_.delta_mismatches;
@@ -392,7 +359,7 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
   }
   // The parts the delta leaves alone passed validation when applied.
   std::string error =
-      validate_parts(delta.policy_changed ? &delta.policy : nullptr,
+      validate_parts(delta.policy ? &*delta.policy : nullptr,
                      delta.cluster_upserts, delta.route_upserts);
   if (!error.empty()) {
     MESHNET_DEBUG() << pod_.name() << " nacked config delta: " << error;
@@ -400,10 +367,8 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
   }
 
   // Every check passed: patch the running config in place.
-  if (delta.policy_changed) {
-    delta.policy.routes = std::move(config_.routes);
-    delta.policy.clusters = std::move(config_.clusters);
-    config_ = std::move(delta.policy);
+  if (delta.policy) {
+    static_cast<SidecarPolicy&>(config_) = std::move(*delta.policy);
   }
   config_.epoch = delta.epoch;
   for (const std::string& name : delta.cluster_removals) {
@@ -425,13 +390,13 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
     for (const auto& [name, spec] : delta.cluster_upserts) {
       const ClusterSpec& applied = config_.clusters.at(name);
       health_checker_->update_targets(name, applied.health_check,
-                                      applied.endpoints, config_.inbound_port);
+                                      applied.endpoints, kSidecarInboundPort);
     }
     for (const std::string& name : delta.cluster_removals) {
       if (config_.clusters.contains(name)) continue;
       // A disabled check with no endpoints drops the cluster's targets.
       health_checker_->update_targets(name, HealthCheckConfig{}, {},
-                                      config_.inbound_port);
+                                      kSidecarInboundPort);
     }
   }
   ++stats_.deltas_applied;
@@ -449,12 +414,6 @@ void Sidecar::finish_apply() {
   ++stats_.configs_applied;
   // Balancers are rebuilt lazily so a changed LB policy takes effect.
   balancers_.clear();
-  // A push may retune the ticket-cache bound; existing entries are
-  // LRU-evicted if it shrank.
-  if (tls_runtime_ != nullptr) {
-    tls_runtime_->session_cache().set_capacity(
-        config_.tls.session_cache_capacity);
-  }
   // The admission controller carries learned state (the adaptive limit,
   // queued requests), so it is created once on the first enabling push
   // and survives subsequent pushes.
@@ -472,7 +431,7 @@ void Sidecar::sync_health_targets() {
   for (const auto& [name, spec] : config_.clusters) {
     names.push_back(name);
     health_checker_->update_targets(name, spec.health_check, spec.endpoints,
-                                    config_.inbound_port);
+                                    kSidecarInboundPort);
   }
   health_checker_->retain_clusters(names);
 }
@@ -611,7 +570,7 @@ TlsRuntime& Sidecar::tls_runtime() {
   if (tls_runtime_ == nullptr) {
     tls_runtime_ = std::make_unique<TlsRuntime>(
         telemetry_ != nullptr ? &telemetry_->registry() : nullptr,
-        config_.tls.session_cache_capacity);
+        kTlsSessionCacheCapacity);
   }
   return *tls_runtime_;
 }
@@ -647,15 +606,10 @@ void Sidecar::process_request(std::uint64_t session_id, http::HttpRequest req,
                               FilterDirection direction) {
   // Charge the proxy's request-path processing cost before any filter or
   // routing work happens.
-  const sim::Duration delay = proxy_delay();
-  if (delay > 0) {
-    sim_.schedule_after(
-        delay, [this, session_id, req = std::move(req), direction]() mutable {
-          process_request_now(session_id, std::move(req), direction);
-        });
-    return;
-  }
-  process_request_now(session_id, std::move(req), direction);
+  sim_.schedule_after(proxy_delay(), [this, session_id, req = std::move(req),
+                                      direction]() mutable {
+    process_request_now(session_id, std::move(req), direction);
+  });
 }
 
 void Sidecar::process_request_now(std::uint64_t session_id,
@@ -707,14 +661,6 @@ void Sidecar::process_request_now(std::uint64_t session_id,
         [this, session_id, ctx, direction] {
           ctx->admission_admitted = true;
           ctx->admission_dispatch_time = sim_.now();
-          if (ctx->injected_delay > 0) {
-            sim_.schedule_after(ctx->injected_delay,
-                                [this, session_id, ctx, direction]() mutable {
-                                  continue_request(session_id, std::move(ctx),
-                                                   direction);
-                                });
-            return;
-          }
           continue_request(session_id, ctx, direction);
         },
         [this, session_id, ctx, direction](ShedReason reason) {
@@ -736,29 +682,8 @@ void Sidecar::process_request_now(std::uint64_t session_id,
         ctx->local_response ? std::move(*ctx->local_response)
                             : make_local_response(403, "filter denied");
     if (!ctx->shed_reason.empty()) ++stats_.local_responses;
-    auto deliver = [this, session_id, ctx, direction,
-                    response = std::move(response)]() mutable {
-      const FilterChain& c = direction == FilterDirection::kInbound
-                                 ? inbound_chain_
-                                 : outbound_chain_;
-      c.run_response(*ctx, response);
-      respond_to_session(session_id, ctx, std::move(response));
-    };
-    // A delayed abort (fault filter) still pays the injected delay.
-    if (ctx->injected_delay > 0) {
-      sim_.schedule_after(ctx->injected_delay, std::move(deliver));
-    } else {
-      deliver();
-    }
-    return;
-  }
-
-  if (ctx->injected_delay > 0) {
-    sim_.schedule_after(ctx->injected_delay,
-                        [this, session_id, ctx, direction]() mutable {
-                          continue_request(session_id, std::move(ctx),
-                                           direction);
-                        });
+    chain.run_response(*ctx, response);
+    respond_to_session(session_id, ctx, std::move(response));
     return;
   }
   continue_request(session_id, std::move(ctx), direction);
@@ -792,7 +717,6 @@ void Sidecar::respond_to_session(std::uint64_t session_id, const Ctx& /*ctx*/,
   ++session.request_seq;
   // Charge the proxy's response-path processing cost before the bytes hit
   // the wire.
-  const sim::Duration delay = proxy_delay();
   auto deliver = [this, session_id,
                   wire = http::encode_response_pieces(response)]() mutable {
     const auto sit = sessions_.find(session_id);
@@ -809,11 +733,7 @@ void Sidecar::respond_to_session(std::uint64_t session_id, const Ctx& /*ctx*/,
   };
   static_assert(sim::InlineTask::fits_inline<decltype(deliver)>(),
                 "the response-delivery closure must not spill to the heap");
-  if (delay > 0) {
-    sim_.schedule_after(delay, std::move(deliver));
-  } else {
-    deliver();
-  }
+  sim_.schedule_after(proxy_delay(), std::move(deliver));
 }
 
 void Sidecar::forward_to_app(std::uint64_t session_id, Ctx ctx) {
@@ -927,23 +847,23 @@ std::vector<const cluster::Endpoint*> Sidecar::eligible_endpoints(
     }
     if (matches) subset_matched.push_back(&ep);
   }
-  if (!subset_matched.empty()) return subset_matched;
-  if (!ctx.subset.empty() && spec.subset_fallback) return all;
-  return subset_matched;  // empty
+  // A subset constraint that matches no endpoint falls back to the full
+  // healthy set instead of failing (Envoy's ANY_ENDPOINT fallback).
+  if (!subset_matched.empty() || ctx.subset.empty()) return subset_matched;
+  return all;
 }
 
 HttpClientPool& Sidecar::pool_for(const cluster::Endpoint& endpoint,
-                                  TrafficClass traffic_class, net::Port port,
-                                  bool mtls) {
+                                  TrafficClass traffic_class, bool mtls) {
   // mTLS is part of the pool key: toggling a cluster's mtls flag mid-run
   // routes new requests through a fresh pool with the right framing
   // while the old one drains.
-  const PoolKey key{endpoint.ip, port, traffic_class, mtls};
+  const PoolKey key{endpoint.ip, traffic_class, mtls};
   const auto it = pools_.find(key);
   if (it != pools_.end()) return *it->second;
   HttpClientPool::Options options;
   options.connection = connection_options_for(traffic_class);
-  options.max_connections = config_.max_pool_connections;
+  options.max_connections = kMaxPoolConnections;
   if (mtls) {
     options.tls.enabled = true;
     // Stable addresses into the running config: apply_config move-assigns
@@ -960,7 +880,8 @@ HttpClientPool& Sidecar::pool_for(const cluster::Endpoint& endpoint,
         };
   }
   auto pool = std::make_unique<HttpClientPool>(
-      sim_, pod_.transport(), net::SocketAddress{endpoint.ip, port}, options,
+      sim_, pod_.transport(),
+      net::SocketAddress{endpoint.ip, kSidecarInboundPort}, options,
       config_.service_name + "->" + endpoint.pod_name + "/" +
           std::string(traffic_class_name(traffic_class)));
   HttpClientPool& ref = *pool;
@@ -1148,8 +1069,7 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // The wire hop goes to the remote pod's *inbound sidecar listener*; the
   // Host header tells the remote side which service was meant (the moral
   // equivalent of Istio's iptables redirect preserving metadata).
-  HttpClientPool& pool =
-      pool_for(*chosen, ctx->traffic_class, config_.inbound_port, spec.mtls);
+  HttpClientPool& pool = pool_for(*chosen, ctx->traffic_class, spec.mtls);
   ++active_per_endpoint_[chosen->pod_name];
   ++inflight_per_cluster_[spec.name];
   if (ctx->attempt > 0) ++inflight_retries_per_cluster_[spec.name];
@@ -1237,8 +1157,7 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
   const RetryPolicy& retry = config_.retry;
   const bool failed_transport = !response.has_value();
   const bool failed_5xx = response.has_value() && response->status >= 500;
-  bool retryable = (failed_transport && retry.retry_on_reset) ||
-                   (failed_5xx && retry.retry_on_5xx);
+  bool retryable = failed_transport || failed_5xx;
   if (retryable && shed_by_upstream && !retry.retry_on_overloaded) {
     if (ctx->attempt < retry.max_retries) {
       ++stats_.retries_suppressed_by_overload;

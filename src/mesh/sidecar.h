@@ -45,12 +45,12 @@
 
 namespace meshnet::mesh {
 
+/// Retries cover any 5xx and any transport failure (reset, per-try
+/// timeout), within max_retries and the budget below.
 struct RetryPolicy {
   int max_retries = 1;
   /// 0 disables the per-try timeout.
   sim::Duration per_try_timeout = 0;
-  bool retry_on_5xx = true;
-  bool retry_on_reset = true;
   sim::Duration backoff_base = sim::milliseconds(2);
   /// Cap on any single backoff sleep.
   sim::Duration backoff_max = sim::milliseconds(250);
@@ -90,9 +90,6 @@ struct ClusterSpec {
   std::vector<cluster::Endpoint> endpoints;
   LbPolicy lb = LbPolicy::kRoundRobin;
   CircuitBreakerConfig breaker;
-  /// When a subset constraint matches no endpoint, fall back to the full
-  /// healthy set instead of failing (Envoy's ANY_ENDPOINT fallback).
-  bool subset_fallback = true;
   /// Active health checking for this cluster's endpoints (off by default;
   /// the chaos experiments turn it on).
   HealthCheckConfig health_check;
@@ -108,12 +105,43 @@ struct TrafficClassPolicy {
   net::Dscp dscp = net::Dscp::kDefault;
 };
 
-struct SidecarConfig {
+/// The operator policy every sidecar runs, declared once: MeshPolicies
+/// holds the mesh-wide values, and each pushed config a copy whose
+/// `tls.enabled` the control plane resolves for that sidecar's service.
+struct PolicySection {
+  RetryPolicy retry;
+  sim::Duration request_timeout = sim::seconds(15);
+
+  /// Priority-aware overload control on the inbound path (off by
+  /// default). The controller is created on the first config push that
+  /// enables it; later pushes keep the running controller's state.
+  AdmissionConfig admission;
+
+  /// Destination-service allow-lists (mTLS-style authorization policy):
+  /// if a service has an entry, only the listed source services may call
+  /// it. No entry = allow all.
+  std::map<std::string, std::vector<std::string>> authorization;
+
+  std::map<TrafficClass, TrafficClassPolicy> class_policies;
+
+  /// TLS session layer. In MeshPolicies `tls.enabled` is the mesh-wide
+  /// mTLS default; in a pushed config it means "this sidecar's inbound
+  /// listener accepts TLS" (the listener stays permissive: plaintext
+  /// peers and health probes are sniffed through). Whether a *client*
+  /// initiates TLS is per cluster (ClusterSpec::mtls).
+  TlsParams tls;
+  std::uint32_t transport_mss = 1460;
+
+  /// Observes every upstream transport connection the sidecar opens,
+  /// tagged with its traffic class (cross-layer SDN advertisement hook).
+  std::function<void(transport::Connection&, TrafficClass)>
+      upstream_connection_hook;
+};
+
+/// One sidecar's pushed policy: the section plus the identity it was
+/// compiled for. A delta push carries it whole when its hash changed.
+struct SidecarPolicy : PolicySection {
   std::string service_name;
-  net::Port app_port = 8080;       ///< 0 = no local app (gateway).
-  net::Port inbound_port = 15006;
-  net::Port outbound_port = 15001;
-  bool gateway_mode = false;
 
   /// Control-plane config generation this snapshot was compiled from.
   /// Monotonically increasing; a sidecar rejects pushes older than what
@@ -124,45 +152,38 @@ struct SidecarConfig {
   /// This workload's identity certificate; rotation arrives as a config
   /// push with a new serial.
   Certificate identity_cert;
+};
 
-  /// TLS session-layer knobs. `tls.enabled` here means "this sidecar's
-  /// inbound listener accepts TLS" (the listener stays permissive:
-  /// plaintext peers and health probes are sniffed through); whether a
-  /// *client* initiates TLS is per-cluster (ClusterSpec::mtls).
-  TlsParams tls;
-
+/// What the control plane pushes to one sidecar: its policy plus the
+/// clusters and routes.
+struct SidecarConfig : SidecarPolicy {
   /// Host header -> cluster name. Hosts not listed route to the cluster
   /// with the same name, if one exists.
   std::map<std::string, std::string> routes;
   std::map<std::string, ClusterSpec> clusters;
+};
 
-  RetryPolicy retry;
-  sim::Duration request_timeout = sim::seconds(15);
+/// The port every sidecar's inbound listener binds. Remote sidecars and
+/// health probes dial it on each endpoint's IP.
+inline constexpr net::Port kSidecarInboundPort = 15006;
 
-  /// Priority-aware overload control on the inbound path (off by
-  /// default). The controller is created on the first config push that
-  /// enables it; later pushes keep the running controller's state.
-  AdmissionConfig admission;
+/// How one sidecar attaches to a pod, fixed at injection. These are
+/// cluster::MeshSpec data (app/mesh_spec.h): MeshBuilder derives each
+/// app's app::MicroserviceOptions ports from the same fields, so the app
+/// and its sidecar cannot disagree on them.
+struct SidecarInjectionOptions {
+  net::Port app_port = 8080;
+  bool gateway_mode = false;
+  net::Port outbound_port = 15001;  ///< gateway exposes this port
 
-  /// Destination-service allow-lists (mTLS-style authorization policy):
-  /// if this sidecar's service has an entry, only the listed source
-  /// services may call it. No entry = allow all.
-  std::map<std::string, std::vector<std::string>> authorization;
-
-  std::map<TrafficClass, TrafficClassPolicy> class_policies;
-  std::uint32_t transport_mss = 1460;
-  std::size_t max_pool_connections = 256;
-
-  /// Proxy processing cost per traversal direction (request and response
-  /// each pay base + Exp(jitter)); models Envoy's userspace overhead,
-  /// which the paper (§3.6) quotes at ~3 ms p99 for a sidecar pair.
-  sim::Duration proxy_overhead_base = sim::microseconds(150);
-  sim::Duration proxy_overhead_jitter = sim::microseconds(100);
-
-  /// Observes every upstream transport connection the sidecar opens,
-  /// tagged with its traffic class (cross-layer SDN advertisement hook).
-  std::function<void(transport::Connection&, TrafficClass)>
-      upstream_connection_hook;
+  /// Spec-roundtrip constructor: the ingress-gateway flavour (no local
+  /// app; the outbound listener is exposed on `port`).
+  static SidecarInjectionOptions gateway(net::Port port) {
+    SidecarInjectionOptions options;
+    options.gateway_mode = true;
+    options.outbound_port = port;
+    return options;
+  }
 };
 
 /// Sanity-checks a compiled config before it replaces the running one.
@@ -187,8 +208,8 @@ std::uint64_t hash_sidecar_config(const SidecarConfig& config);
 std::uint64_t hash_cluster_spec(const ClusterSpec& spec);
 
 /// Fingerprint of everything in a config that is neither a cluster nor a
-/// route (identity, retry, timeouts, admission, authz, transport, cert).
-std::uint64_t hash_policy_section(const SidecarConfig& config);
+/// route (service name, policy section, cert serial).
+std::uint64_t hash_policy_section(const SidecarPolicy& policy);
 
 /// One cluster's entry in a ConfigFingerprint.
 struct ClusterHash {
@@ -245,8 +266,11 @@ struct SidecarStats {
 
 class Sidecar {
  public:
+  /// Runs `service_name` on `pod`. The listeners are fixed here; policy,
+  /// clusters and routes arrive by apply_config.
   Sidecar(sim::Simulator& sim, cluster::Pod& pod, Tracer& tracer,
-          TelemetrySink* telemetry, SidecarConfig config);
+          TelemetrySink* telemetry, std::string service_name,
+          SidecarInjectionOptions listener);
   ~Sidecar();
   Sidecar(const Sidecar&) = delete;
   Sidecar& operator=(const Sidecar&) = delete;
@@ -254,8 +278,7 @@ class Sidecar {
   /// Opens the listeners. Call once after construction.
   void start();
 
-  /// Replaces routing/cluster/policy state (an xDS push). Listener ports
-  /// and service identity are fixed at construction. Returns false — and
+  /// Replaces routing/cluster/policy state (an xDS push). Returns false — and
   /// keeps the running config untouched — when the push is invalid
   /// (validate_config) or stale (an epoch the sidecar already moved
   /// past); `last_config_error()` then says why.
@@ -289,6 +312,10 @@ class Sidecar {
   FilterChain& outbound_filters() noexcept { return outbound_chain_; }
 
   const SidecarConfig& config() const noexcept { return config_; }
+  /// The listener ports and gateway mode, fixed at injection.
+  const SidecarInjectionOptions& listener() const noexcept {
+    return listener_;
+  }
   cluster::Pod& pod() noexcept { return pod_; }
   const cluster::Pod& pod() const noexcept { return pod_; }
   const SidecarStats& stats() const noexcept { return stats_; }
@@ -342,7 +369,6 @@ class Sidecar {
 
   struct PoolKey {
     net::IpAddress ip;
-    net::Port port;
     TrafficClass traffic_class;
     bool tls;
     auto operator<=>(const PoolKey&) const = default;
@@ -350,9 +376,6 @@ class Sidecar {
 
   using Ctx = std::shared_ptr<RequestContext>;
 
-  /// Overwrites the fields that are fixed at construction (identity and
-  /// listener ports) with the running values.
-  void pin_listener_identity(SidecarConfig& config) const;
   /// Counts a refused push and records why; returns false.
   bool reject_config(std::string reason);
   /// Bookkeeping shared by full and delta applies, once config_ holds
@@ -393,9 +416,9 @@ class Sidecar {
   std::vector<const cluster::Endpoint*> eligible_endpoints(
       const ClusterSpec& spec, const RequestContext& ctx,
       bool ignore_health = false);
+  /// The pool to `endpoint`'s inbound sidecar listener.
   HttpClientPool& pool_for(const cluster::Endpoint& endpoint,
-                           TrafficClass traffic_class, net::Port port,
-                           bool mtls);
+                           TrafficClass traffic_class, bool mtls);
   /// Feeds downstream bytes into the session's HTTP parser, aborting the
   /// connection on a parse error. `Bytes` is the wire net::Payload (the
   /// body is kept by reference) or decrypted TLS plaintext (copied).
@@ -416,6 +439,7 @@ class Sidecar {
   cluster::Pod& pod_;
   Tracer& tracer_;
   TelemetrySink* telemetry_;
+  SidecarInjectionOptions listener_;
   SidecarConfig config_;
   /// Cache behind config_fingerprint(); dropped by apply_config.
   mutable std::optional<ConfigFingerprint> fingerprint_;

@@ -287,7 +287,7 @@ TlsChannel::TlsChannel(sim::Simulator& sim, Role role, const TlsParams* params,
       runtime_(runtime),
       peer_key_(std::move(peer_key)),
       state_(role == Role::kClient ? State::kIdle : State::kWaitClientHello),
-      record_parser_(params->max_record_bytes) {
+      record_parser_(kTlsMaxRecordBytes) {
   assert(params_ != nullptr && local_cert_ != nullptr && runtime_ != nullptr);
   record_parser_.set_on_record(
       [this](TlsRecordType type, std::string_view body) {
@@ -301,7 +301,7 @@ void TlsChannel::start() {
   handshake_start_ = sim_.now();
   auto self = shared_from_this();
   timeout_timer_ =
-      sim_.schedule_after(params_->handshake_timeout, [self] {
+      sim_.schedule_after(kTlsHandshakeTimeout, [self] {
         self->timeout_timer_ = sim::kInvalidEventId;
         if (self->closed_ || self->established() || self->failed()) return;
         self->fail("tls handshake timeout", false);
@@ -436,7 +436,7 @@ void TlsChannel::handle_client_hello(std::string_view body) {
       const auto ticket = decode_session_ticket(hello->ticket);
       accepted = ticket.has_value() &&
                  ticket->cert_serial == local_cert_->serial &&
-                 now - ticket->issued_at < params_->ticket_lifetime;
+                 now - ticket->issued_at < kTlsTicketLifetime;
     }
     if (accepted) {
       resumed = true;
@@ -457,8 +457,8 @@ void TlsChannel::handle_client_hello(std::string_view body) {
     runtime_->metrics().tickets_issued->inc();
   }
   resumed_ = resumed;
-  const sim::Duration cpu = resumed ? params_->handshake_cpu_resumed
-                                    : params_->handshake_cpu_server;
+  const sim::Duration cpu =
+      resumed ? kTlsHandshakeCpuResumed : kTlsHandshakeCpuServer;
   queue_wire(encode_tls_record(TlsRecordType::kServerHello,
                                encode_server_hello(reply)),
              cpu, /*handshake_cpu=*/true);
@@ -488,8 +488,8 @@ void TlsChannel::handle_server_hello(std::string_view body) {
       !peer_key_.empty()) {
     runtime_->session_cache().put(peer_key_, hello->ticket);
   }
-  const sim::Duration cpu = resumed_ ? params_->handshake_cpu_resumed
-                                     : params_->handshake_cpu_client;
+  const sim::Duration cpu =
+      resumed_ ? kTlsHandshakeCpuResumed : kTlsHandshakeCpuClient;
   queue_wire(encode_tls_record(TlsRecordType::kFinished, {}), cpu,
              /*handshake_cpu=*/true);
   become_established();
@@ -555,7 +555,7 @@ void TlsChannel::encrypt_and_send(std::string_view data) {
   TlsMetrics& metrics = runtime_->metrics();
   std::string_view rest = data;
   while (!rest.empty()) {
-    const std::size_t n = std::min(rest.size(), params_->max_record_bytes);
+    const std::size_t n = std::min(rest.size(), kTlsMaxRecordBytes);
     const std::string_view chunk = rest.substr(0, n);
     rest.remove_prefix(n);
     metrics.records_encrypted->inc();
@@ -573,10 +573,6 @@ void TlsChannel::deliver_plaintext(std::string body) {
   const sim::Time now = sim_.now();
   const sim::Time ready = std::max(now, rx_busy_until_) + cost;
   rx_busy_until_ = ready;
-  if (ready <= now) {
-    if (on_plaintext_) on_plaintext_(body);
-    return;
-  }
   auto self = shared_from_this();
   sim_.schedule_at(ready, [self, b = std::move(body)] {
     if (self->closed_ || self->failed()) return;
@@ -585,8 +581,8 @@ void TlsChannel::deliver_plaintext(std::string body) {
 }
 
 sim::Duration TlsChannel::aead_cost(std::size_t body_bytes) const {
-  return params_->aead_per_record +
-         params_->aead_per_kb * static_cast<sim::Duration>(body_bytes) / 1024;
+  return kTlsAeadPerRecord +
+         kTlsAeadPerKb * static_cast<sim::Duration>(body_bytes) / 1024;
 }
 
 void TlsChannel::queue_wire(std::string bytes, sim::Duration cost,

@@ -59,41 +59,43 @@ struct Certificate {
   }
 };
 
-/// Cost and policy knobs for the TLS session layer. Lives in
-/// MeshPolicies (mesh-wide default, distributed in every config push)
-/// and in SidecarConfig (whether *this* sidecar's inbound listener
-/// accepts TLS). Defaults follow the MTLS report's measured shape:
-/// multi-millisecond full handshakes dominated by asymmetric crypto,
-/// tens-of-microseconds resumptions, single-digit-microsecond AEAD per
-/// record.
+// The TLS session layer's cost model. Values follow the MTLS report's
+// measured shape: multi-millisecond full handshakes dominated by
+// asymmetric crypto, tens-of-microseconds resumptions,
+// single-digit-microsecond AEAD per record.
+
+/// CPU charged by the server for a full handshake (cert signature + key
+/// exchange).
+inline constexpr sim::Duration kTlsHandshakeCpuServer =
+    sim::microseconds(1200);
+/// CPU charged by the client for a full handshake (signature verify +
+/// key exchange).
+inline constexpr sim::Duration kTlsHandshakeCpuClient = sim::microseconds(900);
+/// CPU charged by either side for a ticket resumption (PSK key schedule
+/// only).
+inline constexpr sim::Duration kTlsHandshakeCpuResumed = sim::microseconds(60);
+/// AEAD charge per record, plus per KiB of record payload.
+inline constexpr sim::Duration kTlsAeadPerRecord = sim::microseconds(2);
+inline constexpr sim::Duration kTlsAeadPerKb = sim::microseconds(3);
+/// Maximum record body; larger app writes are segmented, larger
+/// received records are a protocol error (TLS 1.3's 16 KiB limit).
+inline constexpr std::size_t kTlsMaxRecordBytes = 16 * 1024;
+/// Bound on the per-sidecar client session-ticket cache (LRU).
+inline constexpr std::size_t kTlsSessionCacheCapacity = 1024;
+/// Tickets older than this are rejected (server-side check).
+inline constexpr sim::Duration kTlsTicketLifetime = sim::seconds(3600);
+/// A handshake that has not established by this deadline fails cleanly
+/// (also the fuzzer's no-hang guarantee).
+inline constexpr sim::Duration kTlsHandshakeTimeout = sim::seconds(5);
+
+/// The TLS policy a sidecar runs. Lives in the pushed policy section
+/// (mesh/sidecar.h PolicySection).
 struct TlsParams {
   /// Mesh-wide default for per-service mTLS (MeshPolicies) / whether this
-  /// sidecar's inbound listener accepts TLS (SidecarConfig).
+  /// sidecar's inbound listener accepts TLS (a pushed config).
   bool enabled = false;
   /// Issue and accept session tickets (TLS 1.3 resumption).
   bool session_resumption = true;
-  /// A handshake that has not established by this deadline fails cleanly
-  /// (also the fuzzer's no-hang guarantee).
-  sim::Duration handshake_timeout = sim::seconds(5);
-  /// CPU charged by the server for a full handshake (cert signature +
-  /// key exchange).
-  sim::Duration handshake_cpu_server = sim::microseconds(1200);
-  /// CPU charged by the client for a full handshake (signature verify +
-  /// key exchange).
-  sim::Duration handshake_cpu_client = sim::microseconds(900);
-  /// CPU charged by either side for a ticket resumption (PSK key
-  /// schedule only).
-  sim::Duration handshake_cpu_resumed = sim::microseconds(60);
-  /// AEAD charge per record, plus per KiB of record payload.
-  sim::Duration aead_per_record = sim::microseconds(2);
-  sim::Duration aead_per_kb = sim::microseconds(3);
-  /// Maximum record body; larger app writes are segmented, larger
-  /// received records are a protocol error (TLS 1.3's 16 KiB limit).
-  std::size_t max_record_bytes = 16 * 1024;
-  /// Bound on the per-sidecar client session-ticket cache (LRU).
-  std::size_t session_cache_capacity = 1024;
-  /// Tickets older than this are rejected (server-side check).
-  sim::Duration ticket_lifetime = sim::seconds(3600);
 };
 
 // ---------------------------------------------------------------------------
@@ -195,8 +197,8 @@ struct TlsMetrics {
 };
 
 /// Bounded LRU of session tickets, keyed by the remote "ip:port". One
-/// per sidecar (client side); capacity comes from
-/// TlsParams::session_cache_capacity and evictions are counted.
+/// per sidecar (client side), bounded by kTlsSessionCacheCapacity;
+/// evictions are counted.
 class TlsSessionCache {
  public:
   explicit TlsSessionCache(std::size_t capacity,
@@ -216,8 +218,7 @@ class TlsSessionCache {
   std::size_t size() const noexcept { return index_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Shrinks (evicting LRU entries) or grows the bound in place — a
-  /// config push may retune it mid-run.
+  /// Shrinks (evicting LRU entries) or grows the bound in place.
   void set_capacity(std::size_t capacity);
 
  private:

@@ -250,6 +250,16 @@ CompareOutcome compare_reports(const util::Json& baseline,
                               point_id + "." + section, options, outcome);
     }
   }
+  // A point the baseline lacks would go ungated: a sweep that grows an
+  // arm must add it to the baseline too.
+  for (const util::Json& current_point : current_points->items()) {
+    const util::Json* id = current_point.find("id");
+    const std::string point_id = id ? id->string_or("") : "";
+    if (!find_point(*baseline_points, point_id)) {
+      outcome.ok = false;
+      outcome.failures.push_back("point not in baseline: '" + point_id + "'");
+    }
+  }
 
   // The unified observability snapshot, when the baseline carries one. Its
   // numeric leaves (counter/gauge values, histogram summaries) are pure

@@ -100,13 +100,14 @@ struct CompareOutcome {
 };
 
 /// Compares `current` against `baseline` (both parsed report documents).
-/// Rules: experiments and configs must match; every baseline point (by id)
-/// must exist in current; every numeric metric/counter/histogram field in
+/// Rules: experiments and configs must match; the two reports must hold
+/// the same point ids (a point only in current fails, or it would go
+/// ungated); every numeric metric/counter/histogram field in
 /// the baseline must be present in current and within tolerance; if the
 /// baseline carries a top-level "metrics" object (meshnet-metrics-v1), it
 /// must exist in current and every numeric leaf is compared the same way.
-/// Fields only in `current` are ignored (adding metrics does not break a
-/// baseline); "wall_ms", "threads", any "wall_*"-named metric, and the
+/// Other fields only in `current` are ignored (adding metrics does not
+/// break a baseline); "wall_ms", "threads", any "wall_*"-named metric, and the
 /// top-level "engine" object are never compared.
 CompareOutcome compare_reports(const util::Json& baseline,
                                const util::Json& current,

@@ -58,10 +58,7 @@ ElibraryExperimentConfig cp_chaos_config(ElibraryExperimentConfig run,
   policies.cp.reconverge_pacing = kReconvergePacing;
   policies.cp.cert_refresh_ahead = kCertRefreshAhead;
   policies.certificate_lifetime = kCertificateLifetime;
-  // The edge hop must outlive one full interior failover (per-try timeout
-  // + retry at the frontend); interior hops keep the tight mesh-wide
-  // per-try timeout.
-  run.gateway_per_try_timeout = sim::milliseconds(1500);
+  run.extra_epoch_before_run = true;
 
   const sim::Time measure_start = run.warmup;
   const sim::Time outage_start = measure_start + arm.outage_offset;

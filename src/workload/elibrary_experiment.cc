@@ -156,19 +156,7 @@ ElibraryExperimentResult run_elibrary_experiment(
     }
   }
 
-  if (config.gateway_per_try_timeout > 0) {
-    // Without the longer edge budget, interior recovery from a lost
-    // replica (per-try timeout + retry at the frontend) surfaces as
-    // gateway-level errors.
-    cp.set_compile_mutator([timeout = config.gateway_per_try_timeout](
-                               const std::string&, mesh::SidecarConfig& sc) {
-      if (sc.gateway_mode) {
-        sc.retry.per_try_timeout = timeout;
-        sc.retry.max_retries = 1;
-      }
-    });
-    cp.push_config();
-  }
+  if (config.extra_epoch_before_run) cp.push_config();
 
   faults::ChaosController chaos(sim, app.cluster(), config.seed);
   chaos.set_fault_hook([&cp](const faults::FaultLogEntry& entry) {

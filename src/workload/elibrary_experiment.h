@@ -63,11 +63,11 @@ struct ElibraryExperimentConfig {
 
   app::ElibraryOptions app;
 
-  /// Hierarchical timeout budget: when nonzero, the gateway's sidecar is
-  /// compiled with this per-try timeout and one retry, so the edge hop
-  /// outlives one full interior failover. Interior hops keep the
-  /// mesh-wide retry policy.
-  sim::Duration gateway_per_try_timeout = 0;
+  /// Mint one more config epoch before traffic starts. Every sidecar
+  /// skips it as a no-op, but it moves the epoch numbering and the
+  /// control plane's push counters, which the CHAOS_CP and MTLS
+  /// baselines record; those two set it.
+  bool extra_epoch_before_run = false;
 
   /// Infrastructure and control-plane faults, at absolute times. Every
   /// executed fault is also recorded as a telemetry "fault" event.

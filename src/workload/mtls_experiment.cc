@@ -30,9 +30,7 @@ ElibraryExperimentConfig mtls_config(ElibraryExperimentConfig run,
   policies.tls.enabled = arm.mtls;
   policies.tls.session_resumption = arm.session_resumption;
   policies.mtls_overrides = arm.mtls_overrides;
-  // Same hierarchical timeout budget as CHAOS_CP: the edge hop outlives
-  // one full interior failover.
-  run.gateway_per_try_timeout = sim::milliseconds(1500);
+  run.extra_epoch_before_run = true;
 
   const sim::Time measure_start = run.warmup;
   const sim::Time storm_at = measure_start + run.duration / 2;

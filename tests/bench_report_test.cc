@@ -129,6 +129,22 @@ TEST(BenchCompare, MissingPointFails) {
   EXPECT_NE(outcome.failures[0].find("missing point"), std::string::npos);
 }
 
+TEST(BenchCompare, ExtraCurrentPointFails) {
+  // A sweep that grows an arm must not pass with the new arm ungated.
+  BenchReport current = sample_report();
+  BenchPoint extra = current.points[0];
+  extra.id = "rps=50/cross_layer=on";
+  current.points.push_back(extra);
+  const CompareOutcome outcome =
+      compare_reports(sample_report().to_json(), current.to_json());
+  EXPECT_FALSE(outcome.ok);
+  ASSERT_EQ(outcome.failures.size(), 1u);
+  EXPECT_NE(outcome.failures[0].find("point not in baseline"),
+            std::string::npos);
+  EXPECT_NE(outcome.failures[0].find("rps=50/cross_layer=on"),
+            std::string::npos);
+}
+
 TEST(BenchCompare, ExtraCurrentMetricsAreIgnored) {
   // Adding metrics after a baseline was captured must not break it.
   BenchReport current = sample_report();

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <string_view>
 #include <vector>
 
@@ -117,8 +119,6 @@ TEST_F(ControlPlaneFixture, StaleEpochPushIsRejectedBySidecar) {
 TEST_F(ControlPlaneFixture, LostPushesRetryWithBackoffUntilAcked) {
   MeshPolicies policies;
   policies.cp.ack_timeout = sim::milliseconds(20);
-  policies.cp.retry_backoff_base = sim::milliseconds(10);
-  policies.cp.retry_backoff_max = sim::milliseconds(40);
   build(1, policies);
   cp_->set_push_loss(1.0);
   cp_->policies().retry.max_retries = 3;  // make configs actually change
@@ -130,8 +130,9 @@ TEST_F(ControlPlaneFixture, LostPushesRetryWithBackoffUntilAcked) {
   EXPECT_GT(counter(*cp_, "cp_push_retries_total"), 0u);
   const std::uint64_t acks_at_heal = counter(*cp_, "cp_push_acks_total");
 
+  // The retry pending at the heal sleeps at most the 2 s backoff cap.
   cp_->set_push_loss(0.0);
-  run_for(sim::milliseconds(500));
+  run_for(sim::seconds(3));
   EXPECT_TRUE(cp_->converged());
   EXPECT_EQ(cp_->stale_sidecars(), 0u);
   EXPECT_EQ(cp_->acked_epoch("server-v1"), cp_->epoch());
@@ -521,6 +522,151 @@ TEST(ConfigFingerprint, ExcludesEpochIncludesPayload) {
   SidecarConfig cert_changed = base;
   cert_changed.identity_cert.serial = 9;
   EXPECT_NE(hash_sidecar_config(cert_changed), h);
+}
+
+// A field left out of hash_policy_section or hash_cluster_spec would turn
+// a real change into a push skipped as a no-op: every field of the policy
+// and of a cluster spec must move the hash, and the epoch must not.
+TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
+  SidecarConfig base;
+  ClusterSpec spec;
+  spec.name = "svc";
+  cluster::Endpoint endpoint;
+  endpoint.pod_name = "svc-v1";
+  endpoint.ip = 7;
+  endpoint.port = 8080;
+  endpoint.labels["priority"] = "high";
+  spec.endpoints.push_back(endpoint);
+  base.clusters["svc"] = spec;
+  const std::uint64_t h = hash_sidecar_config(base);
+
+  using Mutation = std::function<void(SidecarConfig&)>;
+  const auto cluster = [](SidecarConfig& c) -> ClusterSpec& {
+    return c.clusters.at("svc");
+  };
+  const std::vector<std::pair<std::string, Mutation>> mutations = {
+      {"service_name", [](SidecarConfig& c) { c.service_name = "other"; }},
+      {"retry.max_retries", [](SidecarConfig& c) { c.retry.max_retries = 3; }},
+      {"retry.per_try_timeout",
+       [](SidecarConfig& c) { c.retry.per_try_timeout = 7; }},
+      {"retry.backoff_base",
+       [](SidecarConfig& c) { c.retry.backoff_base = 7; }},
+      {"retry.backoff_max", [](SidecarConfig& c) { c.retry.backoff_max = 7; }},
+      {"retry.backoff_jitter",
+       [](SidecarConfig& c) { c.retry.backoff_jitter = false; }},
+      {"retry.retry_budget",
+       [](SidecarConfig& c) { c.retry.retry_budget = 0.5; }},
+      {"retry.retry_budget_min_concurrency",
+       [](SidecarConfig& c) { c.retry.retry_budget_min_concurrency = 9; }},
+      {"retry.retry_on_overloaded",
+       [](SidecarConfig& c) { c.retry.retry_on_overloaded = true; }},
+      {"request_timeout", [](SidecarConfig& c) { c.request_timeout = 7; }},
+      {"admission.enabled",
+       [](SidecarConfig& c) { c.admission.enabled = true; }},
+      {"admission.queue_capacity",
+       [](SidecarConfig& c) { c.admission.queue_capacity = 9; }},
+      {"admission.shed_retries_first",
+       [](SidecarConfig& c) { c.admission.shed_retries_first = false; }},
+      {"admission.reserve_slots",
+       [](SidecarConfig& c) { c.admission.reserve_slots = 2; }},
+      {"admission.limit.initial_limit",
+       [](SidecarConfig& c) { c.admission.limit.initial_limit = 9; }},
+      {"admission.limit.min_limit",
+       [](SidecarConfig& c) { c.admission.limit.min_limit = 2; }},
+      {"admission.limit.max_limit",
+       [](SidecarConfig& c) { c.admission.limit.max_limit = 9; }},
+      {"admission.limit.window",
+       [](SidecarConfig& c) { c.admission.limit.window = 7; }},
+      {"admission.limit.min_window_samples",
+       [](SidecarConfig& c) { c.admission.limit.min_window_samples = 9; }},
+      {"admission.limit.latency_tolerance",
+       [](SidecarConfig& c) { c.admission.limit.latency_tolerance = 3.0; }},
+      {"authorization",
+       [](SidecarConfig& c) { c.authorization["svc"] = {"client"}; }},
+      {"class_policies",
+       [](SidecarConfig& c) {
+         c.class_policies[TrafficClass::kScavenger] = TrafficClassPolicy{};
+       }},
+      {"tls.enabled", [](SidecarConfig& c) { c.tls.enabled = true; }},
+      {"tls.session_resumption",
+       [](SidecarConfig& c) { c.tls.session_resumption = false; }},
+      {"transport_mss", [](SidecarConfig& c) { c.transport_mss = 1200; }},
+      {"upstream_connection_hook",
+       [](SidecarConfig& c) {
+         c.upstream_connection_hook = [](transport::Connection&,
+                                         TrafficClass) {};
+       }},
+      {"identity_cert.serial",
+       [](SidecarConfig& c) { c.identity_cert.serial = 9; }},
+      {"routes", [](SidecarConfig& c) { c.routes["alias"] = "svc"; }},
+      {"cluster.lb",
+       [&](SidecarConfig& c) { cluster(c).lb = LbPolicy::kLeastRequest; }},
+      {"cluster.breaker.consecutive_failures",
+       [&](SidecarConfig& c) { cluster(c).breaker.consecutive_failures = 9; }},
+      {"cluster.breaker.open_duration",
+       [&](SidecarConfig& c) { cluster(c).breaker.open_duration = 7; }},
+      {"cluster.breaker.half_open_probes",
+       [&](SidecarConfig& c) { cluster(c).breaker.half_open_probes = 9; }},
+      {"cluster.health_check.enabled",
+       [&](SidecarConfig& c) { cluster(c).health_check.enabled = true; }},
+      {"cluster.health_check.interval",
+       [&](SidecarConfig& c) { cluster(c).health_check.interval = 7; }},
+      {"cluster.health_check.timeout",
+       [&](SidecarConfig& c) { cluster(c).health_check.timeout = 7; }},
+      {"cluster.health_check.unhealthy_threshold",
+       [&](SidecarConfig& c) {
+         cluster(c).health_check.unhealthy_threshold = 9;
+       }},
+      {"cluster.health_check.healthy_threshold",
+       [&](SidecarConfig& c) {
+         cluster(c).health_check.healthy_threshold = 9;
+       }},
+      {"cluster.health_check.flap_max_transitions",
+       [&](SidecarConfig& c) {
+         cluster(c).health_check.flap_max_transitions = 9;
+       }},
+      {"cluster.health_check.flap_window",
+       [&](SidecarConfig& c) { cluster(c).health_check.flap_window = 7; }},
+      {"cluster.health_check.flap_penalty",
+       [&](SidecarConfig& c) { cluster(c).health_check.flap_penalty = 7; }},
+      {"cluster.mtls", [&](SidecarConfig& c) { cluster(c).mtls = true; }},
+      {"cluster.endpoints (added)",
+       [&](SidecarConfig& c) {
+         cluster::Endpoint second = cluster(c).endpoints.front();
+         second.pod_name = "svc-v2";
+         cluster(c).endpoints.push_back(second);
+       }},
+      {"cluster.endpoint.pod_name",
+       [&](SidecarConfig& c) { cluster(c).endpoints[0].pod_name = "svc-v9"; }},
+      {"cluster.endpoint.ip",
+       [&](SidecarConfig& c) { cluster(c).endpoints[0].ip = 8; }},
+      {"cluster.endpoint.port",
+       [&](SidecarConfig& c) { cluster(c).endpoints[0].port = 9090; }},
+      {"cluster.endpoint.labels (value)",
+       [&](SidecarConfig& c) {
+         cluster(c).endpoints[0].labels["priority"] = "low";
+       }},
+      {"cluster.endpoint.labels (added)",
+       [&](SidecarConfig& c) {
+         cluster(c).endpoints[0].labels["zone"] = "a";
+       }},
+      {"cluster (renamed)",
+       [&](SidecarConfig& c) {
+         ClusterSpec renamed = cluster(c);
+         renamed.name = "svc2";
+         c.clusters.clear();
+         c.clusters["svc2"] = renamed;
+       }},
+  };
+  for (const auto& [field, mutate] : mutations) {
+    SidecarConfig changed = base;
+    mutate(changed);
+    EXPECT_NE(hash_sidecar_config(changed), h) << field;
+  }
+
+  SidecarConfig newer = base;
+  newer.epoch = 42;
+  EXPECT_EQ(hash_sidecar_config(newer), h);
 }
 
 }  // namespace

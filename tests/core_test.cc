@@ -151,16 +151,6 @@ TEST(Classifier, RespectsExistingHeaderByDefault) {
   EXPECT_EQ(ctx.traffic_class, TrafficClass::kScavenger);
 }
 
-TEST(Classifier, CanOverrideExistingHeader) {
-  ClassifierConfig config = product_analytics_rules();
-  config.respect_existing_header = false;
-  IngressClassifierFilter filter(config);
-  RequestContext ctx = make_ctx("/product/1");
-  ctx.request.headers.set(http::headers::kMeshPriority, "low");
-  filter.on_request(ctx);
-  EXPECT_EQ(ctx.traffic_class, TrafficClass::kLatencySensitive);
-}
-
 // ---------------------------------------------------------- provenance --
 
 TEST(ProvenanceTable, RecordAndLookup) {

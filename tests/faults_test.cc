@@ -1,7 +1,6 @@
 // Tests for the fault-injection layer: FaultPlan expansion, the
-// ChaosController's link/pod actions against a live cluster, determinism
-// of the fault log, and the request-level fault filter's statistical
-// behaviour.
+// ChaosController's link/pod actions against a live cluster, and
+// determinism of the fault log.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +9,6 @@
 
 #include "cluster/cluster.h"
 #include "faults/chaos.h"
-#include "mesh/fault_filter.h"
-#include "mesh/filter.h"
 #include "sim/simulator.h"
 #include "transport/connection.h"
 
@@ -204,104 +201,6 @@ TEST(ChaosDeterminism, SameSeedSamePlanSameLog) {
     EXPECT_EQ(log_a[i].action, log_b[i].action);
     EXPECT_EQ(log_a[i].target, log_b[i].target);
     EXPECT_EQ(log_a[i].applied, log_b[i].applied);
-  }
-}
-
-// ---------------------------------------------- fault filter ----------
-
-mesh::RequestContext make_ctx(const std::string& path) {
-  mesh::RequestContext ctx;
-  ctx.request.method = "GET";
-  ctx.request.path = path;
-  return ctx;
-}
-
-TEST(FaultFilter, AbortFractionWithinStatisticalTolerance) {
-  mesh::FaultFilterConfig config;
-  config.abort_fraction = 0.25;
-  config.abort_status = 418;
-  config.seed = 5;
-  mesh::FaultInjectionFilter filter(config);
-  const int n = 4000;
-  int aborted = 0;
-  for (int i = 0; i < n; ++i) {
-    mesh::RequestContext ctx = make_ctx("/x");
-    if (filter.on_request(ctx) == mesh::FilterStatus::kStopIteration) {
-      ASSERT_TRUE(ctx.local_response.has_value());
-      EXPECT_EQ(ctx.local_response->status, 418);
-      ++aborted;
-    }
-  }
-  EXPECT_EQ(filter.aborts_injected(), static_cast<std::uint64_t>(aborted));
-  const double fraction = static_cast<double>(aborted) / n;
-  EXPECT_NEAR(fraction, 0.25, 0.03);
-}
-
-TEST(FaultFilter, DelayFractionAndFixedAmount) {
-  mesh::FaultFilterConfig config;
-  config.delay_fraction = 0.5;
-  config.delay = sim::milliseconds(7);
-  config.seed = 6;
-  mesh::FaultInjectionFilter filter(config);
-  const int n = 4000;
-  int delayed = 0;
-  for (int i = 0; i < n; ++i) {
-    mesh::RequestContext ctx = make_ctx("/x");
-    EXPECT_EQ(filter.on_request(ctx), mesh::FilterStatus::kContinue);
-    if (ctx.injected_delay > 0) {
-      EXPECT_EQ(ctx.injected_delay, sim::milliseconds(7));
-      ++delayed;
-    }
-  }
-  const double fraction = static_cast<double>(delayed) / n;
-  EXPECT_NEAR(fraction, 0.5, 0.03);
-  EXPECT_EQ(filter.delays_injected(), static_cast<std::uint64_t>(delayed));
-}
-
-TEST(FaultFilter, ExponentialJitterAddsVariableDelay) {
-  mesh::FaultFilterConfig config;
-  config.delay_fraction = 1.0;
-  config.delay = sim::milliseconds(2);
-  config.delay_jitter_mean = sim::milliseconds(5);
-  config.seed = 7;
-  mesh::FaultInjectionFilter filter(config);
-  double total_ms = 0.0;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    mesh::RequestContext ctx = make_ctx("/x");
-    filter.on_request(ctx);
-    EXPECT_GE(ctx.injected_delay, sim::milliseconds(2));
-    total_ms += sim::to_milliseconds(ctx.injected_delay);
-  }
-  // Mean ~= fixed 2ms + exponential mean 5ms.
-  EXPECT_NEAR(total_ms / n, 7.0, 0.7);
-}
-
-TEST(FaultFilter, PathPrefixScopesFaults) {
-  mesh::FaultFilterConfig config;
-  config.abort_fraction = 1.0;
-  config.path_prefix = "/product";
-  config.seed = 8;
-  mesh::FaultInjectionFilter filter(config);
-  mesh::RequestContext miss = make_ctx("/analytics/1");
-  EXPECT_EQ(filter.on_request(miss), mesh::FilterStatus::kContinue);
-  EXPECT_EQ(filter.requests_seen(), 0u);
-  mesh::RequestContext hit = make_ctx("/product/1");
-  EXPECT_EQ(filter.on_request(hit), mesh::FilterStatus::kStopIteration);
-  EXPECT_EQ(filter.aborts_injected(), 1u);
-}
-
-TEST(FaultFilter, SameSeedSameDecisionSequence) {
-  mesh::FaultFilterConfig config;
-  config.abort_fraction = 0.4;
-  config.seed = 11;
-  mesh::FaultInjectionFilter f1(config);
-  mesh::FaultInjectionFilter f2(config);
-  for (int i = 0; i < 500; ++i) {
-    mesh::RequestContext c1 = make_ctx("/x");
-    mesh::RequestContext c2 = make_ctx("/x");
-    EXPECT_EQ(f1.on_request(c1) == mesh::FilterStatus::kStopIteration,
-              f2.on_request(c2) == mesh::FilterStatus::kStopIteration);
   }
 }
 

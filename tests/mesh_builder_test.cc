@@ -309,7 +309,6 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
     spec.policies.cp.push_latency_jitter = sim::milliseconds(2);
     spec.policies.cp.push_loss = 0.25;
     spec.policies.cp.ack_timeout = sim::milliseconds(50);
-    spec.policies.cp.retry_backoff_base = sim::milliseconds(10);
     spec.policies.cp.delta_push = delta;
     return spec;
   };
@@ -326,7 +325,8 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
     mesh.cluster().deregister_pod("b-v2");
     sim.run_until(sim::milliseconds(900));
     mesh.cluster().restart_pod("b-v2");
-    sim.run_until(sim::seconds(2));
+    // Lost pushes retry with up to 2 s of backoff.
+    sim.run_until(sim::seconds(5));
   };
   churn(*mesh_delta, sim_delta);
   churn(*mesh_full, sim_full);
@@ -360,8 +360,8 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
 // The control plane diffs fingerprints and the sidecar keeps its own
 // incrementally; both must stay equal to a from-scratch hash of the
 // running config whatever the push sequence changes: endpoints, LB and
-// mTLS overrides, certificates, scoping, subsetting, and routes added by
-// a compile mutator.
+// mTLS overrides, certificates, scoping, subsetting, routes added by a
+// compile mutator, and the operator's policy section.
 TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     cluster::MeshSpec spec = two_service_spec();
@@ -379,7 +379,7 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
     std::mt19937_64 rng(seed);
 
     for (int step = 0; step < 40; ++step) {
-      switch (rng() % 7) {
+      switch (rng() % 8) {
         case 0: {  // one endpoint leaves or comes back
           const cluster::Endpoint& ep = replicas[rng() % replicas.size()];
           if (!registry.remove_endpoint("b", ep.pod_name)) {
@@ -417,6 +417,14 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
                 });
           } else {
             cp.set_compile_mutator(nullptr);
+          }
+          break;
+        case 7:  // a policy-section-only delta
+          if (rng() % 2 == 0) {
+            sim::Duration& per_try = cp.policies().retry.per_try_timeout;
+            per_try = per_try == 0 ? sim::milliseconds(250) : 0;
+          } else if (cp.policies().authorization.erase("b") == 0) {
+            cp.policies().authorization["b"] = {"a"};
           }
           break;
       }

@@ -565,7 +565,6 @@ TEST_F(MeshFixture, HandshakeFailureClosesClientSpanAsError) {
   policies.tls.enabled = true;
   policies.certificate_lifetime = sim::seconds(1);
   policies.cp.cert_refresh_ahead = 0.0;  // no rotation: certs just lapse
-  policies.tls.handshake_timeout = sim::milliseconds(200);
   build(1, policies);
   sim_.run_until(sim::seconds(2));  // past every cert's expiry
   const auto response = get("server", "/mtls");
@@ -937,38 +936,38 @@ TEST(RetryBackoff, DeterministicForSameSeed) {
 
 // --------------------------------------------------- retry paths ------
 
-TEST_F(MeshFixture, No5xxRetryWhenOnlyResetRetriesEnabled) {
+TEST_F(MeshFixture, ConnectionResetIsRetried) {
   MeshPolicies policies;
   policies.retry.max_retries = 2;
-  policies.retry.retry_on_5xx = false;
-  policies.retry.retry_on_reset = true;
   build(1, policies, [](const http::HttpRequest&, int) {
     app::HandlerResult plan;
-    plan.status = 503;
+    plan.processing_delay = sim::milliseconds(100);
+    plan.response_bytes = 8;
     return plan;
   });
-  const auto response = get("server", "/bad");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 503);
-  EXPECT_EQ(client_sidecar_->stats().upstream_retries, 0u);
-}
-
-TEST_F(MeshFixture, NoResetRetryWhenOnly5xxRetriesEnabled) {
-  MeshPolicies policies;
-  policies.retry.max_retries = 2;
-  policies.retry.retry_on_5xx = true;
-  policies.retry.retry_on_reset = false;
-  policies.retry.per_try_timeout = sim::milliseconds(50);
-  build(1, policies, [](const http::HttpRequest&, int) {
-    app::HandlerResult plan;
-    plan.processing_delay = sim::seconds(30);  // forces a per-try timeout
-    return plan;
-  });
-  const auto response = get("server", "/hang");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 503);
-  EXPECT_EQ(client_sidecar_->stats().upstream_retries, 0u);
-  EXPECT_EQ(client_sidecar_->stats().timeouts, 1u);
+  http::HttpRequest request;
+  request.path = "/reset";
+  request.headers.set(http::headers::kHost, "server");
+  std::optional<http::HttpResponse> result;
+  bool done = false;
+  client_->request(std::move(request),
+                   [&](std::optional<http::HttpResponse> response,
+                       const std::string&) {
+                     result = std::move(response);
+                     done = true;
+                   });
+  // While the app works on the request, every connection of the server
+  // pod is reset: the client sidecar's upstream try fails with a reset
+  // and is retried on a fresh connection.
+  sim_.run_until(sim_.now() + sim::milliseconds(50));
+  ASSERT_FALSE(done);
+  server_pods_[0]->transport().reset_all_connections();
+  sim_.run_until(sim_.now() + sim::seconds(2));
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, 200);
+  EXPECT_EQ(client_sidecar_->stats().upstream_retries, 1u);
+  EXPECT_EQ(client_sidecar_->stats().timeouts, 0u);
 }
 
 TEST_F(MeshFixture, PerTryTimeoutFiresOnEveryAttempt) {

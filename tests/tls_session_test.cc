@@ -318,7 +318,6 @@ TEST(TlsHandshake, TimeoutFailsCleanlyWithoutPeer) {
   sim::Simulator sim;
   TlsParams params;
   params.enabled = true;
-  params.handshake_timeout = sim::milliseconds(100);
   const Certificate cert = make_cert(1, 0, sim::seconds(3600));
   TlsRuntime rt(nullptr, 16);
   auto client = std::make_shared<TlsChannel>(
@@ -327,7 +326,7 @@ TEST(TlsHandshake, TimeoutFailsCleanlyWithoutPeer) {
   std::string error;
   client->set_on_error([&](const std::string& reason) { error = reason; });
   client->start();
-  sim.run_until(sim::seconds(1));
+  sim.run_until(kTlsHandshakeTimeout + sim::seconds(1));
   EXPECT_TRUE(client->failed());
   EXPECT_EQ(error, "tls handshake timeout");
   EXPECT_EQ(rt.metrics().handshake_failures->value(), 1u);
@@ -463,7 +462,6 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
     sim::RngStream rng(seed, "tls-fuzz");
     TlsParams params;
     params.enabled = true;
-    params.handshake_timeout = sim::milliseconds(500);
     TlsRuntime rt(nullptr, 16);
     auto server = std::make_shared<TlsChannel>(
         sim, TlsChannel::Role::kServer, &params, &good, &rt, "");
@@ -547,7 +545,7 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
               sim::microseconds(1),
           [server, chunk] { server->on_wire_data(chunk); });
     }
-    sim.run_until(sim::seconds(2));
+    sim.run_until(kTlsHandshakeTimeout + sim::seconds(1));
     // Terminal, always: established (a lucky valid stream) or failed
     // with a reason — the handshake timer guarantees no hang.
     ASSERT_TRUE(server->established() || server->failed());
@@ -575,8 +573,6 @@ TEST(TlsRotationPush, RotatedCertReachesSidecarOnlyAfterPushHeals) {
   policies.certificate_lifetime = sim::seconds(2);
   policies.cp.cert_refresh_ahead = 0.25;
   policies.cp.ack_timeout = sim::milliseconds(20);
-  policies.cp.retry_backoff_base = sim::milliseconds(10);
-  policies.cp.retry_backoff_max = sim::milliseconds(40);
   ControlPlane cp(sim, cluster, policies);
   Sidecar& sidecar = cp.inject_sidecar(server_pod, {});
   cp.start();
@@ -600,9 +596,10 @@ TEST(TlsRotationPush, RotatedCertReachesSidecarOnlyAfterPushHeals) {
 
   // Heal the channel: the ack/retry loop converges and the sidecar's
   // identity catches up to the CP's current cert without a fresh
-  // operator push.
+  // operator push. The retry pending at the heal sleeps at most the 2 s
+  // backoff cap.
   cp.set_push_loss(0.0);
-  sim.run_until(sim.now() + sim::seconds(1));
+  sim.run_until(sim.now() + sim::seconds(3));
   EXPECT_TRUE(cp.converged());
   EXPECT_EQ(sidecar.config().identity_cert.serial,
             cp.certificate("server")->serial);
