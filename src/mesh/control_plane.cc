@@ -456,8 +456,8 @@ void ControlPlane::recover() {
   pending_reconverge_ = true;
   // Certificates that lapsed during the outage are re-issued first; live
   // ones get their rotation timers re-armed.
-  for (auto& [service, cert] : certs_) {
-    if (!cert.valid_at(sim_.now())) {
+  for (auto& [service, issued] : certs_) {
+    if (!issued.cert.valid_at(sim_.now())) {
       issue_certificate(service);
       cpm_.cert_rotations->inc();
     } else {
@@ -508,15 +508,15 @@ void ControlPlane::set_push_loss(double probability) {
 }
 
 void ControlPlane::update_staleness_gauges() {
-  registry_.gauge("cp_discovery_staleness_ms")
-      .set(sim::to_seconds(discovery_staleness()) * 1e3);
-  for (const auto& [service, cert] : certs_) {
-    const double seconds =
-        cert.expires_at > sim_.now()
-            ? sim::to_seconds(cert.expires_at - sim_.now())
-            : 0.0;
-    registry_.gauge("cert_seconds_to_expiry", {{"service", service}})
-        .set(seconds);
+  if (cpm_.discovery_staleness == nullptr) {
+    cpm_.discovery_staleness = &registry_.gauge("cp_discovery_staleness_ms");
+  }
+  cpm_.discovery_staleness->set(sim::to_seconds(discovery_staleness()) * 1e3);
+  for (const auto& [service, issued] : certs_) {
+    const sim::Time expires_at = issued.cert.expires_at;
+    issued.seconds_to_expiry->set(
+        expires_at > sim_.now() ? sim::to_seconds(expires_at - sim_.now())
+                                : 0.0);
   }
 }
 
@@ -595,7 +595,7 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
   policy.tls.enabled = mtls_enabled_for(policy.service_name);
   policy.epoch = epoch_;
   const auto cert_it = certs_.find(policy.service_name);
-  if (cert_it != certs_.end()) policy.identity_cert = cert_it->second;
+  if (cert_it != certs_.end()) policy.identity_cert = cert_it->second.cert;
 
   const std::string& pod = sidecar.pod().name();
   const auto scope_it = policies_.cluster_scopes.find(policy.service_name);
@@ -645,9 +645,14 @@ Certificate ControlPlane::issue_certificate(const std::string& service) {
   cert.spiffe_id = "spiffe://cluster.local/ns/default/sa/" + service;
   cert.issued_at = sim_.now();
   cert.expires_at = sim_.now() + policies_.certificate_lifetime;
-  certs_[service] = cert;
-  registry_.gauge("cert_seconds_to_expiry", {{"service", service}})
-      .set(sim::to_seconds(policies_.certificate_lifetime));
+  IssuedCert& issued = certs_[service];
+  issued.cert = cert;
+  if (issued.seconds_to_expiry == nullptr) {
+    issued.seconds_to_expiry =
+        &registry_.gauge("cert_seconds_to_expiry", {{"service", service}});
+  }
+  issued.seconds_to_expiry->set(
+      sim::to_seconds(policies_.certificate_lifetime));
   schedule_cert_rotation(service);
   return cert;
 }
@@ -674,7 +679,8 @@ void ControlPlane::schedule_cert_rotation(const std::string& service) {
   const auto splay = static_cast<sim::Duration>(
       static_cast<double>(splay_hash % 1024) / 2048.0 *
       static_cast<double>(refresh_margin));
-  const sim::Time rotate_at = it->second.expires_at - refresh_margin + splay;
+  const sim::Time rotate_at =
+      it->second.cert.expires_at - refresh_margin + splay;
   const sim::Duration delay = std::max<sim::Duration>(0, rotate_at - sim_.now());
   cert_timers_[service] = sim_.schedule_after(delay, [this, service] {
     cert_timers_.erase(service);
@@ -697,7 +703,7 @@ void ControlPlane::record_event(obs::EventKind kind,
 
 const Certificate* ControlPlane::certificate(const std::string& service) const {
   const auto it = certs_.find(service);
-  return it == certs_.end() ? nullptr : &it->second;
+  return it == certs_.end() ? nullptr : &it->second.cert;
 }
 
 Sidecar* ControlPlane::sidecar_for(const std::string& pod_name) {

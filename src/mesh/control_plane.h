@@ -319,7 +319,12 @@ class ControlPlane {
   /// Dropped by policies(), set_compile_mutator, a rollback and, under
   /// subsetting, an injection (the subscriber set changed).
   std::optional<ClusterTable> cluster_table_;
-  std::map<std::string, Certificate> certs_;
+  struct IssuedCert {
+    Certificate cert;
+    /// cert_seconds_to_expiry{service}, interned at first issue.
+    obs::Gauge* seconds_to_expiry = nullptr;
+  };
+  std::map<std::string, IssuedCert> certs_;
   std::map<std::string, sim::EventId> cert_timers_;
   std::function<void(const std::string&, SidecarConfig&)> compile_mutator_;
 
@@ -364,6 +369,9 @@ class ControlPlane {
     obs::Gauge* epoch = nullptr;
     obs::Gauge* stale = nullptr;
     obs::Gauge* reconverge_ms = nullptr;
+    /// Interned at the first registry poll, not at construction, so a
+    /// control plane that never polls exports no staleness series.
+    obs::Gauge* discovery_staleness = nullptr;
     // The push channel (push_channel_bytes() reads these).
     obs::Counter* full_pushes = nullptr;
     obs::Counter* delta_pushes = nullptr;

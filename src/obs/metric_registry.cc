@@ -99,7 +99,7 @@ std::uint64_t MetricsSnapshot::counter_sum(std::string_view name,
   return sum;
 }
 
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+void MetricsSnapshot::merge(MetricsSnapshot other) {
   // Both sides are sorted by (name, labels) — the registry's encoded-key
   // order — so a classic sorted merge keeps the result sorted.
   const auto less = [](const SeriesSnapshot& a, const SeriesSnapshot& b) {
@@ -116,7 +116,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
       continue;
     }
     if (i >= series.size()) {
-      merged.push_back(other.series[j++]);
+      merged.push_back(std::move(other.series[j++]));
       continue;
     }
     if (less(series[i], other.series[j])) {
@@ -124,7 +124,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
       continue;
     }
     if (less(other.series[j], series[i])) {
-      merged.push_back(other.series[j++]);
+      merged.push_back(std::move(other.series[j++]));
       continue;
     }
     SeriesSnapshot combined = std::move(series[i++]);

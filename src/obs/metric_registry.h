@@ -85,7 +85,8 @@ class Histogram {
 };
 
 /// One series, frozen. `counter`/`gauge`/`histogram` is meaningful per
-/// `kind`; the others stay default-constructed.
+/// `kind`; the others stay default-constructed (an empty histogram holds
+/// no buckets, so counter and gauge series allocate none).
 struct SeriesSnapshot {
   std::string name;
   Labels labels;
@@ -124,8 +125,9 @@ struct MetricsSnapshot {
   /// Folds `other` in: counters sum, histograms merge, gauges take max.
   /// Series missing on either side are unioned in. Order-independent for
   /// counters/histograms; gauges chose max precisely so merging stays
-  /// order-independent too.
-  void merge(const MetricsSnapshot& other);
+  /// order-independent too. Taken by value: series only `other` has are
+  /// moved out of it, so passing a temporary copies no series.
+  void merge(MetricsSnapshot other);
 
   bool empty() const noexcept { return series.empty(); }
 

@@ -1,5 +1,6 @@
 #include "stats/histogram.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -11,15 +12,30 @@ constexpr int clamp_bits(int bits) noexcept {
   if (bits > 14) return 14;
   return bits;
 }
+
+// Buckets covering every uint64_t value: the exact region has 2^k slots,
+// and each exponent e in [1, 64-k] needs 2^(k-1).
+constexpr std::size_t full_range(int k) noexcept {
+  const std::size_t exact = std::size_t{1} << k;
+  const std::size_t per_exp = std::size_t{1} << (k - 1);
+  return exact + static_cast<std::size_t>(64 - k) * per_exp;
+}
+
+bool all_zero(const std::vector<std::uint64_t>& counts, std::size_t from) {
+  return std::all_of(counts.begin() + static_cast<std::ptrdiff_t>(from),
+                     counts.end(), [](std::uint64_t c) { return c == 0; });
+}
 }  // namespace
 
 LogHistogram::LogHistogram(int precision_bits)
-    : k_(clamp_bits(precision_bits)) {
-  // Exact region: 2^k slots. Each exponent e in [1, 64-k] needs 2^(k-1).
-  const std::size_t exact = std::size_t{1} << k_;
-  const std::size_t per_exp = std::size_t{1} << (k_ - 1);
-  const std::size_t exponents = static_cast<std::size_t>(64 - k_);
-  counts_.assign(exact + exponents * per_exp, 0);
+    : k_(clamp_bits(precision_bits)) {}
+
+void LogHistogram::grow_to(std::size_t size) {
+  size = std::min(std::max(size, 2 * counts_.size()), full_range(k_));
+  // reserve() first so the capacity is exactly `size`, never past the
+  // full range.
+  counts_.reserve(size);
+  counts_.resize(size, 0);
 }
 
 std::size_t LogHistogram::index_of(std::uint64_t value) const noexcept {
@@ -49,7 +65,9 @@ void LogHistogram::record(std::uint64_t value) { record_n(value, 1); }
 
 void LogHistogram::record_n(std::uint64_t value, std::uint64_t count) {
   if (count == 0) return;
-  counts_[index_of(value)] += count;
+  const std::size_t index = index_of(value);
+  if (index >= counts_.size()) grow_to(index + 1);
+  counts_[index] += count;
   total_count_ += count;
   if (value < min_) min_ = value;
   if (value > max_) max_ = value;
@@ -118,7 +136,10 @@ void LogHistogram::merge(const LogHistogram& other) {
     }
     return;
   }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  if (other.counts_.size() > counts_.size()) grow_to(other.counts_.size());
+  for (std::size_t i = 0; i < other.counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
   total_count_ += other.total_count_;
   if (other.min_ < min_) min_ = other.min_;
   if (other.max_ > max_) max_ = other.max_;
@@ -133,6 +154,18 @@ void LogHistogram::reset() {
   max_ = 0;
   sum_ = 0.0;
   sum_sq_ = 0.0;
+}
+
+bool operator==(const LogHistogram& a, const LogHistogram& b) {
+  if (a.k_ != b.k_ || a.total_count_ != b.total_count_ || a.min_ != b.min_ ||
+      a.max_ != b.max_ || a.sum_ != b.sum_ || a.sum_sq_ != b.sum_sq_) {
+    return false;
+  }
+  const std::size_t common = std::min(a.counts_.size(), b.counts_.size());
+  return std::equal(a.counts_.begin(),
+                    a.counts_.begin() + static_cast<std::ptrdiff_t>(common),
+                    b.counts_.begin()) &&
+         all_zero(a.counts_, common) && all_zero(b.counts_, common);
 }
 
 }  // namespace meshnet::stats

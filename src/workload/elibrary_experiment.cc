@@ -242,13 +242,17 @@ ElibraryExperimentResult run_elibrary_experiment(
   // resets when the recovered control plane catches up).
   double max_staleness_ms = 0.0;
   const sim::Duration staleness_interval = sim::milliseconds(500);
+  obs::Gauge* staleness_gauge = nullptr;  // interned by the first sample
   std::function<void()> sample_staleness = [&] {
     const double staleness_ms =
         sim::to_seconds(cp.discovery_staleness()) * 1e3;
     max_staleness_ms = std::max(max_staleness_ms, staleness_ms);
     // Keep the live gauge honest through an outage: the control plane's
     // own poll loop (which normally maintains it) is down.
-    cp.metrics().gauge("cp_discovery_staleness_ms").set(staleness_ms);
+    if (staleness_gauge == nullptr) {
+      staleness_gauge = &cp.metrics().gauge("cp_discovery_staleness_ms");
+    }
+    staleness_gauge->set(staleness_ms);
     if (sim.now() + staleness_interval <= traffic_end) {
       sim.schedule_after(staleness_interval, [&] { sample_staleness(); });
     }

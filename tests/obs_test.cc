@@ -152,6 +152,40 @@ TEST(MetricsSnapshot, MergeIsOrderIndependent) {
   EXPECT_EQ(forward, backward);
 }
 
+TEST(MetricsSnapshot, MergeOfTemporaryEqualsMergeOfCopy) {
+  MetricRegistry r1;
+  r1.counter("c").inc(3);
+  r1.gauge("g").set(1.0);
+  r1.histogram("h").record(50);
+  r1.counter("only_r1").inc();
+  r1.histogram("only_r1_h").record(7);
+  MetricRegistry r2;
+  r2.counter("c").inc(4);
+  r2.gauge("g").set(9.0);
+  r2.histogram("h").record(5000000);
+  r2.gauge("only_r2").set(2.5);
+  r2.histogram("only_r2_h", {{"edge", "x"}}).record(123456);
+
+  const MetricsSnapshot other = r2.snapshot();
+  MetricsSnapshot from_copy = r1.snapshot();
+  from_copy.merge(other);
+  MetricsSnapshot from_temporary = r1.snapshot();
+  from_temporary.merge(r2.snapshot());
+
+  EXPECT_EQ(from_copy, from_temporary);
+  EXPECT_EQ(other, r2.snapshot());  // an lvalue argument is left intact
+  ASSERT_EQ(from_temporary.series.size(), 7u);
+  EXPECT_EQ(from_temporary.find("c")->counter, 7u);
+  EXPECT_EQ(from_temporary.find("g")->gauge, 9.0);
+  EXPECT_EQ(from_temporary.find("h")->histogram.count(), 2u);
+  EXPECT_EQ(from_temporary.find("only_r1")->counter, 1u);
+  EXPECT_EQ(from_temporary.find("only_r1_h")->histogram,
+            r1.find_histogram("only_r1_h")->data());
+  EXPECT_EQ(from_temporary.find("only_r2")->gauge, 2.5);
+  EXPECT_EQ(from_temporary.find("only_r2_h", {{"edge", "x"}})->histogram,
+            r2.find_histogram("only_r2_h", {{"edge", "x"}})->data());
+}
+
 TEST(MetricRegistry, RegistryMergeFoldsValuesIntoCells) {
   MetricRegistry base;
   Counter& cached = base.counter("c");

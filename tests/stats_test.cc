@@ -136,6 +136,60 @@ TEST(LogHistogram, ResetClearsEverything) {
   EXPECT_EQ(h.percentile(99), 0u);
 }
 
+TEST(LogHistogram, EqualityIgnoresUnusedBuckets) {
+  // Storage grows to the highest recorded bucket and reset() keeps it, so
+  // a fresh histogram and a reset one differ only in zero buckets.
+  const LogHistogram fresh;
+  LogHistogram reset;
+  reset.record(123456789);
+  reset.reset();
+  EXPECT_EQ(fresh, reset);
+  EXPECT_EQ(reset, fresh);
+
+  const LogHistogram copy = fresh;
+  EXPECT_EQ(copy, fresh);
+  EXPECT_EQ(copy, reset);
+
+  // Equal recordings on top of different storage extents stay equal.
+  LogHistogram short_storage = fresh;
+  LogHistogram long_storage = reset;
+  short_storage.record(7);
+  long_storage.record(7);
+  EXPECT_EQ(short_storage, long_storage);
+  EXPECT_EQ(long_storage, short_storage);
+}
+
+TEST(LogHistogram, MergeAcrossExtentsEqualsCombinedRecording) {
+  // `narrow` stays in the exact region; `wide` reaches far past it. Values
+  // and their squares stay below 2^53, so the double accumulators are
+  // exact in any summation order and operator== can compare them.
+  LogHistogram narrow, wide, combined;
+  for (std::uint64_t v = 1; v <= 100; ++v) {
+    narrow.record(v);
+    combined.record(v);
+  }
+  for (const std::uint64_t v : {1000ull, 250000ull, 7000000ull, 90000000ull}) {
+    wide.record(v);
+    combined.record(v);
+  }
+  LogHistogram narrow_into_wide = wide;
+  narrow_into_wide.merge(narrow);
+  LogHistogram wide_into_narrow = narrow;
+  wide_into_narrow.merge(wide);
+
+  const std::uint64_t cdf_points[] = {
+      0, 50, 100, 5000, 7000000, 90000000, std::uint64_t{1} << 40, UINT64_MAX};
+  for (const LogHistogram* merged : {&narrow_into_wide, &wide_into_narrow}) {
+    EXPECT_EQ(*merged, combined);
+    for (const double p : {0.0, 10.0, 50.0, 96.0, 97.0, 99.0, 100.0}) {
+      EXPECT_EQ(merged->percentile(p), combined.percentile(p)) << "p=" << p;
+    }
+    for (const std::uint64_t v : cdf_points) {
+      EXPECT_EQ(merged->cdf(v), combined.cdf(v)) << "v=" << v;
+    }
+  }
+}
+
 TEST(LogHistogram, PrecisionBitsClamped) {
   EXPECT_EQ(LogHistogram(0).precision_bits(), 3);
   EXPECT_EQ(LogHistogram(99).precision_bits(), 14);
