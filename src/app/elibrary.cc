@@ -38,10 +38,6 @@ cluster::MeshSpec Elibrary::make_spec() const {
   const sim::Duration think = options_.service_time;
 
   cluster::MeshSpec spec;
-  spec.cluster.default_link_bps = options_.link_bps;
-  spec.cluster.default_link_delay = options_.link_delay;
-  // One worker node, as in the paper's single-server KIND deployment.
-  spec.nodes = {"kind-worker"};
   spec.policies = options_.policies;
 
   spec.gateway.enabled = true;
@@ -58,8 +54,9 @@ cluster::MeshSpec Elibrary::make_spec() const {
     frontend.name = "frontend";
     frontend.calls = {"details", "reviews"};
     frontend.app = base_options;
-    frontend.app.propagate_priority_header =
-        options_.frontend_propagates_priority;
+    // Paper §4.3 step 1: the front end copies the priority bits onto its
+    // sub-requests; deeper services rely on the mesh's provenance filter.
+    frontend.app.propagate_priority_header = true;
     frontend.handler = [base, think](const http::HttpRequest& request) {
       HandlerResult plan;
       plan.processing_delay = think;
@@ -125,7 +122,7 @@ cluster::MeshSpec Elibrary::make_spec() const {
   {
     cluster::ServiceSpec ratings;
     ratings.name = "ratings";
-    ratings.pod.link_bps = options_.bottleneck_bps;  // the 1 Gbps bottleneck
+    ratings.pod.link_bps = kBottleneckBps;
     ratings.app = base_options;
     ratings.handler = [base, bulk, think](const http::HttpRequest& request) {
       HandlerResult plan;

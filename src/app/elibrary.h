@@ -30,18 +30,9 @@
 namespace meshnet::app {
 
 struct ElibraryOptions {
-  double link_bps = 15e9;         ///< paper: 15 Gbps emulated links
-  double bottleneck_bps = 1e9;    ///< paper: 1 Gbps reviews<->ratings
-  sim::Duration link_delay = sim::microseconds(20);
-
   std::size_t component_bytes = 8 * 1024;   ///< LS per-component payload
   std::size_t analytics_multiplier = 200;   ///< paper: ~200x larger
   sim::Duration service_time = sim::milliseconds(2);  ///< app think time/hop
-
-  /// Paper §4.3 step 1: the front-end app itself attaches the priority
-  /// bits onto the sub-requests it spawns; deeper services rely on the
-  /// mesh's provenance propagation.
-  bool frontend_propagates_priority = true;
 
   /// Compute model for every microservice instance: worker count (0 =
   /// unlimited) and whether the admission queue is priority-ordered
@@ -59,6 +50,7 @@ class Elibrary {
   static constexpr std::string_view kLsPathPrefix = "/product";
   static constexpr std::string_view kLiPathPrefix = "/analytics";
   static constexpr net::Port kGatewayPort = 80;
+  static constexpr double kBottleneckBps = 1e9;  ///< paper: reviews<->ratings
 
   Elibrary(sim::Simulator& sim, ElibraryOptions options = {});
   Elibrary(const Elibrary&) = delete;

@@ -16,7 +16,7 @@ std::unique_ptr<BuiltMesh> MeshBuilder::build(MeshSpec spec,
   auto mesh = std::unique_ptr<BuiltMesh>(new BuiltMesh());
 
   // 1. Cluster + nodes.
-  mesh->cluster_ = std::make_unique<Cluster>(sim_, spec.cluster);
+  mesh->cluster_ = std::make_unique<Cluster>(sim_);
   for (const std::string& node : spec.nodes) {
     mesh->cluster_->add_node(node);
   }
@@ -29,8 +29,7 @@ std::unique_ptr<BuiltMesh> MeshBuilder::build(MeshSpec spec,
   // This order fixes every pod's IP.
   if (spec.gateway.enabled) {
     mesh->gateway_ = &mesh->cluster_->add_pod(
-        node_for(spec.gateway.node), spec.gateway.pod_name,
-        spec.gateway.service, 0, spec.gateway.pod);
+        default_node, spec.gateway.pod_name, spec.gateway.service, 0);
   }
   for (const ServiceSpec& service : spec.services) {
     const std::vector<std::string> pods = service_pod_names(service);
@@ -49,18 +48,9 @@ std::unique_ptr<BuiltMesh> MeshBuilder::build(MeshSpec spec,
                             external.pod);
   }
 
-  // 3. Control plane, with the declared call graph compiled into cluster
-  // scopes when requested (explicit spec entries win).
+  // 3. Control plane. Per-service mtls knobs compile into override
+  // entries (explicit policy entries win).
   mesh::MeshPolicies policies = spec.policies;
-  if (spec.derive_cluster_scopes) {
-    for (const ServiceSpec& service : spec.services) {
-      if (!service.calls.empty()) {
-        policies.cluster_scopes.emplace(service.name, service.calls);
-      }
-    }
-  }
-  // Per-service mtls knobs compile into override entries (explicit
-  // policy entries win, mirroring cluster scopes above).
   for (const ServiceSpec& service : spec.services) {
     if (service.mtls != MtlsMode::kInherit) {
       policies.mtls_overrides.emplace(service.name,

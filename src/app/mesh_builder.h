@@ -10,7 +10,7 @@
 //   1. cluster + nodes (spec order)
 //   2. gateway pod, then each service's replica pods (spec order), then
 //      external pods
-//   3. control plane (with derived cluster scopes, if requested)
+//   3. control plane
 //   4. sidecar injection: gateway first, then every replica of each
 //      service with inject_sidecar set, in spec order
 //   5. one Microservice per replica of each service with a handler

@@ -1,21 +1,28 @@
 #include "app/mesh_spec.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 namespace meshnet::cluster {
 
 namespace {
 
-bool known_node(const MeshSpec& spec, const std::string& node) {
-  return node.empty() || std::find(spec.nodes.begin(), spec.nodes.end(),
-                                   node) != spec.nodes.end();
+/// The node a pod asking for `node` lands on (empty = the spec's first
+/// node), or nullptr when the spec has no such node.
+const std::string* find_node(const MeshSpec& spec, const std::string& node) {
+  if (node.empty()) return &spec.nodes.front();
+  const auto it = std::find(spec.nodes.begin(), spec.nodes.end(), node);
+  return it == spec.nodes.end() ? nullptr : &*it;
 }
 
 }  // namespace
 
 std::string validate_mesh_spec(const MeshSpec& spec) {
   if (spec.nodes.empty()) return "spec has no nodes";
+  if (spec.nodes.size() > static_cast<std::size_t>(kMaxNodes)) {
+    return "spec has more than " + std::to_string(kMaxNodes) + " nodes";
+  }
   std::set<std::string> service_names;
   for (const ServiceSpec& service : spec.services) {
     if (service.name.empty()) return "service with empty name";
@@ -24,11 +31,10 @@ std::string validate_mesh_spec(const MeshSpec& spec) {
     }
   }
   std::set<std::string> pod_names;
+  std::map<std::string, int> pods_on;  // node -> pods placed there
   if (spec.gateway.enabled) {
     pod_names.insert(spec.gateway.pod_name);
-    if (!known_node(spec, spec.gateway.node)) {
-      return "gateway on unknown node '" + spec.gateway.node + "'";
-    }
+    ++pods_on[spec.nodes.front()];
   }
   for (const ServiceSpec& service : spec.services) {
     if (service.replicas < 1) {
@@ -42,10 +48,12 @@ std::string validate_mesh_spec(const MeshSpec& spec) {
              " replica_options for " + std::to_string(service.replicas) +
              " replicas";
     }
-    if (!known_node(spec, service.node)) {
+    const std::string* node = find_node(spec, service.node);
+    if (node == nullptr) {
       return "service '" + service.name + "' on unknown node '" +
              service.node + "'";
     }
+    pods_on[*node] += service.replicas;
     for (const std::string& target : service.calls) {
       if (!service_names.contains(target)) {
         return "service '" + service.name + "' calls unknown service '" +
@@ -63,9 +71,17 @@ std::string validate_mesh_spec(const MeshSpec& spec) {
     if (!pod_names.insert(external.name).second) {
       return "duplicate pod name '" + external.name + "'";
     }
-    if (!known_node(spec, external.node)) {
+    const std::string* node = find_node(spec, external.node);
+    if (node == nullptr) {
       return "external pod '" + external.name + "' on unknown node '" +
              external.node + "'";
+    }
+    ++pods_on[*node];
+  }
+  for (const auto& [node, count] : pods_on) {
+    if (count > kMaxPodsPerNode) {
+      return "node '" + node + "' holds " + std::to_string(count) +
+             " pods; at most " + std::to_string(kMaxPodsPerNode) + " fit";
     }
   }
   return "";
@@ -87,9 +103,9 @@ app::MicroserviceOptions app_options(const ServiceSpec& service) {
   return options;
 }
 
-std::string topology_service_name(const TopologyMeshOptions& options,
+std::string topology_service_name(const TopologyMeshOptions& /*options*/,
                                   int id) {
-  return options.service_prefix + std::to_string(id);
+  return std::string(kTopologyServicePrefix) + std::to_string(id);
 }
 
 MeshSpec mesh_spec_from_topology(const GenTopology& topology,

@@ -13,15 +13,16 @@
 // Every mesh in the repo is built from a spec; tests alone wire pods and
 // sidecars by hand, to exercise the primitives. The spec holds each knob
 // once: a service's SidecarInjectionOptions and its app's
-// MicroserviceOptions share ports via app_options(), and the declared
-// `calls` edges can be compiled into control-plane cluster scopes
-// (derive_cluster_scopes).
+// MicroserviceOptions share ports via app_options(). The testbed itself
+// (link rates, delays, queue sizes) is fixed in cluster/cluster.h, and the
+// gateway takes default vNICs on the spec's first node.
 //
 // These files live in app/ because the builder instantiates app-layer
 // Microservices (app links against mesh and cluster, not the other way
 // round), but the vocabulary is cluster-level — hence the namespace.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/microservice.h"
@@ -60,8 +61,8 @@ struct ServiceSpec {
   /// derives them from `sidecar` so the pair cannot drift apart.
   app::MicroserviceOptions app;
   /// Downstream services this one calls. Validated against the spec
-  /// (dangling targets are an error) and, with derive_cluster_scopes,
-  /// compiled into MeshPolicies::cluster_scopes.
+  /// (dangling targets are an error); an experiment that scopes the
+  /// control plane copies them into MeshPolicies::cluster_scopes.
   std::vector<std::string> calls;
   /// mTLS on this service's inbound listener (and, transitively, on
   /// every client cluster that targets it). kInherit = mesh default.
@@ -73,15 +74,14 @@ struct ServiceSpec {
   std::vector<PodOptions> replica_options;
 };
 
-/// The ingress gateway: a gateway-mode sidecar on a dedicated pod,
-/// external traffic enters on `port`.
+/// The ingress gateway: a gateway-mode sidecar on a dedicated pod with
+/// default vNICs on the spec's first node; external traffic enters on
+/// `port`.
 struct GatewaySpec {
   bool enabled = false;
   std::string pod_name = "istio-ingressgateway";
-  std::string service = "gateway";
+  std::string service = "gateway";  ///< its sidecar's service name
   net::Port port = 80;
-  std::string node;  ///< empty = the spec's first node
-  PodOptions pod;
 };
 
 /// A pod outside the mesh (load generators, external clients).
@@ -92,23 +92,19 @@ struct ExternalPodSpec {
 };
 
 struct MeshSpec {
-  ClusterConfig cluster;
+  /// Default: the paper's single-server KIND deployment.
   std::vector<std::string> nodes = {"kind-worker"};
   GatewaySpec gateway;
   std::vector<ServiceSpec> services;
   std::vector<ExternalPodSpec> external_pods;
   mesh::MeshPolicies policies;
-  /// Compile each service's declared `calls` into a control-plane
-  /// cluster scope (services with no declared calls keep the default
-  /// see-every-cluster view). Entries already present in
-  /// policies.cluster_scopes win.
-  bool derive_cluster_scopes = false;
   sim::Duration poll_interval = sim::milliseconds(100);
 };
 
 /// Returns "" when the spec is well-formed, else a description of the
 /// first problem found (duplicate service name, zero replicas, dangling
-/// call target, replica_options size mismatch, unknown node, ...).
+/// call target, replica_options size mismatch, unknown node, more nodes
+/// or more pods on one node than the cluster's address plan holds, ...).
 std::string validate_mesh_spec(const MeshSpec& spec);
 
 /// The replica pod names a ServiceSpec expands to ("<name>-v<i+1>").
@@ -122,15 +118,15 @@ app::MicroserviceOptions app_options(const ServiceSpec& service);
 /// Adapter from the generated layered-DAG topologies (cluster/
 /// topology_gen.h): one ServiceSpec per GenService, `calls` from the
 /// DAG edges, no handlers (the experiment attaches behaviour).
+constexpr std::string_view kTopologyServicePrefix = "svc-";
 struct TopologyMeshOptions {
-  std::string service_prefix = "svc-";
   net::Port port = 9080;
   int replicas = 1;
 };
 MeshSpec mesh_spec_from_topology(const GenTopology& topology,
                                  const TopologyMeshOptions& options = {});
 
-/// The adapter's service name for a GenService id.
+/// The adapter's service name for a GenService id: the prefix + id.
 std::string topology_service_name(const TopologyMeshOptions& options, int id);
 
 }  // namespace meshnet::cluster

@@ -29,7 +29,7 @@ Microservice::Microservice(sim::Simulator& sim, cluster::Pod& pod,
         serve(std::move(request), std::move(respond));
       });
   mesh::HttpClientPool::Options pool_options;
-  pool_options.max_connections = options_.max_client_connections;
+  pool_options.max_connections = kMaxSidecarConnections;
   // App <-> sidecar is pod-local loopback (64 KB MTU).
   pool_options.connection.mss = 65496;
   sidecar_client_ = std::make_unique<mesh::HttpClientPool>(

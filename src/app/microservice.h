@@ -50,11 +50,13 @@ struct HandlerResult {
 
 using Handler = std::function<HandlerResult(const http::HttpRequest&)>;
 
+/// Connections an app container may hold open to its own sidecar.
+constexpr std::size_t kMaxSidecarConnections = 256;
+
 struct MicroserviceOptions {
   net::Port app_port = 8080;
   net::Port sidecar_outbound_port = 15001;
   bool propagate_priority_header = false;
-  std::size_t max_client_connections = 256;
   /// Respond 502 if any sub-call fails (else compose what arrived).
   bool fail_on_sub_error = true;
 

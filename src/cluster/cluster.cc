@@ -19,16 +19,15 @@ Pod::Pod(Cluster& cluster, std::string name, std::string service,
       transport_(std::make_unique<transport::TransportHost>(
           cluster.sim(), cluster.network(), ip)) {}
 
-Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
-    : sim_(sim), config_(config), network_(sim) {
-  network_.set_loopback_delay(config_.loopback_delay);
+Cluster::Cluster(sim::Simulator& sim) : sim_(sim), network_(sim) {
+  network_.set_loopback_delay(kLoopbackDelay);
   fabric_ = network_.add_location("fabric");
 }
 
 NodeInfo& Cluster::add_node(const std::string& name) {
   const auto it = nodes_.find(name);
   if (it != nodes_.end()) return it->second;
-  if (nodes_.size() > 255) {
+  if (static_cast<int>(nodes_.size()) >= kMaxNodes) {
     throw std::length_error("cluster::Cluster: node " + name +
                             " needs a 257th /24 in 10.244.0.0/16");
   }
@@ -36,13 +35,11 @@ NodeInfo& Cluster::add_node(const std::string& name) {
   info.name = name;
   info.index = static_cast<std::uint8_t>(nodes_.size());
   info.bridge = network_.add_location("node:" + name);
-  network_.add_link(info.bridge, fabric_, config_.node_uplink_bps,
-                    config_.node_uplink_delay,
-                    std::make_unique<net::FifoQdisc>(config_.vnic_queue_bytes),
+  network_.add_link(info.bridge, fabric_, kNodeUplinkBps, kNodeUplinkDelay,
+                    std::make_unique<net::FifoQdisc>(kVnicQueueBytes),
                     "uplink:" + name + ":fwd");
-  network_.add_link(fabric_, info.bridge, config_.node_uplink_bps,
-                    config_.node_uplink_delay,
-                    std::make_unique<net::FifoQdisc>(config_.vnic_queue_bytes),
+  network_.add_link(fabric_, info.bridge, kNodeUplinkBps, kNodeUplinkDelay,
+                    std::make_unique<net::FifoQdisc>(kVnicQueueBytes),
                     "uplink:" + name + ":rev");
   return nodes_.emplace(name, std::move(info)).first->second;
 }
@@ -51,25 +48,23 @@ Pod& Cluster::add_pod(const std::string& node, const std::string& pod_name,
                       const std::string& service, net::Port service_port,
                       PodOptions options) {
   NodeInfo& n = add_node(node);
-  if (n.next_pod_ip > 255) {
+  if (n.next_pod_ip >= 2 + kMaxPodsPerNode) {
     throw std::length_error("cluster::Cluster: node " + node +
                             " has no free pod address for " + pod_name);
   }
   const net::IpAddress ip = net::make_ip(
       10, 244, n.index, static_cast<std::uint8_t>(n.next_pod_ip++));
   const net::LocationId loc = network_.add_location("pod:" + pod_name);
-  const double bps =
-      options.link_bps > 0.0 ? options.link_bps : config_.default_link_bps;
-  const sim::Duration delay = options.link_delay >= 0
-                                  ? options.link_delay
-                                  : config_.default_link_delay;
+  const double bps = options.link_bps > 0.0 ? options.link_bps : kPodLinkBps;
+  const sim::Duration delay =
+      options.link_delay >= 0 ? options.link_delay : kPodLinkDelay;
   net::Link& egress = network_.add_link(
       loc, n.bridge, bps, delay,
-      std::make_unique<net::FifoQdisc>(config_.vnic_queue_bytes),
+      std::make_unique<net::FifoQdisc>(kVnicQueueBytes),
       "vnic:" + pod_name + ":egress");
   net::Link& ingress = network_.add_link(
       n.bridge, loc, bps, delay,
-      std::make_unique<net::FifoQdisc>(config_.vnic_queue_bytes),
+      std::make_unique<net::FifoQdisc>(kVnicQueueBytes),
       "vnic:" + pod_name + ":ingress");
   network_.attach_interface(ip, loc, pod_name);
   auto pod = std::make_unique<Pod>(*this, pod_name, service, ip, loc,

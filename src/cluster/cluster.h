@@ -32,10 +32,27 @@ struct NodeInfo {
   int next_pod_ip = 2;  ///< .0/.1 reserved, CNI-style; .255 is the last.
 };
 
+/// The fixed testbed (DESIGN.md §2). Default vNIC rate; paper: 15 Gbps.
+constexpr double kPodLinkBps = 15e9;
+constexpr sim::Duration kPodLinkDelay = sim::microseconds(20);
+constexpr sim::Duration kLoopbackDelay = sim::microseconds(10);
+/// Node bridge <-> cluster fabric.
+constexpr double kNodeUplinkBps = 40e9;
+constexpr sim::Duration kNodeUplinkDelay = sim::microseconds(5);
+/// vNIC queue capacity (Linux txqueuelen 1000 x ~9000B MTU by default);
+/// must comfortably exceed one congestion window or every slow-start
+/// burst becomes a drop storm. The node uplinks, the TC bands and an
+/// SDN-programmed link use the same capacity.
+constexpr std::uint64_t kVnicQueueBytes = 9'000'000;
+
+/// Address plan: node i owns 10.244.i.0/24, its pods take .2 to .255.
+constexpr int kMaxNodes = 256;
+constexpr int kMaxPodsPerNode = 254;
+
 struct PodOptions {
-  /// vNIC rate; 0 means "use the cluster default".
+  /// vNIC rate; 0 means kPodLinkBps.
   double link_bps = 0.0;
-  /// vNIC one-way propagation delay; negative means cluster default.
+  /// vNIC one-way propagation delay; negative means kPodLinkDelay.
   sim::Duration link_delay = -1;
   std::map<std::string, std::string> labels;
 };
@@ -86,34 +103,22 @@ class Pod {
   double compute_multiplier_ = 1.0;
 };
 
-struct ClusterConfig {
-  double default_link_bps = 15e9;                      ///< paper: 15 Gbps
-  sim::Duration default_link_delay = sim::microseconds(20);
-  sim::Duration loopback_delay = sim::microseconds(10);
-  double node_uplink_bps = 40e9;  ///< node bridge <-> cluster fabric
-  sim::Duration node_uplink_delay = sim::microseconds(5);
-  /// vNIC queue capacity (Linux txqueuelen 1000 x ~9000B MTU by default);
-  /// must comfortably exceed one congestion window or every slow-start
-  /// burst becomes a drop storm.
-  std::uint64_t vnic_queue_bytes = 9'000'000;
-};
-
 class Cluster {
  public:
-  Cluster(sim::Simulator& sim, ClusterConfig config = {});
+  explicit Cluster(sim::Simulator& sim);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
   /// Adds a worker node (a bridge location uplinked to the cluster fabric).
-  /// Node i owns 10.244.i.0/24, so the 257th node throws
+  /// Node i owns 10.244.i.0/24, so node kMaxNodes + 1 throws
   /// std::length_error.
   NodeInfo& add_node(const std::string& name);
 
   /// Schedules a pod onto a node. The pod gets an IP, its own location,
   /// vNIC links to the node bridge, and a TransportHost. If `service` is
   /// non-empty and `service_port` != 0, the pod is registered as an
-  /// endpoint of that service with the given labels. A node holds 254
-  /// pods (.2 to .255 of its /24); one more throws std::length_error.
+  /// endpoint of that service with the given labels. A node holds
+  /// kMaxPodsPerNode pods; one more throws std::length_error.
   Pod& add_pod(const std::string& node, const std::string& pod_name,
                const std::string& service, net::Port service_port,
                PodOptions options = {});
@@ -143,11 +148,9 @@ class Cluster {
   sim::Simulator& sim() noexcept { return sim_; }
   net::Network& network() noexcept { return network_; }
   ServiceRegistry& registry() noexcept { return registry_; }
-  const ClusterConfig& config() const noexcept { return config_; }
 
  private:
   sim::Simulator& sim_;
-  ClusterConfig config_;
   net::Network network_;
   ServiceRegistry registry_;
   net::LocationId fabric_;

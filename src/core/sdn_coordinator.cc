@@ -1,5 +1,7 @@
 #include "core/sdn_coordinator.h"
 
+#include "cluster/cluster.h"
+
 namespace meshnet::core {
 
 void SdnCoordinator::advertise(const net::FlowKey& flow,
@@ -18,15 +20,14 @@ mesh::TrafficClass SdnCoordinator::classify(const net::FlowKey& flow) const {
   return it == flows_.end() ? mesh::TrafficClass::kDefault : it->second;
 }
 
-void SdnCoordinator::program_link(net::Link& link, double high_share,
-                                  std::uint64_t per_band_queue_bytes) {
+void SdnCoordinator::program_link(net::Link& link, double high_share) {
   link.set_qdisc(std::make_unique<net::WeightedPrioQdisc>(
       std::vector<double>{high_share, 1.0 - high_share},
       [this](const net::Packet& p) {
         return classify(p.flow) == mesh::TrafficClass::kLatencySensitive ? 0
                                                                          : 1;
       },
-      per_band_queue_bytes));
+      cluster::kVnicQueueBytes));
 }
 
 }  // namespace meshnet::core

@@ -39,9 +39,9 @@ class SdnCoordinator {
   mesh::TrafficClass classify(const net::FlowKey& flow) const;
 
   /// Programs nearly-strict priority scheduling on a fabric link, with
-  /// band selection driven by this coordinator's flow table.
-  void program_link(net::Link& link, double high_share = 0.95,
-                    std::uint64_t per_band_queue_bytes = 9'000'000);
+  /// band selection driven by this coordinator's flow table. Each band
+  /// holds cluster::kVnicQueueBytes.
+  void program_link(net::Link& link, double high_share = 0.95);
 
   std::size_t advertised_flows() const noexcept { return flows_.size(); }
   std::uint64_t advertisements() const noexcept { return advertisements_; }

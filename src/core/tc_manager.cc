@@ -29,11 +29,11 @@ bool TcManager::install(TcRule rule) {
   std::unique_ptr<net::Qdisc> qdisc;
   if (rule.strict) {
     qdisc = std::make_unique<net::StrictPrioQdisc>(
-        2, make_classifier(rule), rule.per_band_queue_bytes);
+        2, make_classifier(rule), cluster::kVnicQueueBytes);
   } else {
     qdisc = std::make_unique<net::WeightedPrioQdisc>(
         std::vector<double>{rule.high_share, 1.0 - rule.high_share},
-        make_classifier(rule), rule.per_band_queue_bytes);
+        make_classifier(rule), cluster::kVnicQueueBytes);
   }
   pod->egress_link().set_qdisc(std::move(qdisc));
   // Replace any existing rule for this pod in the inventory.
@@ -49,8 +49,8 @@ bool TcManager::install(TcRule rule) {
 bool TcManager::clear(const std::string& pod_name) {
   cluster::Pod* pod = cluster_.find_pod(pod_name);
   if (pod == nullptr) return false;
-  pod->egress_link().set_qdisc(std::make_unique<net::FifoQdisc>(
-      cluster_.config().vnic_queue_bytes));
+  pod->egress_link().set_qdisc(
+      std::make_unique<net::FifoQdisc>(cluster::kVnicQueueBytes));
   rules_.erase(std::remove_if(
                    rules_.begin(), rules_.end(),
                    [&](const TcRule& r) { return r.pod_name == pod_name; }),

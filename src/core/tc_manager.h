@@ -32,8 +32,6 @@ struct TcRule {
   std::vector<net::IpAddress> high_priority_ips;  ///< for kDstIp
   double high_share = 0.95;
   bool strict = false;  ///< pure strict priority instead of 95/5 DRR
-  /// Per-band queue capacity (matches the vNIC default).
-  std::uint64_t per_band_queue_bytes = 9'000'000;
 };
 
 class TcManager {
@@ -41,8 +39,9 @@ class TcManager {
   explicit TcManager(cluster::Cluster& cluster);
 
   /// Installs a weighted (or strict) priority qdisc per the rule on the
-  /// pod's egress vNIC. Replaces any prior qdisc (backlog is dropped, as
-  /// with real `tc qdisc replace`). Returns false if the pod is unknown.
+  /// pod's egress vNIC, each band holding cluster::kVnicQueueBytes.
+  /// Replaces any prior qdisc (backlog is dropped, as with real `tc qdisc
+  /// replace`). Returns false if the pod is unknown.
   bool install(TcRule rule);
 
   /// Restores the default FIFO on the pod's egress vNIC.

@@ -8,7 +8,7 @@ namespace meshnet::transport {
 
 RenoController::RenoController(RenoConfig config)
     : config_(config),
-      cwnd_(config.mss * config.initial_window_segments),
+      cwnd_(config.mss * kRenoInitialWindowSegments),
       ssthresh_(config.max_window_bytes) {}
 
 void RenoController::on_ack(std::uint64_t acked_bytes, sim::Duration /*rtt*/,
@@ -41,13 +41,13 @@ void RenoController::on_timeout(sim::Time /*now*/) {
 LedbatController::LedbatController(LedbatConfig config)
     : config_(config),
       cwnd_bytes_(static_cast<double>(config.mss) *
-                  static_cast<double>(config.initial_window_segments)),
+                  static_cast<double>(kLedbatInitialWindowSegments)),
       cwnd_(static_cast<std::uint64_t>(cwnd_bytes_)) {}
 
 void LedbatController::on_ack(std::uint64_t acked_bytes, sim::Duration rtt,
                               sim::Time now) {
   if (rtt > 0) {
-    if (rtt < base_rtt_ || now - base_learned_at_ > config_.base_history) {
+    if (rtt < base_rtt_ || now - base_learned_at_ > kLedbatBaseHistory) {
       base_rtt_ = rtt;
       base_learned_at_ = now;
     }
@@ -59,7 +59,7 @@ void LedbatController::on_ack(std::uint64_t acked_bytes, sim::Duration rtt,
   // LEDBAT window update: proportional controller around the delay
   // target, scaled per acked byte (RFC 6817 §3.4.2 shape).
   const double mss = static_cast<double>(config_.mss);
-  cwnd_bytes_ += config_.gain * off_target * mss *
+  cwnd_bytes_ += kLedbatGain * off_target * mss *
                  static_cast<double>(acked_bytes) /
                  std::max(cwnd_bytes_, 1.0);
   cwnd_bytes_ = std::clamp(cwnd_bytes_, mss,

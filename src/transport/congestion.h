@@ -44,9 +44,11 @@ class CongestionController {
   virtual std::string name() const = 0;
 };
 
+/// RFC 6928-style IW10.
+constexpr std::uint64_t kRenoInitialWindowSegments = 10;
+
 struct RenoConfig {
   std::uint32_t mss = 1460;
-  std::uint64_t initial_window_segments = 10;  ///< RFC 6928-style IW10.
   std::uint64_t max_window_bytes = 8 * 1024 * 1024;
 };
 
@@ -70,17 +72,18 @@ class RenoController final : public CongestionController {
   std::uint64_t ssthresh_;
 };
 
+constexpr std::uint64_t kLedbatInitialWindowSegments = 2;
+constexpr double kLedbatGain = 1.0;
+/// Window of recent base-RTT history (base RTT is re-learned so route
+/// changes do not poison the estimate forever).
+constexpr sim::Duration kLedbatBaseHistory = sim::seconds(30);
+
 struct LedbatConfig {
   std::uint32_t mss = 1460;
-  std::uint64_t initial_window_segments = 2;
   std::uint64_t max_window_bytes = 8 * 1024 * 1024;
   /// Queueing-delay target; the controller aims to keep rtt - base_rtt at
   /// or below this. Datacenter-scale default (the RFC's 100 ms is WAN).
   sim::Duration target_delay = sim::milliseconds(2);
-  double gain = 1.0;
-  /// Window of recent base-RTT history (base RTT is re-learned so route
-  /// changes do not poison the estimate forever).
-  sim::Duration base_history = sim::seconds(30);
 };
 
 class LedbatController final : public CongestionController {

@@ -32,7 +32,7 @@ Connection::Connection(TransportHost& host, net::FlowKey flow, bool is_client,
       options_(options),
       state_(is_client ? ConnState::kSynSent : ConnState::kSynReceived),
       cc_(make_controller(options.cc, options.mss)),
-      rto_(options.initial_rto) {}
+      rto_(kInitialRto) {}
 
 Connection::~Connection() { disarm_rto(); }
 
@@ -358,7 +358,7 @@ void Connection::arm_rto() {
   disarm_rto();
   sim::Duration timeout = rto_;
   for (int i = 0; i < rto_backoff_; ++i) {
-    timeout = std::min(timeout * 2, options_.max_rto);
+    timeout = std::min(timeout * 2, kMaxRto);
   }
   rto_timer_ = host_.sim().schedule_after(timeout, [this] {
     rto_timer_ = sim::kInvalidEventId;
@@ -378,7 +378,7 @@ void Connection::on_rto_fired() {
   ++stats_.timeouts;
   ++host_.mutable_stats().timeouts;
   ++rto_backoff_;
-  if (rto_backoff_ > 10) {
+  if (rto_backoff_ > kMaxRtoBackoffs) {
     // Peer unreachable; give up.
     become_closed(false);
     return;
@@ -422,7 +422,7 @@ void Connection::update_rtt(sim::Duration sample) {
     srtt_ = (7 * srtt_ + sample) / 8;
   }
   stats_.smoothed_rtt = srtt_;
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, options_.min_rto, options_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void Connection::become_closed(bool graceful) {

@@ -46,15 +46,19 @@ namespace meshnet::transport {
 
 class TransportHost;
 
+/// Linux defaults: 200 ms RTO floor, 1 s initial RTO. The floor matters:
+/// transient queueing above a too-low floor causes spurious timeouts.
+/// Backoff doubles the RTO up to kMaxRto; the timeout after
+/// kMaxRtoBackoffs consecutive ones closes the connection (not gracefully).
+constexpr sim::Duration kMinRto = sim::milliseconds(200);
+constexpr sim::Duration kInitialRto = sim::seconds(1);
+constexpr sim::Duration kMaxRto = sim::seconds(4);
+constexpr int kMaxRtoBackoffs = 10;
+
 struct ConnectionOptions {
   std::uint32_t mss = 1460;
   CcAlgorithm cc = CcAlgorithm::kReno;
   net::Dscp dscp = net::Dscp::kDefault;
-  /// Linux defaults: 200 ms RTO floor, 1 s initial RTO. The floor matters:
-  /// transient queueing above a too-low floor causes spurious timeouts.
-  sim::Duration min_rto = sim::milliseconds(200);
-  sim::Duration initial_rto = sim::seconds(1);
-  sim::Duration max_rto = sim::seconds(4);
 };
 
 enum class ConnState {

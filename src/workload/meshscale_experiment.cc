@@ -28,6 +28,7 @@ constexpr int kReplicas = 2;  ///< pods per service
 /// Pods per node: a node's /24 holds 254, so a larger cell spreads over
 /// ⌈pods/kPodsPerNode⌉ nodes.
 constexpr int kPodsPerNode = 250;
+static_assert(kPodsPerNode <= cluster::kMaxPodsPerNode);
 constexpr int kFanout = 2;    ///< call fan-out between layers
 constexpr double kRootRps = 20.0;  ///< Poisson arrival rate per root service
 /// Endpoint-subsetting aperture of the scoped arm.

@@ -36,6 +36,16 @@ cluster::MeshSpec two_service_spec() {
   return spec;
 }
 
+cluster::MeshSpec one_service_spec(int replicas) {
+  cluster::MeshSpec spec;
+  spec.nodes = {"node-a"};
+  cluster::ServiceSpec big;
+  big.name = "big";
+  big.replicas = replicas;
+  spec.services = {big};
+  return spec;
+}
+
 }  // namespace
 
 TEST(MeshSpecValidation, AcceptsWellFormedSpec) {
@@ -76,6 +86,18 @@ TEST(MeshSpecValidation, RejectsUnknownNode) {
             std::string::npos);
 }
 
+TEST(MeshSpecValidation, RejectsMoreNodesThanTheAddressPlanHolds) {
+  cluster::MeshSpec spec = two_service_spec();
+  spec.nodes.clear();
+  for (int i = 0; i <= cluster::kMaxNodes; ++i) {
+    spec.nodes.push_back("node-" + std::to_string(i));
+  }
+  EXPECT_NE(cluster::validate_mesh_spec(spec).find("more than 256 nodes"),
+            std::string::npos);
+  spec.nodes.pop_back();
+  EXPECT_EQ(cluster::validate_mesh_spec(spec), "");
+}
+
 TEST(MeshBuilder, RefusesInvalidSpecAndReportsError) {
   cluster::MeshSpec spec = two_service_spec();
   spec.services[0].calls = {"ghost"};
@@ -84,6 +106,45 @@ TEST(MeshBuilder, RefusesInvalidSpecAndReportsError) {
   EXPECT_EQ(cluster::MeshBuilder(sim).build(std::move(spec), &error),
             nullptr);
   EXPECT_FALSE(error.empty());
+}
+
+// A node's /24 holds kMaxPodsPerNode pods, all of which build.
+TEST(MeshBuilder, FillsANodeToItsPodCapacity) {
+  sim::Simulator sim;
+  std::string error;
+  auto mesh = cluster::MeshBuilder(sim).build(
+      one_service_spec(cluster::kMaxPodsPerNode), &error);
+  ASSERT_NE(mesh, nullptr) << error;
+  EXPECT_EQ(mesh->cluster().pods().size(),
+            static_cast<std::size_t>(cluster::kMaxPodsPerNode));
+  EXPECT_EQ(mesh->pod("big-v254")->ip(), net::make_ip(10, 244, 0, 255));
+}
+
+// One pod more, counting the gateway, is an invalid spec: build()
+// returns nullptr with the reason instead of throwing from add_pod.
+TEST(MeshBuilder, RefusesMorePodsThanANodeHolds) {
+  sim::Simulator sim;
+  std::string error;
+  EXPECT_EQ(cluster::MeshBuilder(sim).build(
+                one_service_spec(cluster::kMaxPodsPerNode + 1), &error),
+            nullptr);
+  EXPECT_NE(error.find("node 'node-a' holds 255 pods"), std::string::npos)
+      << error;
+
+  cluster::MeshSpec with_gateway = one_service_spec(cluster::kMaxPodsPerNode);
+  with_gateway.gateway.enabled = true;
+  error.clear();
+  EXPECT_EQ(cluster::MeshBuilder(sim).build(std::move(with_gateway), &error),
+            nullptr);
+  EXPECT_NE(error.find("holds 255 pods"), std::string::npos) << error;
+
+  // External pods on another node leave node-a's count alone.
+  cluster::MeshSpec spread = one_service_spec(cluster::kMaxPodsPerNode);
+  spread.nodes.push_back("node-b");
+  spread.external_pods.push_back({"client", "node-b", {}});
+  EXPECT_EQ(cluster::validate_mesh_spec(spread), "");
+  spread.external_pods.back().node.clear();  // empty = the first node
+  EXPECT_NE(cluster::validate_mesh_spec(spread), "");
 }
 
 TEST(MeshBuilder, BuildsPodsSidecarsAndRegistryEntries) {

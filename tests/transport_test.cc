@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "net/network.h"
@@ -464,9 +465,29 @@ TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
   // bucket with zero rate and zero burst.
   ab->set_qdisc(std::make_unique<net::TokenBucketQdisc>(1e-9, 0, 1));
   Connection& client = host_a->connect({ip_b, 80});
+  std::optional<bool> graceful;
+  sim::Time closed_at = -1;
+  std::uint64_t timeouts_at_close = 0;
+  client.set_on_closed([&](bool g) {
+    graceful = g;
+    closed_at = sim.now();
+    timeouts_at_close = client.stats().timeouts;
+  });
   sim.run_until(sim::seconds(2));
   EXPECT_FALSE(client.established());
   EXPECT_GT(client.stats().timeouts, 0u);
+  // The RTO starts at kInitialRto (1 s) and doubles per timeout up to
+  // kMaxRto (4 s): the SYN times out at 1, 3, 7, 11, ..., 35 s.
+  sim.run_until(sim::seconds(39) - 1);
+  EXPECT_EQ(client.stats().timeouts, 10u);
+  EXPECT_FALSE(graceful.has_value());
+  // One timeout past kMaxRtoBackoffs gives up, non-gracefully.
+  sim.run_until(sim::seconds(39));
+  ASSERT_TRUE(graceful.has_value());
+  EXPECT_FALSE(*graceful);
+  EXPECT_EQ(closed_at, sim::seconds(39));
+  EXPECT_EQ(timeouts_at_close, 11u);
+  EXPECT_EQ(host_a->stats().timeouts, 11u);
 }
 
 TEST_F(TransportFixture, ConnectionsAreRemovedAfterClose) {
