@@ -78,22 +78,34 @@ Outcome run_fig4(const Args& args, workload::SweepRunner& runner) {
 
   struct Row {
     double rps, p50_base, p50_opt, p99_base, p99_opt, util;
+    bool ls_measured;  ///< both arms completed at least one LS request
+  };
+  // An LS gain is a ratio of the two arms' percentiles, which are 0 for
+  // an arm that completed no LS request: print "n/a" rather than nan.
+  const auto gain = [](const Row& row, double base, double opt) {
+    return row.ls_measured ? stats::Table::num(base / opt, 2) + "x"
+                           : std::string("n/a");
   };
   std::vector<Row> rows;
   for (std::size_t level = 0; level < rps_levels.size(); ++level) {
-    const auto& base = sweep.points[level * 2].metrics.scalars;
-    const auto& opt = sweep.points[level * 2 + 1].metrics.scalars;
+    const workload::PointMetrics& base_point = sweep.points[level * 2].metrics;
+    const workload::PointMetrics& opt_point =
+        sweep.points[level * 2 + 1].metrics;
+    const auto& base = base_point.scalars;
+    const auto& opt = opt_point.scalars;
     Row row{static_cast<double>(rps_levels[level]), base.at("ls_p50_ms"),
             opt.at("ls_p50_ms"), base.at("ls_p99_ms"),
-            opt.at("ls_p99_ms"), opt.at("bottleneck_utilization")};
+            opt.at("ls_p99_ms"), opt.at("bottleneck_utilization"),
+            base_point.counters.at("ls_completed") > 0 &&
+                opt_point.counters.at("ls_completed") > 0};
     rows.push_back(row);
     table.add_row({stats::Table::num(row.rps, 0),
                    stats::Table::num(row.p50_base, 1),
                    stats::Table::num(row.p50_opt, 1),
                    stats::Table::num(row.p99_base, 1),
                    stats::Table::num(row.p99_opt, 1),
-                   stats::Table::num(row.p50_base / row.p50_opt, 2) + "x",
-                   stats::Table::num(row.p99_base / row.p99_opt, 2) + "x",
+                   gain(row, row.p50_base, row.p50_opt),
+                   gain(row, row.p99_base, row.p99_opt),
                    stats::Table::num(row.util, 2)});
 
     const double li_base = base.at("li_p99_ms");
@@ -106,17 +118,17 @@ Outcome run_fig4(const Args& args, workload::SweepRunner& runner) {
                       stats::Table::num(li_delta * 100.0, 1) + "%",
                       stats::Table::num(base.at("li_p50_ms"), 1),
                       stats::Table::num(opt.at("li_p50_ms"), 1),
-                      stats::Table::num(row.p99_base / row.p99_opt, 2) + "x"});
+                      gain(row, row.p99_base, row.p99_opt)});
   }
 
   std::printf("%s\n", table.to_string().c_str());
 
   // The paper's headline claim: ~1.5x improvement in p50 and p99 at load.
   const Row& top = rows.back();
-  std::printf("at %.0f RPS: cross-layer optimization improves LS p50 %.2fx "
-              "and p99 %.2fx (paper: ~1.5x)\n",
-              top.rps, top.p50_base / top.p50_opt,
-              top.p99_base / top.p99_opt);
+  std::printf("at %.0f RPS: cross-layer optimization improves LS p50 %s "
+              "and p99 %s (paper: ~1.5x)\n",
+              top.rps, gain(top, top.p50_base, top.p50_opt).c_str(),
+              gain(top, top.p99_base, top.p99_opt).c_str());
   std::printf(
       "\nTXT-LI: latency-insensitive workload p99 with vs without "
       "cross-layer optimization\n(paper: < 5%% increase in p99).\n\n");

@@ -120,16 +120,6 @@ std::uint64_t TelemetrySink::total_failures() const noexcept {
   return failures_total_->value();
 }
 
-std::optional<TelemetrySink::Availability>
-TelemetrySink::cluster_availability(const std::string& cluster) const {
-  const auto it = cluster_cells_.find(cluster);
-  if (it == cluster_cells_.end()) return std::nullopt;
-  Availability out;
-  out.total = it->second.requests->value();
-  out.failures = it->second.failures->value();
-  return out;
-}
-
 void TelemetrySink::record_event(sim::Time at, obs::EventKind kind,
                                  std::string subject, std::string detail) {
   event_counters_[static_cast<std::size_t>(kind)]->inc();

@@ -90,21 +90,6 @@ class TelemetrySink {
   std::uint64_t total_requests() const noexcept;
   std::uint64_t total_failures() const noexcept;
 
-  /// Per-upstream-cluster availability, aggregated over all callers.
-  struct Availability {
-    std::uint64_t total = 0;
-    std::uint64_t failures = 0;
-    double success_rate() const noexcept {
-      return total == 0
-                 ? 1.0
-                 : static_cast<double>(total - failures) /
-                       static_cast<double>(total);
-    }
-  };
-  /// nullopt if the cluster never served a request.
-  std::optional<Availability> cluster_availability(
-      const std::string& cluster) const;
-
   /// Records a resilience state transition.
   void record_event(sim::Time at, obs::EventKind kind, std::string subject,
                     std::string detail);

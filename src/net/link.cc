@@ -110,7 +110,7 @@ void Link::finish_transmit() {
   if (handoff_) {
     // Cut link: the destination lives on another shard. Hand the packet
     // off at serialization-complete time with the remaining propagation;
-    // the mailbox layer delivers it there.
+    // the parallel engine delivers it there.
     handoff_(std::move(tx_packet_), prop_delay_);
   } else {
     // Arrivals fire in serialization order (constant delay), so each one

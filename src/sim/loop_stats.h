@@ -63,12 +63,6 @@ struct LoopStats {
       depth_histogram[i] += other.depth_histogram[i];
     }
   }
-
-  /// Host-throughput helper for bench reports (NOT deterministic).
-  double events_per_second(double wall_seconds) const noexcept {
-    return wall_seconds > 0.0 ? static_cast<double>(executed) / wall_seconds
-                              : 0.0;
-  }
 };
 
 }  // namespace meshnet::sim

@@ -6,22 +6,27 @@
 // The topology is partitioned into S shards, each owning one unmodified
 // zero-alloc Simulator (DESIGN.md §7) and all state of the services,
 // links and timers assigned to it. Cross-shard interactions are only
-// allowed through bounded SPSC mailboxes (one per ordered shard pair):
-// the sender posts a task stamped with its delivery time, which must be
-// at least `lookahead` after the sender's clock — in mesh terms, the
+// allowed through post(): the sender appends a task, stamped with its
+// delivery time, to its own shard's outbox. The delivery time must be at
+// least `lookahead` after the sender's clock — in mesh terms, the
 // propagation latency of the cut link the event is crossing.
 //
 // Epoch protocol (run_until):
 //   1. T      = min over shards of next_event_time()    (global min).
 //   2. E      = min(deadline, T + lookahead - 1)        (epoch horizon).
-//   3. Every shard independently runs run_until(E) — lock-free, no
-//      shared state, one executor thread per shard group. Any event it
-//      executes has time t in [T, E], so any cross-shard message it
-//      emits is delivered at t + lookahead > E: never inside this epoch.
-//   4. Barrier. The coordinator drains every mailbox, sorts the batch by
+//   3. Every shard independently runs run_until(E) — no shared state,
+//      one executor thread per block of shards. Any event it executes
+//      has time t in [T, E], so any cross-shard message it emits is
+//      delivered at t + lookahead > E: never inside this epoch.
+//   4. Barrier. The coordinator joins every outbox, sorts the batch by
 //      the canonical (delivery time, source shard, send sequence) key,
 //      and schedules each task into its destination shard in that order.
 //   5. Repeat until no shard holds an event at or before the deadline.
+//
+// An outbox needs no synchronization of its own: only the executor
+// running its shard appends to it, during an epoch, and only the
+// coordinator drains it, between epochs. The std::barrier every executor
+// passes twice per epoch (start, done) orders the two.
 //
 // Determinism: epoch horizons are pure functions of simulator state,
 // shard execution is sequential within an epoch, and step 4's canonical
@@ -34,9 +39,12 @@
 // coordinator injects into one), a Simulator::ShardGuard is armed, so a
 // partitioning bug that schedules straight onto a foreign shard throws
 // std::logic_error instead of silently racing; posts whose delivery time
-// violates the lookahead also throw.
+// violates the lookahead also throw. An error on a worker thread is
+// rethrown to the run_until caller.
 
+#include <barrier>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -44,7 +52,6 @@
 #include "sim/inline_task.h"
 #include "sim/loop_stats.h"
 #include "sim/simulator.h"
-#include "sim/spsc_ring.h"
 #include "sim/time.h"
 
 namespace meshnet::sim {
@@ -68,16 +75,11 @@ struct ParallelEngineOptions {
   /// Opt out of the shared worker budget (top-level benchmarks that are
   /// explicitly measuring N-thread wall clock set this to false).
   bool respect_worker_budget = true;
-
-  /// Ring slots per ordered shard pair; bursts past this spill to an
-  /// unbounded producer-side overflow (counted, still deterministic).
-  std::size_t mailbox_capacity = 256;
 };
 
 struct ParallelEngineStats {
-  std::uint64_t epochs = 0;             ///< barrier rounds executed
-  std::uint64_t messages = 0;           ///< cross-shard tasks delivered
-  std::uint64_t mailbox_overflows = 0;  ///< posts that spilled past the ring
+  std::uint64_t epochs = 0;    ///< barrier rounds executed
+  std::uint64_t messages = 0;  ///< cross-shard tasks delivered
 };
 
 class ParallelEngine {
@@ -133,58 +135,41 @@ class ParallelEngine {
  private:
   struct Message {
     Time when = 0;
-    std::uint64_t seq = 0;  ///< per-source-shard send sequence
+    std::uint32_t src = 0;
+    std::uint64_t seq = 0;  ///< send order: position in the source outbox
+    std::uint32_t dst = 0;
     InlineTask task;
   };
 
-  /// One ordered shard pair's mailbox. The ring is the fast path; the
-  /// overflow vector (producer-owned, drained after the ring at each
-  /// barrier so per-producer order is preserved) keeps bursts correct.
-  struct Mailbox {
-    explicit Mailbox(std::size_t capacity) : ring(capacity) {}
-    SpscRing<Message> ring;
-    std::vector<Message> overflow;
-  };
-
-  struct Shard {
+  /// A shard's simulator and send state, on its own cache line so that
+  /// executors appending to neighbouring outboxes never share one.
+  struct alignas(64) Shard {
     std::unique_ptr<Simulator> sim;
-    std::uint64_t next_send_seq = 1;
+    std::vector<Message> outbox;  ///< this epoch's posts, in send order
   };
 
-  /// Flattened batch entry used for the canonical barrier sort.
-  struct PendingDelivery {
-    Time when;
-    std::uint32_t src;
-    std::uint64_t seq;
-    std::uint32_t dst;
-    InlineTask task;
-  };
-
-  Mailbox& mailbox(int src, int dst) {
-    return *mailboxes_[static_cast<std::size_t>(src) * shards_.size() +
-                       static_cast<std::size_t>(dst)];
-  }
-
-  void run_shard_range(int first, int last, Time horizon);
+  /// Runs executor `executor`'s contiguous block of shards to `horizon`.
+  void run_block(int executor, Time horizon);
+  void worker_loop(int executor);
   void run_epoch(Time horizon);
   void inject_messages(Time horizon);
-  void start_workers();
-  void worker_loop(int worker_index, int first_shard, int last_shard);
 
   ParallelEngineOptions options_;
   std::vector<Shard> shards_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   ParallelEngineStats stats_;
-  std::vector<PendingDelivery> batch_;  ///< reused barrier scratch
+  std::vector<Message> batch_;  ///< reused barrier scratch
 
   int executors_ = 1;
   int budget_granted_ = 0;
 
-  // Epoch barrier state (only touched when executors_ > 1).
-  struct Sync;
-  std::unique_ptr<Sync> sync_;
+  // Executor coordination (only used when executors_ > 1). The
+  // coordinator writes horizon_ and quit_ before the start phase; each
+  // executor writes only its own error slot, read after the done phase.
+  std::unique_ptr<std::barrier<>> barrier_;
+  Time horizon_ = 0;
+  bool quit_ = false;
+  std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> workers_;
-  bool workers_started_ = false;
 };
 
 }  // namespace meshnet::sim

@@ -64,7 +64,7 @@ class Simulator {
   /// schedule_after / cancel on any *other* simulator throw
   /// std::logic_error: shard-local components must never mutate another
   /// shard's event queue directly — cross-shard traffic has to go
-  /// through the engine's mailboxes, otherwise determinism (and thread
+  /// through ParallelEngine::post, otherwise determinism (and thread
   /// safety) silently break. Unarmed threads (every single-simulator
   /// program) pay one thread-local load + branch per schedule.
   class ShardGuard {

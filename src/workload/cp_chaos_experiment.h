@@ -43,9 +43,8 @@ struct CpChaosArm {
 
 /// `run` (rates, windows, seed and app as the caller set them) completed
 /// for one arm: resilience + flap damping + push-channel policies, the
-/// gateway's per-try timeout budget, the outage + churn fault plan, the
-/// LS phases "before", "during" (the outage) and "after", the drain and
-/// the staleness sampler.
+/// outage + churn fault plan, the LS phases "before", "during" (the
+/// outage) and "after", the drain and the staleness sampler.
 ElibraryExperimentConfig cp_chaos_config(ElibraryExperimentConfig run,
                                          const CpChaosArm& arm);
 

@@ -48,10 +48,10 @@ struct MtlsArm {
 };
 
 /// `run` (rates, windows, seed and app as the caller set them) completed
-/// for one arm: resilience + mTLS policies, the gateway's per-try timeout
-/// budget, the storm fault plan, the LS phases "pre" and "post" (split
-/// at the storm instant, half the measured window; meaningful for storm
-/// arms, still deterministic without one) and the drain.
+/// for one arm: resilience + mTLS policies, the storm fault plan, the LS
+/// phases "pre" and "post" (split at the storm instant, half the measured
+/// window; meaningful for storm arms, still deterministic without one)
+/// and the drain.
 ElibraryExperimentConfig mtls_config(ElibraryExperimentConfig run,
                                      const MtlsArm& arm);
 

@@ -231,7 +231,7 @@ PointMetrics run_parsim_experiment(const ParsimConfig& config) {
       });
     } else {
       // Cut edge: serialize locally, then cross at serialization-complete
-      // time via the engine mailbox. Only PODs cross the thread boundary
+      // time via ParallelEngine::post. Only PODs cross the thread boundary
       // (the packet — and with it any pooled payload — dies on the
       // source shard).
       sim::ParallelEngine* engine_ptr = &engine;
@@ -301,8 +301,6 @@ PointMetrics run_parsim_experiment(const ParsimConfig& config) {
   const sim::ParallelEngineStats engine_stats = engine.stats();
   metrics.counters["engine_epochs"] = engine_stats.epochs;
   metrics.counters["engine_messages"] = engine_stats.messages;
-  metrics.counters["engine_mailbox_overflows"] =
-      engine_stats.mailbox_overflows;
   const sim::LoopStats loop = engine.merged_loop_stats();
   metrics.counters["engine_scheduled"] = loop.scheduled;
   metrics.counters["engine_cancelled"] = loop.cancelled;

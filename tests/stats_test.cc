@@ -1,4 +1,4 @@
-// Tests for the HDR-style histogram, running stats and table printer.
+// Tests for the HDR-style histogram and table printer.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "stats/histogram.h"
-#include "stats/running_stats.h"
 #include "stats/table.h"
 
 namespace meshnet::stats {
@@ -229,61 +228,6 @@ TEST_P(HistogramErrorTest, RelativeErrorBound) {
 INSTANTIATE_TEST_SUITE_P(Precision, HistogramErrorTest,
                          ::testing::Values(5, 7, 9, 11));
 
-TEST(RunningStats, Empty) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, MatchesNaiveComputation) {
-  RunningStats s;
-  std::vector<double> values = {3.5, -2.0, 7.25, 0.0, 13.0, -8.5, 4.0};
-  double sum = 0;
-  for (double v : values) {
-    s.record(v);
-    sum += v;
-  }
-  const double mean = sum / static_cast<double>(values.size());
-  double sq = 0;
-  for (double v : values) sq += (v - mean) * (v - mean);
-  EXPECT_NEAR(s.mean(), mean, 1e-12);
-  EXPECT_NEAR(s.variance(), sq / (static_cast<double>(values.size()) - 1),
-              1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), -8.5);
-  EXPECT_DOUBLE_EQ(s.max(), 13.0);
-  EXPECT_NEAR(s.sum(), sum, 1e-12);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  std::mt19937_64 rng(4);
-  std::normal_distribution<double> dist(10.0, 3.0);
-  for (int i = 0; i < 500; ++i) {
-    const double v = dist(rng);
-    (i < 200 ? a : b).record(v);
-    all.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.record(5.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
-}
-
 TEST(Table, AlignsColumnsAndUnderlines) {
   Table t({"name", "value"});
   t.add_row({"a", "1"});
@@ -364,34 +308,6 @@ TEST(LogHistogram, ShardedMergeOrderInvariant) {
   for (std::size_t i = 0; i < parts.size(); ++i) forward.merge(parts[i]);
   for (std::size_t i = parts.size(); i-- > 0;) backward.merge(parts[i]);
   EXPECT_EQ(forward, backward);
-}
-
-TEST(RunningStats, ShardedMergeEqualsCombined_RandomSplits) {
-  std::mt19937_64 rng(0xbeef);
-  std::lognormal_distribution<double> dist(2.0, 1.5);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int shards = 1 + static_cast<int>(rng() % 8);
-    RunningStats combined;
-    std::vector<RunningStats> parts(static_cast<std::size_t>(shards));
-    const int n = 200 + static_cast<int>(rng() % 800);
-    for (int i = 0; i < n; ++i) {
-      const double v = dist(rng);
-      combined.record(v);
-      parts[rng() % static_cast<std::uint64_t>(shards)].record(v);
-    }
-    RunningStats merged;
-    for (const RunningStats& part : parts) merged.merge(part);
-
-    EXPECT_EQ(merged.count(), combined.count());
-    EXPECT_DOUBLE_EQ(merged.min(), combined.min());
-    EXPECT_DOUBLE_EQ(merged.max(), combined.max());
-    // Welford merge reassociates the sums, so exactness is only up to
-    // floating-point; the tolerance is tight enough to catch logic bugs.
-    EXPECT_NEAR(merged.mean(), combined.mean(),
-                1e-9 * std::abs(combined.mean()));
-    EXPECT_NEAR(merged.variance(), combined.variance(),
-                1e-6 * std::max(1.0, combined.variance()));
-  }
 }
 
 TEST(LogHistogram, EqualityDetectsDifferences) {
