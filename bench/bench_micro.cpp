@@ -218,8 +218,8 @@ static void BM_FifoQdisc(benchmark::State& state) {
   net::Packet packet;
   packet.payload = net::Payload::filled(1400, 'x');
   for (auto _ : state) {
-    qdisc.enqueue(packet, 0);
-    benchmark::DoNotOptimize(qdisc.dequeue(0));
+    qdisc.enqueue(packet);
+    benchmark::DoNotOptimize(qdisc.dequeue());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -235,10 +235,10 @@ static void BM_WeightedPrioQdisc(benchmark::State& state) {
   low.dscp = net::Dscp::kScavenger;
   low.payload = high.payload;
   for (auto _ : state) {
-    qdisc.enqueue(high, 0);
-    qdisc.enqueue(low, 0);
-    benchmark::DoNotOptimize(qdisc.dequeue(0));
-    benchmark::DoNotOptimize(qdisc.dequeue(0));
+    qdisc.enqueue(high);
+    qdisc.enqueue(low);
+    benchmark::DoNotOptimize(qdisc.dequeue());
+    benchmark::DoNotOptimize(qdisc.dequeue());
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }

@@ -120,17 +120,6 @@ void CrossLayerController::install() {
                  << tc_.rules().size() << " tc rules)";
 }
 
-void CrossLayerController::uninstall() {
-  tc_.clear_all();
-  mesh::MeshPolicies& policies = control_plane_.policies();
-  policies.class_policies.clear();
-  policies.upstream_connection_hook = nullptr;
-  for (const auto& pod : cluster_.pods()) {
-    pod->transport().set_accept_options_mapper(nullptr);
-  }
-  control_plane_.push_config();
-}
-
 std::shared_ptr<ProvenanceTable> CrossLayerController::provenance_table(
     const std::string& pod_name) const {
   const auto it = tables_.find(pod_name);

@@ -65,10 +65,6 @@ class CrossLayerController {
   /// pushes config. Call once, after all sidecars are injected.
   void install();
 
-  /// Removes TC rules and neutralizes class policies (filters stay but
-  /// become inert once classification is withdrawn at the gateway).
-  void uninstall();
-
   TcManager& tc() noexcept { return tc_; }
   SdnCoordinator& sdn() noexcept { return sdn_; }
   const CrossLayerConfig& config() const noexcept { return config_; }

@@ -10,10 +10,6 @@ void SdnCoordinator::advertise(const net::FlowKey& flow,
   ++advertisements_;
 }
 
-void SdnCoordinator::withdraw(const net::FlowKey& flow) {
-  flows_.erase(flow);
-}
-
 mesh::TrafficClass SdnCoordinator::classify(const net::FlowKey& flow) const {
   auto it = flows_.find(flow);
   if (it == flows_.end()) it = flows_.find(flow.reversed());

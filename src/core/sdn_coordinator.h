@@ -30,9 +30,6 @@ class SdnCoordinator {
   /// the cross-layer machinery when an upstream connection is opened.
   void advertise(const net::FlowKey& flow, mesh::TrafficClass traffic_class);
 
-  /// Removes a flow advertisement (connection closed).
-  void withdraw(const net::FlowKey& flow);
-
   /// The class advertised for a flow, looked up directionlessly (the
   /// reverse direction of a prioritized flow is prioritized too, since
   /// responses carry the bulk of the bytes).

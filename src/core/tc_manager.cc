@@ -66,10 +66,6 @@ void TcManager::install_on_all_pods(TcRule rule_template) {
   }
 }
 
-void TcManager::clear_all() {
-  while (!rules_.empty()) clear(rules_.back().pod_name);
-}
-
 std::string TcManager::show() const {
   std::ostringstream out;
   for (const TcRule& rule : rules_) {

@@ -51,8 +51,6 @@ class TcManager {
   /// applies its rules uniformly to all sidecar interfaces).
   void install_on_all_pods(TcRule rule_template);
 
-  void clear_all();
-
   const std::vector<TcRule>& rules() const noexcept { return rules_; }
 
   /// Renders the rule inventory like `tc qdisc show`.

@@ -28,10 +28,6 @@ std::string_view fault_action_name(FaultAction action) noexcept {
       return "cp-crash";
     case FaultAction::kCpRestart:
       return "cp-restart";
-    case FaultAction::kCpPartition:
-      return "cp-partition";
-    case FaultAction::kCpPushLoss:
-      return "cp-push-loss";
   }
   return "?";
 }
@@ -106,20 +102,6 @@ FaultPlan& FaultPlan::cp_outage(sim::Time from, sim::Time until) {
   return *this;
 }
 
-FaultPlan& FaultPlan::cp_partition(sim::Time from, sim::Time until,
-                                   std::string pod) {
-  entries_.push_back({from, FaultAction::kCpPartition, pod, 1.0});
-  entries_.push_back({until, FaultAction::kCpPartition, std::move(pod), 0.0});
-  return *this;
-}
-
-FaultPlan& FaultPlan::cp_push_loss(sim::Time from, sim::Time until,
-                                   double probability) {
-  entries_.push_back({from, FaultAction::kCpPushLoss, {}, probability});
-  entries_.push_back({until, FaultAction::kCpPushLoss, {}, 0.0});
-  return *this;
-}
-
 ChaosController::ChaosController(sim::Simulator& sim,
                                  cluster::Cluster& cluster, std::uint64_t seed)
     : sim_(sim), cluster_(cluster), seed_(seed) {}
@@ -170,14 +152,6 @@ bool ChaosController::execute(FaultAction action, const std::string& target,
       break;
     case FaultAction::kCpRestart:
       if (cp_hooks_.restart) applied = cp_hooks_.restart();
-      break;
-    case FaultAction::kCpPartition:
-      if (cp_hooks_.set_partitioned)
-        applied = cp_hooks_.set_partitioned(target, value != 0.0);
-      break;
-    case FaultAction::kCpPushLoss:
-      if (cp_hooks_.set_push_loss)
-        applied = cp_hooks_.set_push_loss(value);
       break;
     default: {
       cluster::Pod* pod = cluster_.find_pod(target);

@@ -44,8 +44,6 @@ enum class FaultAction {
   // hooks they log as not-applied.
   kCpCrash,      ///< control plane goes down (target unused)
   kCpRestart,    ///< control plane recovers (target unused)
-  kCpPartition,  ///< target = pod; value 1 partitions, 0 heals
-  kCpPushLoss,   ///< value = push-channel loss probability (0 clears)
 };
 
 std::string_view fault_action_name(FaultAction action) noexcept;
@@ -85,11 +83,6 @@ class FaultPlan {
   FaultPlan& cp_restart(sim::Time at);
   /// Control plane down during [from, until).
   FaultPlan& cp_outage(sim::Time from, sim::Time until);
-  /// One sidecar partitioned from the control plane during [from, until).
-  FaultPlan& cp_partition(sim::Time from, sim::Time until, std::string pod);
-  /// Push-channel loss during [from, until).
-  FaultPlan& cp_push_loss(sim::Time from, sim::Time until,
-                          double probability);
 
   const std::vector<FaultEntry>& entries() const noexcept { return entries_; }
   bool empty() const noexcept { return entries_.empty(); }
@@ -113,9 +106,6 @@ struct FaultLogEntry {
 struct CpHooks {
   std::function<bool()> crash;
   std::function<bool()> restart;
-  /// (pod, partitioned) — partition one sidecar from the control plane.
-  std::function<bool(const std::string&, bool)> set_partitioned;
-  std::function<bool(double)> set_push_loss;
 };
 
 class ChaosController {

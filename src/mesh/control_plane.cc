@@ -33,6 +33,7 @@ ControlPlane::ControlPlane(sim::Simulator& sim, cluster::Cluster& cluster,
     : sim_(sim),
       cluster_(cluster),
       policies_(std::move(policies)),
+      poll_timer_(sim),
       push_rng_(0xc0de, "cp:push"),
       pace_rng_(0xc0de, "cp:pace") {
   telemetry_.access_log().set_sample_every(
@@ -73,7 +74,7 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
       pod.service().empty() ? pod.name() : pod.service(), options);
   Sidecar& ref = *sidecar;
   sidecars_.push_back(std::move(sidecar));
-  PushState& state = push_state_[pod.name()];
+  PushState& state = push_state_.try_emplace(pod.name(), sim_).first->second;
   state.sidecar = &ref;
   states_.push_back(&state);
 
@@ -116,19 +117,16 @@ void ControlPlane::start(sim::Duration poll_interval) {
   started_ = true;
   poll_interval_ = poll_interval;
   push_config();
-  poll_timer_ =
-      sim_.schedule_after(poll_interval_, [this] { poll_registry(); });
+  poll_timer_.arm_after(poll_interval_, [this] { poll_registry(); });
 }
 
 void ControlPlane::poll_registry() {
-  poll_timer_ = sim::kInvalidEventId;
   if (crashed_) return;
   if (cluster_.registry().version() != last_registry_version_) {
     push_config();
   }
   update_staleness_gauges();
-  poll_timer_ =
-      sim_.schedule_after(poll_interval_, [this] { poll_registry(); });
+  poll_timer_.arm_after(poll_interval_, [this] { poll_registry(); });
 }
 
 void ControlPlane::begin_epoch() {
@@ -153,7 +151,7 @@ void ControlPlane::push_config() {
 
 void ControlPlane::launch_push(PushState& state) {
   Sidecar& sidecar = *state.sidecar;
-  cancel_push_timers(state);
+  state.disarm_timers();
 
   CompiledConfig compiled = compile_config(sidecar);
   if (state.acked_hash != 0 && compiled.fingerprint.hash == state.acked_hash) {
@@ -217,11 +215,10 @@ void ControlPlane::launch_push(PushState& state) {
     }
     return;
   }
-  state.delivery_timer = sim_.schedule_after(
+  state.delivery_timer.arm_after(
       latency, [this, s = &state, use_delta, delta = std::move(delta),
                 config = std::move(config),
                 target = std::move(target)]() mutable {
-        s->delivery_timer = sim::kInvalidEventId;
         if (use_delta) {
           deliver_delta(*s, std::move(delta), std::move(target));
         } else {
@@ -273,10 +270,7 @@ void ControlPlane::deliver_delta(PushState& state, ConfigDelta delta,
 void ControlPlane::handle_ack(PushState& state, std::uint64_t acked_epoch,
                               std::uint64_t hash) {
   if (crashed_) return;  // acks into a dead control plane are lost
-  if (state.ack_timer != sim::kInvalidEventId) {
-    sim_.cancel(state.ack_timer);
-    state.ack_timer = sim::kInvalidEventId;
-  }
+  state.ack_timer.disarm();
   state.attempt = 0;
   state.prev_backoff = 0;
   if (acked_epoch >= state.acked_epoch) {
@@ -291,10 +285,7 @@ void ControlPlane::handle_ack(PushState& state, std::uint64_t acked_epoch,
 void ControlPlane::handle_nack(PushState& state, std::uint64_t nacked_epoch,
                                const std::string& reason) {
   if (crashed_) return;
-  if (state.ack_timer != sim::kInvalidEventId) {
-    sim_.cancel(state.ack_timer);
-    state.ack_timer = sim::kInvalidEventId;
-  }
+  state.ack_timer.disarm();
   if (reason == "stale-epoch") {
     // A superseded push raced a newer one; the newer epoch is already in
     // flight, so there is nothing to repair.
@@ -329,7 +320,7 @@ void ControlPlane::handle_nack(PushState& state, std::uint64_t nacked_epoch,
 
 void ControlPlane::schedule_retry(PushState& state) {
   if (crashed_) return;
-  if (state.retry_timer != sim::kInvalidEventId) return;
+  if (state.retry_timer.armed()) return;
   ++state.attempt;
   RetryPolicy backoff;
   backoff.backoff_base = kPushRetryBackoffBase;
@@ -343,18 +334,14 @@ void ControlPlane::schedule_retry(PushState& state) {
 }
 
 void ControlPlane::schedule_relaunch(PushState& state, sim::Duration delay) {
-  state.retry_timer = sim_.schedule_after(delay, [this, s = &state] {
-    s->retry_timer = sim::kInvalidEventId;
+  state.retry_timer.arm_after(delay, [this, s = &state] {
     if (!crashed_) launch_push(*s);
   });
 }
 
 void ControlPlane::arm_ack_timeout(PushState& state) {
-  state.ack_timer =
-      sim_.schedule_after(policies_.cp.ack_timeout, [this, s = &state] {
-        s->ack_timer = sim::kInvalidEventId;
-        schedule_retry(*s);
-      });
+  state.ack_timer.arm_after(policies_.cp.ack_timeout,
+                           [this, s = &state] { schedule_retry(*s); });
 }
 
 void ControlPlane::publish_acked_epoch(PushState& state) {
@@ -363,16 +350,6 @@ void ControlPlane::publish_acked_epoch(PushState& state) {
         "sidecar_config_epoch", {{"pod", state.sidecar->pod().name()}});
   }
   state.epoch_gauge->set(static_cast<double>(state.acked_epoch));
-}
-
-void ControlPlane::cancel_push_timers(PushState& state) {
-  for (sim::EventId* timer :
-       {&state.delivery_timer, &state.ack_timer, &state.retry_timer}) {
-    if (*timer != sim::kInvalidEventId) {
-      sim_.cancel(*timer);
-      *timer = sim::kInvalidEventId;
-    }
-  }
 }
 
 void ControlPlane::check_convergence() {
@@ -438,13 +415,9 @@ void ControlPlane::crash() {
   crashed_ = true;
   cpm_.crashes->inc();
   record_event(obs::EventKind::kControlPlane, "control-plane", "crash");
-  if (poll_timer_ != sim::kInvalidEventId) {
-    sim_.cancel(poll_timer_);
-    poll_timer_ = sim::kInvalidEventId;
-  }
-  for (auto& [pod, state] : push_state_) cancel_push_timers(state);
-  for (auto& [service, timer] : cert_timers_) sim_.cancel(timer);
-  cert_timers_.clear();
+  poll_timer_.disarm();
+  for (auto& [pod, state] : push_state_) state.disarm_timers();
+  for (auto& [service, issued] : certs_) issued.rotation_timer.disarm();
 }
 
 void ControlPlane::recover() {
@@ -465,8 +438,7 @@ void ControlPlane::recover() {
     }
   }
   if (started_) {
-    poll_timer_ =
-        sim_.schedule_after(poll_interval_, [this] { poll_registry(); });
+    poll_timer_.arm_after(poll_interval_, [this] { poll_registry(); });
   }
   // Paced, jittered reconvergence: sidecar i's push launches at
   // i * pacing + uniform(0, pacing), so a mesh-wide resync is a ramp,
@@ -484,14 +456,14 @@ void ControlPlane::recover() {
       launch_push(state);
       continue;
     }
-    cancel_push_timers(state);
+    state.disarm_timers();
     schedule_relaunch(state, delay);
   }
 }
 
 void ControlPlane::set_partitioned(const std::string& pod_name,
                                    bool partitioned) {
-  PushState& state = push_state_[pod_name];
+  PushState& state = push_state_.try_emplace(pod_name, sim_).first->second;
   if (state.partitioned == partitioned) return;
   state.partitioned = partitioned;
   record_event(obs::EventKind::kControlPlane, "push:" + pod_name,
@@ -645,7 +617,7 @@ Certificate ControlPlane::issue_certificate(const std::string& service) {
   cert.spiffe_id = "spiffe://cluster.local/ns/default/sa/" + service;
   cert.issued_at = sim_.now();
   cert.expires_at = sim_.now() + policies_.certificate_lifetime;
-  IssuedCert& issued = certs_[service];
+  IssuedCert& issued = certs_.try_emplace(service, sim_).first->second;
   issued.cert = cert;
   if (issued.seconds_to_expiry == nullptr) {
     issued.seconds_to_expiry =
@@ -662,11 +634,6 @@ void ControlPlane::schedule_cert_rotation(const std::string& service) {
   if (ahead <= 0.0 || crashed_) return;
   const auto it = certs_.find(service);
   if (it == certs_.end()) return;
-  const auto timer_it = cert_timers_.find(service);
-  if (timer_it != cert_timers_.end()) {
-    sim_.cancel(timer_it->second);
-    cert_timers_.erase(timer_it);
-  }
   const auto refresh_margin = static_cast<sim::Duration>(
       ahead * static_cast<double>(policies_.certificate_lifetime));
   // Deterministic per-service splay (up to half the refresh margin) so
@@ -682,8 +649,7 @@ void ControlPlane::schedule_cert_rotation(const std::string& service) {
   const sim::Time rotate_at =
       it->second.cert.expires_at - refresh_margin + splay;
   const sim::Duration delay = std::max<sim::Duration>(0, rotate_at - sim_.now());
-  cert_timers_[service] = sim_.schedule_after(delay, [this, service] {
-    cert_timers_.erase(service);
+  it->second.rotation_timer.arm_after(delay, [this, service] {
     if (crashed_) return;
     issue_certificate(service);
     cpm_.cert_rotations->inc();

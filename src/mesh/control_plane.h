@@ -38,6 +38,7 @@
 #include "mesh/telemetry.h"
 #include "mesh/tracing.h"
 #include "obs/metric_registry.h"
+#include "sim/timer.h"
 
 namespace meshnet::mesh {
 
@@ -228,6 +229,14 @@ class ControlPlane {
   /// Per-sidecar push channel state, keyed by pod name. Entries are never
   /// erased, so `states_` and the push timers point at them directly.
   struct PushState {
+    explicit PushState(sim::Simulator& sim)
+        : delivery_timer(sim), ack_timer(sim), retry_timer(sim) {}
+    void disarm_timers() {
+      delivery_timer.disarm();
+      ack_timer.disarm();
+      retry_timer.disarm();
+    }
+
     /// Null for a pod partitioned before its sidecar was injected.
     Sidecar* sidecar = nullptr;
     /// sidecar_config_epoch{pod}, created on the first ack or skip.
@@ -236,9 +245,9 @@ class ControlPlane {
     std::uint64_t acked_hash = 0;  ///< fingerprint of last acked config
     int attempt = 0;               ///< retries since the last ack
     sim::Duration prev_backoff = 0;
-    sim::EventId delivery_timer = sim::kInvalidEventId;
-    sim::EventId ack_timer = sim::kInvalidEventId;
-    sim::EventId retry_timer = sim::kInvalidEventId;
+    sim::Timer delivery_timer;
+    sim::Timer ack_timer;
+    sim::Timer retry_timer;
     bool partitioned = false;
     /// Fingerprint of the last config this sidecar acked, kept only
     /// under cp.delta_push: the base future deltas are diffed against.
@@ -298,7 +307,6 @@ class ControlPlane {
   void arm_ack_timeout(PushState& state);
   /// Publishes `state.acked_epoch` as sidecar_config_epoch{pod}.
   void publish_acked_epoch(PushState& state);
-  void cancel_push_timers(PushState& state);
   void check_convergence();
   void update_staleness_gauges();
   void schedule_cert_rotation(const std::string& service);
@@ -320,12 +328,15 @@ class ControlPlane {
   /// subsetting, an injection (the subscriber set changed).
   std::optional<ClusterTable> cluster_table_;
   struct IssuedCert {
+    explicit IssuedCert(sim::Simulator& sim) : rotation_timer(sim) {}
+
     Certificate cert;
     /// cert_seconds_to_expiry{service}, interned at first issue.
     obs::Gauge* seconds_to_expiry = nullptr;
+    /// Re-issues the certificate cp.cert_refresh_ahead before expiry.
+    sim::Timer rotation_timer;
   };
   std::map<std::string, IssuedCert> certs_;
-  std::map<std::string, sim::EventId> cert_timers_;
   std::function<void(const std::string&, SidecarConfig&)> compile_mutator_;
 
   std::uint64_t last_registry_version_ = 0;
@@ -349,7 +360,7 @@ class ControlPlane {
   sim::Time last_converged_at_ = 0;
   /// When the oldest un-pushed registry change landed (0 = caught up).
   sim::Time pending_change_since_ = 0;
-  sim::EventId poll_timer_ = sim::kInvalidEventId;
+  sim::Timer poll_timer_;
   sim::Duration poll_interval_ = 0;
   bool started_ = false;
   sim::RngStream push_rng_;

@@ -18,14 +18,8 @@ HealthChecker::~HealthChecker() {
 }
 
 void HealthChecker::detach(Target& target) {
-  if (target.next_probe != sim::kInvalidEventId) {
-    sim_.cancel(target.next_probe);
-    target.next_probe = sim::kInvalidEventId;
-  }
-  if (target.timeout_timer != sim::kInvalidEventId) {
-    sim_.cancel(target.timeout_timer);
-    target.timeout_timer = sim::kInvalidEventId;
-  }
+  target.next_probe.disarm();
+  target.timeout_timer.disarm();
   if (target.inflight != 0 && target.pool) {
     target.pool->cancel(target.inflight);
     target.inflight = 0;
@@ -52,7 +46,7 @@ void HealthChecker::update_targets(
         detach(existing);  // address changed: treat as a new endpoint
         targets_.erase(it);
       }
-      auto target = std::make_unique<Target>();
+      auto target = std::make_unique<Target>(sim_);
       target->cluster = cluster;
       target->pod = ep.pod_name;
       target->ip = ep.ip;
@@ -104,12 +98,7 @@ bool HealthChecker::healthy(const std::string& cluster,
 void HealthChecker::schedule_probe(const Key& key, sim::Duration delay) {
   const auto it = targets_.find(key);
   if (it == targets_.end()) return;
-  it->second->next_probe = sim_.schedule_after(delay, [this, key] {
-    const auto tit = targets_.find(key);
-    if (tit == targets_.end()) return;
-    tit->second->next_probe = sim::kInvalidEventId;
-    run_probe(key);
-  });
+  it->second->next_probe.arm_after(delay, [this, key] { run_probe(key); });
 }
 
 void HealthChecker::run_probe(const Key& key) {
@@ -132,13 +121,12 @@ void HealthChecker::run_probe(const Key& key) {
         handle_result(key, seq, response.has_value() && response->status == 200);
       });
 
-  target.timeout_timer =
-      sim_.schedule_after(target.config.timeout, [this, key, seq] {
+  target.timeout_timer.arm_after(
+      target.config.timeout, [this, key, seq] {
         const auto tit = targets_.find(key);
         if (tit == targets_.end()) return;
         Target& t = *tit->second;
         if (t.seq != seq) return;
-        t.timeout_timer = sim::kInvalidEventId;
         if (t.inflight != 0) {
           // Cancel guarantees the pool handler never fires for this probe.
           t.pool->cancel(t.inflight);
@@ -154,10 +142,7 @@ void HealthChecker::handle_result(const Key& key, std::uint64_t seq, bool ok) {
   if (it == targets_.end()) return;
   Target& target = *it->second;
   if (target.seq != seq) return;  // superseded (detach or reconcile)
-  if (target.timeout_timer != sim::kInvalidEventId) {
-    sim_.cancel(target.timeout_timer);
-    target.timeout_timer = sim::kInvalidEventId;
-  }
+  target.timeout_timer.disarm();
   target.inflight = 0;
 
   if (ok) {

@@ -28,6 +28,7 @@
 #include "mesh/http_client.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 
 namespace meshnet::mesh {
 
@@ -99,6 +100,9 @@ class HealthChecker {
   using Key = std::pair<std::string, std::string>;  ///< (cluster, pod)
 
   struct Target {
+    explicit Target(sim::Simulator& sim)
+        : next_probe(sim), timeout_timer(sim) {}
+
     std::string cluster;
     std::string pod;
     net::IpAddress ip = 0;
@@ -111,8 +115,8 @@ class HealthChecker {
     std::vector<sim::Time> transitions;
     sim::Time damped_until = 0;  ///< readmission suppressed before this
     std::uint64_t seq = 0;  ///< guards stale probe callbacks
-    sim::EventId next_probe = sim::kInvalidEventId;
-    sim::EventId timeout_timer = sim::kInvalidEventId;
+    sim::Timer next_probe;
+    sim::Timer timeout_timer;
     std::unique_ptr<HttpClientPool> pool;
     HttpClientPool::RequestId inflight = 0;
   };

@@ -466,7 +466,7 @@ CircuitBreaker& Sidecar::breaker_for(const std::string& cluster_name,
 
 void Sidecar::accept_session(transport::Connection& conn,
                              FilterDirection direction) {
-  auto session = std::make_unique<ServerSession>();
+  auto session = std::make_unique<ServerSession>(sim_);
   ServerSession* raw = session.get();
   raw->id = next_session_id_++;
   raw->conn = &conn;
@@ -500,8 +500,8 @@ void Sidecar::accept_session(transport::Connection& conn,
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
     ServerSession& s = *it->second;
-    if (s.try_timer != sim::kInvalidEventId) sim_.cancel(s.try_timer);
-    if (s.deadline_timer != sim::kInvalidEventId) sim_.cancel(s.deadline_timer);
+    s.try_timer.disarm();
+    s.deadline_timer.disarm();
     if (s.tls != nullptr) s.tls->shutdown();
     // An upstream cancel suppresses the pool handler, which would leak
     // the in-flight request's span and telemetry sample: finish the
@@ -706,14 +706,8 @@ void Sidecar::respond_to_session(std::uint64_t session_id, const Ctx& /*ctx*/,
   session.upstream_pool = nullptr;
   session.upstream_req = 0;
   session.active.reset();
-  if (session.try_timer != sim::kInvalidEventId) {
-    sim_.cancel(session.try_timer);
-    session.try_timer = sim::kInvalidEventId;
-  }
-  if (session.deadline_timer != sim::kInvalidEventId) {
-    sim_.cancel(session.deadline_timer);
-    session.deadline_timer = sim::kInvalidEventId;
-  }
+  session.try_timer.disarm();
+  session.deadline_timer.disarm();
   ++session.request_seq;
   // Charge the proxy's response-path processing cost before the bytes hit
   // the wire.
@@ -933,7 +927,7 @@ void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
   // configured to re-enter the attempt path.
   if (config_.request_timeout > 0) {
     const std::uint64_t seq = it->second->request_seq;
-    it->second->deadline_timer = sim_.schedule_after(
+    it->second->deadline_timer.arm_after(
         config_.request_timeout, [this, session_id, ctx, seq] {
           on_request_deadline(session_id, ctx, seq);
         });
@@ -947,7 +941,6 @@ void Sidecar::on_request_deadline(std::uint64_t session_id, Ctx ctx,
   if (it == sessions_.end()) return;
   ServerSession& s = *it->second;
   if (s.request_seq != seq) return;  // request already answered
-  s.deadline_timer = sim::kInvalidEventId;
   ++stats_.timeouts;
   if (s.upstream_pool != nullptr && s.upstream_req != 0) {
     s.upstream_pool->cancel(s.upstream_req);
@@ -1093,13 +1086,12 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
       });
 
   if (config_.retry.per_try_timeout > 0) {
-    session.try_timer = sim_.schedule_after(
+    session.try_timer.arm_after(
         config_.retry.per_try_timeout,
         [this, session_id, ctx, cluster_name, endpoint_pod] {
           const auto it = sessions_.find(session_id);
           if (it == sessions_.end()) return;
           ServerSession& s = *it->second;
-          s.try_timer = sim::kInvalidEventId;
           if (s.upstream_pool != nullptr && s.upstream_req != 0) {
             s.upstream_pool->cancel(s.upstream_req);
             s.upstream_pool = nullptr;
@@ -1120,10 +1112,7 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
   const auto sess_it = sessions_.find(session_id);
   if (sess_it != sessions_.end()) {
     ServerSession& s = *sess_it->second;
-    if (s.try_timer != sim::kInvalidEventId) {
-      sim_.cancel(s.try_timer);
-      s.try_timer = sim::kInvalidEventId;
-    }
+    s.try_timer.disarm();
     s.upstream_pool = nullptr;
     s.upstream_req = 0;
   }

@@ -40,6 +40,7 @@
 #include "mesh/telemetry.h"
 #include "mesh/tls_session.h"
 #include "sim/random.h"
+#include "sim/timer.h"
 #include "mesh/tracing.h"
 #include "transport/transport_host.h"
 
@@ -339,6 +340,9 @@ class Sidecar {
 
  private:
   struct ServerSession {
+    explicit ServerSession(sim::Simulator& sim)
+        : try_timer(sim), deadline_timer(sim) {}
+
     std::uint64_t id = 0;
     transport::Connection* conn = nullptr;
     std::unique_ptr<http::HttpParser> parser;
@@ -351,13 +355,13 @@ class Sidecar {
     bool busy = false;
     // Upstream call state for the active request (HTTP/1.1 serializes one
     // request per downstream connection, so one set suffices).
-    sim::EventId try_timer = sim::kInvalidEventId;
+    sim::Timer try_timer;
     HttpClientPool* upstream_pool = nullptr;
     HttpClientPool::RequestId upstream_req = 0;
     std::string upstream_cluster;
     std::string upstream_endpoint;
     sim::Time deadline = 0;
-    sim::EventId deadline_timer = sim::kInvalidEventId;
+    sim::Timer deadline_timer;
     // Bumped on every response; async timers and backoff wakeups captured
     // for an earlier request compare against it and stand down.
     std::uint64_t request_seq = 0;

@@ -287,6 +287,7 @@ TlsChannel::TlsChannel(sim::Simulator& sim, Role role, const TlsParams* params,
       runtime_(runtime),
       peer_key_(std::move(peer_key)),
       state_(role == Role::kClient ? State::kIdle : State::kWaitClientHello),
+      timeout_timer_(sim),
       record_parser_(kTlsMaxRecordBytes) {
   assert(params_ != nullptr && local_cert_ != nullptr && runtime_ != nullptr);
   record_parser_.set_on_record(
@@ -295,17 +296,13 @@ TlsChannel::TlsChannel(sim::Simulator& sim, Role role, const TlsParams* params,
       });
 }
 
-TlsChannel::~TlsChannel() { cancel_timeout(); }
-
 void TlsChannel::start() {
   handshake_start_ = sim_.now();
   auto self = shared_from_this();
-  timeout_timer_ =
-      sim_.schedule_after(kTlsHandshakeTimeout, [self] {
-        self->timeout_timer_ = sim::kInvalidEventId;
-        if (self->closed_ || self->established() || self->failed()) return;
-        self->fail("tls handshake timeout", false);
-      });
+  timeout_timer_.arm_after(kTlsHandshakeTimeout, [self] {
+    if (self->closed_ || self->established() || self->failed()) return;
+    self->fail("tls handshake timeout", false);
+  });
   if (role_ == Role::kClient) {
     TlsClientHello hello;
     hello.cert_serial = local_cert_->serial;
@@ -345,7 +342,7 @@ void TlsChannel::send_app_data(std::string_view data) {
 void TlsChannel::shutdown() {
   if (closed_) return;
   closed_ = true;
-  cancel_timeout();
+  timeout_timer_.disarm();
   send_wire_ = nullptr;
   on_plaintext_ = nullptr;
   on_established_ = nullptr;
@@ -365,7 +362,7 @@ void TlsChannel::fail(const std::string& reason, bool send_alert) {
     queue_wire(encode_tls_record(TlsRecordType::kAlert, reason), 0);
   }
   error_ = reason;
-  cancel_timeout();
+  timeout_timer_.disarm();
   const bool pre_established = state_ != State::kEstablished;
   transition(State::kFailed);
   if (pre_established) runtime_->metrics().handshake_failures->inc();
@@ -529,7 +526,7 @@ void TlsChannel::handle_app_data(std::string_view body) {
 }
 
 void TlsChannel::become_established() {
-  cancel_timeout();
+  timeout_timer_.disarm();
   transition(State::kEstablished);
   TlsMetrics& metrics = runtime_->metrics();
   if (role_ == Role::kServer) {
@@ -607,13 +604,6 @@ void TlsChannel::queue_wire(std::string bytes, sim::Duration cost,
     if (self->closed_) return;
     if (self->send_wire_) self->send_wire_(b);
   });
-}
-
-void TlsChannel::cancel_timeout() {
-  if (timeout_timer_ != sim::kInvalidEventId) {
-    sim_.cancel(timeout_timer_);
-    timeout_timer_ = sim::kInvalidEventId;
-  }
 }
 
 std::string_view tls_state_name(TlsChannel::State state) noexcept {

@@ -40,6 +40,7 @@
 
 #include "obs/metric_registry.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "sim/time.h"
 
 namespace meshnet::mesh {
@@ -302,7 +303,6 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   TlsChannel(sim::Simulator& sim, Role role, const TlsParams* params,
              const Certificate* local_cert, TlsRuntime* runtime,
              std::string peer_key);
-  ~TlsChannel();
   TlsChannel(const TlsChannel&) = delete;
   TlsChannel& operator=(const TlsChannel&) = delete;
 
@@ -361,7 +361,6 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   /// crypto clock (see TlsRuntime::charge_handshake).
   void queue_wire(std::string bytes, sim::Duration cost,
                   bool handshake_cpu = false);
-  void cancel_timeout();
 
   sim::Simulator& sim_;
   Role role_;
@@ -376,7 +375,9 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   bool offered_ticket_ = false;
   std::string error_;
   sim::Time handshake_start_ = 0;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  /// The handshake timeout. Its callback holds a reference, so a channel
+  /// lives until the timer fires or is disarmed.
+  sim::Timer timeout_timer_;
 
   /// Per-direction compute clocks: work is serialized behind what is
   /// already queued, never reordered.

@@ -1,6 +1,5 @@
 #include "net/link.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.h"
@@ -25,7 +24,7 @@ void Link::send(Packet packet) {
     ++stats_.loss_drops;
     return;
   }
-  if (!qdisc_->enqueue(std::move(packet), sim_.now())) {
+  if (!qdisc_->enqueue(std::move(packet))) {
     MESHNET_DEBUG() << "link " << name_ << ": qdisc drop";
   }
   try_transmit();
@@ -42,12 +41,8 @@ void Link::set_up(bool up) {
     ++stats_.carrier_losses;
     // Backlogged packets die with the carrier (the driver's TX ring is
     // flushed); the loss shows up to transports as missing ACKs.
-    while (auto packet = qdisc_->dequeue(sim_.now())) {
+    while (auto packet = qdisc_->dequeue()) {
       ++stats_.down_drops;
-    }
-    if (pending_retry_ != sim::kInvalidEventId) {
-      sim_.cancel(pending_retry_);
-      pending_retry_ = sim::kInvalidEventId;
     }
     MESHNET_DEBUG() << "link " << name_ << ": carrier down";
   } else {
@@ -73,25 +68,10 @@ double Link::utilization(sim::Time now) const noexcept {
 
 void Link::try_transmit() {
   if (transmitting_ || !up_) return;
-  if (pending_retry_ != sim::kInvalidEventId) {
-    sim_.cancel(pending_retry_);
-    pending_retry_ = sim::kInvalidEventId;
-  }
-  auto packet = qdisc_->dequeue(sim_.now());
-  if (!packet) {
-    // A shaper may hold packets back even though the transmitter is idle;
-    // come back when the qdisc says a packet could be eligible.
-    if (const auto ready = qdisc_->next_ready(sim_.now())) {
-      // Guard against zero-progress spins: a qdisc that says "ready now"
-      // but dequeues nothing must be retried strictly later.
-      const sim::Time when = std::max(*ready, sim_.now() + 1);
-      pending_retry_ = sim_.schedule_at(when, [this] {
-        pending_retry_ = sim::kInvalidEventId;
-        try_transmit();
-      });
-    }
-    return;
-  }
+  // Every qdisc is work-conserving, so an empty dequeue means an empty
+  // queue: the next send restarts the transmitter.
+  auto packet = qdisc_->dequeue();
+  if (!packet) return;
   transmitting_ = true;
   tx_packet_ = std::move(*packet);
   const sim::Duration tx_time =

@@ -119,7 +119,6 @@ class Link {
   bool up_ = true;
   double loss_probability_ = 0.0;
   std::unique_ptr<sim::RngStream> loss_rng_;
-  sim::EventId pending_retry_ = sim::kInvalidEventId;
   LinkStats stats_;
 };
 

@@ -43,7 +43,7 @@ void Qdisc::note_backlog(std::uint64_t bytes) noexcept {
 
 FifoQdisc::FifoQdisc(std::uint64_t byte_limit) : byte_limit_(byte_limit) {}
 
-bool FifoQdisc::enqueue(Packet packet, sim::Time /*now*/) {
+bool FifoQdisc::enqueue(Packet packet) {
   if (bytes_ + packet.size_bytes() > byte_limit_ && !queue_.empty()) {
     note_drop(packet);
     return false;
@@ -55,17 +55,12 @@ bool FifoQdisc::enqueue(Packet packet, sim::Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> FifoQdisc::dequeue(sim::Time /*now*/) {
+std::optional<Packet> FifoQdisc::dequeue() {
   if (queue_.empty()) return std::nullopt;
   Packet p = queue_.take_front();
   bytes_ -= p.size_bytes();
   note_dequeue(p);
   return p;
-}
-
-std::optional<sim::Time> FifoQdisc::next_ready(sim::Time now) const {
-  if (queue_.empty()) return std::nullopt;
-  return now;
 }
 
 // -------------------------------------------------------- StrictPrio --
@@ -82,7 +77,7 @@ int StrictPrioQdisc::clamp_band(int band) const noexcept {
   return band > last ? last : band;
 }
 
-bool StrictPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
+bool StrictPrioQdisc::enqueue(Packet packet) {
   Band& band = bands_[static_cast<std::size_t>(clamp_band(classifier_(packet)))];
   if (band.bytes + packet.size_bytes() > per_band_byte_limit_ &&
       !band.queue.empty()) {
@@ -97,7 +92,7 @@ bool StrictPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> StrictPrioQdisc::dequeue(sim::Time /*now*/) {
+std::optional<Packet> StrictPrioQdisc::dequeue() {
   for (Band& band : bands_) {
     if (band.queue.empty()) continue;
     Packet p = band.queue.take_front();
@@ -106,10 +101,6 @@ std::optional<Packet> StrictPrioQdisc::dequeue(sim::Time /*now*/) {
     return p;
   }
   return std::nullopt;
-}
-
-std::optional<sim::Time> StrictPrioQdisc::next_ready(sim::Time now) const {
-  return backlog_packets() > 0 ? std::optional<sim::Time>(now) : std::nullopt;
 }
 
 std::uint64_t StrictPrioQdisc::backlog_bytes() const noexcept {
@@ -160,7 +151,7 @@ int WeightedPrioQdisc::clamp_band(int band) const noexcept {
   return band > last ? last : band;
 }
 
-bool WeightedPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
+bool WeightedPrioQdisc::enqueue(Packet packet) {
   Band& band = bands_[static_cast<std::size_t>(clamp_band(classifier_(packet)))];
   if (band.bytes + packet.size_bytes() > per_band_byte_limit_ &&
       !band.queue.empty()) {
@@ -175,7 +166,7 @@ bool WeightedPrioQdisc::enqueue(Packet packet, sim::Time /*now*/) {
   return true;
 }
 
-std::optional<Packet> WeightedPrioQdisc::dequeue(sim::Time /*now*/) {
+std::optional<Packet> WeightedPrioQdisc::dequeue() {
   if (backlog_packets() == 0) return std::nullopt;
   // Deficit round robin. Each band receives its quantum exactly once per
   // turn (tracked by turn_credited_) and may transmit while its deficit
@@ -230,10 +221,6 @@ std::optional<Packet> WeightedPrioQdisc::dequeue(sim::Time /*now*/) {
   return std::nullopt;
 }
 
-std::optional<sim::Time> WeightedPrioQdisc::next_ready(sim::Time now) const {
-  return backlog_packets() > 0 ? std::optional<sim::Time>(now) : std::nullopt;
-}
-
 std::uint64_t WeightedPrioQdisc::backlog_bytes() const noexcept {
   std::uint64_t total = 0;
   for (const Band& b : bands_) total += b.bytes;
@@ -256,78 +243,6 @@ std::uint64_t WeightedPrioQdisc::band_dequeued_bytes(int band) const {
 
 std::uint64_t WeightedPrioQdisc::band_drops(int band) const {
   return bands_.at(static_cast<std::size_t>(band)).drops;
-}
-
-// ------------------------------------------------------- TokenBucket --
-
-TokenBucketQdisc::TokenBucketQdisc(double rate_bits_per_second,
-                                   std::uint64_t burst_bytes,
-                                   std::uint64_t byte_limit)
-    : rate_bps_(rate_bits_per_second),
-      burst_bytes_(static_cast<double>(burst_bytes)),
-      byte_limit_(byte_limit),
-      tokens_(static_cast<double>(burst_bytes)) {}
-
-double TokenBucketQdisc::effective_cap() const noexcept {
-  // A head packet larger than the burst could never accumulate enough
-  // tokens under a hard cap; allow filling up to its size so oversized
-  // packets drain at the configured rate instead of deadlocking (Linux
-  // TBF rejects such configs outright; we degrade gracefully).
-  if (queue_.empty()) return burst_bytes_;
-  return std::max(burst_bytes_,
-                  static_cast<double>(queue_.front().size_bytes()));
-}
-
-void TokenBucketQdisc::refill(sim::Time now) noexcept {
-  if (now <= last_refill_) return;
-  const double elapsed_s = sim::to_seconds(now - last_refill_);
-  tokens_ = std::min(effective_cap(), tokens_ + elapsed_s * rate_bps_ / 8.0);
-  last_refill_ = now;
-}
-
-double TokenBucketQdisc::tokens_at(sim::Time now) const noexcept {
-  const double elapsed_s =
-      now > last_refill_ ? sim::to_seconds(now - last_refill_) : 0.0;
-  return std::min(effective_cap(), tokens_ + elapsed_s * rate_bps_ / 8.0);
-}
-
-bool TokenBucketQdisc::enqueue(Packet packet, sim::Time /*now*/) {
-  if (bytes_ + packet.size_bytes() > byte_limit_ && !queue_.empty()) {
-    note_drop(packet);
-    return false;
-  }
-  bytes_ += packet.size_bytes();
-  note_enqueue(packet);
-  note_backlog(bytes_);
-  queue_.push_back(std::move(packet));
-  return true;
-}
-
-std::optional<Packet> TokenBucketQdisc::dequeue(sim::Time now) {
-  if (queue_.empty()) return std::nullopt;
-  refill(now);
-  const auto need = static_cast<double>(queue_.front().size_bytes());
-  if (tokens_ < need) return std::nullopt;
-  tokens_ -= need;
-  Packet p = queue_.take_front();
-  bytes_ -= p.size_bytes();
-  note_dequeue(p);
-  return p;
-}
-
-std::optional<sim::Time> TokenBucketQdisc::next_ready(sim::Time now) const {
-  if (queue_.empty()) return std::nullopt;
-  const auto need = static_cast<double>(queue_.front().size_bytes());
-  const double have = tokens_at(now);
-  if (have >= need) return now;
-  const double deficit_bytes = need - have;
-  const double wait_s = deficit_bytes * 8.0 / rate_bps_;
-  // A zero/negligible refill rate makes the wait non-finite or far beyond
-  // any experiment horizon; the cap keeps from_seconds() (int64 ns) from
-  // overflowing. The head packet will never be ready.
-  constexpr double kMaxWaitS = 1e8;  // ~3 sim-years
-  if (!(wait_s < kMaxWaitS)) return std::nullopt;
-  return now + sim::from_seconds(wait_s) + 1;  // +1ns: strictly after refill
 }
 
 }  // namespace meshnet::net

@@ -34,6 +34,16 @@ Simulator::Simulator() {
   due_.reserve(32);
 }
 
+Simulator::~Simulator() {
+  // A pending task may own the last reference to a component whose
+  // sim::Timer cancels on destruction, so tasks are released while the
+  // slots and queues are still intact. Each is moved out first: a cancel
+  // of its own id from inside its destruction then finds an empty slot.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    InlineTask task = std::move(slots_[i].task);
+  }
+}
+
 std::uint32_t Simulator::alloc_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t index = free_head_;
@@ -76,14 +86,10 @@ EventId Simulator::schedule_after(Duration delay, InlineTask fn) {
 
 bool Simulator::cancel(EventId id) {
   check_shard_affinity();
-  const std::uint32_t index_plus_one = static_cast<std::uint32_t>(id);
-  if (id == kInvalidEventId || index_plus_one == 0) return false;
-  const std::size_t index = index_plus_one - 1;
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (slot.gen != static_cast<std::uint32_t>(id >> 32)) return false;
-  const Where where = slot.where;
-  free_slot(static_cast<std::uint32_t>(index));
+  if (!pending(id)) return false;
+  const auto index = static_cast<std::uint32_t>(id) - 1;
+  const Where where = slots_[index].where;
+  free_slot(index);
   --live_count_;
   ++stats_.cancelled;
   // The queued Entry is now a tombstone: skipped when it surfaces, or

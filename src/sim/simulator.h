@@ -7,6 +7,10 @@
 // increasing sequence number breaks ties), which makes runs bit-for-bit
 // reproducible.
 //
+// A component that owns a timeout holds a sim::Timer (sim/timer.h), not a
+// raw EventId: the timer keeps at most one event pending and cancels it
+// on re-arm and on destruction.
+//
 // Hot-path layout (see DESIGN.md "Performance model"):
 //
 //  - Callables are stored in a slab of generation-tagged slots as
@@ -47,6 +51,7 @@ class Simulator {
   static constexpr Time kNoEventTime = INT64_MIN;
 
   Simulator();
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -92,6 +97,16 @@ class Simulator {
   /// or was already cancelled (no-op). Returns true if the event was
   /// pending and is now cancelled.
   bool cancel(EventId id);
+
+  /// True while `id` is scheduled and has neither fired nor been
+  /// cancelled (the generation-tag check cancel() makes). An event's
+  /// slot is freed before it runs, so this is false inside its callback.
+  bool pending(EventId id) const noexcept {
+    const auto index_plus_one = static_cast<std::uint32_t>(id);
+    const auto gen = static_cast<std::uint32_t>(id >> 32);
+    return index_plus_one != 0 && index_plus_one <= slots_.size() &&
+           slots_[index_plus_one - 1].gen == gen;
+  }
 
   /// Runs until the event queue drains or stop() is called.
   void run();

@@ -86,13 +86,6 @@ double LogHistogram::mean() const noexcept {
   return sum_ / static_cast<double>(total_count_);
 }
 
-double LogHistogram::stddev() const noexcept {
-  if (total_count_ < 2) return 0.0;
-  const double n = static_cast<double>(total_count_);
-  const double var = (sum_sq_ - sum_ * sum_ / n) / (n - 1.0);
-  return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
 std::uint64_t LogHistogram::percentile(double p) const {
   if (total_count_ == 0) return 0;
   if (p < 0.0) p = 0.0;
@@ -114,16 +107,6 @@ std::uint64_t LogHistogram::percentile(double p) const {
     }
   }
   return max_;
-}
-
-double LogHistogram::cdf(std::uint64_t value) const {
-  if (total_count_ == 0) return 0.0;
-  const std::size_t limit = index_of(value);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i <= limit && i < counts_.size(); ++i) {
-    seen += counts_[i];
-  }
-  return static_cast<double>(seen) / static_cast<double>(total_count_);
 }
 
 void LogHistogram::merge(const LogHistogram& other) {

@@ -33,14 +33,10 @@ class LogHistogram {
   std::uint64_t min() const noexcept;  ///< 0 when empty.
   std::uint64_t max() const noexcept { return max_; }
   double mean() const noexcept;
-  double stddev() const noexcept;
 
   /// Value at the given percentile in [0, 100]. Returns the representative
   /// (midpoint) value of the bucket containing that rank; 0 when empty.
   std::uint64_t percentile(double p) const;
-
-  /// Fraction of recorded values <= `value` (bucket-granular).
-  double cdf(std::uint64_t value) const;
 
   /// Adds all counts from `other` (must have equal precision).
   void merge(const LogHistogram& other);

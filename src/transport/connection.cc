@@ -32,9 +32,8 @@ Connection::Connection(TransportHost& host, net::FlowKey flow, bool is_client,
       options_(options),
       state_(is_client ? ConnState::kSynSent : ConnState::kSynReceived),
       cc_(make_controller(options.cc, options.mss)),
-      rto_(kInitialRto) {}
-
-Connection::~Connection() { disarm_rto(); }
+      rto_(kInitialRto),
+      rto_timer_(host.sim()) {}
 
 void Connection::start_connect() {
   send_control(net::kFlagSyn, 0);
@@ -165,7 +164,7 @@ void Connection::handle_packet(const net::Packet& packet) {
     if (is_client_) {
       // SYN|ACK from the server completes our handshake.
       if (state_ == ConnState::kSynSent) {
-        disarm_rto();
+        rto_timer_.disarm();
         send_ack();
         enter_established();
       }
@@ -314,7 +313,7 @@ void Connection::handle_ack(const net::Packet& packet) {
     }
 
     if (send_cursor_ == 0 && !(fin_sent_ && ack < fin_ack_point)) {
-      disarm_rto();
+      rto_timer_.disarm();
     } else {
       arm_rto();
     }
@@ -355,22 +354,11 @@ void Connection::maybe_send_fin() {
 }
 
 void Connection::arm_rto() {
-  disarm_rto();
   sim::Duration timeout = rto_;
   for (int i = 0; i < rto_backoff_; ++i) {
     timeout = std::min(timeout * 2, kMaxRto);
   }
-  rto_timer_ = host_.sim().schedule_after(timeout, [this] {
-    rto_timer_ = sim::kInvalidEventId;
-    on_rto_fired();
-  });
-}
-
-void Connection::disarm_rto() {
-  if (rto_timer_ != sim::kInvalidEventId) {
-    host_.sim().cancel(rto_timer_);
-    rto_timer_ = sim::kInvalidEventId;
-  }
+  rto_timer_.arm_after(timeout, [this] { on_rto_fired(); });
 }
 
 void Connection::on_rto_fired() {
@@ -428,7 +416,7 @@ void Connection::update_rtt(sim::Duration sample) {
 void Connection::become_closed(bool graceful) {
   if (state_ == ConnState::kClosed) return;
   state_ = ConnState::kClosed;
-  disarm_rto();
+  rto_timer_.disarm();
   segments_.clear();
   send_cursor_ = 0;
   unsent_bytes_ = 0;

@@ -40,6 +40,7 @@
 #include "net/packet.h"
 #include "sim/ring.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "transport/congestion.h"
 
 namespace meshnet::transport {
@@ -94,7 +95,6 @@ class Connection {
 
   Connection(TransportHost& host, net::FlowKey flow, bool is_client,
              ConnectionOptions options);
-  ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
@@ -193,7 +193,6 @@ class Connection {
   void deliver(const net::Payload& data);
   void maybe_send_fin();
   void arm_rto();
-  void disarm_rto();
   void on_rto_fired();
   void update_rtt(sim::Duration sample);
   void become_closed(bool graceful);
@@ -226,7 +225,7 @@ class Connection {
   sim::Duration rttvar_ = 0;
   sim::Duration rto_;
   int rto_backoff_ = 0;
-  sim::EventId rto_timer_ = sim::kInvalidEventId;
+  sim::Timer rto_timer_;
 
   // Receiver state.
   std::uint64_t rcv_next_ = 0;

@@ -51,14 +51,6 @@ faults::CpHooks control_plane_hooks(mesh::ControlPlane& cp) {
     cp.recover();
     return true;
   };
-  hooks.set_partitioned = [&cp](const std::string& pod, bool partitioned) {
-    cp.set_partitioned(pod, partitioned);
-    return true;
-  };
-  hooks.set_push_loss = [&cp](double probability) {
-    cp.set_push_loss(probability);
-    return true;
-  };
   return hooks;
 }
 

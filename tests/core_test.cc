@@ -359,7 +359,7 @@ TEST_F(TcFixture, InstallOnAllPodsAndClearAll) {
   rule.match = TcMatch::kDscp;
   tc.install_on_all_pods(rule);
   EXPECT_EQ(tc.rules().size(), cluster.pods().size());
-  tc.clear_all();
+  for (const auto& pod : cluster.pods()) EXPECT_TRUE(tc.clear(pod->name()));
   EXPECT_TRUE(tc.rules().empty());
 }
 
@@ -388,8 +388,8 @@ TEST_F(TcFixture, DstIpClassifierPrioritizes) {
   to_high.flow.dst_ip = high_pod->ip();
   net::Packet to_low;
   to_low.flow.dst_ip = low_pod->ip();
-  qdisc->enqueue(to_low, 0);
-  qdisc->enqueue(to_high, 0);
+  qdisc->enqueue(to_low);
+  qdisc->enqueue(to_high);
   EXPECT_EQ(qdisc->band_backlog_packets(0), 1u);
   EXPECT_EQ(qdisc->band_backlog_packets(1), 1u);
 }
@@ -419,14 +419,6 @@ TEST(SdnCoordinator, AdvertiseAndClassify) {
   EXPECT_EQ(sdn.advertised_flows(), 1u);
 }
 
-TEST(SdnCoordinator, WithdrawRemoves) {
-  SdnCoordinator sdn;
-  const net::FlowKey flow{1, 100, 2, 200};
-  sdn.advertise(flow, TrafficClass::kScavenger);
-  sdn.withdraw(flow);
-  EXPECT_EQ(sdn.classify(flow), TrafficClass::kDefault);
-}
-
 TEST(SdnCoordinator, ProgramLinkUsesFlowTable) {
   sim::Simulator sim;
   net::Link link(sim, "fabric", 1e9, 0, std::make_unique<net::FifoQdisc>());
@@ -440,8 +432,8 @@ TEST(SdnCoordinator, ProgramLinkUsesFlowTable) {
   ls.flow = ls_flow;
   net::Packet other;
   other.flow = net::FlowKey{3, 30, 4, 40};
-  qdisc->enqueue(ls, 0);
-  qdisc->enqueue(other, 0);
+  qdisc->enqueue(ls);
+  qdisc->enqueue(other);
   EXPECT_EQ(qdisc->band_backlog_packets(0), 1u);
   EXPECT_EQ(qdisc->band_backlog_packets(1), 1u);
 }
@@ -534,16 +526,6 @@ TEST_F(CrossLayerFixture, TcPriorityCanBeDisabled) {
   CrossLayerController controller(control_plane, cluster, config);
   controller.install();
   EXPECT_TRUE(controller.tc().rules().empty());
-}
-
-TEST_F(CrossLayerFixture, UninstallRestoresDefaults) {
-  CrossLayerController controller(control_plane, cluster, {});
-  controller.install();
-  controller.uninstall();
-  EXPECT_TRUE(controller.tc().rules().empty());
-  EXPECT_TRUE(control_plane.policies().class_policies.empty());
-  EXPECT_NE(dynamic_cast<net::FifoQdisc*>(&rep_low->egress_link().qdisc()),
-            nullptr);
 }
 
 TEST_F(CrossLayerFixture, ProvenanceTablesExposedPerPod) {

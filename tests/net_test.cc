@@ -237,80 +237,73 @@ TEST(Packet, SizeAccounting) {
 
 TEST(FifoQdisc, FifoOrder) {
   FifoQdisc q(1 << 20);
-  for (int i = 1; i <= 3; ++i) q.enqueue(make_packet(100 * i), 0);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 100u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 200u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 300u);
-  EXPECT_FALSE(q.dequeue(0).has_value());
+  for (int i = 1; i <= 3; ++i) q.enqueue(make_packet(100 * i));
+  EXPECT_EQ(q.dequeue()->payload_size(), 100u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 200u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 300u);
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(FifoQdisc, DropsWhenFull) {
   FifoQdisc q(300);
-  EXPECT_TRUE(q.enqueue(make_packet(200), 0));   // 240 bytes
-  EXPECT_FALSE(q.enqueue(make_packet(200), 0));  // would exceed 300
+  EXPECT_TRUE(q.enqueue(make_packet(200)));   // 240 bytes
+  EXPECT_FALSE(q.enqueue(make_packet(200)));  // would exceed 300
   EXPECT_EQ(q.stats().dropped_packets, 1u);
   EXPECT_EQ(q.backlog_packets(), 1u);
 }
 
 TEST(FifoQdisc, AlwaysAcceptsIntoEmptyQueue) {
   FifoQdisc q(10);  // limit below even one packet
-  EXPECT_TRUE(q.enqueue(make_packet(1000), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(1000)));
   EXPECT_EQ(q.backlog_packets(), 1u);
 }
 
 TEST(FifoQdisc, StatsTrackBytes) {
   FifoQdisc q(1 << 20);
-  q.enqueue(make_packet(100), 0);
-  q.enqueue(make_packet(50), 0);
+  q.enqueue(make_packet(100));
+  q.enqueue(make_packet(50));
   EXPECT_EQ(q.stats().enqueued_packets, 2u);
   EXPECT_EQ(q.stats().enqueued_bytes, 230u);
   EXPECT_EQ(q.stats().max_backlog_bytes, 230u);
-  q.dequeue(0);
+  q.dequeue();
   EXPECT_EQ(q.stats().dequeued_packets, 1u);
   EXPECT_EQ(q.backlog_bytes(), 90u);
 }
 
-TEST(FifoQdisc, NextReady) {
-  FifoQdisc q(1 << 20);
-  EXPECT_FALSE(q.next_ready(5).has_value());
-  q.enqueue(make_packet(10), 5);
-  EXPECT_EQ(q.next_ready(5).value(), 5);
-}
-
 TEST(StrictPrioQdisc, HighBandAlwaysFirst) {
   StrictPrioQdisc q(2, classify_by_dscp());
-  q.enqueue(make_packet(100, Dscp::kScavenger), 0);
-  q.enqueue(make_packet(200, Dscp::kExpedited), 0);
-  q.enqueue(make_packet(300, Dscp::kScavenger), 0);
-  q.enqueue(make_packet(400, Dscp::kExpedited), 0);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 200u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 400u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 100u);
-  EXPECT_EQ(q.dequeue(0)->payload_size(), 300u);
+  q.enqueue(make_packet(100, Dscp::kScavenger));
+  q.enqueue(make_packet(200, Dscp::kExpedited));
+  q.enqueue(make_packet(300, Dscp::kScavenger));
+  q.enqueue(make_packet(400, Dscp::kExpedited));
+  EXPECT_EQ(q.dequeue()->payload_size(), 200u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 400u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 100u);
+  EXPECT_EQ(q.dequeue()->payload_size(), 300u);
 }
 
 TEST(StrictPrioQdisc, PerBandLimits) {
   StrictPrioQdisc q(2, classify_by_dscp(), 300);
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
-  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited)));
+  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited)));
   // The low band has its own budget.
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger)));
   EXPECT_EQ(q.band_drops(0), 1u);
   EXPECT_EQ(q.band_drops(1), 0u);
 }
 
 TEST(StrictPrioQdisc, ClassifierClamping) {
   StrictPrioQdisc q(2, classify_all_to(99));  // out of range -> last band
-  EXPECT_TRUE(q.enqueue(make_packet(10), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(10)));
   EXPECT_EQ(q.band_backlog_packets(1), 1u);
   StrictPrioQdisc q2(2, classify_all_to(-5));  // negative -> band 0
-  EXPECT_TRUE(q2.enqueue(make_packet(10), 0));
+  EXPECT_TRUE(q2.enqueue(make_packet(10)));
   EXPECT_EQ(q2.band_backlog_packets(0), 1u);
 }
 
 TEST(WeightedPrioQdisc, EmptyDequeue) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp());
-  EXPECT_FALSE(q.dequeue(0).has_value());
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(WeightedPrioQdisc, SharesApproximateConfiguration) {
@@ -318,15 +311,15 @@ TEST(WeightedPrioQdisc, SharesApproximateConfiguration) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp(), 1 << 30);
   auto refill = [&] {
     while (q.band_backlog_packets(0) < 50) {
-      q.enqueue(make_packet(1400, Dscp::kExpedited), 0);
+      q.enqueue(make_packet(1400, Dscp::kExpedited));
     }
     while (q.band_backlog_packets(1) < 50) {
-      q.enqueue(make_packet(1400, Dscp::kScavenger), 0);
+      q.enqueue(make_packet(1400, Dscp::kScavenger));
     }
   };
   for (int i = 0; i < 4000; ++i) {
     refill();
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_TRUE(q.dequeue().has_value());
   }
   const double high = static_cast<double>(q.band_dequeued_bytes(0));
   const double low = static_cast<double>(q.band_dequeued_bytes(1));
@@ -336,11 +329,11 @@ TEST(WeightedPrioQdisc, SharesApproximateConfiguration) {
 TEST(WeightedPrioQdisc, IdleHighBandYieldsFully) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp(), 1 << 30);
   for (int i = 0; i < 100; ++i) {
-    q.enqueue(make_packet(1000, Dscp::kScavenger), 0);
+    q.enqueue(make_packet(1000, Dscp::kScavenger));
   }
   // With no high traffic, every dequeue serves the low band immediately.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_TRUE(q.dequeue().has_value());
   }
   EXPECT_EQ(q.band_dequeued_bytes(1), 100u * 1040u);
 }
@@ -348,14 +341,14 @@ TEST(WeightedPrioQdisc, IdleHighBandYieldsFully) {
 TEST(WeightedPrioQdisc, HighPacketJumpsLowBacklog) {
   WeightedPrioQdisc q({0.95, 0.05}, classify_by_dscp(), 1 << 30);
   for (int i = 0; i < 50; ++i) {
-    q.enqueue(make_packet(1400, Dscp::kScavenger), 0);
+    q.enqueue(make_packet(1400, Dscp::kScavenger));
   }
-  q.enqueue(make_packet(100, Dscp::kExpedited), 0);
+  q.enqueue(make_packet(100, Dscp::kExpedited));
   // The next few dequeues must include the high packet almost instantly
   // (DRR may emit at most one low packet first from residual deficit).
   bool high_seen = false;
   for (int i = 0; i < 2 && !high_seen; ++i) {
-    const auto p = q.dequeue(0);
+    const auto p = q.dequeue();
     ASSERT_TRUE(p.has_value());
     high_seen = p->dscp == Dscp::kExpedited;
   }
@@ -364,33 +357,11 @@ TEST(WeightedPrioQdisc, HighPacketJumpsLowBacklog) {
 
 TEST(WeightedPrioQdisc, DropsPerBand) {
   WeightedPrioQdisc q({0.5, 0.5}, classify_by_dscp(), 300);
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
-  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited), 0));
-  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger), 0));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kExpedited)));
+  EXPECT_FALSE(q.enqueue(make_packet(200, Dscp::kExpedited)));
+  EXPECT_TRUE(q.enqueue(make_packet(200, Dscp::kScavenger)));
   EXPECT_EQ(q.band_drops(0), 1u);
   EXPECT_EQ(q.band_drops(1), 0u);
-}
-
-TEST(TokenBucketQdisc, ShapesToRate) {
-  // 8 Mbps = 1 byte/us. A 1000-byte packet needs 1040 us of tokens.
-  TokenBucketQdisc q(8e6, 100, 1 << 20);  // tiny burst
-  q.enqueue(make_packet(1000), 0);
-  EXPECT_FALSE(q.dequeue(0).has_value());  // not enough tokens yet
-  const auto ready = q.next_ready(0);
-  ASSERT_TRUE(ready.has_value());
-  EXPECT_GT(*ready, 0);
-  EXPECT_TRUE(q.dequeue(*ready).has_value());
-}
-
-TEST(TokenBucketQdisc, BurstAllowsImmediateDequeue) {
-  TokenBucketQdisc q(8e6, 10'000, 1 << 20);
-  q.enqueue(make_packet(1000), 0);
-  EXPECT_TRUE(q.dequeue(0).has_value());
-}
-
-TEST(TokenBucketQdisc, TokensCapAtBurst) {
-  TokenBucketQdisc q(8e9, 5000, 1 << 20);
-  EXPECT_NEAR(q.tokens_at(sim::seconds(100)), 5000.0, 1e-6);
 }
 
 TEST(Classifiers, ByDstIp) {
@@ -455,22 +426,6 @@ TEST(Link, QdiscReplaceDropsBacklog) {
   link.set_qdisc(std::make_unique<FifoQdisc>());
   sim.run();
   EXPECT_EQ(delivered, 1);  // only the packet already on the wire
-}
-
-TEST(Link, ShapedQdiscRetries) {
-  sim::Simulator sim;
-  // Link is fast, but the token bucket inside only allows ~1 packet per
-  // 100 us; the link must keep polling next_ready.
-  Link link(sim, "l", 1e12, 0,
-            std::make_unique<TokenBucketQdisc>(8e7, 1100, 1 << 20));
-  std::vector<sim::Time> deliveries;
-  link.set_sink([&](Packet) { deliveries.push_back(sim.now()); });
-  for (int i = 0; i < 3; ++i) link.send(make_packet(960));  // 1000B each
-  sim.run();
-  ASSERT_EQ(deliveries.size(), 3u);
-  // 8e7 bps = 10 bytes/us -> 1000 bytes = 100 us between packets.
-  EXPECT_NEAR(static_cast<double>(deliveries[2] - deliveries[1]),
-              static_cast<double>(sim::microseconds(100)), 2000.0);
 }
 
 // -------------------------------------------------------------- Network --

@@ -36,15 +36,15 @@ TEST_P(WeightedShareTest, LongRunShareMatchesConfig) {
   WeightedPrioQdisc q({share, 1.0 - share}, classify_by_dscp(), 1 << 30);
   auto refill = [&] {
     while (q.band_backlog_packets(0) < 20) {
-      q.enqueue(packet_of(high_size, Dscp::kExpedited), 0);
+      q.enqueue(packet_of(high_size, Dscp::kExpedited));
     }
     while (q.band_backlog_packets(1) < 20) {
-      q.enqueue(packet_of(low_size, Dscp::kScavenger), 0);
+      q.enqueue(packet_of(low_size, Dscp::kScavenger));
     }
   };
   for (int i = 0; i < 20000; ++i) {
     refill();
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_TRUE(q.dequeue().has_value());
   }
   const double high = static_cast<double>(q.band_dequeued_bytes(0));
   const double low = static_cast<double>(q.band_dequeued_bytes(1));
@@ -72,11 +72,9 @@ std::unique_ptr<Qdisc> make_qdisc(int kind, std::uint64_t limit) {
       return std::make_unique<FifoQdisc>(limit);
     case 1:
       return std::make_unique<StrictPrioQdisc>(2, classify_by_dscp(), limit);
-    case 2:
+    default:
       return std::make_unique<WeightedPrioQdisc>(
           std::vector<double>{0.9, 0.1}, classify_by_dscp(), limit);
-    default:
-      return std::make_unique<TokenBucketQdisc>(1e12, 1 << 20, limit);
   }
 }
 
@@ -87,14 +85,14 @@ TEST_P(WorkConservationTest, BytesBalance) {
   for (int i = 0; i < 5000; ++i) {
     const auto size = static_cast<std::uint32_t>(rng.uniform_int(1, 9000));
     const Dscp dscp = rng.bernoulli(0.5) ? Dscp::kExpedited : Dscp::kScavenger;
-    q->enqueue(packet_of(size, dscp), i);
+    q->enqueue(packet_of(size, dscp));
     if (rng.bernoulli(0.7)) {
-      if (const auto p = q->dequeue(i)) dequeued_bytes += p->size_bytes();
+      if (const auto p = q->dequeue()) dequeued_bytes += p->size_bytes();
     }
   }
   // Drain.
   for (int i = 0; i < 20000 && !q->empty(); ++i) {
-    if (const auto p = q->dequeue(1'000'000 + i * 1000)) {
+    if (const auto p = q->dequeue()) {
       dequeued_bytes += p->size_bytes();
     }
   }
@@ -111,7 +109,7 @@ TEST_P(WorkConservationTest, BytesBalance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, WorkConservationTest,
-                         ::testing::Values(0, 1, 2, 3));
+                         ::testing::Values(0, 1, 2));
 
 // ---- FIFO order within a class, under every discipline -----------------
 
@@ -127,9 +125,9 @@ TEST_P(IntraClassOrderTest, NeverReordersWithinAClass) {
     const int cls = rng.bernoulli(0.3) ? 0 : 1;
     Packet p = packet_of(100, cls == 0 ? Dscp::kExpedited : Dscp::kScavenger);
     p.seq = ++next_seq[cls];
-    q->enqueue(std::move(p), i);
+    q->enqueue(std::move(p));
     if (rng.bernoulli(0.6)) {
-      if (const auto out = q->dequeue(i)) {
+      if (const auto out = q->dequeue()) {
         const int out_cls = out->dscp == Dscp::kExpedited ? 0 : 1;
         EXPECT_GT(out->seq, last_out[out_cls]);
         last_out[out_cls] = out->seq;
@@ -139,7 +137,7 @@ TEST_P(IntraClassOrderTest, NeverReordersWithinAClass) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, IntraClassOrderTest,
-                         ::testing::Values(0, 1, 2, 3));
+                         ::testing::Values(0, 1, 2));
 
 // ---- Strict priority: high band never waits behind low ----------------
 
@@ -148,13 +146,13 @@ TEST(StrictPriorityProperty, HighNeverQueuedBehindLow) {
   sim::RngStream rng(9, "strict");
   for (int i = 0; i < 2000; ++i) {
     if (rng.bernoulli(0.5)) {
-      q.enqueue(packet_of(500, Dscp::kScavenger), i);
+      q.enqueue(packet_of(500, Dscp::kScavenger));
     }
     if (rng.bernoulli(0.2)) {
-      q.enqueue(packet_of(500, Dscp::kExpedited), i);
+      q.enqueue(packet_of(500, Dscp::kExpedited));
     }
     if (rng.bernoulli(0.6)) {
-      const auto p = q.dequeue(i);
+      const auto p = q.dequeue();
       if (p && p->dscp != Dscp::kExpedited) {
         // A low packet may only leave when no high packet waits.
         EXPECT_EQ(q.band_backlog_packets(0), 0u);
@@ -162,37 +160,6 @@ TEST(StrictPriorityProperty, HighNeverQueuedBehindLow) {
     }
   }
 }
-
-// ---- Token bucket long-run rate across configurations ------------------
-
-class TokenRateTest
-    : public ::testing::TestWithParam<double> {};  // rate in bps
-
-TEST_P(TokenRateTest, LongRunThroughputMatchesRate) {
-  const double rate = GetParam();
-  TokenBucketQdisc q(rate, 20'000, 1 << 30);
-  // Keep it saturated and drain as fast as allowed for 10 simulated s.
-  std::uint64_t sent_bytes = 0;
-  sim::Time now = 0;
-  const sim::Time horizon = sim::seconds(10);
-  while (now < horizon) {
-    while (q.backlog_packets() < 10) q.enqueue(packet_of(960, Dscp::kDefault), now);
-    if (const auto p = q.dequeue(now)) {
-      sent_bytes += p->size_bytes();
-      continue;  // same instant, grab the next if tokens allow
-    }
-    const auto ready = q.next_ready(now);
-    ASSERT_TRUE(ready.has_value());
-    ASSERT_GT(*ready, now);
-    now = *ready;
-  }
-  const double achieved_bps =
-      static_cast<double>(sent_bytes) * 8.0 / sim::to_seconds(horizon);
-  EXPECT_NEAR(achieved_bps / rate, 1.0, 0.02) << "rate=" << rate;
-}
-
-INSTANTIATE_TEST_SUITE_P(Rates, TokenRateTest,
-                         ::testing::Values(1e6, 1e7, 1e8, 1e9));
 
 // ---- Links: serialized packets outlive carrier flaps and qdisc swaps ---
 
@@ -274,7 +241,7 @@ TEST_P(InFlightTest, SerializedPacketsArriveOnTimeInSendOrder) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndActions, InFlightTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3), ::testing::Values(0, 1)));
+    ::testing::Combine(::testing::Values(0, 1, 2), ::testing::Values(0, 1)));
 
 }  // namespace
 }  // namespace meshnet::net

@@ -1,15 +1,19 @@
-// Tests for the discrete-event engine and the named PRNG streams.
+// Tests for the discrete-event engine, its timeouts (sim::Timer) and the
+// named PRNG streams.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/timer.h"
 
 namespace meshnet::sim {
 namespace {
@@ -385,6 +389,154 @@ TEST(Simulator, InlineTasksAvoidHeapAllocation) {
   EXPECT_EQ(sim.loop_stats().task_heap_allocs, 1u);
   sim.run();
   EXPECT_EQ(counter, 2);
+}
+
+// ---------------------------------------------------------------- Timer --
+
+TEST(Timer, FiresOnceAtTheDeadline) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<Time> fired;
+  timer.arm_after(100, [&] { fired.push_back(sim.now()); });
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, std::vector<Time>{100});
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Timer, RearmEarlierLeavesOnePendingEvent) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<Time> fired;
+  timer.arm_at(200, [&] { fired.push_back(sim.now()); });
+  timer.arm_at(100, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.loop_stats().cancelled, 1u);
+  sim.run();
+  EXPECT_EQ(fired, std::vector<Time>{100});
+}
+
+TEST(Timer, RearmLaterLeavesOnePendingEvent) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<Time> fired;
+  timer.arm_at(100, [&] { fired.push_back(sim.now()); });
+  timer.arm_at(200, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, std::vector<Time>{200});
+}
+
+TEST(Timer, DisarmCancels) {
+  Simulator sim;
+  Timer timer(sim);
+  bool ran = false;
+  timer.arm_after(100, [&] { ran = true; });
+  timer.disarm();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.loop_stats().cancelled, 1u);
+  sim.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(Timer, DestructorCancels) {
+  Simulator sim;
+  bool ran = false;
+  {
+    Timer timer(sim);
+    timer.arm_after(100, [&] { ran = true; });
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.loop_stats().cancelled, 1u);
+  sim.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(Timer, ArmedIsFalseInsideTheCallback) {
+  Simulator sim;
+  Timer timer(sim);
+  std::optional<bool> armed_inside;
+  timer.arm_after(5, [&] { armed_inside = timer.armed(); });
+  sim.run();
+  ASSERT_TRUE(armed_inside.has_value());
+  EXPECT_FALSE(*armed_inside);
+}
+
+// The RTO pattern: the callback re-arms its own timer with a backoff.
+TEST(Timer, CallbackCanRearmItsOwnTimer) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<Time> fired;
+  std::function<void()> on_fire = [&] {
+    fired.push_back(sim.now());
+    if (fired.size() < 3) timer.arm_after(10 * fired.size(), on_fire);
+  };
+  timer.arm_after(10, on_fire);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 20, 40}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.loop_stats().cancelled, 0u);
+}
+
+TEST(Timer, DisarmingAnIdleOrFiredTimerIsANoOp) {
+  Simulator sim;
+  Timer timer(sim);
+  timer.disarm();  // never armed
+  timer.arm_after(1, [] {});
+  sim.run();
+  // The fired event's slot is recycled by an unrelated event; the stale
+  // timer must leave it alone.
+  bool other_ran = false;
+  sim.schedule_after(1, [&] { other_ran = true; });
+  timer.disarm();
+  EXPECT_EQ(sim.loop_stats().cancelled, 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_TRUE(other_ran);
+}
+
+// A TLS channel keeps itself alive through its own handshake timer: the
+// timer's task holds the last reference to the timer's owner. Releasing
+// that task destroys the timer from inside the release, which must not
+// cancel the event a second time (the std::string capture makes a double
+// release a double free).
+struct SelfOwned {
+  SelfOwned(Simulator& sim, int* destroyed)
+      : timer(sim), destroyed(destroyed) {}
+  ~SelfOwned() { ++*destroyed; }
+  static SelfOwned* arm(Simulator& sim, int* destroyed) {
+    auto owner = std::make_shared<SelfOwned>(sim, destroyed);
+    owner->timer.arm_after(100, [owner, tag = std::string(64, 'x')] {
+      (void)owner;
+      (void)tag;
+    });
+    return owner.get();
+  }
+  Timer timer;
+  int* destroyed;
+};
+
+TEST(Timer, DisarmMayReleaseItsOwner) {
+  Simulator sim;
+  int destroyed = 0;
+  SelfOwned::arm(sim, &destroyed)->timer.disarm();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.loop_stats().cancelled, 1u);
+}
+
+TEST(Timer, SimulatorTeardownReleasesATaskThatOwnsItsTimer) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    SelfOwned::arm(sim, &destroyed);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(InlineTask, InvokesAndReleasesCaptures) {

@@ -20,7 +20,6 @@ TEST(LogHistogram, EmptyIsZero) {
   EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.percentile(50), 0u);
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.stddev(), 0.0);
 }
 
 TEST(LogHistogram, SmallValuesAreExact) {
@@ -43,7 +42,7 @@ TEST(LogHistogram, SingleValue) {
   EXPECT_DOUBLE_EQ(h.mean(), 42.0);
 }
 
-TEST(LogHistogram, MeanAndStddevMatchNaive) {
+TEST(LogHistogram, MeanMatchesNaive) {
   LogHistogram h;
   std::vector<double> values;
   std::mt19937_64 rng(1);
@@ -55,11 +54,7 @@ TEST(LogHistogram, MeanAndStddevMatchNaive) {
   double sum = 0;
   for (double v : values) sum += v;
   const double mean = sum / static_cast<double>(values.size());
-  double sq = 0;
-  for (double v : values) sq += (v - mean) * (v - mean);
-  const double stddev = std::sqrt(sq / (static_cast<double>(values.size()) - 1));
   EXPECT_NEAR(h.mean(), mean, 1e-6);
-  EXPECT_NEAR(h.stddev(), stddev, 1e-6);
 }
 
 TEST(LogHistogram, RecordNWeightsCounts) {
@@ -82,20 +77,6 @@ TEST(LogHistogram, PercentileClampsToObservedRange) {
   h.record(1'000'003);
   EXPECT_EQ(h.percentile(0), 1'000'003u);
   EXPECT_EQ(h.percentile(100), 1'000'003u);
-}
-
-TEST(LogHistogram, CdfMonotone) {
-  LogHistogram h;
-  std::mt19937_64 rng(2);
-  for (int i = 0; i < 5000; ++i) h.record(rng() % 1000000);
-  double prev = 0.0;
-  for (std::uint64_t v = 0; v < 1000000; v += 50000) {
-    const double c = h.cdf(v);
-    EXPECT_GE(c, prev);
-    EXPECT_LE(c, 1.0);
-    prev = c;
-  }
-  EXPECT_NEAR(h.cdf(1000000), 1.0, 1e-9);
 }
 
 TEST(LogHistogram, MergeEqualsCombinedRecording) {
@@ -176,15 +157,10 @@ TEST(LogHistogram, MergeAcrossExtentsEqualsCombinedRecording) {
   LogHistogram wide_into_narrow = narrow;
   wide_into_narrow.merge(wide);
 
-  const std::uint64_t cdf_points[] = {
-      0, 50, 100, 5000, 7000000, 90000000, std::uint64_t{1} << 40, UINT64_MAX};
   for (const LogHistogram* merged : {&narrow_into_wide, &wide_into_narrow}) {
     EXPECT_EQ(*merged, combined);
     for (const double p : {0.0, 10.0, 50.0, 96.0, 97.0, 99.0, 100.0}) {
       EXPECT_EQ(merged->percentile(p), combined.percentile(p)) << "p=" << p;
-    }
-    for (const std::uint64_t v : cdf_points) {
-      EXPECT_EQ(merged->cdf(v), combined.cdf(v)) << "v=" << v;
     }
   }
 }

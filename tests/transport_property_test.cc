@@ -199,7 +199,7 @@ class TapQdisc : public net::FifoQdisc {
         two_slice_(two_slice),
         drop_seq_(drop_seq) {}
 
-  bool enqueue(net::Packet packet, sim::Time now) override {
+  bool enqueue(net::Packet packet) override {
     if (packet.payload_size() > 0) {
       log_->push_back({packet.seq, std::string(packet.payload.view()) +
                                        std::string(packet.payload_tail.view())});
@@ -209,7 +209,7 @@ class TapQdisc : public net::FifoQdisc {
         return false;
       }
     }
-    return net::FifoQdisc::enqueue(std::move(packet), now);
+    return net::FifoQdisc::enqueue(std::move(packet));
   }
 
  private:

@@ -457,13 +457,9 @@ TEST_F(TransportFixture, ConnectToClosedPortGetsRst) {
 
 TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
   build();
-  // Blackhole the forward path: replace the qdisc with a zero-capacity
-  // one after routing works (every SYN is dropped).
-  ab->set_qdisc(std::make_unique<net::FifoQdisc>(0));
-  // Even a 0-limit FIFO admits into an empty queue; use a classify-all
-  // strict qdisc with 0 limit per band... simplest: drop via a token
-  // bucket with zero rate and zero burst.
-  ab->set_qdisc(std::make_unique<net::TokenBucketQdisc>(1e-9, 0, 1));
+  // Black-hole the forward path after routing works: with the carrier
+  // down, every SYN is dropped.
+  ab->set_up(false);
   Connection& client = host_a->connect({ip_b, 80});
   std::optional<bool> graceful;
   sim::Time closed_at = -1;
