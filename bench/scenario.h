@@ -1,22 +1,25 @@
 #pragma once
 
 // A scenario is one reproduced table or figure, run by name with
-// `meshsim --scenario=NAME`: a Scenario value in bench/meshsim.cpp (its
-// defaults and flag table) and a run function in scenario_<name>.cc that
-// adds the arms, runs them and prints the results. The runner owns the
-// rest: flag parsing, the report, the baseline comparison, the
-// acceptance block and the exit code.
+// `meshsim --scenario=NAME`. Its Scenario value (scenario_<name>.cc) is
+// the whole definition of the experiment: defaults and flags, the named
+// arms it measures, the tables that print them and the acceptance checks
+// over them. run_scenario() is the one loop that runs every scenario: it
+// parses the flags, runs the arms as one sweep, prints the tables, writes
+// the report, compares the baseline and applies the checks.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "app/mesh_builder.h"
-#include "faults/chaos.h"
 #include "workload/bench_harness.h"
+#include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
 
 namespace meshnet::bench {
@@ -70,50 +73,144 @@ class Args {
   std::vector<Value> values_;
 };
 
+using Params = std::vector<std::pair<std::string, std::string>>;
+
+/// One measured configuration of a scenario.
+struct Arm {
+  std::string name;  ///< how tables and checks find the arm
+  Params params;     ///< the report point's params (and so its id)
+  /// Runs the arm. Text it appends to `log` prints after the tables.
+  std::function<workload::PointMetrics(std::string& log)> run;
+};
+
+/// End-to-end deadline at every sidecar in the fault scenarios (CHAOS,
+/// CHAOS_CP, MTLS). Shorter than their fault windows: a request parked
+/// on a crashed replica must *fail* at the deadline, not ride it out.
+constexpr sim::Duration kFaultRequestTimeout = sim::milliseconds(2500);
+
+/// The control config of the fault scenarios: --ls-rps, --li-rps,
+/// --duration and --seed, the deadline above, and a drain long enough
+/// for every request pinned to that deadline to resolve.
+workload::ElibraryExperimentConfig fault_control(const Args& args);
+
+/// An e-library arm: run_elibrary_experiment(config), reported by
+/// elibrary_point_metrics with the scenario's `series`. With `log_faults`
+/// the run's fault log goes to the arm's log.
+Arm elibrary_arm(std::string name, Params params,
+                 workload::ElibraryExperimentConfig config,
+                 const std::vector<workload::ReportSeries>& series = {},
+                 bool log_faults = false);
+
+/// What the arms measured, looked up by arm name (an unknown name is a
+/// bug in the scenario and aborts).
+class Results {
+ public:
+  Results(const std::vector<Arm>& arms, const workload::SweepResult& sweep);
+
+  const workload::PointMetrics& operator[](std::string_view arm) const {
+    return point(arm).metrics;
+  }
+  double scalar(std::string_view arm, const std::string& key) const {
+    return (*this)[arm].scalars.at(key);
+  }
+  std::uint64_t count(std::string_view arm, const std::string& key) const {
+    return (*this)[arm].counters.at(key);
+  }
+  /// The arm's sweep point, with its host wall-clock time.
+  const workload::SweepPointResult& point(std::string_view arm) const;
+  /// Every arm's name, in run order.
+  const std::vector<std::string>& names() const { return names_; }
+
+ private:
+  std::vector<std::string> names_;
+  const workload::SweepResult& sweep_;
+};
+
+/// How a table column turns the values it reads into a cell.
+enum class CellKind {
+  kValue,  ///< `key` of the column's arm
+  kRatio,  ///< the column's arm over `vs`, as "1.52x"; "n/a" if either is 0
+  kDelta,  ///< (arm - vs) / vs, as "3.1%"; "0.0%" if vs is 0
+  kDiff,   ///< arm - vs
+};
+
+struct Column {
+  std::string_view header;
+  /// A scalar or counter of the arm ("<phase>_<key>" in a phase table).
+  std::string_view key;
+  int precision = 1;   ///< decimals; an unscaled counter prints whole
+  double scale = 1.0;  ///< the value is multiplied by this first
+  /// The arm to read, as a sibling of the row's arm: this prefix plus the
+  /// row's suffix (see Table::rows). Empty: the row's own arm.
+  std::string_view arm = {};
+  std::string_view vs = {};  ///< the second arm of a comparison, likewise
+  CellKind kind = CellKind::kValue;
+};
+
+struct Table {
+  std::string_view title = {};  ///< printed above the table; empty = none
+  std::vector<Column> columns;
+  std::string_view label = "arm";  ///< header of the row-label column
+  /// One row per arm whose name starts with `rows`. The rest of the name
+  /// is the row's suffix and labels it (the whole name if nothing is
+  /// left); a column's `arm` and `vs` replace the prefix to read a
+  /// sibling: rows "on/" and arm "off/" put arm "off/10" in row "on/10".
+  std::string_view rows = {};
+  /// Non-empty: each arm gives one row per phase, keys read
+  /// "<phase>_<key>".
+  std::vector<std::string_view> phases = {};
+  /// Printed as CSV, and only under the scenario's --csv switch.
+  bool csv = false;
+};
+
+/// An acceptance check, or (without a verdict) a summary line.
 struct Check {
-  bool pass;
+  std::optional<bool> pass;
   std::string what;
 };
 Check check(bool pass, const char* format, ...)
     __attribute__((format(printf, 2, 3)));
-
-/// What a scenario run hands back to the runner.
-struct Outcome {
-  workload::SweepResult sweep;
-  std::vector<Check> checks;  ///< acceptance criteria; none = report only
-  /// Host-dependent wall_* figures for the report's engine section.
-  std::vector<std::pair<std::string, double>> engine = {};
-};
+Check note(const char* format, ...) __attribute__((format(printf, 1, 2)));
 
 struct Scenario {
-  std::string_view name;  ///< the report's experiment id: BENCH_<name>.json
+  std::string_view name;   ///< the report's experiment id: BENCH_<name>.json
+  std::string_view title;  ///< printed first: what the scenario reproduces
   std::int64_t duration_s;
   std::uint64_t seed;
   std::vector<Flag> flags;
-  /// Adds the arms, runs them and prints the results.
-  Outcome (*run)(const Args& args, workload::SweepRunner& runner);
+  std::vector<Arm> (*arms)(const Args& args);
+  std::vector<Table> tables;
+  /// Summary lines and acceptance checks over the arms' results.
+  std::vector<Check> (*checks)(const Args& args,
+                               const Results& results) = nullptr;
   /// Report `config` entries that no flag sets.
   std::vector<std::pair<std::string, std::string>> fixed_config = {};
   /// False: no arm draws random numbers, so the report has no seed.
   bool seeded = true;
   /// Each arm measures whole-machine wall clock, so arms run one at a
-  /// time whatever --threads says.
+  /// time whatever --threads says, and the report's engine section gets
+  /// each arm's wall-clock speedup over the first, as
+  /// `wall_speedup_<arm name>`.
   bool sequential = false;
 };
 
-Outcome run_fig4(const Args& args, workload::SweepRunner& runner);
-Outcome run_overload(const Args& args, workload::SweepRunner& runner);
-Outcome run_cp(const Args& args, workload::SweepRunner& runner);
-Outcome run_sidecar_overhead(const Args& args, workload::SweepRunner& runner);
-Outcome run_ablation_components(const Args& args,
-                                workload::SweepRunner& runner);
-Outcome run_lb_policies(const Args& args, workload::SweepRunner& runner);
-Outcome run_compute_priority(const Args& args, workload::SweepRunner& runner);
-Outcome run_scavenger(const Args& args, workload::SweepRunner& runner);
-Outcome run_parsim(const Args& args, workload::SweepRunner& runner);
-Outcome run_meshscale(const Args& args, workload::SweepRunner& runner);
-Outcome run_mtls(const Args& args, workload::SweepRunner& runner);
-Outcome run_chaos_elibrary(const Args& args, workload::SweepRunner& runner);
+/// Every scenario, in the order meshsim lists them.
+const std::vector<Scenario>& scenarios();
+/// The scenario named `name`, or nullptr.
+const Scenario* find_scenario(std::string_view name);
+
+/// Parses argv against the harness flags and the scenario's own (exit 2
+/// on an unknown flag or a bad value).
+Args parse_args(const Scenario& scenario, int argc, const char* const* argv);
+
+/// Runs the arms as one sweep. `logs`, if given, receives each arm's log.
+workload::SweepResult run_arms(const std::vector<Arm>& arms,
+                               const workload::SweepOptions& options,
+                               std::vector<std::string>* logs = nullptr);
+
+/// The whole run of a scenario; returns the process exit code (0, 1 on a
+/// regression or a failed check, 2 on a report I/O error).
+int run_scenario(const Scenario& scenario, const Args& args);
 
 /// A one-node mesh whose pod "client" drives open-loop streams (TXT-OVH,
 /// ABL-LB, ABL-CPU). The spec holds the servers; this adds the node
@@ -143,7 +240,18 @@ class ClientMesh {
   net::SocketAddress target_;
 };
 
-void print_fault_log(const char* arm,
-                     const std::vector<faults::FaultLogEntry>& log);
+// The scenarios, one per scenario_<name>.cc.
+extern const Scenario kFig4Scenario;
+extern const Scenario kOverloadScenario;
+extern const Scenario kCpScenario;
+extern const Scenario kSidecarOverheadScenario;
+extern const Scenario kAblationComponentsScenario;
+extern const Scenario kLbPoliciesScenario;
+extern const Scenario kComputePriorityScenario;
+extern const Scenario kScavengerScenario;
+extern const Scenario kParsimScenario;
+extern const Scenario kMeshscaleScenario;
+extern const Scenario kMtlsScenario;
+extern const Scenario kChaosElibraryScenario;
 
 }  // namespace meshnet::bench

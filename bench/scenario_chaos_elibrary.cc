@@ -1,65 +1,120 @@
-// Chaos e-library: the resilience claim under fault injection.
+// CHAOS — the resilience claim under fault injection.
 //
 // Runs the LS/LI e-library workload twice while a FaultPlan crashes the
-// reviews-v1 replica for 10s and flaps the ratings bottleneck vNIC:
-//   arm 1  resilient — active health checking, circuit breakers, per-try
-//          timeouts and budgeted retries;
-//   arm 2  baseline  — all of that off, the mesh as a dumb pipe.
-// Prints LS goodput / success rate / p50 / p99 for the before / during /
-// after phases of both arms, plus eviction/retry counters.
+// reviews-v1 replica for --fault-duration-s and flaps the ratings
+// bottleneck vNIC through the same window:
+//   resilient  active health checking, circuit breakers, per-try timeouts
+//              and budgeted retries;
+//   baseline   all of that off, the mesh as a dumb pipe.
+// LS goodput, success rate, p50 and p99 are reported for the before /
+// during / after phases of both arms, so the resilience machinery's value
+// shows up as "the during row barely moves" in one arm and a goodput
+// collapse in the other. The whole run is a function of the flags (seed
+// included): same seed, identical fault log and mesh event log.
 //
-//   meshsim --scenario=chaos_elibrary [--seed=42] [--ls-rps=30]
-//           [--li-rps=10] [--fault-duration-s=10] [--duration=24]
-//           [--threads=N] [--json-out[=PATH]] [--baseline=P]
-//
-// The two arms are independent sweep points (--threads=2 runs them in
-// parallel, bit-identically).
+// Acceptance (exit 1 on violation): the resilient arm keeps >= 99% LS
+// success during the fault, and the baseline arm's falls more than 5
+// points below it.
 
-#include <cstdio>
 #include <vector>
 
 #include "scenario.h"
-#include "workload/chaos_experiment.h"
 
 namespace meshnet::bench {
+namespace {
 
-Outcome run_chaos_elibrary(const Args& args, workload::SweepRunner& runner) {
-  workload::ElibraryExperimentConfig config;
-  config.ls_rps = args.real("ls-rps");
-  config.li_rps = args.real("li-rps");
-  config.duration = args.duration();
-  config.seed = args.seed();
-  workload::ChaosArm arm;
-  arm.fault_duration = sim::seconds(args.count("fault-duration-s"));
+/// The fault window starts this long into the measured window.
+constexpr sim::Duration kFaultOffset = sim::seconds(6);
 
-  std::printf(
-      "chaos e-library: crash reviews-v1 + flap ratings-v1 for %.0fs, seed "
-      "%llu\n\n",
-      sim::to_seconds(arm.fault_duration),
-      static_cast<unsigned long long>(config.seed));
+/// Killed for the fault window (crash at start, restart at end; the
+/// registry is never told — detection is active health checking's job).
+constexpr const char* kCrashTarget = "reviews-v1";
 
-  std::vector<faults::FaultLogEntry> resilient_fault_log;
-  for (const bool resilience : {true, false}) {
-    runner.add({{"resilience", resilience ? "on" : "off"}},
-               [config, arm, resilience, &resilient_fault_log] {
-                 workload::ChaosArm point = arm;
-                 point.resilience = resilience;
-                 const workload::ElibraryExperimentResult result =
-                     workload::run_elibrary_experiment(
-                         workload::chaos_config(config, point));
-                 if (resilience) resilient_fault_log = result.fault_log;
-                 return workload::elibrary_point_metrics(
-                     result, workload::chaos_report_series());
-               });
-  }
-  const workload::SweepResult sweep = runner.run();
+/// The bottleneck (ratings vNIC), down kFlapDowntime out of every
+/// kFlapPeriod during the fault window.
+constexpr const char* kFlapTarget = "ratings-v1";
+constexpr sim::Duration kFlapPeriod = sim::seconds(2);
+constexpr sim::Duration kFlapDowntime = sim::milliseconds(40);
 
-  std::fputs(workload::format_chaos_comparison(sweep.points[0].metrics,
-                                               sweep.points[1].metrics)
-                 .c_str(),
-             stdout);
-  print_fault_log("resilient", resilient_fault_log);
-  return {sweep, {}};
+/// Report keys read from `mesh_events_total`: breaker state transitions,
+/// executed faults and every mesh event.
+const std::vector<workload::ReportSeries> kSeries = {
+    {"breaker_events", "mesh_events_total", {{"kind", "breaker"}}},
+    {"fault_log_entries", "mesh_events_total", {{"kind", "fault"}}},
+    {"mesh_events", "mesh_events_total", {}},
+};
+
+std::vector<Arm> arms(const Args& args) {
+  workload::ElibraryExperimentConfig control = fault_control(args);
+  const sim::Time measure_start = control.warmup;
+  const sim::Time fault_start = measure_start + kFaultOffset;
+  const sim::Time fault_end =
+      fault_start + sim::seconds(args.count("fault-duration-s"));
+  control.faults.crash(fault_start, kCrashTarget);
+  control.faults.restart(fault_end, kCrashTarget);
+  control.faults.flap(fault_start + kFlapPeriod / 2, fault_end, kFlapTarget,
+                      kFlapPeriod, kFlapDowntime);
+  control.phases = {{"before", measure_start},
+                    {"during", fault_start},
+                    {"after", fault_end}};
+  control.sample_bottleneck = false;
+
+  workload::ElibraryExperimentConfig resilient = control;
+  // Budget sized so crash-recovery retries (a burst, but a small
+  // fraction of in-flight) are admitted while a retry storm is not.
+  workload::apply_resilience_policies(resilient.app.policies,
+                                      /*retry_budget=*/0.2,
+                                      /*budget_min_concurrency=*/10);
+  workload::ElibraryExperimentConfig baseline = control;
+  mesh::MeshPolicies& dumb_pipe = baseline.app.policies;
+  dumb_pipe.retry.max_retries = 0;
+  dumb_pipe.retry.per_try_timeout = 0;
+  dumb_pipe.breaker.consecutive_failures = 0;  // disabled
+  dumb_pipe.health_check.enabled = false;
+  return {elibrary_arm("resilient", {{"resilience", "on"}},
+                       std::move(resilient), kSeries, /*log_faults=*/true),
+          elibrary_arm("baseline", {{"resilience", "off"}},
+                       std::move(baseline), kSeries)};
 }
+
+std::vector<Check> checks(const Args&, const Results& results) {
+  const double resilient = results.scalar("resilient", "during_success_rate");
+  const double baseline = results.scalar("baseline", "during_success_rate");
+  return {check(resilient >= 0.99,
+                "resilient arm keeps %.2f%% LS success during the fault "
+                "(goal >= 99%%)",
+                100.0 * resilient),
+          check(baseline < resilient - 0.05,
+                "baseline arm's %.2f%% is more than 5 points below it",
+                100.0 * baseline)};
+}
+
+}  // namespace
+
+const Scenario kChaosElibraryScenario = {
+    .name = "chaos_elibrary",
+    .title = "CHAOS: crash reviews-v1 + flap ratings-v1 during the fault "
+             "window,\nresilient mesh vs dumb pipe.",
+    .duration_s = 24,
+    .seed = 42,
+    .flags = {{"ls-rps", FlagKind::kReal, 1, "30", "ls_rps"},
+              {"li-rps", FlagKind::kReal, 1, "10", "li_rps"},
+              {"fault-duration-s", FlagKind::kInt, 1, "10",
+               "fault_duration_s"}},
+    .arms = arms,
+    .tables = {{.title = "LS workload by phase (fault window = 'during'):",
+                .columns = {{"goodput", "goodput_rps"},
+                            {"success %", "success_rate", 2, 100},
+                            {"p50 (ms)", "p50_ms"},
+                            {"p99 (ms)", "p99_ms"}},
+                .phases = {"before", "during", "after"}},
+               {.columns = {{"evictions", "health_evictions"},
+                            {"readmissions", "health_readmissions"},
+                            {"breaker events", "breaker_events"},
+                            {"retries", "upstream_retries"},
+                            {"denied by budget",
+                             "retries_denied_by_budget"}}}},
+    .checks = checks,
+};
 
 }  // namespace meshnet::bench

@@ -6,14 +6,13 @@
 // sensitive requests and long batch requests. With FIFO admission, LS
 // requests wait behind whole batch jobs; with priority-aware admission
 // queuing, they jump the queue. The network is uncontended throughout,
-// isolating the compute effect. Two sweep points: fifo, priority.
+// isolating the compute effect. Two arms: fifo, priority.
 
-#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/priority.h"
 #include "scenario.h"
-#include "stats/table.h"
 
 namespace meshnet::bench {
 namespace {
@@ -62,45 +61,40 @@ workload::PointMetrics run_once(bool priority_scheduling, double ls_rps,
   return metrics;
 }
 
+std::vector<Arm> arms(const Args& args) {
+  std::vector<Arm> arms;
+  for (const bool priority : {false, true}) {
+    const char* admission = priority ? "priority" : "fifo";
+    arms.push_back({admission, {{"admission", admission}},
+                    [priority, ls_rps = args.real("ls-rps"),
+                     li_rps = args.real("li-rps"), duration = args.duration(),
+                     seed = args.seed()](std::string&) {
+                      return run_once(priority, ls_rps, li_rps, duration,
+                                      seed);
+                    }});
+  }
+  return arms;
+}
+
 }  // namespace
 
-Outcome run_compute_priority(const Args& args, workload::SweepRunner& runner) {
-  const double ls_rps = args.real("ls-rps");
-  const double li_rps = args.real("li-rps");
-  const auto duration = args.duration();
-  const auto seed = args.seed();
-
-  std::printf(
-      "ABL-CPU: prioritized request queuing at a CPU-bound service "
-      "(4 workers,\nLS jobs 2 ms, batch jobs 40 ms; %.0f/%.0f RPS).\n\n",
-      ls_rps, li_rps);
-
-  for (const bool priority : {false, true}) {
-    runner.add({{"admission", priority ? "priority" : "fifo"}},
-               [priority, ls_rps, li_rps, duration, seed] {
-                 return run_once(priority, ls_rps, li_rps, duration, seed);
-               });
-  }
-  const workload::SweepResult sweep = runner.run();
-
-  stats::Table table({"admission", "LS p50 (ms)", "LS p99 (ms)",
-                      "LI p50 (ms)", "LI p99 (ms)", "LS done", "LI done",
-                      "max queue"});
-  for (const bool priority : {false, true}) {
-    const workload::PointMetrics& m = sweep.points[priority ? 1 : 0].metrics;
-    const auto ms = [&m](const char* key) {
-      return stats::Table::num(m.scalars.at(key), 2);
-    };
-    const auto count = [&m](const char* key) {
-      return std::to_string(m.counters.at(key));
-    };
-    table.add_row({priority ? "priority-aware" : "fifo", ms("ls_p50_ms"),
-                   ms("ls_p99_ms"), ms("li_p50_ms"), ms("li_p99_ms"),
-                   count("ls_completed"), count("li_completed"),
-                   count("max_admission_queue")});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-  return {sweep, {}};
-}
+const Scenario kComputePriorityScenario = {
+    .name = "compute_priority",
+    .title = "ABL-CPU: prioritized request queuing at a CPU-bound service "
+             "(4 workers,\nLS jobs 2 ms, batch jobs 40 ms).",
+    .duration_s = 20,
+    .seed = 7,
+    .flags = {{"ls-rps", FlagKind::kRealRounded, 1, "100", "ls_rps"},
+              {"li-rps", FlagKind::kRealRounded, 1, "85", "li_rps"}},
+    .arms = arms,
+    .tables = {{.columns = {{"LS p50 (ms)", "ls_p50_ms", 2},
+                            {"LS p99 (ms)", "ls_p99_ms", 2},
+                            {"LI p50 (ms)", "li_p50_ms", 2},
+                            {"LI p99 (ms)", "li_p99_ms", 2},
+                            {"LS done", "ls_completed"},
+                            {"LI done", "li_completed"},
+                            {"max queue", "max_admission_queue"}},
+                .label = "admission"}},
+};
 
 }  // namespace meshnet::bench

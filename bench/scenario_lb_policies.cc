@@ -6,15 +6,13 @@
 // loop stream under each LB policy. Expected shape: least-request routes
 // around the slow replica and wins the tail; round-robin and random keep
 // feeding it and pay at p99; weighted-round-robin wins only if the
-// operator already knew the weights. One sweep point per policy.
+// operator already knew the weights. One arm per policy.
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "scenario.h"
-#include "stats/table.h"
 
 namespace meshnet::bench {
 namespace {
@@ -66,45 +64,40 @@ workload::PointMetrics run_once(mesh::LbPolicy policy, double rps,
   return metrics;
 }
 
+std::vector<Arm> arms(const Args& args) {
+  std::vector<Arm> arms;
+  for (const mesh::LbPolicy policy :
+       {mesh::LbPolicy::kRoundRobin, mesh::LbPolicy::kRandom,
+        mesh::LbPolicy::kLeastRequest, mesh::LbPolicy::kWeightedRoundRobin}) {
+    const std::string name(mesh::lb_policy_name(policy));
+    arms.push_back({name, {{"policy", name}},
+                    [policy, rps = args.real("rps"),
+                     duration = args.duration(),
+                     seed = args.seed()](std::string&) {
+                      return run_once(policy, rps, duration, seed);
+                    }});
+  }
+  return arms;
+}
+
 }  // namespace
 
-Outcome run_lb_policies(const Args& args, workload::SweepRunner& runner) {
-  const double rps = args.real("rps");
-  const auto duration = args.duration();
-  const auto seed = args.seed();
-
-  std::printf(
-      "ABL-LB: sidecar load-balancing policies, 3 replicas, one 10x "
-      "slower, %.0f RPS.\n\n", rps);
-
-  const std::vector<mesh::LbPolicy> lb_policies = {
-      mesh::LbPolicy::kRoundRobin, mesh::LbPolicy::kRandom,
-      mesh::LbPolicy::kLeastRequest, mesh::LbPolicy::kWeightedRoundRobin};
-
-  for (const mesh::LbPolicy policy : lb_policies) {
-    runner.add({{"policy", std::string(mesh::lb_policy_name(policy))}},
-               [policy, rps, duration, seed] {
-                 return run_once(policy, rps, duration, seed);
-               });
-  }
-  const workload::SweepResult sweep = runner.run();
-
-  stats::Table table({"policy", "mean (ms)", "p50 (ms)", "p99 (ms)",
-                      "v1", "v2", "v3(slow)", "errors"});
-  for (std::size_t i = 0; i < lb_policies.size(); ++i) {
-    const workload::PointMetrics& m = sweep.points[i].metrics;
-    const auto count = [&m](const char* key) {
-      return std::to_string(m.counters.at(key));
-    };
-    table.add_row({std::string(mesh::lb_policy_name(lb_policies[i])),
-                   stats::Table::num(m.scalars.at("mean_ms"), 2),
-                   stats::Table::num(m.scalars.at("p50_ms"), 2),
-                   stats::Table::num(m.scalars.at("p99_ms"), 2),
-                   count("served_server-v1"), count("served_server-v2"),
-                   count("served_server-v3"), count("errors")});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-  return {sweep, {}};
-}
+const Scenario kLbPoliciesScenario = {
+    .name = "lb_policies",
+    .title = "ABL-LB: sidecar load-balancing policies, 3 replicas, one 10x "
+             "slower.",
+    .duration_s = 20,
+    .seed = 7,
+    .flags = {{"rps", FlagKind::kRealRounded, 1, "300", "rps"}},
+    .arms = arms,
+    .tables = {{.columns = {{"mean (ms)", "mean_ms", 2},
+                            {"p50 (ms)", "p50_ms", 2},
+                            {"p99 (ms)", "p99_ms", 2},
+                            {"v1", "served_server-v1"},
+                            {"v2", "served_server-v2"},
+                            {"v3(slow)", "served_server-v3"},
+                            {"errors", "errors"}},
+                .label = "policy"}},
+};
 
 }  // namespace meshnet::bench

@@ -29,153 +29,133 @@
 //   --engine-threads=N  worker threads for the sweep arms (default 1)
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "scenario.h"
-#include "stats/table.h"
 #include "workload/meshscale_experiment.h"
 
 namespace meshnet::bench {
 namespace {
 
-struct Arm {
-  int services = 0;
-  bool delta = true;
-  bool scoped = false;  ///< cluster scopes + endpoint subsetting
-};
+workload::MeshscaleConfig arm_config(const Args& args, int services,
+                                     bool delta, bool scoped) {
+  workload::MeshscaleConfig config;
+  config.services = services;
+  config.cells = args.count("cells");
+  config.threads = args.count("engine-threads");
+  config.seed = args.seed();
+  config.duration = args.duration();
+  config.delta_push = delta;
+  config.scoped = scoped;
+  return config;
+}
 
-}  // namespace
+int largest(const Args& args) {
+  return *std::max_element(args.counts("services").begin(),
+                           args.counts("services").end());
+}
 
-Outcome run_meshscale(const Args& args, workload::SweepRunner& runner) {
-  const std::vector<int>& sizes = args.counts("services");
-  const int cells = args.count("cells");
-  const int engine_threads = args.count("engine-threads");
-  const int largest = *std::max_element(sizes.begin(), sizes.end());
-
+/// Arm "delta/<N>" per --services size, plus "full/<largest>" (the byte
+/// comparator) and "scoped/<largest>" (the bounded-state arm).
+std::vector<Arm> arms(const Args& args) {
   std::vector<Arm> arms;
-  for (const int n : sizes) arms.push_back({n, /*delta=*/true, false});
-  arms.push_back({largest, /*delta=*/false, false});  // byte comparator
-  arms.push_back({largest, /*delta=*/true, true});    // bounded-state arm
-
-  std::printf(
-      "MESHSCALE: %d-cell declarative meshes under single-endpoint churn\n"
-      "(delta config push vs full snapshots; scoped arm adds cluster "
-      "scoping + endpoint subsetting).\n\n",
-      cells);
-
-  const auto make_config = [&](const Arm& arm) {
-    workload::MeshscaleConfig config;
-    config.services = arm.services;
-    config.cells = cells;
-    config.threads = engine_threads;
-    config.seed = args.seed();
-    config.duration = args.duration();
-    config.delta_push = arm.delta;
-    config.scoped = arm.scoped;
-    return config;
+  const auto add = [&](int services, bool delta, bool scoped) {
+    const std::string n = std::to_string(services);
+    const char* push = delta ? "delta" : "full";
+    arms.push_back({(scoped ? "scoped" : push) + ("/" + n),
+                    {{"services", n},
+                     {"push", push},
+                     {"scope", scoped ? "on" : "off"}},
+                    [config = arm_config(args, services, delta, scoped)](
+                        std::string&) {
+                      return workload::run_meshscale_experiment(config);
+                    }});
   };
-  const auto arm_params = [](const Arm& arm) {
-    return std::vector<std::pair<std::string, std::string>>{
-        {"services", std::to_string(arm.services)},
-        {"push", arm.delta ? "delta" : "full"},
-        {"scope", arm.scoped ? "on" : "off"}};
-  };
+  for (const int n : args.counts("services")) add(n, true, false);
+  add(largest(args), false, false);
+  add(largest(args), true, true);
+  return arms;
+}
 
-  for (const Arm& arm : arms) {
-    runner.add(arm_params(arm), [arm, &make_config] {
-      return workload::run_meshscale_experiment(make_config(arm));
-    });
-  }
-  const workload::SweepResult sweep = runner.run();
-
-  const auto kb = [](std::uint64_t bytes) {
-    return stats::Table::num(static_cast<double>(bytes) / 1024.0, 1);
-  };
-  stats::Table table({"services", "push", "scope", "pushes", "full KB",
-                      "delta KB", "churn KB", "reconv (ms)", "eps/sidecar",
-                      "max eps", "p50 (ms)", "p99 (ms)", "ok%"});
-  for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    const workload::PointMetrics& m = sweep.points[slot].metrics;
-    const auto& counters = m.counters;
-    table.add_row(
-        {std::to_string(counters.at("services")),
-         arms[slot].delta ? "delta" : "full",
-         arms[slot].scoped ? "on" : "off",
-         std::to_string(counters.at("cp_pushes")),
-         kb(counters.at("cp_full_push_bytes")),
-         kb(counters.at("cp_delta_push_bytes")),
-         kb(counters.at("cp_churn_push_bytes")),
-         stats::Table::num(m.scalars.at("churn_convergence_ms"), 1),
-         stats::Table::num(m.scalars.at("mean_endpoints_per_sidecar"), 1),
-         std::to_string(counters.at("max_endpoints_per_sidecar")),
-         stats::Table::num(m.scalars.at("e2e_p50_ms"), 2),
-         stats::Table::num(m.scalars.at("e2e_p99_ms"), 2),
-         stats::Table::num(m.scalars.at("success_rate") * 100.0, 2)});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-
+std::vector<Check> checks(const Args& args, const Results& results) {
   bool all_succeeded = true;
-  for (const workload::SweepPointResult& point : sweep.points) {
+  for (const std::string& arm : results.names()) {
     all_succeeded =
-        all_succeeded && point.metrics.scalars.at("success_rate") == 1.0;
+        all_succeeded && results.scalar(arm, "success_rate") == 1.0;
   }
   std::vector<Check> checks = {
       check(all_succeeded, "success_rate == 1 on every arm")};
 
-  // --- acceptance: delta churn bytes < 25% of full, at the largest N ----
-  const workload::PointMetrics* delta_arm = nullptr;
-  const workload::PointMetrics* full_arm = nullptr;
-  for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    if (arms[slot].services != largest || arms[slot].scoped) continue;
-    (arms[slot].delta ? delta_arm : full_arm) = &sweep.points[slot].metrics;
-  }
-  if (delta_arm != nullptr && full_arm != nullptr) {
-    const auto wire = [](const workload::PointMetrics* m) {
-      return m->counters.at("cp_churn_push_bytes");
-    };
-    const auto reconverge_ms = [](const workload::PointMetrics* m) {
-      return m->scalars.at("churn_convergence_ms");
-    };
-    const double ratio =
-        wire(full_arm) > 0 ? static_cast<double>(wire(delta_arm)) /
-                                 static_cast<double>(wire(full_arm))
-                           : 1.0;
-    std::printf(
-        "churn window at %d services: delta %llu B vs full %llu B "
-        "(%.1f%% of full)\n",
-        largest, static_cast<unsigned long long>(wire(delta_arm)),
-        static_cast<unsigned long long>(wire(full_arm)), ratio * 100.0);
-    checks.push_back(check(
-        ratio < 0.25, "churn-window delta bytes %.1f%% of full (goal < 25%%)",
-        ratio * 100.0));
-    checks.push_back(check(delta_arm->counters.at("cp_converged") != 0 &&
-                               full_arm->counters.at("cp_converged") != 0,
-                           "delta and full arms reconverge after the churn "
-                           "restore"));
-    checks.push_back(check(
-        reconverge_ms(delta_arm) <= reconverge_ms(full_arm) * 1.05,
-        "delta reconvergence %.1f ms within 5%% of full %.1f ms",
-        reconverge_ms(delta_arm), reconverge_ms(full_arm)));
-  }
+  // Delta churn bytes < 25% of full, at the largest N.
+  const std::string n = std::to_string(largest(args));
+  const std::string delta = "delta/" + n;
+  const std::string full = "full/" + n;
+  const auto wire = [&](const std::string& arm) {
+    return static_cast<unsigned long long>(
+        results.count(arm, "cp_churn_push_bytes"));
+  };
+  const double ratio =
+      wire(full) > 0 ? static_cast<double>(wire(delta)) / wire(full) : 1.0;
+  checks.push_back(check(
+      ratio < 0.25,
+      "churn window at %s services: delta %llu B vs full %llu B, %.1f%% of "
+      "full (goal < 25%%)",
+      n.c_str(), wire(delta), wire(full), ratio * 100.0));
+  checks.push_back(check(results.count(delta, "cp_converged") != 0 &&
+                             results.count(full, "cp_converged") != 0,
+                         "delta and full arms reconverge after the churn "
+                         "restore"));
+  const double delta_ms = results.scalar(delta, "churn_convergence_ms");
+  const double full_ms = results.scalar(full, "churn_convergence_ms");
+  checks.push_back(check(delta_ms <= full_ms * 1.05,
+                         "delta reconvergence %.1f ms within 5%% of full "
+                         "%.1f ms",
+                         delta_ms, full_ms));
 
-  // --- acceptance: engine-thread bit-identity on the smallest arm -------
-  {
-    const Arm smallest{*std::min_element(sizes.begin(), sizes.end()), true,
-                       false};
-    const auto run_at = [&](int threads) {
-      workload::MeshscaleConfig config = make_config(smallest);
-      config.threads = threads;
-      config.respect_worker_budget = false;
-      return workload::run_meshscale_experiment(config);
-    };
-    checks.push_back(check(run_at(1) == run_at(2),
-                           "determinism: %d-service arm bit-identical at 1 "
-                           "and 2 engine threads",
-                           smallest.services));
-  }
-  return {sweep, checks};
+  // Engine-thread bit-identity on the smallest arm.
+  const int smallest = *std::min_element(args.counts("services").begin(),
+                                         args.counts("services").end());
+  const auto run_at = [&](int threads) {
+    workload::MeshscaleConfig at = arm_config(args, smallest, true, false);
+    at.threads = threads;
+    at.respect_worker_budget = false;
+    return workload::run_meshscale_experiment(at);
+  };
+  checks.push_back(check(run_at(1) == run_at(2),
+                         "determinism: %d-service arm bit-identical at 1 and "
+                         "2 engine threads",
+                         smallest));
+  return checks;
 }
+
+}  // namespace
+
+const Scenario kMeshscaleScenario = {
+    .name = "meshscale",
+    .title = "MESHSCALE: multi-cell declarative meshes under "
+             "single-endpoint churn\n(delta config push vs full "
+             "snapshots; scoped arm adds cluster scoping + endpoint "
+             "subsetting).",
+    .duration_s = 3,
+    .seed = 42,
+    .flags = {{"services", FlagKind::kInts, 1, "10,50,100", "services"},
+              {"cells", FlagKind::kInt, 1, "2", "cells"},
+              {"engine-threads", FlagKind::kInt, 0, "1"}},
+    .arms = arms,
+    .tables = {{.columns = {{"pushes", "cp_pushes"},
+                            {"full KB", "cp_full_push_bytes", 1, 1 / 1024.0},
+                            {"delta KB", "cp_delta_push_bytes", 1,
+                             1 / 1024.0},
+                            {"churn KB", "cp_churn_push_bytes", 1,
+                             1 / 1024.0},
+                            {"reconv (ms)", "churn_convergence_ms"},
+                            {"eps/sidecar", "mean_endpoints_per_sidecar"},
+                            {"max eps", "max_endpoints_per_sidecar"},
+                            {"p50 (ms)", "e2e_p50_ms", 2},
+                            {"p99 (ms)", "e2e_p99_ms", 2},
+                            {"ok%", "success_rate", 2, 100}}}},
+    .checks = checks,
+};
 
 }  // namespace meshnet::bench

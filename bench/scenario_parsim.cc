@@ -13,103 +13,106 @@
 // wall-clock); the standard --threads flag is accepted but does not fan
 // arms out. The PARSIM engine opts out of the shared worker budget for
 // the same reason: this scenario IS the top-level thread consumer.
-//
-//   --shards=N            partition size (default 8)
-//   --engine-threads=CSV  worker-thread arms (default 1,2,4,8)
-//   --require-speedup=X   exit 1 unless wall(t=1)/wall(best) >= X.
-//                         Off by default: CI containers are often
-//                         single-core, where the honest speedup is ~1.
+// --require-speedup=X (off by default: CI containers are often
+// single-core, where the honest speedup is ~1) fails the run unless the
+// best arm is X times faster than the first.
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "scenario.h"
 #include "sim/parallel.h"
-#include "stats/table.h"
 #include "workload/parsim_experiment.h"
 
 namespace meshnet::bench {
+namespace {
 
-Outcome run_parsim(const Args& args, workload::SweepRunner& runner) {
-  const int shards = args.count("shards");
-  const std::vector<int>& arms = args.counts("engine-threads");
-  const double require_speedup = args.real("require-speedup");
-
-  std::printf(
-      "PARSIM: sharded parallel engine on a generated 64-service mesh\n"
-      "(identical metrics at every thread count; wall-clock is the only "
-      "thing allowed to change).\n\n");
-
-  for (const int threads : arms) {
-    runner.add({{"threads", std::to_string(threads)}},
-               [threads, shards, &args] {
-                 workload::ParsimConfig config;
-                 config.shards = shards;
-                 config.threads = threads;
-                 config.seed = args.seed();
-                 config.duration = args.duration();
-                 return workload::run_parsim_experiment(config);
-               });
+/// Arm "t<N>" runs the engine on N worker threads.
+std::vector<Arm> arms(const Args& args) {
+  std::vector<Arm> arms;
+  for (const int threads : args.counts("engine-threads")) {
+    workload::ParsimConfig config;
+    config.shards = args.count("shards");
+    config.threads = threads;
+    config.seed = args.seed();
+    config.duration = args.duration();
+    arms.push_back({"t" + std::to_string(threads),
+                    {{"threads", std::to_string(threads)}},
+                    [config](std::string&) {
+                      return workload::run_parsim_experiment(config);
+                    }});
   }
-  const workload::SweepResult sweep = runner.run();
+  return arms;
+}
 
-  const double base_wall = sweep.points.front().wall_ms;
-  double best_wall = base_wall;
-  std::vector<std::pair<std::string, double>> engine;
-  stats::Table table({"threads", "executors", "events", "epochs",
-                      "cross-shard msgs", "wall (ms)", "Mev/s", "speedup"});
-  for (std::size_t slot = 0; slot < arms.size(); ++slot) {
-    const auto& counters = sweep.points[slot].metrics.counters;
-    const double wall = sweep.points[slot].wall_ms;
-    best_wall = std::min(best_wall, wall);
-    // Host-dependent (0 = all cores), so never part of the report.
-    const int executors = sim::ParallelEngine::unbudgeted_executors(
-        arms[slot], static_cast<int>(counters.at("engine_shards")));
-    const double speedup = wall > 0 ? base_wall / wall : 0.0;
-    engine.emplace_back("wall_speedup_t" + std::to_string(arms[slot]),
-                        speedup);
-    table.add_row(
-        {std::to_string(arms[slot]), std::to_string(executors),
-         std::to_string(counters.at("events")),
-         std::to_string(counters.at("engine_epochs")),
-         std::to_string(counters.at("engine_messages")),
-         stats::Table::num(wall, 1),
-         stats::Table::num(static_cast<double>(counters.at("events")) /
-                               (wall * 1000.0),
-                           2),
-         stats::Table::num(speedup, 2) + "x"});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-  const auto shape = [&sweep](const char* key) {
-    return static_cast<unsigned long long>(
-        sweep.points.front().metrics.counters.at(key));
+std::vector<Check> checks(const Args& args, const Results& results) {
+  const std::vector<std::string>& arms = results.names();
+  const std::string& first = arms.front();
+  const auto shape = [&](const char* key) {
+    return static_cast<unsigned long long>(results.count(first, key));
   };
-  std::printf(
-      "topology: %llu services, %llu edges; partition: %llu shards, %llu "
-      "cut edges, lookahead %.3f ms\n",
+  std::vector<Check> checks = {note(
+      "topology: %llu services, %llu edges; partition: %llu shards, %llu cut "
+      "edges, lookahead %.3f ms",
       shape("services"), shape("edges"), shape("engine_shards"),
       shape("engine_cut_edges"),
       sim::to_milliseconds(
-          static_cast<sim::Duration>(shape("engine_lookahead_ns"))));
-
+          static_cast<sim::Duration>(shape("engine_lookahead_ns"))))};
+  // Wall clock, executors (0 threads = all cores) and speedup are
+  // host-dependent, so they are printed here and never compared.
+  const double base_wall = results.point(first).wall_ms;
+  double best_wall = base_wall;
+  bool identical = true;
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    const double wall = results.point(arms[i]).wall_ms;
+    best_wall = std::min(best_wall, wall);
+    identical = identical && results[arms[i]] == results[first];
+    checks.push_back(note(
+        "%s: %.1f ms wall, %.2f Mev/s, %.2fx speedup on %d executors",
+        arms[i].c_str(), wall,
+        static_cast<double>(results.count(arms[i], "events")) /
+            (wall * 1000.0),
+        wall > 0 ? base_wall / wall : 0.0,
+        sim::ParallelEngine::unbudgeted_executors(
+            args.counts("engine-threads")[i],
+            static_cast<int>(shape("engine_shards")))));
+  }
   // The engine's core claim, checked on every run: thread count changes
   // wall-clock only. Any metric divergence between arms is a bug.
-  bool identical = true;
-  for (std::size_t slot = 1; slot < arms.size(); ++slot) {
-    identical = identical &&
-                sweep.points.front().metrics == sweep.points[slot].metrics;
-  }
-  std::vector<Check> checks = {
-      check(identical, "determinism: %zu arms bit-identical", arms.size())};
+  checks.push_back(check(identical, "determinism: %zu arms bit-identical",
+                         arms.size()));
+  const double required = args.real("require-speedup");
   const double speedup = best_wall > 0 ? base_wall / best_wall : 0.0;
-  if (require_speedup > 0.0) {
-    checks.push_back(check(speedup >= require_speedup,
+  if (required > 0.0) {
+    checks.push_back(check(speedup >= required,
                            "best wall-clock speedup %.2fx >= required %.2fx",
-                           speedup, require_speedup));
+                           speedup, required));
   }
-  return {sweep, checks, engine};
+  return checks;
 }
+
+}  // namespace
+
+const Scenario kParsimScenario = {
+    .name = "parsim",
+    .title = "PARSIM: sharded parallel engine on a generated 64-service "
+             "mesh\n(identical metrics at every thread count; wall-clock "
+             "is the only thing allowed to change).",
+    .duration_s = 5,
+    .seed = 42,
+    .flags = {{"shards", FlagKind::kInt, 1, "8", "shards"},
+              {"engine-threads", FlagKind::kInts, 0, "1,2,4,8",
+               "engine_threads"},
+              {"require-speedup", FlagKind::kReal, 0, "0"}},
+    .arms = arms,
+    .tables = {{.columns = {{"events", "events"},
+                            {"epochs", "engine_epochs"},
+                            {"cross-shard msgs", "engine_messages"}},
+                .label = "threads"}},
+    .checks = checks,
+    .fixed_config = {{"topology", "4x8x16x36"}},
+    .sequential = true,
+};
 
 }  // namespace meshnet::bench

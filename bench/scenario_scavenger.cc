@@ -8,16 +8,15 @@
 // messages whose delivery latency is measured. Expected shape: with Reno
 // backgrounds the standing queue inflates foreground latency by tens of
 // ms; LEDBAT backgrounds keep queueing near the delay target while still
-// consuming most of the idle capacity. One sweep point per (cc, flows).
+// consuming most of the idle capacity. One arm per (cc, flows).
 
-#include <cstdio>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/network.h"
 #include "scenario.h"
-#include "stats/table.h"
 #include "stats/histogram.h"
 #include "transport/transport_host.h"
 
@@ -124,55 +123,45 @@ workload::PointMetrics run_once(transport::CcAlgorithm bg_cc, int bg_flows,
   return metrics;
 }
 
-}  // namespace
-
-Outcome run_scavenger(const Args& args, workload::SweepRunner& runner) {
-  const auto duration = args.duration();
-
-  std::printf(
-      "ABL-SCAV: background bulk flows (Reno vs LEDBAT scavenger) sharing a "
-      "1 Gbps\nbottleneck with a periodic small-message foreground flow.\n\n");
-
-  struct Point {
-    transport::CcAlgorithm cc;
-    int flows;
-  };
-  std::vector<Point> grid;
+std::vector<Arm> arms(const Args& args) {
+  std::vector<Arm> arms;
   for (const int flows : {1, 4}) {
     for (const auto cc :
          {transport::CcAlgorithm::kReno, transport::CcAlgorithm::kLedbat}) {
-      grid.push_back({cc, flows});
+      const std::string name =
+          cc == transport::CcAlgorithm::kReno ? "reno" : "ledbat";
+      const std::string count = std::to_string(flows);
+      arms.push_back({name + "/" + count,
+                      {{"cc", name}, {"flows", count}},
+                      [cc, flows, duration = args.duration()](std::string&) {
+                        return run_once(cc, flows, duration);
+                      }});
     }
   }
-
-  for (const Point point : grid) {
-    const char* cc_name =
-        point.cc == transport::CcAlgorithm::kReno ? "reno" : "ledbat";
-    runner.add({{"cc", cc_name}, {"flows", std::to_string(point.flows)}},
-               [point, duration] {
-                 return run_once(point.cc, point.flows, duration);
-               });
-  }
-  const workload::SweepResult sweep = runner.run();
-
-  stats::Table table({"background", "flows", "fg p50 (ms)", "fg p99 (ms)",
-                      "bg goodput (Gbps)", "avg queue (ms)", "drops"});
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const workload::PointMetrics& m = sweep.points[i].metrics;
-    table.add_row(
-        {grid[i].cc == transport::CcAlgorithm::kReno ? "reno" : "ledbat",
-         std::to_string(grid[i].flows),
-         stats::Table::num(m.scalars.at("fg_p50_ms"), 2),
-         stats::Table::num(m.scalars.at("fg_p99_ms"), 2),
-         stats::Table::num(m.scalars.at("bg_goodput_gbps"), 3),
-         stats::Table::num(m.scalars.at("avg_queue_ms"), 2),
-         std::to_string(m.counters.at("drops"))});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("expected shape: ledbat keeps the queue near its delay target "
-              "(~2 ms), cutting\nforeground latency by an order of magnitude "
-              "while still using idle capacity.\n");
-  return {sweep, {}};
+  return arms;
 }
+
+}  // namespace
+
+const Scenario kScavengerScenario = {
+    .name = "scavenger",
+    .title = "ABL-SCAV: background bulk flows (Reno vs LEDBAT scavenger) "
+             "sharing a 1 Gbps\nbottleneck with a periodic small-message "
+             "foreground flow. Expected shape: ledbat\nkeeps the queue "
+             "near its delay target (~2 ms), cutting foreground latency by "
+             "an\norder of magnitude while still using idle capacity.",
+    .duration_s = 20,
+    .seed = 0,
+    .flags = {},
+    .arms = arms,
+    .tables = {{.columns = {{"fg p50 (ms)", "fg_p50_ms", 2},
+                            {"fg p99 (ms)", "fg_p99_ms", 2},
+                            {"bg goodput (Gbps)", "bg_goodput_gbps", 3},
+                            {"avg queue (ms)", "avg_queue_ms", 2},
+                            {"drops", "drops"}},
+                .label = "background/flows"}},
+    .fixed_config = {{"flows", "1,4"}, {"cc", "reno,ledbat"}},
+    .seeded = false,
+};
 
 }  // namespace meshnet::bench

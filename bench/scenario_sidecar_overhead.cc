@@ -8,17 +8,13 @@
 //            (inbound) -> server app
 // and the table reports the per-percentile latency and the added
 // overhead. The shape to check: a sub-millisecond median cost with a tail
-// of a few milliseconds at p99 — not the absolute Istio numbers. The two
-// runs are independent sweep points, so --threads=2 runs them in
-// parallel with bit-identical results.
+// of a few milliseconds at p99 — not the absolute Istio numbers.
 
-#include <cstdio>
-#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "scenario.h"
-#include "stats/table.h"
 
 namespace meshnet::bench {
 namespace {
@@ -54,52 +50,48 @@ workload::PointMetrics run_once(bool meshed, double rps,
                  /*max_connections=*/512);
 }
 
+std::vector<Arm> arms(const Args& args) {
+  std::vector<Arm> arms;
+  for (const bool meshed : {false, true}) {
+    const char* path = meshed ? "meshed" : "direct";
+    arms.push_back({path, {{"path", path}},
+                    [meshed, rps = args.real("rps"),
+                     duration = args.duration(),
+                     seed = args.seed()](std::string&) {
+                      return run_once(meshed, rps, duration, seed);
+                    }});
+  }
+  return arms;
+}
+
 }  // namespace
 
-Outcome run_sidecar_overhead(const Args& args, workload::SweepRunner& runner) {
-  const double rps = args.real("rps");
-  const auto duration = args.duration();
-  const auto seed = args.seed();
-
-  std::printf(
-      "TXT-OVH: latency added by the sidecar pair on one service-to-service "
-      "hop\n(paper/Istio: ~3 ms at p99).\n\n");
-
-  for (const bool meshed : {false, true}) {
-    runner.add({{"path", meshed ? "meshed" : "direct"}},
-               [meshed, rps, duration, seed] {
-                 return run_once(meshed, rps, duration, seed);
-               });
-  }
-  const workload::SweepResult sweep = runner.run();
-  const workload::PointMetrics& direct = sweep.points[0].metrics;
-  const workload::PointMetrics& meshed = sweep.points[1].metrics;
-  std::map<std::string, double> overhead;
-  for (const auto& [key, value] : meshed.scalars) {
-    overhead[key] = value - direct.scalars.at(key);
-  }
-
-  stats::Table table({"path", "mean (ms)", "p50 (ms)", "p90 (ms)",
-                      "p99 (ms)", "requests"});
-  const auto add_row = [&table](const char* path,
-                                const std::map<std::string, double>& ms,
-                                std::string requests) {
-    table.add_row({path, stats::Table::num(ms.at("mean_ms"), 3),
-                   stats::Table::num(ms.at("p50_ms"), 3),
-                   stats::Table::num(ms.at("p90_ms"), 3),
-                   stats::Table::num(ms.at("p99_ms"), 3),
-                   std::move(requests)});
-  };
-  add_row("direct", direct.scalars,
-          std::to_string(direct.counters.at("completed")));
-  add_row("via sidecars", meshed.scalars,
-          std::to_string(meshed.counters.at("completed")));
-  add_row("overhead", overhead, "-");
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("sidecar pair adds %.3f ms at p99 (paper cites ~3 ms for "
-              "Istio; shape, not absolute, is the target)\n",
-              overhead.at("p99_ms"));
-  return {sweep, {}};
-}
+const Scenario kSidecarOverheadScenario = {
+    .name = "sidecar_overhead",
+    .title = "TXT-OVH: latency added by the sidecar pair on one "
+             "service-to-service hop\n(paper/Istio: ~3 ms at p99; shape, "
+             "not absolute, is the target).",
+    .duration_s = 30,
+    .seed = 7,
+    .flags = {{"rps", FlagKind::kRealRounded, 1, "200", "rps"}},
+    .arms = arms,
+    .tables = {{.columns = {{"mean (ms)", "mean_ms", 3},
+                            {"p50 (ms)", "p50_ms", 3},
+                            {"p90 (ms)", "p90_ms", 3},
+                            {"p99 (ms)", "p99_ms", 3},
+                            {"requests", "completed"}},
+                .label = "path"},
+               {.title = "overhead of the sidecar pair:",
+                .columns = {{"mean (ms)", "mean_ms", 3, 1, {}, "direct",
+                             CellKind::kDiff},
+                            {"p50 (ms)", "p50_ms", 3, 1, {}, "direct",
+                             CellKind::kDiff},
+                            {"p90 (ms)", "p90_ms", 3, 1, {}, "direct",
+                             CellKind::kDiff},
+                            {"p99 (ms)", "p99_ms", 3, 1, {}, "direct",
+                             CellKind::kDiff}},
+                .label = "path",
+                .rows = "meshed"}},
+};
 
 }  // namespace meshnet::bench

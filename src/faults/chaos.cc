@@ -12,8 +12,6 @@ std::string_view fault_action_name(FaultAction action) noexcept {
       return "link-down";
     case FaultAction::kLinkUp:
       return "link-up";
-    case FaultAction::kLinkLoss:
-      return "link-loss";
     case FaultAction::kCrashPod:
       return "crash";
     case FaultAction::kRestartPod:
@@ -70,13 +68,6 @@ FaultPlan& FaultPlan::link_up(sim::Time at, std::string pod) {
   return *this;
 }
 
-FaultPlan& FaultPlan::packet_loss(sim::Time from, sim::Time until,
-                                  std::string pod, double probability) {
-  entries_.push_back({from, FaultAction::kLinkLoss, pod, probability});
-  entries_.push_back({until, FaultAction::kLinkLoss, std::move(pod), 0.0});
-  return *this;
-}
-
 FaultPlan& FaultPlan::flap(sim::Time from, sim::Time until, std::string pod,
                            sim::Duration period, sim::Duration downtime) {
   for (sim::Time t = from; t < until; t += period) {
@@ -103,8 +94,9 @@ FaultPlan& FaultPlan::cp_outage(sim::Time from, sim::Time until) {
 }
 
 ChaosController::ChaosController(sim::Simulator& sim,
-                                 cluster::Cluster& cluster, std::uint64_t seed)
-    : sim_(sim), cluster_(cluster), seed_(seed) {}
+                                 cluster::Cluster& cluster,
+                                 std::uint64_t /*seed*/)
+    : sim_(sim), cluster_(cluster) {}
 
 void ChaosController::schedule(const FaultPlan& plan) {
   for (const FaultEntry& entry : plan.entries()) {
@@ -119,11 +111,6 @@ bool ChaosController::apply(const FaultEntry& entry) {
 bool ChaosController::set_link_up(const std::string& pod, bool up) {
   return execute(up ? FaultAction::kLinkUp : FaultAction::kLinkDown, pod,
                  0.0);
-}
-
-bool ChaosController::set_link_loss(const std::string& pod,
-                                    double probability) {
-  return execute(FaultAction::kLinkLoss, pod, probability);
 }
 
 bool ChaosController::crash_pod(const std::string& pod) {
@@ -182,10 +169,6 @@ bool ChaosController::execute_pod_fault(cluster::Pod& pod, FaultAction action,
     case FaultAction::kLinkUp:
       pod.egress_link().set_up(true);
       pod.ingress_link().set_up(true);
-      return true;
-    case FaultAction::kLinkLoss:
-      pod.egress_link().set_loss(value, seed_);
-      pod.ingress_link().set_loss(value, seed_);
       return true;
     case FaultAction::kCrashPod:
       return cluster_.crash_pod(target);

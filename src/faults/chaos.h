@@ -5,15 +5,13 @@
 //
 // Injectable faults:
 //   - link down/up on a pod's vNIC pair (a flap is a down/up series),
-//   - Bernoulli packet loss on a pod's vNIC pair,
 //   - pod crash (vNICs blackhole; registry untouched — detection is the
 //     mesh's job) / deregister (the slow node-controller path) / restart,
 //   - pod degradation (app service time multiplied).
 //
-// Determinism: every action fires at a fixed simulated time, and the only
-// randomness (per-packet loss draws) comes from named RngStreams derived
-// from the plan seed — so the same seed yields an identical event log,
-// which is what makes chaos results reproducible and A/B-comparable.
+// Determinism: every action fires at a fixed simulated time and draws no
+// random numbers, so the same plan yields an identical event log, which
+// is what makes chaos results reproducible and A/B-comparable.
 // This layer owns infrastructure faults.
 //
 // The layering is strict: faults/ sees cluster/ and net/, never mesh/.
@@ -33,7 +31,6 @@ namespace meshnet::faults {
 enum class FaultAction {
   kLinkDown,
   kLinkUp,
-  kLinkLoss,    ///< value = loss probability (0 clears)
   kCrashPod,
   kRestartPod,
   kDeregisterPod,
@@ -72,9 +69,6 @@ class FaultPlan {
   FaultPlan& reset_connections(sim::Time at, std::string pod);
   FaultPlan& link_down(sim::Time at, std::string pod);
   FaultPlan& link_up(sim::Time at, std::string pod);
-  /// Bernoulli packet loss on the pod's vNICs during [from, until).
-  FaultPlan& packet_loss(sim::Time from, sim::Time until, std::string pod,
-                         double probability);
   /// Periodic flapping: the pod's vNICs go down at `from`, `from+period`,
   /// ... while before `until`, staying down for `downtime` each cycle.
   FaultPlan& flap(sim::Time from, sim::Time until, std::string pod,
@@ -114,6 +108,8 @@ class ChaosController {
   /// telemetry as "fault" events).
   using FaultHook = std::function<void(const FaultLogEntry& entry)>;
 
+  /// No fault draws random numbers, so `seed` is unused; it stays because
+  /// perfbench/meshbench.cc passes one.
   ChaosController(sim::Simulator& sim, cluster::Cluster& cluster,
                   std::uint64_t seed = 0);
 
@@ -126,7 +122,6 @@ class ChaosController {
   // appends to the log either way.
   bool apply(const FaultEntry& entry);
   bool set_link_up(const std::string& pod, bool up);
-  bool set_link_loss(const std::string& pod, double probability);
   bool crash_pod(const std::string& pod);
   bool restart_pod(const std::string& pod);
   bool deregister_pod(const std::string& pod);
@@ -136,9 +131,8 @@ class ChaosController {
   void set_control_plane_hooks(CpHooks hooks) { cp_hooks_ = std::move(hooks); }
 
   /// Chronological record of every executed action — the determinism
-  /// contract: same seed + same plan => identical log.
+  /// contract: same plan => identical log.
   const std::vector<FaultLogEntry>& log() const noexcept { return log_; }
-  std::uint64_t seed() const noexcept { return seed_; }
 
  private:
   bool execute(FaultAction action, const std::string& target, double value);
@@ -147,7 +141,6 @@ class ChaosController {
 
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;
-  std::uint64_t seed_;
   FaultHook hook_;
   CpHooks cp_hooks_;
   std::vector<FaultLogEntry> log_;

@@ -19,11 +19,6 @@ void Link::send(Packet packet) {
     ++stats_.down_drops;
     return;
   }
-  if (loss_probability_ > 0.0 && loss_rng_ &&
-      loss_rng_->bernoulli(loss_probability_)) {
-    ++stats_.loss_drops;
-    return;
-  }
   if (!qdisc_->enqueue(std::move(packet))) {
     MESHNET_DEBUG() << "link " << name_ << ": qdisc drop";
   }
@@ -49,16 +44,6 @@ void Link::set_up(bool up) {
     MESHNET_DEBUG() << "link " << name_ << ": carrier up";
     try_transmit();
   }
-}
-
-void Link::set_loss(double probability, std::uint64_t seed) {
-  if (probability <= 0.0) {
-    loss_probability_ = 0.0;
-    loss_rng_.reset();
-    return;
-  }
-  loss_probability_ = probability;
-  loss_rng_ = std::make_unique<sim::RngStream>(seed, "loss:" + name_);
 }
 
 double Link::utilization(sim::Time now) const noexcept {

@@ -22,7 +22,6 @@
 
 #include "net/packet.h"
 #include "net/qdisc.h"
-#include "sim/random.h"
 #include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -34,7 +33,9 @@ struct LinkStats {
   std::uint64_t delivered_bytes = 0;
   sim::Duration busy_time = 0;  ///< Total transmission time so far.
   std::uint64_t down_drops = 0;  ///< Packets lost while the link was down.
-  std::uint64_t loss_drops = 0;  ///< Packets lost to injected random loss.
+  /// Always 0: links no longer inject random loss. Kept only because
+  /// perfbench/meshbench.cc still adds it to its drop total.
+  std::uint64_t loss_drops = 0;
   std::uint64_t carrier_losses = 0;  ///< up->down transitions so far.
 };
 
@@ -81,12 +82,6 @@ class Link {
   void set_up(bool up);
   bool is_up() const noexcept { return up_; }
 
-  /// Injects Bernoulli packet loss: each sent packet is dropped with
-  /// `probability` before it reaches the qdisc. The stream is seeded from
-  /// (seed, link name) so runs are reproducible. probability <= 0 clears.
-  void set_loss(double probability, std::uint64_t seed = 0);
-  double loss_probability() const noexcept { return loss_probability_; }
-
   Qdisc& qdisc() noexcept { return *qdisc_; }
   const Qdisc& qdisc() const noexcept { return *qdisc_; }
 
@@ -117,8 +112,6 @@ class Link {
   sim::Ring<Packet> wire_;      ///< Serialized, propagating; send order.
   bool transmitting_ = false;
   bool up_ = true;
-  double loss_probability_ = 0.0;
-  std::unique_ptr<sim::RngStream> loss_rng_;
   LinkStats stats_;
 };
 

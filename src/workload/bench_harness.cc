@@ -1,5 +1,6 @@
 #include "workload/bench_harness.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +57,15 @@ std::vector<int> int_list_flag(const HarnessOptions& options,
                    static_cast<int>(flag.size()), flag.data(),
                    static_cast<int>(part.size()), part.data(), text.c_str(),
                    min > 0 ? "positive" : "non-negative");
+      std::exit(2);
+    }
+    // Each entry is a sweep point (and an arm name): a repeat would be a
+    // second point with the same id.
+    if (std::find(values.begin(), values.end(), static_cast<int>(*value)) !=
+        values.end()) {
+      std::fprintf(stderr, "bad --%.*s entry '%.*s' in '%s' (repeated)\n",
+                   static_cast<int>(flag.size()), flag.data(),
+                   static_cast<int>(part.size()), part.data(), text.c_str());
       std::exit(2);
     }
     values.push_back(static_cast<int>(*value));

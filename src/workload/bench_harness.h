@@ -50,10 +50,10 @@ HarnessOptions parse_harness_flags(
     const std::vector<std::string_view>& extra_flags = {},
     const std::vector<std::string_view>& extra_prefixes = {});
 
-/// Reads --<flag> as a comma-separated list of integers, each >= `min`
-/// (`fallback` when the flag is absent). A malformed or out-of-range
-/// entry ends the process with exit code 2 and a message naming it: a
-/// typo must not silently run another sweep.
+/// Reads --<flag> as a comma-separated list of distinct integers, each
+/// >= `min` (`fallback` when the flag is absent). A malformed, repeated
+/// or out-of-range entry ends the process with exit code 2 and a message
+/// naming it: a typo must not silently run another sweep.
 std::vector<int> int_list_flag(const HarnessOptions& options,
                                std::string_view flag,
                                std::string_view fallback, int min = 1);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
-#include <stdexcept>
+#include <utility>
 
 #include "obs/engine_metrics.h"
 #include "sim/simulator.h"
@@ -17,25 +18,19 @@ namespace {
 /// setting.
 constexpr ArrivalProcess kArrival = ArrivalProcess::kUniformRandom;
 
-void add_sidecar_stats(mesh::SidecarStats& total,
-                       const mesh::SidecarStats& stats) {
-  total.inbound_requests += stats.inbound_requests;
-  total.outbound_requests += stats.outbound_requests;
-  total.upstream_retries += stats.upstream_retries;
-  total.upstream_failures += stats.upstream_failures;
-  total.local_responses += stats.local_responses;
-  total.timeouts += stats.timeouts;
-  total.retries_denied_by_budget += stats.retries_denied_by_budget;
-  total.retries_suppressed_by_overload +=
-      stats.retries_suppressed_by_overload;
-  total.health_probes_answered += stats.health_probes_answered;
-  total.downstream_aborts += stats.downstream_aborts;
-  total.configs_applied += stats.configs_applied;
-  total.configs_rejected += stats.configs_rejected;
-  total.deltas_applied += stats.deltas_applied;
-  total.delta_mismatches += stats.delta_mismatches;
-  total.panic_picks += stats.panic_picks;
-}
+/// The sidecar counters the report sums over every sidecar.
+constexpr std::pair<const char*, std::uint64_t mesh::SidecarStats::*>
+    kSidecarTotals[] = {
+        {"upstream_retries", &mesh::SidecarStats::upstream_retries},
+        {"upstream_failures", &mesh::SidecarStats::upstream_failures},
+        {"timeouts", &mesh::SidecarStats::timeouts},
+        {"retries_denied_by_budget",
+         &mesh::SidecarStats::retries_denied_by_budget},
+        {"retries_suppressed_by_overload",
+         &mesh::SidecarStats::retries_suppressed_by_overload},
+        {"downstream_aborts", &mesh::SidecarStats::downstream_aborts},
+        {"panic_picks", &mesh::SidecarStats::panic_picks},
+};
 
 // faults/ cannot see mesh/: the CP fault actions dispatch through hooks
 // wired here, in the layer that sees both.
@@ -54,16 +49,20 @@ faults::CpHooks control_plane_hooks(mesh::ControlPlane& cp) {
   return hooks;
 }
 
-WorkloadSummary summarize(const LatencyRecorder& recorder) {
-  WorkloadSummary s;
-  s.completed = recorder.count();
-  s.errors = recorder.errors();
-  s.achieved_rps = recorder.throughput_rps();
-  s.p50_ms = recorder.p50_ms();
-  s.p90_ms = recorder.p90_ms();
-  s.p99_ms = recorder.p99_ms();
-  s.mean_ms = recorder.mean_ms();
-  return s;
+void add_workload_metrics(PointMetrics& metrics, const std::string& prefix,
+                          const LatencyRecorder& recorder) {
+  metrics.scalars[prefix + "_p50_ms"] = recorder.p50_ms();
+  metrics.scalars[prefix + "_p90_ms"] = recorder.p90_ms();
+  metrics.scalars[prefix + "_p99_ms"] = recorder.p99_ms();
+  metrics.scalars[prefix + "_mean_ms"] = recorder.mean_ms();
+  metrics.scalars[prefix + "_rps"] = recorder.throughput_rps();
+  const double total =
+      static_cast<double>(recorder.count() + recorder.errors());
+  metrics.scalars[prefix + "_success_rate"] =
+      total > 0 ? static_cast<double>(recorder.count()) / total : 1.0;
+  metrics.counters[prefix + "_completed"] = recorder.count();
+  metrics.counters[prefix + "_errors"] = recorder.errors();
+  metrics.histograms[prefix + "_latency_ns"] = recorder.histogram();
 }
 
 }  // namespace
@@ -84,30 +83,20 @@ ElibraryExperimentConfig::default_cross_layer_config() {
   return config;
 }
 
-const PhaseSummary& ElibraryExperimentResult::phase(
-    std::string_view name) const {
-  for (const PhaseSummary& summary : phases) {
-    if (summary.name == name) return summary;
-  }
-  throw std::out_of_range("no phase named " + std::string(name));
-}
-
-PhaseSummary summarize_phase(std::string name, const LatencyRecorder& recorder,
-                             std::uint64_t scheduled) {
-  PhaseSummary s;
-  s.name = std::move(name);
-  s.scheduled = scheduled;
-  s.completed = recorder.count();
-  s.errors = recorder.errors();
-  const std::uint64_t finished = s.completed + s.errors;
-  s.success_rate = finished == 0
-                       ? 1.0
-                       : static_cast<double>(s.completed) /
-                             static_cast<double>(finished);
-  s.goodput_rps = recorder.throughput_rps();
-  s.p50_ms = recorder.p50_ms();
-  s.p99_ms = recorder.p99_ms();
-  return s;
+void add_phase_metrics(PointMetrics& metrics, const std::string& name,
+                       const LatencyRecorder& recorder,
+                       std::uint64_t scheduled) {
+  const std::uint64_t finished = recorder.count() + recorder.errors();
+  metrics.scalars[name + "_goodput_rps"] = recorder.throughput_rps();
+  metrics.scalars[name + "_success_rate"] =
+      finished == 0 ? 1.0
+                    : static_cast<double>(recorder.count()) /
+                          static_cast<double>(finished);
+  metrics.scalars[name + "_p50_ms"] = recorder.p50_ms();
+  metrics.scalars[name + "_p99_ms"] = recorder.p99_ms();
+  metrics.counters[name + "_scheduled"] = scheduled;
+  metrics.counters[name + "_completed"] = recorder.count();
+  metrics.counters[name + "_errors"] = recorder.errors();
 }
 
 void apply_resilience_policies(mesh::MeshPolicies& policies,
@@ -150,7 +139,7 @@ ElibraryExperimentResult run_elibrary_experiment(
 
   if (config.extra_epoch_before_run) cp.push_config();
 
-  faults::ChaosController chaos(sim, app.cluster(), config.seed);
+  faults::ChaosController chaos(sim, app.cluster());
   chaos.set_fault_hook([&cp](const faults::FaultLogEntry& entry) {
     cp.telemetry().record_event(
         entry.at, obs::EventKind::kFault, entry.target,
@@ -269,137 +258,82 @@ ElibraryExperimentResult run_elibrary_experiment(
   }
 
   ElibraryExperimentResult result;
-  result.ls = summarize(ls_gen.recorder());
-  result.li = summarize(li_gen.recorder());
-  result.ls_latency = ls_gen.recorder().histogram();
-  result.li_latency = li_gen.recorder().histogram();
+  PointMetrics& metrics = result.report;
+  std::map<std::string, std::uint64_t>& counters = metrics.counters;
+  add_workload_metrics(metrics, "ls", ls_gen.recorder());
+  add_workload_metrics(metrics, "li", li_gen.recorder());
   for (std::size_t i = 0; i < config.phases.size(); ++i) {
-    result.phases.push_back(summarize_phase(
-        config.phases[i].name, phase_recorders[i], phase_scheduled[i]));
+    add_phase_metrics(metrics, config.phases[i].name, phase_recorders[i],
+                      phase_scheduled[i]);
   }
 
   net::Link& bottleneck = app.bottleneck_link();
   if (config.sample_bottleneck) {
-    result.bottleneck_utilization =
+    metrics.scalars["bottleneck_utilization"] =
         static_cast<double>(busy_at_end - busy_at_start) /
         static_cast<double>(measure_end - measure_start);
   }
-  result.bottleneck_drops = bottleneck.qdisc().stats().dropped_packets;
-  if (const auto* wp = dynamic_cast<const net::WeightedPrioQdisc*>(
-          &bottleneck.qdisc())) {
-    result.high_band_bytes = wp->band_dequeued_bytes(0);
-    result.low_band_bytes = wp->band_dequeued_bytes(1);
-  }
+  counters["bottleneck_drops"] = bottleneck.qdisc().stats().dropped_packets;
+  const auto* bands =
+      dynamic_cast<const net::WeightedPrioQdisc*>(&bottleneck.qdisc());
+  counters["high_band_bytes"] = bands ? bands->band_dequeued_bytes(0) : 0;
+  counters["low_band_bytes"] = bands ? bands->band_dequeued_bytes(1) : 0;
 
+  for (const auto& [key, field] : kSidecarTotals) {
+    std::uint64_t& total = counters[key];
+    for (const auto& sidecar : cp.sidecars()) total += sidecar->stats().*field;
+  }
+  std::uint64_t& flap_damps = counters["flap_damps"];
   for (const auto& sidecar : cp.sidecars()) {
-    add_sidecar_stats(result.sidecars, sidecar->stats());
     if (sidecar->health_checker() != nullptr) {
-      result.flap_damps += sidecar->health_checker()->stats().flap_damps;
+      flap_damps += sidecar->health_checker()->stats().flap_damps;
     }
   }
+  std::uint64_t& evictions = counters["health_evictions"];
+  std::uint64_t& readmissions = counters["health_readmissions"];
   for (const mesh::MeshEvent& event : cp.telemetry().events()) {
     if (event.kind == obs::EventKind::kHealth) {
-      if (event.detail == "evicted") ++result.health_evictions;
-      if (event.detail == "readmitted") ++result.health_readmissions;
+      if (event.detail == "evicted") ++evictions;
+      if (event.detail == "readmitted") ++readmissions;
     }
   }
-  result.final_epoch = cp.epoch();
-  result.stale_sidecars_at_end = cp.stale_sidecars();
-  result.converged = cp.converged() && result.stale_sidecars_at_end == 0;
-  result.reconverge_ms = sim::to_seconds(cp.last_reconverge_duration()) * 1e3;
+  result.fault_log = chaos.log();
+  counters["faults_executed"] = result.fault_log.size();
+
+  counters["final_epoch"] = cp.epoch();
+  counters["stale_sidecars_at_end"] = cp.stale_sidecars();
+  counters["converged"] = cp.converged() && cp.stale_sidecars() == 0;
+  metrics.scalars["reconverge_ms"] =
+      sim::to_seconds(cp.last_reconverge_duration()) * 1e3;
   if (config.sample_staleness) {
-    result.max_staleness_ms = max_staleness_ms;
+    metrics.scalars["max_staleness_ms"] = max_staleness_ms;
     cp.metrics().gauge("cp_max_staleness_ms").set(max_staleness_ms);
   }
 
-  result.fault_log = chaos.log();
-  result.mesh_events = cp.telemetry().events();
-  result.events_executed = sim.events_executed();
-  result.loop_stats = sim.loop_stats();
-  obs::export_loop_stats(result.loop_stats, cp.metrics());
-  result.metrics = cp.metrics().snapshot();
-  return result;
-}
-
-PointMetrics elibrary_point_metrics(const ElibraryExperimentResult& result,
-                                    const std::vector<ReportSeries>& series) {
-  PointMetrics metrics;
-  const auto add_workload = [&metrics](const std::string& prefix,
-                                       const WorkloadSummary& summary) {
-    metrics.scalars[prefix + "_p50_ms"] = summary.p50_ms;
-    metrics.scalars[prefix + "_p90_ms"] = summary.p90_ms;
-    metrics.scalars[prefix + "_p99_ms"] = summary.p99_ms;
-    metrics.scalars[prefix + "_mean_ms"] = summary.mean_ms;
-    metrics.scalars[prefix + "_rps"] = summary.achieved_rps;
-    const double total =
-        static_cast<double>(summary.completed + summary.errors);
-    metrics.scalars[prefix + "_success_rate"] =
-        total > 0 ? static_cast<double>(summary.completed) / total : 1.0;
-    metrics.counters[prefix + "_completed"] = summary.completed;
-    metrics.counters[prefix + "_errors"] = summary.errors;
-  };
-  add_workload("ls", result.ls);
-  add_workload("li", result.li);
-  metrics.histograms["ls_latency_ns"] = result.ls_latency;
-  metrics.histograms["li_latency_ns"] = result.li_latency;
-  for (const PhaseSummary& phase : result.phases) {
-    metrics.scalars[phase.name + "_goodput_rps"] = phase.goodput_rps;
-    metrics.scalars[phase.name + "_success_rate"] = phase.success_rate;
-    metrics.scalars[phase.name + "_p50_ms"] = phase.p50_ms;
-    metrics.scalars[phase.name + "_p99_ms"] = phase.p99_ms;
-    metrics.counters[phase.name + "_scheduled"] = phase.scheduled;
-    metrics.counters[phase.name + "_completed"] = phase.completed;
-    metrics.counters[phase.name + "_errors"] = phase.errors;
-  }
-
-  if (result.bottleneck_utilization) {
-    metrics.scalars["bottleneck_utilization"] = *result.bottleneck_utilization;
-  }
-  metrics.counters["bottleneck_drops"] = result.bottleneck_drops;
-  metrics.counters["high_band_bytes"] = result.high_band_bytes;
-  metrics.counters["low_band_bytes"] = result.low_band_bytes;
-
-  const mesh::SidecarStats& sidecars = result.sidecars;
-  metrics.counters["upstream_retries"] = sidecars.upstream_retries;
-  metrics.counters["upstream_failures"] = sidecars.upstream_failures;
-  metrics.counters["timeouts"] = sidecars.timeouts;
-  metrics.counters["retries_denied_by_budget"] =
-      sidecars.retries_denied_by_budget;
-  metrics.counters["retries_suppressed_by_overload"] =
-      sidecars.retries_suppressed_by_overload;
-  metrics.counters["downstream_aborts"] = sidecars.downstream_aborts;
-  metrics.counters["panic_picks"] = sidecars.panic_picks;
-  metrics.counters["health_evictions"] = result.health_evictions;
-  metrics.counters["health_readmissions"] = result.health_readmissions;
-  metrics.counters["flap_damps"] = result.flap_damps;
-  metrics.counters["faults_executed"] = result.fault_log.size();
-
-  metrics.counters["final_epoch"] = result.final_epoch;
-  metrics.counters["stale_sidecars_at_end"] = result.stale_sidecars_at_end;
-  metrics.counters["converged"] = result.converged ? 1 : 0;
-  metrics.scalars["reconverge_ms"] = result.reconverge_ms;
-  if (result.max_staleness_ms) {
-    metrics.scalars["max_staleness_ms"] = *result.max_staleness_ms;
-  }
-
-  metrics.counters["events"] = result.events_executed;
+  counters["events"] = sim.events_executed();
   // Scheduler profile. Deterministic (pure functions of the config, like
   // every other counter here), so they are safe in compared baselines and
   // double as determinism witnesses for the event-loop internals.
-  const sim::LoopStats& loop = result.loop_stats;
-  metrics.counters["engine_scheduled"] = loop.scheduled;
-  metrics.counters["engine_cancelled"] = loop.cancelled;
-  metrics.counters["engine_wheel_pushes"] = loop.wheel_pushes;
-  metrics.counters["engine_heap_pushes"] = loop.heap_pushes;
-  metrics.counters["engine_due_merges"] = loop.due_merges;
-  metrics.counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
-  metrics.counters["engine_max_queue_depth"] = loop.max_queue_depth;
+  const sim::LoopStats& loop = sim.loop_stats();
+  counters["engine_scheduled"] = loop.scheduled;
+  counters["engine_cancelled"] = loop.cancelled;
+  counters["engine_wheel_pushes"] = loop.wheel_pushes;
+  counters["engine_heap_pushes"] = loop.heap_pushes;
+  counters["engine_due_merges"] = loop.due_merges;
+  counters["engine_task_heap_allocs"] = loop.task_heap_allocs;
+  counters["engine_max_queue_depth"] = loop.max_queue_depth;
+  obs::export_loop_stats(loop, cp.metrics());
+  metrics.snapshot = cp.metrics().snapshot();
+  return result;
+}
 
+PointMetrics elibrary_point_metrics(ElibraryExperimentResult result,
+                                    const std::vector<ReportSeries>& series) {
+  PointMetrics metrics = std::move(result.report);
   for (const ReportSeries& entry : series) {
     metrics.counters[entry.key] =
-        result.metrics.counter_sum(entry.series, entry.labels);
+        metrics.snapshot.counter_sum(entry.series, entry.labels);
   }
-  metrics.snapshot = result.metrics;
   return metrics;
 }
 

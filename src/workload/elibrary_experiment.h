@@ -9,27 +9,20 @@
 // one experiment differs from another in is data in the config: the app
 // and its mesh policies, rates and windows, optional cross-layer
 // prioritization, a fault plan, named LS phases and the drain horizon.
-// FIG4/TXT-LI/ABL-COMP use it directly. OVERLOAD, CHAOS, CHAOS_CP and MTLS
-// are each one function that takes the caller's config (rates, windows,
-// seed) plus the few settings its arms vary, and fills in the policies,
-// fault plan, phases and drain (see their headers). Reports come from
+// Each e-library scenario (bench/scenario_<name>.cc) builds one control
+// config and derives its arms from it. Reports come from
 // elibrary_point_metrics(), which reads registry counters straight from
 // the run's snapshot.
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "app/elibrary.h"
 #include "core/cross_layer.h"
 #include "faults/chaos.h"
 #include "mesh/sidecar.h"
-#include "mesh/telemetry.h"
 #include "obs/metric_registry.h"
-#include "sim/loop_stats.h"
-#include "stats/histogram.h"
 #include "workload/recorder.h"
 #include "workload/sweep_runner.h"
 
@@ -96,70 +89,21 @@ struct ElibraryExperimentConfig {
   static core::CrossLayerConfig default_cross_layer_config();
 };
 
-struct WorkloadSummary {
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  double achieved_rps = 0.0;
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  double mean_ms = 0.0;
-};
-
-/// LS-workload metrics over one phase of the run.
-struct PhaseSummary {
-  std::string name;
-  std::uint64_t scheduled = 0;  ///< arrivals whose intended time is in-phase
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  double success_rate = 1.0;  ///< completed / (completed + errors)
-  double goodput_rps = 0.0;   ///< successful completions / phase length
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
+/// What one e-library run measured.
 struct ElibraryExperimentResult {
-  WorkloadSummary ls;
-  WorkloadSummary li;
-
-  /// Full latency distributions (nanoseconds, wrk2 scheduled-time
-  /// convention) behind the summaries above. Bit-identical across runs
-  /// with the same config — the determinism golden tests compare these.
-  stats::LogHistogram ls_latency;
-  stats::LogHistogram li_latency;
-  std::vector<PhaseSummary> phases;  ///< in config order
-
-  /// Present only when the config samples it.
-  std::optional<double> bottleneck_utilization;
-  std::uint64_t bottleneck_drops = 0;
-  std::uint64_t high_band_bytes = 0;  ///< dequeued from the priority band
-  std::uint64_t low_band_bytes = 0;
-
-  // What the registry does not hold, read once at the end of the run.
-  mesh::SidecarStats sidecars;  ///< summed over every sidecar
-  std::uint64_t health_evictions = 0;
-  std::uint64_t health_readmissions = 0;
-  std::uint64_t flap_damps = 0;
-  std::uint64_t final_epoch = 0;
-  std::uint64_t stale_sidecars_at_end = 0;
-  bool converged = false;      ///< all sidecars on the final epoch
-  double reconverge_ms = 0.0;  ///< last recovery -> full convergence
-  /// Peak sampled discovery staleness; present when the config samples it.
-  std::optional<double> max_staleness_ms;
-
-  /// Determinism witnesses: identical across runs with the same config.
+  /// The run's report, with the canonical keys of every e-library run:
+  /// per workload `{ls,li}_{p50,p90,p99,mean}_ms`, `_rps`,
+  /// `_success_rate`, `_completed`, `_errors` and the `_latency_ns`
+  /// histogram (wrk2 scheduled-time convention); per phase
+  /// `<phase>_{goodput_rps,success_rate,p50_ms,p99_ms,scheduled,completed,
+  /// errors}`; bottleneck, sidecar-total, health, convergence and engine
+  /// counters; and the unified snapshot of the run's one registry. A
+  /// sampled key (`bottleneck_utilization`, `max_staleness_ms`) is present
+  /// only when the config samples it. Bit-identical across runs with the
+  /// same config.
+  PointMetrics report;
+  /// Every executed fault, in order: same config, same log.
   std::vector<faults::FaultLogEntry> fault_log;
-  std::vector<mesh::MeshEvent> mesh_events;
-  std::uint64_t events_executed = 0;
-  /// Event-loop profile for the run (deterministic; see sim/loop_stats.h).
-  sim::LoopStats loop_stats;
-  /// The unified meshnet-metrics-v1 snapshot: edge metrics, span stats,
-  /// mesh events, engine counters and every subsystem's series from one
-  /// registry. Bit-identical across runs with the same config.
-  obs::MetricsSnapshot metrics;
-
-  /// The phase named `name`; throws std::out_of_range if there is none.
-  const PhaseSummary& phase(std::string_view name) const;
 };
 
 ElibraryExperimentResult run_elibrary_experiment(
@@ -173,19 +117,17 @@ struct ReportSeries {
   obs::Labels labels;
 };
 
-/// The report of one e-library run. Canonical keys for every run:
-/// per-workload `{ls,li}_{p50,p90,p99,mean}_ms`, `_rps`, `_success_rate`,
-/// `_completed`, `_errors` and `_latency_ns` histograms; per phase
-/// `<phase>_{goodput_rps,success_rate,p50_ms,p99_ms,scheduled,completed,
-/// errors}`; bottleneck, sidecar-total, health, convergence and engine
-/// counters; the snapshot. `series` adds the experiment's own keys.
+/// The report of one e-library run: its canonical keys plus the
+/// experiment's own `series`.
 PointMetrics elibrary_point_metrics(
-    const ElibraryExperimentResult& result,
+    ElibraryExperimentResult result,
     const std::vector<ReportSeries>& series = {});
 
-/// `recorder` covers exactly the phase; `scheduled` counts its arrivals.
-PhaseSummary summarize_phase(std::string name, const LatencyRecorder& recorder,
-                             std::uint64_t scheduled);
+/// Adds the `<name>_*` keys of one LS phase: `recorder` covers exactly
+/// the phase and `scheduled` counts its arrivals.
+void add_phase_metrics(PointMetrics& metrics, const std::string& name,
+                       const LatencyRecorder& recorder,
+                       std::uint64_t scheduled);
 
 /// The data-plane resilience stance the fault experiments share: active
 /// health checking, circuit breakers, per-try timeouts and up to three

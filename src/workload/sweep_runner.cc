@@ -20,8 +20,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(options) {}
 
-void SweepRunner::add(SweepPoint point) { points_.push_back(std::move(point)); }
-
 void SweepRunner::add(
     std::vector<std::pair<std::string, std::string>> params,
     std::function<PointMetrics()> run) {
@@ -32,7 +30,7 @@ void SweepRunner::add(
   }
   point.params = std::move(params);
   point.run = std::move(run);
-  add(std::move(point));
+  points_.push_back(std::move(point));
 }
 
 SweepResult SweepRunner::run() {

@@ -85,15 +85,10 @@ class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
 
-  /// Adds a point. Ids should be unique; the comparator matches baseline
-  /// points by id.
-  void add(SweepPoint point);
-
-  /// Convenience: build the id from "key=value" params and add.
+  /// Adds a point whose id joins its "key=value" params with '/'. Ids
+  /// should be unique; the comparator matches baseline points by id.
   void add(std::vector<std::pair<std::string, std::string>> params,
            std::function<PointMetrics()> run);
-
-  std::size_t point_count() const noexcept { return points_.size(); }
 
   /// Runs every added point across the pool, blocks until all complete,
   /// and returns assembled results. Rethrows the first exception any

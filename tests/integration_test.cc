@@ -27,44 +27,57 @@ workload::ElibraryExperimentConfig quick_config(double rps,
   return config;
 }
 
+/// The report of one run.
+workload::PointMetrics report(
+    const workload::ElibraryExperimentConfig& config) {
+  return workload::run_elibrary_experiment(config).report;
+}
+
+workload::PointMetrics quick_run(double rps, bool cross_layer) {
+  return report(quick_config(rps, cross_layer));
+}
+
 TEST(Integration, BaselineServesBothWorkloads) {
-  const auto result = workload::run_elibrary_experiment(quick_config(20, false));
-  EXPECT_GT(result.ls.completed, 80u);
-  EXPECT_GT(result.li.completed, 80u);
-  EXPECT_EQ(result.ls.errors, 0u);
-  EXPECT_EQ(result.li.errors, 0u);
-  ASSERT_TRUE(result.bottleneck_utilization.has_value());
-  EXPECT_GT(*result.bottleneck_utilization, 0.1);
+  const auto result = quick_run(20, false);
+  EXPECT_GT(result.counters.at("ls_completed"), 80u);
+  EXPECT_GT(result.counters.at("li_completed"), 80u);
+  EXPECT_EQ(result.counters.at("ls_errors"), 0u);
+  EXPECT_EQ(result.counters.at("li_errors"), 0u);
+  ASSERT_TRUE(result.scalars.count("bottleneck_utilization"));
+  EXPECT_GT(result.scalars.at("bottleneck_utilization"), 0.1);
 }
 
 TEST(Integration, CrossLayerImprovesLsTailUnderLoad) {
-  const auto base = workload::run_elibrary_experiment(quick_config(40, false));
-  const auto opt = workload::run_elibrary_experiment(quick_config(40, true));
+  const auto base = quick_run(40, false).scalars;
+  const auto opt = quick_run(40, true).scalars;
   // The paper's headline: prioritization improves the LS workload's
   // latency, clearly at the tail.
-  EXPECT_LT(opt.ls.p99_ms, base.ls.p99_ms * 0.8)
-      << "base p99=" << base.ls.p99_ms << " opt p99=" << opt.ls.p99_ms;
-  EXPECT_LE(opt.ls.p50_ms, base.ls.p50_ms * 1.05);
+  EXPECT_LT(opt.at("ls_p99_ms"), base.at("ls_p99_ms") * 0.8)
+      << "base p99=" << base.at("ls_p99_ms")
+      << " opt p99=" << opt.at("ls_p99_ms");
+  EXPECT_LE(opt.at("ls_p50_ms"), base.at("ls_p50_ms") * 1.05);
 }
 
 TEST(Integration, LiDegradationIsBounded) {
-  const auto base = workload::run_elibrary_experiment(quick_config(40, false));
-  const auto opt = workload::run_elibrary_experiment(quick_config(40, true));
+  const auto base = quick_run(40, false);
+  const auto opt = quick_run(40, true);
   // Paper: < 5% LI p99 degradation. Allow slack for short-run noise.
-  EXPECT_LT(opt.li.p99_ms, base.li.p99_ms * 1.15)
-      << "base=" << base.li.p99_ms << " opt=" << opt.li.p99_ms;
-  EXPECT_GT(opt.li.completed, 0.9 * static_cast<double>(base.li.completed));
+  EXPECT_LT(opt.scalars.at("li_p99_ms"), base.scalars.at("li_p99_ms") * 1.15)
+      << "base=" << base.scalars.at("li_p99_ms")
+      << " opt=" << opt.scalars.at("li_p99_ms");
+  EXPECT_GT(opt.counters.at("li_completed"),
+            0.9 * static_cast<double>(base.counters.at("li_completed")));
 }
 
 TEST(Integration, PriorityBandsCarryTraffic) {
-  const auto result = workload::run_elibrary_experiment(quick_config(30, true));
+  const auto result = quick_run(30, true).counters;
   // With cross-layer on, both bands of the bottleneck's weighted qdisc
   // must have moved bytes: high (LS responses to reviews-1) and low
   // (LI responses to reviews-2).
-  EXPECT_GT(result.high_band_bytes, 0u);
-  EXPECT_GT(result.low_band_bytes, 0u);
+  EXPECT_GT(result.at("high_band_bytes"), 0u);
+  EXPECT_GT(result.at("low_band_bytes"), 0u);
   // The analytics bytes dominate by construction (~200x larger bodies).
-  EXPECT_GT(result.low_band_bytes, 10 * result.high_band_bytes);
+  EXPECT_GT(result.at("low_band_bytes"), 10 * result.at("high_band_bytes"));
 }
 
 TEST(Integration, ProvenancePropagatesThroughTheTree) {
@@ -187,10 +200,9 @@ TEST(Integration, ScavengerTransportAloneProtectsLs) {
   scav_config.cross_layer_config.tc_priority = false;
   scav_config.cross_layer_config.priority_routing = false;
   scav_config.cross_layer_config.scavenger_transport = true;
-  const auto base = workload::run_elibrary_experiment(base_config);
-  const auto scav = workload::run_elibrary_experiment(scav_config);
-  EXPECT_LT(scav.ls.p99_ms, base.ls.p99_ms)
-      << "base=" << base.ls.p99_ms << " scav=" << scav.ls.p99_ms;
+  const double base = report(base_config).scalars.at("ls_p99_ms");
+  const double scav = report(scav_config).scalars.at("ls_p99_ms");
+  EXPECT_LT(scav, base) << "base=" << base << " scav=" << scav;
 }
 
 TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
@@ -204,13 +216,13 @@ TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
   sdn.cross_layer_config.tc_priority = false;
   sdn.cross_layer_config.dscp_tagging = false;
   sdn.cross_layer_config.priority_routing = false;
-  const auto base_result = workload::run_elibrary_experiment(base);
-  const auto sdn_result = workload::run_elibrary_experiment(sdn);
-  EXPECT_LT(sdn_result.ls.p99_ms, base_result.ls.p99_ms)
-      << "base=" << base_result.ls.p99_ms << " sdn=" << sdn_result.ls.p99_ms;
+  const double base_p99 = report(base).scalars.at("ls_p99_ms");
+  const workload::PointMetrics sdn_result = report(sdn);
+  const double sdn_p99 = sdn_result.scalars.at("ls_p99_ms");
+  EXPECT_LT(sdn_p99, base_p99) << "base=" << base_p99 << " sdn=" << sdn_p99;
   // The programmed qdisc moved traffic through both bands.
-  EXPECT_GT(sdn_result.high_band_bytes, 0u);
-  EXPECT_GT(sdn_result.low_band_bytes, 0u);
+  EXPECT_GT(sdn_result.counters.at("high_band_bytes"), 0u);
+  EXPECT_GT(sdn_result.counters.at("low_band_bytes"), 0u);
 }
 
 TEST(Integration, ComputePriorityQueuingProtectsLsAtCpuBottleneck) {
@@ -221,32 +233,32 @@ TEST(Integration, ComputePriorityQueuingProtectsLsAtCpuBottleneck) {
   fifo_config.app.app_priority_scheduling = false;
   auto prio_config = fifo_config;
   prio_config.app.app_priority_scheduling = true;
-  const auto fifo = workload::run_elibrary_experiment(fifo_config);
-  const auto prio = workload::run_elibrary_experiment(prio_config);
-  EXPECT_LE(prio.ls.p99_ms, fifo.ls.p99_ms * 1.02)
-      << "fifo=" << fifo.ls.p99_ms << " prio=" << prio.ls.p99_ms;
-  EXPECT_GT(prio.ls.completed, 0u);
-  EXPECT_GT(prio.li.completed, 0u);
+  const double fifo = report(fifo_config).scalars.at("ls_p99_ms");
+  const workload::PointMetrics prio = report(prio_config);
+  const double prio_p99 = prio.scalars.at("ls_p99_ms");
+  EXPECT_LE(prio_p99, fifo * 1.02) << "fifo=" << fifo << " prio=" << prio_p99;
+  EXPECT_GT(prio.counters.at("ls_completed"), 0u);
+  EXPECT_GT(prio.counters.at("li_completed"), 0u);
 }
 
 TEST(Integration, DeterministicResults) {
-  const auto a = workload::run_elibrary_experiment(quick_config(20, true));
-  const auto b = workload::run_elibrary_experiment(quick_config(20, true));
-  EXPECT_EQ(a.ls.completed, b.ls.completed);
-  EXPECT_DOUBLE_EQ(a.ls.p99_ms, b.ls.p99_ms);
-  EXPECT_EQ(a.events_executed, b.events_executed);
+  const auto a = quick_run(20, true);
+  const auto b = quick_run(20, true);
+  EXPECT_EQ(a.counters.at("ls_completed"), b.counters.at("ls_completed"));
+  EXPECT_DOUBLE_EQ(a.scalars.at("ls_p99_ms"), b.scalars.at("ls_p99_ms"));
+  EXPECT_EQ(a.counters.at("events"), b.counters.at("events"));
 }
 
 TEST(Integration, SeedChangesArrivalsButNotShape) {
   auto config = quick_config(30, true);
-  const auto a = workload::run_elibrary_experiment(config);
+  const auto a = report(config).counters;
   config.seed = 1234;
-  const auto b = workload::run_elibrary_experiment(config);
-  EXPECT_NE(a.events_executed, b.events_executed);
+  const auto b = report(config).counters;
+  EXPECT_NE(a.at("events"), b.at("events"));
   // Different draws, same regime: completions within 25%.
-  EXPECT_NEAR(static_cast<double>(a.ls.completed),
-              static_cast<double>(b.ls.completed),
-              0.25 * static_cast<double>(a.ls.completed));
+  EXPECT_NEAR(static_cast<double>(a.at("ls_completed")),
+              static_cast<double>(b.at("ls_completed")),
+              0.25 * static_cast<double>(a.at("ls_completed")));
 }
 
 }  // namespace

@@ -181,6 +181,65 @@ TEST(ConcurrentFlows, LedbatYieldsToReno) {
 
 constexpr std::uint32_t kSplitMss = 1000;
 
+/// A FIFO that drops each offered packet with probability `loss`, and
+/// counts what it dropped: data segments and pure ACKs apart.
+class LossyQdisc : public net::FifoQdisc {
+ public:
+  LossyQdisc(double loss, std::uint64_t seed, std::string_view name)
+      : loss_(loss), rng_(seed, name) {}
+
+  bool enqueue(net::Packet packet) override {
+    if (rng_.bernoulli(loss_)) {
+      ++(packet.payload_size() > 0 ? data_drops : ack_drops);
+      return false;
+    }
+    return net::FifoQdisc::enqueue(std::move(packet));
+  }
+
+  std::uint64_t data_drops = 0;
+  std::uint64_t ack_drops = 0;
+
+ private:
+  double loss_;
+  sim::RngStream rng_;
+};
+
+TEST(RandomLoss, EveryByteArrivesWhenDataAndAcksAreLost) {
+  // 30% of the packets in each direction are lost, the handshake's
+  // included: the sender must recover lost data and lost ACKs alike.
+  sim::Simulator sim;
+  net::Network net(sim);
+  const auto a = net.add_location("a");
+  const auto b = net.add_location("b");
+  auto fwd = std::make_unique<LossyQdisc>(0.3, 7, "fwd");
+  auto rev = std::make_unique<LossyQdisc>(0.3, 7, "rev");
+  const LossyQdisc& data_path = *fwd;
+  const LossyQdisc& ack_path = *rev;
+  net.add_link(a, b, 1e8, sim::microseconds(100), std::move(fwd), "fwd");
+  net.add_link(b, a, 1e8, sim::microseconds(100), std::move(rev), "rev");
+  const auto ip_a = net::make_ip(10, 0, 0, 1);
+  const auto ip_b = net::make_ip(10, 0, 0, 2);
+  net.attach_interface(ip_a, a);
+  net.attach_interface(ip_b, b);
+  TransportHost host_a(sim, net, ip_a);
+  TransportHost host_b(sim, net, ip_b);
+
+  std::string received;
+  host_b.listen(80, [&](Connection& c) {
+    c.set_on_data([&](std::string_view d) { received.append(d); });
+  });
+  Connection& client = host_a.connect({ip_b, 80});
+  const std::string sent = patterned(40'000, 11);
+  for (std::size_t at = 0; at < sent.size(); at += 2000) {
+    client.send(sent.substr(at, 2000));
+    sim.run_until(sim.now() + sim::milliseconds(200));
+  }
+  sim.run_until(sim.now() + sim::seconds(20));
+  EXPECT_EQ(received, sent);
+  EXPECT_GT(data_path.data_drops, 0u);
+  EXPECT_GT(ack_path.ack_drops, 0u);
+}
+
 /// One data segment as the fabric saw it (retransmits included).
 struct WireSegment {
   std::uint64_t seq;

@@ -7,7 +7,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
-#include <stdexcept>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -16,11 +16,9 @@
 #include "mesh/http_client.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "workload/cp_chaos_experiment.h"
+#include "scenario.h"
 #include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
-#include "workload/mtls_experiment.h"
-#include "workload/overload_experiment.h"
 #include "workload/recorder.h"
 #include "workload/sweep_runner.h"
 
@@ -228,11 +226,13 @@ TEST_F(GeneratorFixture, FirstArrivalPastEndIsNotScheduled) {
 
 TEST(PhaseSummary, NoFinishedRequestsIsFullSuccess) {
   const LatencyRecorder recorder(sim::seconds(1), sim::seconds(3));
-  const PhaseSummary phase = summarize_phase("quiet", recorder, 0);
-  EXPECT_EQ(phase.name, "quiet");
-  EXPECT_EQ(phase.completed + phase.errors, 0u);
-  EXPECT_EQ(phase.success_rate, 1.0);
-  EXPECT_EQ(phase.goodput_rps, 0.0);
+  PointMetrics phase;
+  add_phase_metrics(phase, "quiet", recorder, 0);
+  EXPECT_EQ(phase.counters.at("quiet_completed") +
+                phase.counters.at("quiet_errors"),
+            0u);
+  EXPECT_EQ(phase.scalars.at("quiet_success_rate"), 1.0);
+  EXPECT_EQ(phase.scalars.at("quiet_goodput_rps"), 0.0);
 }
 
 TEST(PhaseSummary, GoodputOverPhaseLengthAndScheduledAsGiven) {
@@ -245,13 +245,14 @@ TEST(PhaseSummary, GoodputOverPhaseLengthAndScheduledAsGiven) {
   recorder.record(sim::seconds(4), sim::seconds(5), false);
   recorder.record(sim::seconds(5), sim::seconds(5), false);
   recorder.record(sim::seconds(1), sim::seconds(3), true);
-  const PhaseSummary phase = summarize_phase("during", recorder, 13);
-  EXPECT_EQ(phase.scheduled, 13u);
-  EXPECT_EQ(phase.completed, 10u);
-  EXPECT_EQ(phase.errors, 2u);
-  EXPECT_DOUBLE_EQ(phase.success_rate, 10.0 / 12.0);
-  EXPECT_DOUBLE_EQ(phase.goodput_rps, 10.0 / 4.0);
-  EXPECT_NEAR(phase.p50_ms, 6000.0, 60.0);
+  PointMetrics phase;
+  add_phase_metrics(phase, "during", recorder, 13);
+  EXPECT_EQ(phase.counters.at("during_scheduled"), 13u);
+  EXPECT_EQ(phase.counters.at("during_completed"), 10u);
+  EXPECT_EQ(phase.counters.at("during_errors"), 2u);
+  EXPECT_DOUBLE_EQ(phase.scalars.at("during_success_rate"), 10.0 / 12.0);
+  EXPECT_DOUBLE_EQ(phase.scalars.at("during_goodput_rps"), 10.0 / 4.0);
+  EXPECT_NEAR(phase.scalars.at("during_p50_ms"), 6000.0, 60.0);
 }
 
 TEST(PhaseSummary, ExperimentCountsScheduledArrivalsPerPhase) {
@@ -285,17 +286,19 @@ TEST(PhaseSummary, ExperimentCountsScheduledArrivalsPerPhase) {
   ASSERT_GT(first, 5u);
   ASSERT_GT(second, 5u);
 
-  const ElibraryExperimentResult result = run_elibrary_experiment(config);
-  ASSERT_EQ(result.phases.size(), 2u);
-  EXPECT_EQ(result.phase("first").scheduled, first);
-  EXPECT_EQ(result.phase("second").scheduled, second);
-  EXPECT_EQ(result.phase("first").completed, first);
-  EXPECT_EQ(result.phase("second").completed, second);
-  EXPECT_DOUBLE_EQ(result.phase("second").goodput_rps,
+  const PointMetrics result = run_elibrary_experiment(config).report;
+  const auto count = [&result](const char* key) {
+    return result.counters.at(key);
+  };
+  EXPECT_EQ(count("first_scheduled"), first);
+  EXPECT_EQ(count("second_scheduled"), second);
+  EXPECT_EQ(count("first_completed"), first);
+  EXPECT_EQ(count("second_completed"), second);
+  EXPECT_DOUBLE_EQ(result.scalars.at("second_goodput_rps"),
                    static_cast<double>(second) / sim::to_seconds(end - split));
-  EXPECT_EQ(result.phase("first").completed + result.phase("second").completed,
-            result.ls.completed);
-  EXPECT_THROW(result.phase("third"), std::out_of_range);
+  EXPECT_EQ(count("first_completed") + count("second_completed"),
+            count("ls_completed"));
+  EXPECT_EQ(result.counters.count("third_scheduled"), 0u);
 }
 
 TEST_F(GeneratorFixture, ClosedLoopHoldsConcurrency) {
@@ -403,41 +406,27 @@ TEST(SweepRunnerDeterminism, Fig4At40RpsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The OVERLOAD experiment joins the determinism suite: a short 2x-knee
-// sweep (admission on and off) must be bit-identical — every scalar,
-// counter, histogram bucket and snapshot series — at any thread count.
+// The fault and overload scenarios join the determinism suite: every arm
+// of the scenario, run through the shared loop at the flags its smoke
+// test uses, must be bit-identical — every scalar, counter, histogram
+// bucket, snapshot series and arm log — at any thread count. Each case
+// also checks that the run exercised the subsystem under test.
 
-SweepResult run_overload_sweep(int threads) {
-  SweepOptions options;
-  options.threads = threads;
-  SweepRunner runner(options);
-  for (const bool admission : {true, false}) {
-    runner.add({{"load", "2.0x"}, {"admission", admission ? "on" : "off"}},
-               [admission] {
-                 ElibraryExperimentConfig config;
-                 config.ls_rps = 10.0;
-                 config.warmup = sim::seconds(1);
-                 config.duration = sim::seconds(3);
-                 config.cooldown = sim::seconds(1);
-                 config.seed = 42;
-                 OverloadArm arm;
-                 arm.load_factor = 2.0;
-                 arm.admission = admission;
-                 return elibrary_point_metrics(
-                     run_elibrary_experiment(overload_config(config, arm)),
-                     overload_report_series());
-               });
-  }
-  return runner.run();
+struct ScenarioCase {
+  const char* scenario;
+  std::vector<const char*> flags;
+  void (*sanity)(const bench::Results& results);
+};
+
+/// Names the case in test output (gtest would print its bytes).
+void PrintTo(const ScenarioCase& param, std::ostream* os) {
+  *os << param.scenario;
 }
 
-TEST(OverloadDeterminism, TwoXKneeBitIdenticalAcrossThreadCounts) {
-  const SweepResult serial = run_overload_sweep(1);
-  ASSERT_EQ(serial.points.size(), 2u);
-  // The admission-on arm actually exercises the subsystem under test:
-  // LS completes, the shedding lands on LI, and the admission_* series
-  // reach the unified snapshot.
-  const PointMetrics& on = serial.points[0].metrics;
+void overload_sanity(const bench::Results& results) {
+  // The 2x admission-on arm: LS completes, the shedding lands on LI, and
+  // the admission_* series reach the unified snapshot.
+  const PointMetrics& on = results["2.0x/on"];
   EXPECT_GT(on.counters.at("ls_completed"), 0u);
   EXPECT_GT(on.counters.at("li_shed"), 0u);
   EXPECT_EQ(on.counters.at("ls_shed"), 0u);
@@ -449,52 +438,13 @@ TEST(OverloadDeterminism, TwoXKneeBitIdenticalAcrossThreadCounts) {
        {"reason", "queue-full"}});
   ASSERT_NE(shed, nullptr);
   EXPECT_GT(shed->counter, 0u);
-
-  for (const int threads : {4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const SweepResult parallel = run_overload_sweep(threads);
-    EXPECT_EQ(parallel.threads_used, threads);
-    expect_identical_sweeps(serial, parallel);
-  }
 }
 
-// The CHAOS_CP experiment joins the determinism suite: a shortened CP
-// outage + churn storm (both arms) must be bit-identical — every scalar,
-// counter, histogram bucket and snapshot series — at any thread count.
-
-SweepResult run_cp_chaos_sweep(int threads) {
-  SweepOptions options;
-  options.threads = threads;
-  SweepRunner runner(options);
-  for (const bool outage : {true, false}) {
-    runner.add({{"outage", outage ? "on" : "off"}}, [outage] {
-      ElibraryExperimentConfig config;
-      config.ls_rps = 15.0;
-      config.li_rps = 5.0;
-      config.warmup = sim::seconds(1);
-      config.duration = sim::seconds(10);
-      config.cooldown = sim::seconds(1);
-      config.seed = 42;
-      CpChaosArm arm;
-      arm.outage = outage;
-      arm.outage_offset = sim::seconds(1);
-      arm.outage_duration = sim::seconds(6);
-      arm.churn_period = sim::seconds(3);
-      return elibrary_point_metrics(
-          run_elibrary_experiment(cp_chaos_config(config, arm)),
-          cp_report_series());
-    });
-  }
-  return runner.run();
-}
-
-TEST(CpChaosDeterminism, OutageStormBitIdenticalAcrossThreadCounts) {
-  const SweepResult serial = run_cp_chaos_sweep(1);
-  ASSERT_EQ(serial.points.size(), 2u);
-  // The outage arm actually exercises the failure machinery: pushes flow,
-  // the mesh ends converged with no stale sidecars, the outage leaves a
-  // real staleness footprint, and churn drives real faults.
-  const PointMetrics& outage = serial.points[0].metrics;
+void cp_sanity(const bench::Results& results) {
+  // The outage arm: pushes flow, the mesh ends converged with no stale
+  // sidecars, the outage leaves a real staleness footprint, and churn
+  // drives real faults.
+  const PointMetrics& outage = results["outage"];
   EXPECT_GT(outage.counters.at("push_attempts"), 0u);
   EXPECT_EQ(outage.counters.at("converged"), 1u);
   EXPECT_EQ(outage.counters.at("stale_sidecars_at_end"), 0u);
@@ -507,80 +457,82 @@ TEST(CpChaosDeterminism, OutageStormBitIdenticalAcrossThreadCounts) {
   ASSERT_NE(crashes, nullptr);
   EXPECT_EQ(crashes->counter, 1u);
   // The control arm never crashes the control plane.
-  const PointMetrics& control = serial.points[1].metrics;
+  const PointMetrics& control = results["control"];
   EXPECT_EQ(control.snapshot.find("cp_crashes_total")->counter, 0u);
   EXPECT_EQ(control.counters.at("converged"), 1u);
-
-  for (const int threads : {4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const SweepResult parallel = run_cp_chaos_sweep(threads);
-    EXPECT_EQ(parallel.threads_used, threads);
-    expect_identical_sweeps(serial, parallel);
-  }
 }
 
-// The MTLS experiment joins the determinism suite: a shortened
-// plaintext-vs-storm pair must be bit-identical — every scalar, counter,
-// histogram bucket and snapshot series — at any thread count. The storm
-// arm exercises the whole TLS surface: full handshakes, resumption,
-// connection resets and the shared per-sidecar crypto clock.
-
-SweepResult run_mtls_sweep(int threads) {
-  SweepOptions options;
-  options.threads = threads;
-  SweepRunner runner(options);
-  for (const bool mtls : {true, false}) {
-    runner.add({{"mtls", mtls ? "on" : "off"}}, [mtls] {
-      ElibraryExperimentConfig config;
-      config.ls_rps = 15.0;
-      config.li_rps = 5.0;
-      config.warmup = sim::seconds(1);
-      config.duration = sim::seconds(10);  // the storm hits at 5 s
-      config.cooldown = sim::seconds(1);
-      config.seed = 42;
-      MtlsArm arm;
-      arm.mtls = mtls;
-      arm.storm = mtls;  // plaintext control stays calm
-      return elibrary_point_metrics(
-          run_elibrary_experiment(mtls_config(config, arm)),
-          mtls_report_series());
-    });
-  }
-  return runner.run();
-}
-
-TEST(MtlsDeterminism, HandshakeStormBitIdenticalAcrossThreadCounts) {
-  const SweepResult serial = run_mtls_sweep(1);
-  ASSERT_EQ(serial.points.size(), 2u);
-  // The mTLS arm actually exercises the subsystem under test: traffic
-  // completes, handshakes happen (full at startup, resumed after the
-  // storm's reconnect wave), tickets flow, and the tls_* series reach
-  // the unified snapshot.
-  const PointMetrics& mtls = serial.points[0].metrics;
-  EXPECT_GT(mtls.counters.at("ls_completed"), 0u);
-  EXPECT_GT(mtls.counters.at("tls_handshakes_full"), 0u);
-  EXPECT_GT(mtls.counters.at("tls_handshakes_resumed"), 0u);
-  EXPECT_GT(mtls.counters.at("tls_tickets_issued"), 0u);
-  EXPECT_GT(mtls.counters.at("tls_records_encrypted"), 0u);
-  EXPECT_GT(mtls.counters.at("faults_executed"), 0u);
-  ASSERT_FALSE(mtls.snapshot.empty());
+void mtls_sanity(const bench::Results& results) {
+  // The storm-resume arm exercises the whole TLS surface: full handshakes
+  // at startup, resumed ones after the storm's reconnect wave, tickets,
+  // records, and the tls_* series in the unified snapshot.
+  const PointMetrics& storm = results["storm-resume"];
+  EXPECT_GT(storm.counters.at("ls_completed"), 0u);
+  EXPECT_GT(storm.counters.at("tls_handshakes_full"), 0u);
+  EXPECT_GT(storm.counters.at("tls_handshakes_resumed"), 0u);
+  EXPECT_GT(storm.counters.at("tls_tickets_issued"), 0u);
+  EXPECT_GT(storm.counters.at("tls_records_encrypted"), 0u);
+  EXPECT_GT(storm.counters.at("faults_executed"), 0u);
+  ASSERT_FALSE(storm.snapshot.empty());
   const obs::SeriesSnapshot* full =
-      mtls.snapshot.find("tls_handshakes_full_total");
+      storm.snapshot.find("tls_handshakes_full_total");
   ASSERT_NE(full, nullptr);
   EXPECT_GT(full->counter, 0u);
-  // The plaintext control never touches the TLS layer.
-  const PointMetrics& plain = serial.points[1].metrics;
+  // The plaintext arm never touches the TLS layer.
+  const PointMetrics& plain = results["plaintext"];
   EXPECT_EQ(plain.counters.at("tls_handshakes_full"), 0u);
   EXPECT_EQ(plain.counters.at("tls_records_encrypted"), 0u);
   EXPECT_GT(plain.counters.at("ls_completed"), 0u);
+}
+
+void chaos_sanity(const bench::Results& results) {
+  // Both arms ran the fault plan; only the resilient one detected it.
+  EXPECT_GT(results.count("resilient", "faults_executed"), 0u);
+  EXPECT_GT(results.count("baseline", "faults_executed"), 0u);
+  EXPECT_GE(results.count("resilient", "health_evictions"), 1u);
+}
+
+class ScenarioDeterminism : public ::testing::TestWithParam<ScenarioCase> {};
+
+TEST_P(ScenarioDeterminism, BitIdenticalAcrossThreadCounts) {
+  const ScenarioCase& param = GetParam();
+  std::vector<const char*> argv = {"workload_test"};
+  argv.insert(argv.end(), param.flags.begin(), param.flags.end());
+  const bench::Scenario& scenario = *bench::find_scenario(param.scenario);
+  const std::vector<bench::Arm> arms = scenario.arms(bench::parse_args(
+      scenario, static_cast<int>(argv.size()), argv.data()));
+
+  std::vector<std::string> serial_logs;
+  const SweepResult serial =
+      bench::run_arms(arms, {.threads = 1}, &serial_logs);
+  param.sanity(bench::Results(arms, serial));
 
   for (const int threads : {4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const SweepResult parallel = run_mtls_sweep(threads);
+    std::vector<std::string> logs;
+    const SweepResult parallel =
+        bench::run_arms(arms, {.threads = threads}, &logs);
     EXPECT_EQ(parallel.threads_used, threads);
     expect_identical_sweeps(serial, parallel);
+    EXPECT_EQ(logs, serial_logs);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, ScenarioDeterminism,
+    ::testing::Values(
+        ScenarioCase{"overload", {"--duration=3"}, overload_sanity},
+        ScenarioCase{"cp",
+                     {"--ls-rps=15", "--li-rps=5", "--duration=16",
+                      "--outage-duration-s=6", "--churn-period-s=3"},
+                     cp_sanity},
+        ScenarioCase{"mtls",
+                     {"--ls-rps=15", "--li-rps=5", "--duration=10"},
+                     mtls_sanity},
+        ScenarioCase{"chaos_elibrary",
+                     {"--ls-rps=10", "--li-rps=5", "--duration=10",
+                      "--fault-duration-s=3"},
+                     chaos_sanity}));
 
 TEST(SweepRunner, ResultsArriveInInputOrderAndReportIsStable) {
   SweepOptions options;
