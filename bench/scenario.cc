@@ -82,41 +82,16 @@ double read_key(const workload::PointMetrics& m, const std::string& key,
   scenario_bug("no report key", key);
 }
 
-std::string cell(const Column& column, const Results& results,
-                 const std::string& arm,
-                 const std::string& suffix, std::string_view phase) {
+std::string cell(const Column& column, const workload::PointMetrics& arm,
+                 std::string_view phase) {
   const std::string key =
       phase.empty() ? std::string(column.key)
                     : std::string(phase) + "_" + std::string(column.key);
   bool whole = false;
-  const auto read = [&](std::string_view prefix) {
-    const std::string name =
-        prefix.empty() ? arm : std::string(prefix) + suffix;
-    return read_key(results[name], key, whole) * column.scale;
-  };
-  const double value = read(column.arm);
-  const int precision = column.precision;
-  switch (column.kind) {
-    case CellKind::kValue:
-      return whole && column.scale == 1.0
-                 ? std::to_string(static_cast<std::uint64_t>(value))
-                 : stats::Table::num(value, precision);
-    case CellKind::kRatio: {
-      const double vs = read(column.vs);
-      return value > 0 && vs > 0
-                 ? stats::Table::num(value / vs, precision) + "x"
-                 : std::string("n/a");
-    }
-    case CellKind::kDelta: {
-      const double vs = read(column.vs);
-      return stats::Table::num(vs > 0 ? (value - vs) / vs * 100.0 : 0.0,
-                               precision) +
-             "%";
-    }
-    case CellKind::kDiff:
-      return stats::Table::num(value - read(column.vs), precision);
-  }
-  return {};
+  const double value = read_key(arm, key, whole) * column.scale;
+  return whole && column.scale == 1.0
+             ? std::to_string(static_cast<std::uint64_t>(value))
+             : stats::Table::num(value, column.precision);
 }
 
 void print_table(const Table& table, const Results& results) {
@@ -129,13 +104,11 @@ void print_table(const Table& table, const Results& results) {
   const std::vector<std::string_view> phases =
       table.phases.empty() ? std::vector<std::string_view>{""} : table.phases;
   for (const std::string& arm : results.names()) {
-    if (!arm.starts_with(table.rows)) continue;
-    const std::string suffix = arm.substr(table.rows.size());
     for (const std::string_view phase : phases) {
-      std::vector<std::string> row = {suffix.empty() ? arm : suffix};
+      std::vector<std::string> row = {arm};
       if (!phase.empty()) row.emplace_back(phase);
       for (const Column& column : table.columns) {
-        row.push_back(cell(column, results, arm, suffix, phase));
+        row.push_back(cell(column, results[arm], phase));
       }
       out.add_row(std::move(row));
     }
@@ -152,7 +125,7 @@ void print_table(const Table& table, const Results& results) {
 Check check(bool pass, const char* format, ...) {
   va_list args;
   va_start(args, format);
-  Check result{pass, vformat(format, args)};
+  Check result{.pass = pass, .what = vformat(format, args)};
   va_end(args);
   return result;
 }
@@ -160,7 +133,7 @@ Check check(bool pass, const char* format, ...) {
 Check note(const char* format, ...) {
   va_list args;
   va_start(args, format);
-  Check result{std::nullopt, vformat(format, args)};
+  Check result{.note = true, .what = vformat(format, args)};
   va_end(args);
   return result;
 }
@@ -183,11 +156,11 @@ Arm elibrary_arm(std::string name, Params params,
   std::string log_title = "fault log (" + name + " arm):\n";
   return {std::move(name), std::move(params),
           [config = std::move(config), series, log_faults,
-           log_title = std::move(log_title)](std::string& log) {
+           log_title = std::move(log_title)](ArmLog& log) {
             workload::ElibraryExperimentResult result =
                 workload::run_elibrary_experiment(config);
             if (log_faults) {
-              log += log_title;
+              log.text += log_title;
               char line[128];
               for (const faults::FaultLogEntry& entry : result.fault_log) {
                 std::snprintf(
@@ -197,8 +170,13 @@ Arm elibrary_arm(std::string name, Params params,
                         .c_str(),
                     entry.target.c_str(),
                     entry.applied ? "" : " (not applied)");
-                log += line;
+                log.text += line;
               }
+            }
+            for (const mesh::MeshEvent& event : result.mesh_events) {
+              log.events += std::to_string(event.at) + " " +
+                            std::string(obs::to_string(event.kind)) + " " +
+                            event.subject + " " + event.detail + "\n";
             }
             return workload::elibrary_point_metrics(std::move(result),
                                                     series);
@@ -260,8 +238,8 @@ Args parse_args(const Scenario& scenario, int argc,
 
 workload::SweepResult run_arms(const std::vector<Arm>& arms,
                                const workload::SweepOptions& options,
-                               std::vector<std::string>* logs) {
-  std::vector<std::string> arm_logs(arms.size());
+                               std::vector<ArmLog>* logs) {
+  std::vector<ArmLog> arm_logs(arms.size());
   workload::SweepRunner runner(options);
   for (std::size_t i = 0; i < arms.size(); ++i) {
     runner.add(arms[i].params,
@@ -295,7 +273,7 @@ int run_scenario(const Scenario& scenario, const Args& args) {
     options.threads = 1;
   }
   const std::vector<Arm> arms = scenario.arms(args);
-  std::vector<std::string> logs;
+  std::vector<ArmLog> logs;
   const workload::SweepResult sweep = run_arms(arms, options, &logs);
   const Results results(arms, sweep);
   std::fprintf(stderr, "sweep: %zu points, %d threads, %.0f ms wall\n",
@@ -309,22 +287,22 @@ int run_scenario(const Scenario& scenario, const Args& args) {
                                  : std::vector<Check>{};
   bool notes = false;
   for (const Check& line : checks) {
-    if (line.pass) continue;
+    if (!line.note) continue;
     std::printf("%s\n", line.what.c_str());
     notes = true;
   }
   if (notes) std::printf("\n");
-  for (const std::string& log : logs) {
-    if (!log.empty()) std::printf("%s\n", log.c_str());
+  for (const ArmLog& log : logs) {
+    if (!log.text.empty()) std::printf("%s\n", log.text.c_str());
   }
   bool passed = true;
   bool header = false;
   for (const Check& line : checks) {
-    if (!line.pass) continue;
+    if (line.note) continue;
     if (!header) std::printf("acceptance:\n");
     header = true;
-    std::printf("  %s  %s\n", *line.pass ? "PASS" : "FAIL", line.what.c_str());
-    passed = passed && *line.pass;
+    std::printf("  %s  %s\n", line.pass ? "PASS" : "FAIL", line.what.c_str());
+    passed = passed && line.pass;
   }
 
   stats::BenchReport report = workload::make_bench_report(

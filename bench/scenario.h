@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,12 +74,21 @@ class Args {
 
 using Params = std::vector<std::pair<std::string, std::string>>;
 
+/// What an arm leaves beside its report point.
+struct ArmLog {
+  std::string text;  ///< printed after the tables
+  /// Never printed: the run's mesh event log, one line per event, which
+  /// the determinism tests compare event by event.
+  std::string events;
+
+  friend bool operator==(const ArmLog&, const ArmLog&) = default;
+};
+
 /// One measured configuration of a scenario.
 struct Arm {
   std::string name;  ///< how tables and checks find the arm
   Params params;     ///< the report point's params (and so its id)
-  /// Runs the arm. Text it appends to `log` prints after the tables.
-  std::function<workload::PointMetrics(std::string& log)> run;
+  std::function<workload::PointMetrics(ArmLog& log)> run;
 };
 
 /// End-to-end deadline at every sidecar in the fault scenarios (CHAOS,
@@ -94,8 +102,9 @@ constexpr sim::Duration kFaultRequestTimeout = sim::milliseconds(2500);
 workload::ElibraryExperimentConfig fault_control(const Args& args);
 
 /// An e-library arm: run_elibrary_experiment(config), reported by
-/// elibrary_point_metrics with the scenario's `series`. With `log_faults`
-/// the run's fault log goes to the arm's log.
+/// elibrary_point_metrics with the scenario's `series`. Its log's
+/// `events` holds the run's mesh event log; with `log_faults` the fault
+/// log is printed too.
 Arm elibrary_arm(std::string name, Params params,
                  workload::ElibraryExperimentConfig config,
                  const std::vector<workload::ReportSeries>& series = {},
@@ -126,36 +135,20 @@ class Results {
   const workload::SweepResult& sweep_;
 };
 
-/// How a table column turns the values it reads into a cell.
-enum class CellKind {
-  kValue,  ///< `key` of the column's arm
-  kRatio,  ///< the column's arm over `vs`, as "1.52x"; "n/a" if either is 0
-  kDelta,  ///< (arm - vs) / vs, as "3.1%"; "0.0%" if vs is 0
-  kDiff,   ///< arm - vs
-};
-
+/// A table column: one report key of each row's arm.
 struct Column {
   std::string_view header;
   /// A scalar or counter of the arm ("<phase>_<key>" in a phase table).
   std::string_view key;
   int precision = 1;   ///< decimals; an unscaled counter prints whole
   double scale = 1.0;  ///< the value is multiplied by this first
-  /// The arm to read, as a sibling of the row's arm: this prefix plus the
-  /// row's suffix (see Table::rows). Empty: the row's own arm.
-  std::string_view arm = {};
-  std::string_view vs = {};  ///< the second arm of a comparison, likewise
-  CellKind kind = CellKind::kValue;
 };
 
+/// One row per arm, in run order, labelled with the arm's name.
 struct Table {
   std::string_view title = {};  ///< printed above the table; empty = none
   std::vector<Column> columns;
   std::string_view label = "arm";  ///< header of the row-label column
-  /// One row per arm whose name starts with `rows`. The rest of the name
-  /// is the row's suffix and labels it (the whole name if nothing is
-  /// left); a column's `arm` and `vs` replace the prefix to read a
-  /// sibling: rows "on/" and arm "off/" put arm "off/10" in row "on/10".
-  std::string_view rows = {};
   /// Non-empty: each arm gives one row per phase, keys read
   /// "<phase>_<key>".
   std::vector<std::string_view> phases = {};
@@ -163,9 +156,10 @@ struct Table {
   bool csv = false;
 };
 
-/// An acceptance check, or (without a verdict) a summary line.
+/// An acceptance check, or a note: a summary line with no verdict.
 struct Check {
-  std::optional<bool> pass;
+  bool note = false;
+  bool pass = true;
   std::string what;
 };
 Check check(bool pass, const char* format, ...)
@@ -206,7 +200,7 @@ Args parse_args(const Scenario& scenario, int argc, const char* const* argv);
 /// Runs the arms as one sweep. `logs`, if given, receives each arm's log.
 workload::SweepResult run_arms(const std::vector<Arm>& arms,
                                const workload::SweepOptions& options,
-                               std::vector<std::string>* logs = nullptr);
+                               std::vector<ArmLog>* logs = nullptr);
 
 /// The whole run of a scenario; returns the process exit code (0, 1 on a
 /// regression or a failed check, 2 on a report I/O error).

@@ -68,7 +68,7 @@ std::vector<Arm> arms(const Args& args) {
     arms.push_back({admission, {{"admission", admission}},
                     [priority, ls_rps = args.real("ls-rps"),
                      li_rps = args.real("li-rps"), duration = args.duration(),
-                     seed = args.seed()](std::string&) {
+                     seed = args.seed()](ArmLog&) {
                       return run_once(priority, ls_rps, li_rps, duration,
                                       seed);
                     }});

@@ -73,7 +73,7 @@ std::vector<Arm> arms(const Args& args) {
     arms.push_back({name, {{"policy", name}},
                     [policy, rps = args.real("rps"),
                      duration = args.duration(),
-                     seed = args.seed()](std::string&) {
+                     seed = args.seed()](ArmLog&) {
                       return run_once(policy, rps, duration, seed);
                     }});
   }

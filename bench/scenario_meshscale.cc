@@ -68,7 +68,7 @@ std::vector<Arm> arms(const Args& args) {
                      {"push", push},
                      {"scope", scoped ? "on" : "off"}},
                     [config = arm_config(args, services, delta, scoped)](
-                        std::string&) {
+                        ArmLog&) {
                       return workload::run_meshscale_experiment(config);
                     }});
   };

@@ -39,7 +39,7 @@ std::vector<Arm> arms(const Args& args) {
     config.duration = args.duration();
     arms.push_back({"t" + std::to_string(threads),
                     {{"threads", std::to_string(threads)}},
-                    [config](std::string&) {
+                    [config](ArmLog&) {
                       return workload::run_parsim_experiment(config);
                     }});
   }

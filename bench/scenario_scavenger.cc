@@ -133,7 +133,7 @@ std::vector<Arm> arms(const Args& args) {
       const std::string count = std::to_string(flows);
       arms.push_back({name + "/" + count,
                       {{"cc", name}, {"flows", count}},
-                      [cc, flows, duration = args.duration()](std::string&) {
+                      [cc, flows, duration = args.duration()](ArmLog&) {
                         return run_once(cc, flows, duration);
                       }});
     }

@@ -298,6 +298,7 @@ ElibraryExperimentResult run_elibrary_experiment(
     }
   }
   result.fault_log = chaos.log();
+  result.mesh_events = cp.telemetry().events();
   counters["faults_executed"] = result.fault_log.size();
 
   counters["final_epoch"] = cp.epoch();

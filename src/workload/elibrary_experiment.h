@@ -22,6 +22,7 @@
 #include "core/cross_layer.h"
 #include "faults/chaos.h"
 #include "mesh/sidecar.h"
+#include "mesh/telemetry.h"
 #include "obs/metric_registry.h"
 #include "workload/recorder.h"
 #include "workload/sweep_runner.h"
@@ -104,6 +105,10 @@ struct ElibraryExperimentResult {
   PointMetrics report;
   /// Every executed fault, in order: same config, same log.
   std::vector<faults::FaultLogEntry> fault_log;
+  /// Every mesh event (breaker, health, fault, control plane), in order:
+  /// the strongest determinism witness — one reordered event anywhere in
+  /// the simulation changes it.
+  std::vector<mesh::MeshEvent> mesh_events;
 };
 
 ElibraryExperimentResult run_elibrary_experiment(

@@ -28,21 +28,24 @@ const std::vector<const char*> kSmokeFlags = {
 
 TEST(ChaosExperiment, DeterministicForSameSeed) {
   const Arm resilient = chaos_arms(kSmokeFlags).front();
-  std::string log_a, log_b;
+  ArmLog log_a, log_b;
   const workload::PointMetrics a = resilient.run(log_a);
   const workload::PointMetrics b = resilient.run(log_b);
 
   // Same seed => identical simulation, event for event: every counter,
-  // histogram bucket and snapshot series, and the same fault log.
+  // histogram bucket and snapshot series, the same fault log, and the
+  // same mesh event log (time, kind, subject and detail of each event).
   EXPECT_EQ(a, b);
-  EXPECT_EQ(log_a, log_b);
+  EXPECT_EQ(log_a.text, log_b.text);
+  EXPECT_EQ(log_a.events, log_b.events);
   EXPECT_GT(a.counters.at("faults_executed"), 0u);
+  EXPECT_NE(log_a.events.find(" health "), std::string::npos);
 
   // A different seed actually changes arrivals (guards against the seed
   // being ignored somewhere).
   std::vector<const char*> reseeded = kSmokeFlags;
   reseeded.push_back("--seed=43");
-  std::string log_c;
+  ArmLog log_c;
   const workload::PointMetrics c = chaos_arms(reseeded).front().run(log_c);
   EXPECT_NE(a.counters.at("events"), c.counters.at("events"));
 }

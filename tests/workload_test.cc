@@ -409,8 +409,11 @@ TEST(SweepRunnerDeterminism, Fig4At40RpsBitIdenticalAcrossThreadCounts) {
 // The fault and overload scenarios join the determinism suite: every arm
 // of the scenario, run through the shared loop at the flags its smoke
 // test uses, must be bit-identical — every scalar, counter, histogram
-// bucket, snapshot series and arm log — at any thread count. Each case
-// also checks that the run exercised the subsystem under test.
+// bucket, snapshot series, printed fault log and mesh event (time, kind,
+// subject, detail) — at any thread count. The event logs are the
+// strongest witnesses: one reordered event anywhere in a simulation
+// changes them. Each case also checks that the run exercised the
+// subsystem under test.
 
 struct ScenarioCase {
   const char* scenario;
@@ -502,14 +505,14 @@ TEST_P(ScenarioDeterminism, BitIdenticalAcrossThreadCounts) {
   const std::vector<bench::Arm> arms = scenario.arms(bench::parse_args(
       scenario, static_cast<int>(argv.size()), argv.data()));
 
-  std::vector<std::string> serial_logs;
+  std::vector<bench::ArmLog> serial_logs;
   const SweepResult serial =
       bench::run_arms(arms, {.threads = 1}, &serial_logs);
   param.sanity(bench::Results(arms, serial));
 
   for (const int threads : {4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<std::string> logs;
+    std::vector<bench::ArmLog> logs;
     const SweepResult parallel =
         bench::run_arms(arms, {.threads = threads}, &logs);
     EXPECT_EQ(parallel.threads_used, threads);
