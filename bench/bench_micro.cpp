@@ -263,15 +263,31 @@ static void BM_HeaderMapGet(benchmark::State& state) {
 }
 BENCHMARK(BM_HeaderMapGet);
 
-static void BM_HeaderMapSet(benchmark::State& state) {
+// Runs `op` once per iteration and reports the heap allocations it makes
+// as `allocs_per_op` (the allocs_per_record pattern above).
+template <typename Op>
+void count_allocs_per_op(benchmark::State& state, Op op) {
+  std::uint64_t allocs = 0;
+  std::uint64_t ops = 0;
   for (auto _ : state) {
+    const std::uint64_t before = workload::bench_allocation_count();
+    op();
+    allocs += workload::bench_allocation_count() - before;
+    ++ops;
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(ops > 0 ? ops : 1));
+}
+
+static void BM_HeaderMapSet(benchmark::State& state) {
+  count_allocs_per_op(state, [] {
     http::HeaderMap headers;
     headers.set(http::headers::Id::kHost, "reviews");
     headers.set(http::headers::Id::kRequestId, "req-1-abcdef");
     headers.set(http::headers::Id::kMeshPriority, "high");
     headers.set(http::headers::Id::kMeshPriority, "low");  // overwrite
     benchmark::DoNotOptimize(headers.size());
-  }
+  });
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_HeaderMapSet);
@@ -290,14 +306,14 @@ static void BM_HeaderPropagation(benchmark::State& state) {
       http::headers::Id::kSpanId,
       http::headers::Id::kMeshPriority,
   };
-  for (auto _ : state) {
+  count_allocs_per_op(state, [&] {
     http::HeaderMap sub;
     sub.set(http::headers::Id::kHost, "ratings");
     for (const http::headers::Id id : kPropagated) {
       if (const auto value = inbound.get(id)) sub.set(id, *value);
     }
     benchmark::DoNotOptimize(sub.size());
-  }
+  });
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HeaderPropagation);
@@ -309,12 +325,53 @@ static void BM_HttpSerializeRequest(benchmark::State& state) {
   request.headers.set(http::headers::kHost, "frontend");
   request.headers.set(http::headers::kRequestId, "req-1-abcdef");
   request.headers.set(http::headers::kMeshPriority, "high");
-  for (auto _ : state) {
+  count_allocs_per_op(state, [&] {
     benchmark::DoNotOptimize(http::serialize_request(request));
-  }
+  });
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HttpSerializeRequest);
+
+// An e-library sub-request as the serving sidecar sees it: ten headers,
+// trace context and the outbound sidecar's stamps included.
+static http::HttpRequest elibrary_request() {
+  http::HttpRequest request;
+  request.path = "/reviews/bulk/3";
+  request.headers.set(http::headers::Id::kHost, "reviews");
+  request.headers.set(http::headers::Id::kRequestId, "req-12-9e3779b9");
+  request.headers.set(http::headers::Id::kTraceId, "trace-0000000000000011");
+  request.headers.set(http::headers::Id::kSpanId, "span-0000000000000013");
+  request.headers.set(http::headers::Id::kParentSpanId,
+                      "span-0000000000000012");
+  request.headers.set(http::headers::Id::kMeshSource, "frontend");
+  request.headers.set(http::headers::Id::kRetryAttempt, "1");
+  request.headers.set(http::headers::Id::kDeadlineMs, "1874");
+  request.headers.set(http::headers::Id::kMeshPriority, "low");
+  return request;
+}
+
+static void BM_HttpParseRequest(benchmark::State& state) {
+  const std::string wire = http::serialize_request(elibrary_request());
+  http::HttpParser parser(http::ParserKind::kRequest);
+  std::uint64_t parsed = 0;
+  parser.set_on_request([&](http::HttpRequest) { ++parsed; });
+  count_allocs_per_op(state, [&] { parser.feed(wire); });
+  benchmark::DoNotOptimize(parsed);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_HttpParseRequest);
+
+// The outbound sidecar's retry-safe copy of a request.
+static void BM_HttpRequestCopy(benchmark::State& state) {
+  const http::HttpRequest request = elibrary_request();
+  count_allocs_per_op(state, [&] {
+    http::HttpRequest copy = request;
+    benchmark::DoNotOptimize(copy.headers.size());
+  });
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HttpRequestCopy);
 
 static void BM_HttpParseResponse(benchmark::State& state) {
   http::HttpResponse response;
@@ -325,9 +382,7 @@ static void BM_HttpParseResponse(benchmark::State& state) {
   http::HttpParser parser(http::ParserKind::kResponse);
   std::uint64_t parsed = 0;
   parser.set_on_response([&](http::HttpResponse) { ++parsed; });
-  for (auto _ : state) {
-    parser.feed(wire);
-  }
+  count_allocs_per_op(state, [&] { parser.feed(wire); });
   benchmark::DoNotOptimize(parsed);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(wire.size()));

@@ -6,13 +6,15 @@
 // --json-out[=PATH], --baseline, --tolerance, --duration, --seed); each
 // scenario (its Scenario value in bench/scenario_<name>.cc) adds its own.
 // A missing or unknown scenario, an unknown flag (one of another scenario
-// included) and a bad value exit 2 before anything runs. The report is
+// included), a bad value and flags that put an e-library phase outside
+// the measured window exit 2 before anything runs. The report is
 // written and compared with --baseline before the acceptance checks
 // apply, so a failed check still leaves its report. Exit 1: a regression
 // or a failed check.
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "scenario.h"
@@ -32,6 +34,13 @@ int main(int argc, char** argv) {
     }
     return 2;
   }
-  return bench::run_scenario(*scenario,
-                             bench::parse_args(*scenario, argc, argv));
+  try {
+    return bench::run_scenario(*scenario,
+                               bench::parse_args(*scenario, argc, argv));
+  } catch (const std::invalid_argument& error) {
+    // An experiment the flags describe but that cannot be measured (an
+    // e-library phase outside the measured window).
+    std::fprintf(stderr, "meshsim: %s\n", error.what());
+    return 2;
+  }
 }

@@ -153,6 +153,7 @@ Arm elibrary_arm(std::string name, Params params,
                  workload::ElibraryExperimentConfig config,
                  const std::vector<workload::ReportSeries>& series,
                  bool log_faults) {
+  workload::validate_phases(config);  // a bad window fails before any run
   std::string log_title = "fault log (" + name + " arm):\n";
   return {std::move(name), std::move(params),
           [config = std::move(config), series, log_faults,

@@ -12,6 +12,7 @@
 
 #include "app/mesh_builder.h"
 #include "mesh/http_client.h"
+#include "mesh/tracing.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
     std::printf("  [%-8s] %-22s %8.3f ms  trace=%s\n", span.service.c_str(),
                 span.operation.c_str(),
                 sim::to_milliseconds(span.duration()),
-                span.trace_id.c_str());
+                mesh::format_trace_id(span.trace_id).c_str());
   }
 
   std::printf("\ntelemetry edges:\n");

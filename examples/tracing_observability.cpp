@@ -8,6 +8,7 @@
 //
 //   ./tracing_observability [--requests=5]
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <optional>
@@ -16,6 +17,7 @@
 
 #include "app/elibrary.h"
 #include "mesh/http_client.h"
+#include "mesh/tracing.h"
 #include "util/flags.h"
 
 using namespace meshnet;
@@ -23,7 +25,7 @@ using namespace meshnet;
 namespace {
 
 void print_span_tree(const std::vector<const mesh::Span*>& spans,
-                     const std::string& parent_id, int depth) {
+                     std::uint64_t parent_id, int depth) {
   for (const mesh::Span* span : spans) {
     if (span->parent_span_id != parent_id) continue;
     std::printf("  %*s%-10s %-28s %8.3f ms%s\n", depth * 2, "",
@@ -70,11 +72,11 @@ int main(int argc, char** argv) {
   // (a) one full distributed trace.
   const mesh::Tracer& tracer = app.control_plane().tracer();
   if (!tracer.spans().empty()) {
-    const std::string trace_id = tracer.spans().front().trace_id;
+    const std::uint64_t trace_id = tracer.spans().front().trace_id;
     const auto spans = tracer.trace(trace_id);
-    std::printf("distributed trace %s (%zu spans):\n", trace_id.c_str(),
-                spans.size());
-    print_span_tree(spans, "", 0);
+    std::printf("distributed trace %s (%zu spans):\n",
+                mesh::format_trace_id(trace_id).c_str(), spans.size());
+    print_span_tree(spans, 0, 0);
   }
 
   // (b) the service call graph, reconstructed from telemetry.

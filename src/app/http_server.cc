@@ -46,8 +46,7 @@ void SimpleHttpServer::on_request(std::uint64_t session_id,
 void SimpleHttpServer::pump(Session& session) {
   if (session.busy || session.pending.empty()) return;
   session.busy = true;
-  http::HttpRequest request = std::move(session.pending.front());
-  session.pending.pop_front();
+  http::HttpRequest request = session.pending.take_front();
   const std::uint64_t id = session.id;
   ++served_;
   handler_(std::move(request), [this, id](http::HttpResponse response) {

@@ -7,13 +7,13 @@
 // connection, HTTP/1.1 ordering is preserved.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 
 #include "http/codec.h"
 #include "http/message.h"
+#include "sim/ring.h"
 #include "transport/transport_host.h"
 
 namespace meshnet::app {
@@ -36,7 +36,7 @@ class SimpleHttpServer {
     std::uint64_t id = 0;
     transport::Connection* conn = nullptr;
     std::unique_ptr<http::HttpParser> parser;
-    std::deque<http::HttpRequest> pending;
+    sim::Ring<http::HttpRequest, 1> pending;
     bool busy = false;
   };
 

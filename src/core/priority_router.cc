@@ -10,7 +10,7 @@ PriorityRouterFilter::PriorityRouterFilter(std::vector<std::string> clusters)
     : clusters_(std::move(clusters)) {}
 
 bool PriorityRouterFilter::applies_to(
-    const std::string& cluster_or_host) const {
+    std::string_view cluster_or_host) const {
   if (clusters_.empty()) return true;
   return std::find(clusters_.begin(), clusters_.end(), cluster_or_host) !=
          clusters_.end();
@@ -21,9 +21,9 @@ mesh::FilterStatus PriorityRouterFilter::on_request(
   if (ctx.direction != mesh::FilterDirection::kOutbound) {
     return mesh::FilterStatus::kContinue;
   }
-  const std::string target =
+  const std::string_view target =
       !ctx.upstream_cluster.empty()
-          ? ctx.upstream_cluster
+          ? std::string_view(ctx.upstream_cluster)
           : ctx.request.headers.get_or(http::headers::Id::kHost, "");
   if (!applies_to(target)) return mesh::FilterStatus::kContinue;
 

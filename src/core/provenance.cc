@@ -7,15 +7,20 @@ namespace meshnet::core {
 ProvenanceTable::ProvenanceTable(sim::Simulator& sim, sim::Duration ttl)
     : sim_(sim), ttl_(ttl) {}
 
-void ProvenanceTable::record(const std::string& request_id,
+void ProvenanceTable::record(std::string_view request_id,
                              mesh::TrafficClass priority) {
   if (request_id.empty()) return;
   maybe_sweep();
-  entries_[request_id] = Entry{priority, sim_.now() + ttl_};
+  const Entry entry{priority, sim_.now() + ttl_};
+  if (const auto it = entries_.find(request_id); it != entries_.end()) {
+    it->second = entry;
+  } else {
+    entries_.emplace(std::string(request_id), entry);
+  }
 }
 
 std::optional<mesh::TrafficClass> ProvenanceTable::lookup(
-    const std::string& request_id) {
+    std::string_view request_id) {
   if (request_id.empty()) {
     ++misses_;
     return std::nullopt;
@@ -47,7 +52,9 @@ ProvenanceFilter::ProvenanceFilter(std::shared_ptr<ProvenanceTable> table)
     : table_(std::move(table)) {}
 
 mesh::FilterStatus ProvenanceFilter::on_request(mesh::RequestContext& ctx) {
-  const std::string request_id = ctx.request.request_id();
+  // A view into the request's headers: only the priority header changes
+  // below, after the last use of the id.
+  const std::string_view request_id = ctx.request.request_id();
   auto priority = request_priority(ctx.request);
 
   if (ctx.direction == mesh::FilterDirection::kInbound) {

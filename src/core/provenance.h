@@ -18,8 +18,10 @@
 // Entries expire after a TTL so the table stays bounded under load.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/priority.h"
@@ -33,8 +35,8 @@ class ProvenanceTable {
   explicit ProvenanceTable(sim::Simulator& sim,
                            sim::Duration ttl = sim::seconds(60));
 
-  void record(const std::string& request_id, mesh::TrafficClass priority);
-  std::optional<mesh::TrafficClass> lookup(const std::string& request_id);
+  void record(std::string_view request_id, mesh::TrafficClass priority);
+  std::optional<mesh::TrafficClass> lookup(std::string_view request_id);
 
   std::size_t size() const noexcept { return entries_.size(); }
   std::uint64_t hits() const noexcept { return hits_; }
@@ -49,7 +51,14 @@ class ProvenanceTable {
 
   sim::Simulator& sim_;
   sim::Duration ttl_;
-  std::unordered_map<std::string, Entry> entries_;
+  /// Looked up by the request's header view, with no key copy.
+  struct IdHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view id) const noexcept {
+      return std::hash<std::string_view>{}(id);
+    }
+  };
+  std::unordered_map<std::string, Entry, IdHash, std::equal_to<>> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   sim::Time last_sweep_ = 0;

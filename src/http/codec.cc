@@ -1,6 +1,7 @@
 #include "http/codec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -13,6 +14,9 @@ namespace {
 constexpr std::string_view kCrlf = "\r\n";
 constexpr std::string_view kHeadEnd = "\r\n\r\n";
 constexpr std::string_view kHttpVersion = "HTTP/1.1";
+
+/// Arena bytes a parsed head reserves beyond its own size.
+constexpr std::size_t kHeaderSlackBytes = 128;
 
 /// Bodies are pooled blocks, whose sizes are 32-bit.
 constexpr std::uint64_t kMaxBodyBytes =
@@ -28,17 +32,18 @@ std::string& head_scratch() {
 
 void append_headers(std::string& out, const HeaderMap& headers,
                     std::size_t body_size) {
-  const auto& entries = headers.entries();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (headers.id_at(i) == headers::Id::kContentLength) {
+  for (const HeaderMap::Field header : headers) {
+    if (header.id == headers::Id::kContentLength) {
       continue;  // always emit an accurate one below
     }
-    const auto& [name, value] = entries[i];
-    out.append(name).append(": ").append(value).append(kCrlf);
+    out.append(header.name).append(": ").append(header.value).append(kCrlf);
   }
+  char digits[24];
+  const auto [end, ec] =
+      std::to_chars(digits, digits + sizeof digits, body_size);
   out.append(headers::kContentLength)
       .append(": ")
-      .append(std::to_string(body_size))
+      .append(digits, static_cast<std::size_t>(end - digits))
       .append(kCrlf);
   out.append(kCrlf);
 }
@@ -194,7 +199,10 @@ void HttpParser::parse_head(std::string_view head) {
 
   HeaderMap& headers =
       kind_ == ParserKind::kRequest ? request_.headers : response_.headers;
-  headers = HeaderMap{};
+  // One arena for every name and value, with room for the headers a
+  // sidecar stamps on the way through (attempt count, deadline, span
+  // ids, source identity).
+  headers.reserve(head.size() + kHeaderSlackBytes);
   std::string_view remaining = first_eol == std::string_view::npos
                                    ? std::string_view{}
                                    : head.substr(first_eol + 2);
@@ -268,25 +276,37 @@ void HttpParser::append_body(std::string_view piece,
 }
 
 bool HttpParser::parse_start_line(std::string_view line) {
-  const auto parts = util::split(line, ' ');
+  // Three fields separated by single spaces, found in place; the third
+  // runs to the end of the line (a response's reason may hold spaces).
+  const std::size_t first_sp = line.find(' ');
+  const std::string_view first = line.substr(0, first_sp);
+  const std::string_view rest = first_sp == std::string_view::npos
+                                    ? std::string_view{}
+                                    : line.substr(first_sp + 1);
+  const std::size_t second_sp = rest.find(' ');
+  const std::string_view second = rest.substr(0, second_sp);
+  const std::string_view third = second_sp == std::string_view::npos
+                                     ? std::string_view{}
+                                     : rest.substr(second_sp + 1);
   if (kind_ == ParserKind::kRequest) {
     // METHOD SP PATH SP VERSION
-    if (parts.size() < 3 || parts[0].empty() || parts[1].empty() ||
-        !util::starts_with(parts[2], "HTTP/")) {
+    if (second_sp == std::string_view::npos || first.empty() ||
+        second.empty() || !util::starts_with(third, "HTTP/")) {
       fail(ParserError::kBadStartLine);
       return false;
     }
     request_ = HttpRequest{};
-    request_.method = std::string(parts[0]);
-    request_.path = std::string(parts[1]);
+    request_.method.assign(first);
+    request_.path.assign(second);
     return true;
   }
   // VERSION SP STATUS SP REASON...
-  if (parts.size() < 2 || !util::starts_with(parts[0], "HTTP/")) {
+  if (first_sp == std::string_view::npos ||
+      !util::starts_with(first, "HTTP/")) {
     fail(ParserError::kBadStartLine);
     return false;
   }
-  const auto status = util::parse_u64(parts[1]);
+  const auto status = util::parse_u64(second);
   if (!status || *status < 100 || *status > 599) {
     fail(ParserError::kBadStartLine);
     return false;

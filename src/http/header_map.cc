@@ -1,5 +1,11 @@
 #include "http/header_map.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 #include "util/strings.h"
 
 namespace meshnet::http {
@@ -45,37 +51,142 @@ Id intern(std::string_view name) noexcept {
   return Id::kUnknown;
 }
 
-std::string_view name_of(Id id) noexcept {
-  switch (id) {
-    case Id::kContentLength:
-      return kContentLength;
-    case Id::kHost:
-      return kHost;
-    case Id::kRequestId:
-      return kRequestId;
-    case Id::kMeshPriority:
-      return kMeshPriority;
-    case Id::kTraceId:
-      return kTraceId;
-    case Id::kSpanId:
-      return kSpanId;
-    case Id::kParentSpanId:
-      return kParentSpanId;
-    case Id::kRetryAttempt:
-      return kRetryAttempt;
-    case Id::kUnknown:
-      break;
-    case Id::kMeshSource:
-      return kMeshSource;
-    case Id::kDeadlineMs:
-      return kDeadlineMs;
-    case Id::kShedReason:
-      return kShedReason;
-  }
-  return "";
+}  // namespace headers
+
+namespace {
+/// Smallest arena a map allocates: room for a sub-request's host, request
+/// id, trace ids and priority in one allocation.
+constexpr std::size_t kMinArenaBytes = 128;
+}  // namespace
+
+HeaderMap::HeaderMap(const HeaderMap& other) { copy_from(other); }
+
+HeaderMap::HeaderMap(HeaderMap&& other) noexcept { take(other); }
+
+HeaderMap& HeaderMap::operator=(const HeaderMap& other) {
+  if (this != &other) copy_from(other);
+  return *this;
 }
 
-}  // namespace headers
+HeaderMap& HeaderMap::operator=(HeaderMap&& other) noexcept {
+  if (this != &other) take(other);
+  return *this;
+}
+
+void HeaderMap::copy_from(const HeaderMap& other) {
+  count_ = 0;
+  arena_size_ = 0;
+  if (other.count_ > entry_capacity()) {
+    spill_ = std::make_unique_for_overwrite<Entry[]>(other.count_);
+    spill_capacity_ = other.count_;
+  }
+  const std::size_t live = other.live_bytes();
+  if (live > arena_capacity_) {
+    arena_ = std::make_unique_for_overwrite<char[]>(live);
+    arena_capacity_ = static_cast<std::uint32_t>(live);
+  }
+  const Entry* from = other.entries();
+  Entry* to = entries();
+  for (std::uint32_t i = 0; i < other.count_; ++i) {
+    const std::uint32_t bytes = from[i].name_size + from[i].value_size;
+    to[i] = from[i];
+    to[i].offset = arena_size_;
+    if (bytes != 0) {
+      std::memcpy(arena_.get() + arena_size_,
+                  other.arena_.get() + from[i].offset, bytes);
+    }
+    arena_size_ += bytes;
+  }
+  count_ = other.count_;
+}
+
+void HeaderMap::take(HeaderMap& other) noexcept {
+  spill_ = std::move(other.spill_);
+  arena_ = std::move(other.arena_);
+  count_ = std::exchange(other.count_, 0);
+  spill_capacity_ = std::exchange(other.spill_capacity_, 0);
+  arena_size_ = std::exchange(other.arena_size_, 0);
+  arena_capacity_ = std::exchange(other.arena_capacity_, 0);
+  if (!spill_) std::copy_n(other.inline_, count_, inline_);
+}
+
+bool HeaderMap::unknown_named(const Entry& e,
+                              std::string_view name) const noexcept {
+  return e.id == headers::Id::kUnknown &&
+         util::iequals(std::string_view(arena_.get() + e.offset, e.name_size),
+                       name);
+}
+
+std::size_t HeaderMap::live_bytes() const noexcept {
+  std::size_t bytes = 0;
+  const Entry* e = entries();
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    bytes += e[i].name_size + e[i].value_size;
+  }
+  return bytes;
+}
+
+std::unique_ptr<char[]> HeaderMap::rebuild_arena(std::size_t capacity) {
+  auto fresh = std::make_unique_for_overwrite<char[]>(capacity);
+  std::uint32_t used = 0;
+  Entry* e = entries();
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    const std::uint32_t bytes = e[i].name_size + e[i].value_size;
+    if (bytes != 0) {
+      std::memcpy(fresh.get() + used, arena_.get() + e[i].offset, bytes);
+    }
+    e[i].offset = used;
+    used += bytes;
+  }
+  arena_size_ = used;
+  arena_capacity_ = static_cast<std::uint32_t>(capacity);
+  arena_.swap(fresh);
+  return fresh;
+}
+
+void HeaderMap::reserve(std::size_t bytes) {
+  if (bytes <= arena_capacity_) return;
+  if (bytes > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("HeaderMap: arena too large");
+  }
+  rebuild_arena(bytes);
+}
+
+void HeaderMap::append(headers::Id id, std::string_view name,
+                       std::string_view value) {
+  const std::size_t name_size =
+      id == headers::Id::kUnknown ? name.size() : 0;
+  if (name_size > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::length_error("HeaderMap: header name too long");
+  }
+  const std::size_t bytes = name_size + value.size();
+  // `name` or `value` may be a view of this map's own arena: the old
+  // arena stays alive until they have been copied.
+  std::unique_ptr<char[]> old_arena;
+  if (bytes > arena_capacity_ - arena_size_) {
+    const std::size_t needed = live_bytes() + bytes;
+    if (needed > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("HeaderMap: arena too large");
+    }
+    old_arena = rebuild_arena(std::min<std::size_t>(
+        std::max({needed, 2 * std::size_t{arena_capacity_}, kMinArenaBytes}),
+        std::numeric_limits<std::uint32_t>::max()));
+  }
+  if (count_ == entry_capacity()) {
+    const std::size_t capacity = 2 * std::size_t{count_};
+    auto grown = std::make_unique_for_overwrite<Entry[]>(capacity);
+    std::copy_n(entries(), count_, grown.get());
+    spill_ = std::move(grown);
+    spill_capacity_ = static_cast<std::uint32_t>(capacity);
+  }
+  char* out = arena_.get() + arena_size_;
+  for (std::size_t i = 0; i < name_size; ++i) out[i] = util::ascii_lower(name[i]);
+  if (!value.empty()) std::memcpy(out + name_size, value.data(), value.size());
+  entries()[count_++] =
+      Entry{arena_size_, static_cast<std::uint32_t>(value.size()),
+            static_cast<std::uint16_t>(name_size), id};
+  arena_size_ += static_cast<std::uint32_t>(bytes);
+}
 
 void HeaderMap::set(std::string_view name, std::string_view value) {
   remove(name);
@@ -84,65 +195,69 @@ void HeaderMap::set(std::string_view name, std::string_view value) {
 
 void HeaderMap::set(headers::Id id, std::string_view value) {
   remove(id);
-  entries_.emplace_back(std::string(headers::name_of(id)),
-                        std::string(value));
-  ids_.push_back(id);
+  append(id, headers::name_of(id), value);
 }
 
 void HeaderMap::add(std::string_view name, std::string_view value) {
-  const headers::Id id = headers::intern(name);
-  // Well-known names reuse the canonical lowercase constant; only
-  // unknown names pay for case-folding.
-  entries_.emplace_back(id != headers::Id::kUnknown
-                            ? std::string(headers::name_of(id))
-                            : util::to_lower(name),
-                        std::string(value));
-  ids_.push_back(id);
+  append(headers::intern(name), name, value);
 }
 
 std::optional<std::string_view> HeaderMap::get(std::string_view name) const {
   const headers::Id id = headers::intern(name);
   if (id != headers::Id::kUnknown) return get(id);
-  for (const auto& [key, value] : entries_) {
-    if (util::iequals(key, name)) return std::string_view(value);
+  const Entry* e = entries();
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    if (unknown_named(e[i], name)) return field(i).value;
   }
   return std::nullopt;
 }
 
-std::optional<std::string_view> HeaderMap::get(headers::Id id) const {
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == id) return std::string_view(entries_[i].second);
+std::optional<std::string_view> HeaderMap::get(
+    headers::Id id) const noexcept {
+  const Entry* e = entries();
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    if (e[i].id == id) return field(i).value;
   }
   return std::nullopt;
 }
 
-std::string HeaderMap::get_or(std::string_view name,
-                              std::string_view fallback) const {
-  const auto v = get(name);
-  return std::string(v ? *v : fallback);
+std::string_view HeaderMap::get_or(std::string_view name,
+                                   std::string_view fallback) const {
+  return get(name).value_or(fallback);
 }
 
-std::string HeaderMap::get_or(headers::Id id,
-                              std::string_view fallback) const {
-  const auto v = get(id);
-  return std::string(v ? *v : fallback);
+std::string_view HeaderMap::get_or(headers::Id id,
+                                   std::string_view fallback) const noexcept {
+  return get(id).value_or(fallback);
 }
 
 bool HeaderMap::has(std::string_view name) const {
   return get(name).has_value();
 }
 
-bool HeaderMap::has(headers::Id id) const { return get(id).has_value(); }
+bool HeaderMap::has(headers::Id id) const noexcept {
+  return get(id).has_value();
+}
 
 std::size_t HeaderMap::remove(std::string_view name) {
   const headers::Id id = headers::intern(name);
   if (id != headers::Id::kUnknown) return remove(id);
   return erase_where(
-      [&](std::size_t i) { return util::iequals(entries_[i].first, name); });
+      [&](const Entry& e) { return unknown_named(e, name); });
 }
 
-std::size_t HeaderMap::remove(headers::Id id) {
-  return erase_where([&](std::size_t i) { return ids_[i] == id; });
+std::size_t HeaderMap::remove(headers::Id id) noexcept {
+  return erase_where([id](const Entry& e) { return e.id == id; });
+}
+
+bool operator==(const HeaderMap& a, const HeaderMap& b) noexcept {
+  if (a.count_ != b.count_) return false;
+  for (std::uint32_t i = 0; i < a.count_; ++i) {
+    const HeaderMap::Field x = a.field(i);
+    const HeaderMap::Field y = b.field(i);
+    if (x.name != y.name || x.value != y.value) return false;
+  }
+  return true;
 }
 
 }  // namespace meshnet::http

@@ -62,8 +62,9 @@ struct HttpRequest {
   HeaderMap headers;
   Body body;
 
-  /// Convenience accessors for the headers the mesh manipulates.
-  std::string request_id() const {
+  /// Convenience accessors for the headers the mesh manipulates. The id
+  /// is a view into `headers` (valid until they next change).
+  std::string_view request_id() const noexcept {
     return headers.get_or(headers::Id::kRequestId, "");
   }
   void set_request_id(std::string_view id) {

@@ -9,20 +9,27 @@ TracingFilter::TracingFilter(Tracer& tracer, sim::Simulator& sim,
     : tracer_(tracer), sim_(sim), service_(std::move(service)) {}
 
 FilterStatus TracingFilter::on_request(RequestContext& ctx) {
-  if (ctx.request.request_id().empty()) {
-    ctx.request.set_request_id(http::generate_request_id());
+  http::HttpRequest& request = ctx.request;
+  if (request.request_id().empty()) {
+    request.set_request_id(http::generate_request_id());
   }
-  const TraceContext parent = TraceContext::extract(ctx.request.headers);
-  ctx.span = tracer_.start_span(
-      service_,
-      std::string(ctx.direction == FilterDirection::kInbound ? "in " : "out ") +
-          ctx.request.method + " " + ctx.request.path,
-      parent, sim_.now());
+  const std::string_view direction =
+      ctx.direction == FilterDirection::kInbound ? "in " : "out ";
+  std::string operation;
+  operation.reserve(direction.size() + request.method.size() + 1 +
+                    request.path.size());
+  operation.append(direction)
+      .append(request.method)
+      .append(" ")
+      .append(request.path);
+  ctx.span = tracer_.start_span(service_, std::move(operation),
+                                TraceContext::extract(request.headers),
+                                sim_.now());
   ctx.span_active = true;
   TraceContext child;
   child.trace_id = ctx.span.trace_id;
   child.span_id = ctx.span.span_id;
-  child.inject(ctx.request.headers, ctx.span.parent_span_id);
+  child.inject(request.headers, ctx.span.parent_span_id);
   return FilterStatus::kContinue;
 }
 
@@ -47,7 +54,7 @@ FilterStatus AuthorizationFilter::on_request(RequestContext& ctx) {
   }
   const auto it = policies_->find(service_);
   if (it == policies_->end()) return FilterStatus::kContinue;  // allow all
-  const std::string source =
+  const std::string_view source =
       ctx.request.headers.get_or(http::headers::Id::kMeshSource, "");
   const auto& allowed = it->second;
   if (std::find(allowed.begin(), allowed.end(), source) != allowed.end()) {
@@ -56,7 +63,7 @@ FilterStatus AuthorizationFilter::on_request(RequestContext& ctx) {
   ++denied_;
   http::HttpResponse deny;
   deny.status = 403;
-  deny.body = "RBAC: access denied for source '" + source + "'";
+  deny.body = "RBAC: access denied for source '" + std::string(source) + "'";
   ctx.local_response = std::move(deny);
   return FilterStatus::kStopIteration;
 }

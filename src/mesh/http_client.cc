@@ -43,11 +43,11 @@ HttpClientPool::RequestId HttpClientPool::request(http::HttpRequest request,
 }
 
 bool HttpClientPool::cancel(RequestId id) {
-  const auto it = std::find_if(queue_.begin(), queue_.end(),
-                               [&](const Pending& p) { return p.id == id; });
-  if (it != queue_.end()) {
-    queue_.erase(it);
-    return true;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (queue_[i].id == id) {
+      queue_.erase(i);
+      return true;
+    }
   }
   for (auto& slot : slots_) {
     if (slot->busy && slot->request_id == id) {
@@ -158,9 +158,7 @@ void HttpClientPool::dispatch() {
     Slot* slot = find_idle();
     if (slot == nullptr) slot = create_slot();
     if (slot == nullptr) break;  // at the connection cap; stay queued
-    Pending pending = std::move(queue_.front());
-    queue_.pop_front();
-    assign(*slot, std::move(pending));
+    assign(*slot, queue_.take_front());
   }
   dispatching_ = false;
 }

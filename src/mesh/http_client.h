@@ -12,7 +12,6 @@
 // up to max_connections and queues beyond that.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "http/message.h"
 #include "mesh/tls_session.h"
 #include "net/address.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "transport/transport_host.h"
 
@@ -118,7 +118,7 @@ class HttpClientPool {
   Options options_;
   std::string name_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::deque<Pending> queue_;
+  sim::Ring<Pending, 1> queue_;
   RequestId next_id_ = 1;
   std::size_t active_ = 0;
   std::uint64_t created_ = 0;

@@ -1,6 +1,7 @@
 #include "mesh/sidecar.h"
 
 #include <algorithm>
+#include <charconv>
 #include <type_traits>
 #include <utility>
 
@@ -20,6 +21,13 @@ constexpr sim::Duration kProxyOverheadJitter = sim::microseconds(100);
 
 /// Connection cap of each upstream pool and of the pool to the local app.
 constexpr std::size_t kMaxPoolConnections = 256;
+
+/// `value` in decimal, written into `buf` (header values stamped per hop).
+template <typename Int>
+std::string_view format_decimal(Int value, char (&buf)[24]) noexcept {
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string_view(buf, static_cast<std::size_t>(end - buf));
+}
 
 }  // namespace
 
@@ -587,8 +595,7 @@ void Sidecar::on_session_request(std::uint64_t session_id,
 void Sidecar::pump_session(ServerSession& session) {
   if (session.busy || session.pending.empty()) return;
   session.busy = true;
-  http::HttpRequest req = std::move(session.pending.front());
-  session.pending.pop_front();
+  http::HttpRequest req = session.pending.take_front();
   process_request(session.id, std::move(req), session.direction);
 }
 
@@ -737,9 +744,10 @@ void Sidecar::forward_to_app(std::uint64_t session_id, Ctx ctx) {
     respond_to_session(session_id, ctx, std::move(response));
     return;
   }
-  http::HttpRequest upstream_req = ctx->request;  // copy: retry-safe
+  // The inbound hop never retries and no response-side filter reads the
+  // request, so it moves to the app rather than being copied.
   app_pool_->request(
-      std::move(upstream_req),
+      std::move(ctx->request),
       [this, session_id, ctx](std::optional<http::HttpResponse> response,
                               const std::string& error) {
         http::HttpResponse resp =
@@ -782,7 +790,7 @@ void Sidecar::finish_outbound(std::uint64_t session_id, const Ctx& ctx,
       // upstream (marker header on its 503).
       record.shed_reason =
           !ctx->shed_reason.empty()
-              ? ctx->shed_reason
+              ? std::string_view(ctx->shed_reason)
               : response.headers.get_or(http::headers::Id::kShedReason, "");
       const auto it = sessions_.find(session_id);
       if (it != sessions_.end() && it->second->deadline > 0) {
@@ -908,8 +916,8 @@ transport::ConnectionOptions Sidecar::connection_options_for(
 }
 
 void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
-  const std::string host =
-      ctx->request.headers.get_or(http::headers::Id::kHost, "");
+  const std::string host(
+      ctx->request.headers.get_or(http::headers::Id::kHost, ""));
   if (!ctx->upstream_cluster.empty()) {
     // A filter already routed (e.g. traffic shifting); keep it.
   } else if (const ClusterSpec* spec = resolve_cluster(host)) {
@@ -1048,16 +1056,18 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
     return;
   }
 
+  char digits[24];
   ctx->request.headers.set(http::headers::Id::kRetryAttempt,
-                           std::to_string(ctx->attempt + 1));
+                           format_decimal(ctx->attempt + 1, digits));
   // Advertise the remaining deadline budget so the serving sidecar's
   // admission controller can shed requests it cannot answer in time.
   if (config_.request_timeout > 0 && session.deadline > sim_.now()) {
     const sim::Duration remaining = session.deadline - sim_.now();
     ctx->request.headers.set(
         http::headers::Id::kDeadlineMs,
-        std::to_string(std::max<sim::Duration>(
-            1, remaining / sim::milliseconds(1))));
+        format_decimal(std::max<sim::Duration>(
+                           1, remaining / sim::milliseconds(1)),
+                       digits));
   }
   // The wire hop goes to the remote pod's *inbound sidecar listener*; the
   // Host header tells the remote side which service was meant (the moral

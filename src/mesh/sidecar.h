@@ -21,7 +21,6 @@
 // never share a transport connection.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -40,6 +39,7 @@
 #include "mesh/telemetry.h"
 #include "mesh/tls_session.h"
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/timer.h"
 #include "mesh/tracing.h"
 #include "transport/transport_host.h"
@@ -351,7 +351,7 @@ class Sidecar {
     bool sniffed = false;
     std::shared_ptr<TlsChannel> tls;
     FilterDirection direction = FilterDirection::kInbound;
-    std::deque<http::HttpRequest> pending;
+    sim::Ring<http::HttpRequest, 1> pending;
     bool busy = false;
     // Upstream call state for the active request (HTTP/1.1 serializes one
     // request per downstream connection, so one set suffices).

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/header_map.h"
@@ -28,17 +29,25 @@ namespace meshnet::mesh {
 /// the exporter publishes it.
 using Span = obs::SpanRecord;
 
-/// Span context carried in HTTP headers.
+/// Span context carried in HTTP headers. On the wire an id is
+/// "trace-%016llx" or "span-%016llx" (the tracer's own format); in memory
+/// it is the integer, 0 meaning none.
 struct TraceContext {
-  std::string trace_id;
-  std::string span_id;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
 
-  bool valid() const noexcept { return !trace_id.empty(); }
+  bool valid() const noexcept { return trace_id != 0; }
 
-  static TraceContext extract(const http::HeaderMap& headers);
-  void inject(http::HeaderMap& headers,
-              const std::string& parent_span_id) const;
+  /// Reads the B3 trace and span ids. An id that is missing or not in the
+  /// tracer's format reads as 0, so a foreign trace id starts a new trace.
+  static TraceContext extract(const http::HeaderMap& headers) noexcept;
+  /// Writes the B3 ids; the parent span id only when non-zero.
+  void inject(http::HeaderMap& headers, std::uint64_t parent_span_id) const;
 };
+
+/// The wire form of a trace id ("trace-" and 16 hex digits), for
+/// printing.
+std::string format_trace_id(std::uint64_t id);
 
 /// Allocates span ids and feeds finished spans to the exporter. One
 /// tracer is shared mesh-wide (it stands in for the Jaeger/Zipkin backend
@@ -51,7 +60,7 @@ class Tracer {
 
   /// Starts a span; `parent` may be invalid (root span), in which case a
   /// fresh trace id is allocated.
-  Span start_span(const std::string& service, const std::string& operation,
+  Span start_span(std::string_view service, std::string operation,
                   const TraceContext& parent, sim::Time now);
 
   void finish_span(Span span, sim::Time now);
@@ -63,7 +72,7 @@ class Tracer {
   std::size_t span_count() const noexcept { return exporter_.span_count(); }
 
   /// All spans belonging to one trace, in start order.
-  std::vector<const Span*> trace(const std::string& trace_id) const;
+  std::vector<const Span*> trace(std::uint64_t trace_id) const;
 
   /// Keep only the most recent `limit` spans (memory bound for long
   /// runs); 0 disables retention (benches) — span *metrics* still flow to
@@ -77,9 +86,7 @@ class Tracer {
   obs::SpanExporter& exporter() noexcept { return exporter_; }
 
  private:
-  std::string next_id(std::string_view prefix);
-
-  std::uint64_t counter_ = 0;
+  std::uint64_t counter_ = 0;  ///< the last id drawn (traces and spans)
   obs::SpanExporter exporter_;
 };
 

@@ -23,11 +23,13 @@
 namespace meshnet::obs {
 
 /// One finished span. mesh::Span is an alias of this type, so tracing
-/// call sites and filters use it directly.
+/// call sites and filters use it directly. Ids are integers drawn from the
+/// tracer's counter, 0 meaning none; they are formatted only where they
+/// leave the process (B3 headers, printed traces).
 struct SpanRecord {
-  std::string trace_id;
-  std::string span_id;
-  std::string parent_span_id;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t parent_span_id = 0;  ///< 0 for a root span
   std::string service;
   std::string operation;
   sim::Time start = 0;

@@ -1,15 +1,16 @@
 #pragma once
 
-// Growable FIFO ring for the packet path.
+// Growable FIFO ring for the packet and request paths.
 //
 // Links, the loopback path, qdisc bands and transport connections park
 // packets and segments here so the closures they schedule capture only
-// `this`. A ring starts with no storage (an idle link holds nothing) and
+// `this`; sessions and client pools queue their pending HTTP requests
+// here. A ring starts with no storage (an idle link holds nothing) and
 // doubles when full, so once it has grown to a path's peak depth its
 // push/pop cycle never touches the allocator. Elements are indexed from
 // the front; insert() shifts the tail back by one, which keeps a sorted
 // ring cheap when, as for out-of-order segments, most inserts land at
-// the back.
+// the back, and erase() shifts it forward.
 
 #include <cstddef>
 #include <memory>
@@ -17,7 +18,9 @@
 
 namespace meshnet::sim {
 
-template <typename T>
+/// `kInitialCapacity` is the storage the first push allocates (a power of
+/// two).
+template <typename T, std::size_t kInitialCapacity = 8>
 class Ring {
  public:
   Ring() noexcept = default;
@@ -60,6 +63,15 @@ class Ring {
     }
   }
 
+  /// Removes the i-th element; the rest keep their order.
+  void erase(std::size_t i) {
+    for (std::size_t j = i; j + 1 < size_; ++j) {
+      (*this)[j] = std::move((*this)[j + 1]);
+    }
+    std::destroy_at(&(*this)[size_ - 1]);
+    --size_;
+  }
+
   void pop_front() noexcept {
     std::destroy_at(slots_ + head_);
     head_ = (head_ + 1) & (capacity_ - 1);
@@ -80,7 +92,8 @@ class Ring {
   }
 
  private:
-  static constexpr std::size_t kInitialCapacity = 8;
+  static_assert(kInitialCapacity > 0 &&
+                (kInitialCapacity & (kInitialCapacity - 1)) == 0);
 
   std::size_t index(std::size_t i) const noexcept {
     return (head_ + i) & (capacity_ - 1);

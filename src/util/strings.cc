@@ -9,10 +9,6 @@ namespace {
 constexpr bool is_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
-
-constexpr char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
 }  // namespace
 
 bool iequals(std::string_view a, std::string_view b) noexcept {
@@ -21,12 +17,6 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
     if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   }
   return true;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = ascii_lower(c);
-  return out;
 }
 
 std::string_view trim(std::string_view s) noexcept {

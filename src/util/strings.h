@@ -11,12 +11,14 @@
 
 namespace meshnet::util {
 
+/// `c` lowercased if it is an ASCII capital letter.
+constexpr char ascii_lower(char c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Case-insensitive ASCII comparison (HTTP header names, header values such
 /// as "Keep-Alive"). Non-ASCII bytes are compared verbatim.
 bool iequals(std::string_view a, std::string_view b) noexcept;
-
-/// Lowercases ASCII letters in place and returns the result.
-std::string to_lower(std::string_view s);
 
 /// Removes leading/trailing ASCII whitespace (SP, HTAB, CR, LF).
 std::string_view trim(std::string_view s) noexcept;

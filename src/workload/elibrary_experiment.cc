@@ -1,9 +1,11 @@
 #include "workload/elibrary_experiment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/engine_metrics.h"
@@ -117,8 +119,35 @@ void apply_resilience_policies(mesh::MeshPolicies& policies,
   policies.health_check.healthy_threshold = 2;
 }
 
+void validate_phases(const ElibraryExperimentConfig& config) {
+  const sim::Time measure_end = config.warmup + config.duration;
+  const auto reject = [](const PhaseBoundary& phase, const char* problem,
+                         sim::Time limit) {
+    char message[256];
+    std::snprintf(message, sizeof message,
+                  "phase '%s' starts at %.3f s, %s (%.3f s)",
+                  phase.name.c_str(), sim::to_seconds(phase.start), problem,
+                  sim::to_seconds(limit));
+    throw std::invalid_argument(message);
+  };
+  for (std::size_t i = 0; i < config.phases.size(); ++i) {
+    const PhaseBoundary& phase = config.phases[i];
+    if (i == 0 && phase.start < config.warmup) {
+      reject(phase, "before the measured window starts", config.warmup);
+    }
+    if (i > 0 && phase.start <= config.phases[i - 1].start) {
+      reject(phase, "not after the phase before it",
+             config.phases[i - 1].start);
+    }
+    if (phase.start >= measure_end) {
+      reject(phase, "not before the measured window ends", measure_end);
+    }
+  }
+}
+
 ElibraryExperimentResult run_elibrary_experiment(
     const ElibraryExperimentConfig& config) {
+  validate_phases(config);
   http::reset_request_id_counter();
   sim::Simulator sim;
   app::Elibrary app(sim, config.app);

@@ -111,6 +111,13 @@ struct ElibraryExperimentResult {
   std::vector<mesh::MeshEvent> mesh_events;
 };
 
+/// Throws std::invalid_argument naming the first misplaced phase unless
+/// the phases start in strictly increasing order, the first at or after
+/// the warmup and each before the measured window ends: a phase outside
+/// the window would be reported empty, which reads as perfect.
+void validate_phases(const ElibraryExperimentConfig& config);
+
+/// Runs one e-library experiment; validates its phases first.
 ElibraryExperimentResult run_elibrary_experiment(
     const ElibraryExperimentConfig& config);
 

@@ -520,7 +520,7 @@ TEST_F(ElibraryFixture, TraceCoversAllHops) {
   const auto& spans = app->control_plane().tracer().spans();
   ASSERT_FALSE(spans.empty());
   // All spans of this request share one trace id.
-  const std::string trace_id = spans.front().trace_id;
+  const std::uint64_t trace_id = spans.front().trace_id;
   const auto trace = app->control_plane().tracer().trace(trace_id);
   // gateway out, frontend in/out/out, details in, reviews in/out,
   // ratings in = 8 spans.

@@ -16,6 +16,13 @@
 namespace meshnet::http {
 namespace {
 
+// The map's names in iteration order.
+std::vector<std::string> names(const HeaderMap& map) {
+  std::vector<std::string> out;
+  for (const HeaderMap::Field f : map) out.emplace_back(f.name);
+  return out;
+}
+
 TEST(HeaderMap, SetAndGet) {
   HeaderMap map;
   map.set("Host", "frontend");
@@ -27,7 +34,7 @@ TEST(HeaderMap, SetAndGet) {
 TEST(HeaderMap, NamesStoredLowercase) {
   HeaderMap map;
   map.set("X-Request-ID", "abc");
-  EXPECT_EQ(map.entries()[0].first, "x-request-id");
+  EXPECT_EQ(names(map), std::vector<std::string>{"x-request-id"});
 }
 
 TEST(HeaderMap, SetReplacesAllValues) {
@@ -69,9 +76,130 @@ TEST(HeaderMap, PreservesInsertionOrder) {
   map.add("c", "3");
   map.add("a", "1");
   map.add("b", "2");
-  EXPECT_EQ(map.entries()[0].first, "c");
-  EXPECT_EQ(map.entries()[1].first, "a");
-  EXPECT_EQ(map.entries()[2].first, "b");
+  EXPECT_EQ(names(map), (std::vector<std::string>{"c", "a", "b"}));
+}
+
+TEST(HeaderMap, CopyIsIndependentOfTheOriginal) {
+  HeaderMap original;
+  original.set(headers::Id::kHost, "reviews");
+  original.add("X-Trace-Note", "first");
+  const std::string_view host = *original.get(headers::Id::kHost);
+  const std::string_view note = *original.get("x-trace-note");
+
+  HeaderMap copy = original;
+  EXPECT_EQ(copy, original);
+  copy.set(headers::Id::kHost, "ratings");
+  copy.remove("x-trace-note");
+  for (int i = 0; i < 40; ++i) {  // regrows the copy's arena and entries
+    copy.add("x-filler-" + std::to_string(i), std::string(50, 'f'));
+  }
+  // The original's views still read its own bytes.
+  EXPECT_EQ(host, "reviews");
+  EXPECT_EQ(note, "first");
+  EXPECT_EQ(original.size(), 2u);
+  EXPECT_EQ(copy.get_or(headers::Id::kHost, ""), "ratings");
+  EXPECT_FALSE(copy.has("x-trace-note"));
+
+  copy = original;  // assignment into a grown map
+  EXPECT_EQ(copy, original);
+  HeaderMap moved = std::move(copy);
+  EXPECT_EQ(moved, original);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(HeaderMap, DuplicateAddThenRemove) {
+  HeaderMap map;
+  map.add(headers::kRequestId, "a");
+  map.add("x-other", "b");
+  map.add("X-Request-Id", "c");
+  EXPECT_EQ(map.size(), 3u);
+  EXPECT_EQ(map.get_or(headers::Id::kRequestId, ""), "a");
+  EXPECT_EQ(map.remove(headers::Id::kRequestId), 2u);
+  EXPECT_EQ(names(map), std::vector<std::string>{"x-other"});
+  EXPECT_EQ(map.get_or("x-other", ""), "b");
+  map.add(headers::kRequestId, "d");
+  EXPECT_EQ(map.get_or(headers::kRequestId, ""), "d");
+}
+
+TEST(HeaderMap, UnknownNamesMatchCaseInsensitively) {
+  HeaderMap map;
+  map.add("X-Custom-Header", "v1");
+  map.add("x-custom-header", "v2");
+  EXPECT_EQ(names(map), (std::vector<std::string>{"x-custom-header",
+                                                  "x-custom-header"}));
+  EXPECT_EQ(map.get_or("X-CUSTOM-HEADER", ""), "v1");
+  EXPECT_TRUE(map.has("x-Custom-header"));
+  EXPECT_FALSE(map.has("x-custom-heade"));
+  EXPECT_EQ(map.remove("X-custom-HEADER"), 2u);
+  EXPECT_TRUE(map.empty());
+}
+
+TEST(HeaderMap, SetMovesTheNameToTheEnd) {
+  HeaderMap map;
+  map.add("a", "1");
+  map.set(headers::Id::kHost, "h");
+  map.add("b", "2");
+  map.set("A", "3");
+  map.set(headers::Id::kHost, "i");
+  EXPECT_EQ(names(map), (std::vector<std::string>{"b", "a", "host"}));
+  EXPECT_EQ(map.get_or("a", ""), "3");
+  EXPECT_EQ(map.get_or(headers::Id::kHost, ""), "i");
+}
+
+TEST(HeaderMap, EqualityIsOrderAndValueSensitive) {
+  HeaderMap a;
+  a.add("Host", "x");
+  a.add("x-a", "1");
+  HeaderMap b;
+  b.set(headers::Id::kHost, "x");
+  b.add("X-A", "1");
+  EXPECT_EQ(a, b);  // names compare canonicalized
+  b.set("x-a", "2");
+  EXPECT_NE(a, b);
+  HeaderMap c;
+  c.add("x-a", "1");
+  c.add("host", "x");
+  EXPECT_NE(a, c);  // same headers, other order
+  // Dead bytes of replaced values do not matter.
+  HeaderMap d;
+  d.add("host", "old");
+  d.set("host", "x");
+  d.add("x-a", "1");
+  EXPECT_EQ(a, d);
+}
+
+TEST(HeaderMap, GrowsPastTheInlineEntries) {
+  HeaderMap map;
+  const std::size_t count = 3 * HeaderMap::kInlineEntries + 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    map.add("x-h" + std::to_string(i), "value-" + std::to_string(i));
+  }
+  ASSERT_EQ(map.size(), count);
+  std::size_t i = 0;
+  for (const HeaderMap::Field f : map) {
+    EXPECT_EQ(f.name, "x-h" + std::to_string(i));
+    EXPECT_EQ(f.value, "value-" + std::to_string(i));
+    ++i;
+  }
+  const HeaderMap copy = map;
+  EXPECT_EQ(copy, map);
+  EXPECT_EQ(map.remove("x-h0"), 1u);
+  EXPECT_EQ(map.size(), count - 1);
+  EXPECT_EQ(map.get_or("x-h36", ""), "value-36");
+  EXPECT_EQ(copy.get_or("x-h0", ""), "value-0");
+}
+
+TEST(HeaderMap, OwnValueMayBeSetBackWhileTheArenaGrows) {
+  HeaderMap map;
+  map.add("x-long", std::string(100, 'v'));
+  // Each set appends: the arena fills and is compacted into a new one
+  // while the value being copied is a view of the old one.
+  for (int i = 0; i < 20; ++i) {
+    map.set("x-copy", *map.get("x-long"));
+    map.set("x-long", *map.get("x-copy"));
+  }
+  EXPECT_EQ(map.get_or("x-long", ""), std::string(100, 'v'));
+  EXPECT_EQ(names(map), (std::vector<std::string>{"x-copy", "x-long"}));
 }
 
 // ---- Interned well-known names ----------------------------------------
@@ -117,11 +245,12 @@ TEST(HeaderIntern, IdAndStringAccessorsAgree) {
   EXPECT_TRUE(map.has(headers::Id::kMeshPriority));
   EXPECT_FALSE(map.has(headers::Id::kRetryAttempt));
 
-  // id_at mirrors entries() order; unknown names intern to kUnknown.
-  ASSERT_EQ(map.size(), 3u);
-  EXPECT_EQ(map.id_at(0), headers::Id::kMeshPriority);
-  EXPECT_EQ(map.id_at(1), headers::Id::kHost);
-  EXPECT_EQ(map.id_at(2), headers::Id::kUnknown);
+  // Iteration yields each entry's id; unknown names intern to kUnknown.
+  std::vector<headers::Id> ids;
+  for (const HeaderMap::Field f : map) ids.push_back(f.id);
+  EXPECT_EQ(ids, (std::vector<headers::Id>{headers::Id::kMeshPriority,
+                                           headers::Id::kHost,
+                                           headers::Id::kUnknown}));
 
   // Id-keyed set overwrites the string-keyed entry and vice versa.
   map.set(headers::Id::kMeshPriority, "low");
@@ -140,6 +269,58 @@ TEST(HeaderIntern, SerializedNamesAreCanonicalLowercase) {
   const std::string wire = serialize_request(request);
   EXPECT_NE(wire.find("x-mesh-priority: high"), std::string::npos);
   EXPECT_NE(wire.find("host: reviews"), std::string::npos);
+}
+
+// ---- Wire identity: the sidecar's header mutations ----------------------
+
+// The head an outbound sidecar sends for an e-library sub-request: parse
+// the app's request, stamp the attempt count and deadline, inject the
+// trace ids, re-set the priority (twice, as a retry would), take the
+// retry-safe copy and encode it. The literal is the head the previous
+// header map produced, so any change to header order, name case or value
+// bytes shows here.
+TEST(WireIdentity, SidecarMutationSequenceKeepsTheHead) {
+  const std::string app_wire =
+      "GET /reviews/bulk/3 HTTP/1.1\r\n"
+      "Host: reviews\r\n"
+      "x-request-id: req-12-9e3779b9\r\n"
+      "X-B3-TraceId: trace-0000000000000011\r\n"
+      "x-b3-spanid: span-0000000000000012\r\n"
+      "X-Forwarded-Proto:  http \r\n"
+      "x-mesh-priority: low\r\n"
+      "content-length: 0\r\n\r\n";
+  HttpParser parser(ParserKind::kRequest);
+  HttpRequest request;
+  parser.set_on_request([&](HttpRequest r) { request = std::move(r); });
+  ASSERT_TRUE(parser.feed(app_wire));
+  ASSERT_EQ(parser.messages_parsed(), 1u);
+
+  request.headers.set(headers::Id::kRetryAttempt, "1");
+  request.headers.set(headers::Id::kDeadlineMs, "2000");
+  request.headers.set(headers::Id::kTraceId, "trace-0000000000000011");
+  request.headers.set(headers::Id::kSpanId, "span-0000000000000013");
+  request.headers.set(headers::Id::kParentSpanId, "span-0000000000000012");
+  request.headers.set(headers::Id::kMeshSource, "frontend");
+  request.headers.set(headers::Id::kMeshPriority, "low");
+  request.headers.set(headers::Id::kRetryAttempt, "2");
+  request.headers.set(headers::Id::kDeadlineMs, "1874");
+  request.headers.set(headers::Id::kMeshPriority, "low");
+  const HttpRequest copy = request;  // the retry-safe copy
+  request.headers.set(headers::Id::kRetryAttempt, "3");
+
+  EXPECT_EQ(serialize_request(copy),
+            "GET /reviews/bulk/3 HTTP/1.1\r\n"
+            "host: reviews\r\n"
+            "x-request-id: req-12-9e3779b9\r\n"
+            "x-forwarded-proto: http\r\n"
+            "x-b3-traceid: trace-0000000000000011\r\n"
+            "x-b3-spanid: span-0000000000000013\r\n"
+            "x-b3-parentspanid: span-0000000000000012\r\n"
+            "x-mesh-source: frontend\r\n"
+            "x-envoy-attempt-count: 2\r\n"
+            "x-mesh-deadline-ms: 1874\r\n"
+            "x-mesh-priority: low\r\n"
+            "content-length: 0\r\n\r\n");
 }
 
 TEST(Message, RequestIdAccessors) {
@@ -720,6 +901,58 @@ void feed_in_random_chunks(Parser& parser, const std::string& wire,
   }
 }
 
+// Random set/remove/add mutations, applied alike to `a` and `b` (equal
+// apart from content-length). Some values are views of the map's own
+// headers, so an arena that moves under a view shows up, under ASan, as
+// a read of freed memory.
+void mutate_alike(HeaderMap& a, HeaderMap& b, sim::RngStream& rng) {
+  static constexpr headers::Id kNames[] = {
+      headers::Id::kHost,        headers::Id::kRequestId,
+      headers::Id::kMeshPriority, headers::Id::kTraceId,
+      headers::Id::kSpanId,      headers::Id::kRetryAttempt,
+      headers::Id::kDeadlineMs,
+  };
+  for (std::uint64_t n = rng.uniform_int(1, 16); n > 0; --n) {
+    const std::string name =
+        rng.bernoulli(0.6)
+            ? std::string(
+                  headers::name_of(kNames[rng.uniform_int(
+                      0, std::size(kNames) - 1)]))
+            : random_header_name(rng);
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        a.remove(name);
+        b.remove(name);
+        break;
+      case 1: {
+        const std::string value = random_header_value(rng);
+        a.set(name, value);
+        b.set(name, value);
+        break;
+      }
+      case 2: {
+        // Copy another header's value onto `name`, straight from the map.
+        const std::string_view from = headers::name_of(
+            kNames[rng.uniform_int(0, std::size(kNames) - 1)]);
+        const auto in_a = a.get(from);
+        const auto in_b = b.get(from);
+        ASSERT_EQ(in_a, in_b);
+        if (in_a) {
+          a.set(name, *in_a);
+          b.set(name, *in_b);
+        }
+        break;
+      }
+      default: {
+        const std::string value = random_header_value(rng);
+        a.add(name, value);
+        b.add(name, value);
+        break;
+      }
+    }
+  }
+}
+
 // The serializer owns content-length (rewrites it from the body), so the
 // round-trip comparison normalizes it away on both sides.
 HeaderMap without_content_length(const HeaderMap& map) {
@@ -751,6 +984,11 @@ void fuzz_requests(const char* stream, FeedMode mode) {
       EXPECT_EQ(parsed[i].body, originals[i].body);
       EXPECT_EQ(without_content_length(parsed[i].headers),
                 without_content_length(originals[i].headers));
+      // A parsed map takes a sidecar's stamping like a built one: the
+      // same mutations re-encode to the same bytes.
+      HttpRequest reference = originals[i];
+      mutate_alike(parsed[i].headers, reference.headers, rng);
+      EXPECT_EQ(serialize_request(parsed[i]), serialize_request(reference));
     }
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
@@ -781,6 +1019,10 @@ void fuzz_responses(const char* stream, FeedMode mode) {
       EXPECT_EQ(parsed[i].body, originals[i].body);
       EXPECT_EQ(without_content_length(parsed[i].headers),
                 without_content_length(originals[i].headers));
+      HttpResponse reference = originals[i];
+      mutate_alike(parsed[i].headers, reference.headers, rng);
+      EXPECT_EQ(serialize_response(parsed[i]),
+                serialize_response(reference));
     }
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {

@@ -28,8 +28,8 @@ namespace {
 TEST(Tracing, RootSpanGetsFreshTraceId) {
   Tracer tracer;
   const Span span = tracer.start_span("svc", "op", TraceContext{}, 100);
-  EXPECT_FALSE(span.trace_id.empty());
-  EXPECT_TRUE(span.parent_span_id.empty());
+  EXPECT_NE(span.trace_id, 0u);
+  EXPECT_EQ(span.parent_span_id, 0u);
   EXPECT_EQ(span.start, 100);
 }
 
@@ -44,19 +44,40 @@ TEST(Tracing, ChildInheritsTraceId) {
 }
 
 TEST(Tracing, ContextHeaderRoundTrip) {
-  TraceContext ctx{"trace-1", "span-9"};
+  TraceContext ctx{1, 0x9abcdef012345678};
   http::HeaderMap headers;
-  ctx.inject(headers, "span-8");
+  ctx.inject(headers, 8);
+  // Integer ids are formatted only on the wire, in the tracer's format.
+  EXPECT_EQ(headers.get_or(http::headers::kTraceId, ""),
+            "trace-0000000000000001");
+  EXPECT_EQ(headers.get_or(http::headers::kSpanId, ""),
+            "span-9abcdef012345678");
+  EXPECT_EQ(headers.get_or(http::headers::kParentSpanId, ""),
+            "span-0000000000000008");
   const TraceContext out = TraceContext::extract(headers);
-  EXPECT_EQ(out.trace_id, "trace-1");
-  EXPECT_EQ(out.span_id, "span-9");
-  EXPECT_EQ(headers.get_or(http::headers::kParentSpanId, ""), "span-8");
+  EXPECT_EQ(out.trace_id, 1u);
+  EXPECT_EQ(out.span_id, 0x9abcdef012345678u);
+  EXPECT_EQ(format_trace_id(out.trace_id), "trace-0000000000000001");
+
+  // A root span injects no parent; ids not in the tracer's format read
+  // as none, so a foreign trace id starts a new trace.
+  http::HeaderMap root;
+  TraceContext{2, 3}.inject(root, 0);
+  EXPECT_FALSE(root.has(http::headers::kParentSpanId));
+  for (const char* foreign : {"trace-1", "trace-000000000000000g",
+                              "TRACE-0000000000000001", "span-0000000000000001",
+                              "trace-00000000000000011"}) {
+    http::HeaderMap in;
+    in.set(http::headers::kTraceId, foreign);
+    EXPECT_FALSE(TraceContext::extract(in).valid()) << foreign;
+  }
+  EXPECT_FALSE(TraceContext::extract(http::HeaderMap{}).valid());
 }
 
 TEST(Tracing, FinishRecordsAndFiltersByTrace) {
   Tracer tracer;
   Span a = tracer.start_span("s", "op-a", TraceContext{}, 0);
-  const std::string trace_id = a.trace_id;
+  const std::uint64_t trace_id = a.trace_id;
   Span b = tracer.start_span("s", "op-b",
                              TraceContext{a.trace_id, a.span_id}, 5);
   tracer.finish_span(std::move(b), 10);

@@ -298,8 +298,8 @@ TEST(AccessLog, SampleEveryOneKeepsAll) {
 SpanRecord make_span(const std::string& service, sim::Time start,
                      sim::Time end, bool error = false) {
   SpanRecord span;
-  span.trace_id = "t";
-  span.span_id = "s";
+  span.trace_id = 1;
+  span.span_id = 2;
   span.service = service;
   span.operation = "op";
   span.start = start;

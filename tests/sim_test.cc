@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "sim/timer.h"
@@ -537,6 +538,27 @@ TEST(Timer, SimulatorTeardownReleasesATaskThatOwnsItsTimer) {
     EXPECT_EQ(destroyed, 0);
   }
   EXPECT_EQ(destroyed, 1);
+}
+
+// A request queue's cancel: erase keeps the survivors in FIFO order,
+// also when the ring has wrapped around its storage.
+TEST(Ring, EraseKeepsOrderAcrossTheWrap) {
+  Ring<std::string, 1> ring;
+  for (int i = 0; i < 4; ++i) ring.push_back(std::to_string(i));
+  ring.pop_front();
+  ring.pop_front();
+  ring.push_back("4");
+  ring.push_back("5");  // storage of 4 now wraps: 2 3 4 5
+  ring.erase(1);
+  ring.erase(2);
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring[0], "2");
+  EXPECT_EQ(ring[1], "4");
+  ring.erase(0);
+  ring.push_back("6");
+  EXPECT_EQ(ring.take_front(), "4");
+  EXPECT_EQ(ring.take_front(), "6");
+  EXPECT_TRUE(ring.empty());
 }
 
 TEST(InlineTask, InvokesAndReleasesCaptures) {

@@ -26,11 +26,6 @@ TEST(Strings, IequalsAscii) {
   EXPECT_TRUE(iequals("", ""));
 }
 
-TEST(Strings, ToLower) {
-  EXPECT_EQ(to_lower("MiXeD-123"), "mixed-123");
-  EXPECT_EQ(to_lower(""), "");
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  hi  "), "hi");
   EXPECT_EQ(trim("\r\n\thi\t\n"), "hi");

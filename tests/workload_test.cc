@@ -8,6 +8,8 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -253,6 +255,38 @@ TEST(PhaseSummary, GoodputOverPhaseLengthAndScheduledAsGiven) {
   EXPECT_DOUBLE_EQ(phase.scalars.at("during_success_rate"), 10.0 / 12.0);
   EXPECT_DOUBLE_EQ(phase.scalars.at("during_goodput_rps"), 10.0 / 4.0);
   EXPECT_NEAR(phase.scalars.at("during_p50_ms"), 6000.0, 60.0);
+}
+
+TEST(PhaseSummary, PhasesOutsideTheMeasuredWindowAreRejected) {
+  // Defaults: a 4 s warmup, then a 20 s measured window ending at 24 s.
+  ElibraryExperimentConfig config;
+  const auto rejection = [&config]() -> std::string {
+    try {
+      validate_phases(config);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "";
+  };
+  config.phases = {{"before", sim::seconds(4)}, {"during", sim::seconds(23)}};
+  EXPECT_EQ(rejection(), "");
+
+  // Past the window: the phase would be empty and read as perfect. The
+  // run itself refuses too.
+  config.phases = {{"before", sim::seconds(4)}, {"during", sim::seconds(24)}};
+  EXPECT_EQ(rejection(),
+            "phase 'during' starts at 24.000 s, not before the measured "
+            "window ends (24.000 s)");
+  EXPECT_THROW(run_elibrary_experiment(config), std::invalid_argument);
+
+  config.phases = {{"early", sim::seconds(3)}};
+  EXPECT_EQ(rejection(),
+            "phase 'early' starts at 3.000 s, before the measured window "
+            "starts (4.000 s)");
+  config.phases = {{"a", sim::seconds(5)}, {"b", sim::seconds(5)}};
+  EXPECT_EQ(rejection(),
+            "phase 'b' starts at 5.000 s, not after the phase before it "
+            "(5.000 s)");
 }
 
 TEST(PhaseSummary, ExperimentCountsScheduledArrivalsPerPhase) {
