@@ -7,8 +7,8 @@
 // Takes the standard harness flags (--json-out writes the meshnet-bench
 // report with one point per benchmark) alongside google-benchmark's own
 // --benchmark_* flags. Times are wall-clock and machine-dependent, so
-// --baseline comparisons need a generous --tolerance (they are NOT
-// deterministic like the simulator benches).
+// comparing a report with tools/bench_check needs a generous --tolerance
+// (they are NOT deterministic like the simulator benches).
 
 #include <benchmark/benchmark.h>
 

@@ -3,14 +3,14 @@
 //   meshsim --scenario=NAME [harness flags] [scenario flags]
 //
 // The harness flags are those of workload/bench_harness.h (--threads,
-// --json-out[=PATH], --baseline, --tolerance, --duration, --seed); each
-// scenario (its Scenario value in bench/scenario_<name>.cc) adds its own.
-// A missing or unknown scenario, an unknown flag (one of another scenario
-// included), a bad value and flags that put an e-library phase outside
-// the measured window exit 2 before anything runs. The report is
-// written and compared with --baseline before the acceptance checks
-// apply, so a failed check still leaves its report. Exit 1: a regression
-// or a failed check.
+// --json-out[=PATH], --duration, --seed); each scenario (its Scenario
+// value in bench/scenario_<name>.cc) adds its own. A missing or unknown
+// scenario, an unknown flag (one of another scenario included), a bad
+// value and flags that put an e-library phase outside the measured window
+// exit 2 before anything runs. The report is written before the
+// acceptance checks apply, so a failed check still leaves its report;
+// tools/bench_check compares it with a baseline. Exit 1: a failed
+// check.
 
 #include <cstdio>
 #include <cstdlib>

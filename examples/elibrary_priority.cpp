@@ -6,7 +6,7 @@
 // classifier counters).
 //
 //   ./elibrary_priority [--rps=30] [--duration=10] [--seed=42]
-//                       [--threads=N] [--json-out[=PATH]] [--baseline=P]
+//                       [--threads=N] [--json-out[=PATH]]
 //
 // The two arms (with/without cross-layer) are independent sweep points,
 // so --threads=2 runs them in parallel with bit-identical output.

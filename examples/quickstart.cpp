@@ -14,15 +14,10 @@
 #include "mesh/http_client.h"
 #include "mesh/tracing.h"
 #include "sim/simulator.h"
-#include "util/flags.h"
-#include "util/logging.h"
 
 using namespace meshnet;
 
-int main(int argc, char** argv) {
-  const util::Flags flags = util::Flags::parse(argc, argv);
-  util::set_log_level(util::parse_log_level(flags.get_or("log", "warn")));
-
+int main() {
   sim::Simulator sim;
 
   // --- 1. The whole mesh as data -------------------------------------

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::app {
 
 SimpleHttpServer::SimpleHttpServer(sim::Simulator& sim,
@@ -23,7 +21,6 @@ SimpleHttpServer::SimpleHttpServer(sim::Simulator& sim,
     });
     conn.set_on_data([this, raw, id](const net::Payload& data) {
       if (!raw->parser->feed(data)) {
-        MESHNET_WARN() << "http server: parse error";
         sim_.schedule_after(0, [this, id] {
           const auto it = sessions_.find(id);
           if (it != sessions_.end()) it->second->conn->abort();

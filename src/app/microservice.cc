@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::app {
 
 namespace {
@@ -84,10 +82,7 @@ void Microservice::admit(http::HttpRequest request,
   };
   HandlerResult plan = handler_(request);
   auto shared_req = std::make_shared<http::HttpRequest>(std::move(request));
-  // A degraded pod (fault injection) serves each request proportionally
-  // slower; the factor is sampled at admission, like a CPU-starved worker.
-  const sim::Duration delay = static_cast<sim::Duration>(
-      static_cast<double>(plan.processing_delay) * pod_.compute_multiplier());
+  const sim::Duration delay = plan.processing_delay;  // before `plan` moves
   sim_.schedule_after(delay, [this, shared_req = std::move(shared_req),
                               plan = std::move(plan),
                               respond = std::move(respond)]() mutable {

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::cluster {
 
 Pod::Pod(Cluster& cluster, std::string name, std::string service,
@@ -82,8 +80,6 @@ Pod& Cluster::add_pod(const std::string& node, const std::string& pod_name,
     ep.labels = ref.labels_;
     registry_.add_endpoint(service, std::move(ep));
   }
-  MESHNET_DEBUG() << "pod " << pod_name << " @ " << net::ip_to_string(ip)
-                  << " on node " << node;
   return ref;
 }
 
@@ -100,7 +96,6 @@ bool Cluster::crash_pod(const std::string& name) {
   pod->running_ = false;
   pod->egress_link().set_up(false);
   pod->ingress_link().set_up(false);
-  MESHNET_DEBUG() << "pod " << name << " crashed";
   return true;
 }
 
@@ -124,7 +119,6 @@ bool Cluster::restart_pod(const std::string& name) {
     ep.labels = pod->labels_;
     registry_.add_endpoint(pod->service(), std::move(ep));
   }
-  MESHNET_DEBUG() << "pod " << name << " restarted";
   return true;
 }
 

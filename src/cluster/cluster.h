@@ -71,14 +71,6 @@ class Pod {
   /// False while the pod is crashed (vNICs down, packets blackholed).
   bool running() const noexcept { return running_; }
 
-  /// Degradation factor applied to the app container's processing delay
-  /// (1.0 = healthy; the fault layer raises it to model CPU starvation /
-  /// noisy neighbours). Apps read it at admission time.
-  double compute_multiplier() const noexcept { return compute_multiplier_; }
-  void set_compute_multiplier(double multiplier) noexcept {
-    compute_multiplier_ = multiplier < 0.0 ? 0.0 : multiplier;
-  }
-
   /// The pod's "kernel": listen/connect through this.
   transport::TransportHost& transport() noexcept { return *transport_; }
 
@@ -100,7 +92,6 @@ class Pod {
   net::Port service_port_ = 0;
   std::map<std::string, std::string> labels_;
   bool running_ = true;
-  double compute_multiplier_ = 1.0;
 };
 
 class Cluster {

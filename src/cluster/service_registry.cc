@@ -9,14 +9,6 @@ void ServiceRegistry::bump_version() {
   if (change_listener_) change_listener_(version_);
 }
 
-void ServiceRegistry::register_service(const std::string& name,
-                                       net::Port port) {
-  ServiceInfo& info = services_[name];
-  info.name = name;
-  info.port = port;
-  bump_version();
-}
-
 void ServiceRegistry::add_endpoint(const std::string& service,
                                    Endpoint endpoint) {
   ServiceInfo& info = services_[service];

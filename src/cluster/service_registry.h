@@ -38,9 +38,6 @@ struct ServiceInfo {
 
 class ServiceRegistry {
  public:
-  /// Declares a service; idempotent (port is updated).
-  void register_service(const std::string& name, net::Port port);
-
   /// Adds (or replaces, by pod name) an endpoint. The service is created
   /// implicitly if unknown.
   void add_endpoint(const std::string& service, Endpoint endpoint);

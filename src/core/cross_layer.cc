@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::core {
 
 CrossLayerController::CrossLayerController(mesh::ControlPlane& control_plane,
@@ -101,10 +99,6 @@ void CrossLayerController::install_tc_rules() {
   rule.high_priority_ips = high_priority_pod_ips();
   rule.high_share = config_.high_share;
   rule.strict = config_.strict_tc;
-  if (rule.match == TcMatch::kDstIp && rule.high_priority_ips.empty()) {
-    MESHNET_WARN() << "cross-layer: tc dst-ip match requested but no pod "
-                      "carries label priority=high; rules will be inert";
-  }
   tc_.install_on_all_pods(rule);
 }
 
@@ -115,9 +109,6 @@ void CrossLayerController::install() {
   install_transport_policy();
   if (config_.tc_priority) install_tc_rules();
   control_plane_.push_config();
-  MESHNET_INFO() << "cross-layer prioritization installed ("
-                 << control_plane_.sidecars().size() << " sidecars, "
-                 << tc_.rules().size() << " tc rules)";
 }
 
 std::shared_ptr<ProvenanceTable> CrossLayerController::provenance_table(

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/logging.h"
-
 namespace meshnet::core {
 
 TcManager::TcManager(cluster::Cluster& cluster) : cluster_(cluster) {}
@@ -22,10 +20,7 @@ net::Classifier TcManager::make_classifier(const TcRule& rule) const {
 
 bool TcManager::install(TcRule rule) {
   cluster::Pod* pod = cluster_.find_pod(rule.pod_name);
-  if (pod == nullptr) {
-    MESHNET_WARN() << "tc: unknown pod " << rule.pod_name;
-    return false;
-  }
+  if (pod == nullptr) return false;
   std::unique_ptr<net::Qdisc> qdisc;
   if (rule.strict) {
     qdisc = std::make_unique<net::StrictPrioQdisc>(

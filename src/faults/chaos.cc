@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::faults {
 
 std::string_view fault_action_name(FaultAction action) noexcept {
@@ -18,8 +16,6 @@ std::string_view fault_action_name(FaultAction action) noexcept {
       return "restart";
     case FaultAction::kDeregisterPod:
       return "deregister";
-    case FaultAction::kDegradePod:
-      return "degrade";
     case FaultAction::kResetConnections:
       return "reset-connections";
     case FaultAction::kCpCrash:
@@ -31,40 +27,32 @@ std::string_view fault_action_name(FaultAction action) noexcept {
 }
 
 FaultPlan& FaultPlan::crash(sim::Time at, std::string pod) {
-  entries_.push_back({at, FaultAction::kCrashPod, std::move(pod), 0.0});
+  entries_.push_back({at, FaultAction::kCrashPod, std::move(pod)});
   return *this;
 }
 
 FaultPlan& FaultPlan::restart(sim::Time at, std::string pod) {
-  entries_.push_back({at, FaultAction::kRestartPod, std::move(pod), 0.0});
+  entries_.push_back({at, FaultAction::kRestartPod, std::move(pod)});
   return *this;
 }
 
 FaultPlan& FaultPlan::deregister(sim::Time at, std::string pod) {
-  entries_.push_back({at, FaultAction::kDeregisterPod, std::move(pod), 0.0});
-  return *this;
-}
-
-FaultPlan& FaultPlan::degrade(sim::Time at, std::string pod,
-                              double multiplier) {
-  entries_.push_back({at, FaultAction::kDegradePod, std::move(pod),
-                      multiplier});
+  entries_.push_back({at, FaultAction::kDeregisterPod, std::move(pod)});
   return *this;
 }
 
 FaultPlan& FaultPlan::reset_connections(sim::Time at, std::string pod) {
-  entries_.push_back({at, FaultAction::kResetConnections, std::move(pod),
-                      0.0});
+  entries_.push_back({at, FaultAction::kResetConnections, std::move(pod)});
   return *this;
 }
 
 FaultPlan& FaultPlan::link_down(sim::Time at, std::string pod) {
-  entries_.push_back({at, FaultAction::kLinkDown, std::move(pod), 0.0});
+  entries_.push_back({at, FaultAction::kLinkDown, std::move(pod)});
   return *this;
 }
 
 FaultPlan& FaultPlan::link_up(sim::Time at, std::string pod) {
-  entries_.push_back({at, FaultAction::kLinkUp, std::move(pod), 0.0});
+  entries_.push_back({at, FaultAction::kLinkUp, std::move(pod)});
   return *this;
 }
 
@@ -78,12 +66,12 @@ FaultPlan& FaultPlan::flap(sim::Time from, sim::Time until, std::string pod,
 }
 
 FaultPlan& FaultPlan::cp_crash(sim::Time at) {
-  entries_.push_back({at, FaultAction::kCpCrash, {}, 0.0});
+  entries_.push_back({at, FaultAction::kCpCrash, {}});
   return *this;
 }
 
 FaultPlan& FaultPlan::cp_restart(sim::Time at) {
-  entries_.push_back({at, FaultAction::kCpRestart, {}, 0.0});
+  entries_.push_back({at, FaultAction::kCpRestart, {}});
   return *this;
 }
 
@@ -105,35 +93,9 @@ void ChaosController::schedule(const FaultPlan& plan) {
 }
 
 bool ChaosController::apply(const FaultEntry& entry) {
-  return execute(entry.action, entry.target, entry.value);
-}
-
-bool ChaosController::set_link_up(const std::string& pod, bool up) {
-  return execute(up ? FaultAction::kLinkUp : FaultAction::kLinkDown, pod,
-                 0.0);
-}
-
-bool ChaosController::crash_pod(const std::string& pod) {
-  return execute(FaultAction::kCrashPod, pod, 0.0);
-}
-
-bool ChaosController::restart_pod(const std::string& pod) {
-  return execute(FaultAction::kRestartPod, pod, 0.0);
-}
-
-bool ChaosController::deregister_pod(const std::string& pod) {
-  return execute(FaultAction::kDeregisterPod, pod, 0.0);
-}
-
-bool ChaosController::degrade_pod(const std::string& pod, double multiplier) {
-  return execute(FaultAction::kDegradePod, pod, multiplier);
-}
-
-bool ChaosController::execute(FaultAction action, const std::string& target,
-                              double value) {
   bool applied = false;
   // Control-plane actions have no pod; dispatch before the pod lookup.
-  switch (action) {
+  switch (entry.action) {
     case FaultAction::kCpCrash:
       if (cp_hooks_.crash) applied = cp_hooks_.crash();
       break;
@@ -141,27 +103,19 @@ bool ChaosController::execute(FaultAction action, const std::string& target,
       if (cp_hooks_.restart) applied = cp_hooks_.restart();
       break;
     default: {
-      cluster::Pod* pod = cluster_.find_pod(target);
-      if (pod != nullptr) {
-        applied = execute_pod_fault(*pod, action, target, value);
-      }
+      cluster::Pod* pod = cluster_.find_pod(entry.target);
+      if (pod != nullptr) applied = execute_pod_fault(*pod, entry);
       break;
     }
   }
-  FaultLogEntry logged{sim_.now(), action, target, value, applied};
-  if (!applied) {
-    MESHNET_WARN() << "chaos: " << fault_action_name(action) << " on "
-                   << target << " did not apply";
-  }
-  log_.push_back(logged);
+  log_.push_back({sim_.now(), entry.action, entry.target, applied});
   if (hook_) hook_(log_.back());
   return applied;
 }
 
-bool ChaosController::execute_pod_fault(cluster::Pod& pod, FaultAction action,
-                                        const std::string& target,
-                                        double value) {
-  switch (action) {
+bool ChaosController::execute_pod_fault(cluster::Pod& pod,
+                                        const FaultEntry& entry) {
+  switch (entry.action) {
     case FaultAction::kLinkDown:
       pod.egress_link().set_up(false);
       pod.ingress_link().set_up(false);
@@ -171,14 +125,11 @@ bool ChaosController::execute_pod_fault(cluster::Pod& pod, FaultAction action,
       pod.ingress_link().set_up(true);
       return true;
     case FaultAction::kCrashPod:
-      return cluster_.crash_pod(target);
+      return cluster_.crash_pod(entry.target);
     case FaultAction::kRestartPod:
-      return cluster_.restart_pod(target);
+      return cluster_.restart_pod(entry.target);
     case FaultAction::kDeregisterPod:
-      return cluster_.deregister_pod(target);
-    case FaultAction::kDegradePod:
-      pod.set_compute_multiplier(value);
-      return true;
+      return cluster_.deregister_pod(entry.target);
     case FaultAction::kResetConnections:
       pod.transport().reset_all_connections();
       return true;

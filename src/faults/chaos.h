@@ -7,7 +7,7 @@
 //   - link down/up on a pod's vNIC pair (a flap is a down/up series),
 //   - pod crash (vNICs blackhole; registry untouched — detection is the
 //     mesh's job) / deregister (the slow node-controller path) / restart,
-//   - pod degradation (app service time multiplied).
+//   - connection reset (every transport connection on the pod aborts).
 //
 // Determinism: every action fires at a fixed simulated time and draws no
 // random numbers, so the same plan yields an identical event log, which
@@ -34,7 +34,6 @@ enum class FaultAction {
   kCrashPod,
   kRestartPod,
   kDeregisterPod,
-  kDegradePod,  ///< value = compute multiplier (1.0 restores)
   kResetConnections,  ///< abort every transport connection on the pod
   // Control-plane faults. faults/ never sees mesh/, so these dispatch
   // through hooks the experiment layer registers (see CpHooks); without
@@ -51,7 +50,6 @@ struct FaultEntry {
   sim::Time at = 0;
   FaultAction action = FaultAction::kLinkDown;
   std::string target;
-  double value = 0.0;
 };
 
 /// A declarative chaos schedule, built fluently and handed to a
@@ -62,7 +60,6 @@ class FaultPlan {
   FaultPlan& crash(sim::Time at, std::string pod);
   FaultPlan& restart(sim::Time at, std::string pod);
   FaultPlan& deregister(sim::Time at, std::string pod);
-  FaultPlan& degrade(sim::Time at, std::string pod, double multiplier);
   /// Abort all of the pod's transport connections (process restart: TCP
   /// state lost, RSTs notify peers). Pair with restart() at the same time
   /// to model a full pod bounce that severs established flows.
@@ -90,7 +87,6 @@ struct FaultLogEntry {
   sim::Time at = 0;
   FaultAction action = FaultAction::kLinkDown;
   std::string target;
-  double value = 0.0;
   bool applied = false;
 };
 
@@ -117,15 +113,10 @@ class ChaosController {
   /// multiple times (plans compose).
   void schedule(const FaultPlan& plan);
 
-  // Immediate actions (also what scheduled entries call). Each returns
-  // whether the fault applied (pod exists, state change happened), and
-  // appends to the log either way.
+  /// Executes one entry now (what a scheduled entry calls). Returns
+  /// whether the fault applied (pod exists, state change happened), and
+  /// appends to the log either way.
   bool apply(const FaultEntry& entry);
-  bool set_link_up(const std::string& pod, bool up);
-  bool crash_pod(const std::string& pod);
-  bool restart_pod(const std::string& pod);
-  bool deregister_pod(const std::string& pod);
-  bool degrade_pod(const std::string& pod, double multiplier);
 
   void set_fault_hook(FaultHook hook) { hook_ = std::move(hook); }
   void set_control_plane_hooks(CpHooks hooks) { cp_hooks_ = std::move(hooks); }
@@ -135,9 +126,7 @@ class ChaosController {
   const std::vector<FaultLogEntry>& log() const noexcept { return log_; }
 
  private:
-  bool execute(FaultAction action, const std::string& target, double value);
-  bool execute_pod_fault(cluster::Pod& pod, FaultAction action,
-                         const std::string& target, double value);
+  bool execute_pod_fault(cluster::Pod& pod, const FaultEntry& entry);
 
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;

@@ -6,7 +6,6 @@
 #include "mesh/admission.h"
 #include "mesh/builtin_filters.h"
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace meshnet::mesh {
 
@@ -36,8 +35,6 @@ ControlPlane::ControlPlane(sim::Simulator& sim, cluster::Cluster& cluster,
       poll_timer_(sim),
       push_rng_(0xc0de, "cp:push"),
       pace_rng_(0xc0de, "cp:pace") {
-  telemetry_.access_log().set_sample_every(
-      policies_.access_log_sample_every);
   cpm_.attempts = &registry_.counter("cp_push_attempts_total");
   cpm_.acks = &registry_.counter("cp_push_acks_total");
   cpm_.nacks = &registry_.counter("cp_push_nacks_total");
@@ -134,8 +131,6 @@ void ControlPlane::begin_epoch() {
   last_registry_version_ = cluster_.registry().version();
   pending_change_since_ = 0;
   cpm_.epoch->set(static_cast<double>(epoch_));
-  telemetry_.access_log().set_sample_every(
-      policies_.access_log_sample_every);
 }
 
 void ControlPlane::push_config() {
@@ -144,9 +139,6 @@ void ControlPlane::push_config() {
   for (PushState* state : states_) {
     launch_push(*state);
   }
-  MESHNET_DEBUG() << "control plane push epoch " << epoch_
-                  << " (registry v" << last_registry_version_
-                  << ")";
 }
 
 void ControlPlane::launch_push(PushState& state) {
@@ -165,10 +157,9 @@ void ControlPlane::launch_push(PushState& state) {
   }
 
   cpm_.attempts->inc();
-  if (state.partitioned || !sidecar.pod().running()) {
+  if (!sidecar.pod().running()) {
     // Unreachable sidecar: the push is dropped on the floor and the
-    // retry loop keeps revalidating until the partition heals or the
-    // pod comes back.
+    // retry loop keeps revalidating until the pod comes back.
     cpm_.dropped->inc();
     schedule_retry(state);
     return;
@@ -459,24 +450,6 @@ void ControlPlane::recover() {
     state.disarm_timers();
     schedule_relaunch(state, delay);
   }
-}
-
-void ControlPlane::set_partitioned(const std::string& pod_name,
-                                   bool partitioned) {
-  PushState& state = push_state_.try_emplace(pod_name, sim_).first->second;
-  if (state.partitioned == partitioned) return;
-  state.partitioned = partitioned;
-  record_event(obs::EventKind::kControlPlane, "push:" + pod_name,
-               partitioned ? "partitioned" : "healed");
-  if (!partitioned && !crashed_ && state.acked_epoch < epoch_ &&
-      state.sidecar != nullptr) {
-    // Healed while stale: revalidate immediately.
-    launch_push(state);
-  }
-}
-
-void ControlPlane::set_push_loss(double probability) {
-  policies_.cp.push_loss = std::clamp(probability, 0.0, 1.0);
 }
 
 void ControlPlane::update_staleness_gauges() {

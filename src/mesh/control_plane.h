@@ -13,9 +13,9 @@
 // delivered pushes are acked per sidecar. Cluster specs are compiled once
 // per epoch into a shared table; compiling one sidecar is its policy
 // section plus a (cluster, hash) list pointing into that table. A push
-// can be delayed, lost, or dropped (crash / partition); an un-acked push
-// is retried with decorrelated-jitter backoff until the sidecar acks the
-// current epoch.
+// can be delayed, lost, or dropped (control plane or pod down); an
+// un-acked push is retried with decorrelated-jitter backoff until the
+// sidecar acks the current epoch.
 // Sidecars that nack a push (validation failure — a poison config) keep
 // their last-good config and the control plane rolls policy back to the
 // last converged snapshot and pushes a fresh epoch. While the control
@@ -43,7 +43,7 @@
 namespace meshnet::mesh {
 
 /// Tunables for the failure-aware push channel. The defaults (zero
-/// latency, zero loss, no partitions) apply and ack a push before
+/// latency, zero loss) apply and ack a push before
 /// push_config() returns. Callers rely on that: perfbench's control-plane
 /// probe times push_config() as the whole push, and five
 /// ControlPlaneFixture/DeltaPush tests check the ack right after it.
@@ -97,9 +97,6 @@ struct MeshPolicies : PolicySection {
   /// service carries ClusterSpec::mtls).
   std::map<std::string, bool> mtls_overrides;
   sim::Duration certificate_lifetime = sim::seconds(24 * 3600);
-  /// Sidecar access logging: keep one structured record per N proxied
-  /// requests (0 = off). See obs::AccessLog.
-  std::uint64_t access_log_sample_every = 0;
   /// Push-channel failure model and cert-rotation policy.
   ControlPlaneConfig cp;
 };
@@ -139,13 +136,6 @@ class ControlPlane {
   /// and reconverges the mesh with paced, jittered pushes.
   void recover();
   bool crashed() const noexcept { return crashed_; }
-
-  /// Partitions one sidecar from the control plane (pushes to it are
-  /// dropped until healed). Healing relaunches a push if it is stale.
-  void set_partitioned(const std::string& pod_name, bool partitioned);
-
-  /// Overrides the push-channel loss probability at runtime.
-  void set_push_loss(double probability);
 
   // --- convergence introspection -----------------------------------------
 
@@ -207,8 +197,8 @@ class ControlPlane {
   /// Full-snapshot pushes and delta pushes are counted separately so
   /// experiments can compare the two transports; `delta_fallbacks` counts
   /// deltas that missed their base and were re-sent as full snapshots.
-  /// Only pushes that enter the channel count — noop-skips, partitions
-  /// and crashes transfer nothing.
+  /// Only pushes that enter the channel count — noop-skips and pushes to
+  /// a crashed pod transfer nothing.
   struct PushChannelBytes {
     std::uint64_t full_bytes = 0;
     std::uint64_t delta_bytes = 0;
@@ -237,7 +227,7 @@ class ControlPlane {
       retry_timer.disarm();
     }
 
-    /// Null for a pod partitioned before its sidecar was injected.
+    /// Set at injection, before the state joins `states_`.
     Sidecar* sidecar = nullptr;
     /// sidecar_config_epoch{pod}, created on the first ack or skip.
     obs::Gauge* epoch_gauge = nullptr;
@@ -248,7 +238,6 @@ class ControlPlane {
     sim::Timer delivery_timer;
     sim::Timer ack_timer;
     sim::Timer retry_timer;
-    bool partitioned = false;
     /// Fingerprint of the last config this sidecar acked, kept only
     /// under cp.delta_push: the base future deltas are diffed against.
     std::optional<ConfigFingerprint> acked;

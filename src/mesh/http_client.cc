@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::mesh {
 
 HttpClientPool::HttpClientPool(sim::Simulator& sim,
@@ -104,11 +102,10 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
     channel->set_send_wire([conn_ptr](std::string bytes) {
       if (!conn_ptr->closed()) conn_ptr->send(bytes);
     });
-    channel->set_on_plaintext([raw](std::string_view data) {
-      if (!raw->parser->feed(data)) {
-        MESHNET_WARN() << "http client: response parse error";
-      }
-    });
+    // A malformed response leaves the parser failed; the request then
+    // ends at its timeout or when the connection closes.
+    channel->set_on_plaintext(
+        [raw](std::string_view data) { raw->parser->feed(data); });
     // Delivered through a zero-delay event, so aborting here is safe.
     channel->set_on_error([this, raw, conn_ptr](const std::string& reason) {
       raw->close_reason = "tls handshake failed: " + reason;
@@ -123,11 +120,8 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
     });
     channel->start();
   } else {
-    conn.set_on_data([raw](const net::Payload& data) {
-      if (!raw->parser->feed(data)) {
-        MESHNET_WARN() << "http client: response parse error";
-      }
-    });
+    conn.set_on_data(
+        [raw](const net::Payload& data) { raw->parser->feed(data); });
   }
   conn.set_on_closed([this, conn_ptr](bool /*graceful*/) {
     on_slot_closed(conn_ptr);
@@ -164,10 +158,7 @@ void HttpClientPool::dispatch() {
 }
 
 void HttpClientPool::on_response(Slot& slot, http::HttpResponse response) {
-  if (!slot.busy) {
-    MESHNET_WARN() << "http client: unexpected response on idle connection";
-    return;
-  }
+  if (!slot.busy) return;  // unsolicited response on an idle connection
   ResponseHandler handler = std::move(slot.handler);
   slot.handler = nullptr;
   slot.busy = false;

@@ -7,7 +7,6 @@
 
 #include "mesh/config_delta.h"
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace meshnet::mesh {
 
@@ -337,7 +336,6 @@ bool Sidecar::apply_config(SidecarConfig config) {
   }
   std::string error = validate_config(config);
   if (!error.empty()) {
-    MESHNET_DEBUG() << pod_.name() << " nacked config push: " << error;
     return reject_config(std::move(error));
   }
   config_ = std::move(config);
@@ -370,7 +368,6 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
       validate_parts(delta.policy ? &*delta.policy : nullptr,
                      delta.cluster_upserts, delta.route_upserts);
   if (!error.empty()) {
-    MESHNET_DEBUG() << pod_.name() << " nacked config delta: " << error;
     return reject_config(std::move(error));
   }
 
@@ -520,7 +517,6 @@ void Sidecar::accept_session(transport::Connection& conn,
     if (abandoned_upstream) s.upstream_pool->cancel(s.upstream_req);
     Ctx abandoned = abandoned_upstream ? std::move(s.active) : nullptr;
     const std::string cluster = s.upstream_cluster;
-    const std::string endpoint = s.upstream_endpoint;
     sessions_.erase(it);
     if (abandoned != nullptr) {
       ++stats_.downstream_aborts;
@@ -528,7 +524,7 @@ void Sidecar::accept_session(transport::Connection& conn,
       response.status = 499;
       response.body = "downstream closed mid-request";
       response.headers.set("x-served-by", config_.service_name + "-sidecar");
-      finish_outbound(id, abandoned, cluster, endpoint, std::move(response));
+      finish_outbound(id, abandoned, cluster, std::move(response));
     }
   });
   sessions_.emplace(id, std::move(session));
@@ -537,7 +533,6 @@ void Sidecar::accept_session(transport::Connection& conn,
 template <class Bytes>
 void Sidecar::feed_session_parser(ServerSession& session, const Bytes& data) {
   if (!session.parser->feed(data)) {
-    MESHNET_WARN() << "sidecar: request parse error; resetting session";
     // Abort on a fresh simulator step: aborting here would destroy the
     // parser that is currently executing.
     const std::uint64_t id = session.id;
@@ -566,8 +561,7 @@ void Sidecar::setup_server_tls(ServerSession& session) {
   // downstream connection down; the client side surfaces the error
   // through its pool handler. Delivered via a zero-delay event, so
   // aborting here is safe.
-  channel->set_on_error([this, id](const std::string& reason) {
-    MESHNET_DEBUG() << "sidecar: inbound TLS error: " << reason;
+  channel->set_on_error([this, id](const std::string& /*reason*/) {
     const auto it = sessions_.find(id);
     if (it != sessions_.end()) it->second->conn->abort();
   });
@@ -760,44 +754,16 @@ void Sidecar::forward_to_app(std::uint64_t session_id, Ctx ctx) {
 
 void Sidecar::finish_outbound(std::uint64_t session_id, const Ctx& ctx,
                               const std::string& cluster_name,
-                              const std::string& endpoint_pod,
                               http::HttpResponse response) {
-  const sim::Duration latency = sim_.now() - ctx->start_time;
-  if (telemetry_ != nullptr) {
-    if (!cluster_name.empty()) {
-      RequestSample sample;
-      sample.source = config_.service_name;
-      sample.upstream = cluster_name;
-      sample.status = response.status;
-      sample.latency = latency;
-      sample.retries = ctx->attempt;
-      sample.priority = ctx->traffic_class;
-      telemetry_->record_request(sample);
-    }
-    obs::AccessLog& log = telemetry_->access_log();
-    if (log.enabled()) {
-      obs::AccessLogRecord record;
-      record.at = sim_.now();
-      record.source = config_.service_name;
-      record.route = ctx->request.path;
-      record.upstream_cluster = cluster_name;
-      record.upstream_endpoint = endpoint_pod;
-      record.priority = std::string(traffic_class_name(ctx->traffic_class));
-      record.status = response.status;
-      record.retries = ctx->attempt;
-      record.latency = latency;
-      // Shed either locally (this sidecar's admission filter) or by the
-      // upstream (marker header on its 503).
-      record.shed_reason =
-          !ctx->shed_reason.empty()
-              ? std::string_view(ctx->shed_reason)
-              : response.headers.get_or(http::headers::Id::kShedReason, "");
-      const auto it = sessions_.find(session_id);
-      if (it != sessions_.end() && it->second->deadline > 0) {
-        record.deadline_slack = it->second->deadline - sim_.now();
-      }
-      log.record(std::move(record));
-    }
+  if (telemetry_ != nullptr && !cluster_name.empty()) {
+    RequestSample sample;
+    sample.source = config_.service_name;
+    sample.upstream = cluster_name;
+    sample.status = response.status;
+    sample.latency = sim_.now() - ctx->start_time;
+    sample.retries = ctx->attempt;
+    sample.priority = ctx->traffic_class;
+    telemetry_->record_request(sample);
   }
   // Closing the outbound chain here — not at each call site — is what
   // guarantees every request span gets an end time: 404s, vanished
@@ -923,7 +889,7 @@ void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
   } else if (const ClusterSpec* spec = resolve_cluster(host)) {
     ctx->upstream_cluster = spec->name;
   } else {
-    finish_outbound(session_id, ctx, /*cluster_name=*/"", /*endpoint_pod=*/"",
+    finish_outbound(session_id, ctx, /*cluster_name=*/"",
                     make_local_response(404, "no route for host " + host));
     return;
   }
@@ -964,7 +930,6 @@ void Sidecar::on_request_deadline(std::uint64_t session_id, Ctx ctx,
   }
   // Between attempts (retry backoff): nothing in flight to unwind.
   finish_outbound(session_id, ctx, ctx->upstream_cluster,
-                  s.upstream_endpoint,
                   make_local_response(504, "request deadline exceeded"));
 }
 
@@ -976,7 +941,6 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   const auto cluster_it = config_.clusters.find(ctx->upstream_cluster);
   if (cluster_it == config_.clusters.end()) {
     finish_outbound(session_id, ctx, ctx->upstream_cluster,
-                    /*endpoint_pod=*/"",
                     make_local_response(503, "cluster vanished"));
     return;
   }
@@ -985,7 +949,6 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   if (sim_.now() >= session.deadline) {
     ++stats_.timeouts;
     finish_outbound(session_id, ctx, ctx->upstream_cluster,
-                    /*endpoint_pod=*/"",
                     make_local_response(504, "request deadline exceeded"));
     return;
   }
@@ -1051,7 +1014,7 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   if (chosen == nullptr) {
     ++stats_.upstream_failures;
     finish_outbound(
-        session_id, ctx, spec.name, /*endpoint_pod=*/"",
+        session_id, ctx, spec.name,
         make_local_response(503, "no healthy upstream in " + spec.name));
     return;
   }
@@ -1202,8 +1165,7 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
                                      "upstream failed: " + error);
   if (!success) ++stats_.upstream_failures;
 
-  finish_outbound(session_id, ctx, cluster_name, endpoint_pod,
-                  std::move(final_response));
+  finish_outbound(session_id, ctx, cluster_name, std::move(final_response));
 }
 
 }  // namespace meshnet::mesh

@@ -400,12 +400,11 @@ class Sidecar {
   void forward_to_app(std::uint64_t session_id, Ctx ctx);
   void route_and_forward(std::uint64_t session_id, Ctx ctx);
   /// Single exit point for outbound requests: records telemetry (when an
-  /// upstream cluster is known) and the access log, runs the outbound
-  /// response filters — closing the request span on every path — and
-  /// answers the downstream session.
+  /// upstream cluster is known), runs the outbound response filters —
+  /// closing the request span on every path — and answers the downstream
+  /// session.
   void finish_outbound(std::uint64_t session_id, const Ctx& ctx,
                        const std::string& cluster_name,
-                       const std::string& endpoint_pod,
                        http::HttpResponse response);
   void sync_health_targets();
   void attempt_upstream(std::uint64_t session_id, Ctx ctx);

@@ -17,8 +17,7 @@ std::size_t class_index(TrafficClass c) noexcept {
 TelemetrySink::TelemetrySink(obs::MetricRegistry* registry)
     : owned_registry_(registry ? nullptr
                                : std::make_unique<obs::MetricRegistry>()),
-      registry_(registry ? registry : owned_registry_.get()),
-      access_log_(registry_) {
+      registry_(registry ? registry : owned_registry_.get()) {
   intern_totals();
 }
 
@@ -129,28 +128,6 @@ void TelemetrySink::record_event(sim::Time at, obs::EventKind kind,
 
 std::uint64_t TelemetrySink::event_count(obs::EventKind kind) const noexcept {
   return event_counters_[static_cast<std::size_t>(kind)]->value();
-}
-
-void TelemetrySink::clear() {
-  for (auto& [key, cells] : edge_cells_) {
-    cells.requests->reset();
-    cells.failures->reset();
-    cells.retries->reset();
-    for (obs::Histogram* cell : cells.latency_by_class) {
-      if (cell) cell->reset();
-    }
-  }
-  for (auto& [key, cells] : cluster_cells_) {
-    cells.requests->reset();
-    cells.failures->reset();
-  }
-  edge_cells_.clear();
-  cluster_cells_.clear();
-  requests_total_->reset();
-  failures_total_->reset();
-  for (obs::Counter* counter : event_counters_) counter->reset();
-  events_.clear();
-  access_log_.clear();
 }
 
 }  // namespace meshnet::mesh

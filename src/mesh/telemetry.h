@@ -19,9 +19,6 @@
 //   mesh_request_latency_ns{source,upstream,class}
 //   cluster_requests_total{cluster} / cluster_failures_total{cluster}
 //   mesh_events_total{kind}
-//
-// It also owns the per-request access log (obs::AccessLog), which the
-// sidecars feed when sampling is enabled.
 
 #include <array>
 #include <cstdint>
@@ -33,7 +30,6 @@
 #include <vector>
 
 #include "mesh/filter.h"
-#include "obs/access_log.h"
 #include "obs/event.h"
 #include "obs/metric_registry.h"
 #include "stats/histogram.h"
@@ -97,16 +93,8 @@ class TelemetrySink {
   const std::vector<MeshEvent>& events() const noexcept { return events_; }
   std::uint64_t event_count(obs::EventKind kind) const noexcept;
 
-  obs::AccessLog& access_log() noexcept { return access_log_; }
-  const obs::AccessLog& access_log() const noexcept { return access_log_; }
-
   obs::MetricRegistry& registry() noexcept { return *registry_; }
   const obs::MetricRegistry& registry() const noexcept { return *registry_; }
-
-  /// Zeroes every series this sink feeds and forgets the edge/cluster
-  /// caches, the event log and the access log. Other series in a shared
-  /// registry are untouched.
-  void clear();
 
  private:
   struct EdgeCells {
@@ -134,7 +122,6 @@ class TelemetrySink {
   std::map<std::pair<std::string, std::string>, EdgeCells> edge_cells_;
   std::map<std::string, ClusterCells> cluster_cells_;
   std::vector<MeshEvent> events_;
-  obs::AccessLog access_log_;
 };
 
 }  // namespace meshnet::mesh

@@ -81,8 +81,6 @@ class Tracer {
     exporter_.set_retention(limit);
   }
 
-  void clear() { exporter_.clear(); }
-
   obs::SpanExporter& exporter() noexcept { return exporter_; }
 
  private:

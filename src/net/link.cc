@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::net {
 
 Link::Link(sim::Simulator& sim, std::string name, double rate_bits_per_second,
@@ -19,9 +17,7 @@ void Link::send(Packet packet) {
     ++stats_.down_drops;
     return;
   }
-  if (!qdisc_->enqueue(std::move(packet))) {
-    MESHNET_DEBUG() << "link " << name_ << ": qdisc drop";
-  }
+  qdisc_->enqueue(std::move(packet));  // a drop is counted by the qdisc
   try_transmit();
 }
 
@@ -39,9 +35,7 @@ void Link::set_up(bool up) {
     while (auto packet = qdisc_->dequeue()) {
       ++stats_.down_drops;
     }
-    MESHNET_DEBUG() << "link " << name_ << ": carrier down";
   } else {
-    MESHNET_DEBUG() << "link " << name_ << ": carrier up";
     try_transmit();
   }
 }

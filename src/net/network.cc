@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace meshnet::net {
 
 Network::Network(sim::Simulator& sim) : sim_(sim) {}
@@ -135,7 +133,6 @@ void Network::send(Packet packet) {
   Interface* dst = find_interface(packet.flow.dst_ip);
   if (src == nullptr || dst == nullptr) {
     ++unroutable_;
-    MESHNET_DEBUG() << "unroutable packet " << packet.flow.to_string();
     return;
   }
   if (src->location() == dst->location()) {
@@ -148,7 +145,6 @@ void Network::send(Packet packet) {
   Link* hop = next_hop(src->location(), dst->location());
   if (hop == nullptr) {
     ++unroutable_;
-    MESHNET_DEBUG() << "no route " << packet.flow.to_string();
     return;
   }
   hop->send(std::move(packet));

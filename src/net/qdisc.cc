@@ -16,10 +16,6 @@ Classifier classify_by_dst_ip(IpAddress high_priority_ip) {
   };
 }
 
-Classifier classify_all_to(int band) {
-  return [band](const Packet&) { return band; };
-}
-
 void Qdisc::note_enqueue(const Packet& p) noexcept {
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += p.size_bytes();

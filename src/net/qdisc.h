@@ -32,7 +32,6 @@ using Classifier = std::function<int(const Packet&)>;
 /// Classifier helpers mirroring `tc filter` match rules.
 Classifier classify_by_dscp();          ///< EF->0, everything else->1.
 Classifier classify_by_dst_ip(IpAddress high_priority_ip);
-Classifier classify_all_to(int band);
 
 struct QdiscStats {
   std::uint64_t enqueued_packets = 0;

@@ -279,22 +279,4 @@ void MetricRegistry::merge(const MetricRegistry& other) {
   }
 }
 
-void MetricRegistry::reset_values() {
-  for (auto& [key, entry] : series_) {
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        entry.counter->reset();
-        break;
-      case MetricKind::kGauge:
-        entry.gauge->reset();
-        break;
-      case MetricKind::kHistogram:
-        entry.histogram->reset();
-        break;
-    }
-  }
-}
-
-void MetricRegistry::clear() { series_.clear(); }
-
 }  // namespace meshnet::obs

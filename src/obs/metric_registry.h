@@ -46,7 +46,6 @@ class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept { value_ += delta; }
   std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -60,7 +59,6 @@ class Gauge {
   void set(double value) noexcept { value_ = value; }
   void add(double delta) noexcept { value_ += delta; }
   double value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -78,7 +76,6 @@ class Histogram {
   const stats::LogHistogram& data() const noexcept { return histogram_; }
   /// Bucket-exact fold-in; `other` must have equal precision.
   void merge(const stats::LogHistogram& other) { histogram_.merge(other); }
-  void reset() { histogram_.reset(); }
 
  private:
   stats::LogHistogram histogram_;
@@ -172,14 +169,6 @@ class MetricRegistry {
   /// Folds another registry's current values into this one (counters sum,
   /// histograms merge, gauges max), creating missing series.
   void merge(const MetricRegistry& other);
-
-  /// Zeroes every cell; the series stay interned (cached references held
-  /// by adapters remain valid).
-  void reset_values();
-
-  /// Drops every series. Invalidates cached references — only for
-  /// teardown/tests, never mid-flight.
-  void clear();
 
  private:
   struct Series {

@@ -28,27 +28,12 @@ void SpanExporter::export_span(SpanRecord span) {
     cells.duration->record(
         duration > 0 ? static_cast<std::uint64_t>(duration) : 0);
   }
-  for (const auto& sink : sinks_) sink(span);
   if (retention_ == 0) return;
   spans_.push_back(std::move(span));
   if (spans_.size() > retention_) {
     spans_.erase(spans_.begin(),
                  spans_.begin() +
                      static_cast<std::ptrdiff_t>(spans_.size() - retention_));
-  }
-}
-
-void SpanExporter::add_sink(std::function<void(const SpanRecord&)> sink) {
-  sinks_.push_back(std::move(sink));
-}
-
-void SpanExporter::clear() {
-  spans_.clear();
-  exported_total_ = 0;
-  for (auto& [service, cells] : cells_) {
-    cells.total->reset();
-    cells.errors->reset();
-    cells.duration->reset();
   }
 }
 

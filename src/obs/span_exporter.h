@@ -12,7 +12,6 @@
 // span storage on long runs.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,19 +48,14 @@ class SpanExporter {
 
   void export_span(SpanRecord span);
 
-  /// Called for every exported span, regardless of retention.
-  void add_sink(std::function<void(const SpanRecord&)> sink);
-
   /// Keep only the most recent `limit` spans (memory bound for long
-  /// runs); 0 disables retention entirely — metrics and sinks still see
-  /// every span.
+  /// runs); 0 disables retention entirely — metrics still see every
+  /// span.
   void set_retention(std::size_t limit) noexcept { retention_ = limit; }
 
   const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
   std::size_t span_count() const noexcept { return spans_.size(); }
   std::uint64_t exported_total() const noexcept { return exported_total_; }
-
-  void clear();
 
  private:
   struct ServiceCells {
@@ -74,7 +68,6 @@ class SpanExporter {
 
   MetricRegistry* registry_ = nullptr;
   std::map<std::string, ServiceCells, std::less<>> cells_;
-  std::vector<std::function<void(const SpanRecord&)>> sinks_;
   std::size_t retention_ = SIZE_MAX;
   std::uint64_t exported_total_ = 0;
   std::vector<SpanRecord> spans_;

@@ -29,6 +29,4 @@ bool RngStream::bernoulli(double p) {
   return std::bernoulli_distribution(p)(engine_);
 }
 
-std::uint64_t RngStream::next_u64() { return engine_(); }
-
 }  // namespace meshnet::sim

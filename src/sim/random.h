@@ -56,9 +56,6 @@ class RngStream {
   /// Bernoulli draw with probability `p` of true.
   bool bernoulli(double p);
 
-  /// Raw 64-bit draw.
-  std::uint64_t next_u64();
-
  private:
   std::mt19937_64 engine_;
 };

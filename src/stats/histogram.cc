@@ -130,15 +130,6 @@ void LogHistogram::merge(const LogHistogram& other) {
   sum_sq_ += other.sum_sq_;
 }
 
-void LogHistogram::reset() {
-  counts_.assign(counts_.size(), 0);
-  total_count_ = 0;
-  min_ = UINT64_MAX;
-  max_ = 0;
-  sum_ = 0.0;
-  sum_sq_ = 0.0;
-}
-
 bool operator==(const LogHistogram& a, const LogHistogram& b) {
   if (a.k_ != b.k_ || a.total_count_ != b.total_count_ || a.min_ != b.min_ ||
       a.max_ != b.max_ || a.sum_ != b.sum_ || a.sum_sq_ != b.sum_sq_) {

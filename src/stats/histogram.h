@@ -7,8 +7,7 @@
 // With the default k=7 that is < 0.8%, comparable to what wrk2/HdrHistogram
 // report. Bucket storage grows geometrically up to the highest bucket
 // recorded so far (at most 3,776 buckets, ~30 KB, at k=7), so an unused
-// histogram allocates nothing and merge, copy and reset cost O(buckets
-// used).
+// histogram allocates nothing and merge and copy cost O(buckets used).
 //
 // Typical use records latencies in nanoseconds and reads percentiles:
 //
@@ -40,8 +39,6 @@ class LogHistogram {
 
   /// Adds all counts from `other` (must have equal precision).
   void merge(const LogHistogram& other);
-
-  void reset();
 
   int precision_bits() const noexcept { return k_; }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "transport/transport_host.h"
-#include "util/logging.h"
 
 namespace meshnet::transport {
 
@@ -38,10 +37,6 @@ Connection::Connection(TransportHost& host, net::FlowKey flow, bool is_client,
 void Connection::start_connect() {
   send_control(net::kFlagSyn, 0);
   arm_rto();
-}
-
-void Connection::set_mss(std::uint32_t mss) {
-  if (mss > 0) options_.mss = mss;
 }
 
 void Connection::send(net::Payload head, net::Payload body) {
@@ -115,9 +110,6 @@ void Connection::maybe_send() {
 }
 
 void Connection::transmit_segment(Segment& segment, bool is_retransmit) {
-  MESHNET_TRACE() << flow_.to_string() << " xmit seq=" << segment.seq
-                  << " len=" << segment.length()
-                  << (is_retransmit ? " RETX" : "");
   segment.sent_at = host_.now();
   segment.retransmitted = segment.retransmitted || is_retransmit;
   net::Packet p;
@@ -208,8 +200,6 @@ void Connection::handle_packet(const net::Packet& packet) {
 void Connection::handle_data(const net::Packet& packet) {
   const std::uint64_t seq = packet.seq;
   const std::uint32_t len = packet.payload_size();
-  MESHNET_TRACE() << flow_.to_string() << " data seq=" << seq
-                  << " len=" << len << " rcv_next=" << rcv_next_;
   if (seq + len <= rcv_next_) {
     // Entire segment is old news; re-ACK so the sender can advance.
     send_ack();
@@ -266,9 +256,6 @@ void Connection::deliver(const net::Payload& data) {
 void Connection::handle_ack(const net::Packet& packet) {
   const std::uint64_t ack = packet.ack;
   const std::uint64_t fin_ack_point = fin_seq_ + 1;
-  MESHNET_TRACE() << flow_.to_string() << " ack=" << ack
-                  << " snd_una=" << snd_una_
-                  << " inflight=" << in_flight_bytes_;
 
   if (ack > snd_una_) {
     // Fresh cumulative ACK.

@@ -127,9 +127,6 @@ class Connection {
   void set_dscp(net::Dscp dscp) noexcept { options_.dscp = dscp; }
   net::Dscp dscp() const noexcept { return options_.dscp; }
 
-  /// Adopts the peer's advertised MSS (SYN option); 0 is ignored. Only
-  /// meaningful before data is sent.
-  void set_mss(std::uint32_t mss);
   std::uint32_t mss() const noexcept { return options_.mss; }
 
   const net::FlowKey& flow() const noexcept { return flow_; }

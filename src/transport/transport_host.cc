@@ -1,9 +1,8 @@
 #include "transport/transport_host.h"
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
-
-#include "util/logging.h"
 
 namespace meshnet::transport {
 
@@ -12,9 +11,8 @@ TransportHost::TransportHost(sim::Simulator& sim, net::Network& network,
     : sim_(sim), network_(network), ip_(ip) {
   net::Interface* iface = network.find_interface(ip);
   if (iface == nullptr) {
-    MESHNET_ERROR() << "TransportHost: no interface for "
-                    << net::ip_to_string(ip);
-    return;
+    throw std::invalid_argument("TransportHost: no interface for " +
+                                net::ip_to_string(ip));
   }
   iface->set_handler([this](net::Packet&& p) { on_packet(std::move(p)); });
 }

@@ -37,7 +37,8 @@ class TransportHost {
  public:
   using AcceptHandler = std::function<void(Connection&)>;
 
-  /// Attaches to `ip`'s interface in `network` (which must already exist).
+  /// Attaches to `ip`'s interface in `network`; throws
+  /// std::invalid_argument naming `ip` when no interface has that address.
   TransportHost(sim::Simulator& sim, net::Network& network, net::IpAddress ip);
 
   TransportHost(const TransportHost&) = delete;

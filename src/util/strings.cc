@@ -1,7 +1,6 @@
 #include "util/strings.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace meshnet::util {
 
@@ -52,37 +51,6 @@ std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept {
     value = value * 10 + digit;
   }
   return value;
-}
-
-std::string format_bytes(std::uint64_t bytes) {
-  constexpr std::uint64_t kKb = 1024;
-  constexpr std::uint64_t kMb = kKb * 1024;
-  constexpr std::uint64_t kGb = kMb * 1024;
-  char buf[64];
-  if (bytes >= kGb) {
-    std::snprintf(buf, sizeof buf, "%.2f GB",
-                  static_cast<double>(bytes) / static_cast<double>(kGb));
-  } else if (bytes >= kMb) {
-    std::snprintf(buf, sizeof buf, "%.2f MB",
-                  static_cast<double>(bytes) / static_cast<double>(kMb));
-  } else if (bytes >= kKb) {
-    std::snprintf(buf, sizeof buf, "%.2f KB",
-                  static_cast<double>(bytes) / static_cast<double>(kKb));
-  } else {
-    std::snprintf(buf, sizeof buf, "%llu B",
-                  static_cast<unsigned long long>(bytes));
-  }
-  return buf;
-}
-
-std::string join(const std::vector<std::string>& pieces,
-                 std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
 }
 
 }  // namespace meshnet::util

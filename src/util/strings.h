@@ -1,7 +1,7 @@
 #pragma once
 
 // Small string utilities shared across modules. Nothing here allocates
-// unless the return type is a std::string/vector.
+// except split(), which returns a vector.
 
 #include <cstdint>
 #include <optional>
@@ -32,12 +32,5 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 /// Parses a non-negative decimal integer; rejects empty input, signs,
 /// non-digits, and overflow.
 std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept;
-
-/// Formats a byte count with binary-ish human units ("512 B", "1.5 KB").
-std::string format_bytes(std::uint64_t bytes);
-
-/// Joins pieces with a separator.
-std::string join(const std::vector<std::string>& pieces,
-                 std::string_view sep);
 
 }  // namespace meshnet::util

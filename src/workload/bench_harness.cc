@@ -21,8 +21,8 @@ HarnessOptions parse_harness_flags(
     std::int64_t default_duration_s, std::uint64_t default_seed,
     const std::vector<std::string_view>& extra_flags,
     const std::vector<std::string_view>& extra_prefixes) {
-  std::vector<std::string_view> known = {"threads",  "json-out", "baseline",
-                                         "tolerance", "duration", "seed"};
+  std::vector<std::string_view> known = {"threads", "json-out", "duration",
+                                         "seed"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
 
   HarnessOptions options;
@@ -32,9 +32,6 @@ HarnessOptions parse_harness_flags(
   if (options.json_out == "true") {  // bare --json-out
     options.json_out = "BENCH_" + std::string(experiment) + ".json";
   }
-  options.baseline = options.flags.get_or("baseline", "");
-  options.tolerance = options.flags.get_double_or(
-      "tolerance", 1e-9, util::NumberRange::kNonNegative);
   options.duration_s =
       int_flag(options, "duration", static_cast<int>(default_duration_s));
   options.seed = static_cast<std::uint64_t>(options.flags.get_int_or(
@@ -130,25 +127,6 @@ int finish_harness(const stats::BenchReport& input,
     }
     std::fprintf(stderr, "wrote %s (%zu points)\n", options.json_out.c_str(),
                  report.points.size());
-  }
-  if (!options.baseline.empty()) {
-    std::string error;
-    const auto baseline = stats::load_report(options.baseline, &error);
-    if (!baseline) {
-      std::fprintf(stderr, "baseline: %s\n", error.c_str());
-      return 2;
-    }
-    stats::CompareOptions compare;
-    compare.default_tolerance = options.tolerance;
-    const stats::CompareOutcome outcome =
-        stats::compare_reports(*baseline, report.to_json(), compare);
-    for (const std::string& failure : outcome.failures) {
-      std::fprintf(stderr, "FAIL %s\n", failure.c_str());
-    }
-    std::printf("baseline %s: %zu comparisons, %zu failures — %s\n",
-                options.baseline.c_str(), outcome.compared,
-                outcome.failures.size(), outcome.ok ? "OK" : "REGRESSION");
-    if (!outcome.ok) return 1;
   }
   return 0;
 }

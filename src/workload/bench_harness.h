@@ -7,10 +7,8 @@
 //   --threads=N     sweep points fanned across N workers (0 = all cores;
 //                   results are bit-identical at any N)
 //   --json-out[=P]  write the machine-readable report (default path
-//                   BENCH_<experiment>.json)
-//   --baseline=P    after the run, compare against a committed baseline
-//                   and exit 1 on regression (same rules as bench_check)
-//   --tolerance=R   relative tolerance for --baseline comparisons
+//                   BENCH_<experiment>.json; tools/bench_check compares
+//                   it with a committed baseline)
 //   --duration=S    measured seconds per point
 //   --seed=S        run-level PRNG seed
 //
@@ -33,8 +31,6 @@ namespace meshnet::workload {
 struct HarnessOptions {
   int threads = 1;
   std::string json_out;   ///< empty = no report file
-  std::string baseline;   ///< empty = no comparison
-  double tolerance = 1e-9;
   std::int64_t duration_s = 0;
   std::uint64_t seed = 0;
   util::Flags flags;      ///< full parse, for bench-specific extras
@@ -65,9 +61,8 @@ int int_flag(const HarnessOptions& options, std::string_view flag,
 /// SweepOptions matching the parsed flags (progress lines on stderr).
 SweepOptions sweep_options(const HarnessOptions& options);
 
-/// Post-run bookkeeping: writes --json-out if requested, then compares
-/// against --baseline if given. Returns the process exit code (0 ok,
-/// 1 regression, 2 I/O or parse failure).
+/// Post-run bookkeeping: writes --json-out if requested. Returns the
+/// process exit code (0 ok, 2 I/O failure).
 int finish_harness(const stats::BenchReport& report,
                    const HarnessOptions& options);
 

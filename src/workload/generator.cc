@@ -66,37 +66,6 @@ void OpenLoopGenerator::arrive(sim::Time scheduled) {
                   });
 }
 
-ClosedLoopGenerator::ClosedLoopGenerator(sim::Simulator& sim,
-                                         mesh::HttpClientPool& client,
-                                         WorkloadSpec spec, int concurrency)
-    : sim_(sim),
-      client_(client),
-      spec_(std::move(spec)),
-      concurrency_(concurrency),
-      recorder_(spec_.measure_start, spec_.measure_end) {}
-
-void ClosedLoopGenerator::start() {
-  for (int i = 0; i < concurrency_; ++i) issue_one();
-}
-
-void ClosedLoopGenerator::issue_one() {
-  if (sim_.now() >= spec_.end) return;
-  const sim::Time issued = sim_.now();
-  http::HttpRequest request = spec_.make_request(seq_++);
-  client_.request(std::move(request),
-                  [this, issued](std::optional<http::HttpResponse> response,
-                                 const std::string& /*error*/) {
-                    const bool success = response && response->ok();
-                    if (success) {
-                      ++completed_;
-                    } else {
-                      ++failed_;
-                    }
-                    recorder_.record(issued, sim_.now(), success);
-                    issue_one();
-                  });
-}
-
 std::function<http::HttpRequest(std::uint64_t)> simple_get_factory(
     std::string host, std::string path_prefix, std::uint64_t modulo) {
   return [host = std::move(host), path_prefix = std::move(path_prefix),

@@ -1,12 +1,10 @@
 #pragma once
 
-// Open- and closed-loop load generators (the wrk2 stand-in, DESIGN.md §2).
+// The open-loop load generator (the wrk2 stand-in, DESIGN.md §2).
 //
-// The open-loop generator emits requests on a schedule independent of
-// completions — the paper's methodology ("uniformly random inter-arrival
-// times", average RPS swept 10..50). The closed-loop generator keeps a
-// fixed number of outstanding requests (useful for capacity probing and
-// tests).
+// It emits requests on a schedule independent of completions — the
+// paper's methodology ("uniformly random inter-arrival times", average
+// RPS swept 10..50).
 
 #include <cstdint>
 #include <functional>
@@ -87,30 +85,6 @@ class OpenLoopGenerator {
   SampleObserver sample_observer_;
   std::uint64_t seq_ = 0;
   std::uint64_t sent_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-};
-
-class ClosedLoopGenerator {
- public:
-  ClosedLoopGenerator(sim::Simulator& sim, mesh::HttpClientPool& client,
-                      WorkloadSpec spec, int concurrency);
-
-  void start();
-
-  const LatencyRecorder& recorder() const noexcept { return recorder_; }
-  std::uint64_t completed() const noexcept { return completed_; }
-  std::uint64_t failed() const noexcept { return failed_; }
-
- private:
-  void issue_one();
-
-  sim::Simulator& sim_;
-  mesh::HttpClientPool& client_;
-  WorkloadSpec spec_;
-  int concurrency_;
-  LatencyRecorder recorder_;
-  std::uint64_t seq_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
 };

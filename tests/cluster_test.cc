@@ -14,12 +14,13 @@ namespace {
 
 TEST(ServiceRegistry, RegisterAndFind) {
   ServiceRegistry registry;
-  registry.register_service("reviews", 9080);
+  registry.add_endpoint("reviews", {"reviews-v1", 7, 9080, {}});
   const ServiceInfo* info = registry.find("reviews");
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->name, "reviews");
   EXPECT_EQ(info->port, 9080);
-  EXPECT_TRUE(info->endpoints.empty());
+  ASSERT_EQ(info->endpoints.size(), 1u);
+  EXPECT_EQ(info->endpoints[0].pod_name, "reviews-v1");
   EXPECT_EQ(registry.find("nope"), nullptr);
 }
 
@@ -54,10 +55,10 @@ TEST(ServiceRegistry, RemoveEndpoint) {
 TEST(ServiceRegistry, VersionBumpsOnEveryMutation) {
   ServiceRegistry registry;
   const auto v0 = registry.version();
-  registry.register_service("a", 80);
+  registry.add_endpoint("a", {"p", 1, 80, {}});
   const auto v1 = registry.version();
   EXPECT_GT(v1, v0);
-  registry.add_endpoint("a", {"p", 1, 80, {}});
+  registry.add_endpoint("a", {"p", 2, 80, {}});  // replace counts too
   const auto v2 = registry.version();
   EXPECT_GT(v2, v1);
   registry.remove_endpoint("a", "p");
@@ -66,8 +67,8 @@ TEST(ServiceRegistry, VersionBumpsOnEveryMutation) {
 
 TEST(ServiceRegistry, ServicesSortedByName) {
   ServiceRegistry registry;
-  registry.register_service("zeta", 1);
-  registry.register_service("alpha", 2);
+  registry.add_endpoint("zeta", {"zeta-v1", 1, 80, {}});
+  registry.add_endpoint("alpha", {"alpha-v1", 2, 80, {}});
   const auto services = registry.services();
   ASSERT_EQ(services.size(), 2u);
   EXPECT_EQ(services[0]->name, "alpha");

@@ -1,6 +1,7 @@
 // Tests for the fault-injection layer: FaultPlan expansion, the
 // ChaosController's link/pod actions against a live cluster, and
-// determinism of the fault log.
+// determinism of the fault log. Every fault goes through a FaultPlan, the
+// path every experiment uses.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +47,17 @@ class ChaosFixture : public ::testing::Test {
     controller_ = std::make_unique<ChaosController>(sim_, *cluster_);
   }
 
+  /// Applies one fault now through a scheduled FaultPlan and returns
+  /// whether it applied.
+  bool inject(FaultPlan& (FaultPlan::*action)(sim::Time, std::string),
+              const std::string& pod) {
+    FaultPlan plan;
+    (plan.*action)(sim_.now(), pod);
+    controller_->schedule(plan);
+    sim_.run_until(sim_.now());
+    return controller_->log().back().applied;
+  }
+
   /// Opens a connection a->b, counting bytes b receives.
   void wire_traffic() {
     b_->transport().listen(80, [this](transport::Connection& conn) {
@@ -70,7 +82,7 @@ TEST_F(ChaosFixture, LinkDownBlackholesAndRecoveryRedelivers) {
   sim_.run_until(sim_.now() + sim::seconds(1));
   ASSERT_EQ(received_, 1000u);
 
-  ASSERT_TRUE(controller_->set_link_up("pod-b", false));
+  ASSERT_TRUE(inject(&FaultPlan::link_down, "pod-b"));
   EXPECT_FALSE(b_->ingress_link().is_up());
   sender_->send(std::string(500, 'y'));
   sim_.run_until(sim_.now() + sim::seconds(1));
@@ -80,13 +92,13 @@ TEST_F(ChaosFixture, LinkDownBlackholesAndRecoveryRedelivers) {
             0u);
 
   // Back up: transport retransmission delivers the lost segment.
-  ASSERT_TRUE(controller_->set_link_up("pod-b", true));
+  ASSERT_TRUE(inject(&FaultPlan::link_up, "pod-b"));
   sim_.run_until(sim_.now() + sim::seconds(10));
   EXPECT_EQ(received_, 1500u);
 }
 
 TEST_F(ChaosFixture, CrashKeepsRegistryDeregisterRemovesRestartRejoins) {
-  ASSERT_TRUE(controller_->crash_pod("pod-b"));
+  ASSERT_TRUE(inject(&FaultPlan::crash, "pod-b"));
   EXPECT_FALSE(b_->running());
   EXPECT_FALSE(b_->egress_link().is_up());
   // Crash models silent failure: discovery still lists the endpoint.
@@ -94,11 +106,11 @@ TEST_F(ChaosFixture, CrashKeepsRegistryDeregisterRemovesRestartRejoins) {
   EXPECT_EQ(cluster_->registry().find("svc-b")->endpoints.size(), 1u);
 
   // The slow path (node controller) removes it explicitly.
-  ASSERT_TRUE(controller_->deregister_pod("pod-b"));
+  ASSERT_TRUE(inject(&FaultPlan::deregister, "pod-b"));
   EXPECT_TRUE(cluster_->registry().find("svc-b")->endpoints.empty());
 
   // Restart rejoins with the original port and labels.
-  ASSERT_TRUE(controller_->restart_pod("pod-b"));
+  ASSERT_TRUE(inject(&FaultPlan::restart, "pod-b"));
   EXPECT_TRUE(b_->running());
   EXPECT_TRUE(b_->egress_link().is_up());
   ASSERT_EQ(cluster_->registry().find("svc-b")->endpoints.size(), 1u);
@@ -106,22 +118,15 @@ TEST_F(ChaosFixture, CrashKeepsRegistryDeregisterRemovesRestartRejoins) {
 }
 
 TEST_F(ChaosFixture, CrashAndRestartAreIdempotent) {
-  EXPECT_TRUE(controller_->crash_pod("pod-a"));
-  EXPECT_FALSE(controller_->crash_pod("pod-a"));   // already down
-  EXPECT_TRUE(controller_->restart_pod("pod-a"));
-  EXPECT_FALSE(controller_->restart_pod("pod-a"));  // already up
-  EXPECT_FALSE(controller_->crash_pod("ghost"));
+  EXPECT_TRUE(inject(&FaultPlan::crash, "pod-a"));
+  EXPECT_FALSE(inject(&FaultPlan::crash, "pod-a"));   // already down
+  EXPECT_TRUE(inject(&FaultPlan::restart, "pod-a"));
+  EXPECT_FALSE(inject(&FaultPlan::restart, "pod-a"));  // already up
+  EXPECT_FALSE(inject(&FaultPlan::crash, "ghost"));
   ASSERT_EQ(controller_->log().size(), 5u);
   EXPECT_TRUE(controller_->log()[0].applied);
   EXPECT_FALSE(controller_->log()[1].applied);
   EXPECT_FALSE(controller_->log()[4].applied);
-}
-
-TEST_F(ChaosFixture, DegradeMultipliesComputeAndRestores) {
-  ASSERT_TRUE(controller_->degrade_pod("pod-a", 4.0));
-  EXPECT_DOUBLE_EQ(a_->compute_multiplier(), 4.0);
-  ASSERT_TRUE(controller_->degrade_pod("pod-a", 1.0));
-  EXPECT_DOUBLE_EQ(a_->compute_multiplier(), 1.0);
 }
 
 TEST_F(ChaosFixture, ScheduledPlanExecutesAtPlannedTimesAndHookFires) {

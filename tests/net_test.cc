@@ -293,10 +293,10 @@ TEST(StrictPrioQdisc, PerBandLimits) {
 }
 
 TEST(StrictPrioQdisc, ClassifierClamping) {
-  StrictPrioQdisc q(2, classify_all_to(99));  // out of range -> last band
+  StrictPrioQdisc q(2, [](const Packet&) { return 99; });  // -> last band
   EXPECT_TRUE(q.enqueue(make_packet(10)));
   EXPECT_EQ(q.band_backlog_packets(1), 1u);
-  StrictPrioQdisc q2(2, classify_all_to(-5));  // negative -> band 0
+  StrictPrioQdisc q2(2, [](const Packet&) { return -5; });  // -> band 0
   EXPECT_TRUE(q2.enqueue(make_packet(10)));
   EXPECT_EQ(q2.band_backlog_packets(0), 1u);
 }

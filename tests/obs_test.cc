@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/access_log.h"
 #include "obs/event.h"
 #include "obs/metric_registry.h"
 #include "obs/span_exporter.h"
@@ -204,15 +203,6 @@ TEST(MetricRegistry, RegistryMergeFoldsValuesIntoCells) {
   EXPECT_EQ(base.find_histogram("h")->data().count(), 1u);
 }
 
-TEST(MetricRegistry, ResetValuesKeepsSeriesInterned) {
-  MetricRegistry registry;
-  Counter& cell = registry.counter("c");
-  cell.inc(5);
-  registry.reset_values();
-  EXPECT_EQ(cell.value(), 0u);
-  EXPECT_EQ(registry.series_count(), 1u);
-}
-
 TEST(MetricsSnapshot, ToJsonEmitsSchemaAndTypedSeries) {
   MetricRegistry registry;
   registry.counter("c", {{"k", "v"}}).inc(3);
@@ -253,44 +243,6 @@ TEST(EventKind, RoundTripsThroughStrings) {
   }
   EXPECT_FALSE(event_kind_from_string("braker").has_value());  // the typo
   EXPECT_FALSE(event_kind_from_string("").has_value());
-}
-
-// ------------------------------------------------------ access log --
-
-TEST(AccessLog, DisabledByDefaultAndFree) {
-  MetricRegistry registry;
-  AccessLog log(&registry);
-  EXPECT_FALSE(log.enabled());
-  EXPECT_FALSE(log.record({}));
-  EXPECT_EQ(log.seen(), 0u);  // off means record() doesn't even count
-  EXPECT_EQ(registry.find_counter("access_log_seen_total")->value(), 0u);
-}
-
-TEST(AccessLog, EveryNthSamplingIsDeterministic) {
-  MetricRegistry registry;
-  AccessLog log(&registry);
-  log.set_sample_every(3);
-  std::vector<int> kept;
-  for (int i = 1; i <= 10; ++i) {
-    AccessLogRecord record;
-    record.status = i;
-    if (log.record(std::move(record))) kept.push_back(i);
-  }
-  // The 1st, 4th, 7th, 10th records seen are kept, always.
-  EXPECT_EQ(kept, (std::vector<int>{1, 4, 7, 10}));
-  EXPECT_EQ(log.seen(), 10u);
-  EXPECT_EQ(log.sampled(), 4u);
-  ASSERT_EQ(log.records().size(), 4u);
-  EXPECT_EQ(log.records()[1].status, 4);
-  EXPECT_EQ(registry.find_counter("access_log_seen_total")->value(), 10u);
-  EXPECT_EQ(registry.find_counter("access_log_records_total")->value(), 4u);
-}
-
-TEST(AccessLog, SampleEveryOneKeepsAll) {
-  AccessLog log;
-  log.set_sample_every(1);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(log.record({}));
-  EXPECT_EQ(log.sampled(), 5u);
 }
 
 // ---------------------------------------------------- span exporter --
@@ -338,19 +290,6 @@ TEST(SpanExporter, RetentionBoundsStorage) {
   EXPECT_EQ(exporter.spans()[0].service, "b");
   EXPECT_EQ(exporter.spans()[1].service, "c");
   EXPECT_EQ(exporter.exported_total(), 3u);
-}
-
-TEST(SpanExporter, SinksSeeEverySpan) {
-  SpanExporter exporter;
-  exporter.set_retention(0);
-  int seen = 0;
-  exporter.add_sink([&](const SpanRecord& span) {
-    ++seen;
-    EXPECT_EQ(span.service, "svc");
-  });
-  exporter.export_span(make_span("svc", 0, 1));
-  exporter.export_span(make_span("svc", 1, 2));
-  EXPECT_EQ(seen, 2);
 }
 
 }  // namespace

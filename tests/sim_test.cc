@@ -193,7 +193,9 @@ TEST(Simulator, PendingEventsExcludesCancelled) {
 TEST(RngStream, DeterministicForSameSeedAndName) {
   RngStream a(42, "stream");
   RngStream b(42, "stream");
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(a.uniform_int(0, UINT64_MAX), b.uniform_int(0, UINT64_MAX));
+  }
 }
 
 TEST(RngStream, DifferentNamesAreIndependent) {
@@ -201,7 +203,9 @@ TEST(RngStream, DifferentNamesAreIndependent) {
   RngStream b(42, "beta");
   int equal = 0;
   for (int i = 0; i < 100; ++i) {
-    if (a.next_u64() == b.next_u64()) ++equal;
+    if (a.uniform_int(0, UINT64_MAX) == b.uniform_int(0, UINT64_MAX)) {
+      ++equal;
+    }
   }
   EXPECT_LT(equal, 2);
 }
@@ -211,7 +215,9 @@ TEST(RngStream, DifferentSeedsAreIndependent) {
   RngStream b(2, "s");
   int equal = 0;
   for (int i = 0; i < 100; ++i) {
-    if (a.next_u64() == b.next_u64()) ++equal;
+    if (a.uniform_int(0, UINT64_MAX) == b.uniform_int(0, UINT64_MAX)) {
+      ++equal;
+    }
   }
   EXPECT_LT(equal, 2);
 }

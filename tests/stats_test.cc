@@ -107,36 +107,26 @@ TEST(LogHistogram, MergeAcrossPrecisionsReRecords) {
   EXPECT_EQ(fine.count(), 100u);
 }
 
-TEST(LogHistogram, ResetClearsEverything) {
-  LogHistogram h;
-  h.record(123456);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-  EXPECT_EQ(h.percentile(99), 0u);
-}
-
 TEST(LogHistogram, EqualityIgnoresUnusedBuckets) {
-  // Storage grows to the highest recorded bucket and reset() keeps it, so
-  // a fresh histogram and a reset one differ only in zero buckets.
-  const LogHistogram fresh;
-  LogHistogram reset;
-  reset.record(123456789);
-  reset.reset();
-  EXPECT_EQ(fresh, reset);
-  EXPECT_EQ(reset, fresh);
-
-  const LogHistogram copy = fresh;
-  EXPECT_EQ(copy, fresh);
-  EXPECT_EQ(copy, reset);
-
-  // Equal recordings on top of different storage extents stay equal.
-  LogHistogram short_storage = fresh;
-  LogHistogram long_storage = reset;
-  short_storage.record(7);
+  // Storage grows by at least doubling, so the same recordings in another
+  // order can leave a different extent: 7 then 9 grows to 8 and then 16
+  // buckets, 9 then 7 stops at 10.
+  LogHistogram long_storage, short_storage;
   long_storage.record(7);
-  EXPECT_EQ(short_storage, long_storage);
+  long_storage.record(9);
+  short_storage.record(9);
+  short_storage.record(7);
   EXPECT_EQ(long_storage, short_storage);
+  EXPECT_EQ(short_storage, long_storage);
+
+  const LogHistogram copy = short_storage;
+  EXPECT_EQ(copy, long_storage);
+
+  // Now the other side grows further (10 -> 20 buckets, against 16).
+  long_storage.record(12);
+  short_storage.record(12);
+  EXPECT_EQ(long_storage, short_storage);
+  EXPECT_EQ(short_storage, long_storage);
 }
 
 TEST(LogHistogram, MergeAcrossExtentsEqualsCombinedRecording) {

@@ -483,7 +483,7 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
           if (kind == 1) {  // duplicated ticket (48 bytes: decode fails)
             TlsSessionTicket t;
             t.cert_serial = 3;
-            t.nonce = rng.next_u64();
+            t.nonce = rng.uniform_int(0, UINT64_MAX);
             const std::string one = encode_session_ticket(t);
             hello.ticket = one + one;
           } else if (kind == 2) {  // truncated ticket
@@ -583,7 +583,7 @@ TEST(TlsRotationPush, RotatedCertReachesSidecarOnlyAfterPushHeals) {
 
   // Sever the push channel, then run past the rotation point: the CP
   // rotates, the sidecar keeps serving with the old (still valid) cert.
-  cp.set_push_loss(1.0);
+  cp.policies().cp.push_loss = 1.0;
   sim.run_until(sim::milliseconds(1900));
   EXPECT_GE(cp_counter(cp, "cp_cert_rotations_total"), 1u);
   const Certificate* rotated = cp.certificate("server");
@@ -598,7 +598,7 @@ TEST(TlsRotationPush, RotatedCertReachesSidecarOnlyAfterPushHeals) {
   // identity catches up to the CP's current cert without a fresh
   // operator push. The retry pending at the heal sleeps at most the 2 s
   // backoff cap.
-  cp.set_push_loss(0.0);
+  cp.policies().cp.push_loss = 0.0;
   sim.run_until(sim.now() + sim::seconds(3));
   EXPECT_TRUE(cp.converged());
   EXPECT_EQ(sidecar.config().identity_cert.serial,

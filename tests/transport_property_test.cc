@@ -29,7 +29,7 @@ std::string patterned(std::size_t n, std::uint64_t seed) {
   std::string out(n, '\0');
   sim::RngStream rng(seed, "payload");
   for (std::size_t i = 0; i < n; i += 64) {
-    const std::uint64_t v = rng.next_u64();
+    const std::uint64_t v = rng.uniform_int(0, UINT64_MAX);
     for (std::size_t j = i; j < std::min(i + 64, n); ++j) {
       out[j] = static_cast<char>((v >> ((j % 8) * 8)) ^ j);
     }

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "net/network.h"
@@ -159,6 +160,18 @@ class TransportFixture : public ::testing::Test {
   std::unique_ptr<TransportHost> host_a;
   std::unique_ptr<TransportHost> host_b;
 };
+
+TEST_F(TransportFixture, HostWithoutInterfaceThrowsNamingTheAddress) {
+  build();
+  const net::IpAddress stray = net::make_ip(10, 0, 0, 9);
+  try {
+    TransportHost host(sim, net, stray);
+    FAIL() << "a host without an interface must not construct";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("10.0.0.9"), std::string::npos)
+        << error.what();
+  }
+}
 
 TEST_F(TransportFixture, HandshakeEstablishesBothSides) {
   build();

@@ -1,5 +1,5 @@
-// Tests for the util module: strings, flags, logging, JSON and the
-// thread pool behind the sweep harness.
+// Tests for the util module: strings, flags, JSON and the thread pool
+// behind the sweep harness.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "util/flags.h"
 #include "util/json.h"
-#include "util/logging.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -64,19 +63,6 @@ TEST(Strings, ParseU64) {
   EXPECT_FALSE(parse_u64("-1").has_value());
   EXPECT_FALSE(parse_u64("12a").has_value());
   EXPECT_FALSE(parse_u64("+5").has_value());
-}
-
-TEST(Strings, FormatBytes) {
-  EXPECT_EQ(format_bytes(512), "512 B");
-  EXPECT_EQ(format_bytes(1536), "1.50 KB");
-  EXPECT_EQ(format_bytes(3 * 1024 * 1024), "3.00 MB");
-  EXPECT_EQ(format_bytes(5ULL * 1024 * 1024 * 1024), "5.00 GB");
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
 }
 
 Flags parse_args(std::initializer_list<const char*> args) {
@@ -207,30 +193,6 @@ TEST(Flags, HasAndGet) {
   EXPECT_TRUE(flags.has("present"));
   EXPECT_FALSE(flags.has("absent"));
   EXPECT_FALSE(flags.get("absent").has_value());
-}
-
-TEST(Logging, LevelParsing) {
-  EXPECT_EQ(parse_log_level("trace"), LogLevel::kTrace);
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("bogus"), LogLevel::kWarn);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_EQ(log_level_name(LogLevel::kInfo), "INFO");
-  EXPECT_EQ(log_level_name(LogLevel::kError), "ERROR");
-}
-
-TEST(Logging, SetAndGetLevel) {
-  const LogLevel prior = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Suppressed lines are cheap and side-effect free.
-  MESHNET_DEBUG() << "must not crash";
-  set_log_level(prior);
 }
 
 // ---------------------------------------------------------------------------

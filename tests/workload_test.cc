@@ -335,18 +335,6 @@ TEST(PhaseSummary, ExperimentCountsScheduledArrivalsPerPhase) {
   EXPECT_EQ(result.counters.count("third_scheduled"), 0u);
 }
 
-TEST_F(GeneratorFixture, ClosedLoopHoldsConcurrency) {
-  service_ms = 100;
-  WorkloadSpec spec = spec_for(0, ArrivalProcess::kConstant);
-  ClosedLoopGenerator gen(sim, *pool, spec, 4);
-  gen.start();
-  sim.run_until(sim::seconds(20));
-  // 4 concurrent clients, 100 ms service: ~40 rps for ~19 s window.
-  EXPECT_NEAR(static_cast<double>(gen.completed()), 4.0 * 10.0 * 19.0,
-              80.0);
-  EXPECT_EQ(gen.failed(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Sweep runner: the golden determinism guarantee. The FIG4 experiment at
 // 40 RPS must produce bit-identical metrics — every scalar, counter and
