@@ -27,6 +27,7 @@
 #include "net/qdisc.h"
 #include "obs/metric_registry.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "stats/histogram.h"
 #include "workload/bench_harness.h"
 
@@ -127,6 +128,39 @@ static void BM_SchedulerCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SchedulerCancelHeavy);
+
+namespace {
+
+// The per-ACK RTO pattern through sim::Timer: an ACK every 10 us pushes a
+// connection's 200 ms retransmission timeout back, so the timeout's queue
+// entry surfaces and moves on about every 200 ms and fires once, at the
+// end.
+struct AckClock {
+  static constexpr int kAcks = 50000;
+  sim::Simulator sim;
+  sim::Timer rto{sim};
+  int left = kAcks;
+
+  void on_ack() {
+    rto.arm_after(sim::milliseconds(200), [] {});
+    if (--left > 0) {
+      sim.schedule_after(sim::microseconds(10), [this] { on_ack(); });
+    }
+  }
+};
+
+}  // namespace
+
+static void BM_TimerRearmLater(benchmark::State& state) {
+  for (auto _ : state) {
+    AckClock clock;
+    clock.sim.schedule_after(0, [&clock] { clock.on_ack(); });
+    clock.sim.run();
+    benchmark::DoNotOptimize(clock.sim.events_executed());
+  }
+  state.SetItemsProcessed(state.iterations() * AckClock::kAcks);
+}
+BENCHMARK(BM_TimerRearmLater);
 
 // Steady-state packet flow through the pool: one block copy per "send",
 // sliced into MSS segments, all refs dropped each round. Once the pool is
@@ -243,6 +277,23 @@ static void BM_WeightedPrioQdisc(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_WeightedPrioQdisc);
+
+// LI alone on a pod vNIC: only the 5% band is backlogged, with 9 kB
+// segments, so each dequeue needs ~19 rounds of the band's 474-byte
+// quantum before its head packet fits.
+static void BM_WeightedPrioQdiscLoneLowBand(benchmark::State& state) {
+  net::WeightedPrioQdisc qdisc({0.95, 0.05}, net::classify_by_dscp(),
+                               1 << 30);
+  net::Packet low;
+  low.dscp = net::Dscp::kScavenger;
+  low.payload = net::Payload::filled(9000, 'x');
+  for (auto _ : state) {
+    qdisc.enqueue(low);
+    benchmark::DoNotOptimize(qdisc.dequeue());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WeightedPrioQdiscLoneLowBand);
 
 static void BM_HeaderMapGet(benchmark::State& state) {
   http::HeaderMap headers;

@@ -162,8 +162,14 @@ bool WeightedPrioQdisc::enqueue(Packet packet) {
   return true;
 }
 
+void WeightedPrioQdisc::advance_cursor() noexcept {
+  turn_credited_ = false;
+  if (++round_cursor_ == bands_.size()) round_cursor_ = 0;
+}
+
 std::optional<Packet> WeightedPrioQdisc::dequeue() {
-  if (backlog_packets() == 0) return std::nullopt;
+  const std::uint64_t backlog = backlog_packets();
+  if (backlog == 0) return std::nullopt;
   // Deficit round robin. Each band receives its quantum exactly once per
   // turn (tracked by turn_credited_) and may transmit while its deficit
   // lasts; when the deficit cannot cover the head packet, the turn ends
@@ -178,8 +184,7 @@ std::optional<Packet> WeightedPrioQdisc::dequeue() {
     Band& band = bands_[round_cursor_];
     if (band.queue.empty()) {
       band.deficit = 0.0;
-      turn_credited_ = false;
-      round_cursor_ = (round_cursor_ + 1) % n;
+      advance_cursor();
       continue;
     }
     if (!turn_credited_) {
@@ -196,14 +201,45 @@ std::optional<Packet> WeightedPrioQdisc::dequeue() {
       note_dequeue(p);
       if (band.queue.empty()) {
         band.deficit = 0.0;
-        turn_credited_ = false;
-        round_cursor_ = (round_cursor_ + 1) % n;
+        advance_cursor();
       }
       return p;
     }
-    // Deficit exhausted for this turn: move on, keep the remainder.
+    if (band.queue.size() != backlog) {
+      // Deficit exhausted for this turn: move on, keep the remainder.
+      advance_cursor();
+      continue;
+    }
+    // This band is the only one backlogged (a 5% band with 9 kB segments
+    // needs ~19 rounds of credit). Each further round would zero the
+    // other, empty bands' deficits and credit this band once more, n
+    // iterations per round. Replay the rounds here: the same additions
+    // in the same order, so the deficit rounds exactly as the loop's,
+    // checked against the same iteration budget.
+    const std::size_t lone = round_cursor_;
+    std::size_t checked_at = attempts;  // iteration of the last failed check
+    while (checked_at + n < max_iterations) {
+      const double credited = band.deficit + band.quantum;
+      if (credited >= head_size) break;
+      band.deficit = credited;
+      checked_at += n;
+    }
+    // Bands the loop visits after the last failed check: a full round
+    // when the check at checked_at + n fits the budget, else only those
+    // the budget still reaches. Every round before it visited them all.
+    const std::size_t visits =
+        checked_at + n < max_iterations ? n - 1
+                                        : max_iterations - 1 - checked_at;
+    const std::size_t zeroed = checked_at > attempts ? n - 1 : visits;
+    for (std::size_t i = 1, b = lone; i <= zeroed; ++i) {
+      if (++b == n) b = 0;
+      bands_[b].deficit = 0.0;
+    }
     turn_credited_ = false;
-    round_cursor_ = (round_cursor_ + 1) % n;
+    // The check at checked_at + n serves: the next iteration makes it.
+    if (checked_at + n < max_iterations) continue;
+    for (std::size_t i = 0; i <= visits; ++i) advance_cursor();
+    break;
   }
   // Unreachable with growing deficits; serve any head as a safety valve.
   for (Band& band : bands_) {

@@ -151,6 +151,8 @@ class WeightedPrioQdisc : public Qdisc {
   /// the current turn.
   bool turn_credited_ = false;
   int clamp_band(int band) const noexcept;
+  /// Ends the turn at round_cursor_ and moves to the next band.
+  void advance_cursor() noexcept;
 };
 
 }  // namespace meshnet::net

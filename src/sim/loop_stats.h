@@ -13,6 +13,9 @@
 
 namespace meshnet::sim {
 
+/// A sim::Timer re-arm that postpones its event counts as no schedule and
+/// no cancel; the event's re-insert when its stale entry surfaces counts
+/// as a heap push, wheel push or due merge like any other insert.
 struct LoopStats {
   std::uint64_t scheduled = 0;        ///< schedule_at/schedule_after calls
   std::uint64_t executed = 0;         ///< events fired

@@ -58,6 +58,7 @@ void Simulator::free_slot(std::uint32_t index) noexcept {
   Slot& slot = slots_[index];
   slot.task.reset();  // release captures eagerly
   ++slot.gen;         // invalidates the EventId and any queued Entry
+  slot.postponed = false;
   slot.next_free = free_head_;
   free_head_ = index;
 }
@@ -82,6 +83,27 @@ EventId Simulator::schedule_at(Time when, InlineTask fn) {
 EventId Simulator::schedule_after(Duration delay, InlineTask fn) {
   if (delay < 0) delay = 0;
   return schedule_at(now_ + delay, std::move(fn));
+}
+
+bool Simulator::postpone(EventId id, Time when, InlineTask& fn) {
+  check_shard_affinity();
+  if (!pending(id)) return false;
+  const auto index = static_cast<std::uint32_t>(id) - 1;
+  if (index >= postponed_.size()) postponed_.resize(slots_.size());
+  if (fn.heap_allocated()) ++stats_.task_heap_allocs;
+  Slot& slot = slots_[index];
+  InlineTask replaced = std::move(slot.task);
+  slot.task = std::move(fn);
+  slot.postponed = true;
+  // The seq a cancel plus a fresh schedule_at would draw here.
+  postponed_[index] = Postponement{when, next_seq_++};
+  return true;
+}
+
+void Simulator::requeue(Entry e) {
+  slots_[e.slot].postponed = false;
+  const Postponement& to = postponed_[e.slot];
+  insert_entry(Entry{to.when, to.seq, e.slot, e.gen});
 }
 
 bool Simulator::cancel(EventId id) {
@@ -113,8 +135,7 @@ bool Simulator::cancel(EventId id) {
 void Simulator::insert_entry(const Entry& e) {
   if (due_horizon_ != kNoHorizon && e.when < due_horizon_) {
     // The event lands inside the tick currently draining: merge it into
-    // the due run to keep global (when, seq) order. Its seq is the
-    // global max, so it sorts after every existing equal-`when` entry.
+    // the due run to keep global (when, seq) order.
     const auto pos = std::upper_bound(due_.begin() + due_head_, due_.end(),
                                       e, entry_less);
     due_.insert(pos, e);
@@ -284,30 +305,31 @@ Time Simulator::next_when() {
       heap_pop();
       if (heap_tombstones_ > 0) --heap_tombstones_;
     }
+    bool from_heap = true;
     if (due_head_ < due_.size()) {
-      const Entry& front = due_[due_head_];
-      if (!heap_.empty() && entry_less(heap_.front(), front)) {
-        return heap_.front().when;
+      from_heap = !heap_.empty() && entry_less(heap_.front(), due_[due_head_]);
+    } else {
+      // Current due run exhausted; the wheel may hold the next tick. The
+      // heap wins outright only when its top fires strictly before every
+      // wheel tick — on a tie the tick is drained so heap and wheel
+      // events merge in exact (when, seq) order.
+      due_.clear();
+      due_head_ = 0;
+      due_horizon_ = kNoHorizon;
+      if (wheel_entries_ > 0) {
+        const std::int64_t best = wheel_min_tick();
+        if (best >= 0 &&
+            (heap_.empty() || (heap_.front().when >> kTickBits) >= best)) {
+          drain_tick(best);
+          continue;
+        }
       }
-      return front.when;
+      if (heap_.empty()) return kNoEvent;
     }
-    // Current due run exhausted; the wheel may hold the next tick. The
-    // heap wins outright only when its top fires strictly before every
-    // wheel tick — on a tie the tick is drained so heap and wheel
-    // events merge in exact (when, seq) order.
-    due_.clear();
-    due_head_ = 0;
-    due_horizon_ = kNoHorizon;
-    if (wheel_entries_ > 0) {
-      const std::int64_t best = wheel_min_tick();
-      if (best >= 0 &&
-          (heap_.empty() || (heap_.front().when >> kTickBits) >= best)) {
-        drain_tick(best);
-        continue;
-      }
-    }
-    if (heap_.empty()) return kNoEvent;
-    return heap_.front().when;
+    const Entry& next = from_heap ? heap_.front() : due_[due_head_];
+    if (!stale(next)) return next.when;
+    // A postponed event's entry surfaced: move it on, fire nothing.
+    requeue(from_heap ? heap_pop() : due_[due_head_++]);
   }
 }
 

@@ -8,8 +8,9 @@
 // reproducible.
 //
 // A component that owns a timeout holds a sim::Timer (sim/timer.h), not a
-// raw EventId: the timer keeps at most one event pending and cancels it
-// on re-arm and on destruction.
+// raw EventId: the timer keeps at most one event pending, postpones it in
+// place when re-armed for a later time (postpone()), and cancels it when
+// re-armed for an earlier time and on destruction.
 //
 // Hot-path layout (see DESIGN.md "Performance model"):
 //
@@ -25,6 +26,11 @@
 //    the heap and wheel compact lazily once tombstones exceed half
 //    their population, so cancelled far-future timers cannot
 //    accumulate.
+//  - A postponed event keeps its queued entry: the slot takes the new
+//    callable and a flag, a side table the new (when, seq), and when the
+//    stale entry surfaces it is re-inserted at that key instead of
+//    firing. The seq is drawn at postpone() time, so the order is the
+//    one a cancel plus a fresh schedule would give.
 //  - Execution order is always resolved by exact (when, seq)
 //    comparisons: the wheel drains one tick at a time into a sorted
 //    "due" run that is merge-compared against the heap top, so the
@@ -129,6 +135,19 @@ class Simulator {
   const LoopStats& loop_stats() const noexcept { return stats_; }
 
  private:
+  friend class Timer;
+
+  /// sim::Timer's re-arm for a time `when` at or after the pending
+  /// event's current time, which the timer tracks (the engine keeps no
+  /// per-event time outside its queue entries). Replaces the callable
+  /// with `fn` and keeps the id and the queue entry: no cancel, no
+  /// insert. The event then runs exactly where a cancel plus
+  /// schedule_at(when, fn) would have put it, because the (when, seq)
+  /// it will be re-inserted at is drawn now. Returns false, leaving `fn`
+  /// untouched, when `id` is not pending. The replaced callable is
+  /// released before this returns.
+  bool postpone(EventId id, Time when, InlineTask& fn);
+
   // -- timer wheel geometry ------------------------------------------------
   static constexpr int kTickBits = 13;  ///< 8.192 us per level-0 tick
   static constexpr int kSlotBits = 6;   ///< 64 slots per level
@@ -151,6 +170,16 @@ class Simulator {
     std::uint32_t gen = 1;             ///< bumped on free; tags EventIds
     std::uint32_t next_free = kNilSlot;
     Where where = Where::kHeap;
+    /// The queued entry is stale: the event runs at postponed_[slot].
+    bool postponed = false;
+  };
+
+  /// Where a postponed event runs. Kept beside the slots, not in them:
+  /// only postpone() and requeue() read it, and every event touches its
+  /// slot, which stays small.
+  struct Postponement {
+    Time when;
+    std::uint64_t seq;
   };
 
   /// 24-byte pending-event reference; the callable stays in its slot.
@@ -167,6 +196,11 @@ class Simulator {
 
   bool dead(const Entry& e) const noexcept {
     return slots_[e.slot].gen != e.gen;
+  }
+
+  /// A live entry whose event was postponed past it.
+  bool stale(const Entry& e) const noexcept {
+    return slots_[e.slot].postponed;
   }
 
   std::int64_t cur_tick() const noexcept { return now_ >> kTickBits; }
@@ -189,6 +223,8 @@ class Simulator {
   void free_slot(std::uint32_t index) noexcept;
 
   void insert_entry(const Entry& e);
+  /// Re-inserts a stale entry where its event was postponed to.
+  void requeue(Entry e);
   void wheel_insert(int level, const Entry& e);
 
   void heap_push(const Entry& e);
@@ -221,6 +257,7 @@ class Simulator {
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
+  std::vector<Postponement> postponed_;  ///< indexed by slot; grown lazily
 
   std::vector<Entry> heap_;  ///< 4-ary min-heap ordered by (when, seq)
   std::size_t heap_tombstones_ = 0;

@@ -10,12 +10,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <queue>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/timer.h"
 
 namespace meshnet::sim {
 namespace {
@@ -231,6 +234,132 @@ TEST(SchedulerProperty, MatchesModelWithReentrantScheduleAndCancel) {
     if (driver.fired[i] != model.fired[i]) break;  // avoid noise cascades
   }
   EXPECT_EQ(driver.sim.pending_events(), 0u);
+}
+
+// ---- Lazy timers against eager cancel-plus-schedule --------------------
+
+// N timeouts re-armed, disarmed and left to fire in random order, by the
+// test and by their own callbacks (which also schedule plain events, so
+// ties at one time mix timer and non-timer events). One engine holds
+// sim::Timers, whose later re-arms postpone; the other cancels and
+// schedules on every re-arm. Both must run the same events at the same
+// times in the same order.
+template <bool kLazy>
+struct TimerHarness {
+  static constexpr int kTimers = 24;
+
+  Simulator sim;
+  std::vector<std::unique_ptr<Timer>> timers;
+  std::vector<EventId> ids = std::vector<EventId>(kTimers, kInvalidEventId);
+  std::vector<Time> deadline = std::vector<Time>(kTimers, 0);
+  std::vector<std::pair<Time, int>> log;
+  std::uint64_t rng = 0x2545f4914f6cdd1dULL;
+  int budget = 20000;
+
+  TimerHarness() {
+    for (int i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<Timer>(sim));
+    }
+  }
+
+  void arm(int i, Time when) {
+    deadline[static_cast<std::size_t>(i)] = std::max(when, sim.now());
+    auto fire = [this, i] { fired(i); };
+    if constexpr (kLazy) {
+      timers[static_cast<std::size_t>(i)]->arm_at(when, fire);
+    } else {
+      sim.cancel(ids[static_cast<std::size_t>(i)]);
+      ids[static_cast<std::size_t>(i)] = sim.schedule_at(when, fire);
+    }
+  }
+
+  void disarm(int i) {
+    if constexpr (kLazy) {
+      timers[static_cast<std::size_t>(i)]->disarm();
+    } else {
+      sim.cancel(ids[static_cast<std::size_t>(i)]);
+    }
+  }
+
+  void fired(int i) {
+    log.emplace_back(sim.now(), i);
+    if (--budget <= 0) return;
+    const std::uint64_t r = splitmix64(rng);
+    switch (r % 6) {
+      case 0:  // re-arm itself (the RTO pattern)
+        arm(i, sim.now() + interesting_delay(r >> 3));
+        break;
+      case 1:  // re-arm itself, then push it back
+        arm(i, sim.now() + interesting_delay(r >> 3));
+        arm(i, deadline[static_cast<std::size_t>(i)] +
+                   static_cast<Duration>((r >> 40) % 3) * 8192);
+        break;
+      case 2: {  // re-arm a neighbour: later, earlier or equal
+        const int j = static_cast<int>((r >> 8) % kTimers);
+        arm(j, sim.now() + interesting_delay(r >> 16));
+        break;
+      }
+      case 3: {  // a plain event that may tie with a timer
+        const int label = 1000 + static_cast<int>((r >> 8) % 1000);
+        sim.schedule_at(deadline[(r >> 20) % kTimers],
+                        [this, label] { log.emplace_back(sim.now(), label); });
+        break;
+      }
+      case 4:
+        disarm(static_cast<int>((r >> 8) % kTimers));
+        break;
+      default:
+        break;
+    }
+  }
+
+  /// One step of the test's own script: the same for both engines.
+  void step(std::uint64_t r) {
+    const int i = static_cast<int>((r >> 4) % kTimers);
+    switch (r % 5) {
+      case 0:
+      case 1:
+        arm(i, sim.now() + interesting_delay(r >> 12));
+        break;
+      case 2:  // the same deadline again
+        arm(i, deadline[static_cast<std::size_t>(i)]);
+        break;
+      case 3:
+        disarm(i);
+        break;
+      default:
+        sim.run_until(sim.now() + 1 +
+                      static_cast<Duration>((r >> 12) % 3'000'000));
+        break;
+    }
+  }
+};
+
+TEST(SchedulerProperty, LazyTimersMatchCancelAndSchedule) {
+  TimerHarness<true> lazy;
+  TimerHarness<false> eager;
+  std::uint64_t script = 42;
+  for (int n = 0; n < 10000; ++n) {
+    const std::uint64_t r = splitmix64(script);
+    lazy.step(r);
+    eager.step(r);
+    ASSERT_EQ(lazy.sim.now(), eager.sim.now()) << "step " << n;
+    ASSERT_EQ(lazy.sim.pending_events(), eager.sim.pending_events())
+        << "step " << n;
+    ASSERT_EQ(lazy.log.size(), eager.log.size()) << "step " << n;
+  }
+  lazy.sim.run();
+  eager.sim.run();
+  ASSERT_EQ(lazy.log.size(), eager.log.size());
+  for (std::size_t i = 0; i < eager.log.size(); ++i) {
+    ASSERT_EQ(lazy.log[i], eager.log[i]) << "position " << i;
+  }
+  EXPECT_GT(eager.log.size(), 5000u);
+  EXPECT_EQ(lazy.sim.events_executed(), eager.sim.events_executed());
+  // The lazy engine postponed the later re-arms instead of cancelling.
+  EXPECT_LT(lazy.sim.loop_stats().cancelled,
+            eager.sim.loop_stats().cancelled);
+  EXPECT_LT(lazy.sim.loop_stats().scheduled, eager.sim.loop_stats().scheduled);
 }
 
 // ---- Cancel semantics against the model --------------------------------

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -425,15 +426,117 @@ TEST(Timer, RearmEarlierLeavesOnePendingEvent) {
   EXPECT_EQ(fired, std::vector<Time>{100});
 }
 
+// A later re-arm is lazy: the pending event keeps its one queue entry,
+// nothing is cancelled, and it fires once, at the later time, running
+// the latest callable.
 TEST(Timer, RearmLaterLeavesOnePendingEvent) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<std::pair<Time, char>> fired;
+  timer.arm_at(100, [&] { fired.emplace_back(sim.now(), 'a'); });
+  timer.arm_at(200, [&] { fired.emplace_back(sim.now(), 'b'); });
+  timer.arm_at(200, [&] { fired.emplace_back(sim.now(), 'c'); });
+  const LoopStats& stats = sim.loop_stats();
+  EXPECT_EQ(stats.scheduled, 1u);
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_EQ(stats.wheel_pushes + stats.heap_pushes + stats.due_merges, 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<Time, char>>{{200, 'c'}}));
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_FALSE(timer.armed());
+}
+
+// Earlier than the pending time cancels, also when the queue entry (still
+// at the first arm's time) would surface before the new time.
+TEST(Timer, RearmEarlierThanAPostponedTimeCancelsAndFiresEarly) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<std::pair<Time, char>> fired;
+  timer.arm_at(100, [&] { fired.emplace_back(sim.now(), 'a'); });
+  timer.arm_at(300, [&] { fired.emplace_back(sim.now(), 'b'); });
+  timer.arm_at(150, [&] { fired.emplace_back(sim.now(), 'c'); });
+  EXPECT_EQ(sim.loop_stats().cancelled, 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<std::pair<Time, char>>{{150, 'c'}}));
+}
+
+// The stale entry surfaces at the first arm's time and moves on; the timer
+// stays armed through it and nothing runs early.
+TEST(Timer, ArmedAcrossAPostponedSurfacing) {
   Simulator sim;
   Timer timer(sim);
   std::vector<Time> fired;
   timer.arm_at(100, [&] { fired.push_back(sim.now()); });
-  timer.arm_at(200, [&] { fired.push_back(sim.now()); });
+  timer.arm_at(300, [&] { fired.push_back(sim.now()); });
+  sim.run_until(200);
+  EXPECT_TRUE(timer.armed());
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.events_executed(), 0u);
   EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.next_event_time(), 300);
+  // Postponing again after the surfacing is lazy too.
+  timer.arm_at(400, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.loop_stats().cancelled, 0u);
   sim.run();
-  EXPECT_EQ(fired, std::vector<Time>{200});
+  EXPECT_EQ(fired, std::vector<Time>{400});
+}
+
+// A postponed event runs where a cancel plus a fresh schedule would have
+// put it: after what was scheduled for the same time before the re-arm,
+// before what was scheduled after it.
+TEST(Timer, PostponedEventKeepsTheOrderOfAFreshSchedule) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<char> order;
+  timer.arm_at(100, [&] { order.push_back('x'); });
+  sim.schedule_at(200, [&] { order.push_back('a'); });
+  timer.arm_at(200, [&] { order.push_back('t'); });
+  sim.schedule_at(200, [&] { order.push_back('b'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 't', 'b'}));
+}
+
+// Postponing releases the replaced callable's captures at once; a disarm
+// afterwards cancels and releases the latest ones.
+TEST(Timer, DisarmAfterAPostponeCancelsAndReleasesCaptures) {
+  Simulator sim;
+  Timer timer(sim);
+  auto first = std::make_shared<int>(1);
+  auto second = std::make_shared<int>(2);
+  timer.arm_at(100, [first] { (void)first; });
+  timer.arm_at(200, [second] { (void)second; });
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 2);
+  timer.disarm();
+  EXPECT_EQ(second.use_count(), 1);
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.loop_stats().cancelled, 1u);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+// A callback re-arms its own timer (a schedule: its event just ran) and
+// then pushes that new deadline back (a postpone).
+TEST(Timer, CallbackCanRearmAndPostponeItsOwnTimer) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<Time> fired;
+  std::function<void()> on_fire = [&] {
+    fired.push_back(sim.now());
+    if (fired.size() < 3) {
+      timer.arm_after(10, on_fire);
+      timer.arm_after(25, on_fire);
+    }
+  };
+  timer.arm_after(10, on_fire);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{10, 35, 60}));
+  EXPECT_EQ(sim.loop_stats().cancelled, 0u);
+  EXPECT_EQ(sim.loop_stats().scheduled, 3u);
 }
 
 TEST(Timer, DisarmCancels) {
@@ -511,7 +614,7 @@ TEST(Timer, DisarmingAnIdleOrFiredTimerIsANoOp) {
 // that task destroys the timer from inside the release, which must not
 // cancel the event a second time (the std::string capture makes a double
 // release a double free).
-struct SelfOwned {
+struct SelfOwned : std::enable_shared_from_this<SelfOwned> {
   SelfOwned(Simulator& sim, int* destroyed)
       : timer(sim), destroyed(destroyed) {}
   ~SelfOwned() { ++*destroyed; }
@@ -544,6 +647,26 @@ TEST(Timer, SimulatorTeardownReleasesATaskThatOwnsItsTimer) {
     EXPECT_EQ(destroyed, 0);
   }
   EXPECT_EQ(destroyed, 1);
+}
+
+// The same owner, postponed by a callable that also owns it: teardown
+// releases it whether or not its stale entry has surfaced.
+TEST(Timer, SimulatorTeardownReleasesAPostponedTaskThatOwnsItsTimer) {
+  for (const Time run_to : {Time{50}, Time{150}}) {
+    int destroyed = 0;
+    {
+      Simulator sim;
+      SelfOwned* owner = SelfOwned::arm(sim, &destroyed);
+      owner->timer.arm_at(300, [self = owner->shared_from_this(),
+                                tag = std::string(64, 'y')] {
+        (void)self;
+        (void)tag;
+      });
+      sim.run_until(run_to);
+      EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1) << "run to " << run_to;
+  }
 }
 
 // A request queue's cancel: erase keeps the survivors in FIFO order,

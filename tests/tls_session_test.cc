@@ -332,6 +332,29 @@ TEST(TlsHandshake, TimeoutFailsCleanlyWithoutPeer) {
   EXPECT_EQ(rt.metrics().handshake_failures->value(), 1u);
 }
 
+// The handshake timeout's callable holds the channel, so a channel that
+// nobody else holds lives until the timeout fires, or until simulator
+// teardown releases the pending callable (LSan checks for a leak).
+TEST(TlsHandshake, SimulatorTeardownReleasesAChannelItsTimeoutOwns) {
+  TlsParams params;
+  params.enabled = true;
+  const Certificate cert = make_cert(1, 0, sim::seconds(3600));
+  TlsRuntime rt(nullptr, 16);
+  std::weak_ptr<TlsChannel> weak;
+  {
+    sim::Simulator sim;
+    auto client = std::make_shared<TlsChannel>(
+        sim, TlsChannel::Role::kClient, &params, &cert, &rt, "peer:1");
+    client->set_send_wire([](std::string) {});
+    client->start();
+    weak = client;
+    client.reset();
+    sim.run_until(kTlsHandshakeTimeout / 2);
+    EXPECT_FALSE(weak.expired());
+  }
+  EXPECT_TRUE(weak.expired());
+}
+
 // ----------------------------------------------------- session cache --
 
 TEST(TlsSessionCacheTest, EvictionBoundsAndLruOrder) {

@@ -499,6 +499,46 @@ TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
   EXPECT_EQ(host_a->stats().timeouts, 11u);
 }
 
+// An ACK after a timeout resets the backoff, so the next RTO deadline is
+// earlier than the backed-off one armed when the timeout fired. The
+// retransmission must follow the earlier deadline.
+TEST_F(TransportFixture, RetransmitFollowsAnEarlierRtoDeadline) {
+  build(1e9, sim::milliseconds(1));
+  std::string received;
+  host_b->listen(80, [&](Connection& c) {
+    c.set_on_data([&](std::string_view d) { received.append(d); });
+  });
+  ConnectionOptions options;
+  options.mss = 1000;
+  Connection& client = host_a->connect({ip_b, 80}, options);
+  client.send("x");  // one RTT sample of ~2 ms: the RTO drops to kMinRto
+  sim.run_until(sim::milliseconds(50));
+  ASSERT_EQ(received, "x");
+  ASSERT_EQ(client.stats().timeouts, 0u);
+
+  // Three segments into a dead link; the first RTO (t0 + 200 ms) resends
+  // the first under a one-segment window and backs off to t0 + 600 ms.
+  const sim::Time t0 = sim.now();
+  ab->set_up(false);
+  client.send(std::string(3000, 'r'));
+  sim.run_until(t0 + sim::milliseconds(100));
+  ab->set_up(true);
+  sim.run_until(t0 + kMinRto);
+  ASSERT_EQ(client.stats().timeouts, 1u);
+  // The resent segment is on the wire; its ACK (t0 + ~202 ms) resets the
+  // backoff and re-arms at t0 + ~402 ms, sending the other two, which die.
+  sim.run_until(t0 + kMinRto + sim::microseconds(1500));
+  ab->set_up(false);
+  sim.run_until(t0 + sim::milliseconds(300));
+  ab->set_up(true);
+  EXPECT_EQ(received.size(), 1u + 1000u);
+  sim.run_until(t0 + sim::milliseconds(401));
+  EXPECT_EQ(client.stats().timeouts, 1u);
+  sim.run_until(t0 + sim::milliseconds(420));
+  EXPECT_EQ(client.stats().timeouts, 2u);
+  EXPECT_EQ(received.size(), 1u + 3000u);
+}
+
 TEST_F(TransportFixture, ConnectionsAreRemovedAfterClose) {
   build();
   host_b->listen(80, [&](Connection& c) { c.set_on_data([](std::string_view) {}); });
