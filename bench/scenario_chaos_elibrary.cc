@@ -4,7 +4,7 @@
 // reviews-v1 replica for --fault-duration-s and flaps the ratings
 // bottleneck vNIC through the same window:
 //   resilient  active health checking, circuit breakers, per-try timeouts
-//              and budgeted retries;
+//              and retries;
 //   baseline   all of that off, the mesh as a dumb pipe.
 // LS goodput, success rate, p50 and p99 are reported for the before /
 // during / after phases of both arms, so the resilience machinery's value
@@ -60,11 +60,7 @@ std::vector<Arm> arms(const Args& args) {
   control.sample_bottleneck = false;
 
   workload::ElibraryExperimentConfig resilient = control;
-  // Budget sized so crash-recovery retries (a burst, but a small
-  // fraction of in-flight) are admitted while a retry storm is not.
-  workload::apply_resilience_policies(resilient.app.policies,
-                                      /*retry_budget=*/0.2,
-                                      /*budget_min_concurrency=*/10);
+  workload::apply_resilience_policies(resilient.app.policies);
   workload::ElibraryExperimentConfig baseline = control;
   mesh::MeshPolicies& dumb_pipe = baseline.app.policies;
   dumb_pipe.retry.max_retries = 0;
@@ -111,9 +107,7 @@ const Scenario kChaosElibraryScenario = {
                {.columns = {{"evictions", "health_evictions"},
                             {"readmissions", "health_readmissions"},
                             {"breaker events", "breaker_events"},
-                            {"retries", "upstream_retries"},
-                            {"denied by budget",
-                             "retries_denied_by_budget"}}}},
+                            {"retries", "upstream_retries"}}}},
     .checks = checks,
 };
 

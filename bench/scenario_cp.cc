@@ -5,7 +5,7 @@
 // crashes and restarts the two reviews replicas every --churn-period-s,
 // so the service registry keeps changing while nobody is pushing config:
 // the data plane must serve stale-while-revalidate — last-good endpoints
-// keep routing, active health checking (with flap damping) does the fast
+// keep routing, active health checking does the fast
 // detection, and discovery staleness grows. When the control plane
 // recovers it reconverges the mesh with paced, jittered pushes. Two arms:
 //   outage   the control plane crashes for the outage window;
@@ -40,15 +40,6 @@ constexpr sim::Duration kReconvergePacing = sim::milliseconds(25);
 constexpr sim::Duration kCertificateLifetime = sim::seconds(20);
 constexpr double kCertRefreshAhead = 0.25;
 
-/// Flap damping for the churn storm (see HealthCheckConfig). The
-/// threshold sits above what the alternating reviews churn produces
-/// (~5 transitions per 10 s window): the damper is armed as a safety
-/// valve against pathological flapping without suppressing the only
-/// replica capacity the storm leaves standing.
-constexpr std::uint32_t kFlapMaxTransitions = 8;
-constexpr sim::Duration kFlapWindow = sim::seconds(10);
-constexpr sim::Duration kFlapPenalty = sim::seconds(3);
-
 /// The outage starts this long into the measured window.
 constexpr sim::Duration kOutageOffset = sim::seconds(5);
 
@@ -68,17 +59,9 @@ std::vector<Arm> arms(const Args& args) {
   workload::ElibraryExperimentConfig control = fault_control(args);
   mesh::MeshPolicies& policies = control.app.policies;
   // Data-plane resilience, same stance as the CHAOS experiment: the churn
-  // storm is detected by active health checking, absorbed by breakers and
-  // budgeted retries. A churn storm is not an overload: at each
-  // blind-window edge roughly half the in-flight set legitimately needs
-  // one failover retry, so the budget is provisioned for that (storm
-  // amplification is still capped; overload protection proper is the
-  // breakers' and admission's job).
-  workload::apply_resilience_policies(policies, /*retry_budget=*/0.5,
-                                      /*budget_min_concurrency=*/20);
-  policies.health_check.flap_max_transitions = kFlapMaxTransitions;
-  policies.health_check.flap_window = kFlapWindow;
-  policies.health_check.flap_penalty = kFlapPenalty;
+  // storm is detected by active health checking and absorbed by breakers
+  // and retries.
+  workload::apply_resilience_policies(policies);
   // The push channel is a real simulated network: latency, ack timeouts,
   // paced reconvergence.
   policies.cp.push_latency_base = kPushLatencyBase;
@@ -173,9 +156,7 @@ const Scenario kCpScenario = {
                             {"noop skips", "push_skipped_noop"},
                             {"cert rotations", "cert_rotations"}}},
                {.title = "data plane:",
-                .columns = {{"damped readmissions", "flap_damps"},
-                            {"retries", "upstream_retries"},
-                            {"denied by budget", "retries_denied_by_budget"},
+                .columns = {{"retries", "upstream_retries"},
                             {"panic picks", "panic_picks"},
                             {"deadline timeouts", "timeouts"},
                             {"upstream failures", "upstream_failures"}}}},

@@ -30,6 +30,9 @@
 // handshake counters are nonzero where the arm implies them; and the
 // per-hop arm performs fewer handshakes than the mesh-wide one.
 
+#include <cmath>
+#include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 #include "scenario.h"
@@ -39,6 +42,11 @@ namespace {
 
 /// How long the storm keeps every pod down.
 constexpr sim::Duration kStormRestartDelay = sim::milliseconds(200);
+
+/// LS arrivals the post-storm window must hold. With fewer, the
+/// nearest-rank p99 is the window's maximum, and the resumption check
+/// would compare two single outliers.
+constexpr double kMinPostStormRequests = 100;
 
 /// Report keys read from the mesh-wide `tls_*` series, and the
 /// certificate rotations.
@@ -61,12 +69,25 @@ std::vector<Arm> arms(const Args& args) {
   workload::ElibraryExperimentConfig control = fault_control(args);
   // Data-plane resilience, same stance as the chaos experiments: the
   // storm's reconnect wave is absorbed by health checking, breakers and
-  // budgeted retries — identically across arms, so the measured deltas
-  // are pure crypto cost.
-  workload::apply_resilience_policies(control.app.policies,
-                                      /*retry_budget=*/0.5,
-                                      /*budget_min_concurrency=*/20);
+  // retries — identically across arms, so the measured deltas are pure
+  // crypto cost.
+  workload::apply_resilience_policies(control.app.policies);
   control.extra_epoch_before_run = true;
+  const double ls_rps = args.real("ls-rps");
+  const double post_requests =
+      ls_rps * sim::to_seconds(control.duration - control.duration / 2);
+  if (post_requests < kMinPostStormRequests) {
+    char message[256];
+    std::snprintf(message, sizeof message,
+                  "the post-storm window holds %.0f LS requests at "
+                  "--ls-rps=%g --duration=%lld; its p99 needs at least %.0f "
+                  "(--duration >= %.0f at this rate)",
+                  post_requests, ls_rps,
+                  static_cast<long long>(args.duration_s()),
+                  kMinPostStormRequests,
+                  std::ceil(2 * kMinPostStormRequests / ls_rps));
+    throw std::invalid_argument(message);
+  }
   const sim::Time storm_at = control.warmup + control.duration / 2;
   control.phases = {{"pre", control.warmup}, {"post", storm_at}};
 

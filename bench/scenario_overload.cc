@@ -23,15 +23,13 @@ namespace {
 
 constexpr double kLoadFactors[] = {0.5, 1.0, 2.0, 3.0};
 
-/// Report keys read from the `admission_*` series: sheds by class and by
-/// reason, admissions and queued arrivals.
+/// Report keys read from the `admission_*` series: sheds by class (every
+/// shed is `queue-full`), admissions and queued arrivals.
 const std::vector<workload::ReportSeries> kSeries = {
     {"ls_shed", "admission_shed_total", {{"class", "latency-sensitive"}}},
     {"li_shed", "admission_shed_total", {{"class", "scavenger"}}},
     {"default_shed", "admission_shed_total", {{"class", "default"}}},
     {"shed_queue_full", "admission_shed_total", {{"reason", "queue-full"}}},
-    {"shed_deadline", "admission_shed_total", {{"reason", "deadline"}}},
-    {"shed_preempted", "admission_shed_total", {{"reason", "preempted"}}},
     {"admission_accepted", "admission_accepted_total", {}},
     {"admission_queued", "admission_queued_total", {}},
 };
@@ -54,25 +52,18 @@ workload::ElibraryExperimentConfig control(const Args& args) {
   app.app_max_concurrency = 7;
 
   mesh::MeshPolicies& policies = app.policies;
-  // A short end-to-end deadline makes deadline-aware shedding observable
-  // and bounds the drain tail.
+  // A short end-to-end deadline bounds the drain tail.
   policies.request_timeout = sim::seconds(2);
   policies.retry.max_retries = 1;
-  policies.retry.retry_budget = 0.2;
 
   mesh::AdmissionConfig& admission = policies.admission;
   admission.queue_capacity = 64;
-  admission.shed_retries_first = true;
-  // Four of the seven slots are reserved: an LS arrival waits only when
-  // four LS requests are already in flight (~0.4% at 10 rps x 63 ms),
-  // while uncontended LI load (~2.3 concurrent) fits the other three.
+  // One admission slot per app worker. Four of the seven are reserved:
+  // an LS arrival waits only when four LS requests are already in flight
+  // (~0.4% at 10 rps x 63 ms), while uncontended LI load (~2.3
+  // concurrent) fits the other three.
+  admission.concurrency_limit = 7;
   admission.reserve_slots = 4;
-  admission.limit.initial_limit = 7;
-  admission.limit.min_limit = 2;
-  admission.limit.max_limit = 12;
-  admission.limit.window = sim::milliseconds(200);
-  admission.limit.min_window_samples = 5;
-  admission.limit.latency_tolerance = 2.0;
 
   // Classification at the gateway + provenance propagation are what give
   // the admission controllers a priority to act on; both arms run with
@@ -150,14 +141,12 @@ const Scenario kOverloadScenario = {
                             {"LI err", "li_errors"},
                             {"LI p99", "li_p99_ms"},
                             {"timeouts", "timeouts"}}},
-               {.title = "sheds by class and reason, and retries the "
-                         "overload marker suppressed:",
+               {.title = "sheds by class, and retries the overload "
+                         "marker suppressed:",
                 .columns = {{"LS", "ls_shed"},
                             {"LI", "li_shed"},
                             {"default", "default_shed"},
                             {"queue-full", "shed_queue_full"},
-                            {"deadline", "shed_deadline"},
-                            {"preempted", "shed_preempted"},
                             {"retries suppressed",
                              "retries_suppressed_by_overload"}}}},
     .checks = checks,

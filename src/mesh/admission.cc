@@ -1,7 +1,5 @@
 #include "mesh/admission.h"
 
-#include <charconv>
-#include <iterator>
 #include <utility>
 
 #include "http/header_map.h"
@@ -16,74 +14,33 @@ constexpr std::array<TrafficClass, 3> kClassOfRank = {
     TrafficClass::kScavenger,
 };
 
-int parse_int_or(std::string_view text, int fallback) noexcept {
-  int value = fallback;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc{} ? value : fallback;
-}
-
 }  // namespace
 
-std::string_view shed_reason_name(ShedReason reason) noexcept {
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      return "queue-full";
-    case ShedReason::kDeadline:
-      return "deadline";
-    case ShedReason::kPreempted:
-      return "preempted";
-  }
-  return "?";
-}
-
-AdmissionController::AdmissionController(std::string service,
+AdmissionController::AdmissionController(const std::string& service,
                                          AdmissionConfig config,
                                          obs::MetricRegistry* registry)
-    : service_(std::move(service)), config_(config), limit_(config.limit) {
+    : config_(config) {
   if (registry == nullptr) {
     owned_registry_ = std::make_unique<obs::MetricRegistry>();
     registry = owned_registry_.get();
   }
-  registry_ = registry;
   for (int rank = 0; rank < 3; ++rank) {
     const std::string klass =
         std::string(traffic_class_name(kClassOfRank[rank]));
-    const obs::Labels labels = {{"service", service_}, {"class", klass}};
+    const obs::Labels labels = {{"service", service}, {"class", klass}};
     accepted_by_class_[rank] =
-        &registry_->counter("admission_accepted_total", labels);
+        &registry->counter("admission_accepted_total", labels);
     queued_by_class_[rank] =
-        &registry_->counter("admission_queued_total", labels);
+        &registry->counter("admission_queued_total", labels);
     completed_by_class_[rank] =
-        &registry_->counter("admission_completed_total", labels);
-    for (const ShedReason reason :
-         {ShedReason::kQueueFull, ShedReason::kDeadline,
-          ShedReason::kPreempted}) {
-      shed_by_class_reason_[rank][static_cast<int>(reason)] =
-          &registry_->counter(
-              "admission_shed_total",
-              {{"service", service_},
-               {"class", klass},
-               {"reason", std::string(shed_reason_name(reason))}});
-    }
+        &registry->counter("admission_completed_total", labels);
+    shed_by_class_[rank] = &registry->counter(
+        "admission_shed_total", {{"service", service},
+                                 {"class", klass},
+                                 {"reason", std::string(kShedQueueFull)}});
   }
-  const obs::Labels service_labels = {{"service", service_}};
   queue_depth_gauge_ =
-      &registry_->gauge("admission_queue_depth_peak", service_labels);
-  concurrency_limit_gauge_ =
-      &registry_->gauge("admission_concurrency_limit", service_labels);
-  concurrency_limit_gauge_->set(static_cast<double>(limit_.limit()));
-  limit_increase_total_ =
-      &registry_->counter("admission_limit_increase_total", service_labels);
-  limit_decrease_total_ =
-      &registry_->counter("admission_limit_decrease_total", service_labels);
-  limit_.set_on_limit_change([this](std::uint32_t new_limit) {
-    const auto old_limit =
-        static_cast<std::uint32_t>(concurrency_limit_gauge_->value());
-    if (new_limit > old_limit) limit_increase_total_->inc();
-    if (new_limit < old_limit) limit_decrease_total_->inc();
-    concurrency_limit_gauge_->set(static_cast<double>(new_limit));
-  });
+      &registry->gauge("admission_queue_depth_peak", {{"service", service}});
 }
 
 int AdmissionController::rank_of(TrafficClass klass) noexcept {
@@ -99,20 +56,13 @@ int AdmissionController::rank_of(TrafficClass klass) noexcept {
 }
 
 bool AdmissionController::has_capacity_for(int rank) const noexcept {
-  if (!limit_.has_capacity()) return false;
+  const std::uint32_t limit = config_.concurrency_limit;
+  if (in_flight_ >= limit) return false;
   if (rank == 0) return true;
   // Non-highest classes may not touch the reserved slots.
-  const std::uint32_t limit = limit_.limit();
   const std::uint32_t usable =
       config_.reserve_slots >= limit ? 0 : limit - config_.reserve_slots;
   return in_flight_low_ < usable;
-}
-
-bool AdmissionController::deadline_unmeetable(sim::Time deadline,
-                                              sim::Time now) const noexcept {
-  if (deadline == 0) return false;
-  const sim::Duration estimate = limit_.latency_estimate();
-  return estimate > 0 && now + estimate > deadline;
 }
 
 std::size_t AdmissionController::queue_depth() const noexcept {
@@ -124,39 +74,16 @@ std::size_t AdmissionController::queue_depth(TrafficClass klass) const
   return queues_[rank_of(klass)].size();
 }
 
-void AdmissionController::record_shed(TrafficClass klass, ShedReason reason) {
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      ++counters_.shed_queue_full;
-      break;
-    case ShedReason::kDeadline:
-      ++counters_.shed_deadline;
-      break;
-    case ShedReason::kPreempted:
-      ++counters_.shed_preempted;
-      break;
-  }
-  shed_by_class_reason_[rank_of(klass)][static_cast<int>(reason)]->inc();
-}
-
 void AdmissionController::admit(int rank) {
-  limit_.on_start();
+  ++in_flight_;
   if (rank > 0) ++in_flight_low_;
   ++counters_.accepted;
   accepted_by_class_[rank]->inc();
 }
 
-AdmissionController::Decision AdmissionController::offer(TrafficClass klass,
-                                                         sim::Time deadline,
-                                                         bool is_retry,
-                                                         sim::Time now) {
+AdmissionController::Decision AdmissionController::offer(TrafficClass klass) {
   ++counters_.offered;
   const int rank = rank_of(klass);
-
-  if (deadline_unmeetable(deadline, now)) {
-    record_shed(klass, ShedReason::kDeadline);
-    return {Decision::Outcome::kShed, ShedReason::kDeadline, 0};
-  }
 
   // Capacity plus an empty same-or-higher-priority backlog means the
   // request bypasses the queue entirely. (The drain loop keeps queues
@@ -167,95 +94,51 @@ AdmissionController::Decision AdmissionController::offer(TrafficClass klass,
   for (int r = 0; r <= rank; ++r) backlog = backlog || !queues_[r].empty();
   if (!backlog && has_capacity_for(rank)) {
     admit(rank);
-    return {Decision::Outcome::kAdmitted, ShedReason::kQueueFull, 0};
+    return {Decision::Outcome::kAdmitted, 0};
   }
 
-  Entry victim;  // preempted entry, notified after queue surgery
-  bool have_victim = false;
   if (queue_depth() >= config_.queue_capacity) {
-    // Evict the newest queued entry of a strictly lower priority class
-    // (retries first when configured); if none, shed the arrival itself.
-    for (int r = 2; r > rank && !have_victim; --r) {
-      auto& queue = queues_[r];
-      if (queue.empty()) continue;
-      auto victim_it = std::prev(queue.end());
-      if (config_.shed_retries_first) {
-        for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
-          if (it->is_retry) {
-            victim_it = std::prev(it.base());
-            break;
-          }
-        }
-      }
-      victim = std::move(*victim_it);
-      queue.erase(victim_it);
-      have_victim = true;
-    }
-    if (!have_victim) {
-      record_shed(klass, ShedReason::kQueueFull);
-      return {Decision::Outcome::kShed, ShedReason::kQueueFull, 0};
-    }
-    record_shed(victim.klass, ShedReason::kPreempted);
+    ++counters_.shed;
+    shed_by_class_[rank]->inc();
+    return {Decision::Outcome::kShed, 0};
   }
 
-  Entry entry;
-  entry.ticket = next_ticket_++;
-  entry.rank = rank;
-  entry.klass = klass;
-  entry.deadline = deadline;
-  entry.is_retry = is_retry;
-  queues_[rank].push_back(std::move(entry));
+  const std::uint64_t ticket = next_ticket_++;
+  queues_[rank].push_back(Entry{ticket, rank, nullptr});
   ++counters_.queued;
   queued_by_class_[rank]->inc();
   if (static_cast<double>(queue_depth()) > queue_depth_gauge_->value()) {
     queue_depth_gauge_->set(static_cast<double>(queue_depth()));
   }
-  const std::uint64_t ticket = next_ticket_ - 1;
-
-  // Notify the victim only now that the queues are consistent: its shed
-  // continuation may re-enter offer() (e.g. a zero-overhead sidecar
-  // answering the shed and pumping the next pipelined request).
-  if (have_victim && victim.on_shed) victim.on_shed(ShedReason::kPreempted);
-
-  return {Decision::Outcome::kQueued, ShedReason::kQueueFull, ticket};
+  return {Decision::Outcome::kQueued, ticket};
 }
 
 void AdmissionController::bind(std::uint64_t ticket,
-                               std::function<void()> on_dispatch,
-                               std::function<void(ShedReason)> on_shed) {
+                               std::function<void()> on_dispatch) {
   for (auto& queue : queues_) {
     for (Entry& entry : queue) {
       if (entry.ticket == ticket) {
         entry.on_dispatch = std::move(on_dispatch);
-        entry.on_shed = std::move(on_shed);
         return;
       }
     }
   }
 }
 
-void AdmissionController::on_complete(TrafficClass klass,
-                                      sim::Duration latency, sim::Time now) {
+void AdmissionController::on_complete(TrafficClass klass) {
+  if (in_flight_ > 0) --in_flight_;
   if (rank_of(klass) > 0 && in_flight_low_ > 0) --in_flight_low_;
   ++counters_.completed;
   completed_by_class_[rank_of(klass)]->inc();
-  limit_.on_complete(latency, now);
-  drain(now);
+  drain();
 }
 
-void AdmissionController::drain(sim::Time now) {
+void AdmissionController::drain() {
   for (int rank = 0; rank < 3; ++rank) {
     auto& queue = queues_[rank];
-    while (!queue.empty()) {
-      if (!limit_.has_capacity()) return;  // no capacity for anyone
-      if (!has_capacity_for(rank)) break;  // reserved slots only — next rank
+    while (!queue.empty() && has_capacity_for(rank)) {
       Entry entry = std::move(queue.front());
       queue.pop_front();
-      if (deadline_unmeetable(entry.deadline, now)) {
-        record_shed(entry.klass, ShedReason::kDeadline);
-        if (entry.on_shed) entry.on_shed(ShedReason::kDeadline);
-        continue;
-      }
       admit(entry.rank);
       if (entry.on_dispatch) entry.on_dispatch();
     }
@@ -283,23 +166,10 @@ FilterStatus AdmissionFilter::on_request(RequestContext& ctx) {
   }
   ctx.admission_class = klass;
 
-  sim::Time deadline = 0;
-  if (const auto ms =
-          ctx.request.headers.get(http::headers::Id::kDeadlineMs)) {
-    const int remaining_ms = parse_int_or(*ms, 0);
-    if (remaining_ms > 0) deadline = sim_.now() + sim::milliseconds(remaining_ms);
-  }
-  const bool is_retry =
-      parse_int_or(
-          ctx.request.headers.get_or(http::headers::Id::kRetryAttempt, "1"),
-          1) > 1;
-
-  const AdmissionController::Decision decision =
-      controller->offer(klass, deadline, is_retry, sim_.now());
+  const AdmissionController::Decision decision = controller->offer(klass);
   switch (decision.outcome) {
     case AdmissionController::Decision::Outcome::kAdmitted:
       ctx.admission_admitted = true;
-      ctx.admission_dispatch_time = sim_.now();
       return FilterStatus::kContinue;
     case AdmissionController::Decision::Outcome::kQueued:
       ctx.admission_ticket = decision.ticket;
@@ -307,11 +177,11 @@ FilterStatus AdmissionFilter::on_request(RequestContext& ctx) {
     case AdmissionController::Decision::Outcome::kShed:
       break;
   }
-  ctx.shed_reason = std::string(shed_reason_name(decision.reason));
+  ctx.shed = true;
   http::HttpResponse response;
   response.status = 503;
-  response.body = "admission shed: " + ctx.shed_reason;
-  response.headers.set(http::headers::Id::kShedReason, ctx.shed_reason);
+  response.body = "admission shed: " + std::string(kShedQueueFull);
+  response.headers.set(http::headers::Id::kShedReason, kShedQueueFull);
   ctx.local_response = std::move(response);
   return FilterStatus::kStopIteration;
 }
@@ -322,9 +192,7 @@ void AdmissionFilter::on_response(RequestContext& ctx,
   AdmissionController* controller = provider_ ? provider_() : nullptr;
   if (controller == nullptr) return;
   ctx.admission_admitted = false;
-  controller->on_complete(ctx.admission_class,
-                          sim_.now() - ctx.admission_dispatch_time,
-                          sim_.now());
+  controller->on_complete(ctx.admission_class);
 }
 
 }  // namespace meshnet::mesh

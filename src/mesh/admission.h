@@ -8,33 +8,23 @@
 // admission controller sits as the last inbound filter (after
 // provenance has resolved the request's traffic class) and decides, per
 // request: admit now, park in a bounded per-priority FIFO queue, or
-// shed with a 503 carrying an `x-mesh-shed: <reason>` header.
+// shed with a 503 carrying an `x-mesh-shed: queue-full` header.
 //
 // Discipline:
-//  * Concurrency toward the local app is capped by an adaptive AIMD
-//    limit (mesh/concurrency_limit.h) that tracks the service's latency
-//    gradient — the mesh discovers capacity instead of being told.
+//  * At most `concurrency_limit` admitted requests are in flight toward
+//    the local app; the limit is static.
 //  * Queued requests dispatch strictly by priority class, FIFO within a
 //    class. `reserve_slots` slots are usable only by the highest class,
 //    so a latency-sensitive arrival never waits behind a full window of
 //    admitted low-priority work.
-//  * A shared queue budget: when full, a new arrival preempts the
-//    newest queued entry of a strictly lower priority class (retries
-//    first when `shed_retries_first`) — so high priority is never shed
-//    while low priority holds a slot. If no lower-priority victim
-//    exists, the arrival itself is shed (`queue-full`).
-//  * Deadline-aware shedding: at dequeue (and at offer), a request
-//    whose armed deadline cannot be met given the current latency
-//    estimate is dropped (`deadline`) instead of wasting a slot.
+//  * One queue budget shared by all classes: an arrival that finds it
+//    full is shed. A queued request is never shed; it waits for a slot.
 //
-// Shed responses are marked so the *caller's* sidecar treats them as
-// non-retryable (unless RetryPolicy.retry_on_overloaded): retries
-// re-enter admission on a fresh attempt rather than amplifying the
-// overload.
+// Shed responses are marked so the *caller's* sidecar neither retries
+// them nor counts them against the endpoint's circuit breaker.
 //
-// Like ConcurrencyLimit, the controller is simulator-free (`now` passed
-// explicitly) so the model-based property test can drive it as a pure
-// state machine.
+// The controller is simulator-free, so the model-based property test can
+// drive it as a pure state machine.
 
 #include <array>
 #include <cstdint>
@@ -44,32 +34,23 @@
 #include <string>
 #include <string_view>
 
-#include "mesh/concurrency_limit.h"
 #include "mesh/filter.h"
 #include "obs/metric_registry.h"
-#include "sim/simulator.h"
-#include "sim/time.h"
 
 namespace meshnet::mesh {
 
-enum class ShedReason : std::uint8_t {
-  kQueueFull,  ///< queue at capacity with no lower-priority victim
-  kDeadline,   ///< armed deadline unmeetable given the latency estimate
-  kPreempted,  ///< evicted from the queue by a higher-priority arrival
-};
-
-std::string_view shed_reason_name(ShedReason reason) noexcept;
+/// The `x-mesh-shed` value and `reason` label of every shed.
+inline constexpr std::string_view kShedQueueFull = "queue-full";
 
 struct AdmissionConfig {
   bool enabled = false;
   /// Shared queue budget across all priority classes.
   std::size_t queue_capacity = 128;
-  /// Preemptive eviction targets queued retries before first tries.
-  bool shed_retries_first = true;
   /// Concurrency slots only the highest priority class may occupy, so an
   /// LS arrival finds capacity without waiting out a low-priority burst.
   std::uint32_t reserve_slots = 0;
-  ConcurrencyLimitConfig limit;
+  /// Admitted requests in flight toward the app at once (at least 1).
+  std::uint32_t concurrency_limit = 8;
 };
 
 /// Monotonic counters mirrored outside the registry for cheap asserts in
@@ -79,13 +60,7 @@ struct AdmissionCounters {
   std::uint64_t accepted = 0;  ///< dispatched toward the app (direct + queued)
   std::uint64_t queued = 0;
   std::uint64_t completed = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t shed_preempted = 0;
-
-  std::uint64_t shed_total() const noexcept {
-    return shed_queue_full + shed_deadline + shed_preempted;
-  }
+  std::uint64_t shed = 0;  ///< arrivals that found the queue full
 };
 
 class AdmissionController {
@@ -93,63 +68,46 @@ class AdmissionController {
   struct Decision {
     enum class Outcome { kAdmitted, kQueued, kShed };
     Outcome outcome = Outcome::kAdmitted;
-    ShedReason reason = ShedReason::kQueueFull;  ///< valid when kShed
-    std::uint64_t ticket = 0;                    ///< valid when kQueued
+    std::uint64_t ticket = 0;  ///< valid when kQueued
   };
 
   /// Records admission_* series into `registry` when non-null, else into
   /// a private registry (unit tests).
-  AdmissionController(std::string service, AdmissionConfig config,
+  AdmissionController(const std::string& service, AdmissionConfig config,
                       obs::MetricRegistry* registry = nullptr);
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// Offers one request. `deadline` is absolute (0 = none); `is_retry`
-  /// marks upstream retry attempts (preferred eviction victims).
-  Decision offer(TrafficClass klass, sim::Time deadline, bool is_retry,
-                 sim::Time now);
+  /// Offers one request.
+  Decision offer(TrafficClass klass);
 
-  /// Attaches continuations to a kQueued ticket. Must be called before
-  /// the next offer()/on_complete(); exactly one of the callbacks fires.
-  void bind(std::uint64_t ticket, std::function<void()> on_dispatch,
-            std::function<void(ShedReason)> on_shed);
+  /// Attaches the dispatch continuation to a kQueued ticket. Must be
+  /// called before the next offer()/on_complete().
+  void bind(std::uint64_t ticket, std::function<void()> on_dispatch);
 
-  /// Releases the slot held by an admitted request, feeds the AIMD
-  /// sampler, and drains the queues into any freed capacity.
-  void on_complete(TrafficClass klass, sim::Duration latency, sim::Time now);
+  /// Releases the slot held by an admitted request and drains the queues
+  /// into the freed capacity.
+  void on_complete(TrafficClass klass);
 
-  std::uint32_t in_flight() const noexcept { return limit_.in_flight(); }
-  std::uint32_t limit() const noexcept { return limit_.limit(); }
+  std::uint32_t in_flight() const noexcept { return in_flight_; }
   std::size_t queue_depth() const noexcept;
   std::size_t queue_depth(TrafficClass klass) const noexcept;
-  sim::Duration latency_estimate() const noexcept {
-    return limit_.latency_estimate();
-  }
   const AdmissionCounters& counters() const noexcept { return counters_; }
-  const AdmissionConfig& config() const noexcept { return config_; }
-  const std::string& service() const noexcept { return service_; }
 
  private:
   struct Entry {
     std::uint64_t ticket = 0;
     int rank = 0;
-    TrafficClass klass = TrafficClass::kDefault;
-    sim::Time deadline = 0;
-    bool is_retry = false;
     std::function<void()> on_dispatch;
-    std::function<void(ShedReason)> on_shed;
   };
 
   static int rank_of(TrafficClass klass) noexcept;
   bool has_capacity_for(int rank) const noexcept;
-  bool deadline_unmeetable(sim::Time deadline, sim::Time now) const noexcept;
   void admit(int rank);
-  void drain(sim::Time now);
-  void record_shed(TrafficClass klass, ShedReason reason);
+  void drain();
 
-  std::string service_;
   AdmissionConfig config_;
-  ConcurrencyLimit limit_;
+  std::uint32_t in_flight_ = 0;
   /// Admitted requests currently occupying non-reserved (low) capacity.
   std::uint32_t in_flight_low_ = 0;
   std::array<std::deque<Entry>, 3> queues_;  ///< indexed by rank
@@ -157,37 +115,31 @@ class AdmissionController {
   AdmissionCounters counters_;
 
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
-  obs::MetricRegistry* registry_ = nullptr;
   std::array<obs::Counter*, 3> accepted_by_class_{};
   std::array<obs::Counter*, 3> queued_by_class_{};
   std::array<obs::Counter*, 3> completed_by_class_{};
-  std::array<std::array<obs::Counter*, 3>, 3> shed_by_class_reason_{};
-  obs::Gauge* queue_depth_gauge_ = nullptr;       ///< high-water mark
-  obs::Gauge* concurrency_limit_gauge_ = nullptr;
-  obs::Counter* limit_increase_total_ = nullptr;
-  obs::Counter* limit_decrease_total_ = nullptr;
+  std::array<obs::Counter*, 3> shed_by_class_{};
+  obs::Gauge* queue_depth_gauge_ = nullptr;  ///< high-water mark
 };
 
 /// The inbound-chain enforcement point. Resolves the request's priority
-/// (ctx.traffic_class, falling back to the x-mesh-priority header) and
-/// deadline (x-mesh-deadline-ms), then asks the controller. kAdmitted
-/// continues the chain; kShed short-circuits with a marked 503; kQueued
-/// pauses the chain — the sidecar binds dispatch/shed continuations.
-/// The controller is fetched through `provider` so the filter can be
-/// installed before the sidecar's controller exists (it is created on
-/// the first config push that enables admission).
+/// (ctx.traffic_class, falling back to the x-mesh-priority header), then
+/// asks the controller. kAdmitted continues the chain; kShed
+/// short-circuits with a marked 503; kQueued pauses the chain — the
+/// sidecar binds the dispatch continuation. The controller is fetched
+/// through `provider` so the filter can be installed before the
+/// sidecar's controller exists (it is created on the first config push
+/// that enables admission).
 class AdmissionFilter : public HttpFilter {
  public:
-  AdmissionFilter(sim::Simulator& sim,
-                  std::function<AdmissionController*()> provider)
-      : sim_(sim), provider_(std::move(provider)) {}
+  explicit AdmissionFilter(std::function<AdmissionController*()> provider)
+      : provider_(std::move(provider)) {}
 
   std::string name() const override { return "admission"; }
   FilterStatus on_request(RequestContext& ctx) override;
   void on_response(RequestContext& ctx, http::HttpResponse& response) override;
 
  private:
-  sim::Simulator& sim_;
   std::function<AdmissionController*()> provider_;
 };
 

@@ -87,7 +87,7 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
       service, &policies_.authorization));
   Sidecar* raw = &ref;
   ref.inbound_filters().append(std::make_shared<AdmissionFilter>(
-      sim_, [raw] { return raw->admission_controller(); }));
+      [raw] { return raw->admission_controller(); }));
   ref.outbound_filters().append(
       std::make_shared<TracingFilter>(tracer_, sim_, service));
   ref.outbound_filters().append(

@@ -71,18 +71,17 @@ struct RequestContext {
   /// True while the request holds an admission concurrency slot; the
   /// admission filter's on_response releases it exactly once.
   bool admission_admitted = false;
-  sim::Time admission_dispatch_time = 0;
   /// Priority class the admission decision was made under (stable even
   /// if a later filter rewrites traffic_class).
   TrafficClass admission_class = TrafficClass::kDefault;
-  /// Shed reason name when this sidecar shed the request ("" otherwise).
-  std::string shed_reason;
+  /// True when this sidecar's admission controller shed the request.
+  bool shed = false;
 };
 
 enum class FilterStatus {
   kContinue,
   kStopIteration,  ///< Stop the chain; ctx.local_response is sent if set.
-  kPause,          ///< Park the request; a continuation resumes or sheds it.
+  kPause,          ///< Park the request; a continuation resumes it.
 };
 
 class HttpFilter {

@@ -149,16 +149,9 @@ void HealthChecker::handle_result(const Key& key, std::uint64_t seq, bool ok) {
     target.fails = 0;
     ++target.passes;
     if (!target.healthy && target.passes >= target.config.healthy_threshold) {
-      if (sim_.now() < target.damped_until) {
-        // Damped: the endpoint flapped too often, so readmission waits out
-        // the penalty even though the probes look good again.
-        ++stats_.flap_damps;
-      } else {
-        target.healthy = true;
-        note_transition(target);
-        ++stats_.readmissions;
-        if (hook_) hook_(target.cluster, target.pod, true, sim_.now());
-      }
+      target.healthy = true;
+      ++stats_.readmissions;
+      if (hook_) hook_(target.cluster, target.pod, true, sim_.now());
     }
   } else {
     ++stats_.probes_failed;
@@ -166,23 +159,11 @@ void HealthChecker::handle_result(const Key& key, std::uint64_t seq, bool ok) {
     ++target.fails;
     if (target.healthy && target.fails >= target.config.unhealthy_threshold) {
       target.healthy = false;
-      note_transition(target);
       ++stats_.evictions;
       if (hook_) hook_(target.cluster, target.pod, false, sim_.now());
     }
   }
   schedule_probe(key, target.config.interval);
-}
-
-void HealthChecker::note_transition(Target& target) {
-  if (target.config.flap_max_transitions == 0) return;
-  const sim::Time now = sim_.now();
-  target.transitions.push_back(now);
-  auto& ts = target.transitions;
-  while (!ts.empty() && now - ts.front() > target.config.flap_window)
-    ts.erase(ts.begin());
-  if (ts.size() >= target.config.flap_max_transitions)
-    target.damped_until = now + target.config.flap_penalty;
 }
 
 }  // namespace meshnet::mesh

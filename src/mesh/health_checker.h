@@ -43,14 +43,6 @@ struct HealthCheckConfig {
   std::uint32_t unhealthy_threshold = 2;
   /// Consecutive probe passes that re-admit an evicted endpoint.
   std::uint32_t healthy_threshold = 2;
-  /// Flap damping (Envoy's outlier ejection meets BGP route damping).
-  /// When an endpoint crosses the healthy boundary `flap_max_transitions`
-  /// times inside `flap_window`, readmission is suppressed for
-  /// `flap_penalty` — a churn storm keeps the endpoint evicted instead of
-  /// thrashing the routing tables. 0 disables damping (the default).
-  std::uint32_t flap_max_transitions = 0;
-  sim::Duration flap_window = sim::seconds(10);
-  sim::Duration flap_penalty = sim::seconds(5);
 };
 
 struct HealthCheckerStats {
@@ -59,7 +51,6 @@ struct HealthCheckerStats {
   std::uint64_t probes_timed_out = 0;  ///< subset of probes_failed
   std::uint64_t evictions = 0;
   std::uint64_t readmissions = 0;
-  std::uint64_t flap_damps = 0;  ///< readmissions suppressed by damping
 };
 
 class HealthChecker {
@@ -111,9 +102,6 @@ class HealthChecker {
     bool healthy = true;
     std::uint32_t fails = 0;
     std::uint32_t passes = 0;
-    /// Recent healthy-boundary crossings, pruned to `flap_window`.
-    std::vector<sim::Time> transitions;
-    sim::Time damped_until = 0;  ///< readmission suppressed before this
     std::uint64_t seq = 0;  ///< guards stale probe callbacks
     sim::Timer next_probe;
     sim::Timer timeout_timer;
@@ -122,9 +110,6 @@ class HealthChecker {
   };
 
   void detach(Target& target);
-  /// Records a healthy-boundary crossing; arms the damping penalty when
-  /// the crossing rate exceeds the configured flap budget.
-  void note_transition(Target& target);
   void schedule_probe(const Key& key, sim::Duration delay);
   void run_probe(const Key& key);
   void handle_result(const Key& key, std::uint64_t seq, bool ok);

@@ -107,6 +107,9 @@ std::string validate_policy_section(const PolicySection& policy) {
   if (policy.request_timeout <= 0) return "non-positive request timeout";
   if (policy.retry.max_retries < 0) return "negative max_retries";
   if (policy.retry.backoff_base <= 0) return "non-positive backoff base";
+  if (policy.admission.enabled && policy.admission.concurrency_limit == 0) {
+    return "zero admission concurrency limit";
+  }
   return {};
 }
 
@@ -185,9 +188,6 @@ std::uint64_t hash_cluster_spec(const ClusterSpec& spec) {
   f.mix(hc.timeout);
   f.mix(hc.unhealthy_threshold);
   f.mix(hc.healthy_threshold);
-  f.mix(hc.flap_max_transitions);
-  f.mix(hc.flap_window);
-  f.mix(hc.flap_penalty);
   f.mix(spec.mtls);
   f.mix(spec.endpoints.size());
   for (const cluster::Endpoint& ep : spec.endpoints) {
@@ -243,21 +243,11 @@ std::uint64_t hash_policy_section(const SidecarPolicy& c) {
   f.mix(c.retry.backoff_base);
   f.mix(c.retry.backoff_max);
   f.mix(c.retry.backoff_jitter);
-  f.mix(c.retry.retry_budget);
-  f.mix(c.retry.retry_budget_min_concurrency);
-  f.mix(c.retry.retry_on_overloaded);
   f.mix(c.request_timeout);
   f.mix(c.admission.enabled);
   f.mix(c.admission.queue_capacity);
-  f.mix(c.admission.shed_retries_first);
   f.mix(c.admission.reserve_slots);
-  const ConcurrencyLimitConfig& lim = c.admission.limit;
-  f.mix(lim.initial_limit);
-  f.mix(lim.min_limit);
-  f.mix(lim.max_limit);
-  f.mix(lim.window);
-  f.mix(lim.min_window_samples);
-  f.mix(lim.latency_tolerance);
+  f.mix(c.admission.concurrency_limit);
   f.mix(c.authorization.size());
   for (const auto& [svc, sources] : c.authorization) {
     f.mix(svc);
@@ -419,9 +409,9 @@ void Sidecar::finish_apply() {
   ++stats_.configs_applied;
   // Balancers are rebuilt lazily so a changed LB policy takes effect.
   balancers_.clear();
-  // The admission controller carries learned state (the adaptive limit,
-  // queued requests), so it is created once on the first enabling push
-  // and survives subsequent pushes.
+  // The admission controller carries state (held slots, queued
+  // requests), so it is created once on the first enabling push and
+  // survives subsequent pushes.
   if (config_.admission.enabled && admission_ == nullptr) {
     admission_ = std::make_unique<AdmissionController>(
         config_.service_name, config_.admission,
@@ -654,35 +644,20 @@ void Sidecar::process_request_now(std::uint64_t session_id,
 
   const ChainResult chain_result = chain.run_request(*ctx);
   if (chain_result == ChainResult::kPaused) {
-    // The admission filter parked the request in its priority queue.
-    // Attach the two continuations; exactly one fires, on a later
-    // admission event (a completion freeing capacity, or a preemption).
-    admission_->bind(
-        ctx->admission_ticket,
-        [this, session_id, ctx, direction] {
-          ctx->admission_admitted = true;
-          ctx->admission_dispatch_time = sim_.now();
-          continue_request(session_id, ctx, direction);
-        },
-        [this, session_id, ctx, direction](ShedReason reason) {
-          ctx->shed_reason = std::string(shed_reason_name(reason));
-          http::HttpResponse response = make_local_response(
-              503, "admission shed: " + ctx->shed_reason);
-          response.headers.set(http::headers::Id::kShedReason,
-                               ctx->shed_reason);
-          const FilterChain& c = direction == FilterDirection::kInbound
-                                     ? inbound_chain_
-                                     : outbound_chain_;
-          c.run_response(*ctx, response);
-          respond_to_session(session_id, ctx, std::move(response));
-        });
+    // The admission filter parked the request in its priority queue; it
+    // continues when a completion frees a slot for its class.
+    admission_->bind(ctx->admission_ticket,
+                     [this, session_id, ctx, direction] {
+                       ctx->admission_admitted = true;
+                       continue_request(session_id, ctx, direction);
+                     });
     return;
   }
   if (chain_result == ChainResult::kStopped) {
     http::HttpResponse response =
         ctx->local_response ? std::move(*ctx->local_response)
                             : make_local_response(403, "filter denied");
-    if (!ctx->shed_reason.empty()) ++stats_.local_responses;
+    if (ctx->shed) ++stats_.local_responses;
     chain.run_response(*ctx, response);
     respond_to_session(session_id, ctx, std::move(response));
     return;
@@ -1019,11 +994,12 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
     return;
   }
 
+  // The attempt count and the remaining deadline go on the wire as Envoy
+  // sends x-envoy-attempt-count and x-envoy-expected-rq-timeout-ms; no
+  // filter reads them, but their bytes are part of every hop's size.
   char digits[24];
   ctx->request.headers.set(http::headers::Id::kRetryAttempt,
                            format_decimal(ctx->attempt + 1, digits));
-  // Advertise the remaining deadline budget so the serving sidecar's
-  // admission controller can shed requests it cannot answer in time.
   if (config_.request_timeout > 0 && session.deadline > sim_.now()) {
     const sim::Duration remaining = session.deadline - sim_.now();
     ctx->request.headers.set(
@@ -1037,8 +1013,6 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // equivalent of Istio's iptables redirect preserving metadata).
   HttpClientPool& pool = pool_for(*chosen, ctx->traffic_class, spec.mtls);
   ++active_per_endpoint_[chosen->pod_name];
-  ++inflight_per_cluster_[spec.name];
-  if (ctx->attempt > 0) ++inflight_retries_per_cluster_[spec.name];
 
   const std::string endpoint_pod = chosen->pod_name;
   if (std::find(ctx->tried_pods.begin(), ctx->tried_pods.end(),
@@ -1091,19 +1065,12 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
   }
   auto& active = active_per_endpoint_[endpoint_pod];
   if (active > 0) --active;
-  auto& inflight = inflight_per_cluster_[cluster_name];
-  if (inflight > 0) --inflight;
-  if (ctx->attempt > 0) {
-    auto& inflight_retries = inflight_retries_per_cluster_[cluster_name];
-    if (inflight_retries > 0) --inflight_retries;
-  }
 
   // An x-mesh-shed 503 is the upstream's admission controller saying
   // "overloaded, by policy": the endpoint is alive and answering fast.
   // It must not trip the breaker (a shed storm on low-priority traffic
   // would open the breaker and take the high-priority traffic with it),
-  // and retrying it amplifies the overload, so it is non-retryable
-  // unless explicitly opted in.
+  // and retrying it amplifies the overload, so it is non-retryable.
   const bool shed_by_upstream =
       response.has_value() &&
       response->headers.has(http::headers::Id::kShedReason);
@@ -1120,7 +1087,7 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
   const bool failed_transport = !response.has_value();
   const bool failed_5xx = response.has_value() && response->status >= 500;
   bool retryable = failed_transport || failed_5xx;
-  if (retryable && shed_by_upstream && !retry.retry_on_overloaded) {
+  if (retryable && shed_by_upstream) {
     if (ctx->attempt < retry.max_retries) {
       ++stats_.retries_suppressed_by_overload;
     }
@@ -1128,33 +1095,18 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
   }
   if (retryable && ctx->attempt < retry.max_retries &&
       sess_it != sessions_.end() && sim_.now() < sess_it->second->deadline) {
-    // Retry budget: active retries may be at most `retry_budget` of the
-    // cluster's in-flight requests (with a small floor). Past it, the
-    // failure is returned rather than amplified (Envoy's retry_budget).
-    bool budget_ok = true;
-    if (retry.retry_budget > 0.0) {
-      const double allowed = std::max(
-          retry.retry_budget * static_cast<double>(inflight),
-          static_cast<double>(retry.retry_budget_min_concurrency));
-      budget_ok =
-          static_cast<double>(inflight_retries_per_cluster_[cluster_name]) <
-          allowed;
-      if (!budget_ok) ++stats_.retries_denied_by_budget;
-    }
-    if (budget_ok) {
-      ++ctx->attempt;
-      ++stats_.upstream_retries;
-      const sim::Duration backoff = next_retry_backoff(
-          retry, ctx->attempt, ctx->prev_backoff, retry_rng_);
-      ctx->prev_backoff = backoff;
-      const std::uint64_t seq = sess_it->second->request_seq;
-      sim_.schedule_after(backoff, [this, session_id, ctx, seq] {
-        const auto it = sessions_.find(session_id);
-        if (it == sessions_.end() || it->second->request_seq != seq) return;
-        attempt_upstream(session_id, ctx);
-      });
-      return;
-    }
+    ++ctx->attempt;
+    ++stats_.upstream_retries;
+    const sim::Duration backoff = next_retry_backoff(
+        retry, ctx->attempt, ctx->prev_backoff, retry_rng_);
+    ctx->prev_backoff = backoff;
+    const std::uint64_t seq = sess_it->second->request_seq;
+    sim_.schedule_after(backoff, [this, session_id, ctx, seq] {
+      const auto it = sessions_.find(session_id);
+      if (it == sessions_.end() || it->second->request_seq != seq) return;
+      attempt_upstream(session_id, ctx);
+    });
+    return;
   }
 
   const bool deadline_exceeded =

@@ -47,7 +47,9 @@
 namespace meshnet::mesh {
 
 /// Retries cover any 5xx and any transport failure (reset, per-try
-/// timeout), within max_retries and the budget below.
+/// timeout), within max_retries. A 503 carrying the x-mesh-shed marker
+/// (the upstream's admission controller shed it) is never retried:
+/// retrying into a declared overload only amplifies it.
 struct RetryPolicy {
   int max_retries = 1;
   /// 0 disables the per-try timeout.
@@ -58,21 +60,6 @@ struct RetryPolicy {
   /// Decorrelated jitter (sleep = min(cap, uniform(base, 3*prev))) instead
   /// of deterministic linear backoff — avoids synchronized retry storms.
   bool backoff_jitter = true;
-
-  /// Retry budget: retries may be at most this fraction of the cluster's
-  /// in-flight requests (Envoy's retry_budget). 0 disables the budget and
-  /// falls back to pure max_retries accounting.
-  double retry_budget = 0.0;
-  /// Floor below which the budget never bites, so low-traffic clusters
-  /// can still retry at all.
-  std::uint32_t retry_budget_min_concurrency = 3;
-
-  /// Whether a 503 carrying the x-mesh-shed marker (the upstream's
-  /// admission controller shed the request) is retryable. Off by
-  /// default: retrying into a declared overload only amplifies it, and
-  /// any retry that does go out re-enters admission like a fresh
-  /// arrival (preferred shed victim).
-  bool retry_on_overloaded = false;
 };
 
 /// Next retry sleep for attempt number `attempt` (1-based: the first
@@ -245,9 +232,7 @@ struct SidecarStats {
   std::uint64_t upstream_failures = 0;   ///< exhausted retries
   std::uint64_t local_responses = 0;     ///< filter short-circuits
   std::uint64_t timeouts = 0;
-  std::uint64_t retries_denied_by_budget = 0;
-  /// Retryable failures not retried because the upstream declared
-  /// overload (x-mesh-shed) and retry_on_overloaded is off.
+  /// Shed 503s (x-mesh-shed) not retried although retries were left.
   std::uint64_t retries_suppressed_by_overload = 0;
   std::uint64_t health_probes_answered = 0;
   /// Downstream connections that closed while a request was in flight;
@@ -458,10 +443,6 @@ class Sidecar {
   std::map<std::string, std::uint64_t> active_per_endpoint_;
   std::map<std::string, CircuitBreaker> breakers_;
   std::unique_ptr<HealthChecker> health_checker_;
-  /// Per-cluster in-flight upstream tries, and how many are retry tries
-  /// (attempt > 0) — the denominator/numerator of the retry budget.
-  std::map<std::string, std::uint64_t> inflight_per_cluster_;
-  std::map<std::string, std::uint64_t> inflight_retries_per_cluster_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<TlsRuntime> tls_runtime_;
   sim::RngStream overhead_rng_;

@@ -26,8 +26,6 @@ constexpr std::pair<const char*, std::uint64_t mesh::SidecarStats::*>
         {"upstream_retries", &mesh::SidecarStats::upstream_retries},
         {"upstream_failures", &mesh::SidecarStats::upstream_failures},
         {"timeouts", &mesh::SidecarStats::timeouts},
-        {"retries_denied_by_budget",
-         &mesh::SidecarStats::retries_denied_by_budget},
         {"retries_suppressed_by_overload",
          &mesh::SidecarStats::retries_suppressed_by_overload},
         {"downstream_aborts", &mesh::SidecarStats::downstream_aborts},
@@ -101,15 +99,11 @@ void add_phase_metrics(PointMetrics& metrics, const std::string& name,
   metrics.counters[name + "_errors"] = recorder.errors();
 }
 
-void apply_resilience_policies(mesh::MeshPolicies& policies,
-                               double retry_budget,
-                               std::uint32_t budget_min_concurrency) {
+void apply_resilience_policies(mesh::MeshPolicies& policies) {
   policies.retry.max_retries = 3;
   policies.retry.per_try_timeout = sim::milliseconds(500);
   policies.retry.backoff_jitter = true;
   policies.retry.backoff_max = sim::milliseconds(250);
-  policies.retry.retry_budget = retry_budget;
-  policies.retry.retry_budget_min_concurrency = budget_min_concurrency;
   policies.breaker.consecutive_failures = 5;
   policies.breaker.open_duration = sim::milliseconds(500);
   policies.health_check.enabled = true;
@@ -311,12 +305,6 @@ ElibraryExperimentResult run_elibrary_experiment(
   for (const auto& [key, field] : kSidecarTotals) {
     std::uint64_t& total = counters[key];
     for (const auto& sidecar : cp.sidecars()) total += sidecar->stats().*field;
-  }
-  std::uint64_t& flap_damps = counters["flap_damps"];
-  for (const auto& sidecar : cp.sidecars()) {
-    if (sidecar->health_checker() != nullptr) {
-      flap_damps += sidecar->health_checker()->stats().flap_damps;
-    }
   }
   std::uint64_t& evictions = counters["health_evictions"];
   std::uint64_t& readmissions = counters["health_readmissions"];

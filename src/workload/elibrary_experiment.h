@@ -143,10 +143,7 @@ void add_phase_metrics(PointMetrics& metrics, const std::string& name,
 
 /// The data-plane resilience stance the fault experiments share: active
 /// health checking, circuit breakers, per-try timeouts and up to three
-/// jittered retries, admitted by a retry budget of `retry_budget` of the
-/// in-flight requests (floor `budget_min_concurrency`).
-void apply_resilience_policies(mesh::MeshPolicies& policies,
-                               double retry_budget,
-                               std::uint32_t budget_min_concurrency);
+/// jittered retries.
+void apply_resilience_policies(mesh::MeshPolicies& policies);
 
 }  // namespace meshnet::workload

@@ -1,25 +1,29 @@
 // Model-checked randomized tests for the admission controller.
 //
-// The controller is a pure state machine (`now` is an explicit argument,
-// no simulator), so these tests drive it with randomized arrival /
-// completion / time-advance schedules across 1,000 seeds and check the
-// invariants the design promises after every transition:
+// The controller is a pure state machine (no simulator), so these tests
+// drive it with randomized arrival / completion schedules across 1,000
+// seeds and check the invariants the design promises after every
+// transition:
 //
 //   (a) FIFO within a priority class: requests of the same class are
 //       dispatched in offer order (lower classes may be overtaken,
 //       that's the point of priorities);
-//   (b) a request is never shed for capacity (`queue-full`) while a
-//       strictly lower-priority request still occupies a queue slot —
-//       the lower one must be preempted first;
-//   (c) conservation: every offered request reaches exactly one terminal
-//       outcome (dispatched+completed, or shed with a reason), callbacks
-//       fire exactly once, and the controller's counters balance at
-//       every step: offered == accepted + shed + queued.
+//   (b) an arrival is shed only when the queue is full, and a queued
+//       request is never shed;
+//   (c) the static limit and the reservation hold: at most `limit`
+//       requests in flight, at most `limit - reserve_slots` of them
+//       below the highest class;
+//   (d) work conservation: no request waits in a queue while its class
+//       has a free slot;
+//   (e) conservation: every offered request reaches exactly one terminal
+//       outcome (dispatched+completed, or shed), callbacks fire exactly
+//       once, and the controller's counters balance at every step:
+//       offered == accepted + shed + queued.
 //
-// Each seed also randomizes the config (queue capacity, reserve slots,
-// AIMD window/limits, retry-first eviction), so the sweep explores the
-// corner where the reserved slot forces low-priority requests to queue
-// while high priority sails through.
+// Each seed also randomizes the config (queue capacity, limit, reserve
+// slots), so the sweep explores the corner where the reserved slot
+// forces low-priority requests to queue while high priority sails
+// through.
 
 #include <gtest/gtest.h>
 
@@ -29,9 +33,7 @@
 #include <vector>
 
 #include "mesh/admission.h"
-#include "mesh/concurrency_limit.h"
 #include "sim/random.h"
-#include "sim/time.h"
 
 namespace meshnet::mesh {
 namespace {
@@ -49,7 +51,6 @@ struct Tracked {
   bool dispatched = false;
   bool shed = false;
   bool completed = false;
-  ShedReason shed_reason = ShedReason::kQueueFull;
 };
 
 class Harness {
@@ -67,37 +68,20 @@ class Harness {
     t->klass = kClassOfRank[t->rank];
     all_.push_back(std::move(owned));
 
-    const bool is_retry = rng_.bernoulli(0.25);
-    const sim::Time deadline =
-        rng_.bernoulli(0.3)
-            ? now_ + sim::milliseconds(rng_.uniform_int(1, 50))
-            : 0;
-
-    arrival_rank_ = t->rank;
-    const AdmissionController::Decision decision =
-        controller_.offer(t->klass, deadline, is_retry, now_);
-    arrival_rank_ = -1;
-
+    const std::size_t depth_before = controller_.queue_depth();
+    const AdmissionController::Decision decision = controller_.offer(t->klass);
     switch (decision.outcome) {
       case AdmissionController::Decision::Outcome::kAdmitted:
         record_dispatch(t);
         break;
       case AdmissionController::Decision::Outcome::kQueued:
-        controller_.bind(
-            decision.ticket, [this, t] { record_dispatch(t); },
-            [this, t](ShedReason reason) { record_shed(t, reason); });
+        controller_.bind(decision.ticket, [this, t] { record_dispatch(t); });
         break;
       case AdmissionController::Decision::Outcome::kShed:
-        record_shed(t, decision.reason);
-        if (decision.reason == ShedReason::kQueueFull) {
-          // (b) Shed for capacity only when no strictly-lower-priority
-          // request holds a queue slot (it would have been preempted).
-          for (int r = t->rank + 1; r < 3; ++r) {
-            EXPECT_EQ(controller_.queue_depth(kClassOfRank[r]), 0u)
-                << "rank " << t->rank << " shed queue-full while rank " << r
-                << " occupied a queue slot";
-          }
-        }
+        // (b) Shed only when the queue budget is used up.
+        EXPECT_EQ(depth_before, config_.queue_capacity)
+            << "request " << t->seq << " shed with queue room left";
+        t->shed = true;
         break;
     }
   }
@@ -109,33 +93,39 @@ class Harness {
     Tracked* t = running_[idx];
     running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(idx));
     t->completed = true;
-    const sim::Duration latency =
-        sim::milliseconds(rng_.uniform_int(1, 30));
     // drain() runs inside: dispatch callbacks re-enter record_dispatch.
-    controller_.on_complete(t->klass, latency, now_);
-  }
-
-  void advance() {
-    now_ += sim::microseconds(rng_.uniform_int(100, 20000));
+    controller_.on_complete(t->klass);
   }
 
   void check_step_invariants() {
     EXPECT_EQ(controller_.in_flight(), running_.size());
     EXPECT_LE(controller_.queue_depth(), config_.queue_capacity);
+    // (d) A class queues only while it has no usable slot.
+    const bool full = running_.size() >= config_.concurrency_limit;
+    const bool low_full =
+        full || running_low() + config_.reserve_slots >=
+                    config_.concurrency_limit;
+    if (controller_.queue_depth(kClassOfRank[0]) > 0) {
+      EXPECT_TRUE(full) << "LS queued beside a free slot";
+    }
+    for (int rank = 1; rank < 3; ++rank) {
+      if (controller_.queue_depth(kClassOfRank[rank]) > 0) {
+        EXPECT_TRUE(low_full)
+            << "rank " << rank << " queued beside a free unreserved slot";
+      }
+    }
     const AdmissionCounters& c = controller_.counters();
     EXPECT_EQ(c.offered, all_.size());
-    // (c) Every offered request is admitted, shed, or still queued.
-    EXPECT_EQ(c.offered,
-              c.accepted + c.shed_total() + controller_.queue_depth());
+    // (e) Every offered request is admitted, shed, or still queued.
+    EXPECT_EQ(c.offered, c.accepted + c.shed + controller_.queue_depth());
   }
 
   void drain_to_empty() {
-    // Completing everything must eventually dispatch or deadline-shed
-    // every queued entry; the queue cannot outlive the in-flight set.
+    // Completing everything must dispatch every queued entry; the queue
+    // cannot outlive the in-flight set.
     int guard = 0;
     while (!running_.empty()) {
       ASSERT_LT(++guard, 100000) << "drain did not terminate";
-      advance();
       complete_one();
     }
     EXPECT_EQ(controller_.queue_depth(), 0u);
@@ -146,7 +136,7 @@ class Harness {
     std::uint64_t dispatched = 0;
     std::uint64_t shed = 0;
     for (const auto& t : all_) {
-      // (c) Exactly one terminal outcome each.
+      // (e) Exactly one terminal outcome each.
       EXPECT_NE(t->dispatched, t->shed)
           << "request " << t->seq << " finished with dispatched="
           << t->dispatched << " shed=" << t->shed;
@@ -159,48 +149,42 @@ class Harness {
     }
     EXPECT_EQ(c.accepted, dispatched);
     EXPECT_EQ(c.completed, dispatched);
-    EXPECT_EQ(c.shed_total(), shed);
+    EXPECT_EQ(c.shed, shed);
     EXPECT_EQ(c.offered, dispatched + shed);
   }
 
   sim::RngStream& rng() { return rng_; }
 
  private:
+  std::size_t running_low() const {
+    std::size_t low = 0;
+    for (const Tracked* t : running_) low += t->rank > 0 ? 1 : 0;
+    return low;
+  }
+
   void record_dispatch(Tracked* t) {
     EXPECT_FALSE(t->dispatched) << "double dispatch of " << t->seq;
     EXPECT_FALSE(t->shed) << "dispatch after shed of " << t->seq;
     t->dispatched = true;
-    // Admission always respects the limit in force at dispatch time. (An
-    // AIMD decrease may leave in_flight above the *new* limit — running
-    // requests are not aborted — so this holds only here, not globally.)
-    EXPECT_LE(controller_.in_flight(), controller_.limit());
+    running_.push_back(t);
+    // (c) The limit, and the reservation for the highest class.
+    EXPECT_LE(running_.size(), config_.concurrency_limit);
+    if (t->rank > 0) {
+      EXPECT_LE(running_low() + config_.reserve_slots,
+                config_.concurrency_limit)
+          << "rank " << t->rank << " took a reserved slot";
+    }
     // (a) FIFO within the class: across direct admits and queue drains,
     // same-class dispatch order is offer order.
     EXPECT_GT(t->seq, last_dispatched_[t->rank])
         << "class rank " << t->rank << " reordered";
     last_dispatched_[t->rank] = t->seq;
-    running_.push_back(t);
-  }
-
-  void record_shed(Tracked* t, ShedReason reason) {
-    EXPECT_FALSE(t->dispatched) << "shed after dispatch of " << t->seq;
-    EXPECT_FALSE(t->shed) << "double shed of " << t->seq;
-    t->shed = true;
-    t->shed_reason = reason;
-    if (reason == ShedReason::kPreempted) {
-      // Preemption is always by a strictly higher-priority arrival.
-      ASSERT_GE(arrival_rank_, 0) << "preemption outside an offer";
-      EXPECT_GT(t->rank, arrival_rank_)
-          << "rank " << t->rank << " preempted by rank " << arrival_rank_;
-    }
   }
 
   AdmissionConfig config_;
   AdmissionController controller_;
   sim::RngStream rng_;
-  sim::Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  int arrival_rank_ = -1;  ///< set while offer() runs, for (b)/preemption
   std::vector<std::unique_ptr<Tracked>> all_;
   std::vector<Tracked*> running_;
   std::array<std::uint64_t, 3> last_dispatched_{{0, 0, 0}};
@@ -209,18 +193,13 @@ class Harness {
 AdmissionConfig random_config(sim::RngStream& rng) {
   AdmissionConfig config;
   config.enabled = true;
-  config.queue_capacity = 1 + rng.uniform_int(0, 7);
-  config.shed_retries_first = rng.bernoulli(0.5);
+  config.queue_capacity = rng.uniform_int(0, 7);
   config.reserve_slots = rng.bernoulli(0.5) ? 1 : 0;
-  // Keep min_limit above the reservation so low-priority classes always
+  // Keep the limit above the reservation so low-priority classes always
   // retain at least one usable slot (no permanent starvation).
-  config.limit.min_limit = config.reserve_slots + 1;
-  config.limit.initial_limit =
-      config.limit.min_limit + static_cast<std::uint32_t>(
-                                   rng.uniform_int(0, 4));
-  config.limit.max_limit = config.limit.initial_limit + 4;
-  config.limit.window = sim::milliseconds(rng.uniform_int(2, 40));
-  config.limit.min_window_samples = 1 + rng.uniform_int(0, 4);
+  config.concurrency_limit =
+      config.reserve_slots + 1 + static_cast<std::uint32_t>(
+                                     rng.uniform_int(0, 4));
   return config;
 }
 
@@ -230,13 +209,10 @@ TEST(AdmissionProperty, RandomScheduleHoldsInvariants) {
     sim::RngStream config_rng(seed, "admission-config");
     Harness harness(random_config(config_rng), seed);
     for (int op = 0; op < 120; ++op) {
-      const double pick = harness.rng().uniform();
-      if (pick < 0.55) {
+      if (harness.rng().uniform() < 0.6) {
         harness.arrival();
-      } else if (pick < 0.90) {
-        harness.complete_one();
       } else {
-        harness.advance();
+        harness.complete_one();
       }
       harness.check_step_invariants();
       if (::testing::Test::HasFatalFailure()) return;
@@ -249,179 +225,28 @@ TEST(AdmissionProperty, RandomScheduleHoldsInvariants) {
   }
 }
 
-// ----- Targeted unit tests for the pieces the property sweep exercises
+// ----- Targeted unit test for the corner the property sweep exercises
 // only statistically. -----
 
-ConcurrencyLimitConfig fast_limit_config() {
-  ConcurrencyLimitConfig config;
-  config.initial_limit = 4;
-  config.min_limit = 1;
-  config.max_limit = 16;
-  config.window = sim::milliseconds(10);
-  config.min_window_samples = 1;
-  config.latency_tolerance = 2.0;
-  return config;
-}
-
-TEST(ConcurrencyLimit, AdditiveIncreaseWhenPressedAndLatencyFlat) {
-  ConcurrencyLimit limit(fast_limit_config());
-  sim::Time now = 0;
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    // Press the limit: fill every slot, then drain at constant latency.
-    while (limit.has_capacity()) limit.on_start();
-    now += sim::milliseconds(11);  // crosses the 10 ms window
-    const std::uint32_t in_flight = limit.in_flight();
-    for (std::uint32_t i = 0; i < in_flight; ++i) {
-      limit.on_complete(sim::milliseconds(5), now);
-    }
-  }
-  EXPECT_GT(limit.increases(), 0u);
-  EXPECT_EQ(limit.limit(), 16u);  // grew to max under flat latency
-}
-
-TEST(ConcurrencyLimit, MultiplicativeDecreaseOnLatencyGradient) {
-  ConcurrencyLimit limit(fast_limit_config());
-  sim::Time now = 0;
-  // Establish a 5 ms baseline across several windows.
-  for (int epoch = 0; epoch < 8; ++epoch) {
-    limit.on_start();
-    now += sim::milliseconds(11);
-    limit.on_complete(sim::milliseconds(5), now);
-  }
-  const std::uint32_t before = limit.limit();
-  // Then latency jumps 10x — beyond the 2.0 tolerance.
-  for (int epoch = 0; epoch < 8; ++epoch) {
-    limit.on_start();
-    now += sim::milliseconds(11);
-    limit.on_complete(sim::milliseconds(50), now);
-  }
-  EXPECT_GT(limit.decreases(), 0u);
-  EXPECT_LT(limit.limit(), before);
-  EXPECT_GE(limit.limit(), fast_limit_config().min_limit);
-}
-
-TEST(ConcurrencyLimit, WindowsBelowSampleFloorAreDiscarded) {
-  ConcurrencyLimitConfig config = fast_limit_config();
-  // Each window collects at most limit+1 samples here; a floor of 20 is
-  // unreachable, so the AIMD rule must never act on such sparse windows.
-  config.min_window_samples = 20;
-  ConcurrencyLimit limit(config);
-  sim::Time now = 0;
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    while (limit.has_capacity()) limit.on_start();
-    now += sim::milliseconds(11);
-    limit.on_complete(sim::milliseconds(5), now);
-    while (limit.in_flight() > 0) {
-      limit.on_complete(sim::milliseconds(5), now);
-    }
-  }
-  EXPECT_EQ(limit.limit(), config.initial_limit);
-  EXPECT_EQ(limit.increases(), 0u);
-  EXPECT_EQ(limit.decreases(), 0u);
-}
-
-AdmissionConfig reserve_config() {
+TEST(AdmissionController, ReservedSlotKeepsCapacityForHighPriority) {
   AdmissionConfig config;
   config.enabled = true;
   config.queue_capacity = 8;
   config.reserve_slots = 1;
-  config.limit.initial_limit = 2;
-  config.limit.min_limit = 2;
-  config.limit.max_limit = 2;
-  return config;
-}
-
-TEST(AdmissionController, ReservedSlotKeepsCapacityForHighPriority) {
-  AdmissionController controller("svc", reserve_config());
+  config.concurrency_limit = 2;
+  AdmissionController controller("svc", config);
   // First scavenger takes the one unreserved slot.
-  auto low1 = controller.offer(TrafficClass::kScavenger, 0, false, 0);
+  auto low1 = controller.offer(TrafficClass::kScavenger);
   EXPECT_EQ(low1.outcome, AdmissionController::Decision::Outcome::kAdmitted);
   // Second scavenger must queue: the remaining slot is reserved.
-  auto low2 = controller.offer(TrafficClass::kScavenger, 0, false, 0);
+  auto low2 = controller.offer(TrafficClass::kScavenger);
   EXPECT_EQ(low2.outcome, AdmissionController::Decision::Outcome::kQueued);
   // A latency-sensitive arrival takes the reserved slot immediately,
   // overtaking the queued scavenger.
-  auto high = controller.offer(TrafficClass::kLatencySensitive, 0, false, 0);
+  auto high = controller.offer(TrafficClass::kLatencySensitive);
   EXPECT_EQ(high.outcome, AdmissionController::Decision::Outcome::kAdmitted);
   EXPECT_EQ(controller.in_flight(), 2u);
   EXPECT_EQ(controller.queue_depth(TrafficClass::kScavenger), 1u);
-}
-
-TEST(AdmissionController, PreemptionEvictsNewestLowerPriorityRetryFirst) {
-  AdmissionConfig config = reserve_config();
-  config.queue_capacity = 2;
-  config.shed_retries_first = true;
-  AdmissionController controller("svc", config);
-  // Fill both concurrency slots so everything else queues.
-  controller.offer(TrafficClass::kLatencySensitive, 0, false, 0);
-  controller.offer(TrafficClass::kLatencySensitive, 0, false, 0);
-  // Queue: an older scavenger first try, then a scavenger retry.
-  auto first_try = controller.offer(TrafficClass::kScavenger, 0, false, 0);
-  auto retry = controller.offer(TrafficClass::kScavenger, 0, true, 0);
-  ASSERT_EQ(first_try.outcome,
-            AdmissionController::Decision::Outcome::kQueued);
-  ASSERT_EQ(retry.outcome, AdmissionController::Decision::Outcome::kQueued);
-  ShedReason first_try_reason{};
-  ShedReason retry_reason{};
-  bool first_try_shed = false;
-  bool retry_shed = false;
-  controller.bind(first_try.ticket, [] {}, [&](ShedReason r) {
-    first_try_shed = true;
-    first_try_reason = r;
-  });
-  controller.bind(retry.ticket, [] {}, [&](ShedReason r) {
-    retry_shed = true;
-    retry_reason = r;
-  });
-  // Queue is full; a default-class arrival preempts the scavenger retry
-  // (not the older first try) and takes its slot.
-  auto mid = controller.offer(TrafficClass::kDefault, 0, false, 0);
-  EXPECT_EQ(mid.outcome, AdmissionController::Decision::Outcome::kQueued);
-  EXPECT_TRUE(retry_shed);
-  EXPECT_EQ(retry_reason, ShedReason::kPreempted);
-  EXPECT_FALSE(first_try_shed);
-  EXPECT_EQ(controller.counters().shed_preempted, 1u);
-}
-
-TEST(AdmissionController, DeadlineUnmeetableShedsAtOfferAndDequeue) {
-  AdmissionConfig config = reserve_config();
-  config.reserve_slots = 0;
-  AdmissionController controller("svc", config);
-  // Teach the estimator ~20 ms latencies.
-  for (int i = 0; i < 10; ++i) {
-    auto d = controller.offer(TrafficClass::kDefault, 0, false, 0);
-    ASSERT_EQ(d.outcome, AdmissionController::Decision::Outcome::kAdmitted);
-    controller.on_complete(TrafficClass::kDefault, sim::milliseconds(20), 0);
-  }
-  ASSERT_GT(controller.latency_estimate(), sim::milliseconds(10));
-
-  // An arrival whose deadline is closer than the estimate is shed now.
-  auto hopeless = controller.offer(TrafficClass::kDefault,
-                                   sim::milliseconds(5), false, 0);
-  EXPECT_EQ(hopeless.outcome, AdmissionController::Decision::Outcome::kShed);
-  EXPECT_EQ(hopeless.reason, ShedReason::kDeadline);
-
-  // A queued request whose deadline expires while waiting is shed at
-  // dequeue instead of wasting a slot.
-  controller.offer(TrafficClass::kDefault, 0, false, 0);
-  controller.offer(TrafficClass::kDefault, 0, false, 0);  // slots now full
-  auto queued = controller.offer(TrafficClass::kDefault,
-                                 sim::milliseconds(30), false, 0);
-  ASSERT_EQ(queued.outcome, AdmissionController::Decision::Outcome::kQueued);
-  ShedReason reason{};
-  bool was_shed = false;
-  bool was_dispatched = false;
-  controller.bind(queued.ticket, [&] { was_dispatched = true; },
-                  [&](ShedReason r) {
-                    was_shed = true;
-                    reason = r;
-                  });
-  // A slot frees at t=25ms: 25 + ~20 estimate > 30 deadline -> shed.
-  controller.on_complete(TrafficClass::kDefault, sim::milliseconds(20),
-                         sim::milliseconds(25));
-  EXPECT_TRUE(was_shed);
-  EXPECT_FALSE(was_dispatched);
-  EXPECT_EQ(reason, ShedReason::kDeadline);
 }
 
 }  // namespace

@@ -99,7 +99,9 @@ TEST_F(ServerFixture, ServesDeferredResponses) {
       [this](http::HttpRequest, SimpleHttpServer::Responder respond) {
         sim.schedule_after(sim::milliseconds(20),
                            [respond = std::move(respond)] {
-                             respond(http::HttpResponse{204});
+                             http::HttpResponse response;
+                             response.status = 204;
+                             respond(std::move(response));
                            });
       });
   mesh::HttpClientPool pool(sim, client_pod->transport(),
@@ -115,7 +117,9 @@ TEST_F(ServerFixture, HandlesConcurrentConnections) {
       sim, server_pod->transport(), 8080,
       [&](http::HttpRequest, SimpleHttpServer::Responder respond) {
         ++served;
-        respond(http::HttpResponse{200});
+        http::HttpResponse response;
+        response.status = 200;
+        respond(std::move(response));
       });
   mesh::HttpClientPool pool(sim, client_pod->transport(),
                             {server_pod->ip(), 8080}, {});

@@ -444,43 +444,6 @@ TEST_F(ControlPlaneFixture, NoRotationWhenRefreshAheadDisabled) {
   EXPECT_EQ(counter(*cp_, "cp_cert_rotations_total"), 0u);
 }
 
-// ------------------------------------------------------- flap damping --
-
-TEST_F(ControlPlaneFixture, FlapDampingSuppressesThrashingReadmission) {
-  MeshPolicies policies;
-  policies.health_check.enabled = true;
-  policies.health_check.interval = sim::milliseconds(50);
-  policies.health_check.timeout = sim::milliseconds(40);
-  policies.health_check.unhealthy_threshold = 1;
-  policies.health_check.healthy_threshold = 1;
-  policies.health_check.flap_max_transitions = 2;
-  policies.health_check.flap_window = sim::seconds(60);
-  policies.health_check.flap_penalty = sim::seconds(60);
-  build(2, policies);
-  run_for(sim::milliseconds(300));  // initial probes settle
-
-  const HealthChecker* checker = client_sidecar_->health_checker();
-  ASSERT_NE(checker, nullptr);
-
-  // Transition 1: eviction. Transition 2: readmission — arms the damper.
-  ASSERT_TRUE(cluster_->crash_pod("server-v1"));
-  run_for(sim::milliseconds(500));
-  EXPECT_FALSE(checker->healthy("server", "server-v1"));
-  ASSERT_TRUE(cluster_->restart_pod("server-v1"));
-  run_for(sim::milliseconds(500));
-  EXPECT_TRUE(checker->healthy("server", "server-v1"));
-
-  // Third flap: eviction still happens (always allowed) but the
-  // readmission is suppressed for the penalty window.
-  ASSERT_TRUE(cluster_->crash_pod("server-v1"));
-  run_for(sim::milliseconds(500));
-  EXPECT_FALSE(checker->healthy("server", "server-v1"));
-  ASSERT_TRUE(cluster_->restart_pod("server-v1"));
-  run_for(sim::milliseconds(500));
-  EXPECT_FALSE(checker->healthy("server", "server-v1"));
-  EXPECT_GT(checker->stats().flap_damps, 0u);
-}
-
 // ------------------------------------- config validation + fingerprint --
 
 TEST(ConfigValidation, DefaultConfigIsValid) {
@@ -508,6 +471,11 @@ TEST(ConfigValidation, RejectsMalformedConfigs) {
   SidecarConfig bad_route;
   bad_route.routes["host"] = "";
   EXPECT_NE(validate_config(bad_route), "");
+
+  SidecarConfig no_slots;
+  no_slots.admission.enabled = true;
+  no_slots.admission.concurrency_limit = 0;
+  EXPECT_NE(validate_config(no_slots), "");
 }
 
 TEST(ConfigFingerprint, ExcludesEpochIncludesPayload) {
@@ -557,33 +525,15 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
       {"retry.backoff_max", [](SidecarConfig& c) { c.retry.backoff_max = 7; }},
       {"retry.backoff_jitter",
        [](SidecarConfig& c) { c.retry.backoff_jitter = false; }},
-      {"retry.retry_budget",
-       [](SidecarConfig& c) { c.retry.retry_budget = 0.5; }},
-      {"retry.retry_budget_min_concurrency",
-       [](SidecarConfig& c) { c.retry.retry_budget_min_concurrency = 9; }},
-      {"retry.retry_on_overloaded",
-       [](SidecarConfig& c) { c.retry.retry_on_overloaded = true; }},
       {"request_timeout", [](SidecarConfig& c) { c.request_timeout = 7; }},
       {"admission.enabled",
        [](SidecarConfig& c) { c.admission.enabled = true; }},
       {"admission.queue_capacity",
        [](SidecarConfig& c) { c.admission.queue_capacity = 9; }},
-      {"admission.shed_retries_first",
-       [](SidecarConfig& c) { c.admission.shed_retries_first = false; }},
       {"admission.reserve_slots",
        [](SidecarConfig& c) { c.admission.reserve_slots = 2; }},
-      {"admission.limit.initial_limit",
-       [](SidecarConfig& c) { c.admission.limit.initial_limit = 9; }},
-      {"admission.limit.min_limit",
-       [](SidecarConfig& c) { c.admission.limit.min_limit = 2; }},
-      {"admission.limit.max_limit",
-       [](SidecarConfig& c) { c.admission.limit.max_limit = 9; }},
-      {"admission.limit.window",
-       [](SidecarConfig& c) { c.admission.limit.window = 7; }},
-      {"admission.limit.min_window_samples",
-       [](SidecarConfig& c) { c.admission.limit.min_window_samples = 9; }},
-      {"admission.limit.latency_tolerance",
-       [](SidecarConfig& c) { c.admission.limit.latency_tolerance = 3.0; }},
+      {"admission.concurrency_limit",
+       [](SidecarConfig& c) { c.admission.concurrency_limit = 9; }},
       {"authorization",
        [](SidecarConfig& c) { c.authorization["svc"] = {"client"}; }},
       {"class_policies",
@@ -624,14 +574,6 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
        [&](SidecarConfig& c) {
          cluster(c).health_check.healthy_threshold = 9;
        }},
-      {"cluster.health_check.flap_max_transitions",
-       [&](SidecarConfig& c) {
-         cluster(c).health_check.flap_max_transitions = 9;
-       }},
-      {"cluster.health_check.flap_window",
-       [&](SidecarConfig& c) { cluster(c).health_check.flap_window = 7; }},
-      {"cluster.health_check.flap_penalty",
-       [&](SidecarConfig& c) { cluster(c).health_check.flap_penalty = 7; }},
       {"cluster.mtls", [&](SidecarConfig& c) { cluster(c).mtls = true; }},
       {"cluster.endpoints (added)",
        [&](SidecarConfig& c) {

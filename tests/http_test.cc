@@ -350,8 +350,11 @@ TEST(Message, StatusText) {
   EXPECT_EQ(status_text(200), "OK");
   EXPECT_EQ(status_text(503), "Service Unavailable");
   EXPECT_EQ(status_text(418), "Unknown");
-  EXPECT_TRUE(HttpResponse{204}.ok());
-  EXPECT_FALSE(HttpResponse{500}.ok());
+  HttpResponse response;
+  response.status = 204;
+  EXPECT_TRUE(response.ok());
+  response.status = 500;
+  EXPECT_FALSE(response.ok());
 }
 
 TEST(Codec, SerializeRequestBasics) {

@@ -254,7 +254,9 @@ TEST(LoadBalancer, WrrSmoothness) {
   std::string last;
   for (int i = 0; i < 10; ++i) {
     const std::string now = lb.pick(c, ctx)->pod_name;
-    if (!last.empty()) EXPECT_NE(now, last);
+    if (!last.empty()) {
+      EXPECT_NE(now, last);
+    }
     last = now;
   }
 }
@@ -970,42 +972,6 @@ TEST_F(MeshFixture, PerTryTimeoutFiresOnEveryAttempt) {
   EXPECT_EQ(client_sidecar_->stats().timeouts, 2u);  // original + retry
 }
 
-TEST_F(MeshFixture, RetryBudgetDeniesWhenFloorIsZero) {
-  MeshPolicies policies;
-  policies.retry.max_retries = 2;
-  policies.retry.retry_budget = 0.5;
-  policies.retry.retry_budget_min_concurrency = 0;
-  build(1, policies, [](const http::HttpRequest&, int) {
-    app::HandlerResult plan;
-    plan.status = 503;
-    return plan;
-  });
-  // A lone failing request has zero other in-flight traffic, so the
-  // budget (0.5 x 0, floor 0) admits no retry at all.
-  const auto response = get("server", "/budgeted");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 503);
-  EXPECT_EQ(client_sidecar_->stats().upstream_retries, 0u);
-  EXPECT_GE(client_sidecar_->stats().retries_denied_by_budget, 1u);
-}
-
-TEST_F(MeshFixture, RetryBudgetFloorAdmitsRetries) {
-  MeshPolicies policies;
-  policies.retry.max_retries = 2;
-  policies.retry.retry_budget = 0.5;
-  policies.retry.retry_budget_min_concurrency = 3;
-  build(1, policies, [](const http::HttpRequest&, int) {
-    app::HandlerResult plan;
-    plan.status = 503;
-    return plan;
-  });
-  const auto response = get("server", "/budgeted");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 503);
-  EXPECT_EQ(client_sidecar_->stats().upstream_retries, 2u);
-  EXPECT_EQ(client_sidecar_->stats().retries_denied_by_budget, 0u);
-}
-
 // ---------------------------------------------- health checking -------
 
 TEST_F(MeshFixture, HealthProbesAnsweredBySidecarNotApp) {
@@ -1080,16 +1046,12 @@ class AdmissionFixture : public MeshFixture {
     bool done = false;
   };
 
-  /// Admission config with the adaptive limit pinned (min == max), so
-  /// the test controls exactly how many requests fit.
   static AdmissionConfig pinned_admission(std::uint32_t limit,
                                           std::size_t queue_capacity) {
     AdmissionConfig admission;
     admission.enabled = true;
     admission.queue_capacity = queue_capacity;
-    admission.limit.initial_limit = limit;
-    admission.limit.min_limit = limit;
-    admission.limit.max_limit = limit;
+    admission.concurrency_limit = limit;
     return admission;
   }
 
@@ -1155,7 +1117,7 @@ TEST_F(AdmissionFixture, ShedRespondsWith503AndMarkerHeader) {
   ASSERT_NE(admission, nullptr);
   EXPECT_EQ(admission->counters().accepted, 1u);
   EXPECT_EQ(admission->counters().completed, 1u);
-  EXPECT_EQ(admission->counters().shed_queue_full, 1u);
+  EXPECT_EQ(admission->counters().shed, 1u);
 }
 
 TEST_F(AdmissionFixture, RetryStormSuppressedWhenUpstreamSheds) {
@@ -1177,9 +1139,9 @@ TEST_F(AdmissionFixture, RetryStormSuppressedWhenUpstreamSheds) {
   }
   run_for(sim::seconds(2));
 
-  // A shed 503 is retryable by status but marked as overload, and
-  // retry_on_overloaded defaults off — so the three sheds produce zero
-  // upstream retries (no retry storm) and exactly one app attempt.
+  // A shed 503 is retryable by status but marked as overload, so the
+  // three sheds produce zero upstream retries (no retry storm) and
+  // exactly one app attempt.
   int served = 0;
   int shed = 0;
   for (const Pending& p : pending) {
@@ -1193,47 +1155,6 @@ TEST_F(AdmissionFixture, RetryStormSuppressedWhenUpstreamSheds) {
   EXPECT_EQ(invocations, 1);
   EXPECT_EQ(client_sidecar_->stats().upstream_retries, 0u);
   EXPECT_EQ(client_sidecar_->stats().retries_suppressed_by_overload, 3u);
-}
-
-TEST_F(AdmissionFixture, OptInRetriesReenterAdmissionAndStayBounded) {
-  MeshPolicies policies;
-  policies.retry.max_retries = 2;
-  policies.retry.retry_on_overloaded = true;  // the amplifying opt-in
-  policies.retry.backoff_jitter = false;
-  policies.retry.backoff_base = sim::milliseconds(10);
-  policies.admission = pinned_admission(1, 0);
-  int invocations = 0;
-  build(1, policies, [&invocations](const http::HttpRequest&, int) {
-    ++invocations;
-    app::HandlerResult plan;
-    plan.processing_delay = sim::seconds(1);  // slot busy through all retries
-    plan.response_bytes = 8;
-    return plan;
-  });
-
-  std::vector<Pending> pending(3);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    send("server", "/o" + std::to_string(i), &pending[i]);
-  }
-  run_for(sim::seconds(3));
-
-  // Even with retries opted in, each retry re-enters admission and is
-  // shed there: attempts are bounded by max_retries and the app still
-  // sees exactly one request — never a storm.
-  int served = 0;
-  int shed = 0;
-  for (const Pending& p : pending) {
-    ASSERT_TRUE(p.done);
-    ASSERT_TRUE(p.response.has_value());
-    if (p.response->status == 200) ++served;
-    if (is_shed_503(p)) ++shed;
-  }
-  EXPECT_EQ(served, 1);
-  EXPECT_EQ(shed, 2);
-  EXPECT_EQ(invocations, 1);
-  EXPECT_GE(client_sidecar_->stats().upstream_retries, 1u);
-  EXPECT_LE(client_sidecar_->stats().upstream_retries,
-            2u * static_cast<std::uint64_t>(policies.retry.max_retries));
 }
 
 TEST_F(AdmissionFixture, ShedStormDoesNotTripCircuitBreaker) {
@@ -1305,40 +1226,6 @@ TEST_F(AdmissionFixture, QueueDispatchesHighPriorityFirst) {
   EXPECT_EQ(order[2], "/low");
 }
 
-TEST_F(AdmissionFixture, HighPriorityArrivalPreemptsQueuedScavenger) {
-  MeshPolicies policies;
-  // Queue budget of one: the high-priority arrival finds it full and must
-  // preempt the queued scavenger outright.
-  policies.admission = pinned_admission(1, 1);
-  build(1, policies, [](const http::HttpRequest&, int) {
-    app::HandlerResult plan;
-    plan.processing_delay = sim::milliseconds(100);
-    plan.response_bytes = 8;
-    return plan;
-  });
-
-  Pending holder;
-  Pending low;
-  Pending high;
-  send("server", "/hold", &holder);
-  run_for(sim::milliseconds(10));
-  send("server", "/low", &low, "low");
-  run_for(sim::milliseconds(10));
-  send("server", "/high", &high, "high");
-  run_for(sim::seconds(1));
-
-  ASSERT_TRUE(holder.done && low.done && high.done);
-  EXPECT_EQ(holder.response->status, 200);
-  EXPECT_EQ(high.response->status, 200);
-  EXPECT_TRUE(is_shed_503(low));
-  EXPECT_EQ(low.response->headers.get_or(http::headers::Id::kShedReason, ""),
-            "preempted");
-  const AdmissionController* admission =
-      server_sidecars_[0]->admission_controller();
-  ASSERT_NE(admission, nullptr);
-  EXPECT_EQ(admission->counters().shed_preempted, 1u);
-}
-
 TEST_F(AdmissionFixture, DeadlineAbandonedSpanStillClosesUnderOverload) {
   MeshPolicies policies;
   policies.request_timeout = sim::milliseconds(200);
@@ -1372,13 +1259,14 @@ TEST_F(AdmissionFixture, DeadlineAbandonedSpanStillClosesUnderOverload) {
   }
   EXPECT_EQ(error_spans, 2);
 
-  // The queued request's deadline passed before a slot freed: admission
-  // sheds it at dequeue instead of wasting the slot on a dead request.
+  // A queued request is never shed: the second one waited for the slot
+  // and was dispatched when the first completed.
   const AdmissionController* admission =
       server_sidecars_[0]->admission_controller();
   ASSERT_NE(admission, nullptr);
-  EXPECT_GE(admission->counters().shed_deadline, 1u);
-  EXPECT_EQ(admission->counters().accepted, 1u);
+  EXPECT_EQ(admission->counters().queued, 1u);
+  EXPECT_EQ(admission->counters().shed, 0u);
+  EXPECT_EQ(admission->counters().accepted, 2u);
 }
 
 }  // namespace

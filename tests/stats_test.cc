@@ -33,6 +33,24 @@ TEST(LogHistogram, SmallValuesAreExact) {
   EXPECT_EQ(h.count(), 128u);
 }
 
+TEST(LogHistogram, PercentilesAreNearestRank) {
+  // Values below 2^7 are exact, so each percentile is the observation at
+  // rank ceil(p/100 * n): never interpolated, never one rank off.
+  LogHistogram ten(7);
+  for (std::uint64_t v = 1; v <= 10; ++v) ten.record(v);
+  EXPECT_EQ(ten.percentile(0), 1u);
+  EXPECT_EQ(ten.percentile(10), 1u);
+  EXPECT_EQ(ten.percentile(11), 2u);
+  EXPECT_EQ(ten.percentile(90), 9u);
+  EXPECT_EQ(ten.percentile(91), 10u);
+  EXPECT_EQ(ten.percentile(100), 10u);
+
+  LogHistogram hundred(7);
+  for (std::uint64_t v = 1; v <= 100; ++v) hundred.record(v);
+  EXPECT_EQ(hundred.percentile(99), 99u);
+  EXPECT_EQ(hundred.percentile(99.5), 100u);
+}
+
 TEST(LogHistogram, SingleValue) {
   LogHistogram h;
   h.record(42);

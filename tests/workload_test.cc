@@ -95,7 +95,9 @@ class GeneratorFixture : public ::testing::Test {
         [this](http::HttpRequest, app::SimpleHttpServer::Responder respond) {
           sim.schedule_after(sim::milliseconds(service_ms),
                              [respond = std::move(respond)] {
-                               respond(http::HttpResponse{200});
+                               http::HttpResponse response;
+                               response.status = 200;
+                               respond(std::move(response));
                              });
         });
     mesh::HttpClientPool::Options options;
@@ -552,7 +554,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "--outage-duration-s=6", "--churn-period-s=3"},
                      cp_sanity},
         ScenarioCase{"mtls",
-                     {"--ls-rps=15", "--li-rps=5", "--duration=10"},
+                     {"--ls-rps=20", "--li-rps=5", "--duration=10"},
                      mtls_sanity},
         ScenarioCase{"chaos_elibrary",
                      {"--ls-rps=10", "--li-rps=5", "--duration=10",
