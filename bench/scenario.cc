@@ -212,7 +212,6 @@ const std::vector<Scenario>& scenarios() {
       kLbPoliciesScenario,
       kComputePriorityScenario,
       kScavengerScenario,
-      kParsimScenario,
       kMeshscaleScenario,
       kMtlsScenario,
       kChaosElibraryScenario,
@@ -266,13 +265,6 @@ int run_scenario(const Scenario& scenario, const Args& args) {
   std::printf("\n\n");
 
   workload::SweepOptions options = workload::sweep_options(args.harness());
-  if (scenario.sequential && options.threads != 1) {
-    std::fprintf(stderr, "note: %s arms measure whole-machine wall clock "
-                         "and always run sequentially; --threads does not "
-                         "fan them.\n",
-                 std::string(scenario.name).c_str());
-    options.threads = 1;
-  }
   const std::vector<Arm> arms = scenario.arms(args);
   std::vector<ArmLog> logs;
   const workload::SweepResult sweep = run_arms(arms, options, &logs);
@@ -308,14 +300,6 @@ int run_scenario(const Scenario& scenario, const Args& args) {
 
   stats::BenchReport report = workload::make_bench_report(
       std::string(scenario.name), std::move(config), sweep);
-  if (scenario.sequential) {
-    const double base_wall = results.point(results.names().front()).wall_ms;
-    for (const std::string& arm : results.names()) {
-      const double wall = results.point(arm).wall_ms;
-      report.engine.emplace_back("wall_speedup_" + arm,
-                                 wall > 0 ? base_wall / wall : 0.0);
-    }
-  }
   const int harness_rc = workload::finish_harness(report, args.harness());
   return harness_rc != 0 ? harness_rc : passed ? 0 : 1;
 }

@@ -181,11 +181,6 @@ struct Scenario {
   std::vector<std::pair<std::string, std::string>> fixed_config = {};
   /// False: no arm draws random numbers, so the report has no seed.
   bool seeded = true;
-  /// Each arm measures whole-machine wall clock, so arms run one at a
-  /// time whatever --threads says, and the report's engine section gets
-  /// each arm's wall-clock speedup over the first, as
-  /// `wall_speedup_<arm name>`.
-  bool sequential = false;
 };
 
 /// Every scenario, in the order meshsim lists them.
@@ -243,7 +238,6 @@ extern const Scenario kAblationComponentsScenario;
 extern const Scenario kLbPoliciesScenario;
 extern const Scenario kComputePriorityScenario;
 extern const Scenario kScavengerScenario;
-extern const Scenario kParsimScenario;
 extern const Scenario kMeshscaleScenario;
 extern const Scenario kMtlsScenario;
 extern const Scenario kChaosElibraryScenario;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/random.h"
+#include "sim/time.h"
 
 namespace meshnet::cluster {
 
@@ -21,17 +22,10 @@ GenTopology generate_layered_fanout(const FanoutSpec& spec,
   if (spec.fanout < 1) {
     throw std::invalid_argument("generate_layered_fanout: fanout < 1");
   }
-  if (spec.min_edge_latency < 1 ||
-      spec.max_edge_latency < spec.min_edge_latency) {
-    // Zero-latency edges would make the parallel engine's lookahead
-    // window empty; the generator refuses to produce them.
-    throw std::invalid_argument(
-        "generate_layered_fanout: edge latency band must be >= 1 ns");
-  }
 
   GenTopology topology;
-  // Wiring and latencies come from a single stream keyed only by the run
-  // seed, so the generated graph is a pure function of (spec, seed).
+  // Wiring comes from a single stream keyed only by the run seed, so the
+  // generated graph is a pure function of (spec, seed).
   sim::RngStream rng(seed, "topo-gen");
 
   std::vector<int> layer_start;  // first service id of each layer
@@ -45,12 +39,6 @@ GenTopology generate_layered_fanout(const FanoutSpec& spec,
       topology.services.push_back(std::move(service));
     }
   }
-
-  const auto draw_latency = [&]() -> sim::Duration {
-    return static_cast<sim::Duration>(rng.uniform_int(
-        static_cast<std::uint64_t>(spec.min_edge_latency),
-        static_cast<std::uint64_t>(spec.max_edge_latency)));
-  };
 
   std::vector<int> candidates;
   for (std::size_t layer = 0; layer + 1 < spec.layer_widths.size(); ++layer) {
@@ -77,8 +65,9 @@ GenTopology generate_layered_fanout(const FanoutSpec& spec,
         GenEdge edge;
         edge.from = parent;
         edge.to = candidates[static_cast<std::size_t>(k)];
-        edge.latency = draw_latency();
-        edge.rate_bps = spec.edge_rate_bps;
+        // Unused latency draw, kept so every wiring stays seed-stable.
+        rng.uniform_int(static_cast<std::uint64_t>(sim::milliseconds(1)),
+                        static_cast<std::uint64_t>(sim::milliseconds(2)));
         topology.services[static_cast<std::size_t>(parent)].out_edges.push_back(
             static_cast<int>(topology.edges.size()));
         topology.edges.push_back(edge);
@@ -86,58 +75,6 @@ GenTopology generate_layered_fanout(const FanoutSpec& spec,
     }
   }
   return topology;
-}
-
-TopologyPartition partition_topology(const GenTopology& topology,
-                                     int shards) {
-  if (shards < 1) shards = 1;
-  const int n = topology.service_count();
-  shards = std::min(shards, std::max(n, 1));
-
-  // Weight = 1 + in-degree: a service's event volume scales with the
-  // requests arriving at it, and every service costs at least its own
-  // bookkeeping.
-  std::vector<std::uint64_t> weight(static_cast<std::size_t>(n), 1);
-  for (const GenEdge& edge : topology.edges) {
-    ++weight[static_cast<std::size_t>(edge.to)];
-  }
-  const std::uint64_t total =
-      std::accumulate(weight.begin(), weight.end(), std::uint64_t{0});
-
-  TopologyPartition partition;
-  partition.shards = shards;
-  partition.shard_of.resize(static_cast<std::size_t>(n), 0);
-  // Contiguous blocks in id order (ids follow layers, so a block is a
-  // band of adjacent layers/slices): service i goes to the shard its
-  // weight midpoint falls into. Deterministic, and keeps heavy fan-in
-  // layers spread across shards instead of piling into the last one.
-  std::uint64_t prefix = 0;
-  for (int i = 0; i < n; ++i) {
-    const std::uint64_t midpoint = prefix + weight[static_cast<std::size_t>(i)] / 2;
-    const auto shard = static_cast<int>(
-        (midpoint * static_cast<std::uint64_t>(shards)) / std::max<std::uint64_t>(total, 1));
-    partition.shard_of[static_cast<std::size_t>(i)] = std::min(shard, shards - 1);
-    prefix += weight[static_cast<std::size_t>(i)];
-  }
-
-  sim::Duration cut_min = 0;
-  sim::Duration all_min = 0;
-  for (const GenEdge& edge : topology.edges) {
-    if (all_min == 0 || edge.latency < all_min) all_min = edge.latency;
-    if (partition.shard_of[static_cast<std::size_t>(edge.from)] !=
-        partition.shard_of[static_cast<std::size_t>(edge.to)]) {
-      ++partition.cut_edges;
-      if (cut_min == 0 || edge.latency < cut_min) cut_min = edge.latency;
-    }
-  }
-  if (partition.cut_edges > 0) {
-    partition.lookahead = cut_min;
-  } else if (all_min > 0) {
-    partition.lookahead = all_min;
-  } else {
-    partition.lookahead = 1;  // no edges at all; any positive window works
-  }
-  return partition;
 }
 
 }  // namespace meshnet::cluster

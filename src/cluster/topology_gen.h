@@ -1,25 +1,16 @@
 #pragma once
 
-// Parameterized mesh topology generation + shard partitioning.
+// Parameterized mesh topology generation.
 //
 // ROADMAP item 1 frames the scale problem as "thousands of services";
 // the bookinfo e-library is six. This generator builds layered fan-out
 // DAGs — the canonical microservice call pattern: a thin edge layer
 // fanning out through aggregation layers to wide leaf layers — with
-// seeded, reproducible wiring. The partitioner cuts a generated topology
-// into shards for the parallel engine (sim/parallel.h) and computes the
-// conservative lookahead (the minimum latency over cut edges) that
-// bounds how far shards may run between barriers.
-//
-// Edge latencies are a pure function of (spec, seed, edge), NEVER of the
-// partition: the same topology simulated with 1 shard or 8 must behave
-// identically — partitioning may only change synchronization granularity
-// and wall-clock, not semantics.
+// seeded, reproducible wiring (cluster::mesh_spec_from_topology turns
+// one into a MeshSpec).
 
 #include <cstdint>
 #include <vector>
-
-#include "sim/time.h"
 
 namespace meshnet::cluster {
 
@@ -28,18 +19,11 @@ namespace meshnet::cluster {
 struct FanoutSpec {
   std::vector<int> layer_widths;  ///< services per layer, front = roots
   int fanout = 3;                 ///< children sampled per service
-  /// Inter-service latency band: each edge draws a latency in
-  /// [min_edge_latency, max_edge_latency] from the topology stream.
-  sim::Duration min_edge_latency = sim::milliseconds(1);
-  sim::Duration max_edge_latency = sim::milliseconds(2);
-  double edge_rate_bps = 10e9;  ///< serialization rate per edge
 };
 
 struct GenEdge {
   int from = 0;
   int to = 0;
-  sim::Duration latency = 0;  ///< propagation delay (lookahead metadata)
-  double rate_bps = 0.0;
 };
 
 struct GenService {
@@ -60,25 +44,8 @@ struct GenTopology {
 /// Builds the DAG: every service in layer k picks `fanout` distinct
 /// children in layer k+1 (all of them when the next layer is narrower
 /// than the fanout), seeded so the same (spec, seed) always yields the
-/// same wiring and latencies.
+/// same wiring.
 GenTopology generate_layered_fanout(const FanoutSpec& spec,
                                     std::uint64_t seed);
-
-struct TopologyPartition {
-  std::vector<int> shard_of;  ///< service id -> shard index
-  int shards = 1;
-  int cut_edges = 0;  ///< edges whose endpoints land on different shards
-  /// min latency over cut edges — the engine's conservative lookahead.
-  /// When no edge is cut (1 shard), this is the min over all edges so a
-  /// single-shard engine still gets a valid window.
-  sim::Duration lookahead = 0;
-};
-
-/// Weight-balanced contiguous partition: services are walked in id order
-/// (so layers stay roughly contiguous) and split into `shards` blocks of
-/// approximately equal traffic weight, where a service's weight is
-/// 1 + in-degree (a proxy for the events it will execute). Deterministic.
-TopologyPartition partition_topology(const GenTopology& topology,
-                                     int shards);
 
 }  // namespace meshnet::cluster

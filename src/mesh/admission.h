@@ -57,7 +57,9 @@ struct AdmissionConfig {
 /// tests and experiments.
 struct AdmissionCounters {
   std::uint64_t offered = 0;
-  std::uint64_t accepted = 0;  ///< dispatched toward the app (direct + queued)
+  /// Granted a slot: directly, or on dispatch from the queue (a queued
+  /// request whose downstream has gone releases its slot at once).
+  std::uint64_t accepted = 0;
   std::uint64_t queued = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;  ///< arrivals that found the queue full

@@ -646,11 +646,22 @@ void Sidecar::process_request_now(std::uint64_t session_id,
   if (chain_result == ChainResult::kPaused) {
     // The admission filter parked the request in its priority queue; it
     // continues when a completion frees a slot for its class.
-    admission_->bind(ctx->admission_ticket,
-                     [this, session_id, ctx, direction] {
-                       ctx->admission_admitted = true;
-                       continue_request(session_id, ctx, direction);
-                     });
+    admission_->bind(ctx->admission_ticket, [this, session_id, ctx,
+                                             direction] {
+      ctx->admission_admitted = true;
+      if (sessions_.find(session_id) == sessions_.end()) {
+        // The downstream went away while the request waited: finish it
+        // as a local 499 on the response path, which frees the slot and
+        // closes the span, instead of handing the app a request nobody
+        // waits for.
+        http::HttpResponse response;
+        response.status = 499;
+        response.body = "downstream closed while queued";
+        inbound_chain_.run_response(*ctx, response);
+        return;
+      }
+      continue_request(session_id, ctx, direction);
+    });
     return;
   }
   if (chain_result == ChainResult::kStopped) {

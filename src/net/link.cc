@@ -66,19 +66,12 @@ void Link::finish_transmit() {
   transmitting_ = false;
   stats_.delivered_packets += 1;
   stats_.delivered_bytes += tx_packet_.size_bytes();
-  if (handoff_) {
-    // Cut link: the destination lives on another shard. Hand the packet
-    // off at serialization-complete time with the remaining propagation;
-    // the parallel engine delivers it there.
-    handoff_(std::move(tx_packet_), prop_delay_);
-  } else {
-    // Arrivals fire in serialization order (constant delay), so each one
-    // takes the ring's front.
-    wire_.push_back(std::move(tx_packet_));
-    auto on_arrival = [this] { arrive(); };
-    static_assert(sim::InlineTask::fits_inline<decltype(on_arrival)>());
-    sim_.schedule_after(prop_delay_, on_arrival);
-  }
+  // Arrivals fire in serialization order (constant delay), so each one
+  // takes the ring's front.
+  wire_.push_back(std::move(tx_packet_));
+  auto on_arrival = [this] { arrive(); };
+  static_assert(sim::InlineTask::fits_inline<decltype(on_arrival)>());
+  sim_.schedule_after(prop_delay_, on_arrival);
   try_transmit();
 }
 

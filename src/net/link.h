@@ -52,20 +52,6 @@ class Link {
     sink_ = std::move(sink);
   }
 
-  /// Cross-shard handoff (the parallel engine's cut-link path). When
-  /// set, the link still owns its qdisc and serializes packets on the
-  /// local shard's clock — the queueing decision stays exactly where tc
-  /// acts — but instead of scheduling the sink after propagation it
-  /// invokes `handoff(packet, propagation_delay())` at
-  /// serialization-complete time. The handoff owner is responsible for
-  /// delivering the packet on the destination shard at
-  /// now() + propagation_delay(); the propagation therefore doubles as
-  /// the link's conservative lookahead contribution. Takes precedence
-  /// over set_sink.
-  void set_handoff(std::function<void(Packet, sim::Duration)> handoff) {
-    handoff_ = std::move(handoff);
-  }
-
   /// Enqueues the packet; it is dropped silently if the qdisc is full
   /// (the transport's loss recovery handles it).
   void send(Packet packet);
@@ -107,7 +93,6 @@ class Link {
   sim::Duration prop_delay_;
   std::unique_ptr<Qdisc> qdisc_;
   std::function<void(Packet&&)> sink_;
-  std::function<void(Packet, sim::Duration)> handoff_;
   Packet tx_packet_;            ///< Being serialized while transmitting_.
   sim::Ring<Packet> wire_;      ///< Serialized, propagating; send order.
   bool transmitting_ = false;

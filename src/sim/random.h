@@ -21,14 +21,13 @@
 //     there is no hard guarantee against collisions across the full
 //     64-bit space. Keep names structured and short.
 //
-// Thread/shard affinity: a stream is mutable state with no locking. Under
-// the sharded parallel engine (sim/parallel.h) every stream must be owned
-// by exactly one shard and only drawn from while that shard executes —
-// shard determinism relies on per-stream call order, which a stream
-// shared across shards would destroy. Seed per-shard consumers by name
-// exactly as above; the (run_seed, name) derivation guarantees a shard
-// sees the same sequence no matter how many shards or worker threads the
-// engine runs with.
+// Thread/cell affinity: a stream is mutable state with no locking. Under
+// the parallel engine (sim/parallel.h) every stream must be owned by
+// exactly one cell and only drawn from while that cell executes — a
+// stream shared across cells would make each cell's draws depend on how
+// the executors interleave. Seed per-cell consumers by name exactly as
+// above; the (run_seed, name) derivation guarantees a cell sees the same
+// sequence no matter how many worker threads the engine runs with.
 
 #include <cstdint>
 #include <random>

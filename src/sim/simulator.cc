@@ -10,8 +10,8 @@ namespace meshnet::sim {
 void Simulator::throw_cross_shard_access() const {
   throw std::logic_error(
       "sim::Simulator: schedule/cancel on a simulator other than the "
-      "shard armed on this thread — cross-shard events must go through "
-      "ParallelEngine::post, never direct scheduling");
+      "shard armed on this thread — the parallel engine's cells are "
+      "independent and must never schedule into one another");
 }
 
 namespace {

@@ -66,18 +66,17 @@ class Simulator {
 
   /// Absolute time of the earliest live pending event, or kNoEventTime
   /// when nothing is scheduled. Prunes tombstones lazily but never
-  /// executes events or advances the clock. The parallel engine's epoch
-  /// coordinator uses this to compute the global lookahead horizon.
+  /// executes events or advances the clock.
   Time next_event_time();
 
   /// Shard-affinity guard (see sim/parallel.h). While a ShardGuard for
   /// simulator S is armed on the current thread, schedule_at /
   /// schedule_after / cancel on any *other* simulator throw
-  /// std::logic_error: shard-local components must never mutate another
-  /// shard's event queue directly — cross-shard traffic has to go
-  /// through ParallelEngine::post, otherwise determinism (and thread
-  /// safety) silently break. Unarmed threads (every single-simulator
-  /// program) pay one thread-local load + branch per schedule.
+  /// std::logic_error: the parallel engine's cells are independent, so
+  /// a component that touches another cell's event queue is a bug that
+  /// would otherwise break determinism (and thread safety) silently.
+  /// Unarmed threads (every single-simulator program) pay one
+  /// thread-local load + branch per schedule.
   class ShardGuard {
    public:
     explicit ShardGuard(const Simulator* active) noexcept
@@ -118,7 +117,8 @@ class Simulator {
   void run();
 
   /// Runs until simulated time strictly exceeds `deadline` or the queue
-  /// drains. The clock is left at min(deadline, last event time).
+  /// drains. The clock ends at `deadline`, also when stop() ends the run
+  /// early.
   void run_until(Time deadline);
 
   /// Requests that run()/run_until() return after the current event.

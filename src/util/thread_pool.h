@@ -24,9 +24,10 @@ namespace meshnet::util {
 /// Process-wide accounting of worker threads, shared by every layer that
 /// spawns parallelism, so nested parallel layers do not oversubscribe the
 /// host. The failure mode this exists for: `sweep_runner --threads N`
-/// fans sweep points across a ThreadPool, and each point internally
-/// builds a multi-shard sim::ParallelEngine — without a shared budget
-/// that spawns N*M threads on an N-core box and everything thrashes.
+/// fans sweep points across a ThreadPool, and each MESHSCALE point
+/// internally builds a multi-cell sim::ParallelEngine — without a shared
+/// budget that spawns N*M threads on an N-core box and everything
+/// thrashes.
 ///
 /// Protocol:
 ///  * Top-level pools (the user's explicit --threads choice) REGISTER

@@ -18,7 +18,6 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "util/hash.h"
-#include "workload/parsim_experiment.h"
 
 namespace meshnet::workload {
 
@@ -51,8 +50,8 @@ constexpr std::pair<std::string_view, std::string_view> kPushSeries[] = {
     {"cp_full_push_bytes_total", "cp_full_push_bytes"},
     {"cp_delta_push_bytes_total", "cp_delta_push_bytes"}};
 
-/// Four layers in a 1:2:3:4 width ratio (the PARSIM shape, re-based so
-/// --services sets the total exactly).
+/// Four layers in a 1:2:3:4 width ratio, sized so --services sets the
+/// total exactly.
 std::vector<int> layer_widths(int services) {
   if (services < 4) {
     return std::vector<int>(static_cast<std::size_t>(std::max(1, services)),
@@ -166,6 +165,22 @@ void schedule_next_arrival(Cell& cell, Cell::RootGen& root, double rps,
   });
 }
 
+/// The snapshot's microsecond histogram `series` reported as
+/// e2e_latency_us, with e2e_p50_ms, e2e_p99_ms and e2e_mean_ms (an empty
+/// histogram when the series is absent).
+void report_e2e_latency_us(PointMetrics& metrics, std::string_view series) {
+  stats::LogHistogram e2e{7};
+  if (const obs::SeriesSnapshot* latency = metrics.snapshot.find(series)) {
+    e2e = latency->histogram;
+  }
+  metrics.scalars["e2e_p50_ms"] =
+      static_cast<double>(e2e.percentile(50.0)) / 1000.0;
+  metrics.scalars["e2e_p99_ms"] =
+      static_cast<double>(e2e.percentile(99.0)) / 1000.0;
+  metrics.scalars["e2e_mean_ms"] = e2e.mean() / 1000.0;
+  metrics.histograms["e2e_latency_us"] = std::move(e2e);
+}
+
 }  // namespace
 
 PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
@@ -177,9 +192,6 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
 
   sim::ParallelEngineOptions engine_options;
   engine_options.shards = std::max(1, config.cells);
-  // Cells never talk, so any positive lookahead is conservative; 50 ms
-  // keeps the barrier count per run in the dozens.
-  engine_options.lookahead = sim::milliseconds(50);
   engine_options.threads = config.threads;
   engine_options.respect_worker_budget = config.respect_worker_budget;
   sim::ParallelEngine engine(engine_options);
@@ -422,7 +434,6 @@ PointMetrics run_meshscale_experiment(const MeshscaleConfig& config) {
   counters["cells"] = static_cast<std::uint64_t>(engine_options.shards);
   counters["events"] = engine.events_executed();
   counters["engine_epochs"] = engine.stats().epochs;
-  counters["engine_messages"] = engine.stats().messages;
   return metrics;
 }
 

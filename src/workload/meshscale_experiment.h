@@ -2,32 +2,30 @@
 
 // The MESHSCALE experiment: N generated services built declaratively
 // (cluster::MeshSpec -> MeshBuilder) and driven end to end — gateway,
-// sidecars, apps, control plane — on the sharded parallel engine.
+// sidecars, apps, control plane — on the parallel engine of independent
+// cells (sim/parallel.h).
 //
-// Where PARSIM strips the mesh away to benchmark the engine, MESHSCALE
-// keeps the whole stack and asks the control-plane scaling question from
-// ROADMAP item 1: what does it cost to keep N services' sidecars
-// configured as the mesh grows, and how much of that cost do delta
-// (xDS-style incremental) pushes, cluster scoping and deterministic
-// endpoint subsetting remove?
+// It asks the control-plane scaling question from ROADMAP item 1: what
+// does it cost to keep N services' sidecars configured as the mesh
+// grows, and how much of that cost do delta (xDS-style incremental)
+// pushes, cluster scoping and deterministic endpoint subsetting remove?
 //
 // Shape: `cells` independent replicas of one N-service layered fan-out
 // mesh, one cell per engine shard. Cells never exchange messages — each
 // is a complete mesh with its own control plane and ingress gateway — so
 // for a fixed cell count the run is bit-identical at every engine thread
-// count (the same guarantee PARSIM earns with cut edges, earned here by
-// construction). Cells differ only in their arrival streams; together
-// they model independent availability zones running the same topology.
+// count. Cells differ only in their arrival streams; together they model
+// independent availability zones running the same topology.
 //
 // Mid-run (at 2/5 of the arrival window), one replica of the last (leaf)
 // service is crashed and deregistered, then restored (at 3/5):
 // single-endpoint churn, the dominant config-push trigger in production
-// meshes. The experiment samples the
-// push channel's byte counters at the churn instant so the report can
-// separate steady-state config cost from the marginal cost of one
-// endpoint flapping — the number the delta-push comparison is about.
+// meshes. The experiment samples the push channel's byte counters at the
+// churn instant so the report can separate steady-state config cost from
+// the marginal cost of one endpoint flapping — the number the delta-push
+// comparison is about.
 //
-// Determinism rules (same spirit as PARSIM):
+// Determinism rules:
 //   * every request carries a workload-assigned fixed-format
 //     x-request-id, so the sidecars' thread_local fallback id generator
 //     is never consulted;
@@ -69,9 +67,8 @@ struct MeshscaleConfig {
 /// planes and the engine:
 ///   * the workload surface — requests_generated, responses, successes,
 ///     failures, success_rate, the e2e latency scalars and the
-///     e2e_latency_us histogram (recorded in MICROSECONDS: us-scale keeps
-///     the histogram's double accumulators exact; see
-///     parsim_experiment.h);
+///     e2e_latency_us histogram (recorded in MICROSECONDS: us-scale
+///     keeps the histogram's double accumulators exact);
 ///   * the control-plane push channel — cp_epochs, cp_pushes,
 ///     cp_{full,delta}_pushes, cp_delta_fallbacks,
 ///     cp_{full,delta}_push_bytes, the churn window's
@@ -81,8 +78,8 @@ struct MeshscaleConfig {
 ///   * per-sidecar endpoint-table sizes — sidecars, endpoint_entries,
 ///     max_ and mean_endpoints_per_sidecar, the state the
 ///     `scoped` arm exists to bound;
-///   * the shape and engine — services, cells, events, engine_epochs,
-///     engine_messages (thread-invariant for a fixed cell count).
+///   * the shape and engine — services, cells, events, engine_epochs
+///     (thread-invariant for a fixed cell count).
 PointMetrics run_meshscale_experiment(const MeshscaleConfig& config);
 
 }  // namespace meshnet::workload

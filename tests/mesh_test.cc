@@ -1230,7 +1230,9 @@ TEST_F(AdmissionFixture, DeadlineAbandonedSpanStillClosesUnderOverload) {
   MeshPolicies policies;
   policies.request_timeout = sim::milliseconds(200);
   policies.admission = pinned_admission(1, 4);
-  build(1, policies, [](const http::HttpRequest&, int) {
+  int handled = 0;
+  build(1, policies, [&handled](const http::HttpRequest&, int) {
+    ++handled;
     app::HandlerResult plan;
     plan.processing_delay = sim::seconds(5);  // far past every deadline
     plan.response_bytes = 8;
@@ -1259,14 +1261,20 @@ TEST_F(AdmissionFixture, DeadlineAbandonedSpanStillClosesUnderOverload) {
   }
   EXPECT_EQ(error_spans, 2);
 
-  // A queued request is never shed: the second one waited for the slot
-  // and was dispatched when the first completed.
+  // A queued request is never shed: the second one waited for the slot,
+  // and when the first completed it got the slot with its downstream
+  // already gone, so it released the slot without reaching the app.
   const AdmissionController* admission =
       server_sidecars_[0]->admission_controller();
   ASSERT_NE(admission, nullptr);
-  EXPECT_EQ(admission->counters().queued, 1u);
-  EXPECT_EQ(admission->counters().shed, 0u);
-  EXPECT_EQ(admission->counters().accepted, 2u);
+  const AdmissionCounters& counters = admission->counters();
+  EXPECT_EQ(handled, 1);
+  EXPECT_EQ(admission->in_flight(), 0u);
+  EXPECT_EQ(counters.queued, 1u);
+  EXPECT_EQ(counters.shed, 0u);
+  EXPECT_EQ(counters.accepted, 2u);
+  EXPECT_EQ(counters.offered, counters.accepted + counters.shed);
+  EXPECT_EQ(counters.completed, counters.accepted);
 }
 
 }  // namespace

@@ -1,28 +1,25 @@
-// Tests for the sharded parallel engine (sim/parallel.h): the shared
-// worker budget, the cross-shard safety guard and worker error handoff,
-// the barrier-epoch protocol's ordering rules, and the two determinism
-// properties the design stands on — thread-count invariance for a fixed
-// shard count, and shard-count invariance of the PARSIM workload surface
-// against a single-shard reference (ParsimShardInvariance/*, labelled
-// slow in tests/CMakeLists.txt together with ParsimThreadDeterminism).
+// Tests for the parallel engine of independent cells (sim/parallel.h):
+// the shared worker budget, the cross-cell safety guard and worker error
+// handoff, and the determinism property the engine stands on — each
+// cell's run is the same at any thread count and however run_until is
+// sliced — checked on seeded cells and on the MESHSCALE report.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
-#include "cluster/topology_gen.h"
 #include "sim/parallel.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "util/thread_pool.h"
 #include "workload/meshscale_experiment.h"
-#include "workload/parsim_experiment.h"
 
 namespace meshnet {
 namespace {
@@ -94,7 +91,6 @@ TEST(ShardGuard, ForeignScheduleThrows) {
 TEST(ShardGuard, EngineCatchesCrossShardScheduling) {
   sim::ParallelEngineOptions options;
   options.shards = 2;
-  options.lookahead = 10;
   sim::ParallelEngine engine(options);
   sim::Simulator& foreign = engine.shard(1);
   engine.shard(0).schedule_at(5, [&foreign] {
@@ -109,7 +105,6 @@ TEST(ShardGuard, EngineCatchesCrossShardScheduling) {
 TEST(ShardGuard, WorkerThreadErrorReachesTheCaller) {
   sim::ParallelEngineOptions options;
   options.shards = 2;
-  options.lookahead = 10;
   options.threads = 2;
   options.respect_worker_budget = false;
   auto engine = std::make_unique<sim::ParallelEngine>(options);
@@ -135,95 +130,9 @@ TEST(Simulator, NextEventTimeObservesWithoutAdvancing) {
 
 // ---------------------------------------------------------- ParallelEngine
 
-TEST(ParallelEngine, PingPongCrossesShardsAtExactTimes) {
-  sim::ParallelEngineOptions options;
-  options.shards = 2;
-  options.lookahead = 10;
-  sim::ParallelEngine engine(options);
-
-  std::vector<std::pair<int, sim::Time>> fired;  // (shard, when)
-  struct Hop {
-    sim::ParallelEngine* engine;
-    std::vector<std::pair<int, sim::Time>>* fired;
-    int rounds_left;
-    void run(int shard) const {
-      sim::Simulator& sim = engine->shard(shard);
-      fired->emplace_back(shard, sim.now());
-      if (rounds_left == 0) return;
-      const Hop next{engine, fired, rounds_left - 1};
-      const int dst = 1 - shard;
-      engine->post(shard, dst, sim.now() + engine->lookahead(),
-                   [next, dst] { next.run(dst); });
-    }
-  };
-  const Hop first{&engine, &fired, 4};
-  engine.shard(0).schedule_at(5, [first] { first.run(0); });
-  engine.run_until(1000);
-
-  const std::vector<std::pair<int, sim::Time>> expected = {
-      {0, 5}, {1, 15}, {0, 25}, {1, 35}, {0, 45}};
-  EXPECT_EQ(fired, expected);
-  EXPECT_EQ(engine.stats().messages, 4u);
-  EXPECT_EQ(engine.events_executed(), 5u);
-  EXPECT_EQ(engine.shard(0).now(), 1000);
-  EXPECT_EQ(engine.shard(1).now(), 1000);
-}
-
-TEST(ParallelEngine, PostInsideLookaheadWindowThrows) {
-  sim::ParallelEngineOptions options;
-  options.shards = 2;
-  options.lookahead = 10;
-  sim::ParallelEngine engine(options);
-  engine.shard(0).schedule_at(5, [&engine] {
-    engine.post(0, 1, engine.shard(0).now() + 5, [] {});  // 5 < lookahead
-  });
-  EXPECT_THROW(engine.run_until(1000), std::logic_error);
-}
-
-TEST(ParallelEngine, SameTimeDeliveriesFollowCanonicalOrder) {
-  // Shards 1 and 2 both post to shard 0 for the same delivery time; the
-  // barrier must inject them in (time, src shard, seq) order no matter
-  // which shard's epoch ran first.
-  sim::ParallelEngineOptions options;
-  options.shards = 3;
-  options.lookahead = 10;
-  sim::ParallelEngine engine(options);
-
-  std::vector<int> order;
-  for (const int src : {2, 1}) {  // post from the higher shard first
-    engine.shard(src).schedule_at(5, [&engine, &order, src] {
-      engine.post(src, 0, 15, [&order, src] { order.push_back(src); });
-      engine.post(src, 0, 15,
-                  [&order, src] { order.push_back(src + 10); });
-    });
-  }
-  engine.run_until(100);
-  const std::vector<int> expected = {1, 11, 2, 12};  // src asc, seq asc
-  EXPECT_EQ(order, expected);
-}
-
-// A burst of same-time posts from one shard arrives in send order.
-TEST(ParallelEngine, MailboxOverflowSpillsWithoutReordering) {
-  sim::ParallelEngineOptions options;
-  options.shards = 2;
-  options.lookahead = 10;
-  sim::ParallelEngine engine(options);
-
-  std::vector<int> order;
-  engine.shard(0).schedule_at(1, [&engine, &order] {
-    for (int i = 0; i < 8; ++i) {
-      engine.post(0, 1, 11, [&order, i] { order.push_back(i); });
-    }
-  });
-  engine.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(engine.stats().messages, 8u);
-}
-
 TEST(ParallelEngine, MergedLoopStatsSumShards) {
   sim::ParallelEngineOptions options;
   options.shards = 2;
-  options.lookahead = 10;
   sim::ParallelEngine engine(options);
   engine.shard(0).schedule_at(1, [] {});
   engine.shard(0).schedule_at(2, [] {});
@@ -234,95 +143,98 @@ TEST(ParallelEngine, MergedLoopStatsSumShards) {
   EXPECT_EQ(merged.executed, 3u);
 }
 
-// ------------------------------------------- determinism property tests
+// One cell's seeded self-rescheduling work: an event chain with
+// RngStream delays that now and then re-arms a sim::Timer, whose expiry
+// re-arms itself. Each firing appends (time, seq, source) to the trace,
+// where seq is the cell's event ordinal.
+class CellWork {
+ public:
+  using Trace = std::vector<std::tuple<sim::Time, std::uint64_t, int>>;
 
-using PointKey = std::map<std::string, std::uint64_t>;
+  CellWork(sim::Simulator& sim, int cell)
+      : sim_(sim), rng_(7, "cell:" + std::to_string(cell)), timer_(sim) {
+    sim_.schedule_at(delay(), [this] { tick(); });
+  }
 
-// Strips the engine surface (epochs, loop stats, events, partition shape)
-// from a point: what remains must be invariant across shard counts.
-workload::PointMetrics workload_surface(workload::PointMetrics metrics) {
-  for (auto it = metrics.counters.begin(); it != metrics.counters.end();) {
-    if (it->first == "events" || it->first.rfind("engine_", 0) == 0) {
-      it = metrics.counters.erase(it);
+  const Trace& trace() const { return trace_; }
+
+ private:
+  sim::Duration delay() {
+    return static_cast<sim::Duration>(rng_.uniform_int(
+        static_cast<std::uint64_t>(sim::microseconds(1)),
+        static_cast<std::uint64_t>(sim::microseconds(500))));
+  }
+  void record(int source) {
+    trace_.emplace_back(sim_.now(), sim_.events_executed(), source);
+  }
+  void tick() {
+    record(0);
+    sim_.schedule_after(delay(), [this] { tick(); });
+    if (rng_.bernoulli(0.3)) timer_.arm_after(2 * delay(), [this] { expire(); });
+  }
+  void expire() {
+    record(1);
+    timer_.arm_after(3 * delay(), [this] { expire(); });
+  }
+
+  sim::Simulator& sim_;
+  sim::RngStream rng_;
+  sim::Timer timer_;
+  Trace trace_;
+};
+
+// The property the MESHSCALE report relies on: a cell's trace and event
+// count are the same at 1, 2 and 3 executor threads, with one run_until
+// call or with 1 ms steps. The engine opts out of the worker budget, so
+// real threads spawn even on single-core hosts.
+TEST(ParallelEngine, CellsIndependentOfThreadsAndSlicing) {
+  constexpr int kCells = 3;
+  static constexpr sim::Time kEnd = sim::milliseconds(50);
+  struct Run {
+    std::vector<CellWork::Trace> traces;
+    std::vector<std::uint64_t> events;
+  };
+  const auto run = [](int threads, bool sliced) {
+    sim::ParallelEngineOptions options;
+    options.shards = kCells;
+    options.threads = threads;
+    options.respect_worker_budget = false;
+    sim::ParallelEngine engine(options);
+    EXPECT_EQ(engine.executor_count(), threads);
+    std::vector<std::unique_ptr<CellWork>> cells;
+    for (int c = 0; c < kCells; ++c) {
+      cells.push_back(std::make_unique<CellWork>(engine.shard(c), c));
+    }
+    if (sliced) {
+      for (sim::Time t = sim::milliseconds(1); t <= kEnd;
+           t += sim::milliseconds(1)) {
+        engine.run_until(t);
+      }
     } else {
-      ++it;
+      engine.run_until(kEnd);
     }
-  }
-  return metrics;
-}
-
-void expect_same_workload_surface(const workload::PointMetrics& a,
-                                  const workload::PointMetrics& b,
-                                  const std::string& what) {
-  EXPECT_EQ(a.scalars, b.scalars) << what;
-  EXPECT_EQ(a.counters, b.counters) << what;
-  EXPECT_TRUE(a.histograms == b.histograms) << what;
-  EXPECT_TRUE(a.snapshot == b.snapshot) << what;
-}
-
-// Fixed shard count, varying worker threads: EVERYTHING must match, the
-// engine surface included. PARSIM opts out of the worker budget, so real
-// threads spawn even on single-core hosts.
-TEST(ParsimThreadDeterminism, BitIdenticalAcrossThreadCounts) {
-  workload::ParsimConfig config;
-  config.shards = 8;
-  config.duration = sim::milliseconds(500);
-
-  config.threads = 1;
-  const workload::PointMetrics reference =
-      workload::run_parsim_experiment(config);
-  ASSERT_GT(reference.counters.at("leaf_completions"), 0u);
-
-  for (const int threads : {2, 4, 8}) {
-    config.threads = threads;
-    const workload::PointMetrics point =
-        workload::run_parsim_experiment(config);
-    const std::string what = "threads=" + std::to_string(threads);
-    EXPECT_EQ(point.scalars, reference.scalars) << what;
-    EXPECT_EQ(point.counters, reference.counters) << what;
-    EXPECT_TRUE(point.histograms == reference.histograms) << what;
-    EXPECT_TRUE(point.snapshot == reference.snapshot) << what;
-  }
-}
-
-// Random layered fan-out topologies: the workload surface of a sharded
-// run must equal the single-shard reference exactly (satellite of the
-// conservative-lookahead design: partitioning may change synchronization
-// granularity, never simulation semantics).
-TEST(ParsimShardInvariance, RandomTopologiesMatchSingleShardReference) {
-  for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
-    std::mt19937_64 shape(seed);
-    cluster::FanoutSpec spec;
-    const int layers = 3 + static_cast<int>(shape() % 2);  // 3 or 4
-    for (int layer = 0; layer < layers; ++layer) {
-      spec.layer_widths.push_back(2 + static_cast<int>(shape() % 11));
+    EXPECT_EQ(engine.stats().epochs, sliced ? 50u : 1u);
+    Run result;
+    for (int c = 0; c < kCells; ++c) {
+      EXPECT_EQ(engine.shard(c).now(), kEnd);
+      result.traces.push_back(cells[static_cast<std::size_t>(c)]->trace());
+      result.events.push_back(engine.shard(c).events_executed());
     }
-    spec.fanout = 2 + static_cast<int>(shape() % 2);
-    spec.min_edge_latency = sim::milliseconds(1 + shape() % 2);
-    spec.max_edge_latency =
-        spec.min_edge_latency + sim::milliseconds(1 + shape() % 3);
+    return result;
+  };
 
-    workload::ParsimConfig config;
-    config.topology = spec;
-    config.seed = seed;
-    config.duration = sim::milliseconds(300);
-    config.root_rps = 150.0;
-
-    config.shards = 1;
-    config.threads = 1;
-    const workload::PointMetrics reference =
-        workload_surface(workload::run_parsim_experiment(config));
-    ASSERT_GT(reference.counters.at("leaf_completions"), 0u)
-        << "seed=" << seed;
-
-    for (const int shards : {2, 4, 8}) {
-      config.shards = shards;
-      config.threads = std::min(shards, 4);
-      const workload::PointMetrics point =
-          workload_surface(workload::run_parsim_experiment(config));
-      expect_same_workload_surface(point, reference,
-                                   "seed=" + std::to_string(seed) +
-                                       " shards=" + std::to_string(shards));
+  const Run reference = run(1, false);
+  for (const CellWork::Trace& trace : reference.traces) {
+    ASSERT_GT(trace.size(), 100u);
+  }
+  EXPECT_NE(reference.traces[0], reference.traces[1]);  // seeded per cell
+  for (const int threads : {1, 2, 3}) {
+    for (const bool sliced : {false, true}) {
+      const Run point = run(threads, sliced);
+      const std::string what = "threads=" + std::to_string(threads) +
+                               (sliced ? " sliced" : " one call");
+      EXPECT_EQ(point.traces, reference.traces) << what;
+      EXPECT_EQ(point.events, reference.events) << what;
     }
   }
 }

@@ -13,7 +13,7 @@ Both trees must be built with `--coverage` (Debug, so lines map 1:1):
       -DCMAKE_CXX_FLAGS=--coverage
     cmake --build build-cov-bench -j --target meshbench
 
-The script deletes old counts, runs every experiment (the twelve meshsim
+The script deletes old counts, runs every experiment (the eleven meshsim
 scenarios, the four examples, the three meshbench workloads untraced and
 with --trace --probes, and bench_check on every report written), then reads
 `gcov --json-format` from both trees. A function's key is
@@ -41,7 +41,7 @@ ALLOWLIST = os.path.join(ROOT, "bench", "baselines", "coverage_allowlist.txt")
 # and recovery phases.
 SHORT_SCENARIOS = ["fig4", "overload", "sidecar_overhead",
                    "ablation_components", "lb_policies", "compute_priority",
-                   "scavenger", "parsim", "meshscale"]
+                   "scavenger", "meshscale"]
 FULL_SCENARIOS = ["cp", "mtls", "chaos_elibrary"]
 EXAMPLES = ["quickstart", "resilience", "elibrary_priority",
             "tracing_observability"]
