@@ -27,12 +27,12 @@ namespace meshnet::bench {
 namespace {
 
 /// Push-channel realism: non-zero latency/jitter so pushes are real
-/// simulated events, a tight ack timeout, paced reconvergence. No push
-/// is lost (MeshPolicies' default).
+/// simulated events and a tight ack timeout; reconvergence after the
+/// outage is paced by mesh::kReconvergePacing. No push is lost
+/// (MeshPolicies' default).
 constexpr sim::Duration kPushLatencyBase = sim::milliseconds(2);
 constexpr sim::Duration kPushLatencyJitter = sim::milliseconds(3);
 constexpr sim::Duration kAckTimeout = sim::milliseconds(200);
-constexpr sim::Duration kReconvergePacing = sim::milliseconds(25);
 
 /// Short cert lifetime + refresh-ahead so rotation (and its push
 /// traffic) happens several times inside the run, including a forced
@@ -62,12 +62,11 @@ std::vector<Arm> arms(const Args& args) {
   // storm is detected by active health checking and absorbed by breakers
   // and retries.
   workload::apply_resilience_policies(policies);
-  // The push channel is a real simulated network: latency, ack timeouts,
-  // paced reconvergence.
+  // The push channel is a real simulated network: latency and ack
+  // timeouts.
   policies.cp.push_latency_base = kPushLatencyBase;
   policies.cp.push_latency_jitter = kPushLatencyJitter;
   policies.cp.ack_timeout = kAckTimeout;
-  policies.cp.reconverge_pacing = kReconvergePacing;
   policies.cp.cert_refresh_ahead = kCertRefreshAhead;
   policies.certificate_lifetime = kCertificateLifetime;
   control.extra_epoch_before_run = true;

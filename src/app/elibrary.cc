@@ -45,7 +45,6 @@ cluster::MeshSpec Elibrary::make_spec() const {
 
   MicroserviceOptions base_options;
   base_options.max_concurrency = options_.app_max_concurrency;
-  base_options.priority_scheduling = options_.app_priority_scheduling;
 
   // frontend: fans out to details and reviews, regardless of workload;
   // the path decides which flavour the downstream serves.

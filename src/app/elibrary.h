@@ -35,10 +35,9 @@ struct ElibraryOptions {
   sim::Duration service_time = sim::milliseconds(2);  ///< app think time/hop
 
   /// Compute model for every microservice instance: worker count (0 =
-  /// unlimited) and whether the admission queue is priority-ordered
-  /// (paper §5 "prioritized request queuing").
+  /// unlimited), with a FIFO admission queue (COMPUTE_PRIORITY builds its
+  /// own mesh to order the queue by priority).
   int app_max_concurrency = 0;
-  bool app_priority_scheduling = false;
 
   mesh::MeshPolicies policies = default_policies();
 

@@ -27,7 +27,7 @@ SimpleHttpServer::SimpleHttpServer(sim::Simulator& sim,
         });
       }
     });
-    conn.set_on_closed([this, id](bool) { sessions_.erase(id); });
+    conn.set_on_closed([this, id] { sessions_.erase(id); });
     sessions_.emplace(id, std::move(session));
   });
 }

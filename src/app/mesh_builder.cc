@@ -89,7 +89,7 @@ std::unique_ptr<BuiltMesh> MeshBuilder::build(MeshSpec spec,
   }
 
   // 6. Begin watching discovery (mints the first broadcast epoch).
-  mesh->control_plane_->start(spec.poll_interval);
+  mesh->control_plane_->start();
   mesh->spec_ = std::move(spec);
   return mesh;
 }

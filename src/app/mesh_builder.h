@@ -14,7 +14,7 @@
 //   4. sidecar injection: gateway first, then every replica of each
 //      service with inject_sidecar set, in spec order
 //   5. one Microservice per replica of each service with a handler
-//   6. control_plane().start(poll_interval)
+//   6. control_plane().start()
 //
 // This file is the only place outside cluster/ and the control plane
 // that calls add_pod or inject_sidecar (tests excepted); CI checks it.

@@ -98,7 +98,6 @@ struct MeshSpec {
   std::vector<ServiceSpec> services;
   std::vector<ExternalPodSpec> external_pods;
   mesh::MeshPolicies policies;
-  sim::Duration poll_interval = sim::milliseconds(100);
 };
 
 /// Returns "" when the spec is well-formed, else a description of the

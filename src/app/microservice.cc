@@ -108,7 +108,8 @@ void Microservice::fan_out(std::shared_ptr<http::HttpRequest> request,
 
   auto finish = [this, state] {
     http::HttpResponse response;
-    if (state->failed && options_.fail_on_sub_error) {
+    // Any failed sub-call fails the whole request.
+    if (state->failed) {
       response.status = 502;
       response.body = "upstream dependency failed";
     } else {

@@ -57,8 +57,6 @@ struct MicroserviceOptions {
   net::Port app_port = 8080;
   net::Port sidecar_outbound_port = 15001;
   bool propagate_priority_header = false;
-  /// Respond 502 if any sub-call fails (else compose what arrived).
-  bool fail_on_sub_error = true;
 
   /// Compute model: at most this many requests in service at once (a
   /// worker-per-request server); 0 = unlimited. Excess requests wait in

@@ -97,7 +97,6 @@ void CrossLayerController::install_tc_rules() {
   TcRule rule;
   rule.match = config_.tc_match;
   rule.high_priority_ips = high_priority_pod_ips();
-  rule.high_share = config_.high_share;
   rule.strict = config_.strict_tc;
   tc_.install_on_all_pods(rule);
 }

@@ -46,8 +46,7 @@ struct CrossLayerConfig {
   /// (c) TC priority qdiscs on every pod vNIC.
   bool tc_priority = true;
   TcMatch tc_match = TcMatch::kDstIp;  ///< the prototype's pod-IP match
-  double high_share = 0.95;
-  bool strict_tc = false;
+  bool strict_tc = false;  ///< strict priority instead of kHighShare DRR
 
   /// (d) in-band DSCP marks on every packet of classified connections.
   bool dscp_tagging = true;

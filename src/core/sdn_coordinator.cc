@@ -1,6 +1,7 @@
 #include "core/sdn_coordinator.h"
 
 #include "cluster/cluster.h"
+#include "core/tc_manager.h"
 
 namespace meshnet::core {
 
@@ -16,9 +17,9 @@ mesh::TrafficClass SdnCoordinator::classify(const net::FlowKey& flow) const {
   return it == flows_.end() ? mesh::TrafficClass::kDefault : it->second;
 }
 
-void SdnCoordinator::program_link(net::Link& link, double high_share) {
+void SdnCoordinator::program_link(net::Link& link) {
   link.set_qdisc(std::make_unique<net::WeightedPrioQdisc>(
-      std::vector<double>{high_share, 1.0 - high_share},
+      std::vector<double>{kHighShare, 1.0 - kHighShare},
       [this](const net::Packet& p) {
         return classify(p.flow) == mesh::TrafficClass::kLatencySensitive ? 0
                                                                          : 1;

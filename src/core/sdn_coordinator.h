@@ -36,9 +36,10 @@ class SdnCoordinator {
   mesh::TrafficClass classify(const net::FlowKey& flow) const;
 
   /// Programs nearly-strict priority scheduling on a fabric link, with
-  /// band selection driven by this coordinator's flow table. Each band
-  /// holds cluster::kVnicQueueBytes.
-  void program_link(net::Link& link, double high_share = 0.95);
+  /// band selection driven by this coordinator's flow table: the high band
+  /// gets kHighShare (core/tc_manager.h). Each band holds
+  /// cluster::kVnicQueueBytes.
+  void program_link(net::Link& link);
 
   std::size_t advertised_flows() const noexcept { return flows_.size(); }
   std::uint64_t advertisements() const noexcept { return advertisements_; }

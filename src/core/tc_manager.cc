@@ -27,7 +27,7 @@ bool TcManager::install(TcRule rule) {
         2, make_classifier(rule), cluster::kVnicQueueBytes);
   } else {
     qdisc = std::make_unique<net::WeightedPrioQdisc>(
-        std::vector<double>{rule.high_share, 1.0 - rule.high_share},
+        std::vector<double>{kHighShare, 1.0 - kHighShare},
         make_classifier(rule), cluster::kVnicQueueBytes);
   }
   pod->egress_link().set_qdisc(std::move(qdisc));
@@ -38,18 +38,6 @@ bool TcManager::install(TcRule rule) {
                               }),
                rules_.end());
   rules_.push_back(std::move(rule));
-  return true;
-}
-
-bool TcManager::clear(const std::string& pod_name) {
-  cluster::Pod* pod = cluster_.find_pod(pod_name);
-  if (pod == nullptr) return false;
-  pod->egress_link().set_qdisc(
-      std::make_unique<net::FifoQdisc>(cluster::kVnicQueueBytes));
-  rules_.erase(std::remove_if(
-                   rules_.begin(), rules_.end(),
-                   [&](const TcRule& r) { return r.pod_name == pod_name; }),
-               rules_.end());
   return true;
 }
 
@@ -67,7 +55,7 @@ std::string TcManager::show() const {
     out << "qdisc " << (rule.strict ? "prio" : "drr") << " dev vnic:"
         << rule.pod_name << ":egress";
     if (!rule.strict) {
-      out << " shares " << rule.high_share << "/" << (1.0 - rule.high_share);
+      out << " shares " << kHighShare << "/" << (1.0 - kHighShare);
     }
     if (rule.match == TcMatch::kDscp) {
       out << " filter dscp ef -> band 0";

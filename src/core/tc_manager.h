@@ -6,8 +6,8 @@
 // kernel's outgoing packet queue on the sidecar container's virtual
 // interface."
 //
-// TcManager is the programmatic `tc`: it installs and removes queueing
-// disciplines on pod vNIC links and keeps an inspectable rule inventory
+// TcManager is the programmatic `tc`: it installs queueing disciplines on
+// pod vNIC links and keeps an inspectable rule inventory
 // (the `tc qdisc show` equivalent). Supported matchers mirror the
 // prototype (destination pod IP) plus the DSCP matcher used for in-band
 // signalling to the physical network.
@@ -21,6 +21,10 @@
 
 namespace meshnet::core {
 
+/// The high band's share of a weighted priority qdisc: the prototype's
+/// "up to 95% of bandwidth". The low band gets the rest.
+inline constexpr double kHighShare = 0.95;
+
 enum class TcMatch {
   kDstIp,  ///< high band when packet dst == a high-priority pod IP
   kDscp,   ///< high band when packet carries DSCP EF
@@ -30,7 +34,6 @@ struct TcRule {
   std::string pod_name;   ///< whose egress vNIC the qdisc sits on
   TcMatch match = TcMatch::kDstIp;
   std::vector<net::IpAddress> high_priority_ips;  ///< for kDstIp
-  double high_share = 0.95;
   bool strict = false;  ///< pure strict priority instead of 95/5 DRR
 };
 
@@ -43,9 +46,6 @@ class TcManager {
   /// Replaces any prior qdisc (backlog is dropped, as with real `tc qdisc
   /// replace`). Returns false if the pod is unknown.
   bool install(TcRule rule);
-
-  /// Restores the default FIFO on the pod's egress vNIC.
-  bool clear(const std::string& pod_name);
 
   /// Installs the same rule on every pod in the cluster (the prototype
   /// applies its rules uniformly to all sidecar interfaces).

@@ -1,7 +1,5 @@
 #include "mesh/builtin_filters.h"
 
-#include <algorithm>
-
 namespace meshnet::mesh {
 
 TracingFilter::TracingFilter(Tracer& tracer, sim::Simulator& sim,
@@ -46,26 +44,6 @@ FilterStatus SourceIdentityFilter::on_request(RequestContext& ctx) {
     ctx.request.headers.set(http::headers::Id::kMeshSource, service_);
   }
   return FilterStatus::kContinue;
-}
-
-FilterStatus AuthorizationFilter::on_request(RequestContext& ctx) {
-  if (ctx.direction != FilterDirection::kInbound || policies_ == nullptr) {
-    return FilterStatus::kContinue;
-  }
-  const auto it = policies_->find(service_);
-  if (it == policies_->end()) return FilterStatus::kContinue;  // allow all
-  const std::string_view source =
-      ctx.request.headers.get_or(http::headers::Id::kMeshSource, "");
-  const auto& allowed = it->second;
-  if (std::find(allowed.begin(), allowed.end(), source) != allowed.end()) {
-    return FilterStatus::kContinue;
-  }
-  ++denied_;
-  http::HttpResponse deny;
-  deny.status = 403;
-  deny.body = "RBAC: access denied for source '" + std::string(source) + "'";
-  ctx.local_response = std::move(deny);
-  return FilterStatus::kStopIteration;
 }
 
 }  // namespace meshnet::mesh

@@ -2,12 +2,10 @@
 
 // Standard mesh filters that ship with every sidecar (the Istio-native
 // functionality the case study builds on): distributed tracing, source
-// service identity, request-id stamping, and authorization policy.
+// service identity and request-id stamping.
 
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "mesh/filter.h"
 #include "mesh/tracing.h"
@@ -43,26 +41,6 @@ class SourceIdentityFilter final : public HttpFilter {
 
  private:
   std::string service_;
-};
-
-/// Enforces destination allow-lists on the inbound side: if a policy for
-/// `service` exists, only listed sources pass; others get 403.
-class AuthorizationFilter final : public HttpFilter {
- public:
-  AuthorizationFilter(std::string service,
-                      const std::map<std::string, std::vector<std::string>>*
-                          policies)
-      : service_(std::move(service)), policies_(policies) {}
-
-  std::string name() const override { return "authorization"; }
-  FilterStatus on_request(RequestContext& ctx) override;
-
-  std::uint64_t denied_count() const noexcept { return denied_; }
-
- private:
-  std::string service_;
-  const std::map<std::string, std::vector<std::string>>* policies_;
-  std::uint64_t denied_ = 0;
 };
 
 }  // namespace meshnet::mesh

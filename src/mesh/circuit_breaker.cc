@@ -24,18 +24,16 @@ bool CircuitBreaker::allow_request(sim::Time now) {
       return true;
     case CircuitState::kOpen:
       if (now - opened_at_ >= config_.open_duration) {
-        probes_in_flight_ = 0;
+        probe_in_flight_ = false;
         transition(CircuitState::kHalfOpen, now);
       } else {
         return false;
       }
       [[fallthrough]];
     case CircuitState::kHalfOpen:
-      if (probes_in_flight_ < config_.half_open_probes) {
-        ++probes_in_flight_;
-        return true;
-      }
-      return false;
+      if (probe_in_flight_) return false;
+      probe_in_flight_ = true;
+      return true;
   }
   return true;
 }
@@ -44,7 +42,7 @@ void CircuitBreaker::on_success(sim::Time now) {
   if (config_.consecutive_failures == 0) return;
   failures_ = 0;
   if (state_ == CircuitState::kHalfOpen) {
-    probes_in_flight_ = 0;
+    probe_in_flight_ = false;
     transition(CircuitState::kClosed, now);
   }
 }
@@ -64,7 +62,7 @@ void CircuitBreaker::on_failure(sim::Time now) {
 void CircuitBreaker::open(sim::Time now) {
   opened_at_ = now;
   failures_ = 0;
-  probes_in_flight_ = 0;
+  probe_in_flight_ = false;
   ++times_opened_;
   transition(CircuitState::kOpen, now);
 }

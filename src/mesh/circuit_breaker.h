@@ -6,9 +6,9 @@
 //
 // Classic three-state machine: CLOSED counts consecutive failures; at the
 // threshold it OPENs for a cooldown during which the endpoint is skipped
-// by endpoint selection; after cooldown it goes HALF-OPEN and admits a
-// limited number of probe requests — a probe success closes the circuit,
-// a probe failure re-opens it.
+// by endpoint selection; after cooldown it goes HALF-OPEN and admits one
+// probe request at a time — a probe success closes the circuit, a probe
+// failure re-opens it.
 
 #include <cstdint>
 #include <functional>
@@ -22,7 +22,6 @@ struct CircuitBreakerConfig {
   /// Consecutive failures that trip the breaker. 0 disables it.
   std::uint32_t consecutive_failures = 5;
   sim::Duration open_duration = sim::milliseconds(500);
-  std::uint32_t half_open_probes = 1;
 };
 
 enum class CircuitState { kClosed, kOpen, kHalfOpen };
@@ -34,8 +33,8 @@ class CircuitBreaker {
   explicit CircuitBreaker(CircuitBreakerConfig config = {});
 
   /// True when a request may be sent at `now`. Transitions kOpen ->
-  /// kHalfOpen when the cooldown has elapsed. In kHalfOpen, admits up to
-  /// `half_open_probes` in-flight probes.
+  /// kHalfOpen when the cooldown has elapsed. In kHalfOpen, admits one
+  /// in-flight probe.
   bool allow_request(sim::Time now);
 
   void on_success(sim::Time now);
@@ -60,7 +59,7 @@ class CircuitBreaker {
   CircuitBreakerConfig config_;
   CircuitState state_ = CircuitState::kClosed;
   std::uint32_t failures_ = 0;
-  std::uint32_t probes_in_flight_ = 0;
+  bool probe_in_flight_ = false;
   sim::Time opened_at_ = 0;
   std::uint64_t times_opened_ = 0;
   TransitionHook transition_hook_;

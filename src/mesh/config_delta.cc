@@ -32,10 +32,6 @@ std::size_t policy_section_bytes(const SidecarPolicy& policy) {
   // overhead knobs: fixed-size scalar fields.
   std::size_t bytes = 160 + string_bytes(policy.service_name) +
                       string_bytes(policy.identity_cert.spiffe_id);
-  for (const auto& [svc, sources] : policy.authorization) {
-    bytes += string_bytes(svc);
-    for (const std::string& s : sources) bytes += string_bytes(s);
-  }
   bytes += policy.class_policies.size() * 6;
   return bytes;
 }

@@ -75,16 +75,13 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
   state.sidecar = &ref;
   states_.push_back(&state);
 
-  // Standard filter set. Order matters: identity before authz; tracing
-  // first so every later filter sees the request id. Admission runs last
-  // on the inbound chain so authorization rejects never consume queue
-  // slots and provenance (installed later via insert_before) has already
+  // Standard filter set. Order matters: tracing first so every later
+  // filter sees the request id. Admission runs last on the inbound chain
+  // so provenance (installed later via insert_before) has already
   // resolved the request's priority class.
   const std::string service = ref.config().service_name;
   ref.inbound_filters().append(
       std::make_shared<TracingFilter>(tracer_, sim_, service));
-  ref.inbound_filters().append(std::make_shared<AuthorizationFilter>(
-      service, &policies_.authorization));
   Sidecar* raw = &ref;
   ref.inbound_filters().append(std::make_shared<AdmissionFilter>(
       [raw] { return raw->admission_controller(); }));
@@ -109,12 +106,11 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
   return ref;
 }
 
-void ControlPlane::start(sim::Duration poll_interval) {
+void ControlPlane::start() {
   if (started_) return;
   started_ = true;
-  poll_interval_ = poll_interval;
   push_config();
-  poll_timer_.arm_after(poll_interval_, [this] { poll_registry(); });
+  poll_timer_.arm_after(kPollInterval, [this] { poll_registry(); });
 }
 
 void ControlPlane::poll_registry() {
@@ -123,7 +119,7 @@ void ControlPlane::poll_registry() {
     push_config();
   }
   update_staleness_gauges();
-  poll_timer_.arm_after(poll_interval_, [this] { poll_registry(); });
+  poll_timer_.arm_after(kPollInterval, [this] { poll_registry(); });
 }
 
 void ControlPlane::begin_epoch() {
@@ -429,20 +425,18 @@ void ControlPlane::recover() {
     }
   }
   if (started_) {
-    poll_timer_.arm_after(poll_interval_, [this] { poll_registry(); });
+    poll_timer_.arm_after(kPollInterval, [this] { poll_registry(); });
   }
   // Paced, jittered reconvergence: sidecar i's push launches at
   // i * pacing + uniform(0, pacing), so a mesh-wide resync is a ramp,
   // not a thundering herd.
   begin_epoch();
-  const sim::Duration pacing = policies_.cp.reconverge_pacing;
   for (std::size_t i = 0; i < states_.size(); ++i) {
     PushState& state = *states_[i];
-    sim::Duration delay = static_cast<sim::Duration>(i) * pacing;
-    if (pacing > 0) {
-      delay += static_cast<sim::Duration>(pace_rng_.uniform() *
-                                          static_cast<double>(pacing));
-    }
+    const sim::Duration delay =
+        static_cast<sim::Duration>(i) * kReconvergePacing +
+        static_cast<sim::Duration>(pace_rng_.uniform() *
+                                   static_cast<double>(kReconvergePacing));
     if (delay <= 0) {
       launch_push(state);
       continue;
@@ -495,8 +489,6 @@ const ControlPlane::ClusterTable& ControlPlane::cluster_table() {
     spec.breaker = policies_.breaker;
     spec.health_check = policies_.health_check;
     spec.lb = policies_.default_lb;
-    const auto lb_it = policies_.lb_overrides.find(info->name);
-    if (lb_it != policies_.lb_overrides.end()) spec.lb = lb_it->second;
     entry.full.hash = hash_cluster_spec(spec);
     if (!subset.enabled || subset.subset_size <= 0 ||
         static_cast<std::size_t>(subset.subset_size) >=

@@ -42,6 +42,15 @@
 
 namespace meshnet::mesh {
 
+/// How often the control plane polls the service registry for changes;
+/// models xDS discovery latency.
+inline constexpr sim::Duration kPollInterval = sim::milliseconds(100);
+
+/// Post-recovery reconvergence: sidecar i's push launches at
+/// i * kReconvergePacing + uniform(0, kReconvergePacing) instead of all at
+/// once.
+inline constexpr sim::Duration kReconvergePacing = sim::milliseconds(25);
+
 /// Tunables for the failure-aware push channel. The defaults (zero
 /// latency, zero loss) apply and ack a push before
 /// push_config() returns. Callers rely on that: perfbench's control-plane
@@ -56,9 +65,6 @@ struct ControlPlaneConfig {
   /// A push whose ack has not arrived within this window is presumed
   /// lost and retried.
   sim::Duration ack_timeout = sim::milliseconds(500);
-  /// Post-recovery reconvergence: sidecar i's push launches at
-  /// i * pacing + uniform(0, pacing) instead of all at once.
-  sim::Duration reconverge_pacing = sim::milliseconds(20);
   /// Probability that a push round-trip is lost in the channel.
   double push_loss = 0.0;
   /// Certificate refresh-ahead fraction: re-issue when this fraction of
@@ -80,8 +86,6 @@ struct MeshPolicies : PolicySection {
   CircuitBreakerConfig breaker;
   /// Active health checking, applied to every cluster (off by default).
   HealthCheckConfig health_check;
-  /// Per-cluster LB overrides (cluster name -> policy).
-  std::map<std::string, LbPolicy> lb_overrides;
   /// Deterministic endpoint subsetting: bounds how many endpoints of one
   /// cluster a single sidecar tracks (off by default; see mesh/subset.h).
   SubsetConfig subset;
@@ -113,9 +117,9 @@ class ControlPlane {
   Sidecar& inject_sidecar(cluster::Pod& pod, SidecarInjectionOptions options);
 
   /// Begins watching the service registry; on every version change the
-  /// control plane re-pushes config to all sidecars. `poll_interval`
-  /// models xDS discovery latency.
-  void start(sim::Duration poll_interval = sim::milliseconds(100));
+  /// control plane re-pushes config to all sidecars. It polls every
+  /// kPollInterval.
+  void start();
 
   /// Mints a new config epoch and launches a push to every sidecar
   /// (delta-aware: sidecars whose compiled config is unchanged are
@@ -350,7 +354,6 @@ class ControlPlane {
   /// When the oldest un-pushed registry change landed (0 = caught up).
   sim::Time pending_change_since_ = 0;
   sim::Timer poll_timer_;
-  sim::Duration poll_interval_ = 0;
   bool started_ = false;
   sim::RngStream push_rng_;
   sim::RngStream pace_rng_;

@@ -39,10 +39,7 @@ void HealthChecker::update_targets(
       const auto it = targets_.find(key);
       if (it != targets_.end()) {
         Target& existing = *it->second;
-        if (existing.ip == ep.ip && existing.port == probe_port) {
-          existing.config = config;  // pick up tuning changes, keep state
-          continue;
-        }
+        if (existing.ip == ep.ip && existing.port == probe_port) continue;
         detach(existing);  // address changed: treat as a new endpoint
         targets_.erase(it);
       }
@@ -51,7 +48,6 @@ void HealthChecker::update_targets(
       target->pod = ep.pod_name;
       target->ip = ep.ip;
       target->port = probe_port;
-      target->config = config;
       HttpClientPool::Options options;
       // A timed-out probe aborts its connection; allow one spare so the
       // next probe never queues behind the teardown.
@@ -63,7 +59,7 @@ void HealthChecker::update_targets(
       // Stagger the first probe across [0, interval) so a fleet of
       // checkers does not synchronize.
       const auto first = static_cast<sim::Duration>(
-          rng_.uniform() * static_cast<double>(config.interval));
+          rng_.uniform() * static_cast<double>(kHealthCheckInterval));
       schedule_probe(key, first);
     }
   }
@@ -122,7 +118,7 @@ void HealthChecker::run_probe(const Key& key) {
       });
 
   target.timeout_timer.arm_after(
-      target.config.timeout, [this, key, seq] {
+      kHealthCheckTimeout, [this, key, seq] {
         const auto tit = targets_.find(key);
         if (tit == targets_.end()) return;
         Target& t = *tit->second;
@@ -148,7 +144,7 @@ void HealthChecker::handle_result(const Key& key, std::uint64_t seq, bool ok) {
   if (ok) {
     target.fails = 0;
     ++target.passes;
-    if (!target.healthy && target.passes >= target.config.healthy_threshold) {
+    if (!target.healthy && target.passes >= kHealthyThreshold) {
       target.healthy = true;
       ++stats_.readmissions;
       if (hook_) hook_(target.cluster, target.pod, true, sim_.now());
@@ -157,13 +153,13 @@ void HealthChecker::handle_result(const Key& key, std::uint64_t seq, bool ok) {
     ++stats_.probes_failed;
     target.passes = 0;
     ++target.fails;
-    if (target.healthy && target.fails >= target.config.unhealthy_threshold) {
+    if (target.healthy && target.fails >= kUnhealthyThreshold) {
       target.healthy = false;
       ++stats_.evictions;
       if (hook_) hook_(target.cluster, target.pod, false, sim_.now());
     }
   }
-  schedule_probe(key, target.config.interval);
+  schedule_probe(key, kHealthCheckInterval);
 }
 
 }  // namespace meshnet::mesh

@@ -2,16 +2,16 @@
 
 // Active health checking (Envoy's health_checks, simplified).
 //
-// Each sidecar probes the endpoints of its upstream clusters on a fixed
-// interval over dedicated probe connections (never the data-path pools).
-// The probe is an HTTP GET against a path the *remote sidecar* answers
-// locally, before its filter chain — so authorization policy cannot 403 a
-// probe, and a crashed pod (whose sidecar died with it) fails probes by
-// timing out. `unhealthy_threshold` consecutive failures evict the
-// endpoint from load balancing; `healthy_threshold` consecutive passes
-// re-admit it. Endpoint selection falls back to the full set when every
-// endpoint is evicted (panic routing), so health checking can only ever
-// narrow choice, never wedge a cluster.
+// Each sidecar probes the endpoints of its upstream clusters every
+// kHealthCheckInterval over dedicated probe connections (never the
+// data-path pools). The probe is an HTTP GET against a path the *remote
+// sidecar* answers locally, before its filter chain and without touching
+// the app, so a crashed pod (whose sidecar died with it) fails probes by
+// timing out. kUnhealthyThreshold consecutive failures evict the endpoint
+// from load balancing; kHealthyThreshold consecutive passes re-admit it.
+// Endpoint selection falls back to the full set when every endpoint is
+// evicted (panic routing), so health checking can only ever narrow
+// choice, never wedge a cluster.
 //
 // This is the fast path for fault detection: the registry/control-plane
 // path (an endpoint being deregistered) models the slow k8s
@@ -35,14 +35,17 @@ namespace meshnet::mesh {
 /// Path answered by the sidecar itself on the inbound listener.
 inline constexpr std::string_view kHealthCheckPath = "/__meshnet/health";
 
+/// Time between two probes of one endpoint.
+inline constexpr sim::Duration kHealthCheckInterval = sim::milliseconds(250);
+/// A probe unanswered this long fails.
+inline constexpr sim::Duration kHealthCheckTimeout = sim::milliseconds(200);
+/// Consecutive probe failures that evict an endpoint.
+inline constexpr std::uint32_t kUnhealthyThreshold = 2;
+/// Consecutive probe passes that re-admit an evicted endpoint.
+inline constexpr std::uint32_t kHealthyThreshold = 2;
+
 struct HealthCheckConfig {
   bool enabled = false;
-  sim::Duration interval = sim::milliseconds(500);
-  sim::Duration timeout = sim::milliseconds(250);
-  /// Consecutive probe failures that evict an endpoint.
-  std::uint32_t unhealthy_threshold = 2;
-  /// Consecutive probe passes that re-admit an evicted endpoint.
-  std::uint32_t healthy_threshold = 2;
 };
 
 struct HealthCheckerStats {
@@ -98,7 +101,6 @@ class HealthChecker {
     std::string pod;
     net::IpAddress ip = 0;
     net::Port port = 0;
-    HealthCheckConfig config;
     bool healthy = true;
     std::uint32_t fails = 0;
     std::uint32_t passes = 0;

@@ -123,7 +123,7 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
     conn.set_on_data(
         [raw](const net::Payload& data) { raw->parser->feed(data); });
   }
-  conn.set_on_closed([this, conn_ptr](bool /*graceful*/) {
+  conn.set_on_closed([this, conn_ptr] {
     on_slot_closed(conn_ptr);
   });
   ++created_;

@@ -48,9 +48,6 @@ sim::Duration next_retry_backoff(const RetryPolicy& policy, int attempt,
   const sim::Duration base = policy.backoff_base;
   const sim::Duration cap = std::max(
       base, policy.backoff_max > 0 ? policy.backoff_max : base * attempt);
-  if (!policy.backoff_jitter) {
-    return std::clamp(base * attempt, base, cap);
-  }
   // AWS "decorrelated jitter": sleep = min(cap, uniform(base, 3 * prev)),
   // seeded with prev = base on the first retry.
   if (prev < base) prev = base;
@@ -181,13 +178,7 @@ std::uint64_t hash_cluster_spec(const ClusterSpec& spec) {
   f.mix(spec.lb);
   f.mix(spec.breaker.consecutive_failures);
   f.mix(spec.breaker.open_duration);
-  f.mix(spec.breaker.half_open_probes);
-  const HealthCheckConfig& hc = spec.health_check;
-  f.mix(hc.enabled);
-  f.mix(hc.interval);
-  f.mix(hc.timeout);
-  f.mix(hc.unhealthy_threshold);
-  f.mix(hc.healthy_threshold);
+  f.mix(spec.health_check.enabled);
   f.mix(spec.mtls);
   f.mix(spec.endpoints.size());
   for (const cluster::Endpoint& ep : spec.endpoints) {
@@ -242,18 +233,11 @@ std::uint64_t hash_policy_section(const SidecarPolicy& c) {
   f.mix(c.retry.per_try_timeout);
   f.mix(c.retry.backoff_base);
   f.mix(c.retry.backoff_max);
-  f.mix(c.retry.backoff_jitter);
   f.mix(c.request_timeout);
   f.mix(c.admission.enabled);
   f.mix(c.admission.queue_capacity);
   f.mix(c.admission.reserve_slots);
   f.mix(c.admission.concurrency_limit);
-  f.mix(c.authorization.size());
-  for (const auto& [svc, sources] : c.authorization) {
-    f.mix(svc);
-    f.mix(sources.size());
-    for (const std::string& s : sources) f.mix(s);
-  }
   f.mix(c.class_policies.size());
   for (const auto& [tc, pol] : c.class_policies) {
     f.mix(tc);
@@ -491,7 +475,7 @@ void Sidecar::accept_session(transport::Connection& conn,
       feed_session_parser(*raw, data);
     }
   });
-  conn.set_on_closed([this, id](bool /*graceful*/) {
+  conn.set_on_closed([this, id] {
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
     ServerSession& s = *it->second;
@@ -619,9 +603,9 @@ void Sidecar::process_request_now(std::uint64_t session_id,
   }
 
   // Health probes are answered by the sidecar itself, before the filter
-  // chain (authorization must not 403 them) and without touching the app:
-  // the probe's question is "is this pod's sidecar alive and reachable",
-  // and a crashed pod takes its sidecar down with it.
+  // chain (admission must not queue or shed them) and without touching
+  // the app: the probe's question is "is this pod's sidecar alive and
+  // reachable", and a crashed pod takes its sidecar down with it.
   if (direction == FilterDirection::kInbound &&
       ctx->request.path == kHealthCheckPath) {
     ++stats_.health_probes_answered;

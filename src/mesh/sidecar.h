@@ -4,7 +4,7 @@
 //
 // Every pod gets one. It owns two listeners:
 //  * inbound  (pod_ip:15006) — remote sidecars connect here; requests run
-//    the inbound filter chain (authz, tracing, provenance) and are then
+//    the inbound filter chain (tracing, provenance, admission) and are then
 //    forwarded to the colocated app over the pod-local loopback.
 //  * outbound (pod_ip:15001) — the local app sends its sub-requests here;
 //    requests run the outbound filter chain (classification, provenance,
@@ -57,16 +57,13 @@ struct RetryPolicy {
   sim::Duration backoff_base = sim::milliseconds(2);
   /// Cap on any single backoff sleep.
   sim::Duration backoff_max = sim::milliseconds(250);
-  /// Decorrelated jitter (sleep = min(cap, uniform(base, 3*prev))) instead
-  /// of deterministic linear backoff — avoids synchronized retry storms.
-  bool backoff_jitter = true;
 };
 
 /// Next retry sleep for attempt number `attempt` (1-based: the first
-/// retry passes 1). With jitter disabled this is the legacy linear
-/// `base * attempt`; with jitter it is AWS-style decorrelated jitter,
-/// where `prev` is the previous sleep (0 on the first retry). Both are
-/// clamped to [backoff_base, backoff_max].
+/// retry passes 1): AWS-style decorrelated jitter, sleep =
+/// uniform(base, 3 * prev), where `prev` is the previous sleep (0 on the
+/// first retry). Jitter avoids synchronized retry storms. Clamped to
+/// [backoff_base, backoff_max]; a backoff_max of 0 caps at base * attempt.
 sim::Duration next_retry_backoff(const RetryPolicy& policy, int attempt,
                                  sim::Duration prev, sim::RngStream& rng);
 
@@ -104,11 +101,6 @@ struct PolicySection {
   /// default). The controller is created on the first config push that
   /// enables it; later pushes keep the running controller's state.
   AdmissionConfig admission;
-
-  /// Destination-service allow-lists (mTLS-style authorization policy):
-  /// if a service has an entry, only the listed source services may call
-  /// it. No entry = allow all.
-  std::map<std::string, std::vector<std::string>> authorization;
 
   std::map<TrafficClass, TrafficClassPolicy> class_policies;
 

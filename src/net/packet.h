@@ -19,7 +19,6 @@ enum PacketFlags : std::uint8_t {
   kFlagNone = 0,
   kFlagSyn = 1 << 0,
   kFlagAck = 1 << 1,
-  kFlagFin = 1 << 2,
   kFlagRst = 1 << 3,
 };
 

@@ -10,12 +10,6 @@ Classifier classify_by_dscp() {
   };
 }
 
-Classifier classify_by_dst_ip(IpAddress high_priority_ip) {
-  return [high_priority_ip](const Packet& p) {
-    return p.flow.dst_ip == high_priority_ip ? 0 : 1;
-  };
-}
-
 void Qdisc::note_enqueue(const Packet& p) noexcept {
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += p.size_bytes();

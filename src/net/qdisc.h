@@ -29,9 +29,9 @@ namespace meshnet::net {
 /// results are clamped to the lowest band.
 using Classifier = std::function<int(const Packet&)>;
 
-/// Classifier helpers mirroring `tc filter` match rules.
-Classifier classify_by_dscp();          ///< EF->0, everything else->1.
-Classifier classify_by_dst_ip(IpAddress high_priority_ip);
+/// Classifier mirroring a `tc filter` DSCP match: EF->0, everything
+/// else->1. (TcManager builds its own pod-IP classifier.)
+Classifier classify_by_dscp();
 
 struct QdiscStats {
   std::uint64_t enqueued_packets = 0;

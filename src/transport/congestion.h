@@ -44,17 +44,15 @@ class CongestionController {
   virtual std::string name() const = 0;
 };
 
+/// Upper bound on either controller's window.
+constexpr std::uint64_t kMaxWindowBytes = 8 * 1024 * 1024;
+
 /// RFC 6928-style IW10.
 constexpr std::uint64_t kRenoInitialWindowSegments = 10;
 
-struct RenoConfig {
-  std::uint32_t mss = 1460;
-  std::uint64_t max_window_bytes = 8 * 1024 * 1024;
-};
-
 class RenoController final : public CongestionController {
  public:
-  explicit RenoController(RenoConfig config = {});
+  explicit RenoController(std::uint32_t mss);
 
   void on_ack(std::uint64_t acked_bytes, sim::Duration rtt,
               sim::Time now) override;
@@ -67,7 +65,7 @@ class RenoController final : public CongestionController {
   bool in_slow_start() const noexcept { return cwnd_ < ssthresh_; }
 
  private:
-  RenoConfig config_;
+  std::uint64_t mss_;
   std::uint64_t cwnd_;
   std::uint64_t ssthresh_;
 };
@@ -77,18 +75,13 @@ constexpr double kLedbatGain = 1.0;
 /// Window of recent base-RTT history (base RTT is re-learned so route
 /// changes do not poison the estimate forever).
 constexpr sim::Duration kLedbatBaseHistory = sim::seconds(30);
-
-struct LedbatConfig {
-  std::uint32_t mss = 1460;
-  std::uint64_t max_window_bytes = 8 * 1024 * 1024;
-  /// Queueing-delay target; the controller aims to keep rtt - base_rtt at
-  /// or below this. Datacenter-scale default (the RFC's 100 ms is WAN).
-  sim::Duration target_delay = sim::milliseconds(2);
-};
+/// Queueing-delay target; the controller aims to keep rtt - base_rtt at
+/// or below this. Datacenter scale (the RFC's 100 ms is WAN).
+constexpr sim::Duration kLedbatTargetDelay = sim::milliseconds(2);
 
 class LedbatController final : public CongestionController {
  public:
-  explicit LedbatController(LedbatConfig config = {});
+  explicit LedbatController(std::uint32_t mss);
 
   void on_ack(std::uint64_t acked_bytes, sim::Duration rtt,
               sim::Time now) override;
@@ -101,7 +94,7 @@ class LedbatController final : public CongestionController {
   sim::Duration last_queue_delay() const noexcept { return last_qdelay_; }
 
  private:
-  LedbatConfig config_;
+  double mss_;
   double cwnd_bytes_;
   std::uint64_t cwnd_;
   sim::Duration base_rtt_ = INT64_MAX;

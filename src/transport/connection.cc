@@ -15,8 +15,6 @@ std::string_view conn_state_name(ConnState state) noexcept {
       return "SYN_RECEIVED";
     case ConnState::kEstablished:
       return "ESTABLISHED";
-    case ConnState::kFinSent:
-      return "FIN_SENT";
     case ConnState::kClosed:
       return "CLOSED";
   }
@@ -42,9 +40,7 @@ void Connection::start_connect() {
 void Connection::send(net::Payload head, net::Payload body) {
   const std::size_t boundary = head.size();
   const std::size_t total = boundary + body.size();
-  if (close_requested_ || state_ == ConnState::kClosed || total == 0) {
-    return;
-  }
+  if (state_ == ConnState::kClosed || total == 0) return;
   stats_.bytes_sent += total;
   host_.mutable_stats().bytes_sent += total;
   std::size_t offset = 0;
@@ -74,16 +70,10 @@ void Connection::send(std::string_view data) {
   send(net::Payload::copy_of(data));
 }
 
-void Connection::close() {
-  if (close_requested_ || state_ == ConnState::kClosed) return;
-  close_requested_ = true;
-  if (state_ == ConnState::kEstablished) maybe_send_fin();
-}
-
 void Connection::abort() {
   if (state_ == ConnState::kClosed) return;
   send_control(net::kFlagRst, next_seq_);
-  become_closed(false);
+  become_closed();
 }
 
 void Connection::enter_established() {
@@ -91,7 +81,6 @@ void Connection::enter_established() {
   rto_backoff_ = 0;
   if (on_connected_) on_connected_();
   maybe_send();
-  maybe_send_fin();
 }
 
 void Connection::maybe_send() {
@@ -105,8 +94,7 @@ void Connection::maybe_send() {
     in_flight_bytes_ += seg.length();
     ++send_cursor_;
   }
-  if (send_cursor_ > 0 || fin_sent_) arm_rto();
-  maybe_send_fin();
+  if (send_cursor_ > 0) arm_rto();
 }
 
 void Connection::transmit_segment(Segment& segment, bool is_retransmit) {
@@ -148,7 +136,7 @@ void Connection::handle_packet(const net::Packet& packet) {
   if (state_ == ConnState::kClosed) return;
 
   if (packet.has(net::kFlagRst)) {
-    become_closed(false);
+    become_closed();
     return;
   }
 
@@ -172,28 +160,11 @@ void Connection::handle_packet(const net::Packet& packet) {
     enter_established();
   }
 
-  if (packet.has(net::kFlagFin)) {
-    fin_received_ = true;
-    peer_fin_seq_ = packet.seq;
-  }
-
   if (packet.payload_size() > 0) {
     handle_data(packet);
   }
   if (packet.has(net::kFlagAck)) {
     handle_ack(packet);
-  }
-
-  // Deliver EOF once every byte before the peer's FIN has been consumed.
-  if (fin_received_ && rcv_next_ >= peer_fin_seq_ &&
-      state_ != ConnState::kClosed) {
-    send_control(net::kFlagAck | net::kFlagFin, fin_sent_ ? fin_seq_ : next_seq_);
-    if (fin_sent_) {
-      become_closed(true);
-    } else {
-      // Passive close: acknowledge and close our side too.
-      become_closed(true);
-    }
   }
 }
 
@@ -255,7 +226,6 @@ void Connection::deliver(const net::Payload& data) {
 
 void Connection::handle_ack(const net::Packet& packet) {
   const std::uint64_t ack = packet.ack;
-  const std::uint64_t fin_ack_point = fin_seq_ + 1;
 
   if (ack > snd_una_) {
     // Fresh cumulative ACK.
@@ -299,14 +269,14 @@ void Connection::handle_ack(const net::Packet& packet) {
       cc_->on_ack(acked_bytes, rtt_sample, host_.now());
     }
 
-    if (send_cursor_ == 0 && !(fin_sent_ && ack < fin_ack_point)) {
+    if (send_cursor_ == 0) {
       rto_timer_.disarm();
     } else {
       arm_rto();
     }
     maybe_send();
   } else if (ack == snd_una_ && send_cursor_ > 0 &&
-             packet.payload_size() == 0 && !packet.has(net::kFlagFin)) {
+             packet.payload_size() == 0) {
     // Duplicate ACK.
     ++dup_acks_;
     if (dup_acks_ == 3 && !in_recovery_) {
@@ -319,25 +289,6 @@ void Connection::handle_ack(const net::Packet& packet) {
       arm_rto();
     }
   }
-
-  // Our FIN is acknowledged once ack passes it.
-  if (fin_sent_ && ack >= fin_ack_point) {
-    if (fin_received_ || state_ == ConnState::kFinSent) {
-      become_closed(true);
-    }
-  }
-}
-
-void Connection::maybe_send_fin() {
-  if (!close_requested_ || fin_sent_ || state_ != ConnState::kEstablished) {
-    return;
-  }
-  if (!segments_.empty()) return;
-  fin_sent_ = true;
-  fin_seq_ = next_seq_;
-  state_ = ConnState::kFinSent;
-  send_control(net::kFlagFin | net::kFlagAck, fin_seq_);
-  arm_rto();
 }
 
 void Connection::arm_rto() {
@@ -355,7 +306,7 @@ void Connection::on_rto_fired() {
   ++rto_backoff_;
   if (rto_backoff_ > kMaxRtoBackoffs) {
     // Peer unreachable; give up.
-    become_closed(false);
+    become_closed();
     return;
   }
   if (state_ == ConnState::kSynSent) {
@@ -379,8 +330,6 @@ void Connection::on_rto_fired() {
     send_cursor_ = 0;
     in_flight_bytes_ = 0;
     maybe_send();
-  } else if (fin_sent_) {
-    send_control(net::kFlagFin | net::kFlagAck, fin_seq_);
   }
   arm_rto();
 }
@@ -400,7 +349,7 @@ void Connection::update_rtt(sim::Duration sample) {
   rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
-void Connection::become_closed(bool graceful) {
+void Connection::become_closed() {
   if (state_ == ConnState::kClosed) return;
   state_ = ConnState::kClosed;
   rto_timer_.disarm();
@@ -409,7 +358,7 @@ void Connection::become_closed(bool graceful) {
   unsent_bytes_ = 0;
   in_flight_bytes_ = 0;
   out_of_order_.clear();
-  if (on_closed_) on_closed_(graceful);
+  if (on_closed_) on_closed_();
   host_.on_connection_closed(*this);
 }
 

@@ -5,9 +5,11 @@
 // This is the sidecar-to-sidecar channel: SYN/SYN-ACK setup, MSS
 // segmentation, sliding window bounded by a pluggable congestion
 // controller, cumulative ACKs, NewReno-style fast retransmit on three
-// duplicate ACKs, RFC 6298 RTO estimation with exponential backoff, and
-// FIN-based graceful close. Sequence numbers are 64-bit byte offsets, so
-// wraparound never occurs within a simulation.
+// duplicate ACKs, and RFC 6298 RTO estimation with exponential backoff.
+// A connection ends only by RST (abort(), or the peer's) or by giving up
+// after kMaxRtoBackoffs timeouts: the mesh keeps connections open or
+// aborts them, so there is no FIN close. Sequence numbers are 64-bit byte
+// offsets, so wraparound never occurs within a simulation.
 //
 // Payload bytes are never copied here: send() queues MSS slices of the
 // caller's blocks (only the string_view overload copies, once). A message
@@ -27,7 +29,7 @@
 // when a seq arrives twice the first copy is kept.
 //
 // Connections are created by TransportHost (client via connect(), server
-// via a listener); user code interacts through send()/close() and the
+// via a listener); user code interacts through send()/abort() and the
 // three handlers.
 
 #include <cstdint>
@@ -50,7 +52,7 @@ class TransportHost;
 /// Linux defaults: 200 ms RTO floor, 1 s initial RTO. The floor matters:
 /// transient queueing above a too-low floor causes spurious timeouts.
 /// Backoff doubles the RTO up to kMaxRto; the timeout after
-/// kMaxRtoBackoffs consecutive ones closes the connection (not gracefully).
+/// kMaxRtoBackoffs consecutive ones closes the connection.
 constexpr sim::Duration kMinRto = sim::milliseconds(200);
 constexpr sim::Duration kInitialRto = sim::seconds(1);
 constexpr sim::Duration kMaxRto = sim::seconds(4);
@@ -66,7 +68,6 @@ enum class ConnState {
   kSynSent,
   kSynReceived,
   kEstablished,
-  kFinSent,
   kClosed,
 };
 
@@ -90,8 +91,8 @@ class Connection {
   /// a std::string_view bind through Payload's conversion).
   using DataHandler = std::function<void(const net::Payload&)>;
   using ConnectedHandler = std::function<void()>;
-  /// `graceful` is true for FIN close, false for RST/abort.
-  using ClosedHandler = std::function<void(bool graceful)>;
+  /// Called once, when the connection is reset, aborted or gives up.
+  using ClosedHandler = std::function<void()>;
 
   Connection(TransportHost& host, net::FlowKey flow, bool is_client,
              ConnectionOptions options);
@@ -103,14 +104,11 @@ class Connection {
   /// retransmit) is a zero-copy slice of the two blocks; the segment that
   /// straddles the boundary holds one slice of each. Data sent before
   /// establishment is buffered and flushed once the handshake completes.
-  /// No-op after close().
+  /// No-op once closed.
   void send(net::Payload head, net::Payload body);
   void send(net::Payload data) { send(std::move(data), net::Payload{}); }
   /// Copies `data` into one pooled block and sends that.
   void send(std::string_view data);
-
-  /// Graceful close: a FIN goes out once all queued data is delivered.
-  void close();
 
   /// Immediate teardown: sends RST, drops all state.
   void abort();
@@ -188,11 +186,10 @@ class Connection {
                std::size_t skip);
   /// Hands in-order bytes at rcv_next_ up and counts them.
   void deliver(const net::Payload& data);
-  void maybe_send_fin();
   void arm_rto();
   void on_rto_fired();
   void update_rtt(sim::Duration sample);
-  void become_closed(bool graceful);
+  void become_closed();
 
   TransportHost& host_;
   net::FlowKey flow_;
@@ -213,9 +210,6 @@ class Connection {
   int dup_acks_ = 0;
   std::uint64_t recover_ = 0;        ///< NewReno recovery point.
   bool in_recovery_ = false;
-  bool close_requested_ = false;
-  bool fin_sent_ = false;
-  std::uint64_t fin_seq_ = 0;
 
   // RTO state.
   sim::Duration srtt_ = 0;
@@ -227,8 +221,6 @@ class Connection {
   // Receiver state.
   std::uint64_t rcv_next_ = 0;
   sim::Ring<OutOfOrder> out_of_order_;  ///< sorted by seq, unique seqs
-  bool fin_received_ = false;
-  std::uint64_t peer_fin_seq_ = 0;
 
   ConnectionStats stats_;
   DataHandler on_data_;

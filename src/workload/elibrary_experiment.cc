@@ -102,15 +102,10 @@ void add_phase_metrics(PointMetrics& metrics, const std::string& name,
 void apply_resilience_policies(mesh::MeshPolicies& policies) {
   policies.retry.max_retries = 3;
   policies.retry.per_try_timeout = sim::milliseconds(500);
-  policies.retry.backoff_jitter = true;
   policies.retry.backoff_max = sim::milliseconds(250);
   policies.breaker.consecutive_failures = 5;
   policies.breaker.open_duration = sim::milliseconds(500);
   policies.health_check.enabled = true;
-  policies.health_check.interval = sim::milliseconds(250);
-  policies.health_check.timeout = sim::milliseconds(200);
-  policies.health_check.unhealthy_threshold = 2;
-  policies.health_check.healthy_threshold = 2;
 }
 
 void validate_phases(const ElibraryExperimentConfig& config) {
@@ -155,8 +150,7 @@ ElibraryExperimentResult run_elibrary_experiment(
         cp, app.cluster(), config.cross_layer_config);
     cross_layer->install();
     if (config.sdn_out_of_band) {
-      cross_layer->sdn().program_link(app.bottleneck_link(),
-                                      config.cross_layer_config.high_share);
+      cross_layer->sdn().program_link(app.bottleneck_link());
     }
   }
 

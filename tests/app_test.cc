@@ -244,29 +244,6 @@ TEST_F(MicroFixture, SubErrorBecomes502) {
   EXPECT_EQ(response->status, 502);
 }
 
-TEST_F(MicroFixture, SubErrorToleratedWhenConfigured) {
-  MicroserviceOptions options;
-  options.fail_on_sub_error = false;
-  Microservice front_app(
-      sim, *front,
-      [](const http::HttpRequest&) {
-        HandlerResult plan;
-        plan.response_bytes = 33;
-        plan.calls = {SubCall{"back", "/b"}};
-        return plan;
-      },
-      options);
-  Microservice back_app(sim, *back, [](const http::HttpRequest&) {
-    HandlerResult plan;
-    plan.status = 500;
-    return plan;
-  });
-  const auto response = call_front("/tolerant");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 200);
-  EXPECT_EQ(response->body.size(), 33u);
-}
-
 TEST_F(MicroFixture, PropagatesRequestIdNotPriority) {
   std::string seen_id, seen_priority = "unset";
   Microservice front_app(sim, *front, [](const http::HttpRequest&) {

@@ -213,9 +213,8 @@ TEST_F(ControlPlaneFixture, CrashGrowsStalenessRecoveryReconverges) {
   MeshPolicies policies;
   policies.cp.push_latency_base = sim::milliseconds(1);
   policies.cp.push_latency_jitter = sim::milliseconds(2);
-  policies.cp.reconverge_pacing = sim::milliseconds(10);
   build(2, policies);
-  cp_->start(sim::milliseconds(50));
+  cp_->start();
   run_for(sim::milliseconds(500));
   ASSERT_TRUE(cp_->converged());
 
@@ -274,7 +273,7 @@ TEST_F(ControlPlaneFixture, OutOfBandApplyMakesNextDeltaFallBackToFullPush) {
   poked.retry.max_retries = 4;
   ASSERT_TRUE(server.apply_config(poked));
 
-  cp_->policies().lb_overrides["server"] = LbPolicy::kLeastRequest;
+  cp_->policies().default_lb = LbPolicy::kLeastRequest;
   cp_->push_config();
 
   EXPECT_EQ(server.stats().delta_mismatches, 1u);
@@ -523,8 +522,6 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
       {"retry.backoff_base",
        [](SidecarConfig& c) { c.retry.backoff_base = 7; }},
       {"retry.backoff_max", [](SidecarConfig& c) { c.retry.backoff_max = 7; }},
-      {"retry.backoff_jitter",
-       [](SidecarConfig& c) { c.retry.backoff_jitter = false; }},
       {"request_timeout", [](SidecarConfig& c) { c.request_timeout = 7; }},
       {"admission.enabled",
        [](SidecarConfig& c) { c.admission.enabled = true; }},
@@ -534,8 +531,6 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
        [](SidecarConfig& c) { c.admission.reserve_slots = 2; }},
       {"admission.concurrency_limit",
        [](SidecarConfig& c) { c.admission.concurrency_limit = 9; }},
-      {"authorization",
-       [](SidecarConfig& c) { c.authorization["svc"] = {"client"}; }},
       {"class_policies",
        [](SidecarConfig& c) {
          c.class_policies[TrafficClass::kScavenger] = TrafficClassPolicy{};
@@ -558,22 +553,8 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
        [&](SidecarConfig& c) { cluster(c).breaker.consecutive_failures = 9; }},
       {"cluster.breaker.open_duration",
        [&](SidecarConfig& c) { cluster(c).breaker.open_duration = 7; }},
-      {"cluster.breaker.half_open_probes",
-       [&](SidecarConfig& c) { cluster(c).breaker.half_open_probes = 9; }},
       {"cluster.health_check.enabled",
        [&](SidecarConfig& c) { cluster(c).health_check.enabled = true; }},
-      {"cluster.health_check.interval",
-       [&](SidecarConfig& c) { cluster(c).health_check.interval = 7; }},
-      {"cluster.health_check.timeout",
-       [&](SidecarConfig& c) { cluster(c).health_check.timeout = 7; }},
-      {"cluster.health_check.unhealthy_threshold",
-       [&](SidecarConfig& c) {
-         cluster(c).health_check.unhealthy_threshold = 9;
-       }},
-      {"cluster.health_check.healthy_threshold",
-       [&](SidecarConfig& c) {
-         cluster(c).health_check.healthy_threshold = 9;
-       }},
       {"cluster.mtls", [&](SidecarConfig& c) { cluster(c).mtls = true; }},
       {"cluster.endpoints (added)",
        [&](SidecarConfig& c) {

@@ -338,19 +338,6 @@ TEST_F(TcFixture, UnknownPodFails) {
   TcRule rule;
   rule.pod_name = "ghost";
   EXPECT_FALSE(tc.install(rule));
-  EXPECT_FALSE(tc.clear("ghost"));
-}
-
-TEST_F(TcFixture, ClearRestoresFifo) {
-  TcManager tc(cluster);
-  TcRule rule;
-  rule.pod_name = "low-pod";
-  rule.match = TcMatch::kDscp;
-  tc.install(rule);
-  EXPECT_TRUE(tc.clear("low-pod"));
-  EXPECT_NE(dynamic_cast<net::FifoQdisc*>(&low_pod->egress_link().qdisc()),
-            nullptr);
-  EXPECT_TRUE(tc.rules().empty());
 }
 
 TEST_F(TcFixture, InstallOnAllPodsAndClearAll) {
@@ -358,9 +345,13 @@ TEST_F(TcFixture, InstallOnAllPodsAndClearAll) {
   TcRule rule;
   rule.match = TcMatch::kDscp;
   tc.install_on_all_pods(rule);
-  EXPECT_EQ(tc.rules().size(), cluster.pods().size());
-  for (const auto& pod : cluster.pods()) EXPECT_TRUE(tc.clear(pod->name()));
-  EXPECT_TRUE(tc.rules().empty());
+  ASSERT_EQ(tc.rules().size(), cluster.pods().size());
+  for (std::size_t i = 0; i < cluster.pods().size(); ++i) {
+    EXPECT_EQ(tc.rules()[i].pod_name, cluster.pods()[i]->name());
+    EXPECT_NE(dynamic_cast<net::WeightedPrioQdisc*>(
+                  &cluster.pods()[i]->egress_link().qdisc()),
+              nullptr);
+  }
 }
 
 TEST_F(TcFixture, ReinstallReplacesInventoryEntry) {
@@ -369,10 +360,10 @@ TEST_F(TcFixture, ReinstallReplacesInventoryEntry) {
   rule.pod_name = "low-pod";
   rule.match = TcMatch::kDscp;
   tc.install(rule);
-  rule.high_share = 0.8;
+  rule.strict = true;
   tc.install(rule);
   ASSERT_EQ(tc.rules().size(), 1u);
-  EXPECT_DOUBLE_EQ(tc.rules()[0].high_share, 0.8);
+  EXPECT_TRUE(tc.rules()[0].strict);
 }
 
 TEST_F(TcFixture, DstIpClassifierPrioritizes) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "app/elibrary.h"
 #include "core/cross_layer.h"
 #include "net/qdisc.h"
+#include "scenario.h"
 #include "workload/elibrary_experiment.h"
 #include "workload/generator.h"
 
@@ -227,14 +229,16 @@ TEST(Integration, SdnOutOfBandProtectsLsWithoutMarksOrTcRules) {
 
 TEST(Integration, ComputePriorityQueuingProtectsLsAtCpuBottleneck) {
   // §5 extension: with few workers per service, priority admission
-  // queuing lowers LS tail latency even before any network effect.
-  auto fifo_config = quick_config(30, true);
-  fifo_config.app.app_max_concurrency = 2;
-  fifo_config.app.app_priority_scheduling = false;
-  auto prio_config = fifo_config;
-  prio_config.app.app_priority_scheduling = true;
-  const double fifo = report(fifo_config).scalars.at("ls_p99_ms");
-  const workload::PointMetrics prio = report(prio_config);
+  // queuing lowers LS tail latency even before any network effect. The
+  // COMPUTE_PRIORITY scenario's two arms (fifo, priority), shortened.
+  const bench::Scenario& scenario = *bench::find_scenario("compute_priority");
+  const std::vector<const char*> flags = {"integration_test", "--duration=5"};
+  const std::vector<bench::Arm> arms = scenario.arms(bench::parse_args(
+      scenario, static_cast<int>(flags.size()), flags.data()));
+  ASSERT_EQ(arms.size(), 2u);
+  bench::ArmLog log;
+  const double fifo = arms[0].run(log).scalars.at("ls_p99_ms");
+  const workload::PointMetrics prio = arms[1].run(log);
   const double prio_p99 = prio.scalars.at("ls_p99_ms");
   EXPECT_LE(prio_p99, fifo * 1.02) << "fifo=" << fifo << " prio=" << prio_p99;
   EXPECT_GT(prio.counters.at("ls_completed"), 0u);

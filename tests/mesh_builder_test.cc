@@ -365,7 +365,6 @@ TEST(EndpointSubsets, BoundsBuiltSidecarTablesWithFullCoverage) {
 TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
   const auto make_spec = [](bool delta) {
     cluster::MeshSpec spec = two_service_spec();
-    spec.poll_interval = sim::milliseconds(50);
     spec.policies.cp.push_latency_base = sim::milliseconds(1);
     spec.policies.cp.push_latency_jitter = sim::milliseconds(2);
     spec.policies.cp.push_loss = 0.25;
@@ -449,9 +448,9 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
           break;
         }
         case 1:
-          cp.policies().lb_overrides["b"] =
-              rng() % 2 == 0 ? mesh::LbPolicy::kLeastRequest
-                             : mesh::LbPolicy::kRandom;
+          cp.policies().default_lb = rng() % 2 == 0
+                                         ? mesh::LbPolicy::kLeastRequest
+                                         : mesh::LbPolicy::kRandom;
           break;
         case 2: {
           bool& mtls = cp.policies().mtls_overrides["b"];
@@ -484,8 +483,10 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
           if (rng() % 2 == 0) {
             sim::Duration& per_try = cp.policies().retry.per_try_timeout;
             per_try = per_try == 0 ? sim::milliseconds(250) : 0;
-          } else if (cp.policies().authorization.erase("b") == 0) {
-            cp.policies().authorization["b"] = {"a"};
+          } else {
+            sim::Duration& timeout = cp.policies().request_timeout;
+            timeout = timeout == sim::seconds(15) ? sim::seconds(10)
+                                                  : sim::seconds(15);
           }
           break;
       }
@@ -521,7 +522,7 @@ TEST(DeltaPush, PolicyChangeReachesSidecarInjectedInSameEpoch) {
   const std::uint64_t epoch = cp.epoch();
   const std::uint64_t registry_version = mesh->cluster().registry().version();
 
-  cp.policies().lb_overrides["b"] = mesh::LbPolicy::kLeastRequest;
+  cp.policies().default_lb = mesh::LbPolicy::kLeastRequest;
   // Port 0: no registry endpoint, so nothing but the policy changed.
   cluster::Pod& pod = mesh->cluster().add_pod("node-a", "late-v1", "late", 0);
   mesh::Sidecar& late = cp.inject_sidecar(pod, {});

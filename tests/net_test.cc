@@ -364,13 +364,6 @@ TEST(WeightedPrioQdisc, DropsPerBand) {
   EXPECT_EQ(q.band_drops(1), 0u);
 }
 
-TEST(Classifiers, ByDstIp) {
-  const IpAddress high = make_ip(10, 244, 0, 7);
-  auto c = classify_by_dst_ip(high);
-  EXPECT_EQ(c(make_packet(1, Dscp::kDefault, high)), 0);
-  EXPECT_EQ(c(make_packet(1, Dscp::kDefault, make_ip(10, 244, 0, 8))), 1);
-}
-
 TEST(Classifiers, ByDscp) {
   auto c = classify_by_dscp();
   EXPECT_EQ(c(make_packet(1, Dscp::kExpedited)), 0);

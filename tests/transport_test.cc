@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -21,20 +20,20 @@ namespace {
 // ------------------------------------------------- congestion control --
 
 TEST(RenoController, InitialWindowIsIw10) {
-  RenoController cc;
+  RenoController cc(1460);
   EXPECT_EQ(cc.cwnd(), 10u * 1460u);
   EXPECT_TRUE(cc.in_slow_start());
 }
 
 TEST(RenoController, SlowStartDoublesPerRtt) {
-  RenoController cc;
+  RenoController cc(1460);
   const std::uint64_t before = cc.cwnd();
   cc.on_ack(before, sim::milliseconds(1), 0);  // a full window acked
   EXPECT_EQ(cc.cwnd(), 2 * before);
 }
 
 TEST(RenoController, LossHalvesWindow) {
-  RenoController cc;
+  RenoController cc(1460);
   for (int i = 0; i < 10; ++i) cc.on_ack(cc.cwnd(), 0, 0);
   const std::uint64_t before = cc.cwnd();
   cc.on_loss(0);
@@ -44,66 +43,66 @@ TEST(RenoController, LossHalvesWindow) {
 }
 
 TEST(RenoController, CongestionAvoidanceIsLinear) {
-  RenoConfig config;
-  RenoController cc(config);
+  constexpr std::uint32_t kMss = 1460;
+  RenoController cc(kMss);
   for (int i = 0; i < 6; ++i) cc.on_ack(cc.cwnd(), 0, 0);
   cc.on_loss(0);
   const std::uint64_t base = cc.cwnd();
   // One window of acks in CA grows the window by about one MSS.
   std::uint64_t acked = 0;
   while (acked < base) {
-    cc.on_ack(config.mss, 0, 0);
-    acked += config.mss;
+    cc.on_ack(kMss, 0, 0);
+    acked += kMss;
   }
-  EXPECT_GE(cc.cwnd(), base + config.mss / 2);
-  EXPECT_LE(cc.cwnd(), base + 2 * config.mss);
+  EXPECT_GE(cc.cwnd(), base + kMss / 2);
+  EXPECT_LE(cc.cwnd(), base + 2 * kMss);
 }
 
 TEST(RenoController, TimeoutCollapsesToOneMss) {
-  RenoController cc;
+  RenoController cc(1460);
   for (int i = 0; i < 5; ++i) cc.on_ack(cc.cwnd(), 0, 0);
   cc.on_timeout(0);
   EXPECT_EQ(cc.cwnd(), 1460u);
 }
 
 TEST(RenoController, WindowNeverExceedsMax) {
-  RenoConfig config;
-  config.max_window_bytes = 100'000;
-  RenoController cc(config);
-  for (int i = 0; i < 50; ++i) cc.on_ack(cc.cwnd(), 0, 0);
-  EXPECT_LE(cc.cwnd(), 100'000u);
+  RenoController cc(1460);
+  // Slow start doubles per window: 20 full windows would pass the cap.
+  for (int i = 0; i < 20; ++i) cc.on_ack(cc.cwnd(), 0, 0);
+  EXPECT_EQ(cc.cwnd(), kMaxWindowBytes);
+  cc.on_ack(cc.cwnd(), 0, 0);
+  EXPECT_EQ(cc.cwnd(), kMaxWindowBytes);
 }
 
 TEST(LedbatController, GrowsWhenDelayBelowTarget) {
-  LedbatConfig config;
-  LedbatController cc(config);
+  LedbatController cc(1460);
   const std::uint64_t before = cc.cwnd();
   // base rtt 1 ms, then acks at the same rtt: zero queueing delay.
   for (int i = 0; i < 20; ++i) {
-    cc.on_ack(config.mss, sim::milliseconds(1), sim::milliseconds(i));
+    cc.on_ack(1460, sim::milliseconds(1), sim::milliseconds(i));
   }
   EXPECT_GT(cc.cwnd(), before);
 }
 
 TEST(LedbatController, ShrinksWhenDelayAboveTarget) {
-  LedbatConfig config;
-  config.target_delay = sim::milliseconds(2);
-  LedbatController cc(config);
+  LedbatController cc(1460);
   // Learn a 1 ms base, grow a bit.
   for (int i = 0; i < 50; ++i) {
-    cc.on_ack(config.mss, sim::milliseconds(1), i);
+    cc.on_ack(1460, sim::milliseconds(1), i);
   }
   const std::uint64_t grown = cc.cwnd();
-  // Now rtt jumps to base + 4x target: the controller must back off.
+  // Now rtt jumps to base + 4x the target: the controller must back off.
+  static_assert(sim::milliseconds(9) ==
+                sim::milliseconds(1) + 4 * kLedbatTargetDelay);
   for (int i = 0; i < 50; ++i) {
-    cc.on_ack(config.mss, sim::milliseconds(9), 1000 + i);
+    cc.on_ack(1460, sim::milliseconds(9), 1000 + i);
   }
   EXPECT_LT(cc.cwnd(), grown);
   EXPECT_EQ(cc.last_queue_delay(), sim::milliseconds(8));
 }
 
 TEST(LedbatController, TracksBaseRtt) {
-  LedbatController cc;
+  LedbatController cc(1460);
   cc.on_ack(1460, sim::milliseconds(5), 0);
   EXPECT_EQ(cc.base_rtt(), sim::milliseconds(5));
   cc.on_ack(1460, sim::milliseconds(3), 1);
@@ -113,7 +112,7 @@ TEST(LedbatController, TracksBaseRtt) {
 }
 
 TEST(LedbatController, LossStillHalves) {
-  LedbatController cc;
+  LedbatController cc(1460);
   for (int i = 0; i < 50; ++i) cc.on_ack(1460, sim::milliseconds(1), i);
   const std::uint64_t grown = cc.cwnd();
   cc.on_loss(100);
@@ -121,7 +120,7 @@ TEST(LedbatController, LossStillHalves) {
 }
 
 TEST(LedbatController, WindowFloorsAtOneMss) {
-  LedbatController cc;
+  LedbatController cc(1460);
   for (int i = 0; i < 20; ++i) cc.on_timeout(i);
   EXPECT_GE(cc.cwnd(), 1460u);
 }
@@ -373,76 +372,12 @@ TEST_F(TransportFixture, RttIsMeasured) {
   EXPECT_LT(client.stats().smoothed_rtt, sim::milliseconds(5));
 }
 
-TEST_F(TransportFixture, GracefulCloseReachesBothSides) {
-  build();
-  bool server_closed = false, server_graceful = false;
-  Connection* server = nullptr;
-  host_b->listen(80, [&](Connection& c) {
-    server = &c;
-    c.set_on_data([](std::string_view) {});
-    c.set_on_closed([&](bool graceful) {
-      server_closed = true;
-      server_graceful = graceful;
-    });
-  });
-  Connection& client = host_a->connect({ip_b, 80});
-  bool client_closed = false, client_graceful = false;
-  client.set_on_closed([&](bool graceful) {
-    client_closed = true;
-    client_graceful = graceful;
-  });
-  client.send("bye");
-  client.close();
-  sim.run_until(sim::seconds(5));
-  EXPECT_TRUE(client_closed);
-  EXPECT_TRUE(client_graceful);
-  EXPECT_TRUE(server_closed);
-  EXPECT_TRUE(server_graceful);
-}
-
-TEST_F(TransportFixture, CloseFlushesPendingData) {
-  build();
-  std::string received;
-  host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
-  });
-  ConnectionOptions options;
-  options.mss = 1000;
-  Connection& client = host_a->connect({ip_b, 80}, options);
-  // The host destroys a connection once it closes, so observe the close
-  // through the handler rather than through `client` afterwards.
-  bool closed = false;
-  client.set_on_closed([&](bool) { closed = true; });
-  client.send(std::string(50'000, 'f'));
-  client.close();  // before anything was transmitted
-  sim.run_until(sim::seconds(5));
-  EXPECT_EQ(received.size(), 50'000u);
-  EXPECT_TRUE(closed);
-}
-
-TEST_F(TransportFixture, SendAfterCloseIsIgnored) {
-  build();
-  std::string received;
-  host_b->listen(80, [&](Connection& c) {
-    c.set_on_data([&](std::string_view d) { received.append(d); });
-  });
-  Connection& client = host_a->connect({ip_b, 80});
-  client.send("keep");
-  client.close();
-  client.send("drop");
-  sim.run_until(sim::seconds(5));
-  EXPECT_EQ(received, "keep");
-}
-
 TEST_F(TransportFixture, AbortSendsRst) {
   build();
-  bool server_closed = false, server_graceful = true;
+  bool server_closed = false;
   host_b->listen(80, [&](Connection& c) {
     c.set_on_data([](std::string_view) {});
-    c.set_on_closed([&](bool graceful) {
-      server_closed = true;
-      server_graceful = graceful;
-    });
+    c.set_on_closed([&] { server_closed = true; });
   });
   Connection& client = host_a->connect({ip_b, 80});
   client.send("hello");
@@ -452,20 +387,15 @@ TEST_F(TransportFixture, AbortSendsRst) {
   EXPECT_TRUE(client.closed());
   sim.run_until(sim::seconds(1));
   EXPECT_TRUE(server_closed);
-  EXPECT_FALSE(server_graceful);
 }
 
 TEST_F(TransportFixture, ConnectToClosedPortGetsRst) {
   build();
   Connection& client = host_a->connect({ip_b, 4444});  // nobody listens
-  bool closed = false, graceful = true;
-  client.set_on_closed([&](bool g) {
-    closed = true;
-    graceful = g;
-  });
+  bool closed = false;
+  client.set_on_closed([&] { closed = true; });
   sim.run_until(sim::seconds(2));
   EXPECT_TRUE(closed);
-  EXPECT_FALSE(graceful);
 }
 
 TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
@@ -474,11 +404,11 @@ TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
   // down, every SYN is dropped.
   ab->set_up(false);
   Connection& client = host_a->connect({ip_b, 80});
-  std::optional<bool> graceful;
+  bool closed = false;
   sim::Time closed_at = -1;
   std::uint64_t timeouts_at_close = 0;
-  client.set_on_closed([&](bool g) {
-    graceful = g;
+  client.set_on_closed([&] {
+    closed = true;
     closed_at = sim.now();
     timeouts_at_close = client.stats().timeouts;
   });
@@ -489,11 +419,10 @@ TEST_F(TransportFixture, SynRetransmitsOnBlackhole) {
   // kMaxRto (4 s): the SYN times out at 1, 3, 7, 11, ..., 35 s.
   sim.run_until(sim::seconds(39) - 1);
   EXPECT_EQ(client.stats().timeouts, 10u);
-  EXPECT_FALSE(graceful.has_value());
-  // One timeout past kMaxRtoBackoffs gives up, non-gracefully.
+  EXPECT_FALSE(closed);
+  // One timeout past kMaxRtoBackoffs gives up.
   sim.run_until(sim::seconds(39));
-  ASSERT_TRUE(graceful.has_value());
-  EXPECT_FALSE(*graceful);
+  EXPECT_TRUE(closed);
   EXPECT_EQ(closed_at, sim::seconds(39));
   EXPECT_EQ(timeouts_at_close, 11u);
   EXPECT_EQ(host_a->stats().timeouts, 11u);
@@ -546,7 +475,7 @@ TEST_F(TransportFixture, ConnectionsAreRemovedAfterClose) {
   client.send("x");
   sim.run_until(sim::milliseconds(500));
   EXPECT_EQ(host_a->connection_count(), 1u);
-  client.close();
+  client.abort();
   sim.run_until(sim::seconds(5));
   EXPECT_EQ(host_a->connection_count(), 0u);
   EXPECT_EQ(host_b->connection_count(), 0u);
