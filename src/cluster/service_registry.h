@@ -28,6 +28,8 @@ struct Endpoint {
     const auto it = labels.find(key);
     return it == labels.end() ? fb : it->second;
   }
+
+  bool operator==(const Endpoint&) const = default;
 };
 
 struct ServiceInfo {

@@ -22,6 +22,8 @@ struct CircuitBreakerConfig {
   /// Consecutive failures that trip the breaker. 0 disables it.
   std::uint32_t consecutive_failures = 5;
   sim::Duration open_duration = sim::milliseconds(500);
+
+  bool operator==(const CircuitBreakerConfig&) const = default;
 };
 
 enum class CircuitState { kClosed, kOpen, kHalfOpen };

@@ -41,65 +41,83 @@ std::size_t policy_section_bytes(const SidecarPolicy& policy) {
 SidecarConfig CompiledConfig::materialize() const {
   SidecarConfig config;
   static_cast<SidecarPolicy&>(config) = policy;
-  config.routes = fingerprint.routes;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    config.clusters.emplace_hint(config.clusters.end(),
-                                 fingerprint.clusters[i].name, *specs[i]);
+  config.routes = routes;
+  if (owned == nullptr) {
+    config.clusters.reserve(scope != nullptr ? scope->size() : table->size());
   }
+  for_each_cluster(
+      [&config](const std::string& name, const ClusterSpecRef& spec, bool) {
+        config.clusters.append(name, spec);
+      });
   return config;
 }
 
 CompiledConfig compiled_from(SidecarConfig config) {
+  config.clusters.seal();
   CompiledConfig compiled;
   compiled.fingerprint = fingerprint_config(config);
   compiled.policy = static_cast<const SidecarPolicy&>(config);
-  auto owned = std::make_unique<const SidecarConfig>(std::move(config));
-  compiled.specs.reserve(owned->clusters.size());
-  for (const auto& [name, spec] : owned->clusters) {
-    compiled.specs.push_back(&spec);
-  }
-  compiled.owned = std::move(owned);
+  compiled.routes = config.routes;
+  compiled.owned = std::make_unique<const SidecarConfig>(std::move(config));
   return compiled;
 }
 
-ConfigDelta make_config_delta(const ConfigFingerprint& base,
+void AckedConfig::apply(const ConfigDelta& delta,
+                        const ConfigFingerprint& target) {
+  fingerprint = target;
+  for (const std::string& name : delta.cluster_removals) clusters.erase(name);
+  for (const auto& [name, spec] : delta.cluster_upserts) {
+    clusters.put(name, spec);
+  }
+  for (const std::string& host : delta.route_removals) routes.erase(host);
+  for (const auto& [host, cluster] : delta.route_upserts) {
+    routes[host] = cluster;
+  }
+}
+
+ConfigDelta make_config_delta(const AckedConfig& base,
                               const CompiledConfig& target) {
   const ConfigFingerprint& next = target.fingerprint;
   ConfigDelta delta;
   delta.epoch = target.policy.epoch;
-  delta.base_hash = base.hash;
+  delta.base_hash = base.fingerprint.hash;
   delta.target_hash = next.hash;
 
-  if (base.policy_hash != next.policy_hash) delta.policy = target.policy;
+  if (base.fingerprint.policy_hash != next.policy_hash) {
+    delta.policy = target.policy;
+  }
 
-  // Both cluster lists are sorted by name: one merge walk finds the
+  // Both cluster lists are in name order: one merge walk finds the
   // upserts (new, or same name with a different hash) and the removals.
-  std::size_t b = 0;
-  for (std::size_t t = 0; t < next.clusters.size(); ++t) {
-    const ClusterHash& cluster = next.clusters[t];
-    while (b < base.clusters.size() && base.clusters[b].name < cluster.name) {
-      delta.cluster_removals.push_back(base.clusters[b++].name);
+  // A spec object both sides hold is unchanged without a name compare.
+  const ClusterMap& acked = base.clusters;
+  auto b = acked.begin();
+  target.for_each_cluster([&](const std::string& name,
+                              const ClusterSpecRef& spec, bool) {
+    if (b != acked.end() && b.shared()->same_object(spec)) {
+      ++b;
+      return;
     }
-    const bool in_base =
-        b < base.clusters.size() && base.clusters[b].name == cluster.name;
-    if (!in_base || base.clusters[b].hash != cluster.hash) {
-      delta.cluster_upserts.emplace_hint(delta.cluster_upserts.end(),
-                                         cluster.name, *target.specs[t]);
+    for (; b != acked.end() && b->first < name; ++b) {
+      delta.cluster_removals.push_back(b->first);
+    }
+    const bool in_base = b != acked.end() && b->first == name;
+    if (!in_base || b.shared()->hash() != spec.hash()) {
+      delta.cluster_upserts.emplace_hint(delta.cluster_upserts.end(), name,
+                                         spec);
     }
     if (in_base) ++b;
-  }
-  for (; b < base.clusters.size(); ++b) {
-    delta.cluster_removals.push_back(base.clusters[b].name);
-  }
+  });
+  for (; b != acked.end(); ++b) delta.cluster_removals.push_back(b->first);
 
-  for (const auto& [host, cluster] : next.routes) {
+  for (const auto& [host, cluster] : target.routes) {
     const auto it = base.routes.find(host);
     if (it == base.routes.end() || it->second != cluster) {
       delta.route_upserts.emplace(host, cluster);
     }
   }
   for (const auto& [host, cluster] : base.routes) {
-    if (!next.routes.contains(host)) delta.route_removals.push_back(host);
+    if (!target.routes.contains(host)) delta.route_removals.push_back(host);
   }
   return delta;
 }
@@ -119,7 +137,7 @@ std::size_t estimate_delta_bytes(const ConfigDelta& delta) {
   std::size_t bytes = 40;  // epoch + base/target hashes + framing
   if (delta.policy) bytes += policy_section_bytes(*delta.policy);
   for (const auto& [name, spec] : delta.cluster_upserts) {
-    bytes += cluster_spec_bytes(spec);
+    bytes += cluster_spec_bytes(*spec);
   }
   for (const std::string& name : delta.cluster_removals) {
     bytes += string_bytes(name);

@@ -7,26 +7,27 @@
 // per endpoint flap, O(N^2) mesh-wide. A ConfigDelta carries only what
 // changed since the sidecar's last *acked* config:
 //
-//   * per-cluster upserts (new or changed ClusterSpecs, compared by
+//   * per-cluster upserts (new or changed clusters, compared by
 //     hash_cluster_spec) and removals;
 //   * per-route upserts/removals;
 //   * the sidecar's policy (mesh/sidecar.h SidecarPolicy: the policy
 //     section, service name and cert) as one blob, only when its
 //     fingerprint changed.
 //
-// The control plane diffs fingerprints, not configs: it keeps the
-// ConfigFingerprint (mesh/sidecar.h) of each sidecar's acked config and
-// compiles the next config as a CompiledConfig whose specs it borrows
-// from a cluster table built once per epoch, so a delta costs a walk
-// over two name-sorted (name, hash) lists plus copies of the changed
-// specs.
+// The control plane diffs shared specs, not copies: it compiles each
+// cluster once per epoch into an immutable ClusterSpecRef (mesh/sidecar.h)
+// held by the epoch's cluster table, reusing last epoch's object when the
+// content is unchanged. A CompiledConfig walks that table; the control
+// plane keeps what each sidecar acked as an AckedConfig, so a delta is a
+// merge walk that compares pointers and carries refs to the changed specs.
 //
 // Safety over cleverness: a delta names the exact base it diffs against
 // (base_hash) and the exact result it must produce (target_hash). The
 // sidecar checks base_hash against the fingerprint of its running
-// config, checks target_hash against hashes it computes itself over the
-// content it received, and validates the changed parts before patching
-// its config in place — so delta and full push converge to identical
+// config, checks target_hash against a fingerprint it patches itself
+// from the content it received (each upserted spec hashed by its own
+// constructor), and validates the changed parts before patching its
+// config in place — so delta and full push converge to identical
 // fingerprints by construction. Either mismatch nacks
 // ("delta-base-mismatch" / "delta-target-mismatch") and the control
 // plane falls back to a full push for that sidecar.
@@ -37,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mesh/sidecar.h"
@@ -54,7 +56,7 @@ struct ConfigDelta {
   /// Set when the policy changed; it replaces the running one wholesale.
   std::optional<SidecarPolicy> policy;
 
-  std::map<std::string, ClusterSpec> cluster_upserts;
+  std::map<std::string, ClusterSpecRef> cluster_upserts;
   std::vector<std::string> cluster_removals;
   std::map<std::string, std::string> route_upserts;
   std::vector<std::string> route_removals;
@@ -66,30 +68,86 @@ struct ConfigDelta {
   }
 };
 
+/// One registry service compiled for an epoch: the spec every subscriber
+/// gets, and the narrower ones endpoint subsetting assigns.
+struct EpochCluster {
+  ClusterSpecRef full;
+  /// The subscribers whose endpoint subset is narrower than the full set,
+  /// by pod name (empty unless policies.subset applies).
+  std::map<std::string, ClusterSpecRef, std::less<>> narrowed;
+};
+
 /// One sidecar's compiled config as the push path holds it: the policy,
-/// the fingerprint, and the spec behind each fingerprinted cluster. The
-/// specs are borrowed — from the control plane's per-epoch cluster
-/// table, or from `owned` — so a CompiledConfig lives only as long as
-/// the push that compiled it.
+/// the fingerprint, and its clusters as a walk over the epoch's cluster
+/// table (or over `owned`), so compiling builds no per-sidecar container.
+/// It borrows the table, so it lives only as long as the push that
+/// compiled it.
 struct CompiledConfig {
   SidecarPolicy policy;
   ConfigFingerprint fingerprint;
-  /// specs[i] is the spec fingerprint.clusters[i] was hashed from.
-  std::vector<const ClusterSpec*> specs;
-  /// Backs `specs` for a config that was built whole (compiled_from).
+  std::map<std::string, std::string> routes;
+  /// The table entries this config holds: every one, or the ascending
+  /// indices in `scope` (the sidecar's cluster scope).
+  const std::vector<EpochCluster>* table = nullptr;
+  const std::vector<std::size_t>* scope = nullptr;
+  /// Picks this pod's narrowed specs.
+  std::string_view pod;
+  /// A config built whole (compiled_from); the walk reads it instead.
   std::unique_ptr<const SidecarConfig> owned;
+
+  /// Calls fn(name, spec, narrowed) for every cluster, in name order.
+  template <class Fn>
+  void for_each_cluster(Fn&& fn) const {
+    if (owned != nullptr) {
+      const ClusterMap& clusters = owned->clusters;
+      for (auto it = clusters.begin(); it != clusters.end(); ++it) {
+        fn(it->first, *it.shared(), false);
+      }
+      return;
+    }
+    const auto visit = [&](const EpochCluster& entry) {
+      if (!entry.narrowed.empty()) {
+        const auto it = entry.narrowed.find(pod);
+        if (it != entry.narrowed.end()) {
+          fn(entry.full->name, it->second, true);
+          return;
+        }
+      }
+      fn(entry.full->name, entry.full, false);
+    };
+    if (scope == nullptr) {
+      for (const EpochCluster& entry : *table) visit(entry);
+    } else {
+      for (const std::size_t index : *scope) visit((*table)[index]);
+    }
+  }
 
   /// The full config, as a full-snapshot push carries it.
   SidecarConfig materialize() const;
 };
 
-/// A whole config as a CompiledConfig, fingerprinted from scratch.
+/// A whole config as a CompiledConfig (drafts sealed, fingerprinted from
+/// its content).
 CompiledConfig compiled_from(SidecarConfig config);
 
-/// Diffs `target` against the acked fingerprint `base` with a merge walk
-/// over their name-sorted cluster lists, copying only the changed specs.
-/// epoch/target_hash are taken from `target`; base_hash from `base`.
-ConfigDelta make_config_delta(const ConfigFingerprint& base,
+/// What the control plane knows a sidecar runs: the config it last acked.
+/// Built from a full push and patched in place by every acked delta, so
+/// no per-sidecar container is rebuilt per compile.
+struct AckedConfig {
+  ConfigFingerprint fingerprint;
+  std::map<std::string, std::string> routes;
+  ClusterMap clusters;
+
+  /// Applies an acked delta, whose patched fingerprint is `target`.
+  void apply(const ConfigDelta& delta, const ConfigFingerprint& target);
+};
+
+/// Diffs `target` against the acked config `base` with a merge walk over
+/// their name-ordered clusters; a cluster whose spec object is unchanged
+/// costs a pointer compare, and only changed clusters are carried (by
+/// reference). epoch/target_hash are taken from `target`; base_hash from
+/// `base`.
+ConfigDelta make_config_delta(const AckedConfig& base,
                               const CompiledConfig& target);
 
 /// Modeled wire size of a full-snapshot push / a delta push, in bytes.

@@ -15,14 +15,10 @@ namespace {
 constexpr sim::Duration kPushRetryBackoffBase = sim::milliseconds(50);
 constexpr sim::Duration kPushRetryBackoffMax = sim::seconds(2);
 
-/// Does `service`'s scope admit `cluster`? No scope entry = admit all.
-bool scope_allows(
-    const std::map<std::string, std::vector<std::string>>& scopes,
-    const std::string& service, const std::string& cluster) {
-  const auto it = scopes.find(service);
-  if (it == scopes.end()) return true;
-  return std::find(it->second.begin(), it->second.end(), cluster) !=
-         it->second.end();
+/// hash_routes of a config without routes, which is every compiled one.
+std::uint64_t no_routes_hash() {
+  static const std::uint64_t hash = hash_routes({});
+  return hash;
 }
 
 }  // namespace
@@ -91,16 +87,30 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
       std::make_shared<SourceIdentityFilter>(service));
 
   issue_certificate(service);
-  // Subset assignments depend on the subscriber set, which just grew.
-  if (policies_.subset.enabled) cluster_table_.reset();
+  // The new sidecar starts stale unless its bootstrap config applies.
+  set_acked_epoch(state, 0);
+  // Subset assignments depend on the subscriber set, which just grew: a
+  // current table re-derives only the clusters this sidecar's scope
+  // admits (a cluster's subsets depend on its own subscribers alone); a
+  // table due for a rebuild picks the sidecar up there.
+  if (policies_.subset.enabled && !cluster_table_.stale &&
+      cluster_table_.epoch == epoch_ &&
+      cluster_table_.registry_version == cluster_.registry().version()) {
+    subscribe(cluster_table_, ref, true);
+  }
   CompiledConfig compiled = compile_config(ref);
   const std::uint64_t compiled_epoch = compiled.policy.epoch;
-  if (ref.apply_config(compiled.materialize())) {
+  SidecarConfig config = compiled.materialize();
+  std::optional<AckedConfig> acked;
+  if (policies_.cp.delta_push) {
+    acked = AckedConfig{compiled.fingerprint, config.routes, config.clusters};
+  }
+  if (ref.apply_config(std::move(config))) {
     // Injection is a local, synchronous bootstrap push: seed the channel
     // state so the next broadcast can skip this sidecar if unchanged.
-    state.acked_epoch = compiled_epoch;
+    set_acked_epoch(state, compiled_epoch);
     state.acked_hash = compiled.fingerprint.hash;
-    if (policies_.cp.delta_push) state.acked = std::move(compiled.fingerprint);
+    state.acked = std::move(acked);
   }
   ref.start();
   return ref;
@@ -124,6 +134,9 @@ void ControlPlane::poll_registry() {
 
 void ControlPlane::begin_epoch() {
   ++epoch_;
+  // No sidecar has acked an epoch that was just minted.
+  stale_ = states_;
+  for (std::size_t i = 0; i < stale_.size(); ++i) stale_[i]->stale_slot = i;
   last_registry_version_ = cluster_.registry().version();
   pending_change_since_ = 0;
   cpm_.epoch->set(static_cast<double>(epoch_));
@@ -145,7 +158,8 @@ void ControlPlane::launch_push(PushState& state) {
   if (state.acked_hash != 0 && compiled.fingerprint.hash == state.acked_hash) {
     // Delta-aware push: the compiled payload is byte-identical to what
     // the sidecar already runs, so the new epoch is acked implicitly.
-    state.acked_epoch = std::max(state.acked_epoch, compiled.policy.epoch);
+    set_acked_epoch(state,
+                    std::max(state.acked_epoch, compiled.policy.epoch));
     publish_acked_epoch(state);
     cpm_.skipped_noop->inc();
     check_convergence();
@@ -219,10 +233,13 @@ void ControlPlane::deliver_push(PushState& state, SidecarConfig config,
                                 ConfigFingerprint target) {
   Sidecar& sidecar = *state.sidecar;
   const std::uint64_t config_epoch = config.epoch;
+  std::optional<AckedConfig> acked;
+  if (policies_.cp.delta_push) {
+    acked = AckedConfig{target, config.routes, config.clusters};
+  }
   if (sidecar.apply_config(std::move(config))) {
-    const std::uint64_t hash = target.hash;
-    if (policies_.cp.delta_push) state.acked = std::move(target);
-    handle_ack(state, config_epoch, hash);
+    state.acked = std::move(acked);
+    handle_ack(state, config_epoch, target.hash);
   } else {
     handle_nack(state, config_epoch, sidecar.last_config_error());
   }
@@ -232,10 +249,9 @@ void ControlPlane::deliver_delta(PushState& state, ConfigDelta delta,
                                  ConfigFingerprint target) {
   Sidecar& sidecar = *state.sidecar;
   const std::uint64_t config_epoch = delta.epoch;
-  if (sidecar.apply_config_delta(std::move(delta))) {
-    const std::uint64_t hash = target.hash;
-    state.acked = std::move(target);
-    handle_ack(state, config_epoch, hash);
+  if (sidecar.apply_config_delta(delta)) {
+    state.acked->apply(delta, target);
+    handle_ack(state, config_epoch, target.hash);
     return;
   }
   const std::string error = sidecar.last_config_error();
@@ -261,7 +277,7 @@ void ControlPlane::handle_ack(PushState& state, std::uint64_t acked_epoch,
   state.attempt = 0;
   state.prev_backoff = 0;
   if (acked_epoch >= state.acked_epoch) {
-    state.acked_epoch = acked_epoch;
+    set_acked_epoch(state, acked_epoch);
     state.acked_hash = hash;
   }
   publish_acked_epoch(state);
@@ -295,7 +311,7 @@ void ControlPlane::handle_nack(PushState& state, std::uint64_t nacked_epoch,
       policies_ = last_good_policies_;
       policies_.cp = cp;
     }
-    cluster_table_.reset();
+    cluster_table_.stale = true;
     cpm_.rollbacks->inc();
     record_event(obs::EventKind::kControlPlane, "control-plane",
                  "rollback to last-good epoch");
@@ -339,18 +355,27 @@ void ControlPlane::publish_acked_epoch(PushState& state) {
   state.epoch_gauge->set(static_cast<double>(state.acked_epoch));
 }
 
+void ControlPlane::set_acked_epoch(PushState& state, std::uint64_t epoch) {
+  state.acked_epoch = epoch;
+  const bool stale = epoch != epoch_;
+  if (stale == (state.stale_slot != kCurrent)) return;
+  if (stale) {
+    state.stale_slot = stale_.size();
+    stale_.push_back(&state);
+    return;
+  }
+  // Swap-remove: the list has no order.
+  PushState* last = stale_.back();
+  stale_[state.stale_slot] = last;
+  last->stale_slot = state.stale_slot;
+  stale_.pop_back();
+  state.stale_slot = kCurrent;
+}
+
 void ControlPlane::check_convergence() {
   if (crashed_) return;
-  std::size_t stale = 0;
-  bool all_current = true;
-  for (const PushState* state : states_) {
-    if (state->acked_epoch != epoch_) {
-      ++stale;
-      if (state->sidecar->pod().running()) all_current = false;
-    }
-  }
-  cpm_.stale->set(static_cast<double>(stale));
-  if (!all_current || epoch_ == 0) return;
+  cpm_.stale->set(static_cast<double>(stale_.size()));
+  if (!converged() || epoch_ == 0) return;
   // Converged: every running sidecar runs the current epoch. This policy
   // set is proven good — it becomes the rollback target.
   last_good_policies_ = policies_;
@@ -368,9 +393,8 @@ void ControlPlane::check_convergence() {
 
 bool ControlPlane::converged() const {
   if (crashed_) return false;
-  for (const PushState* state : states_) {
-    if (!state->sidecar->pod().running()) continue;
-    if (state->acked_epoch != epoch_) return false;
+  for (const PushState* state : stale_) {
+    if (state->sidecar->pod().running()) return false;
   }
   return true;
 }
@@ -385,13 +409,7 @@ std::uint64_t ControlPlane::acked_hash(const std::string& pod_name) const {
   return it == push_state_.end() ? 0 : it->second.acked_hash;
 }
 
-std::size_t ControlPlane::stale_sidecars() const {
-  std::size_t stale = 0;
-  for (const PushState* state : states_) {
-    if (state->acked_epoch != epoch_) ++stale;
-  }
-  return stale;
-}
+std::size_t ControlPlane::stale_sidecars() const { return stale_.size(); }
 
 sim::Duration ControlPlane::discovery_staleness() const {
   return pending_change_since_ == 0 ? 0 : sim_.now() - pending_change_since_;
@@ -465,22 +483,36 @@ bool ControlPlane::mtls_enabled_for(const std::string& service) const {
                                               : policies_.tls.enabled;
 }
 
+const std::vector<std::size_t>* ControlPlane::scope_of(
+    const ClusterTable& table, const std::string& service) const {
+  const auto it = table.scopes.find(service);
+  return it == table.scopes.end() ? nullptr : &it->second;
+}
+
+bool ControlPlane::subsets(const ClusterSpec& spec) const {
+  const SubsetConfig& subset = policies_.subset;
+  return subset.enabled && subset.subset_size > 0 &&
+         static_cast<std::size_t>(subset.subset_size) < spec.endpoints.size();
+}
+
 const ControlPlane::ClusterTable& ControlPlane::cluster_table() {
   const std::uint64_t version = cluster_.registry().version();
-  if (cluster_table_.has_value() && cluster_table_->epoch == epoch_ &&
-      cluster_table_->registry_version == version) {
-    return *cluster_table_;
+  if (!cluster_table_.stale && cluster_table_.epoch == epoch_ &&
+      cluster_table_.registry_version == version) {
+    return cluster_table_;
   }
-  ClusterTable& table = cluster_table_.emplace();
+  // The old table lives until the new one is built, so the pool still
+  // holds every unchanged spec when the rebuild asks for it.
+  const ClusterTable previous = std::exchange(cluster_table_, {});
+  ClusterTable& table = cluster_table_;
   table.epoch = epoch_;
   table.registry_version = version;
+  table.stale = false;
   const std::vector<const cluster::ServiceInfo*> services =
       cluster_.registry().services();
   table.clusters.reserve(services.size());
-  const SubsetConfig& subset = policies_.subset;
   for (const cluster::ServiceInfo* info : services) {
-    TableCluster& entry = table.clusters.emplace_back();
-    ClusterSpec& spec = entry.full.spec;
+    ClusterSpec spec;
     spec.name = info->name;
     spec.endpoints = info->endpoints;
     // Client side of mTLS: initiate TLS to clusters whose *target*
@@ -489,37 +521,78 @@ const ControlPlane::ClusterTable& ControlPlane::cluster_table() {
     spec.breaker = policies_.breaker;
     spec.health_check = policies_.health_check;
     spec.lb = policies_.default_lb;
-    entry.full.hash = hash_cluster_spec(spec);
-    if (!subset.enabled || subset.subset_size <= 0 ||
-        static_cast<std::size_t>(subset.subset_size) >=
-            spec.endpoints.size()) {
-      continue;
-    }
-    // Every sidecar whose scope admits this cluster subscribes to it; the
-    // subset function is pure, so one assignment per epoch gives every
-    // subscriber a consistent view.
-    std::vector<std::string> subscribers;
-    subscribers.reserve(sidecars_.size());
-    for (const auto& sidecar : sidecars_) {
-      if (scope_allows(policies_.cluster_scopes,
-                       sidecar->config().service_name, info->name)) {
-        subscribers.push_back(sidecar->pod().name());
+    table.clusters.push_back({spec_pool_.get(std::move(spec)), {}});
+  }
+  for (const auto& [service, names] : policies_.cluster_scopes) {
+    std::vector<std::size_t>& indices = table.scopes[service];
+    for (const std::string& name : names) {
+      const auto it = std::lower_bound(
+          services.begin(), services.end(), name,
+          [](const cluster::ServiceInfo* info, const std::string& n) {
+            return info->name < n;
+          });
+      if (it != services.end() && (*it)->name == name) {
+        indices.push_back(static_cast<std::size_t>(it - services.begin()));
       }
     }
-    std::sort(subscribers.begin(), subscribers.end());
-    for (const auto& [pod, indices] : compute_endpoint_subsets(
-             info->name, spec.endpoints, subscribers, subset.subset_size)) {
-      if (indices.size() >= spec.endpoints.size()) continue;
-      CompiledSpec& narrowed = entry.narrowed[pod];
-      narrowed.spec = spec;
-      narrowed.spec.endpoints.clear();
-      for (const std::size_t index : indices) {
-        narrowed.spec.endpoints.push_back(spec.endpoints[index]);
-      }
-      narrowed.hash = hash_cluster_spec(narrowed.spec);
-    }
+    std::sort(indices.begin(), indices.end());
+    indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  }
+  if (!policies_.subset.enabled) return table;
+  // Every sidecar whose scope admits a cluster subscribes to it; the
+  // subset function is pure, so one assignment per table gives every
+  // subscriber a consistent view.
+  table.subscribers.resize(table.clusters.size());
+  for (const auto& sidecar : sidecars_) subscribe(table, *sidecar, false);
+  for (std::size_t i = 0; i < table.clusters.size(); ++i) {
+    if (table.subscribers[i].empty()) continue;
+    std::sort(table.subscribers[i].begin(), table.subscribers[i].end());
+    assign_subsets(table, i);
   }
   return table;
+}
+
+void ControlPlane::subscribe(ClusterTable& table, const Sidecar& sidecar,
+                             bool reassign) {
+  const std::string& pod = sidecar.pod().name();
+  const auto add = [&](std::size_t index) {
+    if (!subsets(*table.clusters[index].full)) return;
+    std::vector<std::string>& subscribers = table.subscribers[index];
+    if (!reassign) {
+      subscribers.push_back(pod);
+      return;
+    }
+    subscribers.insert(
+        std::lower_bound(subscribers.begin(), subscribers.end(), pod), pod);
+    assign_subsets(table, index);
+  };
+  if (const std::vector<std::size_t>* scope =
+          scope_of(table, sidecar.config().service_name)) {
+    for (const std::size_t index : *scope) add(index);
+  } else {
+    for (std::size_t index = 0; index < table.clusters.size(); ++index) {
+      add(index);
+    }
+  }
+}
+
+void ControlPlane::assign_subsets(ClusterTable& table, std::size_t index) {
+  EpochCluster& entry = table.clusters[index];
+  const ClusterSpec& full = *entry.full;
+  // Kept until the new subsets are pooled, like a rebuild's old table.
+  const auto previous = std::exchange(entry.narrowed, {});
+  for (const auto& [pod, indices] :
+       compute_endpoint_subsets(full.name, full.endpoints,
+                                table.subscribers[index],
+                                policies_.subset.subset_size)) {
+    if (indices.size() >= full.endpoints.size()) continue;
+    ClusterSpec narrowed = full;
+    narrowed.endpoints.clear();
+    for (const std::size_t i : indices) {
+      narrowed.endpoints.push_back(full.endpoints[i]);
+    }
+    entry.narrowed.emplace(pod, spec_pool_.get(std::move(narrowed)));
+  }
 }
 
 CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
@@ -535,43 +608,35 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
   if (cert_it != certs_.end()) policy.identity_cert = cert_it->second.cert;
 
   const std::string& pod = sidecar.pod().name();
-  const auto scope_it = policies_.cluster_scopes.find(policy.service_name);
-  const std::vector<std::string>* scope =
-      scope_it == policies_.cluster_scopes.end() ? nullptr : &scope_it->second;
   const ClusterTable& table = cluster_table();
+  compiled.table = &table.clusters;
+  compiled.scope = scope_of(table, policy.service_name);
+  compiled.pod = pod;
   ConfigFingerprint& fingerprint = compiled.fingerprint;
-  fingerprint.clusters.reserve(table.clusters.size());
-  compiled.specs.reserve(table.clusters.size());
-  for (const TableCluster& entry : table.clusters) {
-    const std::string& name = entry.full.spec.name;
-    if (scope != nullptr &&
-        std::find(scope->begin(), scope->end(), name) == scope->end()) {
-      continue;
-    }
-    const CompiledSpec* chosen = &entry.full;
-    const auto narrowed_it = entry.narrowed.find(pod);
-    if (narrowed_it != entry.narrowed.end()) {
-      chosen = &narrowed_it->second;
-      const std::size_t assigned = chosen->spec.endpoints.size();
-      const auto size = static_cast<std::size_t>(policies_.subset.subset_size);
-      cpm_.subset_assignments->inc(assigned);
-      if (assigned > size) {
-        // Aperture gives exactly subset_size endpoints; anything above
-        // that was grafted on by the coverage-repair pass.
-        cpm_.subset_repairs->inc(assigned - size);
-      }
-    }
-    fingerprint.clusters.push_back({name, chosen->hash});
-    compiled.specs.push_back(&chosen->spec);
-  }
+  const auto size = static_cast<std::size_t>(policies_.subset.subset_size);
+  // Each spec's hash was computed when its object was built: the cluster
+  // part of the fingerprint is a sum of memoized terms.
+  compiled.for_each_cluster(
+      [&](const std::string&, const ClusterSpecRef& spec, bool narrowed) {
+        fingerprint.cluster_sum += cluster_term(spec.hash());
+        if (!narrowed) return;
+        const std::size_t assigned = spec->endpoints.size();
+        cpm_.subset_assignments->inc(assigned);
+        if (assigned > size) {
+          // Aperture gives exactly subset_size endpoints; anything above
+          // that was grafted on by the coverage-repair pass.
+          cpm_.subset_repairs->inc(assigned - size);
+        }
+      });
   if (compile_mutator_) {
     // Test hook: the mutator may rewrite any part of the config, so the
-    // mutated config is fingerprinted from scratch.
+    // mutated config is fingerprinted from its content.
     SidecarConfig mutated = compiled.materialize();
     compile_mutator_(pod, mutated);
     return compiled_from(std::move(mutated));
   }
   fingerprint.policy_hash = hash_policy_section(policy);
+  fingerprint.routes_hash = no_routes_hash();
   fingerprint.hash = compose_config_hash(fingerprint);
   return compiled;
 }

@@ -11,8 +11,10 @@
 // *epoch* (monotonic, never reused); each sidecar's compiled config is
 // fingerprinted so unchanged sidecars are skipped (delta-aware push), and
 // delivered pushes are acked per sidecar. Cluster specs are compiled once
-// per epoch into a shared table; compiling one sidecar is its policy
-// section plus a (cluster, hash) list pointing into that table. A push
+// per epoch into a table of immutable shared specs (mesh/sidecar.h
+// ClusterSpecRef); compiling one sidecar is its policy section plus a
+// walk over that table, and every config, push and running sidecar holds
+// the table's objects by reference. A push
 // can be delayed, lost, or dropped (control plane or pod down); an
 // un-acked push is retried with decorrelated-jitter backoff until the
 // sidecar acks the current epoch.
@@ -173,14 +175,13 @@ class ControlPlane {
   void set_compile_mutator(
       std::function<void(const std::string& pod, SidecarConfig&)> mutator) {
     compile_mutator_ = std::move(mutator);
-    cluster_table_.reset();
   }
 
-  /// Operator policy. Non-const access drops the per-epoch cluster table,
-  /// so the next compile sees the change; change policy through a fresh
-  /// call, not a reference held across compiles of one epoch.
+  /// Operator policy. Non-const access marks the per-epoch cluster table
+  /// stale, so the next compile sees the change; change policy through a
+  /// fresh call, not a reference held across compiles of one epoch.
   MeshPolicies& policies() noexcept {
-    cluster_table_.reset();
+    cluster_table_.stale = true;
     return policies_;
   }
   /// The unified observability registry every mesh surface records into.
@@ -233,6 +234,9 @@ class ControlPlane {
 
     /// Set at injection, before the state joins `states_`.
     Sidecar* sidecar = nullptr;
+    /// This state's index in `stale_` while it is not on the current
+    /// epoch, else kCurrent.
+    std::size_t stale_slot = kCurrent;
     /// sidecar_config_epoch{pod}, created on the first ack or skip.
     obs::Gauge* epoch_gauge = nullptr;
     std::uint64_t acked_epoch = 0;
@@ -242,37 +246,46 @@ class ControlPlane {
     sim::Timer delivery_timer;
     sim::Timer ack_timer;
     sim::Timer retry_timer;
-    /// Fingerprint of the last config this sidecar acked, kept only
-    /// under cp.delta_push: the base future deltas are diffed against.
-    std::optional<ConfigFingerprint> acked;
+    /// The last config this sidecar acked, kept only under
+    /// cp.delta_push: the base future deltas are diffed against.
+    std::optional<AckedConfig> acked;
     /// Forces the next push to carry a full snapshot (set after a delta
     /// base/target mismatch; cleared once a full push is launched).
     bool force_full = false;
   };
 
-  /// A cluster spec and its hash_cluster_spec.
-  struct CompiledSpec {
-    ClusterSpec spec;
-    std::uint64_t hash = 0;
-  };
-  /// One registry service, compiled.
-  struct TableCluster {
-    CompiledSpec full;
-    /// The subscribers whose endpoint subset is narrower than the full
-    /// set, by pod name (empty unless policies.subset applies).
-    std::map<std::string, CompiledSpec> narrowed;
-  };
+  static constexpr std::size_t kCurrent = static_cast<std::size_t>(-1);
+
   /// Every registry service compiled for one (epoch, registry version),
   /// so cluster work is done once per epoch, not once per sidecar.
   struct ClusterTable {
     std::uint64_t epoch = 0;
     std::uint64_t registry_version = 0;
-    std::vector<TableCluster> clusters;  ///< registry (name) order
+    /// Set by policies() and a rollback; a stale table is rebuilt.
+    bool stale = true;
+    std::vector<EpochCluster> clusters;  ///< registry (name) order
+    /// Per scoped service: the indices of `clusters` its scope admits,
+    /// ascending (the scope set, built once per table).
+    std::map<std::string, std::vector<std::size_t>, std::less<>> scopes;
+    /// Per cluster that endpoint subsetting narrows: its subscribers'
+    /// pod names, sorted (empty for every other cluster).
+    std::vector<std::vector<std::string>> subscribers;
   };
 
   /// The cluster table for the current epoch and registry version,
-  /// rebuilt when either moved on or the table was dropped.
+  /// rebuilt when either moved on or the table went stale. Its specs come
+  /// from `spec_pool_`, so an unchanged cluster keeps its object.
   const ClusterTable& cluster_table();
+  /// The indices `service`'s scope admits (nullptr: every cluster).
+  const std::vector<std::size_t>* scope_of(const ClusterTable& table,
+                                           const std::string& service) const;
+  /// Does endpoint subsetting narrow `spec` at all?
+  bool subsets(const ClusterSpec& spec) const;
+  /// Adds `sidecar` to the subscribers of every narrowed cluster its scope
+  /// admits, re-deriving those clusters' subsets when `reassign` is set.
+  void subscribe(ClusterTable& table, const Sidecar& sidecar, bool reassign);
+  /// Recomputes cluster `index`'s narrowed specs from its subscribers.
+  void assign_subsets(ClusterTable& table, std::size_t index);
   CompiledConfig compile_config(const Sidecar& sidecar);
   /// Effective mTLS setting for `service`: per-service override if
   /// present, else the mesh-wide default (policies_.tls.enabled).
@@ -300,6 +313,8 @@ class ControlPlane {
   void arm_ack_timeout(PushState& state);
   /// Publishes `state.acked_epoch` as sidecar_config_epoch{pod}.
   void publish_acked_epoch(PushState& state);
+  /// Sets `state.acked_epoch`, keeping `stale_` in step.
+  void set_acked_epoch(PushState& state, std::uint64_t epoch);
   void check_convergence();
   void update_staleness_gauges();
   void schedule_cert_rotation(const std::string& service);
@@ -317,9 +332,11 @@ class ControlPlane {
   std::map<std::string, PushState> push_state_;
   /// The push_state_ entry of each of sidecars_, index for index.
   std::vector<PushState*> states_;
-  /// Dropped by policies(), set_compile_mutator, a rollback and, under
-  /// subsetting, an injection (the subscriber set changed).
-  std::optional<ClusterTable> cluster_table_;
+  /// The states not on the current epoch, in no order: the stale count is
+  /// its size, and convergence checks only these.
+  std::vector<PushState*> stale_;
+  ClusterSpecPool spec_pool_;
+  ClusterTable cluster_table_;
   struct IssuedCert {
     explicit IssuedCert(sim::Simulator& sim) : rotation_timer(sim) {}
 

@@ -49,9 +49,6 @@ struct RequestContext {
   /// typically set by the priority-subset routing filter.
   std::map<std::string, std::string> subset;
 
-  /// Peer service identity (from x-mesh-source) for policy checks.
-  std::string source_service;
-
   sim::Time start_time = 0;
   int attempt = 0;
   /// Previous retry backoff, threaded for decorrelated jitter.

@@ -73,18 +73,6 @@ void HealthChecker::update_targets(
   }
 }
 
-void HealthChecker::retain_clusters(const std::vector<std::string>& clusters) {
-  const std::set<std::string> keep(clusters.begin(), clusters.end());
-  for (auto it = targets_.begin(); it != targets_.end();) {
-    if (keep.count(it->first.first) == 0) {
-      detach(*it->second);
-      it = targets_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 bool HealthChecker::healthy(const std::string& cluster,
                             const std::string& pod) const {
   const auto it = targets_.find(Key{cluster, pod});

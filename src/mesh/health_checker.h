@@ -46,6 +46,8 @@ inline constexpr std::uint32_t kHealthyThreshold = 2;
 
 struct HealthCheckConfig {
   bool enabled = false;
+
+  bool operator==(const HealthCheckConfig&) const = default;
 };
 
 struct HealthCheckerStats {
@@ -78,10 +80,6 @@ class HealthChecker {
                       const HealthCheckConfig& config,
                       const std::vector<cluster::Endpoint>& endpoints,
                       net::Port probe_port);
-
-  /// Drops every target whose cluster is not in `clusters` (config pushes
-  /// can remove whole clusters).
-  void retain_clusters(const std::vector<std::string>& clusters);
 
   /// Unknown endpoints are presumed healthy (no probe history yet).
   bool healthy(const std::string& cluster, const std::string& pod) const;

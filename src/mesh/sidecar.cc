@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -41,6 +42,114 @@ Sidecar::Sidecar(sim::Simulator& sim, cluster::Pod& pod, Tracer& tracer,
       overhead_rng_(0x5ecda, "sidecar:" + pod.name()),
       retry_rng_(0x5ecdb, "retry:" + pod.name()) {
   config_.service_name = std::move(service_name);
+  fingerprint_ = fingerprint_config(config_);
+}
+
+// --- shared cluster specs ---------------------------------------------------
+
+ClusterSpecRef::ClusterSpecRef(ClusterSpec spec)
+    : shared_(std::make_shared<const Shared>(std::move(spec))) {}
+
+ClusterSpecRef ClusterSpecPool::get(ClusterSpec spec) {
+  const std::uint64_t hash = hash_cluster_spec(spec);
+  const auto [first, last] = objects_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (auto live = it->second.lock(); live != nullptr && live->spec == spec) {
+      return ClusterSpecRef(std::move(live));
+    }
+  }
+  if (objects_.size() >= sweep_at_) {
+    std::erase_if(objects_,
+                  [](const auto& entry) { return entry.second.expired(); });
+    sweep_at_ = 2 * objects_.size() + 64;
+  }
+  auto shared = std::make_shared<const ClusterSpecRef::Shared>(std::move(spec));
+  objects_.emplace(hash, shared);
+  return ClusterSpecRef(std::move(shared));
+}
+
+ClusterMap::ClusterMap(const ClusterMap& other) : entries_(other.entries_) {
+  for (Entry& entry : entries_) {
+    if (entry.draft) entry.draft = std::make_shared<ClusterSpec>(*entry.draft);
+  }
+}
+
+ClusterMap::Entries::iterator ClusterMap::lower_bound(std::string_view name) {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), name,
+      [](const Entry& entry, std::string_view n) { return entry.name < n; });
+}
+
+ClusterMap::Entries::const_iterator ClusterMap::lower_bound(
+    std::string_view name) const {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), name,
+      [](const Entry& entry, std::string_view n) { return entry.name < n; });
+}
+
+ClusterMap::const_iterator ClusterMap::find(std::string_view name) const {
+  const auto it = lower_bound(name);
+  return const_iterator(it != entries_.end() && it->name == name
+                            ? it
+                            : entries_.end());
+}
+
+const ClusterSpec& ClusterMap::at(std::string_view name) const {
+  const auto it = find(name);
+  if (it == end()) throw std::out_of_range("no cluster " + std::string(name));
+  return it->second;
+}
+
+const ClusterSpecRef* ClusterMap::ref(std::string_view name) const {
+  const auto it = lower_bound(name);
+  if (it == entries_.end() || it->name != name || it->draft) return nullptr;
+  return &it->ref;
+}
+
+void ClusterMap::append(std::string name, ClusterSpecRef ref) {
+  entries_.push_back({std::move(name), std::move(ref), nullptr});
+}
+
+void ClusterMap::put(std::string name, ClusterSpecRef ref) {
+  const auto it = lower_bound(name);
+  if (it != entries_.end() && it->name == name) {
+    it->ref = std::move(ref);
+    it->draft.reset();
+    return;
+  }
+  entries_.insert(it, {std::move(name), std::move(ref), nullptr});
+}
+
+bool ClusterMap::erase(std::string_view name) {
+  const auto it = lower_bound(name);
+  if (it == entries_.end() || it->name != name) return false;
+  entries_.erase(it);
+  return true;
+}
+
+ClusterSpec& ClusterMap::operator[](const std::string& name) {
+  const auto it = lower_bound(name);
+  if (it == entries_.end() || it->name != name) {
+    entries_.insert(it, {name, ClusterSpec{}, nullptr});
+  }
+  return at(name);
+}
+
+ClusterSpec& ClusterMap::at(std::string_view name) {
+  const auto it = lower_bound(name);
+  if (it == entries_.end() || it->name != name) {
+    throw std::out_of_range("no cluster " + std::string(name));
+  }
+  if (!it->draft) it->draft = std::make_shared<ClusterSpec>(*it->ref);
+  return *it->draft;
+}
+
+void ClusterMap::seal() {
+  for (Entry& entry : entries_) {
+    if (!entry.draft) continue;
+    entry.ref = ClusterSpecRef(std::move(*entry.draft));
+    entry.draft.reset();
+  }
 }
 
 sim::Duration next_retry_backoff(const RetryPolicy& policy, int attempt,
@@ -95,7 +204,7 @@ void Sidecar::start() {
             config_.service_name + "->" + cluster + "/" + pod_name,
             healthy ? "readmitted" : "evicted");
       });
-  sync_health_targets();
+  retarget_health(ClusterMap{});
 }
 
 namespace {
@@ -121,16 +230,20 @@ std::string validate_cluster(const std::string& name,
   return {};
 }
 
+const ClusterSpec& spec_of(const ClusterSpec& spec) { return spec; }
+const ClusterSpec& spec_of(const ClusterSpecRef& ref) { return *ref; }
+
 /// The first error in a policy section (when given), then the clusters,
 /// then the routes — the order validate_config reports in.
+template <class Clusters>
 std::string validate_parts(const PolicySection* policy,
-                           const std::map<std::string, ClusterSpec>& clusters,
+                           const Clusters& clusters,
                            const std::map<std::string, std::string>& routes) {
   std::string error;
   if (policy != nullptr) error = validate_policy_section(*policy);
   for (auto it = clusters.begin(); error.empty() && it != clusters.end();
        ++it) {
-    error = validate_cluster(it->first, it->second);
+    error = validate_cluster(it->first, spec_of(it->second));
   }
   for (auto it = routes.begin(); error.empty() && it != routes.end(); ++it) {
     if (it->first.empty()) {
@@ -198,29 +311,36 @@ std::uint64_t hash_sidecar_config(const SidecarConfig& c) {
   return fingerprint_config(c).hash;
 }
 
-std::uint64_t compose_config_hash(const ConfigFingerprint& parts) {
+std::uint64_t hash_routes(const std::map<std::string, std::string>& routes) {
   ConfigHasher f;
-  f.mix(parts.policy_hash);
-  f.mix(parts.routes.size());
-  for (const auto& [host, target] : parts.routes) {
+  f.mix(routes.size());
+  for (const auto& [host, target] : routes) {
     f.mix(host);
     f.mix(target);
   }
-  f.mix(parts.clusters.size());
-  for (const ClusterHash& cluster : parts.clusters) {
-    f.mix(cluster.name);
-    f.mix(cluster.hash);
-  }
+  return f.h;
+}
+
+std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept {
+  return util::splitmix64(spec_hash);
+}
+
+std::uint64_t compose_config_hash(const ConfigFingerprint& parts) {
+  ConfigHasher f;
+  f.mix(parts.policy_hash);
+  f.mix(parts.routes_hash);
+  f.mix(parts.cluster_sum);
   return f.h;
 }
 
 ConfigFingerprint fingerprint_config(const SidecarConfig& config) {
   ConfigFingerprint parts;
   parts.policy_hash = hash_policy_section(config);
-  parts.routes = config.routes;
-  parts.clusters.reserve(config.clusters.size());
-  for (const auto& [name, spec] : config.clusters) {
-    parts.clusters.push_back({name, hash_cluster_spec(spec)});
+  parts.routes_hash = hash_routes(config.routes);
+  for (auto it = config.clusters.begin(); it != config.clusters.end(); ++it) {
+    const ClusterSpecRef* shared = it.shared();
+    parts.cluster_sum += cluster_term(
+        shared != nullptr ? shared->hash() : hash_cluster_spec(it->second));
   }
   parts.hash = compose_config_hash(parts);
   return parts;
@@ -254,44 +374,42 @@ std::uint64_t hash_policy_section(const SidecarPolicy& c) {
 
 namespace {
 
-/// The fingerprint `base` becomes under `delta`, with every changed part
-/// hashed here from the content the delta carries.
-ConfigFingerprint patch_fingerprint(const ConfigFingerprint& base,
-                                    const ConfigDelta& delta) {
-  ConfigFingerprint out;
-  out.policy_hash =
-      delta.policy ? hash_policy_section(*delta.policy) : base.policy_hash;
-  out.routes = base.routes;
-  for (const std::string& host : delta.route_removals) out.routes.erase(host);
-  for (const auto& [host, cluster] : delta.route_upserts) {
-    out.routes[host] = cluster;
-  }
-  const auto removed = [&delta](const std::string& name) {
-    return std::find(delta.cluster_removals.begin(),
-                     delta.cluster_removals.end(),
-                     name) != delta.cluster_removals.end();
-  };
-  // Merge the name-sorted running list with the (sorted) upserts; an
-  // upsert replaces a same-name entry even when it is also removed.
-  out.clusters.reserve(base.clusters.size() + delta.cluster_upserts.size());
-  auto upsert = delta.cluster_upserts.begin();
-  const auto take_upsert = [&] {
-    out.clusters.push_back({upsert->first, hash_cluster_spec(upsert->second)});
-    ++upsert;
-  };
-  for (const ClusterHash& cluster : base.clusters) {
-    while (upsert != delta.cluster_upserts.end() &&
-           upsert->first < cluster.name) {
-      take_upsert();
+/// The fingerprint `running` (of `clusters` and `routes`) becomes under
+/// `delta`. Every changed part is hashed from the content the delta
+/// carries — an upserted spec by its constructor, never by the sender —
+/// and an unchanged cluster keeps its share of the sum untouched.
+ConfigFingerprint patch_fingerprint(
+    const ConfigFingerprint& running, const ClusterMap& clusters,
+    const std::map<std::string, std::string>& routes,
+    const ConfigDelta& delta) {
+  ConfigFingerprint out = running;
+  if (delta.policy) out.policy_hash = hash_policy_section(*delta.policy);
+  if (!delta.route_upserts.empty() || !delta.route_removals.empty()) {
+    std::map<std::string, std::string> patched = routes;
+    for (const std::string& host : delta.route_removals) patched.erase(host);
+    for (const auto& [host, cluster] : delta.route_upserts) {
+      patched[host] = cluster;
     }
-    if (upsert != delta.cluster_upserts.end() &&
-        upsert->first == cluster.name) {
-      take_upsert();
-    } else if (!removed(cluster.name)) {
-      out.clusters.push_back(cluster);
-    }
+    out.routes_hash = hash_routes(patched);
   }
-  while (upsert != delta.cluster_upserts.end()) take_upsert();
+  const auto drop = [&](const std::string& name) {
+    if (const ClusterSpecRef* old = clusters.ref(name)) {
+      out.cluster_sum -= cluster_term(old->hash());
+    }
+  };
+  // An upsert replaces a same-name entry even when it is also removed.
+  for (const auto& [name, spec] : delta.cluster_upserts) {
+    drop(name);
+    out.cluster_sum += cluster_term(spec.hash());
+  }
+  const auto& removals = delta.cluster_removals;
+  for (auto it = removals.begin(); it != removals.end(); ++it) {
+    if (delta.cluster_upserts.contains(*it) ||
+        std::find(removals.begin(), it, *it) != it) {
+      continue;
+    }
+    drop(*it);
+  }
   out.hash = compose_config_hash(out);
   return out;
 }
@@ -312,14 +430,16 @@ bool Sidecar::apply_config(SidecarConfig config) {
   if (!error.empty()) {
     return reject_config(std::move(error));
   }
+  config.clusters.seal();
+  fingerprint_ = fingerprint_config(config);
+  const ClusterMap before = std::move(config_.clusters);
   config_ = std::move(config);
-  fingerprint_.reset();
-  sync_health_targets();
+  retarget_health(before);
   finish_apply();
   return true;
 }
 
-bool Sidecar::apply_config_delta(ConfigDelta delta) {
+bool Sidecar::apply_config_delta(const ConfigDelta& delta) {
   if (delta.epoch != 0 && delta.epoch < config_.epoch) {
     return reject_config("stale-epoch");
   }
@@ -332,7 +452,8 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
     ++stats_.delta_mismatches;
     return reject_config("delta-base-mismatch");
   }
-  ConfigFingerprint target = patch_fingerprint(running, delta);
+  const ConfigFingerprint target =
+      patch_fingerprint(running, config_.clusters, config_.routes, delta);
   if (target.hash != delta.target_hash) {
     ++stats_.delta_mismatches;
     return reject_config("delta-target-mismatch");
@@ -346,30 +467,27 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
   }
 
   // Every check passed: patch the running config in place.
-  if (delta.policy) {
-    static_cast<SidecarPolicy&>(config_) = std::move(*delta.policy);
-  }
+  if (delta.policy) static_cast<SidecarPolicy&>(config_) = *delta.policy;
   config_.epoch = delta.epoch;
   for (const std::string& name : delta.cluster_removals) {
     config_.clusters.erase(name);
   }
-  for (auto& [name, spec] : delta.cluster_upserts) {
-    config_.clusters[name] = std::move(spec);
+  for (const auto& [name, spec] : delta.cluster_upserts) {
+    config_.clusters.put(name, spec);
   }
   for (const std::string& host : delta.route_removals) {
     config_.routes.erase(host);
   }
-  for (auto& [host, cluster] : delta.route_upserts) {
-    config_.routes[host] = std::move(cluster);
+  for (const auto& [host, cluster] : delta.route_upserts) {
+    config_.routes[host] = cluster;
   }
-  *fingerprint_ = std::move(target);
+  fingerprint_ = target;
   // Health checking is re-targeted for the changed clusters only: for an
-  // unchanged one, sync_health_targets would be a no-op.
+  // unchanged one, update_targets would be a no-op.
   if (health_checker_ != nullptr) {
     for (const auto& [name, spec] : delta.cluster_upserts) {
-      const ClusterSpec& applied = config_.clusters.at(name);
-      health_checker_->update_targets(name, applied.health_check,
-                                      applied.endpoints, kSidecarInboundPort);
+      health_checker_->update_targets(name, spec->health_check,
+                                      spec->endpoints, kSidecarInboundPort);
     }
     for (const std::string& name : delta.cluster_removals) {
       if (config_.clusters.contains(name)) continue;
@@ -381,11 +499,6 @@ bool Sidecar::apply_config_delta(ConfigDelta delta) {
   ++stats_.deltas_applied;
   finish_apply();
   return true;
-}
-
-const ConfigFingerprint& Sidecar::config_fingerprint() const {
-  if (!fingerprint_.has_value()) fingerprint_ = fingerprint_config(config_);
-  return *fingerprint_;
 }
 
 void Sidecar::finish_apply() {
@@ -403,16 +516,37 @@ void Sidecar::finish_apply() {
   }
 }
 
-void Sidecar::sync_health_targets() {
+void Sidecar::retarget_health(const ClusterMap& before) {
   if (!health_checker_) return;
-  std::vector<std::string> names;
-  names.reserve(config_.clusters.size());
-  for (const auto& [name, spec] : config_.clusters) {
-    names.push_back(name);
+  // Both maps are sealed and name-ordered: one merge walk. An unchanged
+  // spec object would make update_targets a no-op, so it is skipped. A
+  // cluster that left the config drops its targets after every update,
+  // in name order (the targets' own order).
+  std::vector<std::string_view> removed;
+  auto old = before.begin();
+  for (auto it = config_.clusters.begin(); it != config_.clusters.end();
+       ++it) {
+    if (old != before.end() && old.shared()->same_object(*it.shared())) {
+      ++old;
+      continue;
+    }
+    const auto& [name, spec] = *it;
+    for (; old != before.end() && old->first < name; ++old) {
+      removed.push_back(old->first);
+    }
+    if (old != before.end() && old->first == name) {
+      const bool unchanged = old.shared()->same_object(*it.shared());
+      ++old;
+      if (unchanged) continue;
+    }
     health_checker_->update_targets(name, spec.health_check, spec.endpoints,
                                     kSidecarInboundPort);
   }
-  health_checker_->retain_clusters(names);
+  for (; old != before.end(); ++old) removed.push_back(old->first);
+  for (const std::string_view name : removed) {
+    health_checker_->update_targets(std::string(name), HealthCheckConfig{},
+                                    {}, kSidecarInboundPort);
+  }
 }
 
 std::uint64_t Sidecar::active_requests_to(const std::string& pod_name) const {
@@ -594,8 +728,6 @@ void Sidecar::process_request_now(std::uint64_t session_id,
   ctx->request = std::move(req);
   ctx->direction = direction;
   ctx->start_time = sim_.now();
-  ctx->source_service =
-      ctx->request.headers.get_or(http::headers::Id::kMeshSource, "");
   // Remember the active context so a downstream close mid-request can
   // still finish it (and close its span) through finish_outbound.
   if (const auto sit = sessions_.find(session_id); sit != sessions_.end()) {

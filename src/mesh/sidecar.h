@@ -22,10 +22,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -81,6 +84,150 @@ struct ClusterSpec {
   /// Initiate mTLS to this cluster's sidecars (compiled by the control
   /// plane from the mesh-wide default + per-service overrides).
   bool mtls = false;
+
+  bool operator==(const ClusterSpec&) const = default;
+};
+
+/// Fingerprint of one cluster's spec (name, endpoints, LB, breaker, health
+/// check, mTLS) — the unit of change a ConfigDelta upserts.
+std::uint64_t hash_cluster_spec(const ClusterSpec& spec);
+
+/// A compiled cluster spec shared by reference: immutable once built, with
+/// its hash_cluster_spec computed by the constructor from the content and
+/// never set afterwards, so every holder may trust hash() without
+/// rehashing. The control plane builds its specs through a ClusterSpecPool,
+/// so equal content is one object; compiled configs, pushes and each
+/// sidecar's running config hold pointers to it instead of copies.
+class ClusterSpecRef {
+ public:
+  /// Shares `spec`. Implicit: a ClusterSpec is accepted wherever a ref is.
+  ClusterSpecRef(ClusterSpec spec);  // NOLINT(google-explicit-constructor)
+
+  const ClusterSpec& operator*() const noexcept { return shared_->spec; }
+  const ClusterSpec* operator->() const noexcept { return &shared_->spec; }
+  std::uint64_t hash() const noexcept { return shared_->hash; }
+  /// True when both refs point at one object (so their content is equal).
+  bool same_object(const ClusterSpecRef& other) const noexcept {
+    return shared_ == other.shared_;
+  }
+
+ private:
+  friend class ClusterSpecPool;
+  struct Shared {
+    explicit Shared(ClusterSpec s)
+        : spec(std::move(s)), hash(hash_cluster_spec(spec)) {}
+    const ClusterSpec spec;
+    const std::uint64_t hash;
+  };
+  explicit ClusterSpecRef(std::shared_ptr<const Shared> shared)
+      : shared_(std::move(shared)) {}
+  std::shared_ptr<const Shared> shared_;
+};
+
+/// Hash-consing for cluster specs: get() returns the live object with
+/// equal content when one exists, else a new one. An unchanged cluster
+/// therefore keeps its object across epochs and across the sidecars
+/// that hold it, and a content change is a pointer change.
+class ClusterSpecPool {
+ public:
+  ClusterSpecRef get(ClusterSpec spec);
+
+ private:
+  std::unordered_multimap<std::uint64_t,
+                          std::weak_ptr<const ClusterSpecRef::Shared>>
+      objects_;  ///< by hash; entries of dead objects are swept lazily
+  std::size_t sweep_at_ = 64;
+};
+
+/// A config's clusters by name, in name order, with value semantics over
+/// shared specs: copying a map copies pointers, not specs. Read access
+/// yields `(name, const ClusterSpec&)` pairs like a std::map would. The
+/// mutable accessors (`operator[]`, non-const `at`) detach the entry into
+/// a private draft that the caller edits in place; `seal()` turns every
+/// draft into a shared spec, hashing it once. Sidecars seal what they
+/// apply, so a running config holds shared specs only.
+class ClusterMap {
+  struct Entry {
+    const ClusterSpec& spec() const { return draft ? *draft : *ref; }
+
+    std::string name;
+    ClusterSpecRef ref;  ///< stale while `draft` is set
+    /// This map's alone: copying the map copies the draft.
+    std::shared_ptr<ClusterSpec> draft;
+  };
+  using Entries = std::vector<Entry>;
+
+ public:
+  ClusterMap() = default;
+  /// Shares every spec and copies every draft.
+  ClusterMap(const ClusterMap& other);
+  ClusterMap& operator=(const ClusterMap&) = delete;
+  ClusterMap(ClusterMap&&) noexcept = default;
+  ClusterMap& operator=(ClusterMap&&) noexcept = default;
+
+  using value_type = std::pair<const std::string&, const ClusterSpec&>;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = ClusterMap::value_type;
+    using difference_type = std::ptrdiff_t;
+    using reference = value_type;
+    struct pointer {
+      value_type pair;
+      const value_type* operator->() const noexcept { return &pair; }
+    };
+
+    const_iterator() = default;
+    value_type operator*() const { return {it_->name, it_->spec()}; }
+    pointer operator->() const { return {**this}; }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    bool operator==(const const_iterator&) const = default;
+    /// The shared spec behind this entry (nullptr while it is drafted).
+    const ClusterSpecRef* shared() const noexcept {
+      return it_->draft ? nullptr : &it_->ref;
+    }
+
+   private:
+    friend class ClusterMap;
+    explicit const_iterator(Entries::const_iterator it) : it_(it) {}
+    Entries::const_iterator it_;
+  };
+
+  const_iterator begin() const { return const_iterator(entries_.begin()); }
+  const_iterator end() const { return const_iterator(entries_.end()); }
+  const_iterator find(std::string_view name) const;
+  bool contains(std::string_view name) const { return find(name) != end(); }
+  /// Throws std::out_of_range when `name` is absent.
+  const ClusterSpec& at(std::string_view name) const;
+
+  /// The shared spec behind `name` (nullptr when absent or drafted).
+  const ClusterSpecRef* ref(std::string_view name) const;
+  /// Appends `name` -> `ref`; `name` must sort after every present name
+  /// (building a map from a name-ordered walk).
+  void append(std::string name, ClusterSpecRef ref);
+  /// Inserts or replaces one entry.
+  void put(std::string name, ClusterSpecRef ref);
+  /// Removes `name`; false when absent.
+  bool erase(std::string_view name);
+  void clear() noexcept { entries_.clear(); }
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
+  /// A draft of `name`'s spec to edit in place (inserting an empty one).
+  ClusterSpec& operator[](const std::string& name);
+  /// A draft of `name`'s spec to edit in place; throws when absent.
+  ClusterSpec& at(std::string_view name);
+  /// Shares every draft (hashing each once).
+  void seal();
+
+ private:
+  Entries::iterator lower_bound(std::string_view name);
+  Entries::const_iterator lower_bound(std::string_view name) const;
+
+  Entries entries_;  ///< sorted by name, names unique
 };
 
 /// Per-traffic-class transport policy — where the cross-layer design
@@ -140,7 +287,7 @@ struct SidecarConfig : SidecarPolicy {
   /// Host header -> cluster name. Hosts not listed route to the cluster
   /// with the same name, if one exists.
   std::map<std::string, std::string> routes;
-  std::map<std::string, ClusterSpec> clusters;
+  ClusterMap clusters;
 };
 
 /// The port every sidecar's inbound listener binds. Remote sidecars and
@@ -177,39 +324,38 @@ std::string validate_config(const SidecarConfig& config);
 /// control plane skip no-op pushes); the certificate serial is included
 /// so rotation propagates as a real push. Hooks contribute only their
 /// presence (std::function has no stable content identity). It is
-/// compose_config_hash over hash_policy_section, the routes and the
-/// per-cluster hash_cluster_spec values, so the delta push
-/// (mesh/config_delta.h) diffs with the same fingerprints the no-op skip
-/// uses.
+/// compose_config_hash of a ConfigFingerprint, so the delta push
+/// (mesh/config_delta.h) patches the same fingerprint the no-op skip
+/// compares.
 std::uint64_t hash_sidecar_config(const SidecarConfig& config);
-
-/// Fingerprint of one cluster's spec (endpoints, LB, breaker, health
-/// check) — the unit of change a ConfigDelta upserts.
-std::uint64_t hash_cluster_spec(const ClusterSpec& spec);
 
 /// Fingerprint of everything in a config that is neither a cluster nor a
 /// route (service name, policy section, cert serial).
 std::uint64_t hash_policy_section(const SidecarPolicy& policy);
 
-/// One cluster's entry in a ConfigFingerprint.
-struct ClusterHash {
-  std::string name;
-  std::uint64_t hash = 0;  ///< hash_cluster_spec of the cluster's spec
-};
+/// Fingerprint of a config's route table.
+std::uint64_t hash_routes(const std::map<std::string, std::string>& routes);
 
-/// hash_sidecar_config kept in its parts. The control plane diffs pushes
-/// by comparing two of these, and a sidecar keeps one for its running
-/// config, so a delta is verified per cluster without rehashing (or
-/// copying) the clusters it leaves alone.
+/// One cluster's share of ConfigFingerprint::cluster_sum: an avalanche
+/// mix of its hash_cluster_spec, which hashes the cluster's name first
+/// (and validate_config holds every name to its map key).
+std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept;
+
+/// hash_sidecar_config kept in its parts. The cluster part is an
+/// order-independent sum of per-cluster terms, so a change to k clusters
+/// moves it by k subtractions and k additions: the control plane compiles
+/// and diffs, and a sidecar verifies a delta, in O(changed clusters)
+/// without rehashing the clusters a push leaves alone.
 struct ConfigFingerprint {
-  std::uint64_t policy_hash = 0;  ///< hash_policy_section
-  std::map<std::string, std::string> routes;
-  std::vector<ClusterHash> clusters;  ///< in cluster-name order
+  std::uint64_t policy_hash = 0;   ///< hash_policy_section
+  std::uint64_t routes_hash = 0;   ///< hash_routes
+  std::uint64_t cluster_sum = 0;   ///< sum of cluster_term (mod 2^64)
   /// compose_config_hash of the parts above.
   std::uint64_t hash = 0;
 };
 
-/// The fingerprint of `config`, computed from scratch.
+/// The fingerprint of `config`, computed from its content (shared specs
+/// contribute their memoized hash; drafts are hashed here).
 ConfigFingerprint fingerprint_config(const SidecarConfig& config);
 
 /// The config hash `parts` describe (ignores `parts.hash`).
@@ -259,7 +405,8 @@ class Sidecar {
   /// Replaces routing/cluster/policy state (an xDS push). Returns false — and
   /// keeps the running config untouched — when the push is invalid
   /// (validate_config) or stale (an epoch the sidecar already moved
-  /// past); `last_config_error()` then says why.
+  /// past); `last_config_error()` then says why. Health checking is
+  /// re-targeted only at clusters whose spec object changed.
   bool apply_config(SidecarConfig config);
 
   /// Applies an incremental push (mesh/config_delta.h). Checks, in order:
@@ -271,11 +418,13 @@ class Sidecar {
   /// on the first failed check ("stale-epoch", "delta-base-mismatch" /
   /// "delta-target-mismatch" — the control plane falls back to a full
   /// push — or the validation error).
-  bool apply_config_delta(ConfigDelta delta);
+  bool apply_config_delta(const ConfigDelta& delta);
 
-  /// Fingerprint of the running config: computed on first use after a
-  /// full apply_config, then kept current by every applied delta.
-  const ConfigFingerprint& config_fingerprint() const;
+  /// Fingerprint of the running config: computed from the content by
+  /// every full apply_config, then patched by every applied delta.
+  const ConfigFingerprint& config_fingerprint() const noexcept {
+    return fingerprint_;
+  }
 
   /// Config generation currently applied (0 until a versioned push).
   std::uint64_t config_epoch() const noexcept { return config_.epoch; }
@@ -383,7 +532,10 @@ class Sidecar {
   void finish_outbound(std::uint64_t session_id, const Ctx& ctx,
                        const std::string& cluster_name,
                        http::HttpResponse response);
-  void sync_health_targets();
+  /// Re-targets health checking after the running clusters replaced
+  /// `before`: only the clusters whose spec object changed, then the
+  /// removed ones.
+  void retarget_health(const ClusterMap& before);
   void attempt_upstream(std::uint64_t session_id, Ctx ctx);
   void on_request_deadline(std::uint64_t session_id, Ctx ctx,
                            std::uint64_t seq);
@@ -421,8 +573,7 @@ class Sidecar {
   TelemetrySink* telemetry_;
   SidecarInjectionOptions listener_;
   SidecarConfig config_;
-  /// Cache behind config_fingerprint(); dropped by apply_config.
-  mutable std::optional<ConfigFingerprint> fingerprint_;
+  ConfigFingerprint fingerprint_;  ///< of config_
   FilterChain inbound_chain_;
   FilterChain outbound_chain_;
   SidecarStats stats_;

@@ -4,6 +4,7 @@
 // equivalence with full snapshots under loss.
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -506,6 +507,133 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
     // delta verified: a fallback would mean the two sides hashed apart.
     EXPECT_GT(cp.push_channel_bytes().delta_pushes, 0u) << "seed " << seed;
     EXPECT_EQ(cp.push_channel_bytes().delta_fallbacks, 0u) << "seed " << seed;
+  }
+}
+
+// Every compiled cluster spec is one shared, immutable object per
+// content. Under scoping, subsetting and random endpoint churn, crashes
+// and certificate rotations: (a) every sidecar's patched fingerprint
+// equals a from-scratch hash of its running config and the control
+// plane's acked hash; (b) equal cluster content is one object, across
+// epochs and across sidecars, so an unchanged cluster is never copied;
+// (c) a config poked behind the control plane's back still fails the
+// next delta's base check and converges through a full push.
+TEST(SharedClusterSpecs, RandomChurnKeepsFingerprintsAndSharing) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    cluster::MeshSpec spec;
+    spec.nodes = {"node-a"};
+    cluster::ServiceSpec a;
+    a.name = "a";
+    a.calls = {"b", "c"};
+    cluster::ServiceSpec b;
+    b.name = "b";
+    b.replicas = 4;
+    b.calls = {"c", "d"};
+    cluster::ServiceSpec c;
+    c.name = "c";
+    c.replicas = 3;
+    cluster::ServiceSpec d;  // never more endpoints than the subset size
+    d.name = "d";
+    d.replicas = 2;
+    spec.services = {a, b, c, d};
+    spec.policies.cp.delta_push = true;
+    spec.policies.cluster_scopes["a"] = {"b", "c"};
+    spec.policies.cluster_scopes["c"] = {"b"};
+    spec.policies.subset.enabled = true;
+    spec.policies.subset.subset_size = 2;
+    sim::Simulator sim;
+    auto mesh = cluster::MeshBuilder(sim).build(std::move(spec));
+    ASSERT_NE(mesh, nullptr);
+    mesh::ControlPlane& cp = mesh->control_plane();
+    cluster::Cluster& cluster = mesh->cluster();
+    std::vector<std::string> replicas;
+    for (const auto& pod : cluster.pods()) {
+      if (pod->service() != "a") replicas.push_back(pod->name());
+    }
+    std::mt19937_64 rng(seed);
+    // The object seen first for each (cluster, content hash), kept
+    // alive across steps so later epochs are checked against it too.
+    std::map<std::pair<std::string, std::uint64_t>, mesh::ClusterSpecRef>
+        canonical;
+    std::uint64_t pokes = 0;
+
+    for (int step = 0; step < 30; ++step) {
+      const std::string& victim = replicas[rng() % replicas.size()];
+      mesh::Sidecar* poked = nullptr;
+      switch (rng() % 5) {
+        case 0:
+          cluster.deregister_pod(victim);
+          break;
+        case 1:
+          cluster.crash_pod(victim);
+          break;
+        case 2:
+          cluster.restart_pod(victim);  // re-registers a crashed replica
+          break;
+        case 3:
+          cp.issue_certificate(rng() % 2 == 0 ? "b" : "c");
+          break;
+        case 4: {
+          // A local, unversioned poke, then a policy change so the next
+          // push reaches the poked sidecar as a delta.
+          poked = cp.sidecar_for(victim);
+          if (!poked->pod().running()) {
+            poked = nullptr;
+            break;
+          }
+          mesh::SidecarConfig config = poked->config();
+          config.epoch = 0;
+          config.retry.max_retries += 1;
+          ASSERT_TRUE(poked->apply_config(config));
+          sim::Duration& per_try = cp.policies().retry.per_try_timeout;
+          per_try = per_try == 0 ? sim::milliseconds(250) : 0;
+          ++pokes;
+          break;
+        }
+      }
+      const std::uint64_t mismatches =
+          poked != nullptr ? poked->stats().delta_mismatches : 0;
+      const std::uint64_t fallbacks = cp.push_channel_bytes().delta_fallbacks;
+      cp.push_config();
+      // Long enough for the push retries of a restarted replica.
+      sim.run_until(sim.now() + sim::seconds(5));
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      ASSERT_TRUE(cp.converged()) << where;
+      // Only the poked sidecar may fall back: any other fallback means
+      // the two sides patched their fingerprints apart.
+      EXPECT_EQ(cp.push_channel_bytes().delta_fallbacks,
+                fallbacks + (poked != nullptr ? 1 : 0))
+          << where;
+      if (poked != nullptr) {
+        EXPECT_EQ(poked->stats().delta_mismatches, mismatches + 1) << where;
+        EXPECT_EQ(poked->last_config_error(), "") << where;
+      }
+
+      for (const auto& sidecar : cp.sidecars()) {
+        const std::string& pod = sidecar->pod().name();
+        const std::uint64_t from_scratch =
+            mesh::hash_sidecar_config(sidecar->config());
+        EXPECT_EQ(sidecar->config_fingerprint().hash, from_scratch)
+            << where << " " << pod;
+        EXPECT_EQ(cp.acked_hash(pod), from_scratch) << where << " " << pod;
+        const mesh::ClusterMap& clusters = sidecar->config().clusters;
+        for (const auto& [name, unused] : clusters) {
+          const mesh::ClusterSpecRef* ref = clusters.ref(name);
+          ASSERT_NE(ref, nullptr) << where << " " << pod << " " << name;
+          const auto first =
+              canonical.emplace(std::pair(name, ref->hash()), *ref).first;
+          EXPECT_TRUE(first->second.same_object(*ref))
+              << where << " " << pod << " " << name;
+        }
+      }
+    }
+    EXPECT_GT(pokes, 0u) << "seed " << seed;
+    EXPECT_GT(cp.push_channel_bytes().delta_pushes, 0u) << "seed " << seed;
+    const obs::Counter* assigned =
+        cp.metrics().find_counter("subset_endpoints_assigned_total");
+    ASSERT_NE(assigned, nullptr);
+    EXPECT_GT(assigned->value(), 0u) << "seed " << seed;
   }
 }
 
