@@ -177,7 +177,6 @@ FilterStatus AdmissionFilter::on_request(RequestContext& ctx) {
     case AdmissionController::Decision::Outcome::kShed:
       break;
   }
-  ctx.shed = true;
   http::HttpResponse response;
   response.status = 503;
   response.body = "admission shed: " + std::string(kShedQueueFull);

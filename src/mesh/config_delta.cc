@@ -1,7 +1,6 @@
 #include "mesh/config_delta.h"
 
 #include <string_view>
-#include <utility>
 
 namespace meshnet::mesh {
 
@@ -41,38 +40,18 @@ std::size_t policy_section_bytes(const SidecarPolicy& policy) {
 SidecarConfig CompiledConfig::materialize() const {
   SidecarConfig config;
   static_cast<SidecarPolicy&>(config) = policy;
-  config.routes = routes;
-  if (owned == nullptr) {
-    config.clusters.reserve(scope != nullptr ? scope->size() : table->size());
-  }
-  for_each_cluster(
-      [&config](const std::string& name, const ClusterSpecRef& spec, bool) {
-        config.clusters.append(name, spec);
-      });
+  config.clusters.reserve(scope != nullptr ? scope->size() : table->size());
+  for_each_cluster([&config](const ClusterSpecRef& spec, bool) {
+    config.clusters.append(spec);
+  });
   return config;
-}
-
-CompiledConfig compiled_from(SidecarConfig config) {
-  config.clusters.seal();
-  CompiledConfig compiled;
-  compiled.fingerprint = fingerprint_config(config);
-  compiled.policy = static_cast<const SidecarPolicy&>(config);
-  compiled.routes = config.routes;
-  compiled.owned = std::make_unique<const SidecarConfig>(std::move(config));
-  return compiled;
 }
 
 void AckedConfig::apply(const ConfigDelta& delta,
                         const ConfigFingerprint& target) {
   fingerprint = target;
   for (const std::string& name : delta.cluster_removals) clusters.erase(name);
-  for (const auto& [name, spec] : delta.cluster_upserts) {
-    clusters.put(name, spec);
-  }
-  for (const std::string& host : delta.route_removals) routes.erase(host);
-  for (const auto& [host, cluster] : delta.route_upserts) {
-    routes[host] = cluster;
-  }
+  for (const auto& [name, spec] : delta.cluster_upserts) clusters.put(spec);
 }
 
 ConfigDelta make_config_delta(const AckedConfig& base,
@@ -92,41 +71,28 @@ ConfigDelta make_config_delta(const AckedConfig& base,
   // A spec object both sides hold is unchanged without a name compare.
   const ClusterMap& acked = base.clusters;
   auto b = acked.begin();
-  target.for_each_cluster([&](const std::string& name,
-                              const ClusterSpecRef& spec, bool) {
-    if (b != acked.end() && b.shared()->same_object(spec)) {
+  target.for_each_cluster([&](const ClusterSpecRef& spec, bool) {
+    if (b != acked.end() && b.shared().same_object(spec)) {
       ++b;
       return;
     }
+    const std::string& name = spec->name;
     for (; b != acked.end() && b->first < name; ++b) {
       delta.cluster_removals.push_back(b->first);
     }
     const bool in_base = b != acked.end() && b->first == name;
-    if (!in_base || b.shared()->hash() != spec.hash()) {
+    if (!in_base || b.shared().hash() != spec.hash()) {
       delta.cluster_upserts.emplace_hint(delta.cluster_upserts.end(), name,
                                          spec);
     }
     if (in_base) ++b;
   });
   for (; b != acked.end(); ++b) delta.cluster_removals.push_back(b->first);
-
-  for (const auto& [host, cluster] : target.routes) {
-    const auto it = base.routes.find(host);
-    if (it == base.routes.end() || it->second != cluster) {
-      delta.route_upserts.emplace(host, cluster);
-    }
-  }
-  for (const auto& [host, cluster] : base.routes) {
-    if (!target.routes.contains(host)) delta.route_removals.push_back(host);
-  }
   return delta;
 }
 
 std::size_t estimate_config_bytes(const SidecarConfig& config) {
   std::size_t bytes = 16 + policy_section_bytes(config);  // epoch + framing
-  for (const auto& [host, cluster] : config.routes) {
-    bytes += string_bytes(host) + string_bytes(cluster);
-  }
   for (const auto& [name, spec] : config.clusters) {
     bytes += cluster_spec_bytes(spec);
   }
@@ -141,12 +107,6 @@ std::size_t estimate_delta_bytes(const ConfigDelta& delta) {
   }
   for (const std::string& name : delta.cluster_removals) {
     bytes += string_bytes(name);
-  }
-  for (const auto& [host, cluster] : delta.route_upserts) {
-    bytes += string_bytes(host) + string_bytes(cluster);
-  }
-  for (const std::string& host : delta.route_removals) {
-    bytes += string_bytes(host);
   }
   return bytes;
 }

@@ -2,14 +2,13 @@
 
 // Incremental (xDS delta-style) config push (MESHSCALE, DESIGN.md §13).
 //
-// A full-snapshot push re-transmits every cluster and route to every
-// sidecar on every epoch; at N services that is O(N) bytes per sidecar
+// A full-snapshot push re-transmits every cluster to every sidecar on
+// every epoch; at N services that is O(N) bytes per sidecar
 // per endpoint flap, O(N^2) mesh-wide. A ConfigDelta carries only what
 // changed since the sidecar's last *acked* config:
 //
 //   * per-cluster upserts (new or changed clusters, compared by
 //     hash_cluster_spec) and removals;
-//   * per-route upserts/removals;
 //   * the sidecar's policy (mesh/sidecar.h SidecarPolicy: the policy
 //     section, service name and cert) as one blob, only when its
 //     fingerprint changed.
@@ -35,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -56,15 +54,13 @@ struct ConfigDelta {
   /// Set when the policy changed; it replaces the running one wholesale.
   std::optional<SidecarPolicy> policy;
 
+  /// By name; the sidecar refuses an upsert whose key is not its spec's
+  /// name.
   std::map<std::string, ClusterSpecRef> cluster_upserts;
   std::vector<std::string> cluster_removals;
-  std::map<std::string, std::string> route_upserts;
-  std::vector<std::string> route_removals;
 
   bool empty() const noexcept {
-    return !policy && cluster_upserts.empty() &&
-           cluster_removals.empty() && route_upserts.empty() &&
-           route_removals.empty();
+    return !policy && cluster_upserts.empty() && cluster_removals.empty();
   }
 };
 
@@ -79,41 +75,30 @@ struct EpochCluster {
 
 /// One sidecar's compiled config as the push path holds it: the policy,
 /// the fingerprint, and its clusters as a walk over the epoch's cluster
-/// table (or over `owned`), so compiling builds no per-sidecar container.
-/// It borrows the table, so it lives only as long as the push that
-/// compiled it.
+/// table, so compiling builds no per-sidecar container. It borrows the
+/// table, so it lives only as long as the push that compiled it.
 struct CompiledConfig {
   SidecarPolicy policy;
   ConfigFingerprint fingerprint;
-  std::map<std::string, std::string> routes;
   /// The table entries this config holds: every one, or the ascending
   /// indices in `scope` (the sidecar's cluster scope).
   const std::vector<EpochCluster>* table = nullptr;
   const std::vector<std::size_t>* scope = nullptr;
   /// Picks this pod's narrowed specs.
   std::string_view pod;
-  /// A config built whole (compiled_from); the walk reads it instead.
-  std::unique_ptr<const SidecarConfig> owned;
 
-  /// Calls fn(name, spec, narrowed) for every cluster, in name order.
+  /// Calls fn(spec, narrowed) for every cluster, in name order.
   template <class Fn>
   void for_each_cluster(Fn&& fn) const {
-    if (owned != nullptr) {
-      const ClusterMap& clusters = owned->clusters;
-      for (auto it = clusters.begin(); it != clusters.end(); ++it) {
-        fn(it->first, *it.shared(), false);
-      }
-      return;
-    }
     const auto visit = [&](const EpochCluster& entry) {
       if (!entry.narrowed.empty()) {
         const auto it = entry.narrowed.find(pod);
         if (it != entry.narrowed.end()) {
-          fn(entry.full->name, it->second, true);
+          fn(it->second, true);
           return;
         }
       }
-      fn(entry.full->name, entry.full, false);
+      fn(entry.full, false);
     };
     if (scope == nullptr) {
       for (const EpochCluster& entry : *table) visit(entry);
@@ -126,16 +111,11 @@ struct CompiledConfig {
   SidecarConfig materialize() const;
 };
 
-/// A whole config as a CompiledConfig (drafts sealed, fingerprinted from
-/// its content).
-CompiledConfig compiled_from(SidecarConfig config);
-
 /// What the control plane knows a sidecar runs: the config it last acked.
 /// Built from a full push and patched in place by every acked delta, so
 /// no per-sidecar container is rebuilt per compile.
 struct AckedConfig {
   ConfigFingerprint fingerprint;
-  std::map<std::string, std::string> routes;
   ClusterMap clusters;
 
   /// Applies an acked delta, whose patched fingerprint is `target`.

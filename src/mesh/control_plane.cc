@@ -15,12 +15,6 @@ namespace {
 constexpr sim::Duration kPushRetryBackoffBase = sim::milliseconds(50);
 constexpr sim::Duration kPushRetryBackoffMax = sim::seconds(2);
 
-/// hash_routes of a config without routes, which is every compiled one.
-std::uint64_t no_routes_hash() {
-  static const std::uint64_t hash = hash_routes({});
-  return hash;
-}
-
 }  // namespace
 
 ControlPlane::ControlPlane(sim::Simulator& sim, cluster::Cluster& cluster,
@@ -103,7 +97,7 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
   SidecarConfig config = compiled.materialize();
   std::optional<AckedConfig> acked;
   if (policies_.cp.delta_push) {
-    acked = AckedConfig{compiled.fingerprint, config.routes, config.clusters};
+    acked = AckedConfig{compiled.fingerprint, config.clusters};
   }
   if (ref.apply_config(std::move(config))) {
     // Injection is a local, synchronous bootstrap push: seed the channel
@@ -235,7 +229,7 @@ void ControlPlane::deliver_push(PushState& state, SidecarConfig config,
   const std::uint64_t config_epoch = config.epoch;
   std::optional<AckedConfig> acked;
   if (policies_.cp.delta_push) {
-    acked = AckedConfig{target, config.routes, config.clusters};
+    acked = AckedConfig{target, config.clusters};
   }
   if (sidecar.apply_config(std::move(config))) {
     state.acked = std::move(acked);
@@ -303,7 +297,6 @@ void ControlPlane::handle_nack(PushState& state, std::uint64_t nacked_epoch,
     // last converged policy set and push a fresh (still monotonic) epoch.
     rolled_back_epoch_ = nacked_epoch;
     rollback_armed_ = false;
-    compile_mutator_ = nullptr;
     if (have_last_good_) {
       // Runtime channel settings (loss overrides, pacing) survive the
       // rollback; only the operator policy payload reverts.
@@ -607,17 +600,16 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
   const auto cert_it = certs_.find(policy.service_name);
   if (cert_it != certs_.end()) policy.identity_cert = cert_it->second.cert;
 
-  const std::string& pod = sidecar.pod().name();
   const ClusterTable& table = cluster_table();
   compiled.table = &table.clusters;
   compiled.scope = scope_of(table, policy.service_name);
-  compiled.pod = pod;
-  ConfigFingerprint& fingerprint = compiled.fingerprint;
+  compiled.pod = sidecar.pod().name();
+  ConfigFingerprint fingerprint;
   const auto size = static_cast<std::size_t>(policies_.subset.subset_size);
   // Each spec's hash was computed when its object was built: the cluster
   // part of the fingerprint is a sum of memoized terms.
   compiled.for_each_cluster(
-      [&](const std::string&, const ClusterSpecRef& spec, bool narrowed) {
+      [&](const ClusterSpecRef& spec, bool narrowed) {
         fingerprint.cluster_sum += cluster_term(spec.hash());
         if (!narrowed) return;
         const std::size_t assigned = spec->endpoints.size();
@@ -628,16 +620,9 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
           cpm_.subset_repairs->inc(assigned - size);
         }
       });
-  if (compile_mutator_) {
-    // Test hook: the mutator may rewrite any part of the config, so the
-    // mutated config is fingerprinted from its content.
-    SidecarConfig mutated = compiled.materialize();
-    compile_mutator_(pod, mutated);
-    return compiled_from(std::move(mutated));
-  }
   fingerprint.policy_hash = hash_policy_section(policy);
-  fingerprint.routes_hash = no_routes_hash();
   fingerprint.hash = compose_config_hash(fingerprint);
+  compiled.fingerprint = fingerprint;
   return compiled;
 }
 

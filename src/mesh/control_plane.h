@@ -74,7 +74,7 @@ struct ControlPlaneConfig {
   /// disables rotation — certs are issued once, at injection.
   double cert_refresh_ahead = 0.0;
   /// Incremental (xDS delta-style) config push: once a sidecar has acked
-  /// a config, later pushes carry only the changed clusters/routes (see
+  /// a config, later pushes carry only the changed clusters (see
   /// mesh/config_delta.h) instead of the full snapshot. Off by default —
   /// full-snapshot semantics, bit-identical to the legacy channel.
   bool delta_push = false;
@@ -169,13 +169,6 @@ class ControlPlane {
 
   /// The current certificate for a service (nullptr before issuance).
   const Certificate* certificate(const std::string& service) const;
-
-  /// Test hook: mutates each compiled config before it is pushed (poison
-  /// injection). Cleared automatically when a nack triggers rollback.
-  void set_compile_mutator(
-      std::function<void(const std::string& pod, SidecarConfig&)> mutator) {
-    compile_mutator_ = std::move(mutator);
-  }
 
   /// Operator policy. Non-const access marks the per-epoch cluster table
   /// stale, so the next compile sees the change; change policy through a
@@ -347,7 +340,6 @@ class ControlPlane {
     sim::Timer rotation_timer;
   };
   std::map<std::string, IssuedCert> certs_;
-  std::function<void(const std::string&, SidecarConfig&)> compile_mutator_;
 
   std::uint64_t last_registry_version_ = 0;
   std::uint64_t next_serial_ = 1;

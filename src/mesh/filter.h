@@ -59,7 +59,7 @@ struct RequestContext {
   Span span;
   bool span_active = false;
 
-  /// Set by a filter to short-circuit with a local reply (e.g. 403).
+  /// The local reply of a filter that stops the chain (kStopIteration).
   std::optional<http::HttpResponse> local_response;
 
   // --- admission-control state (mesh/admission.h) ---
@@ -71,14 +71,14 @@ struct RequestContext {
   /// Priority class the admission decision was made under (stable even
   /// if a later filter rewrites traffic_class).
   TrafficClass admission_class = TrafficClass::kDefault;
-  /// True when this sidecar's admission controller shed the request.
-  bool shed = false;
 };
 
 enum class FilterStatus {
   kContinue,
-  kStopIteration,  ///< Stop the chain; ctx.local_response is sent if set.
-  kPause,          ///< Park the request; a continuation resumes it.
+  /// Stop the chain and answer with ctx.local_response, which the filter
+  /// must set: the sidecar sends it as is and has no response of its own.
+  kStopIteration,
+  kPause,  ///< Park the request; a continuation resumes it.
 };
 
 class HttpFilter {
@@ -100,7 +100,7 @@ class HttpFilter {
 /// Outcome of running the request half of a chain.
 enum class ChainResult {
   kContinue,  ///< every filter continued; forward the request
-  kStopped,   ///< a filter stopped; send ctx.local_response if present
+  kStopped,   ///< a filter stopped; send ctx.local_response
   kPaused,    ///< a filter parked the request (admission queue)
 };
 

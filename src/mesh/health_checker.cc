@@ -1,6 +1,6 @@
 #include "mesh/health_checker.h"
 
-#include <set>
+#include <algorithm>
 #include <utility>
 
 namespace meshnet::mesh {
@@ -31,10 +31,8 @@ void HealthChecker::detach(Target& target) {
 void HealthChecker::update_targets(
     const std::string& cluster, const HealthCheckConfig& config,
     const std::vector<cluster::Endpoint>& endpoints, net::Port probe_port) {
-  std::set<std::string> seen;
   if (config.enabled) {
     for (const cluster::Endpoint& ep : endpoints) {
-      seen.insert(ep.pod_name);
       const Key key{cluster, ep.pod_name};
       const auto it = targets_.find(key);
       if (it != targets_.end()) {
@@ -63,13 +61,23 @@ void HealthChecker::update_targets(
       schedule_probe(key, first);
     }
   }
-  for (auto it = targets_.begin(); it != targets_.end();) {
-    if (it->first.first == cluster && seen.count(it->first.second) == 0) {
-      detach(*it->second);
-      it = targets_.erase(it);
-    } else {
+  // The cluster's targets are one contiguous range of the (cluster, pod)
+  // order: drop the vanished ones, in pod-name order.
+  const auto listed = [&](const std::string& pod) {
+    return config.enabled &&
+           std::any_of(endpoints.begin(), endpoints.end(),
+                       [&](const cluster::Endpoint& ep) {
+                         return ep.pod_name == pod;
+                       });
+  };
+  auto it = targets_.lower_bound(Key{cluster, std::string()});
+  while (it != targets_.end() && it->first.first == cluster) {
+    if (listed(it->first.second)) {
       ++it;
+      continue;
     }
+    detach(*it->second);
+    it = targets_.erase(it);
   }
 }
 

@@ -76,6 +76,7 @@ class HealthChecker {
   /// start healthy with a staggered first probe; vanished endpoints (or
   /// the whole cluster, when disabled) stop being probed. Probes go to
   /// `probe_port` on each endpoint's IP (the remote inbound listener).
+  /// Touches only this cluster's targets.
   void update_targets(const std::string& cluster,
                       const HealthCheckConfig& config,
                       const std::vector<cluster::Endpoint>& endpoints,

@@ -68,28 +68,17 @@ ClusterSpecRef ClusterSpecPool::get(ClusterSpec spec) {
   return ClusterSpecRef(std::move(shared));
 }
 
-ClusterMap::ClusterMap(const ClusterMap& other) : entries_(other.entries_) {
-  for (Entry& entry : entries_) {
-    if (entry.draft) entry.draft = std::make_shared<ClusterSpec>(*entry.draft);
-  }
-}
-
-ClusterMap::Entries::iterator ClusterMap::lower_bound(std::string_view name) {
-  return std::lower_bound(
-      entries_.begin(), entries_.end(), name,
-      [](const Entry& entry, std::string_view n) { return entry.name < n; });
-}
-
 ClusterMap::Entries::const_iterator ClusterMap::lower_bound(
     std::string_view name) const {
-  return std::lower_bound(
-      entries_.begin(), entries_.end(), name,
-      [](const Entry& entry, std::string_view n) { return entry.name < n; });
+  return std::lower_bound(entries_.begin(), entries_.end(), name,
+                          [](const ClusterSpecRef& entry, std::string_view n) {
+                            return entry->name < n;
+                          });
 }
 
 ClusterMap::const_iterator ClusterMap::find(std::string_view name) const {
   const auto it = lower_bound(name);
-  return const_iterator(it != entries_.end() && it->name == name
+  return const_iterator(it != entries_.end() && (*it)->name == name
                             ? it
                             : entries_.end());
 }
@@ -101,55 +90,28 @@ const ClusterSpec& ClusterMap::at(std::string_view name) const {
 }
 
 const ClusterSpecRef* ClusterMap::ref(std::string_view name) const {
-  const auto it = lower_bound(name);
-  if (it == entries_.end() || it->name != name || it->draft) return nullptr;
-  return &it->ref;
+  const auto it = find(name);
+  return it == end() ? nullptr : &it.shared();
 }
 
-void ClusterMap::append(std::string name, ClusterSpecRef ref) {
-  entries_.push_back({std::move(name), std::move(ref), nullptr});
+void ClusterMap::append(ClusterSpecRef ref) {
+  entries_.push_back(std::move(ref));
 }
 
-void ClusterMap::put(std::string name, ClusterSpecRef ref) {
-  const auto it = lower_bound(name);
-  if (it != entries_.end() && it->name == name) {
-    it->ref = std::move(ref);
-    it->draft.reset();
+void ClusterMap::put(ClusterSpecRef ref) {
+  auto it = entries_.begin() + (lower_bound(ref->name) - entries_.cbegin());
+  if (it != entries_.end() && (*it)->name == ref->name) {
+    *it = std::move(ref);
     return;
   }
-  entries_.insert(it, {std::move(name), std::move(ref), nullptr});
+  entries_.insert(it, std::move(ref));
 }
 
 bool ClusterMap::erase(std::string_view name) {
   const auto it = lower_bound(name);
-  if (it == entries_.end() || it->name != name) return false;
+  if (it == entries_.end() || (*it)->name != name) return false;
   entries_.erase(it);
   return true;
-}
-
-ClusterSpec& ClusterMap::operator[](const std::string& name) {
-  const auto it = lower_bound(name);
-  if (it == entries_.end() || it->name != name) {
-    entries_.insert(it, {name, ClusterSpec{}, nullptr});
-  }
-  return at(name);
-}
-
-ClusterSpec& ClusterMap::at(std::string_view name) {
-  const auto it = lower_bound(name);
-  if (it == entries_.end() || it->name != name) {
-    throw std::out_of_range("no cluster " + std::string(name));
-  }
-  if (!it->draft) it->draft = std::make_shared<ClusterSpec>(*it->ref);
-  return *it->draft;
-}
-
-void ClusterMap::seal() {
-  for (Entry& entry : entries_) {
-    if (!entry.draft) continue;
-    entry.ref = ClusterSpecRef(std::move(*entry.draft));
-    entry.draft.reset();
-  }
 }
 
 sim::Duration next_retry_backoff(const RetryPolicy& policy, int attempt,
@@ -233,24 +195,16 @@ std::string validate_cluster(const std::string& name,
 const ClusterSpec& spec_of(const ClusterSpec& spec) { return spec; }
 const ClusterSpec& spec_of(const ClusterSpecRef& ref) { return *ref; }
 
-/// The first error in a policy section (when given), then the clusters,
-/// then the routes — the order validate_config reports in.
+/// The first error in a policy section (when given), then the clusters —
+/// the order validate_config reports in.
 template <class Clusters>
 std::string validate_parts(const PolicySection* policy,
-                           const Clusters& clusters,
-                           const std::map<std::string, std::string>& routes) {
+                           const Clusters& clusters) {
   std::string error;
   if (policy != nullptr) error = validate_policy_section(*policy);
   for (auto it = clusters.begin(); error.empty() && it != clusters.end();
        ++it) {
     error = validate_cluster(it->first, spec_of(it->second));
-  }
-  for (auto it = routes.begin(); error.empty() && it != routes.end(); ++it) {
-    if (it->first.empty()) {
-      error = "route with empty host";
-    } else if (it->second.empty()) {
-      error = "route to empty cluster for " + it->first;
-    }
   }
   return error;
 }
@@ -258,7 +212,7 @@ std::string validate_parts(const PolicySection* policy,
 }  // namespace
 
 std::string validate_config(const SidecarConfig& config) {
-  return validate_parts(&config, config.clusters, config.routes);
+  return validate_parts(&config, config.clusters);
 }
 
 namespace {
@@ -311,16 +265,6 @@ std::uint64_t hash_sidecar_config(const SidecarConfig& c) {
   return fingerprint_config(c).hash;
 }
 
-std::uint64_t hash_routes(const std::map<std::string, std::string>& routes) {
-  ConfigHasher f;
-  f.mix(routes.size());
-  for (const auto& [host, target] : routes) {
-    f.mix(host);
-    f.mix(target);
-  }
-  return f.h;
-}
-
 std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept {
   return util::splitmix64(spec_hash);
 }
@@ -328,7 +272,6 @@ std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept {
 std::uint64_t compose_config_hash(const ConfigFingerprint& parts) {
   ConfigHasher f;
   f.mix(parts.policy_hash);
-  f.mix(parts.routes_hash);
   f.mix(parts.cluster_sum);
   return f.h;
 }
@@ -336,11 +279,8 @@ std::uint64_t compose_config_hash(const ConfigFingerprint& parts) {
 ConfigFingerprint fingerprint_config(const SidecarConfig& config) {
   ConfigFingerprint parts;
   parts.policy_hash = hash_policy_section(config);
-  parts.routes_hash = hash_routes(config.routes);
   for (auto it = config.clusters.begin(); it != config.clusters.end(); ++it) {
-    const ClusterSpecRef* shared = it.shared();
-    parts.cluster_sum += cluster_term(
-        shared != nullptr ? shared->hash() : hash_cluster_spec(it->second));
+    parts.cluster_sum += cluster_term(it.shared().hash());
   }
   parts.hash = compose_config_hash(parts);
   return parts;
@@ -374,24 +314,15 @@ std::uint64_t hash_policy_section(const SidecarPolicy& c) {
 
 namespace {
 
-/// The fingerprint `running` (of `clusters` and `routes`) becomes under
-/// `delta`. Every changed part is hashed from the content the delta
-/// carries — an upserted spec by its constructor, never by the sender —
-/// and an unchanged cluster keeps its share of the sum untouched.
-ConfigFingerprint patch_fingerprint(
-    const ConfigFingerprint& running, const ClusterMap& clusters,
-    const std::map<std::string, std::string>& routes,
-    const ConfigDelta& delta) {
+/// The fingerprint `running` (of `clusters`) becomes under `delta`.
+/// Every changed part is hashed from the content the delta carries — an
+/// upserted spec by its constructor, never by the sender — and an
+/// unchanged cluster keeps its share of the sum untouched.
+ConfigFingerprint patch_fingerprint(const ConfigFingerprint& running,
+                                    const ClusterMap& clusters,
+                                    const ConfigDelta& delta) {
   ConfigFingerprint out = running;
   if (delta.policy) out.policy_hash = hash_policy_section(*delta.policy);
-  if (!delta.route_upserts.empty() || !delta.route_removals.empty()) {
-    std::map<std::string, std::string> patched = routes;
-    for (const std::string& host : delta.route_removals) patched.erase(host);
-    for (const auto& [host, cluster] : delta.route_upserts) {
-      patched[host] = cluster;
-    }
-    out.routes_hash = hash_routes(patched);
-  }
   const auto drop = [&](const std::string& name) {
     if (const ClusterSpecRef* old = clusters.ref(name)) {
       out.cluster_sum -= cluster_term(old->hash());
@@ -430,7 +361,6 @@ bool Sidecar::apply_config(SidecarConfig config) {
   if (!error.empty()) {
     return reject_config(std::move(error));
   }
-  config.clusters.seal();
   fingerprint_ = fingerprint_config(config);
   const ClusterMap before = std::move(config_.clusters);
   config_ = std::move(config);
@@ -453,15 +383,14 @@ bool Sidecar::apply_config_delta(const ConfigDelta& delta) {
     return reject_config("delta-base-mismatch");
   }
   const ConfigFingerprint target =
-      patch_fingerprint(running, config_.clusters, config_.routes, delta);
+      patch_fingerprint(running, config_.clusters, delta);
   if (target.hash != delta.target_hash) {
     ++stats_.delta_mismatches;
     return reject_config("delta-target-mismatch");
   }
   // The parts the delta leaves alone passed validation when applied.
-  std::string error =
-      validate_parts(delta.policy ? &*delta.policy : nullptr,
-                     delta.cluster_upserts, delta.route_upserts);
+  std::string error = validate_parts(
+      delta.policy ? &*delta.policy : nullptr, delta.cluster_upserts);
   if (!error.empty()) {
     return reject_config(std::move(error));
   }
@@ -473,13 +402,7 @@ bool Sidecar::apply_config_delta(const ConfigDelta& delta) {
     config_.clusters.erase(name);
   }
   for (const auto& [name, spec] : delta.cluster_upserts) {
-    config_.clusters.put(name, spec);
-  }
-  for (const std::string& host : delta.route_removals) {
-    config_.routes.erase(host);
-  }
-  for (const auto& [host, cluster] : delta.route_upserts) {
-    config_.routes[host] = cluster;
+    config_.clusters.put(spec);
   }
   fingerprint_ = target;
   // Health checking is re-targeted for the changed clusters only: for an
@@ -518,15 +441,15 @@ void Sidecar::finish_apply() {
 
 void Sidecar::retarget_health(const ClusterMap& before) {
   if (!health_checker_) return;
-  // Both maps are sealed and name-ordered: one merge walk. An unchanged
-  // spec object would make update_targets a no-op, so it is skipped. A
-  // cluster that left the config drops its targets after every update,
-  // in name order (the targets' own order).
+  // Both maps are name-ordered: one merge walk. An unchanged spec object
+  // would make update_targets a no-op, so it is skipped. A cluster that
+  // left the config drops its targets after every update, in name order
+  // (the targets' own order).
   std::vector<std::string_view> removed;
   auto old = before.begin();
   for (auto it = config_.clusters.begin(); it != config_.clusters.end();
        ++it) {
-    if (old != before.end() && old.shared()->same_object(*it.shared())) {
+    if (old != before.end() && old.shared().same_object(it.shared())) {
       ++old;
       continue;
     }
@@ -535,7 +458,7 @@ void Sidecar::retarget_health(const ClusterMap& before) {
       removed.push_back(old->first);
     }
     if (old != before.end() && old->first == name) {
-      const bool unchanged = old.shared()->same_object(*it.shared());
+      const bool unchanged = old.shared().same_object(it.shared());
       ++old;
       if (unchanged) continue;
     }
@@ -781,10 +704,8 @@ void Sidecar::process_request_now(std::uint64_t session_id,
     return;
   }
   if (chain_result == ChainResult::kStopped) {
-    http::HttpResponse response =
-        ctx->local_response ? std::move(*ctx->local_response)
-                            : make_local_response(403, "filter denied");
-    if (ctx->shed) ++stats_.local_responses;
+    http::HttpResponse response = std::move(ctx->local_response.value());
+    ++stats_.local_responses;
     chain.run_response(*ctx, response);
     respond_to_session(session_id, ctx, std::move(response));
     return;
@@ -873,14 +794,6 @@ void Sidecar::finish_outbound(std::uint64_t session_id, const Ctx& ctx,
   // funnel through this path.
   outbound_chain_.run_response(*ctx, response);
   respond_to_session(session_id, ctx, std::move(response));
-}
-
-const ClusterSpec* Sidecar::resolve_cluster(const std::string& host) const {
-  std::string cluster_name = host;
-  const auto route = config_.routes.find(host);
-  if (route != config_.routes.end()) cluster_name = route->second;
-  const auto it = config_.clusters.find(cluster_name);
-  return it == config_.clusters.end() ? nullptr : &it->second;
 }
 
 std::vector<const cluster::Endpoint*> Sidecar::eligible_endpoints(
@@ -988,8 +901,9 @@ void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
       ctx->request.headers.get_or(http::headers::Id::kHost, ""));
   if (!ctx->upstream_cluster.empty()) {
     // A filter already routed (e.g. traffic shifting); keep it.
-  } else if (const ClusterSpec* spec = resolve_cluster(host)) {
-    ctx->upstream_cluster = spec->name;
+  } else if (config_.clusters.contains(host)) {
+    // The Host header names the cluster.
+    ctx->upstream_cluster = host;
   } else {
     finish_outbound(session_id, ctx, /*cluster_name=*/"",
                     make_local_response(404, "no route for host " + host));

@@ -8,8 +8,8 @@
 //    forwarded to the colocated app over the pod-local loopback.
 //  * outbound (pod_ip:15001) — the local app sends its sub-requests here;
 //    requests run the outbound filter chain (classification, provenance,
-//    priority routing), are routed by Host header to an upstream cluster,
-//    an endpoint is picked (subset + circuit breaker + load balancer),
+//    priority routing), go to the upstream cluster their Host header
+//    names, an endpoint is picked (subset + circuit breaker + load balancer),
 //    and the request rides a pooled connection to the remote sidecar,
 //    with retries and per-try timeouts.
 //
@@ -139,32 +139,14 @@ class ClusterSpecPool {
   std::size_t sweep_at_ = 64;
 };
 
-/// A config's clusters by name, in name order, with value semantics over
-/// shared specs: copying a map copies pointers, not specs. Read access
-/// yields `(name, const ClusterSpec&)` pairs like a std::map would. The
-/// mutable accessors (`operator[]`, non-const `at`) detach the entry into
-/// a private draft that the caller edits in place; `seal()` turns every
-/// draft into a shared spec, hashing it once. Sidecars seal what they
-/// apply, so a running config holds shared specs only.
+/// A config's clusters in name order, each keyed by its own spec's name,
+/// with value semantics over shared specs: copying a map copies pointers,
+/// not specs. Read access yields `(name, const ClusterSpec&)` pairs like a
+/// std::map would.
 class ClusterMap {
-  struct Entry {
-    const ClusterSpec& spec() const { return draft ? *draft : *ref; }
-
-    std::string name;
-    ClusterSpecRef ref;  ///< stale while `draft` is set
-    /// This map's alone: copying the map copies the draft.
-    std::shared_ptr<ClusterSpec> draft;
-  };
-  using Entries = std::vector<Entry>;
+  using Entries = std::vector<ClusterSpecRef>;
 
  public:
-  ClusterMap() = default;
-  /// Shares every spec and copies every draft.
-  ClusterMap(const ClusterMap& other);
-  ClusterMap& operator=(const ClusterMap&) = delete;
-  ClusterMap(ClusterMap&&) noexcept = default;
-  ClusterMap& operator=(ClusterMap&&) noexcept = default;
-
   using value_type = std::pair<const std::string&, const ClusterSpec&>;
 
   class const_iterator {
@@ -179,17 +161,15 @@ class ClusterMap {
     };
 
     const_iterator() = default;
-    value_type operator*() const { return {it_->name, it_->spec()}; }
+    value_type operator*() const { return {(*it_)->name, **it_}; }
     pointer operator->() const { return {**this}; }
     const_iterator& operator++() {
       ++it_;
       return *this;
     }
     bool operator==(const const_iterator&) const = default;
-    /// The shared spec behind this entry (nullptr while it is drafted).
-    const ClusterSpecRef* shared() const noexcept {
-      return it_->draft ? nullptr : &it_->ref;
-    }
+    /// The shared spec behind this entry.
+    const ClusterSpecRef& shared() const noexcept { return *it_; }
 
    private:
     friend class ClusterMap;
@@ -204,27 +184,19 @@ class ClusterMap {
   /// Throws std::out_of_range when `name` is absent.
   const ClusterSpec& at(std::string_view name) const;
 
-  /// The shared spec behind `name` (nullptr when absent or drafted).
+  /// The shared spec behind `name` (nullptr when absent).
   const ClusterSpecRef* ref(std::string_view name) const;
-  /// Appends `name` -> `ref`; `name` must sort after every present name
-  /// (building a map from a name-ordered walk).
-  void append(std::string name, ClusterSpecRef ref);
-  /// Inserts or replaces one entry.
-  void put(std::string name, ClusterSpecRef ref);
+  /// Appends `ref`; its name must sort after every present name (building
+  /// a map from a name-ordered walk).
+  void append(ClusterSpecRef ref);
+  /// Inserts `ref`, replacing the entry of the same name.
+  void put(ClusterSpecRef ref);
   /// Removes `name`; false when absent.
   bool erase(std::string_view name);
   void clear() noexcept { entries_.clear(); }
   void reserve(std::size_t n) { entries_.reserve(n); }
 
-  /// A draft of `name`'s spec to edit in place (inserting an empty one).
-  ClusterSpec& operator[](const std::string& name);
-  /// A draft of `name`'s spec to edit in place; throws when absent.
-  ClusterSpec& at(std::string_view name);
-  /// Shares every draft (hashing each once).
-  void seal();
-
  private:
-  Entries::iterator lower_bound(std::string_view name);
   Entries::const_iterator lower_bound(std::string_view name) const;
 
   Entries entries_;  ///< sorted by name, names unique
@@ -282,11 +254,8 @@ struct SidecarPolicy : PolicySection {
 };
 
 /// What the control plane pushes to one sidecar: its policy plus the
-/// clusters and routes.
+/// clusters. A request's Host header names its cluster.
 struct SidecarConfig : SidecarPolicy {
-  /// Host header -> cluster name. Hosts not listed route to the cluster
-  /// with the same name, if one exists.
-  std::map<std::string, std::string> routes;
   ClusterMap clusters;
 };
 
@@ -329,16 +298,14 @@ std::string validate_config(const SidecarConfig& config);
 /// compares.
 std::uint64_t hash_sidecar_config(const SidecarConfig& config);
 
-/// Fingerprint of everything in a config that is neither a cluster nor a
-/// route (service name, policy section, cert serial).
+/// Fingerprint of everything in a config that is not a cluster (service
+/// name, policy section, cert serial).
 std::uint64_t hash_policy_section(const SidecarPolicy& policy);
-
-/// Fingerprint of a config's route table.
-std::uint64_t hash_routes(const std::map<std::string, std::string>& routes);
 
 /// One cluster's share of ConfigFingerprint::cluster_sum: an avalanche
 /// mix of its hash_cluster_spec, which hashes the cluster's name first
-/// (and validate_config holds every name to its map key).
+/// (a ClusterMap keys each spec by its own name, and a delta's upsert
+/// keys are validated against theirs).
 std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept;
 
 /// hash_sidecar_config kept in its parts. The cluster part is an
@@ -347,15 +314,14 @@ std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept;
 /// and diffs, and a sidecar verifies a delta, in O(changed clusters)
 /// without rehashing the clusters a push leaves alone.
 struct ConfigFingerprint {
-  std::uint64_t policy_hash = 0;   ///< hash_policy_section
-  std::uint64_t routes_hash = 0;   ///< hash_routes
-  std::uint64_t cluster_sum = 0;   ///< sum of cluster_term (mod 2^64)
+  std::uint64_t policy_hash = 0;  ///< hash_policy_section
+  std::uint64_t cluster_sum = 0;  ///< sum of cluster_term (mod 2^64)
   /// compose_config_hash of the parts above.
   std::uint64_t hash = 0;
 };
 
-/// The fingerprint of `config`, computed from its content (shared specs
-/// contribute their memoized hash; drafts are hashed here).
+/// The fingerprint of `config`, computed from its content (each spec
+/// contributes its memoized hash).
 ConfigFingerprint fingerprint_config(const SidecarConfig& config);
 
 /// The config hash `parts` describe (ignores `parts.hash`).
@@ -390,8 +356,8 @@ struct SidecarStats {
 
 class Sidecar {
  public:
-  /// Runs `service_name` on `pod`. The listeners are fixed here; policy,
-  /// clusters and routes arrive by apply_config.
+  /// Runs `service_name` on `pod`. The listeners are fixed here; policy
+  /// and clusters arrive by apply_config.
   Sidecar(sim::Simulator& sim, cluster::Pod& pod, Tracer& tracer,
           TelemetrySink* telemetry, std::string service_name,
           SidecarInjectionOptions listener);
@@ -402,7 +368,7 @@ class Sidecar {
   /// Opens the listeners. Call once after construction.
   void start();
 
-  /// Replaces routing/cluster/policy state (an xDS push). Returns false — and
+  /// Replaces the cluster and policy state (an xDS push). Returns false — and
   /// keeps the running config untouched — when the push is invalid
   /// (validate_config) or stale (an epoch the sidecar already moved
   /// past); `last_config_error()` then says why. Health checking is
@@ -544,7 +510,6 @@ class Sidecar {
                           const std::string& endpoint_pod,
                           std::optional<http::HttpResponse> response,
                           const std::string& error);
-  const ClusterSpec* resolve_cluster(const std::string& host) const;
   std::vector<const cluster::Endpoint*> eligible_endpoints(
       const ClusterSpec& spec, const RequestContext& ctx,
       bool ignore_health = false);

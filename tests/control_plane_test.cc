@@ -189,24 +189,6 @@ TEST_F(ControlPlaneFixture, PoisonConfigNackRollsBackToLastGood) {
   }
 }
 
-TEST_F(ControlPlaneFixture, CompileMutatorPoisonIsClearedByRollback) {
-  build();
-  cp_->push_config();
-  ASSERT_TRUE(cp_->converged());
-
-  cp_->set_compile_mutator([](const std::string& pod, SidecarConfig& config) {
-    if (pod == "server-v1") config.retry.max_retries = -1;
-  });
-  cp_->policies().retry.per_try_timeout = sim::milliseconds(123);
-  cp_->push_config();
-  run_for(sim::milliseconds(200));
-
-  EXPECT_EQ(counter(*cp_, "cp_config_rollbacks_total"), 1u);
-  EXPECT_TRUE(cp_->converged());
-  EXPECT_EQ(server_sidecars_[0]->last_config_error(), "negative max_retries");
-  EXPECT_GE(server_sidecars_[0]->config().retry.max_retries, 0);
-}
-
 // --------------------------------------------------- crash + recovery --
 
 TEST_F(ControlPlaneFixture, CrashGrowsStalenessRecoveryReconverges) {
@@ -339,8 +321,8 @@ TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
   delta.cluster_upserts.emplace("server", broken);
   // An honest target hash, so validation (not fingerprinting) rejects it.
   SidecarConfig target = before;
-  target.clusters["aaa"] = added;
-  target.clusters["server"] = broken;
+  target.clusters.put(added);
+  target.clusters.put(broken);
   delta.target_hash = hash_sidecar_config(target);
 
   EXPECT_FALSE(client.apply_config_delta(delta));
@@ -351,6 +333,35 @@ TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
             before.clusters.at("server").endpoints.front().port);
   EXPECT_EQ(client.config_epoch(), before.epoch);
   EXPECT_EQ(hash_sidecar_config(client.config()), hash_sidecar_config(before));
+  EXPECT_EQ(client.config_fingerprint().hash, hash_sidecar_config(before));
+}
+
+// A delta names its upserts; a name that is not the spec's own would file
+// the spec under a cluster it does not describe.
+TEST_F(ControlPlaneFixture, DeltaUpsertUnderAnotherNameIsRefused) {
+  build(1, delta_policies());
+  cp_->push_config();
+  Sidecar& client = *client_sidecar_;
+  const SidecarConfig before = client.config();
+
+  ClusterSpec changed = before.clusters.at("server");
+  changed.lb = LbPolicy::kRandom;
+  ConfigDelta delta;
+  delta.epoch = cp_->epoch() + 1;
+  delta.base_hash = client.config_fingerprint().hash;
+  delta.cluster_upserts.emplace("alias", changed);
+  // The target the sidecar patches from this content, so validation (not
+  // fingerprinting) refuses it.
+  ConfigFingerprint target = client.config_fingerprint();
+  target.cluster_sum += cluster_term(hash_cluster_spec(changed));
+  delta.target_hash = compose_config_hash(target);
+
+  EXPECT_FALSE(client.apply_config_delta(delta));
+  EXPECT_EQ(client.last_config_error(), "cluster name mismatch: alias");
+  EXPECT_EQ(client.stats().delta_mismatches, 0u);
+  EXPECT_FALSE(client.config().clusters.contains("alias"));
+  EXPECT_EQ(client.config().clusters.at("server").lb, LbPolicy::kRoundRobin);
+  EXPECT_EQ(client.config_epoch(), before.epoch);
   EXPECT_EQ(client.config_fingerprint().hash, hash_sidecar_config(before));
 }
 
@@ -464,12 +475,8 @@ TEST(ConfigValidation, RejectsMalformedConfigs) {
   cluster::Endpoint nameless;
   nameless.port = 8080;
   spec.endpoints.push_back(nameless);
-  bad_endpoint.clusters["svc"] = spec;
+  bad_endpoint.clusters.put(spec);
   EXPECT_NE(validate_config(bad_endpoint), "");
-
-  SidecarConfig bad_route;
-  bad_route.routes["host"] = "";
-  EXPECT_NE(validate_config(bad_route), "");
 
   SidecarConfig no_slots;
   no_slots.admission.enabled = true;
@@ -507,13 +514,10 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
   endpoint.port = 8080;
   endpoint.labels["priority"] = "high";
   spec.endpoints.push_back(endpoint);
-  base.clusters["svc"] = spec;
+  base.clusters.put(spec);
   const std::uint64_t h = hash_sidecar_config(base);
 
   using Mutation = std::function<void(SidecarConfig&)>;
-  const auto cluster = [](SidecarConfig& c) -> ClusterSpec& {
-    return c.clusters.at("svc");
-  };
   const std::vector<std::pair<std::string, Mutation>> mutations = {
       {"service_name", [](SidecarConfig& c) { c.service_name = "other"; }},
       {"retry.max_retries", [](SidecarConfig& c) { c.retry.max_retries = 3; }},
@@ -546,47 +550,48 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
        }},
       {"identity_cert.serial",
        [](SidecarConfig& c) { c.identity_cert.serial = 9; }},
-      {"routes", [](SidecarConfig& c) { c.routes["alias"] = "svc"; }},
-      {"cluster.lb",
-       [&](SidecarConfig& c) { cluster(c).lb = LbPolicy::kLeastRequest; }},
-      {"cluster.breaker.consecutive_failures",
-       [&](SidecarConfig& c) { cluster(c).breaker.consecutive_failures = 9; }},
-      {"cluster.breaker.open_duration",
-       [&](SidecarConfig& c) { cluster(c).breaker.open_duration = 7; }},
-      {"cluster.health_check.enabled",
-       [&](SidecarConfig& c) { cluster(c).health_check.enabled = true; }},
-      {"cluster.mtls", [&](SidecarConfig& c) { cluster(c).mtls = true; }},
-      {"cluster.endpoints (added)",
-       [&](SidecarConfig& c) {
-         cluster::Endpoint second = cluster(c).endpoints.front();
-         second.pod_name = "svc-v2";
-         cluster(c).endpoints.push_back(second);
-       }},
-      {"cluster.endpoint.pod_name",
-       [&](SidecarConfig& c) { cluster(c).endpoints[0].pod_name = "svc-v9"; }},
-      {"cluster.endpoint.ip",
-       [&](SidecarConfig& c) { cluster(c).endpoints[0].ip = 8; }},
-      {"cluster.endpoint.port",
-       [&](SidecarConfig& c) { cluster(c).endpoints[0].port = 9090; }},
-      {"cluster.endpoint.labels (value)",
-       [&](SidecarConfig& c) {
-         cluster(c).endpoints[0].labels["priority"] = "low";
-       }},
-      {"cluster.endpoint.labels (added)",
-       [&](SidecarConfig& c) {
-         cluster(c).endpoints[0].labels["zone"] = "a";
-       }},
-      {"cluster (renamed)",
-       [&](SidecarConfig& c) {
-         ClusterSpec renamed = cluster(c);
-         renamed.name = "svc2";
-         c.clusters.clear();
-         c.clusters["svc2"] = renamed;
-       }},
   };
   for (const auto& [field, mutate] : mutations) {
     SidecarConfig changed = base;
     mutate(changed);
+    EXPECT_NE(hash_sidecar_config(changed), h) << field;
+  }
+
+  // A cluster edit copies the spec, changes it and puts it back in place
+  // of the original.
+  using ClusterMutation = std::function<void(ClusterSpec&)>;
+  const std::vector<std::pair<std::string, ClusterMutation>> edits = {
+      {"cluster.lb", [](ClusterSpec& s) { s.lb = LbPolicy::kLeastRequest; }},
+      {"cluster.breaker.consecutive_failures",
+       [](ClusterSpec& s) { s.breaker.consecutive_failures = 9; }},
+      {"cluster.breaker.open_duration",
+       [](ClusterSpec& s) { s.breaker.open_duration = 7; }},
+      {"cluster.health_check.enabled",
+       [](ClusterSpec& s) { s.health_check.enabled = true; }},
+      {"cluster.mtls", [](ClusterSpec& s) { s.mtls = true; }},
+      {"cluster.endpoints (added)",
+       [](ClusterSpec& s) {
+         cluster::Endpoint second = s.endpoints.front();
+         second.pod_name = "svc-v2";
+         s.endpoints.push_back(second);
+       }},
+      {"cluster.endpoint.pod_name",
+       [](ClusterSpec& s) { s.endpoints[0].pod_name = "svc-v9"; }},
+      {"cluster.endpoint.ip", [](ClusterSpec& s) { s.endpoints[0].ip = 8; }},
+      {"cluster.endpoint.port",
+       [](ClusterSpec& s) { s.endpoints[0].port = 9090; }},
+      {"cluster.endpoint.labels (value)",
+       [](ClusterSpec& s) { s.endpoints[0].labels["priority"] = "low"; }},
+      {"cluster.endpoint.labels (added)",
+       [](ClusterSpec& s) { s.endpoints[0].labels["zone"] = "a"; }},
+      {"cluster (renamed)", [](ClusterSpec& s) { s.name = "svc2"; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    SidecarConfig changed = base;
+    ClusterSpec edited = changed.clusters.at("svc");
+    edit(edited);
+    changed.clusters.clear();
+    changed.clusters.put(edited);
     EXPECT_NE(hash_sidecar_config(changed), h) << field;
   }
 

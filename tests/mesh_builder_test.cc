@@ -421,8 +421,8 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
 // The control plane diffs fingerprints and the sidecar keeps its own
 // incrementally; both must stay equal to a from-scratch hash of the
 // running config whatever the push sequence changes: endpoints, LB and
-// mTLS overrides, certificates, scoping, subsetting, routes added by a
-// compile mutator, and the operator's policy section.
+// mTLS overrides, certificates, scoping, subsetting, and the operator's
+// policy section.
 TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     cluster::MeshSpec spec = two_service_spec();
@@ -440,7 +440,7 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
     std::mt19937_64 rng(seed);
 
     for (int step = 0; step < 40; ++step) {
-      switch (rng() % 8) {
+      switch (rng() % 7) {
         case 0: {  // one endpoint leaves or comes back
           const cluster::Endpoint& ep = replicas[rng() % replicas.size()];
           if (!registry.remove_endpoint("b", ep.pod_name)) {
@@ -470,17 +470,7 @@ TEST(DeltaPush, FingerprintsAgreeUnderRandomPushSequences) {
           cp.policies().subset.subset_size =
               cp.policies().subset.subset_size == 0 ? 2 : 0;
           break;
-        case 6:
-          if (rng() % 2 == 0) {
-            cp.set_compile_mutator(
-                [](const std::string& pod, mesh::SidecarConfig& config) {
-                  config.routes["alias-of-b." + pod] = "b";
-                });
-          } else {
-            cp.set_compile_mutator(nullptr);
-          }
-          break;
-        case 7:  // a policy-section-only delta
+        case 6:  // a policy-section-only delta
           if (rng() % 2 == 0) {
             sim::Duration& per_try = cp.policies().retry.per_try_timeout;
             per_try = per_try == 0 ? sim::milliseconds(250) : 0;

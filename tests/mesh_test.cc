@@ -741,19 +741,6 @@ TEST_F(MeshFixture, SubsetFallbackUsesAllEndpointsWhenNoMatch) {
   EXPECT_EQ(response->status, 200);
 }
 
-TEST_F(MeshFixture, RouteTableAliasesHost) {
-  build();
-  MeshPolicies& policies = control_plane_->policies();
-  (void)policies;
-  // Host "www.example.com" routes to cluster "server" via explicit route.
-  SidecarConfig config = client_sidecar_->config();
-  config.routes["www.example.com"] = "server";
-  client_sidecar_->apply_config(config);
-  const auto response = get("www.example.com", "/aliased");
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 200);
-}
-
 TEST_F(MeshFixture, ConfigPushPropagatesNewEndpoints) {
   build(1);
   // A new replica appears in the registry; the poller pushes it.
@@ -1009,6 +996,46 @@ TEST_F(MeshFixture, HealthCheckerEvictsCrashedPodAndReadmitsOnRestart) {
   // Telemetry carries the eviction/readmission transitions.
   EXPECT_GE(control_plane_->telemetry().event_count(obs::EventKind::kHealth),
             2u);
+}
+
+// Re-targeting or disabling one cluster drops only that cluster's
+// vanished targets; another cluster probing the same pods keeps its
+// targets and their health state.
+TEST_F(MeshFixture, HealthCheckerRetargetsOnlyTheNamedCluster) {
+  MeshPolicies policies;
+  policies.health_check.enabled = true;
+  build(2, policies);
+  HealthChecker& checker = *client_sidecar_->health_checker();
+  const std::vector<cluster::Endpoint> endpoints =
+      client_sidecar_->config().clusters.at("server").endpoints;
+  ASSERT_EQ(endpoints.size(), 2u);
+  // "mirror" sorts right before "server" and probes the same two pods.
+  checker.update_targets("mirror", policies.health_check, endpoints,
+                         kSidecarInboundPort);
+  const std::size_t targets = checker.target_count();
+
+  ASSERT_TRUE(cluster_->crash_pod("server-v1"));
+  sim_.run_until(sim_.now() + sim::seconds(2));
+  ASSERT_FALSE(checker.healthy("server", "server-v1"));
+  ASSERT_FALSE(checker.healthy("mirror", "server-v1"));
+  const std::uint64_t evictions = checker.stats().evictions;
+
+  // server-v1 leaves "mirror" only.
+  const std::vector<cluster::Endpoint> v2_only = {endpoints[1]};
+  ASSERT_EQ(v2_only.front().pod_name, "server-v2");
+  checker.update_targets("mirror", policies.health_check, v2_only,
+                         kSidecarInboundPort);
+  EXPECT_EQ(checker.target_count(), targets - 1);
+  EXPECT_TRUE(checker.healthy("mirror", "server-v1"));  // no longer probed
+  EXPECT_FALSE(checker.healthy("server", "server-v1"));
+  EXPECT_TRUE(checker.healthy("server", "server-v2"));
+
+  // Disabling "mirror" drops its last target and nothing else.
+  checker.update_targets("mirror", HealthCheckConfig{}, {},
+                         kSidecarInboundPort);
+  EXPECT_EQ(checker.target_count(), targets - 2);
+  EXPECT_FALSE(checker.healthy("server", "server-v1"));
+  EXPECT_EQ(checker.stats().evictions, evictions);
 }
 
 // ------------------------------------- admission / overload control --
