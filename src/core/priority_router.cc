@@ -9,10 +9,9 @@ namespace meshnet::core {
 PriorityRouterFilter::PriorityRouterFilter(std::vector<std::string> clusters)
     : clusters_(std::move(clusters)) {}
 
-bool PriorityRouterFilter::applies_to(
-    std::string_view cluster_or_host) const {
+bool PriorityRouterFilter::applies_to(std::string_view host) const {
   if (clusters_.empty()) return true;
-  return std::find(clusters_.begin(), clusters_.end(), cluster_or_host) !=
+  return std::find(clusters_.begin(), clusters_.end(), host) !=
          clusters_.end();
 }
 
@@ -21,11 +20,10 @@ mesh::FilterStatus PriorityRouterFilter::on_request(
   if (ctx.direction != mesh::FilterDirection::kOutbound) {
     return mesh::FilterStatus::kContinue;
   }
-  const std::string_view target =
-      !ctx.upstream_cluster.empty()
-          ? std::string_view(ctx.upstream_cluster)
-          : ctx.request.headers.get_or(http::headers::Id::kHost, "");
-  if (!applies_to(target)) return mesh::FilterStatus::kContinue;
+  // The Host header names the upstream cluster.
+  if (!applies_to(ctx.request.headers.get_or(http::headers::Id::kHost, ""))) {
+    return mesh::FilterStatus::kContinue;
+  }
 
   switch (ctx.traffic_class) {
     case mesh::TrafficClass::kLatencySensitive:

@@ -11,15 +11,18 @@ FilterStatus TracingFilter::on_request(RequestContext& ctx) {
   if (request.request_id().empty()) {
     request.set_request_id(http::generate_request_id());
   }
-  const std::string_view direction =
-      ctx.direction == FilterDirection::kInbound ? "in " : "out ";
+  // Only a retained span is ever read back, so only it is named.
   std::string operation;
-  operation.reserve(direction.size() + request.method.size() + 1 +
-                    request.path.size());
-  operation.append(direction)
-      .append(request.method)
-      .append(" ")
-      .append(request.path);
+  if (tracer_.retains_spans()) {
+    const std::string_view direction =
+        ctx.direction == FilterDirection::kInbound ? "in " : "out ";
+    operation.reserve(direction.size() + request.method.size() + 1 +
+                      request.path.size());
+    operation.append(direction)
+        .append(request.method)
+        .append(" ")
+        .append(request.path);
+  }
   ctx.span = tracer_.start_span(service_, std::move(operation),
                                 TraceContext::extract(request.headers),
                                 sim_.now());
@@ -35,7 +38,12 @@ void TracingFilter::on_response(RequestContext& ctx,
                                 http::HttpResponse& response) {
   if (!ctx.span_active) return;
   ctx.span.error = response.status >= 500;
-  tracer_.finish_span(std::move(ctx.span), sim_.now());
+  // Resolved at this filter's first finished span, when the exporter
+  // would first intern the series anyway.
+  if (span_cells_ == nullptr) {
+    span_cells_ = tracer_.exporter().cells_for(service_);
+  }
+  tracer_.finish_span(std::move(ctx.span), sim_.now(), span_cells_);
   ctx.span_active = false;
 }
 

@@ -27,6 +27,8 @@ class TracingFilter final : public HttpFilter {
   Tracer& tracer_;
   sim::Simulator& sim_;
   std::string service_;
+  /// The service's span series (null until the first span finishes).
+  obs::SpanExporter::ServiceCells* span_cells_ = nullptr;
 };
 
 /// Stamps the caller's service identity onto outbound requests — the

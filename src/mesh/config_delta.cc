@@ -39,7 +39,8 @@ std::size_t policy_section_bytes(const SidecarPolicy& policy) {
 
 SidecarConfig CompiledConfig::materialize() const {
   SidecarConfig config;
-  static_cast<SidecarPolicy&>(config) = policy;
+  static_cast<SidecarPolicy&>(config) = *policy;
+  config.epoch = epoch;
   config.clusters.reserve(scope != nullptr ? scope->size() : table->size());
   for_each_cluster([&config](const ClusterSpecRef& spec, bool) {
     config.clusters.append(spec);
@@ -58,12 +59,13 @@ ConfigDelta make_config_delta(const AckedConfig& base,
                               const CompiledConfig& target) {
   const ConfigFingerprint& next = target.fingerprint;
   ConfigDelta delta;
-  delta.epoch = target.policy.epoch;
+  delta.epoch = target.epoch;
   delta.base_hash = base.fingerprint.hash;
   delta.target_hash = next.hash;
 
   if (base.fingerprint.policy_hash != next.policy_hash) {
-    delta.policy = target.policy;
+    delta.policy = *target.policy;
+    delta.policy->epoch = target.epoch;
   }
 
   // Both cluster lists are in name order: one merge walk finds the

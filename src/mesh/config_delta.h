@@ -78,7 +78,12 @@ struct EpochCluster {
 /// table, so compiling builds no per-sidecar container. It borrows the
 /// table, so it lives only as long as the push that compiled it.
 struct CompiledConfig {
-  SidecarPolicy policy;
+  /// The control plane's compiled policy of this sidecar's service,
+  /// shared by every compile until the mesh policy, the service's mTLS
+  /// resolution or its certificate changes. Its epoch is not this
+  /// compile's: that is `epoch`.
+  const SidecarPolicy* policy = nullptr;
+  std::uint64_t epoch = 0;
   ConfigFingerprint fingerprint;
   /// The table entries this config holds: every one, or the ascending
   /// indices in `scope` (the sidecar's cluster scope).

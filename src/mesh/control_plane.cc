@@ -93,7 +93,7 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
     subscribe(cluster_table_, ref, true);
   }
   CompiledConfig compiled = compile_config(ref);
-  const std::uint64_t compiled_epoch = compiled.policy.epoch;
+  const std::uint64_t compiled_epoch = compiled.epoch;
   SidecarConfig config = compiled.materialize();
   std::optional<AckedConfig> acked;
   if (policies_.cp.delta_push) {
@@ -153,7 +153,7 @@ void ControlPlane::launch_push(PushState& state) {
     // Delta-aware push: the compiled payload is byte-identical to what
     // the sidecar already runs, so the new epoch is acked implicitly.
     set_acked_epoch(state,
-                    std::max(state.acked_epoch, compiled.policy.epoch));
+                    std::max(state.acked_epoch, compiled.epoch));
     publish_acked_epoch(state);
     cpm_.skipped_noop->inc();
     check_convergence();
@@ -305,6 +305,7 @@ void ControlPlane::handle_nack(PushState& state, std::uint64_t nacked_epoch,
       policies_.cp = cp;
     }
     cluster_table_.stale = true;
+    ++policy_generation_;
     cpm_.rollbacks->inc();
     record_event(obs::EventKind::kControlPlane, "control-plane",
                  "rollback to last-good epoch");
@@ -588,21 +589,43 @@ void ControlPlane::assign_subsets(ClusterTable& table, std::size_t index) {
   }
 }
 
-CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
-  CompiledConfig compiled;
-  SidecarPolicy& policy = compiled.policy;
-  static_cast<PolicySection&>(policy) = policies_;
-  policy.service_name = sidecar.config().service_name;
+const ControlPlane::CompiledPolicy& ControlPlane::compiled_policy(
+    const std::string& service) {
   // Server side of mTLS: this sidecar's inbound listener accepts TLS iff
   // its own service resolves to mtls-on.
-  policy.tls.enabled = mtls_enabled_for(policy.service_name);
-  policy.epoch = epoch_;
-  const auto cert_it = certs_.find(policy.service_name);
-  if (cert_it != certs_.end()) policy.identity_cert = cert_it->second.cert;
+  const bool mtls = mtls_enabled_for(service);
+  const auto cert_it = certs_.find(service);
+  const std::uint64_t serial =
+      cert_it != certs_.end() ? cert_it->second.cert.serial : 0;
+  auto [it, added] = compiled_policies_.try_emplace(service);
+  CompiledPolicy& entry = it->second;
+  if (!added && entry.generation == policy_generation_ &&
+      entry.mtls == mtls && entry.cert_serial == serial) {
+    return entry;
+  }
+  SidecarPolicy& policy = entry.policy;
+  static_cast<PolicySection&>(policy) = policies_;
+  policy.service_name = service;
+  policy.tls.enabled = mtls;
+  policy.identity_cert =
+      cert_it != certs_.end() ? cert_it->second.cert : Certificate{};
+  entry.hash = hash_policy_section(policy);
+  entry.generation = policy_generation_;
+  entry.mtls = mtls;
+  entry.cert_serial = serial;
+  return entry;
+}
+
+CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
+  CompiledConfig compiled;
+  const std::string& service = sidecar.config().service_name;
+  const CompiledPolicy& policy = compiled_policy(service);
+  compiled.policy = &policy.policy;
+  compiled.epoch = epoch_;
 
   const ClusterTable& table = cluster_table();
   compiled.table = &table.clusters;
-  compiled.scope = scope_of(table, policy.service_name);
+  compiled.scope = scope_of(table, service);
   compiled.pod = sidecar.pod().name();
   ConfigFingerprint fingerprint;
   const auto size = static_cast<std::size_t>(policies_.subset.subset_size);
@@ -620,7 +643,7 @@ CompiledConfig ControlPlane::compile_config(const Sidecar& sidecar) {
           cpm_.subset_repairs->inc(assigned - size);
         }
       });
-  fingerprint.policy_hash = hash_policy_section(policy);
+  fingerprint.policy_hash = policy.hash;
   fingerprint.hash = compose_config_hash(fingerprint);
   compiled.fingerprint = fingerprint;
   return compiled;

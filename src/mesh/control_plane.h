@@ -171,10 +171,12 @@ class ControlPlane {
   const Certificate* certificate(const std::string& service) const;
 
   /// Operator policy. Non-const access marks the per-epoch cluster table
-  /// stale, so the next compile sees the change; change policy through a
-  /// fresh call, not a reference held across compiles of one epoch.
+  /// and every compiled policy stale, so the next compile sees the
+  /// change; change policy through a fresh call, not a reference held
+  /// across compiles.
   MeshPolicies& policies() noexcept {
     cluster_table_.stale = true;
+    ++policy_generation_;
     return policies_;
   }
   /// The unified observability registry every mesh surface records into.
@@ -279,6 +281,21 @@ class ControlPlane {
   void subscribe(ClusterTable& table, const Sidecar& sidecar, bool reassign);
   /// Recomputes cluster `index`'s narrowed specs from its subscribers.
   void assign_subsets(ClusterTable& table, std::size_t index);
+  /// One service's pushed policy, compiled once and shared by every
+  /// compile of its sidecars until it goes stale.
+  struct CompiledPolicy {
+    SidecarPolicy policy;    ///< epoch 0: each compile carries its own
+    std::uint64_t hash = 0;  ///< hash_policy_section(policy)
+    // What it was compiled from: the policy generation, the service's
+    // mTLS resolution and its certificate serial (0: no certificate).
+    std::uint64_t generation = 0;
+    bool mtls = false;
+    std::uint64_t cert_serial = 0;
+  };
+  /// `service`'s compiled policy, recompiled only when the mesh policy,
+  /// the service's mTLS resolution or its certificate serial changed, so
+  /// an unchanged compile copies no policy.
+  const CompiledPolicy& compiled_policy(const std::string& service);
   CompiledConfig compile_config(const Sidecar& sidecar);
   /// Effective mTLS setting for `service`: per-service override if
   /// present, else the mesh-wide default (policies_.tls.enabled).
@@ -330,6 +347,9 @@ class ControlPlane {
   std::vector<PushState*> stale_;
   ClusterSpecPool spec_pool_;
   ClusterTable cluster_table_;
+  /// Bumped by non-const policies() and by a rollback.
+  std::uint64_t policy_generation_ = 0;
+  std::map<std::string, CompiledPolicy, std::less<>> compiled_policies_;
   struct IssuedCert {
     explicit IssuedCert(sim::Simulator& sim) : rotation_timer(sim) {}
 

@@ -1,5 +1,7 @@
 #include "mesh/filter.h"
 
+#include <algorithm>
+
 namespace meshnet::mesh {
 
 std::string_view traffic_class_name(TrafficClass c) noexcept {
@@ -12,6 +14,24 @@ std::string_view traffic_class_name(TrafficClass c) noexcept {
       return "scavenger";
   }
   return "?";
+}
+
+bool TriedPods::contains(std::uint32_t pod) const noexcept {
+  const auto first = inline_.begin();
+  const auto last = first + static_cast<std::ptrdiff_t>(
+                                std::min(size_, kInline));
+  return std::find(first, last, pod) != last ||
+         std::find(spilled_.begin(), spilled_.end(), pod) != spilled_.end();
+}
+
+void TriedPods::insert(std::uint32_t pod) {
+  if (contains(pod)) return;
+  if (size_ < kInline) {
+    inline_[size_] = pod;
+  } else {
+    spilled_.push_back(pod);
+  }
+  ++size_;
 }
 
 void FilterChain::insert_before(std::string_view name,

@@ -9,6 +9,7 @@
 // study (core/) is implemented entirely as filters plugged in here, which
 // is the paper's "easier evolvability" argument made concrete.
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -36,6 +37,27 @@ std::string_view traffic_class_name(TrafficClass c) noexcept;
 
 enum class FilterDirection { kInbound, kOutbound };
 
+/// A request's upstream cluster id (ClusterSpecRef::cluster_id) before
+/// the sidecar has routed it.
+inline constexpr std::uint32_t kNoCluster = UINT32_MAX;
+
+/// The pod ids one request was sent to, as a set: the first kInline stay
+/// inside the context, more spill to the heap (a request tries at most
+/// max_retries + 1 pods).
+class TriedPods {
+ public:
+  bool empty() const noexcept { return size_ == 0; }
+  bool contains(std::uint32_t pod) const noexcept;
+  /// Adds `pod` unless it is already in the set.
+  void insert(std::uint32_t pod);
+
+ private:
+  static constexpr std::size_t kInline = 4;
+  std::array<std::uint32_t, kInline> inline_{};
+  std::size_t size_ = 0;
+  std::vector<std::uint32_t> spilled_;  ///< pods past the first kInline
+};
+
 /// Per-request state threaded through the filter chain and the upstream
 /// send machinery.
 struct RequestContext {
@@ -43,8 +65,9 @@ struct RequestContext {
   FilterDirection direction = FilterDirection::kOutbound;
   TrafficClass traffic_class = TrafficClass::kDefault;
 
-  /// Route result: which upstream cluster (service) handles the request.
-  std::string upstream_cluster;
+  /// Route result: the upstream cluster the Host header named, resolved
+  /// to its id once by the sidecar (kNoCluster before routing).
+  std::uint32_t cluster_id = kNoCluster;
   /// Subset constraint on endpoint labels (e.g. {"priority","high"}),
   /// typically set by the priority-subset routing filter.
   std::map<std::string, std::string> subset;
@@ -54,8 +77,8 @@ struct RequestContext {
   /// Previous retry backoff, threaded for decorrelated jitter.
   sim::Duration prev_backoff = 0;
   /// Pods already attempted for this request; retries prefer endpoints
-  /// not on this list (Envoy's previous-hosts retry predicate).
-  std::vector<std::string> tried_pods;
+  /// not in this set (Envoy's previous-hosts retry predicate).
+  TriedPods tried_pods;
   Span span;
   bool span_active = false;
 

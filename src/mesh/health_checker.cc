@@ -70,7 +70,7 @@ void HealthChecker::update_targets(
                          return ep.pod_name == pod;
                        });
   };
-  auto it = targets_.lower_bound(Key{cluster, std::string()});
+  auto it = targets_.lower_bound(KeyView{cluster, {}});
   while (it != targets_.end() && it->first.first == cluster) {
     if (listed(it->first.second)) {
       ++it;
@@ -81,9 +81,9 @@ void HealthChecker::update_targets(
   }
 }
 
-bool HealthChecker::healthy(const std::string& cluster,
-                            const std::string& pod) const {
-  const auto it = targets_.find(Key{cluster, pod});
+bool HealthChecker::healthy(std::string_view cluster,
+                            std::string_view pod) const {
+  const auto it = targets_.find(KeyView{cluster, pod});
   return it == targets_.end() ? true : it->second->healthy;
 }
 

@@ -22,6 +22,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -83,7 +85,7 @@ class HealthChecker {
                       net::Port probe_port);
 
   /// Unknown endpoints are presumed healthy (no probe history yet).
-  bool healthy(const std::string& cluster, const std::string& pod) const;
+  bool healthy(std::string_view cluster, std::string_view pod) const;
 
   void set_transition_hook(TransitionHook hook) { hook_ = std::move(hook); }
   const HealthCheckerStats& stats() const noexcept { return stats_; }
@@ -91,6 +93,17 @@ class HealthChecker {
 
  private:
   using Key = std::pair<std::string, std::string>;  ///< (cluster, pod)
+  using KeyView = std::pair<std::string_view, std::string_view>;
+  /// Orders keys and their views alike, so a lookup copies no name.
+  struct KeyLess {
+    using is_transparent = void;
+    static KeyView view(const Key& key) { return {key.first, key.second}; }
+    static KeyView view(const KeyView& key) { return key; }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return view(a) < view(b);
+    }
+  };
 
   struct Target {
     explicit Target(sim::Simulator& sim)
@@ -119,7 +132,7 @@ class HealthChecker {
   transport::TransportHost& host_;
   std::string owner_;
   sim::RngStream rng_;
-  std::map<Key, std::unique_ptr<Target>> targets_;
+  std::map<Key, std::unique_ptr<Target>, KeyLess> targets_;
   TransitionHook hook_;
   HealthCheckerStats stats_;
 };

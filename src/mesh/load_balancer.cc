@@ -27,7 +27,15 @@ const cluster::Endpoint* RoundRobinBalancer::pick(
   return candidates[next_++ % candidates.size()];
 }
 
-RandomBalancer::RandomBalancer(std::uint64_t seed) : rng_(seed, "lb-random") {}
+namespace {
+constexpr std::string_view kRandomStream = "lb-random";
+constexpr std::string_view kLeastRequestStream = "lb-least-request";
+}  // namespace
+
+RandomBalancer::RandomBalancer(std::uint64_t seed)
+    : seed_(seed), rng_(seed, kRandomStream) {}
+
+void RandomBalancer::reset() { rng_ = sim::RngStream(seed_, kRandomStream); }
 
 const cluster::Endpoint* RandomBalancer::pick(
     const std::vector<const cluster::Endpoint*>& candidates,
@@ -37,7 +45,11 @@ const cluster::Endpoint* RandomBalancer::pick(
 }
 
 LeastRequestBalancer::LeastRequestBalancer(std::uint64_t seed)
-    : rng_(seed, "lb-least-request") {}
+    : seed_(seed), rng_(seed, kLeastRequestStream) {}
+
+void LeastRequestBalancer::reset() {
+  rng_ = sim::RngStream(seed_, kLeastRequestStream);
+}
 
 const cluster::Endpoint* LeastRequestBalancer::pick(
     const std::vector<const cluster::Endpoint*>& candidates,

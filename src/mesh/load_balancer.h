@@ -44,6 +44,10 @@ class LoadBalancer {
   virtual const cluster::Endpoint* pick(
       const std::vector<const cluster::Endpoint*>& candidates,
       const LbContext& ctx) = 0;
+
+  /// Returns to the state make_balancer built it in (its seed included),
+  /// so a sidecar restarts a balancer after a config push in place.
+  virtual void reset() = 0;
 };
 
 class RoundRobinBalancer final : public LoadBalancer {
@@ -52,6 +56,7 @@ class RoundRobinBalancer final : public LoadBalancer {
   const cluster::Endpoint* pick(
       const std::vector<const cluster::Endpoint*>& candidates,
       const LbContext& ctx) override;
+  void reset() override { next_ = 0; }
 
  private:
   std::uint64_t next_ = 0;
@@ -64,8 +69,10 @@ class RandomBalancer final : public LoadBalancer {
   const cluster::Endpoint* pick(
       const std::vector<const cluster::Endpoint*>& candidates,
       const LbContext& ctx) override;
+  void reset() override;
 
  private:
+  std::uint64_t seed_;
   sim::RngStream rng_;
 };
 
@@ -77,8 +84,10 @@ class LeastRequestBalancer final : public LoadBalancer {
   const cluster::Endpoint* pick(
       const std::vector<const cluster::Endpoint*>& candidates,
       const LbContext& ctx) override;
+  void reset() override;
 
  private:
+  std::uint64_t seed_;
   sim::RngStream rng_;
 };
 
@@ -90,6 +99,7 @@ class WeightedRoundRobinBalancer final : public LoadBalancer {
   const cluster::Endpoint* pick(
       const std::vector<const cluster::Endpoint*>& candidates,
       const LbContext& ctx) override;
+  void reset() override { credit_.clear(); }
 
  private:
   /// Current credit per endpoint, keyed by pod name.

@@ -47,8 +47,32 @@ Sidecar::Sidecar(sim::Simulator& sim, cluster::Pod& pod, Tracer& tracer,
 
 // --- shared cluster specs ---------------------------------------------------
 
-ClusterSpecRef::ClusterSpecRef(ClusterSpec spec)
-    : shared_(std::make_shared<const Shared>(std::move(spec))) {}
+std::uint32_t NameIds::intern(Table& table, std::string_view name) {
+  const auto it = table.find(name);
+  if (it != table.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(table.size());
+  table.emplace(std::string(name), id);
+  return id;
+}
+
+namespace {
+
+std::vector<std::uint32_t> pod_ids_of(const ClusterSpec& spec, NameIds& ids) {
+  std::vector<std::uint32_t> out;
+  out.reserve(spec.endpoints.size());
+  for (const cluster::Endpoint& ep : spec.endpoints) {
+    out.push_back(ids.pod(ep.pod_name));
+  }
+  return out;
+}
+
+}  // namespace
+
+ClusterSpecRef::Shared::Shared(ClusterSpec s, NameIds& ids)
+    : spec(std::move(s)),
+      hash(hash_cluster_spec(spec)),
+      cluster_id(ids.cluster(spec.name)),
+      pod_ids(pod_ids_of(spec, ids)) {}
 
 ClusterSpecRef ClusterSpecPool::get(ClusterSpec spec) {
   const std::uint64_t hash = hash_cluster_spec(spec);
@@ -63,7 +87,8 @@ ClusterSpecRef ClusterSpecPool::get(ClusterSpec spec) {
                   [](const auto& entry) { return entry.second.expired(); });
     sweep_at_ = 2 * objects_.size() + 64;
   }
-  auto shared = std::make_shared<const ClusterSpecRef::Shared>(std::move(spec));
+  auto shared =
+      std::make_shared<const ClusterSpecRef::Shared>(std::move(spec), ids_);
   objects_.emplace(hash, shared);
   return ClusterSpecRef(std::move(shared));
 }
@@ -427,8 +452,9 @@ bool Sidecar::apply_config_delta(const ConfigDelta& delta) {
 void Sidecar::finish_apply() {
   last_config_error_.clear();
   ++stats_.configs_applied;
-  // Balancers are rebuilt lazily so a changed LB policy takes effect.
-  balancers_.clear();
+  // Each called cluster finds its new spec by name, once per push, and
+  // restarts its balancer, so a changed LB policy takes effect.
+  for (UpstreamSlot& slot : slots_) bind_slot(slot);
   // The admission controller carries state (held slots, queued
   // requests), so it is created once on the first enabling push and
   // survives subsequent pushes.
@@ -472,25 +498,111 @@ void Sidecar::retarget_health(const ClusterMap& before) {
   }
 }
 
-std::uint64_t Sidecar::active_requests_to(const std::string& pod_name) const {
-  const auto it = active_per_endpoint_.find(pod_name);
-  return it == active_per_endpoint_.end() ? 0 : it->second;
+namespace {
+
+/// The index of `ep` in `spec`'s endpoints (`ep` points into them).
+std::size_t endpoint_index(const ClusterSpec& spec,
+                           const cluster::Endpoint& ep) {
+  return static_cast<std::size_t>(&ep - spec.endpoints.data());
 }
 
-CircuitBreaker& Sidecar::breaker_for(const std::string& cluster_name,
-                                     const std::string& pod_name) {
-  const std::string key = cluster_name + "/" + pod_name;
-  const auto it = breakers_.find(key);
-  if (it != breakers_.end()) return it->second;
-  const auto spec_it = config_.clusters.find(cluster_name);
-  CircuitBreakerConfig cfg =
-      spec_it == config_.clusters.end() ? CircuitBreakerConfig{}
-                                        : spec_it->second.breaker;
-  CircuitBreaker& breaker =
-      breakers_.emplace(key, CircuitBreaker(cfg)).first->second;
+/// The id of pod `pod_name` in `spec`, if it is one of its endpoints.
+std::optional<std::uint32_t> pod_id_in(const ClusterSpecRef& spec,
+                                       std::string_view pod_name) {
+  for (std::size_t i = 0; i < spec->endpoints.size(); ++i) {
+    if (spec->endpoints[i].pod_name == pod_name) return spec.pod_id(i);
+  }
+  return std::nullopt;
+}
+
+/// Where id `id` is, or would go, in `items` (sorted by their `id`).
+template <class Items>
+auto id_position(Items& items, std::uint32_t id) {
+  return std::lower_bound(
+      items.begin(), items.end(), id,
+      [](const auto& item, std::uint32_t key) { return item.id < key; });
+}
+
+/// The element of `items` (sorted by their `id`) with id `id`, else null.
+template <class Items>
+auto* find_id(Items& items, std::uint32_t id) {
+  const auto it = id_position(items, id);
+  return it != items.end() && it->id == id ? &*it : nullptr;
+}
+
+}  // namespace
+
+std::uint64_t Sidecar::active_requests_to(std::string_view pod_name) const {
+  std::uint64_t active = 0;
+  for (const UpstreamSlot& slot : slots_) {
+    if (slot.spec == nullptr) continue;
+    if (const auto pod = pod_id_in(*slot.spec, pod_name)) {
+      if (const auto* state = find_id(slot.endpoints, *pod)) {
+        active += state->active;
+      }
+    }
+  }
+  return active;
+}
+
+const CircuitBreaker* Sidecar::breaker(std::string_view cluster_name,
+                                       std::string_view pod_name) const {
+  const ClusterSpecRef* spec = config_.clusters.ref(cluster_name);
+  if (spec == nullptr) return nullptr;
+  const UpstreamSlot* slot = find_id(slots_, spec->cluster_id());
+  const auto pod = pod_id_in(*spec, pod_name);
+  if (slot == nullptr || !pod) return nullptr;
+  const auto* state = find_id(slot->endpoints, *pod);
+  return state != nullptr && state->breaker ? &*state->breaker : nullptr;
+}
+
+Sidecar::UpstreamSlot& Sidecar::slot_for(const ClusterSpecRef& spec) {
+  const std::uint32_t id = spec.cluster_id();
+  const auto it = id_position(slots_, id);
+  if (it != slots_.end() && it->id == id) return *it;
+  UpstreamSlot slot;
+  slot.id = id;
+  slot.name = spec->name;
+  // Seed from a hash of the service + cluster so picks are deterministic
+  // but uncorrelated across sidecars. The basis is one digit short of
+  // FNV's; changing it would reseed every balancer.
+  slot.balancer_seed = util::fnv1a(config_.service_name + "|" + slot.name,
+                                   1469598103934665603ULL);
+  UpstreamSlot& created = *slots_.insert(it, std::move(slot));
+  bind_slot(created);
+  return created;
+}
+
+void Sidecar::bind_slot(UpstreamSlot& slot) {
+  slot.spec = config_.clusters.ref(slot.name);
+  if (slot.spec == nullptr) return;
+  const LbPolicy policy = (*slot.spec)->lb;
+  if (slot.balancer != nullptr && slot.balancer_policy == policy) {
+    slot.balancer->reset();
+    return;
+  }
+  slot.balancer = make_balancer(policy, slot.balancer_seed);
+  slot.balancer_policy = policy;
+}
+
+Sidecar::EndpointState& Sidecar::endpoint_state(UpstreamSlot& slot,
+                                                std::uint32_t pod_id) {
+  const auto it = id_position(slot.endpoints, pod_id);
+  if (it != slot.endpoints.end() && it->id == pod_id) return *it;
+  EndpointState state;
+  state.id = pod_id;
+  return *slot.endpoints.insert(it, std::move(state));
+}
+
+CircuitBreaker& Sidecar::breaker_for(const UpstreamSlot& slot,
+                                     EndpointState& state,
+                                     const cluster::Endpoint& ep) {
+  if (state.breaker) return *state.breaker;
+  CircuitBreaker& breaker = state.breaker.emplace((*slot.spec)->breaker);
   if (telemetry_ != nullptr) {
     breaker.set_transition_hook(
-        [this, key](CircuitState from, CircuitState to, sim::Time at) {
+        [this, key = slot.name + "/" + ep.pod_name](
+            CircuitState from, CircuitState to, sim::Time at) {
           telemetry_->record_event(
               at, obs::EventKind::kBreaker, config_.service_name + "->" + key,
               std::string(circuit_state_name(from)) + "->" +
@@ -547,7 +659,7 @@ void Sidecar::accept_session(transport::Connection& conn,
         s.busy && s.upstream_pool != nullptr && s.upstream_req != 0;
     if (abandoned_upstream) s.upstream_pool->cancel(s.upstream_req);
     Ctx abandoned = abandoned_upstream ? std::move(s.active) : nullptr;
-    const std::string cluster = s.upstream_cluster;
+    const std::uint32_t cluster = s.upstream_cluster;
     sessions_.erase(it);
     if (abandoned != nullptr) {
       ++stats_.downstream_aborts;
@@ -776,17 +888,19 @@ void Sidecar::forward_to_app(std::uint64_t session_id, Ctx ctx) {
 }
 
 void Sidecar::finish_outbound(std::uint64_t session_id, const Ctx& ctx,
-                              const std::string& cluster_name,
+                              std::uint32_t cluster_id,
                               http::HttpResponse response) {
-  if (telemetry_ != nullptr && !cluster_name.empty()) {
-    RequestSample sample;
-    sample.source = config_.service_name;
-    sample.upstream = cluster_name;
-    sample.status = response.status;
-    sample.latency = sim_.now() - ctx->start_time;
-    sample.retries = ctx->attempt;
-    sample.priority = ctx->traffic_class;
-    telemetry_->record_request(sample);
+  if (telemetry_ != nullptr && cluster_id != kNoCluster) {
+    UpstreamSlot& slot = *find_id(slots_, cluster_id);
+    if (slot.telemetry.edge == nullptr) {
+      slot.telemetry = telemetry_->route(config_.service_name, slot.name);
+    }
+    RequestOutcome outcome;
+    outcome.status = response.status;
+    outcome.latency = sim_.now() - ctx->start_time;
+    outcome.retries = ctx->attempt;
+    outcome.priority = ctx->traffic_class;
+    telemetry_->record_request(slot.telemetry, outcome);
   }
   // Closing the outbound chain here — not at each call site — is what
   // guarantees every request span gets an end time: 404s, vanished
@@ -796,44 +910,39 @@ void Sidecar::finish_outbound(std::uint64_t session_id, const Ctx& ctx,
   respond_to_session(session_id, ctx, std::move(response));
 }
 
-std::vector<const cluster::Endpoint*> Sidecar::eligible_endpoints(
-    const ClusterSpec& spec, const RequestContext& ctx, bool ignore_health) {
+void Sidecar::eligible_endpoints(const ClusterSpec& spec,
+                                 const RequestContext& ctx,
+                                 bool ignore_health,
+                                 std::vector<const cluster::Endpoint*>& out) {
   // Active health checking narrows the candidate set first; if *every*
   // endpoint is evicted, panic-route over the full set (Envoy's panic
   // threshold, degenerate form) — probes can be wrong, a guaranteed 503
   // never is right.
-  std::vector<const cluster::Endpoint*> considered;
+  out.clear();
   for (const cluster::Endpoint& ep : spec.endpoints) {
     if (ignore_health || !spec.health_check.enabled ||
         health_checker_ == nullptr ||
         health_checker_->healthy(spec.name, ep.pod_name)) {
-      considered.push_back(&ep);
+      out.push_back(&ep);
     }
   }
-  if (considered.empty()) {
-    for (const cluster::Endpoint& ep : spec.endpoints) {
-      considered.push_back(&ep);
-    }
+  if (out.empty()) {
+    for (const cluster::Endpoint& ep : spec.endpoints) out.push_back(&ep);
   }
-
-  std::vector<const cluster::Endpoint*> subset_matched;
-  std::vector<const cluster::Endpoint*> all;
-  for (const cluster::Endpoint* ep_ptr : considered) {
-    const cluster::Endpoint& ep = *ep_ptr;
-    all.push_back(&ep);
-    bool matches = true;
+  if (ctx.subset.empty()) return;
+  const auto matches = [&ctx](const cluster::Endpoint* ep) {
     for (const auto& [key, value] : ctx.subset) {
-      if (ep.label_or(key, "") != value) {
-        matches = false;
-        break;
-      }
+      if (ep->label_or(key, "") != value) return false;
     }
-    if (matches) subset_matched.push_back(&ep);
-  }
+    return true;
+  };
   // A subset constraint that matches no endpoint falls back to the full
   // healthy set instead of failing (Envoy's ANY_ENDPOINT fallback).
-  if (!subset_matched.empty() || ctx.subset.empty()) return subset_matched;
-  return all;
+  if (std::any_of(out.begin(), out.end(), matches)) {
+    std::erase_if(out, [&](const cluster::Endpoint* ep) {
+      return !matches(ep);
+    });
+  }
 }
 
 HttpClientPool& Sidecar::pool_for(const cluster::Endpoint& endpoint,
@@ -872,18 +981,6 @@ HttpClientPool& Sidecar::pool_for(const cluster::Endpoint& endpoint,
   return ref;
 }
 
-LoadBalancer& Sidecar::balancer_for(const ClusterSpec& spec) {
-  const auto it = balancers_.find(spec.name);
-  if (it != balancers_.end()) return *it->second;
-  // Seed from a hash of the service + cluster so picks are deterministic
-  // but uncorrelated across sidecars. The basis is one digit short of
-  // FNV's; changing it would reseed every balancer.
-  const std::uint64_t seed = util::fnv1a(
-      config_.service_name + "|" + spec.name, 1469598103934665603ULL);
-  return *balancers_.emplace(spec.name, make_balancer(spec.lb, seed))
-              .first->second;
-}
-
 transport::ConnectionOptions Sidecar::connection_options_for(
     TrafficClass traffic_class) const {
   transport::ConnectionOptions options;
@@ -897,18 +994,17 @@ transport::ConnectionOptions Sidecar::connection_options_for(
 }
 
 void Sidecar::route_and_forward(std::uint64_t session_id, Ctx ctx) {
-  const std::string host(
-      ctx->request.headers.get_or(http::headers::Id::kHost, ""));
-  if (!ctx->upstream_cluster.empty()) {
-    // A filter already routed (e.g. traffic shifting); keep it.
-  } else if (config_.clusters.contains(host)) {
-    // The Host header names the cluster.
-    ctx->upstream_cluster = host;
-  } else {
-    finish_outbound(session_id, ctx, /*cluster_name=*/"",
-                    make_local_response(404, "no route for host " + host));
+  // The Host header names the cluster: the request's one name lookup.
+  const std::string_view host =
+      ctx->request.headers.get_or(http::headers::Id::kHost, "");
+  const ClusterSpecRef* spec = config_.clusters.ref(host);
+  if (spec == nullptr) {
+    finish_outbound(
+        session_id, ctx, kNoCluster,
+        make_local_response(404, "no route for host " + std::string(host)));
     return;
   }
+  ctx->cluster_id = slot_for(*spec).id;
   const auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
   it->second->deadline = sim_.now() + config_.request_timeout;
@@ -939,13 +1035,12 @@ void Sidecar::on_request_deadline(std::uint64_t session_id, Ctx ctx,
     // Unwind through the normal result path so per-endpoint/per-cluster
     // accounting and the breaker see the failure; the deadline check
     // there suppresses any retry.
-    on_upstream_result(session_id, ctx, s.upstream_cluster,
-                       s.upstream_endpoint, std::nullopt,
-                       "request deadline exceeded");
+    on_upstream_result(session_id, ctx, s.upstream_cluster, s.upstream_pod,
+                       std::nullopt, "request deadline exceeded");
     return;
   }
   // Between attempts (retry backoff): nothing in flight to unwind.
-  finish_outbound(session_id, ctx, ctx->upstream_cluster,
+  finish_outbound(session_id, ctx, ctx->cluster_id,
                   make_local_response(504, "request deadline exceeded"));
 }
 
@@ -954,38 +1049,42 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   if (sess_it == sessions_.end()) return;  // downstream gone
   ServerSession& session = *sess_it->second;
 
-  const auto cluster_it = config_.clusters.find(ctx->upstream_cluster);
-  if (cluster_it == config_.clusters.end()) {
-    finish_outbound(session_id, ctx, ctx->upstream_cluster,
+  UpstreamSlot& slot = *find_id(slots_, ctx->cluster_id);
+  if (slot.spec == nullptr) {
+    finish_outbound(session_id, ctx, ctx->cluster_id,
                     make_local_response(503, "cluster vanished"));
     return;
   }
-  const ClusterSpec& spec = cluster_it->second;
+  const ClusterSpecRef& ref = *slot.spec;
+  const ClusterSpec& spec = *ref;
 
   if (sim_.now() >= session.deadline) {
     ++stats_.timeouts;
-    finish_outbound(session_id, ctx, ctx->upstream_cluster,
+    finish_outbound(session_id, ctx, ctx->cluster_id,
                     make_local_response(504, "request deadline exceeded"));
     return;
   }
 
-  std::vector<const cluster::Endpoint*> candidates =
-      eligible_endpoints(spec, *ctx);
-  LbContext lb_ctx;
-  lb_ctx.active_requests = [this](const cluster::Endpoint& ep) {
-    return active_requests_to(ep.pod_name);
+  const auto pod_id_of = [&](const cluster::Endpoint& ep) {
+    return ref.pod_id(endpoint_index(spec, ep));
   };
-  LoadBalancer& balancer = balancer_for(spec);
-  const auto pick_allowed =
-      [&](std::vector<const cluster::Endpoint*> pool) -> const
-      cluster::Endpoint* {
-    while (!pool.empty()) {
-      const cluster::Endpoint* pick = balancer.pick(pool, lb_ctx);
+  eligible_endpoints(spec, *ctx, /*ignore_health=*/false, candidates_);
+  LbContext lb_ctx;
+  lb_ctx.active_requests = [&slot](const cluster::Endpoint& ep) {
+    const auto* state = find_id(
+        slot.endpoints, slot.spec->pod_id(endpoint_index(**slot.spec, ep)));
+    return state != nullptr ? state->active : std::uint64_t{0};
+  };
+  // Picks from pick_pool_, dropping each breaker-rejected pick from it.
+  const auto pick_allowed = [&]() -> const cluster::Endpoint* {
+    while (!pick_pool_.empty()) {
+      const cluster::Endpoint* pick = slot.balancer->pick(pick_pool_, lb_ctx);
       if (pick == nullptr) break;
-      if (breaker_for(spec.name, pick->pod_name).allow_request(sim_.now())) {
+      EndpointState& state = endpoint_state(slot, pod_id_of(*pick));
+      if (breaker_for(slot, state, *pick).allow_request(sim_.now())) {
         return pick;
       }
-      pool.erase(std::find(pool.begin(), pool.end(), pick));
+      pick_pool_.erase(std::find(pick_pool_.begin(), pick_pool_.end(), pick));
     }
     return nullptr;
   };
@@ -993,16 +1092,10 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // (Envoy's previous-hosts retry predicate): a retry that re-picks the
   // pod that just timed out burns its whole per-try budget relearning
   // what the request already knows.
-  const auto without_tried = [&](std::vector<const cluster::Endpoint*> pool) {
-    if (ctx->tried_pods.empty()) return pool;
-    std::vector<const cluster::Endpoint*> untried;
-    for (const cluster::Endpoint* ep : pool) {
-      if (std::find(ctx->tried_pods.begin(), ctx->tried_pods.end(),
-                    ep->pod_name) == ctx->tried_pods.end()) {
-        untried.push_back(ep);
-      }
-    }
-    return untried;
+  const auto drop_tried = [&] {
+    std::erase_if(pick_pool_, [&](const cluster::Endpoint* ep) {
+      return ctx->tried_pods.contains(pod_id_of(*ep));
+    });
   };
   // Preference order: (1) health-admitted and untried; (2) any untried
   // endpoint, health belief ignored — under a churn storm the
@@ -1010,27 +1103,33 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // that just timed out for THIS request is stronger evidence than a
   // stale probe verdict for another; (3) health-admitted, tried or not;
   // (4) anything. Breakers are honored at every tier.
-  const cluster::Endpoint* chosen = pick_allowed(without_tried(candidates));
+  pick_pool_ = candidates_;
+  drop_tried();
+  const cluster::Endpoint* chosen = pick_allowed();
   const bool health_filtered =
       spec.health_check.enabled && health_checker_ != nullptr;
   if (chosen == nullptr && health_filtered && !ctx->tried_pods.empty()) {
-    chosen = pick_allowed(without_tried(
-        eligible_endpoints(spec, *ctx, /*ignore_health=*/true)));
+    eligible_endpoints(spec, *ctx, /*ignore_health=*/true, pick_pool_);
+    drop_tried();
+    chosen = pick_allowed();
     if (chosen != nullptr) ++stats_.panic_picks;
   }
-  if (chosen == nullptr) chosen = pick_allowed(std::move(candidates));
+  if (chosen == nullptr) {
+    pick_pool_ = candidates_;
+    chosen = pick_allowed();
+  }
   if (chosen == nullptr && health_filtered) {
     // Second-level panic: every endpoint the health checker admits is
     // breaker-rejected. Probes can be wrong; a guaranteed 503 never is
     // right.
-    chosen =
-        pick_allowed(eligible_endpoints(spec, *ctx, /*ignore_health=*/true));
+    eligible_endpoints(spec, *ctx, /*ignore_health=*/true, pick_pool_);
+    chosen = pick_allowed();
     if (chosen != nullptr) ++stats_.panic_picks;
   }
   if (chosen == nullptr) {
     ++stats_.upstream_failures;
     finish_outbound(
-        session_id, ctx, spec.name,
+        session_id, ctx, ctx->cluster_id,
         make_local_response(503, "no healthy upstream in " + spec.name));
     return;
   }
@@ -1053,48 +1152,46 @@ void Sidecar::attempt_upstream(std::uint64_t session_id, Ctx ctx) {
   // Host header tells the remote side which service was meant (the moral
   // equivalent of Istio's iptables redirect preserving metadata).
   HttpClientPool& pool = pool_for(*chosen, ctx->traffic_class, spec.mtls);
-  ++active_per_endpoint_[chosen->pod_name];
-
-  const std::string endpoint_pod = chosen->pod_name;
-  if (std::find(ctx->tried_pods.begin(), ctx->tried_pods.end(),
-                endpoint_pod) == ctx->tried_pods.end()) {
-    ctx->tried_pods.push_back(endpoint_pod);
-  }
-  const std::string cluster_name = spec.name;
-  session.upstream_cluster = cluster_name;
-  session.upstream_endpoint = endpoint_pod;
+  const std::uint32_t cluster_id = ctx->cluster_id;
+  const std::uint32_t pod_id = pod_id_of(*chosen);
+  ++endpoint_state(slot, pod_id).active;
+  ctx->tried_pods.insert(pod_id);
+  session.upstream_cluster = cluster_id;
+  session.upstream_pod = pod_id;
   session.upstream_pool = &pool;
   session.upstream_req = pool.request(
       ctx->request,
-      [this, session_id, ctx, cluster_name, endpoint_pod](
+      [this, session_id, ctx, cluster_id, pod_id](
           std::optional<http::HttpResponse> response,
           const std::string& error) {
-        on_upstream_result(session_id, ctx, cluster_name, endpoint_pod,
+        on_upstream_result(session_id, ctx, cluster_id, pod_id,
                            std::move(response), error);
       });
 
   if (config_.retry.per_try_timeout > 0) {
-    session.try_timer.arm_after(
-        config_.retry.per_try_timeout,
-        [this, session_id, ctx, cluster_name, endpoint_pod] {
-          const auto it = sessions_.find(session_id);
-          if (it == sessions_.end()) return;
-          ServerSession& s = *it->second;
-          if (s.upstream_pool != nullptr && s.upstream_req != 0) {
-            s.upstream_pool->cancel(s.upstream_req);
-            s.upstream_pool = nullptr;
-            s.upstream_req = 0;
-          }
-          ++stats_.timeouts;
-          on_upstream_result(session_id, ctx, cluster_name, endpoint_pod,
-                             std::nullopt, "per-try timeout");
-        });
+    auto on_try_timeout = [this, session_id, ctx, cluster_id, pod_id] {
+      const auto it = sessions_.find(session_id);
+      if (it == sessions_.end()) return;
+      ServerSession& s = *it->second;
+      if (s.upstream_pool != nullptr && s.upstream_req != 0) {
+        s.upstream_pool->cancel(s.upstream_req);
+        s.upstream_pool = nullptr;
+        s.upstream_req = 0;
+      }
+      ++stats_.timeouts;
+      on_upstream_result(session_id, ctx, cluster_id, pod_id, std::nullopt,
+                         "per-try timeout");
+    };
+    static_assert(sim::InlineTask::fits_inline<decltype(on_try_timeout)>(),
+                  "the per-try timeout closure must not spill to the heap");
+    session.try_timer.arm_after(config_.retry.per_try_timeout,
+                                std::move(on_try_timeout));
   }
 }
 
 void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
-                                 const std::string& cluster_name,
-                                 const std::string& endpoint_pod,
+                                 std::uint32_t cluster_id,
+                                 std::uint32_t pod_id,
                                  std::optional<http::HttpResponse> response,
                                  const std::string& error) {
   const auto sess_it = sessions_.find(session_id);
@@ -1104,8 +1201,10 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
     s.upstream_pool = nullptr;
     s.upstream_req = 0;
   }
-  auto& active = active_per_endpoint_[endpoint_pod];
-  if (active > 0) --active;
+  // The attempt's pick created this endpoint's state and breaker.
+  EndpointState& endpoint =
+      *find_id(find_id(slots_, cluster_id)->endpoints, pod_id);
+  if (endpoint.active > 0) --endpoint.active;
 
   // An x-mesh-shed 503 is the upstream's admission controller saying
   // "overloaded, by policy": the endpoint is alive and answering fast.
@@ -1116,7 +1215,7 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
       response.has_value() &&
       response->headers.has(http::headers::Id::kShedReason);
 
-  CircuitBreaker& breaker = breaker_for(cluster_name, endpoint_pod);
+  CircuitBreaker& breaker = *endpoint.breaker;
   const bool success = response.has_value() && response->status < 500;
   if (success || shed_by_upstream) {
     breaker.on_success(sim_.now());
@@ -1158,7 +1257,7 @@ void Sidecar::on_upstream_result(std::uint64_t session_id, Ctx ctx,
                                      "upstream failed: " + error);
   if (!success) ++stats_.upstream_failures;
 
-  finish_outbound(session_id, ctx, cluster_name, std::move(final_response));
+  finish_outbound(session_id, ctx, cluster_id, std::move(final_response));
 }
 
 }  // namespace meshnet::mesh

@@ -92,20 +92,46 @@ struct ClusterSpec {
 /// check, mTLS) — the unit of change a ConfigDelta upserts.
 std::uint64_t hash_cluster_spec(const ClusterSpec& spec);
 
+/// Dense integer ids for cluster and pod names: each name gets the next
+/// id the first time it is seen, and keeps it for the table's lifetime (an
+/// id is never renumbered or reused). The control plane's spec pool stamps
+/// them into every spec it builds, so the data path keys per-cluster and
+/// per-endpoint state by integer. Ids are never hashed or sent on the
+/// wire: fingerprints and modelled push bytes do not see them.
+class NameIds {
+ public:
+  std::uint32_t cluster(std::string_view name) {
+    return intern(clusters_, name);
+  }
+  std::uint32_t pod(std::string_view name) { return intern(pods_, name); }
+
+ private:
+  using Table = std::map<std::string, std::uint32_t, std::less<>>;
+  static std::uint32_t intern(Table& table, std::string_view name);
+
+  Table clusters_;
+  Table pods_;
+};
+
 /// A compiled cluster spec shared by reference: immutable once built, with
 /// its hash_cluster_spec computed by the constructor from the content and
 /// never set afterwards, so every holder may trust hash() without
-/// rehashing. The control plane builds its specs through a ClusterSpecPool,
-/// so equal content is one object; compiled configs, pushes and each
-/// sidecar's running config hold pointers to it instead of copies.
+/// rehashing. Every ref comes from a ClusterSpecPool, so equal content is
+/// one object; compiled configs, pushes and each sidecar's running config
+/// hold pointers to it instead of copies. A sidecar's clusters must all
+/// come from one pool (its control plane's), so that an id names one
+/// cluster.
 class ClusterSpecRef {
  public:
-  /// Shares `spec`. Implicit: a ClusterSpec is accepted wherever a ref is.
-  ClusterSpecRef(ClusterSpec spec);  // NOLINT(google-explicit-constructor)
-
   const ClusterSpec& operator*() const noexcept { return shared_->spec; }
   const ClusterSpec* operator->() const noexcept { return &shared_->spec; }
   std::uint64_t hash() const noexcept { return shared_->hash; }
+  /// The cluster's id in its pool's NameIds.
+  std::uint32_t cluster_id() const noexcept { return shared_->cluster_id; }
+  /// The pod id of `(*this)->endpoints[i]`.
+  std::uint32_t pod_id(std::size_t i) const noexcept {
+    return shared_->pod_ids[i];
+  }
   /// True when both refs point at one object (so their content is equal).
   bool same_object(const ClusterSpecRef& other) const noexcept {
     return shared_ == other.shared_;
@@ -114,10 +140,11 @@ class ClusterSpecRef {
  private:
   friend class ClusterSpecPool;
   struct Shared {
-    explicit Shared(ClusterSpec s)
-        : spec(std::move(s)), hash(hash_cluster_spec(spec)) {}
+    Shared(ClusterSpec s, NameIds& ids);
     const ClusterSpec spec;
     const std::uint64_t hash;
+    const std::uint32_t cluster_id;
+    const std::vector<std::uint32_t> pod_ids;  ///< parallel to endpoints
   };
   explicit ClusterSpecRef(std::shared_ptr<const Shared> shared)
       : shared_(std::move(shared)) {}
@@ -125,9 +152,10 @@ class ClusterSpecRef {
 };
 
 /// Hash-consing for cluster specs: get() returns the live object with
-/// equal content when one exists, else a new one. An unchanged cluster
-/// therefore keeps its object across epochs and across the sidecars
-/// that hold it, and a content change is a pointer change.
+/// equal content when one exists, else a new one stamped with this pool's
+/// ids. An unchanged cluster therefore keeps its object across epochs and
+/// across the sidecars that hold it, and a content change is a pointer
+/// change.
 class ClusterSpecPool {
  public:
   ClusterSpecRef get(ClusterSpec spec);
@@ -137,6 +165,7 @@ class ClusterSpecPool {
                           std::weak_ptr<const ClusterSpecRef::Shared>>
       objects_;  ///< by hash; entries of dead objects are swept lazily
   std::size_t sweep_at_ = 64;
+  NameIds ids_;
 };
 
 /// A config's clusters in name order, each keyed by its own spec's name,
@@ -413,13 +442,14 @@ class Sidecar {
   const cluster::Pod& pod() const noexcept { return pod_; }
   const SidecarStats& stats() const noexcept { return stats_; }
 
-  /// Outstanding upstream requests to one endpoint (used by the
-  /// least-request balancer and exposed for tests).
-  std::uint64_t active_requests_to(const std::string& pod_name) const;
+  /// Outstanding upstream requests to one endpoint of the running
+  /// config (what the least-request balancer reads).
+  std::uint64_t active_requests_to(std::string_view pod_name) const;
 
-  /// The breaker guarding one endpoint (created on first use).
-  CircuitBreaker& breaker_for(const std::string& cluster_name,
-                              const std::string& pod_name);
+  /// The breaker guarding one endpoint of a running cluster; null until
+  /// the sidecar first picked that endpoint.
+  const CircuitBreaker* breaker(std::string_view cluster_name,
+                                std::string_view pod_name) const;
 
   /// The active health checker (created in start(); null before).
   HealthChecker* health_checker() noexcept { return health_checker_.get(); }
@@ -450,8 +480,8 @@ class Sidecar {
     sim::Timer try_timer;
     HttpClientPool* upstream_pool = nullptr;
     HttpClientPool::RequestId upstream_req = 0;
-    std::string upstream_cluster;
-    std::string upstream_endpoint;
+    std::uint32_t upstream_cluster = kNoCluster;
+    std::uint32_t upstream_pod = 0;
     sim::Time deadline = 0;
     sim::Timer deadline_timer;
     // Bumped on every response; async timers and backoff wakeups captured
@@ -468,6 +498,35 @@ class Sidecar {
     TrafficClass traffic_class;
     bool tls;
     auto operator<=>(const PoolKey&) const = default;
+  };
+
+  /// One endpoint of an upstream cluster.
+  struct EndpointState {
+    std::uint32_t id = 0;  ///< the pod's id
+    std::uint64_t active = 0;  ///< outstanding requests to the endpoint
+    /// Created with the cluster's breaker config at the first pick.
+    std::optional<CircuitBreaker> breaker;
+  };
+
+  /// What the sidecar keeps for one cluster it has called: created when
+  /// the first request is routed there and kept for the sidecar's life,
+  /// also while a push leaves the cluster out, so its breakers survive.
+  struct UpstreamSlot {
+    std::uint32_t id = kNoCluster;  ///< the cluster's id
+    std::string name;
+    /// The running config's spec for this cluster, resolved by name once
+    /// per applied push (null while the config has no such cluster).
+    const ClusterSpecRef* spec = nullptr;
+    /// Computed once from the service and cluster names.
+    std::uint64_t balancer_seed = 0;
+    /// Restarted in place by every applied push, and rebuilt only when
+    /// the cluster's LB policy changes.
+    std::unique_ptr<LoadBalancer> balancer;
+    LbPolicy balancer_policy = LbPolicy::kRoundRobin;
+    std::vector<EndpointState> endpoints;  ///< sorted by id
+    /// The edge's telemetry series, resolved at its first recorded
+    /// request (interning them earlier would add series).
+    TelemetrySink::Route telemetry;
   };
 
   using Ctx = std::shared_ptr<RequestContext>;
@@ -496,8 +555,7 @@ class Sidecar {
   /// closing the request span on every path — and answers the downstream
   /// session.
   void finish_outbound(std::uint64_t session_id, const Ctx& ctx,
-                       const std::string& cluster_name,
-                       http::HttpResponse response);
+                       std::uint32_t cluster_id, http::HttpResponse response);
   /// Re-targets health checking after the running clusters replaced
   /// `before`: only the clusters whose spec object changed, then the
   /// removed ones.
@@ -506,13 +564,27 @@ class Sidecar {
   void on_request_deadline(std::uint64_t session_id, Ctx ctx,
                            std::uint64_t seq);
   void on_upstream_result(std::uint64_t session_id, Ctx ctx,
-                          const std::string& cluster_name,
-                          const std::string& endpoint_pod,
+                          std::uint32_t cluster_id, std::uint32_t pod_id,
                           std::optional<http::HttpResponse> response,
                           const std::string& error);
-  std::vector<const cluster::Endpoint*> eligible_endpoints(
-      const ClusterSpec& spec, const RequestContext& ctx,
-      bool ignore_health = false);
+  /// Fills `out` with the endpoints of `spec` a pick may choose from, in
+  /// spec order: health-admitted ones (all when none is, or when
+  /// `ignore_health`), narrowed to the request's subset when any matches.
+  void eligible_endpoints(const ClusterSpec& spec, const RequestContext& ctx,
+                          bool ignore_health,
+                          std::vector<const cluster::Endpoint*>& out);
+  /// The slot of `spec`'s cluster, created on first use.
+  UpstreamSlot& slot_for(const ClusterSpecRef& spec);
+  /// Points `slot` at the running config's spec and restarts its
+  /// balancer, as after a fresh build.
+  void bind_slot(UpstreamSlot& slot);
+  /// The state of `slot`'s endpoint `pod_id`, created on first use.
+  static EndpointState& endpoint_state(UpstreamSlot& slot,
+                                       std::uint32_t pod_id);
+  /// The breaker guarding `state`, `ep` of `slot`'s running spec; created
+  /// on first use.
+  CircuitBreaker& breaker_for(const UpstreamSlot& slot, EndpointState& state,
+                              const cluster::Endpoint& ep);
   /// The pool to `endpoint`'s inbound sidecar listener.
   HttpClientPool& pool_for(const cluster::Endpoint& endpoint,
                            TrafficClass traffic_class, bool mtls);
@@ -527,7 +599,6 @@ class Sidecar {
   /// meshes that actually enable mTLS ever create it, so legacy metric
   /// snapshots stay byte-identical.
   TlsRuntime& tls_runtime();
-  LoadBalancer& balancer_for(const ClusterSpec& spec);
   transport::ConnectionOptions connection_options_for(
       TrafficClass traffic_class) const;
   http::HttpResponse make_local_response(int status, std::string_view body);
@@ -547,9 +618,12 @@ class Sidecar {
   std::map<std::uint64_t, std::unique_ptr<ServerSession>> sessions_;
   std::map<PoolKey, std::unique_ptr<HttpClientPool>> pools_;
   std::unique_ptr<HttpClientPool> app_pool_;
-  std::map<std::string, std::unique_ptr<LoadBalancer>> balancers_;
-  std::map<std::string, std::uint64_t> active_per_endpoint_;
-  std::map<std::string, CircuitBreaker> breakers_;
+  std::vector<UpstreamSlot> slots_;  ///< sorted by id
+  /// Reused by every attempt's endpoint pick, so a pick allocates only
+  /// while they grow: the eligible endpoints, and the ones a tier of the
+  /// pick still considers.
+  std::vector<const cluster::Endpoint*> candidates_;
+  std::vector<const cluster::Endpoint*> pick_pool_;
   std::unique_ptr<HealthChecker> health_checker_;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<TlsRuntime> tls_runtime_;

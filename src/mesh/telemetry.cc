@@ -43,8 +43,10 @@ TelemetrySink::EdgeCells& TelemetrySink::edge_cells(
   cells.requests = &registry_->counter("mesh_requests_total", labels);
   cells.failures = &registry_->counter("mesh_failures_total", labels);
   cells.retries = &registry_->counter("mesh_retries_total", labels);
-  return edge_cells_.emplace(std::make_pair(source, upstream), cells)
-      .first->second;
+  const auto inserted =
+      edge_cells_.emplace(std::make_pair(source, upstream), cells).first;
+  inserted->second.key = &inserted->first;
+  return inserted->second;
 }
 
 TelemetrySink::ClusterCells& TelemetrySink::cluster_cells(
@@ -58,32 +60,45 @@ TelemetrySink::ClusterCells& TelemetrySink::cluster_cells(
   return cluster_cells_.emplace(cluster, cells).first->second;
 }
 
+TelemetrySink::Route TelemetrySink::route(const std::string& source,
+                                          const std::string& upstream) {
+  Route route;
+  route.edge = &edge_cells(source, upstream);
+  route.cluster = &cluster_cells(upstream);
+  return route;
+}
+
 void TelemetrySink::record_request(const RequestSample& sample) {
-  EdgeCells& edge = edge_cells(sample.source, sample.upstream);
-  ClusterCells& cluster = cluster_cells(sample.upstream);
+  record_request(route(sample.source, sample.upstream), sample);
+}
+
+void TelemetrySink::record_request(const Route& route,
+                                   const RequestOutcome& outcome) {
+  EdgeCells& edge = *route.edge;
+  ClusterCells& cluster = *route.cluster;
 
   edge.requests->inc();
   cluster.requests->inc();
   requests_total_->inc();
-  if (is_failure(sample.status)) {
+  if (is_failure(outcome.status)) {
     edge.failures->inc();
     cluster.failures->inc();
     failures_total_->inc();
   }
-  if (sample.retries > 0) {
-    edge.retries->inc(static_cast<std::uint64_t>(sample.retries));
+  if (outcome.retries > 0) {
+    edge.retries->inc(static_cast<std::uint64_t>(outcome.retries));
   }
-  if (sample.latency > 0) {
-    const std::size_t idx = class_index(sample.priority);
+  if (outcome.latency > 0) {
+    const std::size_t idx = class_index(outcome.priority);
     obs::Histogram*& cell = edge.latency_by_class[idx];
     if (!cell) {
       cell = &registry_->histogram(
           "mesh_request_latency_ns",
-          {{"source", sample.source},
-           {"upstream", sample.upstream},
-           {"class", std::string(traffic_class_name(sample.priority))}});
+          {{"source", edge.key->first},
+           {"upstream", edge.key->second},
+           {"class", std::string(traffic_class_name(outcome.priority))}});
     }
-    cell->record(static_cast<std::uint64_t>(sample.latency));
+    cell->record(static_cast<std::uint64_t>(outcome.latency));
   }
 }
 

@@ -37,14 +37,19 @@
 
 namespace meshnet::mesh {
 
-/// One proxied request, as the sidecar reports it.
-struct RequestSample {
-  std::string source;    ///< caller service
-  std::string upstream;  ///< upstream cluster that (should have) served it
-  int status = 0;        ///< final HTTP status; <= 0 means transport error
+/// How one proxied request ended.
+struct RequestOutcome {
+  int status = 0;             ///< final HTTP status; <= 0 means transport error
   sim::Duration latency = 0;  ///< end-to-end through the sidecar, ns
   int retries = 0;            ///< attempts beyond the first
   TrafficClass priority = TrafficClass::kDefault;
+};
+
+/// One proxied request with its edge named (probes, benches and tests; a
+/// sidecar records through the edge's resolved TelemetrySink::Route).
+struct RequestSample : RequestOutcome {
+  std::string source;    ///< caller service
+  std::string upstream;  ///< upstream cluster that (should have) served it
 };
 
 /// Materialized view of one edge's series (built from the registry on
@@ -74,6 +79,19 @@ class TelemetrySink {
   TelemetrySink(const TelemetrySink&) = delete;
   TelemetrySink& operator=(const TelemetrySink&) = delete;
 
+  struct EdgeCells;
+  struct ClusterCells;
+  /// The series one (source -> upstream) edge records into. Resolving a
+  /// route interns them, so a caller resolves it at its first record and
+  /// keeps it: later records look no name up.
+  struct Route {
+    EdgeCells* edge = nullptr;
+    ClusterCells* cluster = nullptr;
+  };
+  Route route(const std::string& source, const std::string& upstream);
+
+  void record_request(const Route& route, const RequestOutcome& outcome);
+  /// Resolves the sample's route, then records it.
   void record_request(const RequestSample& sample);
 
   /// Aggregated metrics for one edge; nullopt if never seen.
@@ -96,8 +114,9 @@ class TelemetrySink {
   obs::MetricRegistry& registry() noexcept { return *registry_; }
   const obs::MetricRegistry& registry() const noexcept { return *registry_; }
 
- private:
   struct EdgeCells {
+    /// The edge's (source, upstream) names, for the latency series.
+    const std::pair<std::string, std::string>* key = nullptr;
     obs::Counter* requests = nullptr;
     obs::Counter* failures = nullptr;
     obs::Counter* retries = nullptr;
@@ -109,6 +128,7 @@ class TelemetrySink {
     obs::Counter* failures = nullptr;
   };
 
+ private:
   EdgeCells& edge_cells(const std::string& source, const std::string& upstream);
   ClusterCells& cluster_cells(const std::string& cluster);
   void intern_totals();

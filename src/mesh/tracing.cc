@@ -83,9 +83,10 @@ Span Tracer::start_span(std::string_view service, std::string operation,
   return span;
 }
 
-void Tracer::finish_span(Span span, sim::Time now) {
+void Tracer::finish_span(Span span, sim::Time now,
+                         obs::SpanExporter::ServiceCells* cells) {
   span.end = now;
-  exporter_.export_span(std::move(span));
+  exporter_.export_span(std::move(span), cells);
 }
 
 std::vector<const Span*> Tracer::trace(std::uint64_t trace_id) const {

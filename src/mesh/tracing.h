@@ -10,8 +10,8 @@
 //
 // The Tracer is a thin adapter over obs::SpanExporter: it owns id
 // allocation and the start/finish API the filters use, while the exporter
-// owns retention, sink fan-out, and the per-service span series in the
-// unified metric registry.
+// owns retention and the per-service span series in the unified metric
+// registry.
 
 #include <cstdint>
 #include <functional>
@@ -63,7 +63,10 @@ class Tracer {
   Span start_span(std::string_view service, std::string operation,
                   const TraceContext& parent, sim::Time now);
 
-  void finish_span(Span span, sim::Time now);
+  /// Ends `span` at `now` and exports it into `cells`, its service's
+  /// series (SpanExporter::cells_for; looked up by name when null).
+  void finish_span(Span span, sim::Time now,
+                   obs::SpanExporter::ServiceCells* cells = nullptr);
 
   /// Retained finished spans (bounded by the retention limit).
   const std::vector<Span>& spans() const noexcept {
@@ -80,6 +83,8 @@ class Tracer {
   void set_retention(std::size_t limit) noexcept {
     exporter_.set_retention(limit);
   }
+  /// False at retention 0, when no finished span is kept to be read.
+  bool retains_spans() const noexcept { return exporter_.retains(); }
 
   obs::SpanExporter& exporter() noexcept { return exporter_; }
 

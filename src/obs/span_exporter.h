@@ -4,8 +4,8 @@
 // adapter over this pipeline: every finished span flows through
 // export_span(), which (1) folds the span into per-service registry
 // series — spans_total / span_errors_total / span_duration_ns, all
-// labeled {service} — (2) fans it out to any attached sinks, and
-// (3) retains it for inspection, bounded by the retention limit.
+// labeled {service} — and (2) retains it for inspection, bounded by the
+// retention limit.
 //
 // Metrics are recorded even at retention 0 (the bench setting): that is
 // what puts span statistics into the unified snapshot without paying for
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metric_registry.h"
@@ -46,25 +47,34 @@ class SpanExporter {
   SpanExporter(const SpanExporter&) = delete;
   SpanExporter& operator=(const SpanExporter&) = delete;
 
-  void export_span(SpanRecord span);
-
-  /// Keep only the most recent `limit` spans (memory bound for long
-  /// runs); 0 disables retention entirely — metrics still see every
-  /// span.
-  void set_retention(std::size_t limit) noexcept { retention_ = limit; }
-
-  const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
-  std::size_t span_count() const noexcept { return spans_.size(); }
-  std::uint64_t exported_total() const noexcept { return exported_total_; }
-
- private:
+  /// One service's span series.
   struct ServiceCells {
     Counter* total = nullptr;
     Counter* errors = nullptr;
     Histogram* duration = nullptr;
   };
 
-  ServiceCells& cells_for(const std::string& service);
+  /// `service`'s series, interned on the first call (null without a
+  /// registry). A caller that exports many spans of one service resolves
+  /// them once and passes them to export_span.
+  ServiceCells* cells_for(std::string_view service);
+
+  /// Exports `span` into `cells` (its service's series from cells_for);
+  /// when null, they are looked up by `span.service`.
+  void export_span(SpanRecord span, ServiceCells* cells = nullptr);
+
+  /// Keep only the most recent `limit` spans (memory bound for long
+  /// runs); 0 disables retention entirely — metrics still see every
+  /// span.
+  void set_retention(std::size_t limit) noexcept { retention_ = limit; }
+  /// False at retention 0: no span is kept, so none is ever read back.
+  bool retains() const noexcept { return retention_ != 0; }
+
+  const std::vector<SpanRecord>& spans() const noexcept { return spans_; }
+  std::size_t span_count() const noexcept { return spans_.size(); }
+  std::uint64_t exported_total() const noexcept { return exported_total_; }
+
+ private:
 
   MetricRegistry* registry_ = nullptr;
   std::map<std::string, ServiceCells, std::less<>> cells_;

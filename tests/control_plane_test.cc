@@ -283,7 +283,8 @@ TEST_F(ControlPlaneFixture, DeltaWithWrongTargetHashLeavesConfigUntouched) {
   delta.base_hash = client.config_fingerprint().hash;
   ClusterSpec changed = client.config().clusters.at("server");
   changed.lb = LbPolicy::kRandom;
-  delta.cluster_upserts.emplace("server", changed);
+  ClusterSpecPool pool;
+  delta.cluster_upserts.emplace("server", pool.get(changed));
   // Claims a result the carried content does not produce.
   delta.target_hash = before;
 
@@ -317,12 +318,13 @@ TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
   ConfigDelta delta;
   delta.epoch = cp_->epoch() + 1;
   delta.base_hash = client.config_fingerprint().hash;
-  delta.cluster_upserts.emplace("aaa", added);
-  delta.cluster_upserts.emplace("server", broken);
+  ClusterSpecPool pool;
+  delta.cluster_upserts.emplace("aaa", pool.get(added));
+  delta.cluster_upserts.emplace("server", pool.get(broken));
   // An honest target hash, so validation (not fingerprinting) rejects it.
   SidecarConfig target = before;
-  target.clusters.put(added);
-  target.clusters.put(broken);
+  target.clusters.put(pool.get(added));
+  target.clusters.put(pool.get(broken));
   delta.target_hash = hash_sidecar_config(target);
 
   EXPECT_FALSE(client.apply_config_delta(delta));
@@ -349,7 +351,8 @@ TEST_F(ControlPlaneFixture, DeltaUpsertUnderAnotherNameIsRefused) {
   ConfigDelta delta;
   delta.epoch = cp_->epoch() + 1;
   delta.base_hash = client.config_fingerprint().hash;
-  delta.cluster_upserts.emplace("alias", changed);
+  ClusterSpecPool pool;
+  delta.cluster_upserts.emplace("alias", pool.get(changed));
   // The target the sidecar patches from this content, so validation (not
   // fingerprinting) refuses it.
   ConfigFingerprint target = client.config_fingerprint();
@@ -475,7 +478,8 @@ TEST(ConfigValidation, RejectsMalformedConfigs) {
   cluster::Endpoint nameless;
   nameless.port = 8080;
   spec.endpoints.push_back(nameless);
-  bad_endpoint.clusters.put(spec);
+  ClusterSpecPool pool;
+  bad_endpoint.clusters.put(pool.get(spec));
   EXPECT_NE(validate_config(bad_endpoint), "");
 
   SidecarConfig no_slots;
@@ -514,7 +518,8 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
   endpoint.port = 8080;
   endpoint.labels["priority"] = "high";
   spec.endpoints.push_back(endpoint);
-  base.clusters.put(spec);
+  ClusterSpecPool pool;
+  base.clusters.put(pool.get(spec));
   const std::uint64_t h = hash_sidecar_config(base);
 
   using Mutation = std::function<void(SidecarConfig&)>;
@@ -591,7 +596,7 @@ TEST(ConfigFingerprint, EveryPolicyAndClusterFieldChangesTheHash) {
     ClusterSpec edited = changed.clusters.at("svc");
     edit(edited);
     changed.clusters.clear();
-    changed.clusters.put(edited);
+    changed.clusters.put(pool.get(edited));
     EXPECT_NE(hash_sidecar_config(changed), h) << field;
   }
 

@@ -271,6 +271,32 @@ TEST(LoadBalancer, FactoryNames) {
   EXPECT_EQ(lb_policy_name(LbPolicy::kLeastRequest), "least-request");
 }
 
+// A sidecar restarts its balancers in place after every applied push:
+// reset() must leave each policy exactly as make_balancer built it.
+TEST(LoadBalancer, ResetRestartsAsFreshlyBuilt) {
+  const auto endpoints = three_endpoints();
+  const auto c = pointers(endpoints);
+  LbContext ctx;
+  ctx.active_requests = [](const cluster::Endpoint& ep) -> std::uint64_t {
+    return ep.ip;
+  };
+  const auto picks = [&](LoadBalancer& lb) {
+    std::vector<std::string> out;
+    for (int i = 0; i < 20; ++i) out.push_back(lb.pick(c, ctx)->pod_name);
+    return out;
+  };
+  for (const LbPolicy policy :
+       {LbPolicy::kRoundRobin, LbPolicy::kRandom, LbPolicy::kLeastRequest,
+        LbPolicy::kWeightedRoundRobin}) {
+    const auto fresh = make_balancer(policy, 11);
+    const std::vector<std::string> first = picks(*fresh);
+    const auto used = make_balancer(policy, 11);
+    for (int i = 0; i < 7; ++i) used->pick(c, ctx);
+    used->reset();
+    EXPECT_EQ(picks(*used), first) << lb_policy_name(policy);
+  }
+}
+
 // --------------------------------------------------- circuit breaker --
 
 TEST(CircuitBreaker, OpensAfterConsecutiveFailures) {
@@ -339,11 +365,24 @@ TEST(CircuitBreaker, StateNames) {
 
 // -------------------------------------------------------- telemetry --
 
+RequestSample sample_of(std::string source, std::string upstream, int status,
+                        sim::Duration latency, int retries,
+                        TrafficClass priority = TrafficClass::kDefault) {
+  RequestSample sample;
+  sample.source = std::move(source);
+  sample.upstream = std::move(upstream);
+  sample.status = status;
+  sample.latency = latency;
+  sample.retries = retries;
+  sample.priority = priority;
+  return sample;
+}
+
 TEST(Telemetry, AggregatesPerEdge) {
   TelemetrySink sink;
-  sink.record_request({"a", "b", 200, sim::milliseconds(5), 0});
-  sink.record_request({"a", "b", 503, sim::milliseconds(9), 2});
-  sink.record_request({"a", "c", 200, sim::milliseconds(1), 0});
+  sink.record_request(sample_of("a", "b", 200, sim::milliseconds(5), 0));
+  sink.record_request(sample_of("a", "b", 503, sim::milliseconds(9), 2));
+  sink.record_request(sample_of("a", "c", 200, sim::milliseconds(1), 0));
   const auto ab = sink.edge("a", "b");
   ASSERT_TRUE(ab.has_value());
   EXPECT_EQ(ab->requests, 2u);
@@ -358,14 +397,14 @@ TEST(Telemetry, AggregatesPerEdge) {
 
 TEST(Telemetry, TransportErrorsCountAsFailures) {
   TelemetrySink sink;
-  sink.record_request({"a", "b", 0, 0, 0});  // status 0 = no response
+  sink.record_request(sample_of("a", "b", 0, 0, 0));  // 0 = no response
   EXPECT_EQ(sink.edge("a", "b")->failures, 1u);
 }
 
 TEST(Telemetry, LatencyLabelledByPriorityClass) {
   TelemetrySink sink;
-  RequestSample sample{"a", "b", 200, sim::milliseconds(2), 0,
-                       TrafficClass::kLatencySensitive};
+  RequestSample sample = sample_of("a", "b", 200, sim::milliseconds(2), 0,
+                                  TrafficClass::kLatencySensitive);
   sink.record_request(sample);
   sample.priority = TrafficClass::kScavenger;
   sink.record_request(sample);
@@ -677,8 +716,10 @@ TEST_F(MeshFixture, CircuitBreakerOpensOnRepeatedFailure) {
     return plan;
   });
   for (int i = 0; i < 3; ++i) get("server", "/bad");
-  EXPECT_EQ(client_sidecar_->breaker_for("server", "server-v1").state(),
-            CircuitState::kOpen);
+  const CircuitBreaker* breaker =
+      client_sidecar_->breaker("server", "server-v1");
+  ASSERT_NE(breaker, nullptr);
+  EXPECT_EQ(breaker->state(), CircuitState::kOpen);
   // With the only endpoint ejected, requests fail fast with 503.
   const auto response = get("server", "/next");
   ASSERT_TRUE(response.has_value());
@@ -786,6 +827,157 @@ TEST_F(MeshFixture, ActiveRequestTrackingReturnsToZero) {
   build();
   get("server", "/done");
   EXPECT_EQ(client_sidecar_->active_requests_to("server-v1"), 0u);
+}
+
+// ------------------------------ upstream state across config pushes --
+
+MeshPolicies delta_push_policies() {
+  MeshPolicies policies;
+  policies.cp.delta_push = true;
+  return policies;
+}
+
+// A pod's breaker is kept by pod id: a delta that removes and re-adds
+// another pod of the cluster leaves it as it was.
+TEST_F(MeshFixture, OpenBreakerSurvivesDeltasThatRemoveAndReaddAnotherPod) {
+  MeshPolicies policies = delta_push_policies();
+  policies.retry.max_retries = 0;
+  policies.breaker.consecutive_failures = 2;
+  policies.breaker.open_duration = sim::seconds(60);
+  build(2, policies, [](const http::HttpRequest&, int replica) {
+    app::HandlerResult plan;
+    plan.status = replica == 1 ? 500 : 200;
+    return plan;
+  });
+  // Round robin alternates v1, v2, v1: two failures open v1's breaker.
+  for (int i = 0; i < 3; ++i) get("server", "/r");
+  const CircuitBreaker* breaker =
+      client_sidecar_->breaker("server", "server-v1");
+  ASSERT_NE(breaker, nullptr);
+  ASSERT_EQ(breaker->state(), CircuitState::kOpen);
+
+  const std::uint64_t deltas = client_sidecar_->stats().deltas_applied;
+  cluster_->crash_pod("server-v2");
+  cluster_->deregister_pod("server-v2");
+  control_plane_->push_config();
+  ASSERT_EQ(client_sidecar_->config().clusters.at("server").endpoints.size(),
+            1u);
+  cluster_->restart_pod("server-v2");
+  control_plane_->push_config();
+  ASSERT_EQ(client_sidecar_->config().clusters.at("server").endpoints.size(),
+            2u);
+  EXPECT_EQ(client_sidecar_->stats().deltas_applied, deltas + 2);
+
+  breaker = client_sidecar_->breaker("server", "server-v1");
+  ASSERT_NE(breaker, nullptr);
+  EXPECT_EQ(breaker->state(), CircuitState::kOpen);
+  EXPECT_EQ(breaker->times_opened(), 1u);
+  // v1 stays ejected, so the next request goes to v2.
+  const auto response = get("server", "/after");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 200);
+}
+
+// An applied push restarts the balancer, full or delta, as a freshly
+// built one would start: round robin picks the first endpoint again.
+TEST_F(MeshFixture, RoundRobinRestartsAfterEveryAppliedPush) {
+  build(2);
+  std::vector<std::uint64_t> served(2, 0);
+  // The replica (1 or 2) that served the next request.
+  const auto next_replica = [&] {
+    const auto response = get("server", "/rr");
+    EXPECT_TRUE(response.has_value() && response->status == 200);
+    for (std::size_t i = 0; i < apps_.size(); ++i) {
+      if (apps_[i]->requests_served() != served[i]) {
+        served[i] = apps_[i]->requests_served();
+        return static_cast<int>(i) + 1;
+      }
+    }
+    return 0;
+  };
+  const auto push_retry_change = [&](int max_retries) {
+    control_plane_->policies().retry.max_retries = max_retries;
+    control_plane_->push_config();
+    ASSERT_EQ(client_sidecar_->config().retry.max_retries, max_retries);
+  };
+  EXPECT_EQ(next_replica(), 1);
+  EXPECT_EQ(next_replica(), 2);
+  EXPECT_EQ(next_replica(), 1);
+
+  // Full pushes.
+  push_retry_change(2);
+  EXPECT_EQ(next_replica(), 1);
+  EXPECT_EQ(next_replica(), 2);
+  control_plane_->policies().cp.delta_push = true;
+  push_retry_change(3);  // full: no acked base to diff against yet
+  EXPECT_EQ(client_sidecar_->stats().deltas_applied, 0u);
+  EXPECT_EQ(next_replica(), 1);
+
+  // A delta push.
+  push_retry_change(4);
+  EXPECT_EQ(client_sidecar_->stats().deltas_applied, 1u);
+  EXPECT_EQ(next_replica(), 1);
+  EXPECT_EQ(next_replica(), 2);
+}
+
+// A retry whose cluster a delta removed during its backoff answers 503
+// instead of routing to the removed cluster's endpoints.
+TEST_F(MeshFixture, RetryAfterDeltaRemovedTheClusterAnswersVanished) {
+  MeshPolicies policies = delta_push_policies();
+  policies.retry.max_retries = 1;
+  policies.retry.backoff_base = sim::seconds(1);
+  policies.retry.backoff_max = sim::seconds(1);
+  build(1, policies, [](const http::HttpRequest&, int) {
+    app::HandlerResult plan;
+    plan.status = 500;
+    return plan;
+  });
+  http::HttpRequest request;
+  request.path = "/gone";
+  request.headers.set(http::headers::kHost, "server");
+  std::optional<http::HttpResponse> result;
+  client_->request(std::move(request),
+                   [&](std::optional<http::HttpResponse> response,
+                       const std::string&) { result = std::move(response); });
+  // The first attempt fails within milliseconds; the retry sleeps 1 s.
+  sim_.run_until(sim_.now() + sim::milliseconds(300));
+  ASSERT_FALSE(result.has_value());
+  ASSERT_EQ(client_sidecar_->stats().upstream_retries, 1u);
+
+  control_plane_->policies().cluster_scopes["client"] = {};
+  control_plane_->push_config();
+  ASSERT_FALSE(client_sidecar_->config().clusters.contains("server"));
+  EXPECT_EQ(client_sidecar_->stats().deltas_applied, 1u);
+
+  sim_.run_until(sim_.now() + sim::seconds(2));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, 503);
+  EXPECT_EQ(result->body.view(), "cluster vanished");
+  EXPECT_EQ(apps_[0]->requests_served(), 1u);
+}
+
+// Upstream state and its series are made for the clusters a sidecar
+// calls, not for every cluster its config holds.
+TEST_F(MeshFixture, ClusterNeverCalledHasNoSeries) {
+  cluster_->add_pod("n1", "idle-v1", "idle", 8080);
+  build();
+  ASSERT_TRUE(client_sidecar_->config().clusters.contains("idle"));
+  get("server", "/x");
+  const obs::MetricsSnapshot snap = control_plane_->metrics().snapshot();
+  std::size_t server_series = 0;
+  for (const obs::SeriesSnapshot& series : snap.series) {
+    if (!series.name.starts_with("mesh_") &&
+        !series.name.starts_with("cluster_")) {
+      continue;
+    }
+    for (const auto& [key, value] : series.labels) {
+      EXPECT_NE(value, "idle") << series.key();
+      if (value == "server") ++server_series;
+    }
+  }
+  // requests, failures and retries per edge, the edge's latency, and the
+  // cluster's requests and failures.
+  EXPECT_EQ(server_series, 6u);
 }
 
 // ------------------------------------------ breaker edge cases --------

@@ -11,8 +11,12 @@ struct one of them derives from. Each of its data members is an option.
 An option is set when some program file outside `tests/` and outside the
 header that declares it writes it by name: `x.NAME = ...`,
 `x->NAME = ...`, a designated initializer `{.NAME = ...}`, a write into a
-member or element of it (`x.NAME.y = ...`, `x.NAME[k] = ...`), or an
-insertion into it (`x.NAME.push_back(...)`, `emplace`, `insert`, ...).
+member or element of it (`x.NAME.y = ...`, `x.NAME[k] = ...`), an
+insertion into it (`x.NAME.push_back(...)`, `emplace`, `insert`, ...),
+a write through a non-const reference bound to it (`T& r = x.NAME;`
+and later `r = ...` or any of the writes above on `r`), or, inside an
+out-of-line member function of the struct (`Struct::f(...) {...}`), a
+statement that assigns the bare name (`NAME = ...`).
 The files searched are the C++ sources under `src/`, `bench/`,
 `examples/` and `tools/`; `perfbench/` is not searched, so a field only
 perfbench sets is listed with the reason "perfbench API". Positional
@@ -49,6 +53,16 @@ WRITE = re.compile(r"\s*(?:(?:\[[^\]]*\]|\.\w+)\s*)*"
                    r"(?:[-+*/%|&^]|<<|>>)?=(?!=)|"
                    r"\s*\.\s*(?:push_back|emplace_back|emplace|emplace_hint|"
                    r"insert|try_emplace)\s*\(")
+# `T& REF = x.NAME;` (or `->NAME`): the statement's text up to the `&`,
+# the reference's name and the field's name.
+REFERENCE = re.compile(r"([^;{}()]*?)&\s*(\w+)\s*=\s*[\w\s.\->()\[\]]*?"
+                       r"(?:\.|->)\s*(\w+)\s*;")
+# The head of an out-of-line member function definition: `Owner::name(`.
+MEMBER_FUNCTION = re.compile(r"\b(\w+)\s*::\s*~?\w+\s*\(")
+# The first name of a statement (right after `;`, `{` or `}`). It is
+# written when WRITE follows it; a declaration starts with its type, so
+# `int NAME = ...` is not a write of NAME.
+STATEMENT_NAME = re.compile(r"(?:^|(?<=[;{}]))\s*(\w+)", re.M)
 NOT_A_FIELD = ("static ", "using ", "friend ", "typedef ", "template",
                "enum ", "struct ", "class ", "public:", "private:",
                "protected:")
@@ -166,10 +180,61 @@ def collect_fields(root):
             for struct in config for name, header in fields[struct]}
 
 
+def reference_writes(text):
+    """Names of fields bound to a non-const reference that `text` later
+    writes through (`T& r = x.NAME; ... r = ...`)."""
+    names = set()
+    for m in REFERENCE.finditer(text):
+        prefix, ref, name = m.groups()
+        if re.search(r"\bconst\b", prefix):
+            continue
+        use = re.compile(r"(?<![\w.>:])" + re.escape(ref) + r"\b")
+        if any(WRITE.match(text, u.end())
+               for u in use.finditer(text, m.end())):
+            names.add(name)
+    return names
+
+
+def body_end(text, start):
+    """The index just past the brace block opening at `text[start]`."""
+    depth = 0
+    for i in range(start, len(text)):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        if depth == 0:
+            return i + 1
+    return len(text)
+
+
+def member_function_writes(text):
+    """`Owner::NAME` for every bare name an out-of-line member function
+    of Owner assigns (`void Owner::f() { NAME = ...; }`)."""
+    names = set()
+    for m in MEMBER_FUNCTION.finditer(text):
+        # The parameter list, then the body; a `;` first means a call or
+        # a declaration, not a definition.
+        depth, i = 0, m.end() - 1
+        while i < len(text):
+            depth += {"(": 1, ")": -1}.get(text[i], 0)
+            i += 1
+            if depth == 0:
+                break
+        brace = text.find("{", i)
+        semicolon = text.find(";", i)
+        if brace < 0 or 0 <= semicolon < brace:
+            continue
+        body = text[brace + 1:body_end(text, brace) - 1]
+        names.update(f"{m.group(1)}::{s.group(1)}"
+                     for s in STATEMENT_NAME.finditer(body)
+                     if WRITE.match(body, s.end()))
+    return names
+
+
 def written_names(text):
-    """Every member name `text` writes (see the module docstring)."""
-    return {m.group(1) for m in MEMBER.finditer(text)
-            if WRITE.match(text, m.end())}
+    """Every member name `text` writes (see the module docstring); a name
+    written bare inside Owner's member functions is `Owner::NAME`."""
+    names = {m.group(1) for m in MEMBER.finditer(text)
+             if WRITE.match(text, m.end())}
+    return names | reference_writes(text) | member_function_writes(text)
 
 
 def collect_sources(root):
@@ -187,9 +252,10 @@ def collect_sources(root):
 
 def setters(field, header, sources):
     """Files other than `header` that write the field by name."""
-    name = field.rpartition("::")[2]
+    struct, _, name = field.rpartition("::")
+    owned = struct.rpartition("::")[2] + "::" + name
     return [path for path, names in sources.items()
-            if path != header and name in names]
+            if path != header and (name in names or owned in names)]
 
 
 def read_list(path):

@@ -100,6 +100,37 @@ class Setters(unittest.TestCase):
     def test_own_header_does_not_count(self):
         self.assertEqual(self.setters(""), [])
 
+    def test_writes_through_a_reference_count(self):
+        for code in ("int& r = c.size; r = 2;",
+                     "auto& r = p->size; r.push_back(2);",
+                     "Table& r = c.o.size;\nif (x) { r[k] = 2; }",
+                     "Duration& r = cp.policies().size; r += 2;",
+                     "auto&& r = c.size; r.y = 2;"):
+            self.assertEqual(self.setters(code), ["bench/b.cc"], code)
+
+    def test_references_only_read_do_not(self):
+        for code in ("const int& r = c.size; r2 = 2;",
+                     "int& r = c.size; use(r);",
+                     "int& r = c.size; x = r;",
+                     "const auto& r = c.size; f(r.y);",
+                     "int& r = c.size(); r = 2;"):
+            self.assertEqual(self.setters(code), [], code)
+
+    def test_bare_writes_in_the_structs_member_functions_count(self):
+        for code in ("void WidgetConfig::apply(int n) { size = n; }",
+                     "void WidgetConfig::grow() {\n  if (x) {\n"
+                     "    size += 2;\n  }\n}",
+                     "WidgetConfig::WidgetConfig() { size.push_back(1); }"):
+            self.assertEqual(self.setters(code), ["bench/b.cc"], code)
+
+    def test_bare_writes_elsewhere_do_not(self):
+        for code in ("void Other::apply(int n) { size = n; }",
+                     "void apply(int n) { size = n; }",
+                     "void WidgetConfig::apply() { int size = 2; }",
+                     "void WidgetConfig::apply();\nvoid f() { size = 2; }",
+                     "void WidgetConfig::apply() { g(size == 2); }"):
+            self.assertEqual(self.setters(code), [], code)
+
 
 class Gate(unittest.TestCase):
     FIELDS = {"WidgetConfig::size": "src/w.h", "WidgetConfig::ratio":
