@@ -1,6 +1,7 @@
 #include "mesh/config_delta.h"
 
 #include <string_view>
+#include <utility>
 
 namespace meshnet::mesh {
 
@@ -37,41 +38,40 @@ std::size_t policy_section_bytes(const SidecarPolicy& policy) {
 
 }  // namespace
 
-SidecarConfig CompiledConfig::materialize() const {
-  SidecarConfig config;
-  static_cast<SidecarPolicy&>(config) = *policy;
-  config.epoch = epoch;
-  config.clusters.reserve(scope != nullptr ? scope->size() : table->size());
-  for_each_cluster([&config](const ClusterSpecRef& spec, bool) {
-    config.clusters.append(spec);
-  });
-  return config;
-}
-
-void AckedConfig::apply(const ConfigDelta& delta,
-                        const ConfigFingerprint& target) {
+void AckedConfig::apply(ConfigPush& push, const ConfigFingerprint& target) {
   fingerprint = target;
-  for (const std::string& name : delta.cluster_removals) clusters.erase(name);
-  for (const auto& [name, spec] : delta.cluster_upserts) clusters.put(spec);
+  if (push.replace) {
+    clusters = std::move(push.clusters);
+    return;
+  }
+  for (const std::string& name : push.removals) clusters.erase(name);
+  for (auto it = push.clusters.begin(); it != push.clusters.end(); ++it) {
+    clusters.put(it.shared());
+  }
 }
 
-ConfigDelta make_config_delta(const AckedConfig& base,
-                              const CompiledConfig& target) {
+ConfigPush make_config_push(const AckedConfig* base,
+                            const CompiledConfig& target) {
+  static const AckedConfig kNoBase;
   const ConfigFingerprint& next = target.fingerprint;
-  ConfigDelta delta;
-  delta.epoch = target.epoch;
-  delta.base_hash = base.fingerprint.hash;
-  delta.target_hash = next.hash;
-
-  if (base.fingerprint.policy_hash != next.policy_hash) {
-    delta.policy = *target.policy;
-    delta.policy->epoch = target.epoch;
+  ConfigPush push;
+  push.epoch = target.epoch;
+  push.target_hash = next.hash;
+  push.replace = base == nullptr;
+  if (push.replace) {
+    base = &kNoBase;
+    push.clusters.reserve(target.scope != nullptr ? target.scope->size()
+                                                  : target.table->size());
+  }
+  push.base_hash = base->fingerprint.hash;
+  if (push.replace || base->fingerprint.policy_hash != next.policy_hash) {
+    push.policy = *target.policy;
   }
 
   // Both cluster lists are in name order: one merge walk finds the
   // upserts (new, or same name with a different hash) and the removals.
   // A spec object both sides hold is unchanged without a name compare.
-  const ClusterMap& acked = base.clusters;
+  const ClusterMap& acked = base->clusters;
   auto b = acked.begin();
   target.for_each_cluster([&](const ClusterSpecRef& spec, bool) {
     if (b != acked.end() && b.shared().same_object(spec)) {
@@ -80,36 +80,26 @@ ConfigDelta make_config_delta(const AckedConfig& base,
     }
     const std::string& name = spec->name;
     for (; b != acked.end() && b->first < name; ++b) {
-      delta.cluster_removals.push_back(b->first);
+      push.removals.push_back(b->first);
     }
     const bool in_base = b != acked.end() && b->first == name;
     if (!in_base || b.shared().hash() != spec.hash()) {
-      delta.cluster_upserts.emplace_hint(delta.cluster_upserts.end(), name,
-                                         spec);
+      push.clusters.append(spec);
     }
     if (in_base) ++b;
   });
-  for (; b != acked.end(); ++b) delta.cluster_removals.push_back(b->first);
-  return delta;
+  for (; b != acked.end(); ++b) push.removals.push_back(b->first);
+  return push;
 }
 
-std::size_t estimate_config_bytes(const SidecarConfig& config) {
-  std::size_t bytes = 16 + policy_section_bytes(config);  // epoch + framing
-  for (const auto& [name, spec] : config.clusters) {
+std::size_t estimate_push_bytes(const ConfigPush& push) {
+  // The epoch and framing, plus a delta's base and target hashes.
+  std::size_t bytes = push.replace ? 16 : 40;
+  if (push.policy) bytes += policy_section_bytes(*push.policy);
+  for (const auto& [name, spec] : push.clusters) {
     bytes += cluster_spec_bytes(spec);
   }
-  return bytes;
-}
-
-std::size_t estimate_delta_bytes(const ConfigDelta& delta) {
-  std::size_t bytes = 40;  // epoch + base/target hashes + framing
-  if (delta.policy) bytes += policy_section_bytes(*delta.policy);
-  for (const auto& [name, spec] : delta.cluster_upserts) {
-    bytes += cluster_spec_bytes(*spec);
-  }
-  for (const std::string& name : delta.cluster_removals) {
-    bytes += string_bytes(name);
-  }
+  for (const std::string& name : push.removals) bytes += string_bytes(name);
   return bytes;
 }
 

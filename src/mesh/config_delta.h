@@ -1,35 +1,37 @@
 #pragma once
 
-// Incremental (xDS delta-style) config push (MESHSCALE, DESIGN.md §13).
+// The config push (xDS-style, MESHSCALE, DESIGN.md §13): one type for
+// both shapes the control plane sends.
 //
-// A full-snapshot push re-transmits every cluster to every sidecar on
-// every epoch; at N services that is O(N) bytes per sidecar
-// per endpoint flap, O(N^2) mesh-wide. A ConfigDelta carries only what
-// changed since the sidecar's last *acked* config:
-//
-//   * per-cluster upserts (new or changed clusters, compared by
-//     hash_cluster_spec) and removals;
-//   * the sidecar's policy (mesh/sidecar.h SidecarPolicy: the policy
-//     section, service name and cert) as one blob, only when its
-//     fingerprint changed.
+//   * A replace carries the whole config: the sidecar's policy
+//     (mesh/sidecar.h SidecarPolicy: the policy section, service name and
+//     cert) and every cluster. The sidecar drops whatever it runs that
+//     the push does not hold.
+//   * A delta carries only what changed since the sidecar's last *acked*
+//     config: new or changed clusters (compared by hash_cluster_spec),
+//     removed cluster names, and the policy only when its fingerprint
+//     changed. At N services a replace is O(N) bytes per sidecar per
+//     endpoint flap, O(N^2) mesh-wide; a delta is O(changed).
 //
 // The control plane diffs shared specs, not copies: it compiles each
 // cluster once per epoch into an immutable ClusterSpecRef (mesh/sidecar.h)
 // held by the epoch's cluster table, reusing last epoch's object when the
 // content is unchanged. A CompiledConfig walks that table; the control
-// plane keeps what each sidecar acked as an AckedConfig, so a delta is a
-// merge walk that compares pointers and carries refs to the changed specs.
+// plane keeps what each sidecar acked as an AckedConfig, so a push is a
+// merge walk that compares pointers and carries refs to the changed specs
+// (a replace is the walk against no base).
 //
-// Safety over cleverness: a delta names the exact base it diffs against
-// (base_hash) and the exact result it must produce (target_hash). The
-// sidecar checks base_hash against the fingerprint of its running
-// config, checks target_hash against a fingerprint it patches itself
-// from the content it received (each upserted spec hashed by its own
-// constructor), and validates the changed parts before patching its
-// config in place — so delta and full push converge to identical
-// fingerprints by construction. Either mismatch nacks
-// ("delta-base-mismatch" / "delta-target-mismatch") and the control
-// plane falls back to a full push for that sidecar.
+// Safety over cleverness: every push names the exact result it must
+// produce (target_hash), and a delta also the exact base it diffs against
+// (base_hash). The sidecar checks base_hash against the fingerprint of its
+// running config, checks target_hash against a fingerprint it computes
+// itself from the content it received (each pushed spec hashed by its own
+// constructor), and validates the pushed parts before changing its config
+// — so delta and replace converge to identical fingerprints by
+// construction. A delta's mismatch nacks ("delta-base-mismatch" /
+// "delta-target-mismatch") and the control plane falls back to a replace
+// for that sidecar; a replace that fails a check is nacked like a poison
+// config, so a bad replace cannot loop.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,25 +45,27 @@
 
 namespace meshnet::mesh {
 
-struct ConfigDelta {
+struct ConfigPush {
   std::uint64_t epoch = 0;
-  /// Fingerprint of the config this delta applies on top of (the
-  /// sidecar's running config; the control plane tracks it per ack).
+  /// Fingerprint of the config a delta applies on top of (the sidecar's
+  /// running config; the control plane tracks it per ack). A replace
+  /// has no base: 0, never checked.
   std::uint64_t base_hash = 0;
-  /// Fingerprint the patched config must have.
+  /// Fingerprint the resulting config must have.
   std::uint64_t target_hash = 0;
+  /// The push holds the whole config: `clusters` is every cluster and
+  /// `removals` is empty.
+  bool replace = false;
 
-  /// Set when the policy changed; it replaces the running one wholesale.
+  /// Always set for a replace; a delta carries it when it changed. It
+  /// replaces the running one wholesale.
   std::optional<SidecarPolicy> policy;
 
-  /// By name; the sidecar refuses an upsert whose key is not its spec's
-  /// name.
-  std::map<std::string, ClusterSpecRef> cluster_upserts;
-  std::vector<std::string> cluster_removals;
-
-  bool empty() const noexcept {
-    return !policy && cluster_upserts.empty() && cluster_removals.empty();
-  }
+  /// The pushed clusters in name order: a replace's every one, a delta's
+  /// new and changed ones.
+  ClusterMap clusters;
+  /// The clusters a delta drops, by name.
+  std::vector<std::string> removals;
 };
 
 /// One registry service compiled for an epoch: the spec every subscriber
@@ -111,35 +115,32 @@ struct CompiledConfig {
       for (const std::size_t index : *scope) visit((*table)[index]);
     }
   }
-
-  /// The full config, as a full-snapshot push carries it.
-  SidecarConfig materialize() const;
 };
 
 /// What the control plane knows a sidecar runs: the config it last acked.
-/// Built from a full push and patched in place by every acked delta, so
-/// no per-sidecar container is rebuilt per compile.
+/// Started by an acked replace and patched in place by every acked delta,
+/// so no per-sidecar container is rebuilt per compile.
 struct AckedConfig {
   ConfigFingerprint fingerprint;
   ClusterMap clusters;
 
-  /// Applies an acked delta, whose patched fingerprint is `target`.
-  void apply(const ConfigDelta& delta, const ConfigFingerprint& target);
+  /// Applies an acked push, whose resulting fingerprint is `target`; a
+  /// replace's clusters are moved out of `push`.
+  void apply(ConfigPush& push, const ConfigFingerprint& target);
 };
 
 /// Diffs `target` against the acked config `base` with a merge walk over
 /// their name-ordered clusters; a cluster whose spec object is unchanged
 /// costs a pointer compare, and only changed clusters are carried (by
-/// reference). epoch/target_hash are taken from `target`; base_hash from
-/// `base`.
-ConfigDelta make_config_delta(const AckedConfig& base,
-                              const CompiledConfig& target);
+/// reference). No base (nullptr) makes a replace: the walk against an
+/// empty config, with the policy. epoch/target_hash are taken from
+/// `target`; base_hash from `base`.
+ConfigPush make_config_push(const AckedConfig* base,
+                            const CompiledConfig& target);
 
-/// Modeled wire size of a full-snapshot push / a delta push, in bytes.
-/// Not a serialization — a stable cost model (string bytes + fixed
-/// per-field costs) so the MESHSCALE experiment can compare transfer
-/// volume deterministically across hosts.
-std::size_t estimate_config_bytes(const SidecarConfig& config);
-std::size_t estimate_delta_bytes(const ConfigDelta& delta);
+/// Modeled wire size of a push, in bytes. Not a serialization — a stable
+/// cost model (string bytes + fixed per-field costs) so the MESHSCALE
+/// experiment can compare transfer volume deterministically across hosts.
+std::size_t estimate_push_bytes(const ConfigPush& push);
 
 }  // namespace meshnet::mesh

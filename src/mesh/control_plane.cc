@@ -93,18 +93,15 @@ Sidecar& ControlPlane::inject_sidecar(cluster::Pod& pod,
     subscribe(cluster_table_, ref, true);
   }
   CompiledConfig compiled = compile_config(ref);
-  const std::uint64_t compiled_epoch = compiled.epoch;
-  SidecarConfig config = compiled.materialize();
-  std::optional<AckedConfig> acked;
-  if (policies_.cp.delta_push) {
-    acked = AckedConfig{compiled.fingerprint, config.clusters};
-  }
-  if (ref.apply_config(std::move(config))) {
+  ConfigPush push = make_config_push(nullptr, compiled);
+  if (ref.apply_config(push)) {
     // Injection is a local, synchronous bootstrap push: seed the channel
     // state so the next broadcast can skip this sidecar if unchanged.
-    set_acked_epoch(state, compiled_epoch);
+    set_acked_epoch(state, compiled.epoch);
     state.acked_hash = compiled.fingerprint.hash;
-    state.acked = std::move(acked);
+    if (policies_.cp.delta_push) {
+      state.acked.emplace().apply(push, compiled.fingerprint);
+    }
   }
   ref.start();
   return ref;
@@ -171,24 +168,20 @@ void ControlPlane::launch_push(PushState& state) {
 
   const ControlPlaneConfig& cp = policies_.cp;
   // Incremental transport: once a base config has been acked, ship only
-  // the diff against it. A forced-full flag (set after a delta mismatch)
-  // or a missing base falls back to the full snapshot, the only push
-  // that needs the whole config built.
-  const bool use_delta =
-      cp.delta_push && !state.force_full && state.acked.has_value();
-  ConfigDelta delta;
-  SidecarConfig config;
-  if (use_delta) {
-    delta = make_config_delta(*state.acked, compiled);
-    cpm_.delta_pushes->inc();
-    cpm_.delta_bytes->inc(estimate_delta_bytes(delta));
-  } else {
-    config = compiled.materialize();
+  // the diff against it. Without one (never acked, or forgotten by a
+  // delta fallback) the push replaces the whole config.
+  const AckedConfig* base =
+      cp.delta_push && state.acked ? &*state.acked : nullptr;
+  ConfigPush& push = state.push.emplace(make_config_push(base, compiled));
+  state.target = compiled.fingerprint;
+  const std::size_t bytes = estimate_push_bytes(push);
+  if (push.replace) {
     cpm_.full_pushes->inc();
-    cpm_.full_bytes->inc(estimate_config_bytes(config));
-    state.force_full = false;
+    cpm_.full_bytes->inc(bytes);
+  } else {
+    cpm_.delta_pushes->inc();
+    cpm_.delta_bytes->inc(bytes);
   }
-  ConfigFingerprint target = std::move(compiled.fingerprint);
   const bool lost = cp.push_loss > 0.0 && push_rng_.uniform() < cp.push_loss;
   sim::Duration latency = cp.push_latency_base;
   if (cp.push_latency_jitter > 0) {
@@ -197,71 +190,50 @@ void ControlPlane::launch_push(PushState& state) {
   }
   if (lost) {
     // Swallowed by the channel; the ack timeout notices and retries.
+    state.push.reset();
     arm_ack_timeout(state);
     return;
   }
   if (latency <= 0) {
     // Zero-latency channel: apply and ack inside the call (see
     // ControlPlaneConfig for why this is not a scheduled delivery).
-    if (use_delta) {
-      deliver_delta(state, std::move(delta), std::move(target));
-    } else {
-      deliver_push(state, std::move(config), std::move(target));
-    }
+    deliver(state);
     return;
   }
-  state.delivery_timer.arm_after(
-      latency, [this, s = &state, use_delta, delta = std::move(delta),
-                config = std::move(config),
-                target = std::move(target)]() mutable {
-        if (use_delta) {
-          deliver_delta(*s, std::move(delta), std::move(target));
-        } else {
-          deliver_push(*s, std::move(config), std::move(target));
-        }
-      });
+  auto on_delivery = [this, s = &state] { deliver(*s); };
+  static_assert(sim::InlineTask::fits_inline<decltype(on_delivery)>(),
+                "the push waits in PushState, not in the closure");
+  state.delivery_timer.arm_after(latency, on_delivery);
   arm_ack_timeout(state);
 }
 
-void ControlPlane::deliver_push(PushState& state, SidecarConfig config,
-                                ConfigFingerprint target) {
+void ControlPlane::deliver(PushState& state) {
   Sidecar& sidecar = *state.sidecar;
-  const std::uint64_t config_epoch = config.epoch;
-  std::optional<AckedConfig> acked;
-  if (policies_.cp.delta_push) {
-    acked = AckedConfig{target, config.clusters};
-  }
-  if (sidecar.apply_config(std::move(config))) {
-    state.acked = std::move(acked);
-    handle_ack(state, config_epoch, target.hash);
-  } else {
-    handle_nack(state, config_epoch, sidecar.last_config_error());
-  }
-}
-
-void ControlPlane::deliver_delta(PushState& state, ConfigDelta delta,
-                                 ConfigFingerprint target) {
-  Sidecar& sidecar = *state.sidecar;
-  const std::uint64_t config_epoch = delta.epoch;
-  if (sidecar.apply_config_delta(delta)) {
-    state.acked->apply(delta, target);
-    handle_ack(state, config_epoch, target.hash);
+  // Out of the state first: a fallback or a rollback relaunches pushes.
+  ConfigPush push = std::move(*state.push);
+  state.push.reset();
+  if (sidecar.apply_config(push)) {
+    if (policies_.cp.delta_push) {
+      AckedConfig& acked = push.replace ? state.acked.emplace() : *state.acked;
+      acked.apply(push, state.target);
+    }
+    handle_ack(state, push.epoch, state.target.hash);
     return;
   }
   const std::string error = sidecar.last_config_error();
   if (error == "delta-base-mismatch" || error == "delta-target-mismatch") {
     // A transport artefact — the base this delta assumed never stuck, or
     // drifted — not a poison config, so no rollback: forget the base and
-    // re-push the full snapshot immediately.
+    // re-push a replace immediately. Only a delta is refused this way, so
+    // a bad replace is nacked below and cannot loop.
     cpm_.delta_fallbacks->inc();
     record_event(obs::EventKind::kControlPlane,
                  "push:" + sidecar.pod().name(), "delta fallback: " + error);
     state.acked.reset();
-    state.force_full = true;
     if (!crashed_) launch_push(state);
     return;
   }
-  handle_nack(state, config_epoch, error);
+  handle_nack(state, push.epoch, error);
 }
 
 void ControlPlane::handle_ack(PushState& state, std::uint64_t acked_epoch,

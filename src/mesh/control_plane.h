@@ -9,13 +9,15 @@
 //
 // Config distribution is failure-aware. Every push round mints a config
 // *epoch* (monotonic, never reused); each sidecar's compiled config is
-// fingerprinted so unchanged sidecars are skipped (delta-aware push), and
-// delivered pushes are acked per sidecar. Cluster specs are compiled once
-// per epoch into a table of immutable shared specs (mesh/sidecar.h
+// fingerprinted so unchanged sidecars are skipped and implicitly acked,
+// and delivered pushes are acked per sidecar. Cluster specs are compiled
+// once per epoch into a table of immutable shared specs (mesh/sidecar.h
 // ClusterSpecRef); compiling one sidecar is its policy section plus a
 // walk over that table, and every config, push and running sidecar holds
-// the table's objects by reference. A push
-// can be delayed, lost, or dropped (control plane or pod down); an
+// the table's objects by reference. Every push is one mesh::ConfigPush
+// (mesh/config_delta.h): a replace carrying the whole config, or — under
+// cp.delta_push, once the sidecar acked a base — a delta against it. A
+// push can be delayed, lost, or dropped (control plane or pod down); an
 // un-acked push is retried with decorrelated-jitter backoff until the
 // sidecar acks the current epoch.
 // Sidecars that nack a push (validation failure — a poison config) keep
@@ -74,9 +76,9 @@ struct ControlPlaneConfig {
   /// disables rotation — certs are issued once, at injection.
   double cert_refresh_ahead = 0.0;
   /// Incremental (xDS delta-style) config push: once a sidecar has acked
-  /// a config, later pushes carry only the changed clusters (see
-  /// mesh/config_delta.h) instead of the full snapshot. Off by default —
-  /// full-snapshot semantics, bit-identical to the legacy channel.
+  /// a config, later pushes are deltas against it carrying only what
+  /// changed (see mesh/config_delta.h). Off by default: every push is a
+  /// replace carrying the whole config.
   bool delta_push = false;
 };
 
@@ -194,9 +196,9 @@ class ControlPlane {
 
   /// Push-channel byte accounting (modelled wire sizes, see
   /// mesh/config_delta.h), read from the cp_{full,delta}_push* series.
-  /// Full-snapshot pushes and delta pushes are counted separately so
-  /// experiments can compare the two transports; `delta_fallbacks` counts
-  /// deltas that missed their base and were re-sent as full snapshots.
+  /// Replaces (`full_*`) and deltas are counted separately so
+  /// experiments can compare the two shapes; `delta_fallbacks` counts
+  /// deltas that missed their base and were re-sent as replaces.
   /// Only pushes that enter the channel count — noop-skips and pushes to
   /// a crashed pod transfer nothing.
   struct PushChannelBytes {
@@ -221,10 +223,12 @@ class ControlPlane {
   struct PushState {
     explicit PushState(sim::Simulator& sim)
         : delivery_timer(sim), ack_timer(sim), retry_timer(sim) {}
+    /// Cancels every pending timer and drops the parked push.
     void disarm_timers() {
       delivery_timer.disarm();
       ack_timer.disarm();
       retry_timer.disarm();
+      push.reset();
     }
 
     /// Set at injection, before the state joins `states_`.
@@ -242,11 +246,14 @@ class ControlPlane {
     sim::Timer ack_timer;
     sim::Timer retry_timer;
     /// The last config this sidecar acked, kept only under
-    /// cp.delta_push: the base future deltas are diffed against.
+    /// cp.delta_push: the base future deltas are diffed against. Reset by
+    /// a delta fallback, so the next push is a replace.
     std::optional<AckedConfig> acked;
-    /// Forces the next push to carry a full snapshot (set after a delta
-    /// base/target mismatch; cleared once a full push is launched).
-    bool force_full = false;
+    /// The push in the channel (set while it waits out its delivery
+    /// latency) and the fingerprint it must produce, parked here so the
+    /// delivery timer captures only the state.
+    std::optional<ConfigPush> push;
+    ConfigFingerprint target;
   };
 
   static constexpr std::size_t kCurrent = static_cast<std::size_t>(-1);
@@ -303,16 +310,15 @@ class ControlPlane {
   void poll_registry();
   /// Mints the next epoch and records the registry version it covers.
   void begin_epoch();
-  /// Compiles + fingerprints + delivers (or drops) one sidecar's push
-  /// for the current epoch.
+  /// Compiles + fingerprints one sidecar's push for the current epoch
+  /// (a delta when cp.delta_push has an acked base, else a replace),
+  /// then delivers, delays or drops it.
   void launch_push(PushState& state);
-  void deliver_push(PushState& state, SidecarConfig config,
-                    ConfigFingerprint target);
-  /// Delivers an incremental push; on base/target mismatch falls back to
-  /// an immediate full-snapshot re-push (no rollback — the mismatch is a
-  /// transport artefact, not a poison config).
-  void deliver_delta(PushState& state, ConfigDelta delta,
-                     ConfigFingerprint target);
+  /// Applies the state's parked push to its sidecar and acks or nacks
+  /// it. A delta whose base or target mismatched falls back to an
+  /// immediate replace (no rollback — the mismatch is a transport
+  /// artefact, not a poison config).
+  void deliver(PushState& state);
   void handle_ack(PushState& state, std::uint64_t epoch, std::uint64_t hash);
   void handle_nack(PushState& state, std::uint64_t epoch,
                    const std::string& reason);

@@ -191,7 +191,7 @@ void Sidecar::start() {
             config_.service_name + "->" + cluster + "/" + pod_name,
             healthy ? "readmitted" : "evicted");
       });
-  retarget_health(ClusterMap{});
+  retarget_health(config_.clusters, {}, {});
 }
 
 namespace {
@@ -206,10 +206,9 @@ std::string validate_policy_section(const PolicySection& policy) {
   return {};
 }
 
-std::string validate_cluster(const std::string& name,
-                             const ClusterSpec& spec) {
+std::string validate_cluster(const ClusterSpec& spec) {
+  const std::string& name = spec.name;
   if (name.empty()) return "unnamed cluster";
-  if (spec.name != name) return "cluster name mismatch: " + name;
   for (const cluster::Endpoint& ep : spec.endpoints) {
     if (ep.pod_name.empty()) return "endpoint without pod in " + name;
     if (ep.port == 0) return "endpoint without port in " + name;
@@ -217,27 +216,16 @@ std::string validate_cluster(const std::string& name,
   return {};
 }
 
-const ClusterSpec& spec_of(const ClusterSpec& spec) { return spec; }
-const ClusterSpec& spec_of(const ClusterSpecRef& ref) { return *ref; }
-
-/// The first error in a policy section (when given), then the clusters —
-/// the order validate_config reports in.
-template <class Clusters>
-std::string validate_parts(const PolicySection* policy,
-                           const Clusters& clusters) {
-  std::string error;
-  if (policy != nullptr) error = validate_policy_section(*policy);
-  for (auto it = clusters.begin(); error.empty() && it != clusters.end();
-       ++it) {
-    error = validate_cluster(it->first, spec_of(it->second));
-  }
-  return error;
-}
-
 }  // namespace
 
-std::string validate_config(const SidecarConfig& config) {
-  return validate_parts(&config, config.clusters);
+std::string validate_config(const ConfigPush& push) {
+  std::string error;
+  if (push.policy) error = validate_policy_section(*push.policy);
+  for (auto it = push.clusters.begin();
+       error.empty() && it != push.clusters.end(); ++it) {
+    error = validate_cluster(it->second);
+  }
+  return error;
 }
 
 namespace {
@@ -339,28 +327,32 @@ std::uint64_t hash_policy_section(const SidecarPolicy& c) {
 
 namespace {
 
-/// The fingerprint `running` (of `clusters`) becomes under `delta`.
-/// Every changed part is hashed from the content the delta carries — an
-/// upserted spec by its constructor, never by the sender — and an
-/// unchanged cluster keeps its share of the sum untouched.
-ConfigFingerprint patch_fingerprint(const ConfigFingerprint& running,
-                                    const ClusterMap& clusters,
-                                    const ConfigDelta& delta) {
-  ConfigFingerprint out = running;
-  if (delta.policy) out.policy_hash = hash_policy_section(*delta.policy);
-  const auto drop = [&](const std::string& name) {
-    if (const ClusterSpecRef* old = clusters.ref(name)) {
+/// The fingerprint `running` (of `clusters`) becomes under `push`. Every
+/// changed part is hashed from the content the push carries — a pushed
+/// spec by its constructor, never by the sender — and, for a delta, an
+/// unchanged cluster keeps its share of the sum untouched. A replace
+/// starts from nothing.
+ConfigFingerprint pushed_fingerprint(const ConfigFingerprint& running,
+                                     const ClusterMap& clusters,
+                                     const ConfigPush& push) {
+  static const ClusterMap kNothing;
+  const ClusterMap& base = push.replace ? kNothing : clusters;
+  ConfigFingerprint out = push.replace ? ConfigFingerprint{} : running;
+  if (push.policy) out.policy_hash = hash_policy_section(*push.policy);
+  const auto drop = [&](std::string_view name) {
+    if (const ClusterSpecRef* old = base.ref(name)) {
       out.cluster_sum -= cluster_term(old->hash());
     }
   };
-  // An upsert replaces a same-name entry even when it is also removed.
-  for (const auto& [name, spec] : delta.cluster_upserts) {
-    drop(name);
-    out.cluster_sum += cluster_term(spec.hash());
+  // A pushed cluster replaces a same-name entry even when it is also
+  // removed.
+  for (auto it = push.clusters.begin(); it != push.clusters.end(); ++it) {
+    drop(it->first);
+    out.cluster_sum += cluster_term(it.shared().hash());
   }
-  const auto& removals = delta.cluster_removals;
+  const auto& removals = push.removals;
   for (auto it = removals.begin(); it != removals.end(); ++it) {
-    if (delta.cluster_upserts.contains(*it) ||
+    if (push.clusters.contains(*it) ||
         std::find(removals.begin(), it, *it) != it) {
       continue;
     }
@@ -378,80 +370,50 @@ bool Sidecar::reject_config(std::string reason) {
   return false;
 }
 
-bool Sidecar::apply_config(SidecarConfig config) {
-  if (config.epoch != 0 && config.epoch < config_.epoch) {
+bool Sidecar::apply_config(ConfigPush& push) {
+  if (push.epoch != 0 && push.epoch < config_.epoch) {
     return reject_config("stale-epoch");
   }
-  std::string error = validate_config(config);
-  if (!error.empty()) {
-    return reject_config(std::move(error));
-  }
-  fingerprint_ = fingerprint_config(config);
-  const ClusterMap before = std::move(config_.clusters);
-  config_ = std::move(config);
-  retarget_health(before);
-  finish_apply();
-  return true;
-}
-
-bool Sidecar::apply_config_delta(const ConfigDelta& delta) {
-  if (delta.epoch != 0 && delta.epoch < config_.epoch) {
-    return reject_config("stale-epoch");
-  }
-  const ConfigFingerprint& running = config_fingerprint();
-  if (running.hash != delta.base_hash) {
+  if (!push.replace && push.base_hash != fingerprint_.hash) {
     // The control plane diffed against a config this sidecar is not
     // running (e.g. a direct test poke mutated local state). Refuse —
     // blindly patching an unknown base could route to stale endpoints —
-    // and let the control plane fall back to a full push.
+    // and let the control plane fall back to a replace.
     ++stats_.delta_mismatches;
     return reject_config("delta-base-mismatch");
   }
   const ConfigFingerprint target =
-      patch_fingerprint(running, config_.clusters, delta);
-  if (target.hash != delta.target_hash) {
+      pushed_fingerprint(fingerprint_, config_.clusters, push);
+  if (target.hash != push.target_hash) {
+    if (push.replace) return reject_config("target-mismatch");
     ++stats_.delta_mismatches;
     return reject_config("delta-target-mismatch");
   }
-  // The parts the delta leaves alone passed validation when applied.
-  std::string error = validate_parts(
-      delta.policy ? &*delta.policy : nullptr, delta.cluster_upserts);
+  std::string error = validate_config(push);
   if (!error.empty()) {
     return reject_config(std::move(error));
   }
 
-  // Every check passed: patch the running config in place.
-  if (delta.policy) static_cast<SidecarPolicy&>(config_) = *delta.policy;
-  config_.epoch = delta.epoch;
-  for (const std::string& name : delta.cluster_removals) {
-    config_.clusters.erase(name);
+  // Every check passed: take the policy, then the clusters.
+  if (push.policy) {
+    static_cast<SidecarPolicy&>(config_) = std::move(*push.policy);
   }
-  for (const auto& [name, spec] : delta.cluster_upserts) {
-    config_.clusters.put(spec);
-  }
+  config_.epoch = push.epoch;
   fingerprint_ = target;
-  // Health checking is re-targeted for the changed clusters only: for an
-  // unchanged one, update_targets would be a no-op.
-  if (health_checker_ != nullptr) {
-    for (const auto& [name, spec] : delta.cluster_upserts) {
-      health_checker_->update_targets(name, spec->health_check,
-                                      spec->endpoints, kSidecarInboundPort);
+  if (push.replace) {
+    const ClusterMap before = std::exchange(config_.clusters, push.clusters);
+    retarget_health(config_.clusters, before, {});
+  } else {
+    for (const std::string& name : push.removals) {
+      config_.clusters.erase(name);
     }
-    for (const std::string& name : delta.cluster_removals) {
-      if (config_.clusters.contains(name)) continue;
-      // A disabled check with no endpoints drops the cluster's targets.
-      health_checker_->update_targets(name, HealthCheckConfig{}, {},
-                                      kSidecarInboundPort);
+    for (auto it = push.clusters.begin(); it != push.clusters.end(); ++it) {
+      config_.clusters.put(it.shared());
     }
+    retarget_health(push.clusters, {}, push.removals);
+    ++stats_.deltas_applied;
   }
-  ++stats_.deltas_applied;
-  finish_apply();
-  return true;
-}
-
-void Sidecar::finish_apply() {
   last_config_error_.clear();
-  ++stats_.configs_applied;
   // Each called cluster finds its new spec by name, once per push, and
   // restarts its balancer, so a changed LB policy takes effect.
   for (UpstreamSlot& slot : slots_) bind_slot(slot);
@@ -463,27 +425,26 @@ void Sidecar::finish_apply() {
         config_.service_name, config_.admission,
         telemetry_ != nullptr ? &telemetry_->registry() : nullptr);
   }
+  return true;
 }
 
-void Sidecar::retarget_health(const ClusterMap& before) {
+void Sidecar::retarget_health(const ClusterMap& pushed,
+                              const ClusterMap& replaced,
+                              const std::vector<std::string>& removals) {
   if (!health_checker_) return;
   // Both maps are name-ordered: one merge walk. An unchanged spec object
   // would make update_targets a no-op, so it is skipped. A cluster that
   // left the config drops its targets after every update, in name order
-  // (the targets' own order).
+  // (the targets' own order): what a replace does not hold, and what a
+  // delta removes without pushing it again.
   std::vector<std::string_view> removed;
-  auto old = before.begin();
-  for (auto it = config_.clusters.begin(); it != config_.clusters.end();
-       ++it) {
-    if (old != before.end() && old.shared().same_object(it.shared())) {
-      ++old;
-      continue;
-    }
+  auto old = replaced.begin();
+  for (auto it = pushed.begin(); it != pushed.end(); ++it) {
     const auto& [name, spec] = *it;
-    for (; old != before.end() && old->first < name; ++old) {
+    for (; old != replaced.end() && old->first < name; ++old) {
       removed.push_back(old->first);
     }
-    if (old != before.end() && old->first == name) {
+    if (old != replaced.end() && old->first == name) {
       const bool unchanged = old.shared().same_object(it.shared());
       ++old;
       if (unchanged) continue;
@@ -491,8 +452,12 @@ void Sidecar::retarget_health(const ClusterMap& before) {
     health_checker_->update_targets(name, spec.health_check, spec.endpoints,
                                     kSidecarInboundPort);
   }
-  for (; old != before.end(); ++old) removed.push_back(old->first);
+  for (; old != replaced.end(); ++old) removed.push_back(old->first);
+  for (const std::string& name : removals) {
+    if (!config_.clusters.contains(name)) removed.push_back(name);
+  }
   for (const std::string_view name : removed) {
+    // A disabled check with no endpoints drops the cluster's targets.
     health_checker_->update_targets(std::string(name), HealthCheckConfig{},
                                     {}, kSidecarInboundPort);
   }
@@ -959,8 +924,8 @@ HttpClientPool& Sidecar::pool_for(const cluster::Endpoint& endpoint,
   if (mtls) {
     options.tls.enabled = true;
     // Stable addresses into the running config: apply_config move-assigns
-    // config_ in place, so rotation pushes reach the next handshake
-    // without rewiring the pool.
+    // the pushed policy into config_ in place, so rotation pushes reach
+    // the next handshake without rewiring the pool.
     options.tls.params = &config_.tls;
     options.tls.local_cert = &config_.identity_cert;
     options.tls.runtime = &tls_runtime();

@@ -89,7 +89,7 @@ struct ClusterSpec {
 };
 
 /// Fingerprint of one cluster's spec (name, endpoints, LB, breaker, health
-/// check, mTLS) — the unit of change a ConfigDelta upserts.
+/// check, mTLS) — the unit of change a ConfigPush carries.
 std::uint64_t hash_cluster_spec(const ClusterSpec& spec);
 
 /// Dense integer ids for cluster and pod names: each name gets the next
@@ -267,7 +267,8 @@ struct PolicySection {
 };
 
 /// One sidecar's pushed policy: the section plus the identity it was
-/// compiled for. A delta push carries it whole when its hash changed.
+/// compiled for. A push carries it whole: a replace always, a delta when
+/// its hash changed.
 struct SidecarPolicy : PolicySection {
   std::string service_name;
 
@@ -282,8 +283,8 @@ struct SidecarPolicy : PolicySection {
   Certificate identity_cert;
 };
 
-/// What the control plane pushes to one sidecar: its policy plus the
-/// clusters. A request's Host header names its cluster.
+/// The config one sidecar runs: its policy plus the clusters. A request's
+/// Host header names its cluster.
 struct SidecarConfig : SidecarPolicy {
   ClusterMap clusters;
 };
@@ -311,11 +312,15 @@ struct SidecarInjectionOptions {
   }
 };
 
-/// Sanity-checks a compiled config before it replaces the running one.
-/// Returns an empty string when valid, else a human-readable reason —
-/// the sidecar nacks the push and keeps its last-good config (the
-/// control plane rolls back on nack).
-std::string validate_config(const SidecarConfig& config);
+struct ConfigPush;  // mesh/config_delta.h
+
+/// Sanity-checks what a push carries (its policy, when it has one, and
+/// its clusters) before any of it reaches the running config; the parts
+/// a delta leaves alone passed when they were pushed. Returns an empty
+/// string when valid, else a human-readable reason — the sidecar nacks
+/// the push and keeps its last-good config (the control plane rolls back
+/// on nack).
+std::string validate_config(const ConfigPush& push);
 
 /// Structural fingerprint of a compiled config. Epoch is excluded (two
 /// epochs with identical payloads hash equal, which is what lets the
@@ -333,8 +338,7 @@ std::uint64_t hash_policy_section(const SidecarPolicy& policy);
 
 /// One cluster's share of ConfigFingerprint::cluster_sum: an avalanche
 /// mix of its hash_cluster_spec, which hashes the cluster's name first
-/// (a ClusterMap keys each spec by its own name, and a delta's upsert
-/// keys are validated against theirs).
+/// (a ClusterMap keys each spec by its own name).
 std::uint64_t cluster_term(std::uint64_t spec_hash) noexcept;
 
 /// hash_sidecar_config kept in its parts. The cluster part is an
@@ -356,8 +360,6 @@ ConfigFingerprint fingerprint_config(const SidecarConfig& config);
 /// The config hash `parts` describe (ignores `parts.hash`).
 std::uint64_t compose_config_hash(const ConfigFingerprint& parts);
 
-struct ConfigDelta;  // mesh/config_delta.h
-
 struct SidecarStats {
   std::uint64_t inbound_requests = 0;
   std::uint64_t outbound_requests = 0;
@@ -372,11 +374,10 @@ struct SidecarStats {
   /// the abandoned request is finished as a local 499 so its span and
   /// telemetry sample still close (the finish_outbound funnel).
   std::uint64_t downstream_aborts = 0;
-  std::uint64_t configs_applied = 0;
-  std::uint64_t configs_rejected = 0;  ///< invalid or stale-epoch pushes
+  std::uint64_t configs_rejected = 0;  ///< refused pushes, for any reason
   std::uint64_t deltas_applied = 0;    ///< incremental pushes applied
   /// Delta pushes refused because the base/target fingerprint did not
-  /// match (the control plane falls back to a full push).
+  /// match (the control plane falls back to a replace).
   std::uint64_t delta_mismatches = 0;
   /// Second-level panic picks: every health-admitted endpoint was
   /// breaker-rejected, so the pick fell back to the full endpoint set.
@@ -397,26 +398,24 @@ class Sidecar {
   /// Opens the listeners. Call once after construction.
   void start();
 
-  /// Replaces the cluster and policy state (an xDS push). Returns false — and
-  /// keeps the running config untouched — when the push is invalid
-  /// (validate_config) or stale (an epoch the sidecar already moved
-  /// past); `last_config_error()` then says why. Health checking is
-  /// re-targeted only at clusters whose spec object changed.
-  bool apply_config(SidecarConfig config);
+  /// Applies a config push (an xDS push, mesh/config_delta.h), a replace
+  /// or a delta. Checks, in order: the epoch is not stale; a delta's
+  /// `base_hash` matches the running config's fingerprint; `target_hash`
+  /// matches the fingerprint this sidecar computes itself from the
+  /// content it received; what the push carries validates
+  /// (validate_config). Returns false — running config untouched — on the
+  /// first failed check, and `last_config_error()` says why
+  /// ("stale-epoch", "delta-base-mismatch", "delta-target-mismatch" —
+  /// the control plane falls back to a replace — "target-mismatch" for
+  /// a replace, or the validation error). Otherwise it moves the pushed
+  /// policy out of `push` and shares its cluster specs: a replace drops
+  /// every running cluster it does not hold, a delta patches the running
+  /// config in place. Health checking is re-targeted only at clusters
+  /// whose spec object changed, then dropped for the removed ones.
+  bool apply_config(ConfigPush& push);
 
-  /// Applies an incremental push (mesh/config_delta.h). Checks, in order:
-  /// the epoch is not stale; `base_hash` matches the running config's
-  /// fingerprint; `target_hash` matches hashes this sidecar computes
-  /// itself over the content it received; the changed parts validate
-  /// (the rest already did when it was applied). Then patches the
-  /// running config in place. Returns false — running config untouched —
-  /// on the first failed check ("stale-epoch", "delta-base-mismatch" /
-  /// "delta-target-mismatch" — the control plane falls back to a full
-  /// push — or the validation error).
-  bool apply_config_delta(const ConfigDelta& delta);
-
-  /// Fingerprint of the running config: computed from the content by
-  /// every full apply_config, then patched by every applied delta.
+  /// Fingerprint of the running config: computed from the content of
+  /// every applied push (patched, for a delta).
   const ConfigFingerprint& config_fingerprint() const noexcept {
     return fingerprint_;
   }
@@ -533,9 +532,6 @@ class Sidecar {
 
   /// Counts a refused push and records why; returns false.
   bool reject_config(std::string reason);
-  /// Bookkeeping shared by full and delta applies, once config_ holds
-  /// the new config.
-  void finish_apply();
   void accept_session(transport::Connection& conn, FilterDirection direction);
   void on_session_request(std::uint64_t session_id, http::HttpRequest req);
   void pump_session(ServerSession& session);
@@ -556,10 +552,14 @@ class Sidecar {
   /// session.
   void finish_outbound(std::uint64_t session_id, const Ctx& ctx,
                        std::uint32_t cluster_id, http::HttpResponse response);
-  /// Re-targets health checking after the running clusters replaced
-  /// `before`: only the clusters whose spec object changed, then the
-  /// removed ones.
-  void retarget_health(const ClusterMap& before);
+  /// Re-targets health checking after a push: first each of `pushed`
+  /// whose spec object `replaced` (what a replace replaced; empty
+  /// otherwise) does not hold, in name order; then drops the targets of
+  /// the clusters that left: those of `replaced` missing from `pushed`,
+  /// in name order, then each of a delta's `removals` the running config
+  /// no longer holds.
+  void retarget_health(const ClusterMap& pushed, const ClusterMap& replaced,
+                       const std::vector<std::string>& removals);
   void attempt_upstream(std::uint64_t session_id, Ctx ctx);
   void on_request_deadline(std::uint64_t session_id, Ctx ctx,
                            std::uint64_t seq);

@@ -26,6 +26,18 @@ std::uint64_t counter(const ControlPlane& cp, std::string_view name) {
   return c == nullptr ? 0 : c->value();
 }
 
+/// `config` as a replace push, for configs a test hands a sidecar (or
+/// validate_config) behind the control plane's back.
+ConfigPush replace_push(const SidecarConfig& config) {
+  ConfigPush push;
+  push.epoch = config.epoch;
+  push.target_hash = hash_sidecar_config(config);
+  push.replace = true;
+  push.policy = config;
+  push.clusters = config.clusters;
+  return push;
+}
+
 /// Client pod + N server replicas, sidecars injected, no apps: these
 /// tests exercise the push channel and probe machinery, not request
 /// traffic.
@@ -103,7 +115,8 @@ TEST_F(ControlPlaneFixture, StaleEpochPushIsRejectedBySidecar) {
 
   SidecarConfig stale = server_sidecars_[0]->config();
   stale.epoch = 1;
-  EXPECT_FALSE(server_sidecars_[0]->apply_config(stale));
+  ConfigPush stale_push = replace_push(stale);
+  EXPECT_FALSE(server_sidecars_[0]->apply_config(stale_push));
   EXPECT_EQ(server_sidecars_[0]->last_config_error(), "stale-epoch");
   EXPECT_EQ(server_sidecars_[0]->stats().configs_rejected, 1u);
   EXPECT_EQ(server_sidecars_[0]->config().retry.max_retries, 5);
@@ -111,7 +124,8 @@ TEST_F(ControlPlaneFixture, StaleEpochPushIsRejectedBySidecar) {
   // Epoch 0 marks an unversioned (test/local) config: always applies.
   SidecarConfig unversioned = server_sidecars_[0]->config();
   unversioned.epoch = 0;
-  EXPECT_TRUE(server_sidecars_[0]->apply_config(unversioned));
+  ConfigPush unversioned_push = replace_push(unversioned);
+  EXPECT_TRUE(server_sidecars_[0]->apply_config(unversioned_push));
 }
 
 // -------------------------------------------------- lossy push channel --
@@ -253,7 +267,8 @@ TEST_F(ControlPlaneFixture, OutOfBandApplyMakesNextDeltaFallBackToFullPush) {
   SidecarConfig poked = server.config();
   poked.epoch = 0;
   poked.retry.max_retries = 4;
-  ASSERT_TRUE(server.apply_config(poked));
+  ConfigPush poke = replace_push(poked);
+  ASSERT_TRUE(server.apply_config(poke));
 
   cp_->policies().default_lb = LbPolicy::kLeastRequest;
   cp_->push_config();
@@ -271,6 +286,45 @@ TEST_F(ControlPlaneFixture, OutOfBandApplyMakesNextDeltaFallBackToFullPush) {
   EXPECT_EQ(server.config_fingerprint().hash, cp_->acked_hash("server-v1"));
 }
 
+// A delta fallback forgets the acked base, so the replace it re-pushes
+// stays a replace through loss and retries until the sidecar acks it.
+TEST_F(ControlPlaneFixture, LostFallbackReplaceIsRetriedAsAReplace) {
+  MeshPolicies policies = delta_policies();
+  policies.cp.push_latency_base = sim::milliseconds(1);
+  policies.cp.ack_timeout = sim::milliseconds(20);
+  build(1, policies);
+  Sidecar& server = *server_sidecars_[0];
+  SidecarConfig poked = server.config();
+  poked.epoch = 0;
+  poked.retry.max_retries = 4;
+  ConfigPush poke = replace_push(poked);
+  ASSERT_TRUE(server.apply_config(poke));
+
+  cp_->policies().default_lb = LbPolicy::kLeastRequest;
+  cp_->push_config();  // two deltas in flight; the server's misses its base
+  EXPECT_EQ(cp_->push_channel_bytes().delta_pushes, 2u);
+  EXPECT_EQ(cp_->push_channel_bytes().full_pushes, 0u);
+  cp_->policies().cp.push_loss = 1.0;  // the fallback's replace is lost
+  run_for(sim::milliseconds(2));
+  EXPECT_EQ(cp_->push_channel_bytes().delta_fallbacks, 1u);
+  EXPECT_EQ(cp_->push_channel_bytes().full_pushes, 1u);
+  EXPECT_FALSE(cp_->converged());
+
+  cp_->policies().cp.push_loss = 0.0;
+  run_for(sim::seconds(3));
+  EXPECT_TRUE(cp_->converged());
+  const ControlPlane::PushChannelBytes bytes = cp_->push_channel_bytes();
+  EXPECT_GT(counter(*cp_, "cp_push_retries_total"), 0u);
+  EXPECT_GT(bytes.full_pushes, 1u);  // the retries
+  EXPECT_EQ(bytes.delta_pushes, 2u);
+  EXPECT_EQ(bytes.delta_fallbacks, 1u);
+  EXPECT_EQ(server.stats().delta_mismatches, 1u);
+  EXPECT_EQ(server.config().retry.max_retries, 1);
+  EXPECT_EQ(server.config().clusters.at("server").lb,
+            LbPolicy::kLeastRequest);
+  EXPECT_EQ(server.config_fingerprint().hash, cp_->acked_hash("server-v1"));
+}
+
 TEST_F(ControlPlaneFixture, DeltaWithWrongTargetHashLeavesConfigUntouched) {
   build(1, delta_policies());
   cp_->push_config();
@@ -278,17 +332,17 @@ TEST_F(ControlPlaneFixture, DeltaWithWrongTargetHashLeavesConfigUntouched) {
   const std::uint64_t before = hash_sidecar_config(client.config());
   const std::uint64_t epoch_before = client.config_epoch();
 
-  ConfigDelta delta;
+  ConfigPush delta;
   delta.epoch = cp_->epoch() + 1;
   delta.base_hash = client.config_fingerprint().hash;
   ClusterSpec changed = client.config().clusters.at("server");
   changed.lb = LbPolicy::kRandom;
   ClusterSpecPool pool;
-  delta.cluster_upserts.emplace("server", pool.get(changed));
+  delta.clusters.put(pool.get(changed));
   // Claims a result the carried content does not produce.
   delta.target_hash = before;
 
-  EXPECT_FALSE(client.apply_config_delta(delta));
+  EXPECT_FALSE(client.apply_config(delta));
   EXPECT_EQ(client.last_config_error(), "delta-target-mismatch");
   EXPECT_EQ(client.stats().delta_mismatches, 1u);
   EXPECT_EQ(client.config_epoch(), epoch_before);
@@ -315,19 +369,19 @@ TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
   ASSERT_FALSE(broken.endpoints.empty());
   broken.endpoints.front().port = 0;
 
-  ConfigDelta delta;
+  ConfigPush delta;
   delta.epoch = cp_->epoch() + 1;
   delta.base_hash = client.config_fingerprint().hash;
   ClusterSpecPool pool;
-  delta.cluster_upserts.emplace("aaa", pool.get(added));
-  delta.cluster_upserts.emplace("server", pool.get(broken));
+  delta.clusters.put(pool.get(added));
+  delta.clusters.put(pool.get(broken));
   // An honest target hash, so validation (not fingerprinting) rejects it.
   SidecarConfig target = before;
   target.clusters.put(pool.get(added));
   target.clusters.put(pool.get(broken));
   delta.target_hash = hash_sidecar_config(target);
 
-  EXPECT_FALSE(client.apply_config_delta(delta));
+  EXPECT_FALSE(client.apply_config(delta));
   EXPECT_EQ(client.last_config_error(), "endpoint without port in server");
   EXPECT_EQ(client.stats().delta_mismatches, 0u);
   EXPECT_FALSE(client.config().clusters.contains("aaa"));
@@ -335,36 +389,6 @@ TEST_F(ControlPlaneFixture, DeltaFailingValidationAppliesNoCluster) {
             before.clusters.at("server").endpoints.front().port);
   EXPECT_EQ(client.config_epoch(), before.epoch);
   EXPECT_EQ(hash_sidecar_config(client.config()), hash_sidecar_config(before));
-  EXPECT_EQ(client.config_fingerprint().hash, hash_sidecar_config(before));
-}
-
-// A delta names its upserts; a name that is not the spec's own would file
-// the spec under a cluster it does not describe.
-TEST_F(ControlPlaneFixture, DeltaUpsertUnderAnotherNameIsRefused) {
-  build(1, delta_policies());
-  cp_->push_config();
-  Sidecar& client = *client_sidecar_;
-  const SidecarConfig before = client.config();
-
-  ClusterSpec changed = before.clusters.at("server");
-  changed.lb = LbPolicy::kRandom;
-  ConfigDelta delta;
-  delta.epoch = cp_->epoch() + 1;
-  delta.base_hash = client.config_fingerprint().hash;
-  ClusterSpecPool pool;
-  delta.cluster_upserts.emplace("alias", pool.get(changed));
-  // The target the sidecar patches from this content, so validation (not
-  // fingerprinting) refuses it.
-  ConfigFingerprint target = client.config_fingerprint();
-  target.cluster_sum += cluster_term(hash_cluster_spec(changed));
-  delta.target_hash = compose_config_hash(target);
-
-  EXPECT_FALSE(client.apply_config_delta(delta));
-  EXPECT_EQ(client.last_config_error(), "cluster name mismatch: alias");
-  EXPECT_EQ(client.stats().delta_mismatches, 0u);
-  EXPECT_FALSE(client.config().clusters.contains("alias"));
-  EXPECT_EQ(client.config().clusters.at("server").lb, LbPolicy::kRoundRobin);
-  EXPECT_EQ(client.config_epoch(), before.epoch);
   EXPECT_EQ(client.config_fingerprint().hash, hash_sidecar_config(before));
 }
 
@@ -460,17 +484,17 @@ TEST_F(ControlPlaneFixture, NoRotationWhenRefreshAheadDisabled) {
 // ------------------------------------- config validation + fingerprint --
 
 TEST(ConfigValidation, DefaultConfigIsValid) {
-  EXPECT_EQ(validate_config(SidecarConfig{}), "");
+  EXPECT_EQ(validate_config(replace_push(SidecarConfig{})), "");
 }
 
 TEST(ConfigValidation, RejectsMalformedConfigs) {
   SidecarConfig bad_timeout;
   bad_timeout.request_timeout = -1;
-  EXPECT_NE(validate_config(bad_timeout), "");
+  EXPECT_NE(validate_config(replace_push(bad_timeout)), "");
 
   SidecarConfig bad_retries;
   bad_retries.retry.max_retries = -2;
-  EXPECT_NE(validate_config(bad_retries), "");
+  EXPECT_NE(validate_config(replace_push(bad_retries)), "");
 
   SidecarConfig bad_endpoint;
   ClusterSpec spec;
@@ -480,12 +504,12 @@ TEST(ConfigValidation, RejectsMalformedConfigs) {
   spec.endpoints.push_back(nameless);
   ClusterSpecPool pool;
   bad_endpoint.clusters.put(pool.get(spec));
-  EXPECT_NE(validate_config(bad_endpoint), "");
+  EXPECT_NE(validate_config(replace_push(bad_endpoint)), "");
 
   SidecarConfig no_slots;
   no_slots.admission.enabled = true;
   no_slots.admission.concurrency_limit = 0;
-  EXPECT_NE(validate_config(no_slots), "");
+  EXPECT_NE(validate_config(replace_push(no_slots)), "");
 }
 
 TEST(ConfigFingerprint, ExcludesEpochIncludesPayload) {

@@ -15,6 +15,7 @@
 
 #include "app/mesh_builder.h"
 #include "cluster/topology_gen.h"
+#include "mesh/config_delta.h"
 #include "mesh/http_client.h"
 #include "mesh/sidecar.h"
 #include "mesh/subset.h"
@@ -35,6 +36,18 @@ cluster::MeshSpec two_service_spec() {
   b.replicas = 2;
   spec.services = {a, b};
   return spec;
+}
+
+/// `config` as a replace push, for a config a test hands a sidecar
+/// behind the control plane's back.
+mesh::ConfigPush replace_push(const mesh::SidecarConfig& config) {
+  mesh::ConfigPush push;
+  push.epoch = config.epoch;
+  push.target_hash = mesh::hash_sidecar_config(config);
+  push.replace = true;
+  push.policy = config;
+  push.clusters = config.clusters;
+  return push;
 }
 
 cluster::MeshSpec one_service_spec(int replicas) {
@@ -357,12 +370,13 @@ TEST(EndpointSubsets, BoundsBuiltSidecarTablesWithFullCoverage) {
   EXPECT_EQ(mesh_wide.size(), 6u);
 }
 
-// Delta pushes and full-snapshot pushes must land every sidecar on the
-// same config through the same epochs, even across a lossy channel and
-// endpoint churn. Two identical meshes, one per transport: the RNG
-// draw sequence is transport-independent (byte accounting draws
-// nothing), so the loss pattern is identical and the end states must
-// fingerprint identically.
+// Deltas and replaces must land every sidecar on the same config through
+// the same epochs, even across a lossy channel, endpoint churn and a
+// cluster scoped out of some sidecars, and must re-target their health
+// checks alike. Two identical meshes, one per push shape: the RNG draw
+// sequence is shape-independent (byte accounting draws nothing), so the
+// loss pattern is identical and the end states must fingerprint, and
+// have probed, identically.
 TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
   const auto make_spec = [](bool delta) {
     cluster::MeshSpec spec = two_service_spec();
@@ -371,6 +385,7 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
     spec.policies.cp.push_loss = 0.25;
     spec.policies.cp.ack_timeout = sim::milliseconds(50);
     spec.policies.cp.delta_push = delta;
+    spec.policies.health_check.enabled = true;
     return spec;
   };
 
@@ -386,8 +401,13 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
     mesh.cluster().deregister_pod("b-v2");
     sim.run_until(sim::milliseconds(900));
     mesh.cluster().restart_pod("b-v2");
+    sim.run_until(sim::milliseconds(1500));
+    // b's sidecars drop cluster "a": a removal, or a replace without it.
+    mesh::ControlPlane& cp = mesh.control_plane();
+    cp.policies().cluster_scopes["b"] = {"b"};
+    cp.push_config();
     // Lost pushes retry with up to 2 s of backoff.
-    sim.run_until(sim::seconds(5));
+    sim.run_until(sim::seconds(6));
   };
   churn(*mesh_delta, sim_delta);
   churn(*mesh_full, sim_full);
@@ -398,14 +418,25 @@ TEST(DeltaPush, EquivalentToFullSnapshotsUnderLossyChurn) {
   EXPECT_TRUE(cp_full.converged());
   EXPECT_EQ(cp_delta.epoch(), cp_full.epoch());
   for (const std::string pod : {"a-v1", "b-v1", "b-v2"}) {
-    const mesh::Sidecar* sc_delta = cp_delta.sidecar_for(pod);
-    const mesh::Sidecar* sc_full = cp_full.sidecar_for(pod);
+    mesh::Sidecar* sc_delta = cp_delta.sidecar_for(pod);
+    mesh::Sidecar* sc_full = cp_full.sidecar_for(pod);
     ASSERT_NE(sc_delta, nullptr);
     ASSERT_NE(sc_full, nullptr);
+    EXPECT_EQ(sc_delta->config_fingerprint().hash,
+              sc_full->config_fingerprint().hash)
+        << pod;
     EXPECT_EQ(mesh::hash_sidecar_config(sc_delta->config()),
               mesh::hash_sidecar_config(sc_full->config()))
         << pod;
     EXPECT_EQ(sc_delta->config().epoch, sc_full->config().epoch) << pod;
+    EXPECT_EQ(sc_delta->config().clusters.contains("a"), pod == "a-v1")
+        << pod;
+    EXPECT_EQ(sc_full->config().clusters.contains("a"), pod == "a-v1")
+        << pod;
+    const std::uint64_t probes =
+        sc_delta->health_checker()->stats().probes_sent;
+    EXPECT_GT(probes, 0u) << pod;
+    EXPECT_EQ(probes, sc_full->health_checker()->stats().probes_sent) << pod;
   }
 
   // The delta mesh really used the incremental channel, and spent far
@@ -574,7 +605,8 @@ TEST(SharedClusterSpecs, RandomChurnKeepsFingerprintsAndSharing) {
           mesh::SidecarConfig config = poked->config();
           config.epoch = 0;
           config.retry.max_retries += 1;
-          ASSERT_TRUE(poked->apply_config(config));
+          mesh::ConfigPush push = replace_push(config);
+          ASSERT_TRUE(poked->apply_config(push));
           sim::Duration& per_try = cp.policies().retry.per_try_timeout;
           per_try = per_try == 0 ? sim::milliseconds(250) : 0;
           ++pokes;
