@@ -8,14 +8,16 @@
 // rather than copied. A plaintext hop sends both through
 // Connection::send(head, body), so a body crosses it with no copy. The
 // joined encode_*() form copies head and body into one block; it serves
-// the mTLS hop (records are ciphertext, so the message is joined once),
-// serialize_*() and tests. HttpParser is an incremental push parser: feed it
-// arbitrary byte chunks straight off a transport connection and it emits
-// complete messages, handling messages split across chunks and multiple
-// pipelined messages inside one chunk. Body bytes that arrive as
+// the mTLS hop (records are ciphertext, so the message is joined once and
+// then encoded into one record block), serialize_*() and tests.
+// HttpParser is an incremental push parser: feed it arbitrary byte chunks
+// straight off a transport connection or out of a TLS channel and it
+// emits complete messages, handling messages split across chunks and
+// multiple pipelined messages inside one chunk. Body bytes that arrive as
 // consecutive slices of one block are kept by reference, so a parsed body
-// is a slice of the sender's body block. Malformed input moves the parser
-// into an error state that the caller can observe and reset.
+// is a slice of the sender's body block (on an mTLS hop, of the sender's
+// record block). Malformed input moves the parser into an error state
+// that the caller can observe and reset.
 
 #include <cstdint>
 #include <functional>

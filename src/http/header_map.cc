@@ -54,9 +54,15 @@ Id intern(std::string_view name) noexcept {
 }  // namespace headers
 
 namespace {
-/// Smallest arena a map allocates: room for a sub-request's host, request
-/// id, trace ids and priority in one allocation.
+/// Smallest arena a map takes: room for a sub-request's host, request id,
+/// trace ids and priority in one block.
 constexpr std::size_t kMinArenaBytes = 128;
+
+/// A block's usable bytes: its whole size class (block capacities are
+/// 32-bit, like an Entry's offsets).
+std::uint32_t usable_bytes(const net::Payload& block) noexcept {
+  return static_cast<std::uint32_t>(block.capacity());
+}
 }  // namespace
 
 HeaderMap::HeaderMap(const HeaderMap& other) { copy_from(other); }
@@ -82,8 +88,8 @@ void HeaderMap::copy_from(const HeaderMap& other) {
   }
   const std::size_t live = other.live_bytes();
   if (live > arena_capacity_) {
-    arena_ = std::make_unique_for_overwrite<char[]>(live);
-    arena_capacity_ = static_cast<std::uint32_t>(live);
+    arena_block_ = net::Payload::uninitialized(live, &arena_);
+    arena_capacity_ = usable_bytes(arena_block_);
   }
   const Entry* from = other.entries();
   Entry* to = entries();
@@ -92,8 +98,8 @@ void HeaderMap::copy_from(const HeaderMap& other) {
     to[i] = from[i];
     to[i].offset = arena_size_;
     if (bytes != 0) {
-      std::memcpy(arena_.get() + arena_size_,
-                  other.arena_.get() + from[i].offset, bytes);
+      std::memcpy(arena_ + arena_size_, other.arena_ + from[i].offset,
+                  bytes);
     }
     arena_size_ += bytes;
   }
@@ -102,7 +108,8 @@ void HeaderMap::copy_from(const HeaderMap& other) {
 
 void HeaderMap::take(HeaderMap& other) noexcept {
   spill_ = std::move(other.spill_);
-  arena_ = std::move(other.arena_);
+  arena_block_ = std::move(other.arena_block_);
+  arena_ = std::exchange(other.arena_, nullptr);
   count_ = std::exchange(other.count_, 0);
   spill_capacity_ = std::exchange(other.spill_capacity_, 0);
   arena_size_ = std::exchange(other.arena_size_, 0);
@@ -113,8 +120,7 @@ void HeaderMap::take(HeaderMap& other) noexcept {
 bool HeaderMap::unknown_named(const Entry& e,
                               std::string_view name) const noexcept {
   return e.id == headers::Id::kUnknown &&
-         util::iequals(std::string_view(arena_.get() + e.offset, e.name_size),
-                       name);
+         util::iequals(std::string_view(arena_ + e.offset, e.name_size), name);
 }
 
 std::size_t HeaderMap::live_bytes() const noexcept {
@@ -126,22 +132,22 @@ std::size_t HeaderMap::live_bytes() const noexcept {
   return bytes;
 }
 
-std::unique_ptr<char[]> HeaderMap::rebuild_arena(std::size_t capacity) {
-  auto fresh = std::make_unique_for_overwrite<char[]>(capacity);
+net::Payload HeaderMap::rebuild_arena(std::size_t capacity) {
+  char* fresh = nullptr;
+  net::Payload block = net::Payload::uninitialized(capacity, &fresh);
   std::uint32_t used = 0;
   Entry* e = entries();
   for (std::uint32_t i = 0; i < count_; ++i) {
     const std::uint32_t bytes = e[i].name_size + e[i].value_size;
-    if (bytes != 0) {
-      std::memcpy(fresh.get() + used, arena_.get() + e[i].offset, bytes);
-    }
+    if (bytes != 0) std::memcpy(fresh + used, arena_ + e[i].offset, bytes);
     e[i].offset = used;
     used += bytes;
   }
   arena_size_ = used;
-  arena_capacity_ = static_cast<std::uint32_t>(capacity);
-  arena_.swap(fresh);
-  return fresh;
+  arena_capacity_ = usable_bytes(block);
+  arena_ = fresh;
+  std::swap(arena_block_, block);
+  return block;
 }
 
 void HeaderMap::reserve(std::size_t bytes) {
@@ -162,7 +168,7 @@ void HeaderMap::append(headers::Id id, std::string_view name,
   const std::size_t bytes = name_size + value.size();
   // `name` or `value` may be a view of this map's own arena: the old
   // arena stays alive until they have been copied.
-  std::unique_ptr<char[]> old_arena;
+  net::Payload old_arena;
   if (bytes > arena_capacity_ - arena_size_) {
     const std::size_t needed = live_bytes() + bytes;
     if (needed > std::numeric_limits<std::uint32_t>::max()) {
@@ -179,7 +185,7 @@ void HeaderMap::append(headers::Id id, std::string_view name,
     spill_ = std::move(grown);
     spill_capacity_ = static_cast<std::uint32_t>(capacity);
   }
-  char* out = arena_.get() + arena_size_;
+  char* out = arena_ + arena_size_;
   for (std::size_t i = 0; i < name_size; ++i) out[i] = util::ascii_lower(name[i]);
   if (!value.empty()) std::memcpy(out + name_size, value.data(), value.size());
   entries()[count_++] =

@@ -9,11 +9,12 @@
 // with no per-lookup case-folding or string allocation. Unknown names
 // fall back to the case-insensitive linear scan.
 //
-// A map keeps its names and values in one byte arena and its entries in
-// a small inline array, so the per-hop header work of a sidecar (parse,
-// stamp, propagate, copy for retry, encode) makes no per-header
-// allocation. Lookups return string_views into the arena: a view is valid
-// until the next mutation of the map it came from.
+// A map keeps its names and values in one byte arena, a block of net's
+// thread-local payload pool, and its entries in a small inline array, so
+// the per-hop header work of a sidecar (parse, stamp, propagate, copy for
+// retry, encode) reaches the allocator only while the pool is cold.
+// Lookups return string_views into the arena: a view is valid until the
+// next mutation of the map it came from.
 
 #include <cstddef>
 #include <cstdint>
@@ -21,6 +22,8 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+
+#include "net/payload.h"
 
 namespace meshnet::http {
 
@@ -90,9 +93,10 @@ constexpr std::string_view name_of(Id id) noexcept {
 /// (spilling to the heap only past kInlineEntries) over one byte arena
 /// per map: a well-known name is stored as its Id alone, an unknown name
 /// is lowercased into the arena once, at add(), and each value is copied
-/// in once. Building a map by parsing or by copying costs at most one
-/// allocation; later sets append to the arena until it is full, and a
-/// full arena is compacted into a bigger one.
+/// in once. The arena is a pooled block the map alone holds, used up to
+/// its whole size class: building a map by parsing or by copying takes
+/// one block, later sets append to it until it is full, and a full arena
+/// is compacted into a bigger block. A copy gets a block of its own.
 ///
 /// Every string_view a map hands out (get, get_or, iteration) points into
 /// its arena and stays valid until the next mutation of that map (set,
@@ -208,7 +212,7 @@ class HeaderMap {
   }
   Field field(std::size_t i) const noexcept {
     const Entry& e = entries()[i];
-    const char* bytes = arena_.get() + e.offset;
+    const char* bytes = arena_ + e.offset;
     return Field{e.id,
                  e.id == headers::Id::kUnknown
                      ? std::string_view(bytes, e.name_size)
@@ -222,9 +226,10 @@ class HeaderMap {
   std::size_t live_bytes() const noexcept;
 
   void append(headers::Id id, std::string_view name, std::string_view value);
-  /// Compacts the live entries into a fresh arena of `capacity` bytes and
-  /// returns the old arena, which the caller may still be reading from.
-  std::unique_ptr<char[]> rebuild_arena(std::size_t capacity);
+  /// Compacts the live entries into a fresh arena of at least `capacity`
+  /// bytes and returns the old block, which the caller may still be
+  /// reading from.
+  net::Payload rebuild_arena(std::size_t capacity);
   /// Empties the map, keeping its arena and entry array, then copies
   /// `other` in.
   void copy_from(const HeaderMap& other);
@@ -247,7 +252,9 @@ class HeaderMap {
 
   Entry inline_[kInlineEntries];  ///< used while spill_ is null
   std::unique_ptr<Entry[]> spill_;
-  std::unique_ptr<char[]> arena_;
+  /// The arena's pooled block, shared with nothing, and its bytes.
+  net::Payload arena_block_;
+  char* arena_ = nullptr;
   std::uint32_t count_ = 0;
   std::uint32_t spill_capacity_ = 0;
   std::uint32_t arena_size_ = 0;  ///< bytes used, dead ones included

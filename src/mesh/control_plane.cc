@@ -343,8 +343,12 @@ void ControlPlane::check_convergence() {
   cpm_.stale->set(static_cast<double>(stale_.size()));
   if (!converged() || epoch_ == 0) return;
   // Converged: every running sidecar runs the current epoch. This policy
-  // set is proven good — it becomes the rollback target.
-  last_good_policies_ = policies_;
+  // set is proven good — it becomes the rollback target. An epoch that
+  // changed only endpoints leaves the generation, and the copy, as is.
+  if (!have_last_good_ || last_good_generation_ != policy_generation_) {
+    last_good_policies_ = policies_;
+    last_good_generation_ = policy_generation_;
+  }
   have_last_good_ = true;
   rollback_armed_ = true;
   last_converged_at_ = sim_.now();

@@ -378,8 +378,10 @@ class ControlPlane {
   /// of an unbounded rollback->push->nack cycle.
   bool rollback_armed_ = true;
   /// Policy snapshot from the last fully-converged epoch — the rollback
-  /// target when a later push is nacked.
+  /// target when a later push is nacked — and the policy_generation_ it
+  /// was copied at.
   MeshPolicies last_good_policies_;
+  std::uint64_t last_good_generation_ = 0;
   bool have_last_good_ = false;
   bool crashed_ = false;
   bool pending_reconverge_ = false;

@@ -99,13 +99,13 @@ HttpClientPool::Slot* HttpClientPool::create_slot() {
         sim_, TlsChannel::Role::kClient, options_.tls.params,
         options_.tls.local_cert, options_.tls.runtime, remote_.to_string());
     raw->tls = channel;
-    channel->set_send_wire([conn_ptr](std::string bytes) {
-      if (!conn_ptr->closed()) conn_ptr->send(bytes);
+    channel->set_send_wire([conn_ptr](net::Payload bytes) {
+      if (!conn_ptr->closed()) conn_ptr->send(std::move(bytes));
     });
     // A malformed response leaves the parser failed; the request then
     // ends at its timeout or when the connection closes.
     channel->set_on_plaintext(
-        [raw](std::string_view data) { raw->parser->feed(data); });
+        [raw](const net::Payload& data) { raw->parser->feed(data); });
     // Delivered through a zero-delay event, so aborting here is safe.
     channel->set_on_error([this, raw, conn_ptr](const std::string& reason) {
       raw->close_reason = "tls handshake failed: " + reason;

@@ -638,8 +638,8 @@ void Sidecar::accept_session(transport::Connection& conn,
   sessions_.emplace(id, std::move(session));
 }
 
-template <class Bytes>
-void Sidecar::feed_session_parser(ServerSession& session, const Bytes& data) {
+void Sidecar::feed_session_parser(ServerSession& session,
+                                  const net::Payload& data) {
   if (!session.parser->feed(data)) {
     // Abort on a fresh simulator step: aborting here would destroy the
     // parser that is currently executing.
@@ -657,11 +657,11 @@ void Sidecar::setup_server_tls(ServerSession& session) {
       sim_, TlsChannel::Role::kServer, &config_.tls, &config_.identity_cert,
       &tls_runtime(), /*peer_key=*/"");
   session.tls = channel;
-  channel->set_send_wire([this, id](std::string bytes) {
+  channel->set_send_wire([this, id](net::Payload bytes) {
     const auto it = sessions_.find(id);
-    if (it != sessions_.end()) it->second->conn->send(bytes);
+    if (it != sessions_.end()) it->second->conn->send(std::move(bytes));
   });
-  channel->set_on_plaintext([this, id](std::string_view data) {
+  channel->set_on_plaintext([this, id](const net::Payload& data) {
     const auto it = sessions_.find(id);
     if (it != sessions_.end()) feed_session_parser(*it->second, data);
   });

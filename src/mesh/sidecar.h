@@ -589,10 +589,9 @@ class Sidecar {
   HttpClientPool& pool_for(const cluster::Endpoint& endpoint,
                            TrafficClass traffic_class, bool mtls);
   /// Feeds downstream bytes into the session's HTTP parser, aborting the
-  /// connection on a parse error. `Bytes` is the wire net::Payload (the
-  /// body is kept by reference) or decrypted TLS plaintext (copied).
-  template <class Bytes>
-  void feed_session_parser(ServerSession& session, const Bytes& data);
+  /// connection on a parse error. `data` is a wire segment or a decrypted
+  /// TLS record; either way the parser keeps a body by reference.
+  void feed_session_parser(ServerSession& session, const net::Payload& data);
   /// Upgrades an inbound session to TLS (a ClientHello was sniffed).
   void setup_server_tls(ServerSession& session);
   /// Lazily created shared TLS state (ticket cache, tls_* series); only

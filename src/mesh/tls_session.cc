@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace meshnet::mesh {
@@ -15,12 +16,6 @@ void append_u8(std::string& out, std::uint8_t v) {
 }
 
 void append_u16(std::string& out, std::uint16_t v) {
-  append_u8(out, static_cast<std::uint8_t>(v >> 8));
-  append_u8(out, static_cast<std::uint8_t>(v));
-}
-
-void append_u24(std::string& out, std::uint32_t v) {
-  append_u8(out, static_cast<std::uint8_t>(v >> 16));
   append_u8(out, static_cast<std::uint8_t>(v >> 8));
   append_u8(out, static_cast<std::uint8_t>(v));
 }
@@ -75,7 +70,6 @@ struct Reader {
 
 sim::Time read_time(Reader& r) { return static_cast<sim::Time>(r.u64()); }
 
-constexpr std::size_t kRecordHeaderBytes = 4;
 constexpr std::size_t kTicketBytes = 24;
 /// Bound on buffered 0-RTT records while a full handshake completes.
 constexpr std::size_t kMaxEarlyRecords = 1024;
@@ -94,53 +88,127 @@ bool is_known_tls_record_type(std::uint8_t type) noexcept {
   return false;
 }
 
-std::string encode_tls_record(TlsRecordType type, std::string_view body) {
+net::Payload encode_tls_record(TlsRecordType type, std::string_view body) {
   assert(body.size() <= 0xFFFFFF && "record body exceeds u24 length");
-  std::string out;
-  out.reserve(kRecordHeaderBytes + body.size());
-  append_u8(out, static_cast<std::uint8_t>(type));
-  append_u24(out, static_cast<std::uint32_t>(body.size()));
-  out.append(body);
-  return out;
+  char* out = nullptr;
+  net::Payload record =
+      net::Payload::uninitialized(kTlsRecordHeaderBytes + body.size(), &out);
+  out[0] = static_cast<char>(type);
+  out[1] = static_cast<char>(body.size() >> 16);
+  out[2] = static_cast<char>(body.size() >> 8);
+  out[3] = static_cast<char>(body.size());
+  if (!body.empty()) {
+    std::memcpy(out + kTlsRecordHeaderBytes, body.data(), body.size());
+  }
+  net::count_bytes_copied(body.size());
+  return record;
 }
 
 TlsRecordParser::TlsRecordParser(std::size_t max_body_bytes)
     : max_body_bytes_(max_body_bytes) {}
 
+bool TlsRecordParser::feed(const net::Payload& data) {
+  return consume(data.view(), &data);
+}
+
 bool TlsRecordParser::feed(std::string_view data) {
+  return consume(data, nullptr);
+}
+
+bool TlsRecordParser::consume(std::string_view data,
+                              const net::Payload* block) {
   if (has_error()) return false;
-  buffer_.append(data);
-  while (buffer_.size() >= kRecordHeaderBytes) {
-    const auto type = static_cast<std::uint8_t>(buffer_[0]);
-    if (!is_known_tls_record_type(type)) {
-      error_ = "unknown record type";
-      return false;
+  // Each pass consumes header bytes or one body piece; a record emitted
+  // mid-chunk leaves the rest of the chunk for the next pass.
+  while (!data.empty()) {
+    if (header_size_ < kTlsRecordHeaderBytes) {
+      const std::size_t take =
+          std::min(kTlsRecordHeaderBytes - header_size_, data.size());
+      std::memcpy(header_ + header_size_, data.data(), take);
+      header_size_ += take;
+      data.remove_prefix(take);
+      if (header_size_ < kTlsRecordHeaderBytes) break;
+      if (!parse_header()) return false;
+      if (body_expected_ > 0) continue;
+    } else {
+      const std::size_t take =
+          std::min(body_expected_ - body_received_, data.size());
+      append_body(data.substr(0, take), block);
+      data.remove_prefix(take);
+      if (body_received_ < body_expected_) break;
     }
-    const std::size_t length =
-        (static_cast<std::size_t>(static_cast<std::uint8_t>(buffer_[1]))
-         << 16) |
-        (static_cast<std::size_t>(static_cast<std::uint8_t>(buffer_[2])) << 8) |
-        static_cast<std::size_t>(static_cast<std::uint8_t>(buffer_[3]));
-    if (length > max_body_bytes_) {
-      error_ = "oversized record";
-      return false;
-    }
-    if (buffer_.size() < kRecordHeaderBytes + length) break;
-    // Move the record out before the callback: the handler may feed more
-    // bytes (it never does today, but the codec should not care).
-    const std::string record =
-        buffer_.substr(kRecordHeaderBytes, length);
-    buffer_.erase(0, kRecordHeaderBytes + length);
-    if (on_record_) {
-      on_record_(static_cast<TlsRecordType>(type), record);
-      if (has_error()) return false;  // handler-induced reset + error
-    }
+    emit_record();
+    if (has_error()) return false;  // handler-induced reset + error
   }
   return true;
 }
 
+bool TlsRecordParser::parse_header() {
+  if (!is_known_tls_record_type(static_cast<std::uint8_t>(header_[0]))) {
+    error_ = "unknown record type";
+    return false;
+  }
+  const std::size_t length =
+      (static_cast<std::size_t>(static_cast<std::uint8_t>(header_[1])) << 16) |
+      (static_cast<std::size_t>(static_cast<std::uint8_t>(header_[2])) << 8) |
+      static_cast<std::size_t>(static_cast<std::uint8_t>(header_[3]));
+  if (length > max_body_bytes_) {
+    error_ = "oversized record";
+    return false;
+  }
+  body_expected_ = length;
+  return true;
+}
+
+void TlsRecordParser::append_body(std::string_view piece,
+                                  const net::Payload* block) {
+  if (body_fill_ == nullptr && block != nullptr) {
+    net::Payload slice = block->slice(
+        static_cast<std::size_t>(piece.data() - block->data()), piece.size());
+    if (body_received_ == 0) {
+      body_ = std::move(slice);
+      body_received_ = piece.size();
+      return;
+    }
+    if (body_.continued_by(slice)) {
+      body_.extend(slice);
+      body_received_ += piece.size();
+      return;
+    }
+  }
+  if (body_fill_ == nullptr) {
+    // The first byte that cannot be kept by reference: move to an owned
+    // block sized by the record length, keeping the bytes aliased so far.
+    net::Payload owned =
+        net::Payload::uninitialized(body_expected_, &body_fill_);
+    if (body_received_ > 0) {
+      std::memcpy(body_fill_, body_.data(), body_received_);
+      net::count_bytes_copied(body_received_);
+    }
+    body_ = std::move(owned);
+  }
+  std::memcpy(body_fill_ + body_received_, piece.data(), piece.size());
+  net::count_bytes_copied(piece.size());
+  body_received_ += piece.size();
+}
+
+void TlsRecordParser::emit_record() {
+  // Take the record out before the callback, which may feed or reset.
+  const auto type = static_cast<TlsRecordType>(header_[0]);
+  const net::Payload body = std::move(body_);
+  body_fill_ = nullptr;
+  body_received_ = 0;
+  body_expected_ = 0;
+  header_size_ = 0;
+  if (on_record_) on_record_(type, body);
+}
+
 void TlsRecordParser::reset() {
-  buffer_.clear();
+  header_size_ = 0;
+  body_.reset();
+  body_fill_ = nullptr;
+  body_received_ = 0;
+  body_expected_ = 0;
   error_.clear();
 }
 
@@ -291,7 +359,7 @@ TlsChannel::TlsChannel(sim::Simulator& sim, Role role, const TlsParams* params,
       record_parser_(kTlsMaxRecordBytes) {
   assert(params_ != nullptr && local_cert_ != nullptr && runtime_ != nullptr);
   record_parser_.set_on_record(
-      [this](TlsRecordType type, std::string_view body) {
+      [this](TlsRecordType type, const net::Payload& body) {
         on_record(type, body);
       });
 }
@@ -318,7 +386,7 @@ void TlsChannel::start() {
   }
 }
 
-void TlsChannel::on_wire_data(std::string_view data) {
+void TlsChannel::on_wire_data(const net::Payload& data) {
   if (closed_ || failed()) return;
   // The record handler can fail the channel, which schedules owner
   // callbacks; keep ourselves alive across the whole feed.
@@ -328,14 +396,14 @@ void TlsChannel::on_wire_data(std::string_view data) {
   }
 }
 
-void TlsChannel::send_app_data(std::string_view data) {
+void TlsChannel::send_app_data(net::Payload data) {
   if (closed_ || failed() || data.empty()) return;
   const bool zero_rtt = role_ == Role::kClient && offered_ticket_ &&
                         state_ == State::kWaitServerHello;
   if (established() || zero_rtt) {
     encrypt_and_send(data);
   } else {
-    pending_app_.emplace_back(data);
+    pending_app_.push_back(std::move(data));
   }
 }
 
@@ -377,7 +445,7 @@ void TlsChannel::fail(const std::string& reason, bool send_alert) {
   });
 }
 
-void TlsChannel::on_record(TlsRecordType type, std::string_view body) {
+void TlsChannel::on_record(TlsRecordType type, const net::Payload& body) {
   if (closed_ || failed()) return;
   switch (type) {
     case TlsRecordType::kClientHello:
@@ -398,7 +466,7 @@ void TlsChannel::on_record(TlsRecordType type, std::string_view body) {
       handle_finished();
       return;
     case TlsRecordType::kAlert:
-      fail("tls alert from peer: " + std::string(body), false);
+      fail("tls alert from peer: " + std::string(body.view()), false);
       return;
     case TlsRecordType::kAppData:
       handle_app_data(body);
@@ -507,9 +575,9 @@ void TlsChannel::handle_finished() {
   fail("finished out of order", true);
 }
 
-void TlsChannel::handle_app_data(std::string_view body) {
+void TlsChannel::handle_app_data(const net::Payload& body) {
   if (established()) {
-    deliver_plaintext(std::string(body));
+    deliver_plaintext(body);
     return;
   }
   if (role_ == Role::kServer && state_ == State::kWaitFinished) {
@@ -519,7 +587,7 @@ void TlsChannel::handle_app_data(std::string_view body) {
       fail("early data overflow", true);
       return;
     }
-    early_records_.emplace_back(body);
+    early_records_.push_back(body);
     return;
   }
   fail("app data before handshake", true);
@@ -537,12 +605,12 @@ void TlsChannel::become_established() {
   }
   if (on_established_) on_established_(resumed_);
   while (!pending_app_.empty() && !failed() && !closed_) {
-    const std::string data = std::move(pending_app_.front());
+    const net::Payload data = std::move(pending_app_.front());
     pending_app_.pop_front();
     encrypt_and_send(data);
   }
   while (!early_records_.empty() && !failed() && !closed_) {
-    std::string body = std::move(early_records_.front());
+    net::Payload body = std::move(early_records_.front());
     early_records_.pop_front();
     deliver_plaintext(std::move(body));
   }
@@ -562,7 +630,7 @@ void TlsChannel::encrypt_and_send(std::string_view data) {
   }
 }
 
-void TlsChannel::deliver_plaintext(std::string body) {
+void TlsChannel::deliver_plaintext(net::Payload body) {
   TlsMetrics& metrics = runtime_->metrics();
   metrics.records_decrypted->inc();
   metrics.bytes_decrypted->inc(body.size());
@@ -570,11 +638,13 @@ void TlsChannel::deliver_plaintext(std::string body) {
   const sim::Time now = sim_.now();
   const sim::Time ready = std::max(now, rx_busy_until_) + cost;
   rx_busy_until_ = ready;
-  auto self = shared_from_this();
-  sim_.schedule_at(ready, [self, b = std::move(body)] {
+  auto deliver = [self = shared_from_this(), b = std::move(body)] {
     if (self->closed_ || self->failed()) return;
     if (self->on_plaintext_) self->on_plaintext_(b);
-  });
+  };
+  static_assert(sim::InlineTask::fits_inline<decltype(deliver)>(),
+                "the plaintext-delivery closure must not spill to the heap");
+  sim_.schedule_at(ready, std::move(deliver));
 }
 
 sim::Duration TlsChannel::aead_cost(std::size_t body_bytes) const {
@@ -582,7 +652,7 @@ sim::Duration TlsChannel::aead_cost(std::size_t body_bytes) const {
          kTlsAeadPerKb * static_cast<sim::Duration>(body_bytes) / 1024;
 }
 
-void TlsChannel::queue_wire(std::string bytes, sim::Duration cost,
+void TlsChannel::queue_wire(net::Payload bytes, sim::Duration cost,
                             bool handshake_cpu) {
   const sim::Time now = sim_.now();
   sim::Time ready;
@@ -599,11 +669,13 @@ void TlsChannel::queue_wire(std::string bytes, sim::Duration cost,
     if (send_wire_) send_wire_(std::move(bytes));
     return;
   }
-  auto self = shared_from_this();
-  sim_.schedule_at(ready, [self, b = std::move(bytes)] {
+  auto send = [self = shared_from_this(), b = std::move(bytes)]() mutable {
     if (self->closed_) return;
-    if (self->send_wire_) self->send_wire_(b);
-  });
+    if (self->send_wire_) self->send_wire_(std::move(b));
+  };
+  static_assert(sim::InlineTask::fits_inline<decltype(send)>(),
+                "the wire-send closure must not spill to the heap");
+  sim_.schedule_at(ready, std::move(send));
 }
 
 std::string_view tls_state_name(TlsChannel::State state) noexcept {

@@ -14,8 +14,15 @@
 //
 // The channel is deliberately decoupled from the transport: bytes go out
 // through a wire sink callback and come in through on_wire_data(), so
-// the state machine is drivable byte-by-byte from property tests and the
-// codec fuzzer without a simulated network. The sidecar's inbound
+// the state machine is drivable chunk by chunk from property tests and
+// the codec fuzzer without a simulated network.
+//
+// Records are net::Payload blocks end to end (net/payload.h): a record is
+// encoded header and body into one pooled block, which the owner sends
+// as is; a received record that arrives as consecutive slices of one
+// block (the sender's record, cut into segments) is handed up as a slice
+// of that block, and its plaintext reaches the owner's HTTP parser as the
+// same slice. Encoding is the one copy a record costs. The sidecar's inbound
 // listener and the HTTP client pool are the only production owners —
 // CI greps for constructions anywhere else.
 //
@@ -38,6 +45,7 @@
 #include <string>
 #include <string_view>
 
+#include "net/payload.h"
 #include "obs/metric_registry.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
@@ -113,23 +121,31 @@ enum class TlsRecordType : std::uint8_t {
 
 bool is_known_tls_record_type(std::uint8_t type) noexcept;
 
-/// Serializes one record. `body` must fit in 24 bits.
-std::string encode_tls_record(TlsRecordType type, std::string_view body);
+/// Bytes of a record header: type, then the body length.
+inline constexpr std::size_t kTlsRecordHeaderBytes = 4;
+
+/// Serializes one record, header and body, into one pooled block (the
+/// body bytes count as copied). `body` must fit in 24 bits.
+net::Payload encode_tls_record(TlsRecordType type, std::string_view body);
 
 /// Incremental record deframer (same feed contract as http::HttpParser):
 /// bytes in via feed(), complete records out via the handler, in order.
+/// A record body fed as consecutive slices of one block comes out as a
+/// slice of that block; any other body (a string_view, a slice of another
+/// block) is copied once into a pooled block sized by the record length.
 /// Unknown record types and oversized lengths put the parser in a sticky
 /// error state and feed() returns false.
 class TlsRecordParser {
  public:
   using RecordHandler =
-      std::function<void(TlsRecordType, std::string_view body)>;
+      std::function<void(TlsRecordType, const net::Payload& body)>;
 
   explicit TlsRecordParser(std::size_t max_body_bytes);
 
   void set_on_record(RecordHandler handler) { on_record_ = std::move(handler); }
 
   /// Returns false if the parser is (or enters) the error state.
+  bool feed(const net::Payload& data);
   bool feed(std::string_view data);
 
   bool has_error() const noexcept { return !error_.empty(); }
@@ -138,8 +154,25 @@ class TlsRecordParser {
   void reset();
 
  private:
+  /// `block`, when set, is the payload `data` lies in (a body may be kept
+  /// by reference); null means the bytes must be copied.
+  bool consume(std::string_view data, const net::Payload* block);
+  /// Validates the buffered header; false (with error_ set) on a bad one.
+  bool parse_header();
+  void append_body(std::string_view piece, const net::Payload* block);
+  void emit_record();
+
   std::size_t max_body_bytes_;
-  std::string buffer_;
+  /// The header of the record in progress, complete once header_size_ is
+  /// kTlsRecordHeaderBytes.
+  char header_[kTlsRecordHeaderBytes] = {};
+  std::size_t header_size_ = 0;
+  /// The body so far: a view that grows over adjacent slices of one block,
+  /// or (once `body_fill_` is set) an owned block of body_expected_ bytes.
+  net::Payload body_;
+  char* body_fill_ = nullptr;
+  std::size_t body_received_ = 0;
+  std::size_t body_expected_ = 0;
   std::string error_;
   RecordHandler on_record_;
 };
@@ -291,8 +324,8 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
     kFailed,
   };
 
-  using WireSink = std::function<void(std::string)>;
-  using PlaintextHandler = std::function<void(std::string_view)>;
+  using WireSink = std::function<void(net::Payload)>;
+  using PlaintextHandler = std::function<void(const net::Payload&)>;
   using EstablishedHandler = std::function<void(bool resumed)>;
   using ErrorHandler = std::function<void(const std::string&)>;
   using StateObserver = std::function<void(State)>;
@@ -323,12 +356,12 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
   void start();
 
   /// Feed bytes received from the wire.
-  void on_wire_data(std::string_view data);
+  void on_wire_data(const net::Payload& data);
 
   /// Queue plaintext for the peer. Client side before establishment:
   /// sent as 0-RTT early data when a ticket was offered, buffered until
   /// the handshake completes otherwise.
-  void send_app_data(std::string_view data);
+  void send_app_data(net::Payload data);
 
   /// Detaches the channel from its owner: cancels timers, drops pending
   /// deliveries, and suppresses every callback. Idempotent.
@@ -345,21 +378,21 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
  private:
   void transition(State next);
   void fail(const std::string& reason, bool send_alert);
-  void on_record(TlsRecordType type, std::string_view body);
+  void on_record(TlsRecordType type, const net::Payload& body);
   void handle_client_hello(std::string_view body);
   void handle_server_hello(std::string_view body);
   void handle_finished();
-  void handle_app_data(std::string_view body);
+  void handle_app_data(const net::Payload& body);
   void become_established();
   void encrypt_and_send(std::string_view data);
-  void deliver_plaintext(std::string body);
+  void deliver_plaintext(net::Payload body);
   /// AEAD charge for one record of `body_bytes` payload.
   sim::Duration aead_cost(std::size_t body_bytes) const;
   /// Serializes `bytes` onto the wire after `cost` of compute, behind
   /// everything already queued in the send direction. Handshake CPU
   /// (`handshake_cpu`) additionally contends on the runtime's shared
   /// crypto clock (see TlsRuntime::charge_handshake).
-  void queue_wire(std::string bytes, sim::Duration cost,
+  void queue_wire(net::Payload bytes, sim::Duration cost,
                   bool handshake_cpu = false);
 
   sim::Simulator& sim_;
@@ -386,11 +419,11 @@ class TlsChannel : public std::enable_shared_from_this<TlsChannel> {
 
   TlsRecordParser record_parser_;
   /// Client: plaintext queued while a full handshake is in flight.
-  std::list<std::string> pending_app_;
+  std::list<net::Payload> pending_app_;
   /// Server: early-data records received before the handshake finished
   /// (a rejected-ticket client has 0-RTT data already in flight; it is
   /// processed after Finished instead of being replayed).
-  std::list<std::string> early_records_;
+  std::list<net::Payload> early_records_;
 
   WireSink send_wire_;
   PlaintextHandler on_plaintext_;

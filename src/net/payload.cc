@@ -8,6 +8,17 @@
 #include <stdexcept>
 #include <vector>
 
+// Under AddressSanitizer a cached block's bytes are poisoned, so reading
+// a payload after its last view released it is reported as it would be
+// for freed memory; elsewhere the macros expand to nothing.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace meshnet::net {
 
 namespace {
@@ -85,6 +96,7 @@ struct PayloadPoolAccess {
       p.stats.bytes_cached -= class_bytes(cls);
       Block* block = static_cast<Block*>(list.back());
       list.pop_back();
+      ASAN_UNPOISON_MEMORY_REGION(block->bytes(), block->capacity);
       block->refs = 1;
       return block;
     }
@@ -104,6 +116,7 @@ struct PayloadPoolAccess {
     Pool& p = pool();
     const int cls = class_for(block->capacity);
     p.free_lists[cls].push_back(block);
+    ASAN_POISON_MEMORY_REGION(block->bytes(), block->capacity);
     ++p.stats.blocks_cached;
     p.stats.bytes_cached += class_bytes(cls);
   }

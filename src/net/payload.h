@@ -10,15 +10,19 @@
 // own block; the transport slices both into MSS segments (and
 // retransmits) without copying, the one segment that straddles the
 // head/body boundary carrying one slice of each; and the receiving parser
-// keeps the body as a slice of the sender's body block. Only an mTLS hop
-// joins head and body into one block, once, because its records are
-// ciphertext. Once the pool is warm, steady-state message flow does not
-// touch the allocator at all.
+// keeps the body as a slice of the sender's body block. An mTLS hop joins
+// head and body into one block, once, because its records are ciphertext,
+// and encodes that into one record block; the record then travels and is
+// parsed by reference the same way. HTTP header arenas are pool blocks
+// too. Once the pool is warm, steady-state message flow does not touch
+// the allocator at all.
 //
 // Thread affinity: a simulation (and all of its packets and messages)
 // lives on a single thread — the sweep runner pins each point to one
 // worker — so refcounts are plain integers and the pool is thread_local.
-// Payloads must not be shared across threads.
+// Payloads must not be shared across threads. A block only one view
+// holds (a header arena) may move to another thread; its release returns
+// it to that thread's pool.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,8 +40,9 @@ struct PayloadPoolStats {
   std::uint64_t blocks_cached = 0; ///< blocks currently in freelists
   std::uint64_t bytes_cached = 0;  ///< capacity held in freelists
   /// Message bytes copied from one buffer into another: copy_of(), the
-  /// body half of a codec join, and the parser's owned-body fallback.
-  /// Serializing a head is encoding, not a copy.
+  /// body half of a codec join, a TLS record's body, and the HTTP and TLS
+  /// parsers' owned-body fallbacks. Serializing a head is encoding, not a
+  /// copy, and header arenas are not message bytes.
   std::uint64_t bytes_copied = 0;
 };
 
@@ -125,6 +130,13 @@ class Payload {
 
   /// Grows this view over `next`; requires continued_by(next).
   void extend(const Payload& next) noexcept { size_ += next.size_; }
+
+  /// Bytes from this view's start to the end of its block (a block's
+  /// whole size class): the holder of a block nothing else shares may
+  /// write that far.
+  std::size_t capacity() const noexcept {
+    return block_ != nullptr ? block_->capacity - offset_ : 0;
+  }
 
   const char* data() const noexcept {
     return block_ != nullptr ? block_->bytes() + offset_ : nullptr;

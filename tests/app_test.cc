@@ -547,5 +547,69 @@ TEST(ElibraryPayloadPool, SteadyStateLiRequestAllocatesNoBlocks) {
             ElibraryOptions{}.component_bytes);
 }
 
+// The mTLS counterpart. Between two sidecars a message is joined once and
+// encoded into one record; the receiver keeps the record's plaintext,
+// body included, as a slice of the sender's record block. Once one
+// request has warmed the pool and the session, the next allocates no
+// payload block, and it copies exactly what those two steps copy: each
+// message's body for the join, and the joined message for its record.
+TEST(MtlsPayloadPool, SteadyStateRequestAllocatesNoBlocks) {
+  sim::Simulator sim;
+  cluster::Cluster cluster(sim);
+  cluster.add_node("n1");
+  cluster::Pod& client_pod = cluster.add_pod("n1", "client", "client", 0);
+  cluster::Pod& server_pod =
+      cluster.add_pod("n1", "server-v1", "server", 8080);
+  mesh::MeshPolicies policies;
+  policies.tls.enabled = true;
+  mesh::ControlPlane cp(sim, cluster, policies);
+  cp.inject_sidecar(client_pod, {});
+  cp.inject_sidecar(server_pod, {});
+  cp.start();
+  constexpr std::size_t kResponseBytes = 6000;
+  Microservice server(sim, server_pod, [](const http::HttpRequest&) {
+    HandlerResult plan;
+    plan.response_bytes = kResponseBytes;
+    return plan;
+  });
+  mesh::HttpClientPool pool(sim, client_pod.transport(),
+                            {client_pod.ip(), 15001}, {});
+  const auto post = [&] {
+    http::HttpRequest request;
+    request.method = "POST";
+    request.path = "/upload";
+    request.headers.set(http::headers::kHost, "server");
+    request.body.assign(3000, 'q');
+    std::optional<http::HttpResponse> out;
+    pool.request(std::move(request),
+                 [&](std::optional<http::HttpResponse> response,
+                     const std::string&) { out = std::move(response); });
+    sim.run_until(sim.now() + sim::seconds(5));
+    return out;
+  };
+  {
+    const auto warm = post();
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_EQ(warm->status, 200);
+  }
+  const obs::Counter* encrypted =
+      cp.metrics().find_counter("tls_bytes_encrypted_total");
+  ASSERT_NE(encrypted, nullptr);
+  const std::uint64_t encrypted_before = encrypted->value();
+  const net::PayloadPoolStats before = net::payload_pool_stats();
+  const auto again = post();
+  const net::PayloadPoolStats after = net::payload_pool_stats();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->status, 200);
+  EXPECT_EQ(again->body.size(), kResponseBytes);
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.unpooled, before.unpooled);
+  // One record per message each way (both fit in 16 KiB).
+  const std::uint64_t record_bytes = encrypted->value() - encrypted_before;
+  EXPECT_GT(record_bytes, 3000 + kResponseBytes);
+  EXPECT_EQ(after.bytes_copied - before.bytes_copied,
+            3000 + kResponseBytes + record_bytes);
+}
+
 }  // namespace
 }  // namespace meshnet::app

@@ -203,6 +203,37 @@ TEST_F(ControlPlaneFixture, PoisonConfigNackRollsBackToLastGood) {
   }
 }
 
+// The rollback target is copied only when the policy generation moved
+// since the last converged epoch. An epoch that changes only endpoints
+// keeps the copy, and a later rollback still restores the policy of the
+// last converged epoch, not an older one.
+TEST_F(ControlPlaneFixture, RollbackAfterEndpointOnlyEpochRestoresLastGood) {
+  build();
+  cp_->push_config();
+  ASSERT_TRUE(cp_->converged());
+  const sim::Duration converged_timeout = sim::seconds(7);
+  cp_->policies().request_timeout = converged_timeout;
+  cp_->push_config();
+  run_for(sim::milliseconds(200));
+  ASSERT_TRUE(cp_->converged());
+
+  // Endpoint-only epoch: a new replica, no policy access in between.
+  const std::uint64_t before_replica = cp_->epoch();
+  cluster_->add_pod("n1", "server-v2", "server", 8080);
+  cp_->push_config();
+  run_for(sim::milliseconds(200));
+  ASSERT_GT(cp_->epoch(), before_replica);
+  ASSERT_TRUE(cp_->converged());
+
+  cp_->policies().request_timeout = -sim::seconds(1);  // poison
+  cp_->push_config();
+  run_for(sim::milliseconds(200));
+  EXPECT_EQ(counter(*cp_, "cp_config_rollbacks_total"), 1u);
+  EXPECT_TRUE(cp_->converged());
+  EXPECT_EQ(cp_->policies().request_timeout, converged_timeout);
+  EXPECT_EQ(client_sidecar_->config().request_timeout, converged_timeout);
+}
+
 // --------------------------------------------------- crash + recovery --
 
 TEST_F(ControlPlaneFixture, CrashGrowsStalenessRecoveryReconverges) {

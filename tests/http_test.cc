@@ -88,6 +88,8 @@ TEST(HeaderMap, CopyIsIndependentOfTheOriginal) {
 
   HeaderMap copy = original;
   EXPECT_EQ(copy, original);
+  // A copy's bytes live in a block of its own.
+  EXPECT_NE(copy.get(headers::Id::kHost)->data(), host.data());
   copy.set(headers::Id::kHost, "ratings");
   copy.remove("x-trace-note");
   for (int i = 0; i < 40; ++i) {  // regrows the copy's arena and entries
@@ -200,6 +202,41 @@ TEST(HeaderMap, OwnValueMayBeSetBackWhileTheArenaGrows) {
   }
   EXPECT_EQ(map.get_or("x-long", ""), std::string(100, 'v'));
   EXPECT_EQ(names(map), (std::vector<std::string>{"x-copy", "x-long"}));
+}
+
+// A parsed head reserves room for the headers a sidecar stamps, and the
+// arena is a pooled block used up to its size class. Once warm, one hop's
+// header work takes three blocks, all from freelists: the parse's arena
+// (the stamps fit in it), the retry copy's arena and the encoded head.
+TEST(HeaderMap, WarmParseStampCopyEncodeCycleMissesNoBlock) {
+  HttpRequest sent;
+  sent.path = "/r/svc-42/1234";
+  sent.headers.set(headers::kHost, "svc-42");
+  sent.headers.set(headers::kRequestId, "c00-r003-0000001234");
+  sent.headers.set(headers::kTraceId, "trace-0000000000001234");
+  sent.headers.set(headers::kSpanId, "span-0000000000001234");
+  const net::Payload wire = encode_request(sent);
+  HttpParser parser(ParserKind::kRequest);
+  HttpRequest parsed;
+  parser.set_on_request([&](HttpRequest r) { parsed = std::move(r); });
+  const auto hop = [&] {
+    ASSERT_TRUE(parser.feed(wire));
+    parsed.headers.set(headers::kSpanId, "span-0000000000005678");
+    parsed.headers.set(headers::kParentSpanId, "span-0000000000001234");
+    parsed.headers.set(headers::kMeshSource, "svc-12");
+    parsed.headers.set(headers::kDeadlineMs, "799");
+    parsed.headers.set(headers::kRetryAttempt, "1");
+    const HttpRequest retry = parsed;
+    EXPECT_EQ(retry.headers, parsed.headers);
+    EXPECT_FALSE(encode_request(retry).empty());
+    parsed = HttpRequest{};
+  };
+  hop();
+  const net::PayloadPoolStats before = net::payload_pool_stats();
+  hop();
+  const net::PayloadPoolStats after = net::payload_pool_stats();
+  EXPECT_EQ(after.pool_misses, before.pool_misses);
+  EXPECT_EQ(after.pool_hits - before.pool_hits, 3u);
 }
 
 // ---- Interned well-known names ----------------------------------------

@@ -14,6 +14,7 @@
 #include "mesh/control_plane.h"
 #include "mesh/sidecar.h"
 #include "mesh/tls_session.h"
+#include "net/payload.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 
@@ -22,14 +23,19 @@ namespace {
 
 using State = TlsChannel::State;
 
+net::Payload bytes(std::string_view text) {
+  return net::Payload::copy_of(text);
+}
+
 // ------------------------------------------------------- record codec --
 
 TEST(TlsCodec, RecordRoundTrip) {
-  const std::string wire = encode_tls_record(TlsRecordType::kAppData, "hello");
+  const net::Payload wire =
+      encode_tls_record(TlsRecordType::kAppData, "hello");
   TlsRecordParser parser(16 * 1024);
   std::vector<std::pair<TlsRecordType, std::string>> records;
-  parser.set_on_record([&](TlsRecordType type, std::string_view body) {
-    records.emplace_back(type, std::string(body));
+  parser.set_on_record([&](TlsRecordType type, const net::Payload& body) {
+    records.emplace_back(type, std::string(body.view()));
   });
   EXPECT_TRUE(parser.feed(wire));
   ASSERT_EQ(records.size(), 1u);
@@ -39,7 +45,7 @@ TEST(TlsCodec, RecordRoundTrip) {
 
 TEST(TlsCodec, UnknownTypeIsStickyError) {
   TlsRecordParser parser(16 * 1024);
-  std::string bad = encode_tls_record(TlsRecordType::kAppData, "x");
+  std::string bad(encode_tls_record(TlsRecordType::kAppData, "x").view());
   bad[0] = 0x42;  // not a known content type
   EXPECT_FALSE(parser.feed(bad));
   EXPECT_TRUE(parser.has_error());
@@ -54,6 +60,96 @@ TEST(TlsCodec, OversizedRecordIsError) {
   EXPECT_FALSE(
       parser.feed(encode_tls_record(TlsRecordType::kAppData, "123456789")));
   EXPECT_EQ(parser.error(), "oversized record");
+}
+
+TEST(TlsCodec, ErrorsFireOnTheHeadersLastByteWhenFedByteByByte) {
+  using Case = std::pair<std::string, std::string>;
+  for (const auto& [bad, error] :
+       {Case{{'\x42', '\0', '\0', '\x01', 'x'}, "unknown record type"},
+        Case{{'\x17', '\0', '\0', '\x09'}, "oversized record"}}) {
+    TlsRecordParser parser(/*max_body_bytes=*/8);
+    for (std::size_t i = 0; i + 1 < kTlsRecordHeaderBytes; ++i) {
+      EXPECT_TRUE(parser.feed(std::string_view(bad).substr(i, 1)));
+    }
+    EXPECT_FALSE(parser.feed(std::string_view(bad).substr(3, 1)));
+    EXPECT_EQ(parser.error(), error);
+  }
+}
+
+using Records = std::vector<std::pair<TlsRecordType, std::string>>;
+
+/// A parser whose records are appended to `out`, bodies as text.
+std::unique_ptr<TlsRecordParser> collecting_parser(Records* out) {
+  auto parser = std::make_unique<TlsRecordParser>(kTlsMaxRecordBytes);
+  parser->set_on_record([out](TlsRecordType type, const net::Payload& body) {
+    out->emplace_back(type, std::string(body.view()));
+  });
+  return parser;
+}
+
+TEST(TlsCodec, RecordInsideOneFedBlockIsASliceOfIt) {
+  const std::string body(3000, 'b');
+  const net::Payload wire = encode_tls_record(TlsRecordType::kAppData, body);
+  TlsRecordParser parser(kTlsMaxRecordBytes);
+  net::Payload seen;
+  parser.set_on_record(
+      [&](TlsRecordType, const net::Payload& record) { seen = record; });
+  const std::uint64_t copied = net::payload_pool_stats().bytes_copied;
+  // As the transport hands it up: MSS slices of the sender's block, the
+  // first one cutting the body, not the header.
+  constexpr std::size_t kMss = 1460;
+  for (std::size_t at = 0; at < wire.size(); at += kMss) {
+    ASSERT_TRUE(
+        parser.feed(wire.slice(at, std::min(kMss, wire.size() - at))));
+  }
+  EXPECT_EQ(seen.view(), body);
+  EXPECT_EQ(seen.data(), wire.data() + kTlsRecordHeaderBytes);
+  EXPECT_EQ(net::payload_pool_stats().bytes_copied, copied);
+}
+
+TEST(TlsCodec, EveryChunkingYieldsTheSameRecords) {
+  std::string stream;
+  Records expected;
+  for (std::size_t size : {0u, 1u, 5u, 700u, 16u * 1024u, 3u}) {
+    const auto type =
+        size == 0 ? TlsRecordType::kFinished : TlsRecordType::kAppData;
+    const std::string body(size, static_cast<char>('a' + size % 26));
+    stream += encode_tls_record(type, body);
+    expected.emplace_back(type, body);
+  }
+  const net::Payload block = net::Payload::copy_of(stream);
+
+  Records whole;
+  ASSERT_TRUE(collecting_parser(&whole)->feed(block));
+  EXPECT_EQ(whole, expected);
+
+  // Two blocks, cut at every offset of the first records' headers and
+  // bodies (a header straddles the blocks when the cut falls inside one).
+  for (std::size_t cut = 1; cut < 24; ++cut) {
+    Records split;
+    auto parser = collecting_parser(&split);
+    ASSERT_TRUE(parser->feed(
+        net::Payload::copy_of(std::string_view(stream).substr(0, cut))));
+    ASSERT_TRUE(parser->feed(
+        net::Payload::copy_of(std::string_view(stream).substr(cut))));
+    EXPECT_EQ(split, expected) << "cut at " << cut;
+  }
+
+  // Slices of one block, seven bytes each: headers straddle segments.
+  Records segments;
+  auto segmented = collecting_parser(&segments);
+  for (std::size_t at = 0; at < block.size(); at += 7) {
+    ASSERT_TRUE(segmented->feed(
+        block.slice(at, std::min<std::size_t>(7, block.size() - at))));
+  }
+  EXPECT_EQ(segments, expected);
+
+  Records bytes_in;
+  auto byte_by_byte = collecting_parser(&bytes_in);
+  for (const char c : stream) {
+    ASSERT_TRUE(byte_by_byte->feed(std::string_view(&c, 1)));
+  }
+  EXPECT_EQ(bytes_in, expected);
 }
 
 TEST(TlsCodec, HellosAndTicketsRoundTrip) {
@@ -115,9 +211,9 @@ struct ChannelPair {
                                           server_params, server_cert,
                                           server_rt, "");
     client->set_send_wire(
-        [this](std::string bytes) { deliver(server, &to_server_, bytes); });
+        [this](net::Payload bytes) { deliver(server, &to_server_, bytes); });
     server->set_send_wire(
-        [this](std::string bytes) { deliver(client, &to_client_, bytes); });
+        [this](net::Payload bytes) { deliver(client, &to_client_, bytes); });
   }
 
   void start() {
@@ -128,7 +224,7 @@ struct ChannelPair {
   /// Streams `bytes` to `dst` in random chunks with random (order-
   /// preserving) delays when an RNG is wired; immediately otherwise.
   void deliver(std::shared_ptr<TlsChannel> dst, sim::Time* clock,
-               const std::string& bytes) {
+               const net::Payload& bytes) {
     std::size_t offset = 0;
     while (offset < bytes.size()) {
       std::size_t n = bytes.size() - offset;
@@ -138,7 +234,7 @@ struct ChannelPair {
         delay = static_cast<sim::Duration>(
             rng_->uniform_int(0, 200) * sim::microseconds(1));
       }
-      const std::string chunk = bytes.substr(offset, n);
+      const net::Payload chunk = bytes.slice(offset, n);
       offset += n;
       *clock = std::max(*clock, sim_.now() + delay);
       sim_.schedule_at(*clock, [dst, chunk] { dst->on_wire_data(chunk); });
@@ -227,9 +323,9 @@ TEST(TlsHandshake, FullHandshakeNeverSkipsStatesUnderRandomInterleavings) {
     observe_transitions(*pair.server, &server_states);
     std::string received;
     pair.server->set_on_plaintext(
-        [&](std::string_view data) { received.append(data); });
+        [&](const net::Payload& data) { received.append(data.view()); });
     pair.start();
-    pair.client->send_app_data("GET / HTTP/1.1\r\n\r\n");
+    pair.client->send_app_data(bytes("GET / HTTP/1.1\r\n\r\n"));
     sim.run_until(sim::seconds(10));
 
     ASSERT_TRUE(pair.client->established());
@@ -276,9 +372,9 @@ TEST(TlsHandshake, TicketResumptionRoundTrip) {
   observe_transitions(*second.server, &server_states);
   std::string received;
   second.server->set_on_plaintext(
-      [&](std::string_view data) { received.append(data); });
+      [&](const net::Payload& data) { received.append(data.view()); });
   second.start();
-  second.client->send_app_data("early");
+  second.client->send_app_data(bytes("early"));
   sim.run_until(sim::seconds(2));
   ASSERT_TRUE(second.client->established());
   ASSERT_TRUE(second.server->established());
@@ -322,7 +418,7 @@ TEST(TlsHandshake, TimeoutFailsCleanlyWithoutPeer) {
   TlsRuntime rt(nullptr, 16);
   auto client = std::make_shared<TlsChannel>(
       sim, TlsChannel::Role::kClient, &params, &cert, &rt, "peer:1");
-  client->set_send_wire([](std::string) {});  // wire goes nowhere
+  client->set_send_wire([](net::Payload) {});  // wire goes nowhere
   std::string error;
   client->set_on_error([&](const std::string& reason) { error = reason; });
   client->start();
@@ -345,7 +441,7 @@ TEST(TlsHandshake, SimulatorTeardownReleasesAChannelItsTimeoutOwns) {
     sim::Simulator sim;
     auto client = std::make_shared<TlsChannel>(
         sim, TlsChannel::Role::kClient, &params, &cert, &rt, "peer:1");
-    client->set_send_wire([](std::string) {});
+    client->set_send_wire([](net::Payload) {});
     client->start();
     weak = client;
     client.reset();
@@ -437,15 +533,15 @@ TEST(TlsCertificate, EstablishedSessionSurvivesRotationMidRequest) {
                    &client_rt, &server_rt);
   std::string received;
   pair.server->set_on_plaintext(
-      [&](std::string_view data) { received.append(data); });
+      [&](const net::Payload& data) { received.append(data.view()); });
   pair.start();
   sim.run_until(sim::seconds(1));
   ASSERT_TRUE(pair.client->established());
 
   // Rotation lands through the stable cert pointer, mid-"request".
-  pair.client->send_app_data("part-1|");
+  pair.client->send_app_data(bytes("part-1|"));
   server_cert = make_cert(2, sim.now(), sim.now() + sim::seconds(10));
-  pair.client->send_app_data("part-2");
+  pair.client->send_app_data(bytes("part-2"));
   sim.run_until(sim::seconds(2));
   EXPECT_TRUE(pair.client->established());
   EXPECT_EQ(received, "part-1|part-2");
@@ -458,11 +554,11 @@ TEST(TlsCertificate, EstablishedSessionSurvivesRotationMidRequest) {
                    &client_rt, &server_rt);
   std::string early;
   next.server->set_on_plaintext(
-      [&](std::string_view data) { early.append(data); });
+      [&](const net::Payload& data) { early.append(data.view()); });
   next.start();
   // 0-RTT data rides the rejected ticket; it must be delivered after the
   // full handshake completes instead of being lost or replayed early.
-  next.client->send_app_data("early-after-rotation");
+  next.client->send_app_data(bytes("early-after-rotation"));
   sim.run_until(sim::seconds(4));
   ASSERT_TRUE(next.client->established());
   EXPECT_FALSE(next.client->resumed());
@@ -488,8 +584,8 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
     TlsRuntime rt(nullptr, 16);
     auto server = std::make_shared<TlsChannel>(
         sim, TlsChannel::Role::kServer, &params, &good, &rt, "");
-    server->set_send_wire([](std::string) {});
-    server->set_on_plaintext([](std::string_view) {});
+    server->set_send_wire([](net::Payload) {});
+    server->set_on_plaintext([](const net::Payload&) {});
     server->start();
 
     std::string wire;
@@ -557,11 +653,12 @@ TEST(TlsCodecFuzz, MalformedHandshakeStreamsFailCleanlyNeverHang) {
     // Random chunking, with a chance of truncating the tail entirely.
     const std::size_t keep = static_cast<std::size_t>(
         rng.uniform_int(0, wire.size()));
+    const net::Payload stream = net::Payload::copy_of(wire);
     std::size_t offset = 0;
     while (offset < keep) {
       const std::size_t n = std::min<std::size_t>(
           rng.uniform_int(1, 48), keep - offset);
-      const std::string chunk = wire.substr(offset, n);
+      const net::Payload chunk = stream.slice(offset, n);
       offset += n;
       sim.schedule_after(
           static_cast<sim::Duration>(rng.uniform_int(0, 100)) *
